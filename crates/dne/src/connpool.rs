@@ -12,7 +12,11 @@
 //!
 //! - keeps O(1) activation bookkeeping per pick — membership lives on the
 //!   connection's metadata (`active_slot`), and reaping swap-removes from
-//!   the active set, so pick cost never grows with the active population;
+//!   the active set, so pick cost never grows with the active population.
+//!   A pick does one keyed lookup (`(tenant, peer)` → its pool, which also
+//!   carries that pair's hit/miss counters), one fabric read covering the
+//!   pool's QPs, and one index into the metadata table (QP ids are
+//!   fabric-wide counters, so the table is indexed by id, not hashed);
 //! - deduplicates handles on insert: the same QP registered under two
 //!   `(tenant, peer)` keys would otherwise be visited twice by audits and
 //!   double-counted by the deactivation counters;
@@ -29,8 +33,8 @@ use std::hash::Hash;
 
 use membuf::tenant::TenantId;
 use rdma_sim::fabric::QpHandle;
-use rdma_sim::{Fabric, NodeId};
-use simcore::{SimDuration, SimTime};
+use rdma_sim::{Fabric, NodeId, QpLoad};
+use simcore::{IdTable, SimDuration, SimTime};
 
 /// Elastic lifecycle knobs for a [`ConnPool`]. The defaults (`0`/`None`)
 /// reproduce the pre-elastic behavior exactly: unbounded active set, no
@@ -80,6 +84,9 @@ impl Default for AdaptiveTeardown {
 /// for LRU eviction and idle-age teardown.
 #[derive(Debug, Clone, Copy)]
 struct ConnMeta<K> {
+    /// The endpoint's node: QP ids index the table, the node completes the
+    /// handle.
+    node: NodeId,
     key: (K, NodeId),
     /// Index into the active vec while activated; `None` in shadow state.
     active_slot: Option<usize>,
@@ -90,6 +97,28 @@ struct ConnMeta<K> {
     last_tick: u64,
 }
 
+/// The connections of one `(tenant, peer)` pair and that pair's share of
+/// the pick counters.
+#[derive(Debug, Default)]
+struct PeerPool {
+    handles: Vec<QpHandle>,
+    /// Picks that found the chosen QP already active.
+    hits: Cell<u64>,
+    /// Picks that had to activate a shadow QP.
+    misses: Cell<u64>,
+}
+
+/// Pool-wide per-connection metadata, indexed by QP id.
+type MetaTable<K> = IdTable<ConnMeta<K>>;
+
+fn meta_of<K>(meta: &mut MetaTable<K>, qp: QpHandle) -> Option<&mut ConnMeta<K>> {
+    meta.get_mut(qp.qp.0).filter(|m| m.node == qp.node)
+}
+
+fn bump(counter: &Cell<u64>, by: u64) {
+    counter.set(counter.get() + by);
+}
+
 /// A pool of established RC connections keyed by `(tenant, peer node)`.
 ///
 /// Generic over the tenant key so the million-tenant churn model (whose
@@ -97,16 +126,17 @@ struct ConnMeta<K> {
 /// exact same machinery with a wider key; the engine uses the default.
 #[derive(Debug, Default)]
 pub struct ConnPool<K: Copy + Eq + Hash + Ord = TenantId> {
-    conns: HashMap<(K, NodeId), Vec<QpHandle>>,
-    /// Pool-wide per-connection metadata; also the dedupe set for `add`.
-    meta: RefCell<HashMap<QpHandle, ConnMeta<K>>>,
+    conns: HashMap<(K, NodeId), PeerPool>,
+    /// Also the dedupe set for `add`.
+    meta: RefCell<MetaTable<K>>,
     /// QPs this pool has activated and not yet reaped. Unordered (reaping
     /// swap-removes); each entry's position is mirrored in its meta slot.
     active: RefCell<Vec<QpHandle>>,
     /// Shadow-state recency queue for idle-age teardown: `(idle-since,
-    /// handle)` appended on add and on every deactivation. Entries are
-    /// validated lazily against `meta.last_used` when popped, so a QP
-    /// re-used after going idle just leaves a stale entry behind.
+    /// handle)` appended on add and on every deactivation — but only while
+    /// `idle_teardown_age` is set, since nothing else ever drains it.
+    /// Entries are validated lazily against `meta.last_used` when popped,
+    /// so a QP re-used after going idle just leaves a stale entry behind.
     idle_queue: RefCell<VecDeque<(SimTime, QpHandle)>>,
     /// Monotone pick counter backing the LRU marks.
     tick: Cell<u64>,
@@ -136,8 +166,6 @@ pub struct ConnPool<K: Copy + Eq + Hash + Ord = TenantId> {
     /// one O(1) probe; the pre-fix code scanned the whole active set, so
     /// this counter is the regression guard for the quadratic-pick bug.
     membership_probes: Cell<u64>,
-    /// Per-tenant `(hits, misses)` split of the pick counters.
-    per_tenant: RefCell<HashMap<K, (u64, u64)>>,
     cfg: ElasticConfig,
 }
 
@@ -145,9 +173,14 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
     /// Creates an empty pool with pre-elastic defaults (unbounded active
     /// set, no teardown).
     pub fn new() -> Self {
+        ConnPool::with_config(ElasticConfig::default())
+    }
+
+    /// Creates an empty pool with the given elastic lifecycle config.
+    pub fn with_config(cfg: ElasticConfig) -> Self {
         ConnPool {
             conns: HashMap::new(),
-            meta: RefCell::new(HashMap::new()),
+            meta: RefCell::new(IdTable::new()),
             active: RefCell::new(Vec::new()),
             idle_queue: RefCell::new(VecDeque::new()),
             tick: Cell::new(0),
@@ -161,26 +194,48 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
             evictions_at_sweep: Cell::new(0),
             adaptive_shrinks: Cell::new(0),
             membership_probes: Cell::new(0),
-            per_tenant: RefCell::new(HashMap::new()),
-            cfg: ElasticConfig::default(),
+            cfg,
         }
     }
 
-    /// Creates an empty pool with the given elastic lifecycle config.
-    pub fn with_config(cfg: ElasticConfig) -> Self {
-        let mut pool = ConnPool::new();
-        pool.cfg = cfg;
-        pool
-    }
-
-    /// Replaces the elastic lifecycle config.
+    /// Replaces the elastic lifecycle config. Turning idle-age teardown on
+    /// seeds the idle queue from the shadow-state connections' recency
+    /// marks (the queue is not maintained while teardown is off); turning
+    /// it off drops the queue.
     pub fn set_config(&mut self, cfg: ElasticConfig) {
+        let was_on = self.cfg.idle_teardown_age.is_some();
         self.cfg = cfg;
+        let queue = self.idle_queue.get_mut();
+        match (was_on, cfg.idle_teardown_age.is_some()) {
+            (false, true) => {
+                let meta = self.meta.get_mut();
+                let mut idle: Vec<(SimTime, NodeId, rdma_sim::QpId)> = meta
+                    .iter()
+                    .filter(|(_, m)| m.active_slot.is_none())
+                    .map(|(qp, m)| (m.last_used, m.node, rdma_sim::QpId(qp)))
+                    .collect();
+                idle.sort_unstable();
+                queue.extend(
+                    idle.into_iter()
+                        .map(|(at, node, qp)| (at, QpHandle { node, qp })),
+                );
+            }
+            (true, false) => queue.clear(),
+            _ => {}
+        }
     }
 
     /// Returns the elastic lifecycle config in force.
     pub fn config(&self) -> ElasticConfig {
         self.cfg
+    }
+
+    /// Records that `qp` entered shadow state at `now`, for the teardown
+    /// sweep. A no-op while teardown is off: nothing would ever pop it.
+    fn note_idle(&self, now: SimTime, qp: QpHandle) {
+        if self.cfg.idle_teardown_age.is_some() {
+            self.idle_queue.borrow_mut().push_back((now, qp));
+        }
     }
 
     /// Adds an established connection for `(tenant, peer)`, idle as of
@@ -192,22 +247,26 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
     /// duplicates would make the full-sweep audit visit it twice and
     /// double-count deactivations.
     pub fn add(&mut self, tenant: K, peer: NodeId, qp: QpHandle, now: SimTime) -> bool {
-        let mut meta = self.meta.borrow_mut();
-        if meta.contains_key(&qp) {
+        let meta = self.meta.get_mut();
+        if meta.contains(qp.qp.0) {
             return false;
         }
         meta.insert(
-            qp,
+            qp.qp.0,
             ConnMeta {
+                node: qp.node,
                 key: (tenant, peer),
                 active_slot: None,
                 last_used: now,
                 last_tick: 0,
             },
         );
-        drop(meta);
-        self.conns.entry((tenant, peer)).or_default().push(qp);
-        self.idle_queue.borrow_mut().push_back((now, qp));
+        self.conns
+            .entry((tenant, peer))
+            .or_default()
+            .handles
+            .push(qp);
+        self.note_idle(now, qp);
         true
     }
 
@@ -215,8 +274,7 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
     pub fn conns(&self, tenant: K, peer: NodeId) -> &[QpHandle] {
         self.conns
             .get(&(tenant, peer))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], |p| p.handles.as_slice())
     }
 
     /// Returns the number of pooled connections for `(tenant, peer)`.
@@ -236,7 +294,8 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
 
     /// Returns `true` when `qp` is pooled under any key.
     pub fn contains(&self, qp: QpHandle) -> bool {
-        self.meta.borrow().contains_key(&qp)
+        let meta = self.meta.borrow();
+        meta.get(qp.qp.0).is_some_and(|m| m.node == qp.node)
     }
 
     /// Picks the least-congested ready connection (smallest SQ backlog) and
@@ -265,29 +324,31 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
         peer: NodeId,
         avoid: Option<rdma_sim::QpId>,
     ) -> Option<QpHandle> {
-        let list = self.conns(tenant, peer);
-        let best = list
-            .iter()
-            .filter(|&&qp| fabric.qp_ready(qp) && Some(qp.qp) != avoid)
-            .min_by_key(|&&qp| fabric.sq_depth(qp))
-            .copied()
-            .or_else(|| {
-                list.iter()
-                    .find(|&&qp| Some(qp.qp) == avoid && fabric.qp_ready(qp))
-                    .copied()
-            })?;
-        let mut per_tenant = self.per_tenant.borrow_mut();
-        let entry = per_tenant.entry(tenant).or_insert((0, 0));
-        if fabric.qp_is_active(best) {
-            self.hits.set(self.hits.get() + 1);
-            entry.0 += 1;
+        let pool = self.conns.get(&(tenant, peer))?;
+        // First least-loaded ready QP other than `avoid`; `avoid` itself
+        // only if nothing else is ready.
+        let mut best: Option<(QpHandle, QpLoad)> = None;
+        let mut fallback = None;
+        fabric.qp_loads(&pool.handles, |qp, load| {
+            if !load.ready {
+                return;
+            }
+            if Some(qp.qp) == avoid {
+                fallback = fallback.or(Some((qp, load)));
+            } else if best.is_none_or(|(_, b)| load.sq_depth < b.sq_depth) {
+                best = Some((qp, load));
+            }
+        });
+        let (best, load) = best.or(fallback)?;
+        if load.active {
+            bump(&self.hits, 1);
+            bump(&pool.hits, 1);
         } else {
-            self.misses.set(self.misses.get() + 1);
-            entry.1 += 1;
+            bump(&self.misses, 1);
+            bump(&pool.misses, 1);
+            // Activation is what charges the QP against the RNIC cache.
+            let _ = fabric.set_qp_active(best, true);
         }
-        drop(per_tenant);
-        // Activation is what charges the QP against the RNIC cache.
-        let _ = fabric.set_qp_active(best, true);
         self.touch_active(fabric, now, best);
         Some(best)
     }
@@ -297,9 +358,9 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
     fn touch_active(&self, fabric: &Fabric, now: SimTime, best: QpHandle) {
         let tick = self.tick.get() + 1;
         self.tick.set(tick);
-        self.membership_probes.set(self.membership_probes.get() + 1);
+        bump(&self.membership_probes, 1);
         let mut meta = self.meta.borrow_mut();
-        let Some(m) = meta.get_mut(&best) else {
+        let Some(m) = meta_of(&mut meta, best) else {
             return; // picked from a list the pool no longer tracks
         };
         m.last_used = now;
@@ -310,7 +371,7 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
         let mut active = self.active.borrow_mut();
         m.active_slot = Some(active.len());
         active.push(best);
-        self.activations.set(self.activations.get() + 1);
+        bump(&self.activations, 1);
         let cap = self.cfg.active_capacity;
         if cap > 0 && active.len() > cap {
             self.evict_lru(fabric, now, &mut meta, &mut active, best);
@@ -325,45 +386,53 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
         &self,
         fabric: &Fabric,
         now: SimTime,
-        meta: &mut HashMap<QpHandle, ConnMeta<K>>,
+        meta: &mut MetaTable<K>,
         active: &mut Vec<QpHandle>,
         keep: QpHandle,
     ) {
-        let victim = active
-            .iter()
-            .filter(|&&qp| qp != keep && fabric.sq_depth(qp) == 0)
-            .min_by_key(|&&qp| meta.get(&qp).map(|m| m.last_tick).unwrap_or(0))
-            .copied();
-        let Some(victim) = victim else {
+        let mut victim: Option<(u64, QpHandle)> = None;
+        fabric.qp_loads(active, |qp, load| {
+            let tick = meta.get(qp.qp.0).map_or(0, |m| m.last_tick);
+            if qp != keep && load.sq_depth == 0 && victim.is_none_or(|(t, _)| tick < t) {
+                victim = Some((tick, qp));
+            }
+        });
+        let Some((_, victim)) = victim else {
             return; // every other active QP is busy: overshoot the bound
         };
-        let slot = meta
-            .get(&victim)
-            .and_then(|m| m.active_slot)
-            .expect("victim came from the active set");
-        Self::swap_remove_active(meta, active, slot);
         let _ = fabric.set_qp_active(victim, false);
-        if let Some(m) = meta.get_mut(&victim) {
-            m.active_slot = None;
-            m.last_used = now;
-        }
-        self.idle_queue.borrow_mut().push_back((now, victim));
-        self.evictions.set(self.evictions.get() + 1);
-        self.deactivations.set(self.deactivations.get() + 1);
+        self.to_shadow(now, meta, active, victim);
+        bump(&self.evictions, 1);
+        bump(&self.deactivations, 1);
     }
 
-    /// Swap-removes `slot` from the active vec, fixing the moved entry's
-    /// mirrored slot index.
-    fn swap_remove_active(
-        meta: &mut HashMap<QpHandle, ConnMeta<K>>,
-        active: &mut Vec<QpHandle>,
-        slot: usize,
-    ) {
+    /// Swap-removes `qp` from the active vec, fixing the moved entry's
+    /// mirrored slot index. Returns `false` if it was not tracked active.
+    fn untrack(meta: &mut MetaTable<K>, active: &mut Vec<QpHandle>, qp: QpHandle) -> bool {
+        let Some(slot) = meta_of(meta, qp).and_then(|m| m.active_slot.take()) else {
+            return false;
+        };
         active.swap_remove(slot);
-        if let Some(&moved) = active.get(slot) {
-            if let Some(m) = meta.get_mut(&moved) {
-                m.active_slot = Some(slot);
+        if let Some(moved) = active.get(slot).and_then(|&moved| meta_of(meta, moved)) {
+            moved.active_slot = Some(slot);
+        }
+        true
+    }
+
+    /// Moves a tracked-active QP to shadow state in the pool's books,
+    /// starting its idle-age clock.
+    fn to_shadow(
+        &self,
+        now: SimTime,
+        meta: &mut MetaTable<K>,
+        active: &mut Vec<QpHandle>,
+        qp: QpHandle,
+    ) {
+        if Self::untrack(meta, active, qp) {
+            if let Some(m) = meta_of(meta, qp) {
+                m.last_used = now;
             }
+            self.note_idle(now, qp);
         }
     }
 
@@ -416,13 +485,16 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
         self.membership_probes.get()
     }
 
-    /// Returns `(hits, misses)` for one tenant's picks.
+    /// Returns `(hits, misses)` for one tenant's picks, summed over the
+    /// peers it currently has connections pooled for (a pair whose last
+    /// connection was torn down takes its counts with it).
     pub fn hit_miss_of(&self, tenant: K) -> (u64, u64) {
-        self.per_tenant
-            .borrow()
-            .get(&tenant)
-            .copied()
-            .unwrap_or((0, 0))
+        self.conns
+            .iter()
+            .filter(|((t, _), _)| *t == tenant)
+            .fold((0, 0), |(h, m), (_, p)| {
+                (h + p.hits.get(), m + p.misses.get())
+            })
     }
 
     /// Deactivates every active QP whose send queue has drained, returning
@@ -430,41 +502,27 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
     /// completions; the sweep walks only the tracked active set, not every
     /// pooled QP of every tenant.
     pub fn deactivate_idle(&self, fabric: &Fabric, now: SimTime) -> usize {
-        let mut meta = self.meta.borrow_mut();
         let mut active = self.active.borrow_mut();
-        let mut idle_queue = self.idle_queue.borrow_mut();
+        let mut meta = self.meta.borrow_mut();
         let mut deactivated = 0;
         let mut slot = 0;
         while slot < active.len() {
             let qp = active[slot];
-            if !fabric.qp_is_active(qp) {
-                // Deactivated behind our back (e.g. an injected QP error
-                // released the cache charge): untrack without counting.
-                Self::swap_remove_active(&mut meta, &mut active, slot);
-                if let Some(m) = meta.get_mut(&qp) {
-                    m.active_slot = None;
-                    m.last_used = now;
-                }
-                idle_queue.push_back((now, qp));
+            let load = fabric.qp_load(qp);
+            if load.active && load.sq_depth != 0 {
+                slot += 1;
                 continue;
             }
-            if fabric.sq_depth(qp) == 0 {
+            // Drained — or deactivated behind our back (e.g. an injected
+            // QP error released the cache charge), which is untracked
+            // without counting.
+            if load.active {
                 let _ = fabric.set_qp_active(qp, false);
-                Self::swap_remove_active(&mut meta, &mut active, slot);
-                if let Some(m) = meta.get_mut(&qp) {
-                    m.active_slot = None;
-                    m.last_used = now;
-                }
-                idle_queue.push_back((now, qp));
                 deactivated += 1;
-                continue;
             }
-            slot += 1;
+            self.to_shadow(now, &mut meta, &mut active, qp);
         }
-        if deactivated > 0 {
-            self.deactivations
-                .set(self.deactivations.get() + deactivated as u64);
-        }
+        bump(&self.deactivations, deactivated as u64);
         deactivated
     }
 
@@ -479,16 +537,14 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
     pub fn reap_all_idle(&self, fabric: &Fabric, now: SimTime) -> usize {
         let tracked = self.deactivate_idle(fabric, now);
         let mut untracked = 0;
-        for qp in self.conns.values().flatten() {
-            if fabric.qp_is_active(*qp) && fabric.sq_depth(*qp) == 0 {
-                let _ = fabric.set_qp_active(*qp, false);
+        for &qp in self.conns.values().flat_map(|p| &p.handles) {
+            let load = fabric.qp_load(qp);
+            if load.active && load.sq_depth == 0 {
+                let _ = fabric.set_qp_active(qp, false);
                 untracked += 1;
             }
         }
-        if untracked > 0 {
-            self.untracked_reaps
-                .set(self.untracked_reaps.get() + untracked as u64);
-        }
+        bump(&self.untracked_reaps, untracked as u64);
         tracked + untracked
     }
 
@@ -510,7 +566,7 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
                 let delta = self.evictions.get() - self.evictions_at_sweep.get();
                 self.evictions_at_sweep.set(self.evictions.get());
                 if delta >= ad.eviction_spike {
-                    self.adaptive_shrinks.set(self.adaptive_shrinks.get() + 1);
+                    bump(&self.adaptive_shrinks, 1);
                     age / ad.shrink_factor.max(1)
                 } else {
                     age
@@ -519,15 +575,12 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
             None => age,
         };
         let mut torn = 0;
-        loop {
-            let front = self.idle_queue.borrow().front().copied();
-            let Some((idle_since, qp)) = front else { break };
+        while let Some(&(idle_since, qp)) = self.idle_queue.get_mut().front() {
             if now.saturating_since(idle_since) < age {
                 break; // queue is append-ordered: the rest is younger
             }
-            self.idle_queue.borrow_mut().pop_front();
-            let meta_entry = self.meta.borrow().get(&qp).copied();
-            let Some(m) = meta_entry else {
+            self.idle_queue.get_mut().pop_front();
+            let Some(m) = meta_of(self.meta.get_mut(), qp).map(|m| *m) else {
                 continue; // already removed under another entry
             };
             // Stale entry: the QP was used (or re-idled) after this entry
@@ -543,9 +596,7 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
             let _ = fabric.destroy_qp(qp);
             torn += 1;
         }
-        if torn > 0 {
-            self.teardowns.set(self.teardowns.get() + torn as u64);
-        }
+        bump(&self.teardowns, torn as u64);
         torn
     }
 
@@ -553,39 +604,32 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
     /// still-active ones, and returns the handles (the caller owns the
     /// fabric-side teardown — e.g. a departing tenant destroying its QPs).
     pub fn remove_peer(&mut self, fabric: &Fabric, tenant: K, peer: NodeId) -> Vec<QpHandle> {
-        let Some(list) = self.conns.remove(&(tenant, peer)) else {
+        let Some(pool) = self.conns.remove(&(tenant, peer)) else {
             return Vec::new();
         };
-        let mut meta = self.meta.borrow_mut();
-        let mut active = self.active.borrow_mut();
+        let meta = self.meta.get_mut();
+        let active = self.active.get_mut();
         let mut deactivated = 0;
-        for &qp in &list {
-            if let Some(m) = meta.remove(&qp) {
-                if let Some(slot) = m.active_slot {
-                    Self::swap_remove_active(&mut meta, &mut active, slot);
-                    if fabric.qp_is_active(qp) {
-                        let _ = fabric.set_qp_active(qp, false);
-                        deactivated += 1;
-                    }
-                }
+        for &qp in &pool.handles {
+            if Self::untrack(meta, active, qp) && fabric.qp_is_active(qp) {
+                let _ = fabric.set_qp_active(qp, false);
+                deactivated += 1;
             }
+            meta.remove(qp.qp.0);
         }
-        if deactivated > 0 {
-            self.deactivations
-                .set(self.deactivations.get() + deactivated as u64);
-        }
-        list
+        bump(&self.deactivations, deactivated);
+        pool.handles
     }
 
     /// Removes one connection from the pool's bookkeeping (teardown path;
     /// the handle is already known to be inactive).
     fn remove_conn(&mut self, qp: QpHandle, key: (K, NodeId)) {
-        self.meta.borrow_mut().remove(&qp);
-        if let Some(list) = self.conns.get_mut(&key) {
-            if let Some(pos) = list.iter().position(|&h| h == qp) {
-                list.swap_remove(pos);
+        self.meta.get_mut().remove(qp.qp.0);
+        if let Some(pool) = self.conns.get_mut(&key) {
+            if let Some(pos) = pool.handles.iter().position(|&h| h == qp) {
+                pool.handles.swap_remove(pos);
             }
-            if list.is_empty() {
+            if pool.handles.is_empty() {
                 self.conns.remove(&key);
             }
         }
@@ -719,7 +763,7 @@ mod tests {
     fn full_scan_idle(pool: &ConnPool, fabric: &Fabric) -> usize {
         pool.conns
             .values()
-            .flatten()
+            .flat_map(|p| &p.handles)
             .filter(|&&qp| fabric.qp_is_active(qp) && fabric.sq_depth(qp) == 0)
             .count()
     }
@@ -1032,5 +1076,232 @@ mod tests {
         );
         assert!(fabric.qp_ready(qp));
         assert_eq!(pool.count(tenant, peer), 1);
+    }
+    /// Regression (unbounded idle queue): every deactivation used to push
+    /// an entry that only `teardown_idle` pops — and it returns early when
+    /// teardown is off, the default — so the queue grew by one entry per
+    /// send forever.
+    #[test]
+    fn idle_queue_stays_empty_while_teardown_is_off() {
+        let (fabric, sim, pool, tenant, peer, _) = setup(2);
+        let mut now = sim.now();
+        for _ in 0..100_000 {
+            now += SimDuration::from_micros(1);
+            pool.pick_least_congested(&fabric, now, tenant, peer)
+                .unwrap();
+            assert_eq!(pool.deactivate_idle(&fabric, now), 1);
+        }
+        assert_eq!(pool.deactivations(), 100_000);
+        assert!(pool.idle_queue.borrow().is_empty());
+    }
+
+    /// With teardown on, the queue is drained by the sweeps: what survives
+    /// one is at most one live entry per pooled connection plus the stale
+    /// entries younger than the idle age.
+    #[test]
+    fn idle_queue_is_bounded_by_sweeps_while_teardown_is_on() {
+        let (fabric, sim, mut pool, tenant, peer, _) = setup(2);
+        let age = SimDuration::from_millis(1);
+        pool.set_config(ElasticConfig {
+            idle_teardown_age: Some(age),
+            ..ElasticConfig::default()
+        });
+        assert_eq!(pool.idle_queue.borrow().len(), 2, "seeded from last_used");
+        let mut now = sim.now();
+        let mut last = None;
+        for cycle in 1..=100_000u64 {
+            now += SimDuration::from_micros(1);
+            // Alternate between the two connections so neither ages out.
+            last = pool
+                .pick_least_congested_excluding(&fabric, now, tenant, peer, last)
+                .map(|h| h.qp);
+            pool.deactivate_idle(&fabric, now);
+            if cycle % 1_000 == 0 {
+                assert_eq!(pool.teardown_idle(&fabric, now), 0, "both QPs stay in use");
+                let queue = pool.idle_queue.borrow();
+                let meta = pool.meta.borrow();
+                let live = queue
+                    .iter()
+                    .filter(|(since, qp)| {
+                        meta.get(qp.qp.0)
+                            .is_some_and(|m| m.active_slot.is_none() && m.last_used == *since)
+                    })
+                    .count();
+                assert!(live <= pool.pooled_total(), "live = {live}");
+                assert!(queue.len() <= 1_000 + pool.pooled_total());
+            }
+        }
+        assert_eq!(pool.pooled_total(), 2);
+    }
+
+    /// Turning teardown on late must age connections from when they last
+    /// went idle, in `(last_used, handle)` order — not from the switch.
+    #[test]
+    fn enabling_teardown_seeds_the_queue_from_last_used() {
+        let (fabric, sim, mut pool, tenant, peer, _) = setup(3);
+        let t0 = sim.now();
+        let used = pool
+            .pick_least_congested(&fabric, t0, tenant, peer)
+            .unwrap();
+        pool.deactivate_idle(&fabric, t0);
+        let busy = pool
+            .pick_least_congested_excluding(&fabric, t0, tenant, peer, Some(used.qp))
+            .unwrap();
+        assert!(pool.idle_queue.borrow().is_empty());
+        pool.set_config(ElasticConfig {
+            idle_teardown_age: Some(SimDuration::from_millis(5)),
+            ..ElasticConfig::default()
+        });
+        let seeded: Vec<(SimTime, QpHandle)> = pool.idle_queue.borrow().iter().copied().collect();
+        let never = *pool
+            .conns(tenant, peer)
+            .iter()
+            .find(|&&qp| qp != used && qp != busy)
+            .unwrap();
+        assert_eq!(
+            seeded,
+            vec![(SimTime::ZERO, never), (t0, used)],
+            "oldest first; the active QP is not queued"
+        );
+        // The never-used connection (idle since its add at t=0) is already
+        // past the age; the one drained at t0 goes 5 ms later; the active
+        // one never.
+        assert_eq!(pool.teardown_idle(&fabric, t0), 1);
+        assert!(!pool.contains(never));
+        assert_eq!(
+            pool.teardown_idle(&fabric, t0 + SimDuration::from_millis(5)),
+            1
+        );
+        assert!(pool.contains(busy) && !pool.contains(used));
+        // Turning it off drops the queue.
+        pool.set_config(ElasticConfig::default());
+        pool.deactivate_idle(&fabric, t0);
+        assert!(pool.idle_queue.borrow().is_empty());
+    }
+
+    /// Property (table conversion): random add / pick / reap / teardown /
+    /// remove-peer sequences keep the id-indexed metadata, the active set
+    /// and the per-pair lists in agreement with a `BTreeMap` model.
+    #[test]
+    fn meta_table_matches_btreemap_model() {
+        use std::collections::{BTreeMap, BTreeSet};
+        for seed in 0..6u64 {
+            let mut rng = simcore::SimRng::new(0xC011 + seed);
+            let fabric = Fabric::new(RdmaCosts::default());
+            let mut sim = Sim::new();
+            let nodes: Vec<NodeId> = (0..3).map(|_| fabric.add_node()).collect();
+            let cqs: Vec<_> = nodes
+                .iter()
+                .map(|&n| fabric.create_cq(n).unwrap())
+                .collect();
+            let tenants = [TenantId(1), TenantId(2), TenantId(7)];
+            let rq = |t: TenantId, n: usize| fabric.create_rq(nodes[n], t).unwrap();
+            let mut pool: ConnPool = ConnPool::with_config(ElasticConfig {
+                active_capacity: 3,
+                idle_teardown_age: Some(SimDuration::from_micros(40)),
+                adaptive: None,
+            });
+            // qp id → ((tenant, peer), handle)
+            let mut model: BTreeMap<u32, ((TenantId, NodeId), QpHandle)> = BTreeMap::new();
+            for _ in 0..1_500 {
+                sim.run_for(SimDuration::from_micros(1));
+                let now = sim.now();
+                let t = tenants[rng.gen_range(3) as usize];
+                let p = 1 + rng.gen_range(2) as usize;
+                match rng.gen_range(8) {
+                    0 | 1 => {
+                        let (h, _) = fabric
+                            .claim_prewarmed(
+                                &mut sim,
+                                t,
+                                nodes[0],
+                                cqs[0],
+                                rq(t, 0),
+                                nodes[p],
+                                cqs[p],
+                                rq(t, p),
+                            )
+                            .unwrap()
+                            .unwrap_or_else(|| {
+                                fabric
+                                    .prewarm_link(&mut sim, nodes[0], nodes[p], 4)
+                                    .unwrap();
+                                fabric
+                                    .connect(
+                                        &mut sim,
+                                        t,
+                                        nodes[0],
+                                        cqs[0],
+                                        rq(t, 0),
+                                        nodes[p],
+                                        cqs[p],
+                                        rq(t, p),
+                                    )
+                                    .unwrap()
+                            });
+                        assert!(pool.add(t, nodes[p], h, now));
+                        assert!(!pool.add(t, nodes[p], h, now), "dedupe");
+                        model.insert(h.qp.0, ((t, nodes[p]), h));
+                    }
+                    2..=4 => {
+                        let want_some = model
+                            .values()
+                            .any(|(k, h)| *k == (t, nodes[p]) && fabric.qp_ready(*h));
+                        let got = pool.pick_least_congested(&fabric, now, t, nodes[p]);
+                        assert_eq!(got.is_some(), want_some);
+                        if let Some(h) = got {
+                            assert_eq!(model.get(&h.qp.0), Some(&((t, nodes[p]), h)));
+                        }
+                    }
+                    5 => {
+                        pool.deactivate_idle(&fabric, now);
+                        assert_eq!(pool.active_total(), 0, "nothing has sends in flight");
+                    }
+                    6 => {
+                        let before: BTreeSet<u32> = model.keys().copied().collect();
+                        let torn = pool.teardown_idle(&fabric, now);
+                        model.retain(|_, (_, h)| pool.contains(*h));
+                        assert_eq!(before.len() - model.len(), torn);
+                    }
+                    _ => {
+                        let mut gone = pool.remove_peer(&fabric, t, nodes[p]);
+                        gone.sort_by_key(|h| h.qp);
+                        let want: Vec<QpHandle> = model
+                            .values()
+                            .filter(|(k, _)| *k == (t, nodes[p]))
+                            .map(|(_, h)| *h)
+                            .collect();
+                        assert_eq!(gone, want);
+                        model.retain(|_, (k, _)| *k != (t, nodes[p]));
+                    }
+                }
+                // The tables agree with the model after every step.
+                assert_eq!(pool.pooled_total(), model.len());
+                let active = pool.active_snapshot();
+                let meta = pool.meta.borrow();
+                for (slot, h) in active.iter().enumerate() {
+                    assert!(model.contains_key(&h.qp.0), "active QP is pooled");
+                    assert_eq!(meta.get(h.qp.0).unwrap().active_slot, Some(slot));
+                    assert!(fabric.qp_is_active(*h));
+                }
+                let slotted = meta.iter().filter(|(_, m)| m.active_slot.is_some()).count();
+                assert_eq!(slotted, active.len());
+                drop(meta);
+                for (&id, &(k, h)) in &model {
+                    assert!(pool.contains(h));
+                    assert!(
+                        pool.conns(k.0, k.1).contains(&h),
+                        "qp {id} listed under its key"
+                    );
+                }
+                let listed: usize = tenants
+                    .iter()
+                    .flat_map(|&t| pool.peers_of(t).into_iter().map(move |p| (t, p)))
+                    .map(|(t, p)| pool.count(t, p))
+                    .sum();
+                assert_eq!(listed, model.len());
+                assert!(pool.deactivations() <= pool.activations());
+            }
+        }
     }
 }

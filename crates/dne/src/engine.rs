@@ -32,7 +32,7 @@ use obs::{Stage, Tracer};
 use rdma_sim::fabric::{CqId, QpHandle, RqId};
 use rdma_sim::types::{Cqe, CqeOpcode, CqeStatus, QpId};
 use rdma_sim::{Fabric, NodeId, RdmaError};
-use simcore::{Sim, SimDuration, SimTime, Ticker, TimerHandle};
+use simcore::{IdRing, IdTable, Sim, SimDuration, SimTime, Ticker, TimerHandle};
 
 use crate::connpool::{ConnPool, ElasticConfig};
 use crate::rbr::ReceiveBufferRegistry;
@@ -129,18 +129,31 @@ struct TxItem {
     sampled: bool,
 }
 
+/// The engine's send WR ids count down from `u64::MAX` (receive WR ids,
+/// issued by the RBR, grow from the bottom); this recovers the counter.
+fn send_seq(wr: rdma_sim::WrId) -> u64 {
+    u64::MAX - wr.0
+}
+
+/// The identity and retry history of one logical send: it rides on the
+/// posted-send record, on the parked retry, and into the typed failure.
+#[derive(Clone, Copy)]
+struct SendMeta {
+    tenant: TenantId,
+    dst_fn: u16,
+    req_id: u64,
+    /// Attempts already completed (0 until the first one fails).
+    attempts: u32,
+    /// When the *first* attempt of this send was posted (retry latency).
+    first_at: SimTime,
+}
+
 /// Bookkeeping for an in-flight RNIC send, keyed by WR id, so the send
 /// completion can close the fabric span and the post-to-completion
 /// histogram, and — on an error CQE — drive the retry pipeline.
 struct PostedSend {
     at: SimTime,
-    /// When the *first* attempt of this send was posted (retry latency).
-    first_at: SimTime,
-    req_id: u64,
-    tenant: TenantId,
-    dst_fn: u16,
-    /// Attempts already completed before this post (0 for the first).
-    attempts: u32,
+    meta: SendMeta,
     /// The node this WR was posted toward. Failure blame must target this
     /// node, not a fresh route lookup — after a failover the lookup points
     /// at the (healthy) backup.
@@ -156,18 +169,16 @@ struct PostedSend {
 /// background reconnect brings a connection up.
 struct PendingRetry {
     buf: OwnedBuf,
-    tenant: TenantId,
-    dst_fn: u16,
+    meta: SendMeta,
     peer: NodeId,
-    req_id: u64,
-    first_at: SimTime,
-    /// Attempts already made (0 when parked before any post succeeded).
-    attempts: u32,
     /// When the send was first parked, so the eventual repost can record
     /// the whole backoff/reconnect wait as a `RetryBackoff` span.
     parked_at: SimTime,
     /// The QP whose send failed; the failover pick steers around it.
     avoid: Option<QpId>,
+    /// The pending backoff timer (`None` for retries parked on a reconnect,
+    /// which fire when the connection comes up instead).
+    timer: Option<TimerHandle>,
 }
 
 /// What `connect_pair` recorded about the remote engine so a background
@@ -208,9 +219,11 @@ struct Inner {
     processor: Processor,
     cfg: DneConfig,
     ipc: IpcCosts,
-    tenants: HashMap<TenantId, TenantState>,
+    /// Keyed by `TenantId`.
+    tenants: IdTable<TenantState>,
     routing: RoutingTable,
-    endpoints: HashMap<u16, FnEndpoint>,
+    /// Keyed by function id.
+    endpoints: IdTable<FnEndpoint>,
     txq: Box<dyn TenantScheduler<TxItem>>,
     conns: ConnPool,
     rbr: ReceiveBufferRegistry,
@@ -219,14 +232,12 @@ struct Inner {
     stats: DneStats,
     next_send_wr: u64,
     tracer: Tracer,
-    posted: HashMap<u64, PostedSend>,
+    /// In-flight sends, keyed by [`send_seq`] of their WR id.
+    posted: IdRing<PostedSend>,
     /// Periodic idle-QP reaper, when armed (see [`Dne::start_conn_reaper`]).
     conn_reaper: Option<Ticker>,
     /// Sends parked for retry, keyed by retry id.
-    retries: HashMap<u64, PendingRetry>,
-    /// Pending backoff timers per retry id (absent for retries parked on a
-    /// reconnect, which fire when the connection comes up instead).
-    retry_timers: HashMap<u64, TimerHandle>,
+    retries: IdRing<PendingRetry>,
     next_retry_id: u64,
     /// `(tenant, peer)` pairs with a background reconnect in flight.
     reconnecting: HashSet<(TenantId, NodeId)>,
@@ -235,10 +246,10 @@ struct Inner {
     peer_links: HashMap<(TenantId, NodeId), PeerLink>,
     failure_handler: Option<DeliveryFailureHandler>,
     obs_sink: DneObsSink,
-    /// Per-peer negotiated CTX wire versions, announced by the control
-    /// plane during rolling upgrades. Absent ⇒ assume the peer runs the
-    /// current version (the homogeneous-fleet fast path).
-    peer_versions: HashMap<NodeId, u8>,
+    /// Per-peer negotiated CTX wire versions, indexed by node id, announced
+    /// by the control plane during rolling upgrades. Past the end ⇒ assume
+    /// the peer runs the current version (the homogeneous-fleet fast path).
+    peer_versions: Vec<u8>,
 }
 
 impl Inner {
@@ -251,12 +262,10 @@ impl Inner {
     /// receiver's parser owns every byte it reads (negotiation rule of the
     /// versioned wire region — see `obs::ctx`).
     fn effective_wire_version(&self, peer: NodeId) -> u8 {
-        let peer_v = self
-            .peer_versions
-            .get(&peer)
-            .copied()
-            .unwrap_or(obs::ctx::CTX_CURRENT);
-        self.cfg.wire_version.min(peer_v)
+        let peer_v = self.peer_versions.get(peer.0 as usize).copied();
+        self.cfg
+            .wire_version
+            .min(peer_v.unwrap_or(obs::ctx::CTX_CURRENT))
     }
 
     /// Reads the payload deadline — but only when this engine's wire
@@ -278,14 +287,14 @@ impl Inner {
     fn trace_meta_of_desc(&self, tenant: TenantId, desc: BufferDesc) -> (u64, bool) {
         let mut head = [0u8; obs::CTX_REGION];
         self.tenants
-            .get(&tenant)
+            .get(tenant.0.into())
             .and_then(|s| s.pool.peek_payload_into(desc, &mut head))
             .map(|n| (req_id_of(&head[..n]), obs::ctx::sampled(&head[..n])))
             .unwrap_or((0, false))
     }
 
     fn next_item(&mut self, now: SimTime) -> Option<WorkItem> {
-        if let Some(cqe) = self.fabric.poll_cq(self.cq, 1).pop() {
+        if let Some(cqe) = self.fabric.poll_one(self.cq) {
             return Some(WorkItem::Rx(cqe));
         }
         let (tenant, item) = self.txq.dequeue()?;
@@ -326,16 +335,10 @@ impl Inner {
         }
     }
 
-    fn fresh_wr(&mut self) -> rdma_sim::WrId {
-        let wr = rdma_sim::WrId(u64::MAX - self.next_send_wr);
-        self.next_send_wr += 1;
-        wr
-    }
-
     /// Replenishes one receive buffer for `tenant` (§3.5.2: the core thread
     /// posts as many buffers as were consumed).
     fn replenish(&mut self, tenant: TenantId) {
-        let Some(state) = self.tenants.get(&tenant) else {
+        let Some(state) = self.tenants.get(tenant.0.into()) else {
             return;
         };
         let rq = state.rq;
@@ -356,29 +359,24 @@ impl Inner {
     /// Attributes a drop to `tenant` (the aggregate `stats.drops` counter is
     /// bumped separately by each drop site).
     fn tenant_drop(&mut self, tenant: TenantId) {
-        if let Some(st) = self.tenants.get_mut(&tenant) {
+        if let Some(st) = self.tenants.get_mut(tenant.0.into()) {
             st.failures.drops += 1;
         }
     }
 
     /// Abandons a send after recovery is exhausted, updating aggregate and
     /// per-tenant counters, and returns the typed failure to surface.
-    #[allow(clippy::too_many_arguments)]
     fn give_up(
         &mut self,
         now: SimTime,
-        tenant: TenantId,
-        dst_fn: u16,
-        req_id: u64,
-        attempts: u32,
-        first_at: SimTime,
+        m: SendMeta,
         reason: FailureReason,
         dst_node: Option<NodeId>,
     ) -> DeliveryFailure {
         self.stats.drops += 1;
         self.stats.give_ups += 1;
-        if attempts > 0 {
-            let lat = now.saturating_since(first_at);
+        if m.attempts > 0 {
+            let lat = now.saturating_since(m.first_at);
             self.stats.retry_latency.record(lat);
             if let Some(h) = &self.obs_sink.retry_latency {
                 // No sampling decision survives to this site; the sample
@@ -386,18 +384,11 @@ impl Inner {
                 h.record_traced(lat, None);
             }
         }
-        if let Some(st) = self.tenants.get_mut(&tenant) {
+        if let Some(st) = self.tenants.get_mut(m.tenant.0.into()) {
             st.failures.drops += 1;
             st.failures.give_ups += 1;
         }
-        DeliveryFailure {
-            tenant,
-            dst_fn,
-            req_id,
-            attempts,
-            reason,
-            dst_node,
-        }
+        m.failure(reason, dst_node)
     }
 
     /// Cancels a send whose deadline expired before the engine could
@@ -407,36 +398,26 @@ impl Inner {
     fn cancel_expired(
         &mut self,
         now: SimTime,
-        tenant: TenantId,
-        dst_fn: u16,
-        req_id: u64,
-        attempts: u32,
+        m: SendMeta,
         dst_node: Option<NodeId>,
     ) -> DeliveryFailure {
         self.stats.drops += 1;
         self.stats.deadline_drops += 1;
-        if let Some(st) = self.tenants.get_mut(&tenant) {
+        if let Some(st) = self.tenants.get_mut(m.tenant.0.into()) {
             st.failures.drops += 1;
             st.failures.deadline_drops += 1;
         }
         if self.tracer.is_enabled() {
             self.tracer.span(
-                req_id,
-                tenant.0,
+                m.req_id,
+                m.tenant.0,
                 self.node.0 as u32,
                 Stage::DeadlineDrop,
                 now,
                 now,
             );
         }
-        DeliveryFailure {
-            tenant,
-            dst_fn,
-            req_id,
-            attempts,
-            reason: FailureReason::DeadlineExceeded,
-            dst_node,
-        }
+        m.failure(FailureReason::DeadlineExceeded, dst_node)
     }
 
     /// Decides what to do about an errored send completion: re-park under
@@ -448,119 +429,68 @@ impl Inner {
         cqe: Cqe,
         posted: Option<PostedSend>,
     ) -> FailedSendOutcome {
-        let (imm_tenant, imm_dst) = unpack_imm(cqe.imm);
-        let (tenant, dst_fn, first_at, prior, posted_peer) = match posted {
-            Some(p) => (p.tenant, p.dst_fn, p.first_at, p.attempts, Some(p.peer)),
-            None => (imm_tenant, imm_dst, now, 0, None),
+        let (mut m, posted_peer) = match posted {
+            Some(p) => (p.meta, Some(p.peer)),
+            None => {
+                let (tenant, dst_fn) = unpack_imm(cqe.imm);
+                (SendMeta::fresh(tenant, dst_fn, 0, now), None)
+            }
         };
-        let attempts = prior + 1; // counting the attempt that just failed
+        m.attempts += 1; // counting the attempt that just failed
         let Some(buf) = cqe.buf else {
             // No buffer came back with the CQE: nothing left to retry with.
-            let dst_node = posted_peer.or_else(|| self.routing.lookup(dst_fn));
-            return FailedSendOutcome::Fail(self.give_up(
-                now,
-                tenant,
-                dst_fn,
-                0,
-                attempts,
-                first_at,
-                FailureReason::RetryBudgetExhausted,
-                dst_node,
-            ));
+            let dst_node = posted_peer.or_else(|| self.routing.lookup(m.dst_fn));
+            m.req_id = 0;
+            let reason = FailureReason::RetryBudgetExhausted;
+            return FailedSendOutcome::Fail(self.give_up(now, m, reason, dst_node));
         };
-        let req_id = req_id_of(buf.as_slice());
-        let peer = match self.routing.resolve(dst_fn) {
+        m.req_id = req_id_of(buf.as_slice());
+        let peer = match self.routing.resolve(m.dst_fn) {
             Ok(peer) => peer,
             Err(RouteError::DestinationDown { node, .. }) => {
                 // The health monitor marked the destination down and no
                 // healthy replica exists: fail fast instead of parking a
                 // retry that can only time out against a corpse.
-                return FailedSendOutcome::Fail(self.give_up(
-                    now,
-                    tenant,
-                    dst_fn,
-                    req_id,
-                    attempts,
-                    first_at,
-                    FailureReason::DestinationDown,
-                    Some(node),
-                ));
+                let reason = FailureReason::DestinationDown;
+                return FailedSendOutcome::Fail(self.give_up(now, m, reason, Some(node)));
             }
             Err(RouteError::UnknownDestination { .. }) => {
-                return FailedSendOutcome::Fail(self.give_up(
-                    now,
-                    tenant,
-                    dst_fn,
-                    req_id,
-                    attempts,
-                    first_at,
-                    FailureReason::NoConnection,
-                    posted_peer,
-                ));
+                let reason = FailureReason::NoConnection;
+                return FailedSendOutcome::Fail(self.give_up(now, m, reason, posted_peer));
             }
         };
         // Blame the node the failed WR actually targeted; route the retry
         // wherever the (possibly failed-over) table points now.
         let blamed = posted_peer.unwrap_or(peer);
-        if attempts > self.cfg.retry_budget {
+        if m.attempts > self.cfg.retry_budget {
             // buf drops here → recycled, not leaked.
-            return FailedSendOutcome::Fail(self.give_up(
-                now,
-                tenant,
-                dst_fn,
-                req_id,
-                attempts,
-                first_at,
-                FailureReason::RetryBudgetExhausted,
-                Some(blamed),
-            ));
+            let reason = FailureReason::RetryBudgetExhausted;
+            return FailedSendOutcome::Fail(self.give_up(now, m, reason, Some(blamed)));
         }
-        let backoff = self.cfg.retry_backoff * (1u64 << (attempts - 1).min(16));
+        let backoff = self.cfg.retry_backoff * (1u64 << (m.attempts - 1).min(16));
         // Deadline-aware park: when the request is already expired — or its
         // backoff timer would only fire after the deadline — parking is
         // pointless, so cancel now instead of burning a timer and a repost.
         if let Some(d) = self.deadline_if_enforced(buf.as_slice()) {
             if now >= d || now + backoff >= d {
                 // buf drops here → recycled.
-                return FailedSendOutcome::Fail(self.cancel_expired(
-                    now,
-                    tenant,
-                    dst_fn,
-                    req_id,
-                    attempts,
-                    Some(blamed),
-                ));
+                return FailedSendOutcome::Fail(self.cancel_expired(now, m, Some(blamed)));
             }
         }
         self.stats.retries += 1;
-        if let Some(st) = self.tenants.get_mut(&tenant) {
+        if let Some(st) = self.tenants.get_mut(m.tenant.0.into()) {
             st.failures.retries += 1;
         }
-        let id = self.park_retry(
-            buf,
-            tenant,
-            dst_fn,
-            peer,
-            req_id,
-            first_at,
-            attempts,
-            now,
-            Some(cqe.qp),
-        );
+        let id = self.park_retry(buf, m, peer, now, Some(cqe.qp));
         FailedSendOutcome::Retry { id, backoff }
     }
 
     /// Parks a send for retry, returning the retry id.
-    #[allow(clippy::too_many_arguments)]
     fn park_retry(
         &mut self,
         buf: OwnedBuf,
-        tenant: TenantId,
-        dst_fn: u16,
+        meta: SendMeta,
         peer: NodeId,
-        req_id: u64,
-        first_at: SimTime,
-        attempts: u32,
         parked_at: SimTime,
         avoid: Option<QpId>,
     ) -> u64 {
@@ -570,17 +500,73 @@ impl Inner {
             id,
             PendingRetry {
                 buf,
-                tenant,
-                dst_fn,
+                meta,
                 peer,
-                req_id,
-                first_at,
-                attempts,
                 parked_at,
                 avoid,
+                timer: None,
             },
         );
         id
+    }
+
+    /// Hands a picked connection one more send: allocates the WR, counts
+    /// it, and records it as posted at `at`. Returns the WR id and the
+    /// immediate data to post with.
+    fn note_posted(
+        &mut self,
+        at: SimTime,
+        meta: SendMeta,
+        peer: NodeId,
+        sampled: bool,
+    ) -> (rdma_sim::WrId, u64) {
+        let seq = self.next_send_wr;
+        self.next_send_wr += 1;
+        self.stats.tx_posted += 1;
+        if let Some(st) = self.tenants.get_mut(meta.tenant.0.into()) {
+            st.tx_count += 1;
+        }
+        let posted = PostedSend {
+            at,
+            meta,
+            peer,
+            sampled,
+        };
+        self.posted.insert(seq, posted);
+        let wr = rdma_sim::WrId(u64::MAX - seq);
+        (wr, pack_imm(meta.tenant, meta.dst_fn))
+    }
+
+    /// Ids of the retries parked on `(tenant, peer)`, ascending (the
+    /// ring's order), so flushing or failing them is deterministic.
+    fn parked_on(&self, tenant: TenantId, peer: NodeId) -> Vec<u64> {
+        let on_pair = |p: &PendingRetry| p.meta.tenant == tenant && p.peer == peer;
+        let parked = self.retries.iter().filter(|(_, p)| on_pair(p));
+        parked.map(|(id, _)| id).collect()
+    }
+}
+
+impl SendMeta {
+    /// A send that has not been attempted yet, first seen at `now`.
+    fn fresh(tenant: TenantId, dst_fn: u16, req_id: u64, now: SimTime) -> Self {
+        SendMeta {
+            tenant,
+            dst_fn,
+            req_id,
+            attempts: 0,
+            first_at: now,
+        }
+    }
+
+    fn failure(self, reason: FailureReason, dst_node: Option<NodeId>) -> DeliveryFailure {
+        DeliveryFailure {
+            tenant: self.tenant,
+            dst_fn: self.dst_fn,
+            req_id: self.req_id,
+            attempts: self.attempts,
+            reason,
+            dst_node,
+        }
     }
 }
 
@@ -612,9 +598,9 @@ impl Dne {
             processor,
             cfg,
             ipc,
-            tenants: HashMap::new(),
+            tenants: IdTable::new(),
             routing: RoutingTable::new(),
-            endpoints: HashMap::new(),
+            endpoints: IdTable::new(),
             txq,
             conns: ConnPool::new(),
             rbr: ReceiveBufferRegistry::new(),
@@ -623,16 +609,15 @@ impl Dne {
             stats: DneStats::default(),
             next_send_wr: 0,
             tracer: Tracer::disabled(),
-            posted: HashMap::new(),
+            posted: IdRing::new(),
             conn_reaper: None,
-            retries: HashMap::new(),
-            retry_timers: HashMap::new(),
+            retries: IdRing::new(),
             next_retry_id: 0,
             reconnecting: HashSet::new(),
             peer_links: HashMap::new(),
             failure_handler: None,
             obs_sink: DneObsSink::default(),
-            peer_versions: HashMap::new(),
+            peer_versions: Vec::new(),
         }));
         let weak: Weak<RefCell<Inner>> = Rc::downgrade(&inner);
         fabric.set_cq_waker(
@@ -672,7 +657,7 @@ impl Dne {
         mapped: &MappedPool,
     ) -> Result<(), DneError> {
         let mut inner = self.inner.borrow_mut();
-        if inner.tenants.contains_key(&tenant) {
+        if inner.tenants.contains(tenant.0.into()) {
             return Err(DneError::TenantExists(tenant));
         }
         let node = inner.node;
@@ -680,7 +665,7 @@ impl Dne {
         let rq = inner.fabric.create_rq(node, tenant)?;
         let pool = mapped.pool().clone();
         inner.tenants.insert(
-            tenant,
+            tenant.0.into(),
             TenantState {
                 pool,
                 rq,
@@ -708,7 +693,7 @@ impl Dne {
         self.inner
             .borrow()
             .tenants
-            .get(&tenant)
+            .get(tenant.0.into())
             .map(|t| t.rq)
             .ok_or(DneError::UnknownTenant(tenant))
     }
@@ -759,7 +744,12 @@ impl Dne {
     /// Sends toward that peer are stamped at `min(own, peer)` so the
     /// receiver's parser owns every byte it reads.
     pub fn set_peer_wire_version(&self, peer: NodeId, version: u8) {
-        self.inner.borrow_mut().peer_versions.insert(peer, version);
+        let mut inner = self.inner.borrow_mut();
+        let versions = &mut inner.peer_versions;
+        if versions.len() <= peer.0 as usize {
+            versions.resize(peer.0 as usize + 1, obs::ctx::CTX_CURRENT);
+        }
+        versions[peer.0 as usize] = version;
     }
 
     /// The negotiated stamp version toward `peer` (`min(own, announced)`;
@@ -780,7 +770,10 @@ impl Dne {
 
     /// Registers the delivery endpoint of a local function.
     pub fn register_endpoint(&self, fn_id: u16, endpoint: FnEndpoint) {
-        self.inner.borrow_mut().endpoints.insert(fn_id, endpoint);
+        self.inner
+            .borrow_mut()
+            .endpoints
+            .insert(fn_id.into(), endpoint);
     }
 
     /// Establishes `n` pooled RC connections between two engines for a
@@ -955,7 +948,7 @@ impl Dne {
         let action = {
             let mut inner = rc.borrow_mut();
             let dst_fn = desc.dst_fn;
-            let Some(state) = inner.tenants.get(&tenant) else {
+            let Some(state) = inner.tenants.get(tenant.0.into()) else {
                 inner.stats.drops += 1;
                 return;
             };
@@ -984,13 +977,15 @@ impl Dne {
                     sim.now(),
                 );
             }
+            let now = sim.now();
+            let m = SendMeta::fresh(tenant, dst_fn, req_id, now);
             // Cancellation point: a request whose deadline has already
             // passed is dropped here instead of consuming a connection,
             // fabric flight, and remote RX capacity.
             if let Some(d) = inner.deadline_if_enforced(buf.as_slice()) {
-                if sim.now() >= d {
+                if now >= d {
                     let dst_node = inner.routing.lookup(dst_fn);
-                    let f = inner.cancel_expired(sim.now(), tenant, dst_fn, req_id, 0, dst_node);
+                    let f = inner.cancel_expired(now, m, dst_node);
                     // buf drops here → recycled.
                     drop(buf);
                     let rc2 = rc.clone();
@@ -999,88 +994,47 @@ impl Dne {
                     return;
                 }
             }
+            // Every failing arm drops `buf` → recycled.
             match inner.routing.resolve(dst_fn) {
                 Err(RouteError::UnknownDestination { .. }) => {
                     // Unknown destination: the control plane never placed
                     // this function (or removed it). Surface a typed
                     // failure so upstream resolves instead of hanging.
-                    let now = sim.now();
-                    let f = inner.give_up(
-                        now,
-                        tenant,
-                        dst_fn,
-                        req_id,
-                        0,
-                        now,
-                        FailureReason::UnknownDestination,
-                        None,
-                    );
-                    Action::Fail(f) // buf dropped → recycled
+                    Action::Fail(inner.give_up(now, m, FailureReason::UnknownDestination, None))
                 }
                 Err(RouteError::DestinationDown { node, .. }) => {
                     // The route exists but its node is down with no
                     // healthy replica: fail fast at the TX stage instead
                     // of posting into a dead peer and burning the retry
                     // budget on it.
-                    let now = sim.now();
-                    let f = inner.give_up(
-                        now,
-                        tenant,
-                        dst_fn,
-                        req_id,
-                        0,
-                        now,
-                        FailureReason::DestinationDown,
-                        Some(node),
-                    );
-                    Action::Fail(f) // buf dropped → recycled
+                    Action::Fail(inner.give_up(now, m, FailureReason::DestinationDown, Some(node)))
                 }
                 Ok(peer) if peer == inner.node => {
                     // Local destination: hand straight back over IPC.
-                    match inner.endpoints.get(&dst_fn).cloned() {
+                    match inner.endpoints.get(dst_fn.into()).cloned() {
                         Some(ep) => {
                             let latency = inner.ipc.one_way_latency;
                             inner.stats.rx_delivered += 1;
                             Action::Local(ep, buf.into_desc(dst_fn), latency)
                         }
                         None => {
-                            let now = sim.now();
-                            let node = inner.node;
-                            let f = inner.give_up(
-                                now,
-                                tenant,
-                                dst_fn,
-                                req_id,
-                                0,
-                                now,
-                                FailureReason::UnknownDestination,
-                                Some(node),
-                            );
-                            Action::Fail(f)
+                            let reason = FailureReason::UnknownDestination;
+                            Action::Fail(inner.give_up(now, m, reason, Some(peer)))
                         }
                     }
                 }
                 Ok(peer) => {
                     let fabric = inner.fabric.clone();
-                    match inner
-                        .conns
-                        .pick_least_congested(&fabric, sim.now(), tenant, peer)
-                    {
+                    match inner.conns.pick_least_congested(&fabric, now, tenant, peer) {
                         Some(qp) => {
-                            let wr = inner.fresh_wr();
-                            let imm = pack_imm(tenant, dst_fn);
                             let dma_done = match inner.cfg.offload {
                                 OffloadMode::OnPath => {
                                     // Stage host → DPU memory over the SoC DMA.
-                                    Some(inner.soc_dma.transfer(sim.now(), buf.len()))
+                                    Some(inner.soc_dma.transfer(now, buf.len()))
                                 }
                                 OffloadMode::OffPath => None,
                             };
-                            inner.stats.tx_posted += 1;
-                            if let Some(st) = inner.tenants.get_mut(&tenant) {
-                                st.tx_count += 1;
-                            }
-                            let posted_at = dma_done.unwrap_or_else(|| sim.now());
+                            let posted_at = dma_done.unwrap_or(now);
                             if traced {
                                 let node = inner.node.0 as u32;
                                 let mut parent = inner.tracer.span(
@@ -1088,8 +1042,8 @@ impl Dne {
                                     tenant.0,
                                     node,
                                     Stage::ConnPick,
-                                    sim.now(),
-                                    sim.now(),
+                                    now,
+                                    now,
                                 );
                                 if let Some(at) = dma_done {
                                     parent = inner.tracer.span(
@@ -1097,7 +1051,7 @@ impl Dne {
                                         tenant.0,
                                         node,
                                         Stage::SocDma,
-                                        sim.now(),
+                                        now,
                                         at,
                                     );
                                 }
@@ -1112,19 +1066,8 @@ impl Dne {
                                 let eff = inner.effective_wire_version(peer);
                                 obs::ctx::write_ctx_at(buf.as_mut_slice(), parent, true, eff);
                             }
-                            inner.posted.insert(
-                                wr.0,
-                                PostedSend {
-                                    at: posted_at,
-                                    first_at: posted_at,
-                                    req_id,
-                                    tenant,
-                                    dst_fn,
-                                    attempts: 0,
-                                    peer,
-                                    sampled: traced,
-                                },
-                            );
+                            let first = SendMeta::fresh(tenant, dst_fn, req_id, posted_at);
+                            let (wr, imm) = inner.note_posted(posted_at, first, peer, traced);
                             Action::Send {
                                 fabric,
                                 qp,
@@ -1134,29 +1077,16 @@ impl Dne {
                                 dma_done,
                             }
                         }
+                        // Pool dry (every QP errored or still setting up):
+                        // park the send and reconnect in the background
+                        // instead of dropping it.
+                        None if inner.peer_links.contains_key(&(tenant, peer)) => {
+                            inner.park_retry(buf, m, peer, now, None);
+                            Action::Reconnect(tenant, peer)
+                        }
                         None => {
-                            // Pool dry (every QP errored or still setting
-                            // up): park the send and reconnect in the
-                            // background instead of dropping it.
-                            let rid = req_id_of(buf.as_slice());
-                            if inner.peer_links.contains_key(&(tenant, peer)) {
-                                let now = sim.now();
-                                inner.park_retry(buf, tenant, dst_fn, peer, rid, now, 0, now, None);
-                                Action::Reconnect(tenant, peer)
-                            } else {
-                                let now = sim.now();
-                                let f = inner.give_up(
-                                    now,
-                                    tenant,
-                                    dst_fn,
-                                    rid,
-                                    0,
-                                    now,
-                                    FailureReason::NoConnection,
-                                    Some(peer),
-                                );
-                                Action::Fail(f)
-                            }
+                            let reason = FailureReason::NoConnection;
+                            Action::Fail(inner.give_up(now, m, reason, Some(peer)))
                         }
                     }
                 }
@@ -1201,17 +1131,9 @@ impl Dne {
     fn post_send_failed(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, wr: rdma_sim::WrId) {
         let failure = {
             let mut inner = rc.borrow_mut();
-            inner.posted.remove(&wr.0).map(|p| {
-                inner.give_up(
-                    sim.now(),
-                    p.tenant,
-                    p.dst_fn,
-                    p.req_id,
-                    p.attempts,
-                    p.first_at,
-                    FailureReason::NoConnection,
-                    Some(p.peer),
-                )
+            let posted = inner.posted.remove(send_seq(wr));
+            posted.map(|p| {
+                inner.give_up(sim.now(), p.meta, FailureReason::NoConnection, Some(p.peer))
             })
         };
         if let Some(f) = failure {
@@ -1233,27 +1155,27 @@ impl Dne {
                     inner.stats.send_completions += 1;
                     // Close out the post-to-completion interval opened when
                     // the WR was handed to the RNIC.
-                    let posted = inner.posted.remove(&cqe.wr_id.0);
+                    let posted = inner.posted.remove(send_seq(cqe.wr_id));
                     if let Some(p) = &posted {
                         let p2c = sim.now().saturating_since(p.at);
                         inner.stats.post_to_completion.record(p2c);
                         let mut ctx = None;
                         if p.sampled {
                             let span_id = inner.tracer.span(
-                                p.req_id,
-                                p.tenant.0,
+                                p.meta.req_id,
+                                p.meta.tenant.0,
                                 inner.node.0 as u32,
                                 Stage::Fabric,
                                 p.at,
                                 sim.now(),
                             );
-                            ctx = Some((p.req_id, span_id));
+                            ctx = Some((p.meta.req_id, span_id));
                         }
                         if let Some(h) = &inner.obs_sink.post_to_completion {
                             h.record_traced(p2c, ctx);
                         }
-                        if cqe.status == CqeStatus::Success && p.attempts > 0 {
-                            let lat = sim.now().saturating_since(p.first_at);
+                        if cqe.status == CqeStatus::Success && p.meta.attempts > 0 {
+                            let lat = sim.now().saturating_since(p.meta.first_at);
                             inner.stats.retry_latency.record(lat);
                             if let Some(h) = &inner.obs_sink.retry_latency {
                                 h.record_traced(lat, ctx);
@@ -1261,8 +1183,7 @@ impl Dne {
                         }
                     }
                     // Shadow-QP reaping: idle connections leave the cache.
-                    let fabric = inner.fabric.clone();
-                    inner.conns.deactivate_idle(&fabric, sim.now());
+                    inner.conns.deactivate_idle(&inner.fabric, sim.now());
                     if cqe.status == CqeStatus::Success {
                         // cqe.buf drops here → sender buffer recycled.
                         Action::None
@@ -1324,7 +1245,7 @@ impl Dne {
                             sim.now(),
                         );
                     }
-                    match inner.endpoints.get(&dst_fn).cloned() {
+                    match inner.endpoints.get(dst_fn.into()).cloned() {
                         Some(ep) => {
                             let mut latency = inner.ipc.one_way_latency;
                             if inner.cfg.offload == OffloadMode::OnPath {
@@ -1333,7 +1254,7 @@ impl Dne {
                                 latency += done.saturating_since(sim.now());
                             }
                             inner.stats.rx_delivered += 1;
-                            if let Some(st) = inner.tenants.get_mut(&tenant) {
+                            if let Some(st) = inner.tenants.get_mut(tenant.0.into()) {
                                 st.rx_count += 1;
                             }
                             if traced {
@@ -1352,21 +1273,12 @@ impl Dne {
                             // The payload crossed the wire but no endpoint
                             // is registered here: typed failure (the
                             // sender-side handler never sees this, so the
-                            // receiving node's handler reports it).
+                            // receiving node's handler reports it). The
+                            // buffer drops here → recycled.
                             let now = sim.now();
-                            let node = inner.node;
-                            let rid = req_id_of(buf.as_slice());
-                            let f = inner.give_up(
-                                now,
-                                tenant,
-                                dst_fn,
-                                rid,
-                                0,
-                                now,
-                                FailureReason::UnknownDestination,
-                                Some(node),
-                            );
-                            Action::Fail(f) // buf drops → recycled
+                            let m = SendMeta::fresh(tenant, dst_fn, req_id_of(buf.as_slice()), now);
+                            let (reason, here) = (FailureReason::UnknownDestination, inner.node);
+                            Action::Fail(inner.give_up(now, m, reason, Some(here)))
                         }
                     }
                 }
@@ -1380,7 +1292,9 @@ impl Dne {
             Action::Retry { id, backoff } => {
                 let rc2 = rc.clone();
                 let handle = sim.schedule_after(backoff, move |sim| Dne::run_retry(&rc2, sim, id));
-                rc.borrow_mut().retry_timers.insert(id, handle);
+                if let Some(p) = rc.borrow_mut().retries.get_mut(id) {
+                    p.timer = Some(handle);
+                }
             }
             Action::Fail(f) => Dne::notify_failure(rc, sim, f),
         }
@@ -1405,22 +1319,17 @@ impl Dne {
         }
         let step = {
             let mut inner = rc.borrow_mut();
-            inner.retry_timers.remove(&id);
-            let Some(mut p) = inner.retries.remove(&id) else {
+            let Some(mut p) = inner.retries.remove(id) else {
                 return; // cancelled or already flushed: fire as a no-op
             };
+            // Its timer fired (this call) or was cancelled by the flush.
+            p.timer = None;
+            let (now, m) = (sim.now(), p.meta);
             // The deadline may have passed while the retry sat parked
             // (e.g. a reconnect flush arriving late): cancel, don't repost.
             if let Some(d) = inner.deadline_if_enforced(p.buf.as_slice()) {
-                if sim.now() >= d {
-                    let f = inner.cancel_expired(
-                        sim.now(),
-                        p.tenant,
-                        p.dst_fn,
-                        p.req_id,
-                        p.attempts,
-                        Some(p.peer),
-                    );
+                if now >= d {
+                    let f = inner.cancel_expired(now, m, Some(p.peer));
                     // p.buf drops here → recycled.
                     drop(inner);
                     Dne::notify_failure(rc, sim, f);
@@ -1428,22 +1337,13 @@ impl Dne {
                 }
             }
             let fabric = inner.fabric.clone();
-            match inner.conns.pick_least_congested_excluding(
-                &fabric,
-                sim.now(),
-                p.tenant,
-                p.peer,
-                p.avoid,
-            ) {
+            let pick = inner
+                .conns
+                .pick_least_congested_excluding(&fabric, now, m.tenant, p.peer, p.avoid);
+            match pick {
                 Some(qp) => {
                     if p.avoid.is_some() && Some(qp.qp) != p.avoid {
                         inner.stats.failovers += 1;
-                    }
-                    let wr = inner.fresh_wr();
-                    let imm = pack_imm(p.tenant, p.dst_fn);
-                    inner.stats.tx_posted += 1;
-                    if let Some(st) = inner.tenants.get_mut(&p.tenant) {
-                        st.tx_count += 1;
                     }
                     let sampled = inner.tracer.is_enabled() && obs::ctx::sampled(p.buf.as_slice());
                     if sampled {
@@ -1451,12 +1351,12 @@ impl Dne {
                         // The whole park → repost wait is attributable
                         // retry/backoff time on the critical path.
                         let parent = inner.tracer.span(
-                            p.req_id,
-                            p.tenant.0,
+                            m.req_id,
+                            m.tenant.0,
                             node,
                             Stage::RetryBackoff,
                             p.parked_at,
-                            sim.now(),
+                            now,
                         );
                         // Re-stamp the context: the re-sent payload now
                         // parents downstream spans on the backoff span,
@@ -1466,19 +1366,7 @@ impl Dne {
                         let eff = inner.effective_wire_version(p.peer);
                         obs::ctx::write_ctx_at(p.buf.as_mut_slice(), parent, true, eff);
                     }
-                    inner.posted.insert(
-                        wr.0,
-                        PostedSend {
-                            at: sim.now(),
-                            first_at: p.first_at,
-                            req_id: p.req_id,
-                            tenant: p.tenant,
-                            dst_fn: p.dst_fn,
-                            attempts: p.attempts,
-                            peer: p.peer,
-                            sampled,
-                        },
-                    );
+                    let (wr, imm) = inner.note_posted(now, m, p.peer, sampled);
                     Step::Post {
                         fabric,
                         qp,
@@ -1487,25 +1375,16 @@ impl Dne {
                         imm,
                     }
                 }
-                None if inner.peer_links.contains_key(&(p.tenant, p.peer)) => {
+                None if inner.peer_links.contains_key(&(m.tenant, p.peer)) => {
                     // Pool still dry: park again (no timer) and wait for the
                     // background reconnect to flush us.
-                    let (tenant, peer) = (p.tenant, p.peer);
+                    let peer = p.peer;
                     inner.retries.insert(id, p);
-                    Step::Reconnect(tenant, peer)
+                    Step::Reconnect(m.tenant, peer)
                 }
                 None => {
-                    let f = inner.give_up(
-                        sim.now(),
-                        p.tenant,
-                        p.dst_fn,
-                        p.req_id,
-                        p.attempts,
-                        p.first_at,
-                        FailureReason::NoConnection,
-                        Some(p.peer),
-                    );
-                    Step::Fail(f)
+                    let reason = FailureReason::NoConnection;
+                    Step::Fail(inner.give_up(now, m, reason, Some(p.peer)))
                 }
             }
         };
@@ -1535,7 +1414,7 @@ impl Dne {
             if inner.reconnecting.contains(&(tenant, peer)) {
                 return;
             }
-            let Some(rq) = inner.tenants.get(&tenant).map(|t| t.rq) else {
+            let Some(rq) = inner.tenants.get(tenant.0.into()).map(|t| t.rq) else {
                 return;
             };
             let Some((peer_cq, peer_rq, peer_engine)) = inner
@@ -1606,25 +1485,14 @@ impl Dne {
         let ids = {
             let mut inner = rc.borrow_mut();
             inner.reconnecting.remove(&(tenant, peer));
-            let mut ids: Vec<u64> = inner
-                .retries
-                .iter()
-                .filter(|(_, p)| p.tenant == tenant && p.peer == peer)
-                .map(|(id, _)| *id)
-                .collect();
-            // HashMap iteration order is not deterministic; the flush order
-            // must be.
-            ids.sort_unstable();
-            for id in &ids {
-                if let Some(p) = inner.retries.get_mut(id) {
-                    p.avoid = None; // the failed QP is history; pick freely
-                }
-            }
-            ids
+            inner.parked_on(tenant, peer)
         };
         for id in ids {
-            let handle = rc.borrow_mut().retry_timers.remove(&id);
-            if let Some(h) = handle {
+            let timer = rc.borrow_mut().retries.get_mut(id).and_then(|p| {
+                p.avoid = None; // the failed QP is history; pick freely
+                p.timer.take()
+            });
+            if let Some(h) = timer {
                 sim.cancel(h);
             }
             Dne::run_retry(rc, sim, id);
@@ -1637,28 +1505,12 @@ impl Dne {
         let failures = {
             let mut inner = rc.borrow_mut();
             inner.reconnecting.remove(&(tenant, peer));
-            let mut ids: Vec<u64> = inner
-                .retries
-                .iter()
-                .filter(|(_, p)| p.tenant == tenant && p.peer == peer)
-                .map(|(id, _)| *id)
-                .collect();
-            ids.sort_unstable();
+            let ids = inner.parked_on(tenant, peer);
             let mut failures = Vec::with_capacity(ids.len());
             for id in ids {
-                inner.retry_timers.remove(&id);
-                if let Some(p) = inner.retries.remove(&id) {
-                    let f = inner.give_up(
-                        sim.now(),
-                        p.tenant,
-                        p.dst_fn,
-                        p.req_id,
-                        p.attempts,
-                        p.first_at,
-                        FailureReason::NoConnection,
-                        Some(p.peer),
-                    );
-                    failures.push(f);
+                if let Some(p) = inner.retries.remove(id) {
+                    let reason = FailureReason::NoConnection;
+                    failures.push(inner.give_up(sim.now(), p.meta, reason, Some(p.peer)));
                 }
             }
             failures
@@ -1692,7 +1544,7 @@ impl Dne {
             let mut inner = self.inner.borrow_mut();
             if failure.reason == FailureReason::DeadlineExceeded {
                 inner.stats.deadline_drops += 1;
-                if let Some(st) = inner.tenants.get_mut(&failure.tenant) {
+                if let Some(st) = inner.tenants.get_mut(failure.tenant.0.into()) {
                     st.failures.deadline_drops += 1;
                 }
                 if inner.tracer.is_enabled() {
@@ -1716,7 +1568,7 @@ impl Dne {
         self.inner
             .borrow()
             .tenants
-            .get(&tenant)
+            .get(tenant.0.into())
             .map(|t| t.failures)
             .unwrap_or_default()
     }
@@ -1826,13 +1678,14 @@ impl Dne {
         let weak: Weak<RefCell<Inner>> = Rc::downgrade(&self.inner);
         let ticker = Ticker::start(sim, every, move |sim| {
             if let Some(rc) = weak.upgrade() {
-                let mut inner = rc.borrow_mut();
-                let fabric = inner.fabric.clone();
-                inner.conns.deactivate_idle(&fabric, sim.now());
+                let mut guard = rc.borrow_mut();
+                let inner = &mut *guard;
+                let fabric = &inner.fabric;
+                inner.conns.deactivate_idle(fabric, sim.now());
                 // Lazy teardown: connections idle past the configured age
                 // release their fabric state entirely (no-op unless an
                 // elastic config with an idle age is installed).
-                inner.conns.teardown_idle(&fabric, sim.now());
+                inner.conns.teardown_idle(fabric, sim.now());
             }
         });
         self.inner.borrow_mut().conn_reaper = Some(ticker);
@@ -1852,7 +1705,12 @@ impl Dne {
 
     /// Returns the tenants registered with this engine, sorted.
     pub fn tenant_ids(&self) -> Vec<TenantId> {
-        let mut ids: Vec<TenantId> = self.inner.borrow().tenants.keys().copied().collect();
+        let inner = self.inner.borrow();
+        let mut ids: Vec<TenantId> = inner
+            .tenants
+            .iter()
+            .map(|(t, _)| TenantId(t as u16))
+            .collect();
         ids.sort();
         ids
     }
@@ -1862,14 +1720,15 @@ impl Dne {
         self.inner
             .borrow()
             .tenants
-            .get(&tenant)
+            .get(tenant.0.into())
             .map(|t| (t.tx_count, t.rx_count))
             .unwrap_or((0, 0))
     }
 
     /// Returns the tenant's configured weight.
     pub fn tenant_weight(&self, tenant: TenantId) -> Option<u32> {
-        self.inner.borrow().tenants.get(&tenant).map(|t| t.weight)
+        let inner = self.inner.borrow();
+        inner.tenants.get(tenant.0.into()).map(|t| t.weight)
     }
 
     /// Updates a tenant's scheduling weight at runtime (§4.2: the userspace
@@ -1878,7 +1737,7 @@ impl Dne {
         let mut inner = self.inner.borrow_mut();
         let state = inner
             .tenants
-            .get_mut(&tenant)
+            .get_mut(tenant.0.into())
             .ok_or(DneError::UnknownTenant(tenant))?;
         state.weight = weight;
         inner.txq.register(tenant, weight);

@@ -6,19 +6,34 @@
 //! (a) attributing each receive WR to its tenant so consumed buffers are
 //! replenished from the right pool, and (b) tracking per-tenant consumption
 //! counters the core thread uses to size replenishment batches.
-
-use std::collections::HashMap;
+//!
+//! A receive WR id carries its tenant in the top 16 bits and a per-tenant
+//! sequence number below, so attribution is a shift, not a lookup. Liveness
+//! (a WR completes at most once) is a per-tenant [`IdRing`] over the
+//! sequence numbers: a tenant's shared RQ completes in posting order, so
+//! each ring spans exactly that tenant's posted-and-unconsumed WRs — an
+//! idle tenant pins only its own pre-posted depth, never another tenant's
+//! traffic.
 
 use membuf::tenant::TenantId;
 use rdma_sim::WrId;
+use simcore::{IdRing, IdTable};
+
+const SEQ_BITS: u32 = 48;
+
+#[derive(Debug, Default)]
+struct TenantWrs {
+    /// WRs ever registered; also the next sequence number.
+    posted: u64,
+    consumed: u64,
+    live: IdRing<()>,
+}
 
 /// Tracks posted receive WRs and per-tenant consumption.
 #[derive(Debug, Default)]
 pub struct ReceiveBufferRegistry {
-    entries: HashMap<WrId, TenantId>,
-    next_wr: u64,
-    consumed: HashMap<TenantId, u64>,
-    posted: HashMap<TenantId, u64>,
+    tenants: IdTable<TenantWrs>,
+    outstanding: usize,
 }
 
 impl ReceiveBufferRegistry {
@@ -29,17 +44,23 @@ impl ReceiveBufferRegistry {
 
     /// Allocates a fresh WR id and records it as posted for `tenant`.
     pub fn register(&mut self, tenant: TenantId) -> WrId {
-        let wr = WrId(self.next_wr);
-        self.next_wr += 1;
-        self.entries.insert(wr, tenant);
-        *self.posted.entry(tenant).or_insert(0) += 1;
-        wr
+        let t = self
+            .tenants
+            .get_or_insert_with(tenant.0.into(), TenantWrs::default);
+        let seq = t.posted;
+        t.posted += 1;
+        t.live.insert(seq, ());
+        self.outstanding += 1;
+        WrId(u64::from(tenant.0) << SEQ_BITS | seq)
     }
 
     /// Consumes a completed receive WR, returning its tenant.
     pub fn consume(&mut self, wr: WrId) -> Option<TenantId> {
-        let tenant = self.entries.remove(&wr)?;
-        *self.consumed.entry(tenant).or_insert(0) += 1;
+        let tenant = TenantId((wr.0 >> SEQ_BITS) as u16);
+        let t = self.tenants.get_mut(tenant.0.into())?;
+        t.live.remove(wr.0 & ((1 << SEQ_BITS) - 1))?;
+        t.consumed += 1;
+        self.outstanding -= 1;
         Some(tenant)
     }
 
@@ -49,32 +70,31 @@ impl ReceiveBufferRegistry {
     /// consume requires a live entry), but a counter-accounting bug must
     /// surface as zero, not as a wrapped ~2^64 that poisons replenishment.
     pub fn outstanding(&self, tenant: TenantId) -> u64 {
-        self.posted
-            .get(&tenant)
-            .copied()
-            .unwrap_or(0)
-            .saturating_sub(self.consumed.get(&tenant).copied().unwrap_or(0))
+        self.tenants
+            .get(tenant.0.into())
+            .map_or(0, |t| t.posted.saturating_sub(t.consumed))
     }
 
     /// Returns the total consumed count for `tenant`.
     pub fn consumed(&self, tenant: TenantId) -> u64 {
-        self.consumed.get(&tenant).copied().unwrap_or(0)
+        self.tenants.get(tenant.0.into()).map_or(0, |t| t.consumed)
     }
 
     /// Returns the total number of outstanding WRs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.outstanding
     }
 
     /// Returns `true` when no WRs are outstanding.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.outstanding == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn register_and_consume_round_trip() {
@@ -121,7 +141,7 @@ mod tests {
             let tenants = [TenantId(1), TenantId(2), TenantId(3)];
             let mut live: Vec<(WrId, TenantId)> = Vec::new();
             let mut dead: Vec<WrId> = Vec::new();
-            let mut model: HashMap<TenantId, u64> = HashMap::new();
+            let mut model: BTreeMap<TenantId, u64> = BTreeMap::new();
             for _ in 0..2_000 {
                 match rng.gen_range(4) {
                     0 | 1 => {
@@ -157,5 +177,29 @@ mod tests {
             }
             assert_eq!(rbr.len() as u64, model.values().sum::<u64>());
         }
+    }
+
+    /// Regression guard for the table conversion: a tenant that posts its
+    /// receive depth and then goes quiet must not make the registry grow
+    /// with *other* tenants' traffic (a single id-ordered ring would be
+    /// pinned at the idle tenant's oldest WR forever).
+    #[test]
+    fn idle_tenant_does_not_pin_other_tenants_rings() {
+        let mut rbr = ReceiveBufferRegistry::new();
+        let (idle, busy) = (TenantId(1), TenantId(2));
+        for _ in 0..64 {
+            rbr.register(idle);
+        }
+        let mut inflight: std::collections::VecDeque<WrId> =
+            (0..64).map(|_| rbr.register(busy)).collect();
+        for _ in 0..100_000 {
+            let wr = inflight.pop_front().expect("depth 64");
+            assert_eq!(rbr.consume(wr), Some(busy));
+            inflight.push_back(rbr.register(busy));
+        }
+        let span = |t: TenantId| rbr.tenants.get(t.0.into()).expect("seen").live.span();
+        assert_eq!((span(idle), span(busy)), (64, 64));
+        assert_eq!(rbr.len(), 128);
+        assert_eq!(rbr.consumed(busy), 100_000);
     }
 }

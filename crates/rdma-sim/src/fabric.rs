@@ -15,6 +15,12 @@
 //! Receive buffers come from shared receive queues (one per tenant, as in
 //! §3.3); a send arriving at an empty RQ triggers RNR NAK retries and
 //! eventually an error completion, reproducing RC semantics.
+//!
+//! CQ, RQ and QP ids are allocated by fabric-wide counters and never
+//! reused, so the tables are indexed by id rather than hashed: CQs and RQs
+//! live for the fabric's lifetime in plain vectors, QPs in an
+//! [`IdTable`] where a destroyed QP leaves a 4-byte tombstone. A QP holds
+//! the CQ and RQ its sends land on, so delivery is one QP load.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -24,7 +30,7 @@ use membuf::export::MappedPool;
 use membuf::pool::{BufferPool, OwnedBuf};
 use membuf::tenant::TenantId;
 use simcore::ratelimit::TokenBucket;
-use simcore::{Server, Sim, SimDuration, SimTime};
+use simcore::{IdTable, Server, Sim, SimDuration, SimTime};
 
 use crate::cost::RdmaCosts;
 use crate::fault::{FaultPlane, FaultStats, FaultVerdict};
@@ -60,10 +66,18 @@ pub(crate) enum QpState {
 }
 
 pub(crate) struct Qp {
+    /// The node this endpoint lives on (QP ids are fabric-wide, so a
+    /// handle naming the wrong node must not resolve).
+    pub(crate) node: NodeId,
     pub(crate) peer_node: NodeId,
     pub(crate) peer_qp: QpId,
     pub(crate) tenant: TenantId,
+    /// This endpoint's CQ: where its send completions go.
     pub(crate) cq: CqId,
+    /// The peer endpoint's CQ and shared RQ — where a send on this QP
+    /// lands — held here so delivery never looks the peer up.
+    pub(crate) peer_cq: CqId,
+    pub(crate) peer_rq: RqId,
     pub(crate) state: QpState,
     /// Shadow-QP accounting (§3.3): only active QPs occupy RNIC cache.
     pub(crate) active: bool,
@@ -85,6 +99,19 @@ pub struct QpCounters {
     pub bytes: u64,
 }
 
+/// What the DNE's connection picker reads about a QP (see
+/// [`Fabric::qp_loads`]). An unknown QP reads as the default: not ready,
+/// inactive, empty.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QpLoad {
+    /// Connection setup finished and the QP has not failed.
+    pub ready: bool,
+    /// Currently charged against the RNIC QP cache.
+    pub active: bool,
+    /// Unfinished sends on the QP (the congestion signal).
+    pub sq_depth: u32,
+}
+
 struct RecvWr {
     wr_id: WrId,
     buf: OwnedBuf,
@@ -99,7 +126,6 @@ pub(crate) struct RqState {
 }
 
 pub(crate) struct CqState {
-    #[allow(dead_code)]
     node: NodeId,
     entries: VecDeque<Cqe>,
     capacity: usize,
@@ -118,7 +144,6 @@ pub(crate) struct NodeState {
     pub(crate) rnic_tx: Server,
     pub(crate) rnic_rx: Server,
     pub(crate) egress: TokenBucket,
-    pub(crate) qps: HashMap<QpId, Qp>,
     pub(crate) mrs: MrTable,
     pub(crate) active_qps: usize,
     /// High-water mark of simultaneously active QPs — the QP-cache
@@ -137,9 +162,12 @@ pub(crate) struct NodeState {
 pub(crate) struct Inner {
     pub(crate) costs: RdmaCosts,
     pub(crate) nodes: Vec<NodeState>,
-    pub(crate) cqs: HashMap<CqId, CqState>,
-    pub(crate) rqs: HashMap<RqId, RqState>,
-    pub(crate) qp_rq: HashMap<QpId, RqId>,
+    /// Indexed by `CqId`; CQs are never destroyed.
+    cqs: Vec<CqState>,
+    /// Indexed by `RqId`; RQs are never destroyed.
+    rqs: Vec<RqState>,
+    /// Both endpoints of every connection, keyed by `QpId`.
+    qps: IdTable<Qp>,
     /// Pre-warmed connection stock per unordered node pair: QP pairs whose
     /// RC handshake already ran in the background, waiting for a tenant to
     /// claim them (Swift-style pre-warm pool).
@@ -150,8 +178,6 @@ pub(crate) struct Inner {
     /// default; see [`Fabric::set_tracer`]).
     pub(crate) tracer: obs::Tracer,
     next_qp: u32,
-    next_cq: u32,
-    next_rq: u32,
 }
 
 impl Inner {
@@ -167,11 +193,12 @@ impl Inner {
             .ok_or(RdmaError::UnknownNode(id))
     }
 
-    pub(crate) fn qp(&self, node: NodeId, qp: QpId) -> Result<&Qp, RdmaError> {
-        self.node(node)?
-            .qps
-            .get(&qp)
-            .ok_or(RdmaError::UnknownQp(qp))
+    pub(crate) fn qp(&self, h: QpHandle) -> Result<&Qp, RdmaError> {
+        self.node(h.node)?;
+        self.qps
+            .get(h.qp.0)
+            .filter(|q| q.node == h.node)
+            .ok_or(RdmaError::UnknownQp(h.qp))
     }
 
     pub(crate) fn per_op_penalty(&self, node: NodeId) -> SimDuration {
@@ -181,7 +208,9 @@ impl Inner {
     }
 
     fn push_cqe(&mut self, cq: CqId, cqe: Cqe) -> Option<CqWaker> {
-        let state = self.cqs.get_mut(&cq).expect("CQ validated at post time");
+        // A CQE for a CQ that does not exist is dropped (recycling any
+        // attached buffer), like one arriving at a full CQ.
+        let state = self.cqs.get_mut(cq.0 as usize)?;
         if state.entries.len() >= state.capacity {
             // CQ overflow: on hardware this is a fatal async event; we drop
             // the completion (recycling any attached buffer) and count it.
@@ -193,55 +222,73 @@ impl Inner {
     }
 
     /// Validates a requester-side post and admits it to the TX pipeline.
-    /// Returns `(peer node, departure instant)`.
+    /// Returns `(peer node, the QP's own CQ, departure instant)`.
     pub(crate) fn admit_tx(
         &mut self,
         now: SimTime,
         h: QpHandle,
         len: usize,
-        check_mr: Option<(&BufferPool,)>,
-    ) -> Result<(NodeId, SimTime), RdmaError> {
+        check_mr: Option<&BufferPool>,
+    ) -> Result<(NodeId, CqId, SimTime), RdmaError> {
         if len > self.costs.max_msg_size {
             return Err(RdmaError::MessageTooLarge {
                 len,
                 max: self.costs.max_msg_size,
             });
         }
-        let penalty = self.per_op_penalty(h.node);
+        let node = self
+            .nodes
+            .get_mut(h.node.0 as usize)
+            .ok_or(RdmaError::UnknownNode(h.node))?;
+        if let Some(pool) = check_mr {
+            if !node.mrs.is_registered(pool.tenant(), pool.pool_id()) {
+                return Err(RdmaError::UnregisteredMemory);
+            }
+        }
+        let qp = self
+            .qps
+            .get_mut(h.qp.0)
+            .filter(|q| q.node == h.node)
+            .ok_or(RdmaError::UnknownQp(h.qp))?;
+        if qp.state != QpState::Ready {
+            return Err(RdmaError::QpNotReady(h.qp));
+        }
+        let penalty = self.costs.qp_cache_penalty(node.active_qps)
+            + self.costs.mtt_penalty(node.mrs.total_mtt_entries());
         let tx_fixed = self.costs.rnic_tx_fixed + self.costs.host_dma(len);
-        {
-            let node = self.node(h.node)?;
-            if let Some((pool,)) = check_mr {
-                if !node.mrs.is_registered(pool.tenant(), pool.pool_id()) {
-                    return Err(RdmaError::UnregisteredMemory);
-                }
-            }
-            let qp = node.qps.get(&h.qp).ok_or(RdmaError::UnknownQp(h.qp))?;
-            if qp.state != QpState::Ready {
-                return Err(RdmaError::QpNotReady(h.qp));
-            }
-        }
-        let peer_node;
-        let depart;
-        {
-            let node = self.node_mut(h.node)?;
-            let tx_done = node.rnic_tx.admit(now, tx_fixed + penalty);
-            depart = node.egress.reserve(tx_done, len as u64);
-            node.tx_messages += 1;
-            let qp = node.qps.get_mut(&h.qp).expect("validated above");
-            qp.sq_outstanding += 1;
-            qp.sends_posted += 1;
-            qp.bytes_posted += len as u64;
-            peer_node = qp.peer_node;
-        }
-        Ok((peer_node, depart))
+        let tx_done = node.rnic_tx.admit(now, tx_fixed + penalty);
+        let depart = node.egress.reserve(tx_done, len as u64);
+        node.tx_messages += 1;
+        qp.sq_outstanding += 1;
+        qp.sends_posted += 1;
+        qp.bytes_posted += len as u64;
+        Ok((qp.peer_node, qp.cq, depart))
     }
 
     /// Marks a WR as having left the SQ (a send completion was generated).
     pub(crate) fn retire_wr(&mut self, h: QpHandle) {
-        if let Some(qp) = self.nodes[h.node.0 as usize].qps.get_mut(&h.qp) {
+        if let Some(qp) = self.qps.get_mut(h.qp.0) {
             qp.sq_outstanding = qp.sq_outstanding.saturating_sub(1);
             qp.sends_completed += 1;
+        }
+    }
+
+    /// Sets one endpoint's shadow-QP flag, keeping its node's cache
+    /// occupancy (and high-water mark) in step.
+    fn set_active(&mut self, id: QpId, active: bool) {
+        let Some(qp) = self.qps.get_mut(id.0) else {
+            return;
+        };
+        if qp.active == active {
+            return;
+        }
+        qp.active = active;
+        let node = &mut self.nodes[qp.node.0 as usize];
+        if active {
+            node.active_qps += 1;
+            node.peak_active_qps = node.peak_active_qps.max(node.active_qps);
+        } else {
+            node.active_qps -= 1;
         }
     }
 }
@@ -280,15 +327,13 @@ impl Fabric {
             inner: Rc::new(RefCell::new(Inner {
                 costs,
                 nodes: Vec::new(),
-                cqs: HashMap::new(),
-                rqs: HashMap::new(),
-                qp_rq: HashMap::new(),
+                cqs: Vec::new(),
+                rqs: Vec::new(),
+                qps: IdTable::new(),
                 prewarm: HashMap::new(),
                 faults: None,
                 tracer: obs::Tracer::default(),
                 next_qp: 0,
-                next_cq: 0,
-                next_rq: 0,
             })),
         }
     }
@@ -315,7 +360,6 @@ impl Fabric {
             rnic_tx: Server::new(),
             rnic_rx: Server::new(),
             egress,
-            qps: HashMap::new(),
             mrs: MrTable::default(),
             active_qps: 0,
             peak_active_qps: 0,
@@ -346,29 +390,21 @@ impl Fabric {
         assert!(capacity > 0, "CQ capacity must be positive");
         let mut inner = self.inner.borrow_mut();
         inner.node(node)?;
-        let id = CqId(inner.next_cq);
-        inner.next_cq += 1;
-        inner.cqs.insert(
-            id,
-            CqState {
-                node,
-                entries: VecDeque::new(),
-                capacity,
-                overflows: 0,
-                waker: None,
-            },
-        );
+        let id = CqId(inner.cqs.len() as u32);
+        inner.cqs.push(CqState {
+            node,
+            entries: VecDeque::new(),
+            capacity,
+            overflows: 0,
+            waker: None,
+        });
         Ok(id)
     }
 
     /// Returns how many completions were lost to CQ overflow.
     pub fn cq_overflows(&self, cq: CqId) -> u64 {
-        self.inner
-            .borrow()
-            .cqs
-            .get(&cq)
-            .map(|c| c.overflows)
-            .unwrap_or(0)
+        let inner = self.inner.borrow();
+        inner.cqs.get(cq.0 as usize).map_or(0, |c| c.overflows)
     }
 
     /// Creates a shared receive queue for `tenant` on `node` (§3.3: all of a
@@ -376,25 +412,22 @@ impl Fabric {
     pub fn create_rq(&self, node: NodeId, tenant: TenantId) -> Result<RqId, RdmaError> {
         let mut inner = self.inner.borrow_mut();
         inner.node(node)?;
-        let id = RqId(inner.next_rq);
-        inner.next_rq += 1;
-        inner.rqs.insert(
-            id,
-            RqState {
-                node,
-                tenant,
-                queue: VecDeque::new(),
-                posted: 0,
-                consumed: 0,
-            },
-        );
+        let id = RqId(inner.rqs.len() as u32);
+        inner.rqs.push(RqState {
+            node,
+            tenant,
+            queue: VecDeque::new(),
+            posted: 0,
+            consumed: 0,
+        });
         Ok(id)
     }
 
     /// Arms `cq` with a waker invoked whenever a completion is delivered.
     pub fn set_cq_waker(&self, cq: CqId, waker: CqWaker) -> Result<(), RdmaError> {
         let mut inner = self.inner.borrow_mut();
-        inner.cqs.get_mut(&cq).ok_or(RdmaError::UnknownCq)?.waker = Some(waker);
+        let state = inner.cqs.get_mut(cq.0 as usize);
+        state.ok_or(RdmaError::UnknownCq)?.waker = Some(waker);
         Ok(())
     }
 
@@ -461,24 +494,25 @@ impl Fabric {
             let mut inner = self.inner.borrow_mut();
             inner.node(a)?;
             inner.node(b)?;
-            if inner.cqs.get(&cq_a).map(|c| c.node) != Some(a)
-                || inner.cqs.get(&cq_b).map(|c| c.node) != Some(b)
-            {
+            let cq_on = |cq: CqId| inner.cqs.get(cq.0 as usize).map(|c| c.node);
+            if cq_on(cq_a) != Some(a) || cq_on(cq_b) != Some(b) {
                 return Err(RdmaError::UnknownCq);
             }
-            if inner.rqs.get(&rq_a).map(|r| r.node) != Some(a)
-                || inner.rqs.get(&rq_b).map(|r| r.node) != Some(b)
-            {
+            let rq_on = |rq: RqId| inner.rqs.get(rq.0 as usize).map(|r| r.node);
+            if rq_on(rq_a) != Some(a) || rq_on(rq_b) != Some(b) {
                 return Err(RdmaError::UnknownRq);
             }
             let qa = QpId(inner.next_qp);
             let qb = QpId(inner.next_qp + 1);
             inner.next_qp += 2;
-            let mk = |peer_node, peer_qp, cq| Qp {
+            let mk = |node, cq, peer_node, peer_qp, peer_cq, peer_rq| Qp {
+                node,
                 peer_node,
                 peer_qp,
                 tenant,
                 cq,
+                peer_cq,
+                peer_rq,
                 state: QpState::Connecting,
                 active: false,
                 sq_outstanding: 0,
@@ -486,22 +520,17 @@ impl Fabric {
                 sends_completed: 0,
                 bytes_posted: 0,
             };
-            let qp_a = mk(b, qb, cq_a);
-            let qp_b = mk(a, qa, cq_b);
-            inner.nodes[a.0 as usize].qps.insert(qa, qp_a);
-            inner.nodes[b.0 as usize].qps.insert(qb, qp_b);
-            inner.qp_rq.insert(qa, rq_a);
-            inner.qp_rq.insert(qb, rq_b);
+            inner.qps.insert(qa.0, mk(a, cq_a, b, qb, cq_b, rq_b));
+            inner.qps.insert(qb.0, mk(b, cq_b, a, qa, cq_a, rq_a));
             (qa, qb)
         };
         let inner = self.inner.clone();
         sim.schedule_after(delay, move |_| {
             let mut inner = inner.borrow_mut();
-            if let Some(qp) = inner.nodes[a.0 as usize].qps.get_mut(&qa) {
-                qp.state = QpState::Ready;
-            }
-            if let Some(qp) = inner.nodes[b.0 as usize].qps.get_mut(&qb) {
-                qp.state = QpState::Ready;
+            for id in [qa, qb] {
+                if let Some(qp) = inner.qps.get_mut(id.0) {
+                    qp.state = QpState::Ready;
+                }
             }
         });
         Ok((QpHandle { node: a, qp: qa }, QpHandle { node: b, qp: qb }))
@@ -590,24 +619,15 @@ impl Fabric {
     /// Tears down a connection completely, removing **both** endpoints and
     /// releasing their RNIC state (the lazy-teardown path: an idle-aged
     /// connection stops costing memory, unlike an errored one which lingers
-    /// in `Error` state). In-flight traffic is unaffected — teardown is
-    /// only safe for drained QPs, which is what the pool's idle-age check
-    /// guarantees.
+    /// in `Error` state). Teardown is meant for drained QPs, which is what
+    /// the pool's idle-age check guarantees; a send still in flight on a
+    /// destroyed QP is flushed back to its poster in error.
     pub fn destroy_qp(&self, h: QpHandle) -> Result<(), RdmaError> {
         let mut inner = self.inner.borrow_mut();
-        let (peer_node, peer_qp) = {
-            let qp = inner.qp(h.node, h.qp)?;
-            (qp.peer_node, qp.peer_qp)
-        };
-        for (node, qpid) in [(h.node, h.qp), (peer_node, peer_qp)] {
-            if let Ok(state) = inner.node_mut(node) {
-                if let Some(qp) = state.qps.remove(&qpid) {
-                    if qp.active {
-                        state.active_qps -= 1;
-                    }
-                }
-            }
-            inner.qp_rq.remove(&qpid);
+        let peer_qp = inner.qp(h)?.peer_qp;
+        for id in [h.qp, peer_qp] {
+            inner.set_active(id, false);
+            inner.qps.remove(id.0);
         }
         Ok(())
     }
@@ -615,11 +635,7 @@ impl Fabric {
     /// Returns `true` once the QP finished connection setup (and has not
     /// failed).
     pub fn qp_ready(&self, h: QpHandle) -> bool {
-        self.inner
-            .borrow()
-            .qp(h.node, h.qp)
-            .map(|q| q.state == QpState::Ready)
-            .unwrap_or(false)
+        self.qp_load(h).ready
     }
 
     /// Fault injection: breaks the RC connection at both endpoints.
@@ -630,17 +646,10 @@ impl Fabric {
     /// state, not packets on the wire).
     pub fn inject_qp_error(&self, h: QpHandle) -> Result<(), RdmaError> {
         let mut inner = self.inner.borrow_mut();
-        let (peer_node, peer_qp) = {
-            let qp = inner.qp(h.node, h.qp)?;
-            (qp.peer_node, qp.peer_qp)
-        };
-        for (node, qpid) in [(h.node, h.qp), (peer_node, peer_qp)] {
-            let state = inner.node_mut(node)?;
-            if let Some(qp) = state.qps.get_mut(&qpid) {
-                if qp.active {
-                    qp.active = false;
-                    state.active_qps -= 1;
-                }
+        let peer_qp = inner.qp(h)?.peer_qp;
+        for id in [h.qp, peer_qp] {
+            inner.set_active(id, false);
+            if let Some(qp) = inner.qps.get_mut(id.0) {
                 qp.state = QpState::Error;
             }
         }
@@ -704,17 +713,8 @@ impl Fabric {
     /// QPs count against the RNIC QP cache.
     pub fn set_qp_active(&self, h: QpHandle, active: bool) -> Result<(), RdmaError> {
         let mut inner = self.inner.borrow_mut();
-        let node = inner.node_mut(h.node)?;
-        let qp = node.qps.get_mut(&h.qp).ok_or(RdmaError::UnknownQp(h.qp))?;
-        if qp.active != active {
-            qp.active = active;
-            if active {
-                node.active_qps += 1;
-                node.peak_active_qps = node.peak_active_qps.max(node.active_qps);
-            } else {
-                node.active_qps -= 1;
-            }
-        }
+        inner.qp(h)?;
+        inner.set_active(h.qp, active);
         Ok(())
     }
 
@@ -737,23 +737,37 @@ impl Fabric {
             .unwrap_or(0)
     }
 
+    /// Reads readiness, activation and SQ backlog of every QP in `qps`
+    /// under one borrow of the fabric — the connection picker's view.
+    /// `visit` must not call back into the fabric.
+    pub fn qp_loads(&self, qps: &[QpHandle], mut visit: impl FnMut(QpHandle, QpLoad)) {
+        let inner = self.inner.borrow();
+        for &h in qps {
+            let load = inner.qp(h).map_or(QpLoad::default(), |q| QpLoad {
+                ready: q.state == QpState::Ready,
+                active: q.active,
+                sq_depth: q.sq_outstanding,
+            });
+            visit(h, load);
+        }
+    }
+
+    /// [`Fabric::qp_loads`] for a single QP.
+    pub fn qp_load(&self, h: QpHandle) -> QpLoad {
+        let mut load = QpLoad::default();
+        self.qp_loads(&[h], |_, l| load = l);
+        load
+    }
+
     /// Returns the number of unfinished sends on a QP (congestion signal
     /// for the DNE's least-congested connection selection).
     pub fn sq_depth(&self, h: QpHandle) -> u32 {
-        self.inner
-            .borrow()
-            .qp(h.node, h.qp)
-            .map(|q| q.sq_outstanding)
-            .unwrap_or(0)
+        self.qp_load(h).sq_depth
     }
 
     /// Returns the number of sends ever posted on a QP.
     pub fn sends_posted(&self, h: QpHandle) -> u64 {
-        self.inner
-            .borrow()
-            .qp(h.node, h.qp)
-            .map(|q| q.sends_posted)
-            .unwrap_or(0)
+        self.qp_counters(h).posted
     }
 
     /// Returns the traffic counters for one QP: posted sends, generated
@@ -761,7 +775,7 @@ impl Fabric {
     pub fn qp_counters(&self, h: QpHandle) -> QpCounters {
         self.inner
             .borrow()
-            .qp(h.node, h.qp)
+            .qp(h)
             .map(|q| QpCounters {
                 posted: q.sends_posted,
                 completed: q.sends_completed,
@@ -772,11 +786,7 @@ impl Fabric {
 
     /// Returns whether the QP is currently marked active.
     pub fn qp_is_active(&self, h: QpHandle) -> bool {
-        self.inner
-            .borrow()
-            .qp(h.node, h.qp)
-            .map(|q| q.active)
-            .unwrap_or(false)
+        self.qp_load(h).active
     }
 
     /// Posts a receive buffer to a shared receive queue.
@@ -784,23 +794,20 @@ impl Fabric {
     /// The buffer's pool must be registered with the node's RNIC and belong
     /// to the RQ's tenant — the isolation property §3.3 relies on.
     pub fn post_recv(&self, rq: RqId, wr_id: WrId, buf: OwnedBuf) -> Result<(), RdmaError> {
-        let mut inner = self.inner.borrow_mut();
-        let (node, tenant) = {
-            let state = inner.rqs.get(&rq).ok_or(RdmaError::UnknownRq)?;
-            (state.node, state.tenant)
-        };
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let state = inner
+            .rqs
+            .get_mut(rq.0 as usize)
+            .ok_or(RdmaError::UnknownRq)?;
         let pool = buf.pool();
-        if pool.tenant() != tenant {
-            return Err(RdmaError::UnregisteredMemory);
-        }
-        if !inner
-            .node(node)?
-            .mrs
-            .is_registered(pool.tenant(), pool.pool_id())
+        if pool.tenant() != state.tenant
+            || !inner.nodes[state.node.0 as usize]
+                .mrs
+                .is_registered(pool.tenant(), pool.pool_id())
         {
             return Err(RdmaError::UnregisteredMemory);
         }
-        let state = inner.rqs.get_mut(&rq).expect("checked above");
         state.queue.push_back(RecvWr { wr_id, buf });
         state.posted += 1;
         Ok(())
@@ -808,23 +815,18 @@ impl Fabric {
 
     /// Returns the number of receive buffers currently posted on `rq`.
     pub fn rq_depth(&self, rq: RqId) -> usize {
-        self.inner
-            .borrow()
-            .rqs
-            .get(&rq)
-            .map(|r| r.queue.len())
-            .unwrap_or(0)
+        let inner = self.inner.borrow();
+        inner.rqs.get(rq.0 as usize).map_or(0, |r| r.queue.len())
     }
 
     /// Returns `(posted, consumed)` counters for `rq` — the DNE core thread
     /// monitors consumption to replenish buffers (§3.5.2).
     pub fn rq_counters(&self, rq: RqId) -> (u64, u64) {
-        self.inner
-            .borrow()
+        let inner = self.inner.borrow();
+        inner
             .rqs
-            .get(&rq)
-            .map(|r| (r.posted, r.consumed))
-            .unwrap_or((0, 0))
+            .get(rq.0 as usize)
+            .map_or((0, 0), |r| (r.posted, r.consumed))
     }
 
     /// Schedules a CQE push (and its waker) at instant `at`.
@@ -857,25 +859,21 @@ impl Fabric {
         buf: OwnedBuf,
         imm: u64,
     ) -> Result<(), RdmaError> {
-        let (depart, ser, prop) = {
+        let (arrival, d) = {
             let mut inner = self.inner.borrow_mut();
-            let pool = buf.pool();
-            let (_, depart) = inner.admit_tx(sim.now(), h, buf.len(), Some((&pool,)))?;
-            (
-                depart,
-                inner.costs.serialization(buf.len()),
-                inner.costs.propagation,
-            )
+            let (_, sender_cq, depart) =
+                inner.admit_tx(sim.now(), h, buf.len(), Some(&buf.pool()))?;
+            let d = Delivery {
+                sender: h,
+                sender_cq,
+                wr_id,
+                imm,
+                retries_left: inner.costs.rnr_retries,
+            };
+            let flight = inner.costs.serialization(buf.len()) + inner.costs.propagation;
+            (depart + flight, d)
         };
-        let arrival = depart + ser + prop;
         let inner = self.inner.clone();
-        let retries = self.inner.borrow().costs.rnr_retries;
-        let d = Delivery {
-            sender: h,
-            wr_id,
-            imm,
-            retries_left: retries,
-        };
         sim.schedule_at(arrival, move |sim| {
             Self::deliver_send(inner, sim, d, buf);
         });
@@ -883,75 +881,79 @@ impl Fabric {
     }
 
     fn deliver_send(inner_rc: Rc<RefCell<Inner>>, sim: &mut Sim, d: Delivery, buf: OwnedBuf) {
-        let mut inner = inner_rc.borrow_mut();
-        let (peer_node, peer_qp) = {
-            let qp = inner
-                .qp(d.sender.node, d.sender.qp)
-                .expect("sender QP exists");
-            (qp.peer_node, qp.peer_qp)
+        let mut guard = inner_rc.borrow_mut();
+        let inner = &mut *guard;
+        let now = sim.now();
+        let len = buf.len() as u32;
+        let cqe = |wr_id, qp, opcode, status, buf| Cqe {
+            wr_id,
+            qp,
+            opcode,
+            status,
+            byte_len: len,
+            imm: d.imm,
+            buf: Some(buf),
+        };
+        let send_cqe = |status, buf| cqe(d.wr_id, d.sender.qp, CqeOpcode::Send, status, buf);
+
+        // Everything delivery needs hangs off the sender's QP. If the
+        // connection was destroyed with this send in flight (or its RQ is
+        // gone), flush the WR back to its poster in error: the CQE carries
+        // the buffer home, so nothing leaks and nothing hangs.
+        let route = inner.qps.get(d.sender.qp.0).and_then(|q| {
+            inner.rqs.get(q.peer_rq.0 as usize)?;
+            Some((q.peer_node, q.peer_qp, q.peer_cq, q.peer_rq, q.tenant))
+        });
+        let Some((peer_node, peer_qp, recv_cq, rq_id, tenant)) = route else {
+            let flushed = send_cqe(CqeStatus::TransportRetryExceeded, buf);
+            Self::schedule_cqe(&inner_rc, sim, now, d.sender_cq, flushed);
+            return;
         };
         let penalty = inner.per_op_penalty(peer_node);
         let rx_fixed = inner.costs.rnic_rx_fixed + inner.costs.host_dma(buf.len());
         let ack = inner.costs.ack_delay;
         let rnr_timer = inner.costs.rnr_timer;
+        let traced = |inner: &Inner| inner.tracer.is_enabled() && obs::ctx::sampled(buf.as_slice());
+        let mark_fault = |inner: &Inner, node: NodeId| {
+            let req_id = u64::from_le_bytes(buf.as_slice()[..8].try_into().unwrap());
+            let stage = obs::Stage::FaultInject;
+            inner
+                .tracer
+                .span(req_id, tenant.0, node.0 as u32, stage, now, now);
+        };
 
         // Wire faults first: a lost message (link loss or crashed endpoint)
         // never reaches the responder RNIC. The requester retransmits until
         // its transport retry timer expires, then completes in error with
         // the buffer handed back for recycling.
         let verdict = match inner.faults.as_mut() {
-            Some(fp) => fp.roll_wire(d.sender.node, peer_node, sim.now()),
+            Some(fp) => fp.roll_wire(d.sender.node, peer_node, now),
             None => FaultVerdict::Deliver,
         };
         if verdict != FaultVerdict::Deliver {
-            let sender = inner.qp(d.sender.node, d.sender.qp).expect("sender QP");
-            let sender_cq = sender.cq;
-            if inner.tracer.is_enabled() && obs::ctx::sampled(buf.as_slice()) {
+            if traced(inner) {
                 // Annotate the loss into the request's trace: an instant
                 // marker on the sender node, where the retransmit state
                 // lives (the message never reached the responder).
-                let req_id = u64::from_le_bytes(buf.as_slice()[..8].try_into().unwrap());
-                let tenant = sender.tenant.0;
-                inner.tracer.span(
-                    req_id,
-                    tenant,
-                    d.sender.node.0 as u32,
-                    obs::Stage::FaultInject,
-                    sim.now(),
-                    sim.now(),
-                );
+                mark_fault(inner, d.sender.node);
             }
             inner.retire_wr(d.sender);
-            let len = buf.len() as u32;
-            Self::schedule_cqe(
-                &inner_rc,
-                sim,
-                sim.now() + rnr_timer,
-                sender_cq,
-                Cqe {
-                    wr_id: d.wr_id,
-                    qp: d.sender.qp,
-                    opcode: CqeOpcode::Send,
-                    status: CqeStatus::TransportRetryExceeded,
-                    byte_len: len,
-                    imm: d.imm,
-                    buf: Some(buf),
-                },
-            );
+            let lost = send_cqe(CqeStatus::TransportRetryExceeded, buf);
+            Self::schedule_cqe(&inner_rc, sim, now + rnr_timer, d.sender_cq, lost);
             return;
         }
 
-        let rq_id = *inner.qp_rq.get(&peer_qp).expect("peer QP has an RQ");
         let rx_done = {
             let node = &mut inner.nodes[peer_node.0 as usize];
             node.rx_messages += 1;
-            node.rnic_rx.admit(sim.now(), rx_fixed + penalty)
+            node.rnic_rx.admit(now, rx_fixed + penalty)
         };
-        let recv_cq = inner.qp(peer_node, peer_qp).expect("peer QP").cq;
-        let sender_cq = inner.qp(d.sender.node, d.sender.qp).expect("sender QP").cq;
-
-        let rq = inner.rqs.get_mut(&rq_id).expect("RQ exists");
-        if rq.queue.is_empty() {
+        let rq = &mut inner.rqs[rq_id.0 as usize];
+        let Some(RecvWr {
+            wr_id: recv_wr,
+            buf: mut recv_buf,
+        }) = rq.queue.pop_front()
+        else {
             // RNR NAK: retry after the timer, or fail the send.
             inner.nodes[peer_node.0 as usize].rnr_events += 1;
             if d.retries_left > 0 {
@@ -963,29 +965,11 @@ impl Fabric {
                 });
             } else {
                 inner.retire_wr(d.sender);
-                Self::schedule_cqe(
-                    &inner_rc,
-                    sim,
-                    rx_done + ack,
-                    sender_cq,
-                    Cqe {
-                        wr_id: d.wr_id,
-                        qp: d.sender.qp,
-                        opcode: CqeOpcode::Send,
-                        status: CqeStatus::RnrRetryExceeded,
-                        byte_len: buf.len() as u32,
-                        imm: d.imm,
-                        buf: Some(buf),
-                    },
-                );
+                let failed = send_cqe(CqeStatus::RnrRetryExceeded, buf);
+                Self::schedule_cqe(&inner_rc, sim, rx_done + ack, d.sender_cq, failed);
             }
             return;
-        }
-
-        let RecvWr {
-            wr_id: recv_wr,
-            buf: mut recv_buf,
-        } = rq.queue.pop_front().expect("non-empty");
+        };
         rq.consumed += 1;
 
         // Corruption is detected at the responder after a buffer was popped:
@@ -994,133 +978,32 @@ impl Fabric {
             Some(fp) => fp.roll_corruption(d.sender.node, peer_node),
             None => false,
         };
-        if corrupted {
-            if inner.tracer.is_enabled() && obs::ctx::sampled(buf.as_slice()) {
+        let status = if corrupted {
+            if traced(inner) {
                 // Corruption is detected at the responder: mark it there.
-                let req_id = u64::from_le_bytes(buf.as_slice()[..8].try_into().unwrap());
-                let tenant = inner.qp(peer_node, peer_qp).expect("peer QP").tenant.0;
-                inner.tracer.span(
-                    req_id,
-                    tenant,
-                    peer_node.0 as u32,
-                    obs::Stage::FaultInject,
-                    sim.now(),
-                    sim.now(),
-                );
+                mark_fault(inner, peer_node);
             }
-            inner.retire_wr(d.sender);
-            let len = buf.len() as u32;
-            Self::schedule_cqe(
-                &inner_rc,
-                sim,
-                rx_done,
-                recv_cq,
-                Cqe {
-                    wr_id: recv_wr,
-                    qp: peer_qp,
-                    opcode: CqeOpcode::Recv,
-                    status: CqeStatus::DataCorrupted,
-                    byte_len: len,
-                    imm: d.imm,
-                    buf: Some(recv_buf),
-                },
-            );
-            Self::schedule_cqe(
-                &inner_rc,
-                sim,
-                rx_done + ack,
-                sender_cq,
-                Cqe {
-                    wr_id: d.wr_id,
-                    qp: d.sender.qp,
-                    opcode: CqeOpcode::Send,
-                    status: CqeStatus::DataCorrupted,
-                    byte_len: len,
-                    imm: d.imm,
-                    buf: Some(buf),
-                },
-            );
-            return;
-        }
-
-        if recv_buf.buf_size() < buf.len() {
+            CqeStatus::DataCorrupted
+        } else if recv_buf.buf_size() < buf.len() {
             // Posted buffer too small: error completions on both ends.
-            inner.retire_wr(d.sender);
-            let len = buf.len() as u32;
-            Self::schedule_cqe(
-                &inner_rc,
-                sim,
-                rx_done,
-                recv_cq,
-                Cqe {
-                    wr_id: recv_wr,
-                    qp: peer_qp,
-                    opcode: CqeOpcode::Recv,
-                    status: CqeStatus::LocalLengthError,
-                    byte_len: len,
-                    imm: d.imm,
-                    buf: Some(recv_buf),
-                },
-            );
-            Self::schedule_cqe(
-                &inner_rc,
-                sim,
-                rx_done + ack,
-                sender_cq,
-                Cqe {
-                    wr_id: d.wr_id,
-                    qp: d.sender.qp,
-                    opcode: CqeOpcode::Send,
-                    status: CqeStatus::LocalLengthError,
-                    byte_len: len,
-                    imm: d.imm,
-                    buf: Some(buf),
-                },
-            );
-            return;
-        }
-
-        // The RNIC DMA lands the payload in the posted buffer.
-        let len = buf.len();
-        recv_buf.as_mut_slice()[..len].copy_from_slice(buf.as_slice());
-        recv_buf.set_len(len).expect("checked capacity");
+            CqeStatus::LocalLengthError
+        } else {
+            // The RNIC DMA lands the payload in the posted buffer.
+            recv_buf.as_mut_slice()[..buf.len()].copy_from_slice(buf.as_slice());
+            recv_buf.set_len(buf.len()).expect("checked capacity");
+            CqeStatus::Success
+        };
         inner.retire_wr(d.sender);
-        Self::schedule_cqe(
-            &inner_rc,
-            sim,
-            rx_done,
-            recv_cq,
-            Cqe {
-                wr_id: recv_wr,
-                qp: peer_qp,
-                opcode: CqeOpcode::Recv,
-                status: CqeStatus::Success,
-                byte_len: len as u32,
-                imm: d.imm,
-                buf: Some(recv_buf),
-            },
-        );
-        Self::schedule_cqe(
-            &inner_rc,
-            sim,
-            rx_done + ack,
-            sender_cq,
-            Cqe {
-                wr_id: d.wr_id,
-                qp: d.sender.qp,
-                opcode: CqeOpcode::Send,
-                status: CqeStatus::Success,
-                byte_len: len as u32,
-                imm: d.imm,
-                buf: Some(buf),
-            },
-        );
+        let recv = cqe(recv_wr, peer_qp, CqeOpcode::Recv, status, recv_buf);
+        Self::schedule_cqe(&inner_rc, sim, rx_done, recv_cq, recv);
+        let sent = send_cqe(status, buf);
+        Self::schedule_cqe(&inner_rc, sim, rx_done + ack, d.sender_cq, sent);
     }
 
     /// Polls up to `max` completions from `cq`.
     pub fn poll_cq(&self, cq: CqId, max: usize) -> Vec<Cqe> {
         let mut inner = self.inner.borrow_mut();
-        match inner.cqs.get_mut(&cq) {
+        match inner.cqs.get_mut(cq.0 as usize) {
             Some(state) => {
                 let n = state.entries.len().min(max);
                 state.entries.drain(..n).collect()
@@ -1129,14 +1012,17 @@ impl Fabric {
         }
     }
 
+    /// Dequeues the oldest completion waiting on `cq`, if any (the
+    /// allocation-free form of `poll_cq(cq, 1)`).
+    pub fn poll_one(&self, cq: CqId) -> Option<Cqe> {
+        let mut inner = self.inner.borrow_mut();
+        inner.cqs.get_mut(cq.0 as usize)?.entries.pop_front()
+    }
+
     /// Returns the number of completions waiting on `cq`.
     pub fn cq_depth(&self, cq: CqId) -> usize {
-        self.inner
-            .borrow()
-            .cqs
-            .get(&cq)
-            .map(|c| c.entries.len())
-            .unwrap_or(0)
+        let inner = self.inner.borrow();
+        inner.cqs.get(cq.0 as usize).map_or(0, |c| c.entries.len())
     }
 
     /// Returns `(tx_messages, rx_messages, rnr_events)` for a node.
@@ -1153,9 +1039,13 @@ impl Fabric {
     }
 }
 
+/// An in-flight two-sided send: what the arrival event needs besides the
+/// payload. Carries the sender's CQ so the WR can be completed (in error)
+/// even if its QP is gone by then.
 #[derive(Clone, Copy)]
 struct Delivery {
     sender: QpHandle,
+    sender_cq: CqId,
     wr_id: WrId,
     imm: u64,
     retries_left: u32,
@@ -1261,7 +1151,7 @@ mod tests {
         assert_eq!(fabric.peak_active_qp_count(h.node), 1);
         let peer = {
             let inner = fabric.inner.borrow();
-            let qp = inner.qp(h.node, h.qp).unwrap();
+            let qp = inner.qp(h).unwrap();
             QpHandle {
                 node: qp.peer_node,
                 qp: qp.peer_qp,
@@ -1758,5 +1648,201 @@ mod cq_overflow_tests {
         // The receiver CQ (default depth) saw everything.
         assert_eq!(fabric.poll_cq(cq_b, 16).len(), 6);
         assert_eq!(fabric.cq_overflows(cq_b), 0);
+    }
+}
+#[cfg(test)]
+mod id_table_tests {
+    use super::*;
+    use membuf::pool::PoolConfig;
+
+    struct Env {
+        fabric: Fabric,
+        sim: Sim,
+        pool: BufferPool,
+        cq_a: CqId,
+        rq_b: RqId,
+        h: QpHandle,
+        peer: QpHandle,
+    }
+
+    fn env() -> Env {
+        let fabric = Fabric::new(RdmaCosts::default());
+        let mut sim = Sim::new();
+        let a = fabric.add_node();
+        let b = fabric.add_node();
+        let t = TenantId(1);
+        let mut cfg = PoolConfig::new(t, 0, 1024, 16);
+        cfg.segment_size = 16 * 1024;
+        let pool = BufferPool::new(cfg).unwrap();
+        fabric.register_pool(a, pool.clone()).unwrap();
+        fabric.register_pool(b, pool.clone()).unwrap();
+        let cq_a = fabric.create_cq(a).unwrap();
+        let cq_b = fabric.create_cq(b).unwrap();
+        let rq_a = fabric.create_rq(a, t).unwrap();
+        let rq_b = fabric.create_rq(b, t).unwrap();
+        let (h, peer) = fabric
+            .connect(&mut sim, t, a, cq_a, rq_a, b, cq_b, rq_b)
+            .unwrap();
+        sim.run();
+        Env {
+            fabric,
+            sim,
+            pool,
+            cq_a,
+            rq_b,
+            h,
+            peer,
+        }
+    }
+
+    #[test]
+    fn destroyed_qp_is_a_typed_tombstone() {
+        let mut e = env();
+        e.fabric.destroy_qp(e.h).unwrap();
+        for gone in [e.h, e.peer] {
+            assert_eq!(
+                e.fabric.destroy_qp(gone).unwrap_err(),
+                RdmaError::UnknownQp(gone.qp),
+                "destroying twice (from either end) is typed, not a panic"
+            );
+            assert_eq!(
+                e.fabric.set_qp_active(gone, true).unwrap_err(),
+                RdmaError::UnknownQp(gone.qp)
+            );
+            assert_eq!(e.fabric.qp_load(gone), QpLoad::default());
+        }
+        let buf = e.pool.get().unwrap();
+        assert_eq!(
+            e.fabric
+                .post_send(&mut e.sim, e.h, WrId(1), buf, 0)
+                .unwrap_err(),
+            RdmaError::UnknownQp(e.h.qp)
+        );
+        assert_eq!(
+            e.pool.stats().free,
+            e.pool.capacity(),
+            "rejected buf recycled"
+        );
+        // Ids are never reused: the next connection gets fresh ones.
+        let (cq_b, rq_a) = (CqId(1), RqId(0));
+        let (h2, _) = e
+            .fabric
+            .connect(
+                &mut e.sim,
+                TenantId(1),
+                e.h.node,
+                e.cq_a,
+                rq_a,
+                e.peer.node,
+                cq_b,
+                e.rq_b,
+            )
+            .unwrap();
+        assert!(h2.qp > e.peer.qp);
+    }
+
+    #[test]
+    fn ids_one_past_the_end_of_each_table_are_typed() {
+        let mut e = env();
+        let past_qp = QpHandle {
+            node: e.h.node,
+            qp: QpId(2),
+        };
+        assert_eq!(
+            e.fabric.destroy_qp(past_qp).unwrap_err(),
+            RdmaError::UnknownQp(QpId(2))
+        );
+        assert_eq!(
+            e.fabric.inject_qp_error(past_qp).unwrap_err(),
+            RdmaError::UnknownQp(QpId(2))
+        );
+        // A live QP id named through the wrong node does not resolve.
+        let wrong_node = QpHandle {
+            node: e.peer.node,
+            qp: e.h.qp,
+        };
+        assert_eq!(
+            e.fabric.set_qp_active(wrong_node, true).unwrap_err(),
+            RdmaError::UnknownQp(e.h.qp)
+        );
+        let no_node = QpHandle {
+            node: NodeId(2),
+            qp: e.h.qp,
+        };
+        assert_eq!(
+            e.fabric.destroy_qp(no_node).unwrap_err(),
+            RdmaError::UnknownNode(NodeId(2))
+        );
+        let (past_cq, past_rq) = (CqId(2), RqId(2));
+        assert_eq!(
+            e.fabric.set_cq_waker(past_cq, Rc::new(|_| {})).unwrap_err(),
+            RdmaError::UnknownCq
+        );
+        assert_eq!(e.fabric.cq_depth(past_cq), 0);
+        assert!(e.fabric.poll_one(past_cq).is_none());
+        assert!(e.fabric.poll_cq(past_cq, 4).is_empty());
+        assert_eq!(
+            e.fabric
+                .post_recv(past_rq, WrId(0), e.pool.get().unwrap())
+                .unwrap_err(),
+            RdmaError::UnknownRq
+        );
+        assert_eq!(e.fabric.rq_depth(past_rq), 0);
+        let (a, b, t) = (e.h.node, e.peer.node, TenantId(1));
+        assert_eq!(
+            e.fabric
+                .connect(&mut e.sim, t, a, past_cq, RqId(0), b, CqId(1), e.rq_b)
+                .unwrap_err(),
+            RdmaError::UnknownCq
+        );
+        assert_eq!(
+            e.fabric
+                .connect(&mut e.sim, t, a, e.cq_a, RqId(0), b, CqId(1), past_rq)
+                .unwrap_err(),
+            RdmaError::UnknownRq
+        );
+    }
+
+    /// A connection torn down with a send still in flight used to panic at
+    /// delivery ("sender QP exists"); now the WR is flushed back to its
+    /// poster in error, carrying the buffer home.
+    #[test]
+    fn send_in_flight_on_a_destroyed_qp_completes_in_error() {
+        let mut e = env();
+        e.fabric
+            .post_recv(e.rq_b, WrId(9), e.pool.get().unwrap())
+            .unwrap();
+        e.fabric
+            .post_send(&mut e.sim, e.h, WrId(7), e.pool.get().unwrap(), 0xab)
+            .unwrap();
+        e.fabric.destroy_qp(e.h).unwrap();
+        e.sim.run();
+        let cqe = e.fabric.poll_one(e.cq_a).expect("flushed completion");
+        assert_eq!(cqe.wr_id, WrId(7));
+        assert_eq!(cqe.opcode, CqeOpcode::Send);
+        assert_eq!(cqe.status, CqeStatus::TransportRetryExceeded);
+        assert_eq!(cqe.imm, 0xab);
+        assert!(cqe.buf.is_some(), "the buffer rides the error CQE home");
+        assert!(e.fabric.poll_one(e.cq_a).is_none());
+        assert_eq!(e.fabric.rq_depth(e.rq_b), 1, "the receive stays posted");
+    }
+
+    #[test]
+    fn poll_one_dequeues_in_order() {
+        let mut e = env();
+        for i in 0..3u64 {
+            e.fabric
+                .post_recv(e.rq_b, WrId(100 + i), e.pool.get().unwrap())
+                .unwrap();
+            e.fabric
+                .post_send(&mut e.sim, e.h, WrId(i), e.pool.get().unwrap(), 0)
+                .unwrap();
+        }
+        e.sim.run();
+        assert_eq!(e.fabric.cq_depth(e.cq_a), 3);
+        for i in 0..3u64 {
+            assert_eq!(e.fabric.poll_one(e.cq_a).unwrap().wr_id, WrId(i));
+        }
+        assert!(e.fabric.poll_one(e.cq_a).is_none());
     }
 }

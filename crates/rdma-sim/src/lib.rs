@@ -31,6 +31,6 @@ pub mod onesided;
 pub mod types;
 
 pub use cost::RdmaCosts;
-pub use fabric::{Fabric, QpCounters, QpHandle};
+pub use fabric::{Fabric, QpCounters, QpHandle, QpLoad};
 pub use fault::{FaultPlane, FaultStats};
 pub use types::{Cqe, CqeStatus, NodeId, QpId, RdmaError, WrId};

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use membuf::export::{ExportTarget, MappedPool};
 use membuf::pool::BufferPool;
 use membuf::tenant::TenantId;
+use simcore::IdTable;
 
 use crate::types::{RKey, RdmaError};
 
@@ -22,7 +23,9 @@ pub(crate) struct MemoryRegion {
 /// The per-node MR table.
 #[derive(Default)]
 pub(crate) struct MrTable {
-    by_pool: HashMap<(TenantId, u16), RKey>,
+    /// `tenant → [(pool id, rkey)]`: checked on every post, so indexed by
+    /// tenant id; a tenant registers a handful of pools at most.
+    by_pool: IdTable<Vec<(u16, RKey)>>,
     by_rkey: HashMap<RKey, MemoryRegion>,
     next_rkey: u32,
     total_mtt: usize,
@@ -31,14 +34,15 @@ pub(crate) struct MrTable {
 impl MrTable {
     /// Registers a pool directly (host-side registration path).
     pub fn register_pool(&mut self, pool: BufferPool) -> RKey {
-        let key = (pool.tenant(), pool.pool_id());
-        if let Some(&rkey) = self.by_pool.get(&key) {
+        if let Some(rkey) = self.rkey_of(pool.tenant(), pool.pool_id()) {
             return rkey;
         }
         let rkey = RKey(self.next_rkey);
         self.next_rkey += 1;
         self.total_mtt += pool.mtt_entries();
-        self.by_pool.insert(key, rkey);
+        self.by_pool
+            .get_or_insert_with(pool.tenant().0.into(), Vec::new)
+            .push((pool.pool_id(), rkey));
         self.by_rkey.insert(rkey, MemoryRegion { pool });
         rkey
     }
@@ -54,7 +58,8 @@ impl MrTable {
 
     /// Looks up the rkey for a pool, if registered.
     pub fn rkey_of(&self, tenant: TenantId, pool_id: u16) -> Option<RKey> {
-        self.by_pool.get(&(tenant, pool_id)).copied()
+        let pools = self.by_pool.get(tenant.0.into())?;
+        pools.iter().find(|(id, _)| *id == pool_id).map(|(_, k)| *k)
     }
 
     /// Resolves an rkey to its region.
@@ -64,7 +69,7 @@ impl MrTable {
 
     /// Returns `true` if the pool backing `tenant/pool_id` is registered.
     pub fn is_registered(&self, tenant: TenantId, pool_id: u16) -> bool {
-        self.by_pool.contains_key(&(tenant, pool_id))
+        self.rkey_of(tenant, pool_id).is_some()
     }
 
     /// Total registered translation entries (drives the MTT penalty).

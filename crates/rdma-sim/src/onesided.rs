@@ -112,12 +112,13 @@ impl Fabric {
         imm: u64,
     ) -> Result<(), RdmaError> {
         let rc = self.inner_rc();
-        let (peer, depart, ser, prop) = {
+        let (peer, sender_cq, depart, ser, prop) = {
             let mut inner = rc.borrow_mut();
-            let pool = buf.pool();
-            let (peer, depart) = inner.admit_tx(sim.now(), h, buf.len(), Some((&pool,)))?;
+            let (peer, sender_cq, depart) =
+                inner.admit_tx(sim.now(), h, buf.len(), Some(&buf.pool()))?;
             (
                 peer,
+                sender_cq,
                 depart,
                 inner.costs.serialization(buf.len()),
                 inner.costs.propagation,
@@ -130,7 +131,6 @@ impl Fabric {
             let penalty = inner.per_op_penalty(peer);
             let rx_fixed = inner.costs.rnic_rx_fixed + inner.costs.host_dma(buf.len());
             let ack = inner.costs.ack_delay;
-            let sender_cq = inner.qp(h.node, h.qp).expect("sender QP").cq;
             let rx_done = {
                 let node = &mut inner.nodes[peer.0 as usize];
                 node.rx_messages += 1;
@@ -183,11 +183,11 @@ impl Fabric {
         slot: u32,
     ) -> Result<(), RdmaError> {
         let rc = self.inner_rc();
-        let (peer, depart, prop) = {
+        let (peer, sender_cq, depart, prop) = {
             let mut inner = rc.borrow_mut();
             // The READ request itself is a small control message.
-            let (peer, depart) = inner.admit_tx(sim.now(), h, 16, None)?;
-            (peer, depart, inner.costs.propagation)
+            let (peer, sender_cq, depart) = inner.admit_tx(sim.now(), h, 16, None)?;
+            (peer, sender_cq, depart, inner.costs.propagation)
         };
         let arrival = depart + prop;
         let rc2 = rc.clone();
@@ -196,7 +196,6 @@ impl Fabric {
             let penalty = inner.per_op_penalty(peer);
             let rx_fixed = inner.costs.rnic_rx_fixed;
             let prop = inner.costs.propagation;
-            let sender_cq = inner.qp(h.node, h.qp).expect("sender QP").cq;
             let rx_done = {
                 let node = &mut inner.nodes[peer.0 as usize];
                 node.rx_messages += 1;
@@ -253,10 +252,10 @@ impl Fabric {
         swap: u64,
     ) -> Result<(), RdmaError> {
         let rc = self.inner_rc();
-        let (peer, depart, prop) = {
+        let (peer, sender_cq, depart, prop) = {
             let mut inner = rc.borrow_mut();
-            let (peer, depart) = inner.admit_tx(sim.now(), h, 32, None)?;
-            (peer, depart, inner.costs.propagation)
+            let (peer, sender_cq, depart) = inner.admit_tx(sim.now(), h, 32, None)?;
+            (peer, sender_cq, depart, inner.costs.propagation)
         };
         let arrival = depart + prop;
         let rc2 = rc.clone();
@@ -266,7 +265,6 @@ impl Fabric {
             let extra = inner.costs.atomic_extra;
             let rx_fixed = inner.costs.rnic_rx_fixed;
             let prop = inner.costs.propagation;
-            let sender_cq = inner.qp(h.node, h.qp).expect("sender QP").cq;
             let rx_done = {
                 let node = &mut inner.nodes[peer.0 as usize];
                 node.rx_messages += 1;

@@ -60,6 +60,7 @@ pub struct Sim {
     wheel: TimingWheel,
     executed: u64,
     cancelled: u64,
+    boxed: u64,
     peak_pending: usize,
     depth_samples: Vec<(SimTime, usize)>,
     wall_ns: u64,
@@ -80,6 +81,9 @@ pub struct SimProfile {
     pub scheduled_events: u64,
     pub executed_events: u64,
     pub cancelled_events: u64,
+    /// Scheduled events whose closure exceeded the inline capture size and
+    /// was heap-boxed; zero in steady state on the request path.
+    pub boxed_events: u64,
     pub pending_events: usize,
     pub peak_pending: usize,
     pub wall_ns: u64,
@@ -127,6 +131,7 @@ impl Sim {
             wheel: TimingWheel::new(tick_shift),
             executed: 0,
             cancelled: 0,
+            boxed: 0,
             peak_pending: 0,
             depth_samples: Vec::new(),
             wall_ns: 0,
@@ -163,7 +168,7 @@ impl Sim {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let handle = self.wheel.insert(at, seq, EventFn::new(f));
+        let handle = self.wheel.insert(at, seq, EventFn::new(f, &mut self.boxed));
         self.peak_pending = self.peak_pending.max(self.wheel.live());
         handle
     }
@@ -240,6 +245,7 @@ impl Sim {
             scheduled_events: self.seq,
             executed_events: self.executed,
             cancelled_events: self.cancelled,
+            boxed_events: self.boxed,
             pending_events: self.wheel.live(),
             peak_pending: self.peak_pending,
             wall_ns: self.wall_ns,

@@ -24,11 +24,13 @@ use crate::engine::Sim;
 
 /// Maximum closure capture size (bytes) stored without allocating.
 ///
-/// Six words: enough for an `Rc` plus a typical descriptor-sized capture
-/// (the engine's highest-volume events — DNE TX/RX completion, fabric
-/// delivery, Comch delivery — capture an `Rc<RefCell<_>>` and a small
-/// `BufferDesc`/`Cqe` payload).
-pub const INLINE_BYTES: usize = 48;
+/// Ten words, sized to the largest capture on a request's path. Measured
+/// captures (x86-64): `Fabric::schedule_cqe` 72 B (`Rc` + `CqId` + `Cqe`),
+/// `Dne::kick` → `complete` 72 B (`Rc` + work item + dispatch instant),
+/// `ChainFunction::endpoint` 72 B, `Fabric::post_send` → `deliver_send`
+/// 64 B (`Rc` + `Delivery` + `OwnedBuf`), `Gateway::submit_tenant` 80 B.
+/// Anything larger is boxed and counted in `SimProfile::boxed_events`.
+pub const INLINE_BYTES: usize = 80;
 
 type InlineBuf = MaybeUninit<[usize; INLINE_BYTES / size_of::<usize>()]>;
 
@@ -63,8 +65,9 @@ unsafe fn drop_boxed<F>(p: *mut u8) {
 unsafe fn drop_noop(_p: *mut u8) {}
 
 impl EventFn {
-    /// Wraps `f`, storing it inline when it fits.
-    pub fn new<F: FnOnce(&mut Sim) + 'static>(f: F) -> EventFn {
+    /// Wraps `f`, storing it inline when it fits; otherwise boxes it and
+    /// bumps `boxed` (the engine's count of allocating events).
+    pub fn new<F: FnOnce(&mut Sim) + 'static>(f: F, boxed: &mut u64) -> EventFn {
         let mut data: InlineBuf = MaybeUninit::uninit();
         if size_of::<F>() <= INLINE_BYTES && align_of::<F>() <= align_of::<usize>() {
             unsafe { ptr::write(data.as_mut_ptr().cast::<F>(), f) };
@@ -74,6 +77,7 @@ impl EventFn {
                 data,
             }
         } else {
+            *boxed += 1;
             unsafe { ptr::write(data.as_mut_ptr().cast::<Box<F>>(), Box::new(f)) };
             EventFn {
                 call: call_boxed::<F>,
@@ -121,7 +125,9 @@ mod tests {
         let hits = Rc::new(Cell::new(0u32));
         let h = hits.clone();
         assert!(EventFn::fits_inline::<Rc<Cell<u32>>>());
-        let ev = EventFn::new(move |_sim| h.set(h.get() + 1));
+        let mut boxed = 0;
+        let ev = EventFn::new(move |_sim| h.set(h.get() + 1), &mut boxed);
+        assert_eq!(boxed, 0);
         let mut sim = Sim::new();
         ev.invoke(&mut sim);
         assert_eq!(hits.get(), 1);
@@ -132,7 +138,9 @@ mod tests {
         let big = [7u64; 16]; // 128 bytes of capture
         let hits = Rc::new(Cell::new(0u64));
         let h = hits.clone();
-        let ev = EventFn::new(move |_sim| h.set(big.iter().sum()));
+        let mut boxed = 0;
+        let ev = EventFn::new(move |_sim| h.set(big.iter().sum()), &mut boxed);
+        assert_eq!(boxed, 1, "the box branch is counted");
         let mut sim = Sim::new();
         ev.invoke(&mut sim);
         assert_eq!(hits.get(), 7 * 16);
@@ -148,22 +156,26 @@ mod tests {
         }
         let drops = Rc::new(Cell::new(0u32));
         // Inline case.
+        let mut boxed = 0;
         let p = Probe(drops.clone());
-        let ev = EventFn::new(move |_sim| drop(p));
+        let ev = EventFn::new(move |_sim| drop(p), &mut boxed);
         drop(ev);
         assert_eq!(drops.get(), 1);
         // Boxed case.
         let p = Probe(drops.clone());
         let big = [0u8; 128];
-        let ev = EventFn::new(move |_sim| {
-            let _ = &big;
-            drop(p);
-        });
+        let ev = EventFn::new(
+            move |_sim| {
+                let _ = &big;
+                drop(p);
+            },
+            &mut boxed,
+        );
         drop(ev);
         assert_eq!(drops.get(), 2);
         // Invoked case drops via the call itself, not the destructor.
         let p = Probe(drops.clone());
-        let ev = EventFn::new(move |_sim| drop(p));
+        let ev = EventFn::new(move |_sim| drop(p), &mut boxed);
         let mut sim = Sim::new();
         ev.invoke(&mut sim);
         assert_eq!(drops.get(), 3);

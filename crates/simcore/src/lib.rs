@@ -17,6 +17,8 @@
 //!   percentiles, and time-series recorders for the figure reproductions.
 //! - [`ratelimit`]: token bucket used for bandwidth shaping.
 //! - [`queue`]: bounded FIFO with drop accounting.
+//! - [`idtable`]: index and ring tables for the small integer ids the
+//!   substrates allocate — the per-message replacement for hash maps.
 //! - [`shard`]: conservative-window parallel execution — one private [`Sim`]
 //!   per shard, SPSC mailboxes, lookahead from the fabric latency floor,
 //!   byte-identical to sequential for any worker count. The sequential
@@ -25,6 +27,7 @@
 pub mod baseline;
 pub mod engine;
 pub mod event;
+pub mod idtable;
 pub mod queue;
 pub mod ratelimit;
 pub mod resource;
@@ -35,6 +38,7 @@ pub mod time;
 pub(crate) mod wheel;
 
 pub use engine::{Sim, SimProfile, Ticker, TimerHandle};
+pub use idtable::{IdRing, IdTable};
 pub use resource::{MultiServer, Server};
 pub use rng::SimRng;
 pub use shard::{

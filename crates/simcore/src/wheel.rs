@@ -475,7 +475,7 @@ mod tests {
     use crate::time::SimDuration;
 
     fn ev() -> EventFn {
-        EventFn::new(|_| {})
+        EventFn::new(|_| {}, &mut 0)
     }
 
     #[test]

@@ -207,3 +207,63 @@ fn multi_tenant_boutique_shares_by_weight() {
         }
     }
 }
+
+/// The event engine stores closures inline up to `INLINE_BYTES`; every
+/// closure on a request's path through the full cluster fits, so steady
+/// state schedules without allocating. `SimProfile::boxed_events` counts
+/// the ones that do not: after warm-up, 1 000 echo requests and 100
+/// boutique requests box none.
+#[test]
+fn steady_state_request_path_boxes_no_events() {
+    let tenant = TenantId(1);
+    let run = |chain: ChainSpec,
+               place: &dyn Fn(&mut Cluster),
+               cost: fn(u16) -> SimDuration,
+               clients: usize,
+               bytes: usize,
+               want: u64| {
+        let mut sim = Sim::new();
+        let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
+        cluster.add_tenant(&mut sim, tenant, 1).unwrap();
+        place(&mut cluster);
+        let warm = sim.now() + SimDuration::from_millis(5);
+        let driver = ClosedLoop::new(warm + SimDuration::from_millis(120));
+        cluster.register_chain(&chain, cost, driver.completion());
+        driver.start(&mut sim, &cluster, &chain, clients, bytes);
+        sim.run_until(warm);
+        let (boxed, done) = (sim.profile().boxed_events, driver.completed());
+        assert!(done > 0, "{}: warm-up completed nothing", chain.name);
+        sim.run();
+        let requests = driver.completed() - done;
+        assert!(requests >= want, "{}: only {requests} requests", chain.name);
+        assert_eq!(
+            sim.profile().boxed_events - boxed,
+            0,
+            "{}: {requests} requests boxed events",
+            chain.name
+        );
+    };
+    run(
+        ChainSpec::new("echo", tenant, vec![1, 2, 1]),
+        &|c| {
+            c.place(1, 0);
+            c.place(2, 1);
+        },
+        |_| SimDuration::ZERO,
+        8,
+        64,
+        1_000,
+    );
+    run(
+        boutique::home_query(tenant),
+        &|c| {
+            for f in boutique::all_functions() {
+                c.place(f, boutique::hotspot_placement(f));
+            }
+        },
+        boutique::exec_cost,
+        20,
+        boutique::PAYLOAD_BYTES,
+        100,
+    );
+}
