@@ -132,6 +132,21 @@ pub struct Cluster {
     obs_hub: Rc<RefCell<ObsHub>>,
 }
 
+impl Drop for Cluster {
+    /// Frees the cluster. Function endpoints hold their node's I/O library
+    /// and engine, which hold the endpoints; the hub's handlers can hold
+    /// parts of the cluster the same way. Reference counting alone never
+    /// frees those cycles (every tenant pool stayed resident), so dropping
+    /// the cluster cuts them here.
+    fn drop(&mut self) {
+        for node in &self.nodes {
+            node.iolib.unregister_all();
+        }
+        let hub = std::mem::take(&mut *self.obs_hub.borrow_mut());
+        drop(hub); // outside the borrow: a handler may own the hub
+    }
+}
+
 impl Cluster {
     /// Builds the cluster (nodes, engines, I/O libraries).
     pub fn new(sim: &mut Sim, cfg: ClusterConfig) -> Cluster {
@@ -254,11 +269,6 @@ impl Cluster {
         self.pools
             .get(&(tenant, idx))
             .expect("tenant provisioned on this node")
-    }
-
-    /// Returns the tenant's pool on node `idx` if provisioned.
-    pub fn try_pool(&self, tenant: TenantId, idx: usize) -> Option<&BufferPool> {
-        self.pools.get(&(tenant, idx))
     }
 
     /// Snapshot of every provisioned `(tenant, node index, pool)` triple.
@@ -835,8 +845,6 @@ impl Cluster {
                 .set(node.dne.conn_evictions() as f64);
             reg.gauge("qp_teardowns_total", &nl)
                 .set(node.dne.conn_teardowns() as f64);
-            reg.gauge("qp_adaptive_shrinks_total", &nl)
-                .set(node.dne.conn_adaptive_shrinks() as f64);
             reg.gauge("qp_prewarm_hit_rate", &nl).set_ratio(
                 stats.prewarm_claims,
                 stats.prewarm_claims + stats.cold_connects,

@@ -414,15 +414,6 @@ impl HealthMonitor {
         recovered
     }
 
-    /// Whether `node` is under an administrative drain hold.
-    pub fn admin_held(&self, node: NodeId) -> bool {
-        self.inner
-            .borrow()
-            .nodes
-            .get(&node.0)
-            .is_some_and(|t| t.admin_hold)
-    }
-
     /// Starts the recurring probe loop against `fabric`'s fault plane,
     /// running until `until`. Idempotent.
     pub fn start_probes(&self, sim: &mut Sim, fabric: Fabric, until: SimTime) {

@@ -182,17 +182,6 @@ pub struct NodeStats {
     pub busy_ns: u64,
 }
 
-impl NodeStats {
-    /// Mean completed-request latency in microseconds.
-    pub fn mean_latency_us(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.latency_ns_sum as f64 / self.completed as f64 / 1_000.0
-        }
-    }
-}
-
 /// How many of the slowest completed requests the client shard retains
 /// as resolvable trace records for its latency exemplars.
 const SLOW_TRACE_CAP: usize = 16;

@@ -129,16 +129,22 @@ impl ClosedLoop {
             let mut inner = self.inner.borrow_mut();
             inner.began = sim.now();
         }
-        let chain = chain.clone();
         let injector = ClusterInjector {
             cluster: ClusterRef::new(cluster),
-            chain,
+            chain: chain.clone(),
             payload,
-            driver: self.clone(),
         };
-        let injector = Rc::new(injector);
-        let this = self.clone();
-        this.set_issuer(Rc::new(move |sim, req| injector.inject(sim, req)));
+        // The driver owns its issue hook, so the hook refers back weakly:
+        // a strong handle here would keep the driver — and through the
+        // injector every pool and engine of the cluster — alive forever.
+        let driver = Rc::downgrade(&self.inner);
+        self.set_issuer(Rc::new(move |sim, req| {
+            if !injector.inject(sim, req) {
+                if let Some(inner) = driver.upgrade() {
+                    ClosedLoop { inner }.shed(req);
+                }
+            }
+        }));
         for _ in 0..clients {
             self.issue_one(sim);
         }
@@ -245,18 +251,18 @@ impl OpenLoop {
             cluster: ClusterRef::new(cluster),
             chain: chain.clone(),
             payload,
-            driver: self.driver.clone(),
         });
         let mean_gap_s = 1.0 / rate_rps;
         let rng = Rc::new(RefCell::new(simcore::SimRng::new(seed)));
         fn arrive(
             sim: &mut Sim,
             injector: Rc<ClusterInjector>,
+            driver: ClosedLoop,
             rng: Rc<RefCell<simcore::SimRng>>,
             mean_gap_s: f64,
         ) {
             let (req, stopped) = {
-                let mut inner = injector.driver.inner.borrow_mut();
+                let mut inner = driver.inner.borrow_mut();
                 if sim.now() >= inner.stop_at {
                     (0, true)
                 } else {
@@ -269,15 +275,15 @@ impl OpenLoop {
             if stopped {
                 return;
             }
-            injector.inject(sim, req);
+            if !injector.inject(sim, req) {
+                driver.shed(req);
+            }
             let gap = rng.borrow_mut().exponential(mean_gap_s);
-            let injector2 = injector.clone();
-            let rng2 = rng.clone();
             sim.schedule_after(SimDuration::from_secs_f64(gap), move |sim| {
-                arrive(sim, injector2, rng2, mean_gap_s);
+                arrive(sim, injector, driver, rng, mean_gap_s);
             });
         }
-        arrive(sim, injector, rng, mean_gap_s);
+        arrive(sim, injector, self.driver.clone(), rng, mean_gap_s);
     }
 
     /// Completed request count.
@@ -311,14 +317,12 @@ struct ClusterInjector {
     cluster: ClusterRef,
     chain: ChainSpec,
     payload: usize,
-    driver: ClosedLoop,
 }
 
 impl ClusterInjector {
-    fn inject(&self, sim: &mut Sim, req: u64) {
-        if !self.cluster.inject(sim, &self.chain, req, self.payload) {
-            self.driver.shed(req);
-        }
+    /// Returns `false` when the request could not be admitted.
+    fn inject(&self, sim: &mut Sim, req: u64) -> bool {
+        self.cluster.inject(sim, &self.chain, req, self.payload)
     }
 }
 

@@ -1,12 +1,14 @@
-//! The run-to-completion network engine.
+//! The engine's public handle and the driver behind it.
 //!
-//! One [`Dne`] instance runs per worker node. Work items — TX descriptors
-//! arriving from host functions over IPC, and RX/send completions polled
-//! from the node's single shared CQ — are dispatched one at a time onto the
-//! engine's processor, reproducing the paper's non-blocking
-//! run-to-completion loop (Fig. 8). Dispatch order is: completions first
-//! (they recycle buffers), then TX descriptors in the order chosen by the
-//! tenant scheduler (DWRR or FCFS).
+//! One [`Dne`] runs per worker node. Everything it decides is decided by
+//! the state machine in [`crate::core`], which never sees the simulator;
+//! this module is the thin shell around it. [`Dne`]'s methods are the
+//! control plane (tenants, routes, endpoints, wire versions, counters) and
+//! [`drive`] is the data plane's only door to the outside: it feeds one
+//! input to `Core::step` under a single borrow, drops the borrow, and
+//! applies the effects in emission order — the one place in the crate that
+//! schedules or cancels an event, posts to the RNIC, connects, calls an
+//! endpoint or the failure handler, or talks to another node's engine.
 //!
 //! The engine is processor-agnostic: configured with
 //! [`ProcessorKind::DpuArm`] and Comch IPC it is NADINO (DNE); with
@@ -17,31 +19,22 @@
 //! [`ProcessorKind::HostCpu`]: dpu_sim::soc::ProcessorKind::HostCpu
 //! [`OffloadMode::OnPath`]: crate::types::OffloadMode::OnPath
 
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::cell::{Cell, Ref, RefCell, RefMut};
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-use dpu_sim::dma::SocDma;
-use dpu_sim::soc::Processor;
 use membuf::descriptor::BufferDesc;
 use membuf::export::MappedPool;
-use membuf::pool::{BufferPool, OwnedBuf};
+use membuf::pool::OwnedBuf;
 use membuf::tenant::TenantId;
-use obs::{Stage, Tracer};
+use obs::Tracer;
 use rdma_sim::fabric::{CqId, QpHandle, RqId};
-use rdma_sim::types::{Cqe, CqeOpcode, CqeStatus, QpId};
-use rdma_sim::{Fabric, NodeId, RdmaError};
-use simcore::{IdRing, IdTable, Sim, SimDuration, SimTime, Ticker, TimerHandle};
+use rdma_sim::{Fabric, NodeId, RdmaError, WrId};
+use simcore::{Sim, SimDuration, SimTime, Ticker};
 
-use crate::connpool::{ConnPool, ElasticConfig};
-use crate::rbr::ReceiveBufferRegistry;
-use crate::routing::{RouteError, RoutingTable};
-use crate::sched::{DwrrScheduler, FcfsScheduler, TenantScheduler};
-use crate::types::{
-    DeliveryFailure, DneConfig, DneStats, FailureReason, IpcCosts, OffloadMode, SchedPolicy,
-    TenantFailureStats,
-};
+use crate::core::{Core, Effect, Input};
+use crate::types::{DeliveryFailure, DneConfig, DneStats, IpcCosts, TenantFailureStats};
 
 /// Callback by which the engine delivers a descriptor to a host function.
 pub type FnEndpoint = Rc<dyn Fn(&mut Sim, BufferDesc)>;
@@ -79,124 +72,6 @@ impl From<RdmaError> for DneError {
     }
 }
 
-/// Packs `(tenant, dst_fn)` into send immediate data.
-fn pack_imm(tenant: TenantId, dst_fn: u16) -> u64 {
-    ((tenant.0 as u64) << 16) | dst_fn as u64
-}
-
-/// Unpacks send immediate data into `(tenant, dst_fn)`.
-fn unpack_imm(imm: u64) -> (TenantId, u16) {
-    (TenantId((imm >> 16) as u16), imm as u16)
-}
-
-/// Reads the request id convention (first eight payload bytes, LE).
-fn req_id_of(bytes: &[u8]) -> u64 {
-    if bytes.len() >= 8 {
-        u64::from_le_bytes(bytes[..8].try_into().expect("checked length"))
-    } else {
-        0
-    }
-}
-
-/// Reads the absolute deadline stamped in a payload (see `obs::ctx`), if
-/// the payload carries one.
-fn deadline_of(bytes: &[u8]) -> Option<SimTime> {
-    obs::ctx::read_deadline_ns(bytes).map(SimTime::from_nanos)
-}
-
-struct TenantState {
-    pool: BufferPool,
-    rq: RqId,
-    weight: u32,
-    tx_count: u64,
-    rx_count: u64,
-    failures: TenantFailureStats,
-}
-
-enum WorkItem {
-    Tx(TenantId, BufferDesc),
-    Rx(Cqe),
-}
-
-/// A TX descriptor queued in the tenant scheduler, stamped with its
-/// enqueue instant so dequeue can attribute the queueing delay, plus the
-/// trace identity read once at submit (request id and the ingress-decided
-/// sampling bit) so the dequeue path never peeks the payload again.
-struct TxItem {
-    desc: BufferDesc,
-    enqueued_at: SimTime,
-    req_id: u64,
-    sampled: bool,
-}
-
-/// The engine's send WR ids count down from `u64::MAX` (receive WR ids,
-/// issued by the RBR, grow from the bottom); this recovers the counter.
-fn send_seq(wr: rdma_sim::WrId) -> u64 {
-    u64::MAX - wr.0
-}
-
-/// The identity and retry history of one logical send: it rides on the
-/// posted-send record, on the parked retry, and into the typed failure.
-#[derive(Clone, Copy)]
-struct SendMeta {
-    tenant: TenantId,
-    dst_fn: u16,
-    req_id: u64,
-    /// Attempts already completed (0 until the first one fails).
-    attempts: u32,
-    /// When the *first* attempt of this send was posted (retry latency).
-    first_at: SimTime,
-}
-
-/// Bookkeeping for an in-flight RNIC send, keyed by WR id, so the send
-/// completion can close the fabric span and the post-to-completion
-/// histogram, and — on an error CQE — drive the retry pipeline.
-struct PostedSend {
-    at: SimTime,
-    meta: SendMeta,
-    /// The node this WR was posted toward. Failure blame must target this
-    /// node, not a fresh route lookup — after a failover the lookup points
-    /// at the (healthy) backup.
-    peer: NodeId,
-    /// The ingress sampling decision, cached from the payload's on-wire
-    /// bit when the WR was posted: the send completion records its Fabric
-    /// span from this without touching the (already recycled) buffer.
-    sampled: bool,
-}
-
-/// A failed (or not-yet-postable) send parked for a later retry, holding
-/// its payload buffer so nothing leaks while the backoff timer runs or a
-/// background reconnect brings a connection up.
-struct PendingRetry {
-    buf: OwnedBuf,
-    meta: SendMeta,
-    peer: NodeId,
-    /// When the send was first parked, so the eventual repost can record
-    /// the whole backoff/reconnect wait as a `RetryBackoff` span.
-    parked_at: SimTime,
-    /// The QP whose send failed; the failover pick steers around it.
-    avoid: Option<QpId>,
-    /// The pending backoff timer (`None` for retries parked on a reconnect,
-    /// which fire when the connection comes up instead).
-    timer: Option<TimerHandle>,
-}
-
-/// What `connect_pair` recorded about the remote engine so a background
-/// reconnect can re-establish a `(tenant, peer)` pool that ran dry.
-struct PeerLink {
-    cq: CqId,
-    rq: RqId,
-    engine: Weak<RefCell<Inner>>,
-}
-
-/// What the engine decided about an errored send completion.
-enum FailedSendOutcome {
-    /// Parked under `id`; arm a backoff timer for it.
-    Retry { id: u64, backoff: SimDuration },
-    /// Recovery exhausted; surface the typed failure.
-    Fail(DeliveryFailure),
-}
-
 /// Optional exemplar-carrying fleet histogram sinks the cluster may
 /// register so the engine's latency sites feed the windowed rollup
 /// directly, alongside the always-on [`DneStats`] histograms. Sampled
@@ -212,361 +87,154 @@ pub struct DneObsSink {
     pub post_to_completion: Option<obs::HistogramHandle>,
 }
 
-struct Inner {
+/// What a [`Dne`] handle points at: the state machine, and beside it the
+/// few things only the driver touches while no step is running.
+struct Engine {
+    core: RefCell<Core>,
     node: NodeId,
-    fabric: Fabric,
     cq: CqId,
-    processor: Processor,
-    cfg: DneConfig,
-    ipc: IpcCosts,
-    /// Keyed by `TenantId`.
-    tenants: IdTable<TenantState>,
-    routing: RoutingTable,
-    /// Keyed by function id.
-    endpoints: IdTable<FnEndpoint>,
-    txq: Box<dyn TenantScheduler<TxItem>>,
-    conns: ConnPool,
-    rbr: ReceiveBufferRegistry,
-    soc_dma: SocDma,
-    in_flight: usize,
-    stats: DneStats,
-    next_send_wr: u64,
-    tracer: Tracer,
-    /// In-flight sends, keyed by [`send_seq`] of their WR id.
-    posted: IdRing<PostedSend>,
+    fabric: Fabric,
+    /// The effect buffer, reused across [`drive`] calls so the steady state
+    /// allocates nothing (a nested `drive` finds it taken and starts empty).
+    effects: Cell<Vec<Effect>>,
+    failure_handler: RefCell<Option<DeliveryFailureHandler>>,
+    /// The engines `connect_pair` wired this one to: where `PeerConnAdded`
+    /// is delivered.
+    peers: RefCell<HashMap<NodeId, Weak<Engine>>>,
     /// Periodic idle-QP reaper, when armed (see [`Dne::start_conn_reaper`]).
-    conn_reaper: Option<Ticker>,
-    /// Sends parked for retry, keyed by retry id.
-    retries: IdRing<PendingRetry>,
-    next_retry_id: u64,
-    /// `(tenant, peer)` pairs with a background reconnect in flight.
-    reconnecting: HashSet<(TenantId, NodeId)>,
-    /// Remote-engine wiring recorded at `connect_pair` time, so reconnects
-    /// know where to point the new QP.
-    peer_links: HashMap<(TenantId, NodeId), PeerLink>,
-    failure_handler: Option<DeliveryFailureHandler>,
-    obs_sink: DneObsSink,
-    /// Per-peer negotiated CTX wire versions, indexed by node id, announced
-    /// by the control plane during rolling upgrades. Past the end ⇒ assume
-    /// the peer runs the current version (the homogeneous-fleet fast path).
-    peer_versions: Vec<u8>,
+    conn_reaper: RefCell<Option<Ticker>>,
 }
 
-impl Inner {
-    fn queued(&self) -> usize {
-        self.txq.len() + self.fabric.cq_depth(self.cq)
+impl Engine {
+    fn borrow(&self) -> Ref<'_, Core> {
+        self.core.borrow()
     }
 
-    /// The CTX version to stamp toward `peer`: the minimum of this
-    /// engine's own version and the peer's announced version, so the
-    /// receiver's parser owns every byte it reads (negotiation rule of the
-    /// versioned wire region — see `obs::ctx`).
-    fn effective_wire_version(&self, peer: NodeId) -> u8 {
-        let peer_v = self.peer_versions.get(peer.0 as usize).copied();
-        self.cfg
-            .wire_version
-            .min(peer_v.unwrap_or(obs::ctx::CTX_CURRENT))
+    fn borrow_mut(&self) -> RefMut<'_, Core> {
+        self.core.borrow_mut()
     }
 
-    /// Reads the payload deadline — but only when this engine's wire
-    /// version includes the deadline region. A v1 engine predates
-    /// deadlines entirely: during a rolling upgrade it neither cancels nor
-    /// drops expired work (the request still terminates upstream, typed,
-    /// at a deadline-aware hop or the gateway).
-    fn deadline_if_enforced(&self, bytes: &[u8]) -> Option<SimTime> {
-        if self.cfg.wire_version < obs::ctx::CTX_V2 {
-            return None;
-        }
-        deadline_of(bytes)
+    /// Records how to reach `peer`'s engine for `tenant`, so a pool that
+    /// later runs dry (every QP errored) can reconnect in the background.
+    fn link_peer(&self, tenant: TenantId, peer: &Rc<Engine>, peer_rq: RqId) {
+        self.borrow_mut()
+            .link_peer(tenant, peer.node, peer.cq, peer_rq);
+        self.peers
+            .borrow_mut()
+            .insert(peer.node, Rc::downgrade(peer));
     }
+}
 
-    /// Reads the request id and the ingress-decided sampling bit out of a
-    /// still-pooled descriptor (tracing only): one peek of the payload's
-    /// ctx-bearing prefix at the submit boundary, cached on the queue item
-    /// so no later stage peeks again.
-    fn trace_meta_of_desc(&self, tenant: TenantId, desc: BufferDesc) -> (u64, bool) {
-        let mut head = [0u8; obs::CTX_REGION];
-        self.tenants
-            .get(tenant.0.into())
-            .and_then(|s| s.pool.peek_payload_into(desc, &mut head))
-            .map(|n| (req_id_of(&head[..n]), obs::ctx::sampled(&head[..n])))
-            .unwrap_or((0, false))
-    }
-
-    fn next_item(&mut self, now: SimTime) -> Option<WorkItem> {
-        if let Some(cqe) = self.fabric.poll_one(self.cq) {
-            return Some(WorkItem::Rx(cqe));
-        }
-        let (tenant, item) = self.txq.dequeue()?;
-        let wait = now.saturating_since(item.enqueued_at);
-        self.stats.tx_queue_wait.record(wait);
-        let mut ctx = None;
-        if item.sampled {
-            let span_id = self.tracer.span(
-                item.req_id,
-                tenant.0,
-                self.node.0 as u32,
-                Stage::DwrrQueue,
-                item.enqueued_at,
-                now,
-            );
-            ctx = Some((item.req_id, span_id));
-        }
-        if let Some(h) = &self.obs_sink.tx_queue_wait {
-            h.record_traced(wait, ctx);
-        }
-        Some(WorkItem::Tx(tenant, item.desc))
-    }
-
-    fn service_for(&self, item: &WorkItem) -> SimDuration {
-        let endpoints = self.endpoints.len();
-        let queued = self.queued();
-        let ipc = self.ipc.engine_service(endpoints, queued);
-        let on_path_extra = match self.cfg.offload {
-            OffloadMode::OnPath => self.cfg.dma_program,
-            OffloadMode::OffPath => SimDuration::ZERO,
-        };
-        match item {
-            WorkItem::Tx(..) => self.cfg.tx_stage + ipc + self.cfg.extra_per_msg + on_path_extra,
-            WorkItem::Rx(cqe) => match cqe.opcode {
-                CqeOpcode::Recv => self.cfg.rx_stage + ipc + self.cfg.extra_per_msg + on_path_extra,
-                _ => self.cfg.send_completion,
-            },
-        }
-    }
-
-    /// Replenishes one receive buffer for `tenant` (§3.5.2: the core thread
-    /// posts as many buffers as were consumed).
-    fn replenish(&mut self, tenant: TenantId) {
-        let Some(state) = self.tenants.get(tenant.0.into()) else {
-            return;
-        };
-        let rq = state.rq;
-        match state.pool.get() {
-            Ok(buf) => {
-                let wr = self.rbr.register(tenant);
-                if self.fabric.post_recv(rq, wr, buf).is_err() {
-                    self.rbr.consume(wr);
-                    self.stats.replenish_failures += 1;
-                } else {
-                    self.stats.replenishes += 1;
+/// Feeds `input` to the engine's state machine and applies what it asks
+/// for, in the order it asked.
+fn drive(rc: &Rc<Engine>, sim: &mut Sim, input: Input) {
+    let mut out = rc.effects.take();
+    rc.borrow_mut().step(sim.now(), input, &mut out);
+    for effect in out.drain(..) {
+        match effect {
+            Effect::PostSend {
+                qp,
+                wr,
+                buf,
+                imm,
+                at,
+            } if at > sim.now() => {
+                let rc = rc.clone();
+                sim.schedule_at(at, move |sim| hand_to_rnic(&rc, sim, qp, wr, buf, imm));
+            }
+            Effect::PostSend {
+                qp, wr, buf, imm, ..
+            } => hand_to_rnic(rc, sim, qp, wr, buf, imm),
+            Effect::Deliver { ep, desc, latency } => {
+                sim.schedule_after(latency, move |sim| ep(sim, desc));
+            }
+            Effect::After(delay, input) => {
+                let rc = rc.clone();
+                sim.schedule_after(delay, move |sim| drive(&rc, sim, input));
+            }
+            Effect::ArmRetry { id, backoff } => {
+                let rc2 = rc.clone();
+                let fire = move |sim: &mut Sim| drive(&rc2, sim, Input::RetryTimer(id));
+                let timer = sim.schedule_after(backoff, fire);
+                rc.borrow_mut().retry_armed(id, timer);
+            }
+            Effect::CancelTimer(timer) => {
+                sim.cancel(timer);
+            }
+            Effect::Connect {
+                tenant,
+                peer,
+                rq,
+                peer_cq,
+                peer_rq,
+            } => reconnect(rc, sim, tenant, peer, (rq, peer_cq, peer_rq)),
+            Effect::PeerConnAdded {
+                peer,
+                tenant,
+                handle,
+            } => {
+                let engine = rc.peers.borrow().get(&peer).and_then(Weak::upgrade);
+                if let Some(engine) = engine {
+                    let peer = rc.node;
+                    let announce = Input::PeerConn {
+                        tenant,
+                        peer,
+                        handle,
+                    };
+                    drive(&engine, sim, announce);
                 }
             }
-            Err(_) => self.stats.replenish_failures += 1,
-        }
-    }
-
-    /// Attributes a drop to `tenant` (the aggregate `stats.drops` counter is
-    /// bumped separately by each drop site).
-    fn tenant_drop(&mut self, tenant: TenantId) {
-        if let Some(st) = self.tenants.get_mut(tenant.0.into()) {
-            st.failures.drops += 1;
-        }
-    }
-
-    /// Abandons a send after recovery is exhausted, updating aggregate and
-    /// per-tenant counters, and returns the typed failure to surface.
-    fn give_up(
-        &mut self,
-        now: SimTime,
-        m: SendMeta,
-        reason: FailureReason,
-        dst_node: Option<NodeId>,
-    ) -> DeliveryFailure {
-        self.stats.drops += 1;
-        self.stats.give_ups += 1;
-        if m.attempts > 0 {
-            let lat = now.saturating_since(m.first_at);
-            self.stats.retry_latency.record(lat);
-            if let Some(h) = &self.obs_sink.retry_latency {
-                // No sampling decision survives to this site; the sample
-                // still counts, just without an exemplar.
-                h.record_traced(lat, None);
+            Effect::Fail(failure) => {
+                let handler = rc.failure_handler.borrow().clone();
+                if let Some(h) = handler {
+                    h(sim, failure);
+                }
             }
+            Effect::Then(input) => drive(rc, sim, input),
         }
-        if let Some(st) = self.tenants.get_mut(m.tenant.0.into()) {
-            st.failures.drops += 1;
-            st.failures.give_ups += 1;
-        }
-        m.failure(reason, dst_node)
     }
-
-    /// Cancels a send whose deadline expired before the engine could
-    /// (re)post it. Unlike [`Inner::give_up`] this is not a transport
-    /// failure — it counts as a deadline drop, not a give-up, so fault
-    /// accounting (`give_ups`) stays a pure transport-health signal.
-    fn cancel_expired(
-        &mut self,
-        now: SimTime,
-        m: SendMeta,
-        dst_node: Option<NodeId>,
-    ) -> DeliveryFailure {
-        self.stats.drops += 1;
-        self.stats.deadline_drops += 1;
-        if let Some(st) = self.tenants.get_mut(m.tenant.0.into()) {
-            st.failures.drops += 1;
-            st.failures.deadline_drops += 1;
-        }
-        if self.tracer.is_enabled() {
-            self.tracer.span(
-                m.req_id,
-                m.tenant.0,
-                self.node.0 as u32,
-                Stage::DeadlineDrop,
-                now,
-                now,
-            );
-        }
-        m.failure(FailureReason::DeadlineExceeded, dst_node)
-    }
-
-    /// Decides what to do about an errored send completion: re-park under
-    /// the retry budget (the next pick steers around the failed QP), or give
-    /// up and surface a typed failure.
-    fn on_failed_send(
-        &mut self,
-        now: SimTime,
-        cqe: Cqe,
-        posted: Option<PostedSend>,
-    ) -> FailedSendOutcome {
-        let (mut m, posted_peer) = match posted {
-            Some(p) => (p.meta, Some(p.peer)),
-            None => {
-                let (tenant, dst_fn) = unpack_imm(cqe.imm);
-                (SendMeta::fresh(tenant, dst_fn, 0, now), None)
-            }
-        };
-        m.attempts += 1; // counting the attempt that just failed
-        let Some(buf) = cqe.buf else {
-            // No buffer came back with the CQE: nothing left to retry with.
-            let dst_node = posted_peer.or_else(|| self.routing.lookup(m.dst_fn));
-            m.req_id = 0;
-            let reason = FailureReason::RetryBudgetExhausted;
-            return FailedSendOutcome::Fail(self.give_up(now, m, reason, dst_node));
-        };
-        m.req_id = req_id_of(buf.as_slice());
-        let peer = match self.routing.resolve(m.dst_fn) {
-            Ok(peer) => peer,
-            Err(RouteError::DestinationDown { node, .. }) => {
-                // The health monitor marked the destination down and no
-                // healthy replica exists: fail fast instead of parking a
-                // retry that can only time out against a corpse.
-                let reason = FailureReason::DestinationDown;
-                return FailedSendOutcome::Fail(self.give_up(now, m, reason, Some(node)));
-            }
-            Err(RouteError::UnknownDestination { .. }) => {
-                let reason = FailureReason::NoConnection;
-                return FailedSendOutcome::Fail(self.give_up(now, m, reason, posted_peer));
-            }
-        };
-        // Blame the node the failed WR actually targeted; route the retry
-        // wherever the (possibly failed-over) table points now.
-        let blamed = posted_peer.unwrap_or(peer);
-        if m.attempts > self.cfg.retry_budget {
-            // buf drops here → recycled, not leaked.
-            let reason = FailureReason::RetryBudgetExhausted;
-            return FailedSendOutcome::Fail(self.give_up(now, m, reason, Some(blamed)));
-        }
-        let backoff = self.cfg.retry_backoff * (1u64 << (m.attempts - 1).min(16));
-        // Deadline-aware park: when the request is already expired — or its
-        // backoff timer would only fire after the deadline — parking is
-        // pointless, so cancel now instead of burning a timer and a repost.
-        if let Some(d) = self.deadline_if_enforced(buf.as_slice()) {
-            if now >= d || now + backoff >= d {
-                // buf drops here → recycled.
-                return FailedSendOutcome::Fail(self.cancel_expired(now, m, Some(blamed)));
-            }
-        }
-        self.stats.retries += 1;
-        if let Some(st) = self.tenants.get_mut(m.tenant.0.into()) {
-            st.failures.retries += 1;
-        }
-        let id = self.park_retry(buf, m, peer, now, Some(cqe.qp));
-        FailedSendOutcome::Retry { id, backoff }
-    }
-
-    /// Parks a send for retry, returning the retry id.
-    fn park_retry(
-        &mut self,
-        buf: OwnedBuf,
-        meta: SendMeta,
-        peer: NodeId,
-        parked_at: SimTime,
-        avoid: Option<QpId>,
-    ) -> u64 {
-        let id = self.next_retry_id;
-        self.next_retry_id += 1;
-        self.retries.insert(
-            id,
-            PendingRetry {
-                buf,
-                meta,
-                peer,
-                parked_at,
-                avoid,
-                timer: None,
-            },
-        );
-        id
-    }
-
-    /// Hands a picked connection one more send: allocates the WR, counts
-    /// it, and records it as posted at `at`. Returns the WR id and the
-    /// immediate data to post with.
-    fn note_posted(
-        &mut self,
-        at: SimTime,
-        meta: SendMeta,
-        peer: NodeId,
-        sampled: bool,
-    ) -> (rdma_sim::WrId, u64) {
-        let seq = self.next_send_wr;
-        self.next_send_wr += 1;
-        self.stats.tx_posted += 1;
-        if let Some(st) = self.tenants.get_mut(meta.tenant.0.into()) {
-            st.tx_count += 1;
-        }
-        let posted = PostedSend {
-            at,
-            meta,
-            peer,
-            sampled,
-        };
-        self.posted.insert(seq, posted);
-        let wr = rdma_sim::WrId(u64::MAX - seq);
-        (wr, pack_imm(meta.tenant, meta.dst_fn))
-    }
-
-    /// Ids of the retries parked on `(tenant, peer)`, ascending (the
-    /// ring's order), so flushing or failing them is deterministic.
-    fn parked_on(&self, tenant: TenantId, peer: NodeId) -> Vec<u64> {
-        let on_pair = |p: &PendingRetry| p.meta.tenant == tenant && p.peer == peer;
-        let parked = self.retries.iter().filter(|(_, p)| on_pair(p));
-        parked.map(|(id, _)| id).collect()
-    }
+    rc.effects.set(out);
 }
 
-impl SendMeta {
-    /// A send that has not been attempted yet, first seen at `now`.
-    fn fresh(tenant: TenantId, dst_fn: u16, req_id: u64, now: SimTime) -> Self {
-        SendMeta {
+/// Establishes a fresh connection for a dry `(tenant, peer)` pool and
+/// tells the state machine how it went. Claims from the link's pre-warm
+/// stock when one exists — the handshake already ran in the background, so
+/// the connection is usable in microseconds instead of paying the full
+/// tens-of-ms establishment on the recovery path.
+#[cold]
+fn reconnect(
+    rc: &Rc<Engine>,
+    sim: &mut Sim,
+    tenant: TenantId,
+    peer: NodeId,
+    (rq, peer_cq, peer_rq): (RqId, CqId, RqId),
+) {
+    let (fabric, node, cq) = (&rc.fabric, rc.node, rc.cq);
+    let claimed = fabric
+        .claim_prewarmed(sim, tenant, node, cq, rq, peer, peer_cq, peer_rq)
+        .unwrap_or(None);
+    let warm = claimed.is_some();
+    let pair = match claimed {
+        Some(pair) => Ok(pair),
+        None => fabric.connect(sim, tenant, node, cq, rq, peer, peer_cq, peer_rq),
+    };
+    let answer = match pair {
+        Ok((local, remote)) => Input::Connected {
             tenant,
-            dst_fn,
-            req_id,
-            attempts: 0,
-            first_at: now,
-        }
-    }
+            peer,
+            local,
+            remote,
+            warm,
+        },
+        Err(_) => Input::ReconnectFailed { tenant, peer },
+    };
+    drive(rc, sim, answer);
+}
 
-    fn failure(self, reason: FailureReason, dst_node: Option<NodeId>) -> DeliveryFailure {
-        DeliveryFailure {
-            tenant: self.tenant,
-            dst_fn: self.dst_fn,
-            req_id: self.req_id,
-            attempts: self.attempts,
-            reason,
-            dst_node,
-        }
+/// Posts one send; a synchronous refusal goes back to the state machine.
+fn hand_to_rnic(rc: &Rc<Engine>, sim: &mut Sim, qp: QpHandle, wr: WrId, buf: OwnedBuf, imm: u64) {
+    if rc.fabric.post_send(sim, qp, wr, buf, imm).is_err() {
+        drive(rc, sim, Input::PostFailed(wr));
     }
 }
 
@@ -575,56 +243,30 @@ impl SendMeta {
 /// Cloning clones a handle to the same engine.
 #[derive(Clone)]
 pub struct Dne {
-    inner: Rc<RefCell<Inner>>,
+    inner: Rc<Engine>,
 }
 
 impl Dne {
     /// Creates an engine on `node`, wiring its shared CQ into the fabric.
     pub fn new(fabric: Fabric, node: NodeId, cfg: DneConfig) -> Result<Dne, DneError> {
         let cq = fabric.create_cq(node)?;
-        let processor = match cfg.wimpy_factor {
-            Some(f) => Processor::with_factor(cfg.processor, cfg.cores, f),
-            None => Processor::new(cfg.processor, cfg.cores),
-        };
-        let txq: Box<dyn TenantScheduler<TxItem>> = match cfg.sched {
-            SchedPolicy::Dwrr { quantum } => Box::new(DwrrScheduler::new(quantum)),
-            SchedPolicy::Fcfs => Box::new(FcfsScheduler::new()),
-        };
-        let ipc = IpcCosts::for_kind(cfg.ipc);
-        let inner = Rc::new(RefCell::new(Inner {
+        let inner = Rc::new(Engine {
+            core: RefCell::new(Core::new(fabric.clone(), node, cq, cfg)),
             node,
-            fabric: fabric.clone(),
             cq,
-            processor,
-            cfg,
-            ipc,
-            tenants: IdTable::new(),
-            routing: RoutingTable::new(),
-            endpoints: IdTable::new(),
-            txq,
-            conns: ConnPool::new(),
-            rbr: ReceiveBufferRegistry::new(),
-            soc_dma: SocDma::default(),
-            in_flight: 0,
-            stats: DneStats::default(),
-            next_send_wr: 0,
-            tracer: Tracer::disabled(),
-            posted: IdRing::new(),
-            conn_reaper: None,
-            retries: IdRing::new(),
-            next_retry_id: 0,
-            reconnecting: HashSet::new(),
-            peer_links: HashMap::new(),
-            failure_handler: None,
-            obs_sink: DneObsSink::default(),
-            peer_versions: Vec::new(),
-        }));
-        let weak: Weak<RefCell<Inner>> = Rc::downgrade(&inner);
+            fabric: fabric.clone(),
+            effects: Cell::default(),
+            failure_handler: RefCell::default(),
+            peers: RefCell::default(),
+            conn_reaper: RefCell::default(),
+        });
+        let weak = Rc::downgrade(&inner);
         fabric.set_cq_waker(
             cq,
             Rc::new(move |sim| {
-                if let Some(rc) = weak.upgrade() {
-                    Dne::kick(&rc, sim);
+                // A busy engine polls the CQ itself when it retires an item.
+                if let Some(rc) = weak.upgrade().filter(|rc| rc.borrow().has_idle_core()) {
+                    drive(&rc, sim, Input::Wake);
                 }
             }),
         )?;
@@ -633,7 +275,7 @@ impl Dne {
 
     /// Returns the node this engine serves.
     pub fn node(&self) -> NodeId {
-        self.inner.borrow().node
+        self.inner.node
     }
 
     /// Returns the engine's IPC cost model (host functions charge the
@@ -644,7 +286,7 @@ impl Dne {
 
     /// Returns the engine's shared completion queue.
     pub fn cq(&self) -> CqId {
-        self.inner.borrow().cq
+        self.inner.cq
     }
 
     /// Registers a tenant: registers its (cross-processor mapped) pool with
@@ -656,46 +298,16 @@ impl Dne {
         weight: u32,
         mapped: &MappedPool,
     ) -> Result<(), DneError> {
-        let mut inner = self.inner.borrow_mut();
-        if inner.tenants.contains(tenant.0.into()) {
-            return Err(DneError::TenantExists(tenant));
-        }
-        let node = inner.node;
-        inner.fabric.register_mapped(node, mapped)?;
-        let rq = inner.fabric.create_rq(node, tenant)?;
-        let pool = mapped.pool().clone();
-        inner.tenants.insert(
-            tenant.0.into(),
-            TenantState {
-                pool,
-                rq,
-                weight,
-                tx_count: 0,
-                rx_count: 0,
-                failures: TenantFailureStats::default(),
-            },
-        );
-        inner.txq.register(tenant, weight);
-        // Pre-post at most half the pool so local senders always have
-        // buffers available (the RX path replenishes one-for-one anyway).
-        let depth = inner
-            .cfg
-            .prepost_depth
-            .min((mapped.pool().capacity() as usize / 2).max(1));
-        for _ in 0..depth {
-            inner.replenish(tenant);
-        }
-        Ok(())
+        self.inner
+            .borrow_mut()
+            .register_tenant(tenant, weight, mapped)
     }
 
     /// Returns the tenant's shared RQ (used when connecting peers).
     pub fn tenant_rq(&self, tenant: TenantId) -> Result<RqId, DneError> {
-        self.inner
-            .borrow()
-            .tenants
-            .get(tenant.0.into())
-            .map(|t| t.rq)
-            .ok_or(DneError::UnknownTenant(tenant))
+        let core = self.inner.borrow();
+        let state = core.tenants.get(tenant.0.into());
+        state.map(|t| t.rq).ok_or(DneError::UnknownTenant(tenant))
     }
 
     /// Installs a function placement in the routing table.
@@ -744,8 +356,8 @@ impl Dne {
     /// Sends toward that peer are stamped at `min(own, peer)` so the
     /// receiver's parser owns every byte it reads.
     pub fn set_peer_wire_version(&self, peer: NodeId, version: u8) {
-        let mut inner = self.inner.borrow_mut();
-        let versions = &mut inner.peer_versions;
+        let mut core = self.inner.borrow_mut();
+        let versions = &mut core.peer_versions;
         if versions.len() <= peer.0 as usize {
             versions.resize(peer.0 as usize + 1, obs::ctx::CTX_CURRENT);
         }
@@ -764,16 +376,21 @@ impl Dne {
     /// the fleet controller polls this toward zero before taking the node
     /// out of service.
     pub fn inflight_total(&self) -> usize {
-        let inner = self.inner.borrow();
-        inner.queued() + inner.in_flight + inner.posted.len() + inner.retries.len()
+        self.inner.borrow().inflight_total()
     }
 
     /// Registers the delivery endpoint of a local function.
     pub fn register_endpoint(&self, fn_id: u16, endpoint: FnEndpoint) {
-        self.inner
-            .borrow_mut()
-            .endpoints
-            .insert(fn_id.into(), endpoint);
+        let mut core = self.inner.borrow_mut();
+        core.endpoints.insert(fn_id.into(), endpoint);
+    }
+
+    /// Drops every registered endpoint. Endpoints usually hold the node's
+    /// I/O library, which holds this engine: whoever tears a node down
+    /// calls this to break that cycle.
+    pub fn clear_endpoints(&self) {
+        let dropped = std::mem::take(&mut self.inner.borrow_mut().endpoints);
+        drop(dropped); // outside the borrow: a closure may own a `Dne` handle
     }
 
     /// Establishes `n` pooled RC connections between two engines for a
@@ -786,45 +403,18 @@ impl Dne {
         tenant: TenantId,
         n: usize,
     ) -> Result<(), DneError> {
-        let (fabric, node_a, cq_a) = {
-            let ia = a.inner.borrow();
-            (ia.fabric.clone(), ia.node, ia.cq)
-        };
-        let (node_b, cq_b) = {
-            let ib = b.inner.borrow();
-            (ib.node, ib.cq)
-        };
+        let (ea, eb) = (&a.inner, &b.inner);
         let rq_a = a.tenant_rq(tenant)?;
         let rq_b = b.tenant_rq(tenant)?;
         for _ in 0..n {
-            let (ha, hb) = fabric.connect(sim, tenant, node_a, cq_a, rq_a, node_b, cq_b, rq_b)?;
-            a.inner
-                .borrow_mut()
-                .conns
-                .add(tenant, node_b, ha, sim.now());
-            b.inner
-                .borrow_mut()
-                .conns
-                .add(tenant, node_a, hb, sim.now());
+            let (ha, hb) = ea
+                .fabric
+                .connect(sim, tenant, ea.node, ea.cq, rq_a, eb.node, eb.cq, rq_b)?;
+            ea.borrow_mut().conns.add(tenant, eb.node, ha, sim.now());
+            eb.borrow_mut().conns.add(tenant, ea.node, hb, sim.now());
         }
-        // Record how to reach the peer engine so a pool that later runs dry
-        // (every QP errored) can reconnect in the background.
-        a.inner.borrow_mut().peer_links.insert(
-            (tenant, node_b),
-            PeerLink {
-                cq: cq_b,
-                rq: rq_b,
-                engine: Rc::downgrade(&b.inner),
-            },
-        );
-        b.inner.borrow_mut().peer_links.insert(
-            (tenant, node_a),
-            PeerLink {
-                cq: cq_a,
-                rq: rq_a,
-                engine: Rc::downgrade(&a.inner),
-            },
-        );
+        ea.link_peer(tenant, eb, rq_b);
+        eb.link_peer(tenant, ea, rq_a);
         Ok(())
     }
 
@@ -832,706 +422,13 @@ impl Dne {
     /// inter-node path). The descriptor crosses the IPC boundary with the
     /// configured one-way latency before entering the TX scheduler.
     pub fn submit(&self, sim: &mut Sim, tenant: TenantId, desc: BufferDesc) {
-        let (latency, req_id, sampled) = {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.submitted += 1;
-            // One payload peek decides everything trace-related for this
-            // descriptor's whole TX life: the ingress-stamped sampling bit
-            // and the request id ride on the queue item from here on.
-            let (req_id, sampled) = if inner.tracer.is_enabled() {
-                inner.trace_meta_of_desc(tenant, desc)
-            } else {
-                (0, false)
-            };
-            if sampled {
-                inner.tracer.span(
-                    req_id,
-                    tenant.0,
-                    inner.node.0 as u32,
-                    Stage::ComchSubmit,
-                    sim.now(),
-                    sim.now() + inner.ipc.one_way_latency,
-                );
-            }
-            (inner.ipc.one_way_latency, req_id, sampled)
-        };
-        let rc = self.inner.clone();
-        sim.schedule_after(latency, move |sim| {
-            let enqueued_at = sim.now();
-            rc.borrow_mut().txq.enqueue(
-                tenant,
-                TxItem {
-                    desc,
-                    enqueued_at,
-                    req_id,
-                    sampled,
-                },
-            );
-            Dne::kick(&rc, sim);
-        });
-    }
-
-    /// Dispatches work onto idle engine cores.
-    fn kick(rc: &Rc<RefCell<Inner>>, sim: &mut Sim) {
-        loop {
-            let now = sim.now();
-            let dispatched = {
-                let mut inner = rc.borrow_mut();
-                if inner.in_flight >= inner.cfg.cores {
-                    None
-                } else {
-                    match inner.next_item(now) {
-                        Some(item) => {
-                            let service = inner.service_for(&item);
-                            let stage = match &item {
-                                WorkItem::Tx(..) => "tx_post",
-                                WorkItem::Rx(cqe) => match cqe.opcode {
-                                    CqeOpcode::Recv => "rx_deliver",
-                                    _ => "send_completion",
-                                },
-                            };
-                            let done = inner.processor.run_staged(now, service, stage);
-                            inner.in_flight += 1;
-                            Some((item, done))
-                        }
-                        None => None,
-                    }
-                }
-            };
-            let Some((item, done)) = dispatched else {
-                return;
-            };
-            let rc2 = rc.clone();
-            sim.schedule_at(done, move |sim| {
-                Dne::complete(&rc2, sim, item, now);
-            });
-        }
-    }
-
-    /// Finishes processing a work item and re-kicks the loop.
-    fn complete(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, item: WorkItem, dispatched_at: SimTime) {
-        rc.borrow_mut()
-            .stats
-            .sched_delay
-            .record(sim.now().saturating_since(dispatched_at));
-        match item {
-            WorkItem::Tx(tenant, desc) => Dne::complete_tx(rc, sim, tenant, desc, dispatched_at),
-            WorkItem::Rx(cqe) => Dne::complete_rx(rc, sim, cqe, dispatched_at),
-        }
-        rc.borrow_mut().in_flight -= 1;
-        Dne::kick(rc, sim);
-    }
-
-    fn complete_tx(
-        rc: &Rc<RefCell<Inner>>,
-        sim: &mut Sim,
-        tenant: TenantId,
-        desc: BufferDesc,
-        dispatched_at: SimTime,
-    ) {
-        // Phase 1 (engine state): redeem, route, pick connection.
-        enum Action {
-            Local(FnEndpoint, BufferDesc, SimDuration),
-            Send {
-                fabric: Fabric,
-                qp: QpHandle,
-                wr: rdma_sim::WrId,
-                buf: OwnedBuf,
-                imm: u64,
-                dma_done: Option<SimTime>,
-            },
-            /// The `(tenant, peer)` pool is dry: the descriptor was parked
-            /// and a background reconnect must be (or already is) underway.
-            Reconnect(TenantId, NodeId),
-            Fail(DeliveryFailure),
-        }
-        let action = {
-            let mut inner = rc.borrow_mut();
-            let dst_fn = desc.dst_fn;
-            let Some(state) = inner.tenants.get(tenant.0.into()) else {
-                inner.stats.drops += 1;
-                return;
-            };
-            let mut buf = match state.pool.redeem(desc) {
-                Ok(b) => b,
-                Err(_) => {
-                    inner.stats.drops += 1;
-                    inner.tenant_drop(tenant);
-                    return;
-                }
-            };
-            // One bit — the ingress sampling decision carried in the
-            // payload's ctx flags — gates every span site on this path.
-            // The `is_enabled` guard keeps the ctx bytes application-owned
-            // whenever tracing is off: untraced payloads are never
-            // interpreted or re-stamped.
-            let traced = inner.tracer.is_enabled() && obs::ctx::sampled(buf.as_slice());
-            let req_id = req_id_of(buf.as_slice());
-            if traced {
-                inner.tracer.span(
-                    req_id,
-                    tenant.0,
-                    inner.node.0 as u32,
-                    Stage::DneTx,
-                    dispatched_at,
-                    sim.now(),
-                );
-            }
-            let now = sim.now();
-            let m = SendMeta::fresh(tenant, dst_fn, req_id, now);
-            // Cancellation point: a request whose deadline has already
-            // passed is dropped here instead of consuming a connection,
-            // fabric flight, and remote RX capacity.
-            if let Some(d) = inner.deadline_if_enforced(buf.as_slice()) {
-                if now >= d {
-                    let dst_node = inner.routing.lookup(dst_fn);
-                    let f = inner.cancel_expired(now, m, dst_node);
-                    // buf drops here → recycled.
-                    drop(buf);
-                    let rc2 = rc.clone();
-                    drop(inner);
-                    Dne::notify_failure(&rc2, sim, f);
-                    return;
-                }
-            }
-            // Every failing arm drops `buf` → recycled.
-            match inner.routing.resolve(dst_fn) {
-                Err(RouteError::UnknownDestination { .. }) => {
-                    // Unknown destination: the control plane never placed
-                    // this function (or removed it). Surface a typed
-                    // failure so upstream resolves instead of hanging.
-                    Action::Fail(inner.give_up(now, m, FailureReason::UnknownDestination, None))
-                }
-                Err(RouteError::DestinationDown { node, .. }) => {
-                    // The route exists but its node is down with no
-                    // healthy replica: fail fast at the TX stage instead
-                    // of posting into a dead peer and burning the retry
-                    // budget on it.
-                    Action::Fail(inner.give_up(now, m, FailureReason::DestinationDown, Some(node)))
-                }
-                Ok(peer) if peer == inner.node => {
-                    // Local destination: hand straight back over IPC.
-                    match inner.endpoints.get(dst_fn.into()).cloned() {
-                        Some(ep) => {
-                            let latency = inner.ipc.one_way_latency;
-                            inner.stats.rx_delivered += 1;
-                            Action::Local(ep, buf.into_desc(dst_fn), latency)
-                        }
-                        None => {
-                            let reason = FailureReason::UnknownDestination;
-                            Action::Fail(inner.give_up(now, m, reason, Some(peer)))
-                        }
-                    }
-                }
-                Ok(peer) => {
-                    let fabric = inner.fabric.clone();
-                    match inner.conns.pick_least_congested(&fabric, now, tenant, peer) {
-                        Some(qp) => {
-                            let dma_done = match inner.cfg.offload {
-                                OffloadMode::OnPath => {
-                                    // Stage host → DPU memory over the SoC DMA.
-                                    Some(inner.soc_dma.transfer(now, buf.len()))
-                                }
-                                OffloadMode::OffPath => None,
-                            };
-                            let posted_at = dma_done.unwrap_or(now);
-                            if traced {
-                                let node = inner.node.0 as u32;
-                                let mut parent = inner.tracer.span(
-                                    req_id,
-                                    tenant.0,
-                                    node,
-                                    Stage::ConnPick,
-                                    now,
-                                    now,
-                                );
-                                if let Some(at) = dma_done {
-                                    parent = inner.tracer.span(
-                                        req_id,
-                                        tenant.0,
-                                        node,
-                                        Stage::SocDma,
-                                        now,
-                                        at,
-                                    );
-                                }
-                                // Stamp the on-wire trace context so the
-                                // receiver's spans parent on this node's
-                                // causal chain (the freshest span id *is*
-                                // the causal cursor). Unsampled requests
-                                // skip this entirely: their flags byte is
-                                // already zero. The stamp is downgraded to
-                                // the peer's negotiated wire version during
-                                // mixed-version rollouts.
-                                let eff = inner.effective_wire_version(peer);
-                                obs::ctx::write_ctx_at(buf.as_mut_slice(), parent, true, eff);
-                            }
-                            let first = SendMeta::fresh(tenant, dst_fn, req_id, posted_at);
-                            let (wr, imm) = inner.note_posted(posted_at, first, peer, traced);
-                            Action::Send {
-                                fabric,
-                                qp,
-                                wr,
-                                buf,
-                                imm,
-                                dma_done,
-                            }
-                        }
-                        // Pool dry (every QP errored or still setting up):
-                        // park the send and reconnect in the background
-                        // instead of dropping it.
-                        None if inner.peer_links.contains_key(&(tenant, peer)) => {
-                            inner.park_retry(buf, m, peer, now, None);
-                            Action::Reconnect(tenant, peer)
-                        }
-                        None => {
-                            let reason = FailureReason::NoConnection;
-                            Action::Fail(inner.give_up(now, m, reason, Some(peer)))
-                        }
-                    }
-                }
-            }
-        };
-        // Phase 2 (no engine borrow held): touch fabric / schedule IPC.
-        match action {
-            Action::Local(ep, desc, latency) => {
-                sim.schedule_after(latency, move |sim| ep(sim, desc));
-            }
-            Action::Send {
-                fabric,
-                qp,
-                wr,
-                buf,
-                imm,
-                dma_done,
-            } => match dma_done {
-                None => {
-                    let rc2 = rc.clone();
-                    if fabric.post_send(sim, qp, wr, buf, imm).is_err() {
-                        Dne::post_send_failed(&rc2, sim, wr);
-                    }
-                }
-                Some(at) => {
-                    let rc2 = rc.clone();
-                    sim.schedule_at(at, move |sim| {
-                        if fabric.post_send(sim, qp, wr, buf, imm).is_err() {
-                            Dne::post_send_failed(&rc2, sim, wr);
-                        }
-                    });
-                }
-            },
-            Action::Reconnect(tenant, peer) => Dne::start_reconnect(rc, sim, tenant, peer),
-            Action::Fail(f) => Dne::notify_failure(rc, sim, f),
-        }
-    }
-
-    /// A synchronous `post_send` error (QP died between the pick and the
-    /// post): the buffer was already recycled by the fabric, so surface a
-    /// typed failure rather than silently dropping the bookkeeping.
-    fn post_send_failed(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, wr: rdma_sim::WrId) {
-        let failure = {
-            let mut inner = rc.borrow_mut();
-            let posted = inner.posted.remove(send_seq(wr));
-            posted.map(|p| {
-                inner.give_up(sim.now(), p.meta, FailureReason::NoConnection, Some(p.peer))
-            })
-        };
-        if let Some(f) = failure {
-            Dne::notify_failure(rc, sim, f);
-        }
-    }
-
-    fn complete_rx(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, cqe: Cqe, dispatched_at: SimTime) {
-        enum Action {
-            None,
-            Deliver(FnEndpoint, BufferDesc, SimDuration),
-            Retry { id: u64, backoff: SimDuration },
-            Fail(DeliveryFailure),
-        }
-        let action = {
-            let mut inner = rc.borrow_mut();
-            match cqe.opcode {
-                CqeOpcode::Send | CqeOpcode::Write | CqeOpcode::Read | CqeOpcode::CompareSwap => {
-                    inner.stats.send_completions += 1;
-                    // Close out the post-to-completion interval opened when
-                    // the WR was handed to the RNIC.
-                    let posted = inner.posted.remove(send_seq(cqe.wr_id));
-                    if let Some(p) = &posted {
-                        let p2c = sim.now().saturating_since(p.at);
-                        inner.stats.post_to_completion.record(p2c);
-                        let mut ctx = None;
-                        if p.sampled {
-                            let span_id = inner.tracer.span(
-                                p.meta.req_id,
-                                p.meta.tenant.0,
-                                inner.node.0 as u32,
-                                Stage::Fabric,
-                                p.at,
-                                sim.now(),
-                            );
-                            ctx = Some((p.meta.req_id, span_id));
-                        }
-                        if let Some(h) = &inner.obs_sink.post_to_completion {
-                            h.record_traced(p2c, ctx);
-                        }
-                        if cqe.status == CqeStatus::Success && p.meta.attempts > 0 {
-                            let lat = sim.now().saturating_since(p.meta.first_at);
-                            inner.stats.retry_latency.record(lat);
-                            if let Some(h) = &inner.obs_sink.retry_latency {
-                                h.record_traced(lat, ctx);
-                            }
-                        }
-                    }
-                    // Shadow-QP reaping: idle connections leave the cache.
-                    inner.conns.deactivate_idle(&inner.fabric, sim.now());
-                    if cqe.status == CqeStatus::Success {
-                        // cqe.buf drops here → sender buffer recycled.
-                        Action::None
-                    } else {
-                        match inner.on_failed_send(sim.now(), cqe, posted) {
-                            FailedSendOutcome::Retry { id, backoff } => {
-                                Action::Retry { id, backoff }
-                            }
-                            FailedSendOutcome::Fail(f) => Action::Fail(f),
-                        }
-                    }
-                }
-                CqeOpcode::Recv => {
-                    let tenant = inner.rbr.consume(cqe.wr_id);
-                    if cqe.status != CqeStatus::Success {
-                        inner.stats.drops += 1;
-                        if let Some(t) = tenant {
-                            inner.tenant_drop(t);
-                            inner.replenish(t);
-                        }
-                        return;
-                    }
-                    let (imm_tenant, dst_fn) = unpack_imm(cqe.imm);
-                    let tenant = tenant.unwrap_or(imm_tenant);
-                    inner.replenish(tenant);
-                    let Some(buf) = cqe.buf else {
-                        inner.stats.drops += 1;
-                        inner.tenant_drop(tenant);
-                        return;
-                    };
-                    // The receive side reads the same one bit the sender
-                    // stamped; an unsampled payload costs this branch only.
-                    let traced = inner.tracer.is_enabled() && obs::ctx::sampled(buf.as_slice());
-                    let req_id = if traced { req_id_of(buf.as_slice()) } else { 0 };
-                    if traced {
-                        let node = inner.node.0 as u32;
-                        // Adopt the sender's causal cursor from the payload
-                        // trace context: the RX spans below parent on the
-                        // remote send chain instead of starting a new root.
-                        if let Some(c) = obs::ctx::read_ctx(buf.as_slice()) {
-                            inner.tracer.adopt_parent(req_id, node, c.parent_span);
-                        }
-                        inner.tracer.span(
-                            req_id,
-                            tenant.0,
-                            node,
-                            Stage::RxCompletion,
-                            dispatched_at,
-                            sim.now(),
-                        );
-                        // RBR lookup + replenish happen inline within the RX
-                        // stage; exported as an instant marker.
-                        inner.tracer.span(
-                            req_id,
-                            tenant.0,
-                            node,
-                            Stage::RbrRecover,
-                            sim.now(),
-                            sim.now(),
-                        );
-                    }
-                    match inner.endpoints.get(dst_fn.into()).cloned() {
-                        Some(ep) => {
-                            let mut latency = inner.ipc.one_way_latency;
-                            if inner.cfg.offload == OffloadMode::OnPath {
-                                // Stage DPU → host memory over the SoC DMA.
-                                let done = inner.soc_dma.transfer(sim.now(), buf.len());
-                                latency += done.saturating_since(sim.now());
-                            }
-                            inner.stats.rx_delivered += 1;
-                            if let Some(st) = inner.tenants.get_mut(tenant.0.into()) {
-                                st.rx_count += 1;
-                            }
-                            if traced {
-                                inner.tracer.span(
-                                    req_id,
-                                    tenant.0,
-                                    inner.node.0 as u32,
-                                    Stage::ComchDeliver,
-                                    sim.now(),
-                                    sim.now() + latency,
-                                );
-                            }
-                            Action::Deliver(ep, buf.into_desc(dst_fn), latency)
-                        }
-                        None => {
-                            // The payload crossed the wire but no endpoint
-                            // is registered here: typed failure (the
-                            // sender-side handler never sees this, so the
-                            // receiving node's handler reports it). The
-                            // buffer drops here → recycled.
-                            let now = sim.now();
-                            let m = SendMeta::fresh(tenant, dst_fn, req_id_of(buf.as_slice()), now);
-                            let (reason, here) = (FailureReason::UnknownDestination, inner.node);
-                            Action::Fail(inner.give_up(now, m, reason, Some(here)))
-                        }
-                    }
-                }
-            }
-        };
-        match action {
-            Action::None => {}
-            Action::Deliver(ep, desc, latency) => {
-                sim.schedule_after(latency, move |sim| ep(sim, desc));
-            }
-            Action::Retry { id, backoff } => {
-                let rc2 = rc.clone();
-                let handle = sim.schedule_after(backoff, move |sim| Dne::run_retry(&rc2, sim, id));
-                if let Some(p) = rc.borrow_mut().retries.get_mut(id) {
-                    p.timer = Some(handle);
-                }
-            }
-            Action::Fail(f) => Dne::notify_failure(rc, sim, f),
-        }
-    }
-
-    /// Fires a parked retry: re-picks a pooled QP (steering around the one
-    /// that failed — shadow-QP failover) and re-posts. A retry whose id is
-    /// no longer parked (already flushed by a reconnect, or the send
-    /// ultimately gave up) is a no-op, so a stale backoff timer can never
-    /// duplicate a send.
-    fn run_retry(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, id: u64) {
-        enum Step {
-            Post {
-                fabric: Fabric,
-                qp: QpHandle,
-                wr: rdma_sim::WrId,
-                buf: OwnedBuf,
-                imm: u64,
-            },
-            Reconnect(TenantId, NodeId),
-            Fail(DeliveryFailure),
-        }
-        let step = {
-            let mut inner = rc.borrow_mut();
-            let Some(mut p) = inner.retries.remove(id) else {
-                return; // cancelled or already flushed: fire as a no-op
-            };
-            // Its timer fired (this call) or was cancelled by the flush.
-            p.timer = None;
-            let (now, m) = (sim.now(), p.meta);
-            // The deadline may have passed while the retry sat parked
-            // (e.g. a reconnect flush arriving late): cancel, don't repost.
-            if let Some(d) = inner.deadline_if_enforced(p.buf.as_slice()) {
-                if now >= d {
-                    let f = inner.cancel_expired(now, m, Some(p.peer));
-                    // p.buf drops here → recycled.
-                    drop(inner);
-                    Dne::notify_failure(rc, sim, f);
-                    return;
-                }
-            }
-            let fabric = inner.fabric.clone();
-            let pick = inner
-                .conns
-                .pick_least_congested_excluding(&fabric, now, m.tenant, p.peer, p.avoid);
-            match pick {
-                Some(qp) => {
-                    if p.avoid.is_some() && Some(qp.qp) != p.avoid {
-                        inner.stats.failovers += 1;
-                    }
-                    let sampled = inner.tracer.is_enabled() && obs::ctx::sampled(p.buf.as_slice());
-                    if sampled {
-                        let node = inner.node.0 as u32;
-                        // The whole park → repost wait is attributable
-                        // retry/backoff time on the critical path.
-                        let parent = inner.tracer.span(
-                            m.req_id,
-                            m.tenant.0,
-                            node,
-                            Stage::RetryBackoff,
-                            p.parked_at,
-                            now,
-                        );
-                        // Re-stamp the context: the re-sent payload now
-                        // parents downstream spans on the backoff span,
-                        // downgraded to the peer's negotiated version (the
-                        // peer may have changed versions while we backed
-                        // off mid-upgrade-wave).
-                        let eff = inner.effective_wire_version(p.peer);
-                        obs::ctx::write_ctx_at(p.buf.as_mut_slice(), parent, true, eff);
-                    }
-                    let (wr, imm) = inner.note_posted(now, m, p.peer, sampled);
-                    Step::Post {
-                        fabric,
-                        qp,
-                        wr,
-                        buf: p.buf,
-                        imm,
-                    }
-                }
-                None if inner.peer_links.contains_key(&(m.tenant, p.peer)) => {
-                    // Pool still dry: park again (no timer) and wait for the
-                    // background reconnect to flush us.
-                    let peer = p.peer;
-                    inner.retries.insert(id, p);
-                    Step::Reconnect(m.tenant, peer)
-                }
-                None => {
-                    let reason = FailureReason::NoConnection;
-                    Step::Fail(inner.give_up(now, m, reason, Some(p.peer)))
-                }
-            }
-        };
-        match step {
-            Step::Post {
-                fabric,
-                qp,
-                wr,
-                buf,
-                imm,
-            } => {
-                if fabric.post_send(sim, qp, wr, buf, imm).is_err() {
-                    Dne::post_send_failed(rc, sim, wr);
-                }
-            }
-            Step::Reconnect(tenant, peer) => Dne::start_reconnect(rc, sim, tenant, peer),
-            Step::Fail(f) => Dne::notify_failure(rc, sim, f),
-        }
-    }
-
-    /// Kicks off a background reconnect for a dry `(tenant, peer)` pool,
-    /// charging the full connection-setup delay (tens of milliseconds,
-    /// §3.3). Idempotent while one is already in flight.
-    fn start_reconnect(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, tenant: TenantId, peer: NodeId) {
-        let wiring = {
-            let mut inner = rc.borrow_mut();
-            if inner.reconnecting.contains(&(tenant, peer)) {
-                return;
-            }
-            let Some(rq) = inner.tenants.get(tenant.0.into()).map(|t| t.rq) else {
-                return;
-            };
-            let Some((peer_cq, peer_rq, peer_engine)) = inner
-                .peer_links
-                .get(&(tenant, peer))
-                .map(|l| (l.cq, l.rq, l.engine.clone()))
-            else {
-                return;
-            };
-            inner.reconnecting.insert((tenant, peer));
-            (
-                inner.fabric.clone(),
-                inner.node,
-                inner.cq,
-                rq,
-                peer_cq,
-                peer_rq,
-                peer_engine,
-            )
-        };
-        let (fabric, node, cq, rq, peer_cq, peer_rq, peer_engine) = wiring;
-        // Elastic control plane: claim from the link's pre-warm stock when
-        // one exists — the handshake already ran in the background, so the
-        // connection is usable in microseconds instead of paying the full
-        // tens-of-ms establishment on the recovery path.
-        let claimed = fabric
-            .claim_prewarmed(sim, tenant, node, cq, rq, peer, peer_cq, peer_rq)
-            .unwrap_or(None);
-        let (result, delay, warm) = match claimed {
-            Some(pair) => (Ok(pair), fabric.costs().prewarm_claim_delay, true),
-            None => (
-                fabric.connect(sim, tenant, node, cq, rq, peer, peer_cq, peer_rq),
-                fabric.costs().connect_delay,
-                false,
-            ),
-        };
-        match result {
-            Ok((ha, hb)) => {
-                {
-                    let mut inner = rc.borrow_mut();
-                    inner.conns.add(tenant, peer, ha, sim.now());
-                    inner.stats.reconnects += 1;
-                    if warm {
-                        inner.stats.prewarm_claims += 1;
-                    } else {
-                        inner.stats.cold_connects += 1;
-                    }
-                }
-                if let Some(peer_rc) = peer_engine.upgrade() {
-                    peer_rc.borrow_mut().conns.add(tenant, node, hb, sim.now());
-                }
-                // The fabric flips the QPs to Ready at now + delay; that
-                // event was scheduled first, so by FIFO same-time ordering
-                // the new connection is usable when the flush runs.
-                let rc2 = rc.clone();
-                sim.schedule_after(delay, move |sim| {
-                    Dne::finish_reconnect(&rc2, sim, tenant, peer);
-                });
-            }
-            Err(_) => Dne::abort_reconnect(rc, sim, tenant, peer),
-        }
-    }
-
-    /// The reconnect came up: flush every retry parked on `(tenant, peer)`
-    /// immediately, cancelling their backoff timers (a cancelled timer that
-    /// already raced into the queue fires as a no-op).
-    fn finish_reconnect(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, tenant: TenantId, peer: NodeId) {
-        let ids = {
-            let mut inner = rc.borrow_mut();
-            inner.reconnecting.remove(&(tenant, peer));
-            inner.parked_on(tenant, peer)
-        };
-        for id in ids {
-            let timer = rc.borrow_mut().retries.get_mut(id).and_then(|p| {
-                p.avoid = None; // the failed QP is history; pick freely
-                p.timer.take()
-            });
-            if let Some(h) = timer {
-                sim.cancel(h);
-            }
-            Dne::run_retry(rc, sim, id);
-        }
-    }
-
-    /// The reconnect could not even start: fail every retry parked on the
-    /// pair (defensive; `connect` only errors on unknown nodes/queues).
-    fn abort_reconnect(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, tenant: TenantId, peer: NodeId) {
-        let failures = {
-            let mut inner = rc.borrow_mut();
-            inner.reconnecting.remove(&(tenant, peer));
-            let ids = inner.parked_on(tenant, peer);
-            let mut failures = Vec::with_capacity(ids.len());
-            for id in ids {
-                if let Some(p) = inner.retries.remove(id) {
-                    let reason = FailureReason::NoConnection;
-                    failures.push(inner.give_up(sim.now(), p.meta, reason, Some(p.peer)));
-                }
-            }
-            failures
-        };
-        for f in failures {
-            Dne::notify_failure(rc, sim, f);
-        }
-    }
-
-    /// Invokes the installed failure handler (outside any engine borrow).
-    fn notify_failure(rc: &Rc<RefCell<Inner>>, sim: &mut Sim, failure: DeliveryFailure) {
-        let handler = rc.borrow().failure_handler.clone();
-        if let Some(h) = handler {
-            h(sim, failure);
-        }
+        drive(&self.inner, sim, Input::Submit { tenant, desc });
     }
 
     /// Installs the callback invoked when a send exhausts its recovery
     /// budget. All clones of this engine share the handler.
     pub fn set_failure_handler(&self, handler: DeliveryFailureHandler) {
-        self.inner.borrow_mut().failure_handler = Some(handler);
+        *self.inner.failure_handler.borrow_mut() = Some(handler);
     }
 
     /// Reports a failure discovered *outside* the engine (e.g. the runtime
@@ -1540,37 +437,14 @@ impl Dne {
     /// deadline — reaches the same upstream sink. Deadline cancellations
     /// are folded into the engine's deadline accounting.
     pub fn report_failure(&self, sim: &mut Sim, failure: DeliveryFailure) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if failure.reason == FailureReason::DeadlineExceeded {
-                inner.stats.deadline_drops += 1;
-                if let Some(st) = inner.tenants.get_mut(failure.tenant.0.into()) {
-                    st.failures.deadline_drops += 1;
-                }
-                if inner.tracer.is_enabled() {
-                    let node = inner.node.0 as u32;
-                    inner.tracer.span(
-                        failure.req_id,
-                        failure.tenant.0,
-                        node,
-                        Stage::DeadlineDrop,
-                        sim.now(),
-                        sim.now(),
-                    );
-                }
-            }
-        }
-        Dne::notify_failure(&self.inner, sim, failure);
+        drive(&self.inner, sim, Input::Report(failure));
     }
 
     /// Returns per-tenant failure accounting (drops, retries, give-ups).
     pub fn tenant_failure_stats(&self, tenant: TenantId) -> TenantFailureStats {
-        self.inner
-            .borrow()
-            .tenants
-            .get(tenant.0.into())
-            .map(|t| t.failures)
-            .unwrap_or_default()
+        let core = self.inner.borrow();
+        let state = core.tenants.get(tenant.0.into());
+        state.map(|t| t.failures).unwrap_or_default()
     }
 
     /// Returns a snapshot of the engine's statistics.
@@ -1628,13 +502,6 @@ impl Dne {
         self.inner.borrow().conns.deactivations()
     }
 
-    /// Installs the connection pool's elastic lifecycle config (active-set
-    /// capacity and idle-age teardown). Takes effect from the next pick or
-    /// reaper sweep; already-active QPs are not retroactively evicted.
-    pub fn set_elastic_config(&self, cfg: ElasticConfig) {
-        self.inner.borrow_mut().conns.set_config(cfg);
-    }
-
     /// Returns how many active QPs the capacity bound has demoted back to
     /// shadow state (LRU evictions — the thrash signal).
     pub fn conn_evictions(&self) -> u64 {
@@ -1646,22 +513,12 @@ impl Dne {
         self.inner.borrow().conns.teardowns()
     }
 
-    /// Returns how many teardown sweeps ran with the adaptively shrunk
-    /// idle age (eviction-rate spikes; `0` unless adaptive teardown is
-    /// enabled in the elastic config).
-    pub fn conn_adaptive_shrinks(&self) -> u64 {
-        self.inner.borrow().conns.adaptive_shrinks()
-    }
-
     /// Stocks `n` pre-warmed connections toward `peer` in the background.
     /// A later pool-dry reconnect claims one in microseconds instead of
     /// paying the full RC establishment delay.
     pub fn prewarm_link(&self, sim: &mut Sim, peer: NodeId, n: usize) -> Result<(), DneError> {
-        let (fabric, node) = {
-            let inner = self.inner.borrow();
-            (inner.fabric.clone(), inner.node)
-        };
-        fabric.prewarm_link(sim, node, peer, n)?;
+        let engine = &self.inner;
+        engine.fabric.prewarm_link(sim, engine.node, peer, n)?;
         Ok(())
     }
 
@@ -1672,28 +529,21 @@ impl Dne {
     /// further completion traffic to piggyback on (e.g. after a tenant's
     /// burst ends). Idempotent while armed.
     pub fn start_conn_reaper(&self, sim: &mut Sim, every: SimDuration) {
-        if self.inner.borrow().conn_reaper.is_some() {
+        let mut reaper = self.inner.conn_reaper.borrow_mut();
+        if reaper.is_some() {
             return;
         }
-        let weak: Weak<RefCell<Inner>> = Rc::downgrade(&self.inner);
-        let ticker = Ticker::start(sim, every, move |sim| {
+        let weak = Rc::downgrade(&self.inner);
+        *reaper = Some(Ticker::start(sim, every, move |sim| {
             if let Some(rc) = weak.upgrade() {
-                let mut guard = rc.borrow_mut();
-                let inner = &mut *guard;
-                let fabric = &inner.fabric;
-                inner.conns.deactivate_idle(fabric, sim.now());
-                // Lazy teardown: connections idle past the configured age
-                // release their fabric state entirely (no-op unless an
-                // elastic config with an idle age is installed).
-                inner.conns.teardown_idle(fabric, sim.now());
+                drive(&rc, sim, Input::Reap);
             }
-        });
-        self.inner.borrow_mut().conn_reaper = Some(ticker);
+        }));
     }
 
     /// Disarms the periodic reaper, descheduling its pending sweep.
     pub fn stop_conn_reaper(&self, sim: &mut Sim) {
-        if let Some(t) = self.inner.borrow_mut().conn_reaper.take() {
+        if let Some(t) = self.inner.conn_reaper.borrow_mut().take() {
             t.cancel_in(sim);
         }
     }
@@ -1705,8 +555,8 @@ impl Dne {
 
     /// Returns the tenants registered with this engine, sorted.
     pub fn tenant_ids(&self) -> Vec<TenantId> {
-        let inner = self.inner.borrow();
-        let mut ids: Vec<TenantId> = inner
+        let core = self.inner.borrow();
+        let mut ids: Vec<TenantId> = core
             .tenants
             .iter()
             .map(|(t, _)| TenantId(t as u16))
@@ -1715,32 +565,22 @@ impl Dne {
         ids
     }
 
-    /// Returns `(tx, rx)` message counters for a tenant.
-    pub fn tenant_counters(&self, tenant: TenantId) -> (u64, u64) {
-        self.inner
-            .borrow()
-            .tenants
-            .get(tenant.0.into())
-            .map(|t| (t.tx_count, t.rx_count))
-            .unwrap_or((0, 0))
-    }
-
     /// Returns the tenant's configured weight.
     pub fn tenant_weight(&self, tenant: TenantId) -> Option<u32> {
-        let inner = self.inner.borrow();
-        inner.tenants.get(tenant.0.into()).map(|t| t.weight)
+        let core = self.inner.borrow();
+        core.tenants.get(tenant.0.into()).map(|t| t.weight)
     }
 
     /// Updates a tenant's scheduling weight at runtime (§4.2: the userspace
     /// engine makes policy customization trivial).
     pub fn set_tenant_weight(&self, tenant: TenantId, weight: u32) -> Result<(), DneError> {
-        let mut inner = self.inner.borrow_mut();
-        let state = inner
+        let mut core = self.inner.borrow_mut();
+        let state = core
             .tenants
             .get_mut(tenant.0.into())
             .ok_or(DneError::UnknownTenant(tenant))?;
         state.weight = weight;
-        inner.txq.register(tenant, weight);
+        core.txq.register(tenant, weight);
         Ok(())
     }
 
@@ -1754,6 +594,10 @@ impl Dne {
         self.inner.borrow().processor.jobs()
     }
 }
+
+// Reached by the test modules below through `use super::*`.
+#[cfg(test)]
+use {membuf::pool::BufferPool, obs::Stage};
 
 #[cfg(test)]
 mod tests {

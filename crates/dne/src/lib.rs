@@ -4,7 +4,11 @@
 //! pairs on behalf of untrusted tenant functions. It runs a non-blocking
 //! run-to-completion event loop on (by default) a single wimpy DPU core,
 //! processing each descriptor through all transfer stages without
-//! interruption:
+//! interruption. The loop's state and every decision it takes live in a
+//! state machine that never sees the simulator (`core`: one
+//! `step(now, input) → effects`); [`engine`] is the public [`Dne`] handle
+//! and the driver that applies the effects — the only code here that
+//! schedules, posts to the RNIC, or calls out. The stages:
 //!
 //! - **TX stage**: consume a buffer descriptor from the source function
 //!   (over Comch), look up the destination node in the inter-node routing
@@ -26,6 +30,7 @@
 //! payloads through the slow SoC DMA (§4.1.1).
 
 pub mod connpool;
+mod core;
 pub mod engine;
 pub mod rbr;
 pub mod routing;

@@ -278,11 +278,6 @@ impl<K: RouteKey> ShardedTable<K> {
         self.lookup(fn_id) == Some(node)
     }
 
-    /// Returns `true` if the health monitor has marked `node` down.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.down.contains(&node)
-    }
-
     /// The healthy fail-over target for a function currently routed at a
     /// down node: its backup replica if healthy, else its displaced
     /// original primary if that has recovered.

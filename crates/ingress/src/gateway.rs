@@ -343,16 +343,6 @@ impl Gateway {
         self.inner.borrow().samples.clone()
     }
 
-    /// Returns `(scale_ups, scale_downs)` the autoscaler has performed.
-    pub fn scale_events(&self) -> (u64, u64) {
-        self.inner
-            .borrow()
-            .hysteresis
-            .as_ref()
-            .map(|h| h.events())
-            .unwrap_or((0, 0))
-    }
-
     /// Installs a span tracer; gateway stages are recorded under node
     /// [`GATEWAY_NODE`] with tenant 0.
     pub fn set_tracer(&self, tracer: Tracer) {

@@ -6,7 +6,7 @@
 //! reports how many translation entries a registration of the arena would
 //! consume, which the RNIC model charges against its MTT cache.
 
-use std::cell::UnsafeCell;
+use std::ptr::NonNull;
 
 /// Size of one emulated hugepage segment (2 MiB, as in the paper).
 pub const HUGEPAGE_SIZE: usize = 2 * 1024 * 1024;
@@ -14,48 +14,120 @@ pub const HUGEPAGE_SIZE: usize = 2 * 1024 * 1024;
 /// Size of a regular 4 KiB page, for MTT-footprint comparisons.
 pub const PAGE_SIZE_4K: usize = 4 * 1024;
 
-/// A contiguous backing segment with interior mutability.
+/// Where an arena's bytes come from: zeroed memory that becomes resident
+/// only where it is touched — an anonymous private mapping, as a real
+/// hugepage arena is.
+///
+/// `vec![0; n]` gives the same only while the allocator serves it with a
+/// fresh mapping. Once a process has *freed* one arena, glibc's dynamic mmap
+/// threshold sits above the segment size: later segments are cut from the
+/// recycled heap and `calloc` zeroes them by hand, so every pool of every
+/// later cluster is fully resident from the start (three boutique clusters
+/// in a row peak at 6 MB resident mapped, 69 MB from the allocator).
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod backing {
+    use std::ffi::{c_int, c_void};
+    use std::ptr::{null_mut, NonNull};
+
+    const PROT_READ_WRITE: c_int = 0x1 | 0x2;
+    const MAP_PRIVATE_ANONYMOUS: c_int = 0x02 | 0x20;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    pub fn map(len: usize) -> NonNull<u8> {
+        // SAFETY: a new anonymous mapping at a kernel-chosen address aliases
+        // nothing; the arguments are the documented ones for that.
+        let base = unsafe {
+            mmap(
+                null_mut(),
+                len,
+                PROT_READ_WRITE,
+                MAP_PRIVATE_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        assert!(base as isize != -1, "cannot map a {len}-byte arena");
+        NonNull::new(base.cast()).expect("mmap returns no null mapping")
+    }
+
+    /// # Safety
+    ///
+    /// `base`/`len` came from one [`map`] call and nothing uses the bytes.
+    pub unsafe fn unmap(base: NonNull<u8>, len: usize) {
+        // SAFETY: the caller's contract; unmapping a whole mapping that is
+        // no longer referenced cannot fail or invalidate live memory.
+        unsafe { munmap(base.as_ptr().cast(), len) };
+    }
+}
+
+/// Other targets take what the allocator's `calloc` gives.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod backing {
+    use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+    use std::ptr::NonNull;
+
+    fn layout(len: usize) -> Layout {
+        Layout::array::<u8>(len).expect("arena size fits a layout")
+    }
+
+    pub fn map(len: usize) -> NonNull<u8> {
+        // SAFETY: `len` is non-zero (the arena asserts it).
+        NonNull::new(unsafe { alloc_zeroed(layout(len)) })
+            .unwrap_or_else(|| handle_alloc_error(layout(len)))
+    }
+
+    /// # Safety
+    ///
+    /// `base`/`len` came from one [`map`] call and nothing uses the bytes.
+    pub unsafe fn unmap(base: NonNull<u8>, len: usize) {
+        // SAFETY: the caller's contract; `layout(len)` is what `map` used.
+        unsafe { dealloc(base.as_ptr(), layout(len)) };
+    }
+}
+
+/// An arena of hugepage segments backing one buffer pool: one contiguous
+/// zeroed region, `segment_count × segment_size` bytes.
 ///
 /// Exclusive access to byte ranges is enforced *externally* by the buffer
 /// pool's ownership state machine; see [`crate::pool::BufferPool`].
-pub(crate) struct Segment {
-    bytes: UnsafeCell<Box<[u8]>>,
+pub struct SegmentArena {
+    base: NonNull<u8>,
+    segments: usize,
+    segment_size: usize,
 }
 
-// SAFETY: `Segment` is shared across threads behind `Arc`, and all access to
+// SAFETY: the arena is shared across threads behind `Arc`, and all access to
 // the byte storage goes through raw-pointer ranges handed out by the buffer
 // pool, which guarantees (via its `Free/Owned/InFlight` state machine) that
 // at most one owner can touch any given range at a time.
-unsafe impl Sync for Segment {}
+unsafe impl Sync for SegmentArena {}
 // SAFETY: Same argument as for `Sync`; ownership of ranges moves with the
 // `OwnedBuf` tokens, never implicitly.
-unsafe impl Send for Segment {}
+unsafe impl Send for SegmentArena {}
 
-impl Segment {
-    fn new(len: usize) -> Self {
-        Segment {
-            bytes: UnsafeCell::new(vec![0u8; len].into_boxed_slice()),
-        }
+impl Drop for SegmentArena {
+    fn drop(&mut self) {
+        // SAFETY: `base` is this arena's own region of `total_bytes()`, and
+        // the pool that handed out ranges of it is being dropped with it.
+        unsafe { backing::unmap(self.base, self.total_bytes()) }
     }
-
-    /// Returns a raw pointer to the start of the segment.
-    pub(crate) fn base_ptr(&self) -> *mut u8 {
-        // SAFETY: We only materialize the pointer here; dereferencing is
-        // guarded by the pool ownership discipline.
-        unsafe { (*self.bytes.get()).as_mut_ptr() }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        // SAFETY: The box itself (length/pointer) is never mutated after
-        // construction, only the bytes it points to.
-        unsafe { (&*self.bytes.get()).len() }
-    }
-}
-
-/// An arena of hugepage segments backing one buffer pool.
-pub struct SegmentArena {
-    segments: Vec<Segment>,
-    segment_size: usize,
 }
 
 impl SegmentArena {
@@ -73,9 +145,9 @@ impl SegmentArena {
     pub fn with_segment_size(total_bytes: usize, segment_size: usize) -> Self {
         assert!(total_bytes > 0, "arena must be non-empty");
         assert!(segment_size > 0, "segment size must be positive");
-        let count = total_bytes.div_ceil(segment_size);
-        let segments = (0..count).map(|_| Segment::new(segment_size)).collect();
+        let segments = total_bytes.div_ceil(segment_size);
         SegmentArena {
+            base: backing::map(segments * segment_size),
             segments,
             segment_size,
         }
@@ -83,7 +155,7 @@ impl SegmentArena {
 
     /// Returns the number of backing segments.
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.segments
     }
 
     /// Returns the segment size in bytes.
@@ -93,14 +165,14 @@ impl SegmentArena {
 
     /// Returns the total capacity in bytes.
     pub fn total_bytes(&self) -> usize {
-        self.segments.len() * self.segment_size
+        self.segments * self.segment_size
     }
 
     /// Returns the number of RNIC translation entries registering this arena
     /// consumes — one per segment (this is the hugepage benefit: the same
     /// arena backed by 4 KiB pages would cost 512× more entries).
     pub fn mtt_entries(&self) -> usize {
-        self.segments.len()
+        self.segments
     }
 
     /// Resolves a byte offset into `(segment pointer, in-segment offset)`.
@@ -110,12 +182,14 @@ impl SegmentArena {
     pub(crate) fn resolve(&self, offset: usize, len: usize) -> Option<(*mut u8, usize)> {
         let seg = offset / self.segment_size;
         let within = offset % self.segment_size;
-        if within + len > self.segment_size {
+        if within + len > self.segment_size || seg >= self.segments {
             return None;
         }
-        let segment = self.segments.get(seg)?;
-        debug_assert_eq!(segment.len(), self.segment_size);
-        Some((segment.base_ptr(), within))
+        // SAFETY: `seg < segments`, so the segment starts inside the region.
+        Some((
+            unsafe { self.base.as_ptr().add(seg * self.segment_size) },
+            within,
+        ))
     }
 }
 
@@ -145,6 +219,20 @@ mod tests {
         assert!(a.resolve(0, 1024).is_some());
         assert!(a.resolve(1000, 100).is_none(), "straddles segment boundary");
         assert!(a.resolve(4096, 1).is_none(), "out of range");
+    }
+
+    #[test]
+    fn every_segment_is_backed_to_its_last_byte() {
+        let a = SegmentArena::with_segment_size(3 * 5000, 5000);
+        for seg in 0..3 {
+            let (ptr, off) = a.resolve(seg * 5000 + 4999, 1).unwrap();
+            // SAFETY: in range by `resolve`, and this test is the only user.
+            unsafe {
+                assert_eq!(ptr.add(off).read(), 0);
+                ptr.add(off).write(seg as u8 + 1);
+                assert_eq!(ptr.add(off).read(), seg as u8 + 1);
+            }
+        }
     }
 
     #[test]

@@ -139,12 +139,6 @@ impl TokenChain {
         self.edges[to - 1].wait();
     }
 
-    /// Non-blocking variant of [`TokenChain::acquire`].
-    pub fn try_acquire(&self, to: usize) -> bool {
-        assert!(to >= 1 && to <= self.edges.len(), "invalid consumer stage");
-        self.edges[to - 1].try_wait()
-    }
-
     /// Returns the semaphore for edge `from → from + 1` (for integration
     /// with event loops that poll many chains).
     pub fn edge(&self, from: usize) -> &Semaphore {

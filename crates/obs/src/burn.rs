@@ -282,11 +282,6 @@ impl BurnMonitor {
         self.tenants.iter().filter(|(_, s)| s.alerting).count()
     }
 
-    /// Number of tenants ever observed.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Per-tenant counters: `(tenant, total, breached, alerts)`, sorted
     /// by tenant id.
     pub fn counters(&self) -> Vec<(u16, u64, u64, u64)> {

@@ -121,8 +121,6 @@ pub(crate) struct RqState {
     node: NodeId,
     tenant: TenantId,
     queue: VecDeque<RecvWr>,
-    posted: u64,
-    consumed: u64,
 }
 
 pub(crate) struct CqState {
@@ -343,14 +341,6 @@ impl Fabric {
         self.inner.borrow().costs.clone()
     }
 
-    /// The conservative lookahead this fabric grants a sharded run: its
-    /// one-way latency floor (see [`RdmaCosts::latency_floor`]). No message
-    /// routed through this fabric can take effect on another node sooner
-    /// than this, which is exactly the window bound `simcore::shard` needs.
-    pub fn shard_lookahead(&self) -> simcore::SimDuration {
-        self.inner.borrow().costs.latency_floor()
-    }
-
     /// Attaches a new node (RNIC) to the fabric.
     pub fn add_node(&self) -> NodeId {
         let mut inner = self.inner.borrow_mut();
@@ -417,8 +407,6 @@ impl Fabric {
             node,
             tenant,
             queue: VecDeque::new(),
-            posted: 0,
-            consumed: 0,
         });
         Ok(id)
     }
@@ -809,7 +797,6 @@ impl Fabric {
             return Err(RdmaError::UnregisteredMemory);
         }
         state.queue.push_back(RecvWr { wr_id, buf });
-        state.posted += 1;
         Ok(())
     }
 
@@ -817,16 +804,6 @@ impl Fabric {
     pub fn rq_depth(&self, rq: RqId) -> usize {
         let inner = self.inner.borrow();
         inner.rqs.get(rq.0 as usize).map_or(0, |r| r.queue.len())
-    }
-
-    /// Returns `(posted, consumed)` counters for `rq` — the DNE core thread
-    /// monitors consumption to replenish buffers (§3.5.2).
-    pub fn rq_counters(&self, rq: RqId) -> (u64, u64) {
-        let inner = self.inner.borrow();
-        inner
-            .rqs
-            .get(rq.0 as usize)
-            .map_or((0, 0), |r| (r.posted, r.consumed))
     }
 
     /// Schedules a CQE push (and its waker) at instant `at`.
@@ -970,7 +947,6 @@ impl Fabric {
             }
             return;
         };
-        rq.consumed += 1;
 
         // Corruption is detected at the responder after a buffer was popped:
         // both ends complete in error, exactly like the length-error path.

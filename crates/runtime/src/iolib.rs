@@ -137,6 +137,18 @@ impl IoLib {
         inner.dne.register_endpoint(fn_id, endpoint);
     }
 
+    /// Unregisters every function, here and in the DNE. Endpoints hold
+    /// this library (and through it the engine) while both hold the
+    /// endpoints, so a node is only freed once its owner calls this.
+    pub fn unregister_all(&self) {
+        let (endpoints, dne) = {
+            let mut inner = self.inner.borrow_mut();
+            (std::mem::take(&mut inner.endpoints), inner.dne.clone())
+        };
+        drop(endpoints); // outside the borrow: may drop the last `IoLib` clones
+        dne.clear_endpoints();
+    }
+
     /// Sends a detached buffer descriptor to `desc.dst_fn`.
     ///
     /// Local destinations: sidecar check, SK_MSG descriptor hand-off.

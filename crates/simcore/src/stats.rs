@@ -217,11 +217,6 @@ impl Moments {
             self.m2 / (self.n - 1) as f64
         }
     }
-
-    /// Returns the sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 /// A windowed event-rate recorder producing `(window_end_seconds, value)` points.
