@@ -149,6 +149,7 @@ fn run(workload: Workload, mode: Mode) -> RunOut {
         cluster.export_latency_histograms(&reg);
         reg
     });
+    let cluster = Rc::new(cluster);
     let stop = sim.now() + SimDuration::from_millis(RUN_MILLIS);
     let driver = ClosedLoop::new(stop);
     match workload {
@@ -181,9 +182,7 @@ fn run(workload: Workload, mode: Mode) -> RunOut {
                     stop,
                 );
             }
-            let cluster = Rc::new(cluster);
-            let d2 = driver.clone();
-            let dag2 = dag.clone();
+            let (d2, dag2, cluster) = (driver.clone(), dag.clone(), cluster.clone());
             driver.set_issuer(Rc::new(move |sim, req| {
                 if !cluster.inject_dag(sim, &dag2, req) {
                     d2.shed(req);

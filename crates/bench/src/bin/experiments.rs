@@ -178,7 +178,7 @@ fn run_one(name: &str, b: &Budget, jobs: usize, shards: usize) -> Output {
             // apart from `--quick` (which shrinks the boutique cell), so the
             // CI obs-report job can diff two invocations byte-for-byte.
             let mut fleet_cfg = nadino::fleet::FleetConfig {
-                seed: nadino::fleet::seed_from_env(42),
+                seed: simcore::rng::seed_from_env("REPORT_SEED", 42),
                 shards,
                 ..nadino::fleet::FleetConfig::default()
             };
@@ -193,22 +193,31 @@ fn run_one(name: &str, b: &Budget, jobs: usize, shards: usize) -> Output {
     }
 }
 
-fn emit(o: &Output, report_out: Option<&PathBuf>) {
+/// Writes one output file, creating its directory. Says what happened and
+/// returns whether it worked; `main` exits non-zero after the run if any
+/// write failed, so a gate that reads the file next cannot pass on a stale
+/// copy.
+fn write_out(path: &std::path::Path, text: &str) -> bool {
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, text));
+    match &written {
+        Ok(()) => println!("[wrote {}]", path.display()),
+        Err(e) => eprintln!("[failed to write {}: {e}]", path.display()),
+    }
+    written.is_ok()
+}
+
+fn emit(o: &Output, report_out: Option<&PathBuf>) -> bool {
     println!("{}", o.text);
     let path = match (o.stem, report_out) {
         ("report", Some(p)) => p.clone(),
         _ => results_dir().join(format!("{}.json", o.stem)),
     };
-    let write = || -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(&path, &o.json)
-    };
-    match write() {
-        Ok(()) => println!("[wrote {}]\n", path.display()),
-        Err(e) => eprintln!("[failed to write {}: {e}]\n", path.display()),
-    }
+    let ok = write_out(&path, &o.json);
+    println!();
+    ok
 }
 
 /// Runs a short instrumented Online Boutique workload with cluster-wide
@@ -222,7 +231,7 @@ fn instrumented_run(
     tail_sample: bool,
     flight_out: Option<&PathBuf>,
     shard_report: Option<&nadino::shard_cluster::ParallelReport>,
-) {
+) -> bool {
     use membuf::tenant::TenantId;
     use nadino::boutique;
     use nadino::cluster::{Cluster, ClusterConfig};
@@ -251,8 +260,8 @@ fn instrumented_run(
     let stop = sim.now() + SimDuration::from_millis(20);
     let driver = ClosedLoop::new(stop);
     cluster.register_chain(&chain, boutique::exec_cost, driver.completion());
-    driver.start(&mut sim, &cluster, &chain, 8, 256);
     let cluster = Rc::new(cluster);
+    driver.start(&mut sim, &cluster, &chain, 8, 256);
     let reg = Rc::new(obs::MetricsRegistry::new());
     cluster.with_trace_pipeline(|p| p.attach_metrics((*reg).clone()));
     cluster.start_obs_sampler(&mut sim, Rc::clone(&reg), SimDuration::from_millis(1), stop);
@@ -297,25 +306,13 @@ fn instrumented_run(
         let rows = obs::critical_path::tenant_breakdown(&paths);
         print!("{}", obs::critical_path::render_breakdown(&rows));
     }
+    let mut ok = true;
     if let Some(path) = trace_out {
-        let doc = obs::chrome_trace(&records);
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        match std::fs::write(path, doc.to_string_pretty()) {
-            Ok(()) => println!("[wrote {}]", path.display()),
-            Err(e) => eprintln!("[failed to write {}: {e}]", path.display()),
-        }
+        ok &= write_out(path, &obs::chrome_trace(&records).to_string_pretty());
     }
     if let Some(path) = flight_out {
         if let Some(dump) = cluster.dump_flight_recorder(&sim) {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            match std::fs::write(path, dump.to_string_pretty()) {
-                Ok(()) => println!("[wrote {}]", path.display()),
-                Err(e) => eprintln!("[failed to write {}: {e}]", path.display()),
-            }
+            ok &= write_out(path, &dump.to_string_pretty());
         }
     }
     if let Some(path) = metrics_out {
@@ -325,15 +322,9 @@ fn instrumented_run(
         if let Some(rep) = shard_report {
             rep.export_metrics(&reg);
         }
-        let snap = reg.snapshot();
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        match std::fs::write(path, snap.to_json().to_string_pretty()) {
-            Ok(()) => println!("[wrote {}]", path.display()),
-            Err(e) => eprintln!("[failed to write {}: {e}]", path.display()),
-        }
+        ok &= write_out(path, &reg.snapshot().to_json().to_string_pretty());
     }
+    ok
 }
 
 fn main() {
@@ -446,19 +437,23 @@ fn main() {
         })
         .collect();
     let mut shard_report = None;
+    let mut all_written = true;
     for mut output in pmap(tasks, jobs) {
-        emit(&output, report_out.as_ref());
+        all_written &= emit(&output, report_out.as_ref());
         if let Some(rep) = output.shard_report.take() {
             shard_report = Some(rep);
         }
     }
     if instrumented {
-        instrumented_run(
+        all_written &= instrumented_run(
             trace_out.as_ref(),
             metrics_out.as_ref(),
             tail_sample,
             flight_out.as_ref(),
             shard_report.as_ref(),
         );
+    }
+    if !all_written {
+        std::process::exit(1);
     }
 }

@@ -177,11 +177,6 @@ impl BaselineCluster {
             .unwrap_or(false)
     }
 
-    /// Returns the number of nodes actually in use.
-    pub fn node_count(&self) -> usize {
-        self.inner.borrow().nodes.len()
-    }
-
     /// Engine-core utilization across nodes (polling engines report 1.0
     /// per node, matching the paper's saturated-core observation).
     pub fn engine_utilization(&self, a: SimTime, b: SimTime) -> f64 {
@@ -264,7 +259,7 @@ mod tests {
     #[test]
     fn nightcore_collapses_to_one_node() {
         let bc = BaselineCluster::new(SystemModel::for_kind(SystemKind::NightCore), 2, 32);
-        assert_eq!(bc.node_count(), 1);
+        assert_eq!(bc.inner.borrow().nodes.len(), 1);
         bc.place(boutique::fns::CART, 1); // clamped
         assert_eq!(
             *bc.inner

@@ -623,16 +623,6 @@ fn schedule_window_tick(state: &Rc<RefCell<ChurnState>>, sim: &mut Sim) {
     });
 }
 
-/// FNV-1a over a byte stream.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Runs one churn cell to completion.
 pub fn run(cfg: ChurnConfig) -> ChurnReport {
     assert!(cfg.nodes >= 2, "need a gateway and at least one backend");
@@ -755,7 +745,7 @@ pub fn run(cfg: ChurnConfig) -> ChurnReport {
             w.teardowns,
         ]
     });
-    let digest = fnv1a(
+    let digest = simcore::rng::fnv1a(
         ints.iter()
             .copied()
             .chain(win_ints)

@@ -6,6 +6,15 @@
 //! per-tenant unified memory pools exported cross-processor via the DOCA
 //! mmap handshake, the unified I/O library, and chain-aware function
 //! endpoints.
+//!
+//! The cluster is also the one place a request enters (DESIGN.md §4,
+//! "Front door and load driver"). [`Cluster::inject`],
+//! [`Cluster::inject_with_deadline`] and [`Cluster::inject_dag`] share one
+//! injection body; [`Cluster::serve_chain`] puts an ingress gateway in
+//! front of it and owns the table of held gateway replies, each resolved
+//! exactly once — by the chain's completion or by a typed delivery
+//! failure — so [`Cluster::pending_replies`] is the number of requests
+//! still unanswered.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -15,6 +24,7 @@ use dne::types::DneConfig;
 use dne::Dne;
 use dpu_sim::mmap::{doca_mmap_create_from_export, doca_mmap_export_full};
 use dpu_sim::soc::{Processor, ProcessorKind};
+use ingress::gateway::{DeliveryFailed, Reply, ReqCtx, Upstream};
 use membuf::pool::{BufferPool, PoolConfig};
 use membuf::tenant::TenantId;
 use rdma_sim::{Fabric, NodeId, RdmaCosts};
@@ -114,6 +124,28 @@ struct ObsHub {
     /// per-node lifecycle states join [`Cluster::sample_obs`] as
     /// `fleet_*` gauges.
     fleet: Option<crate::fleetctl::FleetController>,
+    /// Gateway replies held for requests that entered through the front
+    /// door, by request id. Whoever removes an entry answers it, so a
+    /// completion and a failure for the same request cannot both fire.
+    replies: HashMap<u64, Reply>,
+}
+
+impl ObsHub {
+    /// Answers the reply held for `req_id` with `outcome` — unless it was
+    /// answered already, in which case nothing happens.
+    fn answer(
+        hub: &RefCell<ObsHub>,
+        sim: &mut Sim,
+        req_id: u64,
+        outcome: Result<usize, DeliveryFailed>,
+    ) {
+        // Taken out under the borrow, called outside it: the reply runs the
+        // gateway's completion, which may submit the next request.
+        let reply = hub.borrow_mut().replies.remove(&req_id);
+        if let Some(reply) = reply {
+            reply(sim, outcome);
+        }
+    }
 }
 
 /// A fully wired NADINO cluster.
@@ -134,10 +166,10 @@ pub struct Cluster {
 
 impl Drop for Cluster {
     /// Frees the cluster. Function endpoints hold their node's I/O library
-    /// and engine, which hold the endpoints; the hub's handlers can hold
-    /// parts of the cluster the same way. Reference counting alone never
-    /// frees those cycles (every tenant pool stayed resident), so dropping
-    /// the cluster cuts them here.
+    /// and engine, which hold the endpoints; the hub's handlers and held
+    /// replies can hold parts of the cluster the same way. Reference
+    /// counting alone never frees those cycles (every tenant pool stayed
+    /// resident), so dropping the cluster cuts them here.
     fn drop(&mut self) {
         for node in &self.nodes {
             node.iolib.unregister_all();
@@ -202,6 +234,9 @@ impl Cluster {
                         }
                     }
                 }
+                // A request that entered through the front door is answered
+                // here, unless its completion got there first.
+                ObsHub::answer(&hub, sim, failure.req_id, Err(DeliveryFailed));
                 if let Some(u) = user {
                     u(sim, failure);
                 }
@@ -516,30 +551,10 @@ impl Cluster {
 
     /// Injects one request into a DAG's root function.
     pub fn inject_dag(&self, sim: &mut Sim, dag: &runtime::DagSpec, req_id: u64) -> bool {
-        let Some(idx) = self.node_index_of(dag.root) else {
-            return false;
+        let call = |p: &mut [u8]| {
+            runtime::dag::set_dag_header(p, runtime::dag::DagMsg::Call, runtime::dag::CLIENT_CALLER)
         };
-        let pool = self.pool(dag.tenant, idx);
-        let Ok(mut buf) = pool.get() else {
-            return false;
-        };
-        let mut payload = runtime::encode_request_payload(req_id, 64);
-        runtime::dag::set_dag_header(
-            &mut payload,
-            runtime::dag::DagMsg::Call,
-            runtime::dag::CLIENT_CALLER,
-        );
-        let sampled = self.stamp_root_ctx(&mut payload, req_id, idx);
-        if buf.write_payload(&payload).is_err() {
-            return false;
-        }
-        self.nodes[idx].iolib.send_traced(
-            sim,
-            dag.tenant,
-            buf.into_desc(dag.root),
-            Some((req_id, sampled)),
-        );
-        true
+        self.enter(sim, dag.tenant, dag.root, req_id, 64, call)
     }
 
     /// Roots a trace at injection: applies the ingress sampling decision
@@ -575,7 +590,7 @@ impl Cluster {
         req_id: u64,
         payload_len: usize,
     ) -> bool {
-        self.inject_inner(sim, chain, req_id, payload_len, 0)
+        self.enter_chain(sim, chain, req_id, payload_len, 0)
     }
 
     /// Like [`Cluster::inject`], but stamps an absolute `deadline` into the
@@ -590,10 +605,10 @@ impl Cluster {
         payload_len: usize,
         deadline: SimTime,
     ) -> bool {
-        self.inject_inner(sim, chain, req_id, payload_len, deadline.as_nanos())
+        self.enter_chain(sim, chain, req_id, payload_len, deadline.as_nanos())
     }
 
-    fn inject_inner(
+    fn enter_chain(
         &self,
         sim: &mut Sim,
         chain: &ChainSpec,
@@ -601,32 +616,108 @@ impl Cluster {
         payload_len: usize,
         deadline_ns: u64,
     ) -> bool {
-        let entry = chain.entry();
+        let header = |p: &mut [u8]| {
+            runtime::set_hop(p, 0);
+            if deadline_ns != 0 {
+                obs::write_deadline_ns(p, deadline_ns);
+            }
+        };
+        let (tenant, entry) = (chain.tenant, chain.entry());
+        self.enter(sim, tenant, entry, req_id, payload_len, header)
+    }
+
+    /// The one injection body: takes a buffer from the entry node's pool,
+    /// writes the request id, the chain or DAG `header` (hop index or call
+    /// header, and any deadline) and the root trace context, and delivers
+    /// the descriptor to `entry` through the node's I/O library. `false` =
+    /// refused (not placed, or the entry pool is exhausted); nothing was
+    /// sent.
+    fn enter(
+        &self,
+        sim: &mut Sim,
+        tenant: TenantId,
+        entry: u16,
+        req_id: u64,
+        payload_len: usize,
+        header: impl FnOnce(&mut [u8]),
+    ) -> bool {
         let Some(idx) = self.node_index_of(entry) else {
             return false;
         };
-        let pool = self.pool(chain.tenant, idx);
-        let Ok(mut buf) = pool.get() else {
+        let Ok(mut buf) = self.pool(tenant, idx).get() else {
             return false;
         };
         // Payloads are sized to carry the on-wire trace context (24 bytes,
         // deadline included) even when the caller asked for less.
         let mut payload = runtime::encode_request_payload(req_id, payload_len.max(obs::CTX_REGION));
-        runtime::set_hop(&mut payload, 0);
-        if deadline_ns != 0 {
-            obs::write_deadline_ns(&mut payload, deadline_ns);
-        }
+        header(&mut payload);
         let sampled = self.stamp_root_ctx(&mut payload, req_id, idx);
         if buf.write_payload(&payload).is_err() {
             return false;
         }
-        self.nodes[idx].iolib.send_traced(
-            sim,
-            chain.tenant,
-            buf.into_desc(entry),
-            Some((req_id, sampled)),
-        );
+        let desc = buf.into_desc(entry);
+        self.nodes[idx]
+            .iolib
+            .send_traced(sim, tenant, desc, Some((req_id, sampled)));
         true
+    }
+
+    /// The front door for gateway traffic: registers `chain` (as
+    /// [`Cluster::register_chain`] does) and returns the [`Upstream`] to
+    /// hand to the ingress gateway. Each admitted request is injected with
+    /// `payload` bytes under the gateway's request id and deadline, and its
+    /// reply is held until the chain completes (`Ok(payload)`) or a typed
+    /// delivery failure names the request (`Err(DeliveryFailed)`) —
+    /// whichever comes first; the other is ignored. A request the entry
+    /// pool refuses is answered `Err` at once and never held.
+    ///
+    /// The upstream holds the cluster weakly: a held reply can own the
+    /// load driver, which owns the upstream.
+    pub fn serve_chain(
+        self: &Rc<Self>,
+        chain: &ChainSpec,
+        exec_cost: impl Fn(u16) -> SimDuration,
+        payload: usize,
+    ) -> Upstream {
+        self.register_served(chain, exec_cost, payload);
+        let cluster = Rc::downgrade(self);
+        let chain = chain.clone();
+        Rc::new(move |sim: &mut Sim, ctx: ReqCtx, reply: Reply| {
+            let Some(cluster) = cluster.upgrade() else {
+                return reply(sim, Err(DeliveryFailed));
+            };
+            // Held before the request enters, so no failure can miss it.
+            cluster.hold_reply(ctx.req_id, reply);
+            if !cluster.enter_chain(sim, &chain, ctx.req_id, payload, ctx.deadline_ns) {
+                ObsHub::answer(&cluster.obs_hub, sim, ctx.req_id, Err(DeliveryFailed));
+            }
+        })
+    }
+
+    /// The registration half of [`Cluster::serve_chain`]: the chain's
+    /// completion answers the held reply with `Ok(payload)`. It runs inside
+    /// the completion hook, so the trace pipeline drains first.
+    pub(crate) fn register_served(
+        &self,
+        chain: &ChainSpec,
+        exec_cost: impl Fn(u16) -> SimDuration,
+        payload: usize,
+    ) {
+        let hub = self.obs_hub.clone();
+        let answer: CompletionFn =
+            Rc::new(move |sim, req| ObsHub::answer(&hub, sim, req, Ok(payload)));
+        self.register_chain(chain, exec_cost, answer);
+    }
+
+    /// Holds a gateway reply until `req_id` completes or fails typed.
+    pub(crate) fn hold_reply(&self, req_id: u64, reply: Reply) {
+        self.obs_hub.borrow_mut().replies.insert(req_id, reply);
+    }
+
+    /// Requests that entered through the front door and have not been
+    /// answered yet. Zero after a drained run means no request hung.
+    pub fn pending_replies(&self) -> usize {
+        self.obs_hub.borrow().replies.len()
     }
 
     /// Installs `tracer` on every node's I/O library and network engine
@@ -641,13 +732,6 @@ impl Cluster {
         }
         self.fabric.set_tracer(tracer.clone());
         self.obs_hub.borrow_mut().tracer = tracer.clone();
-    }
-
-    /// Returns a handle to the installed tracer (disabled by default).
-    /// Load drivers use it to make the ingress sampling decision when they
-    /// inject requests directly, without a gateway in front.
-    pub fn tracer(&self) -> obs::Tracer {
-        self.obs_hub.borrow().tracer.clone()
     }
 
     /// Enables the trace pipeline: completed traces drain through the
@@ -989,6 +1073,7 @@ mod tests {
         cluster.place(2, 1);
         let driver = ClosedLoop::new(SimTime::ZERO + SimDuration::from_millis(100));
         cluster.register_chain(&chain, |_| SimDuration::from_micros(5), driver.completion());
+        let cluster = Rc::new(cluster);
         driver.start(&mut sim, &cluster, &chain, 8, 256);
         sim.run();
         assert!(driver.completed() > 500, "got {}", driver.completed());
@@ -1068,8 +1153,8 @@ mod tests {
         let t0 = sim.now();
         let driver = ClosedLoop::new(t0 + SimDuration::from_millis(10));
         cluster.register_chain(&chain, |_| SimDuration::from_micros(5), driver.completion());
-        driver.start(&mut sim, &cluster, &chain, 4, 256);
         let cluster = Rc::new(cluster);
+        driver.start(&mut sim, &cluster, &chain, 4, 256);
         let reg = Rc::new(obs::MetricsRegistry::new());
         cluster.start_obs_sampler(
             &mut sim,
@@ -1100,6 +1185,162 @@ mod tests {
         );
     }
 
+    /// The front door's exactly-once rule, one case per way a request can
+    /// end: whichever of completion and typed failure comes first answers
+    /// the gateway, the other is ignored, a refused request is never held,
+    /// and nothing stays pending once the run drains.
+    #[test]
+    fn the_front_door_answers_every_request_exactly_once() {
+        use dne::types::{DeliveryFailure, FailureReason};
+        #[derive(Debug, Clone, Copy)]
+        enum Case {
+            Completes,
+            FailsTyped,
+            CompletionAfterFailure,
+            FailureAfterCompletion,
+            RefusedAtFullPool,
+            DeadlinePassed,
+        }
+        use Case::*;
+        for case in [
+            Completes,
+            FailsTyped,
+            CompletionAfterFailure,
+            FailureAfterCompletion,
+            RefusedAtFullPool,
+            DeadlinePassed,
+        ] {
+            let mut sim = Sim::new();
+            let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
+            let tenant = TenantId(1);
+            cluster.add_tenant(&mut sim, tenant, 1).unwrap();
+            cluster.place(1, 0);
+            cluster.place(2, 1);
+            let cluster = Rc::new(cluster);
+            let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
+            let door = cluster.serve_chain(&chain, |_| SimDuration::from_micros(5), 256);
+            let reasons = Rc::new(RefCell::new(Vec::new()));
+            let sink = reasons.clone();
+            cluster.set_delivery_failure_handler(Rc::new(move |_, f| {
+                sink.borrow_mut().push(f.reason);
+            }));
+            let answers = Rc::new(RefCell::new(Vec::new()));
+            let sink = answers.clone();
+            let reply: Reply = Box::new(move |_, answer| sink.borrow_mut().push(answer));
+            let mut ctx = ReqCtx {
+                req_id: 7,
+                tenant: tenant.0,
+                req_bytes: 64,
+                deadline_ns: 0,
+                sampled: false,
+            };
+            let failure = DeliveryFailure {
+                tenant,
+                dst_fn: 2,
+                req_id: 7,
+                attempts: 1,
+                reason: FailureReason::RetryBudgetExhausted,
+                dst_node: None,
+            };
+            let mut taken = Vec::new();
+            match case {
+                FailsTyped => {
+                    // Node 1 is dark for longer than the retry budget lasts.
+                    cluster
+                        .fabric
+                        .install_fault_plane(rdma_sim::FaultPlane::new(1));
+                    let until = sim.now() + SimDuration::from_millis(50);
+                    let node = cluster.nodes[1].id;
+                    cluster.fabric.schedule_node_outage(node, sim.now(), until);
+                }
+                RefusedAtFullPool => {
+                    while let Ok(buf) = cluster.pool(tenant, 0).get() {
+                        taken.push(buf);
+                    }
+                }
+                DeadlinePassed => ctx.deadline_ns = 1,
+                _ => {}
+            }
+            door(&mut sim, ctx, reply);
+            let expect = match case {
+                Completes => Ok(256),
+                FailsTyped => Err(DeliveryFailed),
+                CompletionAfterFailure => {
+                    assert_eq!(cluster.pending_replies(), 1, "held while in flight");
+                    cluster.nodes[0].dne.report_failure(&mut sim, failure);
+                    Err(DeliveryFailed)
+                }
+                FailureAfterCompletion => {
+                    sim.run();
+                    cluster.nodes[0].dne.report_failure(&mut sim, failure);
+                    Ok(256)
+                }
+                RefusedAtFullPool => {
+                    assert_eq!(
+                        cluster.pending_replies(),
+                        0,
+                        "a refused request is not held"
+                    );
+                    Err(DeliveryFailed)
+                }
+                DeadlinePassed => {
+                    sim.run();
+                    assert_eq!(*reasons.borrow(), [FailureReason::DeadlineExceeded]);
+                    Err(DeliveryFailed)
+                }
+            };
+            sim.run();
+            assert_eq!(*answers.borrow(), [expect], "{case:?}");
+            assert_eq!(cluster.pending_replies(), 0, "{case:?}");
+            assert_eq!(cluster.pool(tenant, 0).stats().in_flight, 0, "{case:?}");
+        }
+    }
+
+    /// A request the entry pool refuses is a failed request: the gateway
+    /// books it under `failed`, not `completed`, and the driver records no
+    /// latency sample for it. (The fig16 and fleet bridges used to answer
+    /// `Ok(0)`, inflating `rps` exactly when the system was overloaded.)
+    #[test]
+    fn a_request_refused_at_a_full_pool_is_not_a_success() {
+        use ingress::gateway::{Gateway, GatewayConfig};
+        let mut sim = Sim::new();
+        let mut cluster = Cluster::new(
+            &mut sim,
+            ClusterConfig {
+                pool_bufs: 2,
+                ..ClusterConfig::default()
+            },
+        );
+        let tenant = TenantId(1);
+        cluster.add_tenant(&mut sim, tenant, 1).unwrap();
+        cluster.place(1, 0);
+        cluster.place(2, 0);
+        let cluster = Rc::new(cluster);
+        // One free buffer at the entry (the RBR holds the other): one
+        // request at a time gets in, the other seven flows are refused.
+        let chain = ChainSpec::new("local", tenant, vec![1, 2, 1]);
+        let door = cluster.serve_chain(&chain, |_| SimDuration::from_micros(20), 256);
+        let gateway = Gateway::new(GatewayConfig::default());
+        let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(5));
+        driver.start_gateway(&mut sim, &gateway, tenant.0, &door, 8, 64);
+        sim.run();
+
+        let stats = gateway.stats();
+        assert!(stats.failed > 0, "nothing was refused: {stats:?}");
+        // Every request that got in made its three local hops and completed.
+        let hops = cluster.nodes[0].iolib.stats().local_sends;
+        assert!(hops > 0 && hops.is_multiple_of(3), "{hops} hops");
+        assert_eq!(stats.completed, hops / 3, "{stats:?}");
+        assert_eq!(driver.completed(), stats.completed);
+        assert_eq!(
+            driver.latency().count(),
+            stats.completed,
+            "a refusal left a sample"
+        );
+        assert_eq!(driver.shed_count(), stats.failed);
+        assert_eq!(cluster.pending_replies(), 0);
+    }
+
     #[test]
     fn inject_fails_without_placement() {
         let mut sim = Sim::new();
@@ -1126,6 +1367,7 @@ mod tests {
             |_| SimDuration::from_micros(50),
             driver.completion(),
         );
+        let cluster = Rc::new(cluster);
         driver.start(&mut sim, &cluster, &chain, 16, 128);
         sim.run();
         let t1 = sim.now();

@@ -10,6 +10,8 @@
 //! - **DWRR quantum**: fairness error as the scheduling granularity grows;
 //! - **pre-post depth**: receive-buffer headroom vs RNR stalls.
 
+use std::rc::Rc;
+
 use dne::types::{DneConfig, SchedPolicy};
 use membuf::tenant::TenantId;
 use runtime::ChainSpec;
@@ -64,6 +66,7 @@ fn boutique_rps(cfg: DneConfig, clients: usize, millis: u64) -> f64 {
     let chain = boutique::home_query(tenant);
     let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(millis));
     cluster.register_chain(&chain, boutique::exec_cost, driver.completion());
+    let cluster = Rc::new(cluster);
     driver.start(&mut sim, &cluster, &chain, clients, boutique::PAYLOAD_BYTES);
     sim.run();
     driver.rps()
@@ -117,6 +120,7 @@ pub fn conns_per_peer_sweep(millis: u64) -> Vec<AblationRow> {
         cluster.place(2, 1);
         let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(millis));
         cluster.register_chain(&chain, |_| SimDuration::ZERO, driver.completion());
+        let cluster = Rc::new(cluster);
         driver.start(&mut sim, &cluster, &chain, 64, 1024);
         sim.run();
         rows.push(AblationRow {
@@ -185,6 +189,7 @@ pub fn prepost_sweep(millis: u64) -> Vec<AblationRow> {
         cluster.place(2, 1);
         let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(millis));
         cluster.register_chain(&chain, |_| SimDuration::ZERO, driver.completion());
+        let cluster = Rc::new(cluster);
         driver.start(&mut sim, &cluster, &chain, 48, 512);
         sim.run();
         let (_, _, rnr0) = cluster.fabric.node_counters(cluster.nodes[0].id);

@@ -95,27 +95,13 @@ pub const QUICK_POPULATIONS: [usize; 3] = [100, 1_000, 10_000];
 /// The cold-vs-warm contrast: pre-warm stock floors compared.
 pub const PREWARM_LEVELS: [usize; 2] = [0, 8];
 
-/// Root seed for every cell, overridable via `CHURN_SEED` (decimal or
-/// `0x`-prefixed hex) so the CI smoke job can sweep a seed matrix and
-/// assert byte identity per seed.
-fn churn_seed(default: u64) -> u64 {
-    std::env::var("CHURN_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim().to_string();
-            match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(default)
-}
-
 fn cell_cfg(tenants: usize, prewarm: usize, quick: bool) -> ChurnConfig {
     let mut cfg = ChurnConfig {
         tenants,
         prewarm_target: prewarm,
-        seed: churn_seed(ChurnConfig::default().seed),
+        // `CHURN_SEED` overrides the root seed so the CI smoke job can
+        // sweep a seed matrix and assert byte identity per seed.
+        seed: simcore::rng::seed_from_env("CHURN_SEED", ChurnConfig::default().seed),
         ..ChurnConfig::default()
     };
     if quick {

@@ -15,6 +15,8 @@
 //! The Comch crossing does add latency to the DNE path; the throughput
 //! cost stays small because the engine pipelines descriptors.
 
+use std::rc::Rc;
+
 use baselines::{run_echo, EchoConfig, Primitive};
 use dpu_sim::soc::ProcessorKind;
 use membuf::tenant::TenantId;
@@ -66,6 +68,7 @@ fn dne_echo(payload: usize, clients: usize, millis: u64) -> (f64, f64) {
     let driver = ClosedLoop::new(stop);
     // Echo functions do no application work; we measure the data plane.
     cluster.register_chain(&chain, |_| SimDuration::ZERO, driver.completion());
+    let cluster = Rc::new(cluster);
     driver.start(&mut sim, &cluster, &chain, clients, payload);
     sim.run();
     (driver.latency().mean().as_micros_f64(), driver.rps())

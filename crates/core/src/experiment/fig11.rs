@@ -11,6 +11,8 @@
 //! Paper targets: off-path wins up to ~30% RPS with > 20% lower latency,
 //! and the gap widens with concurrency as the SoC DMA engine saturates.
 
+use std::rc::Rc;
+
 use dne::types::DneConfig;
 use membuf::tenant::TenantId;
 use runtime::ChainSpec;
@@ -80,6 +82,7 @@ fn run_one(cfg: DneConfig, payload: usize, clients: usize, millis: u64) -> (f64,
         |_| SimDuration::from_micros(25),
         driver.completion(),
     );
+    let cluster = Rc::new(cluster);
     driver.start(&mut sim, &cluster, &chain, clients, payload);
     sim.run();
     (driver.latency().mean().as_micros_f64(), driver.rps())

@@ -12,11 +12,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ingress::gateway::{Gateway, GatewayConfig, Reply, Upstream};
-use ingress::rss::FlowId;
 use ingress::stack::GatewayKind;
-use simcore::{Histogram, MultiServer, Sim, SimDuration, SimTime};
+use simcore::{MultiServer, Sim, SimDuration};
 
 use crate::report::{fmt_f64, render_table};
+use crate::workload::ClosedLoop;
 
 /// One measured cell.
 #[derive(Debug, Clone)]
@@ -55,12 +55,7 @@ pub const KINDS: [(GatewayKind, &str); 3] = [
 /// Builds the worker-node upstream for an ingress design: transport to the
 /// worker, worker-side stack cost (zero for NADINO), the echo function.
 pub(crate) fn worker_upstream(kind: GatewayKind, worker_cost: SimDuration) -> Upstream {
-    // Transport latency per direction between ingress and worker.
-    let transport = match kind {
-        GatewayKind::Nadino => SimDuration::from_micros(3),
-        GatewayKind::FIngress => SimDuration::from_micros(12),
-        GatewayKind::KIngress => SimDuration::from_micros(25),
-    };
+    let transport = kind.worker_transport();
     // The worker node runs the echo function on several host cores so the
     // ingress — the component under test — is the bottleneck.
     let fn_exec = SimDuration::from_micros(5);
@@ -75,49 +70,6 @@ pub(crate) fn worker_upstream(kind: GatewayKind, worker_cost: SimDuration) -> Up
     })
 }
 
-struct Driver {
-    gateway: Gateway,
-    upstream: Upstream,
-    hist: Histogram,
-    completed: u64,
-    dropped: u64,
-    stop_at: SimTime,
-    last_done: SimTime,
-    began: SimTime,
-}
-
-fn issue(state: &Rc<RefCell<Driver>>, sim: &mut Sim, client: u32) {
-    let (gateway, upstream) = {
-        let st = state.borrow();
-        if sim.now() >= st.stop_at {
-            return;
-        }
-        (st.gateway.clone(), st.upstream.clone())
-    };
-    let began = sim.now();
-    let st2 = state.clone();
-    gateway.submit(
-        sim,
-        FlowId::from_client(client, 0),
-        128,
-        upstream,
-        Box::new(move |sim, result| {
-            {
-                let mut st = st2.borrow_mut();
-                match result {
-                    Ok(_) => {
-                        st.hist.record(sim.now().saturating_since(began));
-                        st.completed += 1;
-                        st.last_done = sim.now();
-                    }
-                    Err(_) => st.dropped += 1,
-                }
-            }
-            issue(&st2, sim, client);
-        }),
-    );
-}
-
 /// Runs one `(kind, clients)` cell for `millis` of virtual time.
 fn run_one(kind: GatewayKind, clients: usize, millis: u64) -> (f64, f64) {
     let mut sim = Sim::new();
@@ -126,29 +78,11 @@ fn run_one(kind: GatewayKind, clients: usize, millis: u64) -> (f64, f64) {
         initial_workers: 1,
         ..GatewayConfig::default()
     });
-    let worker_cost = gateway.worker_side_cost();
-    let state = Rc::new(RefCell::new(Driver {
-        gateway,
-        upstream: worker_upstream(kind, worker_cost),
-        hist: Histogram::new(),
-        completed: 0,
-        dropped: 0,
-        stop_at: SimTime::ZERO + SimDuration::from_millis(millis),
-        last_done: SimTime::ZERO,
-        began: SimTime::ZERO,
-    }));
-    for c in 0..clients {
-        issue(&state, &mut sim, c as u32);
-    }
+    let upstream = worker_upstream(kind, gateway.worker_side_cost());
+    let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(millis));
+    driver.start_gateway(&mut sim, &gateway, 0, &upstream, clients, 128);
     sim.run();
-    let st = state.borrow();
-    let span = st.last_done.saturating_since(st.began).as_secs_f64();
-    let rps = if span > 0.0 {
-        st.completed as f64 / span
-    } else {
-        0.0
-    };
-    (st.hist.mean().as_micros_f64(), rps)
+    (driver.latency().mean().as_micros_f64(), driver.rps())
 }
 
 /// Runs the full sweep.

@@ -12,6 +12,8 @@
 //! 65 K/11 K/22 K with all three — while FCFS splits capacity by arrival
 //! order and starves tenant 1.
 
+use std::rc::Rc;
+
 use dne::types::{DneConfig, SchedPolicy};
 use membuf::tenant::TenantId;
 use runtime::ChainSpec;
@@ -139,6 +141,7 @@ pub fn run_variant(
             ChainSpec::new("transfer", tenant, vec![client_fn, server_fn]),
         ));
     }
+    let cluster = Rc::new(cluster);
     let epoch = sim.now();
     let mut drivers = Vec::new();
     for (spec, chain) in chains {

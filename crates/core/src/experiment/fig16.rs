@@ -8,21 +8,19 @@
 //! configuration we record RPS, mean latency (Table 2) and the
 //! network-engine core usage (Fig. 16 (4)-(6)).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use baselines::{SystemKind, SystemModel};
-use ingress::gateway::{Gateway, GatewayConfig, Reply, Upstream};
-use ingress::rss::FlowId;
+use ingress::gateway::{Gateway, GatewayConfig, Upstream};
 use membuf::tenant::TenantId;
 use runtime::ChainSpec;
-use simcore::{Histogram, Sim, SimDuration, SimTime};
+use simcore::{Sim, SimDuration};
 
 use crate::baseline_cluster::BaselineCluster;
 use crate::boutique;
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::report::{fmt_f64, render_table};
+use crate::workload::ClosedLoop;
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -106,82 +104,19 @@ obs::impl_to_json!(Fig16 {
 /// Client counts of Table 2.
 pub const CLIENTS: [usize; 3] = [20, 60, 80];
 
-/// Ingress transport latency to the worker nodes, per direction.
-fn ingress_transport(kind: ingress::stack::GatewayKind) -> SimDuration {
-    match kind {
-        ingress::stack::GatewayKind::Nadino => SimDuration::from_micros(3),
-        ingress::stack::GatewayKind::FIngress => SimDuration::from_micros(12),
-        ingress::stack::GatewayKind::KIngress => SimDuration::from_micros(25),
-    }
-}
-
-/// Shared closed-loop measurement harness over any upstream.
-struct GwDriver {
-    gateway: Gateway,
-    upstream: Upstream,
-    hist: Histogram,
-    completed: u64,
-    stop_at: SimTime,
-    began: SimTime,
-    last_done: SimTime,
-}
-
-fn gw_issue(state: &Rc<RefCell<GwDriver>>, sim: &mut Sim, client: u32) {
-    let (gateway, upstream) = {
-        let st = state.borrow();
-        if sim.now() >= st.stop_at {
-            return;
-        }
-        (st.gateway.clone(), st.upstream.clone())
-    };
-    let began = sim.now();
-    let st2 = state.clone();
-    gateway.submit(
-        sim,
-        FlowId::from_client(client, 0),
-        boutique::PAYLOAD_BYTES,
-        upstream,
-        Box::new(move |sim, result| {
-            if result.is_ok() {
-                let mut st = st2.borrow_mut();
-                st.hist.record(sim.now().saturating_since(began));
-                st.completed += 1;
-                st.last_done = sim.now();
-            }
-            gw_issue(&st2, sim, client);
-        }),
-    );
-}
-
+/// Drives `clients` closed-loop flows through `gateway` for `duration`;
+/// returns `(rps, mean latency in ms)`.
 fn drive(
     sim: &mut Sim,
-    gateway: Gateway,
-    upstream: Upstream,
+    gateway: &Gateway,
+    upstream: &Upstream,
     clients: usize,
     duration: SimDuration,
 ) -> (f64, f64) {
-    let began = sim.now();
-    let state = Rc::new(RefCell::new(GwDriver {
-        gateway,
-        upstream,
-        hist: Histogram::new(),
-        completed: 0,
-        stop_at: began + duration,
-        began,
-        last_done: began,
-    }));
-    for c in 0..clients {
-        gw_issue(&state, sim, c as u32);
-    }
+    let driver = ClosedLoop::new(sim.now() + duration);
+    driver.start_gateway(sim, gateway, 0, upstream, clients, boutique::PAYLOAD_BYTES);
     sim.run();
-    let st = state.borrow();
-    let span = st.last_done.saturating_since(st.began).as_secs_f64();
-    let rps = if span > 0.0 {
-        st.completed as f64 / span
-    } else {
-        0.0
-    };
-    (rps, st.hist.mean().as_millis_f64())
+    (driver.rps(), driver.latency().mean().as_millis_f64())
 }
 
 /// Runs a NADINO variant (DNE or CNE) for one chain/clients cell.
@@ -207,66 +142,22 @@ fn run_nadino(
     for f in boutique::all_functions() {
         cluster.place(f, boutique::hotspot_placement(f));
     }
-    // Completions resolve the per-request reply registered at injection.
-    let pending: Rc<RefCell<HashMap<u64, Reply>>> = Rc::new(RefCell::new(HashMap::new()));
-    let p2 = pending.clone();
-    cluster.register_chain(
-        chain_tpl,
-        boutique::exec_cost,
-        Rc::new(move |sim, req| {
-            if let Some(reply) = p2.borrow_mut().remove(&req) {
-                reply(sim, Ok(boutique::PAYLOAD_BYTES));
-            }
-        }),
-    );
-    // A delivery the DNE gave up on resolves the same pending reply with a
-    // typed failure, so the gateway answers 503 instead of hanging.
-    let p3 = pending.clone();
-    cluster.set_delivery_failure_handler(Rc::new(move |sim, failure| {
-        if let Some(reply) = p3.borrow_mut().remove(&failure.req_id) {
-            reply(sim, Err(ingress::DeliveryFailed));
-        }
-    }));
+    let cluster = Rc::new(cluster);
     let gateway = Gateway::new(GatewayConfig {
         kind: model.ingress,
         initial_workers: 2,
         max_backlog: SimDuration::from_millis(500),
         ..GatewayConfig::default()
     });
-    // Ingress → cluster upstream: RDMA transport, then inject.
-    let transport = ingress_transport(model.ingress);
-    let pools = cluster.pools_snapshot();
-    let entry_idx = cluster.node_index_of(chain_tpl.entry()).expect("placed");
-    let entry_iolib = cluster.nodes[entry_idx].iolib.clone();
-    let chain2 = chain_tpl.clone();
-    let upstream: Upstream = Rc::new(move |sim, ctx: ingress::ReqCtx, reply| {
-        let req_id = ctx.req_id;
-        let pending = pending.clone();
-        let pools = pools.clone();
-        let iolib = entry_iolib.clone();
-        let chain = chain2.clone();
-        sim.schedule_after(transport, move |sim| {
-            let pool = pools
-                .iter()
-                .find(|(t, i, _)| *t == chain.tenant && *i == 0)
-                .map(|(_, _, p)| p);
-            let Some(pool) = pool else {
-                reply(sim, Ok(0));
-                return;
-            };
-            let Ok(mut buf) = pool.get() else {
-                reply(sim, Ok(0)); // shed under pool exhaustion
-                return;
-            };
-            let mut payload = runtime::encode_request_payload(req_id, boutique::PAYLOAD_BYTES);
-            runtime::set_hop(&mut payload, 0);
-            buf.write_payload(&payload).expect("payload fits");
-            pending.borrow_mut().insert(req_id, reply);
-            iolib.send(sim, chain.tenant, buf.into_desc(chain.entry()));
-        });
+    // Ingress → cluster: RDMA transport, then the cluster's front door.
+    let transport = model.ingress.worker_transport();
+    let door = cluster.serve_chain(chain_tpl, boutique::exec_cost, boutique::PAYLOAD_BYTES);
+    let upstream: Upstream = Rc::new(move |sim, ctx, reply| {
+        let door = door.clone();
+        sim.schedule_after(transport, move |sim| door(sim, ctx, reply));
     });
     let t0 = sim.now();
-    let (rps, mean_ms) = drive(&mut sim, gateway, upstream, clients, duration);
+    let (rps, mean_ms) = drive(&mut sim, &gateway, &upstream, clients, duration);
     let t1 = sim.now();
     Fig16Row {
         system: model.name.to_string(),
@@ -300,7 +191,7 @@ fn run_baseline(
         ..GatewayConfig::default()
     });
     let worker_cost = gateway.worker_side_cost();
-    let transport = ingress_transport(model.ingress);
+    let transport = model.ingress.worker_transport();
     let chain = Rc::new(chain_tpl.clone());
     let bc2 = bc.clone();
     let upstream: Upstream = Rc::new(move |sim, ctx: ingress::ReqCtx, reply| {
@@ -324,7 +215,7 @@ fn run_baseline(
         });
     });
     let t0 = sim.now();
-    let (rps, mean_ms) = drive(&mut sim, gateway, upstream, clients, duration);
+    let (rps, mean_ms) = drive(&mut sim, &gateway, &upstream, clients, duration);
     let t1 = sim.now();
     Fig16Row {
         system: model.name.to_string(),

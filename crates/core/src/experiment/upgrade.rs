@@ -19,21 +19,19 @@
 //! whether the digests were byte-identical, which the regress gate
 //! enforces against the committed baseline.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::rc::Rc;
 
-use ingress::gateway::Reply;
 use ingress::rss::FlowId;
-use ingress::{AdmissionConfig, DeliveryFailed, Gateway, GatewayConfig};
+use ingress::{AdmissionConfig, Gateway, GatewayConfig, TenantGatewayStats};
 use membuf::tenant::TenantId;
 use rdma_sim::FaultPlane;
 use runtime::ChainSpec;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{Sim, SimDuration};
 
 use crate::boutique;
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::fleetctl::{FleetConfig, FleetController};
+use crate::fleetctl::{FleetConfig, FleetController, FleetCounters, FleetEvent};
 use crate::health::HealthConfig;
 use crate::report::{fmt_f64, render_table};
 
@@ -115,34 +113,49 @@ obs::impl_to_json!(BenchUpgrade {
     determinism
 });
 
-/// Root seed, overridable via `UPGRADE_SEED` (decimal or `0x`-prefixed
-/// hex) so CI can sweep a seed matrix and assert per-seed byte identity.
-fn upgrade_seed(default: u64) -> u64 {
-    std::env::var("UPGRADE_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim().to_string();
-            match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(default)
-}
-
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Everything one scenario run leaves behind: the deterministic surface
+/// the experiment digests and `tests/fleet_lifecycle.rs` asserts on.
+#[derive(Debug, PartialEq)]
+pub struct UpgradeOutcome {
+    /// Requests submitted at the gateway (both tenants).
+    pub issued: u64,
+    /// Requests whose gateway callback fired (completed, shed, expired or
+    /// failed — anything but hung).
+    pub resolved: u64,
+    /// Replies the cluster still held when the run drained.
+    pub pending_replies: usize,
+    /// The compliant tenant's gateway counters.
+    pub compliant: TenantGatewayStats,
+    /// The rogue tenant's gateway counters.
+    pub rogue: TenantGatewayStats,
+    /// Packets dropped by the scheduled outage window.
+    pub outage_drops: u64,
+    /// Health transitions as `"node:from->to@ns"` strings, in order.
+    pub health: Vec<String>,
+    /// The fleet controller's event log.
+    pub fleet_events: Vec<FleetEvent>,
+    /// The fleet controller's counters.
+    pub counters: FleetCounters,
+    /// Final per-node wire versions.
+    pub versions: Vec<u8>,
+    /// Flight-recorder dumps taken.
+    pub dump_count: u64,
+    /// The last flight-recorder dump, compact JSON (empty when none).
+    pub dump: String,
+    /// Virtual time at which the run drained.
+    pub end_ns: u64,
 }
 
 const ROGUE_PER_TICK: u32 = 3;
 
-/// Drives one scenario to completion.
-fn scenario(name: &str, seed: u64, ticks: u32, wave: bool, crash: bool) -> UpgradeRow {
+/// Drives one scenario to completion: the fig16 boutique topology (hotspot
+/// placement on nodes 0/1, standbys on node 2) under 2% wire loss for
+/// `ticks` 50 µs ticks — a compliant tenant driving Home Query, a rogue
+/// tenant flooding its own chain at 3x the rate on 1/3 the weight. With
+/// `wave`, a rolling v1→v2 upgrade walks all three nodes from +4 ms; with
+/// `crash`, node 1 goes dark for 1.5 ms at +6 ms — inside the wave, so the
+/// controller, the health monitor and the fault plane contend for it.
+pub fn scenario(seed: u64, ticks: u32, wave: bool, crash: bool) -> UpgradeOutcome {
     let mut sim = Sim::new();
     let mut cluster = Cluster::new(
         &mut sim,
@@ -172,28 +185,11 @@ fn scenario(name: &str, seed: u64, ticks: u32, wave: bool, crash: bool) -> Upgra
         cluster.set_node_wire_version(idx, obs::CTX_V1);
     }
 
-    let pending: Rc<RefCell<HashMap<u64, Reply>>> = Rc::new(RefCell::new(HashMap::new()));
     let compliant_chain = boutique::home_query(compliant_t);
     let rogue_chain = ChainSpec::new("rogue", rogue_t, vec![21, 22, 21]);
-    let on_complete = {
-        let pending = pending.clone();
-        Rc::new(move |sim: &mut Sim, req: u64| {
-            if let Some(reply) = pending.borrow_mut().remove(&req) {
-                reply(sim, Ok(64));
-            }
-        })
-    };
     let cost = |f: u16| boutique::exec_cost(f) / 10;
-    cluster.register_chain(&compliant_chain, cost, on_complete.clone());
-    cluster.register_chain(&rogue_chain, cost, on_complete);
-    {
-        let pending = pending.clone();
-        cluster.set_delivery_failure_handler(Rc::new(move |sim, failure| {
-            if let Some(reply) = pending.borrow_mut().remove(&failure.req_id) {
-                reply(sim, Err(DeliveryFailed));
-            }
-        }));
-    }
+    let compliant_up = cluster.serve_chain(&compliant_chain, cost, boutique::PAYLOAD_BYTES);
+    let rogue_up = cluster.serve_chain(&rogue_chain, cost, boutique::PAYLOAD_BYTES);
 
     let mut fp = FaultPlane::new(seed);
     fp.set_default_loss(0.02);
@@ -236,31 +232,6 @@ fn scenario(name: &str, seed: u64, ticks: u32, wave: bool, crash: bool) -> Upgra
         });
     }
 
-    let upstream_for = |chain: ChainSpec| -> ingress::Upstream {
-        let cluster = cluster.clone();
-        let pending = pending.clone();
-        Rc::new(move |sim: &mut Sim, ctx: ingress::ReqCtx, reply: Reply| {
-            let injected = if ctx.deadline_ns != 0 {
-                cluster.inject_with_deadline(
-                    sim,
-                    &chain,
-                    ctx.req_id,
-                    boutique::PAYLOAD_BYTES,
-                    SimTime::from_nanos(ctx.deadline_ns),
-                )
-            } else {
-                cluster.inject(sim, &chain, ctx.req_id, boutique::PAYLOAD_BYTES)
-            };
-            if injected {
-                pending.borrow_mut().insert(ctx.req_id, reply);
-            } else {
-                reply(sim, Err(DeliveryFailed));
-            }
-        })
-    };
-    let compliant_up = upstream_for(compliant_chain);
-    let rogue_up = upstream_for(rogue_chain);
-
     let issued = Rc::new(Cell::new(0u64));
     let resolved = Rc::new(Cell::new(0u64));
     let submit = |sim: &mut Sim, tenant: u16, flow: u32, up: &ingress::Upstream| {
@@ -289,24 +260,37 @@ fn scenario(name: &str, seed: u64, ticks: u32, wave: bool, crash: bool) -> Upgra
     }
     sim.run();
 
-    let cs = gateway.tenant_stats(compliant_t.0);
-    let rs = gateway.tenant_stats(rogue_t.0);
-    let counters = ctl.counters();
-    let versions: Vec<u8> = cluster.nodes.iter().map(|n| n.dne.wire_version()).collect();
-    let dump = cluster
-        .with_trace_pipeline(|p| p.last_dump().map(|d| d.to_string_compact()))
-        .unwrap()
-        .unwrap_or_default();
-    let health: String = monitor
+    let health = monitor
         .events()
         .iter()
-        .map(|e| format!("{}:{:?}->{:?}@{};", e.node.0, e.from, e.to, e.at.as_nanos()))
+        .map(|e| format!("{}:{:?}->{:?}@{}", e.node.0, e.from, e.to, e.at.as_nanos()))
         .collect();
-    let fleet_log = format!("{:?}", ctl.events());
-    let outage_drops = cluster.fabric.fault_stats().outage_drops;
+    let (dump_count, dump) = cluster
+        .with_trace_pipeline(|p| (p.dump_count(), p.last_dump().map(|d| d.to_string_compact())))
+        .expect("pipeline enabled above");
+    UpgradeOutcome {
+        issued: issued.get(),
+        resolved: resolved.get(),
+        pending_replies: cluster.pending_replies(),
+        compliant: gateway.tenant_stats(compliant_t.0),
+        rogue: gateway.tenant_stats(rogue_t.0),
+        outage_drops: cluster.fabric.fault_stats().outage_drops,
+        health,
+        fleet_events: ctl.events(),
+        counters: ctl.counters(),
+        versions: cluster.nodes.iter().map(|n| n.dne.wire_version()).collect(),
+        dump_count,
+        dump: dump.unwrap_or_default(),
+        end_ns: sim.now().as_nanos(),
+    }
+}
+
+/// Folds one scenario's outcome into its report row.
+fn row(name: &str, out: &UpgradeOutcome) -> UpgradeRow {
+    let (cs, rs, counters) = (&out.compliant, &out.rogue, &out.counters);
     let ints: [u64; 16] = [
-        issued.get(),
-        resolved.get(),
+        out.issued,
+        out.resolved,
         cs.completed,
         cs.shed,
         cs.expired,
@@ -315,37 +299,40 @@ fn scenario(name: &str, seed: u64, ticks: u32, wave: bool, crash: bool) -> Upgra
         rs.shed,
         rs.expired,
         rs.failed,
-        outage_drops,
+        out.outage_drops,
         counters.upgrades_completed,
         counters.rebalances,
         counters.stranded_routes,
-        versions.iter().map(|&v| v as u64).sum(),
-        sim.now().as_nanos(),
+        out.versions.iter().map(|&v| v as u64).sum(),
+        out.end_ns,
     ];
-    let digest = fnv1a(
+    let health = out.health.iter().flat_map(|e| e.bytes().chain([b';']));
+    let fleet_log = format!("{:?}", out.fleet_events);
+    let digest = simcore::rng::fnv1a(
         ints.iter()
             .flat_map(|v| v.to_le_bytes())
-            .chain(health.bytes())
+            .chain(health)
             .chain(fleet_log.bytes())
-            .chain(dump.bytes()),
+            .chain(out.dump.bytes()),
     );
     UpgradeRow {
         scenario: name.to_string(),
-        issued: issued.get(),
-        resolved: resolved.get(),
-        hung: issued.get() - resolved.get(),
+        issued: out.issued,
+        resolved: out.resolved,
+        hung: out.issued - out.resolved,
         compliant_ok: cs.completed,
         compliant_shed: cs.shed,
         rogue_ok: rs.completed,
         rogue_shed: rs.shed,
-        outage_drops,
+        outage_drops: out.outage_drops,
         waves_completed: counters.waves_completed,
         upgrades_completed: counters.upgrades_completed,
         drains_completed: counters.drains_completed,
         drain_deadline_exceeded: counters.drain_deadline_exceeded,
         rebalances: counters.rebalances,
         stranded_routes: counters.stranded_routes,
-        final_versions: versions
+        final_versions: out
+            .versions
             .iter()
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
@@ -356,14 +343,16 @@ fn scenario(name: &str, seed: u64, ticks: u32, wave: bool, crash: bool) -> Upgra
 
 /// Runs all three scenarios plus the same-seed determinism repeat.
 pub fn run(quick: bool) -> BenchUpgrade {
-    let seed = upgrade_seed(0xC4A0);
+    // `UPGRADE_SEED` overrides the root seed so CI can sweep a seed matrix
+    // and assert per-seed byte identity.
+    let seed = simcore::rng::seed_from_env("UPGRADE_SEED", 0xC4A0);
     let ticks = if quick { 150 } else { 400 };
     let rows = vec![
-        scenario("baseline", seed, ticks, false, false),
-        scenario("wave", seed, ticks, true, false),
-        scenario("wave+crash", seed, ticks, true, true),
+        row("baseline", &scenario(seed, ticks, false, false)),
+        row("wave", &scenario(seed, ticks, true, false)),
+        row("wave+crash", &scenario(seed, ticks, true, true)),
     ];
-    let repeat = scenario("wave+crash", seed, ticks, true, true);
+    let repeat = row("wave+crash", &scenario(seed, ticks, true, true));
     let chaotic = &rows[2];
     let determinism = if chaotic.digest == repeat.digest {
         format!("stable ({})", repeat.digest)

@@ -5,8 +5,10 @@
 //! `obs-report` job are built on:
 //!
 //! - a **boutique cell**: the fig16-shaped Online Boutique chain behind
-//!   a NADINO ingress, run on the full-fidelity DNE cluster with the
-//!   tracer, trace pipeline (multi-window SLO burn monitor included),
+//!   a NADINO ingress, driven by [`ClosedLoop`] in gateway mode with its
+//!   replies held in the cluster's front-door table, run on the
+//!   full-fidelity DNE cluster with the tracer, the trace pipeline
+//!   (multi-window SLO burn monitor included),
 //!   exemplar-carrying latency histograms and the windowed
 //!   [`obs::Aggregator`] all enabled — producing per-window fleet
 //!   rollups, merged histograms whose every exemplar resolves to a
@@ -26,14 +28,18 @@
 //! JSON is byte-identical across processes and across `--shards` worker
 //! counts — every number in it derives from virtual time and seeded
 //! streams, wall-clock self-observation metrics are dropped by the
-//! aggregator, and worker counts are excluded from the document.
+//! aggregator, and worker counts are excluded from the document. The
+//! `experiments` binary reads the seed from `REPORT_SEED`; the CI
+//! `obs-report` job sweeps a seed matrix and asserts byte identity per
+//! seed. The same contract is why the boutique cell still enters the
+//! cluster unstamped (see `run_cell`).
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use ingress::gateway::{Gateway, GatewayConfig, Reply, Upstream};
-use ingress::rss::FlowId;
+use ingress::gateway::{DeliveryFailed, Gateway, GatewayConfig, Upstream};
+use ingress::stack::GatewayKind;
 use membuf::tenant::TenantId;
 use obs::JsonValue;
 use simcore::{Sim, SimDuration, SimTime};
@@ -42,6 +48,7 @@ use crate::boutique;
 use crate::churn::{self, ChurnConfig};
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::shard_cluster::{self, CrashWindow, ShardClusterConfig, WorkloadKind};
+use crate::workload::ClosedLoop;
 
 /// The tenant the boutique cell runs as (on-wire id 1).
 const TENANT: u16 = 1;
@@ -78,22 +85,6 @@ impl Default for FleetConfig {
     }
 }
 
-/// `REPORT_SEED` env override (decimal or `0x`-hex), mirroring the churn
-/// sweep's `CHURN_SEED`: the CI `obs-report` job sweeps a seed matrix and
-/// asserts byte identity per seed.
-pub fn seed_from_env(default: u64) -> u64 {
-    std::env::var("REPORT_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim().to_string();
-            match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(default)
-}
-
 /// What one boutique cell leaves behind.
 struct CellOut {
     completed: u64,
@@ -106,38 +97,6 @@ struct CellOut {
     host_cores: f64,
     exemplars_kept: usize,
     exemplars_dropped: usize,
-}
-
-/// Closed-loop driver state over the gateway.
-struct Driver {
-    gateway: Gateway,
-    upstream: Upstream,
-    completed: u64,
-    stop_at: SimTime,
-}
-
-fn issue(state: &Rc<RefCell<Driver>>, sim: &mut Sim, client: u32) {
-    let (gateway, upstream) = {
-        let st = state.borrow();
-        if sim.now() >= st.stop_at {
-            return;
-        }
-        (st.gateway.clone(), st.upstream.clone())
-    };
-    let st2 = state.clone();
-    gateway.submit_tenant(
-        sim,
-        TENANT,
-        FlowId::from_client(client, 0),
-        boutique::PAYLOAD_BYTES,
-        upstream,
-        Box::new(move |sim, result| {
-            if result.is_ok() {
-                st2.borrow_mut().completed += 1;
-            }
-            issue(&st2, sim, client);
-        }),
-    );
 }
 
 /// Recurring obs tick: sample the cluster into the registry and close
@@ -201,28 +160,13 @@ fn run_cell(cfg: &FleetConfig, dne_cfg: dne::DneConfig) -> CellOut {
     let reg = Rc::new(obs::MetricsRegistry::new());
     cluster.export_latency_histograms(&reg);
 
-    // Completions resolve the per-request reply registered at injection.
+    // Completions and typed failures answer the replies held in the
+    // cluster's table, as for any chain behind the front door.
     let chain = boutique::home_query(TenantId(TENANT));
-    let pending: Rc<RefCell<HashMap<u64, Reply>>> = Rc::new(RefCell::new(HashMap::new()));
-    let p2 = pending.clone();
-    cluster.register_chain(
-        &chain,
-        boutique::exec_cost,
-        Rc::new(move |sim, req| {
-            if let Some(reply) = p2.borrow_mut().remove(&req) {
-                reply(sim, Ok(boutique::PAYLOAD_BYTES));
-            }
-        }),
-    );
-    let p3 = pending.clone();
-    cluster.set_delivery_failure_handler(Rc::new(move |sim, failure| {
-        if let Some(reply) = p3.borrow_mut().remove(&failure.req_id) {
-            reply(sim, Err(ingress::DeliveryFailed));
-        }
-    }));
+    cluster.register_served(&chain, boutique::exec_cost, boutique::PAYLOAD_BYTES);
 
     let gateway = Gateway::new(GatewayConfig {
-        kind: ingress::stack::GatewayKind::Nadino,
+        kind: GatewayKind::Nadino,
         initial_workers: 2,
         max_backlog: SimDuration::from_millis(500),
         ..GatewayConfig::default()
@@ -231,36 +175,34 @@ fn run_cell(cfg: &FleetConfig, dne_cfg: dne::DneConfig) -> CellOut {
     gateway.register_tenant(TENANT, 1);
     gateway.set_admission_histogram(Some(reg.histogram("gw_admission_wait_ns", &[])));
 
-    // Ingress → cluster upstream: RDMA transport, then inject.
-    let transport = SimDuration::from_micros(3);
-    let pools = cluster.pools_snapshot();
-    let entry_idx = cluster.node_index_of(chain.entry()).expect("placed");
-    let entry_iolib = cluster.nodes[entry_idx].iolib.clone();
-    let chain2 = chain.clone();
-    let upstream: Upstream = Rc::new(move |sim, ctx: ingress::ReqCtx, reply| {
-        let req_id = ctx.req_id;
-        let pending = pending.clone();
-        let pools = pools.clone();
-        let iolib = entry_iolib.clone();
-        let chain = chain2.clone();
+    // Ingress → cluster: RDMA transport, then a raw, *unstamped* injection —
+    // the one entry that does not go through `Cluster::inject`. The report
+    // pins what this cell has always traced: the gateway samples every 2nd
+    // request, but the payload carries no trace context, so no span site
+    // inside the cluster fires and a retained trace is the gateway's three
+    // spans. Entering through `inject` stamps the sampled half at the door:
+    // measured, each trace grows from 3 to 99 spans and
+    // `results/report.json` from 148 346 B to 1 956 182 B.
+    let transport = GatewayKind::Nadino.worker_transport();
+    let (tenant, entry) = (chain.tenant, chain.entry());
+    let entry_idx = cluster.node_index_of(entry).expect("placed");
+    let door = Rc::downgrade(&cluster);
+    let upstream: Upstream = Rc::new(move |sim, ctx, reply| {
+        let door = door.clone();
         sim.schedule_after(transport, move |sim| {
-            let pool = pools
-                .iter()
-                .find(|(t, i, _)| *t == chain.tenant && *i == 0)
-                .map(|(_, _, p)| p);
-            let Some(pool) = pool else {
-                reply(sim, Ok(0));
-                return;
+            let Some(cluster) = door.upgrade() else {
+                return reply(sim, Err(DeliveryFailed));
             };
-            let Ok(mut buf) = pool.get() else {
-                reply(sim, Ok(0)); // shed under pool exhaustion
-                return;
+            let Ok(mut buf) = cluster.pool(tenant, entry_idx).get() else {
+                return reply(sim, Err(DeliveryFailed)); // refused: pool exhausted
             };
-            let mut payload = runtime::encode_request_payload(req_id, boutique::PAYLOAD_BYTES);
+            let mut payload = runtime::encode_request_payload(ctx.req_id, boutique::PAYLOAD_BYTES);
             runtime::set_hop(&mut payload, 0);
             buf.write_payload(&payload).expect("payload fits");
-            pending.borrow_mut().insert(req_id, reply);
-            iolib.send(sim, chain.tenant, buf.into_desc(chain.entry()));
+            cluster.hold_reply(ctx.req_id, reply);
+            cluster.nodes[entry_idx]
+                .iolib
+                .send(sim, tenant, buf.into_desc(entry));
         });
     });
 
@@ -281,15 +223,15 @@ fn run_cell(cfg: &FleetConfig, dne_cfg: dne::DneConfig) -> CellOut {
     );
     cluster.start_trace_flusher(&mut sim, cfg.obs_window, until);
 
-    let driver = Rc::new(RefCell::new(Driver {
-        gateway,
-        upstream,
-        completed: 0,
-        stop_at: until,
-    }));
-    for c in 0..cfg.clients {
-        issue(&driver, &mut sim, c as u32);
-    }
+    let driver = ClosedLoop::new(until);
+    driver.start_gateway(
+        &mut sim,
+        &gateway,
+        TENANT,
+        &upstream,
+        cfg.clients,
+        boutique::PAYLOAD_BYTES,
+    );
     sim.run();
     let t1 = sim.now();
 
@@ -308,9 +250,8 @@ fn run_cell(cfg: &FleetConfig, dne_cfg: dne::DneConfig) -> CellOut {
         .unwrap_or(JsonValue::Null);
     let soc = cluster.soc_stage_table(cfg.horizon.as_nanos());
     let agg = Rc::try_unwrap(agg).ok().expect("sampler done").into_inner();
-    let completed = driver.borrow().completed;
     CellOut {
-        completed,
+        completed: driver.completed(),
         agg,
         burn,
         flight,
@@ -329,16 +270,6 @@ fn run_cell(cfg: &FleetConfig, dne_cfg: dne::DneConfig) -> CellOut {
 pub fn obs_sections(cfg: &FleetConfig) -> (JsonValue, JsonValue) {
     let cell = run_cell(cfg, dne::DneConfig::nadino_dne());
     (cell.burn, cell.soc.to_json())
-}
-
-/// FNV-1a over a string, for compact digest columns.
-fn fnv1a_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Builds the full fleet report for `cfg`.
@@ -418,7 +349,10 @@ pub fn build_report(cfg: &FleetConfig) -> JsonValue {
             JsonValue::obj(vec![
                 (
                     "digest_fnv",
-                    JsonValue::Str(format!("{:016x}", fnv1a_str(&shard.determinism_digest()))),
+                    JsonValue::Str(format!(
+                        "{:016x}",
+                        simcore::rng::fnv1a(shard.determinism_digest().bytes())
+                    )),
                 ),
                 ("windows", JsonValue::UInt(shard.windows)),
                 ("events", JsonValue::UInt(shard.total_events)),

@@ -23,6 +23,8 @@
 //! let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
 //! cluster.place(1, 0);
 //! cluster.place(2, 1);
+//! // Load drivers and gateways hold the cluster by reference count.
+//! let cluster = std::rc::Rc::new(cluster);
 //!
 //! let driver = ClosedLoop::new(SimTime::ZERO + SimDuration::from_millis(50));
 //! cluster.register_chain(&chain, |_f| SimDuration::from_micros(10), driver.completion());

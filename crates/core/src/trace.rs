@@ -7,6 +7,8 @@
 //! evaluation — Zipf-skewed chain popularity and diurnal rate modulation —
 //! and replays them against a cluster with per-chain latency accounting.
 
+use std::rc::Rc;
+
 use runtime::ChainSpec;
 use simcore::{Sim, SimDuration, SimRng};
 
@@ -118,7 +120,7 @@ obs::impl_to_json!(ChainOutcome {
 /// drains.
 pub fn replay(
     sim: &mut Sim,
-    cluster: &Cluster,
+    cluster: &Rc<Cluster>,
     chains: &[ChainSpec],
     exec_cost: impl Fn(u16) -> SimDuration + Copy,
     trace: &[TraceEntry],
@@ -246,7 +248,7 @@ mod tests {
         let trace = generate(&cfg);
         let outcomes = replay(
             &mut sim,
-            &cluster,
+            &Rc::new(cluster),
             &chains,
             boutique::exec_cost,
             &trace,

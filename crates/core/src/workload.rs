@@ -1,15 +1,21 @@
 //! Load generation and request tracking.
 //!
-//! [`ClosedLoop`] reproduces wrk's closed-loop behaviour: `clients`
-//! outstanding requests, each reissued on completion until a deadline —
-//! plus per-request latency and windowed-throughput recording. The same
-//! tracker also powers the baseline and multi-tenant experiments.
+//! [`ClosedLoop`] is the repo's one closed-loop client, reproducing wrk's
+//! behaviour: `clients` outstanding requests, each reissued when it is
+//! answered, until a deadline — plus per-request latency and
+//! windowed-throughput recording. It drives a cluster either directly
+//! ([`ClosedLoop::start`], every request enters through
+//! [`Cluster::inject`]) or through an ingress gateway
+//! ([`ClosedLoop::start_gateway`], one flow per client). The same tracker
+//! also powers the baseline and multi-tenant experiments through
+//! [`ClosedLoop::set_issuer`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use membuf::tenant::TenantId;
+use ingress::gateway::{Gateway, Upstream};
+use ingress::rss::FlowId;
 use runtime::function::CompletionFn;
 use runtime::ChainSpec;
 use simcore::{Histogram, Sim, SimDuration, SimTime, TimeSeries};
@@ -64,26 +70,28 @@ impl ClosedLoop {
         self
     }
 
+    /// Books one answered request issued at `t0`; `true` while the driver
+    /// should keep issuing.
+    fn record(&self, now: SimTime, t0: SimTime) -> bool {
+        let mut inner = self.inner.borrow_mut();
+        inner.hist.record(now.saturating_since(t0));
+        inner.completed += 1;
+        inner.last_done = now;
+        if let Some(series) = inner.series.as_mut() {
+            series.record_at(now, 1.0);
+        }
+        now < inner.stop_at
+    }
+
     /// Returns the completion callback to hand to chain registration.
     pub fn completion(&self) -> CompletionFn {
-        let rc = self.inner.clone();
-        let outer = self.clone();
+        let driver = self.clone();
         Rc::new(move |sim: &mut Sim, req_id: u64| {
-            let reissue = {
-                let mut inner = rc.borrow_mut();
-                let Some(t0) = inner.pending.remove(&req_id) else {
-                    return; // duplicate or foreign completion
-                };
-                inner.hist.record(sim.now().saturating_since(t0));
-                inner.completed += 1;
-                inner.last_done = sim.now();
-                if let Some(series) = inner.series.as_mut() {
-                    series.record_at(sim.now(), 1.0);
-                }
-                sim.now() < inner.stop_at
+            let Some(t0) = driver.inner.borrow_mut().pending.remove(&req_id) else {
+                return; // duplicate or foreign completion
             };
-            if reissue {
-                outer.issue_one(sim);
+            if driver.record(sim.now(), t0) {
+                driver.issue_one(sim);
             }
         })
     }
@@ -120,26 +128,24 @@ impl ClosedLoop {
     pub fn start(
         &self,
         sim: &mut Sim,
-        cluster: &Cluster,
+        cluster: &Rc<Cluster>,
         chain: &ChainSpec,
         clients: usize,
         payload: usize,
     ) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.began = sim.now();
-        }
-        let injector = ClusterInjector {
-            cluster: ClusterRef::new(cluster),
-            chain: chain.clone(),
-            payload,
-        };
-        // The driver owns its issue hook, so the hook refers back weakly:
-        // a strong handle here would keep the driver — and through the
-        // injector every pool and engine of the cluster — alive forever.
+        self.inner.borrow_mut().began = sim.now();
+        // The driver owns its issue hook and the cluster's endpoints own the
+        // driver's completion, so the hook refers to both weakly: a strong
+        // handle here would keep the driver — and every pool and engine of
+        // the cluster — alive forever.
         let driver = Rc::downgrade(&self.inner);
+        let cluster = Rc::downgrade(cluster);
+        let chain = chain.clone();
         self.set_issuer(Rc::new(move |sim, req| {
-            if !injector.inject(sim, req) {
+            let entered = cluster
+                .upgrade()
+                .is_some_and(|c| c.inject(sim, &chain, req, payload));
+            if !entered {
                 if let Some(inner) = driver.upgrade() {
                     ClosedLoop { inner }.shed(req);
                 }
@@ -150,12 +156,74 @@ impl ClosedLoop {
         }
     }
 
+    /// Starts `clients` closed-loop flows of `tenant` through `gateway`
+    /// into `upstream`, `req_bytes` per request. Each flow resubmits when
+    /// its request is answered — `Ok` or not — until the stop time; only
+    /// `Ok` answers record a latency sample, every other answer (shed,
+    /// dropped, expired, failed delivery) counts under
+    /// [`ClosedLoop::shed_count`].
+    pub fn start_gateway(
+        &self,
+        sim: &mut Sim,
+        gateway: &Gateway,
+        tenant: u16,
+        upstream: &Upstream,
+        clients: usize,
+        req_bytes: usize,
+    ) {
+        self.inner.borrow_mut().began = sim.now();
+        for client in 0..clients as u32 {
+            self.submit(
+                sim,
+                gateway.clone(),
+                tenant,
+                upstream.clone(),
+                client,
+                req_bytes,
+            );
+        }
+    }
+
+    /// One turn of one gateway flow: submit, and resubmit from the answer.
+    fn submit(
+        &self,
+        sim: &mut Sim,
+        gateway: Gateway,
+        tenant: u16,
+        upstream: Upstream,
+        client: u32,
+        req_bytes: usize,
+    ) {
+        if sim.now() >= self.inner.borrow().stop_at {
+            return;
+        }
+        let t0 = sim.now();
+        let (driver, gw, up) = (self.clone(), gateway.clone(), upstream.clone());
+        gateway.submit_tenant(
+            sim,
+            tenant,
+            FlowId::from_client(client, 0),
+            req_bytes,
+            upstream,
+            Box::new(move |sim, answer| {
+                match answer {
+                    Ok(_) => {
+                        driver.record(sim.now(), t0);
+                    }
+                    Err(_) => driver.inner.borrow_mut().shed += 1,
+                }
+                driver.submit(sim, gw, tenant, up, client, req_bytes);
+            }),
+        );
+    }
+
     /// Returns completed request count.
     pub fn completed(&self) -> u64 {
         self.inner.borrow().completed
     }
 
-    /// Returns shed (admission-failed) request count.
+    /// Returns the count of requests answered without a response: shed at
+    /// injection, or (gateway mode) refused, expired or failed.
     pub fn shed_count(&self) -> u64 {
         self.inner.borrow().shed
     }
@@ -186,225 +254,28 @@ impl ClosedLoop {
     }
 }
 
-/// An open-loop Poisson load generator.
-///
-/// Unlike the closed loop, arrivals are time-driven at a configured rate
-/// with exponential inter-arrival gaps (seeded, deterministic), so the
-/// system can genuinely overload: requests keep arriving whether or not
-/// earlier ones completed.
-#[derive(Clone)]
-pub struct OpenLoop {
-    driver: ClosedLoop,
-}
-
-impl OpenLoop {
-    /// Creates a generator that stops issuing at `stop_at`.
-    pub fn new(stop_at: SimTime) -> OpenLoop {
-        OpenLoop {
-            driver: ClosedLoop::new(stop_at),
-        }
-    }
-
-    /// Enables windowed-throughput recording.
-    pub fn with_series(self, window: SimDuration) -> OpenLoop {
-        OpenLoop {
-            driver: self.driver.with_series(window),
-        }
-    }
-
-    /// Returns the completion callback for chain registration.
-    ///
-    /// Open-loop completions record latency but never re-issue.
-    pub fn completion(&self) -> CompletionFn {
-        let inner = self.driver.inner.clone();
-        Rc::new(move |sim: &mut Sim, req_id: u64| {
-            let mut st = inner.borrow_mut();
-            let Some(t0) = st.pending.remove(&req_id) else {
-                return;
-            };
-            st.hist.record(sim.now().saturating_since(t0));
-            st.completed += 1;
-            st.last_done = sim.now();
-            if let Some(series) = st.series.as_mut() {
-                series.record_at(sim.now(), 1.0);
-            }
-        })
-    }
-
-    /// Starts Poisson arrivals at `rate_rps` against `chain` on `cluster`,
-    /// seeded for reproducibility.
-    pub fn start(
-        &self,
-        sim: &mut Sim,
-        cluster: &Cluster,
-        chain: &ChainSpec,
-        rate_rps: f64,
-        payload: usize,
-        seed: u64,
-    ) {
-        assert!(rate_rps > 0.0, "arrival rate must be positive");
-        {
-            let mut inner = self.driver.inner.borrow_mut();
-            inner.began = sim.now();
-        }
-        let injector = Rc::new(ClusterInjector {
-            cluster: ClusterRef::new(cluster),
-            chain: chain.clone(),
-            payload,
-        });
-        let mean_gap_s = 1.0 / rate_rps;
-        let rng = Rc::new(RefCell::new(simcore::SimRng::new(seed)));
-        fn arrive(
-            sim: &mut Sim,
-            injector: Rc<ClusterInjector>,
-            driver: ClosedLoop,
-            rng: Rc<RefCell<simcore::SimRng>>,
-            mean_gap_s: f64,
-        ) {
-            let (req, stopped) = {
-                let mut inner = driver.inner.borrow_mut();
-                if sim.now() >= inner.stop_at {
-                    (0, true)
-                } else {
-                    let req = inner.next_req;
-                    inner.next_req += 1;
-                    inner.pending.insert(req, sim.now());
-                    (req, false)
-                }
-            };
-            if stopped {
-                return;
-            }
-            if !injector.inject(sim, req) {
-                driver.shed(req);
-            }
-            let gap = rng.borrow_mut().exponential(mean_gap_s);
-            sim.schedule_after(SimDuration::from_secs_f64(gap), move |sim| {
-                arrive(sim, injector, driver, rng, mean_gap_s);
-            });
-        }
-        arrive(sim, injector, self.driver.clone(), rng, mean_gap_s);
-    }
-
-    /// Completed request count.
-    pub fn completed(&self) -> u64 {
-        self.driver.completed()
-    }
-
-    /// Requests shed at admission (pool exhaustion under overload).
-    pub fn shed_count(&self) -> u64 {
-        self.driver.shed_count()
-    }
-
-    /// Requests issued (offered load).
-    pub fn offered(&self) -> u64 {
-        self.driver.inner.borrow().next_req
-    }
-
-    /// Latency histogram of completed requests.
-    pub fn latency(&self) -> Histogram {
-        self.driver.latency()
-    }
-
-    /// Windowed throughput series.
-    pub fn series(&self, end: SimTime) -> Vec<(f64, f64)> {
-        self.driver.series(end)
-    }
-}
-
-/// Injection plumbing: keeps only what `inject` needs from the cluster.
-struct ClusterInjector {
-    cluster: ClusterRef,
-    chain: ChainSpec,
-    payload: usize,
-}
-
-impl ClusterInjector {
-    /// Returns `false` when the request could not be admitted.
-    fn inject(&self, sim: &mut Sim, req: u64) -> bool {
-        self.cluster.inject(sim, &self.chain, req, self.payload)
-    }
-}
-
-/// A cheap cloneable view of the cluster pieces the injector touches.
-///
-/// The cluster itself is not `Clone`; we keep the pool handles, placement
-/// and entry I/O library, which are.
-struct ClusterRef {
-    pools: Vec<(TenantId, usize, membuf::BufferPool)>,
-    placement: Rc<RefCell<runtime::Placement>>,
-    iolibs: Vec<runtime::IoLib>,
-    node_ids: Vec<rdma_sim::NodeId>,
-    tracer: obs::Tracer,
-}
-
-impl ClusterRef {
-    fn new(cluster: &Cluster) -> ClusterRef {
-        ClusterRef {
-            pools: cluster.pools_snapshot(),
-            placement: cluster.placement.clone(),
-            iolibs: cluster.nodes.iter().map(|n| n.iolib.clone()).collect(),
-            node_ids: cluster.nodes.iter().map(|n| n.id).collect(),
-            tracer: cluster.tracer(),
-        }
-    }
-
-    fn inject(&self, sim: &mut Sim, chain: &ChainSpec, req: u64, payload: usize) -> bool {
-        let entry = chain.entry();
-        let Some(node) = self.placement.borrow().node_of(entry) else {
-            return false;
-        };
-        let Some(idx) = self.node_ids.iter().position(|&n| n == node) else {
-            return false;
-        };
-        let Some((_, _, pool)) = self
-            .pools
-            .iter()
-            .find(|(t, i, _)| *t == chain.tenant && *i == idx)
-        else {
-            return false;
-        };
-        let Ok(mut buf) = pool.get() else {
-            return false;
-        };
-        // Payloads carry the on-wire trace context (24 bytes) even when
-        // the caller asked for less, matching `Cluster::inject`.
-        let mut payload_bytes = runtime::encode_request_payload(req, payload.max(obs::CTX_REGION));
-        runtime::set_hop(&mut payload_bytes, 0);
-        // The load driver is the ingress here: decide sampling once and
-        // stamp the on-wire bit; downstream span sites gate on it.
-        let sampled = self.tracer.decide_sample(req);
-        if sampled {
-            obs::ctx::write_ctx(&mut payload_bytes, 0, true);
-        }
-        if buf.write_payload(&payload_bytes).is_err() {
-            return false;
-        }
-        // Pass the trace meta down so the local hop needs no pool peek.
-        self.iolibs[idx].send_traced(
-            sim,
-            chain.tenant,
-            buf.into_desc(entry),
-            Some((req, sampled)),
-        );
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
+    use ingress::gateway::{DeliveryFailed, GatewayConfig, Reply, ReqCtx};
+    use membuf::tenant::TenantId;
+
+    /// A two-node cluster with the 1→2→1 echo chain placed, not registered.
+    fn echo_cluster(sim: &mut Sim) -> (Rc<Cluster>, ChainSpec) {
+        let mut cluster = Cluster::new(sim, ClusterConfig::default());
+        let tenant = TenantId(1);
+        cluster.add_tenant(sim, tenant, 1).unwrap();
+        cluster.place(1, 0);
+        cluster.place(2, 1);
+        let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
+        (Rc::new(cluster), chain)
+    }
 
     #[test]
     fn closed_loop_measures_latency_and_rps() {
         let mut sim = Sim::new();
-        let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
-        let tenant = TenantId(1);
-        cluster.add_tenant(&mut sim, tenant, 1).unwrap();
-        let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
-        cluster.place(1, 0);
-        cluster.place(2, 1);
+        let (cluster, chain) = echo_cluster(&mut sim);
         let stop = sim.now() + SimDuration::from_millis(50);
         let driver = ClosedLoop::new(stop).with_series(SimDuration::from_millis(10));
         cluster.register_chain(
@@ -425,59 +296,9 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_matches_offered_rate_when_underloaded() {
-        let mut sim = Sim::new();
-        let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
-        let tenant = TenantId(1);
-        cluster.add_tenant(&mut sim, tenant, 1).unwrap();
-        let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
-        cluster.place(1, 0);
-        cluster.place(2, 1);
-        let stop = sim.now() + SimDuration::from_millis(200);
-        let gen = OpenLoop::new(stop);
-        cluster.register_chain(&chain, |_| SimDuration::from_micros(5), gen.completion());
-        gen.start(&mut sim, &cluster, &chain, 10_000.0, 128, 42);
-        sim.run();
-        // ~2000 offered at 10K RPS over 200 ms; all complete (underload).
-        let offered = gen.offered();
-        assert!(
-            (1700..=2300).contains(&(offered as i64)),
-            "offered {offered}"
-        );
-        assert_eq!(gen.completed(), offered);
-        assert_eq!(gen.shed_count(), 0);
-        assert!(gen.latency().mean().as_micros_f64() < 200.0);
-    }
-
-    #[test]
-    fn open_loop_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut sim = Sim::new();
-            let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
-            let tenant = TenantId(1);
-            cluster.add_tenant(&mut sim, tenant, 1).unwrap();
-            let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
-            cluster.place(1, 0);
-            cluster.place(2, 1);
-            let gen = OpenLoop::new(sim.now() + SimDuration::from_millis(50));
-            cluster.register_chain(&chain, |_| SimDuration::ZERO, gen.completion());
-            gen.start(&mut sim, &cluster, &chain, 20_000.0, 64, seed);
-            sim.run();
-            (gen.offered(), gen.latency().mean().as_nanos())
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7).0, run(8).0, "different seeds, different arrivals");
-    }
-
-    #[test]
     fn stops_issuing_after_deadline() {
         let mut sim = Sim::new();
-        let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
-        let tenant = TenantId(1);
-        cluster.add_tenant(&mut sim, tenant, 1).unwrap();
-        let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
-        cluster.place(1, 0);
-        cluster.place(2, 1);
+        let (cluster, chain) = echo_cluster(&mut sim);
         let stop = sim.now() + SimDuration::from_millis(5);
         let driver = ClosedLoop::new(stop);
         cluster.register_chain(
@@ -491,5 +312,51 @@ mod tests {
         assert!(total > 0);
         // Queue fully drained: nothing pending.
         assert_eq!(driver.inner.borrow().pending.len(), 0);
+    }
+
+    /// Gateway mode against an echo upstream with a fixed delay: one flow
+    /// on one worker is a strict sequence of `rx + delay + tx` turns, so
+    /// the count, the rate and the mean latency have closed forms. An
+    /// upstream that fails every request keeps the loop turning but records
+    /// no latency sample.
+    #[test]
+    fn gateway_mode_matches_the_closed_form_and_reissues_on_failure() {
+        let delay = SimDuration::from_micros(40);
+        let run = |fail: bool| {
+            let mut sim = Sim::new();
+            let gateway = Gateway::new(GatewayConfig::default());
+            let upstream: Upstream = Rc::new(move |sim: &mut Sim, _ctx: ReqCtx, reply: Reply| {
+                let answer = if fail { Err(DeliveryFailed) } else { Ok(64) };
+                sim.schedule_after(delay, move |sim| reply(sim, answer));
+            });
+            let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(10));
+            driver.start_gateway(&mut sim, &gateway, 0, &upstream, 1, 64);
+            sim.run();
+            (driver, gateway.stats())
+        };
+
+        let (driver, stats) = run(false);
+        let costs = ingress::StackCosts::for_kind(ingress::GatewayKind::Nadino);
+        let turn = costs.ingress_service(1, 64) + delay;
+        // A turn that starts before the stop time runs to completion.
+        let turns = 10_000_000u64.div_ceil(turn.as_nanos());
+        assert_eq!(driver.completed(), turns);
+        assert_eq!(stats.completed, turns);
+        assert_eq!(driver.shed_count(), 0);
+        assert_eq!(driver.latency().count(), turns);
+        assert_eq!(driver.latency().mean(), turn);
+        let expect_rps = turns as f64 / (turn * turns).as_secs_f64();
+        assert!((driver.rps() - expect_rps).abs() < 1e-6 * expect_rps);
+
+        let (driver, stats) = run(true);
+        assert_eq!(driver.completed(), 0);
+        assert_eq!(
+            driver.latency().count(),
+            0,
+            "no sample for a failed request"
+        );
+        assert!(stats.failed > 1, "the flow kept reissuing: {stats:?}");
+        assert_eq!(driver.shed_count(), stats.failed);
+        assert_eq!(driver.rps(), 0.0);
     }
 }

@@ -170,17 +170,6 @@ pub struct TenantGatewayStats {
     pub failed: u64,
 }
 
-/// A sample of the autoscaler's view, for the Fig. 14 time series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScaleSample {
-    /// Sample instant, seconds.
-    pub at_secs: f64,
-    /// Active workers after the decision.
-    pub workers: usize,
-    /// Average utilization that produced the decision.
-    pub avg_utilization: f64,
-}
-
 struct GwInner {
     cfg: GatewayConfig,
     costs: StackCosts,
@@ -196,7 +185,6 @@ struct GwInner {
     admission: Option<AdmissionController>,
     next_req: u64,
     last_eval: SimTime,
-    samples: Vec<ScaleSample>,
     autoscaler_running: bool,
     /// Pending autoscaler evaluation, so [`Gateway::stop_autoscaler`] can
     /// deschedule it instead of leaving a dead closure to fire.
@@ -253,7 +241,6 @@ impl Gateway {
                 admission,
                 next_req: 0,
                 last_eval: SimTime::ZERO,
-                samples: Vec::new(),
                 autoscaler_running: false,
                 autoscaler_timer: None,
                 tracer: Tracer::disabled(),
@@ -285,16 +272,6 @@ impl Gateway {
             .get(&tenant)
             .copied()
             .unwrap_or_default()
-    }
-
-    /// Returns every tenant's counters, sorted by tenant id.
-    pub fn all_tenant_stats(&self) -> Vec<(u16, TenantGatewayStats)> {
-        self.inner
-            .borrow()
-            .tenant_stats
-            .iter()
-            .map(|(t, s)| (*t, *s))
-            .collect()
     }
 
     /// Registers a tenant's DWRR weight with the admission controller so
@@ -336,11 +313,6 @@ impl Gateway {
     /// (deferred conversion pays a second termination on the worker).
     pub fn worker_side_cost(&self) -> SimDuration {
         self.inner.borrow().costs.worker_stack_per_req
-    }
-
-    /// Returns the autoscaler's decision samples so far.
-    pub fn scale_samples(&self) -> Vec<ScaleSample> {
-        self.inner.borrow().samples.clone()
     }
 
     /// Installs a span tracer; gateway stages are recorded under node
@@ -639,12 +611,6 @@ impl Gateway {
                 *floor = now + gap;
             }
         }
-        let sample = ScaleSample {
-            at_secs: now.as_secs_f64(),
-            workers: inner.active,
-            avg_utilization: avg,
-        };
-        inner.samples.push(sample);
     }
 }
 
@@ -811,7 +777,6 @@ mod tests {
             gw.active_workers() < peak,
             "idle should trigger scale-down from {peak}"
         );
-        assert!(!gw.scale_samples().is_empty());
     }
 
     #[test]
@@ -1024,10 +989,6 @@ mod tests {
         assert_eq!(gw.tenant_stats(1).completed, 3);
         assert_eq!(gw.tenant_stats(2).completed, 5);
         assert_eq!(gw.stats().completed, 8);
-        let all = gw.all_tenant_stats();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].0, 1);
-        assert_eq!(all[1].0, 2);
         assert_eq!(gw.tenant_stats(7), TenantGatewayStats::default());
     }
 

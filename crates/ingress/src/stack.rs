@@ -35,6 +35,19 @@ pub enum GatewayKind {
     Nadino,
 }
 
+impl GatewayKind {
+    /// One-way transport latency between this ingress and a worker node:
+    /// RDMA for NADINO, a TCP hop on the F-stack or kernel stack for the
+    /// deferred-conversion designs.
+    pub fn worker_transport(self) -> SimDuration {
+        SimDuration::from_micros(match self {
+            GatewayKind::Nadino => 3,
+            GatewayKind::FIngress => 12,
+            GatewayKind::KIngress => 25,
+        })
+    }
+}
+
 /// Calibrated per-request costs for one gateway kind.
 #[derive(Debug, Clone)]
 pub struct StackCosts {

@@ -1,10 +1,10 @@
 //! Simulated function containers.
 //!
-//! A [`ChainStep`] is a function executing one position of a chain: it
-//! redeems the incoming descriptor, runs its application logic on the
-//! node's host cores for a configured service time, and either forwards
-//! the (still zero-copy) buffer to the next hop through the I/O library or
-//! completes the request.
+//! A [`ChainFunction`] is a function of a chain: it redeems the incoming
+//! descriptor, runs its application logic on the node's host cores for a
+//! configured service time, and either forwards the (still zero-copy)
+//! buffer to the next hop through the I/O library or completes the
+//! request.
 //!
 //! Request identity travels *inside* the payload — the first eight bytes
 //! are a little-endian request id — so end-to-end latency can be measured
@@ -16,7 +16,6 @@ use std::rc::Rc;
 use dne::engine::FnEndpoint;
 use dpu_sim::soc::Processor;
 use membuf::pool::BufferPool;
-use membuf::tenant::TenantId;
 use obs::Stage;
 use simcore::{Sim, SimDuration, SimTime};
 
@@ -70,89 +69,23 @@ pub fn decode_hop(payload: &[u8]) -> u16 {
     u16::from_le_bytes(payload[8..10].try_into().expect("checked length"))
 }
 
-/// Builder for chain-step function endpoints.
-pub struct ChainStep;
-
-impl ChainStep {
-    /// Creates a function endpoint executing one chain position.
-    ///
-    /// On each incoming descriptor the function redeems the buffer from
-    /// `pool`, runs for `exec_cost` (reference CPU time) on `cpu`, then
-    /// forwards to `next` via `iolib` — or, when `next` is `None`, recycles
-    /// the buffer and invokes `on_complete` with the request id.
-    #[allow(clippy::too_many_arguments)]
-    pub fn endpoint(
-        tenant: TenantId,
-        exec_cost: SimDuration,
-        next: Option<u16>,
-        pool: BufferPool,
-        cpu: Rc<RefCell<Processor>>,
-        iolib: IoLib,
-        on_complete: Option<CompletionFn>,
-    ) -> FnEndpoint {
-        Rc::new(move |sim: &mut Sim, desc| {
-            let Ok(buf) = pool.redeem(desc) else {
-                // Stale or forged descriptor: refuse silently (the pool
-                // already counted the failed redeem).
-                return;
-            };
-            if deadline_expired(buf.as_slice(), sim.now()) {
-                // Expired before execution: don't burn CPU on a request
-                // nobody is waiting for — recycle and surface the expiry.
-                let req_id = decode_request_id(buf.as_slice());
-                drop(buf);
-                iolib.report_expired(sim, tenant, desc.dst_fn, req_id);
-                return;
-            }
-            let done = cpu.borrow_mut().run(sim.now(), exec_cost);
-            let tracer = iolib.tracer();
-            let sampled = tracer.is_enabled() && obs::ctx::sampled(buf.as_slice());
-            if sampled {
-                tracer.span(
-                    decode_request_id(buf.as_slice()),
-                    tenant.0,
-                    iolib.node().0 as u32,
-                    Stage::FnExec,
-                    sim.now(),
-                    done,
-                );
-            }
-            let iolib = iolib.clone();
-            let on_complete = on_complete.clone();
-            sim.schedule_at(done, move |sim| match next {
-                Some(n) => {
-                    // Forward the trace identity we just read so a local
-                    // hop's SkMsg span needs no pool peek.
-                    let meta = (decode_request_id(buf.as_slice()), sampled);
-                    iolib.send_traced(sim, tenant, buf.into_desc(n), Some(meta));
-                }
-                None => {
-                    let req_id = decode_request_id(buf.as_slice());
-                    drop(buf); // recycle
-                    if let Some(cb) = &on_complete {
-                        cb(sim, req_id);
-                    }
-                }
-            });
-        })
-    }
-}
-
 /// Builder for *chain-aware* function endpoints.
 ///
-/// Unlike [`ChainStep`], whose next hop is fixed, a chain-aware function
-/// reads the current hop index out of the payload — so a function that
-/// appears at several positions of a chain (the Online Boutique frontend
-/// re-enters between downstream calls) routes correctly from a single
-/// registration.
+/// A chain-aware function reads the current hop index out of the payload
+/// — so a function that appears at several positions of a chain (the
+/// Online Boutique frontend re-enters between downstream calls) routes
+/// correctly from a single registration.
 pub struct ChainFunction;
 
 impl ChainFunction {
     /// Creates a chain-aware endpoint for one function of `chain`.
     ///
-    /// On each descriptor: redeem, run `exec_cost`, bump the payload's hop
-    /// index and forward to the next hop — or complete the request when
-    /// this was the final hop.
+    /// On each descriptor: redeem from `pool` (a stale or forged
+    /// descriptor is refused silently; the pool counts the failed redeem),
+    /// run `exec_cost` on `cpu`, bump the payload's hop index and forward
+    /// to the next hop — or recycle the buffer and complete the request
+    /// when this was the final hop. A request whose deadline has passed is
+    /// recycled before it burns CPU and surfaces as a typed expiry.
     pub fn endpoint(
         chain: Rc<crate::chain::ChainSpec>,
         exec_cost: SimDuration,
@@ -217,6 +150,7 @@ mod tests {
     use dpu_sim::mmap::{doca_mmap_create_from_export, doca_mmap_export_full};
     use dpu_sim::soc::ProcessorKind;
     use membuf::pool::PoolConfig;
+    use membuf::tenant::TenantId;
     use rdma_sim::{Fabric, NodeId, RdmaCosts};
     use simcore::SimTime;
 
@@ -258,8 +192,11 @@ mod tests {
         placement.borrow_mut().place(1, n0);
         placement.borrow_mut().place(2, n1);
         placement.borrow_mut().place(3, n0);
-        placement.borrow().sync_to_dne(&dne0);
-        placement.borrow().sync_to_dne(&dne1);
+        for dne in [&dne0, &dne1] {
+            dne.set_route(1, n0);
+            dne.set_route(2, n1);
+            dne.set_route(3, n0);
+        }
 
         let cpu0 = Rc::new(RefCell::new(Processor::new(ProcessorKind::HostCpu, 2)));
         let cpu1 = Rc::new(RefCell::new(Processor::new(ProcessorKind::HostCpu, 2)));
@@ -270,48 +207,26 @@ mod tests {
 
         let completions: Rc<RefCell<Vec<(u64, SimTime)>>> = Rc::new(RefCell::new(Vec::new()));
         let sink = completions.clone();
+        let on_complete: CompletionFn = Rc::new(move |sim, id| {
+            sink.borrow_mut().push((id, sim.now()));
+        });
+        let chain = Rc::new(crate::ChainSpec::new("c", tenant, vec![1, 2, 3]));
         let exec = SimDuration::from_micros(20);
-        io0.register_function(
-            1,
-            tenant,
-            ChainStep::endpoint(
-                tenant,
+        for (f, io, pool, cpu) in [
+            (1, &io0, &pool0, &cpu0),
+            (2, &io1, &pool1, &cpu1),
+            (3, &io0, &pool0, &cpu0),
+        ] {
+            let ep = ChainFunction::endpoint(
+                chain.clone(),
                 exec,
-                Some(2),
-                pool0.clone(),
-                cpu0.clone(),
-                io0.clone(),
-                None,
-            ),
-        );
-        io1.register_function(
-            2,
-            tenant,
-            ChainStep::endpoint(
-                tenant,
-                exec,
-                Some(3),
-                pool1.clone(),
-                cpu1.clone(),
-                io1.clone(),
-                None,
-            ),
-        );
-        io0.register_function(
-            3,
-            tenant,
-            ChainStep::endpoint(
-                tenant,
-                exec,
-                None,
-                pool0.clone(),
-                cpu0.clone(),
-                io0.clone(),
-                Some(Rc::new(move |sim, id| {
-                    sink.borrow_mut().push((id, sim.now()));
-                })),
-            ),
-        );
+                pool.clone(),
+                cpu.clone(),
+                io.clone(),
+                on_complete.clone(),
+            );
+            io.register_function(f, tenant, ep);
+        }
         sim.run(); // connections up
 
         // Trace the request across both nodes' engines and IPC paths.
@@ -384,14 +299,13 @@ mod tests {
         let iolib = IoLib::new(NodeId(0), dne, cpu.clone(), placement);
         let called = Rc::new(RefCell::new(0u32));
         let c = called.clone();
-        let ep = ChainStep::endpoint(
-            TenantId(1),
+        let ep = ChainFunction::endpoint(
+            Rc::new(crate::ChainSpec::new("c", TenantId(1), vec![1])),
             SimDuration::from_micros(1),
-            None,
             pool.clone(),
             cpu,
             iolib,
-            Some(Rc::new(move |_, _| *c.borrow_mut() += 1)),
+            Rc::new(move |_, _| *c.borrow_mut() += 1),
         );
         let mut sim = Sim::new();
         let forged = BufferDesc {

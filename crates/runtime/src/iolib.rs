@@ -74,6 +74,33 @@ impl IoInner {
             })
             .unwrap_or((0, false))
     }
+
+    /// Records the `SkMsg` span of a local delivery (sampled requests on an
+    /// enabled tracer only): from `now` until the descriptor lands, one
+    /// SK_MSG latency after the host cores finish at `cpu_done`.
+    fn span_skmsg(
+        &self,
+        tenant: TenantId,
+        desc: BufferDesc,
+        trace_meta: Option<(u64, bool)>,
+        now: simcore::SimTime,
+        cpu_done: simcore::SimTime,
+    ) {
+        if !self.tracer.is_enabled() {
+            return;
+        }
+        let (req_id, sampled) = trace_meta.unwrap_or_else(|| self.trace_meta_of_desc(tenant, desc));
+        if sampled {
+            self.tracer.span(
+                req_id,
+                tenant.0,
+                self.node.0 as u32,
+                Stage::SkMsg,
+                now,
+                cpu_done + self.skmsg.one_way_latency,
+            );
+        }
+    }
 }
 
 /// The per-node unified I/O library.
@@ -196,20 +223,7 @@ impl IoLib {
                             let service = inner.skmsg.host_service + Sidecar::CHECK_COST;
                             let cpu_done = inner.cpu.borrow_mut().run(sim.now(), service);
                             inner.stats.local_sends += 1;
-                            if inner.tracer.is_enabled() {
-                                let (req_id, sampled) = trace_meta
-                                    .unwrap_or_else(|| inner.trace_meta_of_desc(tenant, desc));
-                                if sampled {
-                                    inner.tracer.span(
-                                        req_id,
-                                        tenant.0,
-                                        inner.node.0 as u32,
-                                        Stage::SkMsg,
-                                        sim.now(),
-                                        cpu_done + inner.skmsg.one_way_latency,
-                                    );
-                                }
-                            }
+                            inner.span_skmsg(tenant, desc, trace_meta, sim.now(), cpu_done);
                             Path::Local(ep, cpu_done, inner.skmsg.one_way_latency)
                         }
                         None => {
@@ -231,20 +245,7 @@ impl IoLib {
                                 let cpu_done = inner.cpu.borrow_mut().run_unscaled(sim.now(), copy);
                                 inner.stats.local_sends += 1;
                                 inner.stats.cross_tenant_copies += 1;
-                                if inner.tracer.is_enabled() {
-                                    let (req_id, sampled) = trace_meta
-                                        .unwrap_or_else(|| inner.trace_meta_of_desc(tenant, desc));
-                                    if sampled {
-                                        inner.tracer.span(
-                                            req_id,
-                                            tenant.0,
-                                            inner.node.0 as u32,
-                                            Stage::SkMsg,
-                                            sim.now(),
-                                            cpu_done + inner.skmsg.one_way_latency,
-                                        );
-                                    }
-                                }
+                                inner.span_skmsg(tenant, desc, trace_meta, sim.now(), cpu_done);
                                 Path::LocalCopy(
                                     ep,
                                     dst_tenant,

@@ -9,7 +9,7 @@
 //! - [`sidecar`]: the streamlined eBPF-style sidecar enforcing tenant
 //!   access control on every descriptor exchange.
 //! - [`iolib`]: the unified I/O library itself.
-//! - [`function`]: simulated function containers — chain steps with
+//! - [`function`]: simulated function containers — chain functions with
 //!   configurable execution cost running on the node's host cores — plus
 //!   the payload convention carrying request ids for end-to-end latency
 //!   measurement.
@@ -26,8 +26,7 @@ pub mod sidecar;
 pub use chain::ChainSpec;
 pub use dag::{DagFunction, DagSpec};
 pub use function::{
-    decode_hop, decode_request_id, encode_request_payload, set_hop, ChainFunction, ChainStep,
-    CompletionFn,
+    decode_hop, decode_request_id, encode_request_payload, set_hop, ChainFunction, CompletionFn,
 };
 pub use iolib::IoLib;
 pub use keepwarm::{ExpiryReaper, InstanceManager, KeepWarmPolicy};

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use dne::Dne;
 use rdma_sim::NodeId;
 
 /// The cluster-wide function → node map.
@@ -27,11 +26,6 @@ impl Placement {
         self.map.get(&fn_id).copied()
     }
 
-    /// Returns `true` if `fn_id` runs on `node`.
-    pub fn is_on(&self, fn_id: u16, node: NodeId) -> bool {
-        self.node_of(fn_id) == Some(node)
-    }
-
     /// Lists the functions placed on `node` (sorted for determinism).
     pub fn functions_on(&self, node: NodeId) -> Vec<u16> {
         let mut v: Vec<u16> = self
@@ -53,13 +47,6 @@ impl Placement {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// Pushes every route into a DNE's inter-node routing table.
-    pub fn sync_to_dne(&self, dne: &Dne) {
-        for (&f, &n) in &self.map {
-            dne.set_route(f, n);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +60,7 @@ mod tests {
         p.place(2, NodeId(1));
         p.place(3, NodeId(0));
         assert_eq!(p.node_of(1), Some(NodeId(0)));
-        assert!(p.is_on(2, NodeId(1)));
+        assert_eq!(p.node_of(2), Some(NodeId(1)));
         assert_eq!(p.functions_on(NodeId(0)), vec![1, 3]);
         assert_eq!(p.len(), 3);
     }

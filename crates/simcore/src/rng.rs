@@ -105,9 +105,56 @@ impl SimRng {
     }
 }
 
+/// Reads a root seed from the environment variable `var` (decimal or
+/// `0x`-prefixed hex), falling back to `default` when it is unset or does
+/// not parse. CI sweeps its seed matrices through these variables
+/// (`CHAOS_SEED`, `SHARD_SEED`, `REPORT_SEED`, `UPGRADE_SEED`, `CHURN_SEED`).
+pub fn seed_from_env(var: &str, default: u64) -> u64 {
+    std::env::var(var)
+        .ok()
+        .and_then(|s| {
+            let s = s.trim();
+            match s.strip_prefix("0x") {
+                Some(hex) => u64::from_str_radix(hex, 16).ok(),
+                None => s.parse().ok(),
+            }
+        })
+        .unwrap_or(default)
+}
+
+/// FNV-1a over a byte stream: the compact determinism digest the
+/// experiment reports carry.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seed_from_env_reads_decimal_and_hex_and_falls_back() {
+        let var = "SIMCORE_RNG_TEST_SEED";
+        std::env::remove_var(var);
+        assert_eq!(seed_from_env(var, 7), 7, "unset");
+        for (text, want) in [("42", 42), (" 0xC4A0\n", 0xC4A0), ("0xzz", 7), ("-1", 7)] {
+            std::env::set_var(var, text);
+            assert_eq!(seed_from_env(var, 7), want, "{text:?}");
+        }
+        std::env::remove_var(var);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a([]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a("foobar".bytes()), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn deterministic_from_seed() {

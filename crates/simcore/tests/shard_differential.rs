@@ -21,16 +21,7 @@ use simcore::{Sim, SimDuration, SimTime};
 /// or `0x`-prefixed hex) so CI sweeps the same seed matrix the chaos
 /// suite uses.
 fn shard_seed(default: u64) -> u64 {
-    std::env::var("SHARD_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim().to_string();
-            match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(default)
+    simcore::rng::seed_from_env("SHARD_SEED", default)
 }
 
 const LOOKAHEAD: SimDuration = SimDuration::from_micros(2);

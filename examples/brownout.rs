@@ -13,19 +13,17 @@
 //! cargo run --example brownout
 //! ```
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::rc::Rc;
 
-use ingress::gateway::Reply;
 use ingress::rss::FlowId;
-use ingress::{AdmissionConfig, DeliveryFailed, Gateway, GatewayConfig};
+use ingress::{AdmissionConfig, Gateway, GatewayConfig};
 use membuf::tenant::TenantId;
 use nadino::cluster::{Cluster, ClusterConfig};
 use nadino::health::HealthConfig;
 use rdma_sim::FaultPlane;
 use runtime::ChainSpec;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{Sim, SimDuration};
 
 fn main() {
     let mut sim = Sim::new();
@@ -47,31 +45,13 @@ fn main() {
     cluster.place_with_backup(4, 1, 2);
     let cluster = Rc::new(cluster);
 
-    let pending: Rc<RefCell<HashMap<u64, Reply>>> = Rc::new(RefCell::new(HashMap::new()));
+    // Both chains sit behind the cluster's front door: the gateway's reply
+    // is held until the chain completes or fails typed.
     let gold_chain = ChainSpec::new("gold", gold, vec![1, 2, 1]);
     let bronze_chain = ChainSpec::new("bronze", bronze, vec![3, 4, 3]);
-    let on_complete = {
-        let pending = pending.clone();
-        Rc::new(move |sim: &mut Sim, req: u64| {
-            if let Some(reply) = pending.borrow_mut().remove(&req) {
-                reply(sim, Ok(64));
-            }
-        })
-    };
-    cluster.register_chain(
-        &gold_chain,
-        |_| SimDuration::from_micros(5),
-        on_complete.clone(),
-    );
-    cluster.register_chain(&bronze_chain, |_| SimDuration::from_micros(5), on_complete);
-    {
-        let pending = pending.clone();
-        cluster.set_delivery_failure_handler(Rc::new(move |sim, failure| {
-            if let Some(reply) = pending.borrow_mut().remove(&failure.req_id) {
-                reply(sim, Err(DeliveryFailed));
-            }
-        }));
-    }
+    let cost = |_| SimDuration::from_micros(5);
+    let gold_up = cluster.serve_chain(&gold_chain, cost, 256);
+    let bronze_up = cluster.serve_chain(&bronze_chain, cost, 256);
 
     // The crash: node 1 goes dark for 2ms a third of the way in.
     cluster.fabric.install_fault_plane(FaultPlane::new(0xB120));
@@ -104,27 +84,6 @@ fn main() {
         let gw = gateway.clone();
         monitor.set_capacity_handler(Rc::new(move |_sim, f| gw.set_capacity_factor(f)));
     }
-
-    let upstream_for = |chain: ChainSpec| -> ingress::Upstream {
-        let cluster = cluster.clone();
-        let pending = pending.clone();
-        Rc::new(move |sim: &mut Sim, ctx: ingress::ReqCtx, reply: Reply| {
-            let injected = cluster.inject_with_deadline(
-                sim,
-                &chain,
-                ctx.req_id,
-                256,
-                SimTime::from_nanos(ctx.deadline_ns),
-            );
-            if injected {
-                pending.borrow_mut().insert(ctx.req_id, reply);
-            } else {
-                reply(sim, Err(DeliveryFailed));
-            }
-        })
-    };
-    let gold_up = upstream_for(gold_chain);
-    let bronze_up = upstream_for(bronze_chain);
 
     // 30ms of open-loop load in 50us ticks. Gold holds 1 request per tick;
     // bronze ramps from its fair share to a 4x flood and back.
@@ -182,7 +141,7 @@ fn main() {
     }
 
     assert_eq!(resolved.get(), issued, "no request may hang");
-    assert!(pending.borrow().is_empty(), "no reply may leak");
+    assert_eq!(cluster.pending_replies(), 0, "no reply may leak");
     let g = gateway.tenant_stats(gold.0);
     let b = gateway.tenant_stats(bronze.0);
     assert!(

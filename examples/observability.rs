@@ -68,11 +68,11 @@ fn main() {
         |f| boutique::exec_cost(f - 100),
         ads_driver.completion(),
     );
+    let cluster = Rc::new(cluster);
     home_driver.start(&mut sim, &cluster, &home, 8, 256);
     ads_driver.start(&mut sim, &cluster, &ads, 4, 256);
 
     // Periodic metrics sampling while the workload runs.
-    let cluster = Rc::new(cluster);
     let reg = Rc::new(MetricsRegistry::new());
     cluster.start_obs_sampler(&mut sim, Rc::clone(&reg), SimDuration::from_millis(1), stop);
     sim.run();

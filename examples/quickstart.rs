@@ -38,6 +38,7 @@ fn main() {
         |_| SimDuration::from_micros(20),
         driver.completion(),
     );
+    let cluster = std::rc::Rc::new(cluster);
     driver.start(&mut sim, &cluster, &chain, 8, 512);
     let t0 = sim.now();
     sim.run();

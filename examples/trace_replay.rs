@@ -22,6 +22,7 @@ fn main() {
     for f in boutique::all_functions() {
         cluster.place(f, boutique::hotspot_placement(f));
     }
+    let cluster = std::rc::Rc::new(cluster);
 
     let chains = vec![
         boutique::home_query(tenant),

@@ -40,6 +40,7 @@ fn traced_chain_run() -> Vec<TraceSummary> {
     let stop = sim.now() + SimDuration::from_millis(1);
     let driver = ClosedLoop::new(stop);
     cluster.register_chain(&chain, |_| SimDuration::from_micros(3), driver.completion());
+    let cluster = std::rc::Rc::new(cluster);
     driver.start(&mut sim, &cluster, &chain, 4, 128);
     sim.run();
     assert!(driver.completed() > 0, "no requests completed");

@@ -12,19 +12,18 @@
 //!    byte-identical to one with no plane at all.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 
-use ingress::gateway::Reply;
 use ingress::rss::FlowId;
-use ingress::{AdmissionConfig, DeliveryFailed, Gateway, GatewayConfig};
+use ingress::{AdmissionConfig, Gateway, GatewayConfig};
 use membuf::tenant::TenantId;
 use nadino::cluster::{Cluster, ClusterConfig};
 use nadino::health::HealthConfig;
 use nadino::workload::ClosedLoop;
 use rdma_sim::{FaultPlane, FaultStats};
 use runtime::ChainSpec;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{Sim, SimDuration};
 
 const REQUESTS: u64 = 200;
 const REQ_BASE: u64 = 1_000;
@@ -32,16 +31,7 @@ const REQ_BASE: u64 = 1_000;
 /// Seed for the chaos runs, overridable via `CHAOS_SEED` (decimal or
 /// `0x`-prefixed hex) so CI can sweep a seed matrix over the same tests.
 fn chaos_seed(default: u64) -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim().to_string();
-            match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(default)
+    simcore::rng::seed_from_env("CHAOS_SEED", default)
 }
 
 /// Everything a faulty run observed, for equality across same-seed runs.
@@ -337,6 +327,7 @@ fn zero_fault_plane_is_byte_identical_to_no_plane() {
         cluster.place(2, 1);
         let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(20));
         cluster.register_chain(&chain, |_| SimDuration::from_micros(7), driver.completion());
+        let cluster = Rc::new(cluster);
         driver.start(&mut sim, &cluster, &chain, 5, 256);
         sim.run();
         let stats = cluster.nodes[0].dne.stats();
@@ -436,32 +427,13 @@ fn survival_run(seed: u64, crash: bool) -> SurvivalOutcome {
     cluster.place_with_backup(4, 1, 2);
     let cluster = Rc::new(cluster);
 
-    // Gateway-held replies, resolved by chain completion or typed failure.
-    let pending: Rc<RefCell<HashMap<u64, Reply>>> = Rc::new(RefCell::new(HashMap::new()));
+    // Both chains sit behind the cluster's front door: the gateway's reply
+    // is held until the chain completes or fails typed.
     let compliant_chain = ChainSpec::new("compliant", compliant_t, vec![1, 2, 1]);
     let rogue_chain = ChainSpec::new("rogue", rogue_t, vec![3, 4, 3]);
-    let on_complete = {
-        let pending = pending.clone();
-        Rc::new(move |sim: &mut Sim, req: u64| {
-            if let Some(reply) = pending.borrow_mut().remove(&req) {
-                reply(sim, Ok(64));
-            }
-        })
-    };
-    cluster.register_chain(
-        &compliant_chain,
-        |_| SimDuration::from_micros(5),
-        on_complete.clone(),
-    );
-    cluster.register_chain(&rogue_chain, |_| SimDuration::from_micros(5), on_complete);
-    {
-        let pending = pending.clone();
-        cluster.set_delivery_failure_handler(Rc::new(move |sim, failure| {
-            if let Some(reply) = pending.borrow_mut().remove(&failure.req_id) {
-                reply(sim, Err(DeliveryFailed));
-            }
-        }));
-    }
+    let cost = |_| SimDuration::from_micros(5);
+    let compliant_up = cluster.serve_chain(&compliant_chain, cost, 256);
+    let rogue_up = cluster.serve_chain(&rogue_chain, cost, 256);
 
     // Faults start only after provisioning: mild wire loss in every run,
     // plus the crash window in the faulty variant.
@@ -498,32 +470,6 @@ fn survival_run(seed: u64, crash: bool) -> SurvivalOutcome {
         let gw = gateway.clone();
         monitor.set_capacity_handler(Rc::new(move |_sim, f| gw.set_capacity_factor(f)));
     }
-
-    let upstream_for = |chain: ChainSpec| -> ingress::Upstream {
-        let cluster = cluster.clone();
-        let pending = pending.clone();
-        Rc::new(move |sim: &mut Sim, ctx: ingress::ReqCtx, reply: Reply| {
-            let injected = if ctx.deadline_ns != 0 {
-                cluster.inject_with_deadline(
-                    sim,
-                    &chain,
-                    ctx.req_id,
-                    256,
-                    SimTime::from_nanos(ctx.deadline_ns),
-                )
-            } else {
-                cluster.inject(sim, &chain, ctx.req_id, 256)
-            };
-            if injected {
-                pending.borrow_mut().insert(ctx.req_id, reply);
-            } else {
-                // Entry pool exhausted: refuse, never hang.
-                reply(sim, Err(DeliveryFailed));
-            }
-        })
-    };
-    let compliant_up = upstream_for(compliant_chain.clone());
-    let rogue_up = upstream_for(rogue_chain.clone());
 
     let issued = Rc::new(Cell::new(0u64));
     let resolved = Rc::new(Cell::new(0u64));
@@ -573,11 +519,10 @@ fn survival_run(seed: u64, crash: bool) -> SurvivalOutcome {
         .with_trace_pipeline(|p| p.last_dump().map(|d| d.to_string_compact()))
         .unwrap()
         .unwrap_or_default();
-    let pending_left = pending.borrow().len();
     SurvivalOutcome {
         issued: issued.get(),
         resolved: resolved.get(),
-        pending_left,
+        pending_left: cluster.pending_replies(),
         compliant: tally(compliant_t.0),
         rogue: tally(rogue_t.0),
         rogue_sheds: gateway.sheds_of(rogue_t.0),

@@ -2,6 +2,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
 use membuf::tenant::TenantId;
 use nadino::boutique;
@@ -71,6 +72,7 @@ fn boutique_chain_conserves_buffers() {
     let stop = sim.now() + SimDuration::from_millis(50);
     let driver = ClosedLoop::new(stop);
     cluster.register_chain(&chain, boutique::exec_cost, driver.completion());
+    let cluster = Rc::new(cluster);
     driver.start(&mut sim, &cluster, &chain, 20, boutique::PAYLOAD_BYTES);
     sim.run();
 
@@ -136,6 +138,7 @@ fn experiments_are_deterministic() {
         cluster.place(2, 1);
         let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(20));
         cluster.register_chain(&chain, |_| SimDuration::from_micros(7), driver.completion());
+        let cluster = Rc::new(cluster);
         driver.start(&mut sim, &cluster, &chain, 5, 256);
         sim.run();
         let stats = cluster.nodes[0].dne.stats();
@@ -189,6 +192,7 @@ fn three_node_cluster_runs_a_spread_chain() {
         |_| SimDuration::from_micros(10),
         driver.completion(),
     );
+    let cluster = Rc::new(cluster);
     driver.start(&mut sim, &cluster, &chain, 4, 128);
     sim.run();
     assert!(driver.completed() > 100);
@@ -221,6 +225,7 @@ fn multi_tenant_boutique_shares_by_weight() {
     let (t_heavy, t_light) = (TenantId(1), TenantId(2));
     cluster.add_tenant(&mut sim, t_heavy, 3).unwrap();
     cluster.add_tenant(&mut sim, t_light, 1).unwrap();
+    let cluster = Rc::new(cluster);
 
     // Per-tenant function instances for the same chain shape.
     let mut drivers = Vec::new();
@@ -278,6 +283,7 @@ fn steady_state_request_path_boxes_no_events() {
         let warm = sim.now() + SimDuration::from_millis(5);
         let driver = ClosedLoop::new(warm + SimDuration::from_millis(120));
         cluster.register_chain(&chain, cost, driver.completion());
+        let cluster = Rc::new(cluster);
         driver.start(&mut sim, &cluster, &chain, clients, bytes);
         sim.run_until(warm);
         let (boxed, done) = (sim.profile().boxed_events, driver.completed());
@@ -338,6 +344,7 @@ fn a_dropped_cluster_gives_its_memory_back() {
     let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
     let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(50));
     cluster.register_chain(&chain, |_| SimDuration::ZERO, driver.completion());
+    let cluster = Rc::new(cluster);
     driver.start(&mut sim, &cluster, &chain, 8, 64);
     sim.run();
     assert!(driver.completed() >= 1_000, "got {}", driver.completed());

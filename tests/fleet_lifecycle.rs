@@ -15,35 +15,22 @@
 //!    and rogue tenant: zero hung requests, >= 80% compliant goodput vs
 //!    the fault-free same-seed run, and byte-identical same-seed outcomes.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::rc::Rc;
 
-use ingress::gateway::Reply;
-use ingress::rss::FlowId;
-use ingress::{AdmissionConfig, DeliveryFailed, Gateway, GatewayConfig};
 use membuf::tenant::TenantId;
-use nadino::boutique;
 use nadino::cluster::{Cluster, ClusterConfig};
+use nadino::experiment::upgrade::{scenario, UpgradeOutcome};
 use nadino::fleetctl::{FleetConfig, FleetController, FleetEvent, NodeLifecycle};
 use nadino::health::HealthConfig;
 use rdma_sim::FaultPlane;
 use runtime::ChainSpec;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{Sim, SimDuration};
 
 /// Seed override hook shared with the chaos suite (`CHAOS_SEED`, decimal
 /// or `0x`-prefixed hex), so CI sweeps one seed matrix over both.
 fn chaos_seed(default: u64) -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim().to_string();
-            match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(default)
+    simcore::rng::seed_from_env("CHAOS_SEED", default)
 }
 
 // ---------------------------------------------------------------------------
@@ -293,234 +280,15 @@ fn admin_drain_holds_until_released() {
 // The rolling upgrade wave over the boutique topology, with chaos riders.
 // ---------------------------------------------------------------------------
 
-/// Per-tenant bookkeeping of one fleet run.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct TenantTally {
-    ok: u64,
-    shed: u64,
-    expired: u64,
-    failed: u64,
-    dropped: u64,
-}
-
-/// The full deterministic surface of one fleet run.
-#[derive(Debug, PartialEq)]
-struct FleetOutcome {
-    issued: u64,
-    resolved: u64,
-    pending_left: usize,
-    compliant: TenantTally,
-    rogue: TenantTally,
-    outage_drops: u64,
-    health: Vec<String>,
-    fleet_events: Vec<FleetEvent>,
-    counters: nadino::FleetCounters,
-    versions: Vec<u8>,
-    dump_count: u64,
-    dump: String,
-    end_ns: u64,
-}
-
 const FLEET_TICKS: u32 = 400;
-const ROGUE_PER_TICK: u32 = 3;
 
-/// One fleet run over the fig16 boutique topology (hotspot placement on
-/// nodes 0/1, backups on node 2): a compliant tenant driving Home Query,
-/// a rogue tenant flooding its own chain at 3x the rate on 1/3 the
-/// weight. With `wave`, a rolling upgrade v1→v2 walks all three nodes
-/// starting at +4ms; with `crash`, node 1 goes dark for 1.5ms at +6ms —
-/// inside the wave window, so the controller, health monitor and fault
-/// plane fight over the same node.
-fn fleet_run(seed: u64, wave: bool, crash: bool) -> FleetOutcome {
-    let mut sim = Sim::new();
-    let mut cluster = Cluster::new(
-        &mut sim,
-        ClusterConfig {
-            workers: 3,
-            ..ClusterConfig::default()
-        },
-    );
-    let tracer = obs::Tracer::enabled();
-    cluster.set_tracer(&tracer);
-    cluster.enable_trace_pipeline(obs::PipelineConfig {
-        tail_k: 8,
-        flight_cap: 32,
-        burn: None,
-    });
-    let compliant_t = TenantId(1);
-    let rogue_t = TenantId(2);
-    cluster.add_tenant(&mut sim, compliant_t, 3).unwrap();
-    cluster.add_tenant(&mut sim, rogue_t, 1).unwrap();
-    // The boutique functions at their hotspot placement, all with a
-    // standby on node 2; the rogue tenant's chain rides the same layout.
-    for f in boutique::all_functions() {
-        cluster.place_with_backup(f, boutique::hotspot_placement(f), 2);
-    }
-    cluster.place_with_backup(21, 0, 2);
-    cluster.place_with_backup(22, 1, 2);
-    let cluster = Rc::new(cluster);
-
-    // Every node starts the run at wire v1 — the wave's job is to walk
-    // the fleet to v2 with live version skew in between.
-    for idx in 0..3 {
-        cluster.set_node_wire_version(idx, obs::CTX_V1);
-    }
-
-    let pending: Rc<RefCell<HashMap<u64, Reply>>> = Rc::new(RefCell::new(HashMap::new()));
-    let compliant_chain = boutique::home_query(compliant_t);
-    let rogue_chain = ChainSpec::new("rogue", rogue_t, vec![21, 22, 21]);
-    let on_complete = {
-        let pending = pending.clone();
-        Rc::new(move |sim: &mut Sim, req: u64| {
-            if let Some(reply) = pending.borrow_mut().remove(&req) {
-                reply(sim, Ok(64));
-            }
-        })
-    };
-    let cost = |f: u16| boutique::exec_cost(f) / 10;
-    cluster.register_chain(&compliant_chain, cost, on_complete.clone());
-    cluster.register_chain(&rogue_chain, cost, on_complete);
-    {
-        let pending = pending.clone();
-        cluster.set_delivery_failure_handler(Rc::new(move |sim, failure| {
-            if let Some(reply) = pending.borrow_mut().remove(&failure.req_id) {
-                reply(sim, Err(DeliveryFailed));
-            }
-        }));
-    }
-
-    let mut fp = FaultPlane::new(seed);
-    fp.set_default_loss(0.02);
-    cluster.fabric.install_fault_plane(fp);
-    let drive_start = sim.now();
-    if crash {
-        let from = drive_start + SimDuration::from_millis(6);
-        cluster.fabric.schedule_node_outage(
-            cluster.nodes[1].id,
-            from,
-            from + SimDuration::from_micros(1500),
-        );
-    }
-    let until = drive_start + SimDuration::from_millis(80);
-    let monitor = cluster.enable_health_monitor(&mut sim, HealthConfig::default(), until);
-
-    let gateway = Gateway::new(GatewayConfig {
-        deadline: Some(SimDuration::from_millis(5)),
-        admission: Some(AdmissionConfig {
-            target: SimDuration::from_micros(300),
-            interval: SimDuration::from_millis(1),
-            retry_after_secs: 1,
-        }),
-        max_backlog: SimDuration::from_secs(10),
-        ..GatewayConfig::default()
-    });
-    gateway.set_tracer(tracer.clone());
-    gateway.register_tenant(compliant_t.0, 3);
-    gateway.register_tenant(rogue_t.0, 1);
-    {
-        // Health-fed capacity factor: drains and crashes both tighten the
-        // gateway's admission targets during the wave.
-        let gw = gateway.clone();
-        monitor.set_capacity_handler(Rc::new(move |_sim, f| gw.set_capacity_factor(f)));
-    }
-
-    let ctl = FleetController::install(&cluster, &monitor, FleetConfig::default());
-    if wave {
-        let ctl2 = ctl.clone();
-        sim.schedule_after(SimDuration::from_millis(4), move |sim| {
-            ctl2.start_upgrade_wave(sim, obs::CTX_V2);
-        });
-    }
-
-    let upstream_for = |chain: ChainSpec| -> ingress::Upstream {
-        let cluster = cluster.clone();
-        let pending = pending.clone();
-        Rc::new(move |sim: &mut Sim, ctx: ingress::ReqCtx, reply: Reply| {
-            let injected = if ctx.deadline_ns != 0 {
-                cluster.inject_with_deadline(
-                    sim,
-                    &chain,
-                    ctx.req_id,
-                    boutique::PAYLOAD_BYTES,
-                    SimTime::from_nanos(ctx.deadline_ns),
-                )
-            } else {
-                cluster.inject(sim, &chain, ctx.req_id, boutique::PAYLOAD_BYTES)
-            };
-            if injected {
-                pending.borrow_mut().insert(ctx.req_id, reply);
-            } else {
-                reply(sim, Err(DeliveryFailed));
-            }
-        })
-    };
-    let compliant_up = upstream_for(compliant_chain.clone());
-    let rogue_up = upstream_for(rogue_chain.clone());
-
-    let issued = Rc::new(Cell::new(0u64));
-    let resolved = Rc::new(Cell::new(0u64));
-    let submit = |sim: &mut Sim, tenant: u16, flow: u32, up: &ingress::Upstream| {
-        issued.set(issued.get() + 1);
-        let resolved = resolved.clone();
-        gateway.submit_tenant(
-            sim,
-            tenant,
-            FlowId::from_client(flow, 0),
-            64,
-            up.clone(),
-            Box::new(move |_sim, _r| resolved.set(resolved.get() + 1)),
-        );
-    };
-    for tick in 0..FLEET_TICKS {
-        submit(&mut sim, compliant_t.0, tick, &compliant_up);
-        for k in 0..ROGUE_PER_TICK {
-            submit(
-                &mut sim,
-                rogue_t.0,
-                100_000 + tick * ROGUE_PER_TICK + k,
-                &rogue_up,
-            );
-        }
-        sim.run_for(SimDuration::from_micros(50));
-    }
-    sim.run();
-
-    let tally = |t: u16| {
-        let s = gateway.tenant_stats(t);
-        TenantTally {
-            ok: s.completed,
-            shed: s.shed,
-            expired: s.expired,
-            failed: s.failed,
-            dropped: s.dropped,
-        }
-    };
-    let health = monitor
-        .events()
-        .iter()
-        .map(|e| format!("{}:{:?}->{:?}@{}", e.node.0, e.from, e.to, e.at.as_nanos()))
-        .collect();
-    let dump_count = cluster.with_trace_pipeline(|p| p.dump_count()).unwrap();
-    let dump = cluster
-        .with_trace_pipeline(|p| p.last_dump().map(|d| d.to_string_compact()))
-        .unwrap()
-        .unwrap_or_default();
-    let pending_left = pending.borrow().len();
-    FleetOutcome {
-        issued: issued.get(),
-        resolved: resolved.get(),
-        pending_left,
-        compliant: tally(compliant_t.0),
-        rogue: tally(rogue_t.0),
-        outage_drops: cluster.fabric.fault_stats().outage_drops,
-        health,
-        fleet_events: ctl.events(),
-        counters: ctl.counters(),
-        versions: cluster.nodes.iter().map(|n| n.dne.wire_version()).collect(),
-        dump_count,
-        dump,
-        end_ns: sim.now().as_nanos(),
-    }
+/// One fleet run: the `upgrade` experiment's scenario — the boutique
+/// topology, a compliant and a rogue tenant behind the gateway, an optional
+/// rolling upgrade `wave` and an optional node-1 `crash` inside it — at the
+/// full tick budget. The experiment digests the outcome; these tests assert
+/// on it.
+fn fleet_run(seed: u64, wave: bool, crash: bool) -> UpgradeOutcome {
+    scenario(seed, FLEET_TICKS, wave, crash)
 }
 
 /// The headline acceptance run: a full rolling upgrade wave over the
@@ -539,7 +307,7 @@ fn upgrade_wave_with_crash_and_rogue_tenant_degrades_gracefully() {
             "requests hung: {} of {} resolved",
             out.resolved, out.issued
         );
-        assert_eq!(out.pending_left, 0, "replies leaked in the pending map");
+        assert_eq!(out.pending_replies, 0, "replies leaked in the pending map");
     }
     assert!(chaotic.outage_drops > 0, "crash window never fired");
     assert_eq!(faultfree.outage_drops, 0);
@@ -573,10 +341,10 @@ fn upgrade_wave_with_crash_and_rogue_tenant_degrades_gracefully() {
     // Graceful degradation: wave + crash + rogue costs the compliant
     // tenant at most 20% of its fault-free goodput on the same seed.
     assert!(
-        chaotic.compliant.ok as f64 >= 0.8 * faultfree.compliant.ok as f64,
+        chaotic.compliant.completed as f64 >= 0.8 * faultfree.compliant.completed as f64,
         "compliant goodput collapsed: {} chaotic vs {} fault-free",
-        chaotic.compliant.ok,
-        faultfree.compliant.ok
+        chaotic.compliant.completed,
+        faultfree.compliant.completed
     );
 
     // Weight-aware shedding still favors the compliant tenant.

@@ -15,16 +15,7 @@ use simcore::{SimDuration, SimTime};
 /// Seed for the differential runs, overridable via `SHARD_SEED` (decimal
 /// or `0x`-prefixed hex) so CI can sweep a seed matrix over these tests.
 fn shard_seed(default: u64) -> u64 {
-    std::env::var("SHARD_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim().to_string();
-            match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(default)
+    simcore::rng::seed_from_env("SHARD_SEED", default)
 }
 
 /// Worker counts the differential sweep compares against the oracle.
