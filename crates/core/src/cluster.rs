@@ -30,7 +30,7 @@ use membuf::tenant::TenantId;
 use rdma_sim::{Fabric, NodeId, RdmaCosts};
 use runtime::function::{ChainFunction, CompletionFn};
 use runtime::{ChainSpec, IoLib, Placement};
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{IdTable, Sim, SimDuration, SimTime};
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
@@ -157,7 +157,9 @@ pub struct Cluster {
     /// The shared placement map.
     pub placement: Rc<RefCell<Placement>>,
     cfg: ClusterConfig,
-    pools: HashMap<(TenantId, usize), BufferPool>,
+    /// `tenant id → node index → pool`: every injected request takes its
+    /// buffer from here, so both keys are indices.
+    pools: IdTable<Vec<BufferPool>>,
     /// Per-function `(primary node index, backup node index)` registered
     /// via [`Cluster::place_with_backup`].
     backups: HashMap<u16, (usize, usize)>,
@@ -249,7 +251,7 @@ impl Cluster {
             nodes,
             placement,
             cfg,
-            pools: HashMap::new(),
+            pools: IdTable::new(),
             backups: HashMap::new(),
             obs_hub,
         }
@@ -280,7 +282,9 @@ impl Cluster {
             let mapped = doca_mmap_create_from_export(&export).expect("PCI grant present");
             node.dne.register_tenant(tenant, weight, &mapped)?;
             node.iolib.register_tenant_pool(tenant, pool.clone());
-            self.pools.insert((tenant, idx), pool);
+            let per_node = self.pools.get_or_insert_with(tenant.0.into(), Vec::new);
+            debug_assert_eq!(per_node.len(), idx, "a tenant is provisioned once");
+            per_node.push(pool);
         }
         // Pre-establish connection pools between every node pair.
         for i in 0..self.nodes.len() {
@@ -302,7 +306,8 @@ impl Cluster {
     /// Returns the tenant's pool on node `idx`.
     pub fn pool(&self, tenant: TenantId, idx: usize) -> &BufferPool {
         self.pools
-            .get(&(tenant, idx))
+            .get(tenant.0.into())
+            .and_then(|per_node| per_node.get(idx))
             .expect("tenant provisioned on this node")
     }
 
@@ -311,7 +316,10 @@ impl Cluster {
         let mut v: Vec<_> = self
             .pools
             .iter()
-            .map(|(&(t, i), p)| (t, i, p.clone()))
+            .flat_map(|(t, per_node)| {
+                let pools = per_node.iter().enumerate();
+                pools.map(move |(i, p)| (TenantId(t as u16), i, p.clone()))
+            })
             .collect();
         v.sort_by_key(|&(t, i, _)| (t, i));
         v

@@ -175,21 +175,26 @@ impl SegmentArena {
         self.segments
     }
 
-    /// Resolves a byte offset into `(segment pointer, in-segment offset)`.
+    /// Address of the `len` bytes at byte `offset` of the region.
     ///
-    /// Returns `None` when the range does not fit inside a single segment;
-    /// the pool sizes buffers so they never straddle segments.
-    pub(crate) fn resolve(&self, offset: usize, len: usize) -> Option<(*mut u8, usize)> {
-        let seg = offset / self.segment_size;
-        let within = offset % self.segment_size;
-        if within + len > self.segment_size || seg >= self.segments {
-            return None;
-        }
-        // SAFETY: `seg < segments`, so the segment starts inside the region.
-        Some((
-            unsafe { self.base.as_ptr().add(seg * self.segment_size) },
-            within,
-        ))
+    /// Keeping a range inside one segment is the caller's geometry (the
+    /// pool lays buffers out so they never straddle one); leaving the
+    /// region is a bug in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range does not lie inside the region.
+    #[inline]
+    pub(crate) fn range(&self, offset: usize, len: usize) -> NonNull<u8> {
+        let total = self.total_bytes();
+        // No formatted operands: this sits on the pool's attach path.
+        assert!(
+            offset <= total && len <= total - offset,
+            "byte range leaves the arena"
+        );
+        // SAFETY: `offset <= total_bytes()`, so the result stays inside (or
+        // one past the end of) the mapped region `base` points to.
+        unsafe { self.base.add(offset) }
     }
 }
 
@@ -214,23 +219,28 @@ mod tests {
     }
 
     #[test]
-    fn resolve_rejects_straddling_ranges() {
+    fn range_accepts_the_whole_region_and_nothing_more() {
         let a = SegmentArena::with_segment_size(4096, 1024);
-        assert!(a.resolve(0, 1024).is_some());
-        assert!(a.resolve(1000, 100).is_none(), "straddles segment boundary");
-        assert!(a.resolve(4096, 1).is_none(), "out of range");
+        a.range(0, 4096);
+        a.range(4096, 0);
+        for (offset, len) in [(4096, 1), (4000, 100), (usize::MAX, 2)] {
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                a.range(offset, len);
+            }));
+            assert!(out.is_err(), "{offset}+{len} is out of range");
+        }
     }
 
     #[test]
     fn every_segment_is_backed_to_its_last_byte() {
         let a = SegmentArena::with_segment_size(3 * 5000, 5000);
         for seg in 0..3 {
-            let (ptr, off) = a.resolve(seg * 5000 + 4999, 1).unwrap();
-            // SAFETY: in range by `resolve`, and this test is the only user.
+            let ptr = a.range(seg * 5000 + 4999, 1).as_ptr();
+            // SAFETY: in range by `range`, and this test is the only user.
             unsafe {
-                assert_eq!(ptr.add(off).read(), 0);
-                ptr.add(off).write(seg as u8 + 1);
-                assert_eq!(ptr.add(off).read(), seg as u8 + 1);
+                assert_eq!(ptr.read(), 0);
+                ptr.write(seg as u8 + 1);
+                assert_eq!(ptr.read(), seg as u8 + 1);
             }
         }
     }
@@ -238,9 +248,9 @@ mod tests {
     #[test]
     fn segments_are_zero_initialized() {
         let a = SegmentArena::with_segment_size(2048, 1024);
-        let (ptr, off) = a.resolve(1024, 16).unwrap();
+        let ptr = a.range(1024, 16).as_ptr();
         // SAFETY: Freshly allocated arena, no other accessor exists.
-        let slice = unsafe { std::slice::from_raw_parts(ptr.add(off), 16) };
+        let slice = unsafe { std::slice::from_raw_parts(ptr, 16) };
         assert!(slice.iter().all(|&b| b == 0));
     }
 }

@@ -15,9 +15,16 @@
 //! generation counter per buffer makes stale descriptors fail to redeem, so
 //! a buggy or malicious function cannot forge access to a recycled buffer —
 //! this is the mechanical core of the paper's lock-free zero-copy claim.
+//!
+//! The hop itself takes no lock: state, generation and detach count share
+//! one atomic word per buffer, so `into_desc` is a store by the exclusive
+//! owner, `redeem` one compare-exchange and `peek_payload_into` one load.
+//! Only the free list (`get`/`put`) sits behind a mutex.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::descriptor::BufferDesc;
 use crate::hugepage::SegmentArena;
@@ -86,30 +93,154 @@ impl fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BufState {
-    Free,
-    Owned,
-    InFlight,
+/// Per-buffer ownership word: `state | generation << 2 | detaches << 18`.
+///
+/// One `AtomicU64` per buffer carries everything the ownership state
+/// machine needs, so a hop between owners touches one word and no lock:
+///
+/// | transition            | who                      | how                 |
+/// |-----------------------|--------------------------|---------------------|
+/// | `Free → Owned`        | `get`, having popped it  | load + store        |
+/// | `Owned → InFlight`    | `into_desc`, the owner   | load + store        |
+/// | `InFlight → Owned`    | `redeem`, anyone         | one compare-exchange|
+/// | `Owned → Free`        | `put`/drop, the owner    | load + store        |
+///
+/// The three owner-side transitions are plain stores because only a word
+/// in state `InFlight` can be changed by anyone else, and a redeem's
+/// compare-exchange expects exactly such a word — while a buffer is `Free`
+/// (on the free list, or just popped by one `get`) or `Owned` (one
+/// `OwnedBuf` exists) no compare-exchange can succeed. The detach count in
+/// the high bits only grows, so a descriptor copy held across a full
+/// recycle never sees "its" word again (no ABA).
+///
+/// Every store is `Release` and every load `Acquire`: the detaching owner's
+/// payload writes happen-before the redeemer's reads (`into_desc` store →
+/// `redeem` compare-exchange / `peek_payload_into` load). The `put` → `get`
+/// hand-over is ordered by the free-list mutex.
+mod word {
+    pub const FREE: u64 = 0;
+    pub const OWNED: u64 = 1;
+    pub const IN_FLIGHT: u64 = 2;
+    const STATE_MASK: u64 = 0b11;
+    const GEN_SHIFT: u32 = 2;
+    const DETACH_SHIFT: u32 = 18;
+
+    #[inline]
+    pub fn state(w: u64) -> u64 {
+        w & STATE_MASK
+    }
+
+    #[inline]
+    pub fn generation(w: u64) -> u16 {
+        (w >> GEN_SHIFT) as u16
+    }
+
+    #[inline]
+    pub fn detaches(w: u64) -> u64 {
+        w >> DETACH_SHIFT
+    }
+
+    #[inline]
+    pub fn with_state(w: u64, state: u64) -> u64 {
+        (w & !STATE_MASK) | state
+    }
+
+    /// Opens a fresh generation, so no descriptor cut before can redeem.
+    #[inline]
+    pub fn next_generation(w: u64) -> u64 {
+        let gen = generation(w).wrapping_add(1);
+        (w & !(0xffff << GEN_SHIFT)) | (gen as u64) << GEN_SHIFT
+    }
+
+    /// `Owned → InFlight` under a fresh generation, counting the detach.
+    #[inline]
+    pub fn detached(w: u64) -> u64 {
+        with_state(next_generation(w), IN_FLIGHT) + (1 << DETACH_SHIFT)
+    }
 }
 
-struct PoolState {
-    states: Vec<BufState>,
-    generations: Vec<u16>,
+/// What the pool's one lock still covers: the LIFO free list and the
+/// counters that move with it.
+struct FreeList {
     free: Vec<u32>,
     gets: u64,
     puts: u64,
-    detaches: u64,
-    redeems: u64,
     failed_gets: u64,
-    failed_redeems: u64,
 }
 
 pub(crate) struct PoolShared {
     pub(crate) config: PoolConfig,
     arena: SegmentArena,
     bufs_per_segment: usize,
-    state: Mutex<PoolState>,
+    /// Bytes at the end of each segment that no buffer uses; zero when
+    /// buffers tile the segment exactly, and then a buffer's byte offset is
+    /// `index * buf_size` with no division.
+    segment_slack: usize,
+    /// One ownership word per buffer, see [`word`].
+    words: Box<[AtomicU64]>,
+    /// A statistic; publishes nothing.
+    failed_redeems: AtomicU64,
+    free_list: Mutex<FreeList>,
+}
+
+impl PoolShared {
+    fn free_list(&self) -> MutexGuard<'_, FreeList> {
+        // Every update under the lock is a push/pop plus a counter bump and
+        // leaves the list valid, so a panic elsewhere poisons nothing.
+        self.free_list
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn names(&self, desc: &BufferDesc) -> bool {
+        desc.tenant == self.config.tenant.0 && desc.pool_id == self.config.pool_id
+    }
+
+    /// Address of buffer `index`: computed once per attach, at most one
+    /// division. Buffers never straddle a segment.
+    #[inline]
+    fn buf_ptr(&self, index: u32) -> NonNull<u8> {
+        let index = index as usize;
+        let mut offset = index * self.config.buf_size;
+        if self.segment_slack != 0 {
+            offset += index / self.bufs_per_segment * self.segment_slack;
+        }
+        self.arena.range(offset, self.config.buf_size)
+    }
+
+    /// The `InFlight → Owned` transition: the one compare-exchange.
+    fn claim(&self, desc: &BufferDesc) -> Result<(), PoolError> {
+        if !self.names(desc) {
+            return Err(PoolError::WrongPool);
+        }
+        if desc.len as usize > self.config.buf_size {
+            return Err(PoolError::LengthTooLarge);
+        }
+        let word = self
+            .words
+            .get(desc.buf_index as usize)
+            .ok_or(PoolError::BadIndex)?;
+        let mut seen = word.load(Ordering::Acquire);
+        loop {
+            if word::state(seen) != word::IN_FLIGHT {
+                return Err(PoolError::NotInFlight);
+            }
+            if word::generation(seen) != desc.generation {
+                return Err(PoolError::StaleGeneration);
+            }
+            // Losing the race means another holder of this descriptor won
+            // it; the reloaded word then says why this one may not.
+            match word.compare_exchange(
+                seen,
+                word::with_state(seen, word::OWNED),
+                Ordering::Acquire,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return Ok(()),
+                Err(now) => seen = now,
+            }
+        }
+    }
 }
 
 /// Point-in-time statistics for a pool.
@@ -162,28 +293,32 @@ impl BufferPool {
         if config.buf_size > config.segment_size {
             return Err(PoolError::BadConfig("buffer larger than a segment"));
         }
+        if u32::try_from(config.buf_size).is_err() {
+            return Err(PoolError::BadConfig(
+                "buffer larger than a descriptor's length field",
+            ));
+        }
         let bufs_per_segment = config.segment_size / config.buf_size;
         let segments = (config.capacity as usize).div_ceil(bufs_per_segment);
         let arena =
             SegmentArena::with_segment_size(segments * config.segment_size, config.segment_size);
-        let cap = config.capacity as usize;
-        let state = PoolState {
-            states: vec![BufState::Free; cap],
-            generations: vec![0; cap],
+        let free_list = FreeList {
             free: (0..config.capacity).rev().collect(),
             gets: 0,
             puts: 0,
-            detaches: 0,
-            redeems: 0,
             failed_gets: 0,
-            failed_redeems: 0,
         };
         Ok(BufferPool {
             shared: Arc::new(PoolShared {
+                segment_slack: config.segment_size - bufs_per_segment * config.buf_size,
+                words: (0..config.capacity)
+                    .map(|_| AtomicU64::new(word::FREE))
+                    .collect(),
                 config,
                 arena,
                 bufs_per_segment,
-                state: Mutex::new(state),
+                failed_redeems: AtomicU64::new(0),
+                free_list: Mutex::new(free_list),
             }),
         })
     }
@@ -215,53 +350,41 @@ impl BufferPool {
 
     /// Allocates a free buffer (`rte_mempool_get()` analogue).
     pub fn get(&self) -> Result<OwnedBuf, PoolError> {
-        let mut st = self.shared.state.lock().unwrap();
-        match st.free.pop() {
-            Some(index) => {
-                debug_assert_eq!(st.states[index as usize], BufState::Free);
-                st.states[index as usize] = BufState::Owned;
-                st.gets += 1;
-                drop(st);
-                Ok(OwnedBuf::attach(self.shared.clone(), index, 0))
-            }
-            None => {
-                st.failed_gets += 1;
-                Err(PoolError::Exhausted)
-            }
-        }
+        let index = {
+            let mut list = self.shared.free_list();
+            let Some(index) = list.free.pop() else {
+                list.failed_gets += 1;
+                return Err(PoolError::Exhausted);
+            };
+            list.gets += 1;
+            // Popping `index` made this call its only holder, so the flip
+            // needs no lock; it sits before the unlock only so that the
+            // unlock's store-buffer drain covers it too.
+            let word = &self.shared.words[index as usize];
+            let free = word.load(Ordering::Acquire);
+            debug_assert_eq!(word::state(free), word::FREE);
+            word.store(word::with_state(free, word::OWNED), Ordering::Release);
+            index
+        };
+        Ok(OwnedBuf::attach(self.shared.clone(), index, 0))
     }
 
     /// Redeems an in-flight descriptor, transferring ownership to the caller.
+    ///
+    /// Every refusal is counted in [`PoolStats::failed_redeems`], so a forged
+    /// or replayed descriptor leaves a trace whichever check stops it.
     pub fn redeem(&self, desc: BufferDesc) -> Result<OwnedBuf, PoolError> {
-        if desc.tenant != self.shared.config.tenant.0 || desc.pool_id != self.shared.config.pool_id
-        {
-            return Err(PoolError::WrongPool);
+        match self.shared.claim(&desc) {
+            Ok(()) => Ok(OwnedBuf::attach(
+                self.shared.clone(),
+                desc.buf_index,
+                desc.len,
+            )),
+            Err(e) => {
+                self.shared.failed_redeems.fetch_add(1, Ordering::Relaxed);
+                Err(e)
+            }
         }
-        if desc.len as usize > self.shared.config.buf_size {
-            return Err(PoolError::LengthTooLarge);
-        }
-        let mut st = self.shared.state.lock().unwrap();
-        let idx = desc.buf_index as usize;
-        if idx >= st.states.len() {
-            st.failed_redeems += 1;
-            return Err(PoolError::BadIndex);
-        }
-        if st.states[idx] != BufState::InFlight {
-            st.failed_redeems += 1;
-            return Err(PoolError::NotInFlight);
-        }
-        if st.generations[idx] != desc.generation {
-            st.failed_redeems += 1;
-            return Err(PoolError::StaleGeneration);
-        }
-        st.states[idx] = BufState::Owned;
-        st.redeems += 1;
-        drop(st);
-        Ok(OwnedBuf::attach(
-            self.shared.clone(),
-            desc.buf_index,
-            desc.len as usize,
-        ))
     }
 
     /// Returns a buffer to the pool (`rte_mempool_put()` analogue).
@@ -273,104 +396,67 @@ impl BufferPool {
     }
 
     /// Returns current statistics.
+    ///
+    /// Exact whenever no other thread is mid-operation; under concurrent
+    /// use the per-buffer words are read one by one, not as a snapshot.
     pub fn stats(&self) -> PoolStats {
-        let st = self.shared.state.lock().unwrap();
         let mut owned = 0u32;
         let mut in_flight = 0u32;
-        for s in &st.states {
-            match s {
-                BufState::Owned => owned += 1,
-                BufState::InFlight => in_flight += 1,
-                BufState::Free => {}
+        let mut detaches = 0u64;
+        for w in self.shared.words.iter() {
+            let w = w.load(Ordering::Acquire);
+            detaches += word::detaches(w);
+            match word::state(w) {
+                word::OWNED => owned += 1,
+                word::IN_FLIGHT => in_flight += 1,
+                _ => {}
             }
         }
+        let list = self.shared.free_list();
         PoolStats {
             capacity: self.shared.config.capacity,
-            free: st.free.len() as u32,
+            free: list.free.len() as u32,
             owned,
             in_flight,
-            gets: st.gets,
-            puts: st.puts,
-            detaches: st.detaches,
-            redeems: st.redeems,
-            failed_gets: st.failed_gets,
-            failed_redeems: st.failed_redeems,
+            gets: list.gets,
+            puts: list.puts,
+            detaches,
+            // Every detach not still in flight was redeemed.
+            redeems: detaches - in_flight as u64,
+            failed_gets: list.failed_gets,
+            failed_redeems: self.shared.failed_redeems.load(Ordering::Relaxed),
         }
     }
 
-    /// Reads up to `n` leading payload bytes of an in-flight buffer without
-    /// transferring ownership.
+    /// Copies up to `out.len()` leading payload bytes of an in-flight
+    /// buffer into `out` without transferring ownership, and returns the
+    /// number of bytes copied.
     ///
     /// The caller must hold the descriptor (i.e. be the logical owner of the
-    /// in-flight buffer); the descriptor is validated exactly like
-    /// [`BufferPool::redeem`] so stale or foreign descriptors return `None`.
-    /// Used by tracing to recover the request id carried in the payload
-    /// header while the buffer transits the data plane.
-    pub fn peek_payload(&self, desc: BufferDesc, n: usize) -> Option<Vec<u8>> {
-        if desc.tenant != self.shared.config.tenant.0 || desc.pool_id != self.shared.config.pool_id
-        {
+    /// in-flight buffer); the descriptor is validated like
+    /// [`BufferPool::redeem`] does, so stale or foreign descriptors return
+    /// `None`. The data-plane trace sites use this to read the request id
+    /// and sampling bit carried in the payload header while the buffer
+    /// transits the data plane, without a heap allocation per peek.
+    pub fn peek_payload_into(&self, desc: BufferDesc, out: &mut [u8]) -> Option<usize> {
+        let shared = &*self.shared;
+        if !shared.names(&desc) {
             return None;
         }
-        let len = (desc.len as usize).min(self.shared.config.buf_size);
-        let take = n.min(len);
-        {
-            let st = self.shared.state.lock().unwrap();
-            let idx = desc.buf_index as usize;
-            if idx >= st.states.len()
-                || st.states[idx] != BufState::InFlight
-                || st.generations[idx] != desc.generation
-            {
-                return None;
-            }
+        let w = shared
+            .words
+            .get(desc.buf_index as usize)?
+            .load(Ordering::Acquire);
+        if word::state(w) != word::IN_FLIGHT || word::generation(w) != desc.generation {
+            return None;
         }
-        let bps = self.shared.bufs_per_segment;
-        let seg = desc.buf_index as usize / bps;
-        let within = desc.buf_index as usize % bps;
-        let off = seg * self.shared.config.segment_size + within * self.shared.config.buf_size;
-        let (base, inner) = self
-            .shared
-            .arena
-            .resolve(off, self.shared.config.buf_size)?;
+        let take = out.len().min(desc.len as usize).min(shared.config.buf_size);
         // SAFETY: the buffer is InFlight, so no `OwnedBuf` (and hence no
         // mutable reference) exists for it; the descriptor holder is its
         // logical owner and we only copy bytes out under that authority.
-        let slice = unsafe { std::slice::from_raw_parts(base.add(inner), take) };
-        Some(slice.to_vec())
-    }
-
-    /// Allocation-free variant of [`BufferPool::peek_payload`]: copies up
-    /// to `out.len()` leading payload bytes into `out` and returns the
-    /// number of bytes copied, or `None` for stale or foreign
-    /// descriptors. The data-plane trace sites use this to read the
-    /// request id and sampling bit without a heap allocation per peek.
-    pub fn peek_payload_into(&self, desc: BufferDesc, out: &mut [u8]) -> Option<usize> {
-        if desc.tenant != self.shared.config.tenant.0 || desc.pool_id != self.shared.config.pool_id
-        {
-            return None;
-        }
-        let len = (desc.len as usize).min(self.shared.config.buf_size);
-        let take = out.len().min(len);
-        {
-            let st = self.shared.state.lock().unwrap();
-            let idx = desc.buf_index as usize;
-            if idx >= st.states.len()
-                || st.states[idx] != BufState::InFlight
-                || st.generations[idx] != desc.generation
-            {
-                return None;
-            }
-        }
-        let bps = self.shared.bufs_per_segment;
-        let seg = desc.buf_index as usize / bps;
-        let within = desc.buf_index as usize % bps;
-        let off = seg * self.shared.config.segment_size + within * self.shared.config.buf_size;
-        let (base, inner) = self
-            .shared
-            .arena
-            .resolve(off, self.shared.config.buf_size)?;
-        // SAFETY: as in `peek_payload` — the buffer is InFlight, the
-        // descriptor holder is its logical owner, and we only copy out.
-        let slice = unsafe { std::slice::from_raw_parts(base.add(inner), take) };
+        // `buf_ptr` is valid for `buf_size >= take` bytes.
+        let slice =
+            unsafe { std::slice::from_raw_parts(shared.buf_ptr(desc.buf_index).as_ptr(), take) };
         out[..take].copy_from_slice(slice);
         Some(take)
     }
@@ -395,34 +481,43 @@ impl fmt::Debug for BufferPool {
     }
 }
 
+/// `OwnedBuf::index` once the buffer has been detached into a descriptor,
+/// so `Drop` must not recycle it. No buffer has this index: a pool's
+/// capacity is a `u32`.
+const DETACHED: u32 = u32::MAX;
+
 /// Exclusive ownership of one pool buffer.
 ///
 /// The token is deliberately neither `Clone` nor `Copy`: possession *is*
 /// the access right. Dropping it recycles the buffer.
 pub struct OwnedBuf {
     shared: Arc<PoolShared>,
+    /// The buffer's first byte, valid for `buf_size` bytes while `shared`
+    /// keeps the arena alive.
+    data: NonNull<u8>,
     index: u32,
-    len: usize,
-    /// Set once the buffer has been detached into a descriptor, so `Drop`
-    /// must not recycle it.
-    detached: bool,
+    /// Payload length; at most `buf_size`, which fits a `u32`.
+    len: u32,
 }
 
+// SAFETY: `data` points into the arena that `shared` (an `Arc` of a
+// `Send + Sync` pool) keeps mapped, and the pool's state machine makes this
+// token the only accessor of that range, so moving the token to another
+// thread moves the access right with it; `index` and `len` are plain data.
+unsafe impl Send for OwnedBuf {}
+// SAFETY: as for `Send`; `&OwnedBuf` only hands out `&[u8]` of the range and
+// `Copy` fields, and every mutation goes through `&mut self` or consumes it.
+unsafe impl Sync for OwnedBuf {}
+
 impl OwnedBuf {
-    fn attach(shared: Arc<PoolShared>, index: u32, len: usize) -> Self {
+    #[inline]
+    fn attach(shared: Arc<PoolShared>, index: u32, len: u32) -> Self {
         OwnedBuf {
+            data: shared.buf_ptr(index),
             shared,
             index,
             len,
-            detached: false,
         }
-    }
-
-    fn byte_offset(&self) -> usize {
-        let bps = self.shared.bufs_per_segment;
-        let seg = self.index as usize / bps;
-        let within = self.index as usize % bps;
-        seg * self.shared.config.segment_size + within * self.shared.config.buf_size
     }
 
     /// Returns the buffer index within its pool.
@@ -430,9 +525,19 @@ impl OwnedBuf {
         self.index
     }
 
+    /// Returns the tenant owning this buffer's pool.
+    pub fn tenant(&self) -> TenantId {
+        self.shared.config.tenant
+    }
+
+    /// Returns this buffer's pool identifier.
+    pub fn pool_id(&self) -> u16 {
+        self.shared.config.pool_id
+    }
+
     /// Returns the current payload length.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// Returns `true` when the payload is empty.
@@ -447,28 +552,17 @@ impl OwnedBuf {
 
     /// Returns the payload as a shared slice.
     pub fn as_slice(&self) -> &[u8] {
-        let off = self.byte_offset();
-        let (base, within) = self
-            .shared
-            .arena
-            .resolve(off, self.shared.config.buf_size)
-            .expect("pool geometry guarantees in-segment buffers");
-        // SAFETY: This `OwnedBuf` is the unique owner of the buffer (pool
-        // state machine); no other reference to this range can exist.
-        unsafe { std::slice::from_raw_parts(base.add(within), self.len) }
+        // SAFETY: `data` is valid for `buf_size >= len` bytes, and this
+        // `OwnedBuf` is the unique owner of the buffer (pool state
+        // machine); no other reference to this range can exist.
+        unsafe { std::slice::from_raw_parts(self.data.as_ptr(), self.len as usize) }
     }
 
     /// Returns the full buffer as a mutable slice (capacity, not payload).
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        let off = self.byte_offset();
-        let (base, within) = self
-            .shared
-            .arena
-            .resolve(off, self.shared.config.buf_size)
-            .expect("pool geometry guarantees in-segment buffers");
         // SAFETY: Unique ownership as in `as_slice`, and `&mut self` also
         // prevents aliasing through this token.
-        unsafe { std::slice::from_raw_parts_mut(base.add(within), self.shared.config.buf_size) }
+        unsafe { std::slice::from_raw_parts_mut(self.data.as_ptr(), self.shared.config.buf_size) }
     }
 
     /// Sets the payload length.
@@ -476,17 +570,14 @@ impl OwnedBuf {
         if len > self.shared.config.buf_size {
             return Err(PoolError::LengthTooLarge);
         }
-        self.len = len;
+        self.len = len as u32;
         Ok(())
     }
 
     /// Copies `payload` into the buffer and sets the length.
     pub fn write_payload(&mut self, payload: &[u8]) -> Result<(), PoolError> {
-        if payload.len() > self.shared.config.buf_size {
-            return Err(PoolError::LengthTooLarge);
-        }
+        self.set_len(payload.len())?;
         self.as_mut_slice()[..payload.len()].copy_from_slice(payload);
-        self.len = payload.len();
         Ok(())
     }
 
@@ -495,24 +586,20 @@ impl OwnedBuf {
     /// The descriptor can be sent over any transport and redeemed exactly
     /// once by [`BufferPool::redeem`] on the receiving side.
     pub fn into_desc(mut self, dst_fn: u16) -> BufferDesc {
-        let generation = {
-            let mut st = self.shared.state.lock().unwrap();
-            let idx = self.index as usize;
-            debug_assert_eq!(st.states[idx], BufState::Owned);
-            st.states[idx] = BufState::InFlight;
-            st.detaches += 1;
-            // Each detach opens a fresh generation, so descriptors from any
-            // earlier detach of this buffer can never redeem again.
-            st.generations[idx] = st.generations[idx].wrapping_add(1);
-            st.generations[idx]
-        };
-        self.detached = true;
+        // This token is the buffer's only holder until the store below
+        // publishes the descriptor's generation.
+        let word = &self.shared.words[self.index as usize];
+        let owned = word.load(Ordering::Acquire);
+        debug_assert_eq!(word::state(owned), word::OWNED);
+        let in_flight = word::detached(owned);
+        word.store(in_flight, Ordering::Release);
+        let buf_index = std::mem::replace(&mut self.index, DETACHED);
         BufferDesc {
             tenant: self.shared.config.tenant.0,
             pool_id: self.shared.config.pool_id,
-            buf_index: self.index,
-            len: self.len as u32,
-            generation,
+            buf_index,
+            len: self.len,
+            generation: word::generation(in_flight),
             dst_fn,
         }
     }
@@ -525,16 +612,21 @@ impl OwnedBuf {
 
 impl Drop for OwnedBuf {
     fn drop(&mut self) {
-        if self.detached {
+        if self.index == DETACHED {
             return;
         }
-        let mut st = self.shared.state.lock().unwrap();
-        let idx = self.index as usize;
-        debug_assert_eq!(st.states[idx], BufState::Owned);
-        st.states[idx] = BufState::Free;
-        st.generations[idx] = st.generations[idx].wrapping_add(1);
-        st.free.push(self.index);
-        st.puts += 1;
+        let mut list = self.shared.free_list();
+        // Still the only holder until the push: retiring the generation
+        // needs no lock, and sits under it for the reason given in `get`.
+        let word = &self.shared.words[self.index as usize];
+        let owned = word.load(Ordering::Acquire);
+        debug_assert_eq!(word::state(owned), word::OWNED);
+        word.store(
+            word::with_state(word::next_generation(owned), word::FREE),
+            Ordering::Release,
+        );
+        list.free.push(self.index);
+        list.puts += 1;
     }
 }
 
@@ -620,27 +712,152 @@ mod tests {
         let _ = p.redeem(desc2).unwrap();
     }
 
+    /// Every way `redeem` can refuse a descriptor: each returns its own
+    /// error kind and each leaves a trace in `failed_redeems`.
     #[test]
-    fn wrong_pool_and_bad_index_rejected() {
-        let p = pool(1);
+    fn every_refusal_kind_is_typed_and_counted() {
+        let p = pool(2);
         let other = {
             let mut cfg = PoolConfig::new(TenantId(2), 0, 1024, 1);
             cfg.segment_size = 8 * 1024;
             BufferPool::new(cfg).unwrap()
         };
-        let desc = other.get().unwrap().into_desc(0);
-        assert_eq!(p.redeem(desc).unwrap_err(), PoolError::WrongPool);
-        let mut bad = p.get().unwrap().into_desc(0);
-        bad.buf_index = 99;
-        assert_eq!(p.redeem(bad).unwrap_err(), PoolError::BadIndex);
+        let foreign = other.get().unwrap().into_desc(0);
+        let live = p.get().unwrap().into_desc(0);
+        let spent = p.get().unwrap().into_desc(0);
+        drop(p.redeem(spent).unwrap());
+        let table = [
+            (foreign, PoolError::WrongPool),
+            (BufferDesc { pool_id: 9, ..live }, PoolError::WrongPool),
+            (BufferDesc { len: 4096, ..live }, PoolError::LengthTooLarge),
+            (
+                BufferDesc {
+                    buf_index: 99,
+                    ..live
+                },
+                PoolError::BadIndex,
+            ),
+            (spent, PoolError::NotInFlight),
+            (
+                BufferDesc {
+                    generation: live.generation.wrapping_sub(1),
+                    ..live
+                },
+                PoolError::StaleGeneration,
+            ),
+        ];
+        let before = p.stats();
+        for (i, (desc, want)) in table.iter().enumerate() {
+            assert_eq!(p.redeem(*desc).unwrap_err(), *want, "row {i}");
+            assert_eq!(
+                p.stats().failed_redeems,
+                before.failed_redeems + i as u64 + 1,
+                "row {i}: {want:?} is counted"
+            );
+        }
+        let after = p.stats();
+        assert_eq!(after.redeems, before.redeems, "no refusal redeemed");
+        assert_eq!(after.in_flight, before.in_flight);
+        assert_eq!(other.stats().failed_redeems, 0);
+        drop(p.redeem(live).unwrap());
     }
 
     #[test]
-    fn oversize_len_rejected() {
+    fn buffers_tile_segments_without_straddling() {
+        // 5000-byte segments hold four 1024-byte buffers and 904 bytes of
+        // slack; 8192-byte ones tile exactly (the no-division path).
+        for (segment_size, per_segment) in [(5000usize, 4usize), (8192, 8)] {
+            let mut cfg = PoolConfig::new(TenantId(1), 0, 1024, 10);
+            cfg.segment_size = segment_size;
+            let p = BufferPool::new(cfg).unwrap();
+            let bufs: Vec<OwnedBuf> = (0..10).map(|_| p.get().unwrap()).collect();
+            let base = bufs[0].as_slice().as_ptr().addr();
+            for b in &bufs {
+                let i = b.index() as usize;
+                let offset = b.as_slice().as_ptr().addr() - base;
+                assert_eq!(
+                    offset,
+                    i / per_segment * segment_size + i % per_segment * 1024,
+                    "buffer {i} of a {segment_size}-byte-segment pool"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn peek_reads_in_flight_payload_only_for_its_descriptor() {
         let p = pool(1);
-        let mut desc = p.get().unwrap().into_desc(0);
-        desc.len = 4096;
-        assert_eq!(p.redeem(desc).unwrap_err(), PoolError::LengthTooLarge);
+        let mut b = p.get().unwrap();
+        b.write_payload(b"request-id").unwrap();
+        let desc = b.into_desc(0);
+        let mut out = [0u8; 7];
+        assert_eq!(p.peek_payload_into(desc, &mut out), Some(7));
+        assert_eq!(&out, b"request");
+        let mut wide = [0u8; 64];
+        assert_eq!(p.peek_payload_into(desc, &mut wide), Some(10));
+        let stale = BufferDesc {
+            generation: desc.generation.wrapping_add(1),
+            ..desc
+        };
+        let far = BufferDesc {
+            buf_index: 7,
+            ..desc
+        };
+        let foreign = BufferDesc { tenant: 9, ..desc };
+        for bad in [stale, far, foreign] {
+            assert_eq!(p.peek_payload_into(bad, &mut out), None);
+        }
+        let held = p.redeem(desc).unwrap();
+        assert_eq!(p.peek_payload_into(desc, &mut out), None, "owned again");
+        drop(held);
+        assert_eq!(p.stats().failed_redeems, 0, "a peek is not a redeem");
+    }
+
+    #[test]
+    fn racing_redeems_of_one_descriptor_have_one_winner() {
+        const THREADS: usize = 4;
+        // Miri interprets every barrier wait; a hundred rounds still race.
+        const ROUNDS: usize = if cfg!(miri) { 100 } else { 10_000 };
+        let p = pool(2);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let current = Mutex::new(None::<BufferDesc>);
+        let wins = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (p, barrier, current, wins) = (&p, &barrier, &current, &wins);
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        if t == 0 {
+                            let mut b = p.get().unwrap();
+                            b.write_payload(&(round as u64).to_le_bytes()).unwrap();
+                            *current.lock().unwrap() = Some(b.into_desc(0));
+                        }
+                        // All four hold the same descriptor and start together.
+                        barrier.wait();
+                        let desc = current.lock().unwrap().expect("published");
+                        barrier.wait();
+                        match p.redeem(desc) {
+                            Ok(b) => {
+                                assert_eq!(b.as_slice(), (round as u64).to_le_bytes());
+                                wins.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(e) => assert!(
+                                matches!(e, PoolError::NotInFlight | PoolError::StaleGeneration),
+                                "round {round}: {e:?}"
+                            ),
+                        }
+                        // Nobody starts the next round before every attempt
+                        // of this one is over.
+                        barrier.wait();
+                        assert_eq!(wins.load(Ordering::Relaxed), round as u64 + 1);
+                    }
+                });
+            }
+        });
+        let s = p.stats();
+        assert_eq!(s.redeems, ROUNDS as u64);
+        assert_eq!(s.failed_redeems, ((THREADS - 1) * ROUNDS) as u64);
+        assert_eq!((s.free, s.in_flight), (2, 0));
     }
 
     #[test]

@@ -72,36 +72,64 @@ fn run_case(case: u64, ops: Vec<Op>) {
     let pool = BufferPool::new(cfg).unwrap();
     let mut owned: Vec<OwnedBuf> = Vec::new();
     let mut in_flight: Vec<BufferDesc> = Vec::new();
+    // Spent descriptors stay here for the rest of the case, so later ops
+    // replay them after their buffer was put, re-got and re-detached.
     let mut stale: Vec<BufferDesc> = Vec::new();
+    // The model's own ledger of what the pool's counters must say.
+    let (mut gets, mut puts, mut detaches, mut redeems) = (0u64, 0u64, 0u64, 0u64);
+    let (mut failed_gets, mut failed_redeems) = (0u64, 0u64);
 
     for op in ops {
         match op {
             Op::Get => match pool.get() {
-                Ok(b) => owned.push(b),
-                Err(e) => assert_eq!(e, PoolError::Exhausted, "case {case}"),
+                Ok(b) => {
+                    gets += 1;
+                    owned.push(b);
+                }
+                Err(e) => {
+                    failed_gets += 1;
+                    assert_eq!(e, PoolError::Exhausted, "case {case}");
+                    assert_eq!(owned.len() + in_flight.len(), capacity as usize);
+                }
             },
             Op::Put(i) if !owned.is_empty() => {
                 let b = owned.swap_remove(i % owned.len());
                 pool.put(b);
+                puts += 1;
             }
             Op::Detach(i, dst) if !owned.is_empty() => {
                 let b = owned.swap_remove(i % owned.len());
                 in_flight.push(b.into_desc(dst));
+                detaches += 1;
             }
             Op::Redeem(i) if !in_flight.is_empty() => {
                 let d = in_flight.swap_remove(i % in_flight.len());
                 let b = pool.redeem(d).expect("live descriptor must redeem");
+                redeems += 1;
                 // Redeeming again with the same descriptor must fail.
-                assert!(pool.redeem(d).is_err(), "case {case}");
+                assert_eq!(
+                    pool.redeem(d).unwrap_err(),
+                    PoolError::NotInFlight,
+                    "case {case}"
+                );
+                failed_redeems += 1;
                 stale.push(d);
                 owned.push(b);
             }
             Op::RedeemStale(i) if !stale.is_empty() => {
                 let d = stale[i % stale.len()];
-                assert!(
-                    pool.redeem(d).is_err(),
-                    "case {case}: stale descriptor must not redeem"
-                );
+                let e = pool
+                    .redeem(d)
+                    .expect_err("stale descriptor must not redeem");
+                failed_redeems += 1;
+                // Back in flight under a newer generation, or not in flight.
+                let redetached = in_flight.iter().any(|f| f.buf_index == d.buf_index);
+                let want = if redetached {
+                    PoolError::StaleGeneration
+                } else {
+                    PoolError::NotInFlight
+                };
+                assert_eq!(e, want, "case {case}");
             }
             Op::WriteRead(i, v) if !owned.is_empty() => {
                 let idx = i % owned.len();
@@ -119,6 +147,20 @@ fn run_case(case: u64, ops: Vec<Op>) {
         );
         assert_eq!(s.owned as usize, owned.len(), "case {case}");
         assert_eq!(s.in_flight as usize, in_flight.len(), "case {case}");
+        // The counters agree with the model, hence with each other:
+        // `gets - puts == owned + in_flight`, `detaches - redeems == in_flight`.
+        assert_eq!(
+            (s.gets, s.puts, s.detaches, s.redeems),
+            (gets, puts, detaches, redeems),
+            "case {case}: {s:?}"
+        );
+        assert_eq!(s.gets - s.puts, (s.owned + s.in_flight) as u64);
+        assert_eq!(s.detaches - s.redeems, s.in_flight as u64);
+        assert_eq!(
+            (s.failed_gets, s.failed_redeems),
+            (failed_gets, failed_redeems),
+            "case {case}"
+        );
     }
     // Drain: everything returns to free.
     owned.clear();

@@ -226,7 +226,7 @@ impl Inner {
         now: SimTime,
         h: QpHandle,
         len: usize,
-        check_mr: Option<&BufferPool>,
+        check_mr: Option<&OwnedBuf>,
     ) -> Result<(NodeId, CqId, SimTime), RdmaError> {
         if len > self.costs.max_msg_size {
             return Err(RdmaError::MessageTooLarge {
@@ -238,8 +238,8 @@ impl Inner {
             .nodes
             .get_mut(h.node.0 as usize)
             .ok_or(RdmaError::UnknownNode(h.node))?;
-        if let Some(pool) = check_mr {
-            if !node.mrs.is_registered(pool.tenant(), pool.pool_id()) {
+        if let Some(buf) = check_mr {
+            if !node.mrs.is_registered(buf.tenant(), buf.pool_id()) {
                 return Err(RdmaError::UnregisteredMemory);
             }
         }
@@ -788,11 +788,10 @@ impl Fabric {
             .rqs
             .get_mut(rq.0 as usize)
             .ok_or(RdmaError::UnknownRq)?;
-        let pool = buf.pool();
-        if pool.tenant() != state.tenant
+        if buf.tenant() != state.tenant
             || !inner.nodes[state.node.0 as usize]
                 .mrs
-                .is_registered(pool.tenant(), pool.pool_id())
+                .is_registered(buf.tenant(), buf.pool_id())
         {
             return Err(RdmaError::UnregisteredMemory);
         }
@@ -838,8 +837,7 @@ impl Fabric {
     ) -> Result<(), RdmaError> {
         let (arrival, d) = {
             let mut inner = self.inner.borrow_mut();
-            let (_, sender_cq, depart) =
-                inner.admit_tx(sim.now(), h, buf.len(), Some(&buf.pool()))?;
+            let (_, sender_cq, depart) = inner.admit_tx(sim.now(), h, buf.len(), Some(&buf))?;
             let d = Delivery {
                 sender: h,
                 sender_cq,

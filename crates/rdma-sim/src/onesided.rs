@@ -39,8 +39,7 @@ impl Fabric {
         {
             // The slot buffer must come from the pool the rkey names.
             let region = inner.node(node)?.mrs.region(rkey)?;
-            let pool = buf.pool();
-            if region.pool.tenant() != pool.tenant() || region.pool.pool_id() != pool.pool_id() {
+            if region.pool.tenant() != buf.tenant() || region.pool.pool_id() != buf.pool_id() {
                 return Err(RdmaError::UnregisteredMemory);
             }
         }
@@ -114,8 +113,7 @@ impl Fabric {
         let rc = self.inner_rc();
         let (peer, sender_cq, depart, ser, prop) = {
             let mut inner = rc.borrow_mut();
-            let (peer, sender_cq, depart) =
-                inner.admit_tx(sim.now(), h, buf.len(), Some(&buf.pool()))?;
+            let (peer, sender_cq, depart) = inner.admit_tx(sim.now(), h, buf.len(), Some(&buf))?;
             (
                 peer,
                 sender_cq,

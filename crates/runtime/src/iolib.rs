@@ -8,7 +8,6 @@
 //! node's host cores, so function density effects show up in utilization.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use dne::engine::FnEndpoint;
@@ -20,7 +19,7 @@ use membuf::pool::BufferPool;
 use membuf::tenant::TenantId;
 use obs::{Stage, Tracer};
 use rdma_sim::NodeId;
-use simcore::Sim;
+use simcore::{IdTable, Sim};
 
 use crate::placement::Placement;
 use crate::sidecar::{AccessDecision, Sidecar};
@@ -44,8 +43,10 @@ struct IoInner {
     placement: Rc<RefCell<Placement>>,
     dne: Dne,
     cpu: Rc<RefCell<Processor>>,
-    endpoints: HashMap<u16, FnEndpoint>,
-    pools: HashMap<TenantId, BufferPool>,
+    /// Indexed by function id.
+    endpoints: IdTable<FnEndpoint>,
+    /// Indexed by tenant id.
+    pools: IdTable<BufferPool>,
     sidecar: Sidecar,
     skmsg: IpcCosts,
     dne_ipc: IpcCosts,
@@ -60,7 +61,7 @@ impl IoInner {
     fn trace_meta_of_desc(&self, tenant: TenantId, desc: BufferDesc) -> (u64, bool) {
         let mut head = [0u8; obs::CTX_REGION];
         self.pools
-            .get(&tenant)
+            .get(tenant.0.into())
             .and_then(|p| p.peek_payload_into(desc, &mut head))
             .map(|n| {
                 let req_id = if n >= 8 {
@@ -125,8 +126,8 @@ impl IoLib {
                 placement,
                 dne,
                 cpu,
-                endpoints: HashMap::new(),
-                pools: HashMap::new(),
+                endpoints: IdTable::new(),
+                pools: IdTable::new(),
                 sidecar: Sidecar::new(),
                 skmsg: IpcCosts::for_kind(IpcKind::SkMsg),
                 dne_ipc,
@@ -151,7 +152,7 @@ impl IoLib {
     /// Registers a tenant's local memory pool (needed to recycle buffers
     /// on drop paths).
     pub fn register_tenant_pool(&self, tenant: TenantId, pool: BufferPool) {
-        self.inner.borrow_mut().pools.insert(tenant, pool);
+        self.inner.borrow_mut().pools.insert(tenant.0.into(), pool);
     }
 
     /// Registers a local function: wires its endpoint into both the local
@@ -160,7 +161,7 @@ impl IoLib {
     pub fn register_function(&self, fn_id: u16, tenant: TenantId, endpoint: FnEndpoint) {
         let mut inner = self.inner.borrow_mut();
         inner.sidecar.assign(fn_id, tenant);
-        inner.endpoints.insert(fn_id, endpoint.clone());
+        inner.endpoints.insert(fn_id.into(), endpoint.clone());
         inner.dne.register_endpoint(fn_id, endpoint);
     }
 
@@ -218,7 +219,8 @@ impl IoLib {
                     Path::Drop
                 }
                 Some(n) if n == inner.node => match inner.sidecar.check(tenant, desc.dst_fn) {
-                    AccessDecision::Allow => match inner.endpoints.get(&desc.dst_fn).cloned() {
+                    AccessDecision::Allow => match inner.endpoints.get(desc.dst_fn.into()).cloned()
+                    {
                         Some(ep) => {
                             let service = inner.skmsg.host_service + Sidecar::CHECK_COST;
                             let cpu_done = inner.cpu.borrow_mut().run(sim.now(), service);
@@ -233,7 +235,7 @@ impl IoLib {
                     },
                     AccessDecision::AllowWithCopy => {
                         let dst_tenant = inner.sidecar.owner_of(desc.dst_fn);
-                        match (inner.endpoints.get(&desc.dst_fn).cloned(), dst_tenant) {
+                        match (inner.endpoints.get(desc.dst_fn.into()).cloned(), dst_tenant) {
                             (Some(ep), Some(dst_tenant)) => {
                                 // The copy itself is memory-bound; charge
                                 // it unscaled on top of the IPC work.
@@ -282,8 +284,8 @@ impl IoLib {
                 // tenant's pool, deliver a descriptor the destination can
                 // actually redeem.
                 let inner = self.inner.borrow();
-                let src_pool = inner.pools.get(&tenant).cloned();
-                let dst_pool = inner.pools.get(&dst_tenant).cloned();
+                let src_pool = inner.pools.get(tenant.0.into()).cloned();
+                let dst_pool = inner.pools.get(dst_tenant.0.into()).cloned();
                 drop(inner);
                 let (Some(src_pool), Some(dst_pool)) = (src_pool, dst_pool) else {
                     self.inner.borrow_mut().stats.dropped += 1;
@@ -309,7 +311,7 @@ impl IoLib {
             Path::Drop => {
                 // Recycle the in-flight buffer if we know the pool.
                 let inner = self.inner.borrow();
-                if let Some(pool) = inner.pools.get(&tenant) {
+                if let Some(pool) = inner.pools.get(tenant.0.into()) {
                     let _ = pool.redeem(desc); // dropped => returned to pool
                 }
             }

@@ -1,13 +1,13 @@
 //! Function placement: which node hosts which function.
 
-use std::collections::HashMap;
-
 use rdma_sim::NodeId;
+use simcore::IdTable;
 
 /// The cluster-wide function → node map.
 #[derive(Debug, Clone, Default)]
 pub struct Placement {
-    map: HashMap<u16, NodeId>,
+    /// Indexed by function id: every remote send looks its target up here.
+    map: IdTable<NodeId>,
 }
 
 impl Placement {
@@ -18,12 +18,12 @@ impl Placement {
 
     /// Places (or moves) a function onto a node.
     pub fn place(&mut self, fn_id: u16, node: NodeId) {
-        self.map.insert(fn_id, node);
+        self.map.insert(fn_id.into(), node);
     }
 
     /// Returns the node hosting `fn_id`.
     pub fn node_of(&self, fn_id: u16) -> Option<NodeId> {
-        self.map.get(&fn_id).copied()
+        self.map.get(fn_id.into()).copied()
     }
 
     /// Lists the functions placed on `node` (sorted for determinism).
@@ -32,7 +32,7 @@ impl Placement {
             .map
             .iter()
             .filter(|(_, n)| **n == node)
-            .map(|(f, _)| *f)
+            .map(|(f, _)| f as u16)
             .collect();
         v.sort_unstable();
         v

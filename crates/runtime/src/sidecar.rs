@@ -7,10 +7,10 @@
 //! cross-tenant exchange requires an explicit CPU copy (and must have been
 //! allowed by the operator), because tenants do not share memory pools.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use membuf::tenant::TenantId;
-use simcore::SimDuration;
+use simcore::{IdTable, SimDuration};
 
 /// The sidecar's verdict for one descriptor exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +27,8 @@ pub enum AccessDecision {
 /// Node-wide sidecar state.
 #[derive(Debug, Default)]
 pub struct Sidecar {
-    owner: HashMap<u16, TenantId>,
+    /// Indexed by function id: checked once per descriptor.
+    owner: IdTable<TenantId>,
     cross_tenant_allow: HashSet<(TenantId, TenantId)>,
     denials: u64,
     checks: u64,
@@ -44,7 +45,7 @@ impl Sidecar {
 
     /// Records that `fn_id` belongs to `tenant`.
     pub fn assign(&mut self, fn_id: u16, tenant: TenantId) {
-        self.owner.insert(fn_id, tenant);
+        self.owner.insert(fn_id.into(), tenant);
     }
 
     /// Operator whitelist: tenant `src` may send (with copy) to `dst`.
@@ -55,7 +56,7 @@ impl Sidecar {
     /// Checks whether `src_tenant` may deliver a descriptor to `dst_fn`.
     pub fn check(&mut self, src_tenant: TenantId, dst_fn: u16) -> AccessDecision {
         self.checks += 1;
-        match self.owner.get(&dst_fn) {
+        match self.owner.get(dst_fn.into()) {
             Some(&owner) if owner == src_tenant => AccessDecision::Allow,
             Some(&owner) if self.cross_tenant_allow.contains(&(src_tenant, owner)) => {
                 AccessDecision::AllowWithCopy
@@ -69,7 +70,7 @@ impl Sidecar {
 
     /// Returns the tenant owning `fn_id`, if assigned.
     pub fn owner_of(&self, fn_id: u16) -> Option<TenantId> {
-        self.owner.get(&fn_id).copied()
+        self.owner.get(fn_id.into()).copied()
     }
 
     /// Returns how many checks were performed.

@@ -21,7 +21,6 @@ use std::time::Instant;
 
 pub use crate::wheel::{TimerHandle, DEFAULT_TICK_SHIFT};
 
-use crate::event::EventFn;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
 
@@ -57,7 +56,9 @@ use crate::wheel::TimingWheel;
 pub struct Sim {
     now: SimTime,
     seq: u64,
-    wheel: TimingWheel,
+    /// `pub(crate)` for [`crate::wheel::Due::run`], which returns the
+    /// running event's node once its handler is back.
+    pub(crate) wheel: TimingWheel,
     executed: u64,
     cancelled: u64,
     boxed: u64,
@@ -168,7 +169,7 @@ impl Sim {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let handle = self.wheel.insert(at, seq, EventFn::new(f, &mut self.boxed));
+        let handle = self.wheel.insert(at, seq, f, &mut self.boxed);
         self.peak_pending = self.peak_pending.max(self.wheel.live());
         handle
     }
@@ -260,11 +261,11 @@ impl Sim {
     /// Executes the single next event, returning `false` if none remain.
     pub fn step(&mut self) -> bool {
         match self.wheel.pop_due(u64::MAX, SimTime::MAX) {
-            Some((at, _seq, event)) => {
-                debug_assert!(at >= self.now);
-                self.now = at;
+            Some(due) => {
+                debug_assert!(due.at >= self.now);
+                self.now = due.at;
                 self.executed += 1;
-                event.invoke(self);
+                due.run(self);
                 true
             }
             None => false,
@@ -285,10 +286,10 @@ impl Sim {
     pub fn run_until(&mut self, deadline: SimTime) {
         let t0 = Instant::now();
         let limit_tick = self.wheel.tick_of(deadline);
-        while let Some((at, _seq, event)) = self.wheel.pop_due(limit_tick, deadline) {
-            self.now = at;
+        while let Some(due) = self.wheel.pop_due(limit_tick, deadline) {
+            self.now = due.at;
             self.executed += 1;
-            event.invoke(self);
+            due.run(self);
         }
         if self.now < deadline {
             self.now = deadline;
@@ -445,6 +446,115 @@ mod tests {
         });
         sim.run();
         assert_eq!(*hits.borrow(), 0);
+    }
+
+    #[test]
+    fn a_running_event_is_no_longer_pending() {
+        use std::cell::Cell;
+        let mut sim = Sim::new();
+        let own = Rc::new(Cell::new(None::<TimerHandle>));
+        let seen = Rc::new(Cell::new(None));
+        let handle = {
+            let (own, seen) = (own.clone(), seen.clone());
+            sim.schedule_at(SimTime::from_nanos(10), move |sim| {
+                let h = own.get().expect("handle published");
+                let scheduled = sim.is_scheduled(h);
+                let cancelled = sim.cancel(h);
+                seen.set(Some((scheduled, cancelled, sim.pending_events())));
+            })
+        };
+        own.set(Some(handle));
+        sim.schedule_at(SimTime::from_nanos(20), |_| {});
+        assert!(sim.is_scheduled(handle));
+        assert_eq!(sim.pending_events(), 2);
+        sim.run();
+        // Stale from the moment it was popped; only the later event counted.
+        assert_eq!(seen.get(), Some((false, false, 1)));
+        assert_eq!(sim.profile().cancelled_events, 0);
+        assert_eq!(sim.executed_events(), 2);
+    }
+
+    #[test]
+    fn a_handler_may_outgrow_the_slab_it_runs_from() {
+        // The first event runs from node 0 of a one-node slab and schedules
+        // enough events to reallocate the node vector several times over.
+        const FAN_OUT: u64 = 1_000;
+        let mut sim = Sim::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l = log.clone();
+        sim.schedule_at(SimTime::from_nanos(5), move |sim| {
+            for i in 0..FAN_OUT {
+                let l = l.clone();
+                // Times repeat, so ties fall back on scheduling order.
+                let at = SimTime::from_nanos(5 + (i * 7) % 50);
+                sim.schedule_at(at, move |sim| l.borrow_mut().push((sim.now(), i)));
+            }
+            // The captures are still intact after the slab moved.
+            l.borrow_mut().push((sim.now(), u64::MAX));
+        });
+        sim.run();
+        let log = log.borrow();
+        assert_eq!(log[0], (SimTime::from_nanos(5), u64::MAX));
+        assert_eq!(log.len() as u64, FAN_OUT + 1);
+        let mut want: Vec<(SimTime, u64)> = (0..FAN_OUT)
+            .map(|i| (SimTime::from_nanos(5 + (i * 7) % 50), i))
+            .collect();
+        want.sort();
+        assert_eq!(log[1..], want[..], "(time, seq) order");
+        assert_eq!(sim.pending_events(), 0);
+    }
+
+    #[test]
+    fn a_panicking_handler_drops_its_captures_once_and_spares_the_queue() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut sim = Sim::new();
+        let token = Rc::new(());
+        let hits = Rc::new(RefCell::new(0u32));
+        let t = token.clone();
+        sim.schedule_at(SimTime::from_nanos(10), move |_| {
+            let _held = t;
+            panic!("handler failed");
+        });
+        let h = hits.clone();
+        sim.schedule_at(SimTime::from_nanos(20), move |_| *h.borrow_mut() += 1);
+        assert_eq!(Rc::strong_count(&token), 2);
+        let unwound = catch_unwind(AssertUnwindSafe(|| sim.run()));
+        assert!(unwound.is_err());
+        assert_eq!(Rc::strong_count(&token), 1, "dropped by the unwind");
+        assert_eq!(sim.pending_events(), 1);
+        sim.run();
+        assert_eq!(*hits.borrow(), 1, "later events still fire");
+        // Dropping the engine finds nothing left to drop in the leaked node.
+        drop(sim);
+        assert_eq!(Rc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn oversized_closures_are_boxed_counted_run_and_cancellable() {
+        let mut sim = Sim::new();
+        let big = [3u64; 32]; // 256 B of capture, past `INLINE_BYTES`
+        let sum = Rc::new(RefCell::new(0u64));
+        let token = Rc::new(());
+        let s = sum.clone();
+        sim.schedule_at(SimTime::from_nanos(10), move |_| {
+            *s.borrow_mut() = big.iter().sum();
+        });
+        let t = token.clone();
+        let doomed = sim.schedule_at(SimTime::from_nanos(20), move |_| {
+            let _ = (&big, &t);
+            unreachable!("cancelled");
+        });
+        let t = token.clone();
+        sim.schedule_at(SimTime::from_nanos(1_000_000), move |_| {
+            let _ = (&big, &t);
+        });
+        assert_eq!(sim.profile().boxed_events, 3);
+        assert!(sim.cancel(doomed));
+        assert_eq!(Rc::strong_count(&token), 2, "cancel frees the box now");
+        sim.run_until(SimTime::from_nanos(100));
+        assert_eq!(*sum.borrow(), 96);
+        drop(sim);
+        assert_eq!(Rc::strong_count(&token), 1, "pending box freed on drop");
     }
 
     #[test]

@@ -22,11 +22,13 @@
 //! Slots hold flat `(time, seq, slab index)` entry vectors, so drains
 //! and minimum scans stream through contiguous memory; each slot buffer's
 //! capacity is recycled on drain, and event closures live in a slab with
-//! an intrusive free list (see [`crate::event::EventFn`] for the inline
+//! an intrusive free list (see [`crate::event::EventFn`] for the in-place
 //! closure representation), so steady-state scheduling allocates nothing.
-//! The slab is only touched when an event fires or is cancelled — never
-//! while entries cascade. Generation counts make [`TimerHandle`]s safe to
-//! hold after the event fired: cancelling a dead handle is a no-op.
+//! A closure is written into its node when scheduled and called from it
+//! when due ([`TimingWheel::insert`], [`TimingWheel::pop_due`]); the slab
+//! is only touched then or on cancellation — never while entries cascade.
+//! Generation counts make [`TimerHandle`]s safe to hold after the event
+//! fired: cancelling a dead handle is a no-op.
 //!
 //! Popping drains one slot at a time into a tiny `ready` heap that
 //! restores the engine's exact `(time, seq)` total order, so execution
@@ -36,7 +38,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::event::EventFn;
+use crate::engine::Sim;
+use crate::event::{CallFn, EventFn};
 use crate::time::SimTime;
 
 /// Default tick granularity exponent: 2⁶ = 64 ns per tick.
@@ -71,14 +74,42 @@ struct Node {
     gen: u32,
     /// Free-list link while the node is unallocated.
     next: u32,
-    /// `Some` while pending; taken on execution or cancellation.
-    event: Option<EventFn>,
+    /// Armed while pending; emptied on execution or cancellation.
+    event: EventFn,
 }
 
 impl Node {
     #[inline]
     fn is_live(&self) -> bool {
-        self.event.is_some()
+        self.event.is_armed()
+    }
+}
+
+/// A due event taken off the queue by [`TimingWheel::pop_due`]: its handle
+/// is already stale and it no longer counts as pending, but its closure
+/// still sits in slab node `idx`, which stays off the free list until
+/// [`TimingWheel::free`] — so nothing can be scheduled over the payload
+/// before [`Due::run`] has read it out.
+pub(crate) struct Due {
+    pub at: SimTime,
+    idx: u32,
+    call: CallFn,
+    data: *mut u8,
+}
+
+impl Due {
+    /// Calls the closure, then returns its node to the slab.
+    ///
+    /// A panicking closure skips the `free`: the node leaks (it is empty,
+    /// so nothing is dropped twice) and the wheel stays consistent.
+    #[inline]
+    pub fn run(self, sim: &mut Sim) {
+        // SAFETY: `pop_due` took `call` and `data` out of node `idx` and
+        // nothing has touched the slab since (the caller holds the only
+        // `&mut Sim`), so `data` is the live payload `call` expects; `call`
+        // reads it out before any user code can reallocate the slab.
+        unsafe { (self.call)(self.data, sim) };
+        sim.wheel.free(self.idx);
     }
 }
 
@@ -167,14 +198,14 @@ impl TimingWheel {
         self.live
     }
 
+    /// Takes an empty node off the free list (or grows the slab).
     #[inline]
-    fn alloc(&mut self, event: EventFn) -> u32 {
+    fn alloc(&mut self) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
             let node = &mut self.nodes[idx as usize];
             self.free_head = node.next;
             node.next = NIL;
-            node.event = Some(event);
             idx
         } else {
             let idx = self.nodes.len() as u32;
@@ -182,16 +213,16 @@ impl TimingWheel {
             self.nodes.push(Node {
                 gen: 0,
                 next: NIL,
-                event: Some(event),
+                event: EventFn::empty(),
             });
             idx
         }
     }
 
-    /// Returns a node to the free list, bumping its generation so stale
-    /// [`TimerHandle`]s can no longer reach it.
+    /// Returns an empty node to the free list, bumping its generation so
+    /// stale [`TimerHandle`]s can no longer reach it.
     #[inline]
-    fn free(&mut self, idx: u32) {
+    pub(crate) fn free(&mut self, idx: u32) {
         let node = &mut self.nodes[idx as usize];
         debug_assert!(!node.is_live(), "freeing a node with a live event");
         node.gen = node.gen.wrapping_add(1);
@@ -234,12 +265,30 @@ impl TimingWheel {
         self.far.push(Reverse(entry));
     }
 
-    pub fn insert(&mut self, at: SimTime, seq: u64, event: EventFn) -> TimerHandle {
-        let idx = self.alloc(event);
-        let gen = self.nodes[idx as usize].gen;
+    /// Queues `f` at `(at, seq)`, writing it straight into its slab node;
+    /// `boxed` counts closures too large to store inline.
+    #[inline]
+    pub fn insert<F: FnOnce(&mut Sim) + 'static>(
+        &mut self,
+        at: SimTime,
+        seq: u64,
+        f: F,
+        boxed: &mut u64,
+    ) -> TimerHandle {
+        let (handle, slot) = self.enqueue(at, seq);
+        slot.arm(f, boxed);
+        handle
+    }
+
+    /// The closure-type-independent part of [`TimingWheel::insert`]: queues
+    /// an entry and returns its still-empty slot for the caller to arm.
+    fn enqueue(&mut self, at: SimTime, seq: u64) -> (TimerHandle, &mut EventFn) {
+        let idx = self.alloc();
         self.place((at, seq, idx));
         self.live += 1;
-        TimerHandle { idx, gen }
+        let node = &mut self.nodes[idx as usize];
+        let handle = TimerHandle { idx, gen: node.gen };
+        (handle, &mut node.event)
     }
 
     /// Deschedules the event behind `h`. Returns `false` for stale handles
@@ -248,14 +297,13 @@ impl TimingWheel {
     /// The entry stays in its container until the wheel naturally reaches
     /// it (lazy deletion); only the closure is dropped eagerly.
     pub fn cancel(&mut self, h: TimerHandle) -> bool {
-        match self.nodes.get_mut(h.idx as usize) {
-            Some(node) if node.gen == h.gen && node.is_live() => {
-                node.event = None; // drop the closure now
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
+        let cancelled = self
+            .nodes
+            .get_mut(h.idx as usize)
+            // `EventFn::cancel` drops the closure now, if one is pending.
+            .is_some_and(|node| node.gen == h.gen && node.event.cancel());
+        self.live -= cancelled as usize;
+        cancelled
     }
 
     /// Returns `true` while the event behind `h` is still pending.
@@ -418,33 +466,35 @@ impl TimingWheel {
         }
     }
 
-    /// Combined advance-and-pop for the engine's hot loop: returns the next
-    /// event with `at <= deadline`, or `None` (leaving the event queued)
-    /// when the queue is drained, the wheel would have to advance past
-    /// `limit_tick`, or the head is beyond `deadline`.
-    pub fn pop_due(
-        &mut self,
-        limit_tick: u64,
-        deadline: SimTime,
-    ) -> Option<(SimTime, u64, EventFn)> {
+    /// Combined advance-and-pop for the engine's hot loop: takes the next
+    /// event with `at <= deadline` off the queue, or returns `None`
+    /// (leaving the event queued) when the queue is drained, the wheel
+    /// would have to advance past `limit_tick`, or the head is beyond
+    /// `deadline`.
+    ///
+    /// From here on the event is no longer pending — its handle is stale
+    /// and [`TimingWheel::live`] no longer counts it — so a handler that
+    /// cancels or queries its own handle gets `false`.
+    pub fn pop_due(&mut self, limit_tick: u64, deadline: SimTime) -> Option<Due> {
         loop {
-            while let Some(&(at, seq, idx)) = self.ready.last() {
-                if !self.nodes[idx as usize].is_live() {
-                    self.ready.pop();
-                    self.free(idx);
-                    continue;
-                }
-                if at > deadline {
+            while let Some(&(at, _, idx)) = self.ready.last() {
+                if at > deadline && self.nodes[idx as usize].is_live() {
                     return None;
                 }
                 self.ready.pop();
-                let event = self.nodes[idx as usize]
-                    .event
-                    .take()
-                    .expect("checked above");
-                self.free(idx);
-                self.live -= 1;
-                return Some((at, seq, event));
+                match self.nodes[idx as usize].event.fire() {
+                    Some((call, data)) => {
+                        self.live -= 1;
+                        return Some(Due {
+                            at,
+                            idx,
+                            call,
+                            data,
+                        });
+                    }
+                    // Cancelled while queued: only the node was left.
+                    None => self.free(idx),
+                }
             }
             let j = self.next_jump()?;
             if j > limit_tick {
@@ -454,18 +504,22 @@ impl TimingWheel {
         }
     }
 
-    /// Pops the head of `ready`. Callers must have observed a `Some` from
-    /// [`TimingWheel::next_at`] with no intervening mutation.
+    /// Drops the head of `ready` unrun and reports its `(time, seq)`.
+    /// Callers must have observed a `Some` from [`TimingWheel::next_at`]
+    /// with no intervening mutation.
     #[cfg(test)]
-    pub fn pop_ready(&mut self) -> (SimTime, u64, EventFn) {
-        let (at, seq, idx) = self.ready.pop().expect("pop_ready on empty ready queue");
-        let event = self.nodes[idx as usize]
-            .event
-            .take()
-            .expect("ready head was cancelled");
+    fn discard_ready(&mut self) -> (SimTime, u64) {
+        let (at, seq, idx) = self
+            .ready
+            .pop()
+            .expect("discard_ready on empty ready queue");
+        assert!(
+            self.nodes[idx as usize].event.cancel(),
+            "ready head was cancelled"
+        );
         self.free(idx);
         self.live -= 1;
-        (at, seq, event)
+        (at, seq)
     }
 }
 
@@ -474,8 +528,8 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    fn ev() -> EventFn {
-        EventFn::new(|_| {}, &mut 0)
+    fn insert(w: &mut TimingWheel, ns: u64, seq: u64) -> TimerHandle {
+        w.insert(SimTime::from_nanos(ns), seq, |_| {}, &mut 0)
     }
 
     #[test]
@@ -494,14 +548,13 @@ mod tests {
             3,
         ];
         for (i, &t) in times.iter().enumerate() {
-            w.insert(SimTime::from_nanos(t), i as u64, ev());
+            insert(&mut w, t, i as u64);
         }
         let mut sorted = times.clone();
         sorted.sort_unstable();
         let mut popped = Vec::new();
         while w.next_at(u64::MAX).is_some() {
-            let (at, _, e) = w.pop_ready();
-            drop(e);
+            let (at, _) = w.discard_ready();
             popped.push(at.as_nanos());
         }
         assert_eq!(popped, sorted);
@@ -513,11 +566,11 @@ mod tests {
         let mut w = TimingWheel::new(DEFAULT_TICK_SHIFT);
         // 64ns ticks: nanos 128..131 share tick 2.
         for (seq, ns) in [(0u64, 130u64), (1, 128), (2, 130), (3, 131)] {
-            w.insert(SimTime::from_nanos(ns), seq, ev());
+            insert(&mut w, ns, seq);
         }
         let mut order = Vec::new();
         while w.next_at(u64::MAX).is_some() {
-            let (at, seq, _) = w.pop_ready();
+            let (at, seq) = w.discard_ready();
             order.push((at.as_nanos(), seq));
         }
         assert_eq!(order, vec![(128, 1), (130, 0), (130, 2), (131, 3)]);
@@ -526,15 +579,15 @@ mod tests {
     #[test]
     fn cancel_is_lazy_but_effective() {
         let mut w = TimingWheel::new(DEFAULT_TICK_SHIFT);
-        let h1 = w.insert(SimTime::from_nanos(500), 0, ev());
-        let h2 = w.insert(SimTime::from_nanos(1_000_000), 1, ev());
+        let h1 = insert(&mut w, 500, 0);
+        let h2 = insert(&mut w, 1_000_000, 1);
         assert!(w.is_pending(h1) && w.is_pending(h2));
         assert!(w.cancel(h1));
         assert!(!w.cancel(h1), "double cancel is a no-op");
         assert_eq!(w.live(), 1);
         let at = w.next_at(u64::MAX).unwrap();
         assert_eq!(at.as_nanos(), 1_000_000, "cancelled event skipped");
-        let (_, seq, _) = w.pop_ready();
+        let (_, seq) = w.discard_ready();
         assert_eq!(seq, 1);
         assert!(!w.cancel(h2), "fired handles are stale");
         assert!(w.next_at(u64::MAX).is_none());
@@ -543,12 +596,12 @@ mod tests {
     #[test]
     fn handles_survive_slab_reuse() {
         let mut w = TimingWheel::new(DEFAULT_TICK_SHIFT);
-        let h1 = w.insert(SimTime::from_nanos(10), 0, ev());
+        let h1 = insert(&mut w, 10, 0);
         w.next_at(u64::MAX);
-        let _ = w.pop_ready();
+        let _ = w.discard_ready();
         // The slab node is reused for a new event; the old handle must not
         // reach it.
-        let h2 = w.insert(SimTime::from_nanos(20), 1, ev());
+        let h2 = insert(&mut w, 20, 1);
         assert!(!w.cancel(h1), "stale handle after reuse");
         assert!(w.is_pending(h2));
         assert!(w.cancel(h2));
@@ -557,11 +610,11 @@ mod tests {
     #[test]
     fn limit_tick_bounds_advance() {
         let mut w = TimingWheel::new(DEFAULT_TICK_SHIFT);
-        w.insert(SimTime::from_nanos(1_000_000), 0, ev());
+        insert(&mut w, 1_000_000, 0);
         assert!(w.next_at(100).is_none(), "event beyond limit stays put");
         // An event scheduled behind an already-advanced wheel still runs
         // in exact time order.
-        w.insert(SimTime::from_nanos(5_000), 1, ev());
+        insert(&mut w, 5_000, 1);
         let at = w.next_at(u64::MAX).unwrap();
         assert_eq!(at.as_nanos(), 5_000);
     }
@@ -571,10 +624,10 @@ mod tests {
         let mut w = TimingWheel::new(DEFAULT_TICK_SHIFT);
         for round in 0..10u64 {
             for i in 0..100u64 {
-                w.insert(SimTime::from_nanos(round * 1000 + i), round * 100 + i, ev());
+                insert(&mut w, round * 1000 + i, round * 100 + i);
             }
             while w.next_at(u64::MAX).is_some() {
-                let _ = w.pop_ready();
+                let _ = w.discard_ready();
             }
         }
         assert!(
@@ -589,11 +642,11 @@ mod tests {
         let mut w = TimingWheel::new(DEFAULT_TICK_SHIFT);
         let _ = SimDuration::ZERO;
         for seq in 0..1000u64 {
-            w.insert(SimTime::from_nanos(42), seq, ev());
+            insert(&mut w, 42, seq);
         }
         let mut last = None;
         while w.next_at(u64::MAX).is_some() {
-            let (_, seq, _) = w.pop_ready();
+            let (_, seq) = w.discard_ready();
             if let Some(l) = last {
                 assert!(seq > l);
             }
