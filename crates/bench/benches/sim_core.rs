@@ -1,5 +1,5 @@
 //! Event-core benchmarks: timing-wheel `Sim` vs the reference binary-heap
-//! engine (`simcore::baseline::BaselineSim`).
+//! engine (`simcore`'s test-support `BaselineSim`, included by path).
 //!
 //! Three workloads, each a complete schedule-and-drain mini-simulation:
 //!
@@ -20,8 +20,13 @@ use std::hint::black_box;
 use std::rc::Rc;
 
 use bench::harness::{Bench, BenchResult};
-use simcore::baseline::BaselineSim;
 use simcore::{Sim, SimRng, SimTime};
+
+// The bench drives only schedule/cancel/run of the differential oracle.
+#[allow(dead_code)]
+#[path = "../../simcore/tests/support/baseline.rs"]
+mod baseline;
+use baseline::BaselineSim;
 
 /// Events per workload iteration.
 const EVENTS: usize = 4096;

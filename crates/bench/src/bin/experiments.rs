@@ -2,7 +2,14 @@
 //!
 //! ```text
 //! experiments [name ...]      # fig06 fig09 fig11 fig12 fig13 fig14
-//!                             # fig15 fig16 table2 fig17, or "all"
+//!                             # fig15 fig16 table2 fig17 ablations
+//!                             # summary churn upgrade report, or "all"
+//!                             # for exactly those: every virtual-time
+//!                             # result, byte-identical run to run, so
+//!                             # `git diff --exit-code -- results/` after
+//!                             # `experiments all` is the regression gate
+//! experiments parallel        # wall-clock: runs only when named, alone,
+//!                             # after everything else has finished
 //! experiments --quick [name]  # shorter runs for smoke testing
 //! experiments --jobs N        # fan figures and sweep points out over N
 //!                             # threads (N=0 or omitted: available cores);
@@ -32,13 +39,15 @@
 //! ```
 //!
 //! Each experiment prints its table(s) and writes a JSON twin under
-//! `results/`. With `--jobs N` each requested figure runs on its own
-//! thread, and fig06/fig09/fig11/fig12 further split into one thread per
-//! independent sweep cell; results are printed and written in request
-//! order, so the text and JSON are byte-identical whatever `N` is.
+//! `results/`; names that share an output file (`fig16 table2`) run once.
+//! With `--jobs N` each requested figure runs on its own thread, and
+//! fig06/fig09/fig11/fig12 further split into one thread per independent
+//! sweep cell; results are printed and written in request order, so the
+//! text and JSON are byte-identical whatever `N` is.
 
 use std::path::PathBuf;
 
+use bench::Experiment;
 use nadino::experiment::parallel::{pmap, resolve_jobs};
 use nadino::experiment::{
     ablations, churn, fig06, fig09, fig11, fig12, fig13, fig14, fig15, fig16, fig17, summary,
@@ -82,15 +91,11 @@ impl Budget {
     }
 }
 
-fn results_dir() -> PathBuf {
-    PathBuf::from("results")
-}
-
-/// One figure's finished output: results-file stem, rendered table text
-/// and pretty JSON. Produced on a worker thread, emitted in request order
-/// by the main thread.
+/// One figure's finished output: the experiment (for its results-file
+/// stem), rendered table text and pretty JSON. Produced on a worker
+/// thread, emitted in request order by the main thread.
 struct Output {
-    stem: &'static str,
+    exp: Experiment,
     text: String,
     json: String,
     /// Set by the `parallel` experiment so the shard-health gauges can
@@ -98,9 +103,9 @@ struct Output {
     shard_report: Option<nadino::shard_cluster::ParallelReport>,
 }
 
-fn out<T: ToJson>(stem: &'static str, text: String, value: &T) -> Output {
+fn out<T: ToJson>(exp: Experiment, text: String, value: &T) -> Output {
     Output {
-        stem,
+        exp,
         text,
         json: value.to_json().to_string_pretty(),
         shard_report: None,
@@ -110,68 +115,68 @@ fn out<T: ToJson>(stem: &'static str, text: String, value: &T) -> Output {
 /// Runs one experiment; `jobs` is the sweep-cell fan-out for the figures
 /// that decompose into independent `Sim`s, `shards` the worker count for
 /// the sharded event core.
-fn run_one(name: &str, b: &Budget, jobs: usize, shards: usize) -> Output {
-    match name {
+fn run_one(exp: Experiment, b: &Budget, jobs: usize, shards: usize) -> Output {
+    match exp.name {
         "fig06" => {
             let fig = fig06::run_jobs(b.requests, b.millis, jobs);
-            out("fig06", fig.render(), &fig)
+            out(exp, fig.render(), &fig)
         }
         "fig09" => {
             let fig = fig09::run_jobs(b.requests, jobs);
-            out("fig09", fig.render(), &fig)
+            out(exp, fig.render(), &fig)
         }
         "fig11" => {
             let fig = fig11::run_jobs(b.millis, jobs);
-            out("fig11", fig.render(), &fig)
+            out(exp, fig.render(), &fig)
         }
         "fig12" => {
             let fig = fig12::run_jobs(b.requests, jobs);
-            out("fig12", fig.render(), &fig)
+            out(exp, fig.render(), &fig)
         }
         "fig13" => {
             let fig = fig13::run(b.millis);
-            out("fig13", fig.render(), &fig)
+            out(exp, fig.render(), &fig)
         }
         "fig14" => {
             let fig = fig14::run(b.ramp_secs);
-            out("fig14", fig.render(), &fig)
+            out(exp, fig.render(), &fig)
         }
         "fig15" => {
             let fig = fig15::run(b.scale);
-            out("fig15", fig.render(), &fig)
+            out(exp, fig.render(), &fig)
         }
-        "fig16" | "table2" => {
+        "fig16" => {
             let fig = fig16::run(b.millis);
             let mut text = fig.render();
             text.push('\n');
             text.push_str(&fig.render_table2());
-            out("fig16", text, &fig)
+            out(exp, text, &fig)
         }
         "fig17" => {
             let fig = fig17::run(b.scale);
-            out("fig17", fig.render(), &fig)
+            out(exp, fig.render(), &fig)
         }
         "ablations" => {
             let fig = ablations::run(b.millis, b.scale.min(0.05));
-            out("ablations", fig.render(), &fig)
+            out(exp, fig.render(), &fig)
         }
         "summary" => {
             let fig = summary::run(b.millis, b.requests);
-            out("summary", fig.render(), &fig)
+            out(exp, fig.render(), &fig)
         }
         "parallel" => {
             let rep = nadino::shard_cluster::bench_report(b.quick, shards);
-            let mut o = out("BENCH_parallel", rep.render(), &rep);
+            let mut o = out(exp, rep.render(), &rep);
             o.shard_report = Some(rep);
             o
         }
         "churn" => {
             let rep = churn::run_jobs(b.quick, jobs);
-            out("BENCH_churn", rep.render(), &rep)
+            out(exp, rep.render(), &rep)
         }
         "upgrade" => {
             let rep = upgrade::run(b.quick);
-            out("BENCH_upgrade", rep.render(), &rep)
+            out(exp, rep.render(), &rep)
         }
         "report" => {
             // The fleet observability report. Deliberately budget-invariant
@@ -187,9 +192,9 @@ fn run_one(name: &str, b: &Budget, jobs: usize, shards: usize) -> Output {
                 fleet_cfg.clients = 8;
             }
             let doc = nadino::fleet::build_report(&fleet_cfg);
-            out("report", nadino::fleet::render_summary(&doc), &doc)
+            out(exp, nadino::fleet::render_summary(&doc), &doc)
         }
-        other => unreachable!("unvalidated experiment name {other:?}"),
+        other => unreachable!("experiment {other:?} has no runner"),
     }
 }
 
@@ -211,9 +216,9 @@ fn write_out(path: &std::path::Path, text: &str) -> bool {
 
 fn emit(o: &Output, report_out: Option<&PathBuf>) -> bool {
     println!("{}", o.text);
-    let path = match (o.stem, report_out) {
+    let path = match (o.exp.name, report_out) {
         ("report", Some(p)) => p.clone(),
-        _ => results_dir().join(format!("{}.json", o.stem)),
+        _ => PathBuf::from(format!("results/{}.json", o.exp.stem)),
     };
     let ok = write_out(&path, &o.json);
     println!();
@@ -327,6 +332,15 @@ fn instrumented_run(
     ok
 }
 
+/// The value following `flag`. When it is missing or does not parse, says
+/// "`flag` needs `what`" and exits 2.
+fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> T {
+    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("{flag} needs {what}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
@@ -343,49 +357,13 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => jobs = n,
-                None => {
-                    eprintln!("--jobs needs an integer (0 = available cores)");
-                    std::process::exit(2);
-                }
-            },
-            "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => shards = n,
-                None => {
-                    eprintln!("--shards needs an integer (0 = available cores)");
-                    std::process::exit(2);
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--trace-out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--metrics-out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            "--report-out" => match it.next() {
-                Some(p) => report_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--report-out needs a path");
-                    std::process::exit(2);
-                }
-            },
+            "--jobs" => jobs = value(&mut it, &a, "an integer (0 = available cores)"),
+            "--shards" => shards = value(&mut it, &a, "an integer (0 = available cores)"),
+            "--trace-out" => trace_out = Some(value(&mut it, &a, "a path")),
+            "--metrics-out" => metrics_out = Some(value(&mut it, &a, "a path")),
+            "--report-out" => report_out = Some(value(&mut it, &a, "a path")),
             "--tail-sample" => tail_sample = true,
-            "--flight-out" => match it.next() {
-                Some(p) => flight_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--flight-out needs a path");
-                    std::process::exit(2);
-                }
-            },
+            "--flight-out" => flight_out = Some(value(&mut it, &a, "a path")),
             _ => names.push(a),
         }
     }
@@ -404,45 +382,40 @@ fn main() {
     );
     let instrumented =
         trace_out.is_some() || metrics_out.is_some() || tail_sample || flight_out.is_some();
-    let mut names: Vec<String> = if names.iter().any(|a| a == "all")
-        || (names.is_empty() && !instrumented && report_out.is_none())
-    {
-        bench::EXPERIMENTS.iter().map(|s| s.to_string()).collect()
-    } else {
-        names
-    };
+    if names.is_empty() && !instrumented && report_out.is_none() {
+        names.push("all".to_string());
+    }
     // `--report-out` implies the fleet report even when no names are given.
-    if report_out.is_some() && !names.iter().any(|n| n == "report") {
+    if report_out.is_some() {
         names.push("report".to_string());
     }
-    for name in &names {
-        if !bench::is_known(name) {
-            eprintln!(
-                "unknown experiment {name:?}; known: {:?}",
-                bench::EXPERIMENTS
-            );
-            std::process::exit(2);
-        }
-    }
-    // Each figure runs on its own thread (and the sweep figures fan their
-    // cells out further); outputs are emitted strictly in request order.
-    let tasks: Vec<_> = names
-        .iter()
-        .map(|name| {
-            let name = name.clone();
-            move || {
-                eprintln!(">>> running {name}");
-                run_one(&name, &budget, jobs, shards)
-            }
-        })
-        .collect();
-    let mut shard_report = None;
+    let experiments = bench::expand(&names).unwrap_or_else(|name| {
+        eprintln!(
+            "unknown experiment {name:?}; known: {:?}",
+            bench::EXPERIMENTS.map(|e| e.name)
+        );
+        std::process::exit(2);
+    });
+    let run = move |exp: Experiment| {
+        eprintln!(">>> running {}", exp.name);
+        run_one(exp, &budget, jobs, shards)
+    };
+    // Each virtual-time figure runs on its own thread (and the sweep
+    // figures fan their cells out further); outputs are emitted strictly in
+    // request order. Wall-clock experiments wait until the pool is done, so
+    // nothing else shares the cores they time.
+    let (timed, pooled): (Vec<Experiment>, Vec<Experiment>) =
+        experiments.into_iter().partition(|e| e.wall_clock);
+    let tasks: Vec<_> = pooled.into_iter().map(|exp| move || run(exp)).collect();
     let mut all_written = true;
-    for mut output in pmap(tasks, jobs) {
+    for output in pmap(tasks, jobs) {
         all_written &= emit(&output, report_out.as_ref());
-        if let Some(rep) = output.shard_report.take() {
-            shard_report = Some(rep);
-        }
+    }
+    let mut shard_report = None;
+    for exp in timed {
+        let mut output = run(exp);
+        all_written &= emit(&output, report_out.as_ref());
+        shard_report = output.shard_report.take();
     }
     if instrumented {
         all_written &= instrumented_run(

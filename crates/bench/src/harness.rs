@@ -24,23 +24,11 @@ const CALIBRATION: Duration = Duration::from_millis(20);
 /// One benchmark's aggregated result.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
-    pub group: String,
     pub name: String,
     pub iters_per_sample: u64,
     pub median_ns: f64,
     pub min_ns: f64,
     pub mean_ns: f64,
-}
-
-impl BenchResult {
-    /// Median throughput in iterations per second.
-    pub fn per_second(&self) -> f64 {
-        if self.median_ns > 0.0 {
-            1e9 / self.median_ns
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// The benchmark runner: groups, name filtering, result collection.
@@ -104,7 +92,6 @@ impl Bench {
         let min_ns = samples_ns[0];
         let mean_ns = samples_ns.iter().sum::<f64>() / samples_ns.len() as f64;
         let result = BenchResult {
-            group: self.group.clone(),
             name: name.to_string(),
             iters_per_sample: iters,
             median_ns,
@@ -143,7 +130,6 @@ mod tests {
         assert_eq!(b.results().len(), 1);
         let r = &b.results()[0];
         assert!(r.median_ns >= 0.0 && r.min_ns <= r.median_ns);
-        assert!(r.per_second() > 0.0);
     }
 
     #[test]

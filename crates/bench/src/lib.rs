@@ -3,51 +3,128 @@
 //! The interesting entry points are:
 //!
 //! - the `experiments` binary (`cargo run -p bench --bin experiments`),
-//!   which regenerates every table and figure of the paper and writes
-//!   JSON results next to the printed tables;
-//! - the hand-rolled benches (`cargo bench -p bench`): `microbench` for
-//!   the substrate primitives, `figures` for per-figure regeneration
-//!   timing, and `ablations` for the design-choice sweeps DESIGN.md calls
-//!   out. They use [`harness`], a dependency-free wall-clock timer, so the
-//!   workspace builds fully offline.
+//!   the one writer of every virtual-time file under `results/`:
+//!   `experiments all && git diff --exit-code -- results/` is the
+//!   regression gate, because same seed means same bytes;
+//! - the two wall-clock benches that own a committed file
+//!   (`cargo bench -p bench --bench sim_core` → `BENCH_simcore.json`,
+//!   `--bench tracer_overhead` → `BENCH_obs.json`). They use [`harness`],
+//!   a dependency-free wall-clock timer, so the workspace builds fully
+//!   offline. Per-layer microbenchmarks live in the frozen `benchmark/`
+//!   package, not here.
 
 pub mod harness;
 
-/// Known experiment names accepted by the `experiments` binary.
-pub const EXPERIMENTS: [&str; 15] = [
-    "fig06",
-    "fig09",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "ablations",
-    "summary",
-    "parallel",
-    "churn",
-    "upgrade",
-    "report",
+/// One experiment the `experiments` binary can run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Experiment {
+    /// Name on the command line.
+    pub name: &'static str,
+    /// `results/<stem>.json` is the file it writes.
+    pub stem: &'static str,
+    /// Reports host wall-clock time, so its bytes differ run to run: it
+    /// runs only when named, alone, and `all` leaves it out.
+    pub wall_clock: bool,
+}
+
+const fn exp(name: &'static str, stem: &'static str, wall_clock: bool) -> Experiment {
+    Experiment {
+        name,
+        stem,
+        wall_clock,
+    }
+}
+
+/// Every experiment, in `all`'s run order.
+pub const EXPERIMENTS: [Experiment; 15] = [
+    exp("fig06", "fig06", false),
+    exp("fig09", "fig09", false),
+    exp("fig11", "fig11", false),
+    exp("fig12", "fig12", false),
+    exp("fig13", "fig13", false),
+    exp("fig14", "fig14", false),
+    exp("fig15", "fig15", false),
+    exp("fig16", "fig16", false),
+    exp("fig17", "fig17", false),
+    exp("ablations", "ablations", false),
+    exp("summary", "summary", false),
+    exp("churn", "BENCH_churn", false),
+    exp("upgrade", "BENCH_upgrade", false),
+    exp("report", "report", false),
+    exp("parallel", "BENCH_parallel", true),
 ];
 
-/// Returns `true` if `name` names a known experiment.
-pub fn is_known(name: &str) -> bool {
-    EXPERIMENTS.contains(&name) || name == "table2" || name == "all"
+/// The experiments `all` stands for: every virtual-time one.
+pub fn all() -> impl Iterator<Item = Experiment> {
+    EXPERIMENTS.into_iter().filter(|e| !e.wall_clock)
+}
+
+/// Resolves requested names to the experiments to run, in request order:
+/// `all` expands to [`all`], `table2` is printed by `fig16`, and a second
+/// request for the same output file is dropped so no file is computed or
+/// written twice. An unknown name is returned as the error.
+pub fn expand<S: AsRef<str>>(names: &[S]) -> Result<Vec<Experiment>, String> {
+    let mut picked: Vec<Experiment> = Vec::new();
+    for name in names {
+        let name = name.as_ref();
+        let requested: Vec<Experiment> = if name == "all" {
+            all().collect()
+        } else {
+            let canonical = if name == "table2" { "fig16" } else { name };
+            let found = EXPERIMENTS.iter().find(|e| e.name == canonical);
+            vec![*found.ok_or_else(|| name.to_string())?]
+        };
+        for e in requested {
+            if !picked.iter().any(|p| p.stem == e.stem) {
+                picked.push(e);
+            }
+        }
+    }
+    Ok(picked)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn names(picked: &[Experiment]) -> Vec<&'static str> {
+        picked.iter().map(|e| e.name).collect()
+    }
+
     #[test]
-    fn experiment_names_resolve() {
-        for name in EXPERIMENTS {
-            assert!(is_known(name));
+    fn all_is_every_virtual_time_experiment_and_no_wall_clock_one() {
+        let picked = expand(&["all"]).unwrap();
+        assert_eq!(picked.len(), 14);
+        assert!(picked.iter().all(|e| !e.wall_clock));
+        assert!(!names(&picked).contains(&"parallel"));
+        // Naming a wall-clock experiment next to `all` still runs it.
+        let both = expand(&["all", "parallel"]).unwrap();
+        assert_eq!(both.len(), 15);
+        assert!(both[14].wall_clock);
+    }
+
+    #[test]
+    fn names_that_share_an_output_file_run_once() {
+        assert_eq!(names(&expand(&["fig16", "table2"]).unwrap()), ["fig16"]);
+        assert_eq!(names(&expand(&["table2"]).unwrap()), ["fig16"]);
+        assert_eq!(
+            names(&expand(&["churn", "fig06", "churn", "all"]).unwrap())[..3],
+            ["churn", "fig06", "fig09"]
+        );
+        assert_eq!(expand(&["fig13", "all"]).unwrap().len(), 14);
+    }
+
+    #[test]
+    fn unknown_names_are_refused() {
+        assert_eq!(expand(&["fig06", "fig99"]), Err("fig99".to_string()));
+        assert_eq!(expand(&["regress"]), Err("regress".to_string()));
+        assert_eq!(expand::<&str>(&[]), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn stems_are_unique() {
+        for (i, a) in EXPERIMENTS.iter().enumerate() {
+            assert!(EXPERIMENTS[i + 1..].iter().all(|b| a.stem != b.stem));
         }
-        assert!(is_known("all"));
-        assert!(is_known("table2"));
-        assert!(!is_known("fig99"));
     }
 }

@@ -1,38 +1,66 @@
 //! The `experiments` binary's exit status tells the truth about its output
-//! files: CI gates (`obs-report`, `regress`, `upgrade-chaos`,
+//! files: CI gates (`results`, `obs-report`, `upgrade-chaos`,
 //! `parallel-sim`) read `results/*.json` right after running it, and a run
 //! that could not write must not let them pass on the stale committed copy.
 
 use std::path::Path;
 use std::process::Command;
 
-fn experiments(cwd: &Path, args: &[&str]) -> (bool, String) {
+/// Runs the binary in `cwd`; returns its exit code and stderr.
+fn experiments(cwd: &Path, args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
         .current_dir(cwd)
         .output()
         .expect("experiments binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    (out.status.success(), stderr)
+    (out.status.code(), stderr)
+}
+
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn an_unknown_name_exits_2_before_anything_runs() {
+    let dir = scratch_dir("experiments_unknown_name");
+    let (code, stderr) = experiments(&dir, &["--quick", "fig13", "regress"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown experiment \"regress\""),
+        "{stderr}"
+    );
+    assert!(!stderr.contains(">>> running"), "{stderr}");
+    assert!(!dir.join("results").exists());
+}
+
+#[test]
+fn names_that_share_an_output_file_run_once() {
+    let dir = scratch_dir("experiments_dedupe");
+    let (code, stderr) = experiments(&dir, &["--quick", "fig16", "table2"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(stderr.matches(">>> running").count(), 1, "{stderr}");
+    assert!(dir.join("results/fig16.json").is_file());
 }
 
 #[test]
 fn a_result_that_cannot_be_written_fails_the_run() {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("experiments_exit_code");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("experiments_exit_code");
     // A regular file where the report's directory should be.
     std::fs::write(dir.join("blocker"), b"").unwrap();
 
-    let (ok, stderr) = experiments(&dir, &["--quick", "--report-out", "blocker/report.json"]);
+    let (code, stderr) = experiments(&dir, &["--quick", "--report-out", "blocker/report.json"]);
     assert!(
         stderr.contains("[failed to write blocker/report.json"),
         "{stderr}"
     );
-    assert!(!ok, "exit 0 although the report was not written");
+    assert_eq!(code, Some(1), "the report was not written");
 
     // The control: the same binary, a writable results directory.
-    let (ok, stderr) = experiments(&dir, &["--quick", "fig13"]);
-    assert!(ok, "{stderr}");
+    let (code, stderr) = experiments(&dir, &["--quick", "fig13"]);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(dir.join("results/fig13.json").is_file());
 }

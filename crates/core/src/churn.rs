@@ -46,6 +46,7 @@ use membuf::tenant::TenantId;
 use rdma_sim::cost::RdmaCosts;
 use rdma_sim::fabric::{CqId, QpHandle, RqId};
 use rdma_sim::{Fabric, NodeId};
+use simcore::rng::{self, Zipf};
 use simcore::{Histogram, Sim, SimDuration, SimRng, SimTime};
 
 /// Per-message wire overhead added to the payload: descriptor + headers.
@@ -121,7 +122,6 @@ impl Default for ChurnConfig {
             elastic: ElasticConfig {
                 active_capacity: 128,
                 idle_teardown_age: Some(SimDuration::from_millis(200)),
-                adaptive: None,
             },
             reap_interval: SimDuration::from_millis(10),
             diurnal_amplitude: 0.4,
@@ -292,8 +292,8 @@ struct ChurnState {
     alive_pos: HashMap<u32, usize>,
     next_tenant: u32,
     rng: SimRng,
-    /// 1-based prefix sums of `1/k^s` for Zipf inversion.
-    harmonic: Vec<f64>,
+    /// Tenant popularity by rank in `alive`.
+    popularity: Zipf,
     end: SimTime,
     // Counters.
     arrivals: u64,
@@ -335,27 +335,13 @@ impl ChurnState {
         NodeId(0)
     }
 
-    fn diurnal(&self, now: SimTime) -> f64 {
-        let t = now.as_secs_f64();
-        let period = self.cfg.diurnal_period.as_secs_f64().max(1e-9);
-        1.0 + self.cfg.diurnal_amplitude * (std::f64::consts::TAU * t / period).sin()
-    }
-
     /// Samples a live tenant by Zipf rank over the current population.
     fn sample_tenant(&mut self) -> Option<u32> {
         let n = self.alive.len();
         if n == 0 {
             return None;
         }
-        let n = n.min(self.harmonic.len() - 1);
-        let u = self.rng.next_f64() * self.harmonic[n];
-        // First rank whose prefix mass covers `u`.
-        let rank =
-            match self.harmonic[1..=n].binary_search_by(|h| h.partial_cmp(&u).expect("finite")) {
-                Ok(i) => i,
-                Err(i) => i.min(n - 1),
-            };
-        Some(self.alive[rank])
+        Some(self.alive[self.popularity.sample(&mut self.rng, n)])
     }
 
     fn spawn_tenant(&mut self, initial: bool) -> u32 {
@@ -532,7 +518,9 @@ fn schedule_next_request(state: &Rc<RefCell<ChurnState>>, sim: &mut Sim) {
         let gap = if alive == 0 {
             SimDuration::from_millis(1)
         } else {
-            let rate = s.cfg.rate_per_tenant * alive as f64 * s.diurnal(sim.now());
+            let period = s.cfg.diurnal_period.as_secs_f64().max(1e-9);
+            let swing = rng::diurnal(s.cfg.diurnal_amplitude, sim.now().as_secs_f64(), period);
+            let rate = s.cfg.rate_per_tenant * alive as f64 * swing;
             SimDuration::from_secs_f64(s.rng.exponential(1.0 / rate.max(1e-9)))
         };
         (gap, s.end, capped)
@@ -636,15 +624,8 @@ pub fn run(cfg: ChurnConfig) -> ChurnReport {
         let rq = fabric.create_rq(node, FABRIC_TENANT).expect("fresh node");
         wiring.push((cq, rq));
     }
-    // Zipf prefix sums, sized for the population plus churn headroom.
-    let cap = cfg.tenants * 2 + 1024;
-    let mut harmonic = Vec::with_capacity(cap + 1);
-    harmonic.push(0.0);
-    let mut acc = 0.0;
-    for k in 1..=cap {
-        acc += 1.0 / (k as f64).powf(cfg.zipf_s);
-        harmonic.push(acc);
-    }
+    // Sized for the population plus churn headroom.
+    let popularity = Zipf::new(cfg.tenants * 2 + 1024, cfg.zipf_s);
     let end = SimTime::ZERO + cfg.horizon;
     let pool = ConnPool::with_config(cfg.elastic);
     let state = Rc::new(RefCell::new(ChurnState {
@@ -654,7 +635,7 @@ pub fn run(cfg: ChurnConfig) -> ChurnReport {
         alive_pos: HashMap::with_capacity(cfg.tenants * 2),
         next_tenant: 0,
         rng: SimRng::new(cfg.seed),
-        harmonic,
+        popularity,
         end,
         arrivals: 0,
         departures: 0,
@@ -745,7 +726,7 @@ pub fn run(cfg: ChurnConfig) -> ChurnReport {
             w.teardowns,
         ]
     });
-    let digest = simcore::rng::fnv1a(
+    let digest = rng::fnv1a(
         ints.iter()
             .copied()
             .chain(win_ints)

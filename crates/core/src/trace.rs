@@ -10,6 +10,7 @@
 use std::rc::Rc;
 
 use runtime::ChainSpec;
+use simcore::rng::{diurnal, Zipf};
 use simcore::{Sim, SimDuration, SimRng};
 
 use crate::cluster::Cluster;
@@ -61,10 +62,7 @@ impl Default for TraceConfig {
 pub fn generate(cfg: &TraceConfig) -> Vec<TraceEntry> {
     assert!(cfg.mean_rps > 0.0 && cfg.chains > 0);
     let mut rng = SimRng::new(cfg.seed);
-    // Zipf weights over chains.
-    let weights: Vec<f64> = (1..=cfg.chains)
-        .map(|k| 1.0 / (k as f64).powf(cfg.zipf_s))
-        .collect();
+    let popularity = Zipf::new(cfg.chains, cfg.zipf_s);
     let duration_s = cfg.duration.as_secs_f64();
     let peak = if cfg.diurnal {
         cfg.mean_rps * 1.6
@@ -80,15 +78,14 @@ pub fn generate(cfg: &TraceConfig) -> Vec<TraceEntry> {
         }
         if cfg.diurnal {
             // One full "day" over the trace: rate(t) in [0.4, 1.6] x mean.
-            let phase = (t / duration_s) * std::f64::consts::TAU;
-            let rate = cfg.mean_rps * (1.0 + 0.6 * phase.sin());
+            let rate = cfg.mean_rps * diurnal(0.6, t, duration_s);
             if !rng.chance(rate / peak) {
                 continue; // thinned out
             }
         }
         entries.push(TraceEntry {
             at_s: t,
-            chain_idx: rng.weighted_index(&weights),
+            chain_idx: popularity.sample(&mut rng, cfg.chains),
         });
     }
     entries
@@ -207,6 +204,28 @@ mod tests {
         // Arrival times are sorted and within the duration.
         assert!(a.windows(2).all(|w| w[0].at_s <= w[1].at_s));
         assert!(a.last().unwrap().at_s < 1.0);
+    }
+
+    /// Pinned at the commit before the generator moved to `simcore::rng`:
+    /// the shared Zipf table and diurnal curve draw the same arrivals.
+    #[test]
+    fn generated_entries_keep_their_pinned_digest() {
+        for (seed, entries, digest) in [
+            (1, 5134, 9841842155608708035u64),
+            (42, 4974, 15054040235202663388),
+        ] {
+            let trace = generate(&TraceConfig {
+                seed,
+                ..TraceConfig::default()
+            });
+            let got = simcore::rng::fnv1a(trace.iter().flat_map(|e| {
+                let mut b = [0u8; 16];
+                b[..8].copy_from_slice(&e.at_s.to_bits().to_le_bytes());
+                b[8..].copy_from_slice(&(e.chain_idx as u64).to_le_bytes());
+                b
+            }));
+            assert_eq!((trace.len(), got), (entries, digest), "seed {seed}");
+        }
     }
 
     #[test]

@@ -51,32 +51,6 @@ pub struct ElasticConfig {
     /// than this (`None` = keep forever). Teardown destroys the QP pair in
     /// the fabric — the next use pays a claim or a cold connect.
     pub idle_teardown_age: Option<SimDuration>,
-    /// Adaptive teardown (`None` = off, the default): when the eviction
-    /// rate between two teardown sweeps spikes, the effective teardown age
-    /// shrinks for that sweep, shedding cold fabric state faster while the
-    /// RNIC cache is thrashing. Purely a function of the pool's own
-    /// deterministic counters — same workload, same shrink decisions.
-    pub adaptive: Option<AdaptiveTeardown>,
-}
-
-/// Knobs for eviction-rate-adaptive idle teardown.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveTeardown {
-    /// Evictions observed since the previous teardown sweep at or above
-    /// which the pool treats the active set as thrashing.
-    pub eviction_spike: u64,
-    /// Divisor applied to `idle_teardown_age` while spiking (clamped to
-    /// at least 1).
-    pub shrink_factor: u64,
-}
-
-impl Default for AdaptiveTeardown {
-    fn default() -> Self {
-        AdaptiveTeardown {
-            eviction_spike: 8,
-            shrink_factor: 4,
-        }
-    }
 }
 
 /// Per-connection metadata: the activation slot (O(1) membership — bugfix
@@ -157,11 +131,6 @@ pub struct ConnPool<K: Copy + Eq + Hash + Ord = TenantId> {
     evictions: Cell<u64>,
     /// Connections destroyed by idle-age teardown.
     teardowns: Cell<u64>,
-    /// Eviction counter snapshot at the previous teardown sweep — the
-    /// baseline for the adaptive eviction-rate window.
-    evictions_at_sweep: Cell<u64>,
-    /// Teardown sweeps that ran with the adaptively shrunk age.
-    adaptive_shrinks: Cell<u64>,
     /// Membership probes performed across all picks. Each pick does exactly
     /// one O(1) probe; the pre-fix code scanned the whole active set, so
     /// this counter is the regression guard for the quadratic-pick bug.
@@ -191,8 +160,6 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
             untracked_reaps: Cell::new(0),
             evictions: Cell::new(0),
             teardowns: Cell::new(0),
-            evictions_at_sweep: Cell::new(0),
-            adaptive_shrinks: Cell::new(0),
             membership_probes: Cell::new(0),
             cfg,
         }
@@ -471,13 +438,6 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
         self.teardowns.get()
     }
 
-    /// Returns how many teardown sweeps ran with the adaptively shrunk
-    /// age (eviction-rate spike detected). Always `0` with
-    /// [`ElasticConfig::adaptive`] unset.
-    pub fn adaptive_shrinks(&self) -> u64 {
-        self.adaptive_shrinks.get()
-    }
-
     /// Returns how many O(1) membership probes picks have performed —
     /// exactly one per successful pick. The pre-fix implementation scanned
     /// the whole active set per pick instead.
@@ -557,22 +517,6 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
     pub fn teardown_idle(&mut self, fabric: &Fabric, now: SimTime) -> usize {
         let Some(age) = self.cfg.idle_teardown_age else {
             return 0;
-        };
-        // Adaptive shrink: a burst of LRU evictions since the last sweep
-        // means the active bound is thrashing — shed shadow state faster
-        // this sweep so cold connections stop crowding the pool.
-        let age = match self.cfg.adaptive {
-            Some(ad) => {
-                let delta = self.evictions.get() - self.evictions_at_sweep.get();
-                self.evictions_at_sweep.set(self.evictions.get());
-                if delta >= ad.eviction_spike {
-                    bump(&self.adaptive_shrinks, 1);
-                    age / ad.shrink_factor.max(1)
-                } else {
-                    age
-                }
-            }
-            None => age,
         };
         let mut torn = 0;
         while let Some(&(idle_since, qp)) = self.idle_queue.get_mut().front() {
@@ -904,7 +848,6 @@ mod tests {
         pool.set_config(ElasticConfig {
             active_capacity: 2,
             idle_teardown_age: None,
-            adaptive: None,
         });
         let now = sim.now();
         let q1 = pool
@@ -948,7 +891,6 @@ mod tests {
         pool.set_config(ElasticConfig {
             active_capacity: 0,
             idle_teardown_age: Some(SimDuration::from_millis(5)),
-            adaptive: None,
         });
         // Connections were added at t=0; the connect delay puts t0 at 20ms,
         // so the two never-picked QPs are already past the 5ms idle age.
@@ -976,87 +918,12 @@ mod tests {
             .is_none());
     }
 
-    /// Satellite: eviction-rate-adaptive teardown. A burst of LRU
-    /// evictions between two sweeps shrinks the effective teardown age
-    /// for the next sweep only; with `adaptive: None` (the default) the
-    /// same schedule tears nothing down.
-    #[test]
-    fn eviction_spike_shrinks_teardown_age() {
-        let (fabric, sim, mut pool, tenant, peer, _) = setup(3);
-        pool.set_config(ElasticConfig {
-            active_capacity: 1,
-            idle_teardown_age: Some(SimDuration::from_millis(100)),
-            adaptive: Some(AdaptiveTeardown {
-                eviction_spike: 2,
-                shrink_factor: 50,
-            }),
-        });
-        let t0 = sim.now();
-        // Thrash the bound: each activation past capacity evicts the
-        // drained LRU. Two evictions = the spike threshold.
-        let q1 = pool
-            .pick_least_congested(&fabric, t0, tenant, peer)
-            .unwrap();
-        let q2 = pool
-            .pick_least_congested_excluding(&fabric, t0, tenant, peer, Some(q1.qp))
-            .unwrap();
-        pool.pick_least_congested_excluding(&fabric, t0, tenant, peer, Some(q2.qp))
-            .unwrap();
-        assert_eq!(pool.evictions(), 2);
-        pool.deactivate_idle(&fabric, t0);
-        // 2ms idle is far under the configured 10ms age, but the spike
-        // shrinks it to 1ms for this sweep: everything idle goes.
-        let t1 = t0 + SimDuration::from_millis(2);
-        let torn = pool.teardown_idle(&fabric, t1);
-        assert_eq!(torn, 3, "shrunk age tears down the 2ms-idle pool");
-        assert_eq!(pool.adaptive_shrinks(), 1);
-        // No new evictions since: the next sweep runs at the full age.
-        assert_eq!(
-            pool.teardown_idle(&fabric, t1 + SimDuration::from_millis(1)),
-            0
-        );
-        assert_eq!(
-            pool.adaptive_shrinks(),
-            1,
-            "shrink is per-spike, not sticky"
-        );
-    }
-
-    /// Control for the adaptive satellite: identical thrash schedule with
-    /// `adaptive: None` leaves every connection pooled — the feature is
-    /// strictly opt-in.
-    #[test]
-    fn adaptive_off_by_default_changes_nothing() {
-        let (fabric, sim, mut pool, tenant, peer, _) = setup(3);
-        pool.set_config(ElasticConfig {
-            active_capacity: 1,
-            idle_teardown_age: Some(SimDuration::from_millis(100)),
-            adaptive: None,
-        });
-        let t0 = sim.now();
-        let q1 = pool
-            .pick_least_congested(&fabric, t0, tenant, peer)
-            .unwrap();
-        let q2 = pool
-            .pick_least_congested_excluding(&fabric, t0, tenant, peer, Some(q1.qp))
-            .unwrap();
-        pool.pick_least_congested_excluding(&fabric, t0, tenant, peer, Some(q2.qp))
-            .unwrap();
-        assert_eq!(pool.evictions(), 2);
-        pool.deactivate_idle(&fabric, t0);
-        let t1 = t0 + SimDuration::from_millis(2);
-        assert_eq!(pool.teardown_idle(&fabric, t1), 0);
-        assert_eq!(pool.adaptive_shrinks(), 0);
-        assert_eq!(pool.pooled_total(), 3);
-    }
-
     #[test]
     fn teardown_skips_recently_reused_connections() {
         let (fabric, sim, mut pool, tenant, peer, _) = setup(1);
         pool.set_config(ElasticConfig {
             active_capacity: 0,
             idle_teardown_age: Some(SimDuration::from_millis(5)),
-            adaptive: None,
         });
         let t0 = sim.now();
         let qp = pool
@@ -1199,7 +1066,6 @@ mod tests {
             let mut pool: ConnPool = ConnPool::with_config(ElasticConfig {
                 active_capacity: 3,
                 idle_teardown_age: Some(SimDuration::from_micros(40)),
-                adaptive: None,
             });
             // qp id → ((tenant, peer), handle)
             let mut model: BTreeMap<u32, ((TenantId, NodeId), QpHandle)> = BTreeMap::new();

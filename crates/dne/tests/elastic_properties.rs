@@ -96,7 +96,6 @@ fn hits_plus_misses_equals_picks_under_random_schedules() {
         let mut pool: ConnPool = ConnPool::with_config(ElasticConfig {
             active_capacity: cap,
             idle_teardown_age: Some(SimDuration::from_millis(5)),
-            adaptive: None,
         });
         let mut now = SimTime::ZERO;
         let mut picks = 0u64;
@@ -152,7 +151,6 @@ fn eviction_and_teardown_never_strand_an_inflight_send() {
         let mut pool: ConnPool = ConnPool::with_config(ElasticConfig {
             active_capacity: cap,
             idle_teardown_age: Some(age),
-            adaptive: None,
         });
         let mut now = SimTime::ZERO;
         // One connection with a genuinely in-flight send: no recv is

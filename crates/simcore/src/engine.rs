@@ -8,8 +8,8 @@
 //! shared via `Rc<RefCell<_>>` and captured by the closures they schedule.
 //! Ties in time are broken by a monotonically increasing sequence number,
 //! so execution order is fully deterministic — and bit-for-bit identical
-//! to the reference binary-heap engine ([`crate::baseline::BaselineSim`]),
-//! which survives for differential tests and benchmarks.
+//! to the reference binary-heap engine (`tests/support/baseline.rs`), the
+//! oracle of `tests/wheel_differential.rs`.
 //!
 //! Every `schedule_*` call returns a [`TimerHandle`]; [`Sim::cancel`]
 //! deschedules the event (dropping its closure immediately) instead of

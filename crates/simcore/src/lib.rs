@@ -8,15 +8,12 @@
 //! - [`engine`]: the event loop ([`Sim`]) with closure events, backed by a
 //!   hierarchical timing wheel ([`wheel`]) and slab-stored inline closures
 //!   ([`event`]) so the hot path is O(1) amortized and allocation-free.
-//! - [`baseline`]: the reference binary-heap engine, kept for differential
-//!   tests and old-vs-new benchmarks.
 //! - [`resource`]: FIFO single-/multi-server resources with utilization
 //!   accounting, used to model CPU cores, DPU cores and DMA engines.
 //! - [`rng`]: seeded SplitMix64 RNG plus the distributions the workloads use.
 //! - [`stats`]: streaming mean/variance, log-bucketed latency histograms with
 //!   percentiles, and time-series recorders for the figure reproductions.
 //! - [`ratelimit`]: token bucket used for bandwidth shaping.
-//! - [`queue`]: bounded FIFO with drop accounting.
 //! - [`idtable`]: index and ring tables for the small integer ids the
 //!   substrates allocate — the per-message replacement for hash maps.
 //! - [`shard`]: conservative-window parallel execution — one private [`Sim`]
@@ -24,11 +21,9 @@
 //!   byte-identical to sequential for any worker count. The sequential
 //!   engine stays the default and the differential oracle.
 
-pub mod baseline;
 pub mod engine;
 pub mod event;
 pub mod idtable;
-pub mod queue;
 pub mod ratelimit;
 pub mod resource;
 pub mod rng;

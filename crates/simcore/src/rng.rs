@@ -105,6 +105,48 @@ impl SimRng {
     }
 }
 
+/// Zipf popularity over ranks `0..ranks`: rank `k` (0-based) has weight
+/// `1/(k+1)^s`, sampled by inverting a prefix-sum table, so one table
+/// serves any population up to `ranks`.
+#[derive(Debug, Clone)]
+pub struct Zipf {
+    /// `prefix[k]` = total weight of the first `k` ranks; `prefix[0] == 0`.
+    prefix: Vec<f64>,
+}
+
+impl Zipf {
+    /// Builds the table for `ranks` ranks with exponent `s` (0 = uniform).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranks == 0`.
+    pub fn new(ranks: usize, s: f64) -> Zipf {
+        assert!(ranks > 0, "Zipf needs at least one rank");
+        let mut prefix = Vec::with_capacity(ranks + 1);
+        let mut acc = 0.0;
+        prefix.push(acc);
+        for k in 1..=ranks {
+            acc += 1.0 / (k as f64).powf(s);
+            prefix.push(acc);
+        }
+        Zipf { prefix }
+    }
+
+    /// Samples a rank among the first `n` (clamped to `1..=ranks`) with one
+    /// `next_f64` draw: the first rank whose prefix mass covers the draw.
+    pub fn sample(&self, rng: &mut SimRng, n: usize) -> usize {
+        let n = n.clamp(1, self.prefix.len() - 1);
+        let u = rng.next_f64() * self.prefix[n];
+        self.prefix[1..=n].partition_point(|&h| h < u).min(n - 1)
+    }
+}
+
+/// Sine rate modulation around 1: `1 + amplitude * sin(2*pi * t / period)`,
+/// `t` and `period` in seconds. Preserves the mean over whole periods.
+pub fn diurnal(amplitude: f64, t_s: f64, period_s: f64) -> f64 {
+    1.0 + amplitude * (std::f64::consts::TAU * t_s / period_s).sin()
+}
+
 /// Reads a root seed from the environment variable `var` (decimal or
 /// `0x`-prefixed hex), falling back to `default` when it is unset or does
 /// not parse. CI sweeps its seed matrices through these variables
@@ -212,6 +254,40 @@ mod tests {
         }
         let share0 = counts[0] as f64 / n as f64;
         assert!((share0 - 6.0 / 9.0).abs() < 0.02, "share0 = {share0}");
+    }
+
+    #[test]
+    fn zipf_is_skewed_and_stays_inside_the_population() {
+        let z = Zipf::new(100, 1.1);
+        let mut r = SimRng::new(9);
+        let mut counts = [0u32; 100];
+        for _ in 0..50_000 {
+            counts[z.sample(&mut r, 100)] += 1;
+        }
+        assert!(counts[0] > counts[1] && counts[1] > counts[9] && counts[9] > counts[99]);
+        // A smaller live population only ever sees its own ranks; an
+        // oversized or empty one is clamped to the table.
+        assert!((0..1_000).all(|_| z.sample(&mut r, 7) < 7));
+        assert!((0..1_000).all(|_| z.sample(&mut r, 1_000) < 100));
+        assert_eq!(z.sample(&mut r, 0), 0);
+        // s = 0 is uniform.
+        let flat = Zipf::new(4, 0.0);
+        let mut seen = [0u32; 4];
+        for _ in 0..40_000 {
+            seen[flat.sample(&mut r, 4)] += 1;
+        }
+        assert!(
+            seen.iter().all(|&c| (9_000..11_000).contains(&c)),
+            "{seen:?}"
+        );
+    }
+
+    #[test]
+    fn diurnal_swings_around_one() {
+        assert_eq!(diurnal(0.6, 0.0, 1.0), 1.0);
+        assert!((diurnal(0.6, 0.25, 1.0) - 1.6).abs() < 1e-12);
+        assert!((diurnal(0.6, 1.5, 2.0) - 0.4).abs() < 1e-12);
+        assert_eq!(diurnal(0.0, 0.3, 1.0), 1.0);
     }
 
     #[test]

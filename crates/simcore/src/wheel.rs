@@ -33,7 +33,7 @@
 //! Popping drains one slot at a time into a tiny `ready` heap that
 //! restores the engine's exact `(time, seq)` total order, so execution
 //! order is bit-for-bit identical to the reference binary-heap
-//! implementation ([`crate::baseline::BaselineSim`]).
+//! implementation (`tests/support/baseline.rs`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

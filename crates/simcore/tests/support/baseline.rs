@@ -1,19 +1,20 @@
 //! Reference binary-heap event engine.
 //!
 //! This is the pre-wheel `Sim` implementation, kept (a) as the oracle for
-//! the differential property tests — the timing wheel must reproduce its
+//! `wheel_differential.rs` — the timing wheel must reproduce its
 //! execution order bit-for-bit — and (b) as the "old" side of the
-//! `sim_core` benchmark group. It is deliberately the naive design: one
-//! `Box<dyn FnOnce>` per event pushed into a global `BinaryHeap`
-//! (`O(log n)` per operation), with cancellation grafted on via a
-//! tombstone set so randomized cancel scripts can run against it.
+//! `sim_core` benchmark group, which `#[path]`-includes this file. It is
+//! deliberately the naive design: one `Box<dyn FnOnce>` per event pushed
+//! into a global `BinaryHeap` (`O(log n)` per operation), with
+//! cancellation grafted on via a tombstone set so randomized cancel
+//! scripts can run against it.
 //!
-//! Not exported from the crate root; reach it as `simcore::baseline`.
+//! Test support, not part of the `simcore` API.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use crate::time::{SimDuration, SimTime};
+use simcore::SimTime;
 
 struct Scheduled {
     at: SimTime,
@@ -48,7 +49,7 @@ pub struct BaselineProfile {
     pub peak_pending: usize,
 }
 
-/// The reference engine. Same scheduling semantics as [`crate::Sim`]
+/// The reference engine. Same scheduling semantics as [`simcore::Sim`]
 /// (clamp-to-now, `(time, seq)` total order, `run_until` clock advance),
 /// with `u64` sequence numbers as cancellation handles.
 #[derive(Default)]
@@ -71,10 +72,6 @@ impl BaselineSim {
         self.now
     }
 
-    pub fn executed_events(&self) -> u64 {
-        self.executed
-    }
-
     pub fn pending_events(&self) -> usize {
         self.heap.len() - self.cancelled.len()
     }
@@ -92,18 +89,6 @@ impl BaselineSim {
         }));
         self.peak_pending = self.peak_pending.max(self.pending_events());
         seq
-    }
-
-    pub fn schedule_after<F: FnOnce(&mut BaselineSim) + 'static>(
-        &mut self,
-        delay: SimDuration,
-        f: F,
-    ) -> u64 {
-        self.schedule_at(self.now + delay, f)
-    }
-
-    pub fn schedule_now<F: FnOnce(&mut BaselineSim) + 'static>(&mut self, f: F) -> u64 {
-        self.schedule_at(self.now, f)
     }
 
     /// Tombstones a pending event. Returns `true` if it was pending.
@@ -165,52 +150,5 @@ impl BaselineSim {
         if self.now < deadline {
             self.now = deadline;
         }
-    }
-
-    pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.now + span;
-        self.run_until(deadline);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    #[test]
-    fn orders_and_cancels_like_the_real_engine() {
-        let mut sim = BaselineSim::new();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut handles = Vec::new();
-        for &t in &[30u64, 10, 20, 10] {
-            let log = log.clone();
-            handles
-                .push(sim.schedule_at(SimTime::from_nanos(t), move |_| log.borrow_mut().push(t)));
-        }
-        assert!(sim.cancel(handles[2]));
-        assert!(!sim.cancel(handles[2]));
-        sim.run();
-        assert_eq!(*log.borrow(), vec![10, 10, 30]);
-        let p = sim.profile();
-        assert_eq!(p.scheduled_events, 4);
-        assert_eq!(p.executed_events, 3);
-        assert_eq!(p.cancelled_events, 1);
-        assert!(!sim.cancel(handles[0]), "fired handles are stale");
-    }
-
-    #[test]
-    fn run_until_matches_engine_semantics() {
-        let mut sim = BaselineSim::new();
-        let hits = Rc::new(RefCell::new(0u32));
-        for t in [5u64, 25] {
-            let hits = hits.clone();
-            sim.schedule_at(SimTime::from_nanos(t), move |_| *hits.borrow_mut() += 1);
-        }
-        sim.run_until(SimTime::from_nanos(20));
-        assert_eq!(*hits.borrow(), 1);
-        assert_eq!(sim.now(), SimTime::from_nanos(20));
-        assert_eq!(sim.pending_events(), 1);
     }
 }

@@ -5,15 +5,18 @@
 //! horizons), deliberate ties, schedule-from-within-event, cancels of
 //! live, fired and doubly-cancelled handles, and `run_until` in random
 //! chunks — run through both `simcore::Sim` and
-//! `simcore::baseline::BaselineSim`. Execution order, cancel outcomes and
+//! `support::baseline::BaselineSim`. Execution order, cancel outcomes and
 //! final profile counts must match exactly.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use simcore::baseline::BaselineSim;
 use simcore::{Sim, SimRng, SimTime};
+
+#[path = "support/baseline.rs"]
+mod baseline;
+use baseline::BaselineSim;
 
 /// What one event does when it fires: schedule children, cancel victims.
 #[derive(Debug, Default, Clone)]
@@ -290,4 +293,41 @@ fn wheel_matches_reference_across_coarse_tick_granularities() {
             assert_eq!(counts_w, counts_b);
         }
     }
+}
+
+// The oracle's own sanity checks, so a differential failure points at the
+// wheel and not at the reference.
+
+#[test]
+fn oracle_orders_and_cancels_like_the_real_engine() {
+    let mut sim = BaselineSim::new();
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut handles = Vec::new();
+    for &t in &[30u64, 10, 20, 10] {
+        let log = log.clone();
+        handles.push(sim.schedule_at(SimTime::from_nanos(t), move |_| log.borrow_mut().push(t)));
+    }
+    assert!(sim.cancel(handles[2]));
+    assert!(!sim.cancel(handles[2]));
+    sim.run();
+    assert_eq!(*log.borrow(), vec![10, 10, 30]);
+    let p = sim.profile();
+    assert_eq!(p.scheduled_events, 4);
+    assert_eq!(p.executed_events, 3);
+    assert_eq!(p.cancelled_events, 1);
+    assert!(!sim.cancel(handles[0]), "fired handles are stale");
+}
+
+#[test]
+fn oracle_run_until_matches_engine_semantics() {
+    let mut sim = BaselineSim::new();
+    let hits = Rc::new(RefCell::new(0u32));
+    for t in [5u64, 25] {
+        let hits = hits.clone();
+        sim.schedule_at(SimTime::from_nanos(t), move |_| *hits.borrow_mut() += 1);
+    }
+    sim.run_until(SimTime::from_nanos(20));
+    assert_eq!(*hits.borrow(), 1);
+    assert_eq!(sim.now(), SimTime::from_nanos(20));
+    assert_eq!(sim.pending_events(), 1);
 }
