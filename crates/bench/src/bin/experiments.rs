@@ -8,15 +8,10 @@
 //!                             # result, byte-identical run to run, so
 //!                             # `git diff --exit-code -- results/` after
 //!                             # `experiments all` is the regression gate
-//! experiments parallel        # wall-clock: runs only when named, alone,
-//!                             # after everything else has finished
 //! experiments --quick [name]  # shorter runs for smoke testing
 //! experiments --jobs N        # fan figures and sweep points out over N
 //!                             # threads (N=0 or omitted: available cores);
 //!                             # output is byte-identical to --jobs 1
-//! experiments --shards N      # worker threads for the sharded event core
-//!                             # ("parallel" experiment; N=0: available
-//!                             # cores); output is byte-identical for any N
 //! experiments --trace-out t.json --metrics-out m.json
 //!                             # instrumented Online Boutique run: Perfetto
 //!                             # trace + metrics snapshot (no figures unless
@@ -65,7 +60,8 @@ struct Budget {
     scale: f64,
     /// Virtual seconds for the autoscaling ramp.
     ramp_secs: u64,
-    /// Whether this is the `--quick` budget (shrinks the parallel bench).
+    /// Whether this is the `--quick` budget (churn, upgrade and report
+    /// size themselves from it).
     quick: bool,
 }
 
@@ -98,9 +94,6 @@ struct Output {
     exp: Experiment,
     text: String,
     json: String,
-    /// Set by the `parallel` experiment so the shard-health gauges can
-    /// join the `--metrics-out` snapshot.
-    shard_report: Option<nadino::shard_cluster::ParallelReport>,
 }
 
 fn out<T: ToJson>(exp: Experiment, text: String, value: &T) -> Output {
@@ -108,14 +101,12 @@ fn out<T: ToJson>(exp: Experiment, text: String, value: &T) -> Output {
         exp,
         text,
         json: value.to_json().to_string_pretty(),
-        shard_report: None,
     }
 }
 
 /// Runs one experiment; `jobs` is the sweep-cell fan-out for the figures
-/// that decompose into independent `Sim`s, `shards` the worker count for
-/// the sharded event core.
-fn run_one(exp: Experiment, b: &Budget, jobs: usize, shards: usize) -> Output {
+/// that decompose into independent `Sim`s.
+fn run_one(exp: Experiment, b: &Budget, jobs: usize) -> Output {
     match exp.name {
         "fig06" => {
             let fig = fig06::run_jobs(b.requests, b.millis, jobs);
@@ -164,12 +155,6 @@ fn run_one(exp: Experiment, b: &Budget, jobs: usize, shards: usize) -> Output {
             let fig = summary::run(b.millis, b.requests);
             out(exp, fig.render(), &fig)
         }
-        "parallel" => {
-            let rep = nadino::shard_cluster::bench_report(b.quick, shards);
-            let mut o = out(exp, rep.render(), &rep);
-            o.shard_report = Some(rep);
-            o
-        }
         "churn" => {
             let rep = churn::run_jobs(b.quick, jobs);
             out(exp, rep.render(), &rep)
@@ -182,10 +167,9 @@ fn run_one(exp: Experiment, b: &Budget, jobs: usize, shards: usize) -> Output {
             // The fleet observability report. Deliberately budget-invariant
             // apart from `--quick` (which shrinks the boutique cell), so the
             // CI obs-report job can diff two invocations byte-for-byte.
-            let mut fleet_cfg = nadino::fleet::FleetConfig {
+            let mut fleet_cfg = nadino::fleet::ReportConfig {
                 seed: simcore::rng::seed_from_env("REPORT_SEED", 42),
-                shards,
-                ..nadino::fleet::FleetConfig::default()
+                ..nadino::fleet::ReportConfig::default()
             };
             if b.quick {
                 fleet_cfg.horizon = simcore::SimDuration::from_millis(20);
@@ -235,7 +219,6 @@ fn instrumented_run(
     metrics_out: Option<&PathBuf>,
     tail_sample: bool,
     flight_out: Option<&PathBuf>,
-    shard_report: Option<&nadino::shard_cluster::ParallelReport>,
 ) -> bool {
     use membuf::tenant::TenantId;
     use nadino::boutique;
@@ -321,12 +304,6 @@ fn instrumented_run(
         }
     }
     if let Some(path) = metrics_out {
-        // If a `parallel` experiment ran this invocation, fold its
-        // shard-health gauges into the same snapshot so one metrics file
-        // covers both the boutique run and the sharded core.
-        if let Some(rep) = shard_report {
-            rep.export_metrics(&reg);
-        }
         ok &= write_out(path, &reg.snapshot().to_json().to_string_pretty());
     }
     ok
@@ -344,9 +321,8 @@ fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    // 0 means "auto" for both knobs; resolved below via `resolve_jobs`.
+    // 0 means "auto"; resolved below via `resolve_jobs`.
     let mut jobs = 0usize;
-    let mut shards = 0usize;
     let mut trace_out: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;
     let mut tail_sample = false;
@@ -358,7 +334,6 @@ fn main() {
         match a.as_str() {
             "--quick" => quick = true,
             "--jobs" => jobs = value(&mut it, &a, "an integer (0 = available cores)"),
-            "--shards" => shards = value(&mut it, &a, "an integer (0 = available cores)"),
             "--trace-out" => trace_out = Some(value(&mut it, &a, "a path")),
             "--metrics-out" => metrics_out = Some(value(&mut it, &a, "a path")),
             "--report-out" => report_out = Some(value(&mut it, &a, "a path")),
@@ -372,12 +347,11 @@ fn main() {
     } else {
         Budget::full()
     };
-    // `0` means "auto" for both knobs, resolved to available_parallelism()
-    // in one place and announced up front so logs state the actual fan-out.
+    // `0` means "auto", resolved to available_parallelism() in one place
+    // and announced up front so logs state the actual fan-out.
     let jobs = resolve_jobs(jobs);
-    let shards = resolve_jobs(shards);
     eprintln!(
-        ">>> run header: jobs={jobs} shards={shards} budget={}",
+        ">>> run header: jobs={jobs} budget={}",
         if quick { "quick" } else { "full" }
     );
     let instrumented =
@@ -398,24 +372,17 @@ fn main() {
     });
     let run = move |exp: Experiment| {
         eprintln!(">>> running {}", exp.name);
-        run_one(exp, &budget, jobs, shards)
+        run_one(exp, &budget, jobs)
     };
-    // Each virtual-time figure runs on its own thread (and the sweep
-    // figures fan their cells out further); outputs are emitted strictly in
-    // request order. Wall-clock experiments wait until the pool is done, so
-    // nothing else shares the cores they time.
-    let (timed, pooled): (Vec<Experiment>, Vec<Experiment>) =
-        experiments.into_iter().partition(|e| e.wall_clock);
-    let tasks: Vec<_> = pooled.into_iter().map(|exp| move || run(exp)).collect();
+    // Each figure runs on its own thread (and the sweep figures fan their
+    // cells out further); outputs are emitted strictly in request order.
+    let tasks: Vec<_> = experiments
+        .into_iter()
+        .map(|exp| move || run(exp))
+        .collect();
     let mut all_written = true;
     for output in pmap(tasks, jobs) {
         all_written &= emit(&output, report_out.as_ref());
-    }
-    let mut shard_report = None;
-    for exp in timed {
-        let mut output = run(exp);
-        all_written &= emit(&output, report_out.as_ref());
-        shard_report = output.shard_report.take();
     }
     if instrumented {
         all_written &= instrumented_run(
@@ -423,7 +390,6 @@ fn main() {
             metrics_out.as_ref(),
             tail_sample,
             flight_out.as_ref(),
-            shard_report.as_ref(),
         );
     }
     if !all_written {

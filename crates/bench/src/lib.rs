@@ -22,41 +22,34 @@ pub struct Experiment {
     pub name: &'static str,
     /// `results/<stem>.json` is the file it writes.
     pub stem: &'static str,
-    /// Reports host wall-clock time, so its bytes differ run to run: it
-    /// runs only when named, alone, and `all` leaves it out.
-    pub wall_clock: bool,
 }
 
-const fn exp(name: &'static str, stem: &'static str, wall_clock: bool) -> Experiment {
-    Experiment {
-        name,
-        stem,
-        wall_clock,
-    }
+const fn exp(name: &'static str, stem: &'static str) -> Experiment {
+    Experiment { name, stem }
 }
 
-/// Every experiment, in `all`'s run order.
-pub const EXPERIMENTS: [Experiment; 15] = [
-    exp("fig06", "fig06", false),
-    exp("fig09", "fig09", false),
-    exp("fig11", "fig11", false),
-    exp("fig12", "fig12", false),
-    exp("fig13", "fig13", false),
-    exp("fig14", "fig14", false),
-    exp("fig15", "fig15", false),
-    exp("fig16", "fig16", false),
-    exp("fig17", "fig17", false),
-    exp("ablations", "ablations", false),
-    exp("summary", "summary", false),
-    exp("churn", "BENCH_churn", false),
-    exp("upgrade", "BENCH_upgrade", false),
-    exp("report", "report", false),
-    exp("parallel", "BENCH_parallel", true),
+/// Every experiment, in `all`'s run order. All of them report virtual time
+/// only, so every file they write is byte-identical run to run.
+pub const EXPERIMENTS: [Experiment; 14] = [
+    exp("fig06", "fig06"),
+    exp("fig09", "fig09"),
+    exp("fig11", "fig11"),
+    exp("fig12", "fig12"),
+    exp("fig13", "fig13"),
+    exp("fig14", "fig14"),
+    exp("fig15", "fig15"),
+    exp("fig16", "fig16"),
+    exp("fig17", "fig17"),
+    exp("ablations", "ablations"),
+    exp("summary", "summary"),
+    exp("churn", "BENCH_churn"),
+    exp("upgrade", "BENCH_upgrade"),
+    exp("report", "report"),
 ];
 
-/// The experiments `all` stands for: every virtual-time one.
+/// The experiments `all` stands for: the whole table.
 pub fn all() -> impl Iterator<Item = Experiment> {
-    EXPERIMENTS.into_iter().filter(|e| !e.wall_clock)
+    EXPERIMENTS.into_iter()
 }
 
 /// Resolves requested names to the experiments to run, in request order:
@@ -92,15 +85,8 @@ mod tests {
     }
 
     #[test]
-    fn all_is_every_virtual_time_experiment_and_no_wall_clock_one() {
-        let picked = expand(&["all"]).unwrap();
-        assert_eq!(picked.len(), 14);
-        assert!(picked.iter().all(|e| !e.wall_clock));
-        assert!(!names(&picked).contains(&"parallel"));
-        // Naming a wall-clock experiment next to `all` still runs it.
-        let both = expand(&["all", "parallel"]).unwrap();
-        assert_eq!(both.len(), 15);
-        assert!(both[14].wall_clock);
+    fn all_is_the_whole_table() {
+        assert_eq!(expand(&["all"]).unwrap(), EXPERIMENTS);
     }
 
     #[test]
@@ -118,6 +104,7 @@ mod tests {
     fn unknown_names_are_refused() {
         assert_eq!(expand(&["fig06", "fig99"]), Err("fig99".to_string()));
         assert_eq!(expand(&["regress"]), Err("regress".to_string()));
+        assert_eq!(expand(&["parallel"]), Err("parallel".to_string()));
         assert_eq!(expand::<&str>(&[]), Ok(Vec::new()));
     }
 

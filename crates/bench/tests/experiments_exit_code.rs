@@ -1,7 +1,7 @@
 //! The `experiments` binary's exit status tells the truth about its output
-//! files: CI gates (`results`, `obs-report`, `upgrade-chaos`,
-//! `parallel-sim`) read `results/*.json` right after running it, and a run
-//! that could not write must not let them pass on the stale committed copy.
+//! files: CI gates (`results`, `obs-report`, `upgrade-chaos`) read
+//! `results/*.json` right after running it, and a run that could not write
+//! must not let them pass on the stale committed copy.
 
 use std::path::Path;
 use std::process::Command;
@@ -27,14 +27,22 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
 #[test]
 fn an_unknown_name_exits_2_before_anything_runs() {
     let dir = scratch_dir("experiments_unknown_name");
-    let (code, stderr) = experiments(&dir, &["--quick", "fig13", "regress"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(
-        stderr.contains("unknown experiment \"regress\""),
-        "{stderr}"
-    );
-    assert!(!stderr.contains(">>> running"), "{stderr}");
-    assert!(!dir.join("results").exists());
+    // `regress`, `parallel` and `--shards` are retired; the flag is refused
+    // as the first name that is not an experiment.
+    for (args, unknown) in [
+        (&["--quick", "fig13", "regress"][..], "regress"),
+        (&["--quick", "fig13", "parallel"][..], "parallel"),
+        (&["--shards", "4", "parallel"][..], "--shards"),
+    ] {
+        let (code, stderr) = experiments(&dir, args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown experiment {unknown:?}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains(">>> running"), "{args:?}: {stderr}");
+        assert!(!dir.join("results").exists(), "{args:?} wrote something");
+    }
 }
 
 #[test]

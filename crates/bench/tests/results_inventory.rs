@@ -10,9 +10,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Wall-clock result files and who writes them: the `benchmark/` package
-/// (`BENCH_e2e`), the `tracer_overhead` and `sim_core` benches, and the
-/// `parallel` experiment.
-const WALL_CLOCK_FILES: [&str; 4] = ["BENCH_e2e", "BENCH_obs", "BENCH_simcore", "BENCH_parallel"];
+/// (`BENCH_e2e`) and the `tracer_overhead` and `sim_core` benches.
+const WALL_CLOCK_FILES: [&str; 3] = ["BENCH_e2e", "BENCH_obs", "BENCH_simcore"];
 
 /// Paths under `results/` that git tracks; in an exported tree without a
 /// repository, everything that is there.
@@ -71,8 +70,5 @@ fn every_committed_result_has_one_writer() {
     for stem in all {
         let path = Path::new("results").join(format!("{stem}.json"));
         assert!(files.contains(&path), "{} is not committed", path.display());
-    }
-    for e in bench::EXPERIMENTS.iter().filter(|e| e.wall_clock) {
-        assert!(WALL_CLOCK_FILES.contains(&e.stem), "{e:?}");
     }
 }

@@ -295,7 +295,7 @@ pub fn run_filtered(millis: u64, systems: &[SystemKind], clients: &[usize]) -> F
     let (burn, soc_stages) = if cores_freed.is_empty() {
         (obs::JsonValue::Null, obs::JsonValue::Null)
     } else {
-        crate::fleet::obs_sections(&crate::fleet::FleetConfig::default())
+        crate::fleet::obs_sections(&crate::fleet::ReportConfig::default())
     };
     Fig16 {
         rows,

@@ -1,4 +1,6 @@
-//! Thread fan-out for independent experiment cells.
+//! Thread fan-out for independent experiment cells — the one way this
+//! workspace uses a second core (DESIGN.md §2, "One simulation, one
+//! thread").
 //!
 //! Every sweep point in fig06/fig09/fig11/fig12 builds a *fresh* `Sim`
 //! and shares nothing with its siblings, so the cells can run on separate
@@ -9,6 +11,19 @@
 //! tables and JSON are byte-identical to a sequential run — determinism
 //! per cell (seeded RNG, virtual time) plus deterministic collection
 //! equals determinism of the whole figure.
+//!
+//! That a simulation stays on the thread that built it is enforced by the
+//! compiler, not convention:
+//!
+//! ```compile_fail
+//! fn require_send<T: Send>() {}
+//! require_send::<nadino::cluster::Cluster>();
+//! ```
+//!
+//! ```compile_fail
+//! fn require_send<T: Send>() {}
+//! require_send::<dne::Dne>();
+//! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -60,9 +75,9 @@ pub fn default_jobs() -> usize {
 
 /// Resolves a user-facing thread-count request: `0` means "auto" —
 /// [`default_jobs`], i.e. `available_parallelism()` — anything else is
-/// taken literally. Every entry point that accepts `--jobs` or
-/// `--shards` routes through this, so `0` means the same thing
-/// everywhere, and callers print the resolved value in their run header.
+/// taken literally. Every entry point that accepts `--jobs` routes
+/// through this, so `0` means the same thing everywhere, and callers
+/// print the resolved value in their run header.
 pub fn resolve_jobs(requested: usize) -> usize {
     if requested == 0 {
         default_jobs()

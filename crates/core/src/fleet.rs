@@ -18,21 +18,15 @@
 //!   host core) to price the "SoC cores freed" table
 //!   ([`obs::CoresFreed`]) next to the per-stage SoC profiler
 //!   ([`obs::SocStageTable`]);
-//! - a **sharded phase**: the parallel-core DAG cluster with its
-//!   wall-time attribution split ([`obs::ShardSplit`]) and the client
-//!   latency histogram whose exemplars resolve against the retained
-//!   slow-trace table;
 //! - a **churn phase**: the elastic cell's per-window QP-thrash series.
 //!
-//! Determinism contract: for a fixed [`FleetConfig`] seed the rendered
-//! JSON is byte-identical across processes and across `--shards` worker
-//! counts — every number in it derives from virtual time and seeded
-//! streams, wall-clock self-observation metrics are dropped by the
-//! aggregator, and worker counts are excluded from the document. The
-//! `experiments` binary reads the seed from `REPORT_SEED`; the CI
-//! `obs-report` job sweeps a seed matrix and asserts byte identity per
-//! seed. The same contract is why the boutique cell still enters the
-//! cluster unstamped (see `run_cell`).
+//! Determinism contract: for a fixed [`ReportConfig`] seed the rendered
+//! JSON is byte-identical across processes — every number in it derives
+//! from virtual time and seeded streams, and wall-clock self-observation
+//! metrics are dropped by the aggregator. The `experiments` binary reads
+//! the seed from `REPORT_SEED`; the CI `obs-report` job sweeps a seed
+//! matrix and asserts byte identity per seed. The same contract is why
+//! the boutique cell still enters the cluster unstamped (see `run_cell`).
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -47,7 +41,6 @@ use simcore::{Sim, SimDuration, SimTime};
 use crate::boutique;
 use crate::churn::{self, ChurnConfig};
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::shard_cluster::{self, CrashWindow, ShardClusterConfig, WorkloadKind};
 use crate::workload::ClosedLoop;
 
 /// The tenant the boutique cell runs as (on-wire id 1).
@@ -55,15 +48,9 @@ const TENANT: u16 = 1;
 
 /// Configuration of one fleet report.
 #[derive(Debug, Clone)]
-pub struct FleetConfig {
+pub struct ReportConfig {
     /// Root seed for every phase.
     pub seed: u64,
-    /// Worker threads for the sharded phase. Deliberately absent from
-    /// the report: byte identity must hold across worker counts.
-    pub shards: usize,
-    /// Inject a crash window into the sharded phase (the chaos variant;
-    /// recorded in the report's meta block since it changes the run).
-    pub chaos: bool,
     /// Closed-loop clients driving the boutique cell.
     pub clients: usize,
     /// Virtual time of the boutique cell.
@@ -72,12 +59,10 @@ pub struct FleetConfig {
     pub obs_window: SimDuration,
 }
 
-impl Default for FleetConfig {
+impl Default for ReportConfig {
     fn default() -> Self {
-        FleetConfig {
+        ReportConfig {
             seed: 42,
-            shards: 1,
-            chaos: false,
             clients: 20,
             horizon: SimDuration::from_millis(40),
             obs_window: SimDuration::from_millis(5),
@@ -120,7 +105,7 @@ fn obs_tick(
 
 /// Runs the boutique cell once. `dne_cfg` selects the engine placement
 /// (DPU-resident DNE vs host-resident CNE for the baseline).
-fn run_cell(cfg: &FleetConfig, dne_cfg: dne::DneConfig) -> CellOut {
+fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> CellOut {
     let mut sim = Sim::new();
     let mut cluster = Cluster::new(
         &mut sim,
@@ -267,13 +252,13 @@ fn run_cell(cfg: &FleetConfig, dne_cfg: dne::DneConfig) -> CellOut {
 /// The obs riders the fig16 report embeds: the per-tenant burn-rate
 /// series and the SoC per-stage utilization table, from one DNE boutique
 /// cell with the trace pipeline enabled.
-pub fn obs_sections(cfg: &FleetConfig) -> (JsonValue, JsonValue) {
+pub fn obs_sections(cfg: &ReportConfig) -> (JsonValue, JsonValue) {
     let cell = run_cell(cfg, dne::DneConfig::nadino_dne());
     (cell.burn, cell.soc.to_json())
 }
 
 /// Builds the full fleet report for `cfg`.
-pub fn build_report(cfg: &FleetConfig) -> JsonValue {
+pub fn build_report(cfg: &ReportConfig) -> JsonValue {
     // Boutique cell on the DPU-resident engine — the obs-bearing run.
     let dne = run_cell(cfg, dne::DneConfig::nadino_dne());
     // Host-only baseline: same cell, engine on a host core.
@@ -283,23 +268,6 @@ pub fn build_report(cfg: &FleetConfig) -> JsonValue {
         dne_host_cores: dne.host_cores,
         dne_soc_cores: dne.engine_cores,
     };
-
-    // Sharded phase: the fig16 DAG shape on the parallel core.
-    let shard_cfg = ShardClusterConfig {
-        nodes: 4,
-        clients: 4,
-        horizon: SimDuration::from_millis(1),
-        seed: cfg.seed,
-        workload: WorkloadKind::Dag,
-        crash: cfg.chaos.then(|| CrashWindow {
-            node: 1,
-            from: SimTime::from_nanos(100_000),
-            until: SimTime::from_nanos(400_000),
-        }),
-        ..ShardClusterConfig::default()
-    };
-    let shard = shard_cluster::run(shard_cfg, cfg.shards.max(1));
-    let split = shard.shard_split();
 
     // Churn phase: the elastic cell's per-window thrash series.
     let churn_rep = churn::run(ChurnConfig {
@@ -318,7 +286,6 @@ pub fn build_report(cfg: &FleetConfig) -> JsonValue {
             "meta",
             JsonValue::obj(vec![
                 ("seed", JsonValue::UInt(cfg.seed)),
-                ("chaos", JsonValue::Bool(cfg.chaos)),
                 ("clients", JsonValue::UInt(cfg.clients as u64)),
                 ("horizon_ns", JsonValue::UInt(cfg.horizon.as_nanos())),
                 ("obs_window_ns", JsonValue::UInt(cfg.obs_window.as_nanos())),
@@ -342,27 +309,6 @@ pub fn build_report(cfg: &FleetConfig) -> JsonValue {
                 ("soc_stages", dne.soc.to_json()),
                 ("cores_freed", cores_freed.to_json()),
                 ("flight_dump", dne.flight),
-            ]),
-        ),
-        (
-            "shard",
-            JsonValue::obj(vec![
-                (
-                    "digest_fnv",
-                    JsonValue::Str(format!(
-                        "{:016x}",
-                        simcore::rng::fnv1a(shard.determinism_digest().bytes())
-                    )),
-                ),
-                ("windows", JsonValue::UInt(shard.windows)),
-                ("events", JsonValue::UInt(shard.total_events)),
-                ("completed", JsonValue::UInt(shard.completed())),
-                ("split", obs::ShardSplit::table_json(&split)),
-                ("latency", shard.latency.to_json()),
-                (
-                    "exemplars_resolvable",
-                    JsonValue::Bool(shard.latency.exemplars_resolvable()),
-                ),
             ]),
         ),
         (
@@ -435,18 +381,6 @@ pub fn render_summary(doc: &JsonValue) -> String {
             ),
         ],
         vec![
-            "shard".to_string(),
-            format!("digest {}", s(&["shard", "digest_fnv"])),
-            format!("completed {}", u(&["shard", "completed"])),
-            format!("events {}", u(&["shard", "events"])),
-            format!(
-                "exemplars resolvable {}",
-                path(doc, &["shard", "exemplars_resolvable"])
-                    .and_then(|v| v.as_bool())
-                    .unwrap_or(false)
-            ),
-        ],
-        vec![
             "churn".to_string(),
             format!("digest {}", s(&["churn", "digest"])),
             format!("steady hit {:.3}", f(&["churn", "steady_hit_rate"])),
@@ -470,11 +404,11 @@ pub fn render_summary(doc: &JsonValue) -> String {
 mod tests {
     use super::*;
 
-    fn quick() -> FleetConfig {
-        FleetConfig {
+    fn quick() -> ReportConfig {
+        ReportConfig {
             horizon: SimDuration::from_millis(20),
             clients: 8,
-            ..FleetConfig::default()
+            ..ReportConfig::default()
         }
     }
 
@@ -483,7 +417,7 @@ mod tests {
         let doc = build_report(&quick());
         let text = doc.to_string_pretty();
         let parsed = obs::parse(&text).expect("report is valid JSON");
-        for section in ["meta", "fleet", "shard", "churn"] {
+        for section in ["meta", "fleet", "churn"] {
             assert!(parsed.get(section).is_some(), "missing {section}");
         }
         let fleet = parsed.get("fleet").unwrap();
@@ -491,42 +425,13 @@ mod tests {
         assert!(fleet.get("cores_freed").is_some());
         assert!(fleet.get("soc_stages").is_some());
         assert!(fleet.get("burn").is_some());
-        assert!(
-            parsed
-                .get("shard")
-                .unwrap()
-                .get("exemplars_resolvable")
-                .unwrap()
-                .as_bool()
-                == Some(true)
-        );
     }
 
     #[test]
-    fn same_seed_reports_are_byte_identical_across_worker_counts() {
+    fn same_seed_reports_are_byte_identical() {
         let a = build_report(&quick()).to_string_pretty();
-        let b = build_report(&FleetConfig {
-            shards: 4,
-            ..quick()
-        })
-        .to_string_pretty();
-        assert_eq!(a, b, "worker count leaked into the report");
-    }
-
-    #[test]
-    fn chaos_variant_is_deterministic_too() {
-        let cfg = FleetConfig {
-            chaos: true,
-            ..quick()
-        };
-        let a = build_report(&cfg).to_string_pretty();
-        let b = build_report(&cfg).to_string_pretty();
-        assert_eq!(a, b);
-        assert_ne!(
-            a,
-            build_report(&quick()).to_string_pretty(),
-            "chaos must actually change the run"
-        );
+        let b = build_report(&quick()).to_string_pretty();
+        assert_eq!(a, b, "two builds of one config diverged");
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod fleet;
 pub mod fleetctl;
 pub mod health;
 pub mod report;
-pub mod shard_cluster;
 pub mod trace;
 pub mod workload;
 

@@ -22,9 +22,8 @@
 //! - [`agg`] — windowed fleet-level aggregation over a
 //!   [`metrics::MetricsRegistry`]: counter rates, stale-aware gauge
 //!   rollups, exactly-merged histograms with tail quantiles;
-//! - [`profile`] — wall-time and SoC-core utilization attribution
-//!   (shard execute/stall/drain/idle split, per-stage busy cores,
-//!   "cores freed" vs a host-only baseline);
+//! - [`profile`] — SoC-core utilization attribution (per-stage busy
+//!   cores, "cores freed" vs a host-only baseline);
 //! - [`perfetto`] — Chrome-trace-event JSON export for
 //!   <https://ui.perfetto.dev>, with cross-node flow arrows;
 //! - [`json`] — the hand-rolled JSON tree, [`json::ToJson`] trait and
@@ -61,6 +60,6 @@ pub use metrics::{
     Counter, Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot, SeriesHandle,
 };
 pub use perfetto::chrome_trace;
-pub use profile::{CoresFreed, ShardSplit, SocStageTable};
+pub use profile::{CoresFreed, SocStageTable};
 pub use sampler::{TailSampler, TraceSummary};
 pub use span::{SpanRecord, Stage, StageTotal, Tracer};

@@ -1,107 +1,15 @@
-//! Utilization attribution: where shard wall-time and SoC cores go.
+//! Utilization attribution: where the SoC and host cores go.
 //!
-//! Two consumers:
-//!
-//! - **Shard split** — partitions each PDES shard's run into
-//!   {execute, barrier-stall, mailbox-drain, idle} from
-//!   [`simcore::ShardProfile`] counters. This is counter-derived
-//!   attribution, not measured host time: a window the shard spent only
-//!   waiting at the barrier is a stall; the remainder splits between
-//!   executing its own events and draining cross-shard messages in
-//!   proportion to their counts, scaled by the shard's activity relative
-//!   to the busiest shard (the shortfall is idle). The four shares sum
-//!   to 1 per shard, so the fleet table reads like a CPU profile.
-//!
-//! - **SoC stage table** — aggregates per-pipeline-stage busy core-time
-//!   reported by `dpu-sim`'s staged processors into "busy cores" over a
-//!   horizon, and derives the paper's headline **cores freed** number:
-//!   host cores a host-only baseline burns that the DNE offload returns,
-//!   net of what the wimpy SoC cores absorb.
+//! [`SocStageTable`] aggregates per-pipeline-stage busy core-time
+//! reported by `dpu-sim`'s staged processors into "busy cores" over a
+//! horizon, and [`CoresFreed`] derives the paper's headline **cores
+//! freed** number: host cores a host-only baseline burns that the DNE
+//! offload returns, net of what the wimpy SoC cores absorb.
 //!
 //! Everything here is pure arithmetic over integers already produced by
 //! the simulators, so outputs are byte-stable for a fixed seed.
 
-use simcore::ShardProfile;
-
 use crate::json::JsonValue;
-
-/// One shard's wall-time split; the four shares sum to 1.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardSplit {
-    pub shard: u32,
-    /// Executing this shard's own events.
-    pub execute: f64,
-    /// Windows spent only waiting at the conservative barrier.
-    pub barrier_stall: f64,
-    /// Draining cross-shard mailbox messages.
-    pub mailbox_drain: f64,
-    /// Activity shortfall vs the busiest shard.
-    pub idle: f64,
-}
-
-impl ShardSplit {
-    /// Attributes every shard in `profiles`. Shards with no windows
-    /// come back all-idle.
-    pub fn from_profiles(profiles: &[ShardProfile]) -> Vec<ShardSplit> {
-        let max_work = profiles
-            .iter()
-            .map(|p| p.executed_events + p.messages_received)
-            .max()
-            .unwrap_or(0);
-        profiles
-            .iter()
-            .map(|p| {
-                if p.windows == 0 || max_work == 0 {
-                    return ShardSplit {
-                        shard: p.shard,
-                        execute: 0.0,
-                        barrier_stall: 0.0,
-                        mailbox_drain: 0.0,
-                        idle: 1.0,
-                    };
-                }
-                let stall = (p.barrier_stalls as f64 / p.windows as f64).min(1.0);
-                let active = 1.0 - stall;
-                let work = p.executed_events + p.messages_received;
-                let busy_frac = work as f64 / max_work as f64;
-                let (exec_share, drain_share) = if work == 0 {
-                    (0.0, 0.0)
-                } else {
-                    (
-                        p.executed_events as f64 / work as f64,
-                        p.messages_received as f64 / work as f64,
-                    )
-                };
-                let execute = active * busy_frac * exec_share;
-                let mailbox_drain = active * busy_frac * drain_share;
-                let idle = active * (1.0 - busy_frac);
-                ShardSplit {
-                    shard: p.shard,
-                    execute,
-                    barrier_stall: stall,
-                    mailbox_drain,
-                    idle,
-                }
-            })
-            .collect()
-    }
-
-    /// JSON form of one split row.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("shard", JsonValue::UInt(self.shard as u64)),
-            ("execute", JsonValue::Float(self.execute)),
-            ("barrier_stall", JsonValue::Float(self.barrier_stall)),
-            ("mailbox_drain", JsonValue::Float(self.mailbox_drain)),
-            ("idle", JsonValue::Float(self.idle)),
-        ])
-    }
-
-    /// JSON array for a whole fleet of shards.
-    pub fn table_json(splits: &[ShardSplit]) -> JsonValue {
-        JsonValue::Arr(splits.iter().map(|s| s.to_json()).collect())
-    }
-}
 
 /// Per-processor, per-pipeline-stage busy core-time over a horizon.
 #[derive(Debug, Clone, Default)]
@@ -224,43 +132,6 @@ impl CoresFreed {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn profile(shard: u32, executed: u64, windows: u64, stalls: u64, recv: u64) -> ShardProfile {
-        ShardProfile {
-            shard,
-            executed_events: executed,
-            scheduled_events: executed,
-            windows,
-            barrier_stalls: stalls,
-            messages_sent: 0,
-            messages_received: recv,
-            mailbox_depth_peak: 0,
-            window_ns_total: 0,
-        }
-    }
-
-    #[test]
-    fn shares_sum_to_one_and_rank_sensibly() {
-        let profiles = vec![
-            profile(0, 1_000, 100, 10, 200), // busiest
-            profile(1, 300, 100, 60, 0),     // stall-heavy laggard
-        ];
-        let splits = ShardSplit::from_profiles(&profiles);
-        for s in &splits {
-            let sum = s.execute + s.barrier_stall + s.mailbox_drain + s.idle;
-            assert!((sum - 1.0).abs() < 1e-9, "shares must partition the run");
-        }
-        assert!(splits[0].execute > splits[1].execute);
-        assert!(splits[1].barrier_stall > splits[0].barrier_stall);
-        assert!(splits[1].idle > splits[0].idle, "laggard shows idle");
-        assert!(splits[0].mailbox_drain > 0.0, "receiver shows drain time");
-    }
-
-    #[test]
-    fn empty_profiles_read_idle() {
-        let splits = ShardSplit::from_profiles(&[profile(0, 0, 0, 0, 0)]);
-        assert_eq!(splits[0].idle, 1.0);
-    }
 
     #[test]
     fn stage_table_totals_and_cores_freed() {

@@ -247,10 +247,9 @@ struct PackedSpan {
 /// oldest span on this node; eviction is counted, never silent.
 ///
 /// Cache-line aligned: rings live in a `Vec` indexed by node and are
-/// written on every traced event, so without the alignment two nodes'
-/// hot fields (`head`, `cache_req`, `cache_span`) can share a line and
-/// ping-pong it between cores once recording and the sharded engine run
-/// on different threads.
+/// written on every traced event; the alignment keeps two nodes' hot
+/// fields (`head`, `cache_req`, `cache_span`) off one line (before/after
+/// in the notes of `results/BENCH_obs.json`).
 #[repr(align(64))]
 struct SpanRing {
     /// The node every span in this ring belongs to.

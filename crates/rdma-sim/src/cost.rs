@@ -106,19 +106,6 @@ impl RdmaCosts {
             + self.host_dma(bytes)
     }
 
-    /// The fabric's one-way latency floor: the delivery latency of an empty
-    /// message, which every larger message only exceeds (all components are
-    /// monotone in size).
-    ///
-    /// This is the conservative **lookahead** bound the sharded engine
-    /// ([`simcore::shard`]) synchronizes on: no cross-node effect can land
-    /// sooner than this, so every shard may safely run `floor` ahead of the
-    /// global minimum. A configuration whose floor is zero cannot be
-    /// sharded (rejected at shard-build time).
-    pub fn latency_floor(&self) -> SimDuration {
-        self.one_way(0)
-    }
-
     /// The cache-overflow penalty given `active` QPs.
     ///
     /// Deterministic proportional model: when the active set exceeds the
@@ -160,28 +147,6 @@ mod tests {
         let c = RdmaCosts::default();
         let us = c.one_way(64).as_micros_f64();
         assert!(us > 2.0 && us < 4.0, "one-way 64B = {us}us");
-    }
-
-    #[test]
-    fn latency_floor_is_positive_and_bounds_every_message() {
-        let c = RdmaCosts::default();
-        let floor = c.latency_floor();
-        assert!(
-            floor > SimDuration::ZERO,
-            "default fabric has a non-zero floor"
-        );
-        for bytes in [0usize, 1, 64, 4096, 1 << 20] {
-            assert!(c.one_way(bytes) >= floor, "{bytes}B undercuts the floor");
-        }
-        // A degenerate zero-cost fabric yields a zero floor — the sharded
-        // engine must reject it at build time rather than misorder events.
-        let zero = RdmaCosts {
-            rnic_tx_fixed: SimDuration::ZERO,
-            rnic_rx_fixed: SimDuration::ZERO,
-            propagation: SimDuration::ZERO,
-            ..RdmaCosts::default()
-        };
-        assert_eq!(zero.latency_floor(), SimDuration::ZERO);
     }
 
     #[test]

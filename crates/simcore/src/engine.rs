@@ -63,7 +63,6 @@ pub struct Sim {
     cancelled: u64,
     boxed: u64,
     peak_pending: usize,
-    depth_samples: Vec<(SimTime, usize)>,
     wall_ns: u64,
 }
 
@@ -74,9 +73,7 @@ pub struct Sim {
 /// queue's high-water mark (a proxy for model fan-out); `wall_ns` is the
 /// wall-clock time spent inside [`Sim::run`] / [`Sim::run_until`], from
 /// which [`SimProfile::events_per_sec`] derives the engine's raw event
-/// throughput. Queue-depth samples are recorded separately via
-/// [`Sim::sample_depth`] and read back with [`Sim::depth_samples`] (a
-/// borrowed view — the profile snapshot itself is O(1), not O(samples)).
+/// throughput.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimProfile {
     pub scheduled_events: u64,
@@ -134,7 +131,6 @@ impl Sim {
             cancelled: 0,
             boxed: 0,
             peak_pending: 0,
-            depth_samples: Vec::new(),
             wall_ns: 0,
         }
     }
@@ -183,11 +179,6 @@ impl Sim {
         self.schedule_at(self.now + delay, f)
     }
 
-    /// Schedules `f` to run at the current instant, after already-ready events.
-    pub fn schedule_now<F: FnOnce(&mut Sim) + 'static>(&mut self, f: F) -> TimerHandle {
-        self.schedule_at(self.now, f)
-    }
-
     /// Deschedules a pending event, dropping its closure immediately.
     ///
     /// Returns `true` if the event was pending; `false` for stale handles
@@ -207,40 +198,7 @@ impl Sim {
         self.wheel.is_pending(handle)
     }
 
-    /// Returns the instant of the next pending event without executing it,
-    /// or `None` when the queue is empty.
-    ///
-    /// Used by the conservative-window sharded engine ([`crate::shard`])
-    /// to compute each synchronization window's bound. Takes `&mut self`
-    /// because the peek may advance the wheel's internal position (never
-    /// the clock, and never past the next live event), which is invisible
-    /// to callers.
-    pub fn next_event_at(&mut self) -> Option<SimTime> {
-        self.wheel.next_at(u64::MAX)
-    }
-
-    /// Records one `(now, pending_events)` sample.
-    ///
-    /// Call from a [`Ticker`] for a periodic queue-depth series; read the
-    /// series back with [`Sim::depth_samples`] or drain it with
-    /// [`Sim::take_depth_samples`].
-    pub fn sample_depth(&mut self) {
-        self.depth_samples.push((self.now, self.wheel.live()));
-    }
-
-    /// Borrowed view of the queue-depth samples recorded so far.
-    pub fn depth_samples(&self) -> &[(SimTime, usize)] {
-        &self.depth_samples
-    }
-
-    /// Drains and returns the queue-depth samples (the internal buffer is
-    /// left empty), for callers that want ownership without a copy.
-    pub fn take_depth_samples(&mut self) -> Vec<(SimTime, usize)> {
-        std::mem::take(&mut self.depth_samples)
-    }
-
-    /// Returns the engine profile accumulated so far. O(1): depth samples
-    /// are not copied (see [`Sim::depth_samples`]).
+    /// Returns the engine profile accumulated so far.
     pub fn profile(&self) -> SimProfile {
         SimProfile {
             scheduled_events: self.seq,
@@ -346,7 +304,7 @@ mod tests {
             }
         }
         let c = count.clone();
-        sim.schedule_now(move |s| tick(s, c));
+        sim.schedule_at(sim.now(), move |s| tick(s, c));
         sim.run();
         assert_eq!(*count.borrow(), 10);
         assert_eq!(sim.now(), SimTime::from_nanos(9));
@@ -391,22 +349,13 @@ mod tests {
             sim.schedule_at(SimTime::from_nanos(t), |_| {});
         }
         assert_eq!(sim.profile().peak_pending, 3);
-        sim.sample_depth();
         sim.run_until(SimTime::from_nanos(20));
-        sim.sample_depth();
         let p = sim.profile();
         assert_eq!(p.scheduled_events, 3);
         assert_eq!(p.executed_events, 2);
         assert_eq!(p.pending_events, 1);
-        assert_eq!(
-            sim.depth_samples(),
-            &[(SimTime::ZERO, 3), (SimTime::from_nanos(20), 1)]
-        );
         assert!(p.wall_ns > 0, "run_until accrues wall time");
         assert!(p.events_per_sec() > 0.0);
-        let drained = sim.take_depth_samples();
-        assert_eq!(drained.len(), 2);
-        assert!(sim.depth_samples().is_empty());
     }
 
     #[test]

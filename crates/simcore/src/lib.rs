@@ -1,8 +1,11 @@
 //! Deterministic discrete-event simulation core for the NADINO reproduction.
 //!
 //! The engine is single-threaded and totally ordered on `(time, sequence)`,
-//! so a given seed always reproduces the same trajectory. On top of the raw
-//! event queue it provides the building blocks every substrate crate uses:
+//! so a given seed always reproduces the same trajectory. A [`Sim`] and
+//! everything scheduled on it stay on the thread that built them; a second
+//! core is used by running another, independent simulation on it (DESIGN.md
+//! §2, "One simulation, one thread"). On top of the raw event queue it
+//! provides the building blocks every substrate crate uses:
 //!
 //! - [`time`]: nanosecond-resolution virtual time ([`SimTime`], [`SimDuration`]).
 //! - [`engine`]: the event loop ([`Sim`]) with closure events, backed by a
@@ -16,10 +19,6 @@
 //! - [`ratelimit`]: token bucket used for bandwidth shaping.
 //! - [`idtable`]: index and ring tables for the small integer ids the
 //!   substrates allocate — the per-message replacement for hash maps.
-//! - [`shard`]: conservative-window parallel execution — one private [`Sim`]
-//!   per shard, SPSC mailboxes, lookahead from the fabric latency floor,
-//!   byte-identical to sequential for any worker count. The sequential
-//!   engine stays the default and the differential oracle.
 
 pub mod engine;
 pub mod event;
@@ -27,7 +26,6 @@ pub mod idtable;
 pub mod ratelimit;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub(crate) mod wheel;
@@ -36,9 +34,5 @@ pub use engine::{Sim, SimProfile, Ticker, TimerHandle};
 pub use idtable::{IdRing, IdTable};
 pub use resource::{MultiServer, Server};
 pub use rng::SimRng;
-pub use shard::{
-    CachePadded, Envelope, FinishFn, MessageHandler, Outbox, ShardBuildError, ShardEnv, ShardId,
-    ShardProfile, ShardSetup, ShardedRun, ShardedSim, ShardedSimBuilder,
-};
 pub use stats::{Histogram, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -150,7 +150,7 @@ pub fn diurnal(amplitude: f64, t_s: f64, period_s: f64) -> f64 {
 /// Reads a root seed from the environment variable `var` (decimal or
 /// `0x`-prefixed hex), falling back to `default` when it is unset or does
 /// not parse. CI sweeps its seed matrices through these variables
-/// (`CHAOS_SEED`, `SHARD_SEED`, `REPORT_SEED`, `UPGRADE_SEED`, `CHURN_SEED`).
+/// (`CHAOS_SEED`, `REPORT_SEED`, `UPGRADE_SEED`, `CHURN_SEED`).
 pub fn seed_from_env(var: &str, default: u64) -> u64 {
     std::env::var(var)
         .ok()

@@ -442,13 +442,11 @@ impl TimingWheel {
     /// no further than `limit_tick`. Returns `None` when the queue is
     /// drained or the next event lies beyond the limit.
     ///
-    /// Advancing the wheel's *position* is invisible to callers: no event
-    /// fires and the engine clock is untouched. Entries inserted behind
-    /// the advanced position later (e.g. conservative-window mailbox
-    /// deliveries) land in `ready` and keep exact `(time, seq)` order.
-    /// The engine's hot loop drives everything through
-    /// [`TimingWheel::pop_due`]; this peek also serves the sharded
-    /// engine's window computation ([`crate::shard`]).
+    /// The peek half of [`TimingWheel::pop_due`], which is what the engine
+    /// calls; the unit tests below step the wheel with this and
+    /// [`TimingWheel::discard_ready`] to read `(time, seq)` without running
+    /// anything.
+    #[cfg(test)]
     pub fn next_at(&mut self, limit_tick: u64) -> Option<SimTime> {
         loop {
             while let Some(&(at, _, idx)) = self.ready.last() {
