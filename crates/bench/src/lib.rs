@@ -6,12 +6,11 @@
 //!   the one writer of every virtual-time file under `results/`:
 //!   `experiments all && git diff --exit-code -- results/` is the
 //!   regression gate, because same seed means same bytes;
-//! - the two wall-clock benches that own a committed file
-//!   (`cargo bench -p bench --bench sim_core` → `BENCH_simcore.json`,
-//!   `--bench tracer_overhead` → `BENCH_obs.json`). They use [`harness`],
-//!   a dependency-free wall-clock timer, so the workspace builds fully
-//!   offline. Per-layer microbenchmarks live in the frozen `benchmark/`
-//!   package, not here.
+//! - the one wall-clock bench (`cargo bench -p bench --bench sim_core` →
+//!   `BENCH_simcore.json`). It uses [`harness`], a dependency-free
+//!   wall-clock timer, so the workspace builds fully offline. Per-layer
+//!   microbenchmarks and the cost of tracing (`obs.trace_overhead_pct`)
+//!   are measured by the frozen `benchmark/` package, not here.
 
 pub mod harness;
 

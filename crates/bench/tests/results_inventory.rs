@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Wall-clock result files and who writes them: the `benchmark/` package
-/// (`BENCH_e2e`) and the `tracer_overhead` and `sim_core` benches.
-const WALL_CLOCK_FILES: [&str; 3] = ["BENCH_e2e", "BENCH_obs", "BENCH_simcore"];
+/// (`BENCH_e2e`) and the `sim_core` bench.
+const WALL_CLOCK_FILES: [&str; 2] = ["BENCH_e2e", "BENCH_simcore"];
 
 /// Paths under `results/` that git tracks; in an exported tree without a
 /// repository, everything that is there.

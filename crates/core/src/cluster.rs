@@ -542,11 +542,6 @@ impl Cluster {
                         let pressure = (1.0 - 0.1 * alerting as f64).max(0.5);
                         update = h.health.clone().map(|hm| (hm, pressure));
                     }
-                } else {
-                    // No pipeline draining traces: still retire the
-                    // request's causal cursors so the per-ring maps track
-                    // in-flight requests, not every request ever seen.
-                    h.tracer.retire(req);
                 }
                 update
             };
@@ -687,7 +682,12 @@ impl Cluster {
         exec_cost: impl Fn(u16) -> SimDuration,
         payload: usize,
     ) -> Upstream {
-        self.register_served(chain, exec_cost, payload);
+        // The chain's completion answers the held reply. It runs inside the
+        // completion hook, so the trace pipeline drains first.
+        let hub = self.obs_hub.clone();
+        let answer: CompletionFn =
+            Rc::new(move |sim, req| ObsHub::answer(&hub, sim, req, Ok(payload)));
+        self.register_chain(chain, exec_cost, answer);
         let cluster = Rc::downgrade(self);
         let chain = chain.clone();
         Rc::new(move |sim: &mut Sim, ctx: ReqCtx, reply: Reply| {
@@ -695,31 +695,12 @@ impl Cluster {
                 return reply(sim, Err(DeliveryFailed));
             };
             // Held before the request enters, so no failure can miss it.
-            cluster.hold_reply(ctx.req_id, reply);
+            let hub = &cluster.obs_hub;
+            hub.borrow_mut().replies.insert(ctx.req_id, reply);
             if !cluster.enter_chain(sim, &chain, ctx.req_id, payload, ctx.deadline_ns) {
-                ObsHub::answer(&cluster.obs_hub, sim, ctx.req_id, Err(DeliveryFailed));
+                ObsHub::answer(hub, sim, ctx.req_id, Err(DeliveryFailed));
             }
         })
-    }
-
-    /// The registration half of [`Cluster::serve_chain`]: the chain's
-    /// completion answers the held reply with `Ok(payload)`. It runs inside
-    /// the completion hook, so the trace pipeline drains first.
-    pub(crate) fn register_served(
-        &self,
-        chain: &ChainSpec,
-        exec_cost: impl Fn(u16) -> SimDuration,
-        payload: usize,
-    ) {
-        let hub = self.obs_hub.clone();
-        let answer: CompletionFn =
-            Rc::new(move |sim, req| ObsHub::answer(&hub, sim, req, Ok(payload)));
-        self.register_chain(chain, exec_cost, answer);
-    }
-
-    /// Holds a gateway reply until `req_id` completes or fails typed.
-    pub(crate) fn hold_reply(&self, req_id: u64, reply: Reply) {
-        self.obs_hub.borrow_mut().replies.insert(req_id, reply);
     }
 
     /// Requests that entered through the front door and have not been
@@ -845,10 +826,6 @@ impl Cluster {
             if hub.tracer.is_enabled() {
                 reg.gauge("tracer_spans_dropped", &[])
                     .set(hub.tracer.dropped() as f64);
-                reg.gauge("tracer_ring_flushes", &[])
-                    .set(hub.tracer.ring_flushes() as f64);
-                reg.gauge("tracer_flush_ns", &[])
-                    .set(hub.tracer.flush_wall_ns() as f64);
             }
             if let Some(h) = hub.health.as_ref() {
                 reg.gauge("cluster_capacity_factor", &[])
@@ -986,29 +963,6 @@ impl Cluster {
                 Cluster::start_obs_sampler(&cluster, sim, reg, every, until);
             }
         });
-    }
-
-    /// Schedules a recurring out-of-band flush of the tracer's hot span
-    /// rings into its cold per-trace staging tier, every `every` until
-    /// `until`. The flush runs as an ordinary (low-priority) simulation
-    /// timer, off the request path: data-plane span sites only ever write
-    /// to the rings, and the causal-tree / critical-path / flight-recorder
-    /// machinery consumes staged spans at its leisure. A no-op on a
-    /// disabled tracer.
-    pub fn start_trace_flusher(&self, sim: &mut Sim, every: SimDuration, until: SimTime) {
-        let tracer = self.obs_hub.borrow().tracer.clone();
-        if !tracer.is_enabled() {
-            return;
-        }
-        fn tick(tracer: obs::Tracer, sim: &mut Sim, every: SimDuration, until: SimTime) {
-            sim.schedule_after(every, move |sim| {
-                tracer.flush_closed();
-                if sim.now() < until {
-                    tick(tracer, sim, every, until);
-                }
-            });
-        }
-        tick(tracer, sim, every, until);
     }
 
     /// Sum of network-engine core utilization across nodes over `[a, b]`

@@ -5,8 +5,8 @@
 //! `obs-report` job are built on:
 //!
 //! - a **boutique cell**: the fig16-shaped Online Boutique chain behind
-//!   a NADINO ingress, driven by [`ClosedLoop`] in gateway mode with its
-//!   replies held in the cluster's front-door table, run on the
+//!   a NADINO ingress, driven by [`ClosedLoop`] in gateway mode through
+//!   the cluster's front door ([`Cluster::serve_chain`]), run on the
 //!   full-fidelity DNE cluster with the tracer, the trace pipeline
 //!   (multi-window SLO burn monitor included),
 //!   exemplar-carrying latency histograms and the windowed
@@ -22,17 +22,16 @@
 //!
 //! Determinism contract: for a fixed [`ReportConfig`] seed the rendered
 //! JSON is byte-identical across processes — every number in it derives
-//! from virtual time and seeded streams, and wall-clock self-observation
-//! metrics are dropped by the aggregator. The `experiments` binary reads
+//! from virtual time and seeded streams ([`Cluster::sample_obs`] writes no
+//! wall-clock reading into the registry). The `experiments` binary reads
 //! the seed from `REPORT_SEED`; the CI `obs-report` job sweeps a seed
-//! matrix and asserts byte identity per seed. The same contract is why
-//! the boutique cell still enters the cluster unstamped (see `run_cell`).
+//! matrix and asserts byte identity per seed.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use ingress::gateway::{DeliveryFailed, Gateway, GatewayConfig, Upstream};
+use ingress::gateway::{Gateway, GatewayConfig, Upstream};
 use ingress::stack::GatewayKind;
 use membuf::tenant::TenantId;
 use obs::JsonValue;
@@ -124,11 +123,14 @@ fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> CellOut {
     }
 
     // Tracing: ingress-decided sampling every 2nd request, pipeline with
-    // the multi-window burn monitor sized to the cell's latency scale.
+    // the multi-window burn monitor sized to the cell's latency scale. A
+    // retained trace is ~100 spans, so the flight ring is kept short to
+    // hold the size of the report's dump.
     let tracer = obs::Tracer::enabled();
     tracer.set_head_sample(2);
     cluster.set_tracer(&tracer);
     cluster.enable_trace_pipeline(obs::PipelineConfig {
+        flight_cap: 8,
         burn: Some(obs::BurnConfig {
             target_ns: 2_000_000, // 2 ms — near the cell's mean latency
             budget: 0.05,
@@ -145,11 +147,6 @@ fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> CellOut {
     let reg = Rc::new(obs::MetricsRegistry::new());
     cluster.export_latency_histograms(&reg);
 
-    // Completions and typed failures answer the replies held in the
-    // cluster's table, as for any chain behind the front door.
-    let chain = boutique::home_query(TenantId(TENANT));
-    cluster.register_served(&chain, boutique::exec_cost, boutique::PAYLOAD_BYTES);
-
     let gateway = Gateway::new(GatewayConfig {
         kind: GatewayKind::Nadino,
         initial_workers: 2,
@@ -160,44 +157,20 @@ fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> CellOut {
     gateway.register_tenant(TENANT, 1);
     gateway.set_admission_histogram(Some(reg.histogram("gw_admission_wait_ns", &[])));
 
-    // Ingress → cluster: RDMA transport, then a raw, *unstamped* injection —
-    // the one entry that does not go through `Cluster::inject`. The report
-    // pins what this cell has always traced: the gateway samples every 2nd
-    // request, but the payload carries no trace context, so no span site
-    // inside the cluster fires and a retained trace is the gateway's three
-    // spans. Entering through `inject` stamps the sampled half at the door:
-    // measured, each trace grows from 3 to 99 spans and
-    // `results/report.json` from 148 346 B to 1 956 182 B.
+    // Ingress → cluster: RDMA transport, then the cluster's front door.
     let transport = GatewayKind::Nadino.worker_transport();
-    let (tenant, entry) = (chain.tenant, chain.entry());
-    let entry_idx = cluster.node_index_of(entry).expect("placed");
-    let door = Rc::downgrade(&cluster);
+    let chain = boutique::home_query(TenantId(TENANT));
+    let door = cluster.serve_chain(&chain, boutique::exec_cost, boutique::PAYLOAD_BYTES);
     let upstream: Upstream = Rc::new(move |sim, ctx, reply| {
         let door = door.clone();
-        sim.schedule_after(transport, move |sim| {
-            let Some(cluster) = door.upgrade() else {
-                return reply(sim, Err(DeliveryFailed));
-            };
-            let Ok(mut buf) = cluster.pool(tenant, entry_idx).get() else {
-                return reply(sim, Err(DeliveryFailed)); // refused: pool exhausted
-            };
-            let mut payload = runtime::encode_request_payload(ctx.req_id, boutique::PAYLOAD_BYTES);
-            runtime::set_hop(&mut payload, 0);
-            buf.write_payload(&payload).expect("payload fits");
-            cluster.hold_reply(ctx.req_id, reply);
-            cluster.nodes[entry_idx]
-                .iolib
-                .send(sim, tenant, buf.into_desc(entry));
-        });
+        sim.schedule_after(transport, move |sim| door(sim, ctx, reply));
     });
 
     // Anchor the measured interval at "now": tenant setup above advanced
     // virtual time (RC establishment costs tens of ms).
     let t0 = sim.now();
     let until = t0 + cfg.horizon;
-    let agg = Rc::new(RefCell::new(obs::Aggregator::new(
-        obs::AggregatorConfig::default(),
-    )));
+    let agg = Rc::new(RefCell::new(obs::Aggregator::new()));
     obs_tick(
         cluster.clone(),
         reg.clone(),
@@ -206,7 +179,6 @@ fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> CellOut {
         cfg.obs_window,
         until,
     );
-    cluster.start_trace_flusher(&mut sim, cfg.obs_window, until);
 
     let driver = ClosedLoop::new(until);
     driver.start_gateway(
@@ -452,6 +424,30 @@ mod tests {
         assert!(
             cell.exemplars_kept > 0,
             "report keeps at least one exemplar"
+        );
+    }
+
+    /// The cell enters through the front door, so a sampled request is
+    /// traced end to end — not just at the gateway — and the engine's span
+    /// sites leave exemplars behind.
+    #[test]
+    fn traces_reach_the_functions_and_the_engine_histograms_carry_exemplars() {
+        let cell = run_cell(&quick(), dne::DneConfig::nadino_dne());
+        let traces = cell.flight.get("traces").and_then(|t| t.as_arr()).unwrap();
+        assert!(!traces.is_empty(), "flight dump carries no traces");
+        for t in traces {
+            let spans = t.get("spans").and_then(|s| s.as_arr()).unwrap();
+            let stage = |s: &JsonValue| s.get("stage").and_then(|v| v.as_str()) == Some("fn_exec");
+            assert!(spans.iter().any(stage), "trace without a fn_exec span");
+        }
+        let (_, _, _, exemplars) = cell
+            .agg
+            .merged_histograms()
+            .find(|(name, ..)| *name == "dne_tx_queue_wait_ns")
+            .expect("engine histogram exported");
+        assert!(
+            !exemplars.is_empty(),
+            "dne_tx_queue_wait_ns has no exemplar"
         );
     }
 }

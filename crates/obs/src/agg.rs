@@ -1,23 +1,21 @@
 //! Windowed fleet-level aggregation over a [`MetricsRegistry`].
 //!
-//! Raw per-node counters answer "what did node 3 do"; the evaluation
+//! Raw per-node series answer "what did node 3 do"; the evaluation
 //! needs "what did the *fleet* do per window". The [`Aggregator`]
 //! consumes the same [`MetricsSnapshot`]s the obs sampler already takes
 //! and produces per-window rollups keyed by `(metric, label-projection)`:
 //!
-//! - **counters** — summed totals, per-window deltas, and rates per
-//!   second of sim time;
-//! - **gauges** — weighted mean and max over the *fresh* series only
-//!   (stale series — e.g. a ratio gauge whose denominator was zero all
-//!   window — are counted but excluded, and a group that is all-stale
-//!   rolls up as `null`);
+//! - **gauges** — mean and max over the *fresh* series only (stale
+//!   series — e.g. a ratio gauge whose denominator was zero all window —
+//!   are counted but excluded, and a group that is all-stale rolls up as
+//!   `null`);
 //! - **histograms** — bucketwise-merged log-linear histograms with
 //!   p50/p90/p99/p999. The merge is exact: [`simcore::Histogram`] merges
 //!   bucket counts, so a merged quantile equals the quantile of a single
 //!   histogram fed the union of samples. Exemplars merge alongside.
 //!
-//! The label projection drops high-cardinality keys (default: `node`) so
-//! per-node families collapse into fleet series. Everything iterates in
+//! The label projection drops the `node` key so per-node families
+//! collapse into fleet series. Everything iterates in
 //! `BTreeMap` order and all timestamps are virtual, so serialization is
 //! byte-stable for a fixed seed.
 
@@ -37,36 +35,9 @@ const QUANTILES: [(f64, &str); 4] = [
     (0.999, "p999_ns"),
 ];
 
-/// Knobs for [`Aggregator`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AggregatorConfig {
-    /// Label keys dropped before grouping, collapsing per-entity series
-    /// into fleet series.
-    pub drop_labels: Vec<String>,
-    /// Optional gauge weighting: `(gauge_name, counter_name)` pairs.
-    /// When rolling up `gauge_name`, each series is weighted by the
-    /// same-labels `counter_name` window delta instead of weight 1 —
-    /// e.g. weight a per-node hit rate by that node's claim count.
-    pub weight_by: Vec<(String, String)>,
-    /// Metric names excluded from the rollup entirely. Defaults to the
-    /// wall-clock self-observation gauges (`tracer_flush_ns`,
-    /// `sim_events_per_sec`) — folding wall time into a report that must
-    /// be byte-identical across same-seed runs would break it.
-    pub drop_metrics: Vec<String>,
-}
-
-impl Default for AggregatorConfig {
-    fn default() -> AggregatorConfig {
-        AggregatorConfig {
-            drop_labels: vec!["node".to_string()],
-            weight_by: Vec::new(),
-            drop_metrics: vec![
-                "tracer_flush_ns".to_string(),
-                "sim_events_per_sec".to_string(),
-            ],
-        }
-    }
-}
+/// The label key dropped before grouping, collapsing per-node series into
+/// fleet series.
+const DROP_LABEL: &str = "node";
 
 /// Group key after label projection.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,29 +46,12 @@ struct Key {
     labels: Labels,
 }
 
-/// One counter group in one window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CounterRollup {
-    pub name: String,
-    pub labels: Labels,
-    /// Cumulative fleet total at window close.
-    pub total: u64,
-    /// Movement within the window.
-    pub delta: u64,
-    /// Counter regression magnitude within the window (a reset or
-    /// re-registration); surfaced, never clamped into `delta`.
-    pub delta_negative: u64,
-    /// `delta` per second of sim time.
-    pub rate_per_sec: f64,
-}
-
 /// One gauge group in one window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaugeRollup {
     pub name: String,
     pub labels: Labels,
-    /// Weighted mean over fresh series; `None` when every series was
-    /// stale.
+    /// Mean over fresh series; `None` when every series was stale.
     pub mean: Option<f64>,
     /// Max over fresh series; `None` when every series was stale.
     pub max: Option<f64>,
@@ -123,44 +77,31 @@ pub struct HistogramRollup {
 pub struct WindowRollup {
     pub start_ns: u64,
     pub end_ns: u64,
-    pub counters: Vec<CounterRollup>,
     pub gauges: Vec<GaugeRollup>,
     pub histograms: Vec<HistogramRollup>,
 }
 
 /// Windowed fleet aggregator; feed it one snapshot per sampling window.
+#[derive(Default)]
 pub struct Aggregator {
-    cfg: AggregatorConfig,
     windows: Vec<WindowRollup>,
-    /// Cumulative fleet totals per counter group at the last window.
-    last_counters: BTreeMap<Key, u64>,
     /// Latest cumulative merged histogram + exemplars per group.
     merged: BTreeMap<Key, (Histogram, ExemplarSet)>,
     last_at_ns: u64,
 }
 
 impl Aggregator {
-    /// Creates an aggregator with the given projection config.
-    pub fn new(cfg: AggregatorConfig) -> Aggregator {
-        Aggregator {
-            cfg,
-            windows: Vec::new(),
-            last_counters: BTreeMap::new(),
-            merged: BTreeMap::new(),
-            last_at_ns: 0,
-        }
+    /// Creates an empty aggregator.
+    pub fn new() -> Aggregator {
+        Aggregator::default()
     }
 
-    fn dropped(&self, name: &str) -> bool {
-        self.cfg.drop_metrics.iter().any(|d| d == name)
-    }
-
-    fn project(&self, name: &str, labels: &Labels) -> Key {
+    fn project(name: &str, labels: &Labels) -> Key {
         Key {
             name: name.to_string(),
             labels: labels
                 .iter()
-                .filter(|(k, _)| !self.cfg.drop_labels.iter().any(|d| d == k))
+                .filter(|(k, _)| k != DROP_LABEL)
                 .cloned()
                 .collect(),
         }
@@ -171,107 +112,52 @@ impl Aggregator {
     pub fn observe(&mut self, now: SimTime, snap: &MetricsSnapshot) {
         let start_ns = self.last_at_ns;
         let end_ns = now.as_nanos();
-        let window_secs = (end_ns.saturating_sub(start_ns)) as f64 / 1e9;
 
-        // Counters: sum per projected group, then delta vs last window.
-        let mut totals: BTreeMap<Key, u64> = BTreeMap::new();
-        // Per-full-label-set deltas, kept for gauge weighting below.
-        let mut series_deltas: BTreeMap<(String, Labels), u64> = BTreeMap::new();
-        for (name, labels, v) in snap.counters_iter() {
-            if self.dropped(name) {
-                continue;
-            }
-            *totals.entry(self.project(name, labels)).or_insert(0) += v;
-            series_deltas.insert((name.to_string(), labels.clone()), v);
-        }
-        let mut counters = Vec::with_capacity(totals.len());
-        for (key, total) in &totals {
-            let base = self.last_counters.get(key).copied().unwrap_or(0);
-            let (delta, delta_negative) = if *total >= base {
-                (*total - base, 0)
-            } else {
-                (0, base - *total)
-            };
-            let rate_per_sec = if window_secs > 0.0 {
-                delta as f64 / window_secs
-            } else {
-                0.0
-            };
-            counters.push(CounterRollup {
-                name: key.name.clone(),
-                labels: key.labels.clone(),
-                total: *total,
-                delta,
-                delta_negative,
-                rate_per_sec,
-            });
-        }
-        self.last_counters = totals;
-
-        // Gauges: weighted mean + max over fresh series.
+        // Gauges: mean + max over fresh series.
         struct GaugeAcc {
-            weighted_sum: f64,
-            weight: f64,
+            sum: f64,
             max: Option<f64>,
             series: u32,
             stale: u32,
         }
         let mut gauge_acc: BTreeMap<Key, GaugeAcc> = BTreeMap::new();
         for (name, labels, value, stale) in snap.gauges_iter() {
-            if self.dropped(name) {
-                continue;
-            }
-            let key = self.project(name, labels);
-            let acc = gauge_acc.entry(key).or_insert(GaugeAcc {
-                weighted_sum: 0.0,
-                weight: 0.0,
-                max: None,
-                series: 0,
-                stale: 0,
-            });
+            let acc = gauge_acc
+                .entry(Self::project(name, labels))
+                .or_insert(GaugeAcc {
+                    sum: 0.0,
+                    max: None,
+                    series: 0,
+                    stale: 0,
+                });
             acc.series += 1;
             if stale {
                 acc.stale += 1;
                 continue;
             }
-            let weight = self
-                .cfg
-                .weight_by
-                .iter()
-                .find(|(g, _)| g == name)
-                .and_then(|(_, counter)| {
-                    series_deltas
-                        .get(&(counter.clone(), labels.clone()))
-                        .copied()
-                })
-                .map_or(1.0, |w| w as f64);
-            if weight > 0.0 {
-                acc.weighted_sum += value * weight;
-                acc.weight += weight;
-            }
+            acc.sum += value;
             acc.max = Some(acc.max.map_or(value, |m: f64| m.max(value)));
         }
         let gauges = gauge_acc
             .into_iter()
-            .map(|(key, acc)| GaugeRollup {
-                name: key.name,
-                labels: key.labels,
-                mean: (acc.weight > 0.0).then(|| acc.weighted_sum / acc.weight),
-                max: acc.max,
-                series: acc.series,
-                stale: acc.stale,
+            .map(|(key, acc)| {
+                let fresh = acc.series - acc.stale;
+                GaugeRollup {
+                    name: key.name,
+                    labels: key.labels,
+                    mean: (fresh > 0).then(|| acc.sum / f64::from(fresh)),
+                    max: acc.max,
+                    series: acc.series,
+                    stale: acc.stale,
+                }
             })
             .collect();
 
         // Histograms: exact bucketwise merge per group, cumulative.
         let mut merged: BTreeMap<Key, (Histogram, ExemplarSet)> = BTreeMap::new();
         for (name, labels, hist, exemplars) in snap.histograms_iter() {
-            if self.dropped(name) {
-                continue;
-            }
-            let key = self.project(name, labels);
             let entry = merged
-                .entry(key)
+                .entry(Self::project(name, labels))
                 .or_insert_with(|| (Histogram::new(), ExemplarSet::new()));
             entry.0.merge(hist);
             entry.1.merge(exemplars);
@@ -291,7 +177,6 @@ impl Aggregator {
         self.windows.push(WindowRollup {
             start_ns,
             end_ns,
-            counters,
             gauges,
             histograms,
         });
@@ -342,23 +227,6 @@ impl Aggregator {
             .windows
             .iter()
             .map(|w| {
-                let counters = w
-                    .counters
-                    .iter()
-                    .map(|c| {
-                        let mut fields = vec![
-                            ("name", JsonValue::Str(c.name.clone())),
-                            ("labels", Self::labels_json(&c.labels)),
-                            ("total", JsonValue::UInt(c.total)),
-                            ("delta", JsonValue::UInt(c.delta)),
-                            ("rate_per_sec", JsonValue::Float(c.rate_per_sec)),
-                        ];
-                        if c.delta_negative > 0 {
-                            fields.push(("delta_negative", JsonValue::UInt(c.delta_negative)));
-                        }
-                        JsonValue::obj(fields)
-                    })
-                    .collect();
                 let gauges = w
                     .gauges
                     .iter()
@@ -392,7 +260,6 @@ impl Aggregator {
                 JsonValue::obj(vec![
                     ("start_ns", JsonValue::UInt(w.start_ns)),
                     ("end_ns", JsonValue::UInt(w.end_ns)),
-                    ("counters", JsonValue::Arr(counters)),
                     ("gauges", JsonValue::Arr(gauges)),
                     ("histograms", JsonValue::Arr(histograms)),
                 ])
@@ -418,13 +285,7 @@ impl Aggregator {
         JsonValue::obj(vec![
             (
                 "drop_labels",
-                JsonValue::Arr(
-                    self.cfg
-                        .drop_labels
-                        .iter()
-                        .map(|l| JsonValue::Str(l.clone()))
-                        .collect(),
-                ),
+                JsonValue::Arr(vec![JsonValue::Str(DROP_LABEL.to_string())]),
             ),
             ("windows", JsonValue::Arr(windows)),
             ("histograms", JsonValue::Arr(final_hists)),
@@ -443,54 +304,22 @@ mod tests {
     }
 
     #[test]
-    fn counters_roll_up_across_nodes_with_window_rates() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("req_total", &[("node", "1"), ("tenant", "7")]);
-        let b = reg.counter("req_total", &[("node", "2"), ("tenant", "7")]);
-        let mut agg = Aggregator::new(AggregatorConfig::default());
-        a.add(3);
-        b.add(5);
-        agg.observe(at(1_000_000_000), &reg.snapshot());
-        a.add(2);
-        agg.observe(at(2_000_000_000), &reg.snapshot());
-        let w = agg.windows();
-        assert_eq!(w.len(), 2);
-        // Window 1: fleet total 8 over 1s.
-        assert_eq!(w[0].counters.len(), 1, "node label projected away");
-        assert_eq!(w[0].counters[0].labels, vec![("tenant".into(), "7".into())]);
-        assert_eq!(w[0].counters[0].delta, 8);
-        assert!((w[0].counters[0].rate_per_sec - 8.0).abs() < 1e-9);
-        // Window 2: only the +2 moved.
-        assert_eq!(w[1].counters[0].delta, 2);
-        assert_eq!(w[1].counters[0].total, 10);
-    }
-
-    #[test]
-    fn counter_regression_surfaces_as_delta_negative() {
-        let mut agg = Aggregator::new(AggregatorConfig::default());
-        let reg_a = MetricsRegistry::new();
-        reg_a.counter("x", &[]).add(10);
-        agg.observe(at(1), &reg_a.snapshot());
-        // A fresh registry (reset) with a lower total for the same group.
-        let reg_b = MetricsRegistry::new();
-        reg_b.counter("x", &[]).add(4);
-        agg.observe(at(2), &reg_b.snapshot());
-        let c = &agg.windows()[1].counters[0];
-        assert_eq!(c.delta, 0);
-        assert_eq!(c.delta_negative, 6);
-    }
-
-    #[test]
     fn stale_gauges_are_excluded_and_all_stale_rolls_up_null() {
         let reg = MetricsRegistry::new();
-        let fresh = reg.gauge("hit_rate", &[("node", "1")]);
-        let stale = reg.gauge("hit_rate", &[("node", "2")]);
+        let fresh = reg.gauge("hit_rate", &[("node", "1"), ("tenant", "7")]);
+        let stale = reg.gauge("hit_rate", &[("node", "2"), ("tenant", "7")]);
         reg.begin_sample();
         fresh.set(0.8);
         stale.set_ratio(0, 0); // skipped write
-        let mut agg = Aggregator::new(AggregatorConfig::default());
+        let mut agg = Aggregator::new();
         agg.observe(at(1), &reg.snapshot());
+        assert_eq!(
+            agg.windows()[0].gauges.len(),
+            1,
+            "node label projected away"
+        );
         let g = &agg.windows()[0].gauges[0];
+        assert_eq!(g.labels, vec![("tenant".into(), "7".into())]);
         assert_eq!((g.series, g.stale), (2, 1));
         assert_eq!(g.mean, Some(0.8), "stale series excluded from the mean");
         // Next window: nobody writes — the whole group goes stale.
@@ -502,44 +331,12 @@ mod tests {
     }
 
     #[test]
-    fn gauge_weighting_uses_matching_counter_deltas() {
-        let reg = MetricsRegistry::new();
-        reg.counter("claims_total", &[("node", "1")]).add(9);
-        reg.counter("claims_total", &[("node", "2")]).add(1);
-        reg.gauge("hit_rate", &[("node", "1")]).set(1.0);
-        reg.gauge("hit_rate", &[("node", "2")]).set(0.0);
-        let mut agg = Aggregator::new(AggregatorConfig {
-            weight_by: vec![("hit_rate".into(), "claims_total".into())],
-            ..AggregatorConfig::default()
-        });
-        agg.observe(at(1), &reg.snapshot());
-        let g = &agg.windows()[0].gauges[0];
-        // 9 of 10 claims hit: the busy node dominates the fleet mean.
-        assert!((g.mean.unwrap() - 0.9).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wall_clock_metrics_are_dropped_from_the_rollup() {
-        let reg = MetricsRegistry::new();
-        reg.gauge("tracer_flush_ns", &[]).set(123456.0);
-        reg.gauge("dne_engine_queued", &[("node", "0")]).set(3.0);
-        let mut agg = Aggregator::new(AggregatorConfig::default());
-        agg.observe(at(1), &reg.snapshot());
-        let names: Vec<&str> = agg.windows()[0]
-            .gauges
-            .iter()
-            .map(|g| g.name.as_str())
-            .collect();
-        assert_eq!(names, vec!["dne_engine_queued"]);
-    }
-
-    #[test]
     fn retained_exemplar_filter_drops_unretained_traces() {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("lat", &[]);
         h.record_traced(simcore::SimDuration::from_nanos(100), Some((1, 0)));
         h.record_traced(simcore::SimDuration::from_nanos(50_000), Some((2, 0)));
-        let mut agg = Aggregator::new(AggregatorConfig::default());
+        let mut agg = Aggregator::new();
         agg.observe(at(1), &reg.snapshot());
         let keep: std::collections::BTreeSet<u64> = [2].into_iter().collect();
         let (kept, dropped) = agg.retain_exemplars(&keep);
@@ -569,7 +366,7 @@ mod tests {
             [&h1, &h2, &h3][(i % 3) as usize].record(d);
             single.record(d);
         }
-        let mut agg = Aggregator::new(AggregatorConfig::default());
+        let mut agg = Aggregator::new();
         agg.observe(at(1), &reg.snapshot());
         let (_, _, merged, _) = agg.merged_histograms().next().unwrap();
         assert_eq!(merged.count(), single.count());
@@ -587,11 +384,10 @@ mod tests {
     fn json_is_deterministic_for_identical_inputs() {
         let build = || {
             let reg = MetricsRegistry::new();
-            reg.counter("req_total", &[("node", "1")]).add(4);
             reg.gauge("depth", &[("node", "1")]).set(2.0);
             reg.histogram("lat", &[("node", "1")])
                 .record_traced(SimDuration::from_micros(5), Some((11, 2)));
-            let mut agg = Aggregator::new(AggregatorConfig::default());
+            let mut agg = Aggregator::new();
             agg.observe(at(1_000), &reg.snapshot());
             agg.to_json().to_string_pretty()
         };

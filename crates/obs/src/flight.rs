@@ -7,7 +7,7 @@
 //! a typed `DeliveryFailure`, a multi-window SLO burn detected by
 //! [`BurnMonitor`], or an explicit operator call — freezes the ring into
 //! a self-contained JSON bundle (traces, per-trace critical paths, burn
-//! counters, metric deltas since the recorder was armed). All timestamps
+//! counters, current gauge levels). All timestamps
 //! are virtual, so the same seed produces a byte-identical dump.
 //!
 //! The [`TracePipeline`] is the glue the cluster wires to its completion
@@ -23,7 +23,7 @@ use simcore::SimTime;
 use crate::burn::{BurnConfig, BurnMonitor};
 use crate::critical_path;
 use crate::json::JsonValue;
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::metrics::MetricsRegistry;
 use crate::sampler::{TailSampler, TraceSummary};
 use crate::span::{SpanRecord, Tracer};
 
@@ -133,9 +133,8 @@ pub struct TracePipeline {
     tail: TailSampler,
     flight: FlightRecorder,
     burn: Option<BurnMonitor>,
-    /// Metrics baseline captured when the registry was attached; dumps
-    /// embed the movement since then.
-    metrics: Option<(MetricsRegistry, MetricsSnapshot)>,
+    /// The attached registry; dumps embed its gauge levels.
+    metrics: Option<MetricsRegistry>,
     last_dump: Option<JsonValue>,
     dumps: u64,
 }
@@ -154,11 +153,10 @@ impl TracePipeline {
         }
     }
 
-    /// Attaches a metrics registry; dumps embed counter movement since
-    /// this call plus current gauge levels.
+    /// Attaches a metrics registry; dumps embed its current gauge levels
+    /// under their `metrics_delta` key.
     pub fn attach_metrics(&mut self, registry: MetricsRegistry) {
-        let baseline = registry.snapshot();
-        self.metrics = Some((registry, baseline));
+        self.metrics = Some(registry);
     }
 
     /// Handles a successfully completed request: drains its trace and
@@ -223,9 +221,7 @@ impl TracePipeline {
         let metrics = self
             .metrics
             .as_ref()
-            .map_or(JsonValue::Null, |(reg, baseline)| {
-                reg.snapshot().delta_json(baseline)
-            });
+            .map_or(JsonValue::Null, |reg| reg.snapshot().gauges_json());
         let dump = JsonValue::obj(vec![
             ("reason", JsonValue::Str(reason.name().to_string())),
             ("at_ns", JsonValue::UInt(now.as_nanos())),
@@ -415,20 +411,19 @@ mod tests {
     }
 
     #[test]
-    fn explicit_trigger_embeds_metrics_delta() {
+    fn explicit_trigger_embeds_gauge_levels() {
         let (tracer, mut p) = pipeline_with(PipelineConfig::default());
         let reg = MetricsRegistry::new();
-        let c = reg.counter("req_total", &[("tenant", "1")]);
-        c.inc();
+        let g = reg.gauge("dne_engine_queued", &[("node", "1")]);
         p.attach_metrics(reg.clone());
-        c.add(5); // movement after the baseline
+        g.set(5.0); // written after the registry was attached
         tracer.span(1, 1, 0, Stage::FnExec, at(0), at(10));
         p.on_complete(at(10), 1);
         let dump = p.trigger(TriggerReason::Explicit, at(20)).clone();
         assert_eq!(dump.get("reason").unwrap().as_str(), Some("explicit"));
-        let delta = dump.get("metrics_delta").unwrap();
-        let counters = delta.get("counters").unwrap().as_arr().unwrap();
-        assert_eq!(counters.len(), 1);
-        assert_eq!(counters[0].get("delta").unwrap().as_u64(), Some(5));
+        let metrics = dump.get("metrics_delta").unwrap();
+        let gauges = metrics.get("gauges").unwrap().as_arr().unwrap();
+        assert_eq!(gauges.len(), 1);
+        assert_eq!(gauges[0].get("value").unwrap().as_f64(), Some(5.0));
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! Everything the evaluation needs to see *inside* the data plane:
 //!
-//! - [`metrics`] — a labelled registry of counters, gauges, log-bucketed
+//! - [`metrics`] — a labelled registry of gauges, log-bucketed
 //!   histograms and windowed time series, with cheap recording handles and
 //!   deterministic snapshots;
-//! - [`span`] — per-request causal span tracing over virtual time, keyed
-//!   by the request id carried in the payload header;
+//! - [`span`] — per-request causal span tracing over virtual time: one
+//!   store entry per trace, keyed by the request id carried in the
+//!   payload header, taken whole when the request finishes;
 //! - [`ctx`] — the compact on-wire trace context (parent span id +
 //!   sampling bit) that rides request payloads across node boundaries;
 //! - [`critical_path`] — per-trace latency attribution that partitions a
@@ -20,8 +21,8 @@
 //! - [`exemplar`] — bounded per-bucket histogram exemplars linking
 //!   metric buckets back to concrete traces;
 //! - [`agg`] — windowed fleet-level aggregation over a
-//!   [`metrics::MetricsRegistry`]: counter rates, stale-aware gauge
-//!   rollups, exactly-merged histograms with tail quantiles;
+//!   [`metrics::MetricsRegistry`]: stale-aware gauge rollups and
+//!   exactly-merged histograms with tail quantiles;
 //! - [`profile`] — SoC-core utilization attribution (per-stage busy
 //!   cores, "cores freed" vs a host-only baseline);
 //! - [`perfetto`] — Chrome-trace-event JSON export for
@@ -46,7 +47,7 @@ pub mod profile;
 pub mod sampler;
 pub mod span;
 
-pub use agg::{Aggregator, AggregatorConfig};
+pub use agg::Aggregator;
 pub use burn::{BurnConfig, BurnMonitor, BurnPoint};
 pub use critical_path::{CriticalPath, StageShare, TenantBreakdown};
 pub use ctx::{
@@ -56,9 +57,7 @@ pub use ctx::{
 pub use exemplar::{Exemplar, ExemplarSet};
 pub use flight::{FlightRecorder, PipelineConfig, TracePipeline, TriggerReason};
 pub use json::{parse, JsonValue, ToJson};
-pub use metrics::{
-    Counter, Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot, SeriesHandle,
-};
+pub use metrics::{Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot, SeriesHandle};
 pub use perfetto::chrome_trace;
 pub use profile::{CoresFreed, SocStageTable};
 pub use sampler::{TailSampler, TraceSummary};

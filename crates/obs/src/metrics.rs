@@ -5,9 +5,8 @@
 //! poke with no name hashing on the hot path. The registry itself produces a
 //! deterministic [`MetricsSnapshot`] (JSON or plain text) at any instant.
 //!
-//! Four instrument kinds cover the paper's evaluation needs:
-//! [`Counter`] (monotone totals), [`Gauge`] (instantaneous levels, sampled
-//! into a windowed series on demand), [`HistogramHandle`]
+//! Three instrument kinds cover the paper's evaluation needs: [`Gauge`]
+//! (instantaneous levels and sampled totals), [`HistogramHandle`]
 //! (log-bucketed latency distributions from `simcore::stats`), and
 //! [`SeriesHandle`] (windowed rates over virtual time).
 
@@ -44,31 +43,6 @@ fn labels_text(labels: &Labels) -> String {
     }
     let inner: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
     format!("{{{}}}", inner.join(","))
-}
-
-/// A monotonically increasing counter handle.
-#[derive(Clone)]
-pub struct Counter {
-    value: Rc<Cell<u64>>,
-}
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.set(self.value.get() + n);
-    }
-
-    /// Returns the current total.
-    pub fn get(&self) -> u64 {
-        self.value.get()
-    }
 }
 
 /// An instantaneous-level gauge handle.
@@ -194,7 +168,6 @@ struct Registered<H> {
 
 #[derive(Default)]
 struct RegistryInner {
-    counters: Vec<Registered<Counter>>,
     gauges: Vec<Registered<Gauge>>,
     histograms: Vec<Registered<HistogramHandle>>,
     series: Vec<Registered<SeriesHandle>>,
@@ -211,11 +184,11 @@ struct RegistryInner {
 /// use obs::metrics::MetricsRegistry;
 ///
 /// let reg = MetricsRegistry::new();
-/// let sent = reg.counter("dne_tx_posted", &[("tenant", "1")]);
-/// sent.inc();
-/// sent.add(2);
+/// let depth = reg.gauge("dne_engine_queued", &[("node", "1")]);
+/// depth.set(2.0);
+/// depth.add(1.0);
 /// let snap = reg.snapshot();
-/// assert_eq!(snap.counter("dne_tx_posted", &[("tenant", "1")]), Some(3));
+/// assert_eq!(snap.gauge("dne_engine_queued", &[("node", "1")]), Some(3.0));
 /// ```
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
@@ -228,30 +201,8 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Returns the counter registered under `name` + `labels`, creating it
-    /// on first use. Re-registering returns a handle to the same counter.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        let labels = labels_of(labels);
-        let mut inner = self.inner.borrow_mut();
-        if let Some(r) = inner
-            .counters
-            .iter()
-            .find(|r| r.name == name && r.labels == labels)
-        {
-            return r.handle.clone();
-        }
-        let handle = Counter {
-            value: Rc::new(Cell::new(0)),
-        };
-        inner.counters.push(Registered {
-            name: name.to_string(),
-            labels,
-            handle: handle.clone(),
-        });
-        handle
-    }
-
-    /// Returns the gauge registered under `name` + `labels`.
+    /// Returns the gauge registered under `name` + `labels`, creating it
+    /// on first use. Re-registering returns a handle to the same gauge.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let labels = labels_of(labels);
         let mut inner = self.inner.borrow_mut();
@@ -358,11 +309,6 @@ impl MetricsRegistry {
         let inner = self.inner.borrow();
         let epoch = inner.epoch.get();
         MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|r| (r.name.clone(), r.labels.clone(), r.handle.get()))
-                .collect(),
             gauges: inner
                 .gauges
                 .iter()
@@ -400,7 +346,6 @@ pub type SeriesPoints = Vec<(f64, f64)>;
 
 /// A point-in-time copy of every registered instrument.
 pub struct MetricsSnapshot {
-    counters: Vec<(String, Labels, u64)>,
     /// `(name, labels, value, stale)` — stale gauges were skipped by the
     /// sampling pass that opened the current epoch.
     gauges: Vec<(String, Labels, f64, bool)>,
@@ -409,15 +354,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Looks up a counter total by name and exact labels.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        let labels = labels_of(labels);
-        self.counters
-            .iter()
-            .find(|(n, l, _)| n == name && *l == labels)
-            .map(|(_, _, v)| *v)
-    }
-
     /// Looks up a gauge level by name and exact labels.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         let labels = labels_of(labels);
@@ -435,20 +371,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(n, l, _, _)| n == name && *l == labels)
             .map(|(_, _, _, stale)| *stale)
-    }
-
-    /// Returns all `(labels, value)` rows of a counter family.
-    pub fn counter_family(&self, name: &str) -> Vec<(&Labels, u64)> {
-        self.counters
-            .iter()
-            .filter(|(n, _, _)| n == name)
-            .map(|(_, l, v)| (l, *v))
-            .collect()
-    }
-
-    /// Every counter as `(name, labels, value)`, in registration order.
-    pub fn counters_iter(&self) -> impl Iterator<Item = (&str, &Labels, u64)> {
-        self.counters.iter().map(|(n, l, v)| (n.as_str(), l, *v))
     }
 
     /// Every gauge as `(name, labels, value, stale)`, in registration
@@ -469,46 +391,14 @@ impl MetricsSnapshot {
             .map(|(n, l, h, e)| (n.as_str(), l, h, e))
     }
 
-    /// Renders the counter movement since `baseline` (counters absent
-    /// from the baseline count from zero) plus current gauge levels — the
-    /// compact "what changed" view flight-recorder bundles embed.
-    ///
-    /// A counter that moved *backwards* since the baseline — a regression
-    /// that would previously clamp to zero and vanish — is surfaced as a
-    /// typed `delta_negative` entry carrying the magnitude of the
-    /// regression, so a reset or double-attach is visible in the dump
-    /// instead of silently reading as "no movement".
-    pub fn delta_json(&self, baseline: &MetricsSnapshot) -> JsonValue {
-        let counters = self
-            .counters
-            .iter()
-            .filter_map(|(name, labels, v)| {
-                let base = baseline
-                    .counters
-                    .iter()
-                    .find(|(n, l, _)| n == name && l == labels)
-                    .map_or(0, |(_, _, b)| *b);
-                if *v >= base {
-                    let delta = v - base;
-                    (delta > 0).then(|| {
-                        JsonValue::obj(vec![
-                            ("name", JsonValue::Str(name.clone())),
-                            ("labels", labels_json(labels)),
-                            ("delta", JsonValue::UInt(delta)),
-                        ])
-                    })
-                } else {
-                    Some(JsonValue::obj(vec![
-                        ("name", JsonValue::Str(name.clone())),
-                        ("labels", labels_json(labels)),
-                        ("delta", JsonValue::UInt(0)),
-                        ("delta_negative", JsonValue::UInt(base - v)),
-                    ]))
-                }
-            })
-            .collect();
-        let gauges = self
-            .gauges
+    /// Renders the current gauge levels — the compact view flight-recorder
+    /// bundles embed.
+    pub fn gauges_json(&self) -> JsonValue {
+        JsonValue::obj(vec![("gauges", JsonValue::Arr(self.gauge_rows()))])
+    }
+
+    fn gauge_rows(&self) -> Vec<JsonValue> {
+        self.gauges
             .iter()
             .map(|(name, labels, v, stale)| {
                 JsonValue::obj(vec![
@@ -525,19 +415,12 @@ impl MetricsSnapshot {
                     ("stale", JsonValue::Bool(*stale)),
                 ])
             })
-            .collect();
-        JsonValue::obj(vec![
-            ("counters", JsonValue::Arr(counters)),
-            ("gauges", JsonValue::Arr(gauges)),
-        ])
+            .collect()
     }
 
     /// Renders a Prometheus-style plain-text exposition.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for (name, labels, v) in &self.counters {
-            out.push_str(&format!("{name}{} {v}\n", labels_text(labels)));
-        }
         for (name, labels, v, stale) in &self.gauges {
             if *stale {
                 out.push_str(&format!("{name}{} stale\n", labels_text(labels)));
@@ -570,36 +453,6 @@ impl MetricsSnapshot {
 
 impl ToJson for MetricsSnapshot {
     fn to_json(&self) -> JsonValue {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(name, labels, v)| {
-                JsonValue::obj(vec![
-                    ("name", JsonValue::Str(name.clone())),
-                    ("labels", labels_json(labels)),
-                    ("value", JsonValue::UInt(*v)),
-                ])
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(name, labels, v, stale)| {
-                JsonValue::obj(vec![
-                    ("name", JsonValue::Str(name.clone())),
-                    ("labels", labels_json(labels)),
-                    (
-                        "value",
-                        if *stale {
-                            JsonValue::Null
-                        } else {
-                            JsonValue::Float(*v)
-                        },
-                    ),
-                    ("stale", JsonValue::Bool(*stale)),
-                ])
-            })
-            .collect();
         let histograms = self
             .histograms
             .iter()
@@ -624,8 +477,7 @@ impl ToJson for MetricsSnapshot {
             })
             .collect();
         JsonValue::obj(vec![
-            ("counters", JsonValue::Arr(counters)),
-            ("gauges", JsonValue::Arr(gauges)),
+            ("gauges", JsonValue::Arr(self.gauge_rows())),
             ("histograms", JsonValue::Arr(histograms)),
             ("series", JsonValue::Arr(series)),
         ])
@@ -684,25 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn negative_counter_delta_is_typed_not_clamped() {
-        let reg_a = MetricsRegistry::new();
-        reg_a.counter("x", &[]).add(10);
-        let baseline = reg_a.snapshot();
-        // A second registry (simulating a reset) with a *lower* total.
-        let reg_b = MetricsRegistry::new();
-        reg_b.counter("x", &[]).add(4);
-        let delta = reg_b.snapshot().delta_json(&baseline);
-        let counters = delta.get("counters").unwrap().as_arr().unwrap();
-        assert_eq!(counters.len(), 1, "the regression must not vanish");
-        assert_eq!(counters[0].get("delta").unwrap().as_u64(), Some(0));
-        assert_eq!(
-            counters[0].get("delta_negative").unwrap().as_u64(),
-            Some(6),
-            "magnitude of the backwards movement"
-        );
-    }
-
-    #[test]
     fn histogram_exemplars_ride_the_snapshot() {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("lat", &[]);
@@ -721,27 +554,16 @@ mod tests {
     }
 
     #[test]
-    fn counter_reregistration_shares_state() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("x", &[("tenant", "1")]);
-        let b = reg.counter("x", &[("tenant", "1")]);
-        let other = reg.counter("x", &[("tenant", "2")]);
-        a.inc();
-        b.inc();
-        other.add(5);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("x", &[("tenant", "1")]), Some(2));
-        assert_eq!(snap.counter("x", &[("tenant", "2")]), Some(5));
-        assert_eq!(snap.counter_family("x").len(), 2);
-    }
-
-    #[test]
     fn gauge_set_and_add() {
         let reg = MetricsRegistry::new();
-        let g = reg.gauge("depth", &[]);
+        let g = reg.gauge("depth", &[("tenant", "1")]);
         g.set(4.0);
-        g.add(-1.5);
-        assert_eq!(reg.snapshot().gauge("depth", &[]), Some(2.5));
+        // Re-registering hands back the same gauge; other labels do not.
+        reg.gauge("depth", &[("tenant", "1")]).add(-1.5);
+        reg.gauge("depth", &[("tenant", "2")]).set(9.0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauge("depth", &[("tenant", "1")]), Some(2.5));
+        assert_eq!(snap.gauge("depth", &[("tenant", "2")]), Some(9.0));
     }
 
     #[test]
@@ -770,16 +592,14 @@ mod tests {
     #[test]
     fn snapshot_serializes_and_renders() {
         let reg = MetricsRegistry::new();
-        reg.counter("c", &[("k", "v")]).inc();
-        reg.gauge("g", &[]).set(1.0);
+        reg.gauge("g", &[("k", "v")]).set(1.0);
         reg.histogram("h", &[]).record(SimDuration::from_micros(5));
         reg.series("s", &[], SimDuration::from_secs(1));
         let snap = reg.snapshot();
         let json = snap.to_json();
-        assert_eq!(json.get("counters").unwrap().as_arr().unwrap().len(), 1);
+        assert_eq!(json.get("gauges").unwrap().as_arr().unwrap().len(), 1);
         let text = snap.to_text();
-        assert!(text.contains("c{k=\"v\"} 1"));
-        assert!(text.contains("g 1"));
+        assert!(text.contains("g{k=\"v\"} 1"));
         // The document parses back.
         assert!(crate::json::parse(&json.to_string_pretty()).is_ok());
     }

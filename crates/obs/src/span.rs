@@ -10,25 +10,17 @@
 //! nodes the sender's cursor travels inside the payload as a [`crate::ctx`]
 //! trace context that the receiver adopts.
 //!
-//! # Two-tier storage
+//! # Span store
 //!
-//! The record path is split into a **hot tier** and a **cold tier** so the
-//! data plane never pays for trace assembly:
-//!
-//! - *Hot:* one fixed-capacity [`SpanRing`] per node holds plain-old-data
-//!   spans (`u8` stage ids interned from [`Stage::ALL`], no `String`, no
-//!   per-span heap allocation once the ring has grown). Recording a span
-//!   is one hash-map cursor update plus one indexed ring write. When a
-//!   ring fills, the *oldest* span on that node is evicted and counted in
-//!   [`Tracer::dropped`], bounding memory on long runs.
-//! - *Cold:* [`Tracer::flush_closed`] (driven out of band, e.g. by a
-//!   low-priority simulation timer) drains every ring into a per-trace
-//!   staging area, where the causal-tree / critical-path / flight-recorder
-//!   machinery picks complete traces up via [`Tracer::take_trace`]. Each
-//!   span is moved exactly once, so draining is amortized O(1) per span. A
-//!   flush between two spans of the same request never splits its causal
-//!   tree: `take_trace` merges the staged spans with whatever is still in
-//!   the rings.
+//! A span lives in its trace's entry: the trace's [`SpanRecord`]s in
+//! record order plus one causal cursor per node the trace touched, found
+//! by one hash lookup on the request id. Recording a span is that lookup,
+//! a cursor swap and a `Vec` push; [`Tracer::take_trace`] removes the entry
+//! and sorts its spans, so a completion costs O(that trace) however many
+//! other requests are in flight. The store retains at most [`MAX_SPANS`]
+//! spans: past that the *oldest* trace is evicted whole and its spans are
+//! counted in [`Tracer::dropped`], never silently lost. No request id is
+//! reserved; any `u64` is a trace.
 //!
 //! # Sampling contract
 //!
@@ -41,7 +33,7 @@
 //! after one `Option` discriminant test.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
@@ -52,7 +44,6 @@ use simcore::SimTime;
 /// One request produces one span per stage it visits; chained functions
 /// repeat the DNE/fabric stages once per hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(u8)]
 pub enum Stage {
     /// Ingress HTTP/1.1 request parse.
     HttpParse,
@@ -101,42 +92,6 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 19] = [
-        Stage::HttpParse,
-        Stage::RssDispatch,
-        Stage::Gateway,
-        Stage::ComchSubmit,
-        Stage::DwrrQueue,
-        Stage::DneTx,
-        Stage::ConnPick,
-        Stage::SocDma,
-        Stage::RnicPost,
-        Stage::Fabric,
-        Stage::RxCompletion,
-        Stage::RbrRecover,
-        Stage::ComchDeliver,
-        Stage::SkMsg,
-        Stage::FnExec,
-        Stage::RetryBackoff,
-        Stage::FaultInject,
-        Stage::DeadlineDrop,
-        Stage::HealthEvent,
-    ];
-
-    /// Returns the pre-interned `u8` id of the stage (its index in
-    /// [`Stage::ALL`]) — what the hot-tier ring stores instead of the enum.
-    #[inline]
-    pub fn id(self) -> u8 {
-        self as u8
-    }
-
-    /// Recovers a stage from its interned id.
-    #[inline]
-    pub fn from_id(id: u8) -> Stage {
-        Stage::ALL[id as usize]
-    }
-
     /// Returns the stable exported name of the stage.
     pub fn name(self) -> &'static str {
         match self {
@@ -193,8 +148,8 @@ impl SpanRecord {
 }
 
 /// FxHash-style hasher (the rustc hash): one multiply-rotate-xor per word.
-/// SipHash dominates the old record path's cost; span recording only keys
-/// on request ids under our own control, so DoS resistance buys nothing.
+/// Every span write looks its trace up by request id; the ids are under
+/// our own control, so SipHash's DoS resistance buys nothing here.
 #[derive(Default, Clone)]
 struct FxHasher {
     hash: u64,
@@ -216,11 +171,6 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.hash = (self.hash.rotate_left(5) ^ n as u64).wrapping_mul(FX_SEED);
-    }
-
-    #[inline]
     fn write_u64(&mut self, n: u64) {
         self.hash = (self.hash.rotate_left(5) ^ n).wrapping_mul(FX_SEED);
     }
@@ -228,226 +178,84 @@ impl Hasher for FxHasher {
 
 type FxBuild = BuildHasherDefault<FxHasher>;
 
-/// The hot-tier span layout: 32 bytes, node implied by the owning ring,
-/// stage interned to its `u8` id.
-#[derive(Clone, Copy)]
-struct PackedSpan {
-    req_id: u64,
-    start_ns: u64,
-    end_ns: u64,
-    span_id: u32,
-    parent_id: u32,
-    tenant: u16,
-    stage: u8,
+/// The most spans an enabled tracer retains (40 B each, so 40 MiB). A
+/// run whose traces are taken as requests finish holds only the in-flight
+/// ones and never comes near it.
+pub const MAX_SPANS: usize = 1 << 20;
+
+/// Cap on each of the store's two freelists — enough for every in-flight
+/// trace of a busy run without hoarding memory after a burst.
+const MAX_FREE_VECS: usize = 64;
+
+/// One trace's entry in the store.
+struct Trace {
+    /// Creation number: its key in [`Store::order`].
+    seq: u64,
+    /// The trace's spans, in record order.
+    spans: Vec<SpanRecord>,
+    /// Causal cursors as `(node, latest span id)`. A new span parents on
+    /// its node's cursor and becomes it; a cross-node hand-off overwrites
+    /// the receiver's cursor with the sender's (carried in the payload
+    /// ctx). A trace touches a handful of nodes, so this is a scan.
+    cursors: Vec<(u32, u32)>,
 }
 
-/// One node's fixed-capacity span ring plus its per-trace causal cursors.
-///
-/// Storage grows lazily up to `capacity` and then wraps, evicting the
-/// oldest span on this node; eviction is counted, never silent.
-///
-/// Cache-line aligned: rings live in a `Vec` indexed by node and are
-/// written on every traced event; the alignment keeps two nodes' hot
-/// fields (`head`, `cache_req`, `cache_span`) off one line (before/after
-/// in the notes of `results/BENCH_obs.json`).
-#[repr(align(64))]
-struct SpanRing {
-    /// The node every span in this ring belongs to.
-    node: u32,
-    buf: Vec<PackedSpan>,
-    /// Index of the oldest span once the ring has wrapped.
-    head: usize,
-    evicted: u64,
-    capacity: usize,
-    /// Causal cursor: the latest span id per trace on this node. A new
-    /// span parents on the cursor; a cross-node hand-off overwrites the
-    /// receiver's cursor with the sender's (carried in the payload ctx).
-    cursor: HashMap<u64, u32, FxBuild>,
-    /// Single-entry cursor cache: a request's spans on one node land in
-    /// bursts (several per simulator callback), so the hottest cursor is
-    /// almost always the one just written. While `cache_req` holds a
-    /// trace, the cache — not the map — is authoritative for it; the map
-    /// entry is written back lazily when another trace takes the slot.
-    /// `NO_CACHED_REQ` marks the slot empty.
-    cache_req: u64,
-    cache_span: u32,
-}
-
-/// Sentinel for an empty [`SpanRing::cache_req`] slot (`u64::MAX` is not
-/// a usable request id: ids are allocated from zero upward).
-const NO_CACHED_REQ: u64 = u64::MAX;
-
-impl SpanRing {
-    fn new(node: u32, capacity: usize) -> SpanRing {
-        SpanRing {
-            node,
-            // Preallocate up to the wrap point (capped so an effectively
-            // unbounded test capacity doesn't reserve gigabytes): growth
-            // reallocs on the record path show up as page-fault noise in
-            // the overhead bench.
-            buf: Vec::with_capacity(capacity.min(1 << 16)),
-            head: 0,
-            evicted: 0,
-            capacity,
-            cursor: HashMap::default(),
-            cache_req: NO_CACHED_REQ,
-            cache_span: 0,
-        }
+impl Trace {
+    fn cursor(&self, node: u32) -> u32 {
+        self.cursors
+            .iter()
+            .find(|&&(n, _)| n == node)
+            .map_or(0, |&(_, span_id)| span_id)
     }
 
-    /// Reads the causal cursor for `req_id` (cache first, then the map).
     #[inline]
-    fn cursor_of(&self, req_id: u64) -> u32 {
-        if self.cache_req == req_id {
-            self.cache_span
-        } else {
-            self.cursor.get(&req_id).copied().unwrap_or(0)
-        }
-    }
-
-    /// Overwrites the causal cursor for `req_id`, pulling it into the
-    /// cache slot: an adoption is always followed by span records for the
-    /// same trace on this node, which then hit the cache map-free. Any
-    /// stale map entry is harmless — the cache is authoritative while it
-    /// holds the trace, and the write-back overwrites the map copy.
-    #[inline]
-    fn set_cursor(&mut self, req_id: u64, span_id: u32) {
-        if self.cache_req != req_id && self.cache_req != NO_CACHED_REQ {
-            self.cursor.insert(self.cache_req, self.cache_span);
-        }
-        self.cache_req = req_id;
-        self.cache_span = span_id;
-    }
-
-    /// Advances the cursor to `span_id`, returning the previous cursor
-    /// (the new span's parent). The hot path: a cache hit touches no map.
-    #[inline]
-    fn advance_cursor(&mut self, req_id: u64, span_id: u32) -> u32 {
-        if self.cache_req == req_id {
-            return std::mem::replace(&mut self.cache_span, span_id);
-        }
-        // Another trace takes the cache slot: write the displaced cursor
-        // back to the map, then read the incoming trace's last cursor.
-        if self.cache_req != NO_CACHED_REQ {
-            self.cursor.insert(self.cache_req, self.cache_span);
-        }
-        let parent = self.cursor.get(&req_id).copied().unwrap_or(0);
-        self.cache_req = req_id;
-        self.cache_span = span_id;
-        parent
-    }
-
-    /// Drops `req_id`'s cursor state entirely (request finished).
-    #[inline]
-    fn forget_cursor(&mut self, req_id: u64) {
-        if self.cache_req == req_id {
-            self.cache_req = NO_CACHED_REQ;
-        }
-        self.cursor.remove(&req_id);
-    }
-
-    /// The hot-path write: one indexed store (plus amortized growth up to
-    /// the fixed capacity).
-    #[inline]
-    fn push(&mut self, span: PackedSpan) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(span);
-        } else if self.capacity == 0 {
-            self.evicted += 1;
-        } else {
-            self.buf[self.head] = span;
-            self.head += 1;
-            if self.head == self.capacity {
-                self.head = 0;
+    fn cursor_mut(&mut self, node: u32) -> &mut u32 {
+        let at = match self.cursors.iter().position(|&(n, _)| n == node) {
+            Some(at) => at,
+            None => {
+                self.cursors.push((node, 0));
+                self.cursors.len() - 1
             }
-            self.evicted += 1;
-        }
-    }
-
-    /// Visits the ring's spans oldest-first.
-    fn for_each(&self, mut f: impl FnMut(&PackedSpan)) {
-        let (wrapped, first) = self.buf.split_at(self.head);
-        for s in first.iter().chain(wrapped) {
-            f(s);
-        }
-    }
-
-    fn record_of(&self, s: &PackedSpan) -> SpanRecord {
-        SpanRecord {
-            req_id: s.req_id,
-            span_id: s.span_id,
-            parent_id: s.parent_id,
-            tenant: s.tenant,
-            node: self.node,
-            stage: Stage::from_id(s.stage),
-            start_ns: s.start_ns,
-            end_ns: s.end_ns,
-        }
+        };
+        &mut self.cursors[at].1
     }
 }
 
-/// Reserved node id for the ingress gateway (`u32::MAX`); maps to ring
-/// slot 0 so worker nodes `n` occupy slot `n + 1`.
-const GATEWAY_SLOT_NODE: u32 = u32::MAX;
-
-#[inline]
-fn slot_of(node: u32) -> usize {
-    if node == GATEWAY_SLOT_NODE {
-        0
-    } else {
-        node as usize + 1
-    }
-}
-
-fn node_of_slot(slot: usize) -> u32 {
-    if slot == 0 {
-        GATEWAY_SLOT_NODE
-    } else {
-        (slot - 1) as u32
-    }
-}
-
-struct TraceInner {
-    /// Hot tier: slot 0 is the gateway pseudo-node, slot `n + 1` node `n`.
-    rings: Vec<SpanRing>,
-    /// Cold tier: closed spans staged per trace by [`TraceInner::drain`],
-    /// awaiting `take_trace` from the pipeline.
-    staged: HashMap<u64, Vec<SpanRecord>, FxBuild>,
-    staged_len: usize,
-    /// Open intervals keyed by (request, stage) for begin/end call sites
-    /// where the two endpoints live in different callbacks.
-    open: HashMap<(u64, Stage), (u16, u32, u64)>,
-    capacity: usize,
+struct Store {
+    traces: HashMap<u64, Trace, FxBuild>,
+    /// Creation number → request id of every stored trace; the first
+    /// entry is the oldest trace, the one eviction takes.
+    order: BTreeMap<u64, u64>,
+    next_seq: u64,
+    /// Spans retained across all traces, at most `max_spans`.
+    spans: usize,
+    max_spans: usize,
+    dropped: u64,
     next_span_id: u32,
     /// Head-sampling modulus: record only traces with `req_id % n == 0`
     /// (0 or 1 keeps everything). The cheap fallback knob when tail-based
     /// sampling is too expensive.
     head_every: u64,
-    flushes: u64,
-    flush_wall_ns: u64,
-    /// Recycled span vectors (see [`Tracer::recycle`]): the staging area
-    /// hands one out per trace, so reuse turns the pipeline's
-    /// alloc-per-trace into a freelist pop.
+    /// Recycled span vectors (see [`Tracer::recycle`]) and cursor vectors
+    /// (from taken traces): every new trace takes one of each, so reuse
+    /// turns the allocs-per-trace into freelist pops.
     free_vecs: Vec<Vec<SpanRecord>>,
+    free_cursors: Vec<Vec<(u32, u32)>>,
 }
 
-/// Cap on the [`TraceInner::free_vecs`] freelist — enough for every
-/// in-flight trace of a busy run without hoarding memory after a burst.
-const MAX_FREE_VECS: usize = 64;
-
-impl TraceInner {
-    fn new(capacity: usize) -> TraceInner {
-        TraceInner {
-            rings: Vec::new(),
-            staged: HashMap::default(),
-            staged_len: 0,
-            open: HashMap::new(),
-            capacity,
+impl Store {
+    fn new(max_spans: usize) -> Store {
+        Store {
+            traces: HashMap::default(),
+            order: BTreeMap::new(),
+            next_seq: 0,
+            spans: 0,
+            max_spans,
+            dropped: 0,
             next_span_id: 0,
             head_every: 0,
-            flushes: 0,
-            flush_wall_ns: 0,
             free_vecs: Vec::new(),
+            free_cursors: Vec::new(),
         }
     }
 
@@ -456,16 +264,52 @@ impl TraceInner {
         self.head_every <= 1 || req_id.is_multiple_of(self.head_every)
     }
 
+    /// The entry of `req_id`, created (as the newest trace) when absent.
     #[inline]
-    fn ring_mut(&mut self, node: u32) -> &mut SpanRing {
-        let slot = slot_of(node);
-        if slot >= self.rings.len() {
-            let capacity = self.capacity;
-            for s in self.rings.len()..=slot {
-                self.rings.push(SpanRing::new(node_of_slot(s), capacity));
+    fn trace_mut(&mut self, req_id: u64) -> &mut Trace {
+        self.traces.entry(req_id).or_insert_with(|| {
+            self.next_seq += 1;
+            self.order.insert(self.next_seq, req_id);
+            Trace {
+                seq: self.next_seq,
+                // Pre-sized for a typical trace so its vector is one
+                // allocation, not a growth ladder — or zero, when the
+                // freelist has one.
+                spans: self
+                    .free_vecs
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(32)),
+                cursors: self.free_cursors.pop().unwrap_or_default(),
             }
+        })
+    }
+
+    /// Takes `req_id`'s entry out of the map, the eviction order and the
+    /// span count, and returns its spans in record order.
+    fn remove(&mut self, req_id: u64) -> Option<Vec<SpanRecord>> {
+        let Trace {
+            seq,
+            spans,
+            mut cursors,
+        } = self.traces.remove(&req_id)?;
+        self.order.remove(&seq);
+        self.spans -= spans.len();
+        if self.free_cursors.len() < MAX_FREE_VECS {
+            cursors.clear();
+            self.free_cursors.push(cursors);
         }
-        &mut self.rings[slot]
+        Some(spans)
+    }
+
+    /// Evicts the oldest trace whole; `false` when the store is empty.
+    fn evict_oldest(&mut self) -> bool {
+        let Some((_, &req_id)) = self.order.first_key_value() else {
+            return false;
+        };
+        let spans = self.remove(req_id).expect("ordered trace is stored");
+        self.dropped += spans.len() as u64;
+        self.recycle(spans);
+        true
     }
 
     fn push(
@@ -480,91 +324,35 @@ impl TraceInner {
         if !self.head_keep(req_id) {
             return 0;
         }
+        while self.spans >= self.max_spans && self.evict_oldest() {}
         self.next_span_id += 1;
         let span_id = self.next_span_id;
-        let ring = self.ring_mut(node);
-        if ring.capacity == 0 {
-            ring.evicted += 1;
-            return span_id;
-        }
-        let parent_id = ring.advance_cursor(req_id, span_id);
-        ring.push(PackedSpan {
+        let trace = self.trace_mut(req_id);
+        let parent_id = std::mem::replace(trace.cursor_mut(node), span_id);
+        trace.spans.push(SpanRecord {
             req_id,
-            start_ns,
-            end_ns,
             span_id,
             parent_id,
             tenant,
-            stage: stage.id(),
+            node,
+            stage,
+            start_ns,
+            end_ns,
         });
+        self.spans += 1;
         span_id
     }
 
-    /// Drains every ring into the cold staging area, oldest-first per ring
-    /// in slot order. Each span is moved exactly once. Returns the number
-    /// of spans moved.
-    fn drain(&mut self) -> usize {
-        let mut moved = 0;
-        // Split borrows: rings are drained into `staged`.
-        let staged = &mut self.staged;
-        let free_vecs = &mut self.free_vecs;
-        for ring in &mut self.rings {
-            if ring.buf.is_empty() {
-                continue;
-            }
-            moved += ring.buf.len();
-            let node = ring.node;
-            let (wrapped, first) = ring.buf.split_at(ring.head);
-            for part in [first, wrapped] {
-                // A request's spans on one node arrive in bursts, so
-                // chunking by trace id pays one staging-map probe per
-                // burst instead of per span.
-                for run in part.chunk_by(|a, b| a.req_id == b.req_id) {
-                    staged
-                        .entry(run[0].req_id)
-                        // Pre-size for a typical trace so a request's
-                        // staging vector is one allocation, not a growth
-                        // ladder — or zero, when the freelist has one.
-                        .or_insert_with(|| {
-                            free_vecs.pop().unwrap_or_else(|| Vec::with_capacity(32))
-                        })
-                        .extend(run.iter().map(|s| SpanRecord {
-                            req_id: s.req_id,
-                            span_id: s.span_id,
-                            parent_id: s.parent_id,
-                            tenant: s.tenant,
-                            node,
-                            stage: Stage::from_id(s.stage),
-                            start_ns: s.start_ns,
-                            end_ns: s.end_ns,
-                        }));
-                }
-            }
-            ring.buf.clear();
-            ring.head = 0;
+    fn recycle(&mut self, mut spans: Vec<SpanRecord>) {
+        if self.free_vecs.len() < MAX_FREE_VECS {
+            spans.clear();
+            self.free_vecs.push(spans);
         }
-        self.staged_len += moved;
-        moved
     }
 
-    fn len(&self) -> usize {
-        self.staged_len + self.rings.iter().map(|r| r.buf.len()).sum::<usize>()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.rings.iter().map(|r| r.evicted).sum()
-    }
-
-    /// Every retained span (both tiers) as public records, unsorted.
-    fn all_records(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::with_capacity(self.len());
-        for spans in self.staged.values() {
-            out.extend_from_slice(spans);
-        }
-        for ring in &self.rings {
-            ring.for_each(|s| out.push(ring.record_of(s)));
-        }
-        out
+    /// Every retained span, trace by trace in no particular order.
+    fn all_spans(&self) -> impl Iterator<Item = &SpanRecord> {
+        self.traces.values().flat_map(|t| &t.spans)
     }
 }
 
@@ -572,10 +360,10 @@ impl TraceInner {
 ///
 /// `Tracer::default()` / [`Tracer::disabled`] produce a no-op handle:
 /// every record call tests one `Option` discriminant and returns. Cloning
-/// an enabled tracer shares the same ring buffers.
+/// an enabled tracer shares the same span store.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    inner: Option<Rc<RefCell<TraceInner>>>,
+    inner: Option<Rc<RefCell<Store>>>,
 }
 
 impl Tracer {
@@ -584,18 +372,14 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// Creates an enabled tracer with a default per-node ring capacity.
+    /// Creates an enabled tracer retaining at most [`MAX_SPANS`] spans.
     pub fn enabled() -> Tracer {
-        Tracer::with_capacity(1 << 20)
+        Tracer::with_max_spans(MAX_SPANS)
     }
 
-    /// Creates an enabled tracer whose per-node rings retain at most
-    /// `capacity` spans each: once full the oldest span on that node is
-    /// evicted (and counted in [`Tracer::dropped`]) rather than growing
-    /// without bound on long runs.
-    pub fn with_capacity(capacity: usize) -> Tracer {
+    fn with_max_spans(max_spans: usize) -> Tracer {
         Tracer {
-            inner: Some(Rc::new(RefCell::new(TraceInner::new(capacity)))),
+            inner: Some(Rc::new(RefCell::new(Store::new(max_spans)))),
         }
     }
 
@@ -611,16 +395,6 @@ impl Tracer {
     pub fn set_head_sample(&self, every: u64) {
         if let Some(inner) = &self.inner {
             inner.borrow_mut().head_every = every;
-        }
-    }
-
-    /// Returns `true` when the head-sampling policy keeps this trace
-    /// (always `true` on a disabled tracer's default policy — callers gate
-    /// on [`Tracer::is_enabled`] first).
-    pub fn head_keep(&self, req_id: u64) -> bool {
-        match &self.inner {
-            Some(inner) => inner.borrow().head_keep(req_id),
-            None => false,
         }
     }
 
@@ -671,10 +445,7 @@ impl Tracer {
             return;
         }
         if let Some(inner) = &self.inner {
-            inner
-                .borrow_mut()
-                .ring_mut(node)
-                .set_cursor(req_id, parent_span);
+            *inner.borrow_mut().trace_mut(req_id).cursor_mut(node) = parent_span;
         }
     }
 
@@ -685,62 +456,10 @@ impl Tracer {
         self.inner.as_ref().map_or(0, |inner| {
             inner
                 .borrow()
-                .rings
-                .get(slot_of(node))
-                .map_or(0, |r| r.cursor_of(req_id))
+                .traces
+                .get(&req_id)
+                .map_or(0, |t| t.cursor(node))
         })
-    }
-
-    /// Opens an interval whose end will arrive in a later callback.
-    ///
-    /// A second `begin` for the same (request, stage) before the matching
-    /// [`Tracer::end`] overwrites the first.
-    #[inline]
-    pub fn begin(&self, req_id: u64, tenant: u16, node: u32, stage: Stage, at: SimTime) {
-        let Some(inner) = &self.inner else { return };
-        inner
-            .borrow_mut()
-            .open
-            .insert((req_id, stage), (tenant, node, at.as_nanos()));
-    }
-
-    /// Closes an interval opened by [`Tracer::begin`]; unmatched ends are
-    /// ignored. Returns the new span's id (0 when unmatched or disabled).
-    #[inline]
-    pub fn end(&self, req_id: u64, stage: Stage, at: SimTime) -> u32 {
-        let Some(inner) = &self.inner else { return 0 };
-        let mut inner = inner.borrow_mut();
-        if let Some((tenant, node, start_ns)) = inner.open.remove(&(req_id, stage)) {
-            inner.push(req_id, tenant, node, stage, start_ns, at.as_nanos())
-        } else {
-            0
-        }
-    }
-
-    /// Drains every per-node ring into the cold per-trace staging area —
-    /// the out-of-band flush a low-priority simulation timer drives. Each
-    /// span is moved exactly once; a flush mid-request never splits the
-    /// request's causal tree (see [`Tracer::take_trace`]). Returns the
-    /// number of spans moved.
-    pub fn flush_closed(&self) -> usize {
-        let Some(inner) = &self.inner else { return 0 };
-        let t0 = std::time::Instant::now();
-        let mut inner = inner.borrow_mut();
-        let moved = inner.drain();
-        inner.flushes += 1;
-        inner.flush_wall_ns += t0.elapsed().as_nanos() as u64;
-        moved
-    }
-
-    /// Returns the number of out-of-band flushes performed.
-    pub fn ring_flushes(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.borrow().flushes)
-    }
-
-    /// Returns the cumulative wall-clock nanoseconds spent in
-    /// [`Tracer::flush_closed`] (a cost metric, not virtual time).
-    pub fn flush_wall_ns(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.borrow().flush_wall_ns)
     }
 
     /// Returns a copy of all recorded spans, ordered by start time.
@@ -748,130 +467,53 @@ impl Tracer {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let mut records = inner.borrow().all_records();
+        let mut records: Vec<SpanRecord> = inner.borrow().all_spans().copied().collect();
         records.sort_by_key(|r| (r.start_ns, r.req_id, r.span_id));
         records
     }
 
     /// Removes and returns every span of one trace (ordered by start time,
-    /// then span id), clearing the trace's causal cursors. The trace
-    /// pipeline calls this exactly once per completed request. Spans still
-    /// in the hot rings are drained first, so a trace is never split
-    /// between tiers.
+    /// then span id) together with its causal cursors: a later span under
+    /// the same id starts a fresh trace. The trace pipeline calls this
+    /// exactly once per completed request.
     pub fn take_trace(&self, req_id: u64) -> Vec<SpanRecord> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let inner = &mut *inner.borrow_mut();
-        // Any portion the out-of-band flusher already staged.
-        let mut taken = match inner.staged.remove(&req_id) {
-            Some(v) => {
-                inner.staged_len -= v.len();
-                v
-            }
-            None => Vec::new(),
+        let Some(mut taken) = inner.borrow_mut().remove(req_id) else {
+            return Vec::new();
         };
-        // Extract the rest straight out of the hot rings, leaving every
-        // other request's spans in place for their own take (or the next
-        // flush). Unlike a full drain this touches no staging-map entries
-        // — the per-completion pipeline path pays one compaction pass
-        // over the in-flight spans instead of hashing every closed burst.
-        let free_vecs = &mut inner.free_vecs;
-        for ring in &mut inner.rings {
-            // Cursors outlive a flushed buffer, so always clear them.
-            ring.forget_cursor(req_id);
-            if ring.buf.is_empty() {
-                continue;
-            }
-            // Straighten a wrapped ring so retention keeps oldest-first
-            // order (rings never wrap while a pipeline takes per request).
-            if ring.head != 0 {
-                ring.buf.rotate_left(ring.head);
-                ring.head = 0;
-            }
-            let node = ring.node;
-            ring.buf.retain(|s| {
-                if s.req_id != req_id {
-                    return true;
-                }
-                if taken.capacity() == 0 {
-                    // First span found: size the output once, reusing a
-                    // recycled vector when one is available.
-                    match free_vecs.pop() {
-                        Some(v) => taken = v,
-                        None => taken.reserve(32),
-                    }
-                }
-                taken.push(SpanRecord {
-                    req_id: s.req_id,
-                    span_id: s.span_id,
-                    parent_id: s.parent_id,
-                    tenant: s.tenant,
-                    node,
-                    stage: Stage::from_id(s.stage),
-                    start_ns: s.start_ns,
-                    end_ns: s.end_ns,
-                });
-                false
-            });
-        }
-        if !inner.open.is_empty() {
-            inner.open.retain(|&(t, _), _| t != req_id);
-        }
         // Span ids are unique within a trace, so the unstable sort is
         // deterministic — and it never allocates, unlike the stable one.
         taken.sort_unstable_by_key(|r| (r.start_ns, r.span_id));
         taken
     }
 
-    /// Returns a consumed trace's span vector to the drain freelist so the
-    /// next trace staged by [`TraceInner::drain`] reuses its allocation.
-    /// The steady-state trace pipeline (take → summarize → evict) then
-    /// runs without touching the allocator. Bounded by `MAX_FREE_VECS`;
-    /// excess vectors are simply dropped.
-    pub fn recycle(&self, mut spans: Vec<SpanRecord>) {
-        let Some(inner) = &self.inner else { return };
-        let mut inner = inner.borrow_mut();
-        if inner.free_vecs.len() < MAX_FREE_VECS {
-            spans.clear();
-            inner.free_vecs.push(spans);
+    /// Returns a consumed trace's span vector to the store so the next new
+    /// trace reuses its allocation. The steady-state trace pipeline (take
+    /// → summarize → evict) then runs without touching the allocator.
+    /// Bounded by `MAX_FREE_VECS`; excess vectors are simply dropped.
+    pub fn recycle(&self, spans: Vec<SpanRecord>) {
+        if let Some(inner) = &self.inner {
+            inner.borrow_mut().recycle(spans);
         }
     }
 
-    /// Drops one finished trace's causal bookkeeping (cursors and open
-    /// intervals) while keeping its recorded spans in place.
-    ///
-    /// Call this at request completion when no trace pipeline consumes
-    /// the trace via [`Tracer::take_trace`]: without it the per-ring
-    /// cursor maps grow by one entry per request ever seen, and a long
-    /// ring-only run pays their cache misses on every span write.
-    pub fn retire(&self, req_id: u64) {
-        let Some(inner) = &self.inner else { return };
-        let mut inner = inner.borrow_mut();
-        for ring in &mut inner.rings {
-            ring.forget_cursor(req_id);
-        }
-        if !inner.open.is_empty() {
-            inner.open.retain(|&(t, _), _| t != req_id);
-        }
-    }
-
-    /// Returns the number of retained spans across both tiers.
+    /// Returns the number of retained spans.
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |inner| inner.borrow().len())
+        self.inner.as_ref().map_or(0, |inner| inner.borrow().spans)
     }
 
-    /// Returns `true` when no spans have been recorded.
+    /// Returns `true` when no spans are retained.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Returns the number of spans dropped to ring eviction (or a zero
-    /// capacity) across all nodes.
+    /// Returns the number of spans dropped with evicted traces.
     pub fn dropped(&self) -> u64 {
         self.inner
             .as_ref()
-            .map_or(0, |inner| inner.borrow().dropped())
+            .map_or(0, |inner| inner.borrow().dropped)
     }
 
     /// Aggregates total time and span count per stage, sorted by total
@@ -881,7 +523,7 @@ impl Tracer {
             return Vec::new();
         };
         let mut by_stage: HashMap<Stage, StageTotal> = HashMap::new();
-        for r in inner.borrow().all_records() {
+        for r in inner.borrow().all_spans() {
             let entry = by_stage.entry(r.stage).or_insert(StageTotal {
                 stage: r.stage,
                 spans: 0,
@@ -902,13 +544,9 @@ impl Tracer {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let mut stages: Vec<Stage> = inner
-            .borrow()
-            .all_records()
-            .iter()
-            .filter(|r| r.req_id == req_id)
-            .map(|r| r.stage)
-            .collect();
+        let store = inner.borrow();
+        let spans = store.traces.get(&req_id).map_or(&[][..], |t| &t.spans);
+        let mut stages: Vec<Stage> = spans.iter().map(|r| r.stage).collect();
         stages.sort();
         stages.dedup();
         stages
@@ -946,43 +584,19 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::disabled();
-        t.span(1, 0, 0, Stage::Fabric, at(0), at(10));
-        t.begin(1, 0, 0, Stage::DwrrQueue, at(0));
-        t.end(1, Stage::DwrrQueue, at(5));
+        assert_eq!(t.span(1, 0, 0, Stage::Fabric, at(0), at(10)), 0);
+        t.adopt_parent(1, 0, 3);
         assert!(!t.is_enabled());
         assert!(!t.decide_sample(1));
         assert!(t.is_empty());
         assert!(t.records().is_empty());
         assert!(t.stage_totals().is_empty());
         assert_eq!(t.cursor(1, 0), 0);
-        assert_eq!(t.flush_closed(), 0);
+        assert!(t.take_trace(1).is_empty());
     }
 
     #[test]
-    fn span_and_begin_end_record() {
-        let t = Tracer::enabled();
-        t.span(7, 2, 1, Stage::Fabric, at(10), at(30));
-        t.begin(7, 2, 0, Stage::DwrrQueue, at(2));
-        t.end(7, Stage::DwrrQueue, at(8));
-        let records = t.records();
-        assert_eq!(records.len(), 2);
-        // Sorted by start time: the queue span opened at t=2 comes first.
-        assert_eq!(records[0].stage, Stage::DwrrQueue);
-        assert_eq!(records[0].duration_ns(), 6_000);
-        assert_eq!(records[1].stage, Stage::Fabric);
-        assert_eq!(records[1].tenant, 2);
-        assert_eq!(records[1].node, 1);
-    }
-
-    #[test]
-    fn unmatched_end_is_ignored() {
-        let t = Tracer::enabled();
-        t.end(1, Stage::Fabric, at(5));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn clones_share_the_buffer() {
+    fn clones_share_the_store() {
         let t = Tracer::enabled();
         let u = t.clone();
         u.span(1, 0, 0, Stage::FnExec, at(0), at(1));
@@ -990,30 +604,52 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_and_counts_drops() {
-        let t = Tracer::with_capacity(2);
+    fn the_bound_keeps_the_newest_traces_and_counts_drops() {
+        let t = Tracer::with_max_spans(2);
         for i in 0..5 {
             t.span(i, 0, 0, Stage::FnExec, at(i), at(i + 1));
         }
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 3);
-        // Ring semantics: the newest spans survive.
         let kept: Vec<u64> = t.records().iter().map(|r| r.req_id).collect();
         assert_eq!(kept, vec![3, 4]);
     }
 
     #[test]
-    fn eviction_is_per_node_ring() {
-        let t = Tracer::with_capacity(2);
-        for i in 0..4 {
-            t.span(i, 0, 0, Stage::FnExec, at(i), at(i + 1));
-            t.span(i, 0, 1, Stage::Fabric, at(i), at(i + 1));
+    fn eviction_takes_the_oldest_trace_whole() {
+        let t = Tracer::with_max_spans(6);
+        // Trace 1 is the oldest and spans two nodes; 2 and 3 interleave.
+        t.span(1, 0, 0, Stage::Gateway, at(0), at(1));
+        t.span(2, 0, 0, Stage::Gateway, at(1), at(2));
+        t.span(1, 0, 1, Stage::Fabric, at(2), at(3));
+        t.span(3, 0, 0, Stage::Gateway, at(3), at(4));
+        t.span(1, 0, 1, Stage::FnExec, at(4), at(5));
+        t.span(2, 0, 1, Stage::Fabric, at(5), at(6));
+        assert_eq!((t.len(), t.dropped()), (6, 0));
+        // The seventh span does not fit: all three spans of trace 1 go,
+        // not the oldest span of each node.
+        t.span(3, 0, 1, Stage::Fabric, at(6), at(7));
+        assert_eq!((t.len(), t.dropped()), (4, 3));
+        assert!(t.records().iter().all(|r| r.req_id != 1));
+        assert!(t.take_trace(1).is_empty(), "an evicted trace is gone");
+        assert_eq!(t.cursor(1, 1), 0, "and so are its cursors");
+        // A taken trace no longer stands in the eviction order, and a later
+        // span under the evicted id starts a fresh trace at its end: the
+        // next eviction takes trace 3.
+        assert_eq!(t.take_trace(2).len(), 2);
+        let fresh = t.span(1, 0, 1, Stage::RxCompletion, at(7), at(8));
+        for i in 0..3 {
+            t.span(4, 0, 0, Stage::FnExec, at(8 + i), at(9 + i));
         }
-        // Each node's ring evicted its own two oldest spans.
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.dropped(), 4);
-        let kept: Vec<(u64, u32)> = t.records().iter().map(|r| (r.req_id, r.node)).collect();
-        assert_eq!(kept, vec![(2, 0), (2, 1), (3, 0), (3, 1)]);
+        assert_eq!((t.len(), t.dropped()), (6, 3));
+        t.span(4, 0, 1, Stage::SkMsg, at(11), at(12));
+        assert_eq!((t.len(), t.dropped()), (5, 5));
+        assert!(t.take_trace(3).is_empty());
+        let taken = t.take_trace(1);
+        assert_eq!(taken.len(), 1);
+        assert_eq!((taken[0].span_id, taken[0].parent_id), (fresh, 0));
+        assert_eq!(t.take_trace(4).len(), 4);
+        assert_eq!((t.len(), t.dropped()), (0, 5));
     }
 
     #[test]
@@ -1038,6 +674,7 @@ mod tests {
         t.span(1, 0, 0, Stage::FnExec, at(3), at(4));
         t.span(2, 0, 0, Stage::Gateway, at(0), at(1));
         assert_eq!(t.stages_of(1), vec![Stage::Fabric, Stage::FnExec]);
+        assert!(t.stages_of(3).is_empty());
     }
 
     #[test]
@@ -1093,66 +730,107 @@ mod tests {
         }
         let kept: Vec<u64> = t.records().iter().map(|r| r.req_id).collect();
         assert_eq!(kept, vec![0, 4]);
-        assert!(t.head_keep(4) && !t.head_keep(5));
         assert!(t.decide_sample(4) && !t.decide_sample(5));
         t.set_head_sample(0);
-        assert!(t.head_keep(5));
+        assert!(t.decide_sample(5));
     }
 
+    /// `nadino::health` records its events under trace id `u64::MAX`; the
+    /// ring-based store used that value to mark an empty cursor-cache slot,
+    /// so a health span lost its parent once another trace touched its node.
     #[test]
-    fn stage_ids_round_trip() {
-        for (i, s) in Stage::ALL.iter().enumerate() {
-            assert_eq!(s.id() as usize, i);
-            assert_eq!(Stage::from_id(s.id()), *s);
+    fn no_request_id_is_reserved() {
+        let t = Tracer::enabled();
+        let first = t.span(u64::MAX, 0, 0, Stage::HealthEvent, at(0), at(0));
+        t.span(5, 1, 0, Stage::FnExec, at(1), at(2));
+        assert_eq!(t.cursor(u64::MAX, 0), first);
+        let second = t.span(u64::MAX, 0, 0, Stage::HealthEvent, at(3), at(3));
+        let taken = t.take_trace(u64::MAX);
+        assert_eq!(taken.len(), 2);
+        assert_eq!((taken[1].span_id, taken[1].parent_id), (second, first));
+    }
+
+    /// The store's specification: one flat span list and one
+    /// `(trace, node) → span id` map.
+    #[derive(Default)]
+    struct Model {
+        spans: Vec<SpanRecord>,
+        cursors: HashMap<(u64, u32), u32>,
+        issued: u32,
+    }
+
+    impl Model {
+        fn span(&mut self, req_id: u64, node: u32, stage: Stage, start_ns: u64) -> u32 {
+            self.issued += 1;
+            self.spans.push(SpanRecord {
+                req_id,
+                span_id: self.issued,
+                parent_id: self
+                    .cursors
+                    .insert((req_id, node), self.issued)
+                    .unwrap_or(0),
+                tenant: 1,
+                node,
+                stage,
+                start_ns,
+                end_ns: start_ns + 10,
+            });
+            self.issued
+        }
+
+        fn take_trace(&mut self, req_id: u64) -> Vec<SpanRecord> {
+            self.cursors.retain(|&(r, _), _| r != req_id);
+            let (mut taken, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.spans)
+                .into_iter()
+                .partition(|s| s.req_id == req_id);
+            self.spans = kept;
+            taken.sort_by_key(|s| (s.start_ns, s.span_id));
+            taken
         }
     }
 
     #[test]
-    fn flush_moves_spans_without_losing_them() {
-        let t = Tracer::enabled();
-        t.span(1, 0, 0, Stage::Gateway, at(0), at(1));
-        t.span(1, 0, 1, Stage::Fabric, at(1), at(2));
-        let moved = t.flush_closed();
-        assert_eq!(moved, 2);
-        assert_eq!(t.ring_flushes(), 1);
-        assert_eq!(t.len(), 2, "flushed spans stay visible");
-        assert_eq!(t.records().len(), 2);
-        // A second flush with empty rings moves nothing.
-        assert_eq!(t.flush_closed(), 0);
-        assert_eq!(t.ring_flushes(), 2);
-    }
-
-    #[test]
-    fn flush_mid_request_does_not_split_the_causal_tree() {
-        let t = Tracer::enabled();
-        let a = t.span(5, 1, 0, Stage::Gateway, at(0), at(1));
-        t.flush_closed();
-        // The cursor survives the flush: later spans still chain on `a`.
-        let b = t.span(5, 1, 0, Stage::ComchSubmit, at(1), at(2));
-        t.adopt_parent(5, 1, b);
-        let c = t.span(5, 1, 1, Stage::RxCompletion, at(2), at(3));
-        let taken = t.take_trace(5);
-        assert_eq!(taken.len(), 3, "staged and ring spans merge");
-        assert_eq!(taken[0].span_id, a);
-        assert_eq!(taken[1].parent_id, a, "chain unbroken across the flush");
-        assert_eq!(taken[2].span_id, c);
-        assert_eq!(taken[2].parent_id, b, "cross-node link unbroken");
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn flush_then_take_matches_unflushed_take() {
-        let record = |t: &Tracer| {
-            t.span(9, 1, 0, Stage::Gateway, at(0), at(2));
-            t.span(9, 1, 0, Stage::ComchSubmit, at(2), at(3));
-            t.span(9, 1, 1, Stage::Fabric, at(3), at(7));
-            t.span(9, 1, 1, Stage::FnExec, at(7), at(9));
-        };
-        let a = Tracer::enabled();
-        record(&a);
-        let b = Tracer::enabled();
-        record(&b);
-        b.flush_closed();
-        assert_eq!(a.take_trace(9), b.take_trace(9));
+    fn random_operations_match_the_flat_model() {
+        const REQS: [u64; 5] = [0, 1, 2, 7, u64::MAX];
+        const NODES: [u32; 4] = [0, 1, 2, u32::MAX];
+        const STAGES: [Stage; 3] = [Stage::Gateway, Stage::Fabric, Stage::FnExec];
+        let pick = |rng: &mut simcore::SimRng, n: usize| rng.gen_range(n as u64) as usize;
+        for seed in 0..8 {
+            let mut rng = simcore::SimRng::new(seed);
+            let (t, mut m) = (Tracer::enabled(), Model::default());
+            for _ in 0..4_000 {
+                let req = REQS[pick(&mut rng, REQS.len())];
+                let node = NODES[pick(&mut rng, NODES.len())];
+                match rng.gen_range(16) {
+                    0 => assert_eq!(t.take_trace(req), m.take_trace(req)),
+                    1 => {
+                        let mut want = m.spans.clone();
+                        want.sort_by_key(|s| (s.start_ns, s.req_id, s.span_id));
+                        assert_eq!(t.records(), want);
+                        assert_eq!(t.len(), want.len());
+                    }
+                    2..=4 => {
+                        // Any id ever issued, or 0 (ignored).
+                        let parent = rng.gen_range(m.issued as u64 + 1) as u32;
+                        t.adopt_parent(req, node, parent);
+                        if parent != 0 {
+                            m.cursors.insert((req, node), parent);
+                        }
+                    }
+                    _ => {
+                        // Few distinct starts, so sorts have ties to break.
+                        let start_ns = rng.gen_range(8) * 100;
+                        let stage = STAGES[pick(&mut rng, STAGES.len())];
+                        let start = SimTime::from_nanos(start_ns);
+                        let end = SimTime::from_nanos(start_ns + 10);
+                        let got = t.span(req, 1, node, stage, start, end);
+                        assert_eq!(got, m.span(req, node, stage, start_ns));
+                    }
+                }
+                let want = m.cursors.get(&(req, node)).copied().unwrap_or(0);
+                assert_eq!(t.cursor(req, node), want);
+            }
+            assert_eq!(t.dropped(), 0);
+        }
     }
 }

@@ -602,3 +602,21 @@ fn survival_run_is_deterministic_per_seed() {
     assert_eq!(a, b, "same-seed survival runs diverged");
     assert!(!a.dump.is_empty(), "crash run took no flight dump");
 }
+
+/// Span ids, parents and order are deterministic across commits, not just
+/// across runs: the last flight dump of [`flight_run`] and of the crash
+/// [`survival_run`] hash to the FNV-1a digests taken at commit `3be2337`,
+/// before the tracer's span store was rewritten. A change that means to
+/// alter what a dump holds re-pins them and says why.
+#[test]
+fn flight_dumps_match_their_pinned_digests() {
+    let digest = |dump: &str| simcore::rng::fnv1a(dump.bytes());
+    for (seed, flight, survival) in [
+        (1, 0x8c37_f78d_e226_4ffc, 0xc490_d1dc_b0fc_22e2_u64),
+        (42, 0xb9f8_b1cd_da60_c267, 0xddfc_f20d_8c5b_9eaa),
+    ] {
+        assert_eq!(digest(&flight_run(seed).1), flight, "flight_run({seed})");
+        let dump = survival_run(seed, true).dump;
+        assert_eq!(digest(&dump), survival, "survival_run({seed})");
+    }
+}
