@@ -12,23 +12,15 @@
 //! experiments --jobs N        # fan figures and sweep points out over N
 //!                             # threads (N=0 or omitted: available cores);
 //!                             # output is byte-identical to --jobs 1
-//! experiments --trace-out t.json --metrics-out m.json
-//!                             # instrumented Online Boutique run: Perfetto
-//!                             # trace + metrics snapshot (no figures unless
-//!                             # names are also given)
-//! experiments --tail-sample --trace-out t.json
-//!                             # same run with the trace pipeline enabled:
-//!                             # keep only the slowest/error traces, print
-//!                             # the per-tenant critical-path table, export
-//!                             # kept traces (with cross-node flow arrows)
-//! experiments --flight-out f.json
-//!                             # dump the flight-recorder bundle (recent
-//!                             # trace ring + SLO counters + metric deltas)
-//!                             # at end of run
-//! experiments report          # fleet observability report (windowed
-//!                             # rollups, exemplars, burn rates, SoC
-//!                             # profile) -> results/report.json;
-//!                             # REPORT_SEED overrides the root seed
+//! experiments report          # the one instrumented run: fleet
+//!                             # observability report (windowed rollups of
+//!                             # every sampled level, fleet totals,
+//!                             # exemplars, burn rates, SoC profile, a
+//!                             # flight dump) -> results/report.json;
+//!                             # REPORT_SEED overrides the root seed.
+//!                             # For a Perfetto trace and a raw metrics
+//!                             # snapshot: cargo run --release --example
+//!                             # observability
 //! experiments --report-out r.json
 //!                             # same report, written to a custom path
 //! ```
@@ -209,106 +201,6 @@ fn emit(o: &Output, report_out: Option<&PathBuf>) -> bool {
     ok
 }
 
-/// Runs a short instrumented Online Boutique workload with cluster-wide
-/// tracing and periodic metrics sampling, writing the requested outputs.
-/// With `tail_sample` the trace pipeline drains completed traces through
-/// the tail sampler (slowest-k + errors) and the export covers only the
-/// kept traces; `flight_out` dumps the flight-recorder bundle at the end.
-fn instrumented_run(
-    trace_out: Option<&PathBuf>,
-    metrics_out: Option<&PathBuf>,
-    tail_sample: bool,
-    flight_out: Option<&PathBuf>,
-) -> bool {
-    use membuf::tenant::TenantId;
-    use nadino::boutique;
-    use nadino::cluster::{Cluster, ClusterConfig};
-    use nadino::workload::ClosedLoop;
-    use obs::ToJson;
-    use simcore::{Sim, SimDuration};
-    use std::rc::Rc;
-
-    eprintln!(">>> running instrumented boutique (trace/metrics export)");
-    let mut sim = Sim::new();
-    let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
-    let tenant = TenantId(1);
-    cluster
-        .add_tenant(&mut sim, tenant, 1)
-        .expect("tenant provisioning");
-    let chain = boutique::home_query(tenant);
-    for f in chain.functions() {
-        cluster.place(f, boutique::hotspot_placement(f));
-    }
-    let tracer = obs::Tracer::enabled();
-    cluster.set_tracer(&tracer);
-    let pipelined = tail_sample || flight_out.is_some();
-    if pipelined {
-        cluster.enable_trace_pipeline(obs::PipelineConfig::default());
-    }
-    let stop = sim.now() + SimDuration::from_millis(20);
-    let driver = ClosedLoop::new(stop);
-    cluster.register_chain(&chain, boutique::exec_cost, driver.completion());
-    let cluster = Rc::new(cluster);
-    driver.start(&mut sim, &cluster, &chain, 8, 256);
-    let reg = Rc::new(obs::MetricsRegistry::new());
-    cluster.with_trace_pipeline(|p| p.attach_metrics((*reg).clone()));
-    cluster.start_obs_sampler(&mut sim, Rc::clone(&reg), SimDuration::from_millis(1), stop);
-    sim.run();
-    // With the pipeline on, completed traces were drained out of the
-    // tracer: the export covers the retained (slowest/error) traces, and
-    // the critical-path table attributes their latency per tenant.
-    let records: Vec<obs::SpanRecord> = if tail_sample {
-        let mut spans: Vec<obs::SpanRecord> = cluster
-            .with_trace_pipeline(|p| {
-                p.tail()
-                    .kept()
-                    .iter()
-                    .flat_map(|t| t.spans.iter().copied())
-                    .collect()
-            })
-            .unwrap_or_default();
-        spans.sort_by_key(|r| (r.start_ns, r.req_id, r.span_id));
-        spans
-    } else {
-        tracer.records()
-    };
-    println!(
-        "instrumented run: {} requests, {} exported spans",
-        driver.completed(),
-        records.len()
-    );
-    if tail_sample {
-        let (kept, discarded) = cluster
-            .with_trace_pipeline(|p| (p.tail().kept().len(), p.tail().discarded()))
-            .unwrap_or((0, 0));
-        println!("tail sampler: kept {kept} traces, discarded {discarded}");
-        let paths: Vec<obs::CriticalPath> = cluster
-            .with_trace_pipeline(|p| {
-                p.tail()
-                    .kept()
-                    .iter()
-                    .filter_map(|t| obs::critical_path::analyze(&t.spans))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let rows = obs::critical_path::tenant_breakdown(&paths);
-        print!("{}", obs::critical_path::render_breakdown(&rows));
-    }
-    let mut ok = true;
-    if let Some(path) = trace_out {
-        ok &= write_out(path, &obs::chrome_trace(&records).to_string_pretty());
-    }
-    if let Some(path) = flight_out {
-        if let Some(dump) = cluster.dump_flight_recorder(&sim) {
-            ok &= write_out(path, &dump.to_string_pretty());
-        }
-    }
-    if let Some(path) = metrics_out {
-        ok &= write_out(path, &reg.snapshot().to_json().to_string_pretty());
-    }
-    ok
-}
-
 /// The value following `flag`. When it is missing or does not parse, says
 /// "`flag` needs `what`" and exits 2.
 fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> T {
@@ -323,10 +215,6 @@ fn main() {
     let mut quick = false;
     // 0 means "auto"; resolved below via `resolve_jobs`.
     let mut jobs = 0usize;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut tail_sample = false;
-    let mut flight_out: Option<PathBuf> = None;
     let mut report_out: Option<PathBuf> = None;
     let mut names: Vec<String> = Vec::new();
     let mut it = args.into_iter();
@@ -334,11 +222,7 @@ fn main() {
         match a.as_str() {
             "--quick" => quick = true,
             "--jobs" => jobs = value(&mut it, &a, "an integer (0 = available cores)"),
-            "--trace-out" => trace_out = Some(value(&mut it, &a, "a path")),
-            "--metrics-out" => metrics_out = Some(value(&mut it, &a, "a path")),
             "--report-out" => report_out = Some(value(&mut it, &a, "a path")),
-            "--tail-sample" => tail_sample = true,
-            "--flight-out" => flight_out = Some(value(&mut it, &a, "a path")),
             _ => names.push(a),
         }
     }
@@ -354,9 +238,7 @@ fn main() {
         ">>> run header: jobs={jobs} budget={}",
         if quick { "quick" } else { "full" }
     );
-    let instrumented =
-        trace_out.is_some() || metrics_out.is_some() || tail_sample || flight_out.is_some();
-    if names.is_empty() && !instrumented && report_out.is_none() {
+    if names.is_empty() && report_out.is_none() {
         names.push("all".to_string());
     }
     // `--report-out` implies the fleet report even when no names are given.
@@ -383,14 +265,6 @@ fn main() {
     let mut all_written = true;
     for output in pmap(tasks, jobs) {
         all_written &= emit(&output, report_out.as_ref());
-    }
-    if instrumented {
-        all_written &= instrumented_run(
-            trace_out.as_ref(),
-            metrics_out.as_ref(),
-            tail_sample,
-            flight_out.as_ref(),
-        );
     }
     if !all_written {
         std::process::exit(1);

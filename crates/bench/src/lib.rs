@@ -5,7 +5,10 @@
 //! - the `experiments` binary (`cargo run -p bench --bin experiments`),
 //!   the one writer of every virtual-time file under `results/`:
 //!   `experiments all && git diff --exit-code -- results/` is the
-//!   regression gate, because same seed means same bytes;
+//!   regression gate, because same seed means same bytes. Its `report`
+//!   experiment is the binary's one instrumented run (sampler, tracer,
+//!   trace pipeline → `results/report.json`); the API walk-through that
+//!   writes a Perfetto trace is `examples/observability.rs`;
 //! - the one wall-clock bench (`cargo bench -p bench --bench sim_core` →
 //!   `BENCH_simcore.json`). It uses [`harness`], a dependency-free
 //!   wall-clock timer, so the workspace builds fully offline. Per-layer

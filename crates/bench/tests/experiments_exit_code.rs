@@ -27,12 +27,17 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
 #[test]
 fn an_unknown_name_exits_2_before_anything_runs() {
     let dir = scratch_dir("experiments_unknown_name");
-    // `regress`, `parallel` and `--shards` are retired; the flag is refused
-    // as the first name that is not an experiment.
+    // `regress`, `parallel`, `--shards` and the four instrumented-run
+    // flags are retired; a flag is refused as the first name that is not an
+    // experiment.
     for (args, unknown) in [
         (&["--quick", "fig13", "regress"][..], "regress"),
         (&["--quick", "fig13", "parallel"][..], "parallel"),
         (&["--shards", "4", "parallel"][..], "--shards"),
+        (&["--trace-out", "x"][..], "--trace-out"),
+        (&["--metrics-out", "x"][..], "--metrics-out"),
+        (&["--tail-sample", "fig13"][..], "--tail-sample"),
+        (&["--flight-out", "x"][..], "--flight-out"),
     ] {
         let (code, stderr) = experiments(&dir, args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");

@@ -14,7 +14,7 @@
 //!   pre-warm claims and cache penalties are priced by the calibrated
 //!   cost model rather than re-invented;
 //! - tenants are **churn-level** entities keyed by `u32` (the engine's
-//!   [`dne::connpool::ConnPool`] and [`dne::routing::ShardedTable`] are
+//!   [`dne::connpool::ConnPool`] and [`dne::routing::RouteTable`] are
 //!   generic over the key exactly for this), one function per tenant,
 //!   placed round-robin over the backend nodes;
 //! - per-descriptor engine work is charged **analytically** (the fig06
@@ -40,7 +40,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use dne::connpool::{ConnPool, ElasticConfig};
-use dne::routing::ShardedTable;
+use dne::routing::RouteTable;
 use ingress::prewarm::{PrewarmConfig, PrewarmController};
 use membuf::tenant::TenantId;
 use rdma_sim::cost::RdmaCosts;
@@ -285,7 +285,7 @@ struct ChurnState {
     fabric: Fabric,
     /// Per-node `(CQ, shared RQ)` wiring, indexed by node id.
     wiring: Vec<(CqId, RqId)>,
-    routing: ShardedTable<u32>,
+    routing: RouteTable<u32>,
     pool: ConnPool<u32>,
     /// Live tenants in sampling order (swap-removed on departure).
     alive: Vec<u32>,
@@ -629,7 +629,7 @@ pub fn run(cfg: ChurnConfig) -> ChurnReport {
     let end = SimTime::ZERO + cfg.horizon;
     let pool = ConnPool::with_config(cfg.elastic);
     let state = Rc::new(RefCell::new(ChurnState {
-        routing: ShardedTable::new(),
+        routing: RouteTable::new(),
         pool,
         alive: Vec::with_capacity(cfg.tenants * 2),
         alive_pos: HashMap::with_capacity(cfg.tenants * 2),

@@ -30,7 +30,7 @@ use membuf::tenant::TenantId;
 use rdma_sim::{Fabric, NodeId, RdmaCosts};
 use runtime::function::{ChainFunction, CompletionFn};
 use runtime::{ChainSpec, IoLib, Placement};
-use simcore::{IdTable, Sim, SimDuration, SimTime};
+use simcore::{IdTable, Sim, SimDuration, SimTime, Ticker};
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
@@ -120,7 +120,7 @@ struct ObsHub {
     last_alerting: usize,
     /// Observer fed every routing rebalance (fleet controller).
     fleet_observer: Option<FleetRouteObserver>,
-    /// The fleet lifecycle controller, when attached: its counters and
+    /// The fleet lifecycle controller, when attached: its wave flag and
     /// per-node lifecycle states join [`Cluster::sample_obs`] as
     /// `fleet_*` gauges.
     fleet: Option<crate::fleetctl::FleetController>,
@@ -160,9 +160,6 @@ pub struct Cluster {
     /// `tenant id → node index → pool`: every injected request takes its
     /// buffer from here, so both keys are indices.
     pools: IdTable<Vec<BufferPool>>,
-    /// Per-function `(primary node index, backup node index)` registered
-    /// via [`Cluster::place_with_backup`].
-    backups: HashMap<u16, (usize, usize)>,
     obs_hub: Rc<RefCell<ObsHub>>,
 }
 
@@ -252,7 +249,6 @@ impl Cluster {
             placement,
             cfg,
             pools: IdTable::new(),
-            backups: HashMap::new(),
             obs_hub,
         }
     }
@@ -345,7 +341,19 @@ impl Cluster {
         for n in &self.nodes {
             n.dne.set_backup_route(fn_id, backup);
         }
-        self.backups.insert(fn_id, (primary_idx, backup_idx));
+    }
+
+    /// Makes the placement map follow the routing tables for `fns` after a
+    /// rebalance: where a function lives is the tables' decision (backup,
+    /// displaced primary or rescue target), read back from an engine —
+    /// they all hold the same table.
+    fn follow_routes(&self, fns: &[u16]) {
+        let mut placement = self.placement.borrow_mut();
+        for &f in fns {
+            if let Some(node) = self.nodes[0].dne.route_of(f) {
+                placement.place(f, node);
+            }
+        }
     }
 
     /// Re-routes every function whose primary lives on node `idx` to its
@@ -371,13 +379,7 @@ impl Cluster {
             switched: switched.into_iter().collect(),
             stranded: stranded.into_iter().collect(),
         };
-        let mut placement = self.placement.borrow_mut();
-        for &f in &outcome.switched {
-            if let Some(&(_, backup_idx)) = self.backups.get(&f) {
-                placement.place(f, self.nodes[backup_idx].id);
-            }
-        }
-        drop(placement);
+        self.follow_routes(&outcome.switched);
         self.notify_fleet_observer(FleetRouteEvent::FailedOver(outcome.clone()));
         outcome
     }
@@ -391,13 +393,7 @@ impl Cluster {
             restored.extend(n.dne.restore_node(node));
         }
         let restored: Vec<u16> = restored.into_iter().collect();
-        let mut placement = self.placement.borrow_mut();
-        for &f in &restored {
-            if let Some(&(primary_idx, _)) = self.backups.get(&f) {
-                placement.place(f, self.nodes[primary_idx].id);
-            }
-        }
-        drop(placement);
+        self.follow_routes(&restored);
         self.notify_fleet_observer(FleetRouteEvent::Restored {
             node,
             restored: restored.clone(),
@@ -442,6 +438,10 @@ impl Cluster {
     /// Returns the node index hosting `fn_id`.
     pub fn node_index_of(&self, fn_id: u16) -> Option<usize> {
         let node = self.placement.borrow().node_of(fn_id)?;
+        self.index_of(node)
+    }
+
+    fn index_of(&self, node: NodeId) -> Option<usize> {
         self.nodes.iter().position(|n| n.id == node)
     }
 
@@ -479,15 +479,10 @@ impl Cluster {
     /// The node indices a function is deployed on: its placement plus any
     /// standby registered via [`Cluster::place_with_backup`].
     fn deploy_indices(&self, fn_id: u16, placed_idx: usize) -> Vec<usize> {
-        let mut idxs = vec![placed_idx];
-        if let Some(&(primary_idx, backup_idx)) = self.backups.get(&fn_id) {
-            for extra in [primary_idx, backup_idx] {
-                if !idxs.contains(&extra) {
-                    idxs.push(extra);
-                }
-            }
-        }
-        idxs
+        let backup = self.nodes[placed_idx].dne.backup_route_of(fn_id);
+        let backup_idx = backup.and_then(|b| self.index_of(b));
+        let standby = backup_idx.filter(|&b| b != placed_idx);
+        std::iter::once(placed_idx).chain(standby).collect()
     }
 
     /// Registers DAG-aware endpoints for every function of `dag` (the
@@ -741,8 +736,8 @@ impl Cluster {
     }
 
     /// Takes an explicit flight-recorder dump: the current ring of recent
-    /// traces, SLO counters and metric deltas as one self-contained JSON
-    /// bundle. Returns `None` when no pipeline is enabled.
+    /// traces and SLO counters as one self-contained JSON bundle. Returns
+    /// `None` when no pipeline is enabled.
     pub fn dump_flight_recorder(&self, sim: &Sim) -> Option<obs::JsonValue> {
         self.obs_hub
             .borrow_mut()
@@ -771,13 +766,13 @@ impl Cluster {
         monitor.set_tracer(self.obs_hub.borrow().tracer.clone());
         let cluster = Rc::clone(self);
         monitor.set_down_handler(Rc::new(move |_sim, node| {
-            if let Some(idx) = cluster.nodes.iter().position(|n| n.id == node) {
+            if let Some(idx) = cluster.index_of(node) {
                 cluster.fail_over_node(idx);
             }
         }));
         let cluster = Rc::clone(self);
         monitor.set_recovered_handler(Rc::new(move |_sim, node| {
-            if let Some(idx) = cluster.nodes.iter().position(|n| n.id == node) {
+            if let Some(idx) = cluster.index_of(node) {
                 cluster.restore_node(idx);
             }
         }));
@@ -786,9 +781,9 @@ impl Cluster {
         monitor
     }
 
-    /// Attaches the fleet lifecycle controller so its lifecycle states and
-    /// counters are emitted as `fleet_*` gauges on every
-    /// [`Cluster::sample_obs`] pass.
+    /// Attaches the fleet lifecycle controller so its lifecycle states are
+    /// emitted as `fleet_*` gauges on every [`Cluster::sample_obs`] pass
+    /// (its counters are read from `FleetController::counters`).
     pub fn attach_fleet(&self, controller: crate::fleetctl::FleetController) {
         self.obs_hub.borrow_mut().fleet = Some(controller);
     }
@@ -803,16 +798,16 @@ impl Cluster {
         self.obs_hub.borrow_mut().user_failure = Some(handler);
     }
 
-    /// Samples the cluster's observability signals into `reg` at virtual
-    /// time `now`: per-tenant TX queue depth, DWRR deficit and shadow-QP
-    /// hit rate as labelled series, plus per-node engine gauges and RBR
-    /// counters. Call periodically (see [`Cluster::start_obs_sampler`]);
-    /// `window` should equal the sampling cadence so each tick finalizes
-    /// the previous series point.
-    pub fn sample_obs(&self, now: SimTime, reg: &obs::MetricsRegistry, window: SimDuration) {
-        // TimeSeries aggregates to a per-second rate; scale each sampled
-        // level by the window so the stored points keep level semantics.
-        let w_s = window.as_secs_f64();
+    /// Samples the cluster's *levels* — values that can fall — into `reg`
+    /// as gauges: per-`(node, tenant)` TX queue depth, DWRR deficit and
+    /// shadow-QP hit rate, per-node engine backlog, active QPs and pre-warm
+    /// hit rate, and (when attached) health and fleet lifecycle states.
+    /// Running totals are not sampled: each lives in the struct that counts
+    /// it ([`dne::types::DneStats`], `FleetCounters`, [`obs::Tracer`], …)
+    /// and is read from there after the run (DESIGN.md §5). `now` stamps
+    /// the burn monitor's series point; `window` is unused and stays only
+    /// because the frozen benchmark driver passes it.
+    pub fn sample_obs(&self, now: SimTime, reg: &obs::MetricsRegistry, _window: SimDuration) {
         // Open a sampling epoch: any gauge not written during this pass
         // (e.g. a ratio whose denominator stayed zero) reads as stale in
         // snapshots instead of silently holding its old value.
@@ -822,10 +817,6 @@ impl Cluster {
             if let Some(p) = hub.pipeline.as_mut() {
                 // One burn-rate series point per tenant per window.
                 p.sample_burn(now);
-            }
-            if hub.tracer.is_enabled() {
-                reg.gauge("tracer_spans_dropped", &[])
-                    .set(hub.tracer.dropped() as f64);
             }
             if let Some(h) = hub.health.as_ref() {
                 reg.gauge("cluster_capacity_factor", &[])
@@ -837,21 +828,6 @@ impl Cluster {
                 }
             }
             if let Some(fc) = hub.fleet.as_ref() {
-                let c = fc.counters();
-                reg.gauge("fleet_upgrades_total", &[])
-                    .set(c.upgrades_completed as f64);
-                reg.gauge("fleet_waves_total", &[])
-                    .set(c.waves_completed as f64);
-                reg.gauge("fleet_rebalances_total", &[])
-                    .set(c.rebalances as f64);
-                reg.gauge("fleet_stranded_routes_total", &[])
-                    .set(c.stranded_routes as f64);
-                reg.gauge("fleet_drain_deadline_exceeded_total", &[])
-                    .set(c.drain_deadline_exceeded as f64);
-                reg.gauge("fleet_decommissions_total", &[])
-                    .set(c.decommissions as f64);
-                reg.gauge("fleet_provisions_total", &[])
-                    .set(c.provisions as f64);
                 reg.gauge("fleet_wave_active", &[])
                     .set(if fc.wave_active() { 1.0 } else { 0.0 });
                 let counts = fc.lifecycle_counts();
@@ -876,44 +852,10 @@ impl Cluster {
             let stats = node.dne.stats();
             reg.gauge("dne_engine_queued", &nl)
                 .set(node.dne.queued() as f64);
-            reg.gauge("dne_tx_posted_total", &nl)
-                .set(stats.tx_posted as f64);
-            reg.gauge("dne_rx_delivered_total", &nl)
-                .set(stats.rx_delivered as f64);
-            reg.gauge("dne_drops_total", &nl).set(stats.drops as f64);
-            reg.gauge("dne_retries_total", &nl)
-                .set(stats.retries as f64);
-            reg.gauge("dne_failovers_total", &nl)
-                .set(stats.failovers as f64);
-            reg.gauge("dne_reconnects_total", &nl)
-                .set(stats.reconnects as f64);
-            reg.gauge("dne_give_ups_total", &nl)
-                .set(stats.give_ups as f64);
-            if stats.retry_latency.count() > 0 {
-                reg.gauge("dne_retry_latency_mean_us", &nl)
-                    .set(stats.retry_latency.mean().as_micros_f64());
-                reg.gauge("dne_retry_latency_p99_us", &nl)
-                    .set(stats.retry_latency.percentile(99.0).as_micros_f64());
-            }
-            reg.gauge("rbr_replenishes_total", &nl)
-                .set(stats.replenishes as f64);
-            reg.gauge("rbr_replenish_failures_total", &nl)
-                .set(stats.replenish_failures as f64);
-            reg.gauge("qp_cache_deactivations_total", &nl)
-                .set(node.dne.conn_deactivations() as f64);
             reg.gauge("rnic_active_qps", &nl)
                 .set(self.fabric.active_qp_count(node.id) as f64);
-            // Elastic control-plane thrash signals: cold RC establishments
-            // vs pre-warm claims on the reconnect path, LRU evictions from
-            // the bounded active set, and the pool-wide pre-warm hit rate.
-            reg.gauge("qp_cold_connects_total", &nl)
-                .set(stats.cold_connects as f64);
-            reg.gauge("qp_prewarm_claims_total", &nl)
-                .set(stats.prewarm_claims as f64);
-            reg.gauge("qp_evictions_total", &nl)
-                .set(node.dne.conn_evictions() as f64);
-            reg.gauge("qp_teardowns_total", &nl)
-                .set(node.dne.conn_teardowns() as f64);
+            // Of the reconnects so far, the share served from pre-warm stock
+            // instead of a cold RC establishment.
             reg.gauge("qp_prewarm_hit_rate", &nl).set_ratio(
                 stats.prewarm_claims,
                 stats.prewarm_claims + stats.cold_connects,
@@ -924,45 +866,41 @@ impl Cluster {
                     ("node", node_label.as_str()),
                     ("tenant", tenant_label.as_str()),
                 ];
-                reg.series("dne_tx_queue_depth", &labels, window)
-                    .record_at(now, node.dne.tenant_backlog(t) as f64 * w_s);
+                reg.gauge("dne_tx_queue_depth", &labels)
+                    .set(node.dne.tenant_backlog(t) as f64);
                 if let Some(d) = node.dne.dwrr_deficit(t) {
-                    reg.series("dne_dwrr_deficit", &labels, window)
-                        .record_at(now, d * w_s);
+                    reg.gauge("dne_dwrr_deficit", &labels).set(d);
                 }
+                // Registered on the tenant's first pick: a tenant that has
+                // sent nothing costs the registry nothing.
                 let (h, m) = node.dne.conn_hit_miss_of(t);
                 if h + m > 0 {
-                    reg.series("shadow_qp_hit_rate", &labels, window)
-                        .record_at(now, h as f64 / (h + m) as f64 * w_s);
+                    reg.gauge("shadow_qp_hit_rate", &labels)
+                        .set(h as f64 / (h + m) as f64);
                 }
             }
         }
     }
 
-    /// Schedules a recurring [`Cluster::sample_obs`] every `every` until
-    /// `until`; the series build up inside `reg` as the simulation runs.
+    /// The cluster's one sampler: every `every` until `until` it runs
+    /// [`Cluster::sample_obs`] into `reg`, then closes one window of the
+    /// returned aggregator over the registry's snapshot — sample first,
+    /// observe second, both at the tick's instant.
     pub fn start_obs_sampler(
         self: &Rc<Self>,
         sim: &mut Sim,
         reg: Rc<obs::MetricsRegistry>,
         every: SimDuration,
         until: SimTime,
-    ) {
+    ) -> Rc<RefCell<obs::Aggregator>> {
         let cluster = Rc::clone(self);
-        sim.schedule_after(every, move |sim| {
+        let agg = Rc::new(RefCell::new(obs::Aggregator::new()));
+        let windows = Rc::clone(&agg);
+        Ticker::start_until(sim, every, until, move |sim| {
             cluster.sample_obs(sim.now(), &reg, every);
-            // Engine self-observation: how fast the simulator itself is
-            // chewing through events (wall clock, not virtual time).
-            let p = sim.profile();
-            reg.gauge("sim_events_per_sec", &[]).set(p.events_per_sec());
-            reg.gauge("sim_executed_events_total", &[])
-                .set(p.executed_events as f64);
-            reg.gauge("sim_pending_events", &[])
-                .set(p.pending_events as f64);
-            if sim.now() < until {
-                Cluster::start_obs_sampler(&cluster, sim, reg, every, until);
-            }
+            windows.borrow_mut().observe(sim.now(), &reg.snapshot());
         });
+        agg
     }
 
     /// Sum of network-engine core utilization across nodes over `[a, b]`
@@ -1118,7 +1056,7 @@ mod tests {
         let cluster = Rc::new(cluster);
         driver.start(&mut sim, &cluster, &chain, 4, 256);
         let reg = Rc::new(obs::MetricsRegistry::new());
-        cluster.start_obs_sampler(
+        let agg = cluster.start_obs_sampler(
             &mut sim,
             Rc::clone(&reg),
             SimDuration::from_millis(1),
@@ -1126,17 +1064,26 @@ mod tests {
         );
         sim.run();
         assert!(driver.completed() > 0);
-        // Per-tenant labelled series exist on both nodes.
-        let labels = [("node", "0"), ("tenant", "1")];
-        let depth = reg.series("dne_tx_queue_depth", &labels, SimDuration::from_secs(60));
-        assert!(!depth.points().is_empty());
-        let deficit = reg.series("dne_dwrr_deficit", &labels, SimDuration::from_secs(60));
-        assert!(!deficit.points().is_empty());
-        let hit = reg.series("shadow_qp_hit_rate", &labels, SimDuration::from_secs(60));
-        assert!(!hit.points().is_empty());
+        // The three per-tenant levels are gauges labelled by (node, tenant)
+        // on both nodes.
         let snap = reg.snapshot();
-        assert!(snap.gauge("dne_tx_posted_total", &[("node", "0")]).unwrap() > 0.0);
+        for node in ["0", "1"] {
+            let labels = [("node", node), ("tenant", "1")];
+            assert!(snap.gauge("dne_tx_queue_depth", &labels).is_some());
+            assert!(snap.gauge("dne_dwrr_deficit", &labels).is_some());
+            let hit = snap.gauge("shadow_qp_hit_rate", &labels).unwrap();
+            assert!(hit > 0.0 && hit <= 1.0, "node {node}: {hit}");
+        }
         assert!(snap.to_text().contains("dne_tx_queue_depth"));
+        // How they moved is the sampler's windows: one per tick, the node
+        // label projected away. Totals stay in the engine's own counters.
+        let agg = agg.borrow();
+        assert_eq!(agg.windows().len(), 10);
+        let w = &agg.windows()[9];
+        let depth = w.gauges.iter().find(|g| g.name == "dne_tx_queue_depth");
+        assert_eq!(depth.unwrap().series, 2);
+        assert_eq!(snap.gauge("dne_tx_posted_total", &[("node", "0")]), None);
+        assert!(cluster.nodes[0].dne.stats().tx_posted > 0);
         // Every completed request traced the full pipeline: at least six
         // distinct stages (the acceptance bar for the Perfetto export).
         let some_req = tracer.records()[0].req_id;

@@ -6,7 +6,9 @@
 //! NADINO (DNE) and NADINO (CNE) run the real engine on a real cluster;
 //! the baselines run their calibrated system models. For every
 //! configuration we record RPS, mean latency (Table 2) and the
-//! network-engine core usage (Fig. 16 (4)-(6)).
+//! network-engine core usage (Fig. 16 (4)-(6)). The obs-bearing twin of
+//! the DNE cell — burn-rate series, per-stage SoC table — is the fleet
+//! report's (`results/report.json`, [`crate::fleet`]).
 
 use std::rc::Rc;
 
@@ -87,19 +89,9 @@ pub struct Fig16 {
     pub rows: Vec<Fig16Row>,
     /// The "SoC cores freed" table (one row per DNE/CNE cell pair).
     pub cores_freed: Vec<CoresFreedRow>,
-    /// Per-tenant multi-window burn-rate series from the obs-bearing
-    /// boutique cell (`Null` when the DNE/CNE pair was filtered out).
-    pub burn: obs::JsonValue,
-    /// SoC per-stage utilization table from the same cell.
-    pub soc_stages: obs::JsonValue,
 }
 
-obs::impl_to_json!(Fig16 {
-    rows,
-    cores_freed,
-    burn,
-    soc_stages
-});
+obs::impl_to_json!(Fig16 { rows, cores_freed });
 
 /// Client counts of Table 2.
 pub const CLIENTS: [usize; 3] = [20, 60, 80];
@@ -289,20 +281,7 @@ pub fn run_filtered(millis: u64, systems: &[SystemKind], clients: &[usize]) -> F
             })
         })
         .collect();
-    // Obs riders: the burn-rate series and SoC stage table come from one
-    // obs-bearing boutique cell (trace pipeline + burn monitor enabled) —
-    // skipped when the DNE/CNE pair was filtered out of this run.
-    let (burn, soc_stages) = if cores_freed.is_empty() {
-        (obs::JsonValue::Null, obs::JsonValue::Null)
-    } else {
-        crate::fleet::obs_sections(&crate::fleet::ReportConfig::default())
-    };
-    Fig16 {
-        rows,
-        cores_freed,
-        burn,
-        soc_stages,
-    }
+    Fig16 { rows, cores_freed }
 }
 
 impl Fig16 {
@@ -548,9 +527,6 @@ mod tests {
             loaded.host_cores_freed_per_krps > 0.0,
             "offload frees host cores per krps: {loaded:?}"
         );
-        // The obs riders came along with the pairing.
-        assert!(f.burn != obs::JsonValue::Null, "burn series present");
-        assert!(f.soc_stages != obs::JsonValue::Null, "SoC table present");
         assert!(f.render().contains("SoC cores freed"));
     }
 

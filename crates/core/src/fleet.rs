@@ -9,11 +9,13 @@
 //!   the cluster's front door ([`Cluster::serve_chain`]), run on the
 //!   full-fidelity DNE cluster with the tracer, the trace pipeline
 //!   (multi-window SLO burn monitor included),
-//!   exemplar-carrying latency histograms and the windowed
-//!   [`obs::Aggregator`] all enabled — producing per-window fleet
-//!   rollups, merged histograms whose every exemplar resolves to a
-//!   retained flight-recorder/tail-sampler trace, the per-tenant
-//!   burn-rate series, and a flight-recorder dump;
+//!   exemplar-carrying latency histograms and the cluster's obs sampler
+//!   ([`Cluster::start_obs_sampler`]) all enabled — producing per-window
+//!   fleet rollups of every sampled level, merged histograms whose every
+//!   exemplar resolves to a retained flight-recorder/tail-sampler trace,
+//!   the per-tenant burn-rate series, a flight-recorder dump, and the
+//!   fleet totals: every running count, read from the struct that keeps it
+//!   once the run has drained and summed across nodes;
 //! - a **host-only baseline**: the same cell on the CNE (engine on a
 //!   host core) to price the "SoC cores freed" table
 //!   ([`obs::CoresFreed`]) next to the per-stage SoC profiler
@@ -27,7 +29,6 @@
 //! the seed from `REPORT_SEED`; the CI `obs-report` job sweeps a seed
 //! matrix and asserts byte identity per seed.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -35,7 +36,7 @@ use ingress::gateway::{Gateway, GatewayConfig, Upstream};
 use ingress::stack::GatewayKind;
 use membuf::tenant::TenantId;
 use obs::JsonValue;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{Sim, SimDuration};
 
 use crate::boutique;
 use crate::churn::{self, ChurnConfig};
@@ -75,6 +76,7 @@ struct CellOut {
     agg: obs::Aggregator,
     burn: JsonValue,
     flight: JsonValue,
+    totals: JsonValue,
     retained: BTreeSet<u64>,
     soc: obs::SocStageTable,
     engine_cores: f64,
@@ -83,28 +85,44 @@ struct CellOut {
     exemplars_dropped: usize,
 }
 
-/// Recurring obs tick: sample the cluster into the registry and close
-/// one aggregation window over the snapshot.
-fn obs_tick(
-    cluster: Rc<Cluster>,
-    reg: Rc<obs::MetricsRegistry>,
-    agg: Rc<RefCell<obs::Aggregator>>,
-    sim: &mut Sim,
-    every: SimDuration,
-    until: SimTime,
-) {
-    sim.schedule_after(every, move |sim| {
-        cluster.sample_obs(sim.now(), &reg, every);
-        agg.borrow_mut().observe(sim.now(), &reg.snapshot());
-        if sim.now() < until {
-            obs_tick(cluster, reg, agg, sim, every, until);
-        }
+/// The fleet's running totals: every engine's counters summed across
+/// nodes — sums, not per-node means — plus the tracer's dropped-span count,
+/// each read once from the struct that keeps it.
+fn totals(cluster: &Cluster, tracer: &obs::Tracer) -> JsonValue {
+    let per_node = cluster.nodes.iter().map(|node| {
+        let (s, e) = (node.dne.stats(), &node.dne);
+        [
+            ("tx_posted", s.tx_posted),
+            ("rx_delivered", s.rx_delivered),
+            ("drops", s.drops),
+            ("retries", s.retries),
+            ("failovers", s.failovers),
+            ("reconnects", s.reconnects),
+            ("give_ups", s.give_ups),
+            ("replenishes", s.replenishes),
+            ("replenish_failures", s.replenish_failures),
+            ("cold_connects", s.cold_connects),
+            ("prewarm_claims", s.prewarm_claims),
+            ("conn_deactivations", e.conn_deactivations()),
+            ("conn_evictions", e.conn_evictions()),
+            ("conn_teardowns", e.conn_teardowns()),
+        ]
     });
+    let sums = per_node.reduce(|mut sums, counts| {
+        for (sum, (_, count)) in sums.iter_mut().zip(counts) {
+            sum.1 += count;
+        }
+        sums
+    });
+    let dropped = ("spans_dropped", tracer.dropped());
+    let fields = sums.into_iter().flatten().chain([dropped]);
+    JsonValue::obj(fields.map(|(k, v)| (k, JsonValue::UInt(v))).collect())
 }
 
 /// Runs the boutique cell once. `dne_cfg` selects the engine placement
-/// (DPU-resident DNE vs host-resident CNE for the baseline).
-fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> CellOut {
+/// (DPU-resident DNE vs host-resident CNE for the baseline). The drained
+/// cluster comes back next to what was read from it.
+fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> (CellOut, Rc<Cluster>) {
     let mut sim = Sim::new();
     let mut cluster = Cluster::new(
         &mut sim,
@@ -170,15 +188,7 @@ fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> CellOut {
     // virtual time (RC establishment costs tens of ms).
     let t0 = sim.now();
     let until = t0 + cfg.horizon;
-    let agg = Rc::new(RefCell::new(obs::Aggregator::new()));
-    obs_tick(
-        cluster.clone(),
-        reg.clone(),
-        agg.clone(),
-        &mut sim,
-        cfg.obs_window,
-        until,
-    );
+    let agg = cluster.start_obs_sampler(&mut sim, reg.clone(), cfg.obs_window, until);
 
     let driver = ClosedLoop::new(until);
     driver.start_gateway(
@@ -206,35 +216,29 @@ fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> CellOut {
         .dump_flight_recorder(&sim)
         .unwrap_or(JsonValue::Null);
     let soc = cluster.soc_stage_table(cfg.horizon.as_nanos());
-    let agg = Rc::try_unwrap(agg).ok().expect("sampler done").into_inner();
-    CellOut {
+    let agg = agg.take();
+    let out = CellOut {
         completed: driver.completed(),
         agg,
         burn,
         flight,
+        totals: totals(&cluster, &tracer),
         retained,
         soc,
         engine_cores: cluster.engine_utilization(t0, t1),
         host_cores: cluster.host_utilization(t0, t1),
         exemplars_kept,
         exemplars_dropped,
-    }
-}
-
-/// The obs riders the fig16 report embeds: the per-tenant burn-rate
-/// series and the SoC per-stage utilization table, from one DNE boutique
-/// cell with the trace pipeline enabled.
-pub fn obs_sections(cfg: &ReportConfig) -> (JsonValue, JsonValue) {
-    let cell = run_cell(cfg, dne::DneConfig::nadino_dne());
-    (cell.burn, cell.soc.to_json())
+    };
+    (out, cluster)
 }
 
 /// Builds the full fleet report for `cfg`.
 pub fn build_report(cfg: &ReportConfig) -> JsonValue {
     // Boutique cell on the DPU-resident engine — the obs-bearing run.
-    let dne = run_cell(cfg, dne::DneConfig::nadino_dne());
+    let (dne, _) = run_cell(cfg, dne::DneConfig::nadino_dne());
     // Host-only baseline: same cell, engine on a host core.
-    let cne = run_cell(cfg, dne::DneConfig::nadino_cne());
+    let (cne, _) = run_cell(cfg, dne::DneConfig::nadino_cne());
     let cores_freed = obs::CoresFreed {
         baseline_host_cores: cne.host_cores + cne.engine_cores,
         dne_host_cores: dne.host_cores,
@@ -268,6 +272,7 @@ pub fn build_report(cfg: &ReportConfig) -> JsonValue {
             JsonValue::obj(vec![
                 ("completed", JsonValue::UInt(dne.completed)),
                 ("aggregation", dne.agg.to_json()),
+                ("totals", dne.totals),
                 ("exemplars_kept", JsonValue::UInt(dne.exemplars_kept as u64)),
                 (
                     "exemplars_dropped",
@@ -410,7 +415,7 @@ mod tests {
     fn every_fleet_exemplar_resolves_to_a_retained_trace() {
         // Rebuild the DNE cell directly to inspect retained ids.
         let cfg = quick();
-        let cell = run_cell(&cfg, dne::DneConfig::nadino_dne());
+        let (cell, _) = run_cell(&cfg, dne::DneConfig::nadino_dne());
         for (_, _, _, exemplars) in cell.agg.merged_histograms() {
             for ex in exemplars.exemplars() {
                 assert!(
@@ -432,7 +437,7 @@ mod tests {
     /// sites leave exemplars behind.
     #[test]
     fn traces_reach_the_functions_and_the_engine_histograms_carry_exemplars() {
-        let cell = run_cell(&quick(), dne::DneConfig::nadino_dne());
+        let (cell, _) = run_cell(&quick(), dne::DneConfig::nadino_dne());
         let traces = cell.flight.get("traces").and_then(|t| t.as_arr()).unwrap();
         assert!(!traces.is_empty(), "flight dump carries no traces");
         for t in traces {
@@ -449,5 +454,32 @@ mod tests {
             !exemplars.is_empty(),
             "dne_tx_queue_wait_ns has no exemplar"
         );
+    }
+
+    /// One door per kind of number (DESIGN.md §5): levels leave through the
+    /// sampler into report windows — the per-tenant ones included — and no
+    /// running total rides along; totals are fleet sums of the engines' own
+    /// counters.
+    #[test]
+    fn windows_carry_levels_and_totals_are_fleet_sums() {
+        let (cell, cluster) = run_cell(&quick(), dne::DneConfig::nadino_dne());
+        let windows = cell.agg.windows();
+        assert_eq!(windows.len(), 4, "20 ms of 5 ms windows");
+        for w in windows {
+            let depth = w.gauges.iter().find(|g| g.name == "dne_tx_queue_depth");
+            let depth = depth.expect("per-tenant gauge in every window");
+            assert_eq!(depth.labels, [("tenant".to_string(), TENANT.to_string())]);
+            assert_eq!(depth.series, 2, "one series per node, node label dropped");
+            for g in &w.gauges {
+                assert!(!g.name.ends_with("_total"), "{} is a total", g.name);
+            }
+        }
+        let posted = |n: &crate::cluster::NodeHandle| n.dne.stats().tx_posted;
+        let sum: u64 = cluster.nodes.iter().map(posted).sum();
+        assert!(cluster
+            .nodes
+            .iter()
+            .all(|n| posted(n) > 0 && posted(n) < sum));
+        assert_eq!(cell.totals.get("tx_posted"), Some(&JsonValue::UInt(sum)));
     }
 }

@@ -321,6 +321,16 @@ impl Dne {
         self.inner.borrow_mut().routing.set_backup(fn_id, node);
     }
 
+    /// The node `fn_id` is routed at — the raw route, down or not.
+    pub fn route_of(&self, fn_id: u16) -> Option<NodeId> {
+        self.inner.borrow().routing.lookup(fn_id)
+    }
+
+    /// The function's standby replica node, if one is installed.
+    pub fn backup_route_of(&self, fn_id: u16) -> Option<NodeId> {
+        self.inner.borrow().routing.backup_of(fn_id)
+    }
+
     /// Re-points every function routed to `failed` at its backup replica.
     /// Returns the switched function ids (sorted, deterministic).
     pub fn fail_over_node(&self, failed: NodeId) -> Vec<u16> {

@@ -1,38 +1,37 @@
-//! The inter-node routing table, sharded by function id.
+//! The inter-node routing table, indexed by function id.
 //!
 //! The TX stage (§3.2) "determines the destination node via the inter-node
 //! routing table". Keys are function identifiers; values are fabric node
 //! identifiers. The control plane (placement) populates it; the data plane
 //! only reads.
 //!
-//! Under elastic multi-tenancy the table holds one entry per tenant
-//! function, and the population reaches 10^6 in the churn sweeps, so the
-//! table is **sharded**: keys scatter across a power-of-two number of
-//! independent sub-maps, keeping every per-shard map small enough that a
-//! lookup touches a cache-sized structure, and keeping fail-over sub-linear
-//! via a per-node reverse index (only the functions actually placed on the
-//! dead node are visited, never the whole table).
+//! Keys are the dense small integers a counter hands out (on-wire `u16`
+//! function ids; the churn model's `u32` tenant-function ids, 10^5 live at
+//! a time), so the table is one [`IdTable`] of `{route, backup,
+//! displaced}` entries: a lookup is an index, not a hash. Fail-over stays
+//! sub-linear via a per-node reverse index (only the functions actually
+//! placed on the dead node are visited, never the whole table).
 //!
 //! Beyond the primary placement, each function may carry a **backup
 //! replica** route. When the health monitor declares a node down it calls
-//! [`ShardedTable::fail_over`], which marks the node down and re-points
+//! [`RouteTable::fail_over`], which marks the node down and re-points
 //! every function whose active route targets it at the best *healthy*
 //! alternative — the backup replica if it is up, else the function's
 //! displaced original primary if that has recovered. A function with no
 //! healthy alternative is **stranded**: its route is left in place but
-//! [`ShardedTable::resolve`] reports a typed
+//! [`RouteTable::resolve`] reports a typed
 //! [`RouteError::DestinationDown`] instead of silently handing the engine
 //! a dead node (the old behavior, which turned cascading failures into
-//! retry storms against a corpse). [`ShardedTable::restore`] marks the
+//! retry storms against a corpse). [`RouteTable::restore`] marks the
 //! node healthy again, fails displaced primaries back home, and rescues
 //! stranded functions for which the recovered node is a valid target.
 //! Lookups never panic: a missing route is a typed [`RouteError`] the
 //! engine turns into a delivery failure.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::Hash;
 
 use rdma_sim::NodeId;
+use simcore::IdTable;
 
 /// A typed routing failure (no implicit panics on the lookup path).
 ///
@@ -74,201 +73,148 @@ impl std::fmt::Display for RouteError {
     }
 }
 
-/// A key type the sharded table can route on: the engine's on-wire `u16`
-/// function ids, or the churn model's wider `u32` tenant-function ids.
-pub trait RouteKey: Copy + Eq + Hash + Ord + std::fmt::Debug {
-    /// The key as a plain integer, for shard scattering and diagnostics.
-    fn as_u64(self) -> u64;
+/// A key type the table can route on: the engine's on-wire `u16` function
+/// ids, or the churn model's wider `u32` tenant-function ids. Either way a
+/// small integer that indexes the table directly.
+pub trait RouteKey: Copy + Ord + std::fmt::Debug + Into<u32> + TryFrom<u32> {}
+
+impl RouteKey for u16 {}
+impl RouteKey for u32 {}
+
+/// What the table knows about one function.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    /// The active route (`None`: only a standby is installed so far).
+    route: Option<NodeId>,
+    /// Standby replica placement, used when the active node fails.
+    backup: Option<NodeId>,
+    /// Original primary placement displaced by a fail-over, kept so
+    /// recovery can restore it.
+    displaced: Option<NodeId>,
 }
 
-impl RouteKey for u16 {
-    fn as_u64(self) -> u64 {
-        self as u64
-    }
-}
-
-impl RouteKey for u32 {
-    fn as_u64(self) -> u64 {
-        self as u64
-    }
-}
-
-impl RouteKey for u64 {
-    fn as_u64(self) -> u64 {
-        self
-    }
-}
-
-/// Default shard count: small enough to be negligible for a ten-function
-/// microbenchmark, large enough that a million-entry table keeps each
-/// shard in the tens of thousands.
-pub const DEFAULT_SHARDS: usize = 64;
-
-/// One shard: an independent slice of the key space.
-#[derive(Debug, Clone, Default)]
-struct Shard<K> {
-    routes: HashMap<K, NodeId>,
-    /// Standby replica placements, used when the active node fails.
-    backups: HashMap<K, NodeId>,
-    /// Original primary placements displaced by a fail-over, kept so
-    /// recovery can restore them.
-    displaced: HashMap<K, NodeId>,
-}
-
-impl<K> Shard<K> {
-    fn new() -> Self {
-        Shard {
-            routes: HashMap::new(),
-            backups: HashMap::new(),
-            displaced: HashMap::new(),
-        }
-    }
-}
-
-/// Maps function ids to the node hosting them, sharded by key.
+/// Maps function ids to the node hosting them.
 ///
 /// The engine's table is the [`RoutingTable`] alias (`u16` keys); the
 /// churn model instantiates a wider key.
 #[derive(Debug, Clone)]
-pub struct ShardedTable<K: RouteKey = u16> {
-    shards: Vec<Shard<K>>,
-    /// `log2(shards.len())`, for the multiplicative shard hash.
-    shard_bits: u32,
+pub struct RouteTable<K: RouteKey = u16> {
+    entries: IdTable<Entry>,
     /// Reverse index: which functions are actively routed at each node.
     /// Makes fail-over O(functions on the node), not O(table).
     by_node: HashMap<NodeId, BTreeSet<K>>,
     /// Nodes the health monitor has declared down.
     down: HashSet<NodeId>,
-    /// Total installed routes across all shards.
+    /// Installed routes (entries holding only a standby do not count).
     len: usize,
 }
 
-impl<K: RouteKey> Default for ShardedTable<K> {
+/// The name the frozen `dne.route_lookup_ns` benchmark driver imports.
+pub type ShardedTable<K = u16> = RouteTable<K>;
+
+impl<K: RouteKey> Default for RouteTable<K> {
     fn default() -> Self {
-        ShardedTable::new()
+        RouteTable::new()
     }
 }
 
-impl<K: RouteKey> ShardedTable<K> {
-    /// Creates an empty table with [`DEFAULT_SHARDS`] shards.
+impl<K: RouteKey> RouteTable<K> {
+    /// Creates an empty table.
     pub fn new() -> Self {
-        ShardedTable::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Creates an empty table with `shards` shards (rounded up to a power
-    /// of two; minimum 1). A single-shard table is the flat reference the
-    /// differential tests compare against.
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        ShardedTable {
-            shards: (0..n).map(|_| Shard::new()).collect(),
-            shard_bits: n.trailing_zeros(),
+        RouteTable {
+            entries: IdTable::new(),
             by_node: HashMap::new(),
             down: HashSet::new(),
             len: 0,
         }
     }
 
-    /// Returns the shard count (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    fn entry(&self, key: K) -> Option<&Entry> {
+        self.entries.get(key.into())
     }
 
-    /// The shard index a key scatters to. Multiplicative (Fibonacci)
-    /// hashing: sequential ids — the common allocation pattern — spread
-    /// uniformly instead of clustering in one shard.
-    fn shard_index(&self, key: K) -> usize {
-        if self.shard_bits == 0 {
-            return 0;
+    fn unindex(&mut self, key: K, node: NodeId) {
+        if let Some(set) = self.by_node.get_mut(&node) {
+            set.remove(&key);
+            if set.is_empty() {
+                self.by_node.remove(&node);
+            }
         }
-        (key.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.shard_bits)) as usize
-    }
-
-    fn shard(&self, key: K) -> &Shard<K> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    fn shard_mut(&mut self, key: K) -> &mut Shard<K> {
-        let idx = self.shard_index(key);
-        &mut self.shards[idx]
     }
 
     /// Re-points `key`'s route to `to`, keeping the reverse index in sync.
     /// Returns the previous node, if any.
     fn install(&mut self, key: K, to: NodeId) -> Option<NodeId> {
-        let prev = self.shard_mut(key).routes.insert(key, to);
-        if let Some(old) = prev {
-            if old != to {
-                if let Some(set) = self.by_node.get_mut(&old) {
-                    set.remove(&key);
-                    if set.is_empty() {
-                        self.by_node.remove(&old);
-                    }
-                }
-                self.by_node.entry(to).or_default().insert(key);
-            }
-        } else {
-            self.len += 1;
-            self.by_node.entry(to).or_default().insert(key);
+        let entry = self.entries.get_or_insert_with(key.into(), Entry::default);
+        let prev = entry.route.replace(to);
+        match prev {
+            Some(old) if old == to => return prev,
+            Some(old) => self.unindex(key, old),
+            None => self.len += 1,
         }
+        self.by_node.entry(to).or_default().insert(key);
         prev
+    }
+
+    /// Installs `node` as `key`'s route and remembers the primary it
+    /// displaced (the first one, across a cascade).
+    fn displace(&mut self, key: K, node: NodeId) {
+        let prev = self.install(key, node).expect("route existed");
+        let entry = self.entries.get_mut(key.into()).expect("just installed");
+        entry.displaced.get_or_insert(prev);
     }
 
     /// Installs (or moves) a function's placement. Clears any fail-over
     /// memory for the function: an explicit placement wins.
     pub fn set(&mut self, fn_id: K, node: NodeId) {
         self.install(fn_id, node);
-        self.shard_mut(fn_id).displaced.remove(&fn_id);
+        let entry = self.entries.get_mut(fn_id.into()).expect("just installed");
+        entry.displaced = None;
     }
 
     /// Installs a standby replica for a function. The backup only serves
-    /// traffic after [`ShardedTable::fail_over`] switches to it.
+    /// traffic after [`RouteTable::fail_over`] switches to it.
     pub fn set_backup(&mut self, fn_id: K, node: NodeId) {
-        self.shard_mut(fn_id).backups.insert(fn_id, node);
+        let entry = self
+            .entries
+            .get_or_insert_with(fn_id.into(), Entry::default);
+        entry.backup = Some(node);
     }
 
     /// Returns the function's standby replica node, if one is installed.
     pub fn backup_of(&self, fn_id: K) -> Option<NodeId> {
-        self.shard(fn_id).backups.get(&fn_id).copied()
+        self.entry(fn_id)?.backup
     }
 
-    /// Removes a function's route, returning its previous node.
+    /// Removes a function's route (and its standby and fail-over memory),
+    /// returning the node it was routed at.
     pub fn remove(&mut self, fn_id: K) -> Option<NodeId> {
-        let shard = self.shard_mut(fn_id);
-        shard.backups.remove(&fn_id);
-        shard.displaced.remove(&fn_id);
-        let prev = shard.routes.remove(&fn_id);
+        let prev = self.entries.remove(fn_id.into())?.route;
         if let Some(node) = prev {
             self.len -= 1;
-            if let Some(set) = self.by_node.get_mut(&node) {
-                set.remove(&fn_id);
-                if set.is_empty() {
-                    self.by_node.remove(&node);
-                }
-            }
+            self.unindex(fn_id, node);
         }
         prev
     }
 
     /// Looks up the node hosting `fn_id` — the raw route, whether or not
     /// the node is currently down. Callers that must not talk to a dead
-    /// node use [`ShardedTable::resolve`].
+    /// node use [`RouteTable::resolve`].
+    #[inline]
     pub fn lookup(&self, fn_id: K) -> Option<NodeId> {
-        self.shard(fn_id).routes.get(&fn_id).copied()
+        self.entry(fn_id)?.route
     }
 
     /// Looks up the node hosting `fn_id`, as a typed result: a missing
     /// route and a route stranded on a down node are distinct, surfaced
     /// errors rather than silent drops or sends into a dead peer.
     pub fn resolve(&self, fn_id: K) -> Result<NodeId, RouteError> {
+        let id = u64::from(fn_id.into());
         match self.lookup(fn_id) {
-            None => Err(RouteError::UnknownDestination {
-                fn_id: fn_id.as_u64(),
-            }),
-            Some(node) if self.down.contains(&node) => Err(RouteError::DestinationDown {
-                fn_id: fn_id.as_u64(),
-                node,
-            }),
+            None => Err(RouteError::UnknownDestination { fn_id: id }),
+            Some(node) if self.down.contains(&node) => {
+                Err(RouteError::DestinationDown { fn_id: id, node })
+            }
             Some(node) => Ok(node),
         }
     }
@@ -282,45 +228,30 @@ impl<K: RouteKey> ShardedTable<K> {
     /// down node: its backup replica if healthy, else its displaced
     /// original primary if that has recovered.
     fn healthy_alternative(&self, fn_id: K, avoid: NodeId) -> Option<NodeId> {
-        let shard = self.shard(fn_id);
-        if let Some(&b) = shard.backups.get(&fn_id) {
-            if b != avoid && !self.down.contains(&b) {
-                return Some(b);
-            }
-        }
-        if let Some(&home) = shard.displaced.get(&fn_id) {
-            if home != avoid && !self.down.contains(&home) {
-                return Some(home);
-            }
-        }
-        None
+        let entry = self.entry(fn_id)?;
+        [entry.backup, entry.displaced]
+            .into_iter()
+            .flatten()
+            .find(|n| *n != avoid && !self.down.contains(n))
     }
 
     /// Marks `failed` down and re-points every function actively routed to
     /// it at a healthy alternative, remembering the function's original
     /// primary so recovery can restore it. Functions with no healthy
-    /// alternative keep their route but fail [`ShardedTable::resolve`]
+    /// alternative keep their route but fail [`RouteTable::resolve`]
     /// with [`RouteError::DestinationDown`] until a target recovers.
     ///
-    /// Returns the switched function ids, sorted — deterministic
-    /// regardless of map iteration order.
+    /// Returns the switched function ids, sorted.
     pub fn fail_over(&mut self, failed: NodeId) -> Vec<K> {
         self.down.insert(failed);
-        let candidates: Vec<K> = self
-            .by_node
-            .get(&failed)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default();
         let mut moved = Vec::new();
-        for fn_id in candidates {
-            let Some(target) = self.healthy_alternative(fn_id, failed) else {
-                continue; // stranded: resolve() reports DestinationDown
-            };
-            let prev = self.install(fn_id, target).expect("route existed");
-            self.shard_mut(fn_id).displaced.entry(fn_id).or_insert(prev);
-            moved.push(fn_id);
+        for fn_id in self.functions_on(failed) {
+            // No alternative = stranded: resolve() reports DestinationDown.
+            if let Some(target) = self.healthy_alternative(fn_id, failed) {
+                self.displace(fn_id, target);
+                moved.push(fn_id);
+            }
         }
-        moved.sort_unstable();
         moved
     }
 
@@ -333,22 +264,20 @@ impl<K: RouteKey> ShardedTable<K> {
     /// Returns the re-routed function ids, sorted.
     pub fn restore(&mut self, node: NodeId) -> Vec<K> {
         self.down.remove(&node);
+        // (1) fail displaced primaries back home. Restores are rare and
+        // tables that fail over are small, so this reads every entry.
+        let home: Vec<u32> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| e.displaced == Some(node))
+            .map(|(id, _)| id)
+            .collect();
         let mut back: Vec<K> = Vec::new();
-        // (1) fail displaced primaries back home.
-        for shard in 0..self.shards.len() {
-            let mut home: Vec<K> = self.shards[shard]
-                .displaced
-                .iter()
-                .filter(|(_, primary)| **primary == node)
-                .map(|(fn_id, _)| *fn_id)
-                .collect();
-            home.sort_unstable();
-            for fn_id in home {
-                self.shards[shard].displaced.remove(&fn_id);
-                if self.lookup(fn_id) != Some(node) {
-                    self.install(fn_id, node);
-                    back.push(fn_id);
-                }
+        for id in home {
+            let fn_id = K::try_from(id).ok().expect("table ids come from keys");
+            self.entries.get_mut(id).expect("listed above").displaced = None;
+            if self.install(fn_id, node) != Some(node) {
+                back.push(fn_id);
             }
         }
         // (2) rescue functions stranded on nodes that are still down.
@@ -360,12 +289,10 @@ impl<K: RouteKey> ShardedTable<K> {
             .collect();
         for fn_id in stranded {
             let at = self.lookup(fn_id).expect("indexed route exists");
-            if self.healthy_alternative(fn_id, at) != Some(node) {
-                continue;
+            if self.healthy_alternative(fn_id, at) == Some(node) {
+                self.displace(fn_id, node);
+                back.push(fn_id);
             }
-            let prev = self.install(fn_id, node).expect("route existed");
-            self.shard_mut(fn_id).displaced.entry(fn_id).or_insert(prev);
-            back.push(fn_id);
         }
         back.sort_unstable();
         back.dedup();
@@ -383,7 +310,7 @@ impl<K: RouteKey> ShardedTable<K> {
     }
 
     /// The functions actively routed at `node`, sorted. Sub-linear: reads
-    /// the reverse index, not the shards.
+    /// the reverse index, not the table.
     pub fn functions_on(&self, node: NodeId) -> Vec<K> {
         self.by_node
             .get(&node)
@@ -392,8 +319,8 @@ impl<K: RouteKey> ShardedTable<K> {
     }
 
     /// The functions stranded at `node`: still routed there while the node
-    /// is marked down because [`ShardedTable::fail_over`] found no healthy
-    /// alternative. Every entry fails [`ShardedTable::resolve`] with
+    /// is marked down because [`RouteTable::fail_over`] found no healthy
+    /// alternative. Every entry fails [`RouteTable::resolve`] with
     /// [`RouteError::DestinationDown`] until a target recovers. Sorted;
     /// empty when the node is up.
     pub fn stranded_on(&self, node: NodeId) -> Vec<K> {
@@ -405,7 +332,7 @@ impl<K: RouteKey> ShardedTable<K> {
 }
 
 /// The engine's routing table: on-wire `u16` function ids.
-pub type RoutingTable = ShardedTable<u16>;
+pub type RoutingTable = RouteTable<u16>;
 
 #[cfg(test)]
 mod tests {
@@ -587,35 +514,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedTable::<u32>::with_shards(0).shard_count(), 1);
-        assert_eq!(ShardedTable::<u32>::with_shards(1).shard_count(), 1);
-        assert_eq!(ShardedTable::<u32>::with_shards(48).shard_count(), 64);
-        assert_eq!(ShardedTable::<u32>::new().shard_count(), DEFAULT_SHARDS);
-    }
-
-    #[test]
-    fn sequential_keys_spread_across_shards() {
-        let mut rt = ShardedTable::<u32>::with_shards(16);
-        for k in 0..4096u32 {
-            rt.set(k, NodeId(0));
-        }
-        let mut per_shard = vec![0usize; rt.shard_count()];
-        for k in 0..4096u32 {
-            per_shard[rt.shard_index(k)] += 1;
-        }
-        let expect = 4096 / 16;
-        for (i, n) in per_shard.iter().enumerate() {
-            assert!(
-                *n > expect / 2 && *n < expect * 2,
-                "shard {i} holds {n} of 4096 keys — scatter is skewed"
-            );
-        }
-    }
-
-    #[test]
     fn reverse_index_tracks_moves() {
-        let mut rt = ShardedTable::<u32>::with_shards(4);
+        let mut rt = RouteTable::<u32>::new();
         for k in 0..100u32 {
             rt.set(k, NodeId((k % 3) as u16));
         }

@@ -1,5 +1,5 @@
 //! Randomized properties of the elastic connection control plane, and a
-//! differential check of the sharded routing table against a flat one.
+//! model check of the routing table against plain `BTreeMap`s.
 //!
 //! Pool invariants exercised under seeded-random op sequences:
 //!
@@ -12,13 +12,16 @@
 //!   an in-flight send — a QP with SQ backlog survives both, still
 //!   pooled and still ready.
 //!
-//! The routing differential drives a 64-shard table and a 1-shard table
-//! through the same random set/remove/fail-over/restore schedule and
-//! asserts every observable (lookup, resolve, backup, length, move
-//! lists) agrees — sharding is a layout choice, not a semantic one.
+//! The routing model test drives a [`RouteTable`] and a three-map
+//! specification through the same random set/remove/fail-over/restore
+//! schedule and asserts every observable (lookup, resolve, backup, length,
+//! move lists, stranded sets) agrees — the id-indexed layout is a layout
+//! choice, not a semantic one.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use dne::connpool::{ConnPool, ElasticConfig};
-use dne::routing::{RouteError, ShardedTable};
+use dne::routing::{RouteError, RouteTable};
 use membuf::pool::{BufferPool, PoolConfig};
 use membuf::tenant::TenantId;
 use rdma_sim::fabric::{CqId, QpHandle, RqId};
@@ -183,9 +186,103 @@ fn eviction_and_teardown_never_strand_an_inflight_send() {
     }
 }
 
-/// Drives `a` (sharded) and `b` (flat) through one random schedule,
-/// asserting observational equality after every mutation.
-fn differential_round(rng: &mut SimRng, a: &mut ShardedTable<u32>, b: &mut ShardedTable<u32>) {
+/// What the routing table promises, written the slow, obvious way: one
+/// ordered map per fact and whole-table scans.
+#[derive(Default)]
+struct Model {
+    routes: BTreeMap<u32, NodeId>,
+    backups: BTreeMap<u32, NodeId>,
+    displaced: BTreeMap<u32, NodeId>,
+    down: BTreeSet<NodeId>,
+}
+
+impl Model {
+    fn set(&mut self, k: u32, node: NodeId) {
+        self.routes.insert(k, node);
+        self.displaced.remove(&k);
+    }
+
+    fn remove(&mut self, k: u32) -> Option<NodeId> {
+        self.backups.remove(&k);
+        self.displaced.remove(&k);
+        self.routes.remove(&k)
+    }
+
+    fn functions_on(&self, node: NodeId) -> Vec<u32> {
+        let on = self.routes.iter().filter(|(_, n)| **n == node);
+        on.map(|(k, _)| *k).collect()
+    }
+
+    fn stranded_on(&self, node: NodeId) -> Vec<u32> {
+        if self.down.contains(&node) {
+            self.functions_on(node)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Backup first, then the displaced primary; never `avoid`, never down.
+    fn alternative(&self, k: u32, avoid: NodeId) -> Option<NodeId> {
+        [self.backups.get(&k), self.displaced.get(&k)]
+            .into_iter()
+            .flatten()
+            .copied()
+            .find(|n| *n != avoid && !self.down.contains(n))
+    }
+
+    fn switch(&mut self, k: u32, to: NodeId) {
+        let prev = self.routes.insert(k, to).unwrap();
+        self.displaced.entry(k).or_insert(prev);
+    }
+
+    fn fail_over(&mut self, failed: NodeId) -> Vec<u32> {
+        self.down.insert(failed);
+        let mut moved = Vec::new();
+        for k in self.functions_on(failed) {
+            if let Some(to) = self.alternative(k, failed) {
+                self.switch(k, to);
+                moved.push(k);
+            }
+        }
+        moved
+    }
+
+    fn restore(&mut self, node: NodeId) -> Vec<u32> {
+        self.down.remove(&node);
+        let mut back = BTreeSet::new();
+        let home = self.displaced.iter().filter(|(_, n)| **n == node);
+        for k in home.map(|(k, _)| *k).collect::<Vec<_>>() {
+            self.displaced.remove(&k);
+            if self.routes.insert(k, node) != Some(node) {
+                back.insert(k);
+            }
+        }
+        for (k, at) in self.routes.clone() {
+            if self.down.contains(&at) && self.alternative(k, at) == Some(node) {
+                self.switch(k, node);
+                back.insert(k);
+            }
+        }
+        back.into_iter().collect()
+    }
+
+    fn resolve(&self, k: u32) -> Result<NodeId, RouteError> {
+        let fn_id = u64::from(k);
+        match self.routes.get(&k) {
+            None => Err(RouteError::UnknownDestination { fn_id }),
+            Some(&node) if self.down.contains(&node) => {
+                Err(RouteError::DestinationDown { fn_id, node })
+            }
+            Some(&node) => Ok(node),
+        }
+    }
+}
+
+/// Drives the table and the model through one random schedule, asserting
+/// observational equality after every mutation.
+fn model_round(rng: &mut SimRng) {
+    let mut table = RouteTable::<u32>::new();
+    let mut model = Model::default();
     let key_space = 1 + rng.gen_range(60) as u32;
     let nodes = 2 + rng.gen_range(4) as u16;
     let ops = 60 + rng.gen_range(120);
@@ -194,62 +291,53 @@ fn differential_round(rng: &mut SimRng, a: &mut ShardedTable<u32>, b: &mut Shard
         let node = NodeId(rng.gen_range(nodes as u64) as u16);
         match rng.gen_range(12) {
             0..=3 => {
-                a.set(k, node);
-                b.set(k, node);
+                table.set(k, node);
+                model.set(k, node);
             }
             4..=5 => {
-                a.set_backup(k, node);
-                b.set_backup(k, node);
+                table.set_backup(k, node);
+                model.backups.insert(k, node);
             }
-            6 => {
-                assert_eq!(a.remove(k), b.remove(k));
-            }
-            7..=8 => {
-                assert_eq!(a.fail_over(node), b.fail_over(node), "fail_over({node:?})");
-            }
-            9 => {
-                assert_eq!(a.restore(node), b.restore(node), "restore({node:?})");
-            }
-            _ => {
-                assert_eq!(a.lookup(k), b.lookup(k));
-            }
+            6 => assert_eq!(table.remove(k), model.remove(k)),
+            7..=8 => assert_eq!(
+                table.fail_over(node),
+                model.fail_over(node),
+                "fail_over({node:?})"
+            ),
+            9..=10 => assert_eq!(
+                table.restore(node),
+                model.restore(node),
+                "restore({node:?})"
+            ),
+            _ => assert_eq!(table.is_local(k, node), model.routes.get(&k) == Some(&node)),
         }
         // Full observable state must agree after every op.
-        assert_eq!(a.len(), b.len());
+        assert_eq!(table.len(), model.routes.len());
+        assert_eq!(table.is_empty(), model.routes.is_empty());
         for k in 0..key_space {
-            assert_eq!(a.lookup(k), b.lookup(k), "lookup({k})");
-            assert_eq!(a.backup_of(k), b.backup_of(k), "backup_of({k})");
-            match (a.resolve(k), b.resolve(k)) {
-                (Ok(x), Ok(y)) => assert_eq!(x, y),
-                (
-                    Err(RouteError::UnknownDestination { .. }),
-                    Err(RouteError::UnknownDestination { .. }),
-                ) => {}
-                (
-                    Err(RouteError::DestinationDown { node: x, .. }),
-                    Err(RouteError::DestinationDown { node: y, .. }),
-                ) => assert_eq!(x, y),
-                (x, y) => panic!("resolve({k}) diverged: {x:?} vs {y:?}"),
-            }
-        }
-        for n in 0..nodes {
             assert_eq!(
-                a.functions_on(NodeId(n)),
-                b.functions_on(NodeId(n)),
-                "functions_on({n})"
+                table.lookup(k),
+                model.routes.get(&k).copied(),
+                "lookup({k})"
             );
+            assert_eq!(
+                table.backup_of(k),
+                model.backups.get(&k).copied(),
+                "backup_of({k})"
+            );
+            assert_eq!(table.resolve(k), model.resolve(k), "resolve({k})");
+        }
+        for n in (0..nodes).map(NodeId) {
+            assert_eq!(table.functions_on(n), model.functions_on(n), "{n:?}");
+            assert_eq!(table.stranded_on(n), model.stranded_on(n), "{n:?}");
         }
     }
 }
 
 #[test]
-fn sharded_routing_is_observationally_equal_to_flat() {
+fn route_table_matches_its_btreemap_model() {
     let mut rng = SimRng::new(0xd1ff);
-    for round in 0..cases(20, 160) {
-        let shards = [2usize, 8, 64][round % 3];
-        let mut sharded = ShardedTable::<u32>::with_shards(shards);
-        let mut flat = ShardedTable::<u32>::with_shards(1);
-        assert_eq!(flat.shard_count(), 1);
-        differential_round(&mut rng, &mut sharded, &mut flat);
+    for _ in 0..cases(20, 160) {
+        model_round(&mut rng);
     }
 }

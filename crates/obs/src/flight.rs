@@ -7,8 +7,8 @@
 //! a typed `DeliveryFailure`, a multi-window SLO burn detected by
 //! [`BurnMonitor`], or an explicit operator call — freezes the ring into
 //! a self-contained JSON bundle (traces, per-trace critical paths, burn
-//! counters, current gauge levels). All timestamps
-//! are virtual, so the same seed produces a byte-identical dump.
+//! counters). All timestamps are virtual, so the same seed produces a
+//! byte-identical dump.
 //!
 //! The [`TracePipeline`] is the glue the cluster wires to its completion
 //! and failure paths: it drains each finished trace out of the tracer
@@ -23,7 +23,6 @@ use simcore::SimTime;
 use crate::burn::{BurnConfig, BurnMonitor};
 use crate::critical_path;
 use crate::json::JsonValue;
-use crate::metrics::MetricsRegistry;
 use crate::sampler::{TailSampler, TraceSummary};
 use crate::span::{SpanRecord, Tracer};
 
@@ -133,8 +132,6 @@ pub struct TracePipeline {
     tail: TailSampler,
     flight: FlightRecorder,
     burn: Option<BurnMonitor>,
-    /// The attached registry; dumps embed its gauge levels.
-    metrics: Option<MetricsRegistry>,
     last_dump: Option<JsonValue>,
     dumps: u64,
 }
@@ -147,16 +144,9 @@ impl TracePipeline {
             tail: TailSampler::new(cfg.tail_k),
             flight: FlightRecorder::new(cfg.flight_cap),
             burn: cfg.burn.map(BurnMonitor::new),
-            metrics: None,
             last_dump: None,
             dumps: 0,
         }
-    }
-
-    /// Attaches a metrics registry; dumps embed its current gauge levels
-    /// under their `metrics_delta` key.
-    pub fn attach_metrics(&mut self, registry: MetricsRegistry) {
-        self.metrics = Some(registry);
     }
 
     /// Handles a successfully completed request: drains its trace and
@@ -218,10 +208,6 @@ impl TracePipeline {
             })
             .collect();
         let burn = self.burn.as_ref().map_or(JsonValue::Null, |b| b.to_json());
-        let metrics = self
-            .metrics
-            .as_ref()
-            .map_or(JsonValue::Null, |reg| reg.snapshot().gauges_json());
         let dump = JsonValue::obj(vec![
             ("reason", JsonValue::Str(reason.name().to_string())),
             ("at_ns", JsonValue::UInt(now.as_nanos())),
@@ -229,7 +215,6 @@ impl TracePipeline {
             ("ring_evicted", JsonValue::UInt(self.flight.evicted())),
             ("traces", JsonValue::Arr(traces)),
             ("burn", burn),
-            ("metrics_delta", metrics),
         ]);
         self.last_dump = Some(dump);
         self.last_dump.as_ref().unwrap()
@@ -408,22 +393,5 @@ mod tests {
         let burn = dump.get("burn").unwrap();
         let tenants = burn.get("tenants").unwrap().as_arr().unwrap();
         assert_eq!(tenants[0].get("alerts").unwrap().as_u64(), Some(1));
-    }
-
-    #[test]
-    fn explicit_trigger_embeds_gauge_levels() {
-        let (tracer, mut p) = pipeline_with(PipelineConfig::default());
-        let reg = MetricsRegistry::new();
-        let g = reg.gauge("dne_engine_queued", &[("node", "1")]);
-        p.attach_metrics(reg.clone());
-        g.set(5.0); // written after the registry was attached
-        tracer.span(1, 1, 0, Stage::FnExec, at(0), at(10));
-        p.on_complete(at(10), 1);
-        let dump = p.trigger(TriggerReason::Explicit, at(20)).clone();
-        assert_eq!(dump.get("reason").unwrap().as_str(), Some("explicit"));
-        let metrics = dump.get("metrics_delta").unwrap();
-        let gauges = metrics.get("gauges").unwrap().as_arr().unwrap();
-        assert_eq!(gauges.len(), 1);
-        assert_eq!(gauges[0].get("value").unwrap().as_f64(), Some(5.0));
     }
 }

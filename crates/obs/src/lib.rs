@@ -2,9 +2,9 @@
 //!
 //! Everything the evaluation needs to see *inside* the data plane:
 //!
-//! - [`metrics`] — a labelled registry of gauges, log-bucketed
-//!   histograms and windowed time series, with cheap recording handles and
-//!   deterministic snapshots;
+//! - [`metrics`] — a labelled registry of level gauges and log-bucketed
+//!   histograms, with cheap recording handles and deterministic
+//!   snapshots;
 //! - [`span`] — per-request causal span tracing over virtual time: one
 //!   store entry per trace, keyed by the request id carried in the
 //!   payload header, taken whole when the request finishes;
@@ -57,7 +57,7 @@ pub use ctx::{
 pub use exemplar::{Exemplar, ExemplarSet};
 pub use flight::{FlightRecorder, PipelineConfig, TracePipeline, TriggerReason};
 pub use json::{parse, JsonValue, ToJson};
-pub use metrics::{Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot, SeriesHandle};
+pub use metrics::{Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot};
 pub use perfetto::chrome_trace;
 pub use profile::{CoresFreed, SocStageTable};
 pub use sampler::{TailSampler, TraceSummary};

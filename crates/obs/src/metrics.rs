@@ -5,15 +5,18 @@
 //! poke with no name hashing on the hot path. The registry itself produces a
 //! deterministic [`MetricsSnapshot`] (JSON or plain text) at any instant.
 //!
-//! Three instrument kinds cover the paper's evaluation needs: [`Gauge`]
-//! (instantaneous levels and sampled totals), [`HistogramHandle`]
-//! (log-bucketed latency distributions from `simcore::stats`), and
-//! [`SeriesHandle`] (windowed rates over virtual time).
+//! Two instrument kinds: [`Gauge`] for *levels* — values that can fall
+//! (queue depths, deficits, hit rates, lifecycle states) — and
+//! [`HistogramHandle`] for log-bucketed latency distributions from
+//! `simcore::stats`. Running totals are not instruments: a total lives in
+//! the struct that counts it and is read from there (DESIGN.md §5). How a
+//! level moves over time is the [`crate::Aggregator`]'s per-window rollup
+//! of these gauges.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use simcore::{Histogram, SimDuration, SimTime, TimeSeries};
+use simcore::{Histogram, SimDuration};
 
 use crate::exemplar::ExemplarSet;
 use crate::json::{JsonValue, ToJson};
@@ -141,25 +144,6 @@ impl HistogramHandle {
     }
 }
 
-/// A windowed time-series handle (events per second per window).
-#[derive(Clone)]
-pub struct SeriesHandle {
-    series: Rc<RefCell<TimeSeries>>,
-}
-
-impl SeriesHandle {
-    /// Records `weight` worth of events at virtual instant `t`.
-    #[inline]
-    pub fn record_at(&self, t: SimTime, weight: f64) {
-        self.series.borrow_mut().record_at(t, weight);
-    }
-
-    /// Returns the points finalized so far.
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        self.series.borrow().points().to_vec()
-    }
-}
-
 struct Registered<H> {
     name: String,
     labels: Labels,
@@ -170,7 +154,6 @@ struct Registered<H> {
 struct RegistryInner {
     gauges: Vec<Registered<Gauge>>,
     histograms: Vec<Registered<HistogramHandle>>,
-    series: Vec<Registered<SeriesHandle>>,
     /// The sample epoch shared with every gauge (see
     /// [`MetricsRegistry::begin_sample`]).
     epoch: Rc<Cell<u64>>,
@@ -249,28 +232,6 @@ impl MetricsRegistry {
         handle
     }
 
-    /// Returns the windowed series registered under `name` + `labels`.
-    pub fn series(&self, name: &str, labels: &[(&str, &str)], window: SimDuration) -> SeriesHandle {
-        let labels = labels_of(labels);
-        let mut inner = self.inner.borrow_mut();
-        if let Some(r) = inner
-            .series
-            .iter()
-            .find(|r| r.name == name && r.labels == labels)
-        {
-            return r.handle.clone();
-        }
-        let handle = SeriesHandle {
-            series: Rc::new(RefCell::new(TimeSeries::new(window))),
-        };
-        inner.series.push(Registered {
-            name: name.to_string(),
-            labels,
-            handle: handle.clone(),
-        });
-        handle
-    }
-
     /// Merges all histograms sharing `name` (across label sets) into one.
     ///
     /// This is the aggregation the paper's tables need: per-tenant or
@@ -332,17 +293,9 @@ impl MetricsRegistry {
                     )
                 })
                 .collect(),
-            series: inner
-                .series
-                .iter()
-                .map(|r| (r.name.clone(), r.labels.clone(), r.handle.points()))
-                .collect(),
         }
     }
 }
-
-/// Finalized points of one time series: `(t_secs, value)` pairs.
-pub type SeriesPoints = Vec<(f64, f64)>;
 
 /// A point-in-time copy of every registered instrument.
 pub struct MetricsSnapshot {
@@ -350,7 +303,6 @@ pub struct MetricsSnapshot {
     /// sampling pass that opened the current epoch.
     gauges: Vec<(String, Labels, f64, bool)>,
     histograms: Vec<(String, Labels, Histogram, ExemplarSet)>,
-    series: Vec<(String, Labels, SeriesPoints)>,
 }
 
 impl MetricsSnapshot {
@@ -391,33 +343,6 @@ impl MetricsSnapshot {
             .map(|(n, l, h, e)| (n.as_str(), l, h, e))
     }
 
-    /// Renders the current gauge levels — the compact view flight-recorder
-    /// bundles embed.
-    pub fn gauges_json(&self) -> JsonValue {
-        JsonValue::obj(vec![("gauges", JsonValue::Arr(self.gauge_rows()))])
-    }
-
-    fn gauge_rows(&self) -> Vec<JsonValue> {
-        self.gauges
-            .iter()
-            .map(|(name, labels, v, stale)| {
-                JsonValue::obj(vec![
-                    ("name", JsonValue::Str(name.clone())),
-                    ("labels", labels_json(labels)),
-                    (
-                        "value",
-                        if *stale {
-                            JsonValue::Null
-                        } else {
-                            JsonValue::Float(*v)
-                        },
-                    ),
-                    ("stale", JsonValue::Bool(*stale)),
-                ])
-            })
-            .collect()
-    }
-
     /// Renders a Prometheus-style plain-text exposition.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -440,19 +365,31 @@ impl MetricsSnapshot {
                 s.max_us
             ));
         }
-        for (name, labels, points) in &self.series {
-            out.push_str(&format!(
-                "{name}{} points={}\n",
-                labels_text(labels),
-                points.len()
-            ));
-        }
         out
     }
 }
 
 impl ToJson for MetricsSnapshot {
     fn to_json(&self) -> JsonValue {
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(name, labels, v, stale)| {
+                JsonValue::obj(vec![
+                    ("name", JsonValue::Str(name.clone())),
+                    ("labels", labels_json(labels)),
+                    (
+                        "value",
+                        if *stale {
+                            JsonValue::Null
+                        } else {
+                            JsonValue::Float(*v)
+                        },
+                    ),
+                    ("stale", JsonValue::Bool(*stale)),
+                ])
+            })
+            .collect();
         let histograms = self
             .histograms
             .iter()
@@ -465,21 +402,9 @@ impl ToJson for MetricsSnapshot {
                 ])
             })
             .collect();
-        let series = self
-            .series
-            .iter()
-            .map(|(name, labels, points)| {
-                JsonValue::obj(vec![
-                    ("name", JsonValue::Str(name.clone())),
-                    ("labels", labels_json(labels)),
-                    ("points", points.to_json()),
-                ])
-            })
-            .collect();
         JsonValue::obj(vec![
-            ("gauges", JsonValue::Arr(self.gauge_rows())),
+            ("gauges", JsonValue::Arr(gauges)),
             ("histograms", JsonValue::Arr(histograms)),
-            ("series", JsonValue::Arr(series)),
         ])
     }
 }
@@ -579,22 +504,10 @@ mod tests {
     }
 
     #[test]
-    fn series_records_windowed_rates() {
-        let reg = MetricsRegistry::new();
-        let s = reg.series("rps", &[], SimDuration::from_secs(1));
-        s.record_at(SimTime::from_nanos(100_000_000), 1.0);
-        s.record_at(SimTime::from_nanos(1_200_000_000), 2.0);
-        let pts = s.points();
-        assert_eq!(pts.len(), 1);
-        assert_eq!(pts[0], (1.0, 1.0));
-    }
-
-    #[test]
     fn snapshot_serializes_and_renders() {
         let reg = MetricsRegistry::new();
         reg.gauge("g", &[("k", "v")]).set(1.0);
         reg.histogram("h", &[]).record(SimDuration::from_micros(5));
-        reg.series("s", &[], SimDuration::from_secs(1));
         let snap = reg.snapshot();
         let json = snap.to_json();
         assert_eq!(json.get("gauges").unwrap().as_arr().unwrap().len(), 1);

@@ -571,6 +571,18 @@ impl Ticker {
         interval: SimDuration,
         f: F,
     ) -> Ticker {
+        Ticker::start_until(sim, interval, SimTime::MAX, f)
+    }
+
+    /// Like [`Ticker::start`], but the firing at or after `until` is the
+    /// last: nothing is left scheduled behind it, so a run that drains the
+    /// event queue ends when the work does, not one `interval` later.
+    pub fn start_until<F: FnMut(&mut Sim) + 'static>(
+        sim: &mut Sim,
+        interval: SimDuration,
+        until: SimTime,
+        f: F,
+    ) -> Ticker {
         assert!(
             interval > SimDuration::ZERO,
             "ticker interval must be positive"
@@ -580,6 +592,7 @@ impl Ticker {
         fn arm<F: FnMut(&mut Sim) + 'static>(
             sim: &mut Sim,
             interval: SimDuration,
+            until: SimTime,
             mut f: F,
             alive: std::rc::Rc<std::cell::Cell<bool>>,
             next: std::rc::Rc<std::cell::Cell<Option<TimerHandle>>>,
@@ -590,11 +603,15 @@ impl Ticker {
                     return;
                 }
                 f(sim);
-                arm(sim, interval, f, alive, next);
+                if sim.now() < until {
+                    arm(sim, interval, until, f, alive, next);
+                } else {
+                    alive.set(false);
+                }
             });
             slot.set(Some(h));
         }
-        arm(sim, interval, f, alive.clone(), next.clone());
+        arm(sim, interval, until, f, alive.clone(), next.clone());
         Ticker { alive, next }
     }
 
@@ -657,6 +674,25 @@ mod ticker_tests {
         assert_eq!(sim.profile().cancelled_events, 1);
         sim.run();
         assert_eq!(count.get(), 2);
+    }
+
+    #[test]
+    fn start_until_leaves_nothing_scheduled_behind_its_last_firing() {
+        let mut sim = Sim::new();
+        let count = Rc::new(Cell::new(0u32));
+        let c = count.clone();
+        let until = SimTime::from_nanos(12_000);
+        let t = Ticker::start_until(&mut sim, SimDuration::from_micros(5), until, move |_| {
+            c.set(c.get() + 1);
+        });
+        sim.run();
+        assert_eq!(
+            count.get(),
+            3,
+            "t = 5, 10, 15us: the first firing past until ends it"
+        );
+        assert_eq!(sim.now(), SimTime::from_nanos(15_000), "no event behind it");
+        assert!(!t.is_active());
     }
 
     #[test]

@@ -6,12 +6,15 @@
 //! [`obs::Tracer`] records each request's stage intervals — gateway-free
 //! here, so the spans run SK_MSG/Comch submit → DWRR queue → DNE TX →
 //! connection pick → fabric flight → RX completion → RBR recovery → Comch
-//! delivery → function execution — and a periodic sampler builds labelled
-//! time series (TX queue depth, DWRR deficit, shadow-QP hit rate).
+//! delivery → function execution — and the cluster's sampler publishes
+//! the per-tenant levels (TX queue depth, DWRR deficit, shadow-QP hit
+//! rate) as `(node, tenant)`-labelled gauges, one rollup window per tick.
+//! Running totals are read from the engines' own counters after the run.
 //!
 //! Outputs:
 //!   results/observability_trace.json    Perfetto / chrome://tracing JSON
 //!   results/observability_metrics.json  metrics snapshot (JSON twin)
+//!   results/flight_recorder.json        flight-recorder dump (chaos run)
 //!
 //! ```sh
 //! cargo run --release --example observability
@@ -72,9 +75,11 @@ fn main() {
     home_driver.start(&mut sim, &cluster, &home, 8, 256);
     ads_driver.start(&mut sim, &cluster, &ads, 4, 256);
 
-    // Periodic metrics sampling while the workload runs.
+    // The one sampler: levels into the registry every virtual millisecond,
+    // one aggregation window closed per tick.
     let reg = Rc::new(MetricsRegistry::new());
-    cluster.start_obs_sampler(&mut sim, Rc::clone(&reg), SimDuration::from_millis(1), stop);
+    let windows =
+        cluster.start_obs_sampler(&mut sim, Rc::clone(&reg), SimDuration::from_millis(1), stop);
     sim.run();
 
     println!(
@@ -142,16 +147,32 @@ fn main() {
         );
     }
 
-    // 6. Per-tenant series from the sampler (printed as the text
-    //    exposition; the JSON twin has the full points).
+    // 6. Per-tenant levels from the sampler: the last reading as the text
+    //    exposition, and how one of them moved as per-window rollups (the
+    //    node label projected away). Totals come from their home struct.
     println!("metrics exposition (excerpt):");
     for line in snap.to_text().lines().filter(|l| {
         l.starts_with("dne_tx_queue_depth")
             || l.starts_with("dne_dwrr_deficit")
             || l.starts_with("shadow_qp_hit_rate")
-            || l.starts_with("rbr_")
     }) {
         println!("  {line}");
+    }
+    let windows = windows.borrow();
+    println!("tenant 1 shadow-QP hit rate, fleet mean per 1 ms window:");
+    for w in windows.windows().iter().step_by(10) {
+        let rate = w.gauges.iter().find(|g| {
+            g.name == "shadow_qp_hit_rate" && g.labels == [("tenant".to_string(), "1".to_string())]
+        });
+        let mean = rate.and_then(|g| g.mean).unwrap_or(0.0);
+        println!("  [{:>5.1} ms] {mean:.3}", w.end_ns as f64 / 1e6);
+    }
+    for (idx, node) in cluster.nodes.iter().enumerate() {
+        let stats = node.dne.stats();
+        println!(
+            "node {idx} totals: tx_posted {} rx_delivered {} rbr replenishes {} ({} failed)",
+            stats.tx_posted, stats.rx_delivered, stats.replenishes, stats.replenish_failures
+        );
     }
 
     // 7. Flight recorder: a seeded chaos run (5% wire loss plus a 1ms

@@ -369,8 +369,9 @@ fn fleet_run_is_deterministic_per_seed() {
     assert_eq!(a, b, "same-seed fleet runs diverged");
 }
 
-/// The controller's counters and lifecycle states surface as `fleet_*`
-/// gauges through `sample_obs`.
+/// The controller's lifecycle states — levels — surface as `fleet_*`
+/// gauges through `sample_obs`; its counters — totals — are read from the
+/// controller, their one home.
 #[test]
 fn fleet_gauges_surface_through_sample_obs() {
     let mut sim = Sim::new();
@@ -392,10 +393,18 @@ fn fleet_gauges_surface_through_sample_obs() {
     let reg = obs::MetricsRegistry::new();
     cluster.sample_obs(sim.now(), &reg, SimDuration::from_millis(1));
     let snap = reg.snapshot();
-    assert_eq!(snap.gauge("fleet_upgrades_total", &[]), Some(1.0));
     assert_eq!(snap.gauge("fleet_wave_active", &[]), Some(0.0));
     assert_eq!(snap.gauge("fleet_nodes_in_service", &[]), Some(2.0));
-    assert_eq!(snap.gauge("fleet_nodes_decommissioned", &[]), Some(0.0));
+    for state in ["draining", "upgrading", "decommissioned"] {
+        let name = format!("fleet_nodes_{state}");
+        assert_eq!(snap.gauge(&name, &[]), Some(0.0), "{name}");
+    }
+    assert_eq!(snap.gauge("cluster_capacity_factor", &[]), Some(1.0));
+    let healthy = nadino::health::NodeState::Healthy.as_gauge();
+    for node in ["0", "1"] {
+        let state = snap.gauge("node_health_state", &[("node", node)]);
+        assert_eq!(state, Some(healthy), "node {node}");
+    }
     assert_eq!(
         snap.gauge("fleet_node_wire_version", &[("node", "1")]),
         Some(obs::CTX_V2 as f64)
@@ -404,5 +413,11 @@ fn fleet_gauges_surface_through_sample_obs() {
         snap.gauge("fleet_node_wire_version", &[("node", "0")]),
         Some(obs::CTX_CURRENT as f64)
     );
-    assert!(snap.gauge("fleet_rebalances_total", &[]).unwrap_or(0.0) >= 2.0);
+    let totals = snap
+        .gauges_iter()
+        .filter(|(name, ..)| name.ends_with("_total"));
+    assert_eq!(totals.count(), 0, "a total was sampled as a gauge");
+    let counters = ctl.counters();
+    assert_eq!(counters.upgrades_completed, 1);
+    assert!(counters.rebalances >= 2, "{counters:?}");
 }
