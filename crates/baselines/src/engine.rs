@@ -117,11 +117,6 @@ impl BaselineEngine {
             inner.cpu.utilization(a, b)
         }
     }
-
-    /// Busy fraction from actual work only (even for polling engines).
-    pub fn useful_utilization(&self, a: SimTime, b: SimTime) -> f64 {
-        self.inner.borrow().cpu.utilization(a, b)
-    }
 }
 
 #[cfg(test)]
@@ -188,6 +183,5 @@ mod tests {
         let e = BaselineEngine::new(c);
         let t1 = SimTime::from_nanos(1_000_000);
         assert_eq!(e.utilization(SimTime::ZERO, t1), 1.0);
-        assert_eq!(e.useful_utilization(SimTime::ZERO, t1), 0.0);
     }
 }

@@ -26,7 +26,7 @@ use std::rc::Rc;
 use dpu_sim::soc::{Processor, ProcessorKind};
 use membuf::pool::{BufferPool, PoolConfig};
 use membuf::tenant::TenantId;
-use rdma_sim::fabric::{CqId, QpHandle, RqId};
+use rdma_sim::fabric::{QpHandle, RqId};
 use rdma_sim::types::{Cqe, CqeOpcode, CqeStatus, RKey};
 use rdma_sim::{Fabric, NodeId, RdmaCosts, WrId};
 use simcore::{Histogram, Sim, SimDuration, SimTime};
@@ -147,8 +147,6 @@ impl Dispatcher {
 
 struct Side {
     node: NodeId,
-    #[allow(dead_code)]
-    cq: CqId,
     rq: RqId,
     qp: QpHandle,
     pool: BufferPool,
@@ -230,7 +228,6 @@ pub fn run_echo(cfg: EchoConfig) -> EchoResult {
     let state = Rc::new(RefCell::new(Shared {
         client: Side {
             node: a,
-            cq: cq_a,
             rq: rq_a,
             qp: h_ab,
             pool: pool_a,
@@ -240,7 +237,6 @@ pub fn run_echo(cfg: EchoConfig) -> EchoResult {
         },
         server: Side {
             node: b,
-            cq: cq_b,
             rq: rq_b,
             qp: h_ba,
             pool: pool_b,

@@ -30,7 +30,7 @@ use membuf::tenant::TenantId;
 use rdma_sim::{Fabric, NodeId, RdmaCosts};
 use runtime::function::{ChainFunction, CompletionFn};
 use runtime::{ChainSpec, IoLib, Placement};
-use simcore::{IdTable, Sim, SimDuration, SimTime, Ticker};
+use simcore::{IdTable, Sim, SimDuration, SimTime};
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
@@ -253,11 +253,6 @@ impl Cluster {
         }
     }
 
-    /// Returns the cluster configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
-    }
-
     /// Provisions a tenant: one unified memory pool per node (exported to
     /// the DPU and RNIC), registration with every engine, and a pool of RC
     /// connections between every pair of nodes. Advances the simulation
@@ -300,11 +295,20 @@ impl Cluster {
     }
 
     /// Returns the tenant's pool on node `idx`.
+    ///
+    /// # Panics
+    ///
+    /// If the tenant was never [`Cluster::add_tenant`]ed: set-up code
+    /// asking for a pool that does not exist is a bug in the caller.
     pub fn pool(&self, tenant: TenantId, idx: usize) -> &BufferPool {
+        self.find_pool(tenant, idx)
+            .expect("tenant provisioned on this node")
+    }
+
+    fn find_pool(&self, tenant: TenantId, idx: usize) -> Option<&BufferPool> {
         self.pools
             .get(tenant.0.into())
             .and_then(|per_node| per_node.get(idx))
-            .expect("tenant provisioned on this node")
     }
 
     /// Snapshot of every provisioned `(tenant, node index, pool)` triple.
@@ -579,8 +583,9 @@ impl Cluster {
     /// Injects one request into a chain: writes the payload into the entry
     /// node's pool and delivers the descriptor to the entry function.
     ///
-    /// Returns `false` when the entry pool is exhausted (the request is
-    /// shed, as a real admission controller would).
+    /// Returns `false` when the request is refused: the entry function is
+    /// not placed, the tenant has no pool, or the entry pool is exhausted
+    /// (the request is shed, as a real admission controller would).
     pub fn inject(
         &self,
         sim: &mut Sim,
@@ -628,8 +633,8 @@ impl Cluster {
     /// writes the request id, the chain or DAG `header` (hop index or call
     /// header, and any deadline) and the root trace context, and delivers
     /// the descriptor to `entry` through the node's I/O library. `false` =
-    /// refused (not placed, or the entry pool is exhausted); nothing was
-    /// sent.
+    /// refused (not placed, tenant never provisioned, or the entry pool is
+    /// exhausted); nothing was sent.
     fn enter(
         &self,
         sim: &mut Sim,
@@ -642,7 +647,7 @@ impl Cluster {
         let Some(idx) = self.node_index_of(entry) else {
             return false;
         };
-        let Ok(mut buf) = self.pool(tenant, idx).get() else {
+        let Some(mut buf) = self.find_pool(tenant, idx).and_then(|p| p.get().ok()) else {
             return false;
         };
         // Payloads are sized to carry the on-wire trace context (24 bytes,
@@ -849,17 +854,10 @@ impl Cluster {
         for (idx, node) in self.nodes.iter().enumerate() {
             let node_label = idx.to_string();
             let nl = [("node", node_label.as_str())];
-            let stats = node.dne.stats();
             reg.gauge("dne_engine_queued", &nl)
                 .set(node.dne.queued() as f64);
             reg.gauge("rnic_active_qps", &nl)
                 .set(self.fabric.active_qp_count(node.id) as f64);
-            // Of the reconnects so far, the share served from pre-warm stock
-            // instead of a cold RC establishment.
-            reg.gauge("qp_prewarm_hit_rate", &nl).set_ratio(
-                stats.prewarm_claims,
-                stats.prewarm_claims + stats.cold_connects,
-            );
             for t in node.dne.tenant_ids() {
                 let tenant_label = t.0.to_string();
                 let labels = [
@@ -896,7 +894,7 @@ impl Cluster {
         let cluster = Rc::clone(self);
         let agg = Rc::new(RefCell::new(obs::Aggregator::new()));
         let windows = Rc::clone(&agg);
-        Ticker::start_until(sim, every, until, move |sim| {
+        sim.every_until(every, until, move |sim| {
             cluster.sample_obs(sim.now(), &reg, every);
             windows.borrow_mut().observe(sim.now(), &reg.snapshot());
         });
@@ -1258,6 +1256,26 @@ mod tests {
         cluster.add_tenant(&mut sim, tenant, 1).unwrap();
         let chain = ChainSpec::new("c", tenant, vec![5, 6]);
         assert!(!cluster.inject(&mut sim, &chain, 0, 64));
+    }
+
+    #[test]
+    fn inject_refuses_a_tenant_that_was_never_provisioned() {
+        let mut sim = Sim::new();
+        let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
+        cluster.add_tenant(&mut sim, TenantId(1), 1).unwrap();
+        // Tenant 2's functions are placed; its pools were never created.
+        let stranger = ChainSpec::new("c", TenantId(2), vec![5, 6]);
+        cluster.place(5, 0);
+        cluster.place(6, 1);
+        let free = |c: &Cluster| -> Vec<u32> {
+            let pools = c.pools_snapshot();
+            pools.iter().map(|(_, _, p)| p.stats().free).collect()
+        };
+        let before = free(&cluster);
+        assert!(!cluster.inject(&mut sim, &stranger, 0, 64));
+        sim.run();
+        assert_eq!(free(&cluster), before);
+        assert_eq!(cluster.pending_replies(), 0);
     }
 
     #[test]

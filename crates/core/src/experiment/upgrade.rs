@@ -31,7 +31,7 @@ use simcore::{Sim, SimDuration};
 
 use crate::boutique;
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::fleetctl::{FleetConfig, FleetController, FleetCounters, FleetEvent};
+use crate::fleetctl::{FleetController, FleetCounters, FleetEvent};
 use crate::health::HealthConfig;
 use crate::report::{fmt_f64, render_table};
 
@@ -220,7 +220,7 @@ pub fn scenario(seed: u64, ticks: u32, wave: bool, crash: bool) -> UpgradeOutcom
         monitor.set_capacity_handler(Rc::new(move |_sim, f| gw.set_capacity_factor(f)));
     }
 
-    let ctl = FleetController::install(&cluster, &monitor, FleetConfig::default());
+    let ctl = FleetController::install(&cluster, &monitor);
     if wave {
         let ctl2 = ctl.clone();
         sim.schedule_after(SimDuration::from_millis(4), move |sim| {

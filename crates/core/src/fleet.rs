@@ -102,7 +102,6 @@ fn totals(cluster: &Cluster, tracer: &obs::Tracer) -> JsonValue {
             ("replenishes", s.replenishes),
             ("replenish_failures", s.replenish_failures),
             ("cold_connects", s.cold_connects),
-            ("prewarm_claims", s.prewarm_claims),
             ("conn_deactivations", e.conn_deactivations()),
             ("conn_evictions", e.conn_evictions()),
             ("conn_teardowns", e.conn_teardowns()),

@@ -43,34 +43,19 @@ use simcore::{Sim, SimDuration, SimTime};
 use crate::cluster::{Cluster, FleetRouteEvent};
 use crate::health::{HealthMonitor, NodeState};
 
-/// Fleet controller configuration.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Longest the controller waits for a draining node's in-flight work
-    /// to quiesce before proceeding anyway (the leftover work completes
-    /// or fails typed under the normal retry/deadline machinery).
-    pub drain_deadline: SimDuration,
-    /// Cadence of the drain quiesce poll.
-    pub drain_poll: SimDuration,
-    /// Simulated time a node spends restarting into the new engine
-    /// version (out of service, routes on backups).
-    pub upgrade_duration: SimDuration,
-    /// Pause after a node returns to service before the wave moves on —
-    /// lets connections and admission settle so the fleet never has two
-    /// nodes out at once.
-    pub settle: SimDuration,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            drain_deadline: SimDuration::from_millis(5),
-            drain_poll: SimDuration::from_micros(50),
-            upgrade_duration: SimDuration::from_micros(500),
-            settle: SimDuration::from_micros(200),
-        }
-    }
-}
+/// Longest the controller waits for a draining node's in-flight work to
+/// quiesce before proceeding anyway (the leftover work completes or fails
+/// typed under the normal retry/deadline machinery).
+const DRAIN_DEADLINE: SimDuration = SimDuration::from_millis(5);
+/// Cadence of the drain quiesce poll.
+const DRAIN_POLL: SimDuration = SimDuration::from_micros(50);
+/// Simulated time a node spends restarting into the new engine version
+/// (out of service, routes on backups).
+const UPGRADE_DURATION: SimDuration = SimDuration::from_micros(500);
+/// Pause after a node returns to service before the wave moves on — lets
+/// connections and admission settle so the fleet never has two nodes out
+/// at once.
+const SETTLE: SimDuration = SimDuration::from_micros(200);
 
 /// Administrative lifecycle of a node, layered over its health state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,7 +172,6 @@ struct WaveState {
 }
 
 struct CtlInner {
-    cfg: FleetConfig,
     cluster: Rc<Cluster>,
     health: HealthMonitor,
     /// Keyed by node index for deterministic iteration.
@@ -207,17 +191,12 @@ impl FleetController {
     /// Builds the controller and wires it into the cluster: registers the
     /// fleet route observer (stranded keys become typed events) and
     /// attaches itself for `fleet_*` gauge emission.
-    pub fn install(
-        cluster: &Rc<Cluster>,
-        health: &HealthMonitor,
-        cfg: FleetConfig,
-    ) -> FleetController {
+    pub fn install(cluster: &Rc<Cluster>, health: &HealthMonitor) -> FleetController {
         let lifecycle = (0..cluster.nodes.len())
             .map(|i| (i, NodeLifecycle::InService))
             .collect();
         let ctl = FleetController {
             inner: Rc::new(RefCell::new(CtlInner {
-                cfg,
                 cluster: Rc::clone(cluster),
                 health: health.clone(),
                 lifecycle,
@@ -291,14 +270,9 @@ impl FleetController {
         clean_polls: u32,
         then: Box<dyn FnOnce(&mut Sim)>,
     ) {
-        let (deadline, poll, in_flight, node) = {
+        let (in_flight, node) = {
             let inner = self.inner.borrow();
-            (
-                inner.cfg.drain_deadline,
-                inner.cfg.drain_poll,
-                inner.cluster.in_flight_on(idx),
-                inner.cluster.nodes[idx].id,
-            )
+            (inner.cluster.in_flight_on(idx), inner.cluster.nodes[idx].id)
         };
         let clean_polls = if in_flight == 0 { clean_polls + 1 } else { 0 };
         if clean_polls >= 2 {
@@ -309,7 +283,7 @@ impl FleetController {
             then(sim);
             return;
         }
-        if sim.now().saturating_since(started) >= deadline {
+        if sim.now().saturating_since(started) >= DRAIN_DEADLINE {
             let mut inner = self.inner.borrow_mut();
             inner.counters.drain_deadline_exceeded += 1;
             inner.events.push(FleetEvent::DrainDeadlineExceeded {
@@ -321,13 +295,13 @@ impl FleetController {
             return;
         }
         let ctl = self.clone();
-        sim.schedule_after(poll, move |sim| {
+        sim.schedule_after(DRAIN_POLL, move |sim| {
             ctl.poll_drain(sim, idx, started, clean_polls, then);
         });
     }
 
     /// Upgrades node `idx` to CTX wire `target`: drain, restart for
-    /// `upgrade_duration` at the new version, announce the version to all
+    /// `UPGRADE_DURATION` at the new version, announce the version to all
     /// peers, restore routes, release the health hold, settle, then call
     /// `then`. A node that crashed mid-drain keeps its routes on backups —
     /// the normal probe recovery restores them once the machine is truly
@@ -341,7 +315,7 @@ impl FleetController {
     ) {
         let ctl = self.clone();
         self.drain(sim, idx, move |sim| {
-            let (node, from, upgrade_duration) = {
+            let node = {
                 let mut inner = ctl.inner.borrow_mut();
                 let node = inner.cluster.nodes[idx].id;
                 let from = inner.cluster.nodes[idx].dne.wire_version();
@@ -351,11 +325,10 @@ impl FleetController {
                     from,
                     to: target,
                 });
-                (node, from, inner.cfg.upgrade_duration)
+                node
             };
-            let _ = from;
             let ctl2 = ctl.clone();
-            sim.schedule_after(upgrade_duration, move |sim| {
+            sim.schedule_after(UPGRADE_DURATION, move |sim| {
                 ctl2.finish_upgrade(sim, idx, node, target, Box::new(then));
             });
         });
@@ -369,13 +342,9 @@ impl FleetController {
         target: u8,
         then: Box<dyn FnOnce(&mut Sim)>,
     ) {
-        let (cluster, health, settle) = {
+        let (cluster, health) = {
             let inner = self.inner.borrow();
-            (
-                Rc::clone(&inner.cluster),
-                inner.health.clone(),
-                inner.cfg.settle,
-            )
+            (Rc::clone(&inner.cluster), inner.health.clone())
         };
         // The restarted engine speaks the new version; every peer learns
         // it (the control-plane announcement of version negotiation).
@@ -399,7 +368,7 @@ impl FleetController {
                 version: target,
             });
         }
-        sim.schedule_after(settle, move |sim| then(sim));
+        sim.schedule_after(SETTLE, move |sim| then(sim));
     }
 
     /// Rotates node `idx` out of the fleet: drain, then leave its routes
@@ -559,7 +528,7 @@ mod tests {
         let cluster = Rc::new(cluster);
         let until = sim.now() + SimDuration::from_millis(200);
         let monitor = cluster.enable_health_monitor(&mut sim, HealthConfig::default(), until);
-        let ctl = FleetController::install(&cluster, &monitor, FleetConfig::default());
+        let ctl = FleetController::install(&cluster, &monitor);
         (sim, cluster, monitor, ctl)
     }
 

@@ -272,11 +272,6 @@ impl HealthMonitor {
         }
     }
 
-    /// The current SLO-pressure multiplier.
-    pub fn slo_pressure(&self) -> f64 {
-        self.inner.borrow().slo_pressure
-    }
-
     /// Every recorded transition, in order.
     pub fn events(&self) -> Vec<HealthEvent> {
         self.inner.borrow().events.clone()

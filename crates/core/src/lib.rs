@@ -51,6 +51,6 @@ pub mod trace;
 pub mod workload;
 
 pub use cluster::{Cluster, ClusterConfig};
-pub use fleetctl::{FleetConfig, FleetController, FleetCounters, FleetEvent, NodeLifecycle};
+pub use fleetctl::{FleetController, FleetCounters, FleetEvent, NodeLifecycle};
 pub use health::{HealthConfig, HealthEvent, HealthMonitor, NodeState};
 pub use workload::ClosedLoop;

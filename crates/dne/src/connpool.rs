@@ -26,6 +26,12 @@
 //! - lazily tears down connections idle past an age threshold
 //!   (`ElasticConfig::idle_teardown_age`), releasing fabric state instead
 //!   of holding a million tenants' QPs forever.
+//!
+//! The engine builds its pool with [`ConnPool::new`] — no bound, no
+//! teardown — and never reconfigures it; the capacity bound and the
+//! teardown sweep run in `nadino::churn` (`BENCH_churn.json`) and in
+//! `tests/elastic_properties.rs`, which build theirs with
+//! [`ConnPool::with_config`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -124,9 +130,6 @@ pub struct ConnPool<K: Copy + Eq + Hash + Ord = TenantId> {
     /// LRU eviction. Counts only pool-tracked activations, so
     /// `deactivations <= activations` always holds.
     deactivations: Cell<u64>,
-    /// QPs deactivated by the full-sweep audit that the pool never
-    /// activated itself (direct fabric access behind the pool's back).
-    untracked_reaps: Cell<u64>,
     /// Active QPs demoted to shadow state by the capacity bound.
     evictions: Cell<u64>,
     /// Connections destroyed by idle-age teardown.
@@ -157,44 +160,11 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
             misses: Cell::new(0),
             activations: Cell::new(0),
             deactivations: Cell::new(0),
-            untracked_reaps: Cell::new(0),
             evictions: Cell::new(0),
             teardowns: Cell::new(0),
             membership_probes: Cell::new(0),
             cfg,
         }
-    }
-
-    /// Replaces the elastic lifecycle config. Turning idle-age teardown on
-    /// seeds the idle queue from the shadow-state connections' recency
-    /// marks (the queue is not maintained while teardown is off); turning
-    /// it off drops the queue.
-    pub fn set_config(&mut self, cfg: ElasticConfig) {
-        let was_on = self.cfg.idle_teardown_age.is_some();
-        self.cfg = cfg;
-        let queue = self.idle_queue.get_mut();
-        match (was_on, cfg.idle_teardown_age.is_some()) {
-            (false, true) => {
-                let meta = self.meta.get_mut();
-                let mut idle: Vec<(SimTime, NodeId, rdma_sim::QpId)> = meta
-                    .iter()
-                    .filter(|(_, m)| m.active_slot.is_none())
-                    .map(|(qp, m)| (m.last_used, m.node, rdma_sim::QpId(qp)))
-                    .collect();
-                idle.sort_unstable();
-                queue.extend(
-                    idle.into_iter()
-                        .map(|(at, node, qp)| (at, QpHandle { node, qp })),
-                );
-            }
-            (true, false) => queue.clear(),
-            _ => {}
-        }
-    }
-
-    /// Returns the elastic lifecycle config in force.
-    pub fn config(&self) -> ElasticConfig {
-        self.cfg
     }
 
     /// Records that `qp` entered shadow state at `now`, for the teardown
@@ -422,12 +392,6 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
         self.deactivations.get()
     }
 
-    /// Returns how many active-but-untracked QPs the full-sweep audit has
-    /// deactivated (connections activated behind the pool's back).
-    pub fn untracked_reaps(&self) -> u64 {
-        self.untracked_reaps.get()
-    }
-
     /// Returns how many activations were demoted by the capacity bound.
     pub fn evictions(&self) -> u64 {
         self.evictions.get()
@@ -489,10 +453,10 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
     /// Full-sweep reap: deactivates every drained active QP in the pool,
     /// tracked or not. Unlike [`ConnPool::deactivate_idle`] this walks
     /// every pooled QP, catching connections activated behind the pool's
-    /// back (a tenant abusing direct fabric access); the DNE runs it as a
-    /// periodic audit rather than on every completion. Untracked reaps are
-    /// counted separately from deactivations — the pool never activated
-    /// them, so counting them together would break the
+    /// back (a tenant abusing direct fabric access) — an audit for an
+    /// operator to run, not something the engine does per completion.
+    /// Untracked reaps stay out of the deactivation counter — the pool never
+    /// activated them, so counting them would break the
     /// `deactivations <= activations` invariant.
     pub fn reap_all_idle(&self, fabric: &Fabric, now: SimTime) -> usize {
         let tracked = self.deactivate_idle(fabric, now);
@@ -504,7 +468,6 @@ impl<K: Copy + Eq + Hash + Ord> ConnPool<K> {
                 untracked += 1;
             }
         }
-        bump(&self.untracked_reaps, untracked as u64);
         tracked + untracked
     }
 
@@ -613,6 +576,13 @@ mod tests {
 
     /// Builds a fabric with two nodes and `n` ready connections.
     fn setup(n: usize) -> (Fabric, Sim, ConnPool, TenantId, NodeId, BufferPool) {
+        setup_with(ElasticConfig::default(), n)
+    }
+
+    fn setup_with(
+        cfg: ElasticConfig,
+        n: usize,
+    ) -> (Fabric, Sim, ConnPool, TenantId, NodeId, BufferPool) {
         let fabric = Fabric::new(RdmaCosts::default());
         let mut sim = Sim::new();
         let a = fabric.add_node();
@@ -626,7 +596,7 @@ mod tests {
         let cq_b = fabric.create_cq(b).unwrap();
         let rq_a = fabric.create_rq(a, tenant).unwrap();
         let rq_b = fabric.create_rq(b, tenant).unwrap();
-        let mut pool = ConnPool::new();
+        let mut pool = ConnPool::with_config(cfg);
         for _ in 0..n {
             let (ha, _) = fabric
                 .connect(&mut sim, tenant, a, cq_a, rq_a, b, cq_b, rq_b)
@@ -844,11 +814,11 @@ mod tests {
     #[test]
     fn capacity_bound_evicts_lru_drained_qp() {
         use rdma_sim::WrId;
-        let (fabric, mut sim, mut pool, tenant, peer, pool_a) = setup(4);
-        pool.set_config(ElasticConfig {
+        let cfg = ElasticConfig {
             active_capacity: 2,
             idle_teardown_age: None,
-        });
+        };
+        let (fabric, mut sim, pool, tenant, peer, pool_a) = setup_with(cfg, 4);
         let now = sim.now();
         let q1 = pool
             .pick_least_congested(&fabric, now, tenant, peer)
@@ -887,11 +857,11 @@ mod tests {
 
     #[test]
     fn idle_age_teardown_destroys_shadow_connections() {
-        let (fabric, sim, mut pool, tenant, peer, _) = setup(3);
-        pool.set_config(ElasticConfig {
+        let cfg = ElasticConfig {
             active_capacity: 0,
             idle_teardown_age: Some(SimDuration::from_millis(5)),
-        });
+        };
+        let (fabric, sim, mut pool, tenant, peer, _) = setup_with(cfg, 3);
         // Connections were added at t=0; the connect delay puts t0 at 20ms,
         // so the two never-picked QPs are already past the 5ms idle age.
         // The picked-and-drained one is only idle since t0.
@@ -920,11 +890,11 @@ mod tests {
 
     #[test]
     fn teardown_skips_recently_reused_connections() {
-        let (fabric, sim, mut pool, tenant, peer, _) = setup(1);
-        pool.set_config(ElasticConfig {
+        let cfg = ElasticConfig {
             active_capacity: 0,
             idle_teardown_age: Some(SimDuration::from_millis(5)),
-        });
+        };
+        let (fabric, sim, mut pool, tenant, peer, _) = setup_with(cfg, 1);
         let t0 = sim.now();
         let qp = pool
             .pick_least_congested(&fabric, t0, tenant, peer)
@@ -967,13 +937,13 @@ mod tests {
     /// entries younger than the idle age.
     #[test]
     fn idle_queue_is_bounded_by_sweeps_while_teardown_is_on() {
-        let (fabric, sim, mut pool, tenant, peer, _) = setup(2);
         let age = SimDuration::from_millis(1);
-        pool.set_config(ElasticConfig {
+        let cfg = ElasticConfig {
             idle_teardown_age: Some(age),
             ..ElasticConfig::default()
-        });
-        assert_eq!(pool.idle_queue.borrow().len(), 2, "seeded from last_used");
+        };
+        let (fabric, sim, mut pool, tenant, peer, _) = setup_with(cfg, 2);
+        assert_eq!(pool.idle_queue.borrow().len(), 2, "queued on add");
         let mut now = sim.now();
         let mut last = None;
         for cycle in 1..=100_000u64 {
@@ -999,51 +969,6 @@ mod tests {
             }
         }
         assert_eq!(pool.pooled_total(), 2);
-    }
-
-    /// Turning teardown on late must age connections from when they last
-    /// went idle, in `(last_used, handle)` order — not from the switch.
-    #[test]
-    fn enabling_teardown_seeds_the_queue_from_last_used() {
-        let (fabric, sim, mut pool, tenant, peer, _) = setup(3);
-        let t0 = sim.now();
-        let used = pool
-            .pick_least_congested(&fabric, t0, tenant, peer)
-            .unwrap();
-        pool.deactivate_idle(&fabric, t0);
-        let busy = pool
-            .pick_least_congested_excluding(&fabric, t0, tenant, peer, Some(used.qp))
-            .unwrap();
-        assert!(pool.idle_queue.borrow().is_empty());
-        pool.set_config(ElasticConfig {
-            idle_teardown_age: Some(SimDuration::from_millis(5)),
-            ..ElasticConfig::default()
-        });
-        let seeded: Vec<(SimTime, QpHandle)> = pool.idle_queue.borrow().iter().copied().collect();
-        let never = *pool
-            .conns(tenant, peer)
-            .iter()
-            .find(|&&qp| qp != used && qp != busy)
-            .unwrap();
-        assert_eq!(
-            seeded,
-            vec![(SimTime::ZERO, never), (t0, used)],
-            "oldest first; the active QP is not queued"
-        );
-        // The never-used connection (idle since its add at t=0) is already
-        // past the age; the one drained at t0 goes 5 ms later; the active
-        // one never.
-        assert_eq!(pool.teardown_idle(&fabric, t0), 1);
-        assert!(!pool.contains(never));
-        assert_eq!(
-            pool.teardown_idle(&fabric, t0 + SimDuration::from_millis(5)),
-            1
-        );
-        assert!(pool.contains(busy) && !pool.contains(used));
-        // Turning it off drops the queue.
-        pool.set_config(ElasticConfig::default());
-        pool.deactivate_idle(&fabric, t0);
-        assert!(pool.idle_queue.borrow().is_empty());
     }
 
     /// Property (table conversion): random add / pick / reap / teardown /

@@ -9,7 +9,7 @@
 //! order, after the step returned.
 //!
 //! The boundary: anything that needs a `&mut` simulator — scheduling,
-//! cancelling, `post_send`, `connect`, `claim_prewarmed`, calling an
+//! cancelling, `post_send`, `connect`, calling an
 //! endpoint, the failure handler or a peer engine — is an effect. The core
 //! keeps the fabric calls that only read or update RNIC queue state and
 //! take no simulator: `poll_one`, `cq_depth`, `post_recv`, `costs`, and the
@@ -79,7 +79,6 @@ pub(crate) enum Input {
         peer: NodeId,
         local: QpHandle,
         remote: QpHandle,
-        warm: bool,
     },
     /// The reconnect came up: its connection is usable from now on.
     ReconnectUp { tenant: TenantId, peer: NodeId },
@@ -93,8 +92,6 @@ pub(crate) enum Input {
     },
     /// A failure found outside the engine, to account and surface.
     Report(DeliveryFailure),
-    /// The periodic idle-QP reaper ticked.
-    Reap,
 }
 
 // A scheduled input rides in an event closure next to one `Rc`; past
@@ -126,8 +123,8 @@ pub(crate) enum Effect {
         backoff: SimDuration,
     },
     CancelTimer(TimerHandle),
-    /// Establish a fresh connection for `(tenant, peer)` — pre-warmed if
-    /// the link has stock — and answer `Connected` or `ReconnectFailed`.
+    /// Establish a fresh connection for `(tenant, peer)` and answer
+    /// `Connected` or `ReconnectFailed`.
     Connect {
         tenant: TenantId,
         peer: NodeId,
@@ -181,7 +178,6 @@ fn send_seq(wr: WrId) -> u64 {
 pub(crate) struct TenantState {
     pool: BufferPool,
     pub(crate) rq: RqId,
-    pub(crate) weight: u32,
     pub(crate) failures: TenantFailureStats,
 }
 
@@ -312,7 +308,7 @@ pub(crate) struct Core {
 impl Core {
     pub(crate) fn new(fabric: Fabric, node: NodeId, cq: CqId, cfg: DneConfig) -> Core {
         let processor = match cfg.wimpy_factor {
-            Some(f) => Processor::with_factor(cfg.processor, cfg.cores, f),
+            Some(f) => Processor::with_factor(cfg.cores, f),
             None => Processor::new(cfg.processor, cfg.cores),
         };
         let txq: Box<dyn TenantScheduler<TxItem>> = match cfg.sched {
@@ -405,18 +401,11 @@ impl Core {
                 peer,
                 local,
                 remote,
-                warm,
             } => {
                 self.conns.add(tenant, peer, local, now);
                 self.stats.reconnects += 1;
-                let costs = self.fabric.costs();
-                let delay = if warm {
-                    self.stats.prewarm_claims += 1;
-                    costs.prewarm_claim_delay
-                } else {
-                    self.stats.cold_connects += 1;
-                    costs.connect_delay
-                };
+                self.stats.cold_connects += 1;
+                let delay = self.fabric.costs().connect_delay;
                 let handle = remote;
                 out.push(Effect::PeerConnAdded {
                     peer,
@@ -479,13 +468,6 @@ impl Core {
                 }
                 out.push(Effect::Fail(failure));
             }
-            Input::Reap => {
-                self.conns.deactivate_idle(&self.fabric, now);
-                // Lazy teardown: connections idle past the configured age
-                // release their fabric state entirely (no-op unless the
-                // pool's elastic config sets an idle age).
-                self.conns.teardown_idle(&self.fabric, now);
-            }
         }
     }
 
@@ -513,7 +495,6 @@ impl Core {
         let state = TenantState {
             pool: mapped.pool().clone(),
             rq,
-            weight,
             failures: TenantFailureStats::default(),
         };
         self.tenants.insert(tenant.0.into(), state);
@@ -1259,7 +1240,6 @@ mod tests {
                     peer,
                     local,
                     remote,
-                    warm: false,
                 },
             );
             effects.extend(self.run(now, Input::ReconnectUp { tenant, peer }));

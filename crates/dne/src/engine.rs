@@ -1,10 +1,10 @@
 //! The engine's public handle and the driver behind it.
 //!
 //! One [`Dne`] runs per worker node. Everything it decides is decided by
-//! the state machine in [`crate::core`], which never sees the simulator;
+//! the state machine in `crate::core`, which never sees the simulator;
 //! this module is the thin shell around it. [`Dne`]'s methods are the
 //! control plane (tenants, routes, endpoints, wire versions, counters) and
-//! [`drive`] is the data plane's only door to the outside: it feeds one
+//! `drive` is the data plane's only door to the outside: it feeds one
 //! input to `Core::step` under a single borrow, drops the borrow, and
 //! applies the effects in emission order — the one place in the crate that
 //! schedules or cancels an event, posts to the RNIC, connects, calls an
@@ -31,7 +31,7 @@ use membuf::tenant::TenantId;
 use obs::Tracer;
 use rdma_sim::fabric::{CqId, QpHandle, RqId};
 use rdma_sim::{Fabric, NodeId, RdmaError, WrId};
-use simcore::{Sim, SimDuration, SimTime, Ticker};
+use simcore::{Sim, SimTime};
 
 use crate::core::{Core, Effect, Input};
 use crate::types::{DeliveryFailure, DneConfig, DneStats, IpcCosts, TenantFailureStats};
@@ -101,8 +101,6 @@ struct Engine {
     /// The engines `connect_pair` wired this one to: where `PeerConnAdded`
     /// is delivered.
     peers: RefCell<HashMap<NodeId, Weak<Engine>>>,
-    /// Periodic idle-QP reaper, when armed (see [`Dne::start_conn_reaper`]).
-    conn_reaper: RefCell<Option<Ticker>>,
 }
 
 impl Engine {
@@ -196,11 +194,9 @@ fn drive(rc: &Rc<Engine>, sim: &mut Sim, input: Input) {
     rc.effects.set(out);
 }
 
-/// Establishes a fresh connection for a dry `(tenant, peer)` pool and
-/// tells the state machine how it went. Claims from the link's pre-warm
-/// stock when one exists — the handshake already ran in the background, so
-/// the connection is usable in microseconds instead of paying the full
-/// tens-of-ms establishment on the recovery path.
+/// Establishes a fresh connection for a dry `(tenant, peer)` pool — the
+/// full tens-of-ms RC establishment — and tells the state machine how it
+/// went.
 #[cold]
 fn reconnect(
     rc: &Rc<Engine>,
@@ -210,21 +206,12 @@ fn reconnect(
     (rq, peer_cq, peer_rq): (RqId, CqId, RqId),
 ) {
     let (fabric, node, cq) = (&rc.fabric, rc.node, rc.cq);
-    let claimed = fabric
-        .claim_prewarmed(sim, tenant, node, cq, rq, peer, peer_cq, peer_rq)
-        .unwrap_or(None);
-    let warm = claimed.is_some();
-    let pair = match claimed {
-        Some(pair) => Ok(pair),
-        None => fabric.connect(sim, tenant, node, cq, rq, peer, peer_cq, peer_rq),
-    };
-    let answer = match pair {
+    let answer = match fabric.connect(sim, tenant, node, cq, rq, peer, peer_cq, peer_rq) {
         Ok((local, remote)) => Input::Connected {
             tenant,
             peer,
             local,
             remote,
-            warm,
         },
         Err(_) => Input::ReconnectFailed { tenant, peer },
     };
@@ -258,7 +245,6 @@ impl Dne {
             effects: Cell::default(),
             failure_handler: RefCell::default(),
             peers: RefCell::default(),
-            conn_reaper: RefCell::default(),
         });
         let weak = Rc::downgrade(&inner);
         fabric.set_cq_waker(
@@ -282,11 +268,6 @@ impl Dne {
     /// host-side component themselves).
     pub fn ipc_costs(&self) -> IpcCosts {
         self.inner.borrow().ipc.clone()
-    }
-
-    /// Returns the engine's shared completion queue.
-    pub fn cq(&self) -> CqId {
-        self.inner.cq
     }
 
     /// Registers a tenant: registers its (cross-processor mapped) pool with
@@ -523,41 +504,6 @@ impl Dne {
         self.inner.borrow().conns.teardowns()
     }
 
-    /// Stocks `n` pre-warmed connections toward `peer` in the background.
-    /// A later pool-dry reconnect claims one in microseconds instead of
-    /// paying the full RC establishment delay.
-    pub fn prewarm_link(&self, sim: &mut Sim, peer: NodeId, n: usize) -> Result<(), DneError> {
-        let engine = &self.inner;
-        engine.fabric.prewarm_link(sim, engine.node, peer, n)?;
-        Ok(())
-    }
-
-    /// Arms a periodic idle-QP reaper sweeping every `every`.
-    ///
-    /// The engine already reaps opportunistically on send completions; the
-    /// periodic sweep additionally catches QPs that went idle with no
-    /// further completion traffic to piggyback on (e.g. after a tenant's
-    /// burst ends). Idempotent while armed.
-    pub fn start_conn_reaper(&self, sim: &mut Sim, every: SimDuration) {
-        let mut reaper = self.inner.conn_reaper.borrow_mut();
-        if reaper.is_some() {
-            return;
-        }
-        let weak = Rc::downgrade(&self.inner);
-        *reaper = Some(Ticker::start(sim, every, move |sim| {
-            if let Some(rc) = weak.upgrade() {
-                drive(&rc, sim, Input::Reap);
-            }
-        }));
-    }
-
-    /// Disarms the periodic reaper, descheduling its pending sweep.
-    pub fn stop_conn_reaper(&self, sim: &mut Sim) {
-        if let Some(t) = self.inner.conn_reaper.borrow_mut().take() {
-            t.cancel_in(sim);
-        }
-    }
-
     /// Returns `(hits, misses)` of the shadow-QP picker for one tenant.
     pub fn conn_hit_miss_of(&self, tenant: TenantId) -> (u64, u64) {
         self.inner.borrow().conns.hit_miss_of(tenant)
@@ -573,25 +519,6 @@ impl Dne {
             .collect();
         ids.sort();
         ids
-    }
-
-    /// Returns the tenant's configured weight.
-    pub fn tenant_weight(&self, tenant: TenantId) -> Option<u32> {
-        let core = self.inner.borrow();
-        core.tenants.get(tenant.0.into()).map(|t| t.weight)
-    }
-
-    /// Updates a tenant's scheduling weight at runtime (§4.2: the userspace
-    /// engine makes policy customization trivial).
-    pub fn set_tenant_weight(&self, tenant: TenantId, weight: u32) -> Result<(), DneError> {
-        let mut core = self.inner.borrow_mut();
-        let state = core
-            .tenants
-            .get_mut(tenant.0.into())
-            .ok_or(DneError::UnknownTenant(tenant))?;
-        state.weight = weight;
-        core.txq.register(tenant, weight);
-        Ok(())
     }
 
     /// Returns engine core utilization over `[a, b]` (0..=cores).
@@ -701,38 +628,6 @@ mod tests {
         // 256 buffers sit pre-posted in the receive queue).
         let prepost = DneConfig::nadino_dne().prepost_depth as u32;
         assert_eq!(env.pool_a.stats().free, env.pool_a.capacity() - prepost);
-    }
-
-    #[test]
-    fn periodic_conn_reaper_sweeps_and_deschedules_on_stop() {
-        let mut env = setup(DneConfig::nadino_dne());
-        let pool_b = env.pool_b.clone();
-        env.dne_b.register_endpoint(
-            2,
-            Rc::new(move |_sim, desc| {
-                let _ = pool_b.redeem(desc).expect("valid");
-            }),
-        );
-        env.dne_a
-            .start_conn_reaper(&mut env.sim, SimDuration::from_micros(100));
-        env.dne_a
-            .start_conn_reaper(&mut env.sim, SimDuration::from_micros(100)); // idempotent
-        assert_eq!(env.sim.pending_events(), 1, "one sweep armed");
-        let buf = env.pool_a.get().unwrap();
-        env.dne_a.submit(&mut env.sim, env.tenant, buf.into_desc(2));
-        env.sim.run_for(SimDuration::from_millis(1));
-        assert!(
-            env.dne_a.conn_deactivations() >= 1,
-            "sweep reaped the drained QP"
-        );
-        env.dne_a.stop_conn_reaper(&mut env.sim);
-        assert_eq!(
-            env.sim.pending_events(),
-            0,
-            "pending sweep descheduled, not zombied"
-        );
-        env.dne_a.stop_conn_reaper(&mut env.sim); // idempotent
-        env.sim.run();
     }
 
     #[test]
@@ -986,6 +881,7 @@ mod failover_tests {
     use dpu_sim::mmap::{doca_mmap_create_from_export, doca_mmap_export_full};
     use membuf::pool::PoolConfig;
     use rdma_sim::RdmaCosts;
+    use simcore::SimDuration;
     use std::cell::RefCell as StdRefCell;
 
     #[test]
@@ -1193,34 +1089,11 @@ mod failover_tests {
         let stats = dne_a.stats();
         assert_eq!(stats.drops, 0);
         assert_eq!(stats.reconnects, 1, "one reconnect covers the pair");
+        assert_eq!(
+            stats.cold_connects, stats.reconnects,
+            "every reconnect is cold"
+        );
         assert_eq!(stats.retries, 2, "the flush re-posts without re-parking");
         assert_eq!(pool_a.stats().in_flight, 0);
-    }
-}
-#[cfg(test)]
-mod weight_tests {
-    use super::*;
-    use dpu_sim::mmap::{doca_mmap_create_from_export, doca_mmap_export_full};
-    use membuf::pool::PoolConfig;
-    use rdma_sim::RdmaCosts;
-
-    #[test]
-    fn tenant_weight_can_change_at_runtime() {
-        let fabric = Fabric::new(RdmaCosts::default());
-        let node = fabric.add_node();
-        let dne = Dne::new(fabric, node, DneConfig::nadino_dne()).unwrap();
-        let tenant = TenantId(1);
-        let mut cfg = PoolConfig::new(tenant, 0, 256, 16);
-        cfg.segment_size = 4096;
-        let pool = BufferPool::new(cfg).unwrap();
-        let mapped = doca_mmap_create_from_export(&doca_mmap_export_full(&pool).unwrap()).unwrap();
-        dne.register_tenant(tenant, 1, &mapped).unwrap();
-        assert_eq!(dne.tenant_weight(tenant), Some(1));
-        dne.set_tenant_weight(tenant, 6).unwrap();
-        assert_eq!(dne.tenant_weight(tenant), Some(6));
-        assert_eq!(
-            dne.set_tenant_weight(TenantId(9), 2).unwrap_err(),
-            DneError::UnknownTenant(TenantId(9))
-        );
     }
 }

@@ -181,14 +181,6 @@ impl DneConfig {
             ..DneConfig::default()
         }
     }
-
-    /// FCFS engine without multi-tenancy handling (Fig. 15's baseline).
-    pub fn fcfs_dne() -> Self {
-        DneConfig {
-            sched: SchedPolicy::Fcfs,
-            ..DneConfig::default()
-        }
-    }
 }
 
 /// Aggregate engine statistics, including the per-stage latency breakdown
@@ -232,12 +224,9 @@ pub struct DneStats {
     /// Time from the first post of a send to its terminal outcome, recorded
     /// only for sends that needed at least one retry.
     pub retry_latency: simcore::Histogram,
-    /// Reconnects that paid the full RC establishment delay because no
-    /// pre-warmed connection was stocked for the link.
+    /// Reconnects that paid the full RC establishment delay — every one:
+    /// the engine's recovery path does not draw on a pre-warm stock.
     pub cold_connects: u64,
-    /// Reconnects satisfied from the pre-warm stock (microsecond claim
-    /// instead of tens-of-ms establishment).
-    pub prewarm_claims: u64,
 }
 
 /// Why a send was abandoned.
@@ -327,6 +316,5 @@ mod tests {
         assert_eq!(cne.processor, ProcessorKind::HostCpu);
         assert_eq!(cne.ipc, IpcKind::SkMsg);
         assert_eq!(DneConfig::on_path_dne().offload, OffloadMode::OnPath);
-        assert_eq!(DneConfig::fcfs_dne().sched, SchedPolicy::Fcfs);
     }
 }

@@ -15,8 +15,12 @@
 //! - **TCP**: the loopback-socket baseline, paying kernel and protocol
 //!   costs on every descriptor.
 //!
-//! [`ComchCosts`] is the calibrated timing model; [`DescriptorChannel`] is
-//! a real bidirectional SPSC channel for the functional layer.
+//! [`ComchCosts`] is the calibrated price the engine charges per
+//! descriptor. [`DescriptorChannel`] and [`ComchServer`] — a real
+//! bidirectional SPSC channel pair and a server polling many of them — are
+//! not on the simulator's path: the frozen benchmark's
+//! `dpu-sim.comch_roundtrip_ns` driver is their one caller (DESIGN.md §1,
+//! "Reached only by the frozen benchmark").
 
 use membuf::descriptor::BufferDesc;
 use membuf::spsc::{Consumer, Producer, SpscRing};
@@ -52,8 +56,6 @@ pub struct ComchCosts {
     pub dne_service_per_endpoint: SimDuration,
     /// Host-function-side CPU work per descriptor.
     pub host_service: SimDuration,
-    /// Whether the variant pins one host core per function (Comch-P).
-    pub dedicated_host_core: bool,
 }
 
 impl ComchCosts {
@@ -65,21 +67,18 @@ impl ComchCosts {
                 dne_service_base: SimDuration::from_nanos(1_500),
                 dne_service_per_endpoint: SimDuration::ZERO,
                 host_service: SimDuration::from_nanos(900),
-                dedicated_host_core: false,
             },
             ChannelKind::ComchP => ComchCosts {
                 one_way_latency: SimDuration::from_nanos(600),
                 dne_service_base: SimDuration::from_nanos(400),
                 dne_service_per_endpoint: SimDuration::from_nanos(250),
                 host_service: SimDuration::from_nanos(400),
-                dedicated_host_core: true,
             },
             ChannelKind::Tcp => ComchCosts {
                 one_way_latency: SimDuration::from_nanos(15_000),
                 dne_service_base: SimDuration::from_nanos(6_000),
                 dne_service_per_endpoint: SimDuration::ZERO,
                 host_service: SimDuration::from_nanos(4_000),
-                dedicated_host_core: false,
             },
         }
     }
@@ -208,13 +207,6 @@ mod tests {
     fn comch_e_is_flat_in_endpoints() {
         let e = ComchCosts::for_kind(ChannelKind::ComchE);
         assert_eq!(e.dne_service(1), e.dne_service(64));
-    }
-
-    #[test]
-    fn only_comch_p_pins_host_cores() {
-        assert!(ComchCosts::for_kind(ChannelKind::ComchP).dedicated_host_core);
-        assert!(!ComchCosts::for_kind(ChannelKind::ComchE).dedicated_host_core);
-        assert!(!ComchCosts::for_kind(ChannelKind::Tcp).dedicated_host_core);
     }
 
     #[test]

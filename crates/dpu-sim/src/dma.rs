@@ -1,18 +1,16 @@
-//! The two DMA engines of a BlueField-2-class DPU.
+//! The SoC DMA engine of a BlueField-2-class DPU.
 //!
-//! §4.1.1 of the paper contrasts:
+//! §4.1.1 of the paper contrasts two data movers. The **SoC DMA engine**,
+//! used by *on-path* offloading to stage payloads in DPU memory, has low
+//! latency when idle (2.6 µs for a 64 B read, quoting the paper's citation
+//! of Wei et al.) but "poor processing capability": a single channel that
+//! queues up and inflates latency as concurrency grows. The **RNIC DMA**
+//! moves data between the wire and *host* memory at line rate, which is
+//! what makes the off-path cross-processor-shared-memory design win under
+//! load; its cost is part of `rdma_sim::RdmaCosts`, not a queue here.
 //!
-//! - the **SoC DMA engine**, used by *on-path* offloading to stage payloads
-//!   in DPU memory — low latency when idle (2.6 µs for a 64 B read, quoting
-//!   the paper's citation of Wei et al.) but with "poor processing
-//!   capability": a single channel that queues up and inflates latency as
-//!   concurrency grows;
-//! - the **RNIC DMA**, which moves data between the wire and *host* memory
-//!   at line rate with multiple channels, which is what makes the off-path
-//!   cross-processor-shared-memory design win under load.
-//!
-//! Both are FIFO resources: `transfer` admits an operation and returns its
-//! completion instant.
+//! [`SocDma`] is a FIFO resource: `transfer` admits an operation and
+//! returns its completion instant.
 
 use simcore::{MultiServer, SimDuration, SimTime};
 
@@ -50,18 +48,6 @@ impl Default for SocDma {
 }
 
 impl SocDma {
-    /// Creates the engine with explicit parameters (ablations sweep these).
-    pub fn new(channels: usize, fixed: SimDuration, bytes_per_sec: f64) -> Self {
-        assert!(bytes_per_sec > 0.0, "DMA bandwidth must be positive");
-        SocDma {
-            engine: MultiServer::new(channels),
-            fixed,
-            bytes_per_sec,
-            degrade_per_backlog_us: 0.12,
-            max_degradation: 2.5,
-        }
-    }
-
     /// Returns the idle-engine service demand of one `bytes`-sized op.
     pub fn op_time(&self, bytes: usize) -> SimDuration {
         self.fixed + SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
@@ -81,63 +67,6 @@ impl SocDma {
         let t = self.op_time(bytes).mul_f64(factor);
         self.engine.admit(now, t)
     }
-
-    /// Returns the number of transfers performed.
-    pub fn ops(&self) -> u64 {
-        self.engine.jobs()
-    }
-
-    /// Returns engine utilization over `[a, b]`.
-    pub fn utilization(&self, a: SimTime, b: SimTime) -> f64 {
-        self.engine.utilization_cores(a, b) / self.engine.lanes() as f64
-    }
-}
-
-/// The line-rate RNIC DMA (multiple channels, tiny fixed cost).
-#[derive(Debug, Clone)]
-pub struct RnicDma {
-    engine: MultiServer,
-    fixed: SimDuration,
-    bytes_per_sec: f64,
-}
-
-impl Default for RnicDma {
-    fn default() -> Self {
-        RnicDma {
-            engine: MultiServer::new(4),
-            fixed: SimDuration::from_nanos(250),
-            // 200 Gb/s line rate.
-            bytes_per_sec: 25_000_000_000.0,
-        }
-    }
-}
-
-impl RnicDma {
-    /// Creates the engine with explicit parameters.
-    pub fn new(channels: usize, fixed: SimDuration, bytes_per_sec: f64) -> Self {
-        assert!(bytes_per_sec > 0.0, "DMA bandwidth must be positive");
-        RnicDma {
-            engine: MultiServer::new(channels),
-            fixed,
-            bytes_per_sec,
-        }
-    }
-
-    /// Returns the service demand of one `bytes`-sized operation.
-    pub fn op_time(&self, bytes: usize) -> SimDuration {
-        self.fixed + SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
-    }
-
-    /// Admits a transfer of `bytes` at `now`; returns its completion instant.
-    pub fn transfer(&mut self, now: SimTime, bytes: usize) -> SimTime {
-        let t = self.op_time(bytes);
-        self.engine.admit(now, t)
-    }
-
-    /// Returns the number of transfers performed.
-    pub fn ops(&self) -> u64 {
-        self.engine.jobs()
-    }
 }
 
 #[cfg(test)]
@@ -150,14 +79,6 @@ mod tests {
         let done = dma.transfer(SimTime::ZERO, 64);
         let us = (done - SimTime::ZERO).as_micros_f64();
         assert!((us - 2.6).abs() < 0.05, "64B SoC DMA = {us}us (paper: 2.6)");
-    }
-
-    #[test]
-    fn rnic_dma_is_much_faster_per_op() {
-        let soc = SocDma::default();
-        let rnic = RnicDma::default();
-        assert!(rnic.op_time(64) < soc.op_time(64) / 5);
-        assert!(rnic.op_time(4096) < soc.op_time(4096));
     }
 
     #[test]
@@ -191,30 +112,11 @@ mod tests {
     }
 
     #[test]
-    fn rnic_dma_parallel_channels_absorb_bursts() {
-        let mut dma = RnicDma::default();
-        let mut latest = SimTime::ZERO;
-        for _ in 0..4 {
-            latest = dma.transfer(SimTime::ZERO, 1024);
-        }
-        // 4 channels: all four finish in one op time.
-        assert_eq!(latest, SimTime::ZERO + dma.op_time(1024));
-    }
-
-    #[test]
     fn bandwidth_term_scales_with_size() {
         let dma = SocDma::default();
         let d64 = dma.op_time(64);
         let d1m = dma.op_time(1 << 20);
         // 1 MiB at 3 GB/s is ~350us of wire time.
         assert!((d1m - d64).as_micros_f64() > 300.0);
-    }
-
-    #[test]
-    fn utilization_reflects_busy_engine() {
-        let mut dma = SocDma::default();
-        let end = dma.transfer(SimTime::ZERO, 64);
-        let u = dma.utilization(SimTime::ZERO, end);
-        assert!((u - 1.0).abs() < 1e-9);
     }
 }

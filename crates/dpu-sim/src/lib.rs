@@ -6,9 +6,8 @@
 //! - [`soc`]: the SoC's *wimpy* ARM A72 cores — a service-time multiplier
 //!   relative to host Xeon cores, plus a [`soc::Processor`] abstraction the
 //!   network-engine crate runs its event loop on.
-//! - [`dma`]: the two data movers with very different characters — the slow
-//!   SoC DMA engine used by *on-path* offloading (2.6 µs for a 64 B read,
-//!   §4.1.1) and the line-rate RNIC DMA that the *off-path* design rides.
+//! - [`dma`]: the slow SoC DMA engine used by *on-path* offloading (2.6 µs
+//!   for a 64 B read, §4.1.1) — the data mover the *off-path* design avoids.
 //! - [`comch`]: the DOCA Comch descriptor channels between host functions
 //!   and the DNE — the event-driven `Comch-E`, the busy-polling `Comch-P`
 //!   (whose progress engine costs grow with the number of monitored
@@ -24,5 +23,5 @@ pub mod mmap;
 pub mod soc;
 
 pub use comch::{ChannelKind, ComchCosts};
-pub use dma::{RnicDma, SocDma};
+pub use dma::SocDma;
 pub use soc::{Processor, ProcessorKind};

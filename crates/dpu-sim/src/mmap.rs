@@ -4,8 +4,8 @@
 //! module exposes the same vocabulary over [`membuf::export`] so the DNE
 //! code reads like the paper:
 //!
-//! 1. the host agent calls [`doca_mmap_export_pci`] and
-//!    [`doca_mmap_export_rdma`] on the unified pool;
+//! 1. the host agent calls [`doca_mmap_export_full`] on the unified pool
+//!    (one descriptor carrying the PCIe and the RNIC grant);
 //! 2. the export descriptor travels to the DNE over Comch;
 //! 3. the DNE calls [`doca_mmap_create_from_export`] and can then register
 //!    the host memory with the RNIC.
@@ -18,11 +18,6 @@ pub fn doca_mmap_export_pci(pool: &BufferPool) -> Result<ExportDescriptor, Expor
     ExportDescriptor::export(pool, &[ExportTarget::Pci])
 }
 
-/// Exports `pool` for access by the integrated RNIC.
-pub fn doca_mmap_export_rdma(pool: &BufferPool) -> Result<ExportDescriptor, ExportError> {
-    ExportDescriptor::export(pool, &[ExportTarget::Rdma])
-}
-
 /// Exports `pool` with both grants in one descriptor — what NADINO's
 /// shared-memory agent ships to the DNE.
 pub fn doca_mmap_export_full(pool: &BufferPool) -> Result<ExportDescriptor, ExportError> {
@@ -32,23 +27,6 @@ pub fn doca_mmap_export_full(pool: &BufferPool) -> Result<ExportDescriptor, Expo
 /// Recreates the memory map on the DPU from a received export descriptor.
 pub fn doca_mmap_create_from_export(export: &ExportDescriptor) -> Result<MappedPool, ExportError> {
     export.import(ExportTarget::Pci)
-}
-
-/// Reads the ingress sampling bit of an in-flight buffer *through the
-/// DPU's memory map* — the DPU-side half of the one-bit tracing contract.
-///
-/// The gateway decides sampling once at admission and stamps the bit into
-/// the payload's trace context; because the context lives inside the
-/// buffer itself, DPU ARM cores see the decision through the imported
-/// mmap without any host round trip or tracer access. Forged or stale
-/// descriptors and payloads too short to carry a context read as
-/// unsampled.
-pub fn doca_buf_is_sampled(mapped: &MappedPool, desc: membuf::descriptor::BufferDesc) -> bool {
-    let mut head = [0u8; obs::CTX_REGION];
-    mapped
-        .pool()
-        .peek_payload_into(desc, &mut head)
-        .is_some_and(|n| obs::ctx::sampled(&head[..n]))
 }
 
 #[cfg(test)]
@@ -80,43 +58,10 @@ mod tests {
     }
 
     #[test]
-    fn sampling_bit_round_trips_across_the_pcie_boundary() {
-        let pool = mk_pool();
-        let export = doca_mmap_export_full(&pool).unwrap();
-        let mapped = doca_mmap_create_from_export(&export).unwrap();
-        // Ingress stamps the decision host-side into the payload ctx...
-        let mut payload = [0u8; obs::CTX_REGION];
-        payload[..8].copy_from_slice(&99u64.to_le_bytes());
-        obs::ctx::write_ctx(&mut payload, 0, true);
-        let mut b = pool.get().unwrap();
-        b.write_payload(&payload).unwrap();
-        let desc = b.into_desc(0);
-        // ...and the DPU reads the same bit through the imported mmap.
-        assert!(doca_buf_is_sampled(&mapped, desc));
-        // An unsampled request reads back as unsampled.
-        let mut unsampled = [0u8; obs::CTX_REGION];
-        unsampled[..8].copy_from_slice(&100u64.to_le_bytes());
-        let mut b2 = pool.get().unwrap();
-        b2.write_payload(&unsampled).unwrap();
-        assert!(!doca_buf_is_sampled(&mapped, b2.into_desc(0)));
-        // Payloads too short for a ctx are unsampled by construction.
-        let mut b3 = pool.get().unwrap();
-        b3.write_payload(&[1u8; 8]).unwrap();
-        assert!(!doca_buf_is_sampled(&mapped, b3.into_desc(0)));
-    }
-
-    #[test]
     fn pci_only_export_cannot_reach_the_rnic() {
         let pool = mk_pool();
         let export = doca_mmap_export_pci(&pool).unwrap();
         let mapped = doca_mmap_create_from_export(&export).unwrap();
         assert!(!mapped.allows(ExportTarget::Rdma));
-    }
-
-    #[test]
-    fn rdma_only_export_cannot_be_mapped_by_arm_cores() {
-        let pool = mk_pool();
-        let export = doca_mmap_export_rdma(&pool).unwrap();
-        assert!(doca_mmap_create_from_export(&export).is_err());
     }
 }

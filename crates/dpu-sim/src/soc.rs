@@ -44,7 +44,6 @@ impl ProcessorKind {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Processor {
-    kind: ProcessorKind,
     factor: f64,
     cores: MultiServer,
     /// Busy core-nanoseconds attributed per pipeline stage by
@@ -58,34 +57,23 @@ impl Processor {
     /// Creates a processor of `kind` with `cores` cores and the default
     /// wimpy factor for that kind.
     pub fn new(kind: ProcessorKind, cores: usize) -> Self {
-        Self::with_factor(kind, cores, kind.default_factor())
+        Self::with_factor(cores, kind.default_factor())
     }
 
     /// Creates a processor with an explicit service-time multiplier
     /// (the wimpy-factor ablation sweeps this).
-    pub fn with_factor(kind: ProcessorKind, cores: usize, factor: f64) -> Self {
+    pub fn with_factor(cores: usize, factor: f64) -> Self {
         assert!(factor > 0.0, "wimpy factor must be positive");
         Processor {
-            kind,
             factor,
             cores: MultiServer::new(cores),
             stage_busy: Vec::new(),
         }
     }
 
-    /// Returns the processor kind.
-    pub fn kind(&self) -> ProcessorKind {
-        self.kind
-    }
-
     /// Returns the service-time multiplier.
     pub fn factor(&self) -> f64 {
         self.factor
-    }
-
-    /// Returns the number of cores.
-    pub fn cores(&self) -> usize {
-        self.cores.lanes()
     }
 
     /// Scales a reference service demand to this processor's speed.
@@ -168,7 +156,7 @@ mod tests {
 
     #[test]
     fn custom_factor_applies() {
-        let mut p = Processor::with_factor(ProcessorKind::DpuArm, 1, 3.5);
+        let mut p = Processor::with_factor(1, 3.5);
         let done = p.run(SimTime::ZERO, us(2));
         assert_eq!(done.as_nanos(), 7_000);
         assert_eq!(p.factor(), 3.5);
@@ -204,7 +192,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "wimpy factor must be positive")]
     fn zero_factor_panics() {
-        let _ = Processor::with_factor(ProcessorKind::HostCpu, 1, 0.0);
+        let _ = Processor::with_factor(1, 0.0);
     }
 
     #[test]

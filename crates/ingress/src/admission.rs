@@ -136,11 +136,6 @@ impl AdmissionController {
         self.capacity_factor = factor.clamp(0.05, 1.0);
     }
 
-    /// Returns the current capacity factor.
-    pub fn capacity_factor(&self) -> f64 {
-        self.capacity_factor
-    }
-
     /// Total sheds for `tenant` so far.
     pub fn sheds_of(&self, tenant: u16) -> u64 {
         self.tenants.get(&tenant).map(|t| t.sheds).unwrap_or(0)

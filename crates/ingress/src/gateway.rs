@@ -22,7 +22,7 @@ use std::rc::Rc;
 use std::collections::BTreeMap;
 
 use obs::{Stage, Tracer};
-use simcore::{Server, Sim, SimDuration, SimTime, TimerHandle};
+use simcore::{Server, Sim, SimDuration, SimTime};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
 use crate::autoscale::{AutoscaleConfig, Hysteresis, ScaleDecision};
@@ -87,16 +87,13 @@ pub enum Dropped {
 }
 
 impl Dropped {
-    /// The wire answer: `503 Service Unavailable` for overload and
-    /// delivery loss, `503` + `Retry-After` for sheds, `504 Gateway
-    /// Timeout` for deadline expiry.
-    pub fn to_response(&self) -> crate::http::HttpResponse {
+    /// The HTTP status the client sees: `503 Service Unavailable` for
+    /// overload, delivery loss and sheds (a shed also advertises its
+    /// `retry_after_secs`), `504 Gateway Timeout` for deadline expiry.
+    pub fn status(&self) -> u16 {
         match self {
-            Dropped::Overload | Dropped::Delivery => crate::http::HttpResponse::unavailable(),
-            Dropped::Shed { retry_after_secs } => {
-                crate::http::HttpResponse::unavailable_retry_after(*retry_after_secs)
-            }
-            Dropped::DeadlineExceeded => crate::http::HttpResponse::gateway_timeout(),
+            Dropped::Overload | Dropped::Delivery | Dropped::Shed { .. } => 503,
+            Dropped::DeadlineExceeded => 504,
         }
     }
 }
@@ -186,9 +183,6 @@ struct GwInner {
     next_req: u64,
     last_eval: SimTime,
     autoscaler_running: bool,
-    /// Pending autoscaler evaluation, so [`Gateway::stop_autoscaler`] can
-    /// deschedule it instead of leaving a dead closure to fire.
-    autoscaler_timer: Option<TimerHandle>,
     tracer: Tracer,
     /// Optional fleet histogram for admission latency (arrival →
     /// ingress-rx done), with exemplars on sampled requests.
@@ -242,16 +236,10 @@ impl Gateway {
                 next_req: 0,
                 last_eval: SimTime::ZERO,
                 autoscaler_running: false,
-                autoscaler_timer: None,
                 tracer: Tracer::disabled(),
                 admission_hist: None,
             })),
         }
-    }
-
-    /// Returns the gateway kind.
-    pub fn kind(&self) -> GatewayKind {
-        self.inner.borrow().cfg.kind
     }
 
     /// Returns the number of active worker processes.
@@ -545,33 +533,10 @@ impl Gateway {
 
     fn schedule_eval(gw: Gateway, sim: &mut Sim) {
         let interval = gw.inner.borrow().cfg.autoscale_interval;
-        let slot = gw.clone();
-        let handle = sim.schedule_after(interval, move |sim| {
-            gw.inner.borrow_mut().autoscaler_timer = None;
-            if !gw.inner.borrow().autoscaler_running {
-                return;
-            }
+        sim.schedule_after(interval, move |sim| {
             gw.evaluate_once(sim);
-            Gateway::schedule_eval(gw.clone(), sim);
+            Gateway::schedule_eval(gw, sim);
         });
-        slot.inner.borrow_mut().autoscaler_timer = Some(handle);
-    }
-
-    /// Stops the autoscaler loop, descheduling the pending evaluation.
-    ///
-    /// Idempotent; [`Gateway::start_autoscaler`] can restart it later.
-    pub fn stop_autoscaler(&self, sim: &mut Sim) {
-        let handle = {
-            let mut inner = self.inner.borrow_mut();
-            if !inner.autoscaler_running {
-                return;
-            }
-            inner.autoscaler_running = false;
-            inner.autoscaler_timer.take()
-        };
-        if let Some(h) = handle {
-            sim.cancel(h);
-        }
     }
 
     fn evaluate_once(&self, sim: &mut Sim) {
@@ -653,8 +618,8 @@ mod tests {
         assert_eq!(s.failed, 1);
         assert_eq!(s.completed, 0);
         assert_eq!(s.accepted, 1);
-        assert_eq!(Dropped::Delivery.to_response().status, 503);
-        assert_eq!(Dropped::Overload.to_response().status, 503);
+        assert_eq!(Dropped::Delivery.status(), 503);
+        assert_eq!(Dropped::Overload.status(), 503);
     }
 
     #[test]
@@ -780,28 +745,6 @@ mod tests {
     }
 
     #[test]
-    fn stop_autoscaler_deschedules_the_pending_evaluation() {
-        let cfg = GatewayConfig {
-            autoscale: Some(AutoscaleConfig::default()),
-            autoscale_interval: SimDuration::from_millis(100),
-            ..GatewayConfig::default()
-        };
-        let gw = Gateway::new(cfg);
-        let mut sim = Sim::new();
-        gw.start_autoscaler(&mut sim);
-        assert_eq!(sim.pending_events(), 1, "evaluation armed");
-        gw.stop_autoscaler(&mut sim);
-        assert_eq!(sim.pending_events(), 0, "evaluation descheduled");
-        gw.stop_autoscaler(&mut sim); // idempotent
-        assert_eq!(sim.profile().cancelled_events, 1);
-        // Restart works and the loop self-sustains again.
-        gw.start_autoscaler(&mut sim);
-        assert_eq!(sim.pending_events(), 1);
-        sim.run_until(SimTime::ZERO + SimDuration::from_millis(250));
-        assert_eq!(sim.executed_events(), 2, "two evaluation periods elapsed");
-    }
-
-    #[test]
     fn tracer_records_ingress_stages_per_request() {
         let gw = Gateway::new(GatewayConfig::default());
         let tracer = Tracer::enabled();
@@ -890,7 +833,7 @@ mod tests {
         let s = gw.stats();
         assert_eq!(s.expired as u32, expired.get());
         assert_eq!(invoked.get() as u64 + s.expired, s.accepted);
-        assert_eq!(Dropped::DeadlineExceeded.to_response().status, 504);
+        assert_eq!(Dropped::DeadlineExceeded.status(), 504);
     }
 
     #[test]
@@ -928,7 +871,13 @@ mod tests {
                         64,
                         echo_upstream(SimDuration::from_micros(5), 64),
                         Box::new(move |_sim, r| {
-                            if matches!(r, Err(Dropped::Shed { .. })) {
+                            if let Err(shed @ Dropped::Shed { .. }) = r {
+                                // The configured back-off reaches the client.
+                                let configured = Dropped::Shed {
+                                    retry_after_secs: 2,
+                                };
+                                assert_eq!(shed, configured);
+                                assert_eq!(shed.status(), 503);
                                 rs2.set(rs2.get() + 1);
                             }
                         }),
@@ -960,13 +909,6 @@ mod tests {
         assert_eq!(gw.stats().shed as u32, rogue_sheds.get() + good_sheds.get());
         assert_eq!(gw.sheds_of(2) as u32, rogue_sheds.get());
         assert_eq!(gw.tenant_stats(2).shed as u32, rogue_sheds.get());
-        let resp = Dropped::Shed {
-            retry_after_secs: 2,
-        }
-        .to_response();
-        assert_eq!(resp.status, 503);
-        let wire = String::from_utf8(resp.serialize()).unwrap();
-        assert!(wire.contains("Retry-After: 2"), "wire = {wire}");
     }
 
     #[test]

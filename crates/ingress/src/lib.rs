@@ -5,12 +5,11 @@
 //! — the paper's *early transport conversion* (Design Implication #4).
 //! This crate provides:
 //!
-//! - [`http`]: a real incremental HTTP/1.1 request/response codec (the
-//!   functional layer of the NGINX role).
 //! - [`stack`]: calibrated cost models for the three transport stacks the
 //!   evaluation compares — interrupt-driven kernel TCP (*K-Ingress*),
 //!   DPDK-based F-stack (*F-Ingress*), and NADINO's F-stack + RDMA
-//!   conversion.
+//!   conversion. HTTP termination is part of that price: the gateway
+//!   charges it per request and parses no bytes.
 //! - [`rss`]: receive-side scaling: hashing client flows onto worker
 //!   processes pinned to cores.
 //! - [`autoscale`]: the hysteresis policy that spawns a worker above 60%
@@ -23,20 +22,16 @@
 
 pub mod admission;
 pub mod autoscale;
-pub mod convert;
 pub mod gateway;
-pub mod http;
 pub mod prewarm;
 pub mod rss;
 pub mod stack;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController};
 pub use autoscale::{AutoscaleConfig, Hysteresis, ScaleDecision};
-pub use convert::{extract_invocation, wrap_response, Invocation};
 pub use gateway::{
     DeliveryFailed, Dropped, Gateway, GatewayConfig, GatewayStats, ReqCtx, TenantGatewayStats,
     Upstream,
 };
-pub use http::{HttpError, HttpRequest, HttpResponse};
 pub use prewarm::{PrewarmConfig, PrewarmController};
 pub use stack::{GatewayKind, StackCosts};

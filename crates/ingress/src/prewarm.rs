@@ -59,11 +59,6 @@ impl PrewarmController {
         }
     }
 
-    /// The configured policy.
-    pub fn config(&self) -> PrewarmConfig {
-        self.config
-    }
-
     /// Records `n` first contacts (pre-warm claims *and* cold connects —
     /// a cold connect is demand the stock failed to meet, the strongest
     /// possible signal to order more).

@@ -116,11 +116,6 @@ impl MappedPool {
         &self.pool
     }
 
-    /// Returns the processor this mapping was imported as.
-    pub fn imported_as(&self) -> ExportTarget {
-        self.imported_as
-    }
-
     /// Returns `true` if the originating export also granted `target`.
     ///
     /// The DNE uses this to check that a PCI-imported mapping may be

@@ -11,9 +11,6 @@ use std::ptr::NonNull;
 /// Size of one emulated hugepage segment (2 MiB, as in the paper).
 pub const HUGEPAGE_SIZE: usize = 2 * 1024 * 1024;
 
-/// Size of a regular 4 KiB page, for MTT-footprint comparisons.
-pub const PAGE_SIZE_4K: usize = 4 * 1024;
-
 /// Where an arena's bytes come from: zeroed memory that becomes resident
 /// only where it is touched — an anonymous private mapping, as a real
 /// hugepage arena is.
@@ -158,11 +155,6 @@ impl SegmentArena {
         self.segments
     }
 
-    /// Returns the segment size in bytes.
-    pub fn segment_size(&self) -> usize {
-        self.segment_size
-    }
-
     /// Returns the total capacity in bytes.
     pub fn total_bytes(&self) -> usize {
         self.segments * self.segment_size
@@ -214,7 +206,7 @@ mod tests {
         let a = SegmentArena::new(8 * HUGEPAGE_SIZE);
         assert_eq!(a.mtt_entries(), 8);
         // The same memory with 4 KiB pages costs 512x the entries.
-        let b = SegmentArena::with_segment_size(8 * HUGEPAGE_SIZE, PAGE_SIZE_4K);
+        let b = SegmentArena::with_segment_size(8 * HUGEPAGE_SIZE, 4 * 1024);
         assert_eq!(b.mtt_entries(), 8 * 512);
     }
 

@@ -12,26 +12,25 @@
 //!   descriptor passing sound.
 //! - [`descriptor`]: the 16-byte buffer descriptor exchanged over SK_MSG,
 //!   Comch and RDMA instead of the payload itself.
-//! - [`ownership`]: counting semaphores and token chains implementing the
-//!   paper's explicit token-passing transfer of buffer ownership (§3.5.1).
-//! - [`tenant`]: the per-tenant pool registry keyed by DPDK-style
-//!   file-prefixes, enforcing per-tenant memory isolation (§3.4.1).
+//! - [`tenant`]: the tenant identity a pool is created for and refuses
+//!   foreign descriptors by (§3.4.1).
 //! - [`export`]: DOCA-mmap-style export descriptors that grant another
 //!   processor (DPU cores, RNIC) access to a host pool (§3.4.2).
-//! - [`spsc`]: a lock-free single-producer single-consumer descriptor ring,
-//!   the transport underneath Comch-P and the intra-node IPC fast path.
+//! - [`spsc`]: a lock-free single-producer single-consumer descriptor ring —
+//!   what a Comch-P channel is underneath. The simulated transports price a
+//!   descriptor hop and move the struct; only
+//!   `dpu_sim::comch::DescriptorChannel`, which the frozen benchmark drives,
+//!   pushes descriptors through this ring.
 
 pub mod descriptor;
 pub mod export;
 pub mod hugepage;
-pub mod ownership;
 pub mod pool;
 pub mod spsc;
 pub mod tenant;
 
 pub use descriptor::BufferDesc;
 pub use export::{ExportDescriptor, ExportTarget, MappedPool};
-pub use ownership::{Semaphore, TokenChain};
 pub use pool::{BufferPool, OwnedBuf, PoolConfig, PoolError};
 pub use spsc::SpscRing;
-pub use tenant::{TenantId, TenantRegistry};
+pub use tenant::TenantId;

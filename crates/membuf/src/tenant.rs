@@ -1,18 +1,13 @@
-//! Per-tenant memory isolation via file-prefix-keyed pool registration.
+//! The tenant identity every pool, descriptor and engine table is keyed by.
 //!
 //! The paper enforces memory isolation by giving each tenant (function
-//! chain) a distinct DPDK file-prefix bound to its memory pool (§3.4.1): a
-//! function can only map the pool whose prefix it was configured with.
-//! [`TenantRegistry`] reproduces that contract: a *shared-memory agent*
-//! registers a pool under a prefix as the "primary process", and functions
-//! attach as "secondary processes" by presenting the prefix together with
-//! their tenant identity. A mismatched tenant is an isolation violation.
+//! chain) its own memory pool (§3.4.1). Here a
+//! [`BufferPool`](crate::BufferPool) is created for one [`TenantId`] and
+//! refuses any descriptor that names another
+//! ([`PoolError::WrongPool`](crate::PoolError::WrongPool)); the sidecar and
+//! the DNE apply the same check before a descriptor moves.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
-
-use crate::pool::BufferPool;
 
 /// Identifier of a tenant; the paper treats each function chain as a tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,207 +16,5 @@ pub struct TenantId(pub u16);
 impl fmt::Display for TenantId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "tenant_{}", self.0)
-    }
-}
-
-/// Errors raised by the registry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegistryError {
-    /// The prefix is already bound to a pool.
-    PrefixTaken(String),
-    /// No pool is registered under the prefix.
-    UnknownPrefix(String),
-    /// The attaching tenant does not own the pool behind the prefix.
-    IsolationViolation {
-        prefix: String,
-        owner: TenantId,
-        caller: TenantId,
-    },
-}
-
-impl fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RegistryError::PrefixTaken(p) => write!(f, "prefix {p:?} already registered"),
-            RegistryError::UnknownPrefix(p) => write!(f, "no pool registered under {p:?}"),
-            RegistryError::IsolationViolation {
-                prefix,
-                owner,
-                caller,
-            } => write!(
-                f,
-                "isolation violation: {caller} attempted to attach {prefix:?} owned by {owner}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RegistryError {}
-
-#[derive(Default)]
-struct RegistryInner {
-    pools: HashMap<String, BufferPool>,
-    violations: u64,
-}
-
-/// A node-wide registry of tenant memory pools.
-///
-/// # Examples
-///
-/// ```
-/// use membuf::{BufferPool, PoolConfig, TenantRegistry};
-/// use membuf::tenant::TenantId;
-///
-/// let registry = TenantRegistry::new();
-/// let pool = BufferPool::new(PoolConfig::new(TenantId(1), 0, 1024, 8)).unwrap();
-/// registry.register("tenant_1", pool).unwrap();
-///
-/// // Same tenant may attach; a different tenant is rejected.
-/// assert!(registry.attach("tenant_1", TenantId(1)).is_ok());
-/// assert!(registry.attach("tenant_1", TenantId(2)).is_err());
-/// ```
-#[derive(Clone, Default)]
-pub struct TenantRegistry {
-    inner: Arc<RwLock<RegistryInner>>,
-}
-
-impl TenantRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        TenantRegistry::default()
-    }
-
-    /// Registers `pool` under `prefix` (primary-process role).
-    pub fn register(&self, prefix: &str, pool: BufferPool) -> Result<(), RegistryError> {
-        let mut inner = self.inner.write().unwrap();
-        if inner.pools.contains_key(prefix) {
-            return Err(RegistryError::PrefixTaken(prefix.to_string()));
-        }
-        inner.pools.insert(prefix.to_string(), pool);
-        Ok(())
-    }
-
-    /// Attaches to the pool behind `prefix` as `caller` (secondary-process
-    /// role), enforcing tenant isolation.
-    pub fn attach(&self, prefix: &str, caller: TenantId) -> Result<BufferPool, RegistryError> {
-        // Fast path under the read lock.
-        {
-            let inner = self.inner.read().unwrap();
-            match inner.pools.get(prefix) {
-                Some(pool) if pool.tenant() == caller => return Ok(pool.clone()),
-                Some(_) => {}
-                None => return Err(RegistryError::UnknownPrefix(prefix.to_string())),
-            }
-        }
-        // Record the violation under the write lock.
-        let mut inner = self.inner.write().unwrap();
-        inner.violations += 1;
-        let owner = inner
-            .pools
-            .get(prefix)
-            .map(|p| p.tenant())
-            .ok_or_else(|| RegistryError::UnknownPrefix(prefix.to_string()))?;
-        Err(RegistryError::IsolationViolation {
-            prefix: prefix.to_string(),
-            owner,
-            caller,
-        })
-    }
-
-    /// Removes the pool behind `prefix`, returning it if present.
-    pub fn unregister(&self, prefix: &str) -> Option<BufferPool> {
-        self.inner.write().unwrap().pools.remove(prefix)
-    }
-
-    /// Returns the number of registered pools.
-    pub fn len(&self) -> usize {
-        self.inner.read().unwrap().pools.len()
-    }
-
-    /// Returns `true` when no pools are registered.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().unwrap().pools.is_empty()
-    }
-
-    /// Returns how many isolation violations were attempted.
-    pub fn violations(&self) -> u64 {
-        self.inner.read().unwrap().violations
-    }
-
-    /// Lists registered prefixes (sorted, for deterministic output).
-    pub fn prefixes(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.inner.read().unwrap().pools.keys().cloned().collect();
-        v.sort();
-        v
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pool::PoolConfig;
-
-    fn mk_pool(tenant: u16) -> BufferPool {
-        let mut cfg = PoolConfig::new(TenantId(tenant), 0, 256, 4);
-        cfg.segment_size = 4096;
-        BufferPool::new(cfg).unwrap()
-    }
-
-    #[test]
-    fn duplicate_prefix_rejected() {
-        let r = TenantRegistry::new();
-        r.register("t1", mk_pool(1)).unwrap();
-        assert_eq!(
-            r.register("t1", mk_pool(1)).unwrap_err(),
-            RegistryError::PrefixTaken("t1".into())
-        );
-    }
-
-    #[test]
-    fn attach_enforces_tenant_identity() {
-        let r = TenantRegistry::new();
-        r.register("t1", mk_pool(1)).unwrap();
-        let ok = r.attach("t1", TenantId(1)).unwrap();
-        assert_eq!(ok.tenant(), TenantId(1));
-        let err = r.attach("t1", TenantId(9)).unwrap_err();
-        assert!(matches!(err, RegistryError::IsolationViolation { .. }));
-        assert_eq!(r.violations(), 1);
-    }
-
-    #[test]
-    fn unknown_prefix_errors() {
-        let r = TenantRegistry::new();
-        assert_eq!(
-            r.attach("nope", TenantId(0)).unwrap_err(),
-            RegistryError::UnknownPrefix("nope".into())
-        );
-    }
-
-    #[test]
-    fn attached_handles_share_state() {
-        let r = TenantRegistry::new();
-        r.register("t1", mk_pool(1)).unwrap();
-        let a = r.attach("t1", TenantId(1)).unwrap();
-        let b = r.attach("t1", TenantId(1)).unwrap();
-        let buf = a.get().unwrap();
-        assert_eq!(b.stats().free, 3, "allocation visible through both handles");
-        drop(buf);
-    }
-
-    #[test]
-    fn unregister_removes() {
-        let r = TenantRegistry::new();
-        r.register("t1", mk_pool(1)).unwrap();
-        assert!(r.unregister("t1").is_some());
-        assert!(r.is_empty());
-        assert!(r.unregister("t1").is_none());
-    }
-
-    #[test]
-    fn prefixes_sorted() {
-        let r = TenantRegistry::new();
-        r.register("b", mk_pool(2)).unwrap();
-        r.register("a", mk_pool(1)).unwrap();
-        assert_eq!(r.prefixes(), vec!["a".to_string(), "b".to_string()]);
     }
 }

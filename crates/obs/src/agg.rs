@@ -1,4 +1,4 @@
-//! Windowed fleet-level aggregation over a [`MetricsRegistry`].
+//! Windowed fleet-level aggregation over a [`MetricsRegistry`](crate::MetricsRegistry).
 //!
 //! Raw per-node series answer "what did node 3 do"; the evaluation
 //! needs "what did the *fleet* do per window". The [`Aggregator`]
@@ -67,7 +67,7 @@ pub struct HistogramRollup {
     pub name: String,
     pub labels: Labels,
     pub count: u64,
-    /// `(quantile-name, lower-bound ns)` in [`QUANTILES`] order.
+    /// `(quantile-name, lower-bound ns)` in `QUANTILES` order.
     pub quantiles: [(&'static str, u64); 4],
     pub max_ns: u64,
 }
@@ -307,10 +307,10 @@ mod tests {
     fn stale_gauges_are_excluded_and_all_stale_rolls_up_null() {
         let reg = MetricsRegistry::new();
         let fresh = reg.gauge("hit_rate", &[("node", "1"), ("tenant", "7")]);
-        let stale = reg.gauge("hit_rate", &[("node", "2"), ("tenant", "7")]);
+        // Registered, never written: stale from the first pass on.
+        reg.gauge("hit_rate", &[("node", "2"), ("tenant", "7")]);
         reg.begin_sample();
         fresh.set(0.8);
-        stale.set_ratio(0, 0); // skipped write
         let mut agg = Aggregator::new();
         agg.observe(at(1), &reg.snapshot());
         assert_eq!(

@@ -141,11 +141,6 @@ impl BurnMonitor {
         }
     }
 
-    /// The monitor's configuration.
-    pub fn config(&self) -> &BurnConfig {
-        &self.cfg
-    }
-
     fn tenant_mut(&mut self, tenant: u16) -> &mut TenantBurn {
         let pos = match self.tenants.binary_search_by_key(&tenant, |(t, _)| *t) {
             Ok(pos) => pos,

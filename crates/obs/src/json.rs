@@ -3,9 +3,9 @@
 //! The workspace builds with zero external dependencies, so this module
 //! supplies the JSON plumbing previously provided by `serde_json`:
 //! a [`JsonValue`] tree, a [`ToJson`] conversion trait with an
-//! [`impl_to_json!`] helper macro for plain structs, deterministic
-//! (insertion-ordered) serialization, and a parser sufficient for tests
-//! to read back what the exporters wrote.
+//! [`impl_to_json!`](crate::impl_to_json) helper macro for plain structs,
+//! deterministic (insertion-ordered) serialization, and a parser sufficient
+//! for tests to read back what the exporters wrote.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

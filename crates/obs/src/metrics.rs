@@ -52,9 +52,9 @@ fn labels_text(labels: &Labels) -> String {
 ///
 /// Every successful write stamps the registry's current *sample epoch*
 /// (bumped by [`MetricsRegistry::begin_sample`]); a gauge whose stamp
-/// lags the epoch at snapshot time is **stale** — typically a ratio
-/// gauge whose denominator was zero all window — and rollups render it
-/// as `null` instead of re-reporting the last value as current.
+/// lags the epoch at snapshot time is **stale** — the sampling pass had
+/// nothing to write to it — and rollups render it as `null` instead of
+/// re-reporting the last value as current.
 #[derive(Clone)]
 pub struct Gauge {
     value: Rc<Cell<f64>>,
@@ -70,27 +70,6 @@ impl Gauge {
     pub fn set(&self, v: f64) {
         self.value.set(v);
         self.stamp.set(self.epoch.get());
-    }
-
-    /// Adds a (possibly negative) delta.
-    #[inline]
-    pub fn add(&self, delta: f64) {
-        self.value.set(self.value.get() + delta);
-        self.stamp.set(self.epoch.get());
-    }
-
-    /// Sets the level to the ratio `num / den`, leaving the gauge
-    /// untouched when the denominator is zero — the standard shape for
-    /// rate-style gauges (hit rates, success fractions) whose "no
-    /// samples yet" state must not read as 0% or NaN. A skipped update
-    /// does *not* stamp the epoch, so the gauge reads as stale once the
-    /// next sampling pass begins.
-    #[inline]
-    pub fn set_ratio(&self, num: u64, den: u64) {
-        if den > 0 {
-            self.value.set(num as f64 / den as f64);
-            self.stamp.set(self.epoch.get());
-        }
     }
 
     /// Returns the current level.
@@ -168,8 +147,7 @@ struct RegistryInner {
 ///
 /// let reg = MetricsRegistry::new();
 /// let depth = reg.gauge("dne_engine_queued", &[("node", "1")]);
-/// depth.set(2.0);
-/// depth.add(1.0);
+/// depth.set(3.0);
 /// let snap = reg.snapshot();
 /// assert_eq!(snap.gauge("dne_engine_queued", &[("node", "1")]), Some(3.0));
 /// ```
@@ -232,37 +210,16 @@ impl MetricsRegistry {
         handle
     }
 
-    /// Merges all histograms sharing `name` (across label sets) into one.
-    ///
-    /// This is the aggregation the paper's tables need: per-tenant or
-    /// per-node distributions roll up exactly because the underlying
-    /// buckets are identical.
-    pub fn merged_histogram(&self, name: &str) -> Histogram {
-        let inner = self.inner.borrow();
-        let mut merged = Histogram::new();
-        for r in inner.histograms.iter().filter(|r| r.name == name) {
-            merged.merge(&r.handle.hist.borrow());
-        }
-        merged
-    }
-
     /// Opens a new sample epoch and returns it. Call at the top of every
     /// sampling pass (the cluster's `sample_obs` does): gauges written
-    /// during the pass carry the new epoch; a gauge skipped by e.g.
-    /// [`Gauge::set_ratio`]'s zero-denominator guard keeps its old stamp
-    /// and reads as *stale* in the next snapshot, instead of replaying
-    /// its last value as current forever.
+    /// during the pass carry the new epoch; a gauge the pass skipped keeps
+    /// its old stamp and reads as *stale* in the next snapshot, instead of
+    /// replaying its last value as current forever.
     pub fn begin_sample(&self) -> u64 {
         let inner = self.inner.borrow();
         let next = inner.epoch.get() + 1;
         inner.epoch.set(next);
         next
-    }
-
-    /// The current sample epoch (0 until [`MetricsRegistry::begin_sample`]
-    /// is first called).
-    pub fn epoch(&self) -> u64 {
-        self.inner.borrow().epoch.get()
     }
 
     /// Captures a point-in-time snapshot of every instrument.
@@ -414,30 +371,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ratio_gauge_guards_zero_denominator() {
-        let reg = MetricsRegistry::new();
-        let g = reg.gauge("hit_rate", &[]);
-        g.set_ratio(3, 0);
-        assert_eq!(g.get(), 0.0, "no samples leaves the gauge untouched");
-        g.set_ratio(3, 4);
-        assert_eq!(g.get(), 0.75);
-        g.set_ratio(1, 0);
-        assert_eq!(g.get(), 0.75, "a later empty window keeps the last ratio");
-    }
-
-    #[test]
-    fn skipped_ratio_gauge_reads_stale_not_current() {
+    fn skipped_gauge_reads_stale_not_current() {
         let reg = MetricsRegistry::new();
         let g = reg.gauge("hit_rate", &[]);
         // Pass 1: the gauge is written — fresh.
         reg.begin_sample();
-        g.set_ratio(3, 4);
+        g.set(0.75);
         let snap = reg.snapshot();
         assert_eq!(snap.gauge_stale("hit_rate", &[]), Some(false));
-        // Pass 2: the denominator is zero, so the write is skipped — the
-        // old value must read as stale, not as the current level.
+        // Pass 2: nothing to report, so the write is skipped — the old
+        // value must read as stale, not as the current level.
         reg.begin_sample();
-        g.set_ratio(0, 0);
         let snap = reg.snapshot();
         assert_eq!(snap.gauge("hit_rate", &[]), Some(0.75), "value retained");
         assert_eq!(snap.gauge_stale("hit_rate", &[]), Some(true));
@@ -447,7 +391,7 @@ mod tests {
         assert_eq!(gauges[0].get("stale"), Some(&JsonValue::Bool(true)));
         // Pass 3: a real write refreshes it.
         reg.begin_sample();
-        g.set_ratio(1, 2);
+        g.set(0.5);
         assert_eq!(reg.snapshot().gauge_stale("hit_rate", &[]), Some(false));
     }
 
@@ -479,28 +423,16 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_add() {
+    fn gauge_handles_are_keyed_by_name_and_labels() {
         let reg = MetricsRegistry::new();
         let g = reg.gauge("depth", &[("tenant", "1")]);
         g.set(4.0);
         // Re-registering hands back the same gauge; other labels do not.
-        reg.gauge("depth", &[("tenant", "1")]).add(-1.5);
+        reg.gauge("depth", &[("tenant", "1")]).set(2.5);
         reg.gauge("depth", &[("tenant", "2")]).set(9.0);
         let snap = reg.snapshot();
         assert_eq!(snap.gauge("depth", &[("tenant", "1")]), Some(2.5));
         assert_eq!(snap.gauge("depth", &[("tenant", "2")]), Some(9.0));
-    }
-
-    #[test]
-    fn histograms_merge_across_labels() {
-        let reg = MetricsRegistry::new();
-        let h1 = reg.histogram("lat", &[("tenant", "1")]);
-        let h2 = reg.histogram("lat", &[("tenant", "2")]);
-        h1.record(SimDuration::from_micros(10));
-        h2.record(SimDuration::from_micros(20));
-        let merged = reg.merged_histogram("lat");
-        assert_eq!(merged.count(), 2);
-        assert_eq!(merged.max(), SimDuration::from_micros(20));
     }
 
     #[test]

@@ -753,11 +753,6 @@ impl Fabric {
         self.qp_load(h).sq_depth
     }
 
-    /// Returns the number of sends ever posted on a QP.
-    pub fn sends_posted(&self, h: QpHandle) -> u64 {
-        self.qp_counters(h).posted
-    }
-
     /// Returns the traffic counters for one QP: posted sends, generated
     /// send completions, and bytes posted.
     pub fn qp_counters(&self, h: QpHandle) -> QpCounters {
@@ -949,7 +944,7 @@ impl Fabric {
         // Corruption is detected at the responder after a buffer was popped:
         // both ends complete in error, exactly like the length-error path.
         let corrupted = match inner.faults.as_mut() {
-            Some(fp) => fp.roll_corruption(d.sender.node, peer_node),
+            Some(fp) => fp.roll_corruption(),
             None => false,
         };
         let status = if corrupted {
@@ -1517,7 +1512,7 @@ mod fault_tests {
     fn corrupted_message_errors_both_ends() {
         let mut p = fault_setup();
         let mut fp = crate::fault::FaultPlane::new(1);
-        fp.set_link_corruption(NodeId(0), NodeId(1), 1.0);
+        fp.set_default_corruption(1.0);
         p.fabric.install_fault_plane(fp);
         p.fabric
             .post_recv(p.rq_b, WrId(5), p.pool_b.get().unwrap())

@@ -44,17 +44,16 @@ pub(crate) enum FaultVerdict {
 
 /// Seeded, deterministic fault model for a fabric.
 ///
-/// Probabilities are looked up per directed link `(from, to)` first, then
-/// fall back to the plane-wide defaults. All draws come from the plane's
-/// own [`SimRng`] stream; links with probability zero skip the RNG
-/// entirely, so a zero-fault plane is invisible to determinism checks.
+/// Loss is looked up per directed link `(from, to)` first, then falls back
+/// to the plane-wide default; corruption is plane-wide. All draws come from
+/// the plane's own [`SimRng`] stream; links with probability zero skip the
+/// RNG entirely, so a zero-fault plane is invisible to determinism checks.
 #[derive(Debug, Clone)]
 pub struct FaultPlane {
     rng: SimRng,
     default_loss: f64,
     default_corruption: f64,
     link_loss: HashMap<(NodeId, NodeId), f64>,
-    link_corruption: HashMap<(NodeId, NodeId), f64>,
     /// Crash windows per node: messages to or from the node inside
     /// `[start, end)` are dropped.
     outages: HashMap<NodeId, Vec<(SimTime, SimTime)>>,
@@ -69,7 +68,6 @@ impl FaultPlane {
             default_loss: 0.0,
             default_corruption: 0.0,
             link_loss: HashMap::new(),
-            link_corruption: HashMap::new(),
             outages: HashMap::new(),
             stats: FaultStats::default(),
         }
@@ -88,11 +86,6 @@ impl FaultPlane {
     /// Sets the loss probability for the directed link `from -> to`.
     pub fn set_link_loss(&mut self, from: NodeId, to: NodeId, p: f64) {
         self.link_loss.insert((from, to), p.clamp(0.0, 1.0));
-    }
-
-    /// Sets the corruption probability for the directed link `from -> to`.
-    pub fn set_link_corruption(&mut self, from: NodeId, to: NodeId, p: f64) {
-        self.link_corruption.insert((from, to), p.clamp(0.0, 1.0));
     }
 
     /// Registers a crash window `[from, until)` for `node`.
@@ -114,13 +107,6 @@ impl FaultPlane {
             .unwrap_or(&self.default_loss)
     }
 
-    fn corruption_p(&self, from: NodeId, to: NodeId) -> f64 {
-        *self
-            .link_corruption
-            .get(&(from, to))
-            .unwrap_or(&self.default_corruption)
-    }
-
     /// Decides whether a message on `from -> to` survives the wire at `at`.
     ///
     /// Only consults the RNG when the relevant probability is non-zero, so
@@ -140,8 +126,8 @@ impl FaultPlane {
 
     /// Decides whether a message that reached the responder arrives damaged.
     /// Rolled only after a receive buffer was popped.
-    pub(crate) fn roll_corruption(&mut self, from: NodeId, to: NodeId) -> bool {
-        let corr = self.corruption_p(from, to);
+    pub(crate) fn roll_corruption(&mut self) -> bool {
+        let corr = self.default_corruption;
         if corr > 0.0 && self.rng.chance(corr) {
             self.stats.corrupted += 1;
             return true;
@@ -168,7 +154,7 @@ mod tests {
                 fp.roll_wire(NodeId(0), NodeId(1), t(1)),
                 FaultVerdict::Deliver
             );
-            assert!(!fp.roll_corruption(NodeId(0), NodeId(1)));
+            assert!(!fp.roll_corruption());
         }
         // The RNG stream is untouched: the next draw matches a fresh clone.
         assert_eq!(fp.rng.next_u64(), before);
@@ -218,7 +204,7 @@ mod tests {
                 .map(|_| {
                     (
                         fp.roll_wire(NodeId(0), NodeId(1), t(1)),
-                        fp.roll_corruption(NodeId(0), NodeId(1)),
+                        fp.roll_corruption(),
                     )
                 })
                 .collect::<Vec<_>>()

@@ -15,8 +15,8 @@
 //!   send/receive with shared receive queues and RNR NAK behaviour,
 //!   completion queues with optional wakers, and the shadow-QP
 //!   active/inactive accounting that feeds the QP-cache model.
-//! - [`onesided`]: one-sided WRITE/READ plus the landing-zone and
-//!   distributed-lock helpers used by the Fig. 12 baselines (OWRC, OWDL).
+//! - [`onesided`]: one-sided WRITE and compare-and-swap plus the landing-zone
+//!   helpers used by the Fig. 12 baselines (OWRC, OWDL).
 //!
 //! Payload bytes really move: a two-sided send copies from the sender's
 //! [`membuf`] pool buffer into the receiver's posted buffer at the instant

@@ -1,4 +1,4 @@
-//! One-sided RDMA verbs: WRITE, READ and compare-and-swap.
+//! One-sided RDMA verbs: WRITE and compare-and-swap.
 //!
 //! These exist to implement the Fig. 12 baselines faithfully:
 //!
@@ -9,9 +9,8 @@
 //!   ([`Fabric::poll_landing`]) before copying the payload into its local
 //!   pool.
 //! - **OWDL** (one-sided write with distributed locks): lock words live in
-//!   atomic cells on the responder; remote lock acquisition uses RDMA
-//!   compare-and-swap round trips ([`Fabric::post_cas`]), local access uses
-//!   [`Fabric::local_cas`].
+//!   atomic cells on the responder; lock acquisition and release are RDMA
+//!   compare-and-swap round trips ([`Fabric::post_cas`]).
 //!
 //! NADINO itself deliberately avoids these primitives (Design
 //! Implication #3); they are here so the comparison can be reproduced.
@@ -167,72 +166,6 @@ impl Fabric {
         Ok(())
     }
 
-    /// Posts a one-sided READ of remote slot `(rkey, slot)` into `buf`.
-    ///
-    /// The completion (carrying the filled buffer) arrives after the full
-    /// round trip plus the response serialization.
-    pub fn post_read(
-        &self,
-        sim: &mut Sim,
-        h: QpHandle,
-        wr_id: WrId,
-        buf: OwnedBuf,
-        rkey: RKey,
-        slot: u32,
-    ) -> Result<(), RdmaError> {
-        let rc = self.inner_rc();
-        let (peer, sender_cq, depart, prop) = {
-            let mut inner = rc.borrow_mut();
-            // The READ request itself is a small control message.
-            let (peer, sender_cq, depart) = inner.admit_tx(sim.now(), h, 16, None)?;
-            (peer, sender_cq, depart, inner.costs.propagation)
-        };
-        let arrival = depart + prop;
-        let rc2 = rc.clone();
-        sim.schedule_at(arrival, move |sim| {
-            let mut inner = rc2.borrow_mut();
-            let penalty = inner.per_op_penalty(peer);
-            let rx_fixed = inner.costs.rnic_rx_fixed;
-            let prop = inner.costs.propagation;
-            let rx_done = {
-                let node = &mut inner.nodes[peer.0 as usize];
-                node.rx_messages += 1;
-                node.rnic_rx.admit(sim.now(), rx_fixed + penalty)
-            };
-            inner.retire_wr(h);
-            let node = &mut inner.nodes[peer.0 as usize];
-            let mut buf = buf;
-            let (status, len) = match node.landing.get(&(rkey, slot)) {
-                Some(s) if (s.len as usize) <= buf.buf_size() => {
-                    let len = s.len as usize;
-                    let src = s.buf.as_slice();
-                    buf.as_mut_slice()[..len].copy_from_slice(&src[..len]);
-                    buf.set_len(len).expect("fits");
-                    (CqeStatus::Success, len as u32)
-                }
-                Some(s) => (CqeStatus::LocalLengthError, s.len),
-                None => (CqeStatus::RemoteAccessError, 0),
-            };
-            let response_time = inner.costs.serialization(len as usize) + prop;
-            Fabric::schedule_cqe(
-                &rc2,
-                sim,
-                rx_done + response_time,
-                sender_cq,
-                Cqe {
-                    wr_id,
-                    qp: h.qp,
-                    opcode: CqeOpcode::Read,
-                    status,
-                    byte_len: len,
-                    imm: 0,
-                    buf: Some(buf),
-                },
-            );
-        });
-        Ok(())
-    }
-
     /// Posts an RDMA compare-and-swap on remote atomic cell `(rkey, cell)`.
     ///
     /// The completion's `imm` field carries the *old* value (so the caller
@@ -292,40 +225,6 @@ impl Fabric {
             );
         });
         Ok(())
-    }
-
-    /// Executes a compare-and-swap on a *local* atomic cell (no network):
-    /// the path local functions use to take the same lock remote writers
-    /// contend on in the OWDL baseline. Returns the old value.
-    pub fn local_cas(
-        &self,
-        node: NodeId,
-        rkey: RKey,
-        cell: u32,
-        expect: u64,
-        swap: u64,
-    ) -> Result<u64, RdmaError> {
-        let rc = self.inner_rc();
-        let mut inner = rc.borrow_mut();
-        let n = inner.node_mut(node)?;
-        let cell_ref = n.atomics.entry((rkey, cell)).or_insert(0);
-        let old = *cell_ref;
-        if old == expect {
-            *cell_ref = swap;
-        }
-        Ok(old)
-    }
-
-    /// Reads a local atomic cell's current value.
-    pub fn atomic_value(&self, node: NodeId, rkey: RKey, cell: u32) -> Result<u64, RdmaError> {
-        let rc = self.inner_rc();
-        let inner = rc.borrow();
-        Ok(inner
-            .node(node)?
-            .atomics
-            .get(&(rkey, cell))
-            .copied()
-            .unwrap_or(0))
     }
 }
 
@@ -434,52 +333,31 @@ mod tests {
     }
 
     #[test]
-    fn one_sided_read_fetches_remote_bytes() {
-        let mut e = setup();
-        let mut slot_buf = e.pool_b.get().unwrap();
-        slot_buf.write_payload(b"remote state").unwrap();
-        e.fabric.post_landing(e.b, e.rkey_b, 3, slot_buf).unwrap();
-        // Mark it written by a local write: emulate by a remote write first.
-        let mut w = e.pool_a.get().unwrap();
-        w.write_payload(b"remote state").unwrap();
-        e.fabric
-            .post_write(&mut e.sim, e.h_ab, WrId(0), w, e.rkey_b, 3, 0)
-            .unwrap();
-        e.sim.run();
-        e.fabric.poll_cq(e.cq_a, 8);
-
-        let dst = e.pool_a.get().unwrap();
-        e.fabric
-            .post_read(&mut e.sim, e.h_ab, WrId(1), dst, e.rkey_b, 3)
-            .unwrap();
-        e.sim.run();
-        let cqes = e.fabric.poll_cq(e.cq_a, 8);
-        assert_eq!(cqes.len(), 1);
-        assert_eq!(cqes[0].status, CqeStatus::Success);
-        assert_eq!(cqes[0].buf.as_ref().unwrap().as_slice(), b"remote state");
-    }
-
-    #[test]
     fn cas_acquires_and_releases_a_lock() {
         let mut e = setup();
-        // Acquire: expect 0, swap to 1.
-        e.fabric
-            .post_cas(&mut e.sim, e.h_ab, WrId(1), e.rkey_b, 0, 0, 1)
-            .unwrap();
-        e.sim.run();
-        let cqes = e.fabric.poll_cq(e.cq_a, 8);
-        assert_eq!(cqes[0].imm, 0, "old value was 0, acquisition succeeded");
-        assert_eq!(e.fabric.atomic_value(e.b, e.rkey_b, 0).unwrap(), 1);
-        // Second acquire fails (old value 1 returned).
-        e.fabric
-            .post_cas(&mut e.sim, e.h_ab, WrId(2), e.rkey_b, 0, 0, 1)
-            .unwrap();
-        e.sim.run();
-        let cqes = e.fabric.poll_cq(e.cq_a, 8);
-        assert_eq!(cqes[0].imm, 1, "lock already held");
-        // Local release.
-        assert_eq!(e.fabric.local_cas(e.b, e.rkey_b, 0, 1, 0).unwrap(), 1);
-        assert_eq!(e.fabric.atomic_value(e.b, e.rkey_b, 0).unwrap(), 0);
+        // (expect, swap) → old value the completion reports.
+        let steps = [
+            (0, 1, 0, "free lock acquired"),
+            (0, 1, 1, "lock already held"),
+            (1, 0, 1, "holder releases"),
+            (0, 1, 0, "released lock acquired again"),
+        ];
+        for (i, (expect, swap, old, what)) in steps.into_iter().enumerate() {
+            e.fabric
+                .post_cas(
+                    &mut e.sim,
+                    e.h_ab,
+                    WrId(i as u64),
+                    e.rkey_b,
+                    0,
+                    expect,
+                    swap,
+                )
+                .unwrap();
+            e.sim.run();
+            let cqes = e.fabric.poll_cq(e.cq_a, 8);
+            assert_eq!(cqes[0].imm, old, "{what}");
+        }
     }
 
     #[test]

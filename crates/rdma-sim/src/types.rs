@@ -51,7 +51,6 @@ pub enum CqeOpcode {
     Send,
     Recv,
     Write,
-    Read,
     CompareSwap,
 }
 

@@ -62,11 +62,6 @@ impl ChainSpec {
     pub fn exit(&self) -> u16 {
         *self.hops.last().expect("non-empty")
     }
-
-    /// Returns the hop after position `i`, if any.
-    pub fn next_after(&self, i: usize) -> Option<u16> {
-        self.hops.get(i + 1).copied()
-    }
 }
 
 #[cfg(test)]
@@ -80,8 +75,6 @@ mod tests {
         assert_eq!(c.functions(), vec![1, 2, 3]);
         assert_eq!(c.entry(), 1);
         assert_eq!(c.exit(), 1);
-        assert_eq!(c.next_after(0), Some(2));
-        assert_eq!(c.next_after(4), None);
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub struct IoStats {
     /// Descriptors dropped (sidecar denial, unknown placement, bad
     /// descriptor).
     pub dropped: u64,
-    /// Cross-tenant deliveries that required an explicit CPU copy.
-    pub cross_tenant_copies: u64,
 }
 
 struct IoInner {
@@ -192,8 +190,8 @@ impl IoLib {
     /// id and sampling bit from the payload head. A caller that held the
     /// buffer a moment ago (function endpoints, the ingress injector)
     /// already knows both; passing them here skips a validated pool peek
-    /// — a mutex plus two map probes — on every traced local hop. With
-    /// `None` the meta is peeked lazily, and only when tracing is on.
+    /// — a table lookup plus one atomic load — on every traced local hop.
+    /// With `None` the meta is peeked lazily, and only when tracing is on.
     pub fn send_traced(
         &self,
         sim: &mut Sim,
@@ -203,10 +201,6 @@ impl IoLib {
     ) {
         enum Path {
             Local(FnEndpoint, simcore::SimTime, simcore::SimDuration),
-            /// Cross-tenant: copy the payload into the destination
-            /// tenant's pool before delivery (the paper's explicit
-            /// CPU-based copy across tenants, §3.1).
-            LocalCopy(FnEndpoint, TenantId, simcore::SimTime, simcore::SimDuration),
             Remote(Dne),
             Drop,
         }
@@ -233,34 +227,6 @@ impl IoLib {
                             Path::Drop
                         }
                     },
-                    AccessDecision::AllowWithCopy => {
-                        let dst_tenant = inner.sidecar.owner_of(desc.dst_fn);
-                        match (inner.endpoints.get(desc.dst_fn.into()).cloned(), dst_tenant) {
-                            (Some(ep), Some(dst_tenant)) => {
-                                // The copy itself is memory-bound; charge
-                                // it unscaled on top of the IPC work.
-                                let service = inner.skmsg.host_service + Sidecar::CHECK_COST;
-                                inner.cpu.borrow_mut().run(sim.now(), service);
-                                let copy = simcore::SimDuration::from_secs_f64(
-                                    desc.len as f64 / 8_000_000_000.0,
-                                );
-                                let cpu_done = inner.cpu.borrow_mut().run_unscaled(sim.now(), copy);
-                                inner.stats.local_sends += 1;
-                                inner.stats.cross_tenant_copies += 1;
-                                inner.span_skmsg(tenant, desc, trace_meta, sim.now(), cpu_done);
-                                Path::LocalCopy(
-                                    ep,
-                                    dst_tenant,
-                                    cpu_done,
-                                    inner.skmsg.one_way_latency,
-                                )
-                            }
-                            _ => {
-                                inner.stats.dropped += 1;
-                                Path::Drop
-                            }
-                        }
-                    }
                     AccessDecision::Deny => {
                         inner.stats.dropped += 1;
                         Path::Drop
@@ -279,34 +245,6 @@ impl IoLib {
             Path::Local(ep, cpu_done, latency) => {
                 sim.schedule_at(cpu_done + latency, move |sim| ep(sim, desc));
             }
-            Path::LocalCopy(ep, dst_tenant, cpu_done, latency) => {
-                // Redeem from the source pool, copy into the destination
-                // tenant's pool, deliver a descriptor the destination can
-                // actually redeem.
-                let inner = self.inner.borrow();
-                let src_pool = inner.pools.get(tenant.0.into()).cloned();
-                let dst_pool = inner.pools.get(dst_tenant.0.into()).cloned();
-                drop(inner);
-                let (Some(src_pool), Some(dst_pool)) = (src_pool, dst_pool) else {
-                    self.inner.borrow_mut().stats.dropped += 1;
-                    return;
-                };
-                let Ok(src_buf) = src_pool.redeem(desc) else {
-                    self.inner.borrow_mut().stats.dropped += 1;
-                    return;
-                };
-                let Ok(mut dst_buf) = dst_pool.get() else {
-                    self.inner.borrow_mut().stats.dropped += 1;
-                    return; // src_buf drops -> recycled
-                };
-                if dst_buf.write_payload(src_buf.as_slice()).is_err() {
-                    self.inner.borrow_mut().stats.dropped += 1;
-                    return;
-                }
-                drop(src_buf); // explicit recycle into the source pool
-                let new_desc = dst_buf.into_desc(desc.dst_fn);
-                sim.schedule_at(cpu_done + latency, move |sim| ep(sim, new_desc));
-            }
             Path::Remote(dne) => dne.submit(sim, tenant, desc),
             Path::Drop => {
                 // Recycle the in-flight buffer if we know the pool.
@@ -316,11 +254,6 @@ impl IoLib {
                 }
             }
         }
-    }
-
-    /// Operator whitelist for cross-tenant traffic.
-    pub fn allow_cross_tenant(&self, src: TenantId, dst: TenantId) {
-        self.inner.borrow_mut().sidecar.allow_cross_tenant(src, dst);
     }
 
     /// Reports a request cancelled at function dispatch because its
@@ -453,17 +386,19 @@ mod tests {
         let mut env = setup();
         env.iolib
             .register_function(2, TenantId(7), Rc::new(|_, _| panic!("must not deliver")));
-        let rogue_pool = mk_pool(1); // same tenant id as pool owner...
-        drop(rogue_pool);
-        let buf = env.pool.get().unwrap();
         let free_before = env.pool.stats().free;
-        // Tenant 1 tries to reach fn 2 now owned by tenant 7.
+        let buf = env.pool.get().unwrap();
+        // Tenant 1 tries to reach fn 2, owned by tenant 7.
         env.iolib.send(&mut env.sim, env.tenant, buf.into_desc(2));
         env.sim.run();
         assert_eq!(env.iolib.stats().dropped, 1);
-        let (_, denials) = env.iolib.sidecar_counters();
-        assert_eq!(denials, 1);
-        assert_eq!(env.pool.stats().free, free_before + 1, "buffer recycled");
+        assert_eq!(env.iolib.stats().local_sends, 0);
+        assert_eq!(
+            env.iolib.sidecar_counters(),
+            (1, 1),
+            "one check, one denial"
+        );
+        assert_eq!(env.pool.stats().free, free_before, "buffer recycled");
     }
 
     #[test]
@@ -512,37 +447,5 @@ mod tests {
         let rec = &tracer.records()[0];
         assert_eq!(rec.tenant, env.tenant.0);
         assert!(rec.duration_ns() > 1_000, "SK_MSG leg spans the IPC hop");
-    }
-
-    #[test]
-    fn whitelisted_cross_tenant_delivers_via_copy() {
-        let mut env = setup();
-        let dst_tenant = TenantId(7);
-        let dst_pool = mk_pool(7);
-        env.iolib.register_tenant_pool(dst_tenant, dst_pool.clone());
-        let delivered: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = delivered.clone();
-        let pool_for_fn = dst_pool.clone();
-        env.iolib.register_function(
-            2,
-            dst_tenant,
-            Rc::new(move |_sim, desc| {
-                // The destination redeems from ITS OWN pool: the payload
-                // was copied across the tenant boundary.
-                let buf = pool_for_fn.redeem(desc).unwrap();
-                sink.borrow_mut().push(buf.as_slice().to_vec());
-            }),
-        );
-        env.iolib.allow_cross_tenant(env.tenant, dst_tenant);
-        let mut buf = env.pool.get().unwrap();
-        buf.write_payload(b"copied across tenants").unwrap();
-        let free_before = env.pool.stats().free;
-        env.iolib.send(&mut env.sim, env.tenant, buf.into_desc(2));
-        env.sim.run();
-        assert_eq!(delivered.borrow().len(), 1);
-        assert_eq!(delivered.borrow()[0], b"copied across tenants");
-        // The source buffer went home; the copy lives in the dst pool.
-        assert_eq!(env.pool.stats().free, free_before + 1);
-        assert_eq!(env.iolib.stats().cross_tenant_copies, 1);
     }
 }

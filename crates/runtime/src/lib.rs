@@ -19,7 +19,6 @@ pub mod chain;
 pub mod dag;
 pub mod function;
 pub mod iolib;
-pub mod keepwarm;
 pub mod placement;
 pub mod sidecar;
 
@@ -29,6 +28,5 @@ pub use function::{
     decode_hop, decode_request_id, encode_request_payload, set_hop, ChainFunction, CompletionFn,
 };
 pub use iolib::IoLib;
-pub use keepwarm::{ExpiryReaper, InstanceManager, KeepWarmPolicy};
 pub use placement::Placement;
 pub use sidecar::{AccessDecision, Sidecar};

@@ -4,10 +4,8 @@
 //! eBPF-based check plus a node-wide shared sidecar in the DNE (§3.1).
 //! The enforced policy follows the paper's trust model: functions of the
 //! same tenant may exchange shared-memory descriptors freely; any
-//! cross-tenant exchange requires an explicit CPU copy (and must have been
-//! allowed by the operator), because tenants do not share memory pools.
-
-use std::collections::HashSet;
+//! cross-tenant exchange is denied, because tenants do not share memory
+//! pools.
 
 use membuf::tenant::TenantId;
 use simcore::{IdTable, SimDuration};
@@ -17,9 +15,6 @@ use simcore::{IdTable, SimDuration};
 pub enum AccessDecision {
     /// Same tenant: zero-copy descriptor hand-off allowed.
     Allow,
-    /// Cross-tenant, operator-approved: allowed but requires a data copy
-    /// into the destination tenant's pool.
-    AllowWithCopy,
     /// Denied: the exchange is dropped and counted.
     Deny,
 }
@@ -29,7 +24,6 @@ pub enum AccessDecision {
 pub struct Sidecar {
     /// Indexed by function id: checked once per descriptor.
     owner: IdTable<TenantId>,
-    cross_tenant_allow: HashSet<(TenantId, TenantId)>,
     denials: u64,
     checks: u64,
 }
@@ -48,29 +42,16 @@ impl Sidecar {
         self.owner.insert(fn_id.into(), tenant);
     }
 
-    /// Operator whitelist: tenant `src` may send (with copy) to `dst`.
-    pub fn allow_cross_tenant(&mut self, src: TenantId, dst: TenantId) {
-        self.cross_tenant_allow.insert((src, dst));
-    }
-
     /// Checks whether `src_tenant` may deliver a descriptor to `dst_fn`.
     pub fn check(&mut self, src_tenant: TenantId, dst_fn: u16) -> AccessDecision {
         self.checks += 1;
         match self.owner.get(dst_fn.into()) {
             Some(&owner) if owner == src_tenant => AccessDecision::Allow,
-            Some(&owner) if self.cross_tenant_allow.contains(&(src_tenant, owner)) => {
-                AccessDecision::AllowWithCopy
-            }
             _ => {
                 self.denials += 1;
                 AccessDecision::Deny
             }
         }
-    }
-
-    /// Returns the tenant owning `fn_id`, if assigned.
-    pub fn owner_of(&self, fn_id: u16) -> Option<TenantId> {
-        self.owner.get(fn_id.into()).copied()
     }
 
     /// Returns how many checks were performed.
@@ -102,17 +83,6 @@ mod tests {
         sc.assign(2, TenantId(2));
         assert_eq!(sc.check(TenantId(1), 2), AccessDecision::Deny);
         assert_eq!(sc.denials(), 1);
-    }
-
-    #[test]
-    fn whitelisted_cross_tenant_requires_copy() {
-        let mut sc = Sidecar::new();
-        sc.assign(2, TenantId(2));
-        sc.allow_cross_tenant(TenantId(1), TenantId(2));
-        assert_eq!(sc.check(TenantId(1), 2), AccessDecision::AllowWithCopy);
-        // The reverse direction is still denied.
-        sc.assign(1, TenantId(1));
-        assert_eq!(sc.check(TenantId(2), 1), AccessDecision::Deny);
     }
 
     #[test]

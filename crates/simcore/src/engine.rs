@@ -1,7 +1,7 @@
 //! The discrete-event engine.
 //!
 //! [`Sim`] owns the virtual clock and a hierarchical timing wheel of
-//! scheduled events ([`crate::wheel`]): scheduling and popping are O(1)
+//! scheduled events (`crate::wheel`): scheduling and popping are O(1)
 //! amortized instead of the O(log n) of a global binary heap, and event
 //! closures are stored inline in a reusable slab ([`crate::event`]) so the
 //! steady-state hot path does zero allocations. Components are usually
@@ -13,11 +13,8 @@
 //!
 //! Every `schedule_*` call returns a [`TimerHandle`]; [`Sim::cancel`]
 //! deschedules the event (dropping its closure immediately) instead of
-//! letting a dead closure fire, which is what retry/timeout-heavy
-//! components (connection reapers, keep-warm eviction, autoscaler masters)
-//! want.
-
-use std::time::Instant;
+//! letting a dead closure fire, which is what the DNE's retry back-off
+//! timers want.
 
 pub use crate::wheel::{TimerHandle, DEFAULT_TICK_SHIFT};
 
@@ -63,17 +60,13 @@ pub struct Sim {
     cancelled: u64,
     boxed: u64,
     peak_pending: usize,
-    wall_ns: u64,
 }
 
 /// Engine-level profile: how much work the simulation itself did.
 ///
 /// `scheduled_events` / `executed_events` / `cancelled_events` count
 /// closures pushed, popped and descheduled; `peak_pending` is the event
-/// queue's high-water mark (a proxy for model fan-out); `wall_ns` is the
-/// wall-clock time spent inside [`Sim::run`] / [`Sim::run_until`], from
-/// which [`SimProfile::events_per_sec`] derives the engine's raw event
-/// throughput.
+/// queue's high-water mark (a proxy for model fan-out).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimProfile {
     pub scheduled_events: u64,
@@ -84,19 +77,6 @@ pub struct SimProfile {
     pub boxed_events: u64,
     pub pending_events: usize,
     pub peak_pending: usize,
-    pub wall_ns: u64,
-}
-
-impl SimProfile {
-    /// Wall-clock event throughput of the run loops so far (0 before any
-    /// `run*` call has returned).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.executed_events as f64 * 1e9 / self.wall_ns as f64
-        }
-    }
 }
 
 impl Default for Sim {
@@ -131,7 +111,6 @@ impl Sim {
             cancelled: 0,
             boxed: 0,
             peak_pending: 0,
-            wall_ns: 0,
         }
     }
 
@@ -179,6 +158,32 @@ impl Sim {
         self.schedule_at(self.now + delay, f)
     }
 
+    /// Runs `f` every `interval`, first at `now + interval`. The firing at
+    /// or after `until` is the last: nothing is left scheduled behind it,
+    /// so a run that drains the event queue ends when the work does, not
+    /// one `interval` later.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is zero (the simulation would never advance).
+    pub fn every_until<F: FnMut(&mut Sim) + 'static>(
+        &mut self,
+        interval: SimDuration,
+        until: SimTime,
+        mut f: F,
+    ) {
+        assert!(
+            interval > SimDuration::ZERO,
+            "tick interval must be positive"
+        );
+        self.schedule_after(interval, move |sim| {
+            f(sim);
+            if sim.now() < until {
+                sim.every_until(interval, until, f);
+            }
+        });
+    }
+
     /// Deschedules a pending event, dropping its closure immediately.
     ///
     /// Returns `true` if the event was pending; `false` for stale handles
@@ -207,13 +212,7 @@ impl Sim {
             boxed_events: self.boxed,
             pending_events: self.wheel.live(),
             peak_pending: self.peak_pending,
-            wall_ns: self.wall_ns,
         }
-    }
-
-    /// Wall-clock event throughput of the run loops so far.
-    pub fn events_per_sec(&self) -> f64 {
-        self.profile().events_per_sec()
     }
 
     /// Executes the single next event, returning `false` if none remain.
@@ -232,9 +231,7 @@ impl Sim {
 
     /// Runs until the event queue drains.
     pub fn run(&mut self) {
-        let t0 = Instant::now();
         while self.step() {}
-        self.wall_ns += t0.elapsed().as_nanos() as u64;
     }
 
     /// Runs events with `at <= deadline`, then advances the clock to
@@ -242,7 +239,6 @@ impl Sim {
     ///
     /// Events scheduled beyond the deadline remain pending.
     pub fn run_until(&mut self, deadline: SimTime) {
-        let t0 = Instant::now();
         let limit_tick = self.wheel.tick_of(deadline);
         while let Some(due) = self.wheel.pop_due(limit_tick, deadline) {
             self.now = due.at;
@@ -252,7 +248,6 @@ impl Sim {
         if self.now < deadline {
             self.now = deadline;
         }
-        self.wall_ns += t0.elapsed().as_nanos() as u64;
     }
 
     /// Runs for `span` of virtual time from the current instant.
@@ -265,7 +260,7 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     #[test]
@@ -354,8 +349,6 @@ mod tests {
         assert_eq!(p.scheduled_events, 3);
         assert_eq!(p.executed_events, 2);
         assert_eq!(p.pending_events, 1);
-        assert!(p.wall_ns > 0, "run_until accrues wall time");
-        assert!(p.events_per_sec() > 0.0);
     }
 
     #[test]
@@ -522,167 +515,14 @@ mod tests {
             vec![100, 100, 500, 900, 1_500_000, 2_000_000]
         );
     }
-}
-
-/// A cancellable periodic timer.
-///
-/// Several components (autoscaler masters, connection reapers, keep-warm
-/// eviction, samplers) need "run `f` every `interval` until told to stop";
-/// [`Ticker`] packages the recursive-scheduling idiom. Cancellation comes
-/// in two strengths: [`Ticker::cancel`] flips a flag so the pending firing
-/// becomes a no-op (no `&mut Sim` needed), while [`Ticker::cancel_in`]
-/// additionally *deschedules* the pending event through its
-/// [`TimerHandle`], so the engine never touches a dead closure again —
-/// use it wherever the simulator is at hand.
-///
-/// # Examples
-///
-/// ```
-/// use simcore::engine::Ticker;
-/// use simcore::{Sim, SimDuration, SimTime};
-/// use std::cell::Cell;
-/// use std::rc::Rc;
-///
-/// let mut sim = Sim::new();
-/// let hits = Rc::new(Cell::new(0));
-/// let h = hits.clone();
-/// let ticker = Ticker::start(&mut sim, SimDuration::from_micros(10), move |_| {
-///     h.set(h.get() + 1);
-/// });
-/// sim.run_until(SimTime::from_nanos(35_000));
-/// ticker.cancel_in(&mut sim);
-/// assert_eq!(sim.pending_events(), 0, "pending firing was descheduled");
-/// sim.run_until(SimTime::from_nanos(100_000));
-/// assert_eq!(hits.get(), 3); // t = 10us, 20us, 30us
-/// ```
-pub struct Ticker {
-    alive: std::rc::Rc<std::cell::Cell<bool>>,
-    next: std::rc::Rc<std::cell::Cell<Option<TimerHandle>>>,
-}
-
-impl Ticker {
-    /// Starts a ticker firing every `interval`, first at `now + interval`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero (the simulation would never advance).
-    pub fn start<F: FnMut(&mut Sim) + 'static>(
-        sim: &mut Sim,
-        interval: SimDuration,
-        f: F,
-    ) -> Ticker {
-        Ticker::start_until(sim, interval, SimTime::MAX, f)
-    }
-
-    /// Like [`Ticker::start`], but the firing at or after `until` is the
-    /// last: nothing is left scheduled behind it, so a run that drains the
-    /// event queue ends when the work does, not one `interval` later.
-    pub fn start_until<F: FnMut(&mut Sim) + 'static>(
-        sim: &mut Sim,
-        interval: SimDuration,
-        until: SimTime,
-        f: F,
-    ) -> Ticker {
-        assert!(
-            interval > SimDuration::ZERO,
-            "ticker interval must be positive"
-        );
-        let alive = std::rc::Rc::new(std::cell::Cell::new(true));
-        let next = std::rc::Rc::new(std::cell::Cell::new(None));
-        fn arm<F: FnMut(&mut Sim) + 'static>(
-            sim: &mut Sim,
-            interval: SimDuration,
-            until: SimTime,
-            mut f: F,
-            alive: std::rc::Rc<std::cell::Cell<bool>>,
-            next: std::rc::Rc<std::cell::Cell<Option<TimerHandle>>>,
-        ) {
-            let slot = next.clone();
-            let h = sim.schedule_after(interval, move |sim| {
-                if !alive.get() {
-                    return;
-                }
-                f(sim);
-                if sim.now() < until {
-                    arm(sim, interval, until, f, alive, next);
-                } else {
-                    alive.set(false);
-                }
-            });
-            slot.set(Some(h));
-        }
-        arm(sim, interval, until, f, alive.clone(), next.clone());
-        Ticker { alive, next }
-    }
-
-    /// Stops the ticker; the pending firing becomes a no-op.
-    pub fn cancel(&self) {
-        self.alive.set(false);
-    }
-
-    /// Stops the ticker *and* deschedules the pending firing, so the dead
-    /// closure is dropped now instead of being dispatched as a no-op.
-    pub fn cancel_in(&self, sim: &mut Sim) {
-        self.alive.set(false);
-        if let Some(h) = self.next.take() {
-            sim.cancel(h);
-        }
-    }
-
-    /// Returns `true` while the ticker is armed.
-    pub fn is_active(&self) -> bool {
-        self.alive.get()
-    }
-}
-
-#[cfg(test)]
-mod ticker_tests {
-    use super::*;
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     #[test]
-    fn fires_periodically_until_cancelled() {
-        let mut sim = Sim::new();
-        let count = Rc::new(Cell::new(0u32));
-        let c = count.clone();
-        let t = Ticker::start(&mut sim, SimDuration::from_micros(5), move |_| {
-            c.set(c.get() + 1);
-        });
-        sim.run_until(SimTime::from_nanos(23_000));
-        assert_eq!(count.get(), 4, "t = 5, 10, 15, 20us");
-        assert!(t.is_active());
-        t.cancel();
-        assert!(!t.is_active());
-        sim.run();
-        assert_eq!(count.get(), 4, "no firings after cancel");
-    }
-
-    #[test]
-    fn cancel_in_deschedules_the_pending_firing() {
-        let mut sim = Sim::new();
-        let count = Rc::new(Cell::new(0u32));
-        let c = count.clone();
-        let t = Ticker::start(&mut sim, SimDuration::from_micros(5), move |_| {
-            c.set(c.get() + 1);
-        });
-        sim.run_until(SimTime::from_nanos(12_000));
-        assert_eq!(count.get(), 2);
-        assert_eq!(sim.pending_events(), 1, "next firing armed");
-        t.cancel_in(&mut sim);
-        assert_eq!(sim.pending_events(), 0, "firing descheduled, not zombied");
-        assert_eq!(sim.profile().cancelled_events, 1);
-        sim.run();
-        assert_eq!(count.get(), 2);
-    }
-
-    #[test]
-    fn start_until_leaves_nothing_scheduled_behind_its_last_firing() {
+    fn every_until_leaves_nothing_scheduled_behind_its_last_firing() {
         let mut sim = Sim::new();
         let count = Rc::new(Cell::new(0u32));
         let c = count.clone();
         let until = SimTime::from_nanos(12_000);
-        let t = Ticker::start_until(&mut sim, SimDuration::from_micros(5), until, move |_| {
+        sim.every_until(SimDuration::from_micros(5), until, move |_| {
             c.set(c.get() + 1);
         });
         sim.run();
@@ -692,13 +532,12 @@ mod ticker_tests {
             "t = 5, 10, 15us: the first firing past until ends it"
         );
         assert_eq!(sim.now(), SimTime::from_nanos(15_000), "no event behind it");
-        assert!(!t.is_active());
     }
 
     #[test]
     #[should_panic(expected = "interval must be positive")]
     fn zero_interval_panics() {
         let mut sim = Sim::new();
-        let _ = Ticker::start(&mut sim, SimDuration::ZERO, |_| {});
+        sim.every_until(SimDuration::ZERO, SimTime::MAX, |_| {});
     }
 }

@@ -6,7 +6,7 @@
 //! a two-word header plus [`INLINE_BYTES`] of payload. Scheduling writes
 //! the closure (or, for oversized captures, a `Box` of it) straight into
 //! the node with [`EventFn::arm`], and the engine calls it *from* the node
-//! through [`EventFn::fire`], so a closure's bytes move exactly twice —
+//! through `EventFn::fire`, so a closure's bytes move exactly twice —
 //! into the node, and out of it onto the handler's stack frame — with no
 //! by-value `EventFn` temporary in between. Combined with the slab's
 //! free-list reuse, the common scheduling path performs zero allocations.
@@ -16,7 +16,7 @@
 //! `call` / `drop_in_place` function pointers reinterpret `data`, and they
 //! are monomorphized together with the write in [`EventFn::arm`], so the
 //! type read always matches the type written. Every way out of the armed
-//! state clears `ops` *before* touching the payload — [`EventFn::fire`]
+//! state clears `ops` *before* touching the payload — `EventFn::fire`
 //! hands the payload's address to the caller, who reads it out before any
 //! user code runs; [`EventFn::cancel`] and `Drop` drop it in place — so
 //! the closure is dropped exactly once whether it runs, panics while

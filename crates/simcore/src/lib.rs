@@ -9,7 +9,7 @@
 //!
 //! - [`time`]: nanosecond-resolution virtual time ([`SimTime`], [`SimDuration`]).
 //! - [`engine`]: the event loop ([`Sim`]) with closure events, backed by a
-//!   hierarchical timing wheel ([`wheel`]) and slab-stored inline closures
+//!   hierarchical timing wheel (`wheel`) and slab-stored inline closures
 //!   ([`event`]) so the hot path is O(1) amortized and allocation-free.
 //! - [`resource`]: FIFO single-/multi-server resources with utilization
 //!   accounting, used to model CPU cores, DPU cores and DMA engines.
@@ -30,7 +30,7 @@ pub mod stats;
 pub mod time;
 pub(crate) mod wheel;
 
-pub use engine::{Sim, SimProfile, Ticker, TimerHandle};
+pub use engine::{Sim, SimProfile, TimerHandle};
 pub use idtable::{IdRing, IdTable};
 pub use resource::{MultiServer, Server};
 pub use rng::SimRng;

@@ -129,11 +129,6 @@ impl MultiServer {
         }
     }
 
-    /// Returns the number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Admits a job at `now`, dispatching to the earliest-available lane,
     /// and returns its completion instant.
     pub fn admit(&mut self, now: SimTime, service: SimDuration) -> SimTime {

@@ -95,14 +95,6 @@ impl SimRng {
         }
         weights.len() - 1
     }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 /// Zipf popularity over ranks `0..ranks`: rank `k` (0-based) has weight
@@ -296,15 +288,5 @@ mod tests {
         let mut a = r.fork();
         let mut b = r.fork();
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::new(6);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 }

@@ -177,48 +177,6 @@ pub struct LatencySummary {
     pub max_us: f64,
 }
 
-/// Streaming mean and variance (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct Moments {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Moments {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Moments::default()
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Returns the number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Returns the sample mean, or zero when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Returns the sample variance, or zero with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-}
-
 /// A windowed event-rate recorder producing `(window_end_seconds, value)` points.
 ///
 /// Used for the figures that plot RPS or bandwidth share over wall-clock
@@ -422,16 +380,6 @@ mod tests {
         let mut empty = Histogram::new();
         empty.merge(&a);
         assert_eq!(empty.summary(), before);
-    }
-
-    #[test]
-    fn moments_match_closed_form() {
-        let mut m = Moments::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            m.add(x);
-        }
-        assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -51,8 +51,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable span.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a span from raw nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
@@ -72,17 +70,6 @@ impl SimDuration {
     /// Creates a span from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
-    }
-
-    /// Creates a span from fractional microseconds, rounding to nanoseconds.
-    ///
-    /// Negative inputs are clamped to zero; cost models occasionally produce
-    /// tiny negative values from subtractive calibration.
-    pub fn from_micros_f64(us: f64) -> Self {
-        if us <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration((us * 1_000.0).round() as u64)
     }
 
     /// Creates a span from fractional seconds, rounding to nanoseconds.
@@ -111,11 +98,6 @@ impl SimDuration {
     /// Returns this span in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
-    }
-
-    /// Saturating addition of two spans.
-    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(other.0))
     }
 
     /// Multiplies the span by a non-negative float factor, rounding.
@@ -221,12 +203,10 @@ mod tests {
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimDuration::from_secs(2).as_nanos(), 2_000_000_000);
-        assert_eq!(SimDuration::from_micros_f64(8.4).as_nanos(), 8_400);
     }
 
     #[test]
     fn negative_float_clamps_to_zero() {
-        assert_eq!(SimDuration::from_micros_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(-0.5), SimDuration::ZERO);
     }
 
@@ -245,8 +225,6 @@ mod tests {
     fn saturation_at_max() {
         let t = SimTime::MAX + SimDuration::from_secs(1);
         assert_eq!(t, SimTime::MAX);
-        let d = SimDuration::MAX.saturating_add(SimDuration::from_nanos(1));
-        assert_eq!(d, SimDuration::MAX);
     }
 
     #[test]

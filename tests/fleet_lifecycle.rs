@@ -21,7 +21,7 @@ use std::rc::Rc;
 use membuf::tenant::TenantId;
 use nadino::cluster::{Cluster, ClusterConfig};
 use nadino::experiment::upgrade::{scenario, UpgradeOutcome};
-use nadino::fleetctl::{FleetConfig, FleetController, FleetEvent, NodeLifecycle};
+use nadino::fleetctl::{FleetController, FleetEvent, NodeLifecycle};
 use nadino::health::HealthConfig;
 use rdma_sim::FaultPlane;
 use runtime::ChainSpec;
@@ -171,7 +171,7 @@ fn drain_with_in_flight_request_completes_or_fails_typed() {
 
     let until = sim.now() + SimDuration::from_millis(100);
     let monitor = cluster.enable_health_monitor(&mut sim, HealthConfig::default(), until);
-    let ctl = FleetController::install(&cluster, &monitor, FleetConfig::default());
+    let ctl = FleetController::install(&cluster, &monitor);
 
     // Post a request, then start the drain in the same instant: the
     // request is in flight toward node 1 when its routes move.
@@ -245,7 +245,7 @@ fn admin_drain_holds_until_released() {
     let caps: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
     let caps2 = caps.clone();
     monitor.set_capacity_handler(Rc::new(move |_sim, f| caps2.borrow_mut().push(f)));
-    let ctl = FleetController::install(&cluster, &monitor, FleetConfig::default());
+    let ctl = FleetController::install(&cluster, &monitor);
 
     ctl.decommission(&mut sim, 1);
     // Far past the default 5ms hold-down and every probe tick: the
@@ -385,7 +385,7 @@ fn fleet_gauges_surface_through_sample_obs() {
     let cluster = Rc::new(cluster);
     let until = sim.now() + SimDuration::from_millis(50);
     let monitor = cluster.enable_health_monitor(&mut sim, HealthConfig::default(), until);
-    let ctl = FleetController::install(&cluster, &monitor, FleetConfig::default());
+    let ctl = FleetController::install(&cluster, &monitor);
 
     ctl.upgrade_node(&mut sim, 1, obs::CTX_V2, |_| {});
     sim.run();
