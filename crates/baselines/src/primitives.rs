@@ -68,6 +68,13 @@ impl Primitive {
     }
 }
 
+/// Per-message endpoint handling cost (reference CPU time, scaled by the
+/// processor's wimpy factor): full verb management per message, of which
+/// only this CPU-bound part is penalized by wimpy cores (Fig. 6).
+const PER_MSG: SimDuration = SimDuration::from_nanos(700);
+/// Landing-zone poll interval for the one-sided variants (Fig. 12).
+const POLL_INTERVAL: SimDuration = SimDuration::from_nanos(300);
+
 /// Echo benchmark configuration.
 #[derive(Debug, Clone)]
 pub struct EchoConfig {
@@ -81,17 +88,10 @@ pub struct EchoConfig {
     /// Processor kind running the echo endpoints (Fig. 6 compares
     /// host-CPU vs. DPU execution of the same verbs).
     pub proc: ProcessorKind,
-    /// Per-message endpoint handling cost (reference CPU time, scaled by
-    /// the processor's wimpy factor).
-    pub per_msg: SimDuration,
     /// Per-message handling cost that is *not* CPU-frequency-bound
     /// (doorbell MMIO, DMA waits) and therefore not scaled by the wimpy
     /// factor — the reason raw verb handling barely suffers on DPU cores.
     pub per_msg_unscaled: SimDuration,
-    /// Fabric cost model.
-    pub costs: RdmaCosts,
-    /// Landing-zone poll interval for the one-sided variants.
-    pub poll_interval: SimDuration,
 }
 
 impl Default for EchoConfig {
@@ -102,10 +102,7 @@ impl Default for EchoConfig {
             window: 1,
             requests: 500,
             proc: ProcessorKind::DpuArm,
-            per_msg: SimDuration::from_nanos(700),
             per_msg_unscaled: SimDuration::ZERO,
-            costs: RdmaCosts::default(),
-            poll_interval: SimDuration::from_nanos(300),
         }
     }
 }
@@ -178,7 +175,7 @@ impl Shared {
 pub fn run_echo(cfg: EchoConfig) -> EchoResult {
     assert!(cfg.window >= 1 && cfg.requests >= 1);
     assert!(cfg.payload >= 8, "payload must hold the request id");
-    let fabric = Fabric::new(cfg.costs.clone());
+    let fabric = Fabric::new(RdmaCosts::default());
     let mut sim = Sim::new();
     let a = fabric.add_node();
     let b = fabric.add_node();
@@ -316,9 +313,8 @@ fn issue_request(state: &Rc<RefCell<Shared>>, sim: &mut Sim) {
         let req = st.issued;
         st.issued += 1;
         st.started.insert(req, sim.now());
-        let per_msg = st.cfg.per_msg;
         let unscaled = st.cfg.per_msg_unscaled;
-        st.client.cpu.run(sim.now(), per_msg);
+        st.client.cpu.run(sim.now(), PER_MSG);
         let done = st.client.cpu.run_unscaled(sim.now(), unscaled);
         (req, done, st.cfg.primitive)
     };
@@ -501,9 +497,8 @@ fn handle_cqe(state: &Rc<RefCell<Shared>>, sim: &mut Sim, is_client: bool, cqe: 
         let buf = cqe.buf.expect("recv carries the buffer");
         let done = {
             let mut st = state.borrow_mut();
-            let per_msg = st.cfg.per_msg;
             let unscaled = st.cfg.per_msg_unscaled;
-            st.server.cpu.run(sim.now(), per_msg);
+            st.server.cpu.run(sim.now(), PER_MSG);
             st.server.cpu.run_unscaled(sim.now(), unscaled)
         };
         let st2 = state.clone();
@@ -535,8 +530,7 @@ fn client_complete(state: &Rc<RefCell<Shared>>, sim: &mut Sim, req: u64) {
 /// Starts the landing-zone poller for one side (one-sided variants).
 fn start_poller(state: &Rc<RefCell<Shared>>, sim: &mut Sim, client_side: bool) {
     let st2 = state.clone();
-    let interval = state.borrow().cfg.poll_interval;
-    sim.schedule_after(interval, move |sim| {
+    sim.schedule_after(POLL_INTERVAL, move |sim| {
         poll_once(&st2, sim, client_side);
     });
 }
@@ -592,7 +586,6 @@ fn poll_once(state: &Rc<RefCell<Shared>>, sim: &mut Sim, client_side: bool) {
         // bound and therefore charged in wall-clock terms.
         let (cpu_done, primitive) = {
             let mut st = state.borrow_mut();
-            let per_msg = st.cfg.per_msg;
             let payload_len = buf.len();
             let primitive = st.cfg.primitive;
             let copy = match primitive.copy_rate() {
@@ -607,7 +600,7 @@ fn poll_once(state: &Rc<RefCell<Shared>>, sim: &mut Sim, client_side: bool) {
             } else {
                 &mut st.server
             };
-            side.cpu.run(sim.now(), per_msg);
+            side.cpu.run(sim.now(), PER_MSG);
             (side.cpu.run_unscaled(sim.now(), copy + unscaled), primitive)
         };
         drop(buf);

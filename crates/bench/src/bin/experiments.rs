@@ -28,9 +28,13 @@
 //! Each experiment prints its table(s) and writes a JSON twin under
 //! `results/`; names that share an output file (`fig16 table2`) run once.
 //! With `--jobs N` each requested figure runs on its own thread, and
-//! fig06/fig09/fig11/fig12 further split into one thread per independent
-//! sweep cell; results are printed and written in request order, so the
-//! text and JSON are byte-identical whatever `N` is.
+//! fig06/fig09/fig11/fig12/churn — whose one `run(.., jobs)` takes the
+//! fan-out — further split into one thread per independent sweep cell;
+//! results are printed and written in request order, so the text and JSON
+//! are byte-identical whatever `N` is. These three flags and the
+//! `REPORT_SEED` / `CHURN_SEED` / `UPGRADE_SEED` variables are everything
+//! a run can set; what the library lets an experiment configure is
+//! DESIGN.md §4 "What is configurable".
 
 use std::path::PathBuf;
 
@@ -101,19 +105,19 @@ fn out<T: ToJson>(exp: Experiment, text: String, value: &T) -> Output {
 fn run_one(exp: Experiment, b: &Budget, jobs: usize) -> Output {
     match exp.name {
         "fig06" => {
-            let fig = fig06::run_jobs(b.requests, b.millis, jobs);
+            let fig = fig06::run(b.requests, b.millis, jobs);
             out(exp, fig.render(), &fig)
         }
         "fig09" => {
-            let fig = fig09::run_jobs(b.requests, jobs);
+            let fig = fig09::run(b.requests, jobs);
             out(exp, fig.render(), &fig)
         }
         "fig11" => {
-            let fig = fig11::run_jobs(b.millis, jobs);
+            let fig = fig11::run(b.millis, jobs);
             out(exp, fig.render(), &fig)
         }
         "fig12" => {
-            let fig = fig12::run_jobs(b.requests, jobs);
+            let fig = fig12::run(b.requests, jobs);
             out(exp, fig.render(), &fig)
         }
         "fig13" => {
@@ -148,7 +152,7 @@ fn run_one(exp: Experiment, b: &Budget, jobs: usize) -> Output {
             out(exp, fig.render(), &fig)
         }
         "churn" => {
-            let rep = churn::run_jobs(b.quick, jobs);
+            let rep = churn::run(b.quick, jobs);
             out(exp, rep.render(), &rep)
         }
         "upgrade" => {

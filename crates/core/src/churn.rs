@@ -29,11 +29,10 @@
 //! drain phases. Every statistic folds into a byte-stable determinism
 //! digest; the CI churn-smoke job asserts same-seed identity.
 //!
-//! At 10^6 tenants the model is **memory-bound**, not compute-bound:
-//! each live tenant holds a route entry, a pool entry and two fabric QP
-//! endpoints — on the order of a few hundred bytes each, several GiB in
-//! total with allocator overhead — so the default sweep stops at 10^5
-//! and documents the extrapolation instead of OOM-killing CI.
+//! Each live tenant holds a route entry, a pool entry and two fabric QP
+//! endpoints. What that costs in bytes has not been counted (ROADMAP
+//! item 3), so the committed sweep stops at the largest population that
+//! has been run, 10^5, and nothing is claimed about 10^6.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -41,7 +40,7 @@ use std::rc::Rc;
 
 use dne::connpool::{ConnPool, ElasticConfig};
 use dne::routing::RouteTable;
-use ingress::prewarm::{PrewarmConfig, PrewarmController};
+use ingress::prewarm::PrewarmController;
 use membuf::tenant::TenantId;
 use rdma_sim::cost::RdmaCosts;
 use rdma_sim::fabric::{CqId, QpHandle, RqId};
@@ -52,46 +51,52 @@ use simcore::{Histogram, Sim, SimDuration, SimRng, SimTime};
 /// Per-message wire overhead added to the payload: descriptor + headers.
 const WIRE_HEADER_BYTES: usize = 64;
 
+/// Fabric nodes: node 0 is the gateway every request originates from,
+/// nodes `1..` host tenant functions round-robin.
+const NODES: usize = 4;
+/// Mean request rate per live tenant at diurnal midpoint, Hz.
+pub(crate) const RATE_PER_TENANT: f64 = 25.0;
+/// Zipf popularity exponent across live tenants.
+const ZIPF_S: f64 = 1.1;
+/// Request payload bytes.
+const PAYLOAD: usize = 1024;
+/// How often the background controller restocks the pre-warm pools.
+const PREWARM_INTERVAL: SimDuration = SimDuration::from_millis(5);
+/// Elastic lifecycle of the gateway's connection pool: an LRU-bounded
+/// active set and lazy teardown of connections idle for 200 ms.
+const ELASTIC: ElasticConfig = ElasticConfig {
+    active_capacity: 128,
+    idle_teardown_age: Some(SimDuration::from_millis(200)),
+};
+/// How often the idle reaper / teardown sweep runs.
+const REAP_INTERVAL: SimDuration = SimDuration::from_millis(10);
+/// Diurnal amplitude: offered load swings between 0.6 and 1.4 times the
+/// base rate.
+const DIURNAL_AMPLITUDE: f64 = 0.4;
+/// Diurnal period (compressed; real cells use 24 h).
+const DIURNAL_PERIOD: SimDuration = SimDuration::from_millis(1_000);
+/// Goodput SLO: a request counts as *good* iff its modeled latency is
+/// within this bound (a cold connect never is).
+const SLO: SimDuration = SimDuration::from_millis(1);
+/// Number of equal windows the horizon is cut into for the per-window
+/// thrash series ([`ChurnWindow`]).
+const THRASH_WINDOWS: usize = 8;
+
 /// Configuration of one churn cell.
 #[derive(Debug, Clone)]
 pub struct ChurnConfig {
     /// Steady-state tenant population target (arrival rate is
     /// `tenants / mean_lifetime`, balancing expected departures).
     pub tenants: usize,
-    /// Fabric nodes; node 0 is the gateway every request originates
-    /// from, nodes `1..` host tenant functions round-robin.
-    pub nodes: usize,
     /// Virtual time the cell runs.
     pub horizon: SimDuration,
     /// Root seed for every stochastic stream.
     pub seed: u64,
-    /// Fabric cost model (connect/claim delays, cache penalties).
-    pub costs: RdmaCosts,
     /// Mean tenant lifetime (exponentially distributed).
     pub mean_lifetime: SimDuration,
-    /// Mean request rate per live tenant at diurnal midpoint, Hz.
-    pub rate_per_tenant: f64,
-    /// Zipf popularity exponent across live tenants (0 = uniform).
-    pub zipf_s: f64,
-    /// Request payload bytes.
-    pub payload: usize,
     /// Pre-warm stock target per gateway→backend link; `0` disables
     /// pre-warming (every first contact is a cold connect).
     pub prewarm_target: usize,
-    /// How often the background controller restocks the pre-warm pools.
-    pub prewarm_interval: SimDuration,
-    /// Elastic lifecycle config of the gateway's connection pool.
-    pub elastic: ElasticConfig,
-    /// How often the idle reaper / teardown sweep runs.
-    pub reap_interval: SimDuration,
-    /// Diurnal amplitude in `[0, 1)`: offered load swings between
-    /// `1 - a` and `1 + a` times the base rate.
-    pub diurnal_amplitude: f64,
-    /// Diurnal period (compressed; real cells use 24 h).
-    pub diurnal_period: SimDuration,
-    /// Goodput SLO: a request counts as *good* iff its modeled latency
-    /// is within this bound (a cold connect never is).
-    pub slo: SimDuration,
     /// Hard cap on modeled requests (bounds event count at high
     /// populations; `0` = uncapped).
     pub max_requests: u64,
@@ -100,36 +105,18 @@ pub struct ChurnConfig {
     /// first contacts before any restock matures are cold by
     /// construction, not by control-plane failure.
     pub warmup: SimDuration,
-    /// Number of equal windows the horizon is cut into for the
-    /// per-window thrash series ([`ChurnWindow`]); `0` disables it.
-    pub thrash_windows: usize,
 }
 
 impl Default for ChurnConfig {
     fn default() -> Self {
         ChurnConfig {
             tenants: 1_000,
-            nodes: 4,
             horizon: SimDuration::from_millis(2_000),
             seed: 42,
-            costs: RdmaCosts::default(),
             mean_lifetime: SimDuration::from_millis(800),
-            rate_per_tenant: 25.0,
-            zipf_s: 1.1,
-            payload: 1024,
             prewarm_target: 8,
-            prewarm_interval: SimDuration::from_millis(5),
-            elastic: ElasticConfig {
-                active_capacity: 128,
-                idle_teardown_age: Some(SimDuration::from_millis(200)),
-            },
-            reap_interval: SimDuration::from_millis(10),
-            diurnal_amplitude: 0.4,
-            diurnal_period: SimDuration::from_millis(1_000),
-            slo: SimDuration::from_millis(1),
             max_requests: 200_000,
             warmup: SimDuration::from_millis(400),
-            thrash_windows: 8,
         }
     }
 }
@@ -201,7 +188,8 @@ pub struct ChurnReport {
     pub requests: u64,
     /// Requests within the SLO.
     pub good: u64,
-    /// Good requests per virtual second.
+    /// Good requests per virtual second of offered load: the horizon, or
+    /// the time until `max_requests` ended the load early.
     pub goodput_rps: f64,
     /// Median modeled request latency, µs.
     pub p50_us: f64,
@@ -237,7 +225,7 @@ pub struct ChurnReport {
     pub peak_active_qps: usize,
     /// Pooled connections remaining at the end.
     pub pooled_final: usize,
-    /// Per-window thrash series (empty when `thrash_windows == 0`).
+    /// Per-window thrash series.
     pub windows: Vec<ChurnWindow>,
     /// FNV-1a digest over every integer column, the per-window integer
     /// columns included — byte-identical across same-seed runs, the CI
@@ -282,6 +270,7 @@ const FABRIC_TENANT: TenantId = TenantId(0);
 
 struct ChurnState {
     cfg: ChurnConfig,
+    costs: RdmaCosts,
     fabric: Fabric,
     /// Per-node `(CQ, shared RQ)` wiring, indexed by node id.
     wiring: Vec<(CqId, RqId)>,
@@ -299,6 +288,8 @@ struct ChurnState {
     arrivals: u64,
     departures: u64,
     requests: u64,
+    /// When `max_requests` ended the load, if it did.
+    capped_at: Option<SimTime>,
     good: u64,
     cold_connects: u64,
     prewarm_claims: u64,
@@ -349,7 +340,7 @@ impl ChurnState {
         self.next_tenant += 1;
         // Round-robin placement over the backends: deterministic, and at
         // churn scale indistinguishable from a placement service.
-        let backends = (self.cfg.nodes - 1) as u32;
+        let backends = (NODES - 1) as u32;
         let home = NodeId(1 + (t % backends) as u16);
         self.routing.set(t, home);
         self.alive_pos.insert(t, self.alive.len());
@@ -452,8 +443,8 @@ fn model_request(s: &mut ChurnState, sim: &mut Sim, t: u32) {
         return; // Departed between sampling and service.
     };
     let gw = s.gateway();
-    let mut latency = s.cfg.costs.one_way(s.cfg.payload + WIRE_HEADER_BYTES)
-        + s.cfg.costs.qp_cache_penalty(s.fabric.active_qp_count(gw));
+    let mut latency = s.costs.one_way(PAYLOAD + WIRE_HEADER_BYTES)
+        + s.costs.qp_cache_penalty(s.fabric.active_qp_count(gw));
     let picked = s
         .pool
         .pick_least_congested(&s.fabric, now, t, home)
@@ -476,7 +467,7 @@ fn model_request(s: &mut ChurnState, sim: &mut Sim, t: u32) {
                 if steady {
                     s.steady_claims += 1;
                 }
-                latency += s.cfg.costs.prewarm_claim_delay;
+                latency += s.costs.prewarm_claim_delay;
                 Some(pair)
             }
             None => match s
@@ -488,7 +479,7 @@ fn model_request(s: &mut ChurnState, sim: &mut Sim, t: u32) {
                     if steady {
                         s.steady_cold += 1;
                     }
-                    latency += s.cfg.costs.connect_delay;
+                    latency += s.costs.connect_delay;
                     Some(pair)
                 }
                 Err(_) => None,
@@ -505,7 +496,7 @@ fn model_request(s: &mut ChurnState, sim: &mut Sim, t: u32) {
     if now >= s.warmup_end {
         s.steady_latency.record(latency);
     }
-    if latency <= s.cfg.slo {
+    if latency <= SLO {
         s.good += 1;
     }
 }
@@ -515,12 +506,15 @@ fn schedule_next_request(state: &Rc<RefCell<ChurnState>>, sim: &mut Sim) {
         let mut s = state.borrow_mut();
         let alive = s.alive.len();
         let capped = s.cfg.max_requests > 0 && s.requests >= s.cfg.max_requests;
+        if capped {
+            s.capped_at = Some(sim.now());
+        }
         let gap = if alive == 0 {
             SimDuration::from_millis(1)
         } else {
-            let period = s.cfg.diurnal_period.as_secs_f64().max(1e-9);
-            let swing = rng::diurnal(s.cfg.diurnal_amplitude, sim.now().as_secs_f64(), period);
-            let rate = s.cfg.rate_per_tenant * alive as f64 * swing;
+            let period = DIURNAL_PERIOD.as_secs_f64();
+            let swing = rng::diurnal(DIURNAL_AMPLITUDE, sim.now().as_secs_f64(), period);
+            let rate = RATE_PER_TENANT * alive as f64 * swing;
             SimDuration::from_secs_f64(s.rng.exponential(1.0 / rate.max(1e-9)))
         };
         (gap, s.end, capped)
@@ -540,19 +534,19 @@ fn schedule_next_request(state: &Rc<RefCell<ChurnState>>, sim: &mut Sim) {
 }
 
 fn schedule_prewarm_tick(state: &Rc<RefCell<ChurnState>>, sim: &mut Sim) {
-    let (interval, end) = {
+    let (target, end) = {
         let s = state.borrow();
-        (s.cfg.prewarm_interval, s.end)
+        (s.cfg.prewarm_target, s.end)
     };
-    if state.borrow().cfg.prewarm_target == 0 || sim.now() + interval >= end {
+    if target == 0 || sim.now() + PREWARM_INTERVAL >= end {
         return;
     }
     let st = state.clone();
-    sim.schedule_after(interval, move |sim| {
+    sim.schedule_after(PREWARM_INTERVAL, move |sim| {
         {
             let mut s = st.borrow_mut();
             let gw = s.gateway();
-            for n in 1..s.cfg.nodes as u16 {
+            for n in 1..NODES as u16 {
                 let peer = NodeId(n);
                 let stock = s.fabric.prewarmed_available(gw, peer);
                 // Demand-driven restock: the controller holds a buffer of
@@ -570,15 +564,12 @@ fn schedule_prewarm_tick(state: &Rc<RefCell<ChurnState>>, sim: &mut Sim) {
 }
 
 fn schedule_reap_tick(state: &Rc<RefCell<ChurnState>>, sim: &mut Sim) {
-    let (interval, end) = {
-        let s = state.borrow();
-        (s.cfg.reap_interval, s.end)
-    };
-    if sim.now() + interval >= end {
+    let end = state.borrow().end;
+    if sim.now() + REAP_INTERVAL >= end {
         return;
     }
     let st = state.clone();
-    sim.schedule_after(interval, move |sim| {
+    sim.schedule_after(REAP_INTERVAL, move |sim| {
         {
             let mut s = st.borrow_mut();
             let fabric = s.fabric.clone();
@@ -592,14 +583,8 @@ fn schedule_reap_tick(state: &Rc<RefCell<ChurnState>>, sim: &mut Sim) {
 fn schedule_window_tick(state: &Rc<RefCell<ChurnState>>, sim: &mut Sim) {
     let (interval, end) = {
         let s = state.borrow();
-        let n = s.cfg.thrash_windows;
-        if n == 0 {
-            return;
-        }
-        (
-            SimDuration::from_nanos(s.cfg.horizon.as_nanos() / n as u64),
-            s.end,
-        )
+        let window = s.cfg.horizon.as_nanos() / THRASH_WINDOWS as u64;
+        (SimDuration::from_nanos(window), s.end)
     };
     if interval.as_nanos() == 0 || sim.now() + interval > end {
         return;
@@ -613,21 +598,20 @@ fn schedule_window_tick(state: &Rc<RefCell<ChurnState>>, sim: &mut Sim) {
 
 /// Runs one churn cell to completion.
 pub fn run(cfg: ChurnConfig) -> ChurnReport {
-    assert!(cfg.nodes >= 2, "need a gateway and at least one backend");
-    assert!(cfg.nodes <= u16::MAX as usize, "fabric node ids are u16s");
     let mut sim = Sim::new();
-    let fabric = Fabric::new(cfg.costs.clone());
-    let mut wiring = Vec::with_capacity(cfg.nodes);
-    for _ in 0..cfg.nodes {
+    let costs = RdmaCosts::default();
+    let fabric = Fabric::new(costs.clone());
+    let mut wiring = Vec::with_capacity(NODES);
+    for _ in 0..NODES {
         let node = fabric.add_node();
         let cq = fabric.create_cq(node).expect("fresh node");
         let rq = fabric.create_rq(node, FABRIC_TENANT).expect("fresh node");
         wiring.push((cq, rq));
     }
     // Sized for the population plus churn headroom.
-    let popularity = Zipf::new(cfg.tenants * 2 + 1024, cfg.zipf_s);
+    let popularity = Zipf::new(cfg.tenants * 2 + 1024, ZIPF_S);
     let end = SimTime::ZERO + cfg.horizon;
-    let pool = ConnPool::with_config(cfg.elastic);
+    let pool = ConnPool::with_config(ELASTIC);
     let state = Rc::new(RefCell::new(ChurnState {
         routing: RouteTable::new(),
         pool,
@@ -640,19 +624,15 @@ pub fn run(cfg: ChurnConfig) -> ChurnReport {
         arrivals: 0,
         departures: 0,
         requests: 0,
+        capped_at: None,
         good: 0,
         cold_connects: 0,
         prewarm_claims: 0,
         steady_cold: 0,
         steady_claims: 0,
         warmup_end: SimTime::ZERO + cfg.warmup,
-        prewarm_ctl: (0..cfg.nodes)
-            .map(|_| {
-                PrewarmController::new(PrewarmConfig {
-                    target: cfg.prewarm_target,
-                    max_order: 4_096,
-                })
-            })
+        prewarm_ctl: (0..NODES)
+            .map(|_| PrewarmController::new(cfg.prewarm_target))
             .collect(),
         steady_latency: Histogram::new(),
         peak_alive: 0,
@@ -660,6 +640,7 @@ pub fn run(cfg: ChurnConfig) -> ChurnReport {
         windows: Vec::new(),
         win_mark: WinMark::default(),
         fabric: fabric.clone(),
+        costs,
         wiring,
         cfg,
     }));
@@ -677,7 +658,7 @@ pub fn run(cfg: ChurnConfig) -> ChurnReport {
         let s = state.borrow();
         if s.cfg.prewarm_target > 0 {
             let gw = s.gateway();
-            for n in 1..s.cfg.nodes as u16 {
+            for n in 1..NODES as u16 {
                 let _ = s
                     .fabric
                     .prewarm_link(&mut sim, gw, NodeId(n), s.cfg.prewarm_target);
@@ -693,7 +674,8 @@ pub fn run(cfg: ChurnConfig) -> ChurnReport {
 
     let s = state.borrow();
     let (pool_hits, pool_misses) = s.pool.hit_miss();
-    let horizon_s = s.cfg.horizon.as_secs_f64();
+    // Load ran until the cap was hit, or for the whole horizon.
+    let load_s = s.capped_at.unwrap_or(s.end).as_secs_f64();
     let warm_total = s.prewarm_claims + s.cold_connects;
     let steady_total = s.steady_claims + s.steady_cold;
     let peak_active = s.fabric.peak_active_qp_count(s.gateway());
@@ -741,8 +723,8 @@ pub fn run(cfg: ChurnConfig) -> ChurnReport {
         departures: s.departures,
         requests: s.requests,
         good: s.good,
-        goodput_rps: if horizon_s > 0.0 {
-            s.good as f64 / horizon_s
+        goodput_rps: if load_s > 0.0 {
+            s.good as f64 / load_s
         } else {
             0.0
         },
@@ -856,6 +838,31 @@ mod tests {
     }
 
     #[test]
+    fn a_request_cap_does_not_understate_goodput() {
+        // Two whole diurnal periods uncapped against one whole period
+        // capped: the same mean offered rate, so the same goodput.
+        let cfg = |max_requests| ChurnConfig {
+            tenants: 200,
+            max_requests,
+            ..ChurnConfig::default()
+        };
+        let uncapped = run(cfg(0));
+        let capped = run(cfg(uncapped.requests / 2));
+        assert_eq!(
+            capped.requests,
+            uncapped.requests / 2,
+            "the cap ended the load"
+        );
+        let ratio = capped.goodput_rps / uncapped.goodput_rps;
+        assert!(
+            (0.9..=1.1).contains(&ratio),
+            "capped {} vs uncapped {} good requests per second",
+            capped.goodput_rps,
+            uncapped.goodput_rps
+        );
+    }
+
+    #[test]
     fn teardown_and_eviction_engage_under_churn() {
         let r = run(quick_cfg(11));
         assert!(r.teardowns > 0, "idle-age teardown never engaged");
@@ -867,7 +874,7 @@ mod tests {
     #[test]
     fn thrash_windows_tile_the_horizon_and_sum_to_totals() {
         let r = run(quick_cfg(7));
-        assert_eq!(r.windows.len(), ChurnConfig::default().thrash_windows);
+        assert_eq!(r.windows.len(), THRASH_WINDOWS);
         // Windows tile the horizon: contiguous, in order.
         for pair in r.windows.windows(2) {
             assert_eq!(pair[0].end_ns, pair[1].start_ns);
@@ -884,8 +891,8 @@ mod tests {
         assert_eq!(cold, r.cold_connects);
         assert_eq!(claims, r.prewarm_claims);
         assert!(teardowns > 0, "teardown churn is visible per-window");
-        // The series is digest-relevant: disabling it changes the digest
-        // inputs but same-seed same-config reproduces byte-for-byte.
+        // The series is digest-relevant: same-seed same-config reproduces
+        // it byte-for-byte.
         let again = run(quick_cfg(7));
         assert_eq!(r.digest, again.digest);
         assert_eq!(r.windows, again.windows);

@@ -32,19 +32,20 @@ use runtime::function::{ChainFunction, CompletionFn};
 use runtime::{ChainSpec, IoLib, Placement};
 use simcore::{IdTable, Sim, SimDuration, SimTime};
 
+/// Host CPU cores per worker node: enough that they never saturate, so
+/// Table 2's host columns read utilisation.
+pub(crate) const HOST_CORES: usize = 32;
+/// Buffer size of each tenant pool: fits the largest payload any experiment
+/// sends (4 KB, Fig. 6) plus the CTX region.
+const BUF_SIZE: usize = 8 * 1024;
+
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of worker nodes.
     pub workers: usize,
-    /// Host CPU cores per worker node.
-    pub host_cores: usize,
     /// Network-engine configuration (same on every node).
     pub dne: DneConfig,
-    /// Fabric cost model.
-    pub rdma: RdmaCosts,
-    /// Buffer size of each tenant pool.
-    pub buf_size: usize,
     /// Buffers per tenant pool per node.
     pub pool_bufs: u32,
 }
@@ -53,10 +54,7 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             workers: 2,
-            host_cores: 32,
             dne: DneConfig::nadino_dne(),
-            rdma: RdmaCosts::default(),
-            buf_size: 8 * 1024,
             pool_bufs: 2048,
         }
     }
@@ -182,7 +180,7 @@ impl Cluster {
     /// Builds the cluster (nodes, engines, I/O libraries).
     pub fn new(sim: &mut Sim, cfg: ClusterConfig) -> Cluster {
         assert!(cfg.workers >= 1, "need at least one worker node");
-        let fabric = Fabric::new(cfg.rdma.clone());
+        let fabric = Fabric::new(RdmaCosts::default());
         let placement = Rc::new(RefCell::new(Placement::new()));
         let mut nodes = Vec::with_capacity(cfg.workers);
         for _ in 0..cfg.workers {
@@ -191,7 +189,7 @@ impl Cluster {
                 .expect("node creation cannot fail on a fresh fabric");
             let cpu = Rc::new(RefCell::new(Processor::new(
                 ProcessorKind::HostCpu,
-                cfg.host_cores,
+                HOST_CORES,
             )));
             let iolib = IoLib::new(id, dne.clone(), cpu.clone(), placement.clone());
             nodes.push(NodeHandle {
@@ -264,7 +262,7 @@ impl Cluster {
         weight: u32,
     ) -> Result<(), dne::engine::DneError> {
         for (idx, node) in self.nodes.iter().enumerate() {
-            let mut pc = PoolConfig::new(tenant, 0, self.cfg.buf_size, self.cfg.pool_bufs);
+            let mut pc = PoolConfig::new(tenant, 0, BUF_SIZE, self.cfg.pool_bufs);
             pc.segment_size = membuf::hugepage::HUGEPAGE_SIZE;
             let pool = BufferPool::new(pc).expect("validated pool geometry");
             // The three-step DOCA handshake: export on the host, ship the
@@ -290,7 +288,7 @@ impl Cluster {
             }
         }
         // Let the RC connections come up (tens of milliseconds).
-        sim.run_for(self.cfg.rdma.connect_delay + SimDuration::from_millis(1));
+        sim.run_for(self.fabric.costs().connect_delay + SimDuration::from_millis(1));
         Ok(())
     }
 
@@ -764,10 +762,9 @@ impl Cluster {
     pub fn enable_health_monitor(
         self: &Rc<Self>,
         sim: &mut Sim,
-        cfg: crate::health::HealthConfig,
         until: SimTime,
     ) -> crate::health::HealthMonitor {
-        let monitor = crate::health::HealthMonitor::new(cfg, self.nodes.iter().map(|n| n.id));
+        let monitor = crate::health::HealthMonitor::new(self.nodes.iter().map(|n| n.id));
         monitor.set_tracer(self.obs_hub.borrow().tracer.clone());
         let cluster = Rc::clone(self);
         monitor.set_down_handler(Rc::new(move |_sim, node| {
@@ -927,9 +924,9 @@ impl Cluster {
             let label = idx.to_string();
             let nl = [("node", label.as_str())];
             node.dne.set_obs_sink(dne::DneObsSink {
-                tx_queue_wait: Some(reg.histogram("dne_tx_queue_wait_ns", &nl)),
-                retry_latency: Some(reg.histogram("dne_retry_latency_ns", &nl)),
-                post_to_completion: Some(reg.histogram("dne_post_to_completion_ns", &nl)),
+                tx_queue_wait: reg.histogram("dne_tx_queue_wait_ns", &nl),
+                retry_latency: reg.histogram("dne_retry_latency_ns", &nl),
+                post_to_completion: reg.histogram("dne_post_to_completion_ns", &nl),
             });
         }
     }

@@ -80,7 +80,6 @@ fn native_cell(requests: u64, payload: usize, proc: ProcessorKind, name: &str) -
     // of that work is I/O-bound (doorbell MMIO, CQ poll waits), so
     // only a small CPU-bound fraction is penalized by wimpy cores
     // — exactly why the paper finds the DPU penalty minimal.
-    let per_msg = SimDuration::from_nanos(700);
     let per_msg_unscaled = SimDuration::from_micros(3);
     let lat = run_echo(EchoConfig {
         primitive: Primitive::TwoSided,
@@ -88,9 +87,7 @@ fn native_cell(requests: u64, payload: usize, proc: ProcessorKind, name: &str) -
         window: 1,
         requests,
         proc,
-        per_msg,
         per_msg_unscaled,
-        ..EchoConfig::default()
     });
     let thr = run_echo(EchoConfig {
         primitive: Primitive::TwoSided,
@@ -98,9 +95,7 @@ fn native_cell(requests: u64, payload: usize, proc: ProcessorKind, name: &str) -
         window: 16,
         requests,
         proc,
-        per_msg,
         per_msg_unscaled,
-        ..EchoConfig::default()
     });
     Fig06Row {
         setting: name.to_string(),
@@ -123,15 +118,10 @@ fn dne_cell(payload: usize, millis: u64) -> Fig06Row {
 }
 
 /// Runs the experiment (`requests` echoes per native cell, `millis` of
-/// virtual time per DNE cell).
-pub fn run(requests: u64, millis: u64) -> Fig06 {
-    run_jobs(requests, millis, 1)
-}
-
-/// Same experiment with the nine independent cells (each a fresh `Sim`)
-/// fanned out across `jobs` threads; row order — and thus rendering and
-/// JSON — is byte-identical to the sequential run.
-pub fn run_jobs(requests: u64, millis: u64, jobs: usize) -> Fig06 {
+/// virtual time per DNE cell) with the nine independent cells (each a
+/// fresh `Sim`) fanned out across `jobs` threads; row order — and thus
+/// rendering and JSON — is byte-identical whatever `jobs` is.
+pub fn run(requests: u64, millis: u64, jobs: usize) -> Fig06 {
     let mut cells: Vec<Box<dyn FnOnce() -> Fig06Row + Send>> = Vec::new();
     for payload in PAYLOADS {
         for (proc, name) in [
@@ -180,10 +170,16 @@ impl Fig06 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    fn fig() -> &'static Fig06 {
+        static FIG: OnceLock<Fig06> = OnceLock::new();
+        FIG.get_or_init(|| run(300, 30, 1))
+    }
 
     #[test]
     fn wimpy_core_penalty_on_raw_verbs_is_minimal() {
-        let fig = run(300, 30);
+        let fig = fig();
         let cpu = fig.get("native RDMA (CPU)", 1024).unwrap();
         let dpu = fig.get("native RDMA (DPU)", 1024).unwrap();
         let ratio = dpu.mean_us / cpu.mean_us;
@@ -195,7 +191,7 @@ mod tests {
 
     #[test]
     fn dne_throughput_cost_is_bounded() {
-        let fig = run(300, 30);
+        let fig = fig();
         for payload in PAYLOADS {
             let native = fig.get("native RDMA (DPU)", payload).unwrap().rps;
             let dne = fig.get("NADINO (DNE)", payload).unwrap().rps;
@@ -208,15 +204,13 @@ mod tests {
 
     #[test]
     fn all_nine_cells_present() {
-        let fig = run(100, 15);
+        let fig = fig();
         assert_eq!(fig.rows.len(), 9);
         assert!(fig.render().contains("NADINO (DNE)"));
     }
 
     #[test]
     fn parallel_run_renders_identically() {
-        let seq = run_jobs(100, 15, 1);
-        let par = run_jobs(100, 15, 4);
-        assert_eq!(seq.render(), par.render());
+        assert_eq!(fig().render(), run(300, 30, 4).render());
     }
 }

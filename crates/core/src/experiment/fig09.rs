@@ -125,14 +125,10 @@ fn cell(kind: ChannelKind, name: &str, functions: usize, per_function: u64) -> F
     }
 }
 
-/// Runs the experiment with `per_function` echoes per function.
-pub fn run(per_function: u64) -> Fig09 {
-    run_jobs(per_function, 1)
-}
-
-/// Same experiment with the fifteen independent cells fanned out across
-/// `jobs` threads; row order matches the sequential run exactly.
-pub fn run_jobs(per_function: u64, jobs: usize) -> Fig09 {
+/// Runs the experiment with `per_function` echoes per function, the
+/// fifteen independent cells fanned out across `jobs` threads; row order
+/// is the same whatever `jobs` is.
+pub fn run(per_function: u64, jobs: usize) -> Fig09 {
     let mut cells: Vec<Box<dyn FnOnce() -> Fig09Row + Send>> = Vec::new();
     for (kind, name) in CHANNELS {
         for functions in FUNCTION_COUNTS {
@@ -177,10 +173,16 @@ impl Fig09 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    fn fig() -> &'static Fig09 {
+        static FIG: OnceLock<Fig09> = OnceLock::new();
+        FIG.get_or_init(|| run(400, 1))
+    }
 
     #[test]
     fn comch_p_beats_tcp_by_over_8x_at_low_function_counts() {
-        let fig = run(400);
+        let fig = fig();
         let p = fig.get("Comch-P", 1).unwrap().mean_rtt_us;
         let tcp = fig.get("TCP", 1).unwrap().mean_rtt_us;
         assert!(tcp / p > 8.0, "TCP {tcp}us / Comch-P {p}us = {}", tcp / p);
@@ -188,7 +190,7 @@ mod tests {
 
     #[test]
     fn comch_e_beats_tcp_by_about_3x_and_is_stable() {
-        let fig = run(400);
+        let fig = fig();
         for n in FUNCTION_COUNTS {
             let e = fig.get("Comch-E", n).unwrap().mean_rtt_us;
             let tcp = fig.get("TCP", n).unwrap().mean_rtt_us;
@@ -206,7 +208,7 @@ mod tests {
 
     #[test]
     fn comch_p_overloads_beyond_six_functions() {
-        let fig = run(400);
+        let fig = fig();
         // Comch-P wins below ~6 functions but loses to Comch-E at 8.
         let p2 = fig.get("Comch-P", 2).unwrap().mean_rtt_us;
         let e2 = fig.get("Comch-E", 2).unwrap().mean_rtt_us;
@@ -223,7 +225,7 @@ mod tests {
 
     #[test]
     fn all_cells_present() {
-        let fig = run(50);
+        let fig = fig();
         assert_eq!(fig.rows.len(), 15);
         assert!(fig.render().contains("Comch-P"));
     }

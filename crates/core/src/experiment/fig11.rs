@@ -88,15 +88,10 @@ fn run_one(cfg: DneConfig, payload: usize, clients: usize, millis: u64) -> (f64,
     (driver.latency().mean().as_micros_f64(), driver.rps())
 }
 
-/// Runs both sweeps with `millis` of virtual time per cell.
-pub fn run(millis: u64) -> Fig11 {
-    run_jobs(millis, 1)
-}
-
-/// Same experiment with all sixteen independent sweep points (each a
-/// fresh `Sim`) fanned out across `jobs` threads; row order in both
-/// panels matches the sequential run exactly.
-pub fn run_jobs(millis: u64, jobs: usize) -> Fig11 {
+/// Runs both sweeps with `millis` of virtual time per cell, all sixteen
+/// independent sweep points (each a fresh `Sim`) fanned out across `jobs`
+/// threads; row order in both panels is the same whatever `jobs` is.
+pub fn run(millis: u64, jobs: usize) -> Fig11 {
     let modes = [
         (DneConfig::nadino_dne(), "off-path"),
         (DneConfig::on_path_dne(), "on-path"),
@@ -201,10 +196,16 @@ impl Fig11 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    fn fig() -> &'static Fig11 {
+        static FIG: OnceLock<Fig11> = OnceLock::new();
+        FIG.get_or_init(|| run(40, 1))
+    }
 
     #[test]
     fn off_path_wins_and_gap_grows_with_concurrency() {
-        let fig = run(40);
+        let fig = fig();
         let low = fig.rps_gain_at(1);
         let high = fig.rps_gain_at(64);
         assert!(
@@ -223,7 +224,7 @@ mod tests {
 
     #[test]
     fn off_path_cuts_latency() {
-        let fig = run(40);
+        let fig = fig();
         for payload in PAYLOADS {
             let cut = fig.latency_reduction_at(payload);
             assert!(
@@ -235,7 +236,7 @@ mod tests {
 
     #[test]
     fn renders_both_panels() {
-        let fig = run(10);
+        let fig = fig();
         let text = fig.render();
         assert!(text.contains("payload sweep"));
         assert!(text.contains("concurrency sweep"));

@@ -78,14 +78,10 @@ fn cell(primitive: Primitive, name: &str, payload: usize, requests: u64) -> Fig1
     }
 }
 
-/// Runs the experiment with `requests` echoes per cell.
-pub fn run(requests: u64) -> Fig12 {
-    run_jobs(requests, 1)
-}
-
-/// Same experiment with the sixteen independent cells fanned out across
-/// `jobs` threads; row order matches the sequential run exactly.
-pub fn run_jobs(requests: u64, jobs: usize) -> Fig12 {
+/// Runs the experiment with `requests` echoes per cell, the sixteen
+/// independent cells fanned out across `jobs` threads; row order is the
+/// same whatever `jobs` is.
+pub fn run(requests: u64, jobs: usize) -> Fig12 {
     let mut cells: Vec<Box<dyn FnOnce() -> Fig12Row + Send>> = Vec::new();
     for (primitive, name) in PRIMITIVES {
         for payload in PAYLOADS {
@@ -140,10 +136,16 @@ impl Fig12 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    fn fig() -> &'static Fig12 {
+        static FIG: OnceLock<Fig12> = OnceLock::new();
+        FIG.get_or_init(|| run(400, 1))
+    }
 
     #[test]
     fn reproduces_the_papers_shape() {
-        let fig = run(400);
+        let fig = fig();
         let two64 = fig.mean_us("NADINO (two-sided)", 64).unwrap();
         let two4k = fig.mean_us("NADINO (two-sided)", 4096).unwrap();
         assert!((7.0..=10.0).contains(&two64), "64B = {two64}us (paper 8.4)");
@@ -174,7 +176,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_cells() {
-        let fig = run(50);
+        let fig = fig();
         let text = fig.render();
         assert_eq!(fig.rows.len(), 16);
         assert!(text.contains("OWDL"));

@@ -135,10 +135,16 @@ impl Fig13 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    fn fig() -> &'static Fig13 {
+        static FIG: OnceLock<Fig13> = OnceLock::new();
+        FIG.get_or_init(|| run(60))
+    }
 
     #[test]
     fn nadino_ingress_dominates_at_high_client_counts() {
-        let fig = run(60);
+        let fig = fig();
         let n = fig.get("NADINO", 16).unwrap().rps;
         let f = fig.get("F-Ingress", 16).unwrap().rps;
         let k = fig.get("K-Ingress", 16).unwrap().rps;
@@ -156,7 +162,7 @@ mod tests {
 
     #[test]
     fn latency_ordering_matches() {
-        let fig = run(60);
+        let fig = fig();
         for clients in CLIENTS {
             let n = fig.get("NADINO", clients).unwrap().mean_us;
             let f = fig.get("F-Ingress", clients).unwrap().mean_us;
@@ -171,7 +177,7 @@ mod tests {
 
     #[test]
     fn all_cells_present() {
-        let fig = run(15);
+        let fig = fig();
         assert_eq!(fig.rows.len(), 12);
         assert!(fig.render().contains("K-Ingress"));
     }

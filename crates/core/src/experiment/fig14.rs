@@ -14,7 +14,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ingress::autoscale::AutoscaleConfig;
 use ingress::gateway::{Gateway, GatewayConfig, Upstream};
 use ingress::rss::FlowId;
 use ingress::stack::GatewayKind;
@@ -141,10 +140,7 @@ fn run_trace(
         // The fixed-pool baseline gets all cores up front (the paper's
         // K-Ingress "quickly overloaded after using up all CPU cores").
         initial_workers: if autoscale { 1 } else { 8 },
-        autoscale: autoscale.then(|| AutoscaleConfig {
-            max_workers: 8,
-            ..AutoscaleConfig::default()
-        }),
+        autoscale_max_workers: autoscale.then_some(8),
         autoscale_interval: SimDuration::from_millis(500),
         max_backlog: SimDuration::from_millis(1),
         ..GatewayConfig::default()

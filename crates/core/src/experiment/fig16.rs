@@ -171,7 +171,7 @@ fn run_baseline(
     duration: SimDuration,
 ) -> Fig16Row {
     let mut sim = Sim::new();
-    let bc = BaselineCluster::new(model.clone(), 2, ClusterConfig::default().host_cores);
+    let bc = BaselineCluster::new(model.clone(), 2, crate::cluster::HOST_CORES);
     for f in boutique::all_functions() {
         bc.place(f, boutique::hotspot_placement(f));
     }

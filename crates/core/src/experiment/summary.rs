@@ -35,7 +35,7 @@ obs::impl_to_json!(Summary { claims });
 pub fn run(millis: u64, requests: u64) -> Summary {
     let mut claims = Vec::new();
 
-    let f12 = fig12::run(requests);
+    let f12 = fig12::run(requests, 1);
     claims.push(Claim {
         claim: "two-sided echo RTT @64B (us)".into(),
         paper: "8.4".into(),

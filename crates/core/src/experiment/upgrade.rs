@@ -32,7 +32,6 @@ use simcore::{Sim, SimDuration};
 use crate::boutique;
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::fleetctl::{FleetController, FleetCounters, FleetEvent};
-use crate::health::HealthConfig;
 use crate::report::{fmt_f64, render_table};
 
 /// One scenario's outcome.
@@ -200,7 +199,7 @@ pub fn scenario(seed: u64, ticks: u32, wave: bool, crash: bool) -> UpgradeOutcom
         );
     }
     let until = drive_start + SimDuration::from_millis(80);
-    let monitor = cluster.enable_health_monitor(&mut sim, HealthConfig::default(), until);
+    let monitor = cluster.enable_health_monitor(&mut sim, until);
 
     let gateway = Gateway::new(GatewayConfig {
         deadline: Some(SimDuration::from_millis(5)),

@@ -45,6 +45,8 @@ use crate::workload::ClosedLoop;
 
 /// The tenant the boutique cell runs as (on-wire id 1).
 const TENANT: u16 = 1;
+/// Aggregation window (= obs sampling cadence) of the boutique cell.
+const OBS_WINDOW: SimDuration = SimDuration::from_millis(5);
 
 /// Configuration of one fleet report.
 #[derive(Debug, Clone)]
@@ -55,8 +57,6 @@ pub struct ReportConfig {
     pub clients: usize,
     /// Virtual time of the boutique cell.
     pub horizon: SimDuration,
-    /// Aggregation window (= obs sampling cadence) of the boutique cell.
-    pub obs_window: SimDuration,
 }
 
 impl Default for ReportConfig {
@@ -65,7 +65,6 @@ impl Default for ReportConfig {
             seed: 42,
             clients: 20,
             horizon: SimDuration::from_millis(40),
-            obs_window: SimDuration::from_millis(5),
         }
     }
 }
@@ -187,7 +186,7 @@ fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> (CellOut, Rc<Cluster
     // virtual time (RC establishment costs tens of ms).
     let t0 = sim.now();
     let until = t0 + cfg.horizon;
-    let agg = cluster.start_obs_sampler(&mut sim, reg.clone(), cfg.obs_window, until);
+    let agg = cluster.start_obs_sampler(&mut sim, reg.clone(), OBS_WINDOW, until);
 
     let driver = ClosedLoop::new(until);
     driver.start_gateway(
@@ -263,7 +262,7 @@ pub fn build_report(cfg: &ReportConfig) -> JsonValue {
                 ("seed", JsonValue::UInt(cfg.seed)),
                 ("clients", JsonValue::UInt(cfg.clients as u64)),
                 ("horizon_ns", JsonValue::UInt(cfg.horizon.as_nanos())),
-                ("obs_window_ns", JsonValue::UInt(cfg.obs_window.as_nanos())),
+                ("obs_window_ns", JsonValue::UInt(OBS_WINDOW.as_nanos())),
             ]),
         ),
         (

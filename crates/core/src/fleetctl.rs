@@ -506,7 +506,6 @@ impl FleetController {
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
-    use crate::health::HealthConfig;
     use membuf::tenant::TenantId;
     use runtime::ChainSpec;
     use simcore::SimDuration;
@@ -527,7 +526,7 @@ mod tests {
         cluster.register_chain(&chain, |_| SimDuration::from_micros(5), Rc::new(|_, _| {}));
         let cluster = Rc::new(cluster);
         let until = sim.now() + SimDuration::from_millis(200);
-        let monitor = cluster.enable_health_monitor(&mut sim, HealthConfig::default(), until);
+        let monitor = cluster.enable_health_monitor(&mut sim, until);
         let ctl = FleetController::install(&cluster, &monitor);
         (sim, cluster, monitor, ctl)
     }

@@ -5,11 +5,11 @@
 //! into a per-node state machine with hysteresis:
 //!
 //! ```text
-//! Healthy ──failures ≥ suspect_after──▶ Suspect
-//! Suspect ──failures ≥ down_after────▶ Down      (fail over to backups)
-//! Suspect ──clean for suspect_decay──▶ Healthy   (failure burst blew over)
+//! Healthy ──failures ≥ SUSPECT_AFTER──▶ Suspect
+//! Suspect ──failures ≥ DOWN_AFTER────▶ Down      (fail over to backups)
+//! Suspect ──clean for SUSPECT_DECAY──▶ Healthy   (failure burst blew over)
 //! Down ────probe says node is up─────▶ Draining
-//! Draining ──after drain hold-down───▶ Healthy   (routes restored)
+//! Draining ──after DRAIN hold-down───▶ Healthy   (routes restored)
 //! ```
 //!
 //! Entering `Down` triggers the down handler (the cluster re-points every
@@ -37,34 +37,18 @@ use simcore::{Sim, SimDuration, SimTime};
 /// cluster-level signal, not a per-request one).
 pub const HEALTH_TRACE_ID: u64 = u64::MAX;
 
-/// Health-monitor configuration.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Consecutive delivery failures that turn `Healthy` into `Suspect`.
-    pub suspect_after: u32,
-    /// Consecutive delivery failures that turn `Suspect` into `Down`.
-    pub down_after: u32,
-    /// A `Suspect` node with no new failure for this long returns to
-    /// `Healthy` (the burst blew over without reaching the down bar).
-    pub suspect_decay: SimDuration,
-    /// Probe cadence: how often `Down`/`Draining` nodes are re-examined.
-    pub probe_interval: SimDuration,
-    /// Hold-down between the probe first seeing a `Down` node up again and
-    /// the routes being restored (`Draining` → `Healthy`).
-    pub drain: SimDuration,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            suspect_after: 1,
-            down_after: 3,
-            suspect_decay: SimDuration::from_millis(10),
-            probe_interval: SimDuration::from_millis(1),
-            drain: SimDuration::from_millis(5),
-        }
-    }
-}
+/// Consecutive delivery failures that turn `Healthy` into `Suspect`.
+const SUSPECT_AFTER: u32 = 1;
+/// Consecutive delivery failures that turn `Suspect` into `Down`.
+const DOWN_AFTER: u32 = 3;
+/// A `Suspect` node with no new failure for this long returns to `Healthy`
+/// (the burst blew over without reaching the down bar).
+const SUSPECT_DECAY: SimDuration = SimDuration::from_millis(10);
+/// Probe cadence: how often `Down`/`Draining` nodes are re-examined.
+const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(1);
+/// Hold-down between the probe first seeing a `Down` node up again and the
+/// routes being restored (`Draining` → `Healthy`).
+const DRAIN: SimDuration = SimDuration::from_millis(5);
 
 /// A node's health state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,7 +109,6 @@ struct NodeTrack {
 }
 
 struct MonitorInner {
-    cfg: HealthConfig,
     /// Keyed by raw node id so iteration order is deterministic.
     nodes: BTreeMap<u16, NodeTrack>,
     events: Vec<HealthEvent>,
@@ -189,7 +172,7 @@ pub struct HealthMonitor {
 
 impl HealthMonitor {
     /// Creates a monitor tracking `nodes`, all initially `Healthy`.
-    pub fn new(cfg: HealthConfig, nodes: impl IntoIterator<Item = NodeId>) -> HealthMonitor {
+    pub fn new(nodes: impl IntoIterator<Item = NodeId>) -> HealthMonitor {
         let tracks = nodes
             .into_iter()
             .map(|n| {
@@ -207,7 +190,6 @@ impl HealthMonitor {
             .collect();
         HealthMonitor {
             inner: Rc::new(RefCell::new(MonitorInner {
-                cfg,
                 nodes: tracks,
                 events: Vec::new(),
                 tracer: obs::Tracer::disabled(),
@@ -293,30 +275,29 @@ impl HealthMonitor {
         let now = sim.now();
         let (went_down, capacity) = {
             let mut inner = self.inner.borrow_mut();
-            let cfg = inner.cfg.clone();
             let Some(track) = inner.nodes.get_mut(&node.0) else {
                 return;
             };
             // A stale failure streak decays before counting the new one.
-            if now.saturating_since(track.last_failure) > cfg.suspect_decay {
+            if now.saturating_since(track.last_failure) > SUSPECT_DECAY {
                 track.failures = 0;
             }
             track.failures += 1;
             track.last_failure = now;
             let (state, failures) = (track.state, track.failures);
             let went_down = match state {
-                NodeState::Healthy if failures >= cfg.suspect_after => {
+                NodeState::Healthy if failures >= SUSPECT_AFTER => {
                     inner.transition(now, node, NodeState::Suspect);
                     // Straight past Suspect when one burst clears both bars.
                     let t = inner.nodes.get_mut(&node.0).expect("tracked");
-                    if t.failures >= cfg.down_after {
+                    if t.failures >= DOWN_AFTER {
                         inner.transition(now, node, NodeState::Down);
                         true
                     } else {
                         false
                     }
                 }
-                NodeState::Suspect if failures >= cfg.down_after => {
+                NodeState::Suspect if failures >= DOWN_AFTER => {
                     inner.transition(now, node, NodeState::Down);
                     true
                 }
@@ -423,9 +404,8 @@ impl HealthMonitor {
     }
 
     fn schedule_probe(&self, sim: &mut Sim, fabric: Fabric, until: SimTime) {
-        let interval = self.inner.borrow().cfg.probe_interval;
         let monitor = self.clone();
-        sim.schedule_after(interval, move |sim| {
+        sim.schedule_after(PROBE_INTERVAL, move |sim| {
             monitor.probe_once(sim, &fabric);
             if sim.now() < until {
                 monitor.schedule_probe(sim, fabric, until);
@@ -442,14 +422,13 @@ impl HealthMonitor {
         let mut recovered = Vec::new();
         let capacity = {
             let mut inner = self.inner.borrow_mut();
-            let cfg = inner.cfg.clone();
             let ids: Vec<u16> = inner.nodes.keys().copied().collect();
             for id in ids {
                 let node = NodeId(id);
                 let track = *inner.nodes.get(&id).expect("tracked");
                 match track.state {
                     NodeState::Suspect
-                        if now.saturating_since(track.last_failure) >= cfg.suspect_decay =>
+                        if now.saturating_since(track.last_failure) >= SUSPECT_DECAY =>
                     {
                         inner.transition(now, node, NodeState::Healthy);
                         inner.nodes.get_mut(&id).expect("tracked").failures = 0;
@@ -458,8 +437,7 @@ impl HealthMonitor {
                         let up = !fabric.with_fault_plane(|fp| fp.in_outage(node, now));
                         if up {
                             inner.transition(now, node, NodeState::Draining);
-                            inner.nodes.get_mut(&id).expect("tracked").drain_until =
-                                now + cfg.drain;
+                            inner.nodes.get_mut(&id).expect("tracked").drain_until = now + DRAIN;
                         }
                     }
                     // An administratively held drain never auto-completes:
@@ -501,16 +479,7 @@ mod tests {
     }
 
     fn monitor() -> HealthMonitor {
-        HealthMonitor::new(
-            HealthConfig {
-                suspect_after: 1,
-                down_after: 3,
-                suspect_decay: SimDuration::from_millis(1),
-                probe_interval: SimDuration::from_micros(100),
-                drain: SimDuration::from_micros(500),
-            },
-            [NodeId(0), NodeId(1)],
-        )
+        HealthMonitor::new([NodeId(0), NodeId(1)])
     }
 
     #[test]
@@ -541,7 +510,10 @@ mod tests {
         assert_eq!(m.state_of(NodeId(0)), Some(NodeState::Suspect));
         // A clean decay window passes; the probe clears the suspicion.
         let fabric = Fabric::new(rdma_sim::RdmaCosts::default());
-        sim.run_until(t(2_000));
+        sim.run_until(t(9_000));
+        m.probe_once(&mut sim, &fabric);
+        assert_eq!(m.state_of(NodeId(0)), Some(NodeState::Suspect));
+        sim.run_until(t(10_000));
         m.probe_once(&mut sim, &fabric);
         assert_eq!(m.state_of(NodeId(0)), Some(NodeState::Healthy));
         // And the streak restarts from zero afterwards.
@@ -558,23 +530,23 @@ mod tests {
         let node = fabric.add_node();
         let node2 = fabric.add_node();
         assert_eq!((node, node2), (NodeId(0), NodeId(1)));
-        // Crash window [0, 1ms): failures pile up, node goes down.
-        fabric.schedule_node_outage(node, t(0), t(1_000));
+        // Crash window [0, 2.5ms): failures pile up, node goes down.
+        fabric.schedule_node_outage(node, t(0), t(2_500));
         for _ in 0..3 {
             m.on_failure(&mut sim, node);
         }
         let recovered: Rc<RefCell<Vec<NodeId>>> = Rc::new(RefCell::new(Vec::new()));
         let r = recovered.clone();
         m.set_recovered_handler(Rc::new(move |_sim, n| r.borrow_mut().push(n)));
-        m.start_probes(&mut sim, fabric.clone(), t(3_000));
+        m.start_probes(&mut sim, fabric.clone(), t(10_000));
         // While the outage lasts, the node stays down.
-        sim.run_until(t(900));
+        sim.run_until(t(2_000));
         assert_eq!(m.state_of(node), Some(NodeState::Down));
-        // Probe sees it up at ~1ms, drains 500us, recovers at ~1.5ms.
-        sim.run_until(t(1_200));
+        // The 3 ms probe sees it up, drains 5 ms, the 8 ms probe recovers it.
+        sim.run_until(t(7_500));
         assert_eq!(m.state_of(node), Some(NodeState::Draining));
         assert!(recovered.borrow().is_empty(), "still draining");
-        sim.run_until(t(3_100));
+        sim.run_until(t(8_000));
         assert_eq!(m.state_of(node), Some(NodeState::Healthy));
         assert_eq!(recovered.borrow().as_slice(), &[node]);
         assert_eq!(m.healthy_fraction(), 1.0);
@@ -613,7 +585,7 @@ mod tests {
         assert_eq!(caps.borrow().as_slice(), &[0.5]);
         sim.run_until(t(200));
         m.probe_once(&mut sim, &fabric); // Down → Draining
-        sim.run_until(t(1_000));
+        sim.run_until(t(5_200));
         m.probe_once(&mut sim, &fabric); // Draining → Healthy
         assert_eq!(caps.borrow().as_slice(), &[0.5, 1.0]);
     }

@@ -52,5 +52,5 @@ pub mod workload;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use fleetctl::{FleetController, FleetCounters, FleetEvent, NodeLifecycle};
-pub use health::{HealthConfig, HealthEvent, HealthMonitor, NodeState};
+pub use health::{HealthEvent, HealthMonitor, NodeState};
 pub use workload::ClosedLoop;

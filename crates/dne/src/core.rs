@@ -48,6 +48,20 @@ use crate::types::{
     TenantFailureStats,
 };
 
+/// Reference CPU time of the TX stage (route lookup, connection pick, WR
+/// wrap and post) and of the RX stage (CQE handling, RBR lookup, descriptor
+/// forward). With the Comch-E share of `IpcCosts` they put one DPU core's
+/// ceiling at the paper's ≈ 110 K RPS (§4.2, Fig. 15).
+const TX_STAGE: SimDuration = SimDuration::from_nanos(420);
+const RX_STAGE: SimDuration = SimDuration::from_nanos(420);
+/// Reference CPU time to reap a send completion (buffer recycle).
+const SEND_COMPLETION: SimDuration = SimDuration::from_nanos(120);
+/// Reference CPU time to program one SoC DMA transfer (on-path only, Fig. 11).
+const DMA_PROGRAM: SimDuration = SimDuration::from_nanos(350);
+/// Backoff before the first retry of a failed send; each further attempt
+/// doubles it.
+const RETRY_BACKOFF: SimDuration = SimDuration::from_micros(10);
+
 /// Something that happened to the engine.
 pub(crate) enum Input {
     /// A host function handed over a descriptor (`Dne::submit`).
@@ -162,11 +176,7 @@ fn unpack_imm(imm: u64) -> (TenantId, u16) {
 
 /// Reads the request id convention (first eight payload bytes, LE).
 fn req_id_of(bytes: &[u8]) -> u64 {
-    if bytes.len() >= 8 {
-        u64::from_le_bytes(bytes[..8].try_into().expect("checked length"))
-    } else {
-        0
-    }
+    obs::ctx::req_id(bytes).unwrap_or(0)
 }
 
 /// The engine's send WR ids count down from `u64::MAX` (receive WR ids,
@@ -298,7 +308,7 @@ pub(crate) struct Core {
     /// `(tenant, peer)` pairs with a background reconnect in flight.
     reconnecting: HashSet<(TenantId, NodeId)>,
     peer_links: HashMap<(TenantId, NodeId), PeerLink>,
-    pub(crate) obs_sink: DneObsSink,
+    pub(crate) obs_sink: Option<DneObsSink>,
     /// Per-peer negotiated CTX wire versions, indexed by node id, announced
     /// by the control plane during rolling upgrades. Past the end ⇒ assume
     /// the peer runs the current version (the homogeneous-fleet fast path).
@@ -338,7 +348,7 @@ impl Core {
             next_retry_id: 0,
             reconnecting: HashSet::new(),
             peer_links: HashMap::new(),
-            obs_sink: DneObsSink::default(),
+            obs_sink: None,
             peer_versions: Vec::new(),
         }
     }
@@ -621,8 +631,8 @@ impl Core {
             let span = self.span(item.req_id, tenant, Stage::DwrrQueue, item.enqueued_at, now);
             (item.req_id, span)
         });
-        if let Some(h) = &self.obs_sink.tx_queue_wait {
-            h.record_traced(wait, ctx);
+        if let Some(sink) = &self.obs_sink {
+            sink.tx_queue_wait.record_traced(wait, ctx);
         }
         Some(WorkItem::Tx(tenant, item.desc))
     }
@@ -631,13 +641,13 @@ impl Core {
     /// that cross the IPC boundary pay its (queue-dependent) share.
     fn service_for(&self, item: &WorkItem) -> (SimDuration, &'static str) {
         let (stage_cost, stage) = match item {
-            WorkItem::Tx(..) => (self.cfg.tx_stage, "tx_post"),
-            WorkItem::Rx(cqe) if cqe.opcode == CqeOpcode::Recv => (self.cfg.rx_stage, "rx_deliver"),
-            WorkItem::Rx(_) => return (self.cfg.send_completion, "send_completion"),
+            WorkItem::Tx(..) => (TX_STAGE, "tx_post"),
+            WorkItem::Rx(cqe) if cqe.opcode == CqeOpcode::Recv => (RX_STAGE, "rx_deliver"),
+            WorkItem::Rx(_) => return (SEND_COMPLETION, "send_completion"),
         };
         let ipc = self.ipc.engine_service(self.endpoints.len(), self.queued());
         let on_path_extra = match self.cfg.offload {
-            OffloadMode::OnPath => self.cfg.dma_program,
+            OffloadMode::OnPath => DMA_PROGRAM,
             OffloadMode::OffPath => SimDuration::ZERO,
         };
         let service = stage_cost + ipc + self.cfg.extra_per_msg + on_path_extra;
@@ -687,10 +697,10 @@ impl Core {
         if m.attempts > 0 {
             let lat = now.saturating_since(m.first_at);
             self.stats.retry_latency.record(lat);
-            if let Some(h) = &self.obs_sink.retry_latency {
+            if let Some(sink) = &self.obs_sink {
                 // No sampling decision survives to this site; the sample
                 // still counts, just without an exemplar.
-                h.record_traced(lat, None);
+                sink.retry_latency.record_traced(lat, None);
             }
         }
         self.drop_for(m.tenant);
@@ -999,14 +1009,14 @@ impl Core {
                 let (req, tenant) = (p.meta.req_id, p.meta.tenant);
                 (req, self.span(req, tenant, Stage::Fabric, p.at, now))
             });
-            if let Some(h) = &self.obs_sink.post_to_completion {
-                h.record_traced(p2c, ctx);
+            if let Some(sink) = &self.obs_sink {
+                sink.post_to_completion.record_traced(p2c, ctx);
             }
             if cqe.status == CqeStatus::Success && p.meta.attempts > 0 {
                 let lat = now.saturating_since(p.meta.first_at);
                 self.stats.retry_latency.record(lat);
-                if let Some(h) = &self.obs_sink.retry_latency {
-                    h.record_traced(lat, ctx);
+                if let Some(sink) = &self.obs_sink {
+                    sink.retry_latency.record_traced(lat, ctx);
                 }
             }
         }
@@ -1065,7 +1075,7 @@ impl Core {
             let reason = FailureReason::RetryBudgetExhausted;
             return self.give_up(now, m, reason, blamed, out);
         }
-        let backoff = self.cfg.retry_backoff * (1u64 << (m.attempts - 1).min(16));
+        let backoff = RETRY_BACKOFF * (1u64 << (m.attempts - 1).min(16));
         // Deadline-aware park: when the request is already expired — or its
         // backoff timer would only fire after the deadline — parking is
         // pointless, so cancel now instead of burning a timer and a repost.
@@ -1284,9 +1294,9 @@ mod tests {
     }
 
     /// One line per effect: what the tables below compare. Durations are
-    /// left out except the backoff, shown in units of the configured base.
-    fn brief(rig: &Rig, effects: &[Effect]) -> Vec<String> {
-        let base = rig.core.cfg.retry_backoff.as_nanos();
+    /// left out except the backoff, shown in units of `RETRY_BACKOFF`.
+    fn brief(effects: &[Effect]) -> Vec<String> {
+        let base = RETRY_BACKOFF.as_nanos();
         let line = |e: &Effect| match e {
             Effect::PostSend { qp, wr, .. } => {
                 format!("PostSend qp={} wr={}", qp.qp.0, send_seq(*wr))
@@ -1318,7 +1328,7 @@ mod tests {
         let desc = rig.payload(7, deadline);
         let posted = rig.tx(T0, desc);
         let failed = rig.complete(T0, sent(posted), LOST);
-        brief(rig, &failed)
+        brief(&failed)
     }
 
     #[test]
@@ -1336,7 +1346,7 @@ mod tests {
                     let mut next = Some(Input::Submit { tenant, desc });
                     while let Some(input) = next.take() {
                         let mut effects = rig.run(T0, input);
-                        seen.extend(brief(rig, &effects));
+                        seen.extend(brief(&effects));
                         if let Some(Effect::After(_, input)) = effects.pop() {
                             next = Some(input);
                         }
@@ -1355,9 +1365,9 @@ mod tests {
                 |rig| {
                     let mut seen = park_one(rig, None);
                     let reposted = rig.run(LATER, Input::RetryTimer(0));
-                    seen.extend(brief(rig, &reposted));
+                    seen.extend(brief(&reposted));
                     let failed = rig.complete(LATER, sent(reposted), LOST);
-                    seen.extend(brief(rig, &failed));
+                    seen.extend(brief(&failed));
                     assert_eq!(rig.core.stats.failovers, 1);
                     seen
                 },
@@ -1374,7 +1384,7 @@ mod tests {
                     let mut seen = park_one(rig, None);
                     let reposted = rig.run(LATER, Input::RetryTimer(0));
                     let failed = rig.complete(LATER, sent(reposted), LOST);
-                    seen.extend(brief(rig, &failed));
+                    seen.extend(brief(&failed));
                     assert_eq!((rig.core.stats.give_ups, rig.core.stats.deadline_drops), (1, 0));
                     assert_eq!(rig.buffers_out(), 0);
                     seen
@@ -1388,8 +1398,7 @@ mod tests {
                 "a backoff that would outlive the deadline is a deadline drop, not a give-up",
                 DneConfig::nadino_dne(),
                 |rig| {
-                    let backoff = rig.core.cfg.retry_backoff;
-                    let seen = park_one(rig, Some(T0 + backoff));
+                    let seen = park_one(rig, Some(T0 + RETRY_BACKOFF));
                     assert_eq!((rig.core.stats.give_ups, rig.core.stats.deadline_drops), (0, 1));
                     assert!(rig.core.retries.is_empty());
                     assert_eq!(rig.buffers_out(), 0);
@@ -1406,7 +1415,7 @@ mod tests {
                     let mut effects = rig.tx(T0, first);
                     effects.extend(rig.tx(T0, second));
                     assert_eq!(rig.core.retries.len(), 2);
-                    brief(rig, &effects)
+                    brief(&effects)
                 },
                 vec!["Connect peer=1".into()],
             ),
@@ -1423,7 +1432,7 @@ mod tests {
                     let up = rig.reconnect_up(LATER);
                     let stale = rig.run(LATER, Input::RetryTimer(0));
                     assert!(stale.is_empty() && rig.core.retries.is_empty());
-                    brief(rig, &up)
+                    brief(&up)
                 },
                 vec![
                     "PeerConnAdded peer=1 qp=5".into(),
@@ -1508,7 +1517,7 @@ mod tests {
                 let ends = |e: &Effect| matches!(e, Effect::PostSend { .. } | Effect::Fail(_));
                 endings.extend(effects.into_iter().filter(ends));
             }
-            assert_eq!(endings.len(), 1, "{order:?}: {:?}", brief(&rig, &endings));
+            assert_eq!(endings.len(), 1, "{order:?}: {:?}", brief(&endings));
             assert!(rig.core.retries.is_empty(), "{order:?}: still parked");
             match endings.pop() {
                 Some(post @ Effect::PostSend { .. }) => {

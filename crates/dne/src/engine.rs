@@ -72,19 +72,18 @@ impl From<RdmaError> for DneError {
     }
 }
 
-/// Optional exemplar-carrying fleet histogram sinks the cluster may
-/// register so the engine's latency sites feed the windowed rollup
-/// directly, alongside the always-on [`DneStats`] histograms. Sampled
-/// requests attach `(trace_id, span_id)` exemplars to the bucket their
-/// observation lands in.
-#[derive(Clone, Default)]
+/// Exemplar-carrying fleet histogram sinks the cluster may register so the
+/// engine's latency sites feed the windowed rollup directly, alongside the
+/// always-on [`DneStats`] histograms. Sampled requests attach
+/// `(trace_id, span_id)` exemplars to the bucket their observation lands in.
+#[derive(Clone)]
 pub struct DneObsSink {
     /// DWRR queue wait (submit → dequeue).
-    pub tx_queue_wait: Option<obs::HistogramHandle>,
+    pub tx_queue_wait: obs::HistogramHandle,
     /// First post → final successful completion, for retried sends.
-    pub retry_latency: Option<obs::HistogramHandle>,
+    pub retry_latency: obs::HistogramHandle,
     /// RNIC post → CQE.
-    pub post_to_completion: Option<obs::HistogramHandle>,
+    pub post_to_completion: obs::HistogramHandle,
 }
 
 /// What a [`Dne`] handle points at: the state machine, and beside it the
@@ -455,9 +454,9 @@ impl Dne {
     }
 
     /// Registers fleet histogram sinks (with exemplars) for the engine's
-    /// latency sites; pass `DneObsSink::default()` to detach them.
+    /// latency sites.
     pub fn set_obs_sink(&self, sink: DneObsSink) {
-        self.inner.borrow_mut().obs_sink = sink;
+        self.inner.borrow_mut().obs_sink = Some(sink);
     }
 
     /// Per-pipeline-stage busy core-nanoseconds of the engine's SoC
@@ -1048,52 +1047,59 @@ mod failover_tests {
         assert_eq!(pool_a.stats().in_flight, 0);
     }
 
+    /// A reconnect that lands anywhere around a parked retry's backoff
+    /// window — before the send failed, while its timer is pending, after
+    /// the timer fired — delivers every send exactly once. The second send
+    /// is submitted at each offset in a 30 µs span so the flush meets the
+    /// timer in every one of those states.
     #[test]
-    fn reconnect_flush_cancels_backoff_timers_and_retries_fire_as_noops() {
-        use crate::types::DneConfig;
-        let mut cfg = DneConfig::nadino_dne();
-        // Long backoff so parked retries are still pending when the
-        // reconnect-driven flush overtakes them.
-        cfg.retry_backoff = SimDuration::from_millis(50);
-        let (fabric, mut sim, dne_a, _dne_b, pool_a, _pool_b, tenant, delivered) =
-            recovery_setup(cfg, 2);
-        let (a, b) = (NodeId(0), NodeId(1));
+    fn reconnect_flush_around_a_backoff_timer_delivers_each_send_once() {
+        let us = SimDuration::from_micros;
+        let (mut cancelled, mut fired) = (0, 0);
+        for offset in 0..30 {
+            let (fabric, mut sim, dne_a, dne_b, pool_a, _pool_b, tenant, delivered) =
+                recovery_setup(DneConfig::nadino_dne(), 1);
+            let b = NodeId(1);
+            let first: Vec<QpHandle> = dne_a.inner.borrow().conns.conns(tenant, b).to_vec();
+            // A second connection, ready one connect delay from now.
+            Dne::connect_pair(&mut sim, &dne_a, &dne_b, tenant, 1).unwrap();
+            let second_ready = sim.now() + fabric.costs().connect_delay;
+            // Node B is dark for the first 40 µs of that connection's life.
+            fabric.schedule_node_outage(b, second_ready, second_ready + us(40));
 
-        // Two sends vanish on the wire and park with ~50 ms backoff timers.
-        fabric.with_fault_plane(|fp| fp.set_link_loss(a, b, 1.0));
-        for _ in 0..2 {
+            // 75 µs in, the only ready QP dies: this send parks on a
+            // reconnect that comes up ~77 µs after the second connection.
+            sim.run_for(us(75));
+            fabric.inject_qp_error(first[0]).unwrap();
             let buf = pool_a.get().unwrap();
             dne_a.submit(&mut sim, tenant, buf.into_desc(2));
-        }
-        sim.run_for(SimDuration::from_millis(5));
-        assert_eq!(dne_a.stats().retries, 2, "both sends parked for retry");
 
-        // Heal the wire but kill every pooled QP: the next send finds the
-        // pool dry and starts a background reconnect.
-        fabric.with_fault_plane(|fp| fp.set_link_loss(a, b, 0.0));
-        let conns: Vec<QpHandle> = {
-            let inner = dne_a.inner.borrow();
-            inner.conns.conns(tenant, b).to_vec()
-        };
-        for qp in conns {
-            fabric.inject_qp_error(qp).unwrap();
-        }
-        let buf = pool_a.get().unwrap();
-        dne_a.submit(&mut sim, tenant, buf.into_desc(2));
-        sim.run();
+            // This one rides the second connection into the outage, fails
+            // ~55 µs later and parks behind a 10 µs backoff timer.
+            sim.run_until(second_ready + us(offset));
+            let before = sim.profile().cancelled_events;
+            let buf = pool_a.get().unwrap();
+            dne_a.submit(&mut sim, tenant, buf.into_desc(2));
+            sim.run();
 
-        // The reconnect (20 ms) finished well before the 50 ms backoff
-        // timers; the flush cancelled them and re-posted all three parked
-        // sends exactly once — a timer that still fired was a no-op.
-        assert_eq!(*delivered.borrow(), 3, "no loss and no duplicates");
-        let stats = dne_a.stats();
-        assert_eq!(stats.drops, 0);
-        assert_eq!(stats.reconnects, 1, "one reconnect covers the pair");
-        assert_eq!(
-            stats.cold_connects, stats.reconnects,
-            "every reconnect is cold"
+            assert_eq!(*delivered.borrow(), 2, "offset {offset}: loss or duplicate");
+            let stats = dne_a.stats();
+            assert_eq!((stats.drops, stats.reconnects), (0, 1), "offset {offset}");
+            assert_eq!(
+                stats.retries, 1,
+                "offset {offset}: the flush never re-parks"
+            );
+            assert_eq!(pool_a.stats().in_flight, 0, "offset {offset}");
+            if sim.profile().cancelled_events > before {
+                cancelled += 1;
+            } else {
+                fired += 1;
+            }
+        }
+        assert!(
+            cancelled > 0,
+            "no offset had the flush overtake a pending timer"
         );
-        assert_eq!(stats.retries, 2, "the flush re-posts without re-parking");
-        assert_eq!(pool_a.stats().in_flight, 0);
+        assert!(fired > 0, "no offset let the timer fire on its own");
     }
 }

@@ -102,19 +102,9 @@ pub struct DneConfig {
     pub offload: OffloadMode,
     /// TX scheduling policy across tenants.
     pub sched: SchedPolicy,
-    /// Reference CPU time of the TX stage (route lookup, connection pick,
-    /// WR wrap and post).
-    pub tx_stage: SimDuration,
-    /// Reference CPU time of the RX stage (CQE handling, RBR lookup,
-    /// descriptor forward).
-    pub rx_stage: SimDuration,
-    /// Reference CPU time to reap a send completion (buffer recycle).
-    pub send_completion: SimDuration,
     /// Extra reference CPU time per message — the knob §4.2 uses to pin the
     /// engine's ceiling at ~110 K RPS on one DPU core.
     pub extra_per_msg: SimDuration,
-    /// Reference CPU time to program one SoC DMA transfer (on-path only).
-    pub dma_program: SimDuration,
     /// Receive buffers pre-posted per tenant.
     pub prepost_depth: usize,
     /// RC connections to establish per (tenant, peer) pair.
@@ -123,8 +113,6 @@ pub struct DneConfig {
     /// exponential backoff) before the engine reports a typed delivery
     /// failure upstream.
     pub retry_budget: u32,
-    /// Base backoff before the first retry; each further attempt doubles it.
-    pub retry_backoff: SimDuration,
     /// The on-wire CTX version this engine stamps and understands (see
     /// `obs::ctx`). Fleet rollouts run nodes at different versions side by
     /// side: sends are stamped at `min(self, peer)` so a not-yet-upgraded
@@ -143,15 +131,10 @@ impl Default for DneConfig {
             ipc: IpcKind::Comch(ChannelKind::ComchE),
             offload: OffloadMode::OffPath,
             sched: SchedPolicy::Dwrr { quantum: 1.0 },
-            tx_stage: SimDuration::from_nanos(420),
-            rx_stage: SimDuration::from_nanos(420),
-            send_completion: SimDuration::from_nanos(120),
             extra_per_msg: SimDuration::ZERO,
-            dma_program: SimDuration::from_nanos(350),
             prepost_depth: 256,
             conns_per_peer: 2,
             retry_budget: 3,
-            retry_backoff: SimDuration::from_micros(10),
             wire_version: obs::ctx::CTX_CURRENT,
         }
     }

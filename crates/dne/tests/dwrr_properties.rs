@@ -1,26 +1,15 @@
 //! Randomized tests on the DWRR scheduler: long-run fairness proportional
 //! to weights under seeded-random weight assignments and backlogs, and
 //! strict FIFO order within each tenant.
-//!
-//! The default-off `heavy-tests` feature scales case counts up for
-//! exhaustive runs.
 
 use dne::sched::{DwrrScheduler, FcfsScheduler, TenantScheduler};
 use membuf::tenant::TenantId;
 use simcore::SimRng;
 
-fn cases(light: usize, heavy: usize) -> usize {
-    if cfg!(feature = "heavy-tests") {
-        heavy
-    } else {
-        light
-    }
-}
-
 #[test]
 fn shares_track_weights() {
     let mut rng = SimRng::new(0xd11);
-    for _ in 0..cases(64, 512) {
+    for _ in 0..64 {
         let n = 2 + rng.gen_range(4) as usize;
         let weights: Vec<u32> = (0..n).map(|_| 1 + rng.gen_range(11) as u32).collect();
         let quantum = rng.uniform(0.25, 4.0);
@@ -57,7 +46,7 @@ fn shares_track_weights() {
 #[test]
 fn bursty_arrivals_converge_to_weight_share_with_bounded_deficit() {
     let mut rng = SimRng::new(0xb0b5);
-    for _ in 0..cases(24, 192) {
+    for _ in 0..24 {
         let n = 2 + rng.gen_range(3) as usize;
         let weights: Vec<u32> = (0..n).map(|_| 1 + rng.gen_range(7) as u32).collect();
         let quantum = rng.uniform(0.5, 2.0);
@@ -72,7 +61,7 @@ fn bursty_arrivals_converge_to_weight_share_with_bounded_deficit() {
         let mut burst_left = vec![0u32; n];
         let mut contended = vec![0u64; n];
         let mut contended_total = 0u64;
-        for _tick in 0..cases(600, 2000) {
+        for _tick in 0..600 {
             for (t, left) in burst_left.iter_mut().enumerate() {
                 if *left == 0 && rng.gen_range(100) < 20 {
                     *left = 1 + rng.gen_range(64) as u32;
@@ -124,7 +113,7 @@ fn bursty_arrivals_converge_to_weight_share_with_bounded_deficit() {
 #[test]
 fn per_tenant_fifo_order() {
     let mut rng = SimRng::new(0xd22);
-    for _ in 0..cases(64, 512) {
+    for _ in 0..64 {
         let n = 1 + rng.gen_range(299) as usize;
         let items: Vec<(u16, u32)> = (0..n)
             .map(|_| (rng.gen_range(4) as u16, rng.next_u64() as u32))
@@ -146,7 +135,7 @@ fn per_tenant_fifo_order() {
 #[test]
 fn no_items_lost_or_invented() {
     let mut rng = SimRng::new(0xd33);
-    for _ in 0..cases(64, 512) {
+    for _ in 0..64 {
         let n = rng.gen_range(400) as usize;
         let items: Vec<(u16, u32)> = (0..n)
             .map(|_| (rng.gen_range(6) as u16, rng.next_u64() as u32))

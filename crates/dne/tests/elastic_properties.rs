@@ -28,14 +28,6 @@ use rdma_sim::fabric::{CqId, QpHandle, RqId};
 use rdma_sim::{Fabric, NodeId, RdmaCosts, WrId};
 use simcore::{Sim, SimDuration, SimRng, SimTime};
 
-fn cases(light: usize, heavy: usize) -> usize {
-    if cfg!(feature = "heavy-tests") {
-        heavy
-    } else {
-        light
-    }
-}
-
 struct Cell {
     fabric: Fabric,
     sim: Sim,
@@ -93,7 +85,7 @@ fn connect(c: &mut Cell) -> QpHandle {
 #[test]
 fn hits_plus_misses_equals_picks_under_random_schedules() {
     let mut rng = SimRng::new(0xe1a5);
-    for _ in 0..cases(24, 192) {
+    for _ in 0..24 {
         let mut c = cell();
         let cap = 1 + rng.gen_range(6) as usize;
         let mut pool: ConnPool = ConnPool::with_config(ElasticConfig {
@@ -147,7 +139,7 @@ fn hits_plus_misses_equals_picks_under_random_schedules() {
 #[test]
 fn eviction_and_teardown_never_strand_an_inflight_send() {
     let mut rng = SimRng::new(0x57a0);
-    for _ in 0..cases(16, 128) {
+    for _ in 0..16 {
         let mut c = cell();
         let cap = 2 + rng.gen_range(3) as usize;
         let age = SimDuration::from_micros(1 + rng.gen_range(500));
@@ -337,7 +329,7 @@ fn model_round(rng: &mut SimRng) {
 #[test]
 fn route_table_matches_its_btreemap_model() {
     let mut rng = SimRng::new(0xd1ff);
-    for _ in 0..cases(20, 160) {
+    for _ in 0..20 {
         model_round(&mut rng);
     }
 }

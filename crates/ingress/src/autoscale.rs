@@ -7,29 +7,16 @@
 //! data-plane work, not busy-poll spinning — which is exactly what
 //! [`simcore::Server`]'s busy accounting yields.
 
-/// Configuration of the hysteresis policy.
-#[derive(Debug, Clone)]
-pub struct AutoscaleConfig {
-    /// Scale up when average utilization reaches this fraction.
-    pub high_watermark: f64,
-    /// Scale down when average utilization falls below this fraction.
-    pub low_watermark: f64,
-    /// Lower bound on the worker count.
-    pub min_workers: usize,
-    /// Upper bound on the worker count.
-    pub max_workers: usize,
-}
-
-impl Default for AutoscaleConfig {
-    fn default() -> Self {
-        AutoscaleConfig {
-            high_watermark: 0.60,
-            low_watermark: 0.30,
-            min_workers: 1,
-            max_workers: 16,
-        }
-    }
-}
+/// Scale up when average utilization reaches this fraction (§3.6: 60 %).
+const HIGH_WATERMARK: f64 = 0.60;
+/// Scale down when average utilization falls below this fraction (§3.6: 30 %).
+const LOW_WATERMARK: f64 = 0.30;
+/// Lower bound on the worker count: the master always keeps one worker.
+const MIN_WORKERS: usize = 1;
+const _: () = assert!(
+    LOW_WATERMARK < HIGH_WATERMARK,
+    "hysteresis band must be non-empty"
+);
 
 /// The decision produced by one evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,24 +32,20 @@ pub enum ScaleDecision {
 /// The hysteresis controller.
 #[derive(Debug, Clone)]
 pub struct Hysteresis {
-    config: AutoscaleConfig,
+    max_workers: usize,
     workers: usize,
     scale_ups: u64,
     scale_downs: u64,
 }
 
 impl Hysteresis {
-    /// Creates a controller starting at `initial` workers (clamped to the
-    /// configured bounds).
-    pub fn new(config: AutoscaleConfig, initial: usize) -> Self {
-        assert!(
-            config.low_watermark < config.high_watermark,
-            "hysteresis band must be non-empty"
-        );
-        assert!(config.min_workers >= 1 && config.min_workers <= config.max_workers);
-        let workers = initial.clamp(config.min_workers, config.max_workers);
+    /// Creates a controller that may grow to `max_workers`, starting at
+    /// `initial` workers (clamped to the bounds).
+    pub fn new(max_workers: usize, initial: usize) -> Self {
+        assert!(MIN_WORKERS <= max_workers);
+        let workers = initial.clamp(MIN_WORKERS, max_workers);
         Hysteresis {
-            config,
+            max_workers,
             workers,
             scale_ups: 0,
             scale_downs: 0,
@@ -82,13 +65,11 @@ impl Hysteresis {
     /// Evaluates one utilization sample (average across active workers,
     /// 0.0..=1.0) and applies the resulting decision.
     pub fn evaluate(&mut self, avg_utilization: f64) -> ScaleDecision {
-        if avg_utilization >= self.config.high_watermark && self.workers < self.config.max_workers {
+        if avg_utilization >= HIGH_WATERMARK && self.workers < self.max_workers {
             self.workers += 1;
             self.scale_ups += 1;
             ScaleDecision::Up
-        } else if avg_utilization < self.config.low_watermark
-            && self.workers > self.config.min_workers
-        {
+        } else if avg_utilization < LOW_WATERMARK && self.workers > MIN_WORKERS {
             self.workers -= 1;
             self.scale_downs += 1;
             ScaleDecision::Down
@@ -105,7 +86,7 @@ mod tests {
 
     #[test]
     fn scales_up_at_high_watermark() {
-        let mut h = Hysteresis::new(AutoscaleConfig::default(), 1);
+        let mut h = Hysteresis::new(16, 1);
         assert_eq!(h.evaluate(0.59), ScaleDecision::Hold);
         assert_eq!(h.evaluate(0.60), ScaleDecision::Up);
         assert_eq!(h.workers(), 2);
@@ -113,7 +94,7 @@ mod tests {
 
     #[test]
     fn scales_down_below_low_watermark() {
-        let mut h = Hysteresis::new(AutoscaleConfig::default(), 3);
+        let mut h = Hysteresis::new(16, 3);
         assert_eq!(h.evaluate(0.30), ScaleDecision::Hold);
         assert_eq!(h.evaluate(0.29), ScaleDecision::Down);
         assert_eq!(h.workers(), 2);
@@ -121,11 +102,7 @@ mod tests {
 
     #[test]
     fn respects_bounds() {
-        let cfg = AutoscaleConfig {
-            max_workers: 2,
-            ..AutoscaleConfig::default()
-        };
-        let mut h = Hysteresis::new(cfg, 1);
+        let mut h = Hysteresis::new(2, 1);
         assert_eq!(h.evaluate(0.9), ScaleDecision::Up);
         assert_eq!(h.evaluate(0.9), ScaleDecision::Hold, "at max");
         assert_eq!(h.evaluate(0.1), ScaleDecision::Down);
@@ -135,7 +112,7 @@ mod tests {
 
     #[test]
     fn band_prevents_oscillation() {
-        let mut h = Hysteresis::new(AutoscaleConfig::default(), 2);
+        let mut h = Hysteresis::new(16, 2);
         // Utilization hovering inside the band never changes the count.
         for u in [0.35, 0.45, 0.55, 0.50, 0.40] {
             assert_eq!(h.evaluate(u), ScaleDecision::Hold);
@@ -145,27 +122,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "band must be non-empty")]
-    fn inverted_band_panics() {
-        let cfg = AutoscaleConfig {
-            high_watermark: 0.2,
-            low_watermark: 0.4,
-            ..AutoscaleConfig::default()
-        };
-        let _ = Hysteresis::new(cfg, 1);
-    }
-
-    #[test]
     fn worker_count_always_within_bounds() {
-        let cases = if cfg!(feature = "heavy-tests") {
-            2_048
-        } else {
-            256
-        };
         let mut rng = SimRng::new(0xa5);
-        for _ in 0..cases {
+        for _ in 0..256 {
             let n = rng.gen_range(200) as usize;
-            let mut h = Hysteresis::new(AutoscaleConfig::default(), 1);
+            let mut h = Hysteresis::new(16, 1);
             for _ in 0..n {
                 h.evaluate(rng.next_f64());
                 assert!(h.workers() >= 1 && h.workers() <= 16);

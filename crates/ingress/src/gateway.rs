@@ -25,7 +25,7 @@ use obs::{Stage, Tracer};
 use simcore::{Server, Sim, SimDuration, SimTime};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
-use crate::autoscale::{AutoscaleConfig, Hysteresis, ScaleDecision};
+use crate::autoscale::{Hysteresis, ScaleDecision};
 use crate::rss::{rss_select, FlowId};
 use crate::stack::{GatewayKind, StackCosts};
 
@@ -98,6 +98,10 @@ impl Dropped {
     }
 }
 
+/// Service interruption injected into every worker on a scale event: worker
+/// processes restart on reconfiguration (the dips of Fig. 14 (2)).
+const RESTART_INTERRUPTION: SimDuration = SimDuration::from_millis(120);
+
 /// Gateway configuration.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
@@ -105,14 +109,13 @@ pub struct GatewayConfig {
     pub kind: GatewayKind,
     /// Workers at start-up.
     pub initial_workers: usize,
-    /// Autoscaling policy; `None` pins the worker count.
-    pub autoscale: Option<AutoscaleConfig>,
+    /// `Some(max)` lets the master's hysteresis autoscaler grow the pool up
+    /// to `max` workers; `None` pins the worker count.
+    pub autoscale_max_workers: Option<usize>,
     /// How often the master evaluates utilization.
     pub autoscale_interval: SimDuration,
     /// Backlog bound per worker; beyond it requests are dropped.
     pub max_backlog: SimDuration,
-    /// Service interruption injected into every worker on a scale event.
-    pub restart_interruption: SimDuration,
     /// Relative deadline stamped on every accepted request; `None` leaves
     /// requests deadline-free (the pre-existing behaviour).
     pub deadline: Option<SimDuration>,
@@ -126,10 +129,9 @@ impl Default for GatewayConfig {
         GatewayConfig {
             kind: GatewayKind::Nadino,
             initial_workers: 1,
-            autoscale: None,
+            autoscale_max_workers: None,
             autoscale_interval: SimDuration::from_secs(1),
             max_backlog: SimDuration::from_millis(500),
-            restart_interruption: SimDuration::from_millis(120),
             deadline: None,
             admission: None,
         }
@@ -207,17 +209,14 @@ impl Gateway {
         assert!(cfg.initial_workers >= 1, "need at least one worker");
         let costs = StackCosts::for_kind(cfg.kind);
         let hysteresis = cfg
-            .autoscale
-            .clone()
-            .map(|a| Hysteresis::new(a, cfg.initial_workers));
+            .autoscale_max_workers
+            .map(|max| Hysteresis::new(max, cfg.initial_workers));
         let active = hysteresis
             .as_ref()
             .map(|h| h.workers())
             .unwrap_or(cfg.initial_workers);
         let max = cfg
-            .autoscale
-            .as_ref()
-            .map(|a| a.max_workers)
+            .autoscale_max_workers
             .unwrap_or(cfg.initial_workers)
             .max(active);
         let admission = cfg.admission.clone().map(AdmissionController::new);
@@ -567,13 +566,11 @@ impl Gateway {
             ScaleDecision::Hold => {}
         }
         if decision != ScaleDecision::Hold {
-            // Worker processes restart on reconfiguration: a brief, visible
-            // service interruption (Fig. 14 (2)). The gap is idle time, not
-            // data-plane work, so it does not feed back into utilization.
-            let gap = inner.cfg.restart_interruption;
+            // The gap is idle time, not data-plane work, so it does not
+            // feed back into utilization.
             let active = inner.active;
             for floor in inner.available_at[..active].iter_mut() {
-                *floor = now + gap;
+                *floor = now + RESTART_INTERRUPTION;
             }
         }
     }
@@ -704,10 +701,7 @@ mod tests {
     #[test]
     fn autoscaler_adds_workers_under_load_and_removes_when_idle() {
         let cfg = GatewayConfig {
-            autoscale: Some(AutoscaleConfig {
-                max_workers: 4,
-                ..AutoscaleConfig::default()
-            }),
+            autoscale_max_workers: Some(4),
             autoscale_interval: SimDuration::from_millis(100),
             ..GatewayConfig::default()
         };

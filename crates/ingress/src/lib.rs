@@ -28,10 +28,10 @@ pub mod rss;
 pub mod stack;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController};
-pub use autoscale::{AutoscaleConfig, Hysteresis, ScaleDecision};
+pub use autoscale::{Hysteresis, ScaleDecision};
 pub use gateway::{
     DeliveryFailed, Dropped, Gateway, GatewayConfig, GatewayStats, ReqCtx, TenantGatewayStats,
     Upstream,
 };
-pub use prewarm::{PrewarmConfig, PrewarmController};
+pub use prewarm::PrewarmController;
 pub use stack::{GatewayKind, StackCosts};

@@ -17,31 +17,17 @@
 //! caller, which keeps this crate free of fabric dependencies and the
 //! policy unit-testable in isolation.
 
-/// Configuration of one link's restock policy.
-#[derive(Debug, Clone, Copy)]
-pub struct PrewarmConfig {
-    /// Stock floor held even with zero observed demand. `0` disables
-    /// pre-warming entirely ([`PrewarmController::order`] returns 0).
-    pub target: usize,
-    /// Upper bound on a single order, capping the in-flight pipeline
-    /// after a pathological burst (e.g. a cell-wide restart).
-    pub max_order: usize,
-}
-
-impl Default for PrewarmConfig {
-    fn default() -> Self {
-        PrewarmConfig {
-            target: 8,
-            max_order: 4_096,
-        }
-    }
-}
+/// Upper bound on a single order, capping the in-flight pipeline after a
+/// pathological burst (e.g. a cell-wide restart).
+const MAX_ORDER: usize = 4_096;
 
 /// Per-link restock controller: accumulates the demand signal between
 /// ticks and converts `(stock, demand)` into an order size.
 #[derive(Debug, Clone)]
 pub struct PrewarmController {
-    config: PrewarmConfig,
+    /// Stock floor held even with zero observed demand; `0` disables
+    /// pre-warming entirely ([`Self::order`] returns 0).
+    target: usize,
     /// First contacts observed since the last [`Self::order`] call.
     demand: usize,
     orders: u64,
@@ -49,10 +35,10 @@ pub struct PrewarmController {
 }
 
 impl PrewarmController {
-    /// Creates a controller with the given policy.
-    pub fn new(config: PrewarmConfig) -> Self {
+    /// Creates a controller holding a stock floor of `target`.
+    pub fn new(target: usize) -> Self {
         PrewarmController {
-            config,
+            target,
             demand: 0,
             orders: 0,
             ordered_total: 0,
@@ -77,11 +63,11 @@ impl PrewarmController {
     /// one window's worth of consumption on top of the floor.
     pub fn order(&mut self, stock: usize) -> usize {
         let demand = std::mem::take(&mut self.demand);
-        if self.config.target == 0 {
+        if self.target == 0 {
             return 0;
         }
-        let want = self.config.target.saturating_add(demand);
-        let order = want.saturating_sub(stock).min(self.config.max_order);
+        let want = self.target.saturating_add(demand);
+        let order = want.saturating_sub(stock).min(MAX_ORDER);
         if order > 0 {
             self.orders += 1;
             self.ordered_total += order as u64;
@@ -101,10 +87,7 @@ mod tests {
 
     #[test]
     fn idle_link_holds_the_floor() {
-        let mut c = PrewarmController::new(PrewarmConfig {
-            target: 8,
-            max_order: 64,
-        });
+        let mut c = PrewarmController::new(8);
         assert_eq!(c.order(0), 8, "empty pool orders up to the floor");
         assert_eq!(c.order(8), 0, "full pool orders nothing");
         assert_eq!(c.order(5), 3, "partial pool tops up the deficit");
@@ -112,10 +95,7 @@ mod tests {
 
     #[test]
     fn demand_raises_the_order_beyond_the_floor() {
-        let mut c = PrewarmController::new(PrewarmConfig {
-            target: 8,
-            max_order: 64,
-        });
+        let mut c = PrewarmController::new(8);
         c.note_demand(10);
         c.note_demand(2);
         // Stock is still at the floor, but 12 claims landed since the
@@ -127,22 +107,16 @@ mod tests {
 
     #[test]
     fn max_order_caps_burst_response() {
-        let mut c = PrewarmController::new(PrewarmConfig {
-            target: 8,
-            max_order: 16,
-        });
-        c.note_demand(1_000);
-        assert_eq!(c.order(0), 16);
+        let mut c = PrewarmController::new(8);
+        c.note_demand(10_000);
+        assert_eq!(c.order(0), 4_096);
         let (orders, total) = c.events();
-        assert_eq!((orders, total), (1, 16));
+        assert_eq!((orders, total), (1, 4_096));
     }
 
     #[test]
     fn zero_target_disables_ordering_and_drains_demand() {
-        let mut c = PrewarmController::new(PrewarmConfig {
-            target: 0,
-            max_order: 64,
-        });
+        let mut c = PrewarmController::new(0);
         c.note_demand(50);
         assert_eq!(c.order(0), 0);
         assert_eq!(c.pending_demand(), 0, "window still resets");

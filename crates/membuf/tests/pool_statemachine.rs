@@ -4,8 +4,7 @@
 //! owners access to one buffer.
 //!
 //! Cases are driven by a seeded SplitMix64 stream, so every run explores
-//! the same interleavings; the default-off `heavy-tests` feature scales
-//! the case count up for exhaustive runs.
+//! the same interleavings.
 
 use membuf::descriptor::BufferDesc;
 use membuf::pool::{BufferPool, OwnedBuf, PoolConfig, PoolError};
@@ -50,13 +49,8 @@ fn random_op(rng: &mut Rng) -> Op {
 
 #[test]
 fn ownership_state_machine_holds() {
-    let cases = if cfg!(feature = "heavy-tests") {
-        2_048
-    } else {
-        256
-    };
     let mut rng = Rng(0x1009_57a7e);
-    for case in 0..cases {
+    for case in 0..256 {
         let ops: Vec<Op> = {
             let n = 1 + rng.below(199) as usize;
             (0..n).map(|_| random_op(&mut rng)).collect()

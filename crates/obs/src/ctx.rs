@@ -169,6 +169,14 @@ pub fn sampled(payload: &[u8]) -> bool {
     payload.len() >= CTX_V1_MIN_PAYLOAD && payload[FLAGS_OFFSET] & FLAG_SAMPLED != 0
 }
 
+/// The request id convention, read in one place: the first eight payload
+/// bytes, little-endian (they double as the trace id). `None` when the
+/// payload is shorter than that.
+#[inline]
+pub fn req_id(payload: &[u8]) -> Option<u64> {
+    payload.first_chunk::<8>().map(|b| u64::from_le_bytes(*b))
+}
+
 /// Reads the trace context out of a payload, or `None` when the payload
 /// is too short to carry one or no writer ever stamped one (version
 /// nibble 0 — the bytes are application-owned).
@@ -180,7 +188,7 @@ pub fn read_ctx(payload: &[u8]) -> Option<TraceCtx> {
     if version < CTX_V1 {
         return None;
     }
-    let trace_id = u64::from_le_bytes(payload[0..8].try_into().unwrap());
+    let trace_id = req_id(payload)?;
     let parent_span = u32::from_le_bytes(
         payload[PARENT_OFFSET..PARENT_OFFSET + 4]
             .try_into()

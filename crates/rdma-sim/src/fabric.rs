@@ -885,7 +885,9 @@ impl Fabric {
         let rnr_timer = inner.costs.rnr_timer;
         let traced = |inner: &Inner| inner.tracer.is_enabled() && obs::ctx::sampled(buf.as_slice());
         let mark_fault = |inner: &Inner, node: NodeId| {
-            let req_id = u64::from_le_bytes(buf.as_slice()[..8].try_into().unwrap());
+            let Some(req_id) = obs::ctx::req_id(buf.as_slice()) else {
+                return; // too short to name a request: nothing to annotate
+            };
             let stage = obs::Stage::FaultInject;
             inner
                 .tracer

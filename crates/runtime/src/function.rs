@@ -46,10 +46,7 @@ pub fn encode_request_payload(req_id: u64, total_len: usize) -> Vec<u8> {
 
 /// Decodes the request id from a payload (zero if too short).
 pub fn decode_request_id(payload: &[u8]) -> u64 {
-    if payload.len() < 8 {
-        return 0;
-    }
-    u64::from_le_bytes(payload[..8].try_into().expect("checked length"))
+    obs::ctx::req_id(payload).unwrap_or(0)
 }
 
 /// Writes the chain hop index into a payload (bytes 8..10).

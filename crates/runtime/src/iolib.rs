@@ -21,6 +21,7 @@ use obs::{Stage, Tracer};
 use rdma_sim::NodeId;
 use simcore::{IdTable, Sim};
 
+use crate::function::decode_request_id;
 use crate::placement::Placement;
 use crate::sidecar::{AccessDecision, Sidecar};
 
@@ -62,14 +63,8 @@ impl IoInner {
             .get(tenant.0.into())
             .and_then(|p| p.peek_payload_into(desc, &mut head))
             .map(|n| {
-                let req_id = if n >= 8 {
-                    let mut le = [0u8; 8];
-                    le.copy_from_slice(&head[..8]);
-                    u64::from_le_bytes(le)
-                } else {
-                    0
-                };
-                (req_id, obs::ctx::sampled(&head[..n]))
+                let head = &head[..n];
+                (decode_request_id(head), obs::ctx::sampled(head))
             })
             .unwrap_or((0, false))
     }

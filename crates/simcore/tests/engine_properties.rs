@@ -1,27 +1,16 @@
 //! Randomized tests on the simulation core: event ordering, resource
 //! conservation, histogram percentile monotonicity and token-bucket
 //! conformance under seeded-random inputs.
-//!
-//! The default-off `heavy-tests` feature scales case counts up for
-//! exhaustive runs.
 
 use simcore::ratelimit::TokenBucket;
 use simcore::{Histogram, Server, Sim, SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn cases(light: usize, heavy: usize) -> usize {
-    if cfg!(feature = "heavy-tests") {
-        heavy
-    } else {
-        light
-    }
-}
-
 #[test]
 fn events_fire_in_nondecreasing_time_order() {
     let mut rng = SimRng::new(11);
-    for _ in 0..cases(64, 1_024) {
+    for _ in 0..64 {
         let n = 1 + rng.gen_range(199) as usize;
         let times: Vec<u64> = (0..n).map(|_| rng.gen_range(1_000_000)).collect();
         let mut sim = Sim::new();
@@ -45,7 +34,7 @@ fn events_fire_in_nondecreasing_time_order() {
 #[test]
 fn server_never_overlaps_jobs() {
     let mut rng = SimRng::new(22);
-    for _ in 0..cases(64, 1_024) {
+    for _ in 0..64 {
         let n = 1 + rng.gen_range(99) as usize;
         let jobs: Vec<(u64, u64)> = (0..n)
             .map(|_| (rng.gen_range(10_000), 1 + rng.gen_range(4_999)))
@@ -74,7 +63,7 @@ fn server_never_overlaps_jobs() {
 #[test]
 fn histogram_percentiles_are_monotone_and_bounded() {
     let mut rng = SimRng::new(33);
-    for _ in 0..cases(64, 1_024) {
+    for _ in 0..64 {
         let n = 1 + rng.gen_range(299) as usize;
         let samples: Vec<u64> = (0..n).map(|_| 1 + rng.gen_range(9_999_999)).collect();
         let mut h = Histogram::new();
@@ -96,7 +85,7 @@ fn histogram_percentiles_are_monotone_and_bounded() {
 #[test]
 fn token_bucket_never_exceeds_rate_over_long_windows() {
     let mut rng = SimRng::new(44);
-    for _ in 0..cases(64, 1_024) {
+    for _ in 0..64 {
         let n = 10 + rng.gen_range(190) as usize;
         let sizes: Vec<u64> = (0..n).map(|_| 1 + rng.gen_range(4_095)).collect();
         let rate = rng.uniform(1_000_000.0, 1_000_000_000.0);

@@ -20,7 +20,6 @@ use ingress::rss::FlowId;
 use ingress::{AdmissionConfig, Gateway, GatewayConfig};
 use membuf::tenant::TenantId;
 use nadino::cluster::{Cluster, ClusterConfig};
-use nadino::health::HealthConfig;
 use rdma_sim::FaultPlane;
 use runtime::ChainSpec;
 use simcore::{Sim, SimDuration};
@@ -62,11 +61,7 @@ fn main() {
         crash_from,
         crash_from + SimDuration::from_millis(2),
     );
-    let monitor = cluster.enable_health_monitor(
-        &mut sim,
-        HealthConfig::default(),
-        t0 + SimDuration::from_millis(45),
-    );
+    let monitor = cluster.enable_health_monitor(&mut sim, t0 + SimDuration::from_millis(45));
 
     let gateway = Gateway::new(GatewayConfig {
         deadline: Some(SimDuration::from_millis(3)),

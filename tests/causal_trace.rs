@@ -197,10 +197,7 @@ fn script(retry: bool) -> Vec<Op> {
 #[test]
 fn any_interleaving_rebuilds_well_formed_trees() {
     const REQUESTS: u64 = 8;
-    #[cfg(not(feature = "heavy-tests"))]
     const SEEDS: u64 = 25;
-    #[cfg(feature = "heavy-tests")]
-    const SEEDS: u64 = 500;
 
     for seed in 0..SEEDS {
         let tracer = Tracer::enabled();

@@ -19,7 +19,6 @@ use ingress::rss::FlowId;
 use ingress::{AdmissionConfig, Gateway, GatewayConfig};
 use membuf::tenant::TenantId;
 use nadino::cluster::{Cluster, ClusterConfig};
-use nadino::health::HealthConfig;
 use nadino::workload::ClosedLoop;
 use rdma_sim::{FaultPlane, FaultStats};
 use runtime::ChainSpec;
@@ -450,7 +449,7 @@ fn survival_run(seed: u64, crash: bool) -> SurvivalOutcome {
         );
     }
     let until = drive_start + SimDuration::from_millis(60);
-    let monitor = cluster.enable_health_monitor(&mut sim, HealthConfig::default(), until);
+    let monitor = cluster.enable_health_monitor(&mut sim, until);
 
     let gateway = Gateway::new(GatewayConfig {
         deadline: Some(SimDuration::from_millis(3)),

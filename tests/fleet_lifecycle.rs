@@ -22,7 +22,6 @@ use membuf::tenant::TenantId;
 use nadino::cluster::{Cluster, ClusterConfig};
 use nadino::experiment::upgrade::{scenario, UpgradeOutcome};
 use nadino::fleetctl::{FleetController, FleetEvent, NodeLifecycle};
-use nadino::health::HealthConfig;
 use rdma_sim::FaultPlane;
 use runtime::ChainSpec;
 use simcore::{Sim, SimDuration};
@@ -170,7 +169,7 @@ fn drain_with_in_flight_request_completes_or_fails_typed() {
     }));
 
     let until = sim.now() + SimDuration::from_millis(100);
-    let monitor = cluster.enable_health_monitor(&mut sim, HealthConfig::default(), until);
+    let monitor = cluster.enable_health_monitor(&mut sim, until);
     let ctl = FleetController::install(&cluster, &monitor);
 
     // Post a request, then start the drain in the same instant: the
@@ -241,7 +240,7 @@ fn admin_drain_holds_until_released() {
     let cluster = Rc::new(cluster);
 
     let until = sim.now() + SimDuration::from_millis(100);
-    let monitor = cluster.enable_health_monitor(&mut sim, HealthConfig::default(), until);
+    let monitor = cluster.enable_health_monitor(&mut sim, until);
     let caps: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
     let caps2 = caps.clone();
     monitor.set_capacity_handler(Rc::new(move |_sim, f| caps2.borrow_mut().push(f)));
@@ -384,7 +383,7 @@ fn fleet_gauges_surface_through_sample_obs() {
     cluster.register_chain(&chain, |_| SimDuration::from_micros(5), Rc::new(|_, _| {}));
     let cluster = Rc::new(cluster);
     let until = sim.now() + SimDuration::from_millis(50);
-    let monitor = cluster.enable_health_monitor(&mut sim, HealthConfig::default(), until);
+    let monitor = cluster.enable_health_monitor(&mut sim, until);
     let ctl = FleetController::install(&cluster, &monitor);
 
     ctl.upgrade_node(&mut sim, 1, obs::CTX_V2, |_| {});
