@@ -8,6 +8,7 @@
 //!                             # result, byte-identical run to run, so
 //!                             # `git diff --exit-code -- results/` after
 //!                             # `experiments all` is the regression gate
+//!                             # (`scripts/gates.sh results`)
 //! experiments --quick [name]  # shorter runs for smoke testing
 //! experiments --jobs N        # fan figures and sweep points out over N
 //!                             # threads (N=0 or omitted: available cores);
@@ -16,13 +17,10 @@
 //!                             # observability report (windowed rollups of
 //!                             # every sampled level, fleet totals,
 //!                             # exemplars, burn rates, SoC profile, a
-//!                             # flight dump) -> results/report.json;
-//!                             # REPORT_SEED overrides the root seed.
+//!                             # flight dump) -> results/report.json.
 //!                             # For a Perfetto trace and a raw metrics
 //!                             # snapshot: cargo run --release --example
 //!                             # observability
-//! experiments --report-out r.json
-//!                             # same report, written to a custom path
 //! ```
 //!
 //! Each experiment prints its table(s) and writes a JSON twin under
@@ -31,10 +29,11 @@
 //! fig06/fig09/fig11/fig12/churn — whose one `run(.., jobs)` takes the
 //! fan-out — further split into one thread per independent sweep cell;
 //! results are printed and written in request order, so the text and JSON
-//! are byte-identical whatever `N` is. These three flags and the
-//! `REPORT_SEED` / `CHURN_SEED` / `UPGRADE_SEED` variables are everything
-//! a run can set; what the library lets an experiment configure is
-//! DESIGN.md §4 "What is configurable".
+//! are byte-identical whatever `N` is. These two flags are everything a
+//! run can set — it reads no environment variable, and every experiment
+//! runs at its one seed (the seed matrix lives in the tests, which call the
+//! seeded functions directly); what the library lets an experiment
+//! configure is DESIGN.md §2.6 "What is configurable".
 
 use std::path::PathBuf;
 
@@ -160,13 +159,9 @@ fn run_one(exp: Experiment, b: &Budget, jobs: usize) -> Output {
             out(exp, rep.render(), &rep)
         }
         "report" => {
-            // The fleet observability report. Deliberately budget-invariant
-            // apart from `--quick` (which shrinks the boutique cell), so the
-            // CI obs-report job can diff two invocations byte-for-byte.
-            let mut fleet_cfg = nadino::fleet::ReportConfig {
-                seed: simcore::rng::seed_from_env("REPORT_SEED", 42),
-                ..nadino::fleet::ReportConfig::default()
-            };
+            // The fleet observability report. Budget-invariant apart from
+            // `--quick`, which shrinks the boutique cell.
+            let mut fleet_cfg = nadino::fleet::ReportConfig::default();
             if b.quick {
                 fleet_cfg.horizon = simcore::SimDuration::from_millis(20);
                 fleet_cfg.clients = 8;
@@ -194,12 +189,9 @@ fn write_out(path: &std::path::Path, text: &str) -> bool {
     written.is_ok()
 }
 
-fn emit(o: &Output, report_out: Option<&PathBuf>) -> bool {
+fn emit(o: &Output) -> bool {
     println!("{}", o.text);
-    let path = match (o.exp.name, report_out) {
-        ("report", Some(p)) => p.clone(),
-        _ => PathBuf::from(format!("results/{}.json", o.exp.stem)),
-    };
+    let path = PathBuf::from(format!("results/{}.json", o.exp.stem));
     let ok = write_out(&path, &o.json);
     println!();
     ok
@@ -219,14 +211,12 @@ fn main() {
     let mut quick = false;
     // 0 means "auto"; resolved below via `resolve_jobs`.
     let mut jobs = 0usize;
-    let mut report_out: Option<PathBuf> = None;
     let mut names: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--jobs" => jobs = value(&mut it, &a, "an integer (0 = available cores)"),
-            "--report-out" => report_out = Some(value(&mut it, &a, "a path")),
             _ => names.push(a),
         }
     }
@@ -242,12 +232,8 @@ fn main() {
         ">>> run header: jobs={jobs} budget={}",
         if quick { "quick" } else { "full" }
     );
-    if names.is_empty() && report_out.is_none() {
+    if names.is_empty() {
         names.push("all".to_string());
-    }
-    // `--report-out` implies the fleet report even when no names are given.
-    if report_out.is_some() {
-        names.push("report".to_string());
     }
     let experiments = bench::expand(&names).unwrap_or_else(|name| {
         eprintln!(
@@ -268,7 +254,7 @@ fn main() {
         .collect();
     let mut all_written = true;
     for output in pmap(tasks, jobs) {
-        all_written &= emit(&output, report_out.as_ref());
+        all_written &= emit(&output);
     }
     if !all_written {
         std::process::exit(1);

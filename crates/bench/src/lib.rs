@@ -1,21 +1,15 @@
-//! Benchmark support library.
+//! The table of experiments behind the `experiments` binary
+//! (`cargo run -p bench --bin experiments`), the one writer of every
+//! virtual-time file under `results/`: `experiments all && git diff
+//! --exit-code -- results/` (`scripts/gates.sh results`) is the regression
+//! gate, because same seed means same bytes. Its `report` experiment is the
+//! binary's one instrumented run (sampler, tracer, trace pipeline →
+//! `results/report.json`); the API walk-through that writes a Perfetto trace
+//! is `examples/observability.rs`.
 //!
-//! The interesting entry points are:
-//!
-//! - the `experiments` binary (`cargo run -p bench --bin experiments`),
-//!   the one writer of every virtual-time file under `results/`:
-//!   `experiments all && git diff --exit-code -- results/` is the
-//!   regression gate, because same seed means same bytes. Its `report`
-//!   experiment is the binary's one instrumented run (sampler, tracer,
-//!   trace pipeline → `results/report.json`); the API walk-through that
-//!   writes a Perfetto trace is `examples/observability.rs`;
-//! - the one wall-clock bench (`cargo bench -p bench --bench sim_core` →
-//!   `BENCH_simcore.json`). It uses [`harness`], a dependency-free
-//!   wall-clock timer, so the workspace builds fully offline. Per-layer
-//!   microbenchmarks and the cost of tracing (`obs.trace_overhead_pct`)
-//!   are measured by the frozen `benchmark/` package, not here.
-
-pub mod harness;
+//! Nothing here reads the host clock: wall time — per request, per layer
+//! and the cost of tracing (`obs.trace_overhead_pct`) — is measured by the
+//! frozen `benchmark/` package alone.
 
 /// One experiment the `experiments` binary can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

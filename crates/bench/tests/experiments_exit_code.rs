@@ -1,7 +1,7 @@
 //! The `experiments` binary's exit status tells the truth about its output
-//! files: CI gates (`results`, `obs-report`, `upgrade-chaos`) read
-//! `results/*.json` right after running it, and a run that could not write
-//! must not let them pass on the stale committed copy.
+//! files: `scripts/gates.sh results` diffs `results/*.json` right after
+//! running it, and a run that could not write must not let the gate pass on
+//! the stale committed copy.
 
 use std::path::Path;
 use std::process::Command;
@@ -27,9 +27,9 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
 #[test]
 fn an_unknown_name_exits_2_before_anything_runs() {
     let dir = scratch_dir("experiments_unknown_name");
-    // `regress`, `parallel`, `--shards` and the four instrumented-run
-    // flags are retired; a flag is refused as the first name that is not an
-    // experiment.
+    // `regress`, `parallel`, `--shards`, the four instrumented-run flags
+    // and `--report-out` are retired; a flag is refused as the first name
+    // that is not an experiment.
     for (args, unknown) in [
         (&["--quick", "fig13", "regress"][..], "regress"),
         (&["--quick", "fig13", "parallel"][..], "parallel"),
@@ -38,6 +38,7 @@ fn an_unknown_name_exits_2_before_anything_runs() {
         (&["--metrics-out", "x"][..], "--metrics-out"),
         (&["--tail-sample", "fig13"][..], "--tail-sample"),
         (&["--flight-out", "x"][..], "--flight-out"),
+        (&["--report-out", "x", "report"][..], "--report-out"),
     ] {
         let (code, stderr) = experiments(&dir, args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
@@ -62,17 +63,18 @@ fn names_that_share_an_output_file_run_once() {
 #[test]
 fn a_result_that_cannot_be_written_fails_the_run() {
     let dir = scratch_dir("experiments_exit_code");
-    // A regular file where the report's directory should be.
-    std::fs::write(dir.join("blocker"), b"").unwrap();
+    // A regular file where the results directory should be.
+    std::fs::write(dir.join("results"), b"").unwrap();
 
-    let (code, stderr) = experiments(&dir, &["--quick", "--report-out", "blocker/report.json"]);
+    let (code, stderr) = experiments(&dir, &["--quick", "fig13"]);
     assert!(
-        stderr.contains("[failed to write blocker/report.json"),
+        stderr.contains("[failed to write results/fig13.json"),
         "{stderr}"
     );
-    assert_eq!(code, Some(1), "the report was not written");
+    assert_eq!(code, Some(1), "fig13.json was not written");
 
     // The control: the same binary, a writable results directory.
+    std::fs::remove_file(dir.join("results")).unwrap();
     let (code, stderr) = experiments(&dir, &["--quick", "fig13"]);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(dir.join("results/fig13.json").is_file());

@@ -2,16 +2,16 @@
 //!
 //! A virtual-time file is written by `experiments all` and checked by
 //! `git diff --exit-code -- results/` (same seed, same bytes). The only
-//! other files allowed are the named wall-clock ones, which no gate
-//! compares byte-for-byte. A second copy of either kind (the old
+//! other file allowed is the named wall-clock one, which no gate compares
+//! byte-for-byte. A second copy of either kind (the old
 //! `baselines` subdirectory) has no place.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Wall-clock result files and who writes them: the `benchmark/` package
-/// (`BENCH_e2e`) and the `sim_core` bench.
-const WALL_CLOCK_FILES: [&str; 2] = ["BENCH_e2e", "BENCH_simcore"];
+/// Wall-clock result files: the `benchmark/` package's campaign, the one
+/// door host time leaves through.
+const WALL_CLOCK_FILES: [&str; 1] = ["BENCH_e2e"];
 
 /// Paths under `results/` that git tracks; in an exported tree without a
 /// repository, everything that is there.

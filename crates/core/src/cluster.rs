@@ -7,7 +7,7 @@
 //! mmap handshake, the unified I/O library, and chain-aware function
 //! endpoints.
 //!
-//! The cluster is also the one place a request enters (DESIGN.md §4,
+//! The cluster is also the one place a request enters (DESIGN.md §12,
 //! "Front door and load driver"). [`Cluster::inject`],
 //! [`Cluster::inject_with_deadline`] and [`Cluster::inject_dag`] share one
 //! injection body; [`Cluster::serve_chain`] puts an ingress gateway in
@@ -806,7 +806,7 @@ impl Cluster {
     /// hit rate, and (when attached) health and fleet lifecycle states.
     /// Running totals are not sampled: each lives in the struct that counts
     /// it ([`dne::types::DneStats`], `FleetCounters`, [`obs::Tracer`], …)
-    /// and is read from there after the run (DESIGN.md §5). `now` stamps
+    /// and is read from there after the run (DESIGN.md §2.4). `now` stamps
     /// the burn monitor's series point; `window` is unused and stays only
     /// because the frozen benchmark driver passes it.
     pub fn sample_obs(&self, now: SimTime, reg: &obs::MetricsRegistry, _window: SimDuration) {

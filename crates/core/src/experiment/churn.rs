@@ -15,9 +15,9 @@
 //! evict (`results/BENCH_churn.json`).
 //!
 //! Every cell folds its counters into a determinism digest. Same seed ⇒
-//! same bytes is checked on the file, not inside it: the CI `churn-smoke`
-//! job compares two process invocations per seed and the `results` job
-//! holds the committed copy to a fresh run.
+//! same bytes is checked on the rendered JSON: by the unit test below for
+//! two `--quick` sweeps per seed of the matrix, and by `scripts/gates.sh
+//! results` for the committed file.
 
 use crate::churn::{run as run_cell, ChurnConfig, ChurnReport, ChurnWindow, RATE_PER_TENANT};
 use crate::experiment::parallel::pmap;
@@ -90,13 +90,11 @@ pub const QUICK_POPULATIONS: [usize; 3] = [100, 1_000, 10_000];
 /// The cold-vs-warm contrast: pre-warm stock floors compared.
 pub const PREWARM_LEVELS: [usize; 2] = [0, 8];
 
-fn cell_cfg(tenants: usize, prewarm: usize, quick: bool) -> ChurnConfig {
+fn cell_cfg(seed: u64, tenants: usize, prewarm: usize, quick: bool) -> ChurnConfig {
     let mut cfg = ChurnConfig {
         tenants,
         prewarm_target: prewarm,
-        // `CHURN_SEED` overrides the root seed so the CI smoke job can
-        // sweep a seed matrix and assert byte identity per seed.
-        seed: simcore::rng::seed_from_env("CHURN_SEED", ChurnConfig::default().seed),
+        seed,
         ..ChurnConfig::default()
     };
     if quick {
@@ -136,9 +134,13 @@ fn row(rep: &ChurnReport, prewarm: usize) -> ChurnRow {
     }
 }
 
-/// Runs the sweep with cells fanned out across `jobs` threads; row
-/// order is the same whatever `jobs` is.
+/// Runs the sweep at the default cell's seed with cells fanned out across
+/// `jobs` threads; row order is the same whatever `jobs` is.
 pub fn run(quick: bool, jobs: usize) -> BenchChurn {
+    run_at(ChurnConfig::default().seed, quick, jobs)
+}
+
+fn run_at(seed: u64, quick: bool, jobs: usize) -> BenchChurn {
     let populations: &[usize] = if quick {
         &QUICK_POPULATIONS
     } else {
@@ -148,7 +150,7 @@ pub fn run(quick: bool, jobs: usize) -> BenchChurn {
     for &tenants in populations {
         for prewarm in PREWARM_LEVELS {
             cells.push(Box::new(move || {
-                row(&run_cell(cell_cfg(tenants, prewarm, quick)), prewarm)
+                row(&run_cell(cell_cfg(seed, tenants, prewarm, quick)), prewarm)
             }));
         }
     }
@@ -285,10 +287,19 @@ mod tests {
         }
     }
 
+    /// Two `--quick` sweeps of one seed render the same bytes, at every seed
+    /// of the matrix, whether the cells ran inline or on two threads.
     #[test]
     fn sweep_is_deterministic_across_repeats() {
-        let digests = |b: &BenchChurn| b.rows.iter().map(|r| r.digest.clone()).collect::<Vec<_>>();
-        assert_eq!(digests(&run(true, 1)), digests(quick()));
+        use obs::ToJson;
+        let bytes = |b: &BenchChurn| b.to_json().to_string_pretty();
+        for seed in simcore::rng::SEEDS {
+            assert_eq!(
+                bytes(&run_at(seed, true, 1)),
+                bytes(&run_at(seed, true, 2)),
+                "same-seed churn sweeps diverged byte-for-byte (seed {seed:#x})"
+            );
+        }
     }
 
     #[test]

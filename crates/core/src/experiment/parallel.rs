@@ -1,5 +1,5 @@
 //! Thread fan-out for independent experiment cells — the one way this
-//! workspace uses a second core (DESIGN.md §2, "One simulation, one
+//! workspace uses a second core (DESIGN.md §2.2, "One simulation, one
 //! thread").
 //!
 //! Every sweep point in fig06/fig09/fig11/fig12 builds a *fresh* `Sim`

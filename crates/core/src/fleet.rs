@@ -1,8 +1,7 @@
 //! The fleet-level observability report (`results/report.json`).
 //!
-//! This module assembles everything the obs v3 stack produces into one
-//! deterministic document — the "fleet report" the evaluation and the CI
-//! `obs-report` job are built on:
+//! This module assembles everything the obs stack produces into one
+//! deterministic document — the "fleet report" the evaluation is built on:
 //!
 //! - a **boutique cell**: the fig16-shaped Online Boutique chain behind
 //!   a NADINO ingress, driven by [`ClosedLoop`] in gateway mode through
@@ -25,9 +24,9 @@
 //! Determinism contract: for a fixed [`ReportConfig`] seed the rendered
 //! JSON is byte-identical across processes — every number in it derives
 //! from virtual time and seeded streams ([`Cluster::sample_obs`] writes no
-//! wall-clock reading into the registry). The `experiments` binary reads
-//! the seed from `REPORT_SEED`; the CI `obs-report` job sweeps a seed
-//! matrix and asserts byte identity per seed.
+//! wall-clock reading into the registry). The unit tests below hold the
+//! contract, and the bars a report is read for, at every seed of the matrix
+//! (`simcore::rng::SEEDS`); `experiments report` runs the default seed.
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -306,13 +305,15 @@ pub fn build_report(cfg: &ReportConfig) -> JsonValue {
     ])
 }
 
+/// The value under a chain of object keys.
+fn path<'a>(doc: &'a JsonValue, keys: &[&str]) -> Option<&'a JsonValue> {
+    keys.iter().try_fold(doc, |v, k| v.get(k))
+}
+
 /// Renders the headline numbers of a built report as a text table (the
 /// `experiments report` console output; the JSON twin is the document
 /// itself).
 pub fn render_summary(doc: &JsonValue) -> String {
-    fn path<'a>(doc: &'a JsonValue, keys: &[&str]) -> Option<&'a JsonValue> {
-        keys.iter().try_fold(doc, |v, k| v.get(k))
-    }
     let u = |keys: &[&str]| path(doc, keys).and_then(|v| v.as_u64()).unwrap_or(0);
     let f = |keys: &[&str]| path(doc, keys).and_then(|v| v.as_f64()).unwrap_or(0.0);
     let s = |keys: &[&str]| {
@@ -387,6 +388,14 @@ mod tests {
         }
     }
 
+    /// The DPU-resident `--quick` cell, drained, at every seed of the matrix.
+    fn quick_cells() -> impl Iterator<Item = (CellOut, Rc<Cluster>)> {
+        simcore::rng::SEEDS.into_iter().map(|seed| {
+            let cfg = ReportConfig { seed, ..quick() };
+            run_cell(&cfg, dne::DneConfig::nadino_dne())
+        })
+    }
+
     #[test]
     fn report_has_every_section_and_parses() {
         let doc = build_report(&quick());
@@ -402,32 +411,82 @@ mod tests {
         assert!(fleet.get("burn").is_some());
     }
 
+    /// The report `experiments report` writes, at every seed of the matrix:
+    /// two builds render the same bytes, sampled requests left exemplars on
+    /// the engine's histogram, every section is there, windows carry levels
+    /// (a tenant-labelled one among them) and no running total, and the
+    /// fleet totals counted real traffic.
     #[test]
     fn same_seed_reports_are_byte_identical() {
-        let a = build_report(&quick()).to_string_pretty();
-        let b = build_report(&quick()).to_string_pretty();
-        assert_eq!(a, b, "two builds of one config diverged");
+        fn at<'a>(doc: &'a JsonValue, keys: &[&str]) -> &'a JsonValue {
+            let found = path(doc, keys).filter(|v| **v != JsonValue::Null);
+            found.unwrap_or_else(|| panic!("report has no {keys:?}"))
+        }
+        fn name(v: &JsonValue) -> &str {
+            at(v, &["name"]).as_str().unwrap()
+        }
+        for seed in simcore::rng::SEEDS {
+            let cfg = ReportConfig {
+                seed,
+                ..ReportConfig::default()
+            };
+            let doc = build_report(&cfg);
+            assert_eq!(
+                doc.to_string_pretty(),
+                build_report(&cfg).to_string_pretty(),
+                "same-seed fleet reports diverged byte-for-byte (seed {seed:#x})"
+            );
+            let fleet = at(&doc, &["fleet"]);
+            assert!(at(fleet, &["exemplars_kept"]).as_u64() > Some(0));
+            let histograms = at(fleet, &["aggregation", "histograms"]).as_arr().unwrap();
+            let queue_wait = histograms
+                .iter()
+                .find(|h| name(h) == "dne_tx_queue_wait_ns");
+            let queue_wait = queue_wait.expect("engine histogram in the report");
+            assert!(
+                !at(queue_wait, &["exemplars", "exemplars"])
+                    .as_arr()
+                    .unwrap()
+                    .is_empty(),
+                "dne_tx_queue_wait_ns carries no exemplar: sampled requests are \
+                 not traced inside the cluster (seed {seed:#x})"
+            );
+            for section in ["burn", "soc_stages", "cores_freed"] {
+                at(fleet, &[section]);
+            }
+            let windows = at(fleet, &["aggregation", "windows"]).as_arr().unwrap();
+            assert_eq!(windows.len(), 8, "40 ms of 5 ms windows");
+            for w in windows {
+                let gauges = at(w, &["gauges"]).as_arr().unwrap();
+                for g in gauges {
+                    assert!(!name(g).ends_with("_total"), "{} is a total", name(g));
+                }
+                let of_tenant = |g: &JsonValue| at(g, &["labels"]).get("tenant").is_some();
+                assert!(gauges.iter().any(of_tenant), "no tenant-labelled gauge");
+            }
+            assert!(at(fleet, &["totals", "tx_posted"]).as_u64() > Some(0));
+        }
     }
 
     #[test]
     fn every_fleet_exemplar_resolves_to_a_retained_trace() {
-        // Rebuild the DNE cell directly to inspect retained ids.
-        let cfg = quick();
-        let (cell, _) = run_cell(&cfg, dne::DneConfig::nadino_dne());
-        for (_, _, _, exemplars) in cell.agg.merged_histograms() {
-            for ex in exemplars.exemplars() {
-                assert!(
-                    cell.retained.contains(&ex.trace_id),
-                    "exemplar trace {} not retained",
-                    ex.trace_id
-                );
+        // The DNE cell itself, to inspect retained ids.
+        for (cell, _) in quick_cells() {
+            for (_, _, _, exemplars) in cell.agg.merged_histograms() {
+                for ex in exemplars.exemplars() {
+                    assert!(
+                        cell.retained.contains(&ex.trace_id),
+                        "exemplar trace {} not retained",
+                        ex.trace_id
+                    );
+                }
             }
+            assert!(cell.completed > 0, "cell drove real traffic");
+            assert!(
+                cell.exemplars_kept > 0,
+                "report keeps at least one exemplar"
+            );
         }
-        assert!(cell.completed > 0, "cell drove real traffic");
-        assert!(
-            cell.exemplars_kept > 0,
-            "report keeps at least one exemplar"
-        );
     }
 
     /// The cell enters through the front door, so a sampled request is
@@ -435,49 +494,52 @@ mod tests {
     /// sites leave exemplars behind.
     #[test]
     fn traces_reach_the_functions_and_the_engine_histograms_carry_exemplars() {
-        let (cell, _) = run_cell(&quick(), dne::DneConfig::nadino_dne());
-        let traces = cell.flight.get("traces").and_then(|t| t.as_arr()).unwrap();
-        assert!(!traces.is_empty(), "flight dump carries no traces");
-        for t in traces {
-            let spans = t.get("spans").and_then(|s| s.as_arr()).unwrap();
-            let stage = |s: &JsonValue| s.get("stage").and_then(|v| v.as_str()) == Some("fn_exec");
-            assert!(spans.iter().any(stage), "trace without a fn_exec span");
+        for (cell, _) in quick_cells() {
+            let traces = cell.flight.get("traces").and_then(|t| t.as_arr()).unwrap();
+            assert!(!traces.is_empty(), "flight dump carries no traces");
+            for t in traces {
+                let spans = t.get("spans").and_then(|s| s.as_arr()).unwrap();
+                let stage =
+                    |s: &JsonValue| s.get("stage").and_then(|v| v.as_str()) == Some("fn_exec");
+                assert!(spans.iter().any(stage), "trace without a fn_exec span");
+            }
+            let (_, _, _, exemplars) = cell
+                .agg
+                .merged_histograms()
+                .find(|(name, ..)| *name == "dne_tx_queue_wait_ns")
+                .expect("engine histogram exported");
+            assert!(
+                !exemplars.is_empty(),
+                "dne_tx_queue_wait_ns has no exemplar"
+            );
         }
-        let (_, _, _, exemplars) = cell
-            .agg
-            .merged_histograms()
-            .find(|(name, ..)| *name == "dne_tx_queue_wait_ns")
-            .expect("engine histogram exported");
-        assert!(
-            !exemplars.is_empty(),
-            "dne_tx_queue_wait_ns has no exemplar"
-        );
     }
 
-    /// One door per kind of number (DESIGN.md §5): levels leave through the
+    /// One door per kind of number (DESIGN.md §2.4): levels leave through the
     /// sampler into report windows — the per-tenant ones included — and no
     /// running total rides along; totals are fleet sums of the engines' own
     /// counters.
     #[test]
     fn windows_carry_levels_and_totals_are_fleet_sums() {
-        let (cell, cluster) = run_cell(&quick(), dne::DneConfig::nadino_dne());
-        let windows = cell.agg.windows();
-        assert_eq!(windows.len(), 4, "20 ms of 5 ms windows");
-        for w in windows {
-            let depth = w.gauges.iter().find(|g| g.name == "dne_tx_queue_depth");
-            let depth = depth.expect("per-tenant gauge in every window");
-            assert_eq!(depth.labels, [("tenant".to_string(), TENANT.to_string())]);
-            assert_eq!(depth.series, 2, "one series per node, node label dropped");
-            for g in &w.gauges {
-                assert!(!g.name.ends_with("_total"), "{} is a total", g.name);
+        for (cell, cluster) in quick_cells() {
+            let windows = cell.agg.windows();
+            assert_eq!(windows.len(), 4, "20 ms of 5 ms windows");
+            for w in windows {
+                let depth = w.gauges.iter().find(|g| g.name == "dne_tx_queue_depth");
+                let depth = depth.expect("per-tenant gauge in every window");
+                assert_eq!(depth.labels, [("tenant".to_string(), TENANT.to_string())]);
+                assert_eq!(depth.series, 2, "one series per node, node label dropped");
+                for g in &w.gauges {
+                    assert!(!g.name.ends_with("_total"), "{} is a total", g.name);
+                }
             }
+            let posted = |n: &crate::cluster::NodeHandle| n.dne.stats().tx_posted;
+            let sum: u64 = cluster.nodes.iter().map(posted).sum();
+            assert!(cluster
+                .nodes
+                .iter()
+                .all(|n| posted(n) > 0 && posted(n) < sum));
+            assert_eq!(cell.totals.get("tx_posted"), Some(&JsonValue::UInt(sum)));
         }
-        let posted = |n: &crate::cluster::NodeHandle| n.dne.stats().tx_posted;
-        let sum: u64 = cluster.nodes.iter().map(posted).sum();
-        assert!(cluster
-            .nodes
-            .iter()
-            .all(|n| posted(n) > 0 && posted(n) < sum));
-        assert_eq!(cell.totals.get("tx_posted"), Some(&JsonValue::UInt(sum)));
     }
 }

@@ -19,8 +19,8 @@
 //! descriptor. [`DescriptorChannel`] and [`ComchServer`] — a real
 //! bidirectional SPSC channel pair and a server polling many of them — are
 //! not on the simulator's path: the frozen benchmark's
-//! `dpu-sim.comch_roundtrip_ns` driver is their one caller (DESIGN.md §1,
-//! "Reached only by the frozen benchmark").
+//! `dpu-sim.comch_roundtrip_ns` driver is their one caller (DESIGN.md §2.5,
+//! "Code earns its place by being reached").
 
 use membuf::descriptor::BufferDesc;
 use membuf::spsc::{Consumer, Producer, SpscRing};

@@ -107,7 +107,10 @@ pub fn write_ctx(payload: &mut [u8], parent_span: u32, sampled: bool) -> bool {
 /// Stamps a trace context at an explicit wire `version` — the downgrade
 /// path a mixed-version fleet uses: an upgraded DNE replying to (or
 /// re-posting toward) a v1 peer stamps v1 so the peer's parser owns every
-/// byte it reads. The version is clamped into `CTX_V1..=CTX_CURRENT`.
+/// byte it reads. The version is clamped into `CTX_V1..=CTX_CURRENT`. A v2
+/// stamp claims bytes 16..24 as they are: the zero padding every payload
+/// the tree builds has there reads as "no deadline", and a deadline that a
+/// v1 downgrade hid is a deadline again.
 /// Returns `false` (and writes nothing) when the payload is shorter than
 /// that version's minimum.
 pub fn write_ctx_at(payload: &mut [u8], parent_span: u32, sampled: bool, version: u8) -> bool {
@@ -125,18 +128,25 @@ pub fn write_ctx_at(payload: &mut [u8], parent_span: u32, sampled: bool, version
 /// `false` (and writes nothing) when the payload is too short.
 ///
 /// The deadline region exists from v2 on, so stamping one raises the
-/// payload's wire version to at least [`CTX_V2`] (preserving the sampled
-/// bit). The deadline rides in its own byte range, so [`write_ctx`]
-/// re-stamps along a DAG hop leave it untouched: the gateway writes it
-/// once and every downstream stage reads the same absolute value.
+/// payload's wire version to at least [`CTX_V2`]. A context already there
+/// keeps its parent and flag bits; on an unstamped payload those bytes are
+/// the application's, so the context this creates is unsampled with parent
+/// 0. The deadline rides in its own byte range, so [`write_ctx`] re-stamps
+/// along a DAG hop leave it untouched: the gateway writes it once and every
+/// downstream stage reads the same absolute value.
 pub fn write_deadline_ns(payload: &mut [u8], deadline_ns: u64) -> bool {
     if payload.len() < CTX_V2_MIN_PAYLOAD {
         return false;
     }
     payload[DEADLINE_OFFSET..DEADLINE_OFFSET + 8].copy_from_slice(&deadline_ns.to_le_bytes());
-    let version = wire_version(payload).max(CTX_V2);
-    payload[FLAGS_OFFSET] = (version << 4) | (payload[FLAGS_OFFSET] & FLAG_MASK);
-    true
+    match wire_version(payload) {
+        0 => write_ctx_at(payload, 0, false, CTX_V2),
+        version => {
+            let flag_bits = payload[FLAGS_OFFSET] & FLAG_MASK;
+            payload[FLAGS_OFFSET] = (version.max(CTX_V2) << 4) | flag_bits;
+            true
+        }
+    }
 }
 
 /// Reads the absolute deadline out of a payload. Returns `None` when the
@@ -148,25 +158,18 @@ pub fn read_deadline_ns(payload: &[u8]) -> Option<u64> {
     if payload.len() < CTX_V2_MIN_PAYLOAD || wire_version(payload) < CTX_V2 {
         return None;
     }
-    let ns = u64::from_le_bytes(
-        payload[DEADLINE_OFFSET..DEADLINE_OFFSET + 8]
-            .try_into()
-            .unwrap(),
-    );
-    if ns == 0 {
-        None
-    } else {
-        Some(ns)
-    }
+    let ns = u64::from_le_bytes(*payload[DEADLINE_OFFSET..].first_chunk()?);
+    (ns != 0).then_some(ns)
 }
 
 /// The one-bit downstream check of the ingress sampling decision: `true`
-/// when the payload carries a context whose sampled flag is set. This is
-/// the only trace question data-plane components ask on the request path —
-/// a single length test plus one masked byte load, no tracer access.
+/// when the payload carries a context (version nibble ≥ 1 — under nibble 0
+/// bit 0 is an application bit) whose sampled flag is set. This is the only
+/// trace question data-plane components ask on the request path — a length
+/// test plus one byte load, no tracer access.
 #[inline]
 pub fn sampled(payload: &[u8]) -> bool {
-    payload.len() >= CTX_V1_MIN_PAYLOAD && payload[FLAGS_OFFSET] & FLAG_SAMPLED != 0
+    wire_version(payload) >= CTX_V1 && payload[FLAGS_OFFSET] & FLAG_SAMPLED != 0
 }
 
 /// The request id convention, read in one place: the first eight payload
@@ -181,24 +184,14 @@ pub fn req_id(payload: &[u8]) -> Option<u64> {
 /// is too short to carry one or no writer ever stamped one (version
 /// nibble 0 — the bytes are application-owned).
 pub fn read_ctx(payload: &[u8]) -> Option<TraceCtx> {
-    if payload.len() < CTX_V1_MIN_PAYLOAD {
-        return None;
-    }
     let version = wire_version(payload);
     if version < CTX_V1 {
         return None;
     }
-    let trace_id = req_id(payload)?;
-    let parent_span = u32::from_le_bytes(
-        payload[PARENT_OFFSET..PARENT_OFFSET + 4]
-            .try_into()
-            .unwrap(),
-    );
-    let sampled = payload[FLAGS_OFFSET] & FLAG_SAMPLED != 0;
     Some(TraceCtx {
-        trace_id,
-        parent_span,
-        sampled,
+        trace_id: req_id(payload)?,
+        parent_span: u32::from_le_bytes(*payload[PARENT_OFFSET..].first_chunk()?),
+        sampled: payload[FLAGS_OFFSET] & FLAG_SAMPLED != 0,
         version,
     })
 }
@@ -340,6 +333,102 @@ mod tests {
         assert!(write_ctx_at(&mut payload, 9, true, CTX_V1));
         assert_eq!(wire_version(&payload), CTX_V1);
         assert_eq!(read_deadline_ns(&payload), None);
+    }
+
+    /// The whole wire format, enumerated: every payload length 0..=32 ×
+    /// every flags byte × every writer sequence, over a payload of
+    /// application bytes. No panic; what the writers wrote reads back; and
+    /// no reader interprets a byte no writer owned — under version nibble 0
+    /// nobody sees a context, a sampled bit or a deadline, and behind a v1
+    /// stamp bytes 16..24 are never a deadline, whatever those bytes hold.
+    #[test]
+    fn every_length_flags_byte_and_writer_sequence_reads_back_what_was_written() {
+        #[derive(Debug, Clone, Copy)]
+        enum Write {
+            Ctx(u8),
+            Deadline,
+        }
+        use Write::*;
+        const APP: u8 = 0xEE;
+        const PARENT: u32 = 0xA1B2_C3D4;
+        const DEADLINE: u64 = 0x0102_0304_0506_0708;
+        let sequences: [&[Write]; 7] = [
+            &[],
+            &[Ctx(CTX_V1)],
+            &[Ctx(CTX_V2)],
+            &[Deadline],
+            &[Ctx(CTX_V1), Deadline],
+            &[Deadline, Ctx(CTX_V2)],
+            &[Deadline, Ctx(CTX_V1)],
+        ];
+        for len in 0..=32usize {
+            for flags in 0..=255u8 {
+                for writes in sequences {
+                    let mut p = vec![APP; len];
+                    if let Some(b) = p.get_mut(FLAGS_OFFSET) {
+                        *b = flags;
+                    }
+                    let app = p.clone();
+                    let case = format!("len {len} flags {flags:#04x} writes {writes:?}");
+
+                    // The model: what the stamps so far say, starting from
+                    // the flags byte as found (a nibble >= 1 is a stamp).
+                    let mut version = if len < CTX_V1_MIN_PAYLOAD {
+                        0
+                    } else {
+                        flags >> 4
+                    };
+                    let mut parent = u32::from_le_bytes([APP; 4]);
+                    let mut is_sampled = flags & FLAG_SAMPLED != 0;
+                    let mut region = u64::from_le_bytes([APP; 8]);
+                    for &write in writes {
+                        match write {
+                            Ctx(v) => {
+                                let sample = flags & 2 != 0;
+                                let fits = len >= min_payload(v);
+                                assert_eq!(write_ctx_at(&mut p, PARENT, sample, v), fits, "{case}");
+                                if fits {
+                                    (version, parent, is_sampled) = (v, PARENT, sample);
+                                }
+                            }
+                            Deadline => {
+                                let fits = len >= CTX_V2_MIN_PAYLOAD;
+                                assert_eq!(write_deadline_ns(&mut p, DEADLINE), fits, "{case}");
+                                if fits && version == 0 {
+                                    // No context was there to keep.
+                                    (parent, is_sampled) = (0, false);
+                                }
+                                if fits {
+                                    (version, region) = (version.max(CTX_V2), DEADLINE);
+                                }
+                            }
+                        }
+                    }
+                    let ctx = (version >= CTX_V1).then(|| TraceCtx {
+                        trace_id: u64::from_le_bytes([APP; 8]),
+                        parent_span: parent,
+                        sampled: is_sampled,
+                        version,
+                    });
+                    let deadline =
+                        (version >= CTX_V2 && len >= CTX_V2_MIN_PAYLOAD).then_some(region);
+
+                    assert_eq!(wire_version(&p), version, "{case}");
+                    assert_eq!(read_ctx(&p), ctx, "{case}");
+                    assert_eq!(sampled(&p), ctx.is_some_and(|c| c.sampled), "{case}");
+                    assert_eq!(read_deadline_ns(&p), deadline, "{case}");
+                    // A writer touches its parent and flags bytes, the
+                    // deadline writer bytes 16..24 too, and nothing else.
+                    for (i, (&now, &was)) in p.iter().zip(&app).enumerate() {
+                        let ctx_bytes = (PARENT_OFFSET..=FLAGS_OFFSET).contains(&i);
+                        let deadline_bytes = (DEADLINE_OFFSET..CTX_REGION).contains(&i)
+                            && writes.iter().any(|w| matches!(w, Deadline));
+                        let written = !writes.is_empty() && (ctx_bytes || deadline_bytes);
+                        assert!(now == was || written, "{case}: byte {i} changed");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

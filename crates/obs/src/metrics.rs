@@ -9,7 +9,7 @@
 //! (queue depths, deficits, hit rates, lifecycle states) — and
 //! [`HistogramHandle`] for log-bucketed latency distributions from
 //! `simcore::stats`. Running totals are not instruments: a total lives in
-//! the struct that counts it and is read from there (DESIGN.md §5). How a
+//! the struct that counts it and is read from there (DESIGN.md §2.4). How a
 //! level moves over time is the [`crate::Aggregator`]'s per-window rollup
 //! of these gauges.
 

@@ -4,7 +4,7 @@
 //! so a given seed always reproduces the same trajectory. A [`Sim`] and
 //! everything scheduled on it stay on the thread that built them; a second
 //! core is used by running another, independent simulation on it (DESIGN.md
-//! §2, "One simulation, one thread"). On top of the raw event queue it
+//! §2.2, "One simulation, one thread"). On top of the raw event queue it
 //! provides the building blocks every substrate crate uses:
 //!
 //! - [`time`]: nanosecond-resolution virtual time ([`SimTime`], [`SimDuration`]).

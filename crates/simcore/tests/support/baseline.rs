@@ -1,10 +1,8 @@
 //! Reference binary-heap event engine.
 //!
-//! This is the pre-wheel `Sim` implementation, kept (a) as the oracle for
-//! `wheel_differential.rs` — the timing wheel must reproduce its
-//! execution order bit-for-bit — and (b) as the "old" side of the
-//! `sim_core` benchmark group, which `#[path]`-includes this file. It is
-//! deliberately the naive design: one `Box<dyn FnOnce>` per event pushed
+//! This is the pre-wheel `Sim` implementation, kept as the oracle for
+//! `wheel_differential.rs`: the timing wheel must reproduce its execution
+//! order bit-for-bit. It is deliberately the naive design: one `Box<dyn FnOnce>` per event pushed
 //! into a global `BinaryHeap` (`O(log n)` per operation), with
 //! cancellation grafted on via a tombstone set so randomized cancel
 //! scripts can run against it.

@@ -22,15 +22,18 @@ use nadino::cluster::{Cluster, ClusterConfig};
 use nadino::workload::ClosedLoop;
 use rdma_sim::{FaultPlane, FaultStats};
 use runtime::ChainSpec;
+use simcore::rng::SEEDS;
 use simcore::{Sim, SimDuration};
 
 const REQUESTS: u64 = 200;
 const REQ_BASE: u64 = 1_000;
 
-/// Seed for the chaos runs, overridable via `CHAOS_SEED` (decimal or
-/// `0x`-prefixed hex) so CI can sweep a seed matrix over the same tests.
-fn chaos_seed(default: u64) -> u64 {
-    simcore::rng::seed_from_env("CHAOS_SEED", default)
+/// The seeds a chaos test runs at: the matrix, then `extra` — the seed the
+/// test ran at before the matrix moved in here, where the matrix lacks it.
+/// Each is printed, so a failing test's captured output ends with its seed.
+fn seeds(extra: &'static [u64]) -> impl Iterator<Item = u64> {
+    let all = SEEDS.iter().chain(extra).copied();
+    all.inspect(|seed| eprintln!("seed {seed:#x}"))
 }
 
 /// Everything a faulty run observed, for equality across same-seed runs.
@@ -122,53 +125,55 @@ fn faulty_run(seed: u64) -> FaultyRunOutcome {
 /// every buffer returns to its pool.
 #[test]
 fn faults_never_lose_requests_silently() {
-    let out = faulty_run(chaos_seed(0xC4A0));
+    for seed in seeds(&[]) {
+        let out = faulty_run(seed);
 
-    // The run actually exercised the fault plane.
-    assert!(
-        out.faults.lost > 0,
-        "wire loss never fired: {:?}",
-        out.faults
-    );
-    assert!(
-        out.faults.outage_drops > 0,
-        "crash window never fired: {:?}",
-        out.faults
-    );
-    let retries: u64 = out.engines.iter().map(|e| e.3).sum();
-    assert!(retries > 0, "no retries despite faults");
-
-    // Exactly-once termination: completed and failed partition the ids.
-    let done: HashSet<u64> = out.completed.iter().copied().collect();
-    let lost: HashSet<u64> = out.failed.iter().copied().collect();
-    assert_eq!(done.len(), out.completed.len(), "duplicate completion");
-    assert!(
-        done.is_disjoint(&lost),
-        "requests both completed and failed: {:?}",
-        done.intersection(&lost).collect::<Vec<_>>()
-    );
-    assert_eq!(
-        done.len() + lost.len(),
-        REQUESTS as usize,
-        "requests vanished: {} completed + {} failed (failed more than once: {})",
-        done.len(),
-        lost.len(),
-        lost.len() != out.failed.len(),
-    );
-    for id in REQ_BASE..REQ_BASE + REQUESTS {
+        // The run actually exercised the fault plane.
         assert!(
-            done.contains(&id) || lost.contains(&id),
-            "request {id} hung"
+            out.faults.lost > 0,
+            "wire loss never fired: {:?}",
+            out.faults
         );
-    }
-    assert!(
-        !out.failed.is_empty(),
-        "the crash window should exhaust some retry budgets"
-    );
+        assert!(
+            out.faults.outage_drops > 0,
+            "crash window never fired: {:?}",
+            out.faults
+        );
+        let retries: u64 = out.engines.iter().map(|e| e.3).sum();
+        assert!(retries > 0, "no retries despite faults");
 
-    // Give-ups at the engines match the typed failures that surfaced.
-    let give_ups: u64 = out.engines.iter().map(|e| e.6).sum();
-    assert_eq!(give_ups as usize, out.failed.len());
+        // Exactly-once termination: completed and failed partition the ids.
+        let done: HashSet<u64> = out.completed.iter().copied().collect();
+        let lost: HashSet<u64> = out.failed.iter().copied().collect();
+        assert_eq!(done.len(), out.completed.len(), "duplicate completion");
+        assert!(
+            done.is_disjoint(&lost),
+            "requests both completed and failed: {:?}",
+            done.intersection(&lost).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            done.len() + lost.len(),
+            REQUESTS as usize,
+            "requests vanished: {} completed + {} failed (failed more than once: {})",
+            done.len(),
+            lost.len(),
+            lost.len() != out.failed.len(),
+        );
+        for id in REQ_BASE..REQ_BASE + REQUESTS {
+            assert!(
+                done.contains(&id) || lost.contains(&id),
+                "request {id} hung"
+            );
+        }
+        assert!(
+            !out.failed.is_empty(),
+            "the crash window should exhaust some retry budgets"
+        );
+
+        // Give-ups at the engines match the typed failures that surfaced.
+        let give_ups: u64 = out.engines.iter().map(|e| e.6).sum();
+        assert_eq!(give_ups as usize, out.failed.len());
+    }
 }
 
 /// Pool occupancy returns to baseline after a faulty run (no leaked
@@ -211,9 +216,9 @@ fn faults_leak_no_buffers() {
 /// randomness, so two identically-seeded runs agree on every counter.
 #[test]
 fn same_seed_reproduces_the_run_exactly() {
-    let a = faulty_run(chaos_seed(0xD15EA5E));
-    let b = faulty_run(chaos_seed(0xD15EA5E));
-    assert_eq!(a, b);
+    for seed in seeds(&[0xD15EA5E]) {
+        assert_eq!(faulty_run(seed), faulty_run(seed), "seed {seed:#x}");
+    }
 }
 
 /// Like [`faulty_run`], but with the causal tracer and trace pipeline
@@ -270,29 +275,31 @@ fn flight_run(seed: u64) -> (u64, String, Vec<u64>) {
 /// failure, reason tagged, the failed trace in the ring marked as an error.
 #[test]
 fn delivery_failure_triggers_flight_recorder_dump() {
-    let (dumps, dump, failed) = flight_run(chaos_seed(0xC4A0));
-    assert!(!failed.is_empty(), "run produced no typed failures");
-    assert_eq!(dumps, failed.len() as u64, "one dump per typed failure");
+    for seed in seeds(&[]) {
+        let (dumps, dump, failed) = flight_run(seed);
+        assert!(!failed.is_empty(), "run produced no typed failures");
+        assert_eq!(dumps, failed.len() as u64, "one dump per typed failure");
 
-    let doc = obs::parse(&dump).expect("dump is valid JSON");
-    assert_eq!(
-        doc.get("reason").and_then(|r| r.as_str()),
-        Some("delivery_failure")
-    );
-    let traces = doc.get("traces").and_then(|t| t.as_arr()).unwrap();
-    assert!(!traces.is_empty(), "dump carries no traces");
-    // The failure that tripped the last dump is the newest ring entry,
-    // marked as an error and carrying its spans.
-    let last_failed = *failed.last().unwrap();
-    let errored = traces
-        .iter()
-        .find(|t| t.get("trace_id").and_then(|v| v.as_u64()) == Some(last_failed))
-        .expect("failed trace missing from dump");
-    assert_eq!(
-        errored.get("error").and_then(|v| v.as_bool()),
-        Some(true),
-        "failed trace not marked as error"
-    );
+        let doc = obs::parse(&dump).expect("dump is valid JSON");
+        assert_eq!(
+            doc.get("reason").and_then(|r| r.as_str()),
+            Some("delivery_failure")
+        );
+        let traces = doc.get("traces").and_then(|t| t.as_arr()).unwrap();
+        assert!(!traces.is_empty(), "dump carries no traces");
+        // The failure that tripped the last dump is the newest ring entry,
+        // marked as an error and carrying its spans.
+        let last_failed = *failed.last().unwrap();
+        let errored = traces
+            .iter()
+            .find(|t| t.get("trace_id").and_then(|v| v.as_u64()) == Some(last_failed))
+            .expect("failed trace missing from dump");
+        assert_eq!(
+            errored.get("error").and_then(|v| v.as_bool()),
+            Some(true),
+            "failed trace not marked as error"
+        );
+    }
 }
 
 /// Flight-recorder dumps are part of the deterministic surface: the same
@@ -300,11 +307,13 @@ fn delivery_failure_triggers_flight_recorder_dump() {
 /// clock anywhere in the bundle).
 #[test]
 fn same_seed_yields_byte_identical_flight_dump() {
-    let a = flight_run(chaos_seed(0xC4A0));
-    let b = flight_run(chaos_seed(0xC4A0));
-    assert_eq!(a.0, b.0, "dump counts differ across same-seed runs");
-    assert_eq!(a.2, b.2, "failure sets differ across same-seed runs");
-    assert_eq!(a.1, b.1, "flight dump is not byte-identical");
+    for seed in seeds(&[]) {
+        let a = flight_run(seed);
+        let b = flight_run(seed);
+        assert_eq!(a.0, b.0, "dump counts differ across same-seed runs");
+        assert_eq!(a.2, b.2, "failure sets differ across same-seed runs");
+        assert_eq!(a.1, b.1, "flight dump is not byte-identical");
+    }
 }
 
 /// A zero-fault plane draws no randomness and perturbs nothing: the run is
@@ -539,54 +548,55 @@ fn survival_run(seed: u64, crash: bool) -> SurvivalOutcome {
 /// keeps >= 80% of its fault-free same-seed goodput.
 #[test]
 fn node_crash_with_rogue_tenant_degrades_gracefully() {
-    let seed = chaos_seed(0x5EED);
-    let faultfree = survival_run(seed, false);
-    let crashed = survival_run(seed, true);
+    for seed in seeds(&[0x5EED]) {
+        let faultfree = survival_run(seed, false);
+        let crashed = survival_run(seed, true);
 
-    for out in [&faultfree, &crashed] {
-        assert_eq!(
-            out.resolved, out.issued,
-            "requests hung: {} of {} resolved",
-            out.resolved, out.issued
-        );
-        assert_eq!(out.pending_left, 0, "replies leaked in the pending map");
-    }
-    assert!(crashed.outage_drops > 0, "crash window never fired");
-    assert_eq!(faultfree.outage_drops, 0, "fault-free run saw an outage");
+        for out in [&faultfree, &crashed] {
+            assert_eq!(
+                out.resolved, out.issued,
+                "requests hung: {} of {} resolved",
+                out.resolved, out.issued
+            );
+            assert_eq!(out.pending_left, 0, "replies leaked in the pending map");
+        }
+        assert!(crashed.outage_drops > 0, "crash window never fired");
+        assert_eq!(faultfree.outage_drops, 0, "fault-free run saw an outage");
 
-    // The health monitor walked node 1 down and back up.
-    let down = crashed.health.iter().any(|e| e.contains("1:Suspect->Down"));
-    let back = crashed
-        .health
-        .iter()
-        .any(|e| e.contains("1:Draining->Healthy"));
-    assert!(down, "node 1 never went Down: {:?}", crashed.health);
-    assert!(back, "node 1 never recovered: {:?}", crashed.health);
-    assert!(
-        faultfree.health.is_empty(),
-        "fault-free run saw health transitions: {:?}",
-        faultfree.health
-    );
-
-    // Graceful degradation: the crash costs the compliant tenant at most
-    // 20% of its fault-free goodput on the same seed.
-    assert!(
-        crashed.compliant.ok as f64 >= 0.8 * faultfree.compliant.ok as f64,
-        "compliant goodput collapsed: {} crashed vs {} fault-free",
-        crashed.compliant.ok,
-        faultfree.compliant.ok
-    );
-
-    // Weight-aware shedding: the rogue tenant (3x the arrivals, 1/3 the
-    // weight) sheds more than the compliant tenant in both runs.
-    for out in [&faultfree, &crashed] {
+        // The health monitor walked node 1 down and back up.
+        let down = crashed.health.iter().any(|e| e.contains("1:Suspect->Down"));
+        let back = crashed
+            .health
+            .iter()
+            .any(|e| e.contains("1:Draining->Healthy"));
+        assert!(down, "node 1 never went Down: {:?}", crashed.health);
+        assert!(back, "node 1 never recovered: {:?}", crashed.health);
         assert!(
-            out.rogue.shed > out.compliant.shed,
-            "rogue shed {} vs compliant {}",
-            out.rogue.shed,
-            out.compliant.shed
+            faultfree.health.is_empty(),
+            "fault-free run saw health transitions: {:?}",
+            faultfree.health
         );
-        assert_eq!(out.rogue_sheds, out.rogue.shed);
+
+        // Graceful degradation: the crash costs the compliant tenant at most
+        // 20% of its fault-free goodput on the same seed.
+        assert!(
+            crashed.compliant.ok as f64 >= 0.8 * faultfree.compliant.ok as f64,
+            "compliant goodput collapsed: {} crashed vs {} fault-free",
+            crashed.compliant.ok,
+            faultfree.compliant.ok
+        );
+
+        // Weight-aware shedding: the rogue tenant (3x the arrivals, 1/3 the
+        // weight) sheds more than the compliant tenant in both runs.
+        for out in [&faultfree, &crashed] {
+            assert!(
+                out.rogue.shed > out.compliant.shed,
+                "rogue shed {} vs compliant {}",
+                out.rogue.shed,
+                out.compliant.shed
+            );
+            assert_eq!(out.rogue_sheds, out.rogue.shed);
+        }
     }
 }
 
@@ -595,11 +605,12 @@ fn node_crash_with_rogue_tenant_degrades_gracefully() {
 /// byte-identical flight-recorder dump and counters.
 #[test]
 fn survival_run_is_deterministic_per_seed() {
-    let seed = chaos_seed(0x5EED);
-    let a = survival_run(seed, true);
-    let b = survival_run(seed, true);
-    assert_eq!(a, b, "same-seed survival runs diverged");
-    assert!(!a.dump.is_empty(), "crash run took no flight dump");
+    for seed in seeds(&[0x5EED]) {
+        let a = survival_run(seed, true);
+        let b = survival_run(seed, true);
+        assert_eq!(a, b, "same-seed survival runs diverged");
+        assert!(!a.dump.is_empty(), "crash run took no flight dump");
+    }
 }
 
 /// One routing-plane step of [`failover_walk`].
@@ -687,22 +698,24 @@ fn placement_follows_a_rescue_onto_the_backup() {
 /// fail-over / restore steps on 3 and on 4 workers.
 #[test]
 fn placement_follows_routing_through_random_failovers() {
-    let mut rng = simcore::SimRng::new(chaos_seed(0xC4A0));
-    for workers in [3usize, 4] {
-        let mut pick = |bound: usize| rng.gen_range(bound as u64) as usize;
-        let placements: Vec<(u16, usize, usize)> = (1..=5)
-            .map(|f| {
-                let primary = pick(workers);
-                (f, primary, (primary + 1 + pick(workers - 1)) % workers)
-            })
-            .collect();
-        let steps: Vec<RouteStep> = (0..240)
-            .map(|_| match pick(2) {
-                0 => RouteStep::FailOver(pick(workers)),
-                _ => RouteStep::Restore(pick(workers)),
-            })
-            .collect();
-        failover_walk(workers, &placements, &steps);
+    for seed in seeds(&[]) {
+        let mut rng = simcore::SimRng::new(seed);
+        for workers in [3usize, 4] {
+            let mut pick = |bound: usize| rng.gen_range(bound as u64) as usize;
+            let placements: Vec<(u16, usize, usize)> = (1..=5)
+                .map(|f| {
+                    let primary = pick(workers);
+                    (f, primary, (primary + 1 + pick(workers - 1)) % workers)
+                })
+                .collect();
+            let steps: Vec<RouteStep> = (0..240)
+                .map(|_| match pick(2) {
+                    0 => RouteStep::FailOver(pick(workers)),
+                    _ => RouteStep::Restore(pick(workers)),
+                })
+                .collect();
+            failover_walk(workers, &placements, &steps);
+        }
     }
 }
 

@@ -13,7 +13,8 @@
 //! 3. **A rolling upgrade wave is survivable and deterministic.** The
 //!    full boutique topology under a concurrent upgrade wave, crash window
 //!    and rogue tenant: zero hung requests, >= 80% compliant goodput vs
-//!    the fault-free same-seed run, and byte-identical same-seed outcomes.
+//!    the fault-free same-seed run, and byte-identical same-seed outcomes —
+//!    at every seed of the matrix ([`SEEDS`]).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -24,13 +25,8 @@ use nadino::experiment::upgrade::{scenario, UpgradeOutcome};
 use nadino::fleetctl::{FleetController, FleetEvent, NodeLifecycle};
 use rdma_sim::FaultPlane;
 use runtime::ChainSpec;
+use simcore::rng::SEEDS;
 use simcore::{Sim, SimDuration};
-
-/// Seed override hook shared with the chaos suite (`CHAOS_SEED`, decimal
-/// or `0x`-prefixed hex), so CI sweeps one seed matrix over both.
-fn chaos_seed(default: u64) -> u64 {
-    simcore::rng::seed_from_env("CHAOS_SEED", default)
-}
 
 // ---------------------------------------------------------------------------
 // Mixed-version wire interop.
@@ -296,64 +292,65 @@ fn fleet_run(seed: u64, wave: bool, crash: bool) -> UpgradeOutcome {
 /// the compliant tenant keeps >= 80% of its fault-free same-seed goodput.
 #[test]
 fn upgrade_wave_with_crash_and_rogue_tenant_degrades_gracefully() {
-    let seed = chaos_seed(0xC4A0);
-    let faultfree = fleet_run(seed, false, false);
-    let chaotic = fleet_run(seed, true, true);
+    for seed in SEEDS {
+        let faultfree = fleet_run(seed, false, false);
+        let chaotic = fleet_run(seed, true, true);
 
-    for out in [&faultfree, &chaotic] {
-        assert_eq!(
-            out.resolved, out.issued,
-            "requests hung: {} of {} resolved",
-            out.resolved, out.issued
-        );
-        assert_eq!(out.pending_replies, 0, "replies leaked in the pending map");
-    }
-    assert!(chaotic.outage_drops > 0, "crash window never fired");
-    assert_eq!(faultfree.outage_drops, 0);
+        for out in [&faultfree, &chaotic] {
+            assert_eq!(
+                out.resolved, out.issued,
+                "requests hung: {} of {} resolved (seed {seed:#x})",
+                out.resolved, out.issued
+            );
+            assert_eq!(out.pending_replies, 0, "replies leaked in the pending map");
+        }
+        assert!(chaotic.outage_drops > 0, "crash window never fired");
+        assert_eq!(faultfree.outage_drops, 0);
 
-    // The wave finished: every node upgraded exactly once, in one wave,
-    // and ended at v2. The no-wave run stayed at v1.
-    assert_eq!(chaotic.counters.waves_completed, 1);
-    assert_eq!(chaotic.counters.upgrades_completed, 3);
-    assert_eq!(chaotic.versions, vec![obs::CTX_V2; 3]);
-    assert_eq!(faultfree.versions, vec![obs::CTX_V1; 3]);
-    assert!(chaotic
-        .fleet_events
-        .iter()
-        .any(|e| matches!(e, FleetEvent::WaveCompleted { upgraded: 3, .. })));
-    assert!(
-        chaotic.counters.rebalances > 0,
-        "wave drains never rebalanced routes"
-    );
-
-    // Administrative drains went through the Draining health state.
-    assert!(
-        chaotic
-            .health
+        // The wave finished: every node upgraded exactly once, in one wave,
+        // and ended at v2. The no-wave run stayed at v1.
+        assert_eq!(chaotic.counters.waves_completed, 1);
+        assert_eq!(chaotic.counters.upgrades_completed, 3);
+        assert_eq!(chaotic.versions, vec![obs::CTX_V2; 3], "seed {seed:#x}");
+        assert_eq!(faultfree.versions, vec![obs::CTX_V1; 3]);
+        assert!(chaotic
+            .fleet_events
             .iter()
-            .any(|e| e.contains("Healthy->Draining")),
-        "no admin drain transition: {:?}",
-        chaotic.health
-    );
-    assert!(faultfree.health.is_empty(), "{:?}", faultfree.health);
-
-    // Graceful degradation: wave + crash + rogue costs the compliant
-    // tenant at most 20% of its fault-free goodput on the same seed.
-    assert!(
-        chaotic.compliant.completed as f64 >= 0.8 * faultfree.compliant.completed as f64,
-        "compliant goodput collapsed: {} chaotic vs {} fault-free",
-        chaotic.compliant.completed,
-        faultfree.compliant.completed
-    );
-
-    // Weight-aware shedding still favors the compliant tenant.
-    for out in [&faultfree, &chaotic] {
+            .any(|e| matches!(e, FleetEvent::WaveCompleted { upgraded: 3, .. })));
         assert!(
-            out.rogue.shed > out.compliant.shed,
-            "rogue shed {} vs compliant {}",
-            out.rogue.shed,
-            out.compliant.shed
+            chaotic.counters.rebalances > 0,
+            "wave drains never rebalanced routes"
         );
+
+        // Administrative drains went through the Draining health state.
+        assert!(
+            chaotic
+                .health
+                .iter()
+                .any(|e| e.contains("Healthy->Draining")),
+            "no admin drain transition: {:?}",
+            chaotic.health
+        );
+        assert!(faultfree.health.is_empty(), "{:?}", faultfree.health);
+
+        // Graceful degradation: wave + crash + rogue costs the compliant
+        // tenant at most 20% of its fault-free goodput on the same seed.
+        assert!(
+            chaotic.compliant.completed as f64 >= 0.8 * faultfree.compliant.completed as f64,
+            "compliant goodput collapsed: {} chaotic vs {} fault-free (seed {seed:#x})",
+            chaotic.compliant.completed,
+            faultfree.compliant.completed
+        );
+
+        // Weight-aware shedding still favors the compliant tenant.
+        for out in [&faultfree, &chaotic] {
+            assert!(
+                out.rogue.shed > out.compliant.shed,
+                "rogue shed {} vs compliant {}",
+                out.rogue.shed,
+                out.compliant.shed
+            );
+        }
     }
 }
 
@@ -362,10 +359,11 @@ fn upgrade_wave_with_crash_and_rogue_tenant_degrades_gracefully() {
 /// outcome including the flight-recorder dump and the fleet event log.
 #[test]
 fn fleet_run_is_deterministic_per_seed() {
-    let seed = chaos_seed(0xC4A0);
-    let a = fleet_run(seed, true, true);
-    let b = fleet_run(seed, true, true);
-    assert_eq!(a, b, "same-seed fleet runs diverged");
+    for seed in SEEDS {
+        let a = fleet_run(seed, true, true);
+        let b = fleet_run(seed, true, true);
+        assert_eq!(a, b, "same-seed fleet runs diverged (seed {seed:#x})");
+    }
 }
 
 /// The controller's lifecycle states — levels — surface as `fleet_*`

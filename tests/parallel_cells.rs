@@ -1,6 +1,6 @@
 //! Differential suite for the one parallel path this repo has: independent
 //! cells, each a fresh `Sim`, run side by side through
-//! [`nadino::experiment::parallel::pmap`] (DESIGN.md §2, "One simulation,
+//! [`nadino::experiment::parallel::pmap`] (DESIGN.md §2.2, "One simulation,
 //! one thread").
 //!
 //! Every cell builds the full-fidelity [`Cluster`] *inside* a `pmap` worker
@@ -8,8 +8,8 @@
 //! seeded fault plane with a node outage — and hands back one [`Digest`].
 //! What a cell computes must not depend on which thread built it, how many
 //! siblings ran beside it, or the order they finished in: the digests at 2
-//! and 4 threads must equal the ones computed inline. CI sweeps `CHAOS_SEED`
-//! over the chaos suite's seed matrix (1, 42, 9001, 0xC4A0).
+//! and 4 threads must equal the ones computed inline, at every seed of the
+//! matrix ([`SEEDS`]).
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -24,6 +24,7 @@ use nadino::experiment::parallel::pmap;
 use nadino::workload::ClosedLoop;
 use rdma_sim::FaultPlane;
 use runtime::{ChainSpec, DagSpec};
+use simcore::rng::SEEDS;
 use simcore::{Histogram, Sim, SimDuration, SimRng};
 
 const TENANT: TenantId = TenantId(1);
@@ -33,10 +34,6 @@ const CELLS: u64 = 4;
 /// Pool widths compared against the inline (`threads = 1`) run.
 const THREADS: [usize; 2] = [2, 4];
 const CLIENTS: usize = 8;
-
-fn chaos_seed(default: u64) -> u64 {
-    simcore::rng::seed_from_env("CHAOS_SEED", default)
-}
 
 /// Everything a finished cell reports; plain data, so it crosses back from
 /// the worker thread that the cluster itself can never leave.
@@ -236,27 +233,31 @@ fn outage_dag_cell(seed: u64) -> Digest {
     out
 }
 
-/// Runs `CELLS` cells inline and again at every pool width, compares the
-/// digests, and returns the inline ones.
-fn identical_across_thread_counts(label: &str, seed: u64, cell: fn(u64) -> Digest) -> Vec<Digest> {
-    let run = |threads: usize| {
-        let cells = (0..CELLS).map(|i| move || cell(seed.wrapping_add(i)));
-        pmap(cells.collect(), threads)
-    };
-    let inline = run(1);
-    for threads in THREADS {
-        assert_eq!(
-            run(threads),
-            inline,
-            "{label}: {threads} threads diverged from inline (seed {seed:#x})"
-        );
+/// At every seed of the matrix: runs `CELLS` cells inline and again at every
+/// pool width and compares the digests. Returns the inline ones of all seeds.
+fn identical_across_thread_counts(label: &str, cell: fn(u64) -> Digest) -> Vec<Digest> {
+    let mut digests = Vec::new();
+    for seed in SEEDS {
+        let run = |threads: usize| {
+            let cells = (0..CELLS).map(|i| move || cell(seed.wrapping_add(i)));
+            pmap(cells.collect(), threads)
+        };
+        let inline = run(1);
+        for threads in THREADS {
+            assert_eq!(
+                run(threads),
+                inline,
+                "{label}: {threads} threads diverged from inline (seed {seed:#x})"
+            );
+        }
+        digests.extend(inline);
     }
-    inline
+    digests
 }
 
 #[test]
 fn fig06_echo_cells_are_identical_across_thread_counts() {
-    let cells = identical_across_thread_counts("echo", chaos_seed(1), echo_cell);
+    let cells = identical_across_thread_counts("echo", echo_cell);
     for d in &cells {
         assert!(d.completed > 0, "the workload must make progress");
         assert!(d.failed.is_empty(), "no fault plane, no failures: {d:?}");
@@ -265,7 +266,7 @@ fn fig06_echo_cells_are_identical_across_thread_counts() {
 
 #[test]
 fn dag_fan_out_cells_are_identical_across_thread_counts() {
-    let cells = identical_across_thread_counts("dag", chaos_seed(42), dag_cell);
+    let cells = identical_across_thread_counts("dag", dag_cell);
     for d in &cells {
         assert!(d.completed > 0, "the workload must make progress");
         assert!(d.failed.is_empty(), "no fault plane, no failures: {d:?}");
@@ -274,8 +275,7 @@ fn dag_fan_out_cells_are_identical_across_thread_counts() {
 
 #[test]
 fn echo_cells_through_an_outage_are_identical_across_thread_counts() {
-    let seed = chaos_seed(0xC4A0);
-    let cells = identical_across_thread_counts("outage echo", seed, outage_echo_cell);
+    let cells = identical_across_thread_counts("outage echo", outage_echo_cell);
     for d in &cells {
         assert!(d.completed > 0, "the workload must make progress");
         assert!(d.retries > 0, "the engines must retry through the faults");
@@ -289,8 +289,7 @@ fn echo_cells_through_an_outage_are_identical_across_thread_counts() {
 
 #[test]
 fn dag_cells_through_an_outage_account_for_every_request_and_buffer() {
-    let seed = chaos_seed(9001);
-    let cells = identical_across_thread_counts("outage dag", seed, outage_dag_cell);
+    let cells = identical_across_thread_counts("outage dag", outage_dag_cell);
     for d in &cells {
         assert!(d.completed > 0, "requests outside the outage complete");
         assert!(!d.failed.is_empty(), "the outage must fail some requests");
