@@ -118,10 +118,6 @@ struct ObsHub {
     last_alerting: usize,
     /// Observer fed every routing rebalance (fleet controller).
     fleet_observer: Option<FleetRouteObserver>,
-    /// The fleet lifecycle controller, when attached: its wave flag and
-    /// per-node lifecycle states join [`Cluster::sample_obs`] as
-    /// `fleet_*` gauges.
-    fleet: Option<crate::fleetctl::FleetController>,
     /// Gateway replies held for requests that entered through the front
     /// door, by request id. Whoever removes an entry answers it, so a
     /// completion and a failure for the same request cannot both fire.
@@ -783,13 +779,6 @@ impl Cluster {
         monitor
     }
 
-    /// Attaches the fleet lifecycle controller so its lifecycle states are
-    /// emitted as `fleet_*` gauges on every [`Cluster::sample_obs`] pass
-    /// (its counters are read from `FleetController::counters`).
-    pub fn attach_fleet(&self, controller: crate::fleetctl::FleetController) {
-        self.obs_hub.borrow_mut().fleet = Some(controller);
-    }
-
     /// Installs `handler` on the cluster failure dispatcher, so a delivery
     /// the DNE gave up on (retry budget exhausted, no reconnectable route)
     /// reaches one place — typically the ingress, which answers the client
@@ -802,8 +791,7 @@ impl Cluster {
 
     /// Samples the cluster's *levels* — values that can fall — into `reg`
     /// as gauges: per-`(node, tenant)` TX queue depth, DWRR deficit and
-    /// shadow-QP hit rate, per-node engine backlog, active QPs and pre-warm
-    /// hit rate, and (when attached) health and fleet lifecycle states.
+    /// shadow-QP hit rate, per-node engine backlog and active QPs.
     /// Running totals are not sampled: each lives in the struct that counts
     /// it ([`dne::types::DneStats`], `FleetCounters`, [`obs::Tracer`], …)
     /// and is read from there after the run (DESIGN.md §2.4). `now` stamps
@@ -814,39 +802,9 @@ impl Cluster {
         // (e.g. a ratio whose denominator stayed zero) reads as stale in
         // snapshots instead of silently holding its old value.
         reg.begin_sample();
-        {
-            let mut hub = self.obs_hub.borrow_mut();
-            if let Some(p) = hub.pipeline.as_mut() {
-                // One burn-rate series point per tenant per window.
-                p.sample_burn(now);
-            }
-            if let Some(h) = hub.health.as_ref() {
-                reg.gauge("cluster_capacity_factor", &[])
-                    .set(h.healthy_fraction());
-                for (node, state) in h.states() {
-                    let label = node.0.to_string();
-                    reg.gauge("node_health_state", &[("node", label.as_str())])
-                        .set(state.as_gauge());
-                }
-            }
-            if let Some(fc) = hub.fleet.as_ref() {
-                reg.gauge("fleet_wave_active", &[])
-                    .set(if fc.wave_active() { 1.0 } else { 0.0 });
-                let counts = fc.lifecycle_counts();
-                reg.gauge("fleet_nodes_in_service", &[])
-                    .set(counts.in_service as f64);
-                reg.gauge("fleet_nodes_draining", &[])
-                    .set(counts.draining as f64);
-                reg.gauge("fleet_nodes_upgrading", &[])
-                    .set(counts.upgrading as f64);
-                reg.gauge("fleet_nodes_decommissioned", &[])
-                    .set(counts.decommissioned as f64);
-                for (idx, node) in self.nodes.iter().enumerate() {
-                    let label = idx.to_string();
-                    reg.gauge("fleet_node_wire_version", &[("node", label.as_str())])
-                        .set(node.dne.wire_version() as f64);
-                }
-            }
+        if let Some(p) = self.obs_hub.borrow_mut().pipeline.as_mut() {
+            // One burn-rate series point per tenant per window.
+            p.sample_burn(now);
         }
         for (idx, node) in self.nodes.iter().enumerate() {
             let node_label = idx.to_string();

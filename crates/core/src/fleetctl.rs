@@ -29,9 +29,9 @@
 //!
 //! Every routing rebalance the cluster performs feeds back in through the
 //! fleet route observer — including the **stranded** keys (functions with
-//! no healthy alternative) that used to be silently discarded — and the
-//! controller's counters surface as `fleet_*` gauges via
-//! `Cluster::sample_obs`.
+//! no healthy alternative) that used to be silently discarded. The
+//! controller's state is read where it lives: `FleetController::{lifecycle_of,
+//! wave_active, counters, events}`.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -68,18 +68,6 @@ pub enum NodeLifecycle {
     Upgrading,
     /// Rotated out of the fleet; routes stay on backups until provisioned.
     Decommissioned,
-}
-
-impl NodeLifecycle {
-    /// Stable numeric encoding for gauges (0=in-service … 3=decommissioned).
-    pub fn as_gauge(self) -> f64 {
-        match self {
-            NodeLifecycle::InService => 0.0,
-            NodeLifecycle::Draining => 1.0,
-            NodeLifecycle::Upgrading => 2.0,
-            NodeLifecycle::Decommissioned => 3.0,
-        }
-    }
 }
 
 /// A typed fleet event, recorded in order (deterministic per seed).
@@ -139,7 +127,7 @@ pub enum FleetEvent {
     },
 }
 
-/// Monotonic controller counters (exported as `fleet_*` gauges).
+/// Monotonic controller counters, read through [`FleetController::counters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetCounters {
     pub drains_started: u64,
@@ -153,15 +141,6 @@ pub struct FleetCounters {
     pub stranded_routes: u64,
     pub decommissions: u64,
     pub provisions: u64,
-}
-
-/// Per-lifecycle node tallies for gauges.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LifecycleCounts {
-    pub in_service: usize,
-    pub draining: usize,
-    pub upgrading: usize,
-    pub decommissioned: usize,
 }
 
 struct WaveState {
@@ -189,8 +168,7 @@ pub struct FleetController {
 
 impl FleetController {
     /// Builds the controller and wires it into the cluster: registers the
-    /// fleet route observer (stranded keys become typed events) and
-    /// attaches itself for `fleet_*` gauge emission.
+    /// fleet route observer (stranded keys become typed events).
     pub fn install(cluster: &Rc<Cluster>, health: &HealthMonitor) -> FleetController {
         let lifecycle = (0..cluster.nodes.len())
             .map(|i| (i, NodeLifecycle::InService))
@@ -207,7 +185,6 @@ impl FleetController {
         };
         let observer = ctl.clone();
         cluster.set_fleet_route_observer(Rc::new(move |ev| observer.on_route_event(ev)));
-        cluster.attach_fleet(ctl.clone());
         ctl
     }
 
@@ -476,21 +453,6 @@ impl FleetController {
         self.inner.borrow().lifecycle.get(&idx).copied()
     }
 
-    /// Per-lifecycle node tallies.
-    pub fn lifecycle_counts(&self) -> LifecycleCounts {
-        let inner = self.inner.borrow();
-        let mut c = LifecycleCounts::default();
-        for l in inner.lifecycle.values() {
-            match l {
-                NodeLifecycle::InService => c.in_service += 1,
-                NodeLifecycle::Draining => c.draining += 1,
-                NodeLifecycle::Upgrading => c.upgrading += 1,
-                NodeLifecycle::Decommissioned => c.decommissioned += 1,
-            }
-        }
-        c
-    }
-
     /// Controller counters (monotonic).
     pub fn counters(&self) -> FleetCounters {
         self.inner.borrow().counters
@@ -583,14 +545,16 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_counts_track_transitions() {
+    fn lifecycle_tracks_decommission_and_provision() {
         let (mut sim, _cluster, _monitor, ctl) = harness();
-        assert_eq!(ctl.lifecycle_counts().in_service, 2);
+        let lifecycles = |ctl: &FleetController| [0, 1].map(|i| ctl.lifecycle_of(i));
+        let in_service = Some(NodeLifecycle::InService);
+        assert_eq!(lifecycles(&ctl), [in_service; 2]);
         ctl.decommission(&mut sim, 1);
         sim.run_for(SimDuration::from_millis(10));
-        let c = ctl.lifecycle_counts();
-        assert_eq!((c.in_service, c.decommissioned), (1, 1));
+        let decommissioned = Some(NodeLifecycle::Decommissioned);
+        assert_eq!(lifecycles(&ctl), [in_service, decommissioned]);
         ctl.provision(&mut sim, 1);
-        assert_eq!(ctl.lifecycle_counts().in_service, 2);
+        assert_eq!(lifecycles(&ctl), [in_service; 2]);
     }
 }

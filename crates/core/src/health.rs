@@ -64,18 +64,6 @@ pub enum NodeState {
     Draining,
 }
 
-impl NodeState {
-    /// Stable numeric encoding for gauges (0=healthy … 3=draining).
-    pub fn as_gauge(self) -> f64 {
-        match self {
-            NodeState::Healthy => 0.0,
-            NodeState::Suspect => 1.0,
-            NodeState::Down => 2.0,
-            NodeState::Draining => 3.0,
-        }
-    }
-}
-
 /// One recorded state transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthEvent {

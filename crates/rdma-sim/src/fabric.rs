@@ -1,9 +1,11 @@
-//! The RDMA fabric: nodes, RC queue pairs, verbs and completion delivery.
+//! The RDMA fabric's public handle and the driver behind it.
 //!
-//! All state lives behind a single `Rc<RefCell<_>>` shared by the closures
-//! the fabric schedules on the [`simcore::Sim`] event engine. Public verb
-//! calls validate synchronously (like `ibv_post_send` returning an error)
-//! and then schedule the hardware timeline:
+//! Everything the fabric decides is decided by the state machine in
+//! `crate::core`, which never sees the simulator. [`Fabric`] is a cheap
+//! handle to it: a verb validates synchronously (like `ibv_post_send`
+//! returning an error) and hands the hardware timeline that follows to the
+//! driver, `Fabric::{drive, apply}` — the one place in the crate that
+//! schedules an event or calls a [`CqWaker`]:
 //!
 //! ```text
 //! post_send ─→ requester RNIC (Server) ─→ egress shaper (TokenBucket)
@@ -15,14 +17,8 @@
 //! Receive buffers come from shared receive queues (one per tenant, as in
 //! §3.3); a send arriving at an empty RQ triggers RNR NAK retries and
 //! eventually an error completion, reproducing RC semantics.
-//!
-//! CQ, RQ and QP ids are allocated by fabric-wide counters and never
-//! reused, so the tables are indexed by id rather than hashed: CQs and RQs
-//! live for the fabric's lifetime in plain vectors, QPs in an
-//! [`IdTable`] where a destroyed QP leaves a 4-byte tombstone. A QP holds
-//! the CQ and RQ its sends land on, so delivery is one QP load.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell, RefMut};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
@@ -30,12 +26,13 @@ use membuf::export::MappedPool;
 use membuf::pool::{BufferPool, OwnedBuf};
 use membuf::tenant::TenantId;
 use simcore::ratelimit::TokenBucket;
-use simcore::{IdTable, Server, Sim, SimDuration, SimTime};
+use simcore::{Server, Sim, SimTime};
 
+use crate::core::{link_key, Core, CqState, Input, NodeState, Output, QpState, RqState};
 use crate::cost::RdmaCosts;
-use crate::fault::{FaultPlane, FaultStats, FaultVerdict};
+use crate::fault::{FaultPlane, FaultStats};
 use crate::mr::MrTable;
-use crate::types::{Cqe, CqeOpcode, CqeStatus, NodeId, QpId, RKey, RdmaError, WrId};
+use crate::types::{Cqe, NodeId, QpId, RKey, RdmaError, WrId};
 
 /// A completion queue identifier (fabric-wide unique).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,45 +44,6 @@ pub struct RqId(pub u32);
 
 /// Callback invoked when a CQE lands on an armed completion queue.
 pub type CqWaker = Rc<dyn Fn(&mut Sim)>;
-
-/// Normalizes a node pair into the unordered key the pre-warm stock uses.
-fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum QpState {
-    Connecting,
-    Ready,
-    /// The connection failed (injected fault or fatal transport error).
-    Error,
-}
-
-pub(crate) struct Qp {
-    /// The node this endpoint lives on (QP ids are fabric-wide, so a
-    /// handle naming the wrong node must not resolve).
-    pub(crate) node: NodeId,
-    pub(crate) peer_node: NodeId,
-    pub(crate) peer_qp: QpId,
-    pub(crate) tenant: TenantId,
-    /// This endpoint's CQ: where its send completions go.
-    pub(crate) cq: CqId,
-    /// The peer endpoint's CQ and shared RQ — where a send on this QP
-    /// lands — held here so delivery never looks the peer up.
-    pub(crate) peer_cq: CqId,
-    pub(crate) peer_rq: RqId,
-    pub(crate) state: QpState,
-    /// Shadow-QP accounting (§3.3): only active QPs occupy RNIC cache.
-    pub(crate) active: bool,
-    pub(crate) sq_outstanding: u32,
-    pub(crate) sends_posted: u64,
-    pub(crate) sends_completed: u64,
-    pub(crate) bytes_posted: u64,
-}
 
 /// Per-QP traffic counters (observability surface for the DNE's
 /// connection-pool and per-QP dashboards).
@@ -112,190 +70,19 @@ pub struct QpLoad {
     pub sq_depth: u32,
 }
 
-struct RecvWr {
-    wr_id: WrId,
-    buf: OwnedBuf,
-}
-
-pub(crate) struct RqState {
-    node: NodeId,
-    tenant: TenantId,
-    queue: VecDeque<RecvWr>,
-}
-
-pub(crate) struct CqState {
-    node: NodeId,
-    entries: VecDeque<Cqe>,
-    capacity: usize,
-    overflows: u64,
-    waker: Option<CqWaker>,
-}
-
-pub(crate) struct LandingSlot {
-    pub(crate) buf: OwnedBuf,
-    pub(crate) len: u32,
-    pub(crate) ready_at: SimTime,
-    pub(crate) written: bool,
-}
-
-pub(crate) struct NodeState {
-    pub(crate) rnic_tx: Server,
-    pub(crate) rnic_rx: Server,
-    pub(crate) egress: TokenBucket,
-    pub(crate) mrs: MrTable,
-    pub(crate) active_qps: usize,
-    /// High-water mark of simultaneously active QPs — the QP-cache
-    /// pressure signal the elastic control plane sizes its capacity
-    /// bound against.
-    pub(crate) peak_active_qps: usize,
-    /// One-sided landing slots keyed by `(rkey, slot index)`.
-    pub(crate) landing: HashMap<(RKey, u32), LandingSlot>,
-    /// Atomic cells for compare-and-swap, keyed by `(rkey, cell index)`.
-    pub(crate) atomics: HashMap<(RKey, u32), u64>,
-    pub(crate) tx_messages: u64,
-    pub(crate) rx_messages: u64,
-    pub(crate) rnr_events: u64,
-}
-
-pub(crate) struct Inner {
-    pub(crate) costs: RdmaCosts,
-    pub(crate) nodes: Vec<NodeState>,
-    /// Indexed by `CqId`; CQs are never destroyed.
-    cqs: Vec<CqState>,
-    /// Indexed by `RqId`; RQs are never destroyed.
-    rqs: Vec<RqState>,
-    /// Both endpoints of every connection, keyed by `QpId`.
-    qps: IdTable<Qp>,
-    /// Pre-warmed connection stock per unordered node pair: QP pairs whose
-    /// RC handshake already ran in the background, waiting for a tenant to
-    /// claim them (Swift-style pre-warm pool).
-    pub(crate) prewarm: HashMap<(NodeId, NodeId), usize>,
-    /// Optional deterministic fault model; `None` leaves delivery untouched.
-    pub(crate) faults: Option<FaultPlane>,
-    /// Annotates fault-plane events into request traces (disabled by
-    /// default; see [`Fabric::set_tracer`]).
-    pub(crate) tracer: obs::Tracer,
-    next_qp: u32,
-}
-
-impl Inner {
-    pub(crate) fn node(&self, id: NodeId) -> Result<&NodeState, RdmaError> {
-        self.nodes
-            .get(id.0 as usize)
-            .ok_or(RdmaError::UnknownNode(id))
-    }
-
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> Result<&mut NodeState, RdmaError> {
-        self.nodes
-            .get_mut(id.0 as usize)
-            .ok_or(RdmaError::UnknownNode(id))
-    }
-
-    pub(crate) fn qp(&self, h: QpHandle) -> Result<&Qp, RdmaError> {
-        self.node(h.node)?;
-        self.qps
-            .get(h.qp.0)
-            .filter(|q| q.node == h.node)
-            .ok_or(RdmaError::UnknownQp(h.qp))
-    }
-
-    pub(crate) fn per_op_penalty(&self, node: NodeId) -> SimDuration {
-        let n = &self.nodes[node.0 as usize];
-        self.costs.qp_cache_penalty(n.active_qps)
-            + self.costs.mtt_penalty(n.mrs.total_mtt_entries())
-    }
-
-    fn push_cqe(&mut self, cq: CqId, cqe: Cqe) -> Option<CqWaker> {
-        // A CQE for a CQ that does not exist is dropped (recycling any
-        // attached buffer), like one arriving at a full CQ.
-        let state = self.cqs.get_mut(cq.0 as usize)?;
-        if state.entries.len() >= state.capacity {
-            // CQ overflow: on hardware this is a fatal async event; we drop
-            // the completion (recycling any attached buffer) and count it.
-            state.overflows += 1;
-            return None;
-        }
-        state.entries.push_back(cqe);
-        state.waker.clone()
-    }
-
-    /// Validates a requester-side post and admits it to the TX pipeline.
-    /// Returns `(peer node, the QP's own CQ, departure instant)`.
-    pub(crate) fn admit_tx(
-        &mut self,
-        now: SimTime,
-        h: QpHandle,
-        len: usize,
-        check_mr: Option<&OwnedBuf>,
-    ) -> Result<(NodeId, CqId, SimTime), RdmaError> {
-        if len > self.costs.max_msg_size {
-            return Err(RdmaError::MessageTooLarge {
-                len,
-                max: self.costs.max_msg_size,
-            });
-        }
-        let node = self
-            .nodes
-            .get_mut(h.node.0 as usize)
-            .ok_or(RdmaError::UnknownNode(h.node))?;
-        if let Some(buf) = check_mr {
-            if !node.mrs.is_registered(buf.tenant(), buf.pool_id()) {
-                return Err(RdmaError::UnregisteredMemory);
-            }
-        }
-        let qp = self
-            .qps
-            .get_mut(h.qp.0)
-            .filter(|q| q.node == h.node)
-            .ok_or(RdmaError::UnknownQp(h.qp))?;
-        if qp.state != QpState::Ready {
-            return Err(RdmaError::QpNotReady(h.qp));
-        }
-        let penalty = self.costs.qp_cache_penalty(node.active_qps)
-            + self.costs.mtt_penalty(node.mrs.total_mtt_entries());
-        let tx_fixed = self.costs.rnic_tx_fixed + self.costs.host_dma(len);
-        let tx_done = node.rnic_tx.admit(now, tx_fixed + penalty);
-        let depart = node.egress.reserve(tx_done, len as u64);
-        node.tx_messages += 1;
-        qp.sq_outstanding += 1;
-        qp.sends_posted += 1;
-        qp.bytes_posted += len as u64;
-        Ok((qp.peer_node, qp.cq, depart))
-    }
-
-    /// Marks a WR as having left the SQ (a send completion was generated).
-    pub(crate) fn retire_wr(&mut self, h: QpHandle) {
-        if let Some(qp) = self.qps.get_mut(h.qp.0) {
-            qp.sq_outstanding = qp.sq_outstanding.saturating_sub(1);
-            qp.sends_completed += 1;
-        }
-    }
-
-    /// Sets one endpoint's shadow-QP flag, keeping its node's cache
-    /// occupancy (and high-water mark) in step.
-    fn set_active(&mut self, id: QpId, active: bool) {
-        let Some(qp) = self.qps.get_mut(id.0) else {
-            return;
-        };
-        if qp.active == active {
-            return;
-        }
-        qp.active = active;
-        let node = &mut self.nodes[qp.node.0 as usize];
-        if active {
-            node.active_qps += 1;
-            node.peak_active_qps = node.peak_active_qps.max(node.active_qps);
-        } else {
-            node.active_qps -= 1;
-        }
-    }
-}
-
 /// A handle naming one endpoint of an RC connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QpHandle {
     pub node: NodeId,
     pub qp: QpId,
+}
+
+/// What a [`Fabric`] handle points at: the state machine, and beside it the
+/// CQ wakers, which only the driver calls.
+struct Shared {
+    core: RefCell<Core>,
+    /// Indexed by `CqId`.
+    wakers: RefCell<Vec<Option<CqWaker>>>,
 }
 
 /// The simulated RDMA fabric.
@@ -315,38 +102,39 @@ pub struct QpHandle {
 /// ```
 #[derive(Clone)]
 pub struct Fabric {
-    inner: Rc<RefCell<Inner>>,
+    inner: Rc<Shared>,
 }
 
 impl Fabric {
     /// Creates an empty fabric with the given cost model.
     pub fn new(costs: RdmaCosts) -> Self {
+        let mut core = Core::default();
+        core.costs = costs;
+        let (core, wakers) = (RefCell::new(core), RefCell::default());
         Fabric {
-            inner: Rc::new(RefCell::new(Inner {
-                costs,
-                nodes: Vec::new(),
-                cqs: Vec::new(),
-                rqs: Vec::new(),
-                qps: IdTable::new(),
-                prewarm: HashMap::new(),
-                faults: None,
-                tracer: obs::Tracer::default(),
-                next_qp: 0,
-            })),
+            inner: Rc::new(Shared { core, wakers }),
         }
+    }
+
+    pub(crate) fn core(&self) -> Ref<'_, Core> {
+        self.inner.core.borrow()
+    }
+
+    pub(crate) fn core_mut(&self) -> RefMut<'_, Core> {
+        self.inner.core.borrow_mut()
     }
 
     /// Returns a copy of the cost model in force.
     pub fn costs(&self) -> RdmaCosts {
-        self.inner.borrow().costs.clone()
+        self.core().costs.clone()
     }
 
     /// Attaches a new node (RNIC) to the fabric.
     pub fn add_node(&self) -> NodeId {
-        let mut inner = self.inner.borrow_mut();
-        let id = NodeId(inner.nodes.len() as u16);
-        let egress = TokenBucket::new(inner.costs.link_bytes_per_sec, inner.costs.link_burst_bytes);
-        inner.nodes.push(NodeState {
+        let mut core = self.core_mut();
+        let id = NodeId(core.nodes.len() as u16);
+        let egress = TokenBucket::new(core.costs.link_bytes_per_sec, core.costs.link_burst_bytes);
+        core.nodes.push(NodeState {
             rnic_tx: Server::new(),
             rnic_rx: Server::new(),
             egress,
@@ -362,48 +150,36 @@ impl Fabric {
         id
     }
 
-    /// Creates a completion queue on `node` with the default depth (64 Ki
-    /// entries, ample for every experiment).
+    /// Creates a completion queue on `node`, 64 Ki entries deep (ample for
+    /// every experiment). Completions arriving at a full CQ are dropped and
+    /// counted — the overflow condition real RNICs raise as a fatal async
+    /// event.
     pub fn create_cq(&self, node: NodeId) -> Result<CqId, RdmaError> {
-        self.create_cq_with_capacity(node, 64 * 1024)
-    }
-
-    /// Creates a completion queue with an explicit depth.
-    ///
-    /// Completions arriving at a full CQ are dropped and counted — the
-    /// overflow condition real RNICs raise as a fatal async event.
-    pub fn create_cq_with_capacity(
-        &self,
-        node: NodeId,
-        capacity: usize,
-    ) -> Result<CqId, RdmaError> {
-        assert!(capacity > 0, "CQ capacity must be positive");
-        let mut inner = self.inner.borrow_mut();
-        inner.node(node)?;
-        let id = CqId(inner.cqs.len() as u32);
-        inner.cqs.push(CqState {
+        let mut core = self.core_mut();
+        core.node(node)?;
+        let id = CqId(core.cqs.len() as u32);
+        core.cqs.push(CqState {
             node,
             entries: VecDeque::new(),
-            capacity,
             overflows: 0,
-            waker: None,
         });
+        self.inner.wakers.borrow_mut().push(None);
         Ok(id)
     }
 
     /// Returns how many completions were lost to CQ overflow.
     pub fn cq_overflows(&self, cq: CqId) -> u64 {
-        let inner = self.inner.borrow();
-        inner.cqs.get(cq.0 as usize).map_or(0, |c| c.overflows)
+        let core = self.core();
+        core.cqs.get(cq.0 as usize).map_or(0, |c| c.overflows)
     }
 
     /// Creates a shared receive queue for `tenant` on `node` (§3.3: all of a
     /// tenant's RCQPs share one RQ so data lands in the right pool).
     pub fn create_rq(&self, node: NodeId, tenant: TenantId) -> Result<RqId, RdmaError> {
-        let mut inner = self.inner.borrow_mut();
-        inner.node(node)?;
-        let id = RqId(inner.rqs.len() as u32);
-        inner.rqs.push(RqState {
+        let mut core = self.core_mut();
+        core.node(node)?;
+        let id = RqId(core.rqs.len() as u32);
+        core.rqs.push(RqState {
             node,
             tenant,
             queue: VecDeque::new(),
@@ -413,39 +189,32 @@ impl Fabric {
 
     /// Arms `cq` with a waker invoked whenever a completion is delivered.
     pub fn set_cq_waker(&self, cq: CqId, waker: CqWaker) -> Result<(), RdmaError> {
-        let mut inner = self.inner.borrow_mut();
-        let state = inner.cqs.get_mut(cq.0 as usize);
-        state.ok_or(RdmaError::UnknownCq)?.waker = Some(waker);
+        let mut wakers = self.inner.wakers.borrow_mut();
+        *wakers.get_mut(cq.0 as usize).ok_or(RdmaError::UnknownCq)? = Some(waker);
         Ok(())
     }
 
     /// Registers a host pool with the node's RNIC.
     pub fn register_pool(&self, node: NodeId, pool: BufferPool) -> Result<RKey, RdmaError> {
-        let mut inner = self.inner.borrow_mut();
-        Ok(inner.node_mut(node)?.mrs.register_pool(pool))
+        Ok(self.core_mut().node_mut(node)?.mrs.register_pool(pool))
     }
 
     /// Registers a cross-processor mapped pool; requires the `Rdma` grant.
     pub fn register_mapped(&self, node: NodeId, mapped: &MappedPool) -> Result<RKey, RdmaError> {
-        let mut inner = self.inner.borrow_mut();
-        inner.node_mut(node)?.mrs.register_mapped(mapped)
+        self.core_mut().node_mut(node)?.mrs.register_mapped(mapped)
     }
 
     /// Looks up the rkey a pool was registered under on `node`.
     pub fn rkey_of(&self, node: NodeId, tenant: TenantId, pool_id: u16) -> Option<RKey> {
-        self.inner
-            .borrow()
-            .node(node)
-            .ok()?
-            .mrs
-            .rkey_of(tenant, pool_id)
+        self.core().node(node).ok()?.mrs.rkey_of(tenant, pool_id)
     }
 
     /// Establishes an RC connection between `a` and `b` for `tenant`.
     ///
     /// Returns the two QP endpoints immediately in `Connecting` state; they
     /// transition to `Ready` after the configured connection-setup delay
-    /// (tens of milliseconds, §3.3). QPs start *inactive* (shadow QPs).
+    /// (tens of milliseconds, §3.3) unless the connection broke meanwhile.
+    /// QPs start *inactive* (shadow QPs).
     #[allow(clippy::too_many_arguments)]
     pub fn connect(
         &self,
@@ -458,70 +227,13 @@ impl Fabric {
         cq_b: CqId,
         rq_b: RqId,
     ) -> Result<(QpHandle, QpHandle), RdmaError> {
-        let delay = self.inner.borrow().costs.connect_delay;
-        self.establish(sim, tenant, a, cq_a, rq_a, b, cq_b, rq_b, delay)
-    }
-
-    /// Creates a QP pair that becomes `Ready` after `delay` — the shared
-    /// tail of the cold [`Fabric::connect`] path and the pre-warmed
-    /// [`Fabric::claim_prewarmed`] path.
-    #[allow(clippy::too_many_arguments)]
-    fn establish(
-        &self,
-        sim: &mut Sim,
-        tenant: TenantId,
-        a: NodeId,
-        cq_a: CqId,
-        rq_a: RqId,
-        b: NodeId,
-        cq_b: CqId,
-        rq_b: RqId,
-        delay: SimDuration,
-    ) -> Result<(QpHandle, QpHandle), RdmaError> {
-        let (qa, qb) = {
-            let mut inner = self.inner.borrow_mut();
-            inner.node(a)?;
-            inner.node(b)?;
-            let cq_on = |cq: CqId| inner.cqs.get(cq.0 as usize).map(|c| c.node);
-            if cq_on(cq_a) != Some(a) || cq_on(cq_b) != Some(b) {
-                return Err(RdmaError::UnknownCq);
-            }
-            let rq_on = |rq: RqId| inner.rqs.get(rq.0 as usize).map(|r| r.node);
-            if rq_on(rq_a) != Some(a) || rq_on(rq_b) != Some(b) {
-                return Err(RdmaError::UnknownRq);
-            }
-            let qa = QpId(inner.next_qp);
-            let qb = QpId(inner.next_qp + 1);
-            inner.next_qp += 2;
-            let mk = |node, cq, peer_node, peer_qp, peer_cq, peer_rq| Qp {
-                node,
-                peer_node,
-                peer_qp,
-                tenant,
-                cq,
-                peer_cq,
-                peer_rq,
-                state: QpState::Connecting,
-                active: false,
-                sq_outstanding: 0,
-                sends_posted: 0,
-                sends_completed: 0,
-                bytes_posted: 0,
-            };
-            inner.qps.insert(qa.0, mk(a, cq_a, b, qb, cq_b, rq_b));
-            inner.qps.insert(qb.0, mk(b, cq_b, a, qa, cq_a, rq_a));
-            (qa, qb)
+        let (pair, ready) = {
+            let core = &mut *self.core_mut();
+            let ready_at = sim.now() + core.costs.connect_delay;
+            core.establish(ready_at, tenant, a, cq_a, rq_a, b, cq_b, rq_b)?
         };
-        let inner = self.inner.clone();
-        sim.schedule_after(delay, move |_| {
-            let mut inner = inner.borrow_mut();
-            for id in [qa, qb] {
-                if let Some(qp) = inner.qps.get_mut(id.0) {
-                    qp.state = QpState::Ready;
-                }
-            }
-        });
-        Ok((QpHandle { node: a, qp: qa }, QpHandle { node: b, qp: qb }))
+        self.apply(sim, ready);
+        Ok(pair)
     }
 
     /// Pre-establishes `n` connection skeletons between `a` and `b` in the
@@ -538,31 +250,23 @@ impl Fabric {
         n: usize,
     ) -> Result<(), RdmaError> {
         let delay = {
-            let inner = self.inner.borrow();
-            inner.node(a)?;
-            inner.node(b)?;
-            inner.costs.connect_delay
+            let core = self.core();
+            core.node(a)?;
+            core.node(b)?;
+            core.costs.connect_delay
         };
-        if n == 0 {
-            return Ok(());
+        if n > 0 {
+            let link = link_key(a, b);
+            self.apply(sim, Output::At(sim.now() + delay, Input::Stock { link, n }));
         }
-        let key = link_key(a, b);
-        let inner = self.inner.clone();
-        sim.schedule_after(delay, move |_| {
-            *inner.borrow_mut().prewarm.entry(key).or_insert(0) += n;
-        });
         Ok(())
     }
 
     /// Returns how many pre-warmed connection skeletons are ready to claim
     /// between `a` and `b`.
     pub fn prewarmed_available(&self, a: NodeId, b: NodeId) -> usize {
-        self.inner
-            .borrow()
-            .prewarm
-            .get(&link_key(a, b))
-            .copied()
-            .unwrap_or(0)
+        let core = self.core();
+        core.prewarm.get(&link_key(a, b)).copied().unwrap_or(0)
     }
 
     /// Claims a pre-warmed connection skeleton between `a` and `b` for
@@ -581,27 +285,21 @@ impl Fabric {
         cq_b: CqId,
         rq_b: RqId,
     ) -> Result<Option<(QpHandle, QpHandle)>, RdmaError> {
-        let delay = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(stock) = inner.prewarm.get_mut(&link_key(a, b)).filter(|s| **s > 0) else {
+        let (pair, ready) = {
+            let core = &mut *self.core_mut();
+            let key = link_key(a, b);
+            let stock = core.prewarm.get(&key).copied().unwrap_or(0);
+            if stock == 0 {
                 return Ok(None);
-            };
-            *stock -= 1;
-            inner.costs.prewarm_claim_delay
-        };
-        match self.establish(sim, tenant, a, cq_a, rq_a, b, cq_b, rq_b, delay) {
-            Ok(pair) => Ok(Some(pair)),
-            Err(e) => {
-                // Validation failed after the stock was debited: refund it.
-                *self
-                    .inner
-                    .borrow_mut()
-                    .prewarm
-                    .entry(link_key(a, b))
-                    .or_insert(0) += 1;
-                Err(e)
             }
-        }
+            let ready_at = sim.now() + core.costs.prewarm_claim_delay;
+            let claimed = core.establish(ready_at, tenant, a, cq_a, rq_a, b, cq_b, rq_b)?;
+            // Debited only once validation passed.
+            core.prewarm.insert(key, stock - 1);
+            claimed
+        };
+        self.apply(sim, ready);
+        Ok(Some(pair))
     }
 
     /// Tears down a connection completely, removing **both** endpoints and
@@ -611,13 +309,7 @@ impl Fabric {
     /// the pool's idle-age check guarantees; a send still in flight on a
     /// destroyed QP is flushed back to its poster in error.
     pub fn destroy_qp(&self, h: QpHandle) -> Result<(), RdmaError> {
-        let mut inner = self.inner.borrow_mut();
-        let peer_qp = inner.qp(h)?.peer_qp;
-        for id in [h.qp, peer_qp] {
-            inner.set_active(id, false);
-            inner.qps.remove(id.0);
-        }
-        Ok(())
+        self.core_mut().destroy(h)
     }
 
     /// Returns `true` once the QP finished connection setup (and has not
@@ -633,15 +325,7 @@ impl Fabric {
     /// already in flight still deliver (the fault hits the connection
     /// state, not packets on the wire).
     pub fn inject_qp_error(&self, h: QpHandle) -> Result<(), RdmaError> {
-        let mut inner = self.inner.borrow_mut();
-        let peer_qp = inner.qp(h)?.peer_qp;
-        for id in [h.qp, peer_qp] {
-            inner.set_active(id, false);
-            if let Some(qp) = inner.qps.get_mut(id.0) {
-                qp.state = QpState::Error;
-            }
-        }
-        Ok(())
+        self.core_mut().qp_error(h)
     }
 
     /// Installs a deterministic fault plane, replacing any existing one.
@@ -649,49 +333,38 @@ impl Fabric {
     /// A plane with all probabilities at zero and no scheduled events
     /// leaves delivery byte-identical to a fabric without one.
     pub fn install_fault_plane(&self, fp: FaultPlane) {
-        self.inner.borrow_mut().faults = Some(fp);
+        self.core_mut().faults = Some(fp);
     }
 
     /// Shares a tracer so fault-plane events (wire loss, corruption) are
     /// annotated into the affected request's trace as `FaultInject`
     /// markers. A disabled tracer (the default) records nothing.
     pub fn set_tracer(&self, tracer: obs::Tracer) {
-        self.inner.borrow_mut().tracer = tracer;
+        self.core_mut().tracer = tracer;
     }
 
     /// Runs `f` against the fault plane, installing a zero-fault plane
     /// (seed 0) first if none is present.
     pub fn with_fault_plane<R>(&self, f: impl FnOnce(&mut FaultPlane) -> R) -> R {
-        let mut inner = self.inner.borrow_mut();
-        f(inner.faults.get_or_insert_with(|| FaultPlane::new(0)))
+        let mut core = self.core_mut();
+        f(core.faults.get_or_insert_with(|| FaultPlane::new(0)))
     }
 
     /// Returns the fault counters (all zero when no plane is installed).
     pub fn fault_stats(&self) -> FaultStats {
-        self.inner
-            .borrow()
-            .faults
-            .as_ref()
-            .map(|f| f.stats)
-            .unwrap_or_default()
+        let core = self.core();
+        core.faults.as_ref().map(|f| f.stats).unwrap_or_default()
     }
 
     /// Schedules a QP kill at `at`: the connection breaks at both ends as
     /// with [`Fabric::inject_qp_error`], and the fault plane counts it.
     pub fn schedule_qp_kill(&self, sim: &mut Sim, at: SimTime, h: QpHandle) {
-        let this = self.clone();
-        sim.schedule_at(at, move |_| {
-            if this.inject_qp_error(h).is_ok() {
-                if let Some(fp) = this.inner.borrow_mut().faults.as_mut() {
-                    fp.stats.qp_kills += 1;
-                }
-            }
-        });
+        self.apply(sim, Output::At(at, Input::QpKill(h)));
     }
 
     /// Registers a crash window `[from, until)` for `node`: every message
     /// to or from the node inside the window is dropped on the wire and the
-    /// sender eventually sees [`CqeStatus::TransportRetryExceeded`].
+    /// sender eventually sees `CqeStatus::TransportRetryExceeded`.
     /// Installs a zero-fault plane if none is present.
     pub fn schedule_node_outage(&self, node: NodeId, from: SimTime, until: SimTime) {
         self.with_fault_plane(|fp| fp.add_outage(node, from, until));
@@ -700,38 +373,30 @@ impl Fabric {
     /// Marks a QP active/inactive (shadow-QP mechanism, §3.3). Only active
     /// QPs count against the RNIC QP cache.
     pub fn set_qp_active(&self, h: QpHandle, active: bool) -> Result<(), RdmaError> {
-        let mut inner = self.inner.borrow_mut();
-        inner.qp(h)?;
-        inner.set_active(h.qp, active);
+        let mut core = self.core_mut();
+        core.qp(h)?;
+        core.set_active(h.qp, active);
         Ok(())
     }
 
     /// Returns the number of active QPs on `node`.
     pub fn active_qp_count(&self, node: NodeId) -> usize {
-        self.inner
-            .borrow()
-            .node(node)
-            .map(|n| n.active_qps)
-            .unwrap_or(0)
+        self.core().node(node).map_or(0, |n| n.active_qps)
     }
 
     /// Returns the high-water mark of simultaneously active QPs on `node` —
     /// how deep into (or past) the RNIC QP cache the node has been.
     pub fn peak_active_qp_count(&self, node: NodeId) -> usize {
-        self.inner
-            .borrow()
-            .node(node)
-            .map(|n| n.peak_active_qps)
-            .unwrap_or(0)
+        self.core().node(node).map_or(0, |n| n.peak_active_qps)
     }
 
     /// Reads readiness, activation and SQ backlog of every QP in `qps`
     /// under one borrow of the fabric — the connection picker's view.
     /// `visit` must not call back into the fabric.
     pub fn qp_loads(&self, qps: &[QpHandle], mut visit: impl FnMut(QpHandle, QpLoad)) {
-        let inner = self.inner.borrow();
+        let core = self.core();
         for &h in qps {
-            let load = inner.qp(h).map_or(QpLoad::default(), |q| QpLoad {
+            let load = core.qp(h).map_or(QpLoad::default(), |q| QpLoad {
                 ready: q.state == QpState::Ready,
                 active: q.active,
                 sq_depth: q.sq_outstanding,
@@ -756,15 +421,7 @@ impl Fabric {
     /// Returns the traffic counters for one QP: posted sends, generated
     /// send completions, and bytes posted.
     pub fn qp_counters(&self, h: QpHandle) -> QpCounters {
-        self.inner
-            .borrow()
-            .qp(h)
-            .map(|q| QpCounters {
-                posted: q.sends_posted,
-                completed: q.sends_completed,
-                bytes: q.bytes_posted,
-            })
-            .unwrap_or_default()
+        self.core().qp(h).map(|q| q.counters).unwrap_or_default()
     }
 
     /// Returns whether the QP is currently marked active.
@@ -777,44 +434,26 @@ impl Fabric {
     /// The buffer's pool must be registered with the node's RNIC and belong
     /// to the RQ's tenant — the isolation property §3.3 relies on.
     pub fn post_recv(&self, rq: RqId, wr_id: WrId, buf: OwnedBuf) -> Result<(), RdmaError> {
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
-        let state = inner
+        let core = &mut *self.core_mut();
+        let state = core
             .rqs
             .get_mut(rq.0 as usize)
             .ok_or(RdmaError::UnknownRq)?;
         if buf.tenant() != state.tenant
-            || !inner.nodes[state.node.0 as usize]
+            || !core.nodes[state.node.0 as usize]
                 .mrs
                 .is_registered(buf.tenant(), buf.pool_id())
         {
             return Err(RdmaError::UnregisteredMemory);
         }
-        state.queue.push_back(RecvWr { wr_id, buf });
+        state.queue.push_back((wr_id, buf));
         Ok(())
     }
 
     /// Returns the number of receive buffers currently posted on `rq`.
     pub fn rq_depth(&self, rq: RqId) -> usize {
-        let inner = self.inner.borrow();
-        inner.rqs.get(rq.0 as usize).map_or(0, |r| r.queue.len())
-    }
-
-    /// Schedules a CQE push (and its waker) at instant `at`.
-    pub(crate) fn schedule_cqe(
-        inner_rc: &Rc<RefCell<Inner>>,
-        sim: &mut Sim,
-        at: SimTime,
-        cq: CqId,
-        cqe: Cqe,
-    ) {
-        let rc = inner_rc.clone();
-        sim.schedule_at(at, move |sim| {
-            let waker = rc.borrow_mut().push_cqe(cq, cqe);
-            if let Some(w) = waker {
-                w(sim);
-            }
-        });
+        let core = self.core();
+        core.rqs.get(rq.0 as usize).map_or(0, |r| r.queue.len())
     }
 
     /// Posts a two-sided send of `buf` on `h`, with immediate data `imm`.
@@ -830,151 +469,14 @@ impl Fabric {
         buf: OwnedBuf,
         imm: u64,
     ) -> Result<(), RdmaError> {
-        let (arrival, d) = {
-            let mut inner = self.inner.borrow_mut();
-            let (_, sender_cq, depart) = inner.admit_tx(sim.now(), h, buf.len(), Some(&buf))?;
-            let d = Delivery {
-                sender: h,
-                sender_cq,
-                wr_id,
-                imm,
-                retries_left: inner.costs.rnr_retries,
-            };
-            let flight = inner.costs.serialization(buf.len()) + inner.costs.propagation;
-            (depart + flight, d)
-        };
-        let inner = self.inner.clone();
-        sim.schedule_at(arrival, move |sim| {
-            Self::deliver_send(inner, sim, d, buf);
-        });
+        let arrive = self.core_mut().post_send(sim.now(), h, wr_id, buf, imm)?;
+        self.apply(sim, arrive);
         Ok(())
-    }
-
-    fn deliver_send(inner_rc: Rc<RefCell<Inner>>, sim: &mut Sim, d: Delivery, buf: OwnedBuf) {
-        let mut guard = inner_rc.borrow_mut();
-        let inner = &mut *guard;
-        let now = sim.now();
-        let len = buf.len() as u32;
-        let cqe = |wr_id, qp, opcode, status, buf| Cqe {
-            wr_id,
-            qp,
-            opcode,
-            status,
-            byte_len: len,
-            imm: d.imm,
-            buf: Some(buf),
-        };
-        let send_cqe = |status, buf| cqe(d.wr_id, d.sender.qp, CqeOpcode::Send, status, buf);
-
-        // Everything delivery needs hangs off the sender's QP. If the
-        // connection was destroyed with this send in flight (or its RQ is
-        // gone), flush the WR back to its poster in error: the CQE carries
-        // the buffer home, so nothing leaks and nothing hangs.
-        let route = inner.qps.get(d.sender.qp.0).and_then(|q| {
-            inner.rqs.get(q.peer_rq.0 as usize)?;
-            Some((q.peer_node, q.peer_qp, q.peer_cq, q.peer_rq, q.tenant))
-        });
-        let Some((peer_node, peer_qp, recv_cq, rq_id, tenant)) = route else {
-            let flushed = send_cqe(CqeStatus::TransportRetryExceeded, buf);
-            Self::schedule_cqe(&inner_rc, sim, now, d.sender_cq, flushed);
-            return;
-        };
-        let penalty = inner.per_op_penalty(peer_node);
-        let rx_fixed = inner.costs.rnic_rx_fixed + inner.costs.host_dma(buf.len());
-        let ack = inner.costs.ack_delay;
-        let rnr_timer = inner.costs.rnr_timer;
-        let traced = |inner: &Inner| inner.tracer.is_enabled() && obs::ctx::sampled(buf.as_slice());
-        let mark_fault = |inner: &Inner, node: NodeId| {
-            let Some(req_id) = obs::ctx::req_id(buf.as_slice()) else {
-                return; // too short to name a request: nothing to annotate
-            };
-            let stage = obs::Stage::FaultInject;
-            inner
-                .tracer
-                .span(req_id, tenant.0, node.0 as u32, stage, now, now);
-        };
-
-        // Wire faults first: a lost message (link loss or crashed endpoint)
-        // never reaches the responder RNIC. The requester retransmits until
-        // its transport retry timer expires, then completes in error with
-        // the buffer handed back for recycling.
-        let verdict = match inner.faults.as_mut() {
-            Some(fp) => fp.roll_wire(d.sender.node, peer_node, now),
-            None => FaultVerdict::Deliver,
-        };
-        if verdict != FaultVerdict::Deliver {
-            if traced(inner) {
-                // Annotate the loss into the request's trace: an instant
-                // marker on the sender node, where the retransmit state
-                // lives (the message never reached the responder).
-                mark_fault(inner, d.sender.node);
-            }
-            inner.retire_wr(d.sender);
-            let lost = send_cqe(CqeStatus::TransportRetryExceeded, buf);
-            Self::schedule_cqe(&inner_rc, sim, now + rnr_timer, d.sender_cq, lost);
-            return;
-        }
-
-        let rx_done = {
-            let node = &mut inner.nodes[peer_node.0 as usize];
-            node.rx_messages += 1;
-            node.rnic_rx.admit(now, rx_fixed + penalty)
-        };
-        let rq = &mut inner.rqs[rq_id.0 as usize];
-        let Some(RecvWr {
-            wr_id: recv_wr,
-            buf: mut recv_buf,
-        }) = rq.queue.pop_front()
-        else {
-            // RNR NAK: retry after the timer, or fail the send.
-            inner.nodes[peer_node.0 as usize].rnr_events += 1;
-            if d.retries_left > 0 {
-                let mut d = d;
-                d.retries_left -= 1;
-                let rc = inner_rc.clone();
-                sim.schedule_at(rx_done + rnr_timer, move |sim| {
-                    Self::deliver_send(rc, sim, d, buf);
-                });
-            } else {
-                inner.retire_wr(d.sender);
-                let failed = send_cqe(CqeStatus::RnrRetryExceeded, buf);
-                Self::schedule_cqe(&inner_rc, sim, rx_done + ack, d.sender_cq, failed);
-            }
-            return;
-        };
-
-        // Corruption is detected at the responder after a buffer was popped:
-        // both ends complete in error, exactly like the length-error path.
-        let corrupted = match inner.faults.as_mut() {
-            Some(fp) => fp.roll_corruption(),
-            None => false,
-        };
-        let status = if corrupted {
-            if traced(inner) {
-                // Corruption is detected at the responder: mark it there.
-                mark_fault(inner, peer_node);
-            }
-            CqeStatus::DataCorrupted
-        } else if recv_buf.buf_size() < buf.len() {
-            // Posted buffer too small: error completions on both ends.
-            CqeStatus::LocalLengthError
-        } else {
-            // The RNIC DMA lands the payload in the posted buffer.
-            recv_buf.as_mut_slice()[..buf.len()].copy_from_slice(buf.as_slice());
-            recv_buf.set_len(buf.len()).expect("checked capacity");
-            CqeStatus::Success
-        };
-        inner.retire_wr(d.sender);
-        let recv = cqe(recv_wr, peer_qp, CqeOpcode::Recv, status, recv_buf);
-        Self::schedule_cqe(&inner_rc, sim, rx_done, recv_cq, recv);
-        let sent = send_cqe(status, buf);
-        Self::schedule_cqe(&inner_rc, sim, rx_done + ack, d.sender_cq, sent);
     }
 
     /// Polls up to `max` completions from `cq`.
     pub fn poll_cq(&self, cq: CqId, max: usize) -> Vec<Cqe> {
-        let mut inner = self.inner.borrow_mut();
-        match inner.cqs.get_mut(cq.0 as usize) {
+        match self.core_mut().cqs.get_mut(cq.0 as usize) {
             Some(state) => {
                 let n = state.entries.len().min(max);
                 state.entries.drain(..n).collect()
@@ -986,45 +488,67 @@ impl Fabric {
     /// Dequeues the oldest completion waiting on `cq`, if any (the
     /// allocation-free form of `poll_cq(cq, 1)`).
     pub fn poll_one(&self, cq: CqId) -> Option<Cqe> {
-        let mut inner = self.inner.borrow_mut();
-        inner.cqs.get_mut(cq.0 as usize)?.entries.pop_front()
+        let mut core = self.core_mut();
+        core.cqs.get_mut(cq.0 as usize)?.entries.pop_front()
     }
 
     /// Returns the number of completions waiting on `cq`.
     pub fn cq_depth(&self, cq: CqId) -> usize {
-        let inner = self.inner.borrow();
-        inner.cqs.get(cq.0 as usize).map_or(0, |c| c.entries.len())
+        let core = self.core();
+        core.cqs.get(cq.0 as usize).map_or(0, |c| c.entries.len())
     }
 
     /// Returns `(tx_messages, rx_messages, rnr_events)` for a node.
     pub fn node_counters(&self, node: NodeId) -> (u64, u64, u64) {
-        let inner = self.inner.borrow();
-        inner
-            .node(node)
-            .map(|n| (n.tx_messages, n.rx_messages, n.rnr_events))
-            .unwrap_or((0, 0, 0))
+        let core = self.core();
+        let n = core.node(node);
+        n.map_or((0, 0, 0), |n| (n.tx_messages, n.rx_messages, n.rnr_events))
     }
 
-    pub(crate) fn inner_rc(&self) -> Rc<RefCell<Inner>> {
-        self.inner.clone()
+    /// The driver: feeds `input` to the core and applies its outputs in
+    /// emission order. An `At` is scheduled as it is emitted (scheduling
+    /// never calls back into the fabric); a `Wake`, its step's one output,
+    /// runs once the core's borrow is dropped, since a waker polls the CQ.
+    fn drive(&self, sim: &mut Sim, input: Input) {
+        let now = sim.now();
+        let mut woken = None;
+        self.core_mut()
+            .step(now, input, &mut |output| match output {
+                Output::Wake(cq) => woken = Some(cq),
+                at => self.apply(sim, at),
+            });
+        if let Some(cq) = woken {
+            self.apply(sim, Output::Wake(cq));
+        }
+    }
+
+    /// Applies one output of the core: the only code in the crate that
+    /// schedules an event or calls a [`CqWaker`].
+    pub(crate) fn apply(&self, sim: &mut Sim, output: Output) {
+        match output {
+            Output::At(at, input) => {
+                sim.schedule_at(at, event(self.clone(), input));
+            }
+            Output::Wake(cq) => {
+                let waker = self.inner.wakers.borrow().get(cq.0 as usize).cloned();
+                if let Some(waker) = waker.flatten() {
+                    waker(sim);
+                }
+            }
+        }
     }
 }
 
-/// An in-flight two-sided send: what the arrival event needs besides the
-/// payload. Carries the sender's CQ so the WR can be completed (in error)
-/// even if its QP is gone by then.
-#[derive(Clone, Copy)]
-struct Delivery {
-    sender: QpHandle,
-    sender_cq: CqId,
-    wr_id: WrId,
-    imm: u64,
-    retries_left: u32,
+/// The closure [`Fabric::apply`] schedules: one handle and one input,
+/// stored inline in the event slab.
+fn event(fabric: Fabric, input: Input) -> impl FnOnce(&mut Sim) + 'static {
+    move |sim| fabric.drive(sim, input)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{CqeOpcode, CqeStatus};
     use membuf::pool::PoolConfig;
 
     fn mk_pool(tenant: u16, pool_id: u16) -> BufferPool {
@@ -1121,8 +645,8 @@ mod tests {
         assert_eq!(fabric.active_qp_count(h.node), 1);
         assert_eq!(fabric.peak_active_qp_count(h.node), 1);
         let peer = {
-            let inner = fabric.inner.borrow();
-            let qp = inner.qp(h).unwrap();
+            let core = fabric.core();
+            let qp = core.qp(h).unwrap();
             QpHandle {
                 node: qp.peer_node,
                 qp: qp.peer_qp,
@@ -1347,6 +871,21 @@ mod tests {
         assert_eq!(err, RdmaError::MessageTooLarge { len: 64, max: 16 });
     }
 
+    /// The one closure the driver schedules stores inline in the event
+    /// slab (72 of `INLINE_BYTES`' 80 B); one that spilled would box
+    /// every fabric event.
+    #[test]
+    fn a_scheduled_input_fits_inline() {
+        fn fits<F>(_: &F) -> bool {
+            simcore::event::EventFn::fits_inline::<F>()
+        }
+        let input = Input::Ready {
+            a: QpId(0),
+            b: QpId(1),
+        };
+        assert!(fits(&event(Fabric::new(RdmaCosts::default()), input)));
+    }
+
     #[test]
     fn larger_payloads_take_longer() {
         let mut p = setup();
@@ -1373,7 +912,9 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use crate::types::CqeStatus;
     use membuf::pool::PoolConfig;
+    use simcore::SimDuration;
 
     fn mk_pool(tenant: u16) -> BufferPool {
         let mut cfg = PoolConfig::new(TenantId(tenant), 0, 1024, 16);
@@ -1574,56 +1115,37 @@ mod fault_tests {
         assert!(!p.fabric.qp_ready(p.peer));
         assert_eq!(p.fabric.fault_stats().qp_kills, 1);
     }
-}
-#[cfg(test)]
-mod cq_overflow_tests {
-    use super::*;
-    use membuf::pool::PoolConfig;
 
+    /// Connection setup used to end by setting both endpoints `Ready`
+    /// whatever their state, undoing a fault that hit while connecting.
     #[test]
-    fn overflowing_cq_drops_and_counts() {
-        let fabric = Fabric::new(RdmaCosts::default());
-        let mut sim = Sim::new();
-        let a = fabric.add_node();
-        let b = fabric.add_node();
-        let t = TenantId(1);
-        let mut cfg = PoolConfig::new(t, 0, 512, 64);
-        cfg.segment_size = 32 * 1024;
-        let pool_a = BufferPool::new(cfg.clone()).unwrap();
-        let pool_b = BufferPool::new(cfg).unwrap();
-        fabric.register_pool(a, pool_a.clone()).unwrap();
-        fabric.register_pool(b, pool_b.clone()).unwrap();
-        // Sender CQ can hold only 2 completions.
-        let cq_a = fabric.create_cq_with_capacity(a, 2).unwrap();
-        let cq_b = fabric.create_cq(b).unwrap();
-        let rq_a = fabric.create_rq(a, t).unwrap();
-        let rq_b = fabric.create_rq(b, t).unwrap();
-        let (h, _) = fabric
-            .connect(&mut sim, t, a, cq_a, rq_a, b, cq_b, rq_b)
-            .unwrap();
-        sim.run();
-        for i in 0..6u64 {
-            fabric
-                .post_recv(rq_b, WrId(100 + i), pool_b.get().unwrap())
-                .unwrap();
-            fabric
-                .post_send(&mut sim, h, WrId(i), pool_a.get().unwrap(), 0)
-                .unwrap();
+    fn a_connection_broken_during_setup_never_comes_up() {
+        let mut p = fault_setup();
+        let (a, b, t) = (p.h.node, p.peer.node, TenantId(1));
+        let (cq_a, rq_a) = (p.cq_a, RqId(0));
+        let connect = |p: &mut FaultPair| {
+            let f = p.fabric.clone();
+            f.connect(&mut p.sim, t, a, cq_a, rq_a, b, p.cq_b, p.rq_b)
+                .unwrap()
+        };
+        let (errored, peer) = connect(&mut p);
+        p.fabric.inject_qp_error(errored).unwrap();
+        let (killed, _) = connect(&mut p);
+        let at = p.sim.now() + SimDuration::from_millis(1);
+        p.fabric.schedule_qp_kill(&mut p.sim, at, killed);
+        p.sim.run();
+        for h in [errored, peer, killed] {
+            assert!(!p.fabric.qp_ready(h), "{h:?} came up after its fault");
         }
-        sim.run(); // no polling: the sender CQ fills and overflows
-        assert_eq!(fabric.cq_depth(cq_a), 2);
-        assert_eq!(fabric.cq_overflows(cq_a), 4);
-        // Overflowed completions still recycled their buffers.
-        let _ = fabric.poll_cq(cq_a, 16);
-        assert_eq!(pool_a.stats().free, pool_a.capacity());
-        // The receiver CQ (default depth) saw everything.
-        assert_eq!(fabric.poll_cq(cq_b, 16).len(), 6);
-        assert_eq!(fabric.cq_overflows(cq_b), 0);
+        let buf = p.pool_a.get().unwrap();
+        let post = p.fabric.post_send(&mut p.sim, errored, WrId(0), buf, 0);
+        assert_eq!(post.unwrap_err(), RdmaError::QpNotReady(errored.qp));
     }
 }
 #[cfg(test)]
 mod id_table_tests {
     use super::*;
+    use crate::types::{CqeOpcode, CqeStatus};
     use membuf::pool::PoolConfig;
 
     struct Env {

@@ -10,11 +10,11 @@
 //!   serialization at 200 Gbps, RNR timers, QP-cache and MTT penalties).
 //! - [`mr`]: memory-region registration — only pools exported with the
 //!   `Rdma` grant may be registered, reproducing the DOCA mmap contract.
-//! - [`fabric`]: the fabric itself — nodes, RC connection establishment
-//!   (tens of milliseconds, as measured in the paper), two-sided
-//!   send/receive with shared receive queues and RNR NAK behaviour,
-//!   completion queues with optional wakers, and the shadow-QP
-//!   active/inactive accounting that feeds the QP-cache model.
+//! - [`fabric`]: the fabric's handle over a simulator-free state machine
+//!   (its driver schedules what that core asks) — nodes, RC connection
+//!   establishment (tens of milliseconds, as measured in the paper),
+//!   two-sided send/receive with shared receive queues and RNR NAK
+//!   behaviour, completion queues with optional wakers, and shadow QPs.
 //! - [`onesided`]: one-sided WRITE and compare-and-swap plus the landing-zone
 //!   helpers used by the Fig. 12 baselines (OWRC, OWDL).
 //!
@@ -23,6 +23,7 @@
 //! the simulated DMA completes, so end-to-end tests can assert content
 //! integrity, not just timing.
 
+mod core;
 pub mod cost;
 pub mod fabric;
 pub mod fault;

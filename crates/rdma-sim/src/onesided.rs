@@ -18,8 +18,8 @@
 use membuf::pool::OwnedBuf;
 use simcore::{Sim, SimTime};
 
-use crate::fabric::{Fabric, LandingSlot, QpHandle};
-use crate::types::{Cqe, CqeOpcode, CqeStatus, NodeId, RKey, RdmaError, WrId};
+use crate::fabric::{Fabric, QpHandle};
+use crate::types::{NodeId, RKey, RdmaError, WrId};
 
 impl Fabric {
     /// Dedicates `buf` as landing slot `(rkey, slot)` on `node`.
@@ -33,24 +33,14 @@ impl Fabric {
         slot: u32,
         buf: OwnedBuf,
     ) -> Result<(), RdmaError> {
-        let rc = self.inner_rc();
-        let mut inner = rc.borrow_mut();
-        {
-            // The slot buffer must come from the pool the rkey names.
-            let region = inner.node(node)?.mrs.region(rkey)?;
-            if region.pool.tenant() != buf.tenant() || region.pool.pool_id() != buf.pool_id() {
-                return Err(RdmaError::UnregisteredMemory);
-            }
+        let mut core = self.core_mut();
+        let node = core.node_mut(node)?;
+        // The slot buffer must come from the pool the rkey names.
+        let region = node.mrs.region(rkey)?;
+        if region.pool.tenant() != buf.tenant() || region.pool.pool_id() != buf.pool_id() {
+            return Err(RdmaError::UnregisteredMemory);
         }
-        inner.node_mut(node)?.landing.insert(
-            (rkey, slot),
-            LandingSlot {
-                buf,
-                len: 0,
-                ready_at: SimTime::MAX,
-                written: false,
-            },
-        );
+        node.landing.insert((rkey, slot), (buf, None));
         Ok(())
     }
 
@@ -63,14 +53,12 @@ impl Fabric {
         rkey: RKey,
         slot: u32,
     ) -> Result<Option<u32>, RdmaError> {
-        let rc = self.inner_rc();
-        let inner = rc.borrow();
-        let s = inner
-            .node(node)?
-            .landing
-            .get(&(rkey, slot))
-            .ok_or(RdmaError::BadSlot(slot))?;
-        Ok((s.written && s.ready_at <= now).then_some(s.len))
+        let core = self.core();
+        let landing = &core.node(node)?.landing;
+        let (buf, landed) = landing.get(&(rkey, slot)).ok_or(RdmaError::BadSlot(slot))?;
+        Ok(landed
+            .is_some_and(|at| at <= now)
+            .then_some(buf.len() as u32))
     }
 
     /// Takes the landing buffer out of the slot (the receiver then copies
@@ -81,15 +69,11 @@ impl Fabric {
         rkey: RKey,
         slot: u32,
     ) -> Result<OwnedBuf, RdmaError> {
-        let rc = self.inner_rc();
-        let mut inner = rc.borrow_mut();
-        let s = inner
-            .node_mut(node)?
-            .landing
+        let mut core = self.core_mut();
+        let landing = &mut core.node_mut(node)?.landing;
+        let (buf, _) = landing
             .remove(&(rkey, slot))
             .ok_or(RdmaError::BadSlot(slot))?;
-        let mut buf = s.buf;
-        buf.set_len(s.len as usize).expect("slot length fits");
         Ok(buf)
     }
 
@@ -109,60 +93,11 @@ impl Fabric {
         slot: u32,
         imm: u64,
     ) -> Result<(), RdmaError> {
-        let rc = self.inner_rc();
-        let (peer, sender_cq, depart, ser, prop) = {
-            let mut inner = rc.borrow_mut();
-            let (peer, sender_cq, depart) = inner.admit_tx(sim.now(), h, buf.len(), Some(&buf))?;
-            (
-                peer,
-                sender_cq,
-                depart,
-                inner.costs.serialization(buf.len()),
-                inner.costs.propagation,
-            )
-        };
-        let arrival = depart + ser + prop;
-        let rc2 = rc.clone();
-        sim.schedule_at(arrival, move |sim| {
-            let mut inner = rc2.borrow_mut();
-            let penalty = inner.per_op_penalty(peer);
-            let rx_fixed = inner.costs.rnic_rx_fixed + inner.costs.host_dma(buf.len());
-            let ack = inner.costs.ack_delay;
-            let rx_done = {
-                let node = &mut inner.nodes[peer.0 as usize];
-                node.rx_messages += 1;
-                node.rnic_rx.admit(sim.now(), rx_fixed + penalty)
-            };
-            inner.retire_wr(h);
-            let node = &mut inner.nodes[peer.0 as usize];
-            let (status, byte_len) = match node.landing.get_mut(&(rkey, slot)) {
-                Some(s) if s.buf.buf_size() >= buf.len() => {
-                    let len = buf.len();
-                    s.buf.as_mut_slice()[..len].copy_from_slice(buf.as_slice());
-                    s.len = len as u32;
-                    s.ready_at = rx_done;
-                    s.written = true;
-                    (CqeStatus::Success, len as u32)
-                }
-                Some(_) => (CqeStatus::LocalLengthError, buf.len() as u32),
-                None => (CqeStatus::RemoteAccessError, buf.len() as u32),
-            };
-            Fabric::schedule_cqe(
-                &rc2,
-                sim,
-                rx_done + ack,
-                sender_cq,
-                Cqe {
-                    wr_id,
-                    qp: h.qp,
-                    opcode: CqeOpcode::Write,
-                    status,
-                    byte_len,
-                    imm,
-                    buf: Some(buf),
-                },
-            );
-        });
+        let now = sim.now();
+        let arrive = self
+            .core_mut()
+            .post_write(now, h, wr_id, buf, (rkey, slot), imm)?;
+        self.apply(sim, arrive);
         Ok(())
     }
 
@@ -182,48 +117,11 @@ impl Fabric {
         expect: u64,
         swap: u64,
     ) -> Result<(), RdmaError> {
-        let rc = self.inner_rc();
-        let (peer, sender_cq, depart, prop) = {
-            let mut inner = rc.borrow_mut();
-            let (peer, sender_cq, depart) = inner.admit_tx(sim.now(), h, 32, None)?;
-            (peer, sender_cq, depart, inner.costs.propagation)
-        };
-        let arrival = depart + prop;
-        let rc2 = rc.clone();
-        sim.schedule_at(arrival, move |sim| {
-            let mut inner = rc2.borrow_mut();
-            let penalty = inner.per_op_penalty(peer);
-            let extra = inner.costs.atomic_extra;
-            let rx_fixed = inner.costs.rnic_rx_fixed;
-            let prop = inner.costs.propagation;
-            let rx_done = {
-                let node = &mut inner.nodes[peer.0 as usize];
-                node.rx_messages += 1;
-                node.rnic_rx.admit(sim.now(), rx_fixed + penalty + extra)
-            };
-            inner.retire_wr(h);
-            let node = &mut inner.nodes[peer.0 as usize];
-            let cell_ref = node.atomics.entry((rkey, cell)).or_insert(0);
-            let old = *cell_ref;
-            if old == expect {
-                *cell_ref = swap;
-            }
-            Fabric::schedule_cqe(
-                &rc2,
-                sim,
-                rx_done + prop,
-                sender_cq,
-                Cqe {
-                    wr_id,
-                    qp: h.qp,
-                    opcode: CqeOpcode::CompareSwap,
-                    status: CqeStatus::Success,
-                    byte_len: 8,
-                    imm: old,
-                    buf: None,
-                },
-            );
-        });
+        let now = sim.now();
+        let arrive = self
+            .core_mut()
+            .post_cas(now, h, wr_id, (rkey, cell), (expect, swap))?;
+        self.apply(sim, arrive);
         Ok(())
     }
 }
@@ -233,6 +131,7 @@ mod tests {
     use super::*;
     use crate::cost::RdmaCosts;
     use crate::fabric::{CqId, RqId};
+    use crate::types::{CqeOpcode, CqeStatus};
     use membuf::pool::{BufferPool, PoolConfig};
     use membuf::tenant::TenantId;
 

@@ -30,10 +30,10 @@ use crate::engine::Sim;
 /// Maximum closure capture size (bytes) stored without allocating.
 ///
 /// Ten words, sized to the largest capture on a request's path. Measured
-/// captures (x86-64): `Fabric::schedule_cqe` 72 B (`Rc` + `CqId` + `Cqe`),
-/// `Dne::kick` → `complete` 72 B (`Rc` + work item + dispatch instant),
-/// `ChainFunction::endpoint` 72 B, `Fabric::post_send` → `deliver_send`
-/// 64 B (`Rc` + `Delivery` + `OwnedBuf`), `Gateway::submit_tenant` 80 B.
+/// captures (x86-64): every `rdma_sim` fabric event 72 B (a `Fabric` handle
+/// and one fabric `Input`), `Dne::kick` → `complete` 72 B (`Rc`, work item,
+/// dispatch instant), `ChainFunction::endpoint` 72 B,
+/// `Gateway::submit_tenant` 80 B.
 /// Anything larger is boxed and counted in `SimProfile::boxed_events`.
 pub const INLINE_BYTES: usize = 80;
 

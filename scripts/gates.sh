@@ -5,7 +5,11 @@
 # Run it from anywhere; it works from the repository root.
 #
 #   scripts/gates.sh lint               fmt, clippy, rustdoc, and the greps
-#                                       that hold a design rule in place
+#                                       that hold a design rule in place —
+#                                       among them cores_are_simulator_free:
+#                                       the DNE's and the fabric's core never
+#                                       name the simulator, and only their
+#                                       drivers post or schedule
 #   scripts/gates.sh test               release build + the workspace suite:
 #                                       the seed matrix (simcore::rng::SEEDS)
 #                                       and the typed-outcome bars are tests
@@ -31,18 +35,37 @@ fail() {
 # A source file without its `#[cfg(test)]` tail.
 non_test() { sed '/#\[cfg(test)\]/,$d' "$1"; }
 
-# DESIGN.md §7 "A simulator-free core behind a thin driver".
-dne_core_is_simulator_free() {
-  if non_test crates/dne/src/core.rs |
-    grep -nE '\bSim\b|Rc<RefCell|schedule_at|schedule_after|\.cancel\('; then
-    fail "crates/dne/src/core.rs must not see the simulator"
-  fi
-  local posts=0 f
-  for f in crates/dne/src/*.rs; do
-    posts=$((posts + $(non_test "$f" | grep -c 'post_send(' || true)))
+# The non-test lines of the .rs files in directory $1 that match the
+# extended regex $2, as file:line:text.
+sites() {
+  local f
+  for f in "$1"/*.rs; do
+    non_test "$f" | grep -nE "$2" | sed "s|^|$f:|" || true
   done
-  [ "$posts" -eq 1 ] ||
-    fail "post_send( appears $posts times outside tests in crates/dne/src (want 1: the driver)"
+}
+
+# DESIGN.md §5 and §7 "A simulator-free core behind a thin driver": a core
+# file never names the simulator, and what only a driver does happens at a
+# fixed number of sites, all in the driver.
+cores_are_simulator_free() {
+  local f
+  for f in crates/dne/src/core.rs crates/rdma-sim/src/core.rs; do
+    if non_test "$f" | grep -nE '\bSim\b|Rc<RefCell|schedule_at|schedule_after|\.cancel\('; then
+      fail "$f must not see the simulator"
+    fi
+  done
+  local dir pattern driver want found
+  while read -r dir pattern driver want; do
+    found=$(sites "$dir" "$pattern")
+    if [ "$(printf '%s\n' "$found" | grep -c .)" -ne "$want" ] ||
+      printf '%s\n' "$found" | grep -v "^$driver:"; then
+      printf '%s\n' "$found"
+      fail "$pattern in $dir outside tests: want $want site(s), all in $driver"
+    fi
+  done <<'SITES'
+crates/dne/src post_send\( crates/dne/src/engine.rs 1
+crates/rdma-sim/src schedule_at\(|schedule_after\( crates/rdma-sim/src/fabric.rs 1
+SITES
 }
 
 # DESIGN.md §12 "Front door and load driver". The frozen benchmark package
@@ -143,7 +166,7 @@ case "${1:-}" in
     cargo clippy --workspace --all-targets -- -D warnings
     # A link to a deleted or private item fails the build.
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-    dne_core_is_simulator_free
+    cores_are_simulator_free
     one_front_door
     hops_take_no_lock
     one_sampler

@@ -366,11 +366,11 @@ fn fleet_run_is_deterministic_per_seed() {
     }
 }
 
-/// The controller's lifecycle states — levels — surface as `fleet_*`
-/// gauges through `sample_obs`; its counters — totals — are read from the
-/// controller, their one home.
+/// The health and fleet levels are read where they live — the monitor, the
+/// controller, the engines — not sampled: `sample_obs` writes none of them,
+/// and no total either.
 #[test]
-fn fleet_gauges_surface_through_sample_obs() {
+fn fleet_levels_are_read_from_their_homes() {
     let mut sim = Sim::new();
     let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
     let tenant = TenantId(1);
@@ -387,33 +387,29 @@ fn fleet_gauges_surface_through_sample_obs() {
     ctl.upgrade_node(&mut sim, 1, obs::CTX_V2, |_| {});
     sim.run();
 
+    assert!(!ctl.wave_active());
+    for idx in 0..2 {
+        assert_eq!(ctl.lifecycle_of(idx), Some(NodeLifecycle::InService));
+    }
+    assert_eq!(monitor.healthy_fraction(), 1.0);
+    for (node, state) in monitor.states() {
+        assert_eq!(state, nadino::health::NodeState::Healthy, "{node}");
+    }
+    assert_eq!(cluster.nodes[1].dne.wire_version(), obs::CTX_V2);
+    assert_eq!(cluster.nodes[0].dne.wire_version(), obs::CTX_CURRENT);
+
     let reg = obs::MetricsRegistry::new();
     cluster.sample_obs(sim.now(), &reg, SimDuration::from_millis(1));
     let snap = reg.snapshot();
-    assert_eq!(snap.gauge("fleet_wave_active", &[]), Some(0.0));
-    assert_eq!(snap.gauge("fleet_nodes_in_service", &[]), Some(2.0));
-    for state in ["draining", "upgrading", "decommissioned"] {
-        let name = format!("fleet_nodes_{state}");
-        assert_eq!(snap.gauge(&name, &[]), Some(0.0), "{name}");
-    }
-    assert_eq!(snap.gauge("cluster_capacity_factor", &[]), Some(1.0));
-    let healthy = nadino::health::NodeState::Healthy.as_gauge();
-    for node in ["0", "1"] {
-        let state = snap.gauge("node_health_state", &[("node", node)]);
-        assert_eq!(state, Some(healthy), "node {node}");
-    }
+    let stray = snap.gauges_iter().filter(|(name, ..)| {
+        let level = ["fleet_", "node_health", "cluster_capacity"];
+        level.iter().any(|p| name.starts_with(p)) || name.ends_with("_total")
+    });
     assert_eq!(
-        snap.gauge("fleet_node_wire_version", &[("node", "1")]),
-        Some(obs::CTX_V2 as f64)
+        stray.count(),
+        0,
+        "a health or fleet level, or a total, was sampled"
     );
-    assert_eq!(
-        snap.gauge("fleet_node_wire_version", &[("node", "0")]),
-        Some(obs::CTX_CURRENT as f64)
-    );
-    let totals = snap
-        .gauges_iter()
-        .filter(|(name, ..)| name.ends_with("_total"));
-    assert_eq!(totals.count(), 0, "a total was sampled as a gauge");
     let counters = ctl.counters();
     assert_eq!(counters.upgrades_completed, 1);
     assert!(counters.rebalances >= 2, "{counters:?}");
