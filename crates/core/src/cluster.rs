@@ -4,8 +4,8 @@
 //! fabric with one RNIC per worker node, a [`dne::Dne`] per node (DPU or
 //! CPU flavoured, per the configured [`DneConfig`]), host cores, per-node
 //! per-tenant unified memory pools exported cross-processor via the DOCA
-//! mmap handshake, the unified I/O library, and chain-aware function
-//! endpoints.
+//! mmap handshake, the unified I/O library, and the chain and DAG
+//! functions it runs.
 //!
 //! The cluster is also the one place a request enters (DESIGN.md §12,
 //! "Front door and load driver"). [`Cluster::inject`],
@@ -28,8 +28,8 @@ use ingress::gateway::{DeliveryFailed, Reply, ReqCtx, Upstream};
 use membuf::pool::{BufferPool, PoolConfig};
 use membuf::tenant::TenantId;
 use rdma_sim::{Fabric, NodeId, RdmaCosts};
-use runtime::function::{ChainFunction, CompletionFn};
-use runtime::{ChainSpec, IoLib, Placement};
+use runtime::function::CompletionFn;
+use runtime::{ChainSpec, DagSpec, IoLib, Placement, Spec};
 use simcore::{IdTable, Sim, SimDuration, SimTime};
 
 /// Host CPU cores per worker node: enough that they never saturate, so
@@ -122,6 +122,9 @@ struct ObsHub {
     /// door, by request id. Whoever removes an entry answers it, so a
     /// completion and a failure for the same request cannot both fire.
     replies: HashMap<u64, Reply>,
+    /// Every node's I/O library: a typed failure closes the request's DAG
+    /// joins on all of them.
+    libs: Vec<IoLib>,
 }
 
 impl ObsHub {
@@ -158,15 +161,12 @@ pub struct Cluster {
 }
 
 impl Drop for Cluster {
-    /// Frees the cluster. Function endpoints hold their node's I/O library
-    /// and engine, which hold the endpoints; the hub's handlers and held
-    /// replies can hold parts of the cluster the same way. Reference
-    /// counting alone never frees those cycles (every tenant pool stayed
-    /// resident), so dropping the cluster cuts them here.
+    /// Frees the cluster. The engines hold the hub through their failure
+    /// handlers, and the hub's I/O libraries, handlers and held replies
+    /// hold the engines. Reference counting alone never frees that cycle
+    /// (every tenant pool stayed resident), so dropping the cluster cuts it
+    /// here.
     fn drop(&mut self) {
-        for node in &self.nodes {
-            node.iolib.unregister_all();
-        }
         let hub = std::mem::take(&mut *self.obs_hub.borrow_mut());
         drop(hub); // outside the borrow: a handler may own the hub
     }
@@ -199,6 +199,7 @@ impl Cluster {
         // trace pipeline (when enabled) records/dumps first, then the
         // user's handler runs.
         let obs_hub: Rc<RefCell<ObsHub>> = Rc::new(RefCell::new(ObsHub::default()));
+        obs_hub.borrow_mut().libs = nodes.iter().map(|n| n.iolib.clone()).collect();
         for node in &nodes {
             let hub = obs_hub.clone();
             let reporter = node.id;
@@ -206,6 +207,9 @@ impl Cluster {
             node.dne.set_failure_handler(Rc::new(move |sim, failure| {
                 let (health, user) = {
                     let mut h = hub.borrow_mut();
+                    for lib in &h.libs {
+                        lib.forget(failure.req_id);
+                    }
                     if let Some(p) = h.pipeline.as_mut() {
                         p.on_failure(sim.now(), failure.req_id);
                     }
@@ -443,33 +447,46 @@ impl Cluster {
         self.nodes.iter().position(|n| n.id == node)
     }
 
-    /// Registers chain-aware endpoints for every distinct function of
-    /// `chain`, using `exec_cost` to price each function's logic. Functions
-    /// must already be placed.
+    /// Registers every function of `chain` on its node (and standby), as
+    /// data, with `exec_cost` pricing each function's logic. Functions must
+    /// already be placed.
     pub fn register_chain(
         &self,
         chain: &ChainSpec,
         exec_cost: impl Fn(u16) -> SimDuration,
         on_complete: CompletionFn,
     ) {
+        self.register(Spec::Chain(Rc::new(chain.clone())), exec_cost, on_complete);
+    }
+
+    /// Registers every function of `dag` (the paper's fan-out/fan-in
+    /// dataflow layered on the same primitives), as [`Cluster::register_chain`]
+    /// does a chain's.
+    pub fn register_dag(
+        &self,
+        dag: &DagSpec,
+        exec_cost: impl Fn(u16) -> SimDuration,
+        on_complete: CompletionFn,
+    ) {
+        self.register(Spec::Dag(Rc::new(dag.clone())), exec_cost, on_complete);
+    }
+
+    fn register(
+        &self,
+        spec: Spec,
+        exec_cost: impl Fn(u16) -> SimDuration,
+        on_complete: CompletionFn,
+    ) {
         let on_complete = self.hook_completion(on_complete);
-        let chain = Rc::new(chain.clone());
-        for f in chain.functions() {
+        for f in spec.functions() {
             let idx = self
                 .node_index_of(f)
                 .unwrap_or_else(|| panic!("function {f} is not placed"));
             for idx in self.deploy_indices(f, idx) {
-                let node = &self.nodes[idx];
-                let pool = self.pool(chain.tenant, idx).clone();
-                let ep = ChainFunction::endpoint(
-                    chain.clone(),
-                    exec_cost(f),
-                    pool,
-                    node.cpu.clone(),
-                    node.iolib.clone(),
-                    on_complete.clone(),
-                );
-                node.iolib.register_function(f, chain.tenant, ep);
+                let (spec, done) = (spec.clone(), on_complete.clone());
+                self.nodes[idx]
+                    .iolib
+                    .register_spec(f, spec, exec_cost(f), done);
             }
         }
     }
@@ -481,37 +498,6 @@ impl Cluster {
         let backup_idx = backup.and_then(|b| self.index_of(b));
         let standby = backup_idx.filter(|&b| b != placed_idx);
         std::iter::once(placed_idx).chain(standby).collect()
-    }
-
-    /// Registers DAG-aware endpoints for every function of `dag` (the
-    /// paper's fan-out/fan-in dataflow layered on the same primitives).
-    pub fn register_dag(
-        &self,
-        dag: &runtime::DagSpec,
-        exec_cost: impl Fn(u16) -> SimDuration,
-        on_complete: CompletionFn,
-    ) {
-        let on_complete = self.hook_completion(on_complete);
-        let dag = Rc::new(dag.clone());
-        for f in dag.functions() {
-            let idx = self
-                .node_index_of(f)
-                .unwrap_or_else(|| panic!("function {f} is not placed"));
-            for idx in self.deploy_indices(f, idx) {
-                let node = &self.nodes[idx];
-                let pool = self.pool(dag.tenant, idx).clone();
-                let ep = runtime::DagFunction::endpoint(
-                    dag.clone(),
-                    f,
-                    exec_cost(f),
-                    pool,
-                    node.cpu.clone(),
-                    node.iolib.clone(),
-                    on_complete.clone(),
-                );
-                node.iolib.register_function(f, dag.tenant, ep);
-            }
-        }
     }
 
     /// Wraps a user completion so the trace pipeline (when enabled) drains
@@ -546,7 +532,7 @@ impl Cluster {
     }
 
     /// Injects one request into a DAG's root function.
-    pub fn inject_dag(&self, sim: &mut Sim, dag: &runtime::DagSpec, req_id: u64) -> bool {
+    pub fn inject_dag(&self, sim: &mut Sim, dag: &DagSpec, req_id: u64) -> bool {
         let call = |p: &mut [u8]| {
             runtime::dag::set_dag_header(p, runtime::dag::DagMsg::Call, runtime::dag::CLIENT_CALLER)
         };
@@ -1201,6 +1187,48 @@ mod tests {
         );
         assert_eq!(driver.shed_count(), stats.failed);
         assert_eq!(cluster.pending_replies(), 0);
+    }
+
+    /// A fan-out that finds no buffer for a call sheds it as one typed
+    /// failure that names no node, instead of leaving the root's join
+    /// waiting forever with nothing reported.
+    #[test]
+    fn a_dag_call_shed_at_an_empty_pool_fails_typed() {
+        use dne::types::FailureReason;
+        use std::cell::Cell;
+        let mut sim = Sim::new();
+        let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
+        let tenant = TenantId(1);
+        cluster.add_tenant(&mut sim, tenant, 1).unwrap();
+        for f in 1..=5 {
+            cluster.place(f, 0);
+        }
+        let dag = DagSpec::new("fanout", tenant, 1, &[(1, &[2, 3, 4, 5][..])]);
+        let completed = Rc::new(Cell::new(0));
+        let sink = completed.clone();
+        let done: CompletionFn = Rc::new(move |_, _| sink.set(sink.get() + 1));
+        cluster.register_dag(&dag, |_| SimDuration::from_micros(5), done);
+        let failures = Rc::new(RefCell::new(Vec::new()));
+        let log = failures.clone();
+        cluster.set_delivery_failure_handler(Rc::new(move |_, f| log.borrow_mut().push(f)));
+        // Two free buffers: the injection's, back before the fan-out, and
+        // one more. Calls 2 and 3 take them; call 4 finds none.
+        let pool = cluster.pool(tenant, 0).clone();
+        let mut held = Vec::new();
+        while pool.stats().free > 2 {
+            held.push(pool.get().unwrap());
+        }
+        assert!(cluster.inject_dag(&mut sim, &dag, 7));
+        sim.run();
+        assert_eq!(completed.get(), 0);
+        let failures = failures.borrow();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        let f = failures[0];
+        assert_eq!(
+            (f.req_id, f.dst_fn, f.reason, f.dst_node),
+            (7, 4, FailureReason::NoBuffer, None)
+        );
+        assert_eq!(pool.stats().free, 2, "every buffer home");
     }
 
     #[test]

@@ -375,14 +375,6 @@ impl Dne {
         core.endpoints.insert(fn_id.into(), endpoint);
     }
 
-    /// Drops every registered endpoint. Endpoints usually hold the node's
-    /// I/O library, which holds this engine: whoever tears a node down
-    /// calls this to break that cycle.
-    pub fn clear_endpoints(&self) {
-        let dropped = std::mem::take(&mut self.inner.borrow_mut().endpoints);
-        drop(dropped); // outside the borrow: a closure may own a `Dne` handle
-    }
-
     /// Establishes `n` pooled RC connections between two engines for a
     /// tenant (both engines must share the same fabric and have the tenant
     /// registered).

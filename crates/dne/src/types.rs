@@ -229,6 +229,10 @@ pub enum FailureReason {
     /// monitor has marked down and no healthy replica exists — failing
     /// fast beats burning the retry budget against a corpse.
     DestinationDown,
+    /// The function runtime had no buffer for a fresh DAG message (the
+    /// sender's pool was empty): the message was shed. Says nothing about
+    /// any node's health.
+    NoBuffer,
 }
 
 /// A typed delivery failure the engine reports upstream once recovery is

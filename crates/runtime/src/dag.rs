@@ -12,18 +12,9 @@
 //! byte 8 is the message kind (call/response) and bytes 9..11 carry the
 //! sender's function id, so a callee knows whom to respond to.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
-use dne::engine::FnEndpoint;
-use dpu_sim::soc::Processor;
-use membuf::pool::BufferPool;
 use membuf::tenant::TenantId;
-use simcore::{Sim, SimDuration};
-
-use crate::function::{decode_request_id, CompletionFn};
-use crate::iolib::IoLib;
 
 /// Sender id used for calls injected by the client/ingress.
 pub const CLIENT_CALLER: u16 = 0;
@@ -141,233 +132,6 @@ impl DagSpec {
     pub fn messages_per_request(&self) -> usize {
         let calls: usize = self.children.values().map(Vec::len).sum();
         2 * calls
-    }
-}
-
-/// Per-request join bookkeeping at one function.
-struct Join {
-    caller: u16,
-    outstanding: usize,
-    /// Absolute deadline carried by the originating call (0 = none); the
-    /// response back upstream re-stamps it so cancellation points keep
-    /// working on the way up the tree.
-    deadline_ns: u64,
-    /// The ingress sampling decision carried by the originating call;
-    /// responses re-stamp it so the trace survives the join.
-    sampled: bool,
-}
-
-/// Builder for DAG-aware function endpoints.
-pub struct DagFunction;
-
-impl DagFunction {
-    /// Creates the endpoint for function `fn_id` of `dag`.
-    ///
-    /// Calls run `exec_cost` of application logic, fan out to every child
-    /// in parallel, join on their responses, then respond upstream. The
-    /// root's upstream is the client: `on_complete` fires there.
-    #[allow(clippy::too_many_arguments)]
-    pub fn endpoint(
-        dag: Rc<DagSpec>,
-        fn_id: u16,
-        exec_cost: SimDuration,
-        pool: BufferPool,
-        cpu: Rc<RefCell<Processor>>,
-        iolib: IoLib,
-        on_complete: CompletionFn,
-    ) -> FnEndpoint {
-        let joins: Rc<RefCell<HashMap<u64, Join>>> = Rc::new(RefCell::new(HashMap::new()));
-        Rc::new(move |sim: &mut Sim, desc| {
-            let Ok(buf) = pool.redeem(desc) else {
-                return;
-            };
-            let req_id = decode_request_id(buf.as_slice());
-            let Some((kind, src)) = dag_header(buf.as_slice()) else {
-                return; // malformed: buffer recycles on drop
-            };
-            // DAG messages are fresh payloads per hop, so the deadline and
-            // the ingress sampling bit are read out here and re-stamped
-            // onto every downstream message. A v1 node predates the
-            // deadline region: it neither reads nor enforces deadlines (a
-            // deadline-aware hop or the gateway still terminates the
-            // request, typed).
-            let deadline_ns = if iolib.wire_version() >= obs::CTX_V2 {
-                obs::read_deadline_ns(buf.as_slice()).unwrap_or(0)
-            } else {
-                0
-            };
-            let sampled = iolib.tracer().is_enabled() && obs::ctx::sampled(buf.as_slice());
-            drop(buf); // payload consumed; recycle immediately
-            match kind {
-                DagMsg::Call => {
-                    if crate::function::deadline_expired_ns(deadline_ns, sim.now()) {
-                        // Expired before execution: cancel the subtree and
-                        // surface the expiry (the upstream failure handler
-                        // resolves the client; ancestors' join entries for
-                        // this request are left to expire with it).
-                        iolib.report_expired(sim, dag.tenant, fn_id, req_id);
-                        return;
-                    }
-                    // Run the function, then fan out or respond.
-                    let done = cpu.borrow_mut().run(sim.now(), exec_cost);
-                    let dag = dag.clone();
-                    let pool = pool.clone();
-                    let iolib = iolib.clone();
-                    let joins = joins.clone();
-                    let on_complete = on_complete.clone();
-                    sim.schedule_at(done, move |sim| {
-                        let kids = dag.children_of(fn_id);
-                        if kids.is_empty() {
-                            Self::respond(
-                                sim,
-                                &dag,
-                                fn_id,
-                                src,
-                                req_id,
-                                deadline_ns,
-                                sampled,
-                                &pool,
-                                &iolib,
-                                &on_complete,
-                            );
-                            return;
-                        }
-                        joins.borrow_mut().insert(
-                            req_id,
-                            Join {
-                                caller: src,
-                                outstanding: kids.len(),
-                                deadline_ns,
-                                sampled,
-                            },
-                        );
-                        for &child in kids {
-                            Self::send_msg(
-                                sim,
-                                &dag,
-                                fn_id,
-                                child,
-                                req_id,
-                                deadline_ns,
-                                sampled,
-                                DagMsg::Call,
-                                &pool,
-                                &iolib,
-                            );
-                        }
-                    });
-                }
-                DagMsg::Response => {
-                    let finished = {
-                        let mut joins = joins.borrow_mut();
-                        let Some(join) = joins.get_mut(&req_id) else {
-                            return; // stray response
-                        };
-                        join.outstanding -= 1;
-                        if join.outstanding == 0 {
-                            let j = joins.remove(&req_id).expect("present");
-                            Some((j.caller, j.deadline_ns, j.sampled))
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some((caller, join_deadline, join_sampled)) = finished {
-                        // Join complete: light post-processing, then respond.
-                        let done = cpu
-                            .borrow_mut()
-                            .run(sim.now(), SimDuration::from_nanos(500));
-                        let dag = dag.clone();
-                        let pool = pool.clone();
-                        let iolib = iolib.clone();
-                        let on_complete = on_complete.clone();
-                        sim.schedule_at(done, move |sim| {
-                            Self::respond(
-                                sim,
-                                &dag,
-                                fn_id,
-                                caller,
-                                req_id,
-                                join_deadline,
-                                join_sampled,
-                                &pool,
-                                &iolib,
-                                &on_complete,
-                            );
-                        });
-                    }
-                }
-            }
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn respond(
-        sim: &mut Sim,
-        dag: &Rc<DagSpec>,
-        fn_id: u16,
-        caller: u16,
-        req_id: u64,
-        deadline_ns: u64,
-        sampled: bool,
-        pool: &BufferPool,
-        iolib: &IoLib,
-        on_complete: &CompletionFn,
-    ) {
-        if caller == CLIENT_CALLER {
-            on_complete(sim, req_id);
-            return;
-        }
-        Self::send_msg(
-            sim,
-            dag,
-            fn_id,
-            caller,
-            req_id,
-            deadline_ns,
-            sampled,
-            DagMsg::Response,
-            pool,
-            iolib,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_msg(
-        sim: &mut Sim,
-        dag: &Rc<DagSpec>,
-        from: u16,
-        to: u16,
-        req_id: u64,
-        deadline_ns: u64,
-        sampled: bool,
-        kind: DagMsg,
-        pool: &BufferPool,
-        iolib: &IoLib,
-    ) {
-        let Ok(mut buf) = pool.get() else {
-            return; // pool exhausted: message shed
-        };
-        let mut payload = crate::function::encode_request_payload(req_id, 64);
-        set_dag_header(&mut payload, kind, from);
-        // Fresh payload per hop, stamped at this node's wire version: a
-        // not-yet-upgraded (v1) node owns no deadline region, so deadline
-        // propagation degrades to best-effort through it mid-rollout.
-        let wv = iolib.wire_version();
-        // The deadline must travel explicitly or downstream cancellation
-        // points go blind after the first fan-out.
-        if deadline_ns != 0 && wv >= obs::CTX_V2 {
-            obs::ctx::write_deadline_ns(&mut payload, deadline_ns);
-        }
-        if sampled {
-            // Each DAG message is a fresh payload, so the trace context —
-            // parent cursor plus the ingress sampling bit — must be
-            // re-stamped or causality breaks at this hop.
-            let parent = iolib.tracer().cursor(req_id, iolib.node().0 as u32);
-            obs::ctx::write_ctx_at(&mut payload, parent, true, wv);
-        }
-        buf.write_payload(&payload).expect("payload fits");
-        // The trace identity is already in hand — skip the SkMsg peek.
-        iolib.send_traced(sim, dag.tenant, buf.into_desc(to), Some((req_id, sampled)));
     }
 }
 

@@ -8,25 +8,25 @@
 //! - [`placement`]: the function → node map that drives routing.
 //! - [`sidecar`]: the streamlined eBPF-style sidecar enforcing tenant
 //!   access control on every descriptor exchange.
-//! - [`iolib`]: the unified I/O library itself.
-//! - [`function`]: simulated function containers — chain functions with
-//!   configurable execution cost running on the node's host cores — plus
-//!   the payload convention carrying request ids for end-to-end latency
-//!   measurement.
-//! - [`chain`]: chain (call-graph) descriptions and validation.
+//! - [`iolib`]: the unified I/O library's handle and driver, in front of a
+//!   state machine (`core`) that runs chain and DAG functions as data —
+//!   a [`Spec`] and an execution cost on the node's host cores.
+//! - [`function`]: the payload convention carrying request ids for
+//!   end-to-end latency measurement and the chain hop index.
+//! - [`chain`] and [`dag`]: chain and fan-out/fan-in DAG descriptions.
 
 pub mod chain;
+mod core;
 pub mod dag;
 pub mod function;
 pub mod iolib;
 pub mod placement;
 pub mod sidecar;
 
+pub use crate::core::Spec;
 pub use chain::ChainSpec;
-pub use dag::{DagFunction, DagSpec};
-pub use function::{
-    decode_hop, decode_request_id, encode_request_payload, set_hop, ChainFunction, CompletionFn,
-};
+pub use dag::DagSpec;
+pub use function::{decode_hop, decode_request_id, encode_request_payload, set_hop, CompletionFn};
 pub use iolib::IoLib;
 pub use placement::Placement;
 pub use sidecar::{AccessDecision, Sidecar};

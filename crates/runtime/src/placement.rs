@@ -6,7 +6,7 @@ use simcore::IdTable;
 /// The cluster-wide function → node map.
 #[derive(Debug, Clone, Default)]
 pub struct Placement {
-    /// Indexed by function id: every remote send looks its target up here.
+    /// Indexed by function id: every send looks its target up here.
     map: IdTable<NodeId>,
 }
 
@@ -25,28 +25,6 @@ impl Placement {
     pub fn node_of(&self, fn_id: u16) -> Option<NodeId> {
         self.map.get(fn_id.into()).copied()
     }
-
-    /// Lists the functions placed on `node` (sorted for determinism).
-    pub fn functions_on(&self, node: NodeId) -> Vec<u16> {
-        let mut v: Vec<u16> = self
-            .map
-            .iter()
-            .filter(|(_, n)| **n == node)
-            .map(|(f, _)| f as u16)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Returns the number of placed functions.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns `true` when nothing is placed.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -61,8 +39,7 @@ mod tests {
         p.place(3, NodeId(0));
         assert_eq!(p.node_of(1), Some(NodeId(0)));
         assert_eq!(p.node_of(2), Some(NodeId(1)));
-        assert_eq!(p.functions_on(NodeId(0)), vec![1, 3]);
-        assert_eq!(p.len(), 3);
+        assert_eq!(p.node_of(3), Some(NodeId(0)));
     }
 
     #[test]
@@ -71,6 +48,5 @@ mod tests {
         p.place(1, NodeId(0));
         p.place(1, NodeId(2));
         assert_eq!(p.node_of(1), Some(NodeId(2)));
-        assert!(p.functions_on(NodeId(0)).is_empty());
     }
 }

@@ -32,8 +32,8 @@ use crate::engine::Sim;
 /// Ten words, sized to the largest capture on a request's path. Measured
 /// captures (x86-64): every `rdma_sim` fabric event 72 B (a `Fabric` handle
 /// and one fabric `Input`), `Dne::kick` → `complete` 72 B (`Rc`, work item,
-/// dispatch instant), `ChainFunction::endpoint` 72 B,
-/// `Gateway::submit_tenant` 80 B.
+/// dispatch instant), every `runtime` event 56 B (an `IoLib` handle and one
+/// runtime `Input`), `Gateway::submit_tenant` 80 B.
 /// Anything larger is boxed and counted in `SimProfile::boxed_events`.
 pub const INLINE_BYTES: usize = 80;
 

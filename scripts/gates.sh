@@ -7,9 +7,10 @@
 #   scripts/gates.sh lint               fmt, clippy, rustdoc, and the greps
 #                                       that hold a design rule in place —
 #                                       among them cores_are_simulator_free:
-#                                       the DNE's and the fabric's core never
-#                                       name the simulator, and only their
-#                                       drivers post or schedule
+#                                       the DNE's, the fabric's and the
+#                                       runtime's core never name the
+#                                       simulator, and only their drivers post
+#                                       or schedule
 #   scripts/gates.sh test               release build + the workspace suite:
 #                                       the seed matrix (simcore::rng::SEEDS)
 #                                       and the typed-outcome bars are tests
@@ -44,12 +45,12 @@ sites() {
   done
 }
 
-# DESIGN.md §5 and §7 "A simulator-free core behind a thin driver": a core
+# DESIGN.md §5, §7 and §9 "A simulator-free core behind a thin driver": a core
 # file never names the simulator, and what only a driver does happens at a
 # fixed number of sites, all in the driver.
 cores_are_simulator_free() {
   local f
-  for f in crates/dne/src/core.rs crates/rdma-sim/src/core.rs; do
+  for f in crates/dne/src/core.rs crates/rdma-sim/src/core.rs crates/runtime/src/core.rs; do
     if non_test "$f" | grep -nE '\bSim\b|Rc<RefCell|schedule_at|schedule_after|\.cancel\('; then
       fail "$f must not see the simulator"
     fi
@@ -65,6 +66,7 @@ cores_are_simulator_free() {
   done <<'SITES'
 crates/dne/src post_send\( crates/dne/src/engine.rs 1
 crates/rdma-sim/src schedule_at\(|schedule_after\( crates/rdma-sim/src/fabric.rs 1
+crates/runtime/src schedule_at\(|schedule_after\( crates/runtime/src/iolib.rs 1
 SITES
 }
 
