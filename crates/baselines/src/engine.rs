@@ -8,10 +8,7 @@
 //! configurable transport latency between nodes. NADINO's own engine is
 //! the real [`dne::Dne`]; this type exists only for the others.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use simcore::{Server, Sim, SimDuration, SimTime};
+use simcore::{Server, SimDuration, SimTime};
 
 /// Cost parameters of a baseline engine.
 #[derive(Debug, Clone)]
@@ -41,16 +38,11 @@ impl EngineCosts {
     }
 }
 
-struct Inner {
+/// A node-local baseline network engine: one core and its costs. It only
+/// says when a message's service ends; its caller schedules what follows.
+pub struct BaselineEngine {
     cpu: Server,
     costs: EngineCosts,
-    processed: u64,
-}
-
-/// A node-local baseline network engine.
-#[derive(Clone)]
-pub struct BaselineEngine {
-    inner: Rc<RefCell<Inner>>,
 }
 
 impl BaselineEngine {
@@ -58,51 +50,16 @@ impl BaselineEngine {
     /// per-node engine allocation).
     pub fn new(costs: EngineCosts) -> BaselineEngine {
         BaselineEngine {
-            inner: Rc::new(RefCell::new(Inner {
-                cpu: Server::new(),
-                costs,
-                processed: 0,
-            })),
+            cpu: Server::new(),
+            costs,
         }
     }
 
-    /// Charges one message of `bytes` through the engine; `then` runs at
-    /// service completion.
-    pub fn process(&self, sim: &mut Sim, bytes: usize, then: Box<dyn FnOnce(&mut Sim)>) {
-        let done = {
-            let mut inner = self.inner.borrow_mut();
-            let service = inner.costs.service(bytes);
-            inner.processed += 1;
-            inner.cpu.admit(sim.now(), service)
-        };
-        sim.schedule_at(done, then);
-    }
-
-    /// Sends a message from this engine to `dst`: sender-side service,
-    /// transport latency, receiver-side service, then delivery.
-    pub fn send_to(
-        &self,
-        sim: &mut Sim,
-        dst: &BaselineEngine,
-        bytes: usize,
-        deliver: Box<dyn FnOnce(&mut Sim)>,
-    ) {
-        let latency = self.inner.borrow().costs.hop_latency;
-        let dst = dst.clone();
-        self.process(
-            sim,
-            bytes,
-            Box::new(move |sim| {
-                sim.schedule_after(latency, move |sim| {
-                    dst.process(sim, bytes, deliver);
-                });
-            }),
-        );
-    }
-
-    /// Returns the number of messages processed.
-    pub fn processed(&self) -> u64 {
-        self.inner.borrow().processed
+    /// Queues one message of `bytes` on the engine core at `now` and
+    /// returns when its service ends.
+    pub fn admit(&mut self, now: SimTime, bytes: usize) -> SimTime {
+        let service = self.costs.service(bytes);
+        self.cpu.admit(now, service)
     }
 
     /// Engine-core utilization over `[a, b]`.
@@ -110,11 +67,10 @@ impl BaselineEngine {
     /// Polling engines report 1.0 (the core spins even when idle), which is
     /// how FUYAO's receiver core shows up as a full core in Fig. 16 (4-6).
     pub fn utilization(&self, a: SimTime, b: SimTime) -> f64 {
-        let inner = self.inner.borrow();
-        if inner.costs.polling {
+        if self.costs.polling {
             1.0
         } else {
-            inner.cpu.utilization(a, b)
+            self.cpu.utilization(a, b)
         }
     }
 }
@@ -122,7 +78,6 @@ impl BaselineEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
     fn costs() -> EngineCosts {
         EngineCosts {
@@ -132,26 +87,6 @@ mod tests {
             copy_rate: None,
             polling: false,
         }
-    }
-
-    #[test]
-    fn send_charges_both_sides_and_latency() {
-        let a = BaselineEngine::new(costs());
-        let b = BaselineEngine::new(costs());
-        let mut sim = Sim::new();
-        let arrived = Rc::new(Cell::new(None));
-        let sink = arrived.clone();
-        a.send_to(
-            &mut sim,
-            &b,
-            64,
-            Box::new(move |sim| sink.set(Some(sim.now()))),
-        );
-        sim.run();
-        // 2us + 10us + 2us.
-        assert_eq!(arrived.get().unwrap().as_nanos(), 14_000);
-        assert_eq!(a.processed(), 1);
-        assert_eq!(b.processed(), 1);
     }
 
     #[test]
@@ -165,15 +100,15 @@ mod tests {
 
     #[test]
     fn messages_queue_on_the_engine_core() {
-        let e = BaselineEngine::new(costs());
-        let mut sim = Sim::new();
-        let last = Rc::new(Cell::new(None));
-        for _ in 0..5 {
-            let sink = last.clone();
-            e.process(&mut sim, 64, Box::new(move |sim| sink.set(Some(sim.now()))));
-        }
-        sim.run();
-        assert_eq!(last.get().unwrap().as_nanos(), 10_000, "5 x 2us serialized");
+        let mut e = BaselineEngine::new(costs());
+        let last = (0..5).map(|_| e.admit(SimTime::ZERO, 64)).last();
+        assert_eq!(last.unwrap().as_nanos(), 10_000, "5 x 2us serialized");
+        let idle = SimTime::from_nanos(50_000);
+        assert_eq!(
+            e.admit(idle, 64).as_nanos(),
+            52_000,
+            "an idle core starts at once"
+        );
     }
 
     #[test]

@@ -16,14 +16,44 @@ use runtime::ChainSpec;
 use simcore::{Sim, SimDuration, SimTime};
 
 struct BNode {
-    cpu: Rc<RefCell<Processor>>,
+    cpu: Processor,
     engine: BaselineEngine,
 }
 
 struct Inner {
     model: SystemModel,
+    /// Transport latency of an inter-node hop (the engines' one value).
+    hop_latency: SimDuration,
     nodes: Vec<BNode>,
     placement: HashMap<u16, usize>,
+}
+
+impl Inner {
+    fn node_of(&self, fn_id: u16) -> usize {
+        *self.placement.get(&fn_id).expect("function placed")
+    }
+}
+
+/// One request on its way through a chain.
+struct Request {
+    chain: Rc<ChainSpec>,
+    exec_cost: Rc<dyn Fn(u16) -> SimDuration>,
+    payload: usize,
+    done: Box<dyn FnOnce(&mut Sim)>,
+}
+
+/// What comes due for a request, in the order its hops meet them.
+enum Leg {
+    /// Hop `.0`'s function starts on its node's host cores.
+    Run(usize),
+    /// Hop `.0`'s function finished: complete the request, or send it on.
+    Ran(usize),
+    /// The message to hop `.0` left its source engine, bound for node
+    /// `.1`'s engine one transport latency away — or, with `None`, a local
+    /// hop through the engine, one IPC latency away.
+    Sent(usize, Option<usize>),
+    /// The message to hop `.0` reached node `.1`'s engine.
+    Arrived(usize, usize),
 }
 
 /// A cluster running one of the §4.3 comparison systems.
@@ -43,16 +73,14 @@ impl BaselineCluster {
             .expect("baseline systems use the generic engine");
         let nodes = (0..effective_workers)
             .map(|_| BNode {
-                cpu: Rc::new(RefCell::new(Processor::new(
-                    ProcessorKind::HostCpu,
-                    host_cores,
-                ))),
+                cpu: Processor::new(ProcessorKind::HostCpu, host_cores),
                 engine: BaselineEngine::new(engine_costs.clone()),
             })
             .collect();
         BaselineCluster {
             inner: Rc::new(RefCell::new(Inner {
                 model,
+                hop_latency: engine_costs.hop_latency,
                 nodes,
                 placement: HashMap::new(),
             })),
@@ -80,90 +108,70 @@ impl BaselineCluster {
         payload: usize,
         done: Box<dyn FnOnce(&mut Sim)>,
     ) {
-        self.step(sim, chain, exec_cost, payload, 0, done);
+        let req = Request {
+            chain,
+            exec_cost,
+            payload,
+            done,
+        };
+        self.on(sim, req, Leg::Run(0));
     }
 
-    fn step(
-        &self,
-        sim: &mut Sim,
-        chain: Rc<ChainSpec>,
-        exec_cost: Rc<dyn Fn(u16) -> SimDuration>,
-        payload: usize,
-        hop: usize,
-        done: Box<dyn FnOnce(&mut Sim)>,
-    ) {
-        let f = chain.hops[hop];
-        // Execute the function's logic on its node's host cores.
-        let exec_done = {
-            let inner = self.inner.borrow();
-            let node = *inner.placement.get(&f).expect("function placed");
-            let cpu = inner.nodes[node].cpu.clone();
-            drop(inner);
-            let done = cpu.borrow_mut().run(sim.now(), exec_cost(f));
-            done
-        };
-        let this = self.clone();
-        sim.schedule_at(exec_done, move |sim| {
-            let next = hop + 1;
-            if next >= chain.hops.len() {
-                done(sim);
+    /// Takes a request one leg on, scheduling the next.
+    fn on(&self, sim: &mut Sim, req: Request, leg: Leg) {
+        let now = sim.now();
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let (at, next) = match leg {
+            Leg::Run(hop) => {
+                let f = req.chain.hops[hop];
+                let node = inner.node_of(f);
+                let ran = inner.nodes[node].cpu.run(now, (req.exec_cost)(f));
+                (ran, Leg::Ran(hop))
+            }
+            Leg::Ran(hop) if hop + 1 == req.chain.hops.len() => {
+                drop(guard);
+                (req.done)(sim);
                 return;
             }
-            let (same_node, src_engine, dst_engine, intra, via_engine, src_cpu) = {
-                let inner = this.inner.borrow();
-                let src = *inner.placement.get(&chain.hops[hop]).expect("placed");
-                let dst = *inner.placement.get(&chain.hops[next]).expect("placed");
-                (
-                    src == dst,
-                    inner.nodes[src].engine.clone(),
-                    inner.nodes[dst].engine.clone(),
-                    inner.model.intra.clone(),
-                    inner.model.intra_via_engine,
-                    inner.nodes[src].cpu.clone(),
-                )
-            };
-            let this2 = this.clone();
-            let cont: Box<dyn FnOnce(&mut Sim)> = Box::new(move |sim| {
-                this2.step(sim, chain, exec_cost, payload, next, done);
-            });
-            if same_node {
-                // Intra-node hop: IPC cost (on the node's engine for
-                // designs whose engine mediates local messages, otherwise
-                // on the host cores) plus, for designs with separate
-                // pools, a memory-bound copy.
-                let mut service = intra.cpu;
-                if let Some(rate) = intra.copy_rate {
-                    service += SimDuration::from_secs_f64(payload as f64 / rate);
-                }
-                let latency = intra.latency;
-                if via_engine {
-                    src_engine.process(
-                        sim,
-                        payload,
-                        Box::new(move |sim| {
-                            sim.schedule_after(latency, cont);
-                        }),
-                    );
+            Leg::Ran(hop) => {
+                let next = hop + 1;
+                let src = inner.node_of(req.chain.hops[hop]);
+                let dst = inner.node_of(req.chain.hops[next]);
+                if src != dst || inner.model.intra_via_engine {
+                    let sent = inner.nodes[src].engine.admit(now, req.payload);
+                    (sent, Leg::Sent(next, (src != dst).then_some(dst)))
                 } else {
-                    let cpu_done = src_cpu.borrow_mut().run(sim.now(), service);
-                    sim.schedule_at(cpu_done + latency, cont);
+                    // IPC on the host cores plus, for designs with separate
+                    // pools, a memory-bound copy.
+                    let intra = &inner.model.intra;
+                    let mut service = intra.cpu;
+                    if let Some(rate) = intra.copy_rate {
+                        service += SimDuration::from_secs_f64(req.payload as f64 / rate);
+                    }
+                    let done = inner.nodes[src].cpu.run(now, service);
+                    (done + intra.latency, Leg::Run(next))
                 }
-            } else {
-                src_engine.send_to(sim, &dst_engine, payload, cont);
             }
-        });
+            Leg::Sent(next, Some(dst)) => (now + inner.hop_latency, Leg::Arrived(next, dst)),
+            Leg::Sent(next, None) => (now + inner.model.intra.latency, Leg::Run(next)),
+            Leg::Arrived(next, dst) => {
+                let arrived = inner.nodes[dst].engine.admit(now, req.payload);
+                (arrived, Leg::Run(next))
+            }
+        };
+        drop(guard);
+        let this = self.clone();
+        sim.schedule_at(at, move |sim| this.on(sim, req, next));
     }
 
     /// Charges `cost` on the host cores of the node hosting `fn_id` and
     /// returns the completion instant (used for worker-side TCP
     /// termination under deferred conversion).
-    pub fn charge(&self, sim: &mut Sim, fn_id: u16, cost: SimDuration) -> simcore::SimTime {
-        let inner = self.inner.borrow();
-        let node = *inner.placement.get(&fn_id).expect("function placed");
-        let cpu = inner.nodes[node].cpu.clone();
-        drop(inner);
-        let done = cpu.borrow_mut().run(sim.now(), cost);
-        done
+    pub fn charge(&self, sim: &mut Sim, fn_id: u16, cost: SimDuration) -> SimTime {
+        let mut inner = self.inner.borrow_mut();
+        let node = inner.node_of(fn_id);
+        inner.nodes[node].cpu.run(sim.now(), cost)
     }
 
     /// Whether the engines busy-poll (their cores count as saturated).
@@ -190,7 +198,7 @@ impl BaselineCluster {
         inner
             .nodes
             .iter()
-            .map(|n| n.cpu.borrow().utilization_cores(a, b))
+            .map(|n| n.cpu.utilization_cores(a, b))
             .sum()
     }
 
@@ -228,6 +236,30 @@ mod tests {
         );
         sim.run();
         finish.get().expect("request completed") - SimTime::ZERO
+    }
+
+    #[test]
+    fn an_inter_node_hop_charges_both_engines_and_the_wire() {
+        let model = SystemModel::for_kind(SystemKind::Spright);
+        let costs = model.engine.clone().unwrap();
+        let bc = BaselineCluster::new(model, 2, 32);
+        bc.place(1, 0);
+        bc.place(2, 1);
+        let chain = Rc::new(ChainSpec::new("hop", TenantId(1), vec![1, 2]));
+        let mut sim = Sim::new();
+        let finish: Rc<Cell<Option<SimTime>>> = Rc::new(Cell::new(None));
+        let sink = finish.clone();
+        let free = Rc::new(|_| SimDuration::ZERO);
+        bc.run_request(
+            &mut sim,
+            chain,
+            free,
+            64,
+            Box::new(move |sim| sink.set(Some(sim.now()))),
+        );
+        sim.run();
+        let want = costs.service(64) + costs.hop_latency + costs.service(64);
+        assert_eq!(finish.get().unwrap() - SimTime::ZERO, want);
     }
 
     #[test]

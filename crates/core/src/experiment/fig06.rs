@@ -88,7 +88,8 @@ fn native_cell(requests: u64, payload: usize, proc: ProcessorKind, name: &str) -
         requests,
         proc,
         per_msg_unscaled,
-    });
+    })
+    .expect("a native echo cell runs clean");
     let thr = run_echo(EchoConfig {
         primitive: Primitive::TwoSided,
         payload,
@@ -96,7 +97,8 @@ fn native_cell(requests: u64, payload: usize, proc: ProcessorKind, name: &str) -
         requests,
         proc,
         per_msg_unscaled,
-    });
+    })
+    .expect("a native echo cell runs clean");
     Fig06Row {
         setting: name.to_string(),
         payload,

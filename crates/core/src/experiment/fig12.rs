@@ -60,7 +60,8 @@ fn cell(primitive: Primitive, name: &str, payload: usize, requests: u64) -> Fig1
         window: 1,
         requests,
         ..EchoConfig::default()
-    });
+    })
+    .expect("a fig12 echo cell runs clean");
     // Throughput: a window of 8 keeps the pipe full.
     let thr = run_echo(EchoConfig {
         primitive,
@@ -68,7 +69,8 @@ fn cell(primitive: Primitive, name: &str, payload: usize, requests: u64) -> Fig1
         window: 8,
         requests,
         ..EchoConfig::default()
-    });
+    })
+    .expect("a fig12 echo cell runs clean");
     Fig12Row {
         primitive: name.to_string(),
         payload,

@@ -204,11 +204,6 @@ impl Fabric {
         self.core_mut().node_mut(node)?.mrs.register_mapped(mapped)
     }
 
-    /// Looks up the rkey a pool was registered under on `node`.
-    pub fn rkey_of(&self, node: NodeId, tenant: TenantId, pool_id: u16) -> Option<RKey> {
-        self.core().node(node).ok()?.mrs.rkey_of(tenant, pool_id)
-    }
-
     /// Establishes an RC connection between `a` and `b` for `tenant`.
     ///
     /// Returns the two QP endpoints immediately in `Connecting` state; they

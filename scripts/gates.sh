@@ -47,7 +47,8 @@ sites() {
 
 # DESIGN.md §5, §7 and §9 "A simulator-free core behind a thin driver": a core
 # file never names the simulator, and what only a driver does happens at a
-# fixed number of sites, all in the driver.
+# fixed number of sites, all in the driver. §10: the Fig. 6 / Fig. 12 echo
+# state machine schedules at one site too.
 cores_are_simulator_free() {
   local f
   for f in crates/dne/src/core.rs crates/rdma-sim/src/core.rs crates/runtime/src/core.rs; do
@@ -67,6 +68,7 @@ cores_are_simulator_free() {
 crates/dne/src post_send\( crates/dne/src/engine.rs 1
 crates/rdma-sim/src schedule_at\(|schedule_after\( crates/rdma-sim/src/fabric.rs 1
 crates/runtime/src schedule_at\(|schedule_after\( crates/runtime/src/iolib.rs 1
+crates/baselines/src schedule_at\(|schedule_after\( crates/baselines/src/primitives.rs 1
 SITES
 }
 
