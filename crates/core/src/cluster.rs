@@ -632,12 +632,12 @@ impl Cluster {
         };
         // Payloads are sized to carry the on-wire trace context (24 bytes,
         // deadline included) even when the caller asked for less.
-        let mut payload = runtime::encode_request_payload(req_id, payload_len.max(obs::CTX_REGION));
-        header(&mut payload);
-        let sampled = self.stamp_root_ctx(&mut payload, req_id, idx);
-        if buf.write_payload(&payload).is_err() {
+        let len = payload_len.max(obs::CTX_REGION);
+        let Some(payload) = runtime::write_request_payload(&mut buf, req_id, len) else {
             return false;
-        }
+        };
+        header(payload);
+        let sampled = self.stamp_root_ctx(payload, req_id, idx);
         let desc = buf.into_desc(entry);
         self.nodes[idx]
             .iolib

@@ -4,9 +4,11 @@
 //! routes, the TX scheduler, the connection pool, in-flight sends, parked
 //! retries — and changes it in exactly one place: [`Core::step`] takes the
 //! current instant and one [`Input`] (something that happened *to* the
-//! engine) and appends [`Effect`]s (things the engine wants done *for*
-//! it). The driver in [`crate::engine`] applies the effects, in emission
-//! order, after the step returned.
+//! engine) and emits [`Effect`]s (things the engine wants done *for* it)
+//! into a sink. The driver in [`crate::engine`] applies them in emission
+//! order: each simple effect as it is emitted, and from the first effect
+//! that needs the core or can call back into an engine on, the rest of
+//! the step once it returned.
 //!
 //! The boundary: anything that needs a `&mut` simulator — scheduling,
 //! cancelling, `post_send`, `connect`, calling an
@@ -15,14 +17,15 @@
 //! take no simulator: `poll_one`, `cq_depth`, `post_recv`, `costs`, and the
 //! QP-load reads and activate/deactivate/destroy inside [`ConnPool`].
 //!
-//! Ordering rule: effects run after the step, so a step must not do what
-//! the code behind an effect would have had to see undone. Two cases
-//! exist. The failure handler observes the engine (it dumps live
-//! histograms and may re-route), so after a `Fail` the serving core is
-//! retired in a follow-up step; and a post raises the QP load the next
-//! pick reads, so a reconnect flush re-posts one parked send per step.
-//! Both are spelled [`Effect::Then`]: the driver feeds that input back
-//! once the effects before it are applied.
+//! Ordering rule: a step must not do what the code behind one of its
+//! effects would have had to see undone, whether the driver applies that
+//! effect mid-step or after it. Two cases exist. The failure handler
+//! observes the engine (it dumps live histograms and may re-route), so
+//! after a `Fail` the serving core is retired in a follow-up step; and a
+//! post raises the QP load the next pick reads, so a reconnect flush
+//! re-posts one parked send per step. Both are spelled [`Effect::Then`]:
+//! the driver feeds that input back once the effects before it are
+//! applied.
 
 use std::collections::{HashMap, HashSet};
 
@@ -353,8 +356,9 @@ impl Core {
         }
     }
 
-    /// Advances the engine by one input, appending what it wants done.
-    pub(crate) fn step(&mut self, now: SimTime, input: Input, out: &mut Vec<Effect>) {
+    /// Advances the engine by one input, emitting what it wants done into
+    /// `out` in the order it must be done.
+    pub(crate) fn step(&mut self, now: SimTime, input: Input, out: &mut impl FnMut(Effect)) {
         match input {
             Input::Submit { tenant, desc } => self.on_submit(now, tenant, desc, out),
             Input::Crossed {
@@ -379,15 +383,22 @@ impl Core {
             } => {
                 let delay = now.saturating_since(dispatched_at);
                 self.stats.sched_delay.record(delay);
+                let mut failed = false;
+                let mut seen = |effect: Effect| {
+                    failed |= matches!(effect, Effect::Fail(_));
+                    out(effect)
+                };
                 match item {
-                    WorkItem::Tx(tenant, desc) => self.on_tx(now, tenant, desc, dispatched_at, out),
-                    WorkItem::Rx(cqe) => self.on_cqe(now, cqe, dispatched_at, out),
+                    WorkItem::Tx(tenant, desc) => {
+                        self.on_tx(now, tenant, desc, dispatched_at, &mut seen)
+                    }
+                    WorkItem::Rx(cqe) => self.on_cqe(now, cqe, dispatched_at, &mut seen),
                 }
                 // A failure handler observes the engine (queue depths, live
                 // histograms): it must run before the core is handed its
                 // next item, not after.
-                if out.iter().any(|e| matches!(e, Effect::Fail(_))) {
-                    out.push(Effect::Then(Input::Retire));
+                if failed {
+                    out(Effect::Then(Input::Retire));
                 } else {
                     self.step(now, Input::Retire, out);
                 }
@@ -417,7 +428,7 @@ impl Core {
                 self.stats.cold_connects += 1;
                 let delay = self.fabric.costs().connect_delay;
                 let handle = remote;
-                out.push(Effect::PeerConnAdded {
+                out(Effect::PeerConnAdded {
                     peer,
                     tenant,
                     handle,
@@ -426,7 +437,7 @@ impl Core {
                 // event was scheduled by the connect itself, so by FIFO
                 // same-time ordering the connection is usable when the
                 // flush runs.
-                out.push(Effect::After(delay, Input::ReconnectUp { tenant, peer }));
+                out(Effect::After(delay, Input::ReconnectUp { tenant, peer }));
             }
             Input::ReconnectUp { tenant, peer } => {
                 // Flush every retry parked on the pair, in id order,
@@ -439,10 +450,10 @@ impl Core {
                     if let Some(p) = self.retries.get_mut(id) {
                         p.avoid = None; // the failed QP is history; pick freely
                         if let Some(timer) = p.timer.take() {
-                            out.push(Effect::CancelTimer(timer));
+                            out(Effect::CancelTimer(timer));
                         }
                     }
-                    out.push(Effect::Then(Input::RetryTimer(id)));
+                    out(Effect::Then(Input::RetryTimer(id)));
                 }
             }
             Input::ReconnectFailed { tenant, peer } => {
@@ -476,7 +487,7 @@ impl Core {
                         self.span(req, tenant, Stage::DeadlineDrop, now, now);
                     }
                 }
-                out.push(Effect::Fail(failure));
+                out(Effect::Fail(failure));
             }
         }
     }
@@ -573,7 +584,7 @@ impl Core {
         now: SimTime,
         tenant: TenantId,
         desc: BufferDesc,
-        out: &mut Vec<Effect>,
+        out: &mut impl FnMut(Effect),
     ) {
         self.stats.submitted += 1;
         // One payload peek decides everything trace-related for this
@@ -598,12 +609,12 @@ impl Core {
             req_id,
             sampled,
         };
-        out.push(Effect::After(latency, crossed));
+        out(Effect::After(latency, crossed));
     }
 
     /// Dispatches work onto idle engine cores: completions first (they
     /// recycle buffers), then TX descriptors in scheduler order.
-    fn kick(&mut self, now: SimTime, out: &mut Vec<Effect>) {
+    fn kick(&mut self, now: SimTime, out: &mut impl FnMut(Effect)) {
         while self.has_idle_core() {
             let Some(item) = self.next_item(now) else {
                 return;
@@ -616,7 +627,7 @@ impl Core {
                 item,
                 dispatched_at,
             };
-            out.push(Effect::After(done - now, done_input));
+            out(Effect::After(done - now, done_input));
         }
     }
 
@@ -691,7 +702,7 @@ impl Core {
         m: SendMeta,
         reason: FailureReason,
         dst_node: Option<NodeId>,
-        out: &mut Vec<Effect>,
+        out: &mut impl FnMut(Effect),
     ) {
         self.stats.give_ups += 1;
         if m.attempts > 0 {
@@ -707,7 +718,7 @@ impl Core {
         if let Some(st) = self.tenants.get_mut(m.tenant.0.into()) {
             st.failures.give_ups += 1;
         }
-        out.push(Effect::Fail(m.failure(reason, dst_node)));
+        out(Effect::Fail(m.failure(reason, dst_node)));
     }
 
     /// Cancels a send whose deadline expired before the engine could
@@ -719,7 +730,7 @@ impl Core {
         now: SimTime,
         m: SendMeta,
         dst_node: Option<NodeId>,
-        out: &mut Vec<Effect>,
+        out: &mut impl FnMut(Effect),
     ) {
         self.stats.deadline_drops += 1;
         self.drop_for(m.tenant);
@@ -730,7 +741,7 @@ impl Core {
             self.span(m.req_id, m.tenant, Stage::DeadlineDrop, now, now);
         }
         let failure = m.failure(FailureReason::DeadlineExceeded, dst_node);
-        out.push(Effect::Fail(failure));
+        out(Effect::Fail(failure));
     }
 
     /// TX stage: redeem the descriptor, route it, and either hand it back
@@ -741,7 +752,7 @@ impl Core {
         tenant: TenantId,
         desc: BufferDesc,
         dispatched_at: SimTime,
-        out: &mut Vec<Effect>,
+        out: &mut impl FnMut(Effect),
     ) {
         let dst_fn = desc.dst_fn;
         let Some(state) = self.tenants.get(tenant.0.into()) else {
@@ -787,7 +798,7 @@ impl Core {
                 Some(ep) => {
                     self.stats.rx_delivered += 1;
                     let (desc, latency) = (buf.into_desc(dst_fn), self.ipc.one_way_latency);
-                    out.push(Effect::Deliver { ep, desc, latency });
+                    out(Effect::Deliver { ep, desc, latency });
                 }
                 None => self.give_up(now, m, FailureReason::UnknownDestination, Some(peer), out),
             },
@@ -816,7 +827,7 @@ impl Core {
         now: SimTime,
         mut p: PendingSend,
         retry_id: Option<u64>,
-        out: &mut Vec<Effect>,
+        out: &mut impl FnMut(Effect),
     ) {
         let (mut m, tenant, peer) = (p.meta, p.meta.tenant, p.peer);
         // The deadline may have passed while the send sat parked (e.g. a
@@ -881,7 +892,7 @@ impl Core {
             sampled,
         };
         self.posted.insert(seq, record);
-        out.push(Effect::PostSend {
+        out(Effect::PostSend {
             qp,
             wr: WrId(u64::MAX - seq),
             buf: p.buf,
@@ -897,7 +908,7 @@ impl Core {
 
     /// Asks for a background reconnect of a dry `(tenant, peer)` pool
     /// (tens of milliseconds cold, §3.3). Idempotent while one is in flight.
-    fn request_reconnect(&mut self, tenant: TenantId, peer: NodeId, out: &mut Vec<Effect>) {
+    fn request_reconnect(&mut self, tenant: TenantId, peer: NodeId, out: &mut impl FnMut(Effect)) {
         if self.reconnecting.contains(&(tenant, peer)) {
             return;
         }
@@ -905,7 +916,7 @@ impl Core {
         let (Some(rq), Some(link)) = (rq, self.peer_links.get(&(tenant, peer))) else {
             return;
         };
-        out.push(Effect::Connect {
+        out(Effect::Connect {
             tenant,
             peer,
             rq,
@@ -918,7 +929,7 @@ impl Core {
     /// Fires a parked retry. An id that is no longer parked (already
     /// flushed by a reconnect, or the send ultimately gave up) is a no-op,
     /// so a stale backoff timer can never duplicate a send.
-    fn fire_retry(&mut self, now: SimTime, id: u64, out: &mut Vec<Effect>) {
+    fn fire_retry(&mut self, now: SimTime, id: u64, out: &mut impl FnMut(Effect)) {
         if let Some(mut p) = self.retries.remove(id) {
             p.timer = None;
             self.post(now, p, Some(id), out);
@@ -934,7 +945,13 @@ impl Core {
     }
 
     /// RX stage: a polled completion — of one of our sends, or an arrival.
-    fn on_cqe(&mut self, now: SimTime, cqe: Cqe, dispatched_at: SimTime, out: &mut Vec<Effect>) {
+    fn on_cqe(
+        &mut self,
+        now: SimTime,
+        cqe: Cqe,
+        dispatched_at: SimTime,
+        out: &mut impl FnMut(Effect),
+    ) {
         if cqe.opcode != CqeOpcode::Recv {
             return self.on_send_completion(now, cqe, out);
         }
@@ -994,10 +1011,10 @@ impl Core {
             self.span(req_id, tenant, Stage::ComchDeliver, now, now + latency);
         }
         let desc = buf.into_desc(dst_fn);
-        out.push(Effect::Deliver { ep, desc, latency });
+        out(Effect::Deliver { ep, desc, latency });
     }
 
-    fn on_send_completion(&mut self, now: SimTime, cqe: Cqe, out: &mut Vec<Effect>) {
+    fn on_send_completion(&mut self, now: SimTime, cqe: Cqe, out: &mut impl FnMut(Effect)) {
         self.stats.send_completions += 1;
         // Close out the post-to-completion interval opened when the WR was
         // handed to the RNIC.
@@ -1035,7 +1052,7 @@ impl Core {
         now: SimTime,
         cqe: Cqe,
         posted: Option<PostedSend>,
-        out: &mut Vec<Effect>,
+        out: &mut impl FnMut(Effect),
     ) {
         let (mut m, posted_peer) = match posted {
             Some(p) => (p.meta, Some(p.peer)),
@@ -1100,7 +1117,7 @@ impl Core {
             timer: None,
         };
         self.retries.insert(id, parked);
-        out.push(Effect::ArmRetry { id, backoff });
+        out(Effect::ArmRetry { id, backoff });
     }
 }
 
@@ -1173,7 +1190,7 @@ mod tests {
         /// back in place, everything else is returned in emission order.
         fn run(&mut self, now: SimTime, input: Input) -> Vec<Effect> {
             let mut out = Vec::new();
-            self.core.step(now, input, &mut out);
+            self.core.step(now, input, &mut |effect| out.push(effect));
             let mut flat = Vec::new();
             for effect in out {
                 match effect {

@@ -5,10 +5,13 @@
 //! this module is the thin shell around it. [`Dne`]'s methods are the
 //! control plane (tenants, routes, endpoints, wire versions, counters) and
 //! `drive` is the data plane's only door to the outside: it feeds one
-//! input to `Core::step` under a single borrow, drops the borrow, and
-//! applies the effects in emission order — the one place in the crate that
-//! schedules or cancels an event, posts to the RNIC, connects, calls an
-//! endpoint or the failure handler, or talks to another node's engine.
+//! input to `Core::step` under a single borrow and applies the effects in
+//! emission order — the one place in the crate that schedules or cancels
+//! an event, posts to the RNIC, connects, calls an endpoint or the failure
+//! handler, or talks to another node's engine. Effects that touch only the
+//! simulator's queue or the RNIC are applied as the step emits them; from
+//! the first that needs the core or can call back into an engine on, the
+//! rest wait until the step has returned and its borrow is dropped.
 //!
 //! The engine is processor-agnostic: configured with
 //! [`ProcessorKind::DpuArm`] and Comch IPC it is NADINO (DNE); with
@@ -19,18 +22,17 @@
 //! [`ProcessorKind::HostCpu`]: dpu_sim::soc::ProcessorKind::HostCpu
 //! [`OffloadMode::OnPath`]: crate::types::OffloadMode::OnPath
 
-use std::cell::{Cell, Ref, RefCell, RefMut};
+use std::cell::{Ref, RefCell, RefMut};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::{Rc, Weak};
 
 use membuf::descriptor::BufferDesc;
 use membuf::export::MappedPool;
-use membuf::pool::OwnedBuf;
 use membuf::tenant::TenantId;
 use obs::Tracer;
-use rdma_sim::fabric::{CqId, QpHandle, RqId};
-use rdma_sim::{Fabric, NodeId, RdmaError, WrId};
+use rdma_sim::fabric::{CqId, RqId};
+use rdma_sim::{Fabric, NodeId, RdmaError};
 use simcore::{Sim, SimTime};
 
 use crate::core::{Core, Effect, Input};
@@ -93,9 +95,10 @@ struct Engine {
     node: NodeId,
     cq: CqId,
     fabric: Fabric,
-    /// The effect buffer, reused across [`drive`] calls so the steady state
-    /// allocates nothing (a nested `drive` finds it taken and starts empty).
-    effects: Cell<Vec<Effect>>,
+    /// Buffers for the effects [`drive`] defers, one per nesting level (a
+    /// failure handler can drive the engine again), reused so recovery
+    /// allocates nothing in the steady state.
+    spare: RefCell<Vec<Vec<Effect>>>,
     failure_handler: RefCell<Option<DeliveryFailureHandler>>,
     /// The engines `connect_pair` wired this one to: where `PeerConnAdded`
     /// is delivered.
@@ -123,74 +126,123 @@ impl Engine {
 }
 
 /// Feeds `input` to the engine's state machine and applies what it asks
-/// for, in the order it asked.
+/// for, in the order it asked: each effect [`apply`] can do while the step
+/// holds the core as it is emitted, and from the first one it hands back
+/// on, the rest of the step once the borrow is dropped.
 fn drive(rc: &Rc<Engine>, sim: &mut Sim, input: Input) {
-    let mut out = rc.effects.take();
-    rc.borrow_mut().step(sim.now(), input, &mut out);
-    for effect in out.drain(..) {
-        match effect {
-            Effect::PostSend {
-                qp,
-                wr,
-                buf,
-                imm,
-                at,
-            } if at > sim.now() => {
-                let rc = rc.clone();
-                sim.schedule_at(at, move |sim| hand_to_rnic(&rc, sim, qp, wr, buf, imm));
-            }
-            Effect::PostSend {
-                qp, wr, buf, imm, ..
-            } => hand_to_rnic(rc, sim, qp, wr, buf, imm),
-            Effect::Deliver { ep, desc, latency } => {
-                sim.schedule_after(latency, move |sim| ep(sim, desc));
-            }
-            Effect::After(delay, input) => {
-                let rc = rc.clone();
-                sim.schedule_after(delay, move |sim| drive(&rc, sim, input));
-            }
-            Effect::ArmRetry { id, backoff } => {
-                let rc2 = rc.clone();
-                let fire = move |sim: &mut Sim| drive(&rc2, sim, Input::RetryTimer(id));
-                let timer = sim.schedule_after(backoff, fire);
-                rc.borrow_mut().retry_armed(id, timer);
-            }
-            Effect::CancelTimer(timer) => {
-                sim.cancel(timer);
-            }
-            Effect::Connect {
-                tenant,
-                peer,
-                rq,
-                peer_cq,
-                peer_rq,
-            } => reconnect(rc, sim, tenant, peer, (rq, peer_cq, peer_rq)),
-            Effect::PeerConnAdded {
-                peer,
-                tenant,
-                handle,
-            } => {
-                let engine = rc.peers.borrow().get(&peer).and_then(Weak::upgrade);
-                if let Some(engine) = engine {
-                    let peer = rc.node;
-                    let announce = Input::PeerConn {
-                        tenant,
-                        peer,
-                        handle,
-                    };
-                    drive(&engine, sim, announce);
+    let now = sim.now();
+    let mut deferred: Option<Vec<Effect>> = None;
+    rc.borrow_mut()
+        .step(now, input, &mut |effect| match &mut deferred {
+            Some(later) => later.push(effect),
+            None => {
+                if let Some(effect) = apply(rc, sim, effect) {
+                    let mut later = rc.spare.borrow_mut().pop().unwrap_or_default();
+                    later.push(effect);
+                    deferred = Some(later);
                 }
             }
-            Effect::Fail(failure) => {
-                let handler = rc.failure_handler.borrow().clone();
-                if let Some(h) = handler {
-                    h(sim, failure);
-                }
+        });
+    if let Some(mut later) = deferred {
+        for effect in later.drain(..) {
+            settle(rc, sim, effect);
+        }
+        rc.spare.borrow_mut().push(later);
+    }
+}
+
+/// Applies an effect that touches only the simulator's queue or the RNIC:
+/// the one place in the crate that posts a send. Hands back an effect that
+/// needs the core or can call back into an engine, and turns a post the
+/// RNIC refuses (it recycled the buffer) into `Then(PostFailed)`.
+fn apply(rc: &Rc<Engine>, sim: &mut Sim, effect: Effect) -> Option<Effect> {
+    match effect {
+        Effect::PostSend {
+            qp,
+            wr,
+            buf,
+            imm,
+            at,
+        } if at > sim.now() => {
+            let rc = rc.clone();
+            sim.schedule_at(at, move |sim| {
+                let post = Effect::PostSend {
+                    qp,
+                    wr,
+                    buf,
+                    imm,
+                    at,
+                };
+                settle(&rc, sim, post)
+            });
+        }
+        Effect::PostSend {
+            qp, wr, buf, imm, ..
+        } => {
+            if rc.fabric.post_send(sim, qp, wr, buf, imm).is_err() {
+                return Some(Effect::Then(Input::PostFailed(wr)));
             }
-            Effect::Then(input) => drive(rc, sim, input),
+        }
+        Effect::Deliver { ep, desc, latency } => {
+            sim.schedule_after(latency, move |sim| ep(sim, desc));
+        }
+        Effect::After(delay, input) => {
+            let rc = rc.clone();
+            sim.schedule_after(delay, move |sim| drive(&rc, sim, input));
+        }
+        Effect::CancelTimer(timer) => {
+            sim.cancel(timer);
+        }
+        reentrant => return Some(reentrant),
+    }
+    None
+}
+
+/// Applies any effect while no step holds the core.
+fn settle(rc: &Rc<Engine>, sim: &mut Sim, effect: Effect) {
+    match effect {
+        Effect::ArmRetry { id, backoff } => {
+            let rc2 = rc.clone();
+            let fire = move |sim: &mut Sim| drive(&rc2, sim, Input::RetryTimer(id));
+            let timer = sim.schedule_after(backoff, fire);
+            rc.borrow_mut().retry_armed(id, timer);
+        }
+        Effect::Connect {
+            tenant,
+            peer,
+            rq,
+            peer_cq,
+            peer_rq,
+        } => reconnect(rc, sim, tenant, peer, (rq, peer_cq, peer_rq)),
+        Effect::PeerConnAdded {
+            peer,
+            tenant,
+            handle,
+        } => {
+            let engine = rc.peers.borrow().get(&peer).and_then(Weak::upgrade);
+            if let Some(engine) = engine {
+                let peer = rc.node;
+                let announce = Input::PeerConn {
+                    tenant,
+                    peer,
+                    handle,
+                };
+                drive(&engine, sim, announce);
+            }
+        }
+        Effect::Fail(failure) => {
+            let handler = rc.failure_handler.borrow().clone();
+            if let Some(h) = handler {
+                h(sim, failure);
+            }
+        }
+        Effect::Then(input) => drive(rc, sim, input),
+        simple => {
+            if let Some(refused) = apply(rc, sim, simple) {
+                settle(rc, sim, refused);
+            }
         }
     }
-    rc.effects.set(out);
 }
 
 /// Establishes a fresh connection for a dry `(tenant, peer)` pool — the
@@ -217,13 +269,6 @@ fn reconnect(
     drive(rc, sim, answer);
 }
 
-/// Posts one send; a synchronous refusal goes back to the state machine.
-fn hand_to_rnic(rc: &Rc<Engine>, sim: &mut Sim, qp: QpHandle, wr: WrId, buf: OwnedBuf, imm: u64) {
-    if rc.fabric.post_send(sim, qp, wr, buf, imm).is_err() {
-        drive(rc, sim, Input::PostFailed(wr));
-    }
-}
-
 /// A node's network engine instance.
 ///
 /// Cloning clones a handle to the same engine.
@@ -241,7 +286,7 @@ impl Dne {
             node,
             cq,
             fabric: fabric.clone(),
-            effects: Cell::default(),
+            spare: RefCell::default(),
             failure_handler: RefCell::default(),
             peers: RefCell::default(),
         });
@@ -525,7 +570,7 @@ impl Dne {
 
 // Reached by the test modules below through `use super::*`.
 #[cfg(test)]
-use {membuf::pool::BufferPool, obs::Stage};
+use {membuf::pool::BufferPool, obs::Stage, rdma_sim::fabric::QpHandle};
 
 #[cfg(test)]
 mod tests {
@@ -560,7 +605,11 @@ mod tests {
 
     /// Two nodes, one tenant, fn 1 on node A and fn 2 on node B.
     fn setup(cfg: DneConfig) -> TwoNodes {
-        let fabric = Fabric::new(RdmaCosts::default());
+        setup_on(Fabric::new(RdmaCosts::default()), cfg)
+    }
+
+    /// [`setup`] on a fabric of the caller's.
+    fn setup_on(fabric: Fabric, cfg: DneConfig) -> TwoNodes {
         let mut sim = Sim::new();
         let a = fabric.add_node();
         let b = fabric.add_node();
@@ -848,6 +897,57 @@ mod tests {
         // The always-on stage histograms still populate.
         assert_eq!(env.dne_a.stats().post_to_completion.count(), 1);
         assert_eq!(env.dne_b.stats().rx_delivered, 1);
+    }
+
+    /// A post the RNIC refuses on the spot (the payload exceeds its
+    /// message size) is handed back to the state machine as `PostFailed`
+    /// while the step that posted is still emitting. With one engine core,
+    /// that step also dispatches the second send, whose `After` is emitted
+    /// after the refusal and must be applied after it: each send fails
+    /// typed, exactly once, before anything the posting step emitted later
+    /// is scheduled, and both buffers go home.
+    #[test]
+    fn a_refused_post_fails_typed_once_and_keeps_the_step_in_order() {
+        use crate::types::FailureReason;
+        let costs = RdmaCosts {
+            max_msg_size: 16,
+            ..RdmaCosts::default()
+        };
+        let mut env = setup_on(Fabric::new(costs), DneConfig::nadino_dne());
+        assert_eq!(DneConfig::nadino_dne().cores, 1);
+        let failures = Rc::new(StdRefCell::new(Vec::new()));
+        let sink = failures.clone();
+        env.dne_a.set_failure_handler(Rc::new(move |sim, f| {
+            // Nothing the refused post's step emitted after it is applied
+            // yet: the second send's dispatch is still unscheduled.
+            sink.borrow_mut().push((f, sim.pending_events()));
+        }));
+        for req_id in [1u64, 2] {
+            let mut payload = [0u8; 64];
+            payload[..8].copy_from_slice(&req_id.to_le_bytes());
+            let mut buf = env.pool_a.get().unwrap();
+            buf.write_payload(&payload).unwrap();
+            env.dne_a.submit(&mut env.sim, env.tenant, buf.into_desc(2));
+        }
+        env.sim.run();
+
+        let failures = failures.borrow();
+        let seen: Vec<_> = failures
+            .iter()
+            .map(|(f, pending)| (f.req_id, f.reason, f.dst_node, *pending))
+            .collect();
+        let (no_conn, b) = (FailureReason::NoConnection, Some(NodeId(1)));
+        assert_eq!(seen, [(1, no_conn, b, 0), (2, no_conn, b, 0)]);
+        let stats = env.dne_a.stats();
+        assert_eq!((stats.tx_posted, stats.give_ups, stats.drops), (2, 2, 2));
+        assert_eq!(stats.send_completions, 0, "nothing reached the wire");
+        assert_eq!(env.dne_b.stats().rx_delivered, 0);
+        let prepost = DneConfig::nadino_dne().prepost_depth as u32;
+        let pool = env.pool_a.stats();
+        assert_eq!(
+            (pool.free, pool.in_flight),
+            (env.pool_a.capacity() - prepost, 0)
+        );
     }
 
     #[test]

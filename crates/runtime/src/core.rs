@@ -3,9 +3,12 @@
 //! [`Core`] holds the sidecar, the IPC prices, the tenant pools, the
 //! counters and one function table in which chain and DAG functions are
 //! data, beside the DAG joins. [`Core::step`] takes the instant, one
-//! [`Input`] and the [`Host`] it borrows, and appends [`Output`]s: anything
-//! that needs the simulator or can re-enter the library is an output, which
-//! the driver in [`crate::iolib`] applies in emission order.
+//! [`Input`] and the [`Host`] it borrows, and emits [`Output`]s into a
+//! sink: anything that needs the simulator or can re-enter the library is
+//! an output, which the driver in [`crate::iolib`] applies in emission
+//! order — an `At` or a `Submit` as it is emitted, and from the first
+//! output that can re-enter the library on, the rest once the step
+//! returned.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -23,7 +26,7 @@ use simcore::{IdTable, SimDuration, SimTime};
 use crate::chain::ChainSpec;
 use crate::dag::{dag_header, set_dag_header, DagMsg, DagSpec, CLIENT_CALLER};
 use crate::function::{
-    deadline_expired, decode_hop, decode_request_id, encode_request_payload, set_hop,
+    deadline_expired, decode_hop, decode_request_id, set_hop, write_request_payload,
 };
 use crate::iolib::IoStats;
 use crate::placement::Placement;
@@ -169,13 +172,14 @@ impl Core {
         self.joins.retain(|&(_, req), _| req != req_id);
     }
 
-    /// Advances the runtime by one input, appending what it wants done.
+    /// Advances the runtime by one input, emitting what it wants done into
+    /// `out` in the order it must be done.
     pub(crate) fn step(
         &mut self,
         now: SimTime,
         input: Input,
         host: &mut Host<'_>,
-        out: &mut Vec<Output>,
+        out: &mut impl FnMut(Output),
     ) {
         match input {
             Input::Send { tenant, desc, meta } => self.send(now, tenant, desc, meta, host, out),
@@ -195,13 +199,13 @@ impl Core {
         desc: BufferDesc,
         meta: Option<(u64, bool)>,
         host: &mut Host<'_>,
-        out: &mut Vec<Output>,
+        out: &mut impl FnMut(Output),
     ) {
         match host.placement.node_of(desc.dst_fn) {
             Some(n) if n != self.node => {
                 host.cpu.run(now, self.dne_ipc.host_service);
                 self.stats.remote_sends += 1;
-                out.push(Output::Submit { tenant, desc });
+                out(Output::Submit { tenant, desc });
             }
             Some(_) if self.sidecar.check(tenant, desc.dst_fn) == AccessDecision::Allow => {
                 let service = self.skmsg.host_service + Sidecar::CHECK_COST;
@@ -218,7 +222,7 @@ impl Core {
                             .span(req_id, tenant.0, node, Stage::SkMsg, now, at);
                     }
                 }
-                out.push(Output::At(at, Input::Deliver { desc }));
+                out(Output::At(at, Input::Deliver { desc }));
             }
             _ => {
                 self.stats.dropped += 1;
@@ -249,11 +253,11 @@ impl Core {
         now: SimTime,
         desc: BufferDesc,
         host: &mut Host<'_>,
-        out: &mut Vec<Output>,
+        out: &mut impl FnMut(Output),
     ) {
         let fn_id = desc.dst_fn;
         let Some(f) = self.functions.get(fn_id.into()) else {
-            out.push(Output::Call(fn_id, desc));
+            out(Output::Call(fn_id, desc));
             return;
         };
         let (tenant, exec_cost) = (f.spec.tenant(), f.exec_cost);
@@ -275,7 +279,7 @@ impl Core {
             // burns CPU and surfaces as a typed expiry.
             if deadline_expired(buf.as_slice(), now) {
                 drop(buf);
-                out.push(Output::Fail(DeliveryFailure {
+                out(Output::Fail(DeliveryFailure {
                     tenant,
                     dst_fn: fn_id,
                     req_id,
@@ -291,7 +295,7 @@ impl Core {
                 self.tracer
                     .span(req_id, tenant.0, node, Stage::FnExec, now, done);
             }
-            out.push(Output::At(done, Input::ExecDone(job, Some(buf))));
+            out(Output::At(done, Input::ExecDone(job, Some(buf))));
             return;
         }
         // A DAG message is consumed here; a malformed one is recycled.
@@ -303,7 +307,7 @@ impl Core {
             DagMsg::Call => {
                 job.caller = src;
                 let done = host.cpu.run(now, exec_cost);
-                out.push(Output::At(done, Input::ExecDone(job, None)));
+                out(Output::At(done, Input::ExecDone(job, None)));
             }
             DagMsg::Response => {
                 // No entry: a stray, whose request already failed.
@@ -314,7 +318,7 @@ impl Core {
                 if join.get().1 == 0 {
                     let (call, _) = join.remove();
                     let done = host.cpu.run(now, JOIN_COST);
-                    out.push(Output::At(done, Input::JoinDone(call)));
+                    out(Output::At(done, Input::JoinDone(call)));
                 }
             }
         }
@@ -329,7 +333,7 @@ impl Core {
         job: Job,
         buf: Option<OwnedBuf>,
         host: &mut Host<'_>,
-        out: &mut Vec<Output>,
+        out: &mut impl FnMut(Output),
     ) {
         let spec = self.functions.get(job.fn_id.into()).map(|f| &f.spec);
         match (spec, buf) {
@@ -338,7 +342,7 @@ impl Core {
                 let Some(&dst) = chain.hops.get(next) else {
                     drop(buf);
                     let (fn_id, req_id) = (job.fn_id, job.req_id);
-                    out.push(Output::Complete { fn_id, req_id });
+                    out(Output::Complete { fn_id, req_id });
                     return;
                 };
                 set_hop(buf.as_mut_slice(), next as u16);
@@ -367,10 +371,16 @@ impl Core {
 
     /// A DAG function answers its caller: the client completes the request,
     /// any other caller is sent a response.
-    fn respond(&mut self, now: SimTime, job: Job, host: &mut Host<'_>, out: &mut Vec<Output>) {
+    fn respond(
+        &mut self,
+        now: SimTime,
+        job: Job,
+        host: &mut Host<'_>,
+        out: &mut impl FnMut(Output),
+    ) {
         if job.caller == CLIENT_CALLER {
             let (fn_id, req_id) = (job.fn_id, job.req_id);
-            out.push(Output::Complete { fn_id, req_id });
+            out(Output::Complete { fn_id, req_id });
         } else {
             self.send_msg(now, job, job.caller, DagMsg::Response, host, out);
         }
@@ -387,24 +397,24 @@ impl Core {
         to: u16,
         kind: DagMsg,
         host: &mut Host<'_>,
-        out: &mut Vec<Output>,
+        out: &mut impl FnMut(Output),
     ) -> bool {
-        let mut payload = encode_request_payload(job.req_id, 64);
-        set_dag_header(&mut payload, kind, job.fn_id);
-        if job.sampled {
-            // Each DAG message is a fresh payload, so the trace context —
-            // parent cursor plus the ingress sampling bit — must be
-            // re-stamped or causality breaks at this hop.
-            let parent = self.tracer.cursor(job.req_id, self.node.0 as u32);
-            obs::ctx::write_ctx_at(&mut payload, parent, true, host.wire_version);
-        }
         let pool = self.pools.get(job.tenant.0.into());
         let filled = pool.and_then(|p| p.get().ok()).and_then(|mut buf| {
-            buf.write_payload(&payload).ok()?; // too small: recycled here
+            // Too small: recycled here.
+            let payload = write_request_payload(&mut buf, job.req_id, 64)?;
+            set_dag_header(payload, kind, job.fn_id);
+            if job.sampled {
+                // Each DAG message is a fresh payload, so the trace context
+                // — parent cursor plus the ingress sampling bit — must be
+                // re-stamped or causality breaks at this hop.
+                let parent = self.tracer.cursor(job.req_id, self.node.0 as u32);
+                obs::ctx::write_ctx_at(payload, parent, true, host.wire_version);
+            }
             Some(buf)
         });
         let Some(buf) = filled else {
-            out.push(Output::Fail(DeliveryFailure {
+            out(Output::Fail(DeliveryFailure {
                 tenant: job.tenant,
                 dst_fn: to,
                 req_id: job.req_id,
@@ -478,16 +488,12 @@ mod tests {
         /// node 0's buffers down to `free`.
         fn new(case: Case) -> World {
             let nodes = [NodeId(0), NodeId(1)];
-            let mut payload = encode_request_payload(REQ, obs::CTX_REGION);
             let (spec, placed) = match case {
                 Case::Echo => {
-                    set_hop(&mut payload, 0);
-                    obs::write_deadline_ns(&mut payload, DEADLINE.as_nanos());
                     let chain = ChainSpec::new("echo", TENANT, vec![1, 2, 1]);
                     (Spec::Chain(Rc::new(chain)), &[0, 1][..])
                 }
                 Case::FanOut { .. } => {
-                    set_dag_header(&mut payload, DagMsg::Call, CLIENT_CALLER);
                     let dag = DagSpec::new("fan", TENANT, 1, &[(1, &[2, 3][..])]);
                     (Spec::Dag(Rc::new(dag)), &[0, 0, 1][..])
                 }
@@ -527,7 +533,14 @@ mod tests {
                 order: Vec::new(),
             };
             let mut buf = world.pools[0].get().unwrap();
-            buf.write_payload(&payload).unwrap();
+            let payload = write_request_payload(&mut buf, REQ, obs::CTX_REGION).unwrap();
+            match case {
+                Case::Echo => {
+                    set_hop(payload, 0);
+                    obs::write_deadline_ns(payload, DEADLINE.as_nanos());
+                }
+                Case::FanOut { .. } => set_dag_header(payload, DagMsg::Call, CLIENT_CALLER),
+            }
             let desc = buf.into_desc(1);
             let send = Input::Send {
                 tenant: TENANT,
@@ -587,7 +600,8 @@ mod tests {
                 wire_version: obs::ctx::CTX_CURRENT,
             };
             let mut out = Vec::new();
-            self.cores[node].step(self.now, input, &mut host, &mut out);
+            let emit = &mut |output| out.push(output);
+            self.cores[node].step(self.now, input, &mut host, emit);
             for output in out {
                 match output {
                     Output::At(at, input) => self.pending.push(Pending::At(node, at, input)),

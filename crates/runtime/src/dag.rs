@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn header_roundtrip() {
-        let mut p = crate::function::encode_request_payload(42, 64);
+        let mut p = [0u8; 64];
         set_dag_header(&mut p, DagMsg::Call, 7);
         assert_eq!(dag_header(&p), Some((DagMsg::Call, 7)));
         set_dag_header(&mut p, DagMsg::Response, 9);

@@ -9,6 +9,7 @@
 
 use std::rc::Rc;
 
+use membuf::pool::OwnedBuf;
 use simcore::{Sim, SimTime};
 
 /// Returns `true` when the payload carries a deadline that has already
@@ -20,13 +21,21 @@ pub fn deadline_expired(payload: &[u8], now: SimTime) -> bool {
 /// Completion callback: `(sim, request id)`.
 pub type CompletionFn = Rc<dyn Fn(&mut Sim, u64)>;
 
-/// Encodes a request payload: 8-byte request id followed by padding up to
-/// `total_len` (minimum 8 bytes).
-pub fn encode_request_payload(req_id: u64, total_len: usize) -> Vec<u8> {
+/// Writes a request payload straight into `buf`: the 8-byte request id
+/// followed by zeros up to `total_len` (minimum 8 bytes). Returns the
+/// payload for the caller's header fields, or `None` (nothing written)
+/// when the buffer cannot hold it.
+pub fn write_request_payload(
+    buf: &mut OwnedBuf,
+    req_id: u64,
+    total_len: usize,
+) -> Option<&mut [u8]> {
     let len = total_len.max(8);
-    let mut payload = vec![0u8; len];
+    buf.set_len(len).ok()?;
+    let payload = &mut buf.as_mut_slice()[..len];
     payload[..8].copy_from_slice(&req_id.to_le_bytes());
-    payload
+    payload[8..].fill(0);
+    Some(payload)
 }
 
 /// Decodes the request id from a payload (zero if too short).
@@ -51,19 +60,38 @@ pub fn decode_hop(payload: &[u8]) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use membuf::pool::{BufferPool, PoolConfig};
+    use membuf::tenant::TenantId;
+
+    fn pool() -> BufferPool {
+        let mut cfg = PoolConfig::new(TenantId(1), 0, 64, 2);
+        cfg.segment_size = 4096;
+        BufferPool::new(cfg).unwrap()
+    }
 
     #[test]
     fn payload_roundtrip() {
-        let p = encode_request_payload(0xdead_beef_1234, 64);
-        assert_eq!(p.len(), 64);
-        assert_eq!(decode_request_id(&p), 0xdead_beef_1234);
+        let pool = pool();
+        let mut buf = pool.get().unwrap();
+        buf.as_mut_slice().fill(0xaa); // a recycled buffer's old bytes
+        let p = write_request_payload(&mut buf, 0xdead_beef_1234, 40).unwrap();
+        assert_eq!(p.len(), 40);
+        assert_eq!(decode_request_id(p), 0xdead_beef_1234);
+        assert!(p[8..].iter().all(|&b| b == 0), "zero-filled");
+        assert_eq!(buf.len(), 40);
+        assert_eq!(
+            write_request_payload(&mut buf, 1, 0).unwrap().len(),
+            8,
+            "minimum length"
+        );
+        assert!(write_request_payload(&mut buf, 1, 65).is_none(), "too long");
+        assert_eq!(buf.len(), 8, "a refused write leaves the payload");
         assert_eq!(decode_request_id(&[1, 2, 3]), 0, "short payload");
-        assert_eq!(encode_request_payload(1, 0).len(), 8, "minimum length");
     }
 
     #[test]
     fn a_short_payload_has_no_hop_field() {
-        let mut p = encode_request_payload(1, 10);
+        let mut p = [0u8; 10];
         set_hop(&mut p, 513);
         assert_eq!(decode_hop(&p), 513);
         let mut short = [0u8; 9];

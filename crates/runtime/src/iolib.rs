@@ -4,9 +4,10 @@
 //! determines the intra-/inter-node data path": a local destination gets
 //! the descriptor over SK_MSG after the sidecar's check, a remote one goes
 //! to the DNE, and host-side IPC costs are charged to the node's host
-//! cores. The state machine in `crate::core` decides all of it; `drive` is
-//! the crate's one place that schedules an event, submits to the DNE, or
-//! calls an endpoint, a completion or the failure handler.
+//! cores. The state machine in `crate::core` decides all of it; `drive`,
+//! through the `apply` and `settle` it hands outputs to, is the crate's one
+//! place that schedules an event, submits to the DNE, or calls an endpoint,
+//! a completion or the failure handler.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -53,18 +54,20 @@ struct Lib {
     endpoints: RefCell<IdTable<FnEndpoint>>,
     /// Completions of chain and DAG functions, by function id.
     completions: RefCell<IdTable<CompletionFn>>,
-    /// Output buffers, one per nesting level of [`drive`] (a completion can
-    /// inject the next request), reused so the steady state allocates
-    /// nothing.
+    /// Buffers for the outputs [`drive`] defers, one per nesting level (a
+    /// completion can inject the next request), reused so the steady state
+    /// allocates nothing.
     spare: RefCell<Vec<Vec<Output>>>,
 }
 
-/// Feeds `input` to the core and applies its outputs in emission order,
-/// after every borrow the step took is dropped: a `Submit`, `Call`,
-/// `Complete` or `Fail` can re-enter the library, and an `At` emitted after
-/// a `Submit` is scheduled after the events that `Submit` scheduled.
+/// Feeds `input` to the core and applies its outputs in emission order:
+/// an `At` or a `Submit` as the step emits it (a DNE `Submit` step only
+/// schedules), and from the first output that can re-enter the library on
+/// — a `Call`, `Complete` or `Fail` — the rest once every borrow the step
+/// took is dropped.
 fn drive(lib: &Rc<Lib>, sim: &mut Sim, input: Input) {
-    let mut out = lib.spare.borrow_mut().pop().unwrap_or_default();
+    let now = sim.now();
+    let mut deferred: Option<Vec<Output>> = None;
     {
         let (mut cpu, placement) = (lib.cpu.borrow_mut(), lib.placement.borrow());
         let mut host = Host {
@@ -72,32 +75,62 @@ fn drive(lib: &Rc<Lib>, sim: &mut Sim, input: Input) {
             placement: &placement,
             wire_version: lib.dne.wire_version(),
         };
-        lib.core
-            .borrow_mut()
-            .step(sim.now(), input, &mut host, &mut out);
+        let emit = &mut |output| match &mut deferred {
+            Some(later) => later.push(output),
+            None => {
+                if let Some(output) = apply(lib, sim, output) {
+                    let mut later = lib.spare.borrow_mut().pop().unwrap_or_default();
+                    later.push(output);
+                    deferred = Some(later);
+                }
+            }
+        };
+        lib.core.borrow_mut().step(now, input, &mut host, emit);
     }
-    for output in out.drain(..) {
-        match output {
-            Output::At(at, input) => {
-                sim.schedule_at(at, event(lib.clone(), input));
+    if let Some(mut later) = deferred {
+        for output in later.drain(..) {
+            settle(lib, sim, output);
+        }
+        lib.spare.borrow_mut().push(later);
+    }
+}
+
+/// Applies an output that cannot re-enter the library — the crate's one
+/// place that schedules an event or submits to the DNE — and hands back
+/// any other.
+fn apply(lib: &Rc<Lib>, sim: &mut Sim, output: Output) -> Option<Output> {
+    match output {
+        Output::At(at, input) => {
+            sim.schedule_at(at, event(lib.clone(), input));
+        }
+        Output::Submit { tenant, desc } => lib.dne.submit(sim, tenant, desc),
+        reentrant => return Some(reentrant),
+    }
+    None
+}
+
+/// Applies any output while no step holds the library.
+fn settle(lib: &Rc<Lib>, sim: &mut Sim, output: Output) {
+    match output {
+        Output::Call(fn_id, desc) => {
+            let ep = lib.endpoints.borrow().get(fn_id.into()).cloned();
+            if let Some(ep) = ep {
+                ep(sim, desc);
             }
-            Output::Submit { tenant, desc } => lib.dne.submit(sim, tenant, desc),
-            Output::Call(fn_id, desc) => {
-                let ep = lib.endpoints.borrow().get(fn_id.into()).cloned();
-                if let Some(ep) = ep {
-                    ep(sim, desc);
-                }
+        }
+        Output::Complete { fn_id, req_id } => {
+            let done = lib.completions.borrow().get(fn_id.into()).cloned();
+            if let Some(done) = done {
+                done(sim, req_id);
             }
-            Output::Complete { fn_id, req_id } => {
-                let done = lib.completions.borrow().get(fn_id.into()).cloned();
-                if let Some(done) = done {
-                    done(sim, req_id);
-                }
+        }
+        Output::Fail(failure) => lib.dne.report_failure(sim, failure),
+        simple => {
+            if let Some(output) = apply(lib, sim, simple) {
+                settle(lib, sim, output);
             }
-            Output::Fail(failure) => lib.dne.report_failure(sim, failure),
         }
     }
-    lib.spare.borrow_mut().push(out);
 }
 
 /// The closure [`drive`] schedules: one handle and one input, stored inline
@@ -240,7 +273,7 @@ impl IoLib {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::encode_request_payload;
+    use crate::function::write_request_payload;
     use dne::types::DneConfig;
     use dpu_sim::mmap::{doca_mmap_create_from_export, doca_mmap_export_full};
     use dpu_sim::soc::ProcessorKind;
@@ -444,11 +477,10 @@ mod tests {
         // payload into node 0's pool and deliver the descriptor.
         let start = sim.now();
         let mut buf = pool0.get().unwrap();
-        let mut payload = encode_request_payload(77, 256);
+        let payload = write_request_payload(&mut buf, 77, 256).unwrap();
         // The test plays ingress: stamp the sampled bit the gateway would
         // normally decide at admission.
-        obs::ctx::write_ctx(&mut payload, 0, true);
-        buf.write_payload(&payload).unwrap();
+        obs::ctx::write_ctx(payload, 0, true);
         io0.send(&mut sim, tenant, buf.into_desc(1));
         sim.run();
 

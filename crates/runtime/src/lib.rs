@@ -26,7 +26,7 @@ pub mod sidecar;
 pub use crate::core::Spec;
 pub use chain::ChainSpec;
 pub use dag::DagSpec;
-pub use function::{decode_hop, decode_request_id, encode_request_payload, set_hop, CompletionFn};
+pub use function::{decode_hop, decode_request_id, set_hop, write_request_payload, CompletionFn};
 pub use iolib::IoLib;
 pub use placement::Placement;
 pub use sidecar::{AccessDecision, Sidecar};

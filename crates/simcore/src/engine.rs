@@ -1,25 +1,24 @@
 //! The discrete-event engine.
 //!
-//! [`Sim`] owns the virtual clock and a hierarchical timing wheel of
-//! scheduled events (`crate::wheel`): scheduling and popping are O(1)
-//! amortized instead of the O(log n) of a global binary heap, and event
-//! closures are stored inline in a reusable slab ([`crate::event`]) so the
-//! steady-state hot path does zero allocations. Components are usually
-//! shared via `Rc<RefCell<_>>` and captured by the closures they schedule.
-//! Ties in time are broken by a monotonically increasing sequence number,
-//! so execution order is fully deterministic — and bit-for-bit identical
-//! to the reference binary-heap engine (`tests/support/baseline.rs`), the
-//! oracle of `tests/wheel_differential.rs`.
+//! [`Sim`] owns the virtual clock and a binary min-heap of scheduled
+//! events (`crate::heap`), whose closures are stored inline in a reusable
+//! slab ([`crate::event`]) so the steady-state hot path does zero
+//! allocations. Components are usually shared via `Rc<RefCell<_>>` and
+//! captured by the closures they schedule. Ties in time are broken by a
+//! monotonically increasing sequence number, so execution order is fully
+//! deterministic — and bit-for-bit identical to the reference engine
+//! (`tests/support/baseline.rs`), the oracle of
+//! `tests/heap_differential.rs`.
 //!
 //! Every `schedule_*` call returns a [`TimerHandle`]; [`Sim::cancel`]
 //! deschedules the event (dropping its closure immediately) instead of
 //! letting a dead closure fire, which is what the DNE's retry back-off
 //! timers want.
 
-pub use crate::wheel::{TimerHandle, DEFAULT_TICK_SHIFT};
+pub use crate::heap::TimerHandle;
 
+use crate::heap::EventHeap;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimingWheel;
 
 /// A deterministic single-threaded discrete-event simulator.
 ///
@@ -53,9 +52,9 @@ use crate::wheel::TimingWheel;
 pub struct Sim {
     now: SimTime,
     seq: u64,
-    /// `pub(crate)` for [`crate::wheel::Due::run`], which returns the
+    /// `pub(crate)` for [`crate::heap::Due::run`], which returns the
     /// running event's node once its handler is back.
-    pub(crate) wheel: TimingWheel,
+    pub(crate) events: EventHeap,
     executed: u64,
     cancelled: u64,
     boxed: u64,
@@ -86,27 +85,12 @@ impl Default for Sim {
 }
 
 impl Sim {
-    /// Creates an empty simulator at time zero with the default 64 ns
-    /// wheel tick.
+    /// Creates an empty simulator at time zero.
     pub fn new() -> Self {
-        Sim::with_tick_shift(DEFAULT_TICK_SHIFT)
-    }
-
-    /// Creates an empty simulator with a wheel tick of 2^`tick_shift` ns.
-    ///
-    /// The tick only affects bucketing performance, never ordering:
-    /// same-tick events still execute in exact `(time, seq)` order. Pick a
-    /// coarser tick for workloads whose events cluster at millisecond
-    /// scales, a finer one for nanosecond-dense traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick_shift > 26` (ticks above ~67 ms defeat the wheel).
-    pub fn with_tick_shift(tick_shift: u32) -> Self {
         Sim {
             now: SimTime::ZERO,
             seq: 0,
-            wheel: TimingWheel::new(tick_shift),
+            events: EventHeap::new(),
             executed: 0,
             cancelled: 0,
             boxed: 0,
@@ -126,7 +110,7 @@ impl Sim {
 
     /// Returns the number of events currently pending.
     pub fn pending_events(&self) -> usize {
-        self.wheel.live()
+        self.events.live()
     }
 
     /// Schedules `f` to run at absolute instant `at`, returning a handle
@@ -144,8 +128,8 @@ impl Sim {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let handle = self.wheel.insert(at, seq, f, &mut self.boxed);
-        self.peak_pending = self.peak_pending.max(self.wheel.live());
+        let handle = self.events.insert(at, seq, f, &mut self.boxed);
+        self.peak_pending = self.peak_pending.max(self.events.live());
         handle
     }
 
@@ -190,7 +174,7 @@ impl Sim {
     /// (the event already fired or was already cancelled), which is always
     /// safe.
     pub fn cancel(&mut self, handle: TimerHandle) -> bool {
-        if self.wheel.cancel(handle) {
+        if self.events.cancel(handle) {
             self.cancelled += 1;
             true
         } else {
@@ -200,7 +184,7 @@ impl Sim {
 
     /// Returns `true` while the event behind `handle` is still pending.
     pub fn is_scheduled(&self, handle: TimerHandle) -> bool {
-        self.wheel.is_pending(handle)
+        self.events.is_pending(handle)
     }
 
     /// Returns the engine profile accumulated so far.
@@ -210,14 +194,14 @@ impl Sim {
             executed_events: self.executed,
             cancelled_events: self.cancelled,
             boxed_events: self.boxed,
-            pending_events: self.wheel.live(),
+            pending_events: self.events.live(),
             peak_pending: self.peak_pending,
         }
     }
 
     /// Executes the single next event, returning `false` if none remain.
     pub fn step(&mut self) -> bool {
-        match self.wheel.pop_due(u64::MAX, SimTime::MAX) {
+        match self.events.pop_due(SimTime::MAX) {
             Some(due) => {
                 debug_assert!(due.at >= self.now);
                 self.now = due.at;
@@ -239,8 +223,7 @@ impl Sim {
     ///
     /// Events scheduled beyond the deadline remain pending.
     pub fn run_until(&mut self, deadline: SimTime) {
-        let limit_tick = self.wheel.tick_of(deadline);
-        while let Some(due) = self.wheel.pop_due(limit_tick, deadline) {
+        while let Some(due) = self.events.pop_due(deadline) {
             self.now = due.at;
             self.executed += 1;
             due.run(self);
@@ -497,23 +480,6 @@ mod tests {
         assert_eq!(*sum.borrow(), 96);
         drop(sim);
         assert_eq!(Rc::strong_count(&token), 1, "pending box freed on drop");
-    }
-
-    #[test]
-    fn coarse_tick_keeps_exact_order() {
-        // 1.048ms ticks: everything below lands in very few buckets, yet
-        // order stays exact.
-        let mut sim = Sim::with_tick_shift(20);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for &t in &[900u64, 100, 500, 100, 2_000_000, 1_500_000] {
-            let log = log.clone();
-            sim.schedule_at(SimTime::from_nanos(t), move |_| log.borrow_mut().push(t));
-        }
-        sim.run();
-        assert_eq!(
-            *log.borrow(),
-            vec![100, 100, 500, 900, 1_500_000, 2_000_000]
-        );
     }
 
     #[test]

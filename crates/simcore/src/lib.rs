@@ -9,8 +9,8 @@
 //!
 //! - [`time`]: nanosecond-resolution virtual time ([`SimTime`], [`SimDuration`]).
 //! - [`engine`]: the event loop ([`Sim`]) with closure events, backed by a
-//!   hierarchical timing wheel (`wheel`) and slab-stored inline closures
-//!   ([`event`]) so the hot path is O(1) amortized and allocation-free.
+//!   binary min-heap (`heap`) of slab-stored inline closures ([`event`]),
+//!   so the hot path is allocation-free.
 //! - [`resource`]: FIFO single-/multi-server resources with utilization
 //!   accounting, used to model CPU cores, DPU cores and DMA engines.
 //! - [`rng`]: seeded SplitMix64 RNG plus the distributions the workloads use.
@@ -22,13 +22,13 @@
 
 pub mod engine;
 pub mod event;
+pub(crate) mod heap;
 pub mod idtable;
 pub mod ratelimit;
 pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub(crate) mod wheel;
 
 pub use engine::{Sim, SimProfile, TimerHandle};
 pub use idtable::{IdRing, IdTable};

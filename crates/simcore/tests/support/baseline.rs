@@ -1,8 +1,8 @@
 //! Reference binary-heap event engine.
 //!
-//! This is the pre-wheel `Sim` implementation, kept as the oracle for
-//! `wheel_differential.rs`: the timing wheel must reproduce its execution
-//! order bit-for-bit. It is deliberately the naive design: one `Box<dyn FnOnce>` per event pushed
+//! The oracle of `heap_differential.rs`: the engine's slab-backed event
+//! heap must reproduce its execution order bit-for-bit. It is deliberately
+//! the naive design: one `Box<dyn FnOnce>` per event pushed
 //! into a global `BinaryHeap` (`O(log n)` per operation), with
 //! cancellation grafted on via a tombstone set so randomized cancel
 //! scripts can run against it.

@@ -197,7 +197,7 @@ case "${1:-}" in
   miri)
     cargo +nightly miri setup
     cargo +nightly miri test -p membuf
-    cargo +nightly miri test -p simcore --lib -- event:: wheel:: engine::
+    cargo +nightly miri test -p simcore --lib -- event:: heap:: engine::
     ;;
   all)
     for name in lint test results benchmark-package obs-overhead; do

@@ -110,8 +110,7 @@ fn cross_tenant_traffic_is_denied() {
 
     // Tenant 1 crafts a descriptor from its own pool targeting fn 21.
     let mut buf = cluster.pool(t1, 0).get().unwrap();
-    buf.write_payload(&runtime::encode_request_payload(99, 64))
-        .unwrap();
+    runtime::write_request_payload(&mut buf, 99, 64).unwrap();
     cluster.nodes[0].iolib.send(&mut sim, t1, buf.into_desc(21));
     sim.run();
 
@@ -330,7 +329,10 @@ fn steady_state_request_path_boxes_no_events() {
 ///
 /// A pool's payload bytes are mapped, not allocated, so the counter sees
 /// the pools' bookkeeping (which lives and dies with the mapping) and the
-/// engines' tables: ~140 KB, of which ~96 KB stayed before the fix.
+/// engines' tables: ~100 KB after the run, ~78 KB of it allocated by
+/// provisioning the tenant before the first request. The floor is that
+/// provisioning share rounded down; the run's own growth (event slab and
+/// heap, histograms) is left out of it.
 #[test]
 fn a_dropped_cluster_gives_its_memory_back() {
     const KIB: isize = 1 << 10;
@@ -349,7 +351,7 @@ fn a_dropped_cluster_gives_its_memory_back() {
     sim.run();
     assert!(driver.completed() >= 1_000, "got {}", driver.completed());
     let held = live_bytes() - before;
-    assert!(held > 128 * KIB, "two engines and two pools hold {held} B?");
+    assert!(held > 64 * KIB, "two engines and two pools hold {held} B?");
 
     drop((driver, cluster, sim));
     let retained = live_bytes() - before;
