@@ -21,6 +21,7 @@ use simcore::{Sim, SimDuration, SimTime, TimeSeries};
 
 use crate::experiment::fig13;
 use crate::report::{fmt_f64, render_table};
+use crate::workload::RECONNECT;
 
 /// One time-series sample.
 #[derive(Debug, Clone)]
@@ -89,8 +90,9 @@ fn client_loop(state: &Rc<RefCell<RampState>>, sim: &mut Sim, client: u32, conn:
         return;
     }
     let st2 = state.clone();
-    gateway.submit(
+    gateway.submit_tenant(
         sim,
+        0,
         FlowId::from_client(client, conn),
         128,
         upstream,
@@ -108,18 +110,14 @@ fn client_loop(state: &Rc<RefCell<RampState>>, sim: &mut Sim, client: u32, conn:
             }
             // A dropped client was disconnected; it reconnects only after
             // a full timeout (the paper's clients mostly stay disconnected).
-            let delay = if result_is_err(&result) {
-                SimDuration::from_secs(1)
+            let delay = if result.is_err() {
+                RECONNECT
             } else {
                 SimDuration::ZERO
             };
             sim.schedule_after(delay, move |sim| client_loop(&st2, sim, client, conn));
         }),
     );
-}
-
-fn result_is_err<T, E>(r: &Result<T, E>) -> bool {
-    r.is_err()
 }
 
 /// Runs one design's ramp and returns its trace.
@@ -141,7 +139,6 @@ fn run_trace(
         // K-Ingress "quickly overloaded after using up all CPU cores").
         initial_workers: if autoscale { 1 } else { 8 },
         autoscale_max_workers: autoscale.then_some(8),
-        autoscale_interval: SimDuration::from_millis(500),
         max_backlog: SimDuration::from_millis(1),
         ..GatewayConfig::default()
     };

@@ -23,7 +23,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use ingress::rss::FlowId;
-use ingress::{AdmissionConfig, Gateway, GatewayConfig, TenantGatewayStats};
+use ingress::{AdmissionConfig, Gateway, GatewayConfig, GatewayStats};
 use membuf::tenant::TenantId;
 use rdma_sim::FaultPlane;
 use runtime::ChainSpec;
@@ -120,9 +120,9 @@ pub struct UpgradeOutcome {
     /// Replies the cluster still held when the run drained.
     pub pending_replies: usize,
     /// The compliant tenant's gateway counters.
-    pub compliant: TenantGatewayStats,
+    pub compliant: GatewayStats,
     /// The rogue tenant's gateway counters.
-    pub rogue: TenantGatewayStats,
+    pub rogue: GatewayStats,
     /// Packets dropped by the scheduled outage window.
     pub outage_drops: u64,
     /// Health transitions as `"node:from->to@ns"` strings, in order.

@@ -14,13 +14,17 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use ingress::gateway::{Gateway, Upstream};
+use ingress::gateway::{Dropped, Gateway, Upstream};
 use ingress::rss::FlowId;
 use runtime::function::CompletionFn;
 use runtime::ChainSpec;
 use simcore::{Histogram, Sim, SimDuration, SimTime, TimeSeries};
 
 use crate::cluster::Cluster;
+
+/// How long a client refused at the gateway's door waits before it
+/// reconnects and submits again.
+pub const RECONNECT: SimDuration = SimDuration::from_secs(1);
 
 /// The issue hook installed by `start` (or a custom driver).
 type IssueFn = Rc<dyn Fn(&mut Sim, u64)>;
@@ -158,9 +162,10 @@ impl ClosedLoop {
 
     /// Starts `clients` closed-loop flows of `tenant` through `gateway`
     /// into `upstream`, `req_bytes` per request. Each flow resubmits when
-    /// its request is answered — `Ok` or not — until the stop time; only
-    /// `Ok` answers record a latency sample, every other answer (shed,
-    /// dropped, expired, failed delivery) counts under
+    /// its request is answered — `Ok` or not — until the stop time, and a
+    /// flow refused at the door (shed or dropped) first waits
+    /// [`RECONNECT`]; only `Ok` answers record a latency sample, every
+    /// other answer (shed, dropped, expired, failed delivery) counts under
     /// [`ClosedLoop::shed_count`].
     pub fn start_gateway(
         &self,
@@ -185,6 +190,8 @@ impl ClosedLoop {
     }
 
     /// One turn of one gateway flow: submit, and resubmit from the answer.
+    /// A refusal is answered inside `submit_tenant` with the backlog
+    /// unchanged, so resubmitting at once would be refused again, forever.
     fn submit(
         &self,
         sim: &mut Sim,
@@ -212,7 +219,13 @@ impl ClosedLoop {
                     }
                     Err(_) => driver.inner.borrow_mut().shed += 1,
                 }
-                driver.submit(sim, gw, tenant, up, client, req_bytes);
+                if let Err(Dropped::Overload | Dropped::Shed { .. }) = answer {
+                    sim.schedule_after(RECONNECT, move |sim| {
+                        driver.submit(sim, gw, tenant, up, client, req_bytes)
+                    });
+                } else {
+                    driver.submit(sim, gw, tenant, up, client, req_bytes);
+                }
             }),
         );
     }
@@ -358,5 +371,32 @@ mod tests {
         assert!(stats.failed > 1, "the flow kept reissuing: {stats:?}");
         assert_eq!(driver.shed_count(), stats.failed);
         assert_eq!(driver.rps(), 0.0);
+    }
+
+    /// Two K-Ingress flows on one worker whose backlog bound (1 µs) is
+    /// below one request's service: the second flow is refused at the door
+    /// and waits a reconnect, past the stop time, instead of resubmitting
+    /// into the same refusal until the stack overflows.
+    #[test]
+    fn a_flow_refused_at_the_door_waits_a_reconnect() {
+        let mut sim = Sim::new();
+        let gateway = Gateway::new(GatewayConfig {
+            kind: ingress::GatewayKind::KIngress,
+            max_backlog: SimDuration::from_micros(1),
+            ..GatewayConfig::default()
+        });
+        let upstream: Upstream = Rc::new(|sim: &mut Sim, _ctx: ReqCtx, reply: Reply| {
+            sim.schedule_after(SimDuration::from_micros(40), move |sim| reply(sim, Ok(64)));
+        });
+        let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(1));
+        driver.start_gateway(&mut sim, &gateway, 0, &upstream, 2, 64);
+        sim.run();
+        assert_eq!(driver.shed_count(), 1, "{:?}", gateway.stats());
+        assert_eq!(gateway.stats().dropped, 1);
+        assert!(driver.completed() > 0);
+        assert!(
+            sim.now() >= SimTime::ZERO + RECONNECT,
+            "the refused flow came back"
+        );
     }
 }

@@ -87,14 +87,12 @@ struct TenantState {
     /// Arrivals in the previous window (the share signal double-buffers so
     /// it never collapses to "no history" at a rotation).
     prev_arrivals: u64,
-    /// Total sheds (exported).
-    sheds: u64,
 }
 
 /// Deterministic per-tenant admission controller.
 #[derive(Debug)]
 pub struct AdmissionController {
-    cfg: AdmissionConfig,
+    pub(crate) cfg: AdmissionConfig,
     /// `BTreeMap` so every iteration order is deterministic.
     tenants: BTreeMap<u16, TenantState>,
     window_start: SimTime,
@@ -134,11 +132,6 @@ impl AdmissionController {
     /// proportionally sooner while the cluster is degraded.
     pub fn set_capacity_factor(&mut self, factor: f64) {
         self.capacity_factor = factor.clamp(0.05, 1.0);
-    }
-
-    /// Total sheds for `tenant` so far.
-    pub fn sheds_of(&self, tenant: u16) -> u64 {
-        self.tenants.get(&tenant).map(|t| t.sheds).unwrap_or(0)
     }
 
     /// The weight-pressure scale for a tenant right now: the ratio of its
@@ -200,7 +193,7 @@ impl AdmissionController {
         // An overshooting tenant's pressure clock also runs faster, so its
         // shed *rate* (not just its threshold) tracks the overshoot.
         let interval = self.cfg.interval.mul_f64(scale);
-        let st = self.tenants.get_mut(&tenant).expect("registered above");
+        let st = self.tenants.entry(tenant).or_default();
         st.window_arrivals += 1;
         self.window_total += 1;
 
@@ -224,7 +217,6 @@ impl AdmissionController {
                 st.dropping = true;
                 st.count = if st.count > 2 { st.count - 2 } else { 1 };
                 st.drop_next = Self::control_law(interval, now, st.count);
-                st.sheds += 1;
                 Admission::Shed
             }
             Some(_) => {
@@ -239,7 +231,6 @@ impl AdmissionController {
                     // rate at one per distinct arrival instant, which lets a
                     // tenant that batches its flood outrun the controller.
                     st.drop_next = Self::control_law(interval, st.drop_next, st.count);
-                    st.sheds += 1;
                     Admission::Shed
                 } else {
                     Admission::Admit
@@ -273,7 +264,6 @@ mod tests {
             let d = ac.on_arrival(1, SimDuration::from_micros(100), at(i));
             assert_eq!(d, Admission::Admit);
         }
-        assert_eq!(ac.sheds_of(1), 0);
     }
 
     #[test]
@@ -299,10 +289,8 @@ mod tests {
         let mut ac = AdmissionController::new(cfg());
         ac.register(1, 1);
         let high = SimDuration::from_millis(5);
-        ac.on_arrival(1, high, at(0));
-        ac.on_arrival(1, high, at(11));
-        assert!(ac.sheds_of(1) > 0);
-        let before = ac.sheds_of(1);
+        assert_eq!(ac.on_arrival(1, high, at(0)), Admission::Admit);
+        assert_eq!(ac.on_arrival(1, high, at(11)), Admission::Shed);
         // One good sample exits shedding…
         assert_eq!(
             ac.on_arrival(1, SimDuration::from_micros(10), at(12)),
@@ -311,7 +299,6 @@ mod tests {
         // …and the next overload must stand a full interval again.
         assert_eq!(ac.on_arrival(1, high, at(13)), Admission::Admit);
         assert_eq!(ac.on_arrival(1, high, at(14)), Admission::Admit);
-        assert_eq!(ac.sheds_of(1), before);
     }
 
     #[test]
@@ -365,7 +352,7 @@ mod tests {
                 let d = SimDuration::from_micros((tick % 13) * 100);
                 verdicts.push(ac.on_arrival((tick % 2) as u16 + 1, d, now));
             }
-            (verdicts, ac.sheds_of(1), ac.sheds_of(2))
+            verdicts
         };
         assert_eq!(run(), run());
     }

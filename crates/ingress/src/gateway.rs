@@ -1,9 +1,12 @@
-//! The master/worker gateway model in the discrete-event simulation.
+//! The master/worker gateway model in the discrete-event simulation: the
+//! public handle and its driver.
 //!
 //! A [`Gateway`] owns a set of worker processes (one pinned core each,
 //! modelled as [`simcore::Server`]s), an RSS stage mapping client flows
 //! onto active workers, and optionally the master's hysteresis autoscaler.
-//! A request's life:
+//! The state machine in `crate::core` decides all of it; `apply` and
+//! `settle` are the crate's only code that schedules an event or calls an
+//! upstream or a completion. A request's life:
 //!
 //! ```text
 //! submit ─RSS→ worker core: rx half of the stack cost ─→ upstream closure
@@ -19,15 +22,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use std::collections::BTreeMap;
+use obs::Tracer;
+use simcore::{Sim, SimDuration, SimTime};
 
-use obs::{Stage, Tracer};
-use simcore::{Server, Sim, SimDuration, SimTime};
-
-use crate::admission::{Admission, AdmissionConfig, AdmissionController};
-use crate::autoscale::{Hysteresis, ScaleDecision};
-use crate::rss::{rss_select, FlowId};
-use crate::stack::{GatewayKind, StackCosts};
+use crate::admission::AdmissionConfig;
+use crate::core::{Core, Input, Output};
+use crate::rss::FlowId;
+use crate::stack::GatewayKind;
 
 /// Synthetic node id the gateway's spans are attributed to (the gateway
 /// runs outside the worker-node address space).
@@ -98,10 +99,6 @@ impl Dropped {
     }
 }
 
-/// Service interruption injected into every worker on a scale event: worker
-/// processes restart on reconfiguration (the dips of Fig. 14 (2)).
-const RESTART_INTERRUPTION: SimDuration = SimDuration::from_millis(120);
-
 /// Gateway configuration.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
@@ -112,8 +109,6 @@ pub struct GatewayConfig {
     /// `Some(max)` lets the master's hysteresis autoscaler grow the pool up
     /// to `max` workers; `None` pins the worker count.
     pub autoscale_max_workers: Option<usize>,
-    /// How often the master evaluates utilization.
-    pub autoscale_interval: SimDuration,
     /// Backlog bound per worker; beyond it requests are dropped.
     pub max_backlog: SimDuration,
     /// Relative deadline stamped on every accepted request; `None` leaves
@@ -130,7 +125,6 @@ impl Default for GatewayConfig {
             kind: GatewayKind::Nadino,
             initial_workers: 1,
             autoscale_max_workers: None,
-            autoscale_interval: SimDuration::from_secs(1),
             max_backlog: SimDuration::from_millis(500),
             deadline: None,
             admission: None,
@@ -138,11 +132,16 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Counters exposed by the gateway.
+/// Counters exposed by the gateway, in aggregate and per tenant (so
+/// per-tenant SLO attainment is measurable: the aggregate can't tell a
+/// rogue tenant's sheds from a compliant tenant's). Every request is
+/// accepted or refused (`shed`, `dropped`), and every accepted one ends
+/// `completed`, `failed` or `expired`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatewayStats {
     pub accepted: u64,
     pub completed: u64,
+    /// Overload drops (static backlog bound).
     pub dropped: u64,
     /// Accepted requests whose upstream delivery failed (answered `503`).
     pub failed: u64,
@@ -152,120 +151,101 @@ pub struct GatewayStats {
     pub expired: u64,
 }
 
-/// Per-tenant gateway accounting, so per-tenant SLO attainment is
-/// measurable (the aggregate counters can't tell a rogue tenant's sheds
-/// from a compliant tenant's).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantGatewayStats {
-    pub accepted: u64,
-    pub completed: u64,
-    /// Overload drops (static backlog bound).
-    pub dropped: u64,
-    /// Admission-control sheds.
-    pub shed: u64,
-    /// Deadline expiries inside the gateway.
-    pub expired: u64,
-    /// Upstream delivery failures.
-    pub failed: u64,
+/// The caller's closures for one request, held in its slot.
+struct Handles {
+    upstream: Upstream,
+    done: Completion,
 }
 
-struct GwInner {
-    cfg: GatewayConfig,
-    costs: StackCosts,
-    workers: Vec<Server>,
-    /// Per-worker restart floor: requests may not start before this.
-    available_at: Vec<SimTime>,
-    active: usize,
-    hysteresis: Option<Hysteresis>,
-    in_flight: usize,
-    stats: GatewayStats,
-    /// Per-tenant counters (`BTreeMap` for deterministic iteration).
-    tenant_stats: BTreeMap<u16, TenantGatewayStats>,
-    admission: Option<AdmissionController>,
-    next_req: u64,
-    last_eval: SimTime,
-    autoscaler_running: bool,
-    tracer: Tracer,
-    /// Optional fleet histogram for admission latency (arrival →
-    /// ingress-rx done), with exemplars on sampled requests.
-    admission_hist: Option<obs::HistogramHandle>,
+/// What a [`Gateway`] handle points at: the state machine, whose slots hold
+/// each in-flight request's closures.
+struct Driver {
+    core: RefCell<Core<Handles>>,
 }
 
-impl GwInner {
-    fn tenant_entry(&mut self, tenant: u16) -> &mut TenantGatewayStats {
-        self.tenant_stats.entry(tenant).or_default()
+type Out = Output<Handles>;
+
+/// Feeds `input` to the core and applies its output.
+fn drive(gw: &Rc<Driver>, sim: &mut Sim, input: Input) {
+    let now = sim.now();
+    let mut later = None;
+    let emit = &mut |output| apply(gw, sim, output, &mut later);
+    gw.core.borrow_mut().step(now, input, emit);
+    settle(gw, sim, later);
+}
+
+/// Applies an `At` as the core emits it — the crate's one scheduling site:
+/// the input is fed back from a closure of one handle and one input,
+/// stored inline in the event slab — and keeps an `Upstream` or a `Done`
+/// for [`settle`]. Inlined, as `settle` is: out of line, the two calls
+/// cost a request about a third more gateway time.
+#[inline(always)]
+fn apply(gw: &Rc<Driver>, sim: &mut Sim, output: Out, later: &mut Option<Out>) {
+    match output {
+        Output::At(at, input) => {
+            let gw = gw.clone();
+            sim.schedule_at(at, move |sim| drive(&gw, sim, input));
+        }
+        reentrant => *later = Some(reentrant),
+    }
+}
+
+/// Applies an `Upstream` or a `Done` once the core's borrow is dropped:
+/// both re-enter the gateway — an upstream may reply at once, and a closed
+/// loop's completion submits the next request.
+#[inline(always)]
+fn settle(gw: &Rc<Driver>, sim: &mut Sim, later: Option<Out>) {
+    match later {
+        Some(Output::Upstream(slot, ctx)) => {
+            let upstream = gw.core.borrow().handle(slot).map(|h| h.upstream.clone());
+            if let Some(upstream) = upstream {
+                let gw = gw.clone();
+                let reply: Reply =
+                    Box::new(move |sim, outcome| drive(&gw, sim, Input::Replied(slot, outcome)));
+                upstream(sim, ctx, reply);
+            }
+        }
+        Some(Output::Done(handles, answer)) => (handles.done)(sim, answer),
+        Some(Output::At(..)) | None => {}
     }
 }
 
 /// The cluster-wide ingress gateway.
 #[derive(Clone)]
 pub struct Gateway {
-    inner: Rc<RefCell<GwInner>>,
+    inner: Rc<Driver>,
 }
 
 impl Gateway {
     /// Creates a gateway of the configured kind.
     pub fn new(cfg: GatewayConfig) -> Gateway {
-        assert!(cfg.initial_workers >= 1, "need at least one worker");
-        let costs = StackCosts::for_kind(cfg.kind);
-        let hysteresis = cfg
-            .autoscale_max_workers
-            .map(|max| Hysteresis::new(max, cfg.initial_workers));
-        let active = hysteresis
-            .as_ref()
-            .map(|h| h.workers())
-            .unwrap_or(cfg.initial_workers);
-        let max = cfg
-            .autoscale_max_workers
-            .unwrap_or(cfg.initial_workers)
-            .max(active);
-        let admission = cfg.admission.clone().map(AdmissionController::new);
+        let core = RefCell::new(Core::new(cfg));
         Gateway {
-            inner: Rc::new(RefCell::new(GwInner {
-                cfg,
-                costs,
-                workers: vec![Server::new(); max],
-                available_at: vec![SimTime::ZERO; max],
-                active,
-                hysteresis,
-                in_flight: 0,
-                stats: GatewayStats::default(),
-                tenant_stats: BTreeMap::new(),
-                admission,
-                next_req: 0,
-                last_eval: SimTime::ZERO,
-                autoscaler_running: false,
-                tracer: Tracer::disabled(),
-                admission_hist: None,
-            })),
+            inner: Rc::new(Driver { core }),
         }
     }
 
     /// Returns the number of active worker processes.
     pub fn active_workers(&self) -> usize {
-        self.inner.borrow().active
+        self.inner.core.borrow().active
     }
 
     /// Returns a snapshot of the counters.
     pub fn stats(&self) -> GatewayStats {
-        self.inner.borrow().stats
+        self.inner.core.borrow().stats
     }
 
     /// Returns one tenant's counters (zeroes for unseen tenants).
-    pub fn tenant_stats(&self, tenant: u16) -> TenantGatewayStats {
-        self.inner
-            .borrow()
-            .tenant_stats
-            .get(&tenant)
-            .copied()
-            .unwrap_or_default()
+    pub fn tenant_stats(&self, tenant: u16) -> GatewayStats {
+        let core = self.inner.core.borrow();
+        core.tenant_stats.get(&tenant).copied().unwrap_or_default()
     }
 
     /// Registers a tenant's DWRR weight with the admission controller so
     /// shedding pressure tracks the transport-level weight share. No-op
     /// when admission control is disabled.
     pub fn register_tenant(&self, tenant: u16, weight: u32) {
-        if let Some(ac) = self.inner.borrow_mut().admission.as_mut() {
+        if let Some(ac) = self.inner.core.borrow_mut().admission.as_mut() {
             ac.register(tenant, weight);
         }
     }
@@ -274,7 +254,7 @@ impl Gateway {
     /// the health monitor into admission control: a browned-out cluster
     /// sheds proportionally sooner. No-op when admission is disabled.
     pub fn set_capacity_factor(&self, factor: f64) {
-        if let Some(ac) = self.inner.borrow_mut().admission.as_mut() {
+        if let Some(ac) = self.inner.core.borrow_mut().admission.as_mut() {
             ac.set_capacity_factor(factor);
         }
     }
@@ -283,51 +263,26 @@ impl Gateway {
     /// → ingress-rx done) with exemplars on sampled requests; `None`
     /// detaches it.
     pub fn set_admission_histogram(&self, hist: Option<obs::HistogramHandle>) {
-        self.inner.borrow_mut().admission_hist = hist;
-    }
-
-    /// Total admission-control sheds for `tenant`.
-    pub fn sheds_of(&self, tenant: u16) -> u64 {
-        self.inner
-            .borrow()
-            .admission
-            .as_ref()
-            .map(|ac| ac.sheds_of(tenant))
-            .unwrap_or(0)
+        self.inner.core.borrow_mut().admission_hist = hist;
     }
 
     /// Returns per-request worker-node TCP cost this gateway design imposes
     /// (deferred conversion pays a second termination on the worker).
     pub fn worker_side_cost(&self) -> SimDuration {
-        self.inner.borrow().costs.worker_stack_per_req
+        self.inner.core.borrow().costs.worker_stack_per_req
     }
 
     /// Installs a span tracer; gateway stages are recorded under node
-    /// [`GATEWAY_NODE`] with tenant 0.
+    /// [`GATEWAY_NODE`].
     pub fn set_tracer(&self, tracer: Tracer) {
-        self.inner.borrow_mut().tracer = tracer;
+        self.inner.core.borrow_mut().tracer = tracer;
     }
 
     /// Returns aggregate worker-core busy utilization over `[a, b]`
     /// (0..=workers; the paper plots this as gateway CPU usage).
     pub fn utilization_cores(&self, a: SimTime, b: SimTime) -> f64 {
-        let inner = self.inner.borrow();
-        inner.workers.iter().map(|w| w.utilization(a, b)).sum()
-    }
-
-    /// Submits one client request on behalf of tenant 0.
-    ///
-    /// Convenience wrapper over [`Gateway::submit_tenant`] for single-tenant
-    /// experiments (Figs. 13/14).
-    pub fn submit(
-        &self,
-        sim: &mut Sim,
-        flow: FlowId,
-        req_bytes: usize,
-        upstream: Upstream,
-        done: Completion,
-    ) {
-        self.submit_tenant(sim, 0, flow, req_bytes, upstream, done);
+        let core = self.inner.core.borrow();
+        core.workers.iter().map(|w| w.utilization(a, b)).sum()
     }
 
     /// Submits one client request for `tenant`.
@@ -336,8 +291,9 @@ impl Gateway {
     /// reply callback triggers response-side processing, after which
     /// `done` fires with the response size. Admission control may shed the
     /// request (`Err(Dropped::Shed)`), a worker backlog beyond the bound
-    /// drops it (`Err(Dropped::Overload)`), and a configured deadline that
-    /// expires while the request is still queued in the gateway answers
+    /// drops it (`Err(Dropped::Overload)`) — either answer fires before
+    /// this returns — and a configured deadline that expires while the
+    /// request is still queued in the gateway answers
     /// `Err(Dropped::DeadlineExceeded)` without ever invoking `upstream`.
     pub fn submit_tenant(
         &self,
@@ -348,237 +304,28 @@ impl Gateway {
         upstream: Upstream,
         done: Completion,
     ) {
-        let (req_id, widx, rx_done, deadline_ns, sampled) = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.active == 0 {
-                // Drained gateway (every worker scaled away or failed over):
-                // refuse rather than index into an empty worker set.
-                inner.stats.dropped += 1;
-                inner.tenant_entry(tenant).dropped += 1;
-                drop(inner);
-                done(sim, Err(Dropped::Overload));
-                return;
-            }
-            let now = sim.now();
-            let widx = rss_select(flow, inner.active);
-            let backlog = inner.workers[widx].backlog(now);
-            if let Some(ac) = inner.admission.as_mut() {
-                if ac.on_arrival(tenant, backlog, now) == Admission::Shed {
-                    let retry_after_secs = inner
-                        .cfg
-                        .admission
-                        .as_ref()
-                        .map(|c| c.retry_after_secs)
-                        .unwrap_or(1);
-                    inner.stats.shed += 1;
-                    inner.tenant_entry(tenant).shed += 1;
-                    drop(inner);
-                    done(sim, Err(Dropped::Shed { retry_after_secs }));
-                    return;
-                }
-            }
-            if backlog > inner.cfg.max_backlog {
-                inner.stats.dropped += 1;
-                inner.tenant_entry(tenant).dropped += 1;
-                drop(inner);
-                done(sim, Err(Dropped::Overload));
-                return;
-            }
-            inner.stats.accepted += 1;
-            inner.tenant_entry(tenant).accepted += 1;
-            inner.in_flight += 1;
-            let req_id = inner.next_req;
-            inner.next_req += 1;
-            let deadline_ns = inner
-                .cfg
-                .deadline
-                .map(|d| (now + d).as_nanos())
-                .unwrap_or(0);
-            let service = inner.costs.ingress_rx(inner.in_flight, req_bytes);
-            let floor = inner.available_at[widx];
-            let rx_done = inner.workers[widx].admit_not_before(now, floor, service);
-            // The ingress sampling decision: made exactly once, here, and
-            // carried with the request (ReqCtx + on-wire ctx bit) so no
-            // downstream stage consults the tracer again.
-            let sampled = inner.tracer.decide_sample(req_id);
-            let mut ctx = None;
-            if sampled {
-                // RSS steering is effectively instantaneous; HTTP parsing is
-                // the app-work share of the rx half; the Gateway span covers
-                // the whole ingress-side service (queueing included).
-                inner
-                    .tracer
-                    .span(req_id, tenant, GATEWAY_NODE, Stage::RssDispatch, now, now);
-                let parse_end = (now + inner.costs.app_work).min(rx_done);
-                inner.tracer.span(
-                    req_id,
-                    tenant,
-                    GATEWAY_NODE,
-                    Stage::HttpParse,
-                    now,
-                    parse_end,
-                );
-                let span_id =
-                    inner
-                        .tracer
-                        .span(req_id, tenant, GATEWAY_NODE, Stage::Gateway, now, rx_done);
-                ctx = Some((req_id, span_id));
-            }
-            if let Some(h) = &inner.admission_hist {
-                h.record_traced(rx_done.saturating_since(now), ctx);
-            }
-            (req_id, widx, rx_done, deadline_ns, sampled)
-        };
-        let gw = self.clone();
-        sim.schedule_at(rx_done, move |sim| {
-            if deadline_ns != 0 && sim.now() >= SimTime::from_nanos(deadline_ns) {
-                // Expired while still queued on the ingress worker: answer
-                // 504 without invoking the upstream at all. The tx half is
-                // still charged — the timeout page is a real response.
-                let tx_done = {
-                    let mut inner = gw.inner.borrow_mut();
-                    let service = inner.costs.ingress_tx(inner.in_flight, 0);
-                    let floor = inner.available_at[widx];
-                    let t = inner.workers[widx].admit_not_before(sim.now(), floor, service);
-                    inner.in_flight = inner.in_flight.saturating_sub(1);
-                    inner.stats.expired += 1;
-                    inner.tenant_entry(tenant).expired += 1;
-                    if sampled {
-                        let now = sim.now();
-                        inner.tracer.span(
-                            req_id,
-                            tenant,
-                            GATEWAY_NODE,
-                            Stage::DeadlineDrop,
-                            now,
-                            now,
-                        );
-                        inner
-                            .tracer
-                            .span(req_id, tenant, GATEWAY_NODE, Stage::Gateway, now, t);
-                    }
-                    t
-                };
-                sim.schedule_at(tx_done, move |sim| {
-                    done(sim, Err(Dropped::DeadlineExceeded));
-                });
-                return;
-            }
-            let reply_gw = gw.clone();
-            let reply: Reply = Box::new(move |sim, outcome| {
-                // A failed delivery still sends a response — the 503 page —
-                // so the tx half is charged either way; only the books and
-                // the completion value differ.
-                let resp_bytes = outcome.map_or(0, |b| b);
-                let tx_done = {
-                    let mut inner = reply_gw.inner.borrow_mut();
-                    let service = inner.costs.ingress_tx(inner.in_flight, resp_bytes);
-                    let floor = inner.available_at[widx];
-                    let t = inner.workers[widx].admit_not_before(sim.now(), floor, service);
-                    inner.in_flight = inner.in_flight.saturating_sub(1);
-                    match outcome {
-                        Ok(_) => {
-                            inner.stats.completed += 1;
-                            inner.tenant_entry(tenant).completed += 1;
-                        }
-                        Err(DeliveryFailed) => {
-                            inner.stats.failed += 1;
-                            inner.tenant_entry(tenant).failed += 1;
-                        }
-                    }
-                    if sampled {
-                        inner.tracer.span(
-                            req_id,
-                            tenant,
-                            GATEWAY_NODE,
-                            Stage::Gateway,
-                            sim.now(),
-                            t,
-                        );
-                    }
-                    t
-                };
-                sim.schedule_at(tx_done, move |sim| {
-                    let result = match outcome {
-                        Ok(_) => Ok(resp_bytes),
-                        Err(DeliveryFailed) => Err(Dropped::Delivery),
-                    };
-                    done(sim, result);
-                });
-            });
-            let ctx = ReqCtx {
-                req_id,
-                tenant,
-                req_bytes,
-                deadline_ns,
-                sampled,
-            };
-            upstream(sim, ctx, reply);
-        });
+        let (gw, now, mut later) = (&self.inner, sim.now(), None);
+        let handle = Handles { upstream, done };
+        let emit = &mut |output| apply(gw, sim, output, &mut later);
+        gw.core
+            .borrow_mut()
+            .arrive(now, tenant, flow, req_bytes, handle, emit);
+        settle(gw, sim, later);
     }
 
     /// Starts the master's autoscaler loop (no-op without a policy).
     pub fn start_autoscaler(&self, sim: &mut Sim) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.hysteresis.is_none() || inner.autoscaler_running {
-                return;
-            }
-            inner.autoscaler_running = true;
-            inner.last_eval = sim.now();
-        }
-        Gateway::schedule_eval(self.clone(), sim);
-    }
-
-    fn schedule_eval(gw: Gateway, sim: &mut Sim) {
-        let interval = gw.inner.borrow().cfg.autoscale_interval;
-        sim.schedule_after(interval, move |sim| {
-            gw.evaluate_once(sim);
-            Gateway::schedule_eval(gw, sim);
-        });
-    }
-
-    fn evaluate_once(&self, sim: &mut Sim) {
-        let mut inner = self.inner.borrow_mut();
-        let now = sim.now();
-        let a = inner.last_eval;
-        inner.last_eval = now;
-        let active = inner.active;
-        let avg: f64 = inner.workers[..active]
-            .iter()
-            .map(|w| w.utilization(a, now))
-            .sum::<f64>()
-            / active as f64;
-        let decision = inner
-            .hysteresis
-            .as_mut()
-            .expect("autoscaler requires a policy")
-            .evaluate(avg);
-        match decision {
-            ScaleDecision::Up => {
-                if inner.active == inner.workers.len() {
-                    inner.workers.push(Server::new());
-                    inner.available_at.push(SimTime::ZERO);
-                }
-                inner.active += 1;
-            }
-            ScaleDecision::Down => inner.active -= 1,
-            ScaleDecision::Hold => {}
-        }
-        if decision != ScaleDecision::Hold {
-            // The gap is idle time, not data-plane work, so it does not
-            // feed back into utilization.
-            let active = inner.active;
-            for floor in inner.available_at[..active].iter_mut() {
-                *floor = now + RESTART_INTERRUPTION;
-            }
-        }
+        let (gw, now, mut later) = (&self.inner, sim.now(), None);
+        let emit = &mut |output| apply(gw, sim, output, &mut later);
+        gw.core.borrow_mut().start_autoscaler(now, emit);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stack::GatewayKind;
+    use obs::Stage;
     use std::cell::Cell;
 
     /// An upstream that replies after a fixed delay.
@@ -601,8 +348,9 @@ mod tests {
         let mut sim = Sim::new();
         let got = Rc::new(Cell::new(None));
         let g = got.clone();
-        gw.submit(
+        gw.submit_tenant(
             &mut sim,
+            0,
             FlowId::from_client(1, 0),
             64,
             failing_upstream(SimDuration::from_micros(30)),
@@ -625,8 +373,9 @@ mod tests {
         let mut sim = Sim::new();
         let got = Rc::new(Cell::new(None));
         let g = got.clone();
-        gw.submit(
+        gw.submit_tenant(
             &mut sim,
+            0,
             FlowId::from_client(1, 0),
             64,
             echo_upstream(SimDuration::from_micros(50), 128),
@@ -649,8 +398,9 @@ mod tests {
         let hist = reg.histogram("gw_admission_latency", &[]);
         gw.set_admission_histogram(Some(hist.clone()));
         let mut sim = Sim::new();
-        gw.submit(
+        gw.submit_tenant(
             &mut sim,
+            0,
             FlowId::from_client(1, 0),
             64,
             echo_upstream(SimDuration::from_micros(10), 64),
@@ -679,8 +429,9 @@ mod tests {
         // blow straight through a 500us backlog bound.
         for i in 0..100 {
             let d = drops.clone();
-            gw.submit(
+            gw.submit_tenant(
                 &mut sim,
+                0,
                 FlowId::from_client(i, 0),
                 64,
                 echo_upstream(SimDuration::from_micros(10), 64),
@@ -702,7 +453,6 @@ mod tests {
     fn autoscaler_adds_workers_under_load_and_removes_when_idle() {
         let cfg = GatewayConfig {
             autoscale_max_workers: Some(4),
-            autoscale_interval: SimDuration::from_millis(100),
             ..GatewayConfig::default()
         };
         let gw = Gateway::new(cfg);
@@ -715,8 +465,9 @@ mod tests {
                 return;
             }
             let gw2 = gw.clone();
-            gw.submit(
+            gw.submit_tenant(
                 sim,
+                0,
                 FlowId::from_client(client, 0),
                 64,
                 echo_upstream(SimDuration::from_micros(5), 64),
@@ -730,8 +481,8 @@ mod tests {
         sim.run_until(until);
         let peak = gw.active_workers();
         assert!(peak > 1, "load should trigger scale-up, got {peak}");
-        // Now idle: run three more evaluation periods.
-        sim.run_for(SimDuration::from_millis(400));
+        // Now idle: the next evaluation (every 500 ms) sees it.
+        sim.run_for(SimDuration::from_millis(500));
         assert!(
             gw.active_workers() < peak,
             "idle should trigger scale-down from {peak}"
@@ -744,8 +495,9 @@ mod tests {
         let tracer = Tracer::enabled();
         gw.set_tracer(tracer.clone());
         let mut sim = Sim::new();
-        gw.submit(
+        gw.submit_tenant(
             &mut sim,
+            0,
             FlowId::from_client(1, 0),
             64,
             echo_upstream(SimDuration::from_micros(50), 128),
@@ -775,8 +527,9 @@ mod tests {
         let tracer = Tracer::disabled();
         gw.set_tracer(tracer.clone());
         let mut sim = Sim::new();
-        gw.submit(
+        gw.submit_tenant(
             &mut sim,
+            0,
             FlowId::from_client(1, 0),
             64,
             echo_upstream(SimDuration::from_micros(5), 64),
@@ -804,8 +557,9 @@ mod tests {
             let inv = invoked.clone();
             let exp = expired.clone();
             let fin = finished.clone();
-            gw.submit(
+            gw.submit_tenant(
                 &mut sim,
+                0,
                 FlowId::from_client(i, 0),
                 64,
                 Rc::new(move |sim: &mut Sim, ctx: ReqCtx, reply: Reply| {
@@ -901,7 +655,6 @@ mod tests {
             good_sheds.get()
         );
         assert_eq!(gw.stats().shed as u32, rogue_sheds.get() + good_sheds.get());
-        assert_eq!(gw.sheds_of(2) as u32, rogue_sheds.get());
         assert_eq!(gw.tenant_stats(2).shed as u32, rogue_sheds.get());
     }
 
@@ -925,7 +678,7 @@ mod tests {
         assert_eq!(gw.tenant_stats(1).completed, 3);
         assert_eq!(gw.tenant_stats(2).completed, 5);
         assert_eq!(gw.stats().completed, 8);
-        assert_eq!(gw.tenant_stats(7), TenantGatewayStats::default());
+        assert_eq!(gw.tenant_stats(7), GatewayStats::default());
     }
 
     #[test]
@@ -933,8 +686,9 @@ mod tests {
         let gw = Gateway::new(GatewayConfig::default());
         let mut sim = Sim::new();
         for i in 0..20 {
-            gw.submit(
+            gw.submit_tenant(
                 &mut sim,
+                0,
                 FlowId::from_client(i, 0),
                 64,
                 echo_upstream(SimDuration::ZERO, 64),
@@ -944,5 +698,20 @@ mod tests {
         sim.run();
         let u = gw.utilization_cores(SimTime::ZERO, sim.now());
         assert!(u > 0.5, "worker should have been busy, u = {u}");
+    }
+
+    /// The one closure the driver schedules stores inline in the event
+    /// slab: one that spilled would box both of a request's gateway events.
+    #[test]
+    fn a_scheduled_input_fits_inline() {
+        let gw = Gateway::new(GatewayConfig::default());
+        let mut sim = Sim::new();
+        let upstream: Upstream = Rc::new(|sim, _ctx, reply: Reply| reply(sim, Ok(64)));
+        let flow = FlowId::from_client(1, 0);
+        gw.submit_tenant(&mut sim, 0, flow, 64, upstream, Box::new(|_, _| {}));
+        sim.run();
+        assert_eq!(gw.stats().completed, 1);
+        assert_eq!(sim.profile().executed_events, 2, "rx and tx halves");
+        assert_eq!(sim.profile().boxed_events, 0);
     }
 }

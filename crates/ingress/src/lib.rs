@@ -19,19 +19,19 @@
 //! - [`gateway`]: the master/worker gateway model tying it together in the
 //!   discrete-event simulation, including overload (tail-drop) behaviour
 //!   and the brief restart interruption the paper observes when scaling.
+//!   Its state machine is `core`, which the `Gateway` handle drives.
 
 pub mod admission;
 pub mod autoscale;
+mod core;
 pub mod gateway;
 pub mod prewarm;
 pub mod rss;
 pub mod stack;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController};
-pub use autoscale::{Hysteresis, ScaleDecision};
 pub use gateway::{
-    DeliveryFailed, Dropped, Gateway, GatewayConfig, GatewayStats, ReqCtx, TenantGatewayStats,
-    Upstream,
+    DeliveryFailed, Dropped, Gateway, GatewayConfig, GatewayStats, ReqCtx, Upstream,
 };
 pub use prewarm::PrewarmController;
 pub use stack::{GatewayKind, StackCosts};

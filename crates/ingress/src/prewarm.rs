@@ -30,19 +30,12 @@ pub struct PrewarmController {
     target: usize,
     /// First contacts observed since the last [`Self::order`] call.
     demand: usize,
-    orders: u64,
-    ordered_total: u64,
 }
 
 impl PrewarmController {
     /// Creates a controller holding a stock floor of `target`.
     pub fn new(target: usize) -> Self {
-        PrewarmController {
-            target,
-            demand: 0,
-            orders: 0,
-            ordered_total: 0,
-        }
+        PrewarmController { target, demand: 0 }
     }
 
     /// Records `n` first contacts (pre-warm claims *and* cold connects —
@@ -50,11 +43,6 @@ impl PrewarmController {
     /// possible signal to order more).
     pub fn note_demand(&mut self, n: usize) {
         self.demand = self.demand.saturating_add(n);
-    }
-
-    /// Demand accumulated since the last [`Self::order`] call.
-    pub fn pending_demand(&self) -> usize {
-        self.demand
     }
 
     /// One restock tick: given the currently claimable `stock`, returns
@@ -67,17 +55,7 @@ impl PrewarmController {
             return 0;
         }
         let want = self.target.saturating_add(demand);
-        let order = want.saturating_sub(stock).min(MAX_ORDER);
-        if order > 0 {
-            self.orders += 1;
-            self.ordered_total += order as u64;
-        }
-        order
-    }
-
-    /// `(restock ticks that ordered, total QPs ordered)` counters.
-    pub fn events(&self) -> (u64, u64) {
-        (self.orders, self.ordered_total)
+        want.saturating_sub(stock).min(MAX_ORDER)
     }
 }
 
@@ -110,8 +88,6 @@ mod tests {
         let mut c = PrewarmController::new(8);
         c.note_demand(10_000);
         assert_eq!(c.order(0), 4_096);
-        let (orders, total) = c.events();
-        assert_eq!((orders, total), (1, 4_096));
     }
 
     #[test]
@@ -119,7 +95,8 @@ mod tests {
         let mut c = PrewarmController::new(0);
         c.note_demand(50);
         assert_eq!(c.order(0), 0);
-        assert_eq!(c.pending_demand(), 0, "window still resets");
-        assert_eq!(c.events(), (0, 0));
+        // The window still reset: re-enabled, only the floor is ordered.
+        c.target = 8;
+        assert_eq!(c.order(0), 8, "window still resets");
     }
 }

@@ -33,7 +33,9 @@ use crate::engine::Sim;
 /// captures (x86-64): every `rdma_sim` fabric event 72 B (a `Fabric` handle
 /// and one fabric `Input`), `Dne::kick` → `complete` 72 B (`Rc`, work item,
 /// dispatch instant), every `runtime` event 56 B (an `IoLib` handle and one
-/// runtime `Input`), `Gateway::submit_tenant` 80 B.
+/// runtime `Input`); `ingress` gateway events are smaller (a `Gateway`
+/// handle and one plain-data gateway `Input`). The frozen benchmark's `cluster_upstream`
+/// closure is the 80 B one: three handles, a `ReqCtx` and the `Reply` box.
 /// Anything larger is boxed and counted in `SimProfile::boxed_events`.
 pub const INLINE_BYTES: usize = 80;
 

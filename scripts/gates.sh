@@ -7,10 +7,10 @@
 #   scripts/gates.sh lint               fmt, clippy, rustdoc, and the greps
 #                                       that hold a design rule in place —
 #                                       among them cores_are_simulator_free:
-#                                       the DNE's, the fabric's and the
-#                                       runtime's core never name the
-#                                       simulator, and only their drivers post
-#                                       or schedule
+#                                       the DNE's, the fabric's, the
+#                                       runtime's and the gateway's core never
+#                                       name the simulator, and only their
+#                                       drivers post or schedule
 #   scripts/gates.sh test               release build + the workspace suite:
 #                                       the seed matrix (simcore::rng::SEEDS)
 #                                       and the typed-outcome bars are tests
@@ -45,13 +45,14 @@ sites() {
   done
 }
 
-# DESIGN.md §5, §7 and §9 "A simulator-free core behind a thin driver": a core
+# DESIGN.md §5, §7, §8 and §9 "A simulator-free core behind a thin driver": a core
 # file never names the simulator, and what only a driver does happens at a
 # fixed number of sites, all in the driver. §10: the Fig. 6 / Fig. 12 echo
 # state machine schedules at one site too.
 cores_are_simulator_free() {
   local f
-  for f in crates/dne/src/core.rs crates/rdma-sim/src/core.rs crates/runtime/src/core.rs; do
+  for f in crates/dne/src/core.rs crates/rdma-sim/src/core.rs crates/runtime/src/core.rs \
+    crates/ingress/src/core.rs; do
     if non_test "$f" | grep -nE '\bSim\b|Rc<RefCell|schedule_at|schedule_after|\.cancel\('; then
       fail "$f must not see the simulator"
     fi
@@ -69,6 +70,7 @@ crates/dne/src post_send\( crates/dne/src/engine.rs 1
 crates/rdma-sim/src schedule_at\(|schedule_after\( crates/rdma-sim/src/fabric.rs 1
 crates/runtime/src schedule_at\(|schedule_after\( crates/runtime/src/iolib.rs 1
 crates/baselines/src schedule_at\(|schedule_after\( crates/baselines/src/primitives.rs 1
+crates/ingress/src schedule_at\(|schedule_after\( crates/ingress/src/gateway.rs 1
 SITES
 }
 

@@ -533,7 +533,7 @@ fn survival_run(seed: u64, crash: bool) -> SurvivalOutcome {
         pending_left: cluster.pending_replies(),
         compliant: tally(compliant_t.0),
         rogue: tally(rogue_t.0),
-        rogue_sheds: gateway.sheds_of(rogue_t.0),
+        rogue_sheds: gateway.tenant_stats(rogue_t.0).shed,
         outage_drops: cluster.fabric.fault_stats().outage_drops,
         health,
         dump_count,
