@@ -32,6 +32,8 @@ use runtime::function::CompletionFn;
 use runtime::{ChainSpec, DagSpec, IoLib, Placement, Spec};
 use simcore::{IdTable, Sim, SimDuration, SimTime};
 
+use crate::control::ControlPlane;
+
 /// Host CPU cores per worker node: enough that they never saturate, so
 /// Table 2's host columns read utilisation.
 pub(crate) const HOST_CORES: usize = 32;
@@ -85,20 +87,6 @@ pub struct RebalanceOutcome {
     pub stranded: Vec<u16>,
 }
 
-/// A typed routing-plane event fed to the fleet controller (or any other
-/// registered observer) on every failover/restore.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FleetRouteEvent {
-    /// Routes moved off a down node; carries the stranded keys that used
-    /// to be silently discarded.
-    FailedOver(RebalanceOutcome),
-    /// Displaced primaries restored onto a recovered node.
-    Restored { node: NodeId, restored: Vec<u16> },
-}
-
-/// Observer invoked on every [`FleetRouteEvent`].
-pub type FleetRouteObserver = Rc<dyn Fn(&FleetRouteEvent)>;
-
 /// Cluster-wide observability state shared by the failure dispatcher,
 /// completion hooks and the public dump API.
 #[derive(Default)]
@@ -110,14 +98,12 @@ struct ObsHub {
     /// The user's delivery-failure handler, invoked after the pipeline has
     /// taken its dump.
     user_failure: Option<dne::DeliveryFailureHandler>,
-    /// The health monitor, when enabled: transport failures aimed at a
-    /// node feed its state machine before the user handler runs.
-    health: Option<crate::health::HealthMonitor>,
+    /// The control plane, when started: a transport failure blames the node
+    /// it was aimed at before the user handler runs.
+    control: Option<ControlPlane>,
     /// Tenants in the burn-alert state at the last completion, so the
-    /// SLO-pressure feed into the health monitor only fires on change.
+    /// SLO-pressure feed into the control plane only fires on change.
     last_alerting: usize,
-    /// Observer fed every routing rebalance (fleet controller).
-    fleet_observer: Option<FleetRouteObserver>,
     /// Gateway replies held for requests that entered through the front
     /// door, by request id. Whoever removes an entry answers it, so a
     /// completion and a failure for the same request cannot both fire.
@@ -205,7 +191,7 @@ impl Cluster {
             let reporter = node.id;
             let fabric = fabric.clone();
             node.dne.set_failure_handler(Rc::new(move |sim, failure| {
-                let (health, user) = {
+                let (control, user) = {
                     let mut h = hub.borrow_mut();
                     for lib in &h.libs {
                         lib.forget(failure.req_id);
@@ -213,21 +199,21 @@ impl Cluster {
                     if let Some(p) = h.pipeline.as_mut() {
                         p.on_failure(sim.now(), failure.req_id);
                     }
-                    (h.health.clone(), h.user_failure.clone())
+                    (h.control.clone(), h.user_failure.clone())
                 };
                 // Transport failures aimed at a node feed its health state;
                 // deadline expiries say nothing about machine health, and a
                 // reporter that is itself inside a crash window is not a
                 // credible witness (its own outage fails its sends, which
                 // would smear Suspect/Down onto healthy destinations).
-                if let Some(hm) = health {
+                if let Some(control) = control {
                     let reporter_down =
                         fabric.with_fault_plane(|fp| fp.in_outage(reporter, sim.now()));
                     if !reporter_down
                         && failure.reason != dne::types::FailureReason::DeadlineExceeded
                     {
                         if let Some(dst) = failure.dst_node {
-                            hm.on_failure(sim, dst);
+                            control.blame(sim, dst);
                         }
                     }
                 }
@@ -360,14 +346,13 @@ impl Cluster {
 
     /// Re-routes every function whose primary lives on node `idx` to its
     /// backup (routing tables and the placement map). Normally driven by
-    /// the health monitor.
+    /// the control plane, which logs the outcome.
     ///
     /// Returns the full rebalance outcome: the switched function ids
     /// **and** the stranded ones (routed at the failed node with no
     /// healthy alternative — they resolve `DestinationDown` until a target
     /// recovers). Every engine's table is updated; the outcome is
-    /// aggregated across all of them so no engine's result is dropped, and
-    /// it is forwarded to the registered fleet observer (if any).
+    /// aggregated across all of them so no engine's result is dropped.
     pub fn fail_over_node(&self, idx: usize) -> RebalanceOutcome {
         let failed = self.nodes[idx].id;
         let mut switched = std::collections::BTreeSet::new();
@@ -382,7 +367,6 @@ impl Cluster {
             stranded: stranded.into_iter().collect(),
         };
         self.follow_routes(&outcome.switched);
-        self.notify_fleet_observer(FleetRouteEvent::FailedOver(outcome.clone()));
         outcome
     }
 
@@ -396,26 +380,7 @@ impl Cluster {
         }
         let restored: Vec<u16> = restored.into_iter().collect();
         self.follow_routes(&restored);
-        self.notify_fleet_observer(FleetRouteEvent::Restored {
-            node,
-            restored: restored.clone(),
-        });
         restored
-    }
-
-    /// Registers the observer fed every routing rebalance (failovers with
-    /// their stranded keys, restores). The fleet controller installs
-    /// itself here so stranded routes surface as typed events instead of
-    /// being silently discarded.
-    pub fn set_fleet_route_observer(&self, observer: FleetRouteObserver) {
-        self.obs_hub.borrow_mut().fleet_observer = Some(observer);
-    }
-
-    fn notify_fleet_observer(&self, event: FleetRouteEvent) {
-        let observer = self.obs_hub.borrow().fleet_observer.clone();
-        if let Some(obs) = observer {
-            obs(&event);
-        }
     }
 
     /// Switches node `idx`'s engine to CTX wire `version` and announces
@@ -428,13 +393,6 @@ impl Cluster {
         for n in &self.nodes {
             n.dne.set_peer_wire_version(node, version);
         }
-    }
-
-    /// Work node `idx`'s engine still owes: queued TX, pending CQEs,
-    /// worker items, posted sends and parked retries. The fleet
-    /// controller's drain loop polls this toward zero.
-    pub fn in_flight_on(&self, idx: usize) -> usize {
-        self.nodes[idx].dne.inflight_total()
     }
 
     /// Returns the node index hosting `fn_id`.
@@ -519,13 +477,13 @@ impl Cluster {
                         // capacity a notch (floored), so ingress sheds
                         // before the whole error budget is gone.
                         let pressure = (1.0 - 0.1 * alerting as f64).max(0.5);
-                        update = h.health.clone().map(|hm| (hm, pressure));
+                        update = h.control.clone().map(|c| (c, pressure));
                     }
                 }
                 update
             };
-            if let Some((hm, pressure)) = pressure_update {
-                hm.set_slo_pressure(sim, pressure);
+            if let Some((control, pressure)) = pressure_update {
+                control.set_slo_pressure(sim, pressure);
             }
             on_complete(sim, req);
         })
@@ -731,38 +689,15 @@ impl Cluster {
             .map(|p| p.trigger(obs::TriggerReason::Explicit, sim.now()).clone())
     }
 
-    /// Enables node health tracking and automatic failover: transport
-    /// `DeliveryFailure`s aimed at a node walk its state machine
-    /// (`Healthy → Suspect → Down → Draining → Healthy`), entering `Down`
-    /// fails every backed-up function over ([`Cluster::fail_over_node`]),
-    /// and recovery (driven by fault-plane probes until `until`) restores
-    /// them after the drain hold-down.
-    ///
-    /// Call after every [`Cluster::place_with_backup`], and wire the
-    /// returned monitor's capacity handler to the gateway's admission
-    /// controller if one is running.
-    pub fn enable_health_monitor(
-        self: &Rc<Self>,
-        sim: &mut Sim,
-        until: SimTime,
-    ) -> crate::health::HealthMonitor {
-        let monitor = crate::health::HealthMonitor::new(self.nodes.iter().map(|n| n.id));
-        monitor.set_tracer(self.obs_hub.borrow().tracer.clone());
-        let cluster = Rc::clone(self);
-        monitor.set_down_handler(Rc::new(move |_sim, node| {
-            if let Some(idx) = cluster.index_of(node) {
-                cluster.fail_over_node(idx);
-            }
-        }));
-        let cluster = Rc::clone(self);
-        monitor.set_recovered_handler(Rc::new(move |_sim, node| {
-            if let Some(idx) = cluster.index_of(node) {
-                cluster.restore_node(idx);
-            }
-        }));
-        self.obs_hub.borrow_mut().health = Some(monitor.clone());
-        monitor.start_probes(sim, self.fabric.clone(), until);
-        monitor
+    /// The cluster tracer (disabled until [`Cluster::set_tracer`]).
+    pub(crate) fn tracer(&self) -> obs::Tracer {
+        self.obs_hub.borrow().tracer.clone()
+    }
+
+    /// Hands the failure dispatcher's blame and the completion hook's SLO
+    /// pressure to `control` ([`ControlPlane::start`]).
+    pub(crate) fn set_control_plane(&self, control: ControlPlane) {
+        self.obs_hub.borrow_mut().control = Some(control);
     }
 
     /// Installs `handler` on the cluster failure dispatcher, so a delivery

@@ -8,7 +8,7 @@
 //!   each node in turn while a compliant tenant and a 3x-rate rogue
 //!   tenant keep driving traffic through the real version skew;
 //! - `wave+crash`: the same wave with a node-1 outage window landing
-//!   inside it, so the controller, health monitor and fault plane
+//!   inside it, so the control plane and the fault plane
 //!   contend for the same node.
 //!
 //! The contrast quantifies the lifecycle controller's claim: a full
@@ -31,7 +31,7 @@ use simcore::{Sim, SimDuration};
 
 use crate::boutique;
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::fleetctl::{FleetController, FleetCounters, FleetEvent};
+use crate::control::{ControlPlane, FleetCounters, FleetEvent};
 use crate::report::{fmt_f64, render_table};
 
 /// One scenario's outcome.
@@ -127,9 +127,9 @@ pub struct UpgradeOutcome {
     pub outage_drops: u64,
     /// Health transitions as `"node:from->to@ns"` strings, in order.
     pub health: Vec<String>,
-    /// The fleet controller's event log.
+    /// The control plane's fleet event log.
     pub fleet_events: Vec<FleetEvent>,
-    /// The fleet controller's counters.
+    /// The control plane's fleet counters.
     pub counters: FleetCounters,
     /// Final per-node wire versions.
     pub versions: Vec<u8>,
@@ -149,7 +149,7 @@ const ROGUE_PER_TICK: u32 = 3;
 /// tenant flooding its own chain at 3x the rate on 1/3 the weight. With
 /// `wave`, a rolling v1→v2 upgrade walks all three nodes from +4 ms; with
 /// `crash`, node 1 goes dark for 1.5 ms at +6 ms — inside the wave, so the
-/// controller, the health monitor and the fault plane contend for it.
+/// control plane and the fault plane contend for it.
 pub fn scenario(seed: u64, ticks: u32, wave: bool, crash: bool) -> UpgradeOutcome {
     let mut sim = Sim::new();
     let mut cluster = Cluster::new(
@@ -199,7 +199,6 @@ pub fn scenario(seed: u64, ticks: u32, wave: bool, crash: bool) -> UpgradeOutcom
         );
     }
     let until = drive_start + SimDuration::from_millis(80);
-    let monitor = cluster.enable_health_monitor(&mut sim, until);
 
     let gateway = Gateway::new(GatewayConfig {
         deadline: Some(SimDuration::from_millis(5)),
@@ -214,16 +213,12 @@ pub fn scenario(seed: u64, ticks: u32, wave: bool, crash: bool) -> UpgradeOutcom
     gateway.set_tracer(tracer.clone());
     gateway.register_tenant(compliant_t.0, 3);
     gateway.register_tenant(rogue_t.0, 1);
-    {
-        let gw = gateway.clone();
-        monitor.set_capacity_handler(Rc::new(move |_sim, f| gw.set_capacity_factor(f)));
-    }
 
-    let ctl = FleetController::install(&cluster, &monitor);
+    let control = ControlPlane::start(&mut sim, &cluster, until, Some(&gateway));
     if wave {
-        let ctl2 = ctl.clone();
+        let control = control.clone();
         sim.schedule_after(SimDuration::from_millis(4), move |sim| {
-            ctl2.start_upgrade_wave(sim, obs::CTX_V2);
+            control.start_upgrade_wave(sim, obs::CTX_V2);
         });
     }
 
@@ -255,8 +250,8 @@ pub fn scenario(seed: u64, ticks: u32, wave: bool, crash: bool) -> UpgradeOutcom
     }
     sim.run();
 
-    let health = monitor
-        .events()
+    let health = control
+        .health_events()
         .iter()
         .map(|e| format!("{}:{:?}->{:?}@{}", e.node.0, e.from, e.to, e.at.as_nanos()))
         .collect();
@@ -271,8 +266,8 @@ pub fn scenario(seed: u64, ticks: u32, wave: bool, crash: bool) -> UpgradeOutcom
         rogue: gateway.tenant_stats(rogue_t.0),
         outage_drops: cluster.fabric.fault_stats().outage_drops,
         health,
-        fleet_events: ctl.events(),
-        counters: ctl.counters(),
+        fleet_events: control.fleet_events(),
+        counters: control.counters(),
         versions: cluster.nodes.iter().map(|n| n.dne.wire_version()).collect(),
         dump_count,
         dump: dump.unwrap_or_default(),

@@ -42,15 +42,13 @@ pub mod baseline_cluster;
 pub mod boutique;
 pub mod churn;
 pub mod cluster;
+pub mod control;
 pub mod experiment;
 pub mod fleet;
-pub mod fleetctl;
-pub mod health;
 pub mod report;
 pub mod trace;
 pub mod workload;
 
 pub use cluster::{Cluster, ClusterConfig};
-pub use fleetctl::{FleetController, FleetCounters, FleetEvent, NodeLifecycle};
-pub use health::{HealthEvent, HealthMonitor, NodeState};
+pub use control::{ControlPlane, FleetCounters, FleetEvent, HealthEvent, NodeLifecycle, NodeState};
 pub use workload::ClosedLoop;

@@ -118,6 +118,16 @@ impl<K: RouteKey> Default for RouteTable<K> {
     }
 }
 
+/// Drops `key` from `node`'s set in the reverse index.
+fn unindex<K: RouteKey>(by_node: &mut HashMap<NodeId, BTreeSet<K>>, key: K, node: NodeId) {
+    if let Some(set) = by_node.get_mut(&node) {
+        set.remove(&key);
+        if set.is_empty() {
+            by_node.remove(&node);
+        }
+    }
+}
+
 impl<K: RouteKey> RouteTable<K> {
     /// Creates an empty table.
     pub fn new() -> Self {
@@ -133,43 +143,33 @@ impl<K: RouteKey> RouteTable<K> {
         self.entries.get(key.into())
     }
 
-    fn unindex(&mut self, key: K, node: NodeId) {
-        if let Some(set) = self.by_node.get_mut(&node) {
-            set.remove(&key);
-            if set.is_empty() {
-                self.by_node.remove(&node);
-            }
-        }
-    }
-
     /// Re-points `key`'s route to `to`, keeping the reverse index in sync.
-    /// Returns the previous node, if any.
-    fn install(&mut self, key: K, to: NodeId) -> Option<NodeId> {
+    /// Returns the previous node, if any, and the entry it touched.
+    fn install(&mut self, key: K, to: NodeId) -> (Option<NodeId>, &mut Entry) {
         let entry = self.entries.get_or_insert_with(key.into(), Entry::default);
         let prev = entry.route.replace(to);
-        match prev {
-            Some(old) if old == to => return prev,
-            Some(old) => self.unindex(key, old),
-            None => self.len += 1,
+        if prev != Some(to) {
+            match prev {
+                Some(old) => unindex(&mut self.by_node, key, old),
+                None => self.len += 1,
+            }
+            self.by_node.entry(to).or_default().insert(key);
         }
-        self.by_node.entry(to).or_default().insert(key);
-        prev
+        (prev, entry)
     }
 
     /// Installs `node` as `key`'s route and remembers the primary it
     /// displaced (the first one, across a cascade).
     fn displace(&mut self, key: K, node: NodeId) {
-        let prev = self.install(key, node).expect("route existed");
-        let entry = self.entries.get_mut(key.into()).expect("just installed");
-        entry.displaced.get_or_insert(prev);
+        if let (Some(prev), entry) = self.install(key, node) {
+            entry.displaced.get_or_insert(prev);
+        }
     }
 
     /// Installs (or moves) a function's placement. Clears any fail-over
     /// memory for the function: an explicit placement wins.
     pub fn set(&mut self, fn_id: K, node: NodeId) {
-        self.install(fn_id, node);
-        let entry = self.entries.get_mut(fn_id.into()).expect("just installed");
-        entry.displaced = None;
+        self.install(fn_id, node).1.displaced = None;
     }
 
     /// Installs a standby replica for a function. The backup only serves
@@ -192,7 +192,7 @@ impl<K: RouteKey> RouteTable<K> {
         let prev = self.entries.remove(fn_id.into())?.route;
         if let Some(node) = prev {
             self.len -= 1;
-            self.unindex(fn_id, node);
+            unindex(&mut self.by_node, fn_id, node);
         }
         prev
     }
@@ -266,29 +266,29 @@ impl<K: RouteKey> RouteTable<K> {
         self.down.remove(&node);
         // (1) fail displaced primaries back home. Restores are rare and
         // tables that fail over are small, so this reads every entry.
-        let home: Vec<u32> = self
+        let home: Vec<K> = self
             .entries
             .iter()
             .filter(|(_, e)| e.displaced == Some(node))
-            .map(|(id, _)| id)
+            .filter_map(|(id, _)| K::try_from(id).ok())
             .collect();
         let mut back: Vec<K> = Vec::new();
-        for id in home {
-            let fn_id = K::try_from(id).ok().expect("table ids come from keys");
-            self.entries.get_mut(id).expect("listed above").displaced = None;
-            if self.install(fn_id, node) != Some(node) {
+        for fn_id in home {
+            let (prev, entry) = self.install(fn_id, node);
+            entry.displaced = None;
+            if prev != Some(node) {
                 back.push(fn_id);
             }
         }
-        // (2) rescue functions stranded on nodes that are still down.
-        let stranded: Vec<K> = self
+        // (2) rescue functions stranded on nodes that are still down, each
+        // routed at the down node whose reverse index lists it.
+        let stranded: Vec<(K, NodeId)> = self
             .down
             .iter()
-            .filter_map(|d| self.by_node.get(d))
-            .flat_map(|set| set.iter().copied())
+            .filter_map(|&d| Some((d, self.by_node.get(&d)?)))
+            .flat_map(|(d, set)| set.iter().map(move |&fn_id| (fn_id, d)))
             .collect();
-        for fn_id in stranded {
-            let at = self.lookup(fn_id).expect("indexed route exists");
+        for (fn_id, at) in stranded {
             if self.healthy_alternative(fn_id, at) == Some(node) {
                 self.displace(fn_id, node);
                 back.push(fn_id);

@@ -3,7 +3,7 @@
 //! A 3-node cluster behind the NADINO gateway with per-request deadlines
 //! and adaptive per-tenant admission control. A bronze tenant ramps its
 //! offered load well past its weight share while a gold tenant holds a
-//! steady rate — then a node crashes mid-run. The health monitor turns the
+//! steady rate — then a node crashes mid-run. The control plane turns the
 //! delivery failures into a failover onto the standby node and feeds the
 //! lost capacity back into admission control, so the gateway sheds the
 //! overload (503 + `Retry-After`, bronze first) instead of letting queues
@@ -20,6 +20,7 @@ use ingress::rss::FlowId;
 use ingress::{AdmissionConfig, Gateway, GatewayConfig};
 use membuf::tenant::TenantId;
 use nadino::cluster::{Cluster, ClusterConfig};
+use nadino::ControlPlane;
 use rdma_sim::FaultPlane;
 use runtime::ChainSpec;
 use simcore::{Sim, SimDuration};
@@ -61,7 +62,6 @@ fn main() {
         crash_from,
         crash_from + SimDuration::from_millis(2),
     );
-    let monitor = cluster.enable_health_monitor(&mut sim, t0 + SimDuration::from_millis(45));
 
     let gateway = Gateway::new(GatewayConfig {
         deadline: Some(SimDuration::from_millis(3)),
@@ -75,10 +75,8 @@ fn main() {
     });
     gateway.register_tenant(gold.0, 3);
     gateway.register_tenant(bronze.0, 1);
-    {
-        let gw = gateway.clone();
-        monitor.set_capacity_handler(Rc::new(move |_sim, f| gw.set_capacity_factor(f)));
-    }
+    let until = t0 + SimDuration::from_millis(45);
+    let control = ControlPlane::start(&mut sim, &cluster, until, Some(&gateway));
 
     // 30ms of open-loop load in 50us ticks. Gold holds 1 request per tick;
     // bronze ramps from its fair share to a 4x flood and back.
@@ -113,7 +111,7 @@ fn main() {
 
     println!("brownout: 3-node cluster, node 1 crashes at 10ms for 2ms\n");
     println!("health transitions:");
-    for e in monitor.events() {
+    for e in control.health_events() {
         println!(
             "  {:>7.2}ms  node {}: {:?} -> {:?}",
             (e.at - t0).as_micros_f64() / 1000.0,
@@ -144,15 +142,15 @@ fn main() {
         "bronze (flooding, weight 1) must shed before gold (weight 3)"
     );
     assert!(
-        monitor
-            .events()
+        control
+            .health_events()
             .iter()
             .any(|e| e.to == nadino::NodeState::Down),
         "the crash must drive node 1 Down"
     );
     assert!(
-        monitor
-            .events()
+        control
+            .health_events()
             .iter()
             .any(|e| e.from == nadino::NodeState::Draining && e.to == nadino::NodeState::Healthy),
         "node 1 must drain back to Healthy after the outage"

@@ -8,9 +8,10 @@
 #                                       that hold a design rule in place —
 #                                       among them cores_are_simulator_free:
 #                                       the DNE's, the fabric's, the
-#                                       runtime's and the gateway's core never
-#                                       name the simulator, and only their
-#                                       drivers post or schedule
+#                                       runtime's, the gateway's and the
+#                                       control plane's core never name the
+#                                       simulator, and only their drivers
+#                                       post or schedule
 #   scripts/gates.sh test               release build + the workspace suite:
 #                                       the seed matrix (simcore::rng::SEEDS)
 #                                       and the typed-outcome bars are tests
@@ -52,7 +53,7 @@ sites() {
 cores_are_simulator_free() {
   local f
   for f in crates/dne/src/core.rs crates/rdma-sim/src/core.rs crates/runtime/src/core.rs \
-    crates/ingress/src/core.rs; do
+    crates/ingress/src/core.rs crates/core/src/control/core.rs; do
     if non_test "$f" | grep -nE '\bSim\b|Rc<RefCell|schedule_at|schedule_after|\.cancel\('; then
       fail "$f must not see the simulator"
     fi
@@ -71,6 +72,7 @@ crates/rdma-sim/src schedule_at\(|schedule_after\( crates/rdma-sim/src/fabric.rs
 crates/runtime/src schedule_at\(|schedule_after\( crates/runtime/src/iolib.rs 1
 crates/baselines/src schedule_at\(|schedule_after\( crates/baselines/src/primitives.rs 1
 crates/ingress/src schedule_at\(|schedule_after\( crates/ingress/src/gateway.rs 1
+crates/core/src/control schedule_at\(|schedule_after\( crates/core/src/control/mod.rs 1
 SITES
 }
 

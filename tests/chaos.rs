@@ -20,6 +20,7 @@ use ingress::{AdmissionConfig, Gateway, GatewayConfig};
 use membuf::tenant::TenantId;
 use nadino::cluster::{Cluster, ClusterConfig};
 use nadino::workload::ClosedLoop;
+use nadino::ControlPlane;
 use rdma_sim::{FaultPlane, FaultStats};
 use runtime::ChainSpec;
 use simcore::rng::SEEDS;
@@ -458,7 +459,6 @@ fn survival_run(seed: u64, crash: bool) -> SurvivalOutcome {
         );
     }
     let until = drive_start + SimDuration::from_millis(60);
-    let monitor = cluster.enable_health_monitor(&mut sim, until);
 
     let gateway = Gateway::new(GatewayConfig {
         deadline: Some(SimDuration::from_millis(3)),
@@ -473,11 +473,8 @@ fn survival_run(seed: u64, crash: bool) -> SurvivalOutcome {
     gateway.set_tracer(tracer.clone());
     gateway.register_tenant(compliant_t.0, 3);
     gateway.register_tenant(rogue_t.0, 1);
-    {
-        // Brownout coupling: a node going down tightens admission targets.
-        let gw = gateway.clone();
-        monitor.set_capacity_handler(Rc::new(move |_sim, f| gw.set_capacity_factor(f)));
-    }
+    // Brownout coupling: a node going down tightens admission targets.
+    let control = ControlPlane::start(&mut sim, &cluster, until, Some(&gateway));
 
     let issued = Rc::new(Cell::new(0u64));
     let resolved = Rc::new(Cell::new(0u64));
@@ -517,8 +514,8 @@ fn survival_run(seed: u64, crash: bool) -> SurvivalOutcome {
             dropped: s.dropped,
         }
     };
-    let health = monitor
-        .events()
+    let health = control
+        .health_events()
         .iter()
         .map(|e| format!("{}:{:?}->{:?}@{}", e.node.0, e.from, e.to, e.at.as_nanos()))
         .collect();

@@ -8,6 +8,7 @@ use membuf::tenant::TenantId;
 use nadino::boutique;
 use nadino::cluster::{Cluster, ClusterConfig};
 use nadino::workload::ClosedLoop;
+use nadino::ControlPlane;
 use runtime::ChainSpec;
 use simcore::{Sim, SimDuration};
 
@@ -322,10 +323,13 @@ fn steady_state_request_path_boxes_no_events() {
     );
 }
 
-/// Dropping a cluster frees it. Endpoint closures hold their node's I/O
-/// library and engine, which hold the closures; until `Cluster` cut those
-/// cycles on drop, every engine and every tenant pool of a dropped cluster
-/// stayed resident (each `experiments` sweep cell leaked its pools).
+/// Dropping a cluster frees it, with or without a control plane. Endpoint
+/// closures hold their node's I/O library and engine, which hold the
+/// closures; until `Cluster` cut those cycles on drop, every engine and every
+/// tenant pool of a dropped cluster stayed resident (each `experiments` sweep
+/// cell leaked its pools). The control plane sits in the cluster's hub and
+/// holds the cluster weakly; while its handlers held it strongly, a cluster
+/// with one was never dropped at all.
 ///
 /// A pool's payload bytes are mapped, not allocated, so the counter sees
 /// the pools' bookkeeping (which lives and dies with the mapping) and the
@@ -337,26 +341,38 @@ fn steady_state_request_path_boxes_no_events() {
 fn a_dropped_cluster_gives_its_memory_back() {
     const KIB: isize = 1 << 10;
     let tenant = TenantId(1);
-    let before = live_bytes();
-    let mut sim = Sim::new();
-    let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
-    cluster.add_tenant(&mut sim, tenant, 1).unwrap();
-    cluster.place(1, 0);
-    cluster.place(2, 1);
-    let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
-    let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(50));
-    cluster.register_chain(&chain, |_| SimDuration::ZERO, driver.completion());
-    let cluster = Rc::new(cluster);
-    driver.start(&mut sim, &cluster, &chain, 8, 64);
-    sim.run();
-    assert!(driver.completed() >= 1_000, "got {}", driver.completed());
-    let held = live_bytes() - before;
-    assert!(held > 64 * KIB, "two engines and two pools hold {held} B?");
+    for with_control in [false, true] {
+        let before = live_bytes();
+        let mut sim = Sim::new();
+        let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
+        cluster.add_tenant(&mut sim, tenant, 1).unwrap();
+        cluster.place(1, 0);
+        cluster.place(2, 1);
+        let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
+        let stop = sim.now() + SimDuration::from_millis(50);
+        let driver = ClosedLoop::new(stop);
+        cluster.register_chain(&chain, |_| SimDuration::ZERO, driver.completion());
+        let cluster = Rc::new(cluster);
+        let start = |sim: &mut Sim| ControlPlane::start(sim, &cluster, stop, None);
+        let control = with_control.then(|| start(&mut sim));
+        driver.start(&mut sim, &cluster, &chain, 8, 64);
+        sim.run();
+        assert!(driver.completed() >= 1_000, "got {}", driver.completed());
+        let held = live_bytes() - before;
+        assert!(held > 64 * KIB, "two engines and two pools hold {held} B?");
 
-    drop((driver, cluster, sim));
-    let retained = live_bytes() - before;
-    assert!(
-        retained < 16 * KIB,
-        "{retained} of {held} bytes still allocated after the drop"
-    );
+        let weak = Rc::downgrade(&cluster);
+        drop((driver, control, cluster, sim));
+        let freed = weak.upgrade().is_none();
+        drop(weak);
+        assert!(
+            freed,
+            "control plane {with_control}: the cluster outlived the drop"
+        );
+        let retained = live_bytes() - before;
+        assert!(
+            retained < 16 * KIB,
+            "control plane {with_control}: {retained} of {held} bytes still allocated after the drop"
+        );
+    }
 }

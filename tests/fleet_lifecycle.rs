@@ -22,7 +22,7 @@ use std::rc::Rc;
 use membuf::tenant::TenantId;
 use nadino::cluster::{Cluster, ClusterConfig};
 use nadino::experiment::upgrade::{scenario, UpgradeOutcome};
-use nadino::fleetctl::{FleetController, FleetEvent, NodeLifecycle};
+use nadino::{ControlPlane, FleetEvent, NodeLifecycle};
 use rdma_sim::FaultPlane;
 use runtime::ChainSpec;
 use simcore::rng::SEEDS;
@@ -165,17 +165,16 @@ fn drain_with_in_flight_request_completes_or_fails_typed() {
     }));
 
     let until = sim.now() + SimDuration::from_millis(100);
-    let monitor = cluster.enable_health_monitor(&mut sim, until);
-    let ctl = FleetController::install(&cluster, &monitor);
+    let control = ControlPlane::start(&mut sim, &cluster, until, None);
 
     // Post a request, then start the drain in the same instant: the
     // request is in flight toward node 1 when its routes move.
     assert!(cluster.inject(&mut sim, &chain, 42, 256));
-    ctl.upgrade_node(&mut sim, 1, obs::CTX_V2, |_| {});
+    control.upgrade_node(&mut sim, 1, obs::CTX_V2);
 
     // Routes moved off node 1 immediately (stop new placements first).
     assert_eq!(cluster.node_index_of(2), Some(0), "fn 2 failed over");
-    assert_eq!(ctl.lifecycle_of(1), Some(NodeLifecycle::Draining));
+    assert_eq!(control.lifecycle_of(1), Some(NodeLifecycle::Draining));
 
     sim.run();
 
@@ -187,9 +186,9 @@ fn drain_with_in_flight_request_completes_or_fails_typed() {
 
     // The node came back: routes restored, upgraded, back in service.
     assert_eq!(cluster.node_index_of(2), Some(1), "routes restored");
-    assert_eq!(ctl.lifecycle_of(1), Some(NodeLifecycle::InService));
+    assert_eq!(control.lifecycle_of(1), Some(NodeLifecycle::InService));
     assert_eq!(cluster.nodes[1].dne.wire_version(), obs::CTX_V2);
-    let c = ctl.counters();
+    let c = control.counters();
     assert_eq!(c.drains_started, 1);
     assert_eq!(c.upgrades_completed, 1);
     assert_eq!(
@@ -199,7 +198,7 @@ fn drain_with_in_flight_request_completes_or_fails_typed() {
     );
 
     // Ordering: routes restored strictly after the drain finished.
-    let events = ctl.events();
+    let events = control.fleet_events();
     let pos = |pred: &dyn Fn(&FleetEvent) -> bool| events.iter().position(pred);
     let drain_end = pos(&|e| {
         matches!(
@@ -236,38 +235,34 @@ fn admin_drain_holds_until_released() {
     let cluster = Rc::new(cluster);
 
     let until = sim.now() + SimDuration::from_millis(100);
-    let monitor = cluster.enable_health_monitor(&mut sim, until);
-    let caps: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
-    let caps2 = caps.clone();
-    monitor.set_capacity_handler(Rc::new(move |_sim, f| caps2.borrow_mut().push(f)));
-    let ctl = FleetController::install(&cluster, &monitor);
+    let control = ControlPlane::start(&mut sim, &cluster, until, None);
 
-    ctl.decommission(&mut sim, 1);
+    control.decommission(&mut sim, 1);
     // Far past the default 5ms hold-down and every probe tick: the
     // administrative hold keeps the node out of service.
     sim.run_for(SimDuration::from_millis(40));
     assert_eq!(
-        monitor.state_of(cluster.nodes[1].id),
+        control.state_of(cluster.nodes[1].id),
         Some(nadino::NodeState::Draining),
         "probe auto-completed an administrative drain"
     );
-    assert_eq!(ctl.lifecycle_of(1), Some(NodeLifecycle::Decommissioned));
+    assert_eq!(control.lifecycle_of(1), Some(NodeLifecycle::Decommissioned));
     assert_eq!(cluster.node_index_of(2), Some(0), "routes stay on backups");
     assert_eq!(
-        caps.borrow().first().copied(),
-        Some(0.5),
+        control.healthy_fraction(),
+        0.5,
         "drain shrank capacity to 1/2"
     );
 
-    ctl.provision(&mut sim, 1);
+    control.provision(&mut sim, 1);
     assert_eq!(
-        monitor.state_of(cluster.nodes[1].id),
+        control.state_of(cluster.nodes[1].id),
         Some(nadino::NodeState::Healthy)
     );
-    assert_eq!(ctl.lifecycle_of(1), Some(NodeLifecycle::InService));
+    assert_eq!(control.lifecycle_of(1), Some(NodeLifecycle::InService));
     assert_eq!(cluster.node_index_of(2), Some(1), "routes restored");
-    assert_eq!(caps.borrow().last().copied(), Some(1.0));
-    let c = ctl.counters();
+    assert_eq!(control.healthy_fraction(), 1.0);
+    let c = control.counters();
     assert_eq!((c.decommissions, c.provisions), (1, 1));
 }
 
@@ -354,7 +349,7 @@ fn upgrade_wave_with_crash_and_rogue_tenant_degrades_gracefully() {
     }
 }
 
-/// The wave run — controller, health monitor, gateway, fault plane and
+/// The wave run — control plane, gateway, fault plane and
 /// all — is part of the deterministic surface: same seed, byte-identical
 /// outcome including the flight-recorder dump and the fleet event log.
 #[test]
@@ -366,8 +361,8 @@ fn fleet_run_is_deterministic_per_seed() {
     }
 }
 
-/// The health and fleet levels are read where they live — the monitor, the
-/// controller, the engines — not sampled: `sample_obs` writes none of them,
+/// The health and fleet levels are read where they live — the control
+/// plane, the engines — not sampled: `sample_obs` writes none of them,
 /// and no total either.
 #[test]
 fn fleet_levels_are_read_from_their_homes() {
@@ -381,19 +376,18 @@ fn fleet_levels_are_read_from_their_homes() {
     cluster.register_chain(&chain, |_| SimDuration::from_micros(5), Rc::new(|_, _| {}));
     let cluster = Rc::new(cluster);
     let until = sim.now() + SimDuration::from_millis(50);
-    let monitor = cluster.enable_health_monitor(&mut sim, until);
-    let ctl = FleetController::install(&cluster, &monitor);
+    let control = ControlPlane::start(&mut sim, &cluster, until, None);
 
-    ctl.upgrade_node(&mut sim, 1, obs::CTX_V2, |_| {});
+    control.upgrade_node(&mut sim, 1, obs::CTX_V2);
     sim.run();
 
-    assert!(!ctl.wave_active());
+    assert!(!control.wave_active());
     for idx in 0..2 {
-        assert_eq!(ctl.lifecycle_of(idx), Some(NodeLifecycle::InService));
+        assert_eq!(control.lifecycle_of(idx), Some(NodeLifecycle::InService));
     }
-    assert_eq!(monitor.healthy_fraction(), 1.0);
-    for (node, state) in monitor.states() {
-        assert_eq!(state, nadino::health::NodeState::Healthy, "{node}");
+    assert_eq!(control.healthy_fraction(), 1.0);
+    for (node, state) in control.states() {
+        assert_eq!(state, nadino::NodeState::Healthy, "{node}");
     }
     assert_eq!(cluster.nodes[1].dne.wire_version(), obs::CTX_V2);
     assert_eq!(cluster.nodes[0].dne.wire_version(), obs::CTX_CURRENT);
@@ -410,7 +404,7 @@ fn fleet_levels_are_read_from_their_homes() {
         0,
         "a health or fleet level, or a total, was sampled"
     );
-    let counters = ctl.counters();
+    let counters = control.counters();
     assert_eq!(counters.upgrades_completed, 1);
     assert!(counters.rebalances >= 2, "{counters:?}");
 }
