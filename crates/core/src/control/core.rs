@@ -862,6 +862,27 @@ mod tests {
         assert_eq!(spans.count(), 2);
     }
 
+    /// An operator's drain feeds capacity before its routes move and the
+    /// provision after they come home; a drain of a node out of service is
+    /// refused and changes nothing.
+    #[test]
+    fn decommission_and_provision_feed_capacity() {
+        let mut core = two_nodes();
+        let poll = Output::At(at(50), Input::Poll(1));
+        let drained = [Output::Capacity(0.5), Output::FailOver(1), poll];
+        assert_eq!(step(&mut core, 0, Input::Decommission(1), true), drained);
+        assert!(step(&mut core, 50, Input::Poll(1), true).is_empty());
+        assert_eq!(core.lifecycle_of(1), Some(NodeLifecycle::Decommissioned));
+        let fleet = core.fleet.clone();
+        for refused in [Input::Upgrade(1, obs::CTX_V2), Input::Decommission(1)] {
+            assert!(step(&mut core, 100, refused, true).is_empty());
+        }
+        assert_eq!(core.fleet, fleet, "a refused drain was logged");
+        let provisioned = [Output::Restore(1), Output::Capacity(1.0)];
+        assert_eq!(step(&mut core, 100, Input::Provision(1), true), provisioned);
+        assert_eq!(core.lifecycle_of(1), Some(NodeLifecycle::InService));
+    }
+
     #[test]
     fn the_probe_rearms_until_its_horizon() {
         let mut core = Core::new([NodeId(0)], Tracer::disabled(), at(2_000));

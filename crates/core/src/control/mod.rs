@@ -331,6 +331,27 @@ mod tests {
         assert_eq!(lifecycles(&control), [in_service; 2]);
     }
 
+    /// Upgrading or decommissioning a node out of service is refused: no
+    /// log, no counter and no wire version moves.
+    #[test]
+    fn a_node_out_of_service_refuses_a_drain() {
+        let (mut sim, cluster, control) = harness();
+        cluster.set_node_wire_version(1, obs::CTX_V1);
+        control.decommission(&mut sim, 1);
+        sim.run_for(SimDuration::from_millis(10));
+        let fleet = control.fleet_events();
+        let health = control.health_events();
+        let counters = control.counters();
+        control.upgrade_node(&mut sim, 1, obs::CTX_V2);
+        control.decommission(&mut sim, 1);
+        sim.run_for(SimDuration::from_millis(10));
+        assert_eq!(control.fleet_events(), fleet);
+        assert_eq!(control.health_events(), health);
+        assert_eq!(control.counters(), counters);
+        assert_eq!(control.lifecycle_of(1), Some(NodeLifecycle::Decommissioned));
+        assert_eq!(cluster.nodes[1].dne.wire_version(), obs::CTX_V1);
+    }
+
     /// The closure an `At` schedules stores inline in the event slab.
     #[test]
     fn a_scheduled_input_fits_inline() {

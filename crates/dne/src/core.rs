@@ -1073,7 +1073,7 @@ impl Core {
         let peer = match self.routing.resolve(m.dst_fn) {
             Ok(peer) => peer,
             Err(RouteError::DestinationDown { node, .. }) => {
-                // The health monitor marked the destination down and no
+                // The control plane marked the destination down and no
                 // healthy replica exists: fail fast instead of parking a
                 // retry that can only time out against a corpse.
                 let reason = FailureReason::DestinationDown;

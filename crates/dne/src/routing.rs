@@ -13,7 +13,7 @@
 //! placed on the dead node are visited, never the whole table).
 //!
 //! Beyond the primary placement, each function may carry a **backup
-//! replica** route. When the health monitor declares a node down it calls
+//! replica** route. When the control plane declares a node down it calls
 //! [`RouteTable::fail_over`], which marks the node down and re-points
 //! every function whose active route targets it at the best *healthy*
 //! alternative — the backup replica if it is up, else the function's
@@ -103,7 +103,7 @@ pub struct RouteTable<K: RouteKey = u16> {
     /// Reverse index: which functions are actively routed at each node.
     /// Makes fail-over O(functions on the node), not O(table).
     by_node: HashMap<NodeId, BTreeSet<K>>,
-    /// Nodes the health monitor has declared down.
+    /// Nodes the control plane has declared down.
     down: HashSet<NodeId>,
     /// Installed routes (entries holding only a standby do not count).
     len: usize,

@@ -249,7 +249,7 @@ pub struct DeliveryFailure {
     pub attempts: u32,
     pub reason: FailureReason,
     /// Destination node the payload was bound for, when the route was
-    /// known — the signal the health monitor attributes to a node.
+    /// known — the signal the control plane attributes to a node.
     pub dst_node: Option<rdma_sim::NodeId>,
 }
 

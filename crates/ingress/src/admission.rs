@@ -99,7 +99,7 @@ pub struct AdmissionController {
     window_total: u64,
     prev_total: u64,
     weight_total: u64,
-    /// Cluster capacity factor in `(0, 1]` fed by the health monitor:
+    /// Cluster capacity factor in `(0, 1]` fed by the control plane:
     /// `0.5` means half the cluster is down, so targets tighten to half.
     capacity_factor: f64,
 }
@@ -127,11 +127,16 @@ impl AdmissionController {
         st.weight = weight;
     }
 
-    /// Sets the cluster capacity factor (clamped to `(0, 1]`); the health
-    /// monitor calls this as nodes die and recover, so the gateway sheds
+    /// Sets the cluster capacity factor (clamped to `(0, 1]`); the control
+    /// plane calls this as nodes die and recover, so the gateway sheds
     /// proportionally sooner while the cluster is degraded.
     pub fn set_capacity_factor(&mut self, factor: f64) {
         self.capacity_factor = factor.clamp(0.05, 1.0);
+    }
+
+    /// The cluster capacity factor every target is tightened by.
+    pub fn capacity_factor(&self) -> f64 {
+        self.capacity_factor
     }
 
     /// The weight-pressure scale for a tenant right now: the ratio of its

@@ -251,12 +251,19 @@ impl Gateway {
     }
 
     /// Feeds the cluster capacity factor (healthy fraction, `(0, 1]`) from
-    /// the health monitor into admission control: a browned-out cluster
+    /// the control plane into admission control: a browned-out cluster
     /// sheds proportionally sooner. No-op when admission is disabled.
     pub fn set_capacity_factor(&self, factor: f64) {
         if let Some(ac) = self.inner.core.borrow_mut().admission.as_mut() {
             ac.set_capacity_factor(factor);
         }
+    }
+
+    /// The capacity factor admission control works with (`None` when
+    /// admission is disabled).
+    pub fn capacity_factor(&self) -> Option<f64> {
+        let core = self.inner.core.borrow();
+        core.admission.as_ref().map(|ac| ac.capacity_factor())
     }
 
     /// Registers a fleet histogram recording admission latency (arrival

@@ -735,7 +735,7 @@ mod tests {
         assert!(t.decide_sample(5));
     }
 
-    /// `nadino::health` records its events under trace id `u64::MAX`; the
+    /// `nadino::control` records health events under trace id `u64::MAX`; the
     /// ring-based store used that value to mark an empty cursor-cache slot,
     /// so a health span lost its parent once another trace touched its node.
     #[test]

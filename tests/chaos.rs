@@ -368,7 +368,7 @@ fn zero_fault_plane_is_byte_identical_to_no_plane() {
 
 // ---------------------------------------------------------------------------
 // Survivability: gateway (deadlines + admission control) in front of a
-// 3-node cluster with backup placements and the health monitor, under a
+// 3-node cluster with backup placements and the control plane, under a
 // mid-run node crash plus a rogue tenant flooding at 3x the compliant rate
 // on a third of the weight.
 // ---------------------------------------------------------------------------
@@ -406,7 +406,7 @@ const SURVIVAL_TICKS: u32 = 400;
 const ROGUE_PER_TICK: u32 = 3;
 
 /// One full survival run. With `crash`, node 1 (primary of the second hop
-/// of both chains) goes dark for 2ms mid-run; the health monitor must turn
+/// of both chains) goes dark for 2ms mid-run; the control plane must turn
 /// the resulting delivery failures into a failover onto node 2 and restore
 /// node 1 after the drain hold-down.
 fn survival_run(seed: u64, crash: bool) -> SurvivalOutcome {
@@ -540,7 +540,7 @@ fn survival_run(seed: u64, crash: bool) -> SurvivalOutcome {
 }
 
 /// The headline acceptance run: a mid-run node crash plus a rogue tenant.
-/// Zero requests hang, the health monitor fails over and later restores
+/// Zero requests hang, the control plane fails over and later restores
 /// the node, the rogue tenant sheds hardest, and the compliant tenant
 /// keeps >= 80% of its fault-free same-seed goodput.
 #[test]
@@ -560,7 +560,7 @@ fn node_crash_with_rogue_tenant_degrades_gracefully() {
         assert!(crashed.outage_drops > 0, "crash window never fired");
         assert_eq!(faultfree.outage_drops, 0, "fault-free run saw an outage");
 
-        // The health monitor walked node 1 down and back up.
+        // The control plane walked node 1 down and back up.
         let down = crashed.health.iter().any(|e| e.contains("1:Suspect->Down"));
         let back = crashed
             .health

@@ -19,6 +19,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use ingress::{AdmissionConfig, Gateway, GatewayConfig};
 use membuf::tenant::TenantId;
 use nadino::cluster::{Cluster, ClusterConfig};
 use nadino::experiment::upgrade::{scenario, UpgradeOutcome};
@@ -221,7 +222,7 @@ fn drain_with_in_flight_request_completes_or_fails_typed() {
 /// The probe loop keeps its hands off an administrative drain: the node
 /// stays `Draining` past every probe interval and hold-down until the
 /// controller releases it. Capacity shrinks while held and recovers on
-/// release (decommission → provision round trip).
+/// release (decommission → provision round trip), at the gateway too.
 #[test]
 fn admin_drain_holds_until_released() {
     let mut sim = Sim::new();
@@ -233,11 +234,20 @@ fn admin_drain_holds_until_released() {
     cluster.place_with_backup(2, 1, 0);
     cluster.register_chain(&chain, |_| SimDuration::from_micros(5), Rc::new(|_, _| {}));
     let cluster = Rc::new(cluster);
+    let gateway = Gateway::new(GatewayConfig {
+        admission: Some(AdmissionConfig::default()),
+        ..GatewayConfig::default()
+    });
 
     let until = sim.now() + SimDuration::from_millis(100);
-    let control = ControlPlane::start(&mut sim, &cluster, until, None);
+    let control = ControlPlane::start(&mut sim, &cluster, until, Some(&gateway));
 
     control.decommission(&mut sim, 1);
+    assert_eq!(
+        gateway.capacity_factor(),
+        Some(0.5),
+        "the drain fed 1/2 to the gateway"
+    );
     // Far past the default 5ms hold-down and every probe tick: the
     // administrative hold keeps the node out of service.
     sim.run_for(SimDuration::from_millis(40));
@@ -262,6 +272,11 @@ fn admin_drain_holds_until_released() {
     assert_eq!(control.lifecycle_of(1), Some(NodeLifecycle::InService));
     assert_eq!(cluster.node_index_of(2), Some(1), "routes restored");
     assert_eq!(control.healthy_fraction(), 1.0);
+    assert_eq!(
+        gateway.capacity_factor(),
+        Some(1.0),
+        "the provision fed 1 to the gateway"
+    );
     let c = control.counters();
     assert_eq!((c.decommissions, c.provisions), (1, 1));
 }
