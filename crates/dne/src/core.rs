@@ -11,8 +11,9 @@
 //! the step once it returned.
 //!
 //! The boundary: anything that needs a `&mut` simulator — scheduling,
-//! cancelling, `post_send`, `connect`, calling an
-//! endpoint, the failure handler or a peer engine — is an effect. The core
+//! `post_send`, `connect`, calling an endpoint, the failure handler or a
+//! peer engine — is an effect. Every timed effect is one [`Effect::At`]: an
+//! input to feed back at an instant, never a timer to cancel. The core
 //! keeps the fabric calls that only read or update RNIC queue state and
 //! take no simulator: `poll_one`, `cq_depth`, `post_recv`, `costs`, and the
 //! QP-load reads and activate/deactivate/destroy inside [`ConnPool`].
@@ -39,7 +40,7 @@ use obs::{Stage, Tracer};
 use rdma_sim::fabric::{CqId, QpHandle, RqId};
 use rdma_sim::types::{Cqe, CqeOpcode, CqeStatus, QpId};
 use rdma_sim::{Fabric, NodeId, WrId};
-use simcore::{IdRing, IdTable, SimDuration, SimTime, TimerHandle};
+use simcore::{IdRing, IdTable, SimDuration, SimTime};
 
 use crate::connpool::ConnPool;
 use crate::engine::{DneError, DneObsSink, FnEndpoint};
@@ -48,7 +49,6 @@ use crate::routing::{RouteError, RoutingTable};
 use crate::sched::{DwrrScheduler, FcfsScheduler, TenantScheduler};
 use crate::types::{
     DeliveryFailure, DneConfig, DneStats, FailureReason, IpcCosts, OffloadMode, SchedPolicy,
-    TenantFailureStats,
 };
 
 /// Reference CPU time of the TX stage (route lookup, connection pick, WR
@@ -85,8 +85,20 @@ pub(crate) enum Input {
     },
     /// The core that served the last item is free again.
     Retire,
-    /// The backoff timer of parked retry `id` fired.
+    /// The backoff timer of parked retry `id` fired; a no-op unless the
+    /// retry is still armed.
     RetryTimer(u64),
+    /// A reconnect flush re-posts parked retry `id`, armed or not.
+    Repost(u64),
+    /// The SoC DMA staged a payload (on-path offload): post it now.
+    Post {
+        qp: QpHandle,
+        wr: WrId,
+        buf: OwnedBuf,
+        imm: u64,
+    },
+    /// `desc` crossed the IPC boundary to local function endpoint `ep`.
+    Deliver { ep: FnEndpoint, desc: BufferDesc },
     /// The RNIC refused a `PostSend` synchronously.
     PostFailed(WrId),
     /// A reconnect for `(tenant, peer)` started: `local` is this engine's
@@ -117,29 +129,15 @@ const _: () = assert!(std::mem::size_of::<Input>() + 8 <= simcore::event::INLINE
 
 /// Something the engine wants done; the driver applies these in order.
 pub(crate) enum Effect {
-    /// Post `buf` on `qp` at `at` (now, or once the SoC DMA staged it).
+    /// Post `buf` on `qp` now.
     PostSend {
         qp: QpHandle,
         wr: WrId,
         buf: OwnedBuf,
         imm: u64,
-        at: SimTime,
     },
-    /// Hand `desc` to a local function after the IPC crossing.
-    Deliver {
-        ep: FnEndpoint,
-        desc: BufferDesc,
-        latency: SimDuration,
-    },
-    /// Feed `Input` back after a delay.
-    After(SimDuration, Input),
-    /// Arm the backoff timer of parked retry `id` and record its handle
-    /// with [`Core::retry_armed`].
-    ArmRetry {
-        id: u64,
-        backoff: SimDuration,
-    },
-    CancelTimer(TimerHandle),
+    /// Feed `Input` back at the instant: the engine's one timed effect.
+    At(SimTime, Input),
     /// Establish a fresh connection for `(tenant, peer)` and answer
     /// `Connected` or `ReconnectFailed`.
     Connect {
@@ -155,6 +153,8 @@ pub(crate) enum Effect {
         tenant: TenantId,
         handle: QpHandle,
     },
+    /// Call a local function's endpoint with `desc`.
+    Call(FnEndpoint, BufferDesc),
     /// Surface a typed failure through the failure handler.
     Fail(DeliveryFailure),
     /// Feed `Input` back right here: after the effects before this one
@@ -191,7 +191,6 @@ fn send_seq(wr: WrId) -> u64 {
 pub(crate) struct TenantState {
     pool: BufferPool,
     pub(crate) rq: RqId,
-    pub(crate) failures: TenantFailureStats,
 }
 
 /// A TX descriptor queued in the tenant scheduler, stamped with its
@@ -259,8 +258,8 @@ struct PostedSend {
 }
 
 /// A payload on its way to the RNIC: about to be posted, or parked —
-/// holding its buffer so nothing leaks — until a backoff timer fires or a
-/// background reconnect brings a connection up.
+/// holding its buffer so nothing leaks — until its backoff timer fires or a
+/// background reconnect brings a connection up, whichever is first.
 struct PendingSend {
     buf: OwnedBuf,
     meta: SendMeta,
@@ -270,9 +269,10 @@ struct PendingSend {
     parked_at: SimTime,
     /// The QP whose send failed; the failover pick steers around it.
     avoid: Option<QpId>,
-    /// The pending backoff timer (`None` for retries parked on a reconnect,
-    /// which fire when the connection comes up instead).
-    timer: Option<TimerHandle>,
+    /// Whether a backoff timer is pending for this retry (not for retries
+    /// parked on a reconnect, which fire when the connection comes up). A
+    /// `RetryTimer` that finds it cleared is stale and does nothing.
+    armed: bool,
 }
 
 /// Where `connect_pair` said the remote end of a `(tenant, peer)` pool
@@ -407,7 +407,14 @@ impl Core {
                 self.in_flight -= 1;
                 self.kick(now, out);
             }
-            Input::RetryTimer(id) => self.fire_retry(now, id, out),
+            Input::RetryTimer(id) => {
+                if self.retries.get(id).is_some_and(|p| p.armed) {
+                    self.fire_retry(now, id, out);
+                }
+            }
+            Input::Repost(id) => self.fire_retry(now, id, out),
+            Input::Post { qp, wr, buf, imm } => out(Effect::PostSend { qp, wr, buf, imm }),
+            Input::Deliver { ep, desc } => out(Effect::Call(ep, desc)),
             Input::PostFailed(wr) => {
                 // The QP died between the pick and the post. The fabric
                 // already recycled the buffer, so surface a typed failure
@@ -437,23 +444,19 @@ impl Core {
                 // event was scheduled by the connect itself, so by FIFO
                 // same-time ordering the connection is usable when the
                 // flush runs.
-                out(Effect::After(delay, Input::ReconnectUp { tenant, peer }));
+                out(Effect::At(now + delay, Input::ReconnectUp { tenant, peer }));
             }
             Input::ReconnectUp { tenant, peer } => {
-                // Flush every retry parked on the pair, in id order,
-                // cancelling their backoff timers (a cancelled timer that
-                // already raced into the queue fires as a no-op). Each
-                // re-post is a step of its own: its pick must see the QP
-                // load the previous post left behind.
+                // Flush every retry parked on the pair, in id order. The
+                // re-post disarms a backoff timer still pending, which then
+                // fires as a no-op. Each re-post is a step of its own: its
+                // pick must see the QP load the previous post left behind.
                 self.reconnecting.remove(&(tenant, peer));
                 for id in self.parked_on(tenant, peer) {
                     if let Some(p) = self.retries.get_mut(id) {
                         p.avoid = None; // the failed QP is history; pick freely
-                        if let Some(timer) = p.timer.take() {
-                            out(Effect::CancelTimer(timer));
-                        }
                     }
-                    out(Effect::Then(Input::RetryTimer(id)));
+                    out(Effect::Then(Input::Repost(id)));
                 }
             }
             Input::ReconnectFailed { tenant, peer } => {
@@ -479,9 +482,6 @@ impl Core {
                 // function dispatch) are folded into its deadline accounting.
                 if failure.reason == FailureReason::DeadlineExceeded {
                     self.stats.deadline_drops += 1;
-                    if let Some(st) = self.tenants.get_mut(failure.tenant.0.into()) {
-                        st.failures.deadline_drops += 1;
-                    }
                     if self.tracer.is_enabled() {
                         let (req, tenant) = (failure.req_id, failure.tenant);
                         self.span(req, tenant, Stage::DeadlineDrop, now, now);
@@ -489,13 +489,6 @@ impl Core {
                 }
                 out(Effect::Fail(failure));
             }
-        }
-    }
-
-    /// Records the timer the driver armed for `Effect::ArmRetry`.
-    pub(crate) fn retry_armed(&mut self, id: u64, timer: TimerHandle) {
-        if let Some(p) = self.retries.get_mut(id) {
-            p.timer = Some(timer);
         }
     }
 
@@ -516,7 +509,6 @@ impl Core {
         let state = TenantState {
             pool: mapped.pool().clone(),
             rq,
-            failures: TenantFailureStats::default(),
         };
         self.tenants.insert(tenant.0.into(), state);
         self.txq.register(tenant, weight);
@@ -609,7 +601,7 @@ impl Core {
             req_id,
             sampled,
         };
-        out(Effect::After(latency, crossed));
+        out(Effect::At(now + latency, crossed));
     }
 
     /// Dispatches work onto idle engine cores: completions first (they
@@ -627,7 +619,7 @@ impl Core {
                 item,
                 dispatched_at,
             };
-            out(Effect::After(done - now, done_input));
+            out(Effect::At(done, done_input));
         }
     }
 
@@ -686,16 +678,8 @@ impl Core {
         }
     }
 
-    /// Counts a dropped descriptor, in aggregate and against `tenant`.
-    fn drop_for(&mut self, tenant: TenantId) {
-        self.stats.drops += 1;
-        if let Some(st) = self.tenants.get_mut(tenant.0.into()) {
-            st.failures.drops += 1;
-        }
-    }
-
-    /// Abandons a send after recovery is exhausted: updates aggregate and
-    /// per-tenant counters and surfaces the typed failure.
+    /// Abandons a send after recovery is exhausted: updates the counters
+    /// and surfaces the typed failure.
     fn give_up(
         &mut self,
         now: SimTime,
@@ -714,10 +698,7 @@ impl Core {
                 sink.retry_latency.record_traced(lat, None);
             }
         }
-        self.drop_for(m.tenant);
-        if let Some(st) = self.tenants.get_mut(m.tenant.0.into()) {
-            st.failures.give_ups += 1;
-        }
+        self.stats.drops += 1;
         out(Effect::Fail(m.failure(reason, dst_node)));
     }
 
@@ -733,10 +714,7 @@ impl Core {
         out: &mut impl FnMut(Effect),
     ) {
         self.stats.deadline_drops += 1;
-        self.drop_for(m.tenant);
-        if let Some(st) = self.tenants.get_mut(m.tenant.0.into()) {
-            st.failures.deadline_drops += 1;
-        }
+        self.stats.drops += 1;
         if self.tracer.is_enabled() {
             self.span(m.req_id, m.tenant, Stage::DeadlineDrop, now, now);
         }
@@ -760,7 +738,7 @@ impl Core {
             return;
         };
         let Ok(buf) = state.pool.redeem(desc) else {
-            self.drop_for(tenant);
+            self.stats.drops += 1;
             return;
         };
         // One bit — the ingress sampling decision carried in the payload's
@@ -797,8 +775,8 @@ impl Core {
             Ok(peer) if peer == self.node => match self.endpoints.get(dst_fn.into()).cloned() {
                 Some(ep) => {
                     self.stats.rx_delivered += 1;
-                    let (desc, latency) = (buf.into_desc(dst_fn), self.ipc.one_way_latency);
-                    out(Effect::Deliver { ep, desc, latency });
+                    let (desc, at) = (buf.into_desc(dst_fn), now + self.ipc.one_way_latency);
+                    out(Effect::At(at, Input::Deliver { ep, desc }));
                 }
                 None => self.give_up(now, m, FailureReason::UnknownDestination, Some(peer), out),
             },
@@ -809,7 +787,7 @@ impl Core {
                     peer,
                     parked_at: now,
                     avoid: None,
-                    timer: None,
+                    armed: false,
                 };
                 self.post(now, send, None, out);
             }
@@ -892,13 +870,12 @@ impl Core {
             sampled,
         };
         self.posted.insert(seq, record);
-        out(Effect::PostSend {
-            qp,
-            wr: WrId(u64::MAX - seq),
-            buf: p.buf,
-            imm: pack_imm(tenant, m.dst_fn),
-            at,
-        });
+        let (wr, buf, imm) = (WrId(u64::MAX - seq), p.buf, pack_imm(tenant, m.dst_fn));
+        if at > now {
+            out(Effect::At(at, Input::Post { qp, wr, buf, imm }));
+        } else {
+            out(Effect::PostSend { qp, wr, buf, imm });
+        }
     }
 
     fn fresh_retry_id(&mut self) -> u64 {
@@ -926,12 +903,13 @@ impl Core {
         self.reconnecting.insert((tenant, peer));
     }
 
-    /// Fires a parked retry. An id that is no longer parked (already
+    /// Re-posts a parked retry. An id that is no longer parked (already
     /// flushed by a reconnect, or the send ultimately gave up) is a no-op,
-    /// so a stale backoff timer can never duplicate a send.
+    /// so a stale backoff timer can never duplicate a send; a send that
+    /// finds the pool dry again re-parks under the same id, disarmed.
     fn fire_retry(&mut self, now: SimTime, id: u64, out: &mut impl FnMut(Effect)) {
         if let Some(mut p) = self.retries.remove(id) {
-            p.timer = None;
+            p.armed = false;
             self.post(now, p, Some(id), out);
         }
     }
@@ -957,12 +935,9 @@ impl Core {
         }
         let tenant = self.rbr.consume(cqe.wr_id);
         if cqe.status != CqeStatus::Success {
-            match tenant {
-                Some(t) => {
-                    self.drop_for(t);
-                    self.replenish(t);
-                }
-                None => self.stats.drops += 1,
+            self.stats.drops += 1;
+            if let Some(t) = tenant {
+                self.replenish(t);
             }
             return;
         }
@@ -970,7 +945,7 @@ impl Core {
         let tenant = tenant.unwrap_or(imm_tenant);
         self.replenish(tenant);
         let Some(buf) = cqe.buf else {
-            self.drop_for(tenant);
+            self.stats.drops += 1;
             return;
         };
         // The receive side reads the same one bit the sender stamped; an
@@ -1011,7 +986,7 @@ impl Core {
             self.span(req_id, tenant, Stage::ComchDeliver, now, now + latency);
         }
         let desc = buf.into_desc(dst_fn);
-        out(Effect::Deliver { ep, desc, latency });
+        out(Effect::At(now + latency, Input::Deliver { ep, desc }));
     }
 
     fn on_send_completion(&mut self, now: SimTime, cqe: Cqe, out: &mut impl FnMut(Effect)) {
@@ -1104,9 +1079,6 @@ impl Core {
             return self.cancel_expired(now, m, blamed, out);
         }
         self.stats.retries += 1;
-        if let Some(st) = self.tenants.get_mut(m.tenant.0.into()) {
-            st.failures.retries += 1;
-        }
         let id = self.fresh_retry_id();
         let parked = PendingSend {
             buf,
@@ -1114,10 +1086,10 @@ impl Core {
             peer,
             parked_at: now,
             avoid: Some(cqe.qp),
-            timer: None,
+            armed: true,
         };
         self.retries.insert(id, parked);
-        out(Effect::ArmRetry { id, backoff });
+        out(Effect::At(now + backoff, Input::RetryTimer(id)));
     }
 }
 
@@ -1128,24 +1100,24 @@ mod tests {
     use membuf::pool::PoolConfig;
     use rdma_sim::RdmaCosts;
     use simcore::Sim;
+    use std::rc::Rc;
 
     const TENANT: TenantId = TenantId(1);
     /// The function the test payloads are addressed to, placed on node B.
     const DST: u16 = 2;
 
     /// One engine state machine on node A, stepped by hand: two ready
-    /// connections toward node B pooled, a third ready pair kept aside as
-    /// what a reconnect would bring. No driver and no engine on B — a
-    /// completion is a `Cqe` the test writes itself. The simulator serves
-    /// the fixture only (the fabric flips QPs to Ready on an event, and
-    /// timer handles come from it); the core never sees it.
+    /// connections toward node B pooled, two more ready pairs kept aside as
+    /// what reconnects would bring. No driver and no engine on B — a
+    /// completion is a `Cqe` the test writes itself. A simulator brings the
+    /// fixture's QPs to Ready (the fabric does that on an event); the core
+    /// never sees it.
     struct Rig {
         core: Core,
         pool: BufferPool,
         b: NodeId,
         pooled: [QpHandle; 2],
-        spare: (QpHandle, QpHandle),
-        sim: Sim,
+        spares: [(QpHandle, QpHandle); 2],
     }
 
     impl Rig {
@@ -1168,8 +1140,9 @@ mod tests {
                     .connect(&mut sim, TENANT, a, cq_a, rq_a, b, cq_b, rq_b)
                     .unwrap()
             };
-            let (first, second, spare) = (connect(), connect(), connect());
-            sim.run(); // all three pairs Ready
+            let (first, second) = (connect(), connect());
+            let spares = [connect(), connect()];
+            sim.run(); // all four pairs Ready
             let pooled = [first.0, second.0];
             for qp in pooled {
                 core.conns.add(TENANT, b, qp, sim.now());
@@ -1181,8 +1154,7 @@ mod tests {
                 pool,
                 b,
                 pooled,
-                spare,
-                sim,
+                spares,
             }
         }
 
@@ -1257,9 +1229,10 @@ mod tests {
             }
         }
 
-        /// The reconnect's connection is established and comes up at once.
-        fn reconnect_up(&mut self, now: SimTime) -> Vec<Effect> {
-            let (tenant, peer, (local, remote)) = (TENANT, self.b, self.spare);
+        /// The reconnect's connection, a spare pair, is established and
+        /// comes up at once.
+        fn reconnect_up(&mut self, now: SimTime, spare: (QpHandle, QpHandle)) -> Vec<Effect> {
+            let (tenant, peer, (local, remote)) = (TENANT, self.b, spare);
             let mut effects = self.run(
                 now,
                 Input::Connected {
@@ -1306,24 +1279,27 @@ mod tests {
             Input::Crossed { .. } => "Crossed",
             Input::Done { .. } => "Done",
             Input::ReconnectUp { .. } => "ReconnectUp",
+            Input::Post { .. } => "Post",
+            Input::Deliver { .. } => "Deliver",
             _ => "other",
         }
     }
 
-    /// One line per effect: what the tables below compare. Durations are
-    /// left out except the backoff, shown in units of `RETRY_BACKOFF`.
-    fn brief(effects: &[Effect]) -> Vec<String> {
+    /// One line per effect emitted at `now`: what the tables below compare.
+    /// Instants are left out except a backoff timer's, shown as its delay
+    /// in units of `RETRY_BACKOFF`.
+    fn brief(now: SimTime, effects: &[Effect]) -> Vec<String> {
         let base = RETRY_BACKOFF.as_nanos();
         let line = |e: &Effect| match e {
             Effect::PostSend { qp, wr, .. } => {
                 format!("PostSend qp={} wr={}", qp.qp.0, send_seq(*wr))
             }
-            Effect::Deliver { desc, .. } => format!("Deliver fn={}", desc.dst_fn),
-            Effect::After(_, input) => format!("After {}", input_name(input)),
-            Effect::ArmRetry { id, backoff } => {
-                format!("ArmRetry id={id} backoff={}x", backoff.as_nanos() / base)
+            Effect::At(at, Input::RetryTimer(id)) => {
+                let backoff = at.saturating_since(now).as_nanos() / base;
+                format!("At +{backoff}x RetryTimer id={id}")
             }
-            Effect::CancelTimer(_) => "CancelTimer".to_string(),
+            Effect::At(_, input) => format!("At {}", input_name(input)),
+            Effect::Call(_, desc) => format!("Call fn={}", desc.dst_fn),
             Effect::Connect { peer, .. } => format!("Connect peer={}", peer.0),
             Effect::PeerConnAdded { peer, handle, .. } => {
                 format!("PeerConnAdded peer={} qp={}", peer.0, handle.qp.0)
@@ -1332,6 +1308,13 @@ mod tests {
             Effect::Then(_) => unreachable!("Rig::run feeds Then back"),
         };
         effects.iter().map(line).collect()
+    }
+
+    impl Core {
+        /// Parked retries whose backoff timer is still pending.
+        pub(crate) fn armed_retries(&self) -> usize {
+            self.retries.iter().filter(|(_, p)| p.armed).count()
+        }
     }
 
     const T0: SimTime = SimTime::from_nanos(1_000_000_000);
@@ -1345,7 +1328,7 @@ mod tests {
         let desc = rig.payload(7, deadline);
         let posted = rig.tx(T0, desc);
         let failed = rig.complete(T0, sent(posted), LOST);
-        brief(&failed)
+        brief(T0, &failed)
     }
 
     #[test]
@@ -1363,18 +1346,52 @@ mod tests {
                     let mut next = Some(Input::Submit { tenant, desc });
                     while let Some(input) = next.take() {
                         let mut effects = rig.run(T0, input);
-                        seen.extend(brief(&effects));
-                        if let Some(Effect::After(_, input)) = effects.pop() {
+                        seen.extend(brief(T0, &effects));
+                        if let Some(Effect::At(_, input)) = effects.pop() {
                             next = Some(input);
                         }
                     }
                     seen
                 },
                 vec![
-                    "After Crossed".into(),
-                    "After Done".into(),
+                    "At Crossed".into(),
+                    "At Done".into(),
                     "PostSend qp=0 wr=0".into(),
                 ],
+            ),
+            (
+                "on-path: the post waits for the SoC DMA as an input of its own",
+                DneConfig::on_path_dne(),
+                |rig| {
+                    let desc = rig.payload(7, None);
+                    let mut effects = rig.tx(T0, desc);
+                    let mut seen = brief(T0, &effects);
+                    let Some(Effect::At(at, post)) = effects.pop() else {
+                        panic!("a staged post");
+                    };
+                    assert!(at > T0, "staging takes time");
+                    seen.extend(brief(at, &rig.run(at, post)));
+                    seen
+                },
+                vec!["At Post".into(), "PostSend qp=0 wr=0".into()],
+            ),
+            (
+                "local destination: the endpoint is called after the IPC crossing",
+                DneConfig::nadino_dne(),
+                |rig| {
+                    rig.core.routing.set(DST, rig.core.node);
+                    rig.core.endpoints.insert(DST.into(), Rc::new(|_, _| {}));
+                    let desc = rig.payload(7, None);
+                    let mut effects = rig.tx(T0, desc);
+                    let mut seen = brief(T0, &effects);
+                    let Some(Effect::At(at, deliver)) = effects.pop() else {
+                        panic!("a delivery");
+                    };
+                    assert_eq!(at, T0 + rig.core.ipc.one_way_latency);
+                    seen.extend(brief(at, &rig.run(at, deliver)));
+                    seen
+                },
+                vec!["At Deliver".into(), "Call fn=2".into()],
             ),
             (
                 "error CQE parks the send; the second failure doubles the backoff",
@@ -1382,16 +1399,16 @@ mod tests {
                 |rig| {
                     let mut seen = park_one(rig, None);
                     let reposted = rig.run(LATER, Input::RetryTimer(0));
-                    seen.extend(brief(&reposted));
+                    seen.extend(brief(LATER, &reposted));
                     let failed = rig.complete(LATER, sent(reposted), LOST);
-                    seen.extend(brief(&failed));
+                    seen.extend(brief(LATER, &failed));
                     assert_eq!(rig.core.stats.failovers, 1);
                     seen
                 },
                 vec![
-                    "ArmRetry id=0 backoff=1x".into(),
+                    "At +1x RetryTimer id=0".into(),
                     "PostSend qp=2 wr=1".into(),
-                    "ArmRetry id=1 backoff=2x".into(),
+                    "At +2x RetryTimer id=1".into(),
                 ],
             ),
             (
@@ -1401,13 +1418,16 @@ mod tests {
                     let mut seen = park_one(rig, None);
                     let reposted = rig.run(LATER, Input::RetryTimer(0));
                     let failed = rig.complete(LATER, sent(reposted), LOST);
-                    seen.extend(brief(&failed));
-                    assert_eq!((rig.core.stats.give_ups, rig.core.stats.deadline_drops), (1, 0));
+                    seen.extend(brief(LATER, &failed));
+                    assert_eq!(
+                        (rig.core.stats.give_ups, rig.core.stats.deadline_drops),
+                        (1, 0)
+                    );
                     assert_eq!(rig.buffers_out(), 0);
                     seen
                 },
                 vec![
-                    "ArmRetry id=0 backoff=1x".into(),
+                    "At +1x RetryTimer id=0".into(),
                     "Fail RetryBudgetExhausted attempts=2".into(),
                 ],
             ),
@@ -1416,7 +1436,10 @@ mod tests {
                 DneConfig::nadino_dne(),
                 |rig| {
                     let seen = park_one(rig, Some(T0 + RETRY_BACKOFF));
-                    assert_eq!((rig.core.stats.give_ups, rig.core.stats.deadline_drops), (0, 1));
+                    assert_eq!(
+                        (rig.core.stats.give_ups, rig.core.stats.deadline_drops),
+                        (0, 1)
+                    );
                     assert!(rig.core.retries.is_empty());
                     assert_eq!(rig.buffers_out(), 0);
                     seen
@@ -1432,29 +1455,26 @@ mod tests {
                     let mut effects = rig.tx(T0, first);
                     effects.extend(rig.tx(T0, second));
                     assert_eq!(rig.core.retries.len(), 2);
-                    brief(&effects)
+                    brief(T0, &effects)
                 },
                 vec!["Connect peer=1".into()],
             ),
             (
-                "reconnect-up cancels timers and reposts in retry-id order; a stale timer is a no-op",
+                "reconnect-up reposts in retry-id order; a flushed retry's timer is a no-op",
                 DneConfig::nadino_dne(),
                 |rig| {
                     park_one(rig, None); // retry 0, behind a timer
-                    let timer = rig.sim.schedule_after(SimDuration::from_secs(1), |_| {});
-                    rig.core.retry_armed(0, timer);
                     rig.kill_pool();
                     let desc = rig.payload(8, None);
                     rig.tx(LATER, desc); // retry 1, parked on the reconnect
-                    let up = rig.reconnect_up(LATER);
+                    let up = rig.reconnect_up(LATER, rig.spares[0]);
                     let stale = rig.run(LATER, Input::RetryTimer(0));
                     assert!(stale.is_empty() && rig.core.retries.is_empty());
-                    brief(&up)
+                    brief(LATER, &up)
                 },
                 vec![
                     "PeerConnAdded peer=1 qp=5".into(),
-                    "After ReconnectUp".into(),
-                    "CancelTimer".into(),
+                    "At ReconnectUp".into(),
                     "PostSend qp=4 wr=1".into(),
                     "PostSend qp=4 wr=2".into(),
                 ],
@@ -1471,6 +1491,12 @@ mod tests {
     /// order. Whatever the order, the send ends exactly once — one
     /// `PostSend` (completed at the end) or one `Fail` — nothing stays
     /// parked, and its buffer is back in the pool.
+    ///
+    /// The second case runs the same 120 orders after a reconnect whose QP
+    /// is dead on arrival: its flush re-posts the send, finds the pool dry
+    /// again and re-parks it under the same id. The timer that fires is then
+    /// the old backoff timer, and it must not re-post: only the next
+    /// reconnect's flush (or its failure) ends the send.
     #[test]
     fn a_parked_send_ends_exactly_once_under_every_event_order() {
         #[derive(Clone, Copy, Debug, PartialEq)]
@@ -1507,50 +1533,78 @@ mod tests {
 
         let deadline = T0 + SimDuration::from_millis(50);
         let (mut posted, mut failed) = (0, 0);
-        for order in orders {
-            let mut rig = Rig::new(DneConfig::nadino_dne());
-            assert_eq!(
-                park_one(&mut rig, Some(deadline)),
-                ["ArmRetry id=0 backoff=1x"]
-            );
-            rig.kill_pool();
-            let mut now = T0 + SimDuration::from_millis(1);
-            let mut endings = Vec::new();
-            for event in &order {
-                let (tenant, peer) = (TENANT, rig.b);
-                let effects = match event {
-                    TimerFires => rig.run(now, Input::RetryTimer(0)),
-                    ReconnectUp => rig.reconnect_up(now),
-                    ReconnectFails => rig.run(now, Input::ReconnectFailed { tenant, peer }),
-                    DeadlinePasses => {
-                        now = deadline + SimDuration::from_nanos(1);
-                        Vec::new()
-                    }
-                    NodeMarkedDown => {
-                        rig.core.routing.fail_over(peer);
-                        Vec::new()
-                    }
-                };
-                let ends = |e: &Effect| matches!(e, Effect::PostSend { .. } | Effect::Fail(_));
-                endings.extend(effects.into_iter().filter(ends));
-            }
-            assert_eq!(endings.len(), 1, "{order:?}: {:?}", brief(&endings));
-            assert!(rig.core.retries.is_empty(), "{order:?}: still parked");
-            match endings.pop() {
-                Some(post @ Effect::PostSend { .. }) => {
-                    posted += 1;
-                    assert_eq!(rig.buffers_out(), 1, "{order:?}: the RNIC holds the buffer");
-                    let done = rig.complete(now, sent(vec![post]), CqeStatus::Success);
-                    assert!(done.is_empty(), "{order:?}");
+        for stale in [false, true] {
+            for order in &orders {
+                let mut rig = Rig::new(DneConfig::nadino_dne());
+                assert_eq!(
+                    park_one(&mut rig, Some(deadline)),
+                    ["At +1x RetryTimer id=0"]
+                );
+                rig.kill_pool();
+                let mut now = T0 + SimDuration::from_millis(1);
+                let mut spare = rig.spares[0];
+                if stale {
+                    rig.core.fabric.inject_qp_error(spare.0).unwrap();
+                    let flushed = rig.reconnect_up(now, spare);
+                    assert_eq!(
+                        brief(now, &flushed),
+                        [
+                            "PeerConnAdded peer=1 qp=5",
+                            "At ReconnectUp",
+                            "Connect peer=1"
+                        ]
+                    );
+                    assert_eq!(rig.core.retries.len(), 1, "re-parked");
+                    spare = rig.spares[1];
                 }
-                _ => failed += 1,
+                let mut endings = Vec::new();
+                for event in order {
+                    let (tenant, peer) = (TENANT, rig.b);
+                    let effects = match event {
+                        TimerFires => rig.run(now, Input::RetryTimer(0)),
+                        ReconnectUp => rig.reconnect_up(now, spare),
+                        ReconnectFails => rig.run(now, Input::ReconnectFailed { tenant, peer }),
+                        DeadlinePasses => {
+                            now = deadline + SimDuration::from_nanos(1);
+                            Vec::new()
+                        }
+                        NodeMarkedDown => {
+                            rig.core.routing.fail_over(peer);
+                            Vec::new()
+                        }
+                    };
+                    if stale && *event == TimerFires {
+                        let fired = brief(now, &effects);
+                        assert!(fired.is_empty(), "{order:?}: stale timer did {fired:?}");
+                    }
+                    let ends = |e: &Effect| matches!(e, Effect::PostSend { .. } | Effect::Fail(_));
+                    endings.extend(effects.into_iter().filter(ends));
+                }
+                let case = if stale { "re-parked" } else { "parked" };
+                assert_eq!(
+                    endings.len(),
+                    1,
+                    "{case} {order:?}: {:?}",
+                    brief(now, &endings)
+                );
+                assert!(
+                    rig.core.retries.is_empty(),
+                    "{case} {order:?}: still parked"
+                );
+                match endings.pop() {
+                    Some(post @ Effect::PostSend { .. }) => {
+                        posted += 1;
+                        let out = rig.buffers_out();
+                        assert_eq!(out, 1, "{case} {order:?}: the RNIC holds the buffer");
+                        let done = rig.complete(now, sent(vec![post]), CqeStatus::Success);
+                        assert!(done.is_empty(), "{case} {order:?}");
+                    }
+                    _ => failed += 1,
+                }
+                let out = rig.buffers_out();
+                assert_eq!(out, 0, "{case} {order:?}: buffer not back in its pool");
+                assert!(rig.core.posted.is_empty(), "{case} {order:?}");
             }
-            assert_eq!(
-                rig.buffers_out(),
-                0,
-                "{order:?}: buffer not back in its pool"
-            );
-            assert!(rig.core.posted.is_empty(), "{order:?}");
         }
         assert!(posted > 0 && failed > 0, "both endings are exercised");
     }

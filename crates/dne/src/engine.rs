@@ -6,9 +6,9 @@
 //! control plane (tenants, routes, endpoints, wire versions, counters) and
 //! `drive` is the data plane's only door to the outside: it feeds one
 //! input to `Core::step` under a single borrow and applies the effects in
-//! emission order — the one place in the crate that schedules or cancels
-//! an event, posts to the RNIC, connects, calls an endpoint or the failure
-//! handler, or talks to another node's engine. Effects that touch only the
+//! emission order — the one place in the crate that schedules an event,
+//! posts to the RNIC, connects, calls an endpoint or the failure handler,
+//! or talks to another node's engine. Effects that touch only the
 //! simulator's queue or the RNIC are applied as the step emits them; from
 //! the first that needs the core or can call back into an engine on, the
 //! rest wait until the step has returned and its borrow is dropped.
@@ -36,7 +36,7 @@ use rdma_sim::{Fabric, NodeId, RdmaError};
 use simcore::{Sim, SimTime};
 
 use crate::core::{Core, Effect, Input};
-use crate::types::{DeliveryFailure, DneConfig, DneStats, IpcCosts, TenantFailureStats};
+use crate::types::{DeliveryFailure, DneConfig, DneStats, IpcCosts};
 
 /// Callback by which the engine delivers a descriptor to a host function.
 pub type FnEndpoint = Rc<dyn Fn(&mut Sim, BufferDesc)>;
@@ -152,46 +152,19 @@ fn drive(rc: &Rc<Engine>, sim: &mut Sim, input: Input) {
 }
 
 /// Applies an effect that touches only the simulator's queue or the RNIC:
-/// the one place in the crate that posts a send. Hands back an effect that
-/// needs the core or can call back into an engine, and turns a post the
-/// RNIC refuses (it recycled the buffer) into `Then(PostFailed)`.
+/// the one place in the crate that schedules an event or posts a send.
+/// Hands back an effect that needs the core or can call back into an
+/// engine, and turns a post the RNIC refuses (it recycled the buffer) into
+/// `Then(PostFailed)`.
 fn apply(rc: &Rc<Engine>, sim: &mut Sim, effect: Effect) -> Option<Effect> {
     match effect {
-        Effect::PostSend {
-            qp,
-            wr,
-            buf,
-            imm,
-            at,
-        } if at > sim.now() => {
-            let rc = rc.clone();
-            sim.schedule_at(at, move |sim| {
-                let post = Effect::PostSend {
-                    qp,
-                    wr,
-                    buf,
-                    imm,
-                    at,
-                };
-                settle(&rc, sim, post)
-            });
+        Effect::At(at, input) => {
+            sim.schedule_at(at, event(rc.clone(), input));
         }
-        Effect::PostSend {
-            qp, wr, buf, imm, ..
-        } => {
+        Effect::PostSend { qp, wr, buf, imm } => {
             if rc.fabric.post_send(sim, qp, wr, buf, imm).is_err() {
                 return Some(Effect::Then(Input::PostFailed(wr)));
             }
-        }
-        Effect::Deliver { ep, desc, latency } => {
-            sim.schedule_after(latency, move |sim| ep(sim, desc));
-        }
-        Effect::After(delay, input) => {
-            let rc = rc.clone();
-            sim.schedule_after(delay, move |sim| drive(&rc, sim, input));
-        }
-        Effect::CancelTimer(timer) => {
-            sim.cancel(timer);
         }
         reentrant => return Some(reentrant),
     }
@@ -201,12 +174,6 @@ fn apply(rc: &Rc<Engine>, sim: &mut Sim, effect: Effect) -> Option<Effect> {
 /// Applies any effect while no step holds the core.
 fn settle(rc: &Rc<Engine>, sim: &mut Sim, effect: Effect) {
     match effect {
-        Effect::ArmRetry { id, backoff } => {
-            let rc2 = rc.clone();
-            let fire = move |sim: &mut Sim| drive(&rc2, sim, Input::RetryTimer(id));
-            let timer = sim.schedule_after(backoff, fire);
-            rc.borrow_mut().retry_armed(id, timer);
-        }
         Effect::Connect {
             tenant,
             peer,
@@ -230,6 +197,7 @@ fn settle(rc: &Rc<Engine>, sim: &mut Sim, effect: Effect) {
                 drive(&engine, sim, announce);
             }
         }
+        Effect::Call(ep, desc) => ep(sim, desc),
         Effect::Fail(failure) => {
             let handler = rc.failure_handler.borrow().clone();
             if let Some(h) = handler {
@@ -267,6 +235,11 @@ fn reconnect(
         Err(_) => Input::ReconnectFailed { tenant, peer },
     };
     drive(rc, sim, answer);
+}
+
+/// The simulator event that feeds `input` to the engine.
+fn event(rc: Rc<Engine>, input: Input) -> impl FnOnce(&mut Sim) + 'static {
+    move |sim| drive(&rc, sim, input)
 }
 
 /// A node's network engine instance.
@@ -329,7 +302,7 @@ impl Dne {
     }
 
     /// Returns the tenant's shared RQ (used when connecting peers).
-    pub fn tenant_rq(&self, tenant: TenantId) -> Result<RqId, DneError> {
+    fn tenant_rq(&self, tenant: TenantId) -> Result<RqId, DneError> {
         let core = self.inner.borrow();
         let state = core.tenants.get(tenant.0.into());
         state.map(|t| t.rq).ok_or(DneError::UnknownTenant(tenant))
@@ -465,13 +438,6 @@ impl Dne {
     /// are folded into the engine's deadline accounting.
     pub fn report_failure(&self, sim: &mut Sim, failure: DeliveryFailure) {
         drive(&self.inner, sim, Input::Report(failure));
-    }
-
-    /// Returns per-tenant failure accounting (drops, retries, give-ups).
-    pub fn tenant_failure_stats(&self, tenant: TenantId) -> TenantFailureStats {
-        let core = self.inner.borrow();
-        let state = core.tenants.get(tenant.0.into());
-        state.map(|t| t.failures).unwrap_or_default()
     }
 
     /// Returns a snapshot of the engine's statistics.
@@ -902,7 +868,7 @@ mod tests {
     /// A post the RNIC refuses on the spot (the payload exceeds its
     /// message size) is handed back to the state machine as `PostFailed`
     /// while the step that posted is still emitting. With one engine core,
-    /// that step also dispatches the second send, whose `After` is emitted
+    /// that step also dispatches the second send, whose `At` is emitted
     /// after the refusal and must be applied after it: each send fails
     /// typed, exactly once, before anything the posting step emitted later
     /// is scheduled, and both buffers go home.
@@ -948,6 +914,31 @@ mod tests {
             (pool.free, pool.in_flight),
             (env.pool_a.capacity() - prepost, 0)
         );
+    }
+
+    /// The one closure the driver schedules stores inline in the event
+    /// slab; one that spilled would box every engine event. The on-path hop
+    /// schedules each input the data path feeds back: `Crossed`, `Done`,
+    /// the staged `Post` and `Deliver`.
+    #[test]
+    fn a_scheduled_input_fits_inline() {
+        fn fits<F>(_: &F) -> bool {
+            simcore::event::EventFn::fits_inline::<F>()
+        }
+        let mut env = setup(DneConfig::on_path_dne());
+        assert!(fits(&event(env.dne_a.inner.clone(), Input::Wake)));
+        let pool_b = env.pool_b.clone();
+        env.dne_b.register_endpoint(
+            2,
+            Rc::new(move |_sim, desc| {
+                let _ = pool_b.redeem(desc).expect("valid descriptor");
+            }),
+        );
+        let buf = env.pool_a.get().unwrap();
+        env.dne_a.submit(&mut env.sim, env.tenant, buf.into_desc(2));
+        env.sim.run();
+        assert_eq!(env.dne_b.stats().rx_delivered, 1);
+        assert_eq!(env.sim.profile().boxed_events, 0);
     }
 
     #[test]
@@ -1096,7 +1087,7 @@ mod failover_tests {
 
     #[test]
     fn retry_budget_exhaustion_surfaces_typed_failure() {
-        use crate::types::{DeliveryFailure, FailureReason, TenantFailureStats};
+        use crate::types::{DeliveryFailure, FailureReason};
         let (fabric, mut sim, dne_a, _dne_b, pool_a, _pool_b, tenant, delivered) =
             recovery_setup(DneConfig::nadino_dne(), 2);
         let (a, b) = (NodeId(0), NodeId(1));
@@ -1126,15 +1117,6 @@ mod failover_tests {
         assert_eq!(f.req_id, 77, "failure carries the request id");
         assert_eq!(f.attempts, 4, "initial post + three retries");
         assert_eq!(f.reason, FailureReason::RetryBudgetExhausted);
-        assert_eq!(
-            dne_a.tenant_failure_stats(tenant),
-            TenantFailureStats {
-                drops: 1,
-                retries: 3,
-                give_ups: 1,
-                deadline_drops: 0,
-            }
-        );
         // The abandoned send's buffer was recycled, not leaked.
         assert_eq!(pool_a.stats().in_flight, 0);
     }
@@ -1143,11 +1125,12 @@ mod failover_tests {
     /// window — before the send failed, while its timer is pending, after
     /// the timer fired — delivers every send exactly once. The second send
     /// is submitted at each offset in a 30 µs span so the flush meets the
-    /// timer in every one of those states.
+    /// timer in every one of those states; a timer the flush overtook fires
+    /// later as a no-op.
     #[test]
     fn reconnect_flush_around_a_backoff_timer_delivers_each_send_once() {
         let us = SimDuration::from_micros;
-        let (mut cancelled, mut fired) = (0, 0);
+        let (mut overtaken, mut fired) = (0, 0);
         for offset in 0..30 {
             let (fabric, mut sim, dne_a, dne_b, pool_a, _pool_b, tenant, delivered) =
                 recovery_setup(DneConfig::nadino_dne(), 1);
@@ -1169,10 +1152,23 @@ mod failover_tests {
             // This one rides the second connection into the outage, fails
             // ~55 µs later and parks behind a 10 µs backoff timer.
             sim.run_until(second_ready + us(offset));
-            let before = sim.profile().cancelled_events;
             let buf = pool_a.get().unwrap();
             dne_a.submit(&mut sim, tenant, buf.into_desc(2));
-            sim.run();
+            // The flush overtook the timer when the retry left its armed
+            // state before the timer was due.
+            let mut armed_at = None;
+            let mut flushed_first = false;
+            while sim.step() {
+                let armed = dne_a.inner.borrow().armed_retries() > 0;
+                match armed_at {
+                    None if armed => armed_at = Some(sim.now()),
+                    Some(at) if !armed => {
+                        flushed_first |= sim.now() < at + us(10);
+                        armed_at = None;
+                    }
+                    _ => {}
+                }
+            }
 
             assert_eq!(*delivered.borrow(), 2, "offset {offset}: loss or duplicate");
             let stats = dne_a.stats();
@@ -1182,14 +1178,14 @@ mod failover_tests {
                 "offset {offset}: the flush never re-parks"
             );
             assert_eq!(pool_a.stats().in_flight, 0, "offset {offset}");
-            if sim.profile().cancelled_events > before {
-                cancelled += 1;
+            if flushed_first {
+                overtaken += 1;
             } else {
                 fired += 1;
             }
         }
         assert!(
-            cancelled > 0,
+            overtaken > 0,
             "no offset had the flush overtake a pending timer"
         );
         assert!(fired > 0, "no offset let the timer fire on its own");

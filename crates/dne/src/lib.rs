@@ -42,5 +42,5 @@ pub use routing::{RouteError, RoutingTable};
 pub use sched::{DwrrScheduler, FcfsScheduler, TenantScheduler};
 pub use types::{
     DeliveryFailure, DneConfig, DneStats, FailureReason, IpcCosts, IpcKind, OffloadMode,
-    SchedPolicy, TenantFailureStats,
+    SchedPolicy,
 };

@@ -62,7 +62,8 @@ struct DwrrQueue<T> {
 ///     s.enqueue(TenantId(2), i);
 /// }
 /// // Over a long run tenant 1 gets ~3x the service of tenant 2.
-/// let first: Vec<_> = (0..4).map(|_| s.dequeue().unwrap().0).collect();
+/// let first: Vec<_> = (0..4).filter_map(|_| s.dequeue()).map(|(t, _)| t).collect();
+/// assert_eq!(first.len(), 4);
 /// assert!(first.iter().filter(|t| **t == TenantId(1)).count() >= 3);
 /// ```
 pub struct DwrrScheduler<T> {
@@ -127,11 +128,12 @@ impl<T> TenantScheduler<T> for DwrrScheduler<T> {
         let n = self.queues.len();
         loop {
             let q = &mut self.queues[self.cursor];
-            if !q.queue.is_empty() && q.deficit >= 1.0 {
-                q.deficit -= 1.0;
-                self.total -= 1;
-                let item = q.queue.pop_front().expect("non-empty");
-                return Some((q.tenant, item));
+            if q.deficit >= 1.0 {
+                if let Some(item) = q.queue.pop_front() {
+                    q.deficit -= 1.0;
+                    self.total -= 1;
+                    return Some((q.tenant, item));
+                }
             }
             // This tenant's turn ends: empty queues forfeit their deficit
             // (classic DRR), then the next backlogged tenant earns a quantum.

@@ -253,20 +253,6 @@ pub struct DeliveryFailure {
     pub dst_node: Option<rdma_sim::NodeId>,
 }
 
-/// Per-tenant failure accounting (so a tenant whose QPs are failing does
-/// not look healthy in aggregate stats).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantFailureStats {
-    /// Descriptors of this tenant dropped.
-    pub drops: u64,
-    /// Failed sends of this tenant re-posted.
-    pub retries: u64,
-    /// Sends of this tenant abandoned after the retry budget.
-    pub give_ups: u64,
-    /// Sends of this tenant cancelled on deadline expiry.
-    pub deadline_drops: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

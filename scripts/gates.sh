@@ -54,7 +54,7 @@ cores_are_simulator_free() {
   local f
   for f in crates/dne/src/core.rs crates/rdma-sim/src/core.rs crates/runtime/src/core.rs \
     crates/ingress/src/core.rs crates/core/src/control/core.rs; do
-    if non_test "$f" | grep -nE '\bSim\b|Rc<RefCell|schedule_at|schedule_after|\.cancel\('; then
+    if non_test "$f" | grep -nE '\bSim\b|Rc<RefCell|schedule_at|schedule_after|\.cancel\(|TimerHandle'; then
       fail "$f must not see the simulator"
     fi
   done
@@ -68,6 +68,7 @@ cores_are_simulator_free() {
     fi
   done <<'SITES'
 crates/dne/src post_send\( crates/dne/src/engine.rs 1
+crates/dne/src schedule_at\(|schedule_after\( crates/dne/src/engine.rs 1
 crates/rdma-sim/src schedule_at\(|schedule_after\( crates/rdma-sim/src/fabric.rs 1
 crates/runtime/src schedule_at\(|schedule_after\( crates/runtime/src/iolib.rs 1
 crates/baselines/src schedule_at\(|schedule_after\( crates/baselines/src/primitives.rs 1
