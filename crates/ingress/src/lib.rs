@@ -14,8 +14,6 @@
 //!   processes pinned to cores.
 //! - [`autoscale`]: the hysteresis policy that spawns a worker above 60%
 //!   average utilization and retires one below 30%.
-//! - [`prewarm`]: the demand-driven restock policy that keeps per-link
-//!   QP pre-warm pools ahead of the tenant first-contact rate.
 //! - [`gateway`]: the master/worker gateway model tying it together in the
 //!   discrete-event simulation, including overload (tail-drop) behaviour
 //!   and the brief restart interruption the paper observes when scaling.
@@ -25,7 +23,6 @@ pub mod admission;
 pub mod autoscale;
 mod core;
 pub mod gateway;
-pub mod prewarm;
 pub mod rss;
 pub mod stack;
 
@@ -33,5 +30,4 @@ pub use admission::{Admission, AdmissionConfig, AdmissionController};
 pub use gateway::{
     DeliveryFailed, Dropped, Gateway, GatewayConfig, GatewayStats, ReqCtx, Upstream,
 };
-pub use prewarm::PrewarmController;
 pub use stack::{GatewayKind, StackCosts};

@@ -8,8 +8,9 @@
 #                                       that hold a design rule in place —
 #                                       among them cores_are_simulator_free:
 #                                       the DNE's, the fabric's, the
-#                                       runtime's, the gateway's and the
-#                                       control plane's core never name the
+#                                       runtime's, the gateway's, the
+#                                       control plane's and the churn
+#                                       model's core never name the
 #                                       simulator, and only their drivers
 #                                       post or schedule
 #   scripts/gates.sh test               release build + the workspace suite:
@@ -46,14 +47,14 @@ sites() {
   done
 }
 
-# DESIGN.md §5, §7, §8 and §9 "A simulator-free core behind a thin driver": a core
+# DESIGN.md §5, §7, §8, §9 and §12 "A simulator-free core behind a thin driver": a core
 # file never names the simulator, and what only a driver does happens at a
 # fixed number of sites, all in the driver. §10: the Fig. 6 / Fig. 12 echo
 # state machine schedules at one site too.
 cores_are_simulator_free() {
   local f
   for f in crates/dne/src/core.rs crates/rdma-sim/src/core.rs crates/runtime/src/core.rs \
-    crates/ingress/src/core.rs crates/core/src/control/core.rs; do
+    crates/ingress/src/core.rs crates/core/src/control/core.rs crates/core/src/churn/core.rs; do
     if non_test "$f" | grep -nE '\bSim\b|Rc<RefCell|schedule_at|schedule_after|\.cancel\(|TimerHandle'; then
       fail "$f must not see the simulator"
     fi
@@ -74,6 +75,7 @@ crates/runtime/src schedule_at\(|schedule_after\( crates/runtime/src/iolib.rs 1
 crates/baselines/src schedule_at\(|schedule_after\( crates/baselines/src/primitives.rs 1
 crates/ingress/src schedule_at\(|schedule_after\( crates/ingress/src/gateway.rs 1
 crates/core/src/control schedule_at\(|schedule_after\( crates/core/src/control/mod.rs 1
+crates/core/src/churn schedule_at\(|schedule_after\( crates/core/src/churn/mod.rs 1
 SITES
 }
 
