@@ -11,16 +11,15 @@
 //! "Front door and load driver"). [`Cluster::inject`],
 //! [`Cluster::inject_with_deadline`] and [`Cluster::inject_dag`] share one
 //! injection body; [`Cluster::serve_chain`] puts an ingress gateway in
-//! front of it and owns the table of held gateway replies, each resolved
-//! exactly once — by the chain's completion or by a typed delivery
-//! failure — so [`Cluster::pending_replies`] is the number of requests
-//! still unanswered.
+//! front of it. Every completion and typed failure leaves by one outcome
+//! path, which answers each held gateway reply exactly once, so
+//! [`Cluster::pending_replies`] is the number of requests still unanswered.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
-use dne::types::DneConfig;
+use dne::types::{DeliveryFailure, DneConfig};
 use dne::Dne;
 use dpu_sim::mmap::{doca_mmap_create_from_export, doca_mmap_export_full};
 use dpu_sim::soc::{Processor, ProcessorKind};
@@ -87,46 +86,97 @@ pub struct RebalanceOutcome {
     pub stranded: Vec<u16>,
 }
 
-/// Cluster-wide observability state shared by the failure dispatcher,
-/// completion hooks and the public dump API.
+/// Everything a request's end reaches ([`Hub::leave`]). The cluster owns
+/// it; every closure that reaches it (each engine's failure handler, each
+/// completion hook) holds it weakly, so dropping the cluster frees it.
 #[derive(Default)]
-struct ObsHub {
-    /// The cluster tracer (disabled until [`Cluster::set_tracer`]).
-    tracer: obs::Tracer,
+struct Hub {
     /// Tail sampler + flight recorder + SLO monitor, when enabled.
     pipeline: Option<obs::TracePipeline>,
-    /// The user's delivery-failure handler, invoked after the pipeline has
-    /// taken its dump.
-    user_failure: Option<dne::DeliveryFailureHandler>,
-    /// The control plane, when started: a transport failure blames the node
-    /// it was aimed at before the user handler runs.
+    /// The control plane, when started: it hears every failure and the
+    /// number of burn-alerting tenants after every completion.
     control: Option<ControlPlane>,
-    /// Tenants in the burn-alert state at the last completion, so the
-    /// SLO-pressure feed into the control plane only fires on change.
-    last_alerting: usize,
     /// Gateway replies held for requests that entered through the front
     /// door, by request id. Whoever removes an entry answers it, so a
     /// completion and a failure for the same request cannot both fire.
     replies: HashMap<u64, Reply>,
+    /// The user's delivery-failure handler, run last.
+    user_failure: Option<dne::DeliveryFailureHandler>,
     /// Every node's I/O library: a typed failure closes the request's DAG
     /// joins on all of them.
     libs: Vec<IoLib>,
 }
 
-impl ObsHub {
-    /// Answers the reply held for `req_id` with `outcome` — unless it was
-    /// answered already, in which case nothing happens.
-    fn answer(
-        hub: &RefCell<ObsHub>,
-        sim: &mut Sim,
-        req_id: u64,
-        outcome: Result<usize, DeliveryFailed>,
-    ) {
-        // Taken out under the borrow, called outside it: the reply runs the
-        // gateway's completion, which may submit the next request.
-        let reply = hub.borrow_mut().replies.remove(&req_id);
+/// What a completion answers after the pipeline and the control plane: a
+/// front-door chain's held reply, `Ok(.0)` bytes, or the caller's callback.
+enum Done {
+    Door(usize),
+    Caller(CompletionFn),
+}
+
+/// How a request leaves the cluster: its chain or DAG completed, or the
+/// engine of node `.0` gave up on it.
+#[derive(Clone, Copy)]
+enum Outcome<'a> {
+    Completed(&'a Done),
+    Failed(NodeId, DeliveryFailure),
+}
+
+impl Hub {
+    /// The one way out of the cluster (DESIGN.md §12): every completion
+    /// and every typed failure of `req_id` crosses here in one order. A
+    /// failure closes the request's DAG joins on every node; then the trace
+    /// pipeline records the outcome, the control plane hears it (the
+    /// failure, or how many tenants a completion left burn-alerting), a held
+    /// gateway reply is answered, and the caller's callback runs last.
+    fn leave(hub: &Weak<RefCell<Hub>>, sim: &mut Sim, req_id: u64, outcome: Outcome) {
+        let Some(hub) = hub.upgrade() else {
+            return;
+        };
+        let now = sim.now();
+        let (control, alerting) = {
+            let mut h = hub.borrow_mut();
+            if let Outcome::Failed(..) = outcome {
+                h.libs.iter().for_each(|lib| lib.forget(req_id));
+            }
+            // An SLO burn-alert rising edge takes its dump in `on_complete`.
+            let alerting = h.pipeline.as_mut().and_then(|p| match outcome {
+                Outcome::Failed(..) => {
+                    p.on_failure(now, req_id);
+                    None
+                }
+                Outcome::Completed(_) => {
+                    p.on_complete(now, req_id);
+                    Some(p.alerting_count())
+                }
+            });
+            (h.control.clone(), alerting)
+        };
+        match (control, outcome, alerting) {
+            (Some(c), Outcome::Failed(reporter, failure), _) => c.failed(sim, reporter, failure),
+            (Some(c), Outcome::Completed(_), Some(n)) => c.alerting(sim, n),
+            _ => {}
+        }
+        match outcome {
+            Outcome::Failed(_, failure) => {
+                Hub::answer(&hub, sim, req_id, Err(DeliveryFailed));
+                let user = hub.borrow().user_failure.clone();
+                if let Some(user) = user {
+                    user(sim, failure);
+                }
+            }
+            Outcome::Completed(Done::Door(bytes)) => Hub::answer(&hub, sim, req_id, Ok(*bytes)),
+            Outcome::Completed(Done::Caller(then)) => then(sim, req_id),
+        }
+    }
+
+    /// Answers the reply held for request `req` `with` an outcome, unless
+    /// it was answered already. Taken out under the borrow, called outside
+    /// it: the reply runs the gateway's completion, which may submit again.
+    fn answer(hub: &RefCell<Hub>, sim: &mut Sim, req: u64, with: Result<usize, DeliveryFailed>) {
+        let reply = hub.borrow_mut().replies.remove(&req);
         if let Some(reply) = reply {
-            reply(sim, outcome);
+            reply(sim, with);
         }
     }
 }
@@ -143,19 +193,12 @@ pub struct Cluster {
     /// `tenant id → node index → pool`: every injected request takes its
     /// buffer from here, so both keys are indices.
     pools: IdTable<Vec<BufferPool>>,
-    obs_hub: Rc<RefCell<ObsHub>>,
-}
-
-impl Drop for Cluster {
-    /// Frees the cluster. The engines hold the hub through their failure
-    /// handlers, and the hub's I/O libraries, handlers and held replies
-    /// hold the engines. Reference counting alone never frees that cycle
-    /// (every tenant pool stayed resident), so dropping the cluster cuts it
-    /// here.
-    fn drop(&mut self) {
-        let hub = std::mem::take(&mut *self.obs_hub.borrow_mut());
-        drop(hub); // outside the borrow: a handler may own the hub
-    }
+    /// The cluster tracer (disabled until [`Cluster::set_tracer`]).
+    tracer: RefCell<obs::Tracer>,
+    /// The next direct-mode request id: every `ClosedLoop` started on this
+    /// cluster draws from it, so one id names one request cluster-wide.
+    pub(crate) request_ids: Rc<Cell<u64>>,
+    hub: Rc<RefCell<Hub>>,
 }
 
 impl Cluster {
@@ -181,48 +224,14 @@ impl Cluster {
                 iolib,
             });
         }
-        // Every engine reports failures through the hub dispatcher: the
-        // trace pipeline (when enabled) records/dumps first, then the
-        // user's handler runs.
-        let obs_hub: Rc<RefCell<ObsHub>> = Rc::new(RefCell::new(ObsHub::default()));
-        obs_hub.borrow_mut().libs = nodes.iter().map(|n| n.iolib.clone()).collect();
+        // Every engine's failures leave through the one outcome path.
+        let hub = Rc::new(RefCell::new(Hub::default()));
+        hub.borrow_mut().libs = nodes.iter().map(|n| n.iolib.clone()).collect();
         for node in &nodes {
-            let hub = obs_hub.clone();
-            let reporter = node.id;
-            let fabric = fabric.clone();
+            let (hub, reporter) = (Rc::downgrade(&hub), node.id);
             node.dne.set_failure_handler(Rc::new(move |sim, failure| {
-                let (control, user) = {
-                    let mut h = hub.borrow_mut();
-                    for lib in &h.libs {
-                        lib.forget(failure.req_id);
-                    }
-                    if let Some(p) = h.pipeline.as_mut() {
-                        p.on_failure(sim.now(), failure.req_id);
-                    }
-                    (h.control.clone(), h.user_failure.clone())
-                };
-                // Transport failures aimed at a node feed its health state;
-                // deadline expiries say nothing about machine health, and a
-                // reporter that is itself inside a crash window is not a
-                // credible witness (its own outage fails its sends, which
-                // would smear Suspect/Down onto healthy destinations).
-                if let Some(control) = control {
-                    let reporter_down =
-                        fabric.with_fault_plane(|fp| fp.in_outage(reporter, sim.now()));
-                    if !reporter_down
-                        && failure.reason != dne::types::FailureReason::DeadlineExceeded
-                    {
-                        if let Some(dst) = failure.dst_node {
-                            control.blame(sim, dst);
-                        }
-                    }
-                }
-                // A request that entered through the front door is answered
-                // here, unless its completion got there first.
-                ObsHub::answer(&hub, sim, failure.req_id, Err(DeliveryFailed));
-                if let Some(u) = user {
-                    u(sim, failure);
-                }
+                let outcome = Outcome::Failed(reporter, failure);
+                Hub::leave(&hub, sim, failure.req_id, outcome);
             }));
         }
         // Nothing is scheduled yet; run to settle any setup events.
@@ -233,7 +242,9 @@ impl Cluster {
             placement,
             cfg,
             pools: IdTable::new(),
-            obs_hub,
+            tracer: RefCell::default(),
+            request_ids: Rc::default(),
+            hub,
         }
     }
 
@@ -414,7 +425,8 @@ impl Cluster {
         exec_cost: impl Fn(u16) -> SimDuration,
         on_complete: CompletionFn,
     ) {
-        self.register(Spec::Chain(Rc::new(chain.clone())), exec_cost, on_complete);
+        let spec = Spec::Chain(Rc::new(chain.clone()));
+        self.register(spec, exec_cost, Done::Caller(on_complete));
     }
 
     /// Registers every function of `dag` (the paper's fan-out/fan-in
@@ -426,16 +438,17 @@ impl Cluster {
         exec_cost: impl Fn(u16) -> SimDuration,
         on_complete: CompletionFn,
     ) {
-        self.register(Spec::Dag(Rc::new(dag.clone())), exec_cost, on_complete);
+        let spec = Spec::Dag(Rc::new(dag.clone()));
+        self.register(spec, exec_cost, Done::Caller(on_complete));
     }
 
-    fn register(
-        &self,
-        spec: Spec,
-        exec_cost: impl Fn(u16) -> SimDuration,
-        on_complete: CompletionFn,
-    ) {
-        let on_complete = self.hook_completion(on_complete);
+    /// Registers `spec`'s functions with one completion hook, which sends
+    /// each finished request out through the one outcome path.
+    fn register(&self, spec: Spec, exec_cost: impl Fn(u16) -> SimDuration, done: Done) {
+        let hub = Rc::downgrade(&self.hub);
+        let on_complete: CompletionFn = Rc::new(move |sim, req| {
+            Hub::leave(&hub, sim, req, Outcome::Completed(&done));
+        });
         for f in spec.functions() {
             let idx = self
                 .node_index_of(f)
@@ -458,37 +471,6 @@ impl Cluster {
         std::iter::once(placed_idx).chain(standby).collect()
     }
 
-    /// Wraps a user completion so the trace pipeline (when enabled) drains
-    /// each finished trace before the user callback observes it.
-    fn hook_completion(&self, on_complete: CompletionFn) -> CompletionFn {
-        let hub = self.obs_hub.clone();
-        Rc::new(move |sim, req| {
-            let pressure_update = {
-                let mut h = hub.borrow_mut();
-                let mut update = None;
-                if let Some(p) = h.pipeline.as_mut() {
-                    // An SLO burn-alert rising edge takes its dump here;
-                    // retrievable via last_dump() after the run.
-                    p.on_complete(sim.now(), req);
-                    let alerting = p.alerting_tenants().len();
-                    if alerting != h.last_alerting {
-                        h.last_alerting = alerting;
-                        // Each alerting tenant discounts effective
-                        // capacity a notch (floored), so ingress sheds
-                        // before the whole error budget is gone.
-                        let pressure = (1.0 - 0.1 * alerting as f64).max(0.5);
-                        update = h.control.clone().map(|c| (c, pressure));
-                    }
-                }
-                update
-            };
-            if let Some((control, pressure)) = pressure_update {
-                control.set_slo_pressure(sim, pressure);
-            }
-            on_complete(sim, req);
-        })
-    }
-
     /// Injects one request into a DAG's root function.
     pub fn inject_dag(&self, sim: &mut Sim, dag: &DagSpec, req_id: u64) -> bool {
         let call = |p: &mut [u8]| {
@@ -507,13 +489,13 @@ impl Cluster {
     /// Returns the sampling decision so injectors can pass it along with
     /// the descriptor instead of re-peeking the payload downstream.
     fn stamp_root_ctx(&self, payload: &mut [u8], req_id: u64, entry_idx: usize) -> bool {
-        let hub = self.obs_hub.borrow();
-        if !hub.tracer.decide_sample(req_id) {
+        let tracer = self.tracer.borrow();
+        if !tracer.decide_sample(req_id) {
             return false;
         }
         let entry_node = self.nodes[entry_idx].id.0 as u32;
-        let gw = hub.tracer.cursor(req_id, ingress::gateway::GATEWAY_NODE);
-        hub.tracer.adopt_parent(req_id, entry_node, gw);
+        let gw = tracer.cursor(req_id, ingress::gateway::GATEWAY_NODE);
+        tracer.adopt_parent(req_id, entry_node, gw);
         obs::ctx::write_ctx(payload, gw, true);
         true
     }
@@ -537,7 +519,7 @@ impl Cluster {
     /// Like [`Cluster::inject`], but stamps an absolute `deadline` into the
     /// on-wire context: every downstream stage (engine send/retry paths,
     /// function dispatch) cancels the request once it expires, surfacing a
-    /// typed `DeadlineExceeded` failure instead of wasted work.
+    /// typed deadline failure instead of wasted work.
     pub fn inject_with_deadline(
         &self,
         sim: &mut Sim,
@@ -610,7 +592,8 @@ impl Cluster {
     /// reply is held until the chain completes (`Ok(payload)`) or a typed
     /// delivery failure names the request (`Err(DeliveryFailed)`) —
     /// whichever comes first; the other is ignored. A request the entry
-    /// pool refuses is answered `Err` at once and never held.
+    /// pool refuses, or one whose id already has a reply held (a cluster
+    /// has one request-id space), is answered `Err` at once and never held.
     ///
     /// The upstream holds the cluster weakly: a held reply can own the
     /// load driver, which owns the upstream.
@@ -620,23 +603,24 @@ impl Cluster {
         exec_cost: impl Fn(u16) -> SimDuration,
         payload: usize,
     ) -> Upstream {
-        // The chain's completion answers the held reply. It runs inside the
-        // completion hook, so the trace pipeline drains first.
-        let hub = self.obs_hub.clone();
-        let answer: CompletionFn =
-            Rc::new(move |sim, req| ObsHub::answer(&hub, sim, req, Ok(payload)));
-        self.register_chain(chain, exec_cost, answer);
+        let spec = Spec::Chain(Rc::new(chain.clone()));
+        self.register(spec, exec_cost, Done::Door(payload));
         let cluster = Rc::downgrade(self);
         let chain = chain.clone();
         Rc::new(move |sim: &mut Sim, ctx: ReqCtx, reply: Reply| {
             let Some(cluster) = cluster.upgrade() else {
                 return reply(sim, Err(DeliveryFailed));
             };
-            // Held before the request enters, so no failure can miss it.
-            let hub = &cluster.obs_hub;
+            // Held before the request enters, so no failure can miss it. A
+            // second reply under a live id is refused; the first one stays.
+            let hub = &cluster.hub;
+            let live = hub.borrow().replies.contains_key(&ctx.req_id);
+            if live {
+                return reply(sim, Err(DeliveryFailed));
+            }
             hub.borrow_mut().replies.insert(ctx.req_id, reply);
             if !cluster.enter_chain(sim, &chain, ctx.req_id, payload, ctx.deadline_ns) {
-                ObsHub::answer(hub, sim, ctx.req_id, Err(DeliveryFailed));
+                Hub::answer(hub, sim, ctx.req_id, Err(DeliveryFailed));
             }
         })
     }
@@ -644,7 +628,7 @@ impl Cluster {
     /// Requests that entered through the front door and have not been
     /// answered yet. Zero after a drained run means no request hung.
     pub fn pending_replies(&self) -> usize {
-        self.obs_hub.borrow().replies.len()
+        self.hub.borrow().replies.len()
     }
 
     /// Installs `tracer` on every node's I/O library and network engine
@@ -658,16 +642,15 @@ impl Cluster {
             n.iolib.set_tracer(tracer.clone());
         }
         self.fabric.set_tracer(tracer.clone());
-        self.obs_hub.borrow_mut().tracer = tracer.clone();
+        *self.tracer.borrow_mut() = tracer.clone();
     }
 
     /// Enables the trace pipeline: completed traces drain through the
     /// tail sampler, flight recorder and (optional) per-tenant SLO burn
     /// monitor; a typed `DeliveryFailure` or an SLO burn freezes a dump.
     pub fn enable_trace_pipeline(&self, cfg: obs::PipelineConfig) {
-        let mut hub = self.obs_hub.borrow_mut();
-        let tracer = hub.tracer.clone();
-        hub.pipeline = Some(obs::TracePipeline::new(tracer, cfg));
+        let tracer = self.tracer();
+        self.hub.borrow_mut().pipeline = Some(obs::TracePipeline::new(tracer, cfg));
     }
 
     /// Runs `f` against the trace pipeline, when one is enabled.
@@ -675,14 +658,14 @@ impl Cluster {
         &self,
         f: impl FnOnce(&mut obs::TracePipeline) -> R,
     ) -> Option<R> {
-        self.obs_hub.borrow_mut().pipeline.as_mut().map(f)
+        self.hub.borrow_mut().pipeline.as_mut().map(f)
     }
 
     /// Takes an explicit flight-recorder dump: the current ring of recent
     /// traces and SLO counters as one self-contained JSON bundle. Returns
     /// `None` when no pipeline is enabled.
     pub fn dump_flight_recorder(&self, sim: &Sim) -> Option<obs::JsonValue> {
-        self.obs_hub
+        self.hub
             .borrow_mut()
             .pipeline
             .as_mut()
@@ -691,23 +674,23 @@ impl Cluster {
 
     /// The cluster tracer (disabled until [`Cluster::set_tracer`]).
     pub(crate) fn tracer(&self) -> obs::Tracer {
-        self.obs_hub.borrow().tracer.clone()
+        self.tracer.borrow().clone()
     }
 
-    /// Hands the failure dispatcher's blame and the completion hook's SLO
-    /// pressure to `control` ([`ControlPlane::start`]).
+    /// Hands every failure and every completion's count of burn-alerting
+    /// tenants to `control` ([`ControlPlane::start`]).
     pub(crate) fn set_control_plane(&self, control: ControlPlane) {
-        self.obs_hub.borrow_mut().control = Some(control);
+        self.hub.borrow_mut().control = Some(control);
     }
 
-    /// Installs `handler` on the cluster failure dispatcher, so a delivery
+    /// Installs `handler` at the end of the outcome path, so a delivery
     /// the DNE gave up on (retry budget exhausted, no reconnectable route)
     /// reaches one place — typically the ingress, which answers the client
     /// with a `503` instead of leaving the request hanging. When the trace
     /// pipeline is enabled it records the failure (and takes its dump)
     /// before the handler runs.
     pub fn set_delivery_failure_handler(&self, handler: dne::DeliveryFailureHandler) {
-        self.obs_hub.borrow_mut().user_failure = Some(handler);
+        self.hub.borrow_mut().user_failure = Some(handler);
     }
 
     /// Samples the cluster's *levels* — values that can fall — into `reg`
@@ -723,7 +706,7 @@ impl Cluster {
         // (e.g. a ratio whose denominator stayed zero) reads as stale in
         // snapshots instead of silently holding its old value.
         reg.begin_sample();
-        if let Some(p) = self.obs_hub.borrow_mut().pipeline.as_mut() {
+        if let Some(p) = self.hub.borrow_mut().pipeline.as_mut() {
             // One burn-rate series point per tenant per window.
             p.sample_burn(now);
         }
@@ -834,6 +817,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::NodeState;
     use crate::workload::ClosedLoop;
 
     #[test]
@@ -1077,6 +1061,136 @@ mod tests {
             assert_eq!(cluster.pending_replies(), 0, "{case:?}");
             assert_eq!(cluster.pool(tenant, 0).stats().in_flight, 0, "{case:?}");
         }
+    }
+
+    /// The one outcome path in every order of four ends of one held
+    /// request: its chain's completion, a credible transport failure, a
+    /// failure from a reporter inside a fault-plane outage and a
+    /// `DeadlineExceeded`. The first answers the reply, the rest find
+    /// nothing, and the control plane hears all three failures but blames
+    /// only the credible one.
+    #[test]
+    fn every_order_of_one_requests_ends_answers_it_once() {
+        use dne::types::FailureReason;
+        use std::collections::BTreeSet;
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        enum End {
+            Completes,
+            Credible,
+            Hearsay,
+            Expired,
+        }
+        let mut orders = BTreeSet::new();
+        for code in 0..24 {
+            let mut left = vec![End::Completes, End::Credible, End::Hearsay, End::Expired];
+            let (mut order, mut c) = (Vec::new(), code);
+            for k in (1..=4).rev() {
+                order.push(left.remove(c % k));
+                c /= k;
+            }
+            let mut sim = Sim::new();
+            let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
+            let tenant = TenantId(1);
+            cluster.add_tenant(&mut sim, tenant, 1).unwrap();
+            cluster.place(1, 0);
+            cluster.place(2, 1);
+            let cluster = Rc::new(cluster);
+            let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
+            let door = cluster.serve_chain(&chain, |_| SimDuration::from_micros(5), 256);
+            let until = sim.now() + SimDuration::from_millis(50);
+            let control = ControlPlane::start(&mut sim, &cluster, until, None);
+            // Node 1's machine is dark: what it reports is no evidence.
+            let (up, dark) = (cluster.nodes[0].id, cluster.nodes[1].id);
+            let plane = rdma_sim::FaultPlane::new(1);
+            cluster.fabric.install_fault_plane(plane);
+            cluster.fabric.schedule_node_outage(dark, sim.now(), until);
+            let answers = Rc::new(RefCell::new(Vec::new()));
+            let sink = answers.clone();
+            let reply: Reply = Box::new(move |_, answer| sink.borrow_mut().push(answer));
+            let ctx = ReqCtx {
+                req_id: 7,
+                tenant: tenant.0,
+                req_bytes: 64,
+                deadline_ns: 0,
+                sampled: false,
+            };
+            door(&mut sim, ctx, reply);
+            assert_eq!(cluster.pending_replies(), 1);
+            let failure = |target, reason| DeliveryFailure {
+                tenant,
+                dst_fn: 2,
+                req_id: 7,
+                attempts: 1,
+                reason,
+                dst_node: Some(target),
+            };
+            let budget = FailureReason::RetryBudgetExhausted;
+            let expired = FailureReason::DeadlineExceeded;
+            for &end in &order {
+                match end {
+                    End::Completes => {
+                        let hub = Rc::downgrade(&cluster.hub);
+                        Hub::leave(&hub, &mut sim, 7, Outcome::Completed(&Done::Door(256)));
+                    }
+                    End::Credible => cluster.nodes[0]
+                        .dne
+                        .report_failure(&mut sim, failure(dark, budget)),
+                    End::Hearsay => cluster.nodes[1]
+                        .dne
+                        .report_failure(&mut sim, failure(up, budget)),
+                    End::Expired => cluster.nodes[0]
+                        .dne
+                        .report_failure(&mut sim, failure(dark, expired)),
+                }
+                let first = match order[0] {
+                    End::Completes => Ok(256),
+                    _ => Err(DeliveryFailed),
+                };
+                assert_eq!(*answers.borrow(), [first], "{order:?}");
+                assert_eq!(cluster.pending_replies(), 0, "{order:?}");
+            }
+            let health = control.health_events();
+            let blamed: Vec<_> = health.iter().map(|e| (e.node, e.from, e.to)).collect();
+            let suspect = (dark, NodeState::Healthy, NodeState::Suspect);
+            assert_eq!(blamed, [suspect], "{order:?}");
+            orders.insert(order);
+        }
+        assert_eq!(orders.len(), 24);
+    }
+
+    /// A second gateway reply under an id that already has one held is
+    /// answered `Err` at once; the held one stays and is answered by its
+    /// request's completion. Each caller hears exactly once.
+    #[test]
+    fn a_second_reply_under_a_live_id_is_refused() {
+        let mut sim = Sim::new();
+        let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
+        let tenant = TenantId(1);
+        cluster.add_tenant(&mut sim, tenant, 1).unwrap();
+        cluster.place(1, 0);
+        cluster.place(2, 1);
+        let cluster = Rc::new(cluster);
+        let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
+        let door = cluster.serve_chain(&chain, |_| SimDuration::from_micros(5), 256);
+        let answers = Rc::new(RefCell::new(Vec::new()));
+        let reply = |caller: u8| -> Reply {
+            let sink = answers.clone();
+            Box::new(move |_, answer| sink.borrow_mut().push((caller, answer)))
+        };
+        let ctx = ReqCtx {
+            req_id: 7,
+            tenant: tenant.0,
+            req_bytes: 64,
+            deadline_ns: 0,
+            sampled: false,
+        };
+        door(&mut sim, ctx, reply(1));
+        door(&mut sim, ctx, reply(2));
+        assert_eq!(*answers.borrow(), [(2, Err(DeliveryFailed))]);
+        assert_eq!(cluster.pending_replies(), 1);
+        sim.run();
+        assert_eq!(*answers.borrow(), [(2, Err(DeliveryFailed)), (1, Ok(256))]);
+        assert_eq!(cluster.pending_replies(), 0);
     }
 
     /// A request the entry pool refuses is a failed request: the gateway

@@ -10,8 +10,9 @@
 //! the control plane — and hands back what a `FailOver` or a `Restore`
 //! moved, which goes straight into the fleet log.
 //!
-//! Health folds blamed delivery failures into a per-node state machine with
-//! hysteresis:
+//! Health folds credible delivery failures — not a `DeadlineExceeded`, nor
+//! one whose reporter is itself inside an outage — into the state machine
+//! of the node they were aimed at, with hysteresis:
 //!
 //! ```text
 //! Healthy ──failures ≥ SUSPECT_AFTER──▶ Suspect
@@ -36,6 +37,7 @@
 //! service. A drain starts only from `InService`, so no node is drained
 //! twice, and a wave skips a node that left service after the wave began.
 
+use dne::types::FailureReason;
 use obs::{Stage, Tracer};
 use rdma_sim::NodeId;
 use simcore::{SimDuration, SimTime};
@@ -68,6 +70,11 @@ const UPGRADE_DURATION: SimDuration = SimDuration::from_micros(500);
 /// connections and admission settle so the wave never has two nodes out at
 /// once.
 const SETTLE: SimDuration = SimDuration::from_micros(200);
+/// SLO pressure: each burn-alerting tenant discounts the effective capacity
+/// by `PRESSURE_STEP`, down to `PRESSURE_FLOOR`, so ingress sheds before the
+/// whole error budget is gone.
+const PRESSURE_STEP: f64 = 0.1;
+const PRESSURE_FLOOR: f64 = 0.5;
 
 /// A node's health state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,13 +219,14 @@ impl FleetCounters {
 /// Something that happened to the control plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Input {
-    /// A transport failure was blamed on the node.
-    Blame(NodeId),
+    /// The engine of node `.0` gave up on a request bound for node `.1`
+    /// (when the route was known), for reason `.2`.
+    Failed(NodeId, Option<NodeId>, FailureReason),
     /// The probe tick: decay stale suspects, notice crashed machines back
     /// up, finish crash-recovery drains whose hold-down elapsed.
     Probe,
-    /// The SLO burn monitor's capacity multiplier, clamped to `(0, 1]`.
-    Pressure(f64),
+    /// This many tenants are burn-alerting (after a completion).
+    Alerting(usize),
     /// Drain node `.0`, then restart it at CTX wire `.1`.
     Upgrade(usize, u8),
     /// Drain node `.0` and leave it out of service.
@@ -272,7 +280,7 @@ pub(crate) trait Host {
 
 /// An administrative drain: when it began, its consecutive clean polls, and
 /// what follows it — a restart at `Some(version)`, or decommissioning.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Drain {
     started: SimTime,
     clean_polls: u32,
@@ -280,7 +288,7 @@ struct Drain {
 }
 
 /// Everything the control plane knows about one node.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Track {
     node: NodeId,
     state: NodeState,
@@ -307,9 +315,9 @@ pub(crate) struct Core {
     /// One per node, in cluster index order.
     tracks: Vec<Track>,
     wave: Option<Wave>,
-    /// Multiplier in `(0, 1]` fed by the SLO burn monitor: alerting tenants
-    /// discount effective capacity so admission sheds sooner even while
-    /// every node is nominally up.
+    /// Multiplier in `[PRESSURE_FLOOR, 1]` from the burn-alerting tenants:
+    /// they discount effective capacity so admission sheds sooner even
+    /// while every node is nominally up.
     slo_pressure: f64,
     /// The probe re-arms itself while `now` is before this.
     probe_until: SimTime,
@@ -367,17 +375,22 @@ impl Core {
         out: &mut impl FnMut(Output) -> Moved,
     ) {
         match input {
-            Input::Blame(node) => self.blame(now, node, out),
+            Input::Failed(reporter, target, reason) => {
+                let credible = host.up(reporter, now) && reason != FailureReason::DeadlineExceeded;
+                if let Some(node) = target.filter(|_| credible) {
+                    self.blame(now, node, out);
+                }
+            }
             Input::Probe => {
                 self.probe(now, host, out);
                 if now < self.probe_until {
                     out(Output::At(now + PROBE_INTERVAL, Input::Probe));
                 }
             }
-            Input::Pressure(pressure) => {
-                let clamped = pressure.clamp(f64::MIN_POSITIVE, 1.0);
-                if clamped != self.slo_pressure {
-                    self.slo_pressure = clamped;
+            Input::Alerting(n) => {
+                let pressure = (1.0 - PRESSURE_STEP * n as f64).max(PRESSURE_FLOOR);
+                if pressure != self.slo_pressure {
+                    self.slo_pressure = pressure;
                     out(Output::Capacity(self.capacity()));
                 }
             }
@@ -480,7 +493,7 @@ impl Core {
         restored
     }
 
-    /// One delivery failure blamed on `node`.
+    /// One credible delivery failure aimed at `node`.
     fn blame(&mut self, now: SimTime, node: NodeId, out: &mut impl FnMut(Output) -> Moved) {
         let Some(i) = self.tracks.iter().position(|t| t.node == node) else {
             return;
@@ -732,15 +745,34 @@ mod tests {
         SimTime::ZERO + SimDuration::from_micros(us)
     }
 
-    /// A host whose machines are all up or all down, with nothing in flight
-    /// and every node at wire v1.
+    /// A reporter whose machine is always up, and one always inside an
+    /// outage; neither is a node the core tracks.
+    const WITNESS: NodeId = NodeId(8);
+    const DARK: NodeId = NodeId(9);
+
+    /// A failure reported by `reporter`, aimed at node `node`.
+    fn failed(reporter: NodeId, node: usize, reason: FailureReason) -> Input {
+        Input::Failed(reporter, Some(NodeId(node as u16)), reason)
+    }
+
+    /// A credible failure aimed at node `node`.
+    fn blame(node: usize) -> Input {
+        failed(WITNESS, node, FailureReason::RetryBudgetExhausted)
+    }
+
+    /// A host whose tracked machines are all up or all down, with nothing in
+    /// flight and every node at wire v1.
     struct Fake {
         up: bool,
     }
 
     impl Host for Fake {
-        fn up(&self, _node: NodeId, _now: SimTime) -> bool {
-            self.up
+        fn up(&self, node: NodeId, _now: SimTime) -> bool {
+            match node {
+                WITNESS => true,
+                DARK => false,
+                _ => self.up,
+            }
         }
 
         fn in_flight(&self, _idx: usize) -> usize {
@@ -772,7 +804,7 @@ mod tests {
     #[test]
     fn failures_walk_healthy_suspect_down_and_fail_over() {
         let mut core = two_nodes();
-        let blame = Input::Blame(NodeId(1));
+        let blame = blame(1);
         assert!(step(&mut core, 0, blame, true).is_empty());
         assert_eq!(core.state_of(NodeId(1)), Some(NodeState::Suspect));
         assert!(step(&mut core, 0, blame, true).is_empty());
@@ -787,15 +819,15 @@ mod tests {
     #[test]
     fn suspect_decays_back_to_healthy_without_failover() {
         let mut core = two_nodes();
-        step(&mut core, 0, Input::Blame(NodeId(0)), true);
+        step(&mut core, 0, blame(0), true);
         // A clean decay window passes; the probe clears the suspicion.
         assert!(step(&mut core, 9_000, Input::Probe, true).is_empty());
         assert_eq!(core.state_of(NodeId(0)), Some(NodeState::Suspect));
         assert!(step(&mut core, 10_000, Input::Probe, true).is_empty());
         assert_eq!(core.state_of(NodeId(0)), Some(NodeState::Healthy));
         // And the streak restarts from zero afterwards.
-        step(&mut core, 10_000, Input::Blame(NodeId(0)), true);
-        step(&mut core, 10_000, Input::Blame(NodeId(0)), true);
+        step(&mut core, 10_000, blame(0), true);
+        step(&mut core, 10_000, blame(0), true);
         assert_eq!(core.state_of(NodeId(0)), Some(NodeState::Suspect));
     }
 
@@ -803,7 +835,7 @@ mod tests {
     fn down_drains_then_recovers_via_probes() {
         let mut core = two_nodes();
         for _ in 0..3 {
-            step(&mut core, 0, Input::Blame(NodeId(0)), false);
+            step(&mut core, 0, blame(0), false);
         }
         // While the machine is dark, the node stays down.
         assert!(step(&mut core, 2_000, Input::Probe, false).is_empty());
@@ -821,26 +853,26 @@ mod tests {
     fn failure_mid_drain_goes_straight_back_down() {
         let mut core = two_nodes();
         for _ in 0..3 {
-            step(&mut core, 0, Input::Blame(NodeId(0)), false);
+            step(&mut core, 0, blame(0), false);
         }
         step(&mut core, 200, Input::Probe, true);
         assert_eq!(core.state_of(NodeId(0)), Some(NodeState::Draining));
         // Its routes are still on backups: no second failover.
-        assert!(step(&mut core, 300, Input::Blame(NodeId(0)), true).is_empty());
+        assert!(step(&mut core, 300, blame(0), true).is_empty());
         assert_eq!(core.state_of(NodeId(0)), Some(NodeState::Down));
     }
 
     #[test]
     fn slo_pressure_discounts_capacity() {
         let mut core = two_nodes();
-        let pressure = |core: &mut Core, p| step(core, 0, Input::Pressure(p), true);
-        assert_eq!(pressure(&mut core, 0.5), [Output::Capacity(0.5)]);
-        assert!(pressure(&mut core, 0.5).is_empty(), "unchanged: no re-emit");
-        assert_eq!(pressure(&mut core, 1.0), [Output::Capacity(1.0)]);
+        let alerting = |core: &mut Core, n| step(core, 0, Input::Alerting(n), true);
+        assert_eq!(alerting(&mut core, 5), [Output::Capacity(0.5)]);
+        assert!(alerting(&mut core, 6).is_empty(), "floored: no re-emit");
+        assert_eq!(alerting(&mut core, 0), [Output::Capacity(1.0)]);
         // Pressure composes with node loss.
-        pressure(&mut core, 0.5);
+        alerting(&mut core, 5);
         for _ in 0..3 {
-            step(&mut core, 0, Input::Blame(NodeId(1)), true);
+            step(&mut core, 0, blame(1), true);
         }
         assert_eq!(core.capacity(), 0.25, "half the nodes, half budget");
     }
@@ -850,7 +882,7 @@ mod tests {
         let tracer = Tracer::enabled();
         let mut core = Core::new([NodeId(0), NodeId(1)], tracer.clone(), SimTime::ZERO);
         for _ in 0..3 {
-            step(&mut core, 0, Input::Blame(NodeId(0)), true);
+            step(&mut core, 0, blame(0), true);
         }
         let events = &core.health;
         assert_eq!(events.len(), 2);
@@ -912,6 +944,9 @@ mod tests {
         DecommissionProvision,
         /// Node 1 decommissioned, then provisioned, against a wave to v2.
         DecommissionInWave,
+        /// Three failures blamed on node 1 beside one from a reporter inside
+        /// an outage, one `DeadlineExceeded` and one probe.
+        Hearsay,
     }
 
     /// What the world can do next.
@@ -955,9 +990,15 @@ mod tests {
                     Pending::Probe(true),
                 ],
                 Case::DecommissionProvision => {
-                    vec![decommission, Pending::Probes(2), now(Input::Pressure(0.5))]
+                    vec![decommission, Pending::Probes(2), now(Input::Alerting(5))]
                 }
                 Case::DecommissionInWave => vec![wave(), decommission],
+                Case::Hearsay => vec![
+                    Pending::Blames(3),
+                    now(failed(DARK, ONE, FailureReason::RetryBudgetExhausted)),
+                    now(failed(WITNESS, ONE, FailureReason::DeadlineExceeded)),
+                    Pending::Probes(1),
+                ],
             };
             let nodes = (0..N as u16).map(NodeId);
             World {
@@ -988,7 +1029,7 @@ mod tests {
                     if n > 1 {
                         self.pending.push(Pending::Blames(n - 1));
                     }
-                    self.step(Input::Blame(NodeId(ONE as u16)));
+                    self.step(blame(ONE));
                 }
                 Pending::Probes(n) => {
                     if n > 1 {
@@ -1008,6 +1049,7 @@ mod tests {
         fn step(&mut self, input: Input) {
             self.order.push(input);
             let before: Vec<NodeLifecycle> = self.core.tracks.iter().map(|t| t.lifecycle).collect();
+            let (tracks, health) = (self.core.tracks.clone(), self.core.health.len());
             let mut outputs = Vec::new();
             let sink = &mut |o: Output| {
                 outputs.push(o);
@@ -1015,6 +1057,17 @@ mod tests {
             };
             self.core.step(self.now, input, &self.host, sink);
             let (core, order) = (&self.core, &self.order);
+            let hearsay = matches!(
+                input,
+                Input::Failed(DARK, ..) | Input::Failed(_, _, FailureReason::DeadlineExceeded)
+            );
+            if hearsay {
+                let unmoved = outputs.is_empty() && core.tracks == tracks;
+                assert!(
+                    unmoved && core.health.len() == health,
+                    "{input:?} moved: {order:?}"
+                );
+            }
             for output in outputs {
                 match output {
                     Output::At(at, input) => self.pending.push(Pending::At(at, input)),
@@ -1145,13 +1198,16 @@ mod tests {
     /// a pending input that may fire at any later point: a wave to v2 across
     /// three nodes while three failures are blamed on node 1 and one probe
     /// finds its machine down or up; node 1 decommissioned, then
-    /// provisioned, around two probes and an SLO pressure change; and the
-    /// same decommission against a wave. After every step: no `Restore(i)`
-    /// leaves node `i` `Down`, `FailOver` and `Restore` alternate per node,
-    /// every `Capacity` is (`Healthy` + `Suspect`) / n × pressure, the wave
-    /// never has two of its own nodes out of service, and a `Decommissioned`
-    /// node stays so until `Provision`. After every order, every
-    /// `DrainStarted` ended exactly once. A failure prints the order.
+    /// provisioned, around two probes and an SLO pressure change; the same
+    /// decommission against a wave; and three failures blamed on node 1
+    /// around one from a reporter inside an outage, a `DeadlineExceeded`
+    /// and a probe. After every step: no `Restore(i)` leaves node `i`
+    /// `Down`, `FailOver` and `Restore` alternate per node, every `Capacity`
+    /// is (`Healthy` + `Suspect`) / n × pressure, the wave never has two of
+    /// its own nodes out of service, a `Decommissioned` node stays so until
+    /// `Provision`, and a failure that is no evidence emitted nothing and
+    /// moved no node. After every order, every `DrainStarted` ended exactly
+    /// once. A failure prints the order.
     #[test]
     fn every_order_keeps_routes_drains_and_the_wave_in_step() {
         let mut seen = Vec::new();
@@ -1159,9 +1215,10 @@ mod tests {
             Case::WaveBlamed,
             Case::DecommissionProvision,
             Case::DecommissionInWave,
+            Case::Hearsay,
         ];
         let orders = cases.map(|case| explore(case, &mut seen));
-        assert_eq!(orders, [8008, 120, 283]);
+        assert_eq!(orders, [8008, 120, 283, 120]);
         seen.sort_unstable();
         let endings = [
             "decommissioned",

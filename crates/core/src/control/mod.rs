@@ -1,14 +1,16 @@
 //! The control plane: node health, failover and the fleet lifecycle.
 //!
-//! Transport failures the cluster's failure dispatcher blames on a node
-//! walk that node's health state, and probes of the fabric's fault plane
-//! notice a crashed machine back. Drains, upgrades, decommissions and
-//! rolling upgrade waves move nodes through their administrative lifecycle
-//! while tenant traffic keeps flowing: routes fail over to backups before a
-//! node leaves service and come home when it returns, and every change of
-//! the effective capacity feeds the gateway's admission control. During a
-//! wave, peers stamp toward each node at `min(own, announced)` CTX wire
-//! version (see `obs::ctx`), so version skew rides the wire safely.
+//! Delivery failures the cluster's outcome path reports walk the health
+//! state of the node they were aimed at, when the core finds them credible,
+//! and probes of the fabric's fault plane notice a crashed machine back.
+//! Drains, upgrades, decommissions and rolling upgrade waves move nodes
+//! through their administrative lifecycle while tenant traffic keeps
+//! flowing: routes fail over to backups before a node leaves service and
+//! come home when it returns, and every change of the effective capacity
+//! (node loss, or SLO pressure from burn-alerting tenants) feeds the
+//! gateway's admission control. During a wave, peers stamp toward each node
+//! at `min(own, announced)` CTX wire version (see `obs::ctx`), so version
+//! skew rides the wire safely.
 //!
 //! The state machine is the `core` submodule, which never sees the
 //! simulator; this module is its driver: [`ControlPlane`], one handle, and
@@ -20,6 +22,7 @@ mod core;
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
 
+use dne::types::DeliveryFailure;
 use ingress::Gateway;
 use rdma_sim::NodeId;
 use simcore::{Sim, SimTime};
@@ -30,8 +33,8 @@ use crate::cluster::Cluster;
 
 /// What a [`ControlPlane`] points at: the state machine, the cluster it
 /// steers and the gateway its capacity feeds. The cluster is held weakly:
-/// the cluster's hub holds the control plane, so a strong reference back
-/// would keep both alive for good.
+/// the cluster holds the control plane, so a strong reference back would
+/// keep both alive for good.
 struct Driver {
     core: RefCell<Core>,
     cluster: Weak<Cluster>,
@@ -108,8 +111,8 @@ pub struct ControlPlane {
 }
 
 impl ControlPlane {
-    /// Starts the control plane of `cluster`. Transport failures its failure
-    /// dispatcher blames on a node walk the node's health state
+    /// Starts the control plane of `cluster`. Credible transport failures
+    /// its outcome path reports walk their target node's health state
     /// (`Healthy → Suspect → Down → Draining → Healthy`): entering `Down`
     /// fails every backed-up function over ([`Cluster::fail_over_node`]),
     /// and recovery — seen by fault-plane probes every millisecond until
@@ -139,16 +142,16 @@ impl ControlPlane {
         control
     }
 
-    /// One transport failure blamed on `node` (the failure dispatcher).
-    pub(crate) fn blame(&self, sim: &mut Sim, node: NodeId) {
-        drive(&self.inner, sim, Input::Blame(node));
+    /// A failure engine `reporter` gave up on; the core judges its credibility.
+    pub(crate) fn failed(&self, sim: &mut Sim, reporter: NodeId, failure: DeliveryFailure) {
+        let input = Input::Failed(reporter, failure.dst_node, failure.reason);
+        drive(&self.inner, sim, input);
     }
 
-    /// Sets the SLO-pressure multiplier (clamped to `(0, 1]`), fed by the
-    /// trace pipeline's burn monitor: each alerting tenant discounts
-    /// capacity a notch so ingress sheds before the budget is gone.
-    pub(crate) fn set_slo_pressure(&self, sim: &mut Sim, pressure: f64) {
-        drive(&self.inner, sim, Input::Pressure(pressure));
+    /// `n` tenants are burn-alerting after a completion (the cluster's
+    /// outcome path, with the trace pipeline's burn monitor on).
+    pub(crate) fn alerting(&self, sim: &mut Sim, n: usize) {
+        drive(&self.inner, sim, Input::Alerting(n));
     }
 
     /// Upgrades node `idx` to CTX wire `target`: drain, restart for 500 µs

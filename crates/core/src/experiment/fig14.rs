@@ -165,32 +165,15 @@ fn run_trace(
     }
     // Sample CPU usage every second.
     let cpu_samples: Rc<RefCell<Vec<(f64, f64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
-    fn sample(
-        gw: Gateway,
-        out: Rc<RefCell<Vec<(f64, f64, usize)>>>,
-        sim: &mut Sim,
-        last: SimTime,
-        stop: SimTime,
-    ) {
+    let (gw, out) = (gateway.clone(), cpu_samples.clone());
+    let mut last = SimTime::ZERO;
+    sim.every_until(SimDuration::from_secs(1), stop_at, move |sim| {
         let now = sim.now();
         let busy = gw.utilization_cores(last, now);
         out.borrow_mut()
             .push((now.as_secs_f64(), busy, gw.active_workers()));
-        if now < stop {
-            let gw2 = gw.clone();
-            let out2 = out.clone();
-            sim.schedule_after(SimDuration::from_secs(1), move |sim| {
-                sample(gw2, out2, sim, now, stop);
-            });
-        }
-    }
-    {
-        let gw = gateway.clone();
-        let out = cpu_samples.clone();
-        sim.schedule_after(SimDuration::from_secs(1), move |sim| {
-            sample(gw, out, sim, SimTime::ZERO, stop_at);
-        });
-    }
+        last = now;
+    });
     sim.run_until(stop_at + SimDuration::from_secs(1));
 
     let (rps_points, completed, dropped) = {

@@ -10,7 +10,7 @@
 //! also powers the baseline and multi-tenant experiments through
 //! [`ClosedLoop::set_issuer`].
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -30,7 +30,9 @@ pub const RECONNECT: SimDuration = SimDuration::from_secs(1);
 type IssueFn = Rc<dyn Fn(&mut Sim, u64)>;
 
 struct Inner {
-    next_req: u64,
+    /// The counter request ids are drawn from: the driver's own, or after
+    /// `start` its cluster's, which every driver on that cluster shares.
+    ids: Rc<Cell<u64>>,
     pending: HashMap<u64, SimTime>,
     hist: Histogram,
     completed: u64,
@@ -54,7 +56,7 @@ impl ClosedLoop {
     pub fn new(stop_at: SimTime) -> ClosedLoop {
         ClosedLoop {
             inner: Rc::new(RefCell::new(Inner {
-                next_req: 0,
+                ids: Rc::default(),
                 pending: HashMap::new(),
                 hist: Histogram::new(),
                 completed: 0,
@@ -112,8 +114,8 @@ impl ClosedLoop {
             let Some(issue) = inner.issue.clone() else {
                 return;
             };
-            let req = inner.next_req;
-            inner.next_req += 1;
+            let req = inner.ids.get();
+            inner.ids.set(req + 1);
             inner.pending.insert(req, sim.now());
             (req, issue)
         };
@@ -128,7 +130,8 @@ impl ClosedLoop {
     }
 
     /// Starts `clients` closed-loop clients against `chain` on `cluster`,
-    /// with `payload` bytes per request.
+    /// with `payload` bytes per request. Request ids come from the
+    /// cluster's one counter, so two drivers on one cluster never share one.
     pub fn start(
         &self,
         sim: &mut Sim,
@@ -137,7 +140,11 @@ impl ClosedLoop {
         clients: usize,
         payload: usize,
     ) {
-        self.inner.borrow_mut().began = sim.now();
+        {
+            let mut inner = self.inner.borrow_mut();
+            inner.began = sim.now();
+            inner.ids = Rc::clone(&cluster.request_ids);
+        }
         // The driver owns its issue hook and the cluster's endpoints own the
         // driver's completion, so the hook refers to both weakly: a strong
         // handle here would keep the driver — and every pool and engine of
@@ -325,6 +332,42 @@ mod tests {
         assert!(total > 0);
         // Queue fully drained: nothing pending.
         assert_eq!(driver.inner.borrow().pending.len(), 0);
+    }
+
+    /// Two direct-mode drivers of two tenants on one traced cluster draw
+    /// their request ids from the cluster's one counter, so no trace (the
+    /// span store keys on the id) mixes the two tenants' spans.
+    #[test]
+    fn two_drivers_on_one_cluster_never_share_a_trace() {
+        let mut sim = Sim::new();
+        let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
+        let tracer = obs::Tracer::enabled();
+        cluster.set_tracer(&tracer);
+        let mut drivers = Vec::new();
+        for t in [1u16, 2] {
+            let tenant = TenantId(t);
+            cluster.add_tenant(&mut sim, tenant, 1).unwrap();
+            let (entry, far) = (10 * t + 1, 10 * t + 2);
+            cluster.place(entry, 0);
+            cluster.place(far, 1);
+            let chain = ChainSpec::new("echo", tenant, vec![entry, far, entry]);
+            let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(5));
+            let cost = |_| SimDuration::from_micros(10);
+            cluster.register_chain(&chain, cost, driver.completion());
+            drivers.push((driver, chain));
+        }
+        let cluster = Rc::new(cluster);
+        for (driver, chain) in &drivers {
+            driver.start(&mut sim, &cluster, chain, 4, 128);
+        }
+        sim.run();
+        assert!(drivers.iter().all(|(d, _)| d.completed() > 0));
+        let mut tenant_of = HashMap::new();
+        for span in tracer.records() {
+            let tenant = *tenant_of.entry(span.req_id).or_insert(span.tenant);
+            assert_eq!(tenant, span.tenant, "trace {} mixes tenants", span.req_id);
+        }
+        assert!(tenant_of.values().any(|&t| t == 1) && tenant_of.values().any(|&t| t == 2));
     }
 
     /// Gateway mode against an echo upstream with a fixed delay: one flow

@@ -251,12 +251,10 @@ impl TracePipeline {
         self.burn.as_ref()
     }
 
-    /// Tenants currently in the two-window alerting state (empty when
-    /// burn detection is disabled).
-    pub fn alerting_tenants(&self) -> Vec<u16> {
-        self.burn
-            .as_ref()
-            .map_or_else(Vec::new, |b| b.alerting_tenants())
+    /// Number of tenants in the two-window alerting state (0 when burn
+    /// detection is disabled).
+    pub fn alerting_count(&self) -> usize {
+        self.burn.as_ref().map_or(0, |b| b.alerting_count())
     }
 
     /// Samples every tenant's burn rates into their report series.
@@ -388,7 +386,8 @@ mod tests {
             .clone();
         assert_eq!(dump.get("reason").unwrap().as_str(), Some("slo_burn"));
         assert_eq!(p.burn_counters(), Some(vec![(3, 2, 2, 1)]));
-        assert_eq!(p.alerting_tenants(), vec![3]);
+        assert_eq!(p.alerting_count(), 1);
+        assert_eq!(p.burn().unwrap().alerting_tenants(), vec![3]);
         // The dump embeds the burn monitor's state.
         let burn = dump.get("burn").unwrap();
         let tenants = burn.get("tenants").unwrap().as_arr().unwrap();

@@ -97,6 +97,19 @@ one_front_door() {
     crates/core/src/experiment/fig16.rs crates/core/src/fleet.rs; then
     fail "measure with workload::ClosedLoop, not a hand-rolled driver"
   fi
+  # A request leaves through one outcome path whose closures hold the hub
+  # weakly, so nothing cuts a reference cycle by hand; and whether a failure
+  # is health evidence is the control plane's call, through its `Host`.
+  if non_test crates/core/src/cluster.rs | grep -n 'impl Drop'; then
+    fail "crates/core/src/cluster.rs: hold the hub weakly instead of an impl Drop"
+  fi
+  local f
+  for f in $(grep -rlE 'with_fault_plane|in_outage' crates/core/src); do
+    if [ "$f" != crates/core/src/control/mod.rs ] &&
+      non_test "$f" | grep -nE 'with_fault_plane|in_outage'; then
+      fail "$f: only the control plane's Host asks the fault plane"
+    fi
+  done
 }
 
 # DESIGN.md §3 "A closure lives in its slab node", §4 "A buffer hop takes

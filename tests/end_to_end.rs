@@ -376,3 +376,47 @@ fn a_dropped_cluster_gives_its_memory_back() {
         );
     }
 }
+
+/// The same with the front door in use: a gateway in front of
+/// `serve_chain`, the trace pipeline and a control plane, all dropped
+/// mid-run while the cluster still holds gateway replies. Every closure
+/// that reaches the cluster's outcome path holds it weakly, so the cluster
+/// is freed with nothing cutting a cycle by hand.
+#[test]
+fn a_dropped_cluster_with_held_replies_gives_its_memory_back() {
+    use ingress::{Gateway, GatewayConfig};
+    const KIB: isize = 1 << 10;
+    let tenant = TenantId(1);
+    let before = live_bytes();
+    let mut sim = Sim::new();
+    let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
+    cluster.add_tenant(&mut sim, tenant, 1).unwrap();
+    cluster.place(1, 0);
+    cluster.place(2, 1);
+    let tracer = obs::Tracer::enabled();
+    cluster.set_tracer(&tracer);
+    cluster.enable_trace_pipeline(obs::PipelineConfig::default());
+    let cluster = Rc::new(cluster);
+    let chain = ChainSpec::new("echo", tenant, vec![1, 2, 1]);
+    let door = cluster.serve_chain(&chain, |_| SimDuration::from_micros(20), 64);
+    let gateway = Gateway::new(GatewayConfig::default());
+    let stop = sim.now() + SimDuration::from_millis(50);
+    let control = ControlPlane::start(&mut sim, &cluster, stop, Some(&gateway));
+    let driver = ClosedLoop::new(stop);
+    driver.start_gateway(&mut sim, &gateway, tenant.0, &door, 8, 64);
+    sim.run_until(sim.now() + SimDuration::from_millis(10));
+    assert!(driver.completed() >= 100, "got {}", driver.completed());
+    assert!(cluster.pending_replies() > 0, "no reply held at the drop");
+    let held = live_bytes() - before;
+
+    let weak = Rc::downgrade(&cluster);
+    drop((driver, gateway, door, control, cluster, tracer, sim));
+    let freed = weak.upgrade().is_none();
+    drop(weak);
+    assert!(freed, "the cluster outlived the drop");
+    let retained = live_bytes() - before;
+    assert!(
+        retained < 16 * KIB,
+        "{retained} of {held} bytes still allocated after the drop"
+    );
+}
