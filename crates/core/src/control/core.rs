@@ -376,7 +376,7 @@ impl Core {
     ) {
         match input {
             Input::Failed(reporter, target, reason) => {
-                let credible = host.up(reporter, now) && reason != FailureReason::DeadlineExceeded;
+                let credible = reason != FailureReason::DeadlineExceeded && host.up(reporter, now);
                 if let Some(node) = target.filter(|_| credible) {
                     self.blame(now, node, out);
                 }

@@ -43,7 +43,7 @@ struct Driver {
 
 impl Host for Cluster {
     fn up(&self, node: NodeId, now: SimTime) -> bool {
-        !self.fabric.with_fault_plane(|fp| fp.in_outage(node, now))
+        !self.fabric.in_outage(node, now)
     }
 
     fn in_flight(&self, idx: usize) -> usize {

@@ -185,24 +185,20 @@ impl ClosedLoop {
     ) {
         self.inner.borrow_mut().began = sim.now();
         for client in 0..clients as u32 {
-            self.submit(
-                sim,
-                gateway.clone(),
-                tenant,
-                upstream.clone(),
-                client,
-                req_bytes,
-            );
+            let up = upstream.clone();
+            self.submit(sim, gateway, tenant, up, client, req_bytes);
         }
     }
 
     /// One turn of one gateway flow: submit, and resubmit from the answer.
     /// A refusal is answered inside `submit_tenant` with the backlog
     /// unchanged, so resubmitting at once would be refused again, forever.
+    /// The answer sits in the gateway's slot table, so it holds the gateway
+    /// weakly: a flow ends with its gateway.
     fn submit(
         &self,
         sim: &mut Sim,
-        gateway: Gateway,
+        gateway: &Gateway,
         tenant: u16,
         upstream: Upstream,
         client: u32,
@@ -212,7 +208,7 @@ impl ClosedLoop {
             return;
         }
         let t0 = sim.now();
-        let (driver, gw, up) = (self.clone(), gateway.clone(), upstream.clone());
+        let (driver, gw, up) = (self.clone(), gateway.downgrade(), upstream.clone());
         gateway.submit_tenant(
             sim,
             tenant,
@@ -226,12 +222,15 @@ impl ClosedLoop {
                     }
                     Err(_) => driver.inner.borrow_mut().shed += 1,
                 }
+                let resubmit = move |sim: &mut Sim| {
+                    if let Some(gw) = gw.upgrade() {
+                        driver.submit(sim, &gw, tenant, up, client, req_bytes);
+                    }
+                };
                 if let Err(Dropped::Overload | Dropped::Shed { .. }) = answer {
-                    sim.schedule_after(RECONNECT, move |sim| {
-                        driver.submit(sim, gw, tenant, up, client, req_bytes)
-                    });
+                    sim.schedule_after(RECONNECT, resubmit);
                 } else {
-                    driver.submit(sim, gw, tenant, up, client, req_bytes);
+                    resubmit(sim);
                 }
             }),
         );

@@ -20,7 +20,7 @@
 //! restart the paper observes in Fig. 14 (2).
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use obs::Tracer;
 use simcore::{Sim, SimDuration, SimTime};
@@ -216,7 +216,28 @@ pub struct Gateway {
     inner: Rc<Driver>,
 }
 
+/// A [`Gateway`] held weakly. A caller's completion sits in the gateway's
+/// own slot table, so one that resubmits holds the gateway this way; a
+/// strong handle there would keep both alive for good.
+pub struct WeakGateway {
+    inner: Weak<Driver>,
+}
+
+impl WeakGateway {
+    /// The gateway, unless every strong handle to it is gone.
+    pub fn upgrade(&self) -> Option<Gateway> {
+        self.inner.upgrade().map(|inner| Gateway { inner })
+    }
+}
+
 impl Gateway {
+    /// A weak handle to this gateway.
+    pub fn downgrade(&self) -> WeakGateway {
+        WeakGateway {
+            inner: Rc::downgrade(&self.inner),
+        }
+    }
+
     /// Creates a gateway of the configured kind.
     pub fn new(cfg: GatewayConfig) -> Gateway {
         let core = RefCell::new(Core::new(cfg));

@@ -67,11 +67,45 @@ pub(crate) struct Qp {
     pub(crate) counters: QpCounters,
 }
 
+/// A shared receive queue. Its WR ids and its buffers are held apart: an
+/// arrival completes the oldest WR id, in posting order as verbs promise,
+/// into the newest buffer, the one most likely still in cache. All of an
+/// RQ's buffers come from one pool (`Fabric::post_recv` refuses another),
+/// so which one takes the payload is invisible: it is written in full and
+/// nothing reads its index (DESIGN §5).
 pub(crate) struct RqState {
     pub(crate) node: NodeId,
     pub(crate) tenant: TenantId,
-    /// Posted receive buffers and their WR ids, in posting order.
-    pub(crate) queue: VecDeque<(WrId, OwnedBuf)>,
+    /// Posted WR ids, oldest first.
+    pub(crate) wr_ids: VecDeque<WrId>,
+    /// Posted buffers, newest last; as many as `wr_ids`.
+    pub(crate) bufs: Vec<OwnedBuf>,
+}
+
+impl RqState {
+    pub(crate) fn new(node: NodeId, tenant: TenantId) -> Self {
+        RqState {
+            node,
+            tenant,
+            wr_ids: VecDeque::new(),
+            bufs: Vec::new(),
+        }
+    }
+
+    pub(crate) fn post(&mut self, wr_id: WrId, buf: OwnedBuf) {
+        self.wr_ids.push_back(wr_id);
+        self.bufs.push(buf);
+    }
+
+    /// Takes the oldest WR id and the newest buffer, or `None` when nothing
+    /// is posted (both stacks grow and shrink together).
+    fn take(&mut self) -> Option<(WrId, OwnedBuf)> {
+        self.wr_ids.pop_front().zip(self.bufs.pop())
+    }
+
+    pub(crate) fn depth(&self) -> usize {
+        self.wr_ids.len()
+    }
 }
 
 pub(crate) struct CqState {
@@ -283,8 +317,9 @@ impl Core {
         }
     }
 
-    /// A two-sided send reaches the responder: RQ pop, DMA into the posted
-    /// buffer, receiver CQE, then the ACK's sender CQE.
+    /// A two-sided send reaches the responder: RQ pop (the oldest WR id, the
+    /// newest buffer), DMA into that buffer, receiver CQE, then the ACK's
+    /// sender CQE.
     fn arrive(&mut self, now: SimTime, d: Delivery, buf: OwnedBuf, out: &mut impl FnMut(Output)) {
         use CqeStatus::{RnrRetryExceeded, TransportRetryExceeded};
         let sent = |at, status, buf| d.done(at, CqeOpcode::Send, status, Some(buf));
@@ -333,7 +368,7 @@ impl Core {
         }
 
         let rx_done = self.rx_admit(now, peer_node, self.costs.host_dma(buf.len()));
-        let Some((wr_id, mut rbuf)) = self.rqs[rq_id.0 as usize].queue.pop_front() else {
+        let Some((wr_id, mut rbuf)) = self.rqs[rq_id.0 as usize].take() else {
             // RNR NAK: retry after the timer, or fail the send.
             self.nodes[peer_node.0 as usize].rnr_events += 1;
             if d.retries_left > 0 {
@@ -841,7 +876,7 @@ mod tests {
                 self.accepted.len(),
                 "stray sender CQEs after {order:?}"
             );
-            let posted = core.rqs[self.rq_b.0 as usize].queue.len();
+            let posted = core.rqs[self.rq_b.0 as usize].depth();
             let consumed = self.recv - posted;
             let recvs = received.iter().filter(|c| c.opcode == CqeOpcode::Recv);
             assert_eq!(recvs.count(), consumed, "receiver CQEs after {order:?}");

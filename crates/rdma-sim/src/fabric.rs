@@ -179,11 +179,7 @@ impl Fabric {
         let mut core = self.core_mut();
         core.node(node)?;
         let id = RqId(core.rqs.len() as u32);
-        core.rqs.push(RqState {
-            node,
-            tenant,
-            queue: VecDeque::new(),
-        });
+        core.rqs.push(RqState::new(node, tenant));
         Ok(id)
     }
 
@@ -345,6 +341,13 @@ impl Fabric {
         f(core.faults.get_or_insert_with(|| FaultPlane::new(0)))
     }
 
+    /// Returns whether `node` is inside a crash window at `at`: never,
+    /// without a fault plane. Installs nothing.
+    pub fn in_outage(&self, node: NodeId, at: SimTime) -> bool {
+        let core = self.core();
+        core.faults.as_ref().is_some_and(|f| f.in_outage(node, at))
+    }
+
     /// Returns the fault counters (all zero when no plane is installed).
     pub fn fault_stats(&self) -> FaultStats {
         let core = self.core();
@@ -427,7 +430,10 @@ impl Fabric {
     /// Posts a receive buffer to a shared receive queue.
     ///
     /// The buffer's pool must be registered with the node's RNIC and belong
-    /// to the RQ's tenant — the isolation property §3.3 relies on.
+    /// to the RQ's tenant — the isolation property §3.3 relies on — and be
+    /// the pool (id and buffer size) of the buffers already posted there:
+    /// an arrival completes the oldest WR id into the newest buffer, so the
+    /// buffers must be interchangeable.
     pub fn post_recv(&self, rq: RqId, wr_id: WrId, buf: OwnedBuf) -> Result<(), RdmaError> {
         let core = &mut *self.core_mut();
         let state = core
@@ -441,14 +447,18 @@ impl Fabric {
         {
             return Err(RdmaError::UnregisteredMemory);
         }
-        state.queue.push_back((wr_id, buf));
+        let pool = |b: &OwnedBuf| (b.pool_id(), b.buf_size());
+        if state.bufs.last().is_some_and(|top| pool(top) != pool(&buf)) {
+            return Err(RdmaError::MixedRqPool);
+        }
+        state.post(wr_id, buf);
         Ok(())
     }
 
     /// Returns the number of receive buffers currently posted on `rq`.
     pub fn rq_depth(&self, rq: RqId) -> usize {
         let core = self.core();
-        core.rqs.get(rq.0 as usize).map_or(0, |r| r.queue.len())
+        core.rqs.get(rq.0 as usize).map_or(0, RqState::depth)
     }
 
     /// Posts a two-sided send of `buf` on `h`, with immediate data `imm`.
@@ -764,6 +774,131 @@ mod tests {
             p.fabric.post_recv(p.rq_b, WrId(2), buf2).unwrap_err(),
             RdmaError::UnregisteredMemory
         );
+    }
+
+    /// A posted buffer too small for the payload takes no DMA: both ends
+    /// complete with `LocalLengthError`, and each CQE carries its buffer
+    /// home.
+    #[test]
+    fn a_receive_buffer_too_small_errors_both_ends() {
+        let mut p = setup();
+        let small = BufferPool::new(PoolConfig::new(TenantId(1), 1, 64, 4)).unwrap();
+        p.fabric.register_pool(NodeId(1), small.clone()).unwrap();
+        p.fabric
+            .post_recv(p.rq_b, WrId(7), small.get().unwrap())
+            .unwrap();
+        let mut send_buf = p.pool_a.get().unwrap();
+        send_buf.write_payload(&[0xab; 100]).unwrap();
+        p.fabric
+            .post_send(&mut p.sim, p.h_ab, WrId(1), send_buf, 0)
+            .unwrap();
+        p.sim.run();
+        let (rx, tx) = (p.fabric.poll_cq(p.cq_b, 4), p.fabric.poll_cq(p.cq_a, 4));
+        let ends = [
+            (&rx, CqeOpcode::Recv, WrId(7)),
+            (&tx, CqeOpcode::Send, WrId(1)),
+        ];
+        for (cqes, opcode, wr_id) in ends {
+            assert_eq!(cqes.len(), 1, "{opcode:?}");
+            let cqe = &cqes[0];
+            assert_eq!((cqe.opcode, cqe.wr_id), (opcode, wr_id));
+            assert_eq!(cqe.status, CqeStatus::LocalLengthError, "{opcode:?}");
+            assert!(cqe.buf.is_some(), "{opcode:?}: the buffer rides home");
+        }
+        drop((rx, tx));
+        assert_eq!(small.stats().free, small.capacity());
+        assert_eq!(p.pool_a.stats().free, p.pool_a.capacity());
+    }
+
+    /// An arrival completes the oldest posted WR id into the newest posted
+    /// buffer, and a shared RQ takes buffers of one pool only.
+    #[test]
+    fn an_arrival_completes_the_oldest_wr_into_the_newest_buffer() {
+        let mut p = setup();
+        let posted: Vec<u32> = (10..13)
+            .map(|wr| {
+                let buf = p.pool_b.get().unwrap();
+                let index = buf.index();
+                p.fabric.post_recv(p.rq_b, WrId(wr), buf).unwrap();
+                index
+            })
+            .collect();
+        let other = mk_pool(1, 1);
+        p.fabric.register_pool(NodeId(1), other.clone()).unwrap();
+        assert_eq!(
+            p.fabric
+                .post_recv(p.rq_b, WrId(13), other.get().unwrap())
+                .unwrap_err(),
+            RdmaError::MixedRqPool
+        );
+        assert_eq!(p.fabric.rq_depth(p.rq_b), 3);
+        let send_buf = p.pool_a.get().unwrap();
+        p.fabric
+            .post_send(&mut p.sim, p.h_ab, WrId(1), send_buf, 0)
+            .unwrap();
+        p.sim.run();
+        let rx = p.fabric.poll_cq(p.cq_b, 4);
+        assert_eq!(rx.len(), 1);
+        assert_eq!(rx[0].wr_id, WrId(10), "the oldest WR id");
+        assert_eq!(rx[0].buf.as_ref().map(|b| b.index()), Some(posted[2]));
+        assert_eq!(p.fabric.rq_depth(p.rq_b), 2);
+        assert_eq!(
+            other.stats().free,
+            other.capacity(),
+            "the refused buffer went home"
+        );
+    }
+
+    /// The receive working set of a deep RQ that re-posts one buffer per
+    /// receive, as the DNE does: 1 000 rounds through 256 posted buffers
+    /// write their payloads into at most two of them.
+    #[test]
+    fn a_reposting_rq_receives_into_a_hot_buffer() {
+        let mut p = setup();
+        let mut cfg = PoolConfig::new(TenantId(1), 1, 256, 512);
+        cfg.segment_size = 64 * 1024;
+        let pool_b = BufferPool::new(cfg).unwrap();
+        p.fabric.register_pool(NodeId(1), pool_b.clone()).unwrap();
+        for wr in 0..256 {
+            let buf = pool_b.get().unwrap();
+            p.fabric.post_recv(p.rq_b, WrId(wr), buf).unwrap();
+        }
+        let mut written = std::collections::BTreeSet::new();
+        for round in 0..1_000 {
+            let mut send_buf = p.pool_a.get().unwrap();
+            send_buf.write_payload(b"hot").unwrap();
+            let wr = WrId(round);
+            p.fabric
+                .post_send(&mut p.sim, p.h_ab, wr, send_buf, 0)
+                .unwrap();
+            p.sim.run();
+            assert_eq!(p.fabric.poll_cq(p.cq_a, 4).len(), 1);
+            for cqe in p.fabric.poll_cq(p.cq_b, 4) {
+                assert_eq!(cqe.status, CqeStatus::Success);
+                written.extend(cqe.buf.as_ref().map(|b| b.index()));
+            }
+            let wr = WrId(256 + round);
+            p.fabric
+                .post_recv(p.rq_b, wr, pool_b.get().unwrap())
+                .unwrap();
+        }
+        assert!(
+            written.len() <= 2,
+            "payloads landed in {} buffers",
+            written.len()
+        );
+    }
+
+    /// Asking whether a node is down installs no fault plane.
+    #[test]
+    fn an_outage_query_installs_no_fault_plane() {
+        let p = setup();
+        assert!(!p.fabric.in_outage(NodeId(1), p.sim.now()));
+        assert!(p.fabric.core().faults.is_none());
+        let (from, until) = (SimTime::from_nanos(10), SimTime::from_nanos(20));
+        p.fabric.schedule_node_outage(NodeId(1), from, until);
+        assert!(p.fabric.in_outage(NodeId(1), from));
+        assert!(!p.fabric.in_outage(NodeId(1), until));
     }
 
     #[test]

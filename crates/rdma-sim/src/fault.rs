@@ -54,9 +54,10 @@ pub struct FaultPlane {
     default_loss: f64,
     default_corruption: f64,
     link_loss: HashMap<(NodeId, NodeId), f64>,
-    /// Crash windows per node: messages to or from the node inside
-    /// `[start, end)` are dropped.
-    outages: HashMap<NodeId, Vec<(SimTime, SimTime)>>,
+    /// Crash windows per node, indexed by node id: messages to or from the
+    /// node inside `[start, end)` are dropped. Each node's windows are kept
+    /// sorted, disjoint and non-adjacent, so a lookup is one binary search.
+    outages: Vec<Vec<(SimTime, SimTime)>>,
     pub(crate) stats: FaultStats,
 }
 
@@ -68,7 +69,7 @@ impl FaultPlane {
             default_loss: 0.0,
             default_corruption: 0.0,
             link_loss: HashMap::new(),
-            outages: HashMap::new(),
+            outages: Vec::new(),
             stats: FaultStats::default(),
         }
     }
@@ -88,16 +89,34 @@ impl FaultPlane {
         self.link_loss.insert((from, to), p.clamp(0.0, 1.0));
     }
 
-    /// Registers a crash window `[from, until)` for `node`.
+    /// Registers a crash window `[from, until)` for `node`, merged with
+    /// every window it overlaps or touches. An empty window adds nothing.
     pub fn add_outage(&mut self, node: NodeId, from: SimTime, until: SimTime) {
-        self.outages.entry(node).or_default().push((from, until));
+        if from >= until {
+            return;
+        }
+        let idx = node.0 as usize;
+        if self.outages.len() <= idx {
+            self.outages.resize_with(idx + 1, Vec::new);
+        }
+        let ws = &mut self.outages[idx];
+        // The windows `[lo, hi)` overlap or touch the new one.
+        let lo = ws.partition_point(|&(_, e)| e < from);
+        let hi = ws.partition_point(|&(s, _)| s <= until);
+        let merged = ws[lo..hi]
+            .iter()
+            .fold((from, until), |(s, e), &(ws, we)| (s.min(ws), e.max(we)));
+        ws.splice(lo..hi, [merged]);
     }
 
     /// Returns whether `node` is inside a crash window at `at`.
     pub fn in_outage(&self, node: NodeId, at: SimTime) -> bool {
-        self.outages
-            .get(&node)
-            .is_some_and(|ws| ws.iter().any(|&(s, e)| at >= s && at < e))
+        let Some(ws) = self.outages.get(node.0 as usize) else {
+            return false;
+        };
+        // The first window ending after `at` is the only one that can hold it.
+        let i = ws.partition_point(|&(_, e)| e <= at);
+        ws.get(i).is_some_and(|&(s, _)| s <= at)
     }
 
     fn loss_p(&self, from: NodeId, to: NodeId) -> f64 {
@@ -192,6 +211,35 @@ mod tests {
             FaultVerdict::Outage
         );
         assert_eq!(fp.stats.outage_drops, 2);
+    }
+
+    /// Overlapping, touching, nested and out-of-order windows answer as
+    /// their union does, checked instant by instant against a linear scan of
+    /// the windows as added.
+    #[test]
+    fn outage_windows_merge_into_their_union() {
+        let added = [
+            (40, 50),
+            (10, 20),
+            (15, 30),
+            (30, 35),
+            (60, 60),
+            (42, 45),
+            (5, 6),
+        ];
+        let mut fp = FaultPlane::new(7);
+        for (from, until) in added {
+            fp.add_outage(NodeId(3), t(from), t(until));
+        }
+        let windows = [(5, 6), (10, 35), (40, 50)].map(|(s, e)| (t(s), t(e)));
+        assert_eq!(fp.outages[3], windows);
+        for ms in 0..70 {
+            let union = added.iter().any(|&(s, e)| ms >= s && ms < e);
+            assert_eq!(fp.in_outage(NodeId(3), t(ms)), union, "at {ms} ms");
+        }
+        // A node with no window, below or past the highest id, is never out.
+        assert!(!fp.in_outage(NodeId(0), t(15)));
+        assert!(!fp.in_outage(NodeId(9), t(15)));
     }
 
     #[test]

@@ -85,6 +85,9 @@ pub enum RdmaError {
     UnknownNode(NodeId),
     /// The buffer's pool is not registered with the local RNIC.
     UnregisteredMemory,
+    /// The receive buffer comes from another pool than the buffers already
+    /// posted on its shared RQ.
+    MixedRqPool,
     /// The remote key does not resolve.
     BadRKey(RKey),
     /// The referenced completion queue does not exist.
@@ -104,6 +107,7 @@ impl fmt::Display for RdmaError {
             RdmaError::QpNotReady(qp) => write!(f, "QP {qp:?} is not ready"),
             RdmaError::UnknownNode(n) => write!(f, "unknown node {n}"),
             RdmaError::UnregisteredMemory => write!(f, "memory not registered with the RNIC"),
+            RdmaError::MixedRqPool => write!(f, "receive buffer from another pool than its RQ's"),
             RdmaError::BadRKey(k) => write!(f, "bad rkey {k:?}"),
             RdmaError::UnknownCq => write!(f, "unknown completion queue"),
             RdmaError::UnknownRq => write!(f, "unknown shared receive queue"),

@@ -381,7 +381,10 @@ fn a_dropped_cluster_gives_its_memory_back() {
 /// `serve_chain`, the trace pipeline and a control plane, all dropped
 /// mid-run while the cluster still holds gateway replies. Every closure
 /// that reaches the cluster's outcome path holds it weakly, so the cluster
-/// is freed with nothing cutting a cycle by hand.
+/// is freed with nothing cutting a cycle by hand, and a closed loop's
+/// resubmit holds the gateway weakly, so the gateway is freed too: what
+/// stays allocated is what a drained run leaves behind (a few bytes of
+/// process-wide state), far under one request's worth.
 #[test]
 fn a_dropped_cluster_with_held_replies_gives_its_memory_back() {
     use ingress::{Gateway, GatewayConfig};
@@ -416,7 +419,7 @@ fn a_dropped_cluster_with_held_replies_gives_its_memory_back() {
     assert!(freed, "the cluster outlived the drop");
     let retained = live_bytes() - before;
     assert!(
-        retained < 16 * KIB,
+        retained < KIB,
         "{retained} of {held} bytes still allocated after the drop"
     );
 }
