@@ -488,7 +488,7 @@ fn ratio(num: u64, den: f64) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::super::Driver;
+    use super::super::Churn;
     use super::*;
     use simcore::Sim;
 
@@ -549,7 +549,7 @@ mod tests {
     /// at least `prewarm_claim_delay` (100 µs) later, so the simulator only
     /// holds them.
     struct Rig {
-        d: Driver,
+        d: Churn,
         sim: Sim,
         now: SimTime,
         /// Every input fed, in order, for a failure's message.
@@ -565,7 +565,7 @@ mod tests {
                 max_requests: 0,
                 ..ChurnConfig::default()
             };
-            let (d, mut sim) = (Driver::new(cfg), Sim::new());
+            let (d, mut sim) = (Churn::new(cfg), Sim::new());
             let _ = d.fabric.prewarm_link(&mut sim, GATEWAY, HOME, 1);
             sim.run();
             let now = sim.now();
@@ -607,23 +607,6 @@ mod tests {
         }
     }
 
-    /// Every order of `inputs`.
-    fn orders(inputs: &[Input]) -> Vec<Vec<Input>> {
-        if inputs.is_empty() {
-            return vec![Vec::new()];
-        }
-        let mut all = Vec::new();
-        for i in 0..inputs.len() {
-            let mut rest = inputs.to_vec();
-            let first = rest.remove(i);
-            for mut order in orders(&rest) {
-                order.insert(0, first);
-                all.push(order);
-            }
-        }
-        all
-    }
-
     /// The lone tenant's first-contact `Request`, its `Depart`, a `Reap`, a
     /// `Restock` and a window boundary at one instant, in all 120 orders.
     /// After every step no departed tenant holds a pooled connection, the
@@ -641,38 +624,38 @@ mod tests {
             Input::Restock,
             Input::Window,
         ];
-        let all = orders(&inputs);
-        assert_eq!(all.len(), 120);
         // Orders whose request lands in the first window, the second, none.
         let mut landed = [0; 3];
-        for order in all {
-            let mut rig = Rig::new();
-            for input in order {
-                rig.step(input);
-            }
-            rig.step(Input::Window);
-            let (core, order) = (rig.d.core.borrow(), &rig.order);
-            let c = &core.counts;
-            let sum = |f: fn(&ChurnWindow) -> u64| c.windows.iter().map(f).sum::<u64>();
-            let totals = [
-                c.requests,
-                c.cold_connects,
-                c.prewarm_claims,
-                core.pool.evictions(),
-                core.pool.teardowns(),
-            ];
-            let sums = [
-                sum(|w| w.requests),
-                sum(|w| w.cold_connects),
-                sum(|w| w.prewarm_claims),
-                sum(|w| w.evictions),
-                sum(|w| w.teardowns),
-            ];
-            assert_eq!(sums, totals, "windows against totals: {order:?}");
-            assert_eq!(c.prewarm_claims, c.requests, "one claim per request");
-            let first = c.windows.iter().position(|w| w.requests > 0);
-            landed[first.unwrap_or(2)] += 1;
-        }
+        let orders = simcore::explore(
+            || (Rig::new(), inputs.to_vec()),
+            |(_, left)| left.len(),
+            |(rig, left), i| rig.step(left.remove(i)),
+            |(mut rig, _)| {
+                rig.step(Input::Window);
+                let (core, order) = (rig.d.core.borrow(), &rig.order);
+                let c = &core.counts;
+                let sum = |f: fn(&ChurnWindow) -> u64| c.windows.iter().map(f).sum::<u64>();
+                let totals = [
+                    c.requests,
+                    c.cold_connects,
+                    c.prewarm_claims,
+                    core.pool.evictions(),
+                    core.pool.teardowns(),
+                ];
+                let sums = [
+                    sum(|w| w.requests),
+                    sum(|w| w.cold_connects),
+                    sum(|w| w.prewarm_claims),
+                    sum(|w| w.evictions),
+                    sum(|w| w.teardowns),
+                ];
+                assert_eq!(sums, totals, "windows against totals: {order:?}");
+                assert_eq!(c.prewarm_claims, c.requests, "one claim per request");
+                let first = c.windows.iter().position(|w| w.requests > 0);
+                landed[first.unwrap_or(2)] += 1;
+            },
+        );
+        assert_eq!(orders, 120);
         assert_eq!(landed, [40, 20, 60]);
     }
 }

@@ -36,8 +36,7 @@
 //! has been run, 10^5, and nothing is claimed about 10^6.
 //!
 //! The cell is the `core` submodule, which never sees the simulator; this
-//! module is its driver, whose `apply` is the only scheduling site (DESIGN.md
-//! §12).
+//! module is its [`Machine`] impl and [`run`] (DESIGN.md §12).
 
 mod core;
 
@@ -48,7 +47,7 @@ use membuf::tenant::TenantId;
 use rdma_sim::cost::RdmaCosts;
 use rdma_sim::fabric::{CqId, RqId};
 use rdma_sim::Fabric;
-use simcore::{Sim, SimDuration};
+use simcore::{Driver, Machine, Sim, SimDuration, SimTime, Sink};
 
 pub(crate) use self::core::RATE_PER_TENANT;
 use self::core::{Contact, Core, Input, Output, Setup, GATEWAY, NODES};
@@ -239,15 +238,15 @@ const FABRIC_TENANT: TenantId = TenantId(0);
 
 /// What an `At` points at: the cell, the fabric it runs on, and each
 /// node's `(CQ, shared RQ)` indexed by node id.
-struct Driver {
+struct Churn {
     core: RefCell<Core>,
     fabric: Fabric,
     wiring: Vec<(CqId, RqId)>,
 }
 
-impl Driver {
+impl Churn {
     /// A cell on `NODES` fresh nodes, each with one CQ and one shared RQ.
-    fn new(cfg: ChurnConfig) -> Driver {
+    fn new(cfg: ChurnConfig) -> Churn {
         let fabric = Fabric::new(RdmaCosts::default());
         let wiring = (0..NODES)
             .map(|_| {
@@ -257,7 +256,7 @@ impl Driver {
                 (cq, rq)
             })
             .collect();
-        Driver {
+        Churn {
             core: RefCell::new(Core::new(cfg, fabric.clone())),
             fabric,
             wiring,
@@ -281,48 +280,44 @@ impl Driver {
     }
 }
 
-/// Feeds `input` to the core, applying each output as it is emitted; a
-/// first contact's answer is stepped in once the step has returned.
-fn drive(d: &Rc<Driver>, sim: &mut Sim, input: Input) {
-    let now = sim.now();
-    let mut bound = None;
-    let emit = &mut |output| bound = apply(d, sim, output).or(bound);
-    d.core.borrow_mut().step(now, input, emit);
-    if let Some(bound) = bound {
-        drive(d, sim, bound);
-    }
-}
+/// `At` and `Stock` are applied as the core emits them; a `FirstContact`,
+/// always its step's last output, waits for the step to return, and the
+/// connection it got is stepped back in as `Bound`.
+impl Machine for Churn {
+    type In = Input;
+    type Out = Output;
+    type Answer = ();
 
-/// Applies one output and hands back a first contact's answer. `At` is the
-/// module's one scheduling site.
-fn apply(d: &Rc<Driver>, sim: &mut Sim, output: Output) -> Option<Input> {
-    match output {
-        Output::At(at, input) => {
-            sim.schedule_at(at, event(d.clone(), input));
-        }
-        Output::Stock { peer, n } => {
-            let _ = d.fabric.prewarm_link(sim, GATEWAY, peer, n);
-        }
-        Output::FirstContact(contact) => return Some(d.first_contact(sim, contact)),
+    fn step(&self, now: SimTime, input: Input, sink: &mut Sink<'_, Self>) {
+        self.core
+            .borrow_mut()
+            .step(now, input, &mut |o| sink.put(o));
     }
-    None
-}
 
-/// The closure an `At` schedules: one handle and one input, inline in the
-/// event slab.
-fn event(d: Rc<Driver>, input: Input) -> impl FnOnce(&mut Sim) + 'static {
-    move |sim| drive(&d, sim, input)
+    fn apply(d: &Rc<Driver<Self>>, sim: &mut Sim, output: Output) -> Result<(), Output> {
+        match output {
+            Output::At(at, input) => d.schedule(sim, at, input),
+            Output::Stock { peer, n } => {
+                let _ = d.fabric.prewarm_link(sim, GATEWAY, peer, n);
+            }
+            first_contact => return Err(first_contact),
+        }
+        Ok(())
+    }
+
+    fn settle(d: &Rc<Driver<Self>>, sim: &mut Sim, output: Output) {
+        if let Output::FirstContact(contact) = output {
+            let bound = d.first_contact(sim, contact);
+            d.drive(sim, bound);
+        }
+    }
 }
 
 /// Runs one churn cell to completion.
 pub fn run(cfg: ChurnConfig) -> ChurnReport {
-    run_on(&mut Sim::new(), cfg)
-}
-
-fn run_on(sim: &mut Sim, cfg: ChurnConfig) -> ChurnReport {
-    let d = Rc::new(Driver::new(cfg));
-    d.core.borrow_mut().start(sim.now(), &mut |output| {
-        apply(&d, sim, output);
+    let (d, mut sim) = (Driver::new(Churn::new(cfg)), Sim::new());
+    d.run(&mut sim, |churn, now, sink| {
+        churn.core.borrow_mut().start(now, &mut |o| sink.put(o));
     });
     sim.run();
     let report = d.core.borrow().report();
@@ -333,7 +328,6 @@ fn run_on(sim: &mut Sim, cfg: ChurnConfig) -> ChurnReport {
 mod tests {
     use super::core::THRASH_WINDOWS;
     use super::*;
-    use rdma_sim::NodeId;
 
     fn quick_cfg(seed: u64) -> ChurnConfig {
         ChurnConfig {
@@ -481,27 +475,5 @@ mod tests {
             r.pool_hits + r.pool_misses > (r.cold_connects + r.prewarm_claims) * 3,
             "{r:?}"
         );
-    }
-
-    /// The closure an `At` schedules stores inline in the event slab, and a
-    /// whole quick cell boxes no event.
-    #[test]
-    fn a_scheduled_input_fits_inline() {
-        fn fits<F>(_: &F) -> bool {
-            simcore::event::EventFn::fits_inline::<F>()
-        }
-        let d = Rc::new(Driver::new(quick_cfg(7)));
-        let latency = SimDuration::from_micros(3);
-        let contact = Contact {
-            t: 0,
-            home: NodeId(1),
-            latency,
-        };
-        let bound = Input::Bound(contact, None);
-        assert!(fits(&event(d, bound)));
-        let mut sim = Sim::new();
-        run_on(&mut sim, quick_cfg(7));
-        assert!(sim.profile().executed_events > 1_000);
-        assert_eq!(sim.profile().boxed_events, 0);
     }
 }

@@ -1080,17 +1080,19 @@ mod tests {
             Hearsay,
             Expired,
         }
-        let mut orders = BTreeSet::new();
-        for code in 0..24 {
-            let mut left = vec![End::Completes, End::Credible, End::Hearsay, End::Expired];
-            let (mut order, mut c) = (Vec::new(), code);
-            for k in (1..=4).rev() {
-                order.push(left.remove(c % k));
-                c /= k;
-            }
+        /// One held request, the ends not taken yet, and the order so far.
+        struct World {
+            sim: Sim,
+            cluster: Rc<Cluster>,
+            control: ControlPlane,
+            answers: Rc<RefCell<Vec<Result<usize, DeliveryFailed>>>>,
+            left: Vec<End>,
+            order: Vec<End>,
+        }
+        let tenant = TenantId(1);
+        let fresh = || {
             let mut sim = Sim::new();
             let mut cluster = Cluster::new(&mut sim, ClusterConfig::default());
-            let tenant = TenantId(1);
             cluster.add_tenant(&mut sim, tenant, 1).unwrap();
             cluster.place(1, 0);
             cluster.place(2, 1);
@@ -1100,9 +1102,9 @@ mod tests {
             let until = sim.now() + SimDuration::from_millis(50);
             let control = ControlPlane::start(&mut sim, &cluster, until, None);
             // Node 1's machine is dark: what it reports is no evidence.
-            let (up, dark) = (cluster.nodes[0].id, cluster.nodes[1].id);
             let plane = rdma_sim::FaultPlane::new(1);
             cluster.fabric.install_fault_plane(plane);
+            let dark = cluster.nodes[1].id;
             cluster.fabric.schedule_node_outage(dark, sim.now(), until);
             let answers = Rc::new(RefCell::new(Vec::new()));
             let sink = answers.clone();
@@ -1116,6 +1118,22 @@ mod tests {
             };
             door(&mut sim, ctx, reply);
             assert_eq!(cluster.pending_replies(), 1);
+            let left = vec![End::Completes, End::Credible, End::Hearsay, End::Expired];
+            let order = Vec::new();
+            World {
+                sim,
+                cluster,
+                control,
+                answers,
+                left,
+                order,
+            }
+        };
+        let act = |w: &mut World, i| {
+            let end = w.left.remove(i);
+            w.order.push(end);
+            let (sim, cluster, order) = (&mut w.sim, &w.cluster, &w.order);
+            let (up, dark) = (cluster.nodes[0].id, cluster.nodes[1].id);
             let failure = |target, reason| DeliveryFailure {
                 tenant,
                 dst_fn: 2,
@@ -1126,35 +1144,38 @@ mod tests {
             };
             let budget = FailureReason::RetryBudgetExhausted;
             let expired = FailureReason::DeadlineExceeded;
-            for &end in &order {
-                match end {
-                    End::Completes => {
-                        let hub = Rc::downgrade(&cluster.hub);
-                        Hub::leave(&hub, &mut sim, 7, Outcome::Completed(&Done::Door(256)));
-                    }
-                    End::Credible => cluster.nodes[0]
-                        .dne
-                        .report_failure(&mut sim, failure(dark, budget)),
-                    End::Hearsay => cluster.nodes[1]
-                        .dne
-                        .report_failure(&mut sim, failure(up, budget)),
-                    End::Expired => cluster.nodes[0]
-                        .dne
-                        .report_failure(&mut sim, failure(dark, expired)),
+            match end {
+                End::Completes => {
+                    let hub = Rc::downgrade(&cluster.hub);
+                    Hub::leave(&hub, sim, 7, Outcome::Completed(&Done::Door(256)));
                 }
-                let first = match order[0] {
-                    End::Completes => Ok(256),
-                    _ => Err(DeliveryFailed),
-                };
-                assert_eq!(*answers.borrow(), [first], "{order:?}");
-                assert_eq!(cluster.pending_replies(), 0, "{order:?}");
+                End::Credible => cluster.nodes[0]
+                    .dne
+                    .report_failure(sim, failure(dark, budget)),
+                End::Hearsay => cluster.nodes[1]
+                    .dne
+                    .report_failure(sim, failure(up, budget)),
+                End::Expired => cluster.nodes[0]
+                    .dne
+                    .report_failure(sim, failure(dark, expired)),
             }
-            let health = control.health_events();
+            let first = match order[0] {
+                End::Completes => Ok(256),
+                _ => Err(DeliveryFailed),
+            };
+            assert_eq!(*w.answers.borrow(), [first], "{order:?}");
+            assert_eq!(cluster.pending_replies(), 0, "{order:?}");
+        };
+        let mut orders = BTreeSet::new();
+        let end = |w: World| {
+            let (health, order) = (w.control.health_events(), w.order);
             let blamed: Vec<_> = health.iter().map(|e| (e.node, e.from, e.to)).collect();
+            let dark = w.cluster.nodes[1].id;
             let suspect = (dark, NodeState::Healthy, NodeState::Suspect);
             assert_eq!(blamed, [suspect], "{order:?}");
             orders.insert(order);
-        }
+        };
+        assert_eq!(simcore::explore(fresh, |w| w.left.len(), act, end), 24);
         assert_eq!(orders.len(), 24);
     }
 

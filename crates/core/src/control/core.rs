@@ -1162,38 +1162,6 @@ mod tests {
         }
     }
 
-    /// Visits every order of the world's pending actions depth first,
-    /// replaying each order from a fresh world. Returns how many orders it
-    /// visited.
-    fn explore(case: Case, seen: &mut Vec<&'static str>) -> usize {
-        // (choice, number of choices) at each depth of the current order.
-        let mut path: Vec<(usize, usize)> = Vec::new();
-        let mut orders = 0;
-        loop {
-            let mut world = World::new(case);
-            let mut depth = 0;
-            while !world.pending.is_empty() {
-                if depth == path.len() {
-                    path.push((0, world.pending.len()));
-                }
-                assert_eq!(path[depth].1, world.pending.len(), "replay diverged");
-                world.act(path[depth].0);
-                depth += 1;
-            }
-            world.check_end(seen);
-            orders += 1;
-            while let Some((choice, of)) = path.pop() {
-                if choice + 1 < of {
-                    path.push((choice + 1, of));
-                    break;
-                }
-            }
-            if path.is_empty() {
-                return orders;
-            }
-        }
-    }
-
     /// The control core in every order of its pending inputs, with each `At`
     /// a pending input that may fire at any later point: a wave to v2 across
     /// three nodes while three failures are blamed on node 1 and one probe
@@ -1217,7 +1185,15 @@ mod tests {
             Case::DecommissionInWave,
             Case::Hearsay,
         ];
-        let orders = cases.map(|case| explore(case, &mut seen));
+        let orders = cases.map(|case| {
+            let fresh = || World::new(case);
+            simcore::explore(
+                fresh,
+                |w| w.pending.len(),
+                World::act,
+                |w| w.check_end(&mut seen),
+            )
+        });
         assert_eq!(orders, [8008, 120, 283, 120]);
         seen.sort_unstable();
         let endings = [

@@ -13,9 +13,8 @@
 //! skew rides the wire safely.
 //!
 //! The state machine is the `core` submodule, which never sees the
-//! simulator; this module is its driver: [`ControlPlane`], one handle, and
-//! one `drive` whose `apply` is the module's only scheduling site
-//! (DESIGN.md §12).
+//! simulator; this module is [`ControlPlane`], one handle over it, and its
+//! [`Machine`] impl (DESIGN.md §12).
 
 mod core;
 
@@ -25,7 +24,7 @@ use std::rc::{Rc, Weak};
 use dne::types::DeliveryFailure;
 use ingress::Gateway;
 use rdma_sim::NodeId;
-use simcore::{Sim, SimTime};
+use simcore::{Driver, Machine, Sim, SimTime, Sink};
 
 use self::core::{Core, Host, Input, Moved, Output};
 pub use self::core::{FleetCounters, FleetEvent, HealthEvent, NodeLifecycle, NodeState};
@@ -35,7 +34,7 @@ use crate::cluster::Cluster;
 /// steers and the gateway its capacity feeds. The cluster is held weakly:
 /// the cluster holds the control plane, so a strong reference back would
 /// keep both alive for good.
-struct Driver {
+struct Plane {
     core: RefCell<Core>,
     cluster: Weak<Cluster>,
     gateway: Option<Gateway>,
@@ -55,59 +54,59 @@ impl Host for Cluster {
     }
 }
 
-/// Feeds `input` to the core, applying each output as it is emitted. Once
-/// the cluster is gone there is nothing left to steer: the input is dropped.
-fn drive(d: &Rc<Driver>, sim: &mut Sim, input: Input) {
-    let Some(cluster) = d.cluster.upgrade() else {
-        return;
-    };
-    let now = sim.now();
-    let emit = &mut |output| apply(d, &cluster, sim, output);
-    d.core.borrow_mut().step(now, input, &*cluster, emit);
-}
+/// Every output is applied as the core emits it, and a `FailOver` or
+/// `Restore` answers with what it moved: none of them calls back into the
+/// control plane, so nothing waits for the step to return.
+impl Machine for Plane {
+    type In = Input;
+    type Out = Output;
+    type Answer = Moved;
 
-/// Applies one output as the core emits it and hands back what a
-/// `FailOver` or `Restore` moved. None of them calls back into the control
-/// plane, so no output waits for the step to return. `At` is the module's
-/// one scheduling site.
-fn apply(d: &Rc<Driver>, cluster: &Cluster, sim: &mut Sim, output: Output) -> Moved {
-    match output {
-        Output::At(at, input) => {
-            sim.schedule_at(at, event(d.clone(), input));
-        }
-        Output::FailOver(idx) => {
-            let outcome = cluster.fail_over_node(idx);
-            let (keys, stranded) = (outcome.switched, outcome.stranded);
-            return Moved { keys, stranded };
-        }
-        Output::Restore(idx) => {
-            let keys = cluster.restore_node(idx);
-            return Moved {
-                keys,
-                stranded: Vec::new(),
-            };
-        }
-        Output::WireVersion(idx, version) => cluster.set_node_wire_version(idx, version),
-        Output::Capacity(factor) => {
-            if let Some(gw) = &d.gateway {
-                gw.set_capacity_factor(factor);
-            }
+    /// Once the cluster is gone there is nothing left to steer: the input
+    /// is dropped.
+    fn step(&self, now: SimTime, input: Input, sink: &mut Sink<'_, Self>) {
+        if let Some(cluster) = self.cluster.upgrade() {
+            let out = &mut |output| sink.put(output);
+            self.core.borrow_mut().step(now, input, &*cluster, out);
         }
     }
-    Moved::default()
-}
 
-/// The closure an `At` schedules: one handle and one input, inline in the
-/// event slab.
-fn event(d: Rc<Driver>, input: Input) -> impl FnOnce(&mut Sim) + 'static {
-    move |sim| drive(&d, sim, input)
+    fn apply(d: &Rc<Driver<Self>>, sim: &mut Sim, output: Output) -> Result<Moved, Output> {
+        // The step that emitted the output holds the cluster.
+        let Some(cluster) = d.cluster.upgrade() else {
+            return Ok(Moved::default());
+        };
+        match output {
+            Output::At(at, input) => d.schedule(sim, at, input),
+            Output::FailOver(idx) => {
+                let outcome = cluster.fail_over_node(idx);
+                let (keys, stranded) = (outcome.switched, outcome.stranded);
+                return Ok(Moved { keys, stranded });
+            }
+            Output::Restore(idx) => {
+                let keys = cluster.restore_node(idx);
+                let stranded = Vec::new();
+                return Ok(Moved { keys, stranded });
+            }
+            Output::WireVersion(idx, version) => cluster.set_node_wire_version(idx, version),
+            Output::Capacity(factor) => {
+                if let Some(gw) = &d.gateway {
+                    gw.set_capacity_factor(factor);
+                }
+            }
+        }
+        Ok(Moved::default())
+    }
+
+    /// Never called: `apply` hands nothing back.
+    fn settle(_: &Rc<Driver<Self>>, _: &mut Sim, _: Output) {}
 }
 
 /// The cluster's control plane: health, failover and the fleet lifecycle
 /// behind one handle. Cheap to clone (one shared driver).
 #[derive(Clone)]
 pub struct ControlPlane {
-    inner: Rc<Driver>,
+    inner: Rc<Driver<Plane>>,
 }
 
 impl ControlPlane {
@@ -127,31 +126,32 @@ impl ControlPlane {
         gateway: Option<&Gateway>,
     ) -> ControlPlane {
         let nodes = cluster.nodes.iter().map(|n| n.id);
-        let inner = Rc::new(Driver {
+        let inner = Driver::new(Plane {
             core: RefCell::new(Core::new(nodes, cluster.tracer(), until)),
             cluster: Rc::downgrade(cluster),
             gateway: gateway.cloned(),
         });
         let control = ControlPlane { inner };
         cluster.set_control_plane(control.clone());
-        let d = &control.inner;
-        let now = sim.now();
-        d.core
-            .borrow()
-            .start(now, &mut |output| apply(d, cluster, sim, output));
+        control.inner.run(sim, |plane, now, sink| {
+            plane
+                .core
+                .borrow()
+                .start(now, &mut |output| sink.put(output));
+        });
         control
     }
 
     /// A failure engine `reporter` gave up on; the core judges its credibility.
     pub(crate) fn failed(&self, sim: &mut Sim, reporter: NodeId, failure: DeliveryFailure) {
         let input = Input::Failed(reporter, failure.dst_node, failure.reason);
-        drive(&self.inner, sim, input);
+        self.inner.drive(sim, input);
     }
 
     /// `n` tenants are burn-alerting after a completion (the cluster's
     /// outcome path, with the trace pipeline's burn monitor on).
     pub(crate) fn alerting(&self, sim: &mut Sim, n: usize) {
-        drive(&self.inner, sim, Input::Alerting(n));
+        self.inner.drive(sim, Input::Alerting(n));
     }
 
     /// Upgrades node `idx` to CTX wire `target`: drain, restart for 500 µs
@@ -161,20 +161,20 @@ impl ControlPlane {
     /// restores them once the machine is truly back (at its new version
     /// either way).
     pub fn upgrade_node(&self, sim: &mut Sim, idx: usize, target: u8) {
-        drive(&self.inner, sim, Input::Upgrade(idx, target));
+        self.inner.drive(sim, Input::Upgrade(idx, target));
     }
 
     /// Rotates node `idx` out of the fleet: drain, then leave its routes on
     /// backups. It counts against capacity until provisioned. Refused
     /// unless the node is in service.
     pub fn decommission(&self, sim: &mut Sim, idx: usize) {
-        drive(&self.inner, sim, Input::Decommission(idx));
+        self.inner.drive(sim, Input::Decommission(idx));
     }
 
     /// Brings a decommissioned node back into service: its routes come home
     /// and it is healthy again. Refused unless the node is decommissioned.
     pub fn provision(&self, sim: &mut Sim, idx: usize) {
-        drive(&self.inner, sim, Input::Provision(idx));
+        self.inner.drive(sim, Input::Provision(idx));
     }
 
     /// Starts a rolling upgrade wave to CTX wire `target`: every in-service
@@ -183,7 +183,7 @@ impl ControlPlane {
     /// leaves service before its turn is skipped. The wave never has two
     /// nodes out of service. No-op while a wave runs.
     pub fn start_upgrade_wave(&self, sim: &mut Sim, target: u8) {
-        drive(&self.inner, sim, Input::StartWave(target));
+        self.inner.drive(sim, Input::StartWave(target));
     }
 
     /// Health state of `node` (`None` if the cluster has no such node).
@@ -353,16 +353,5 @@ mod tests {
         assert_eq!(control.counters(), counters);
         assert_eq!(control.lifecycle_of(1), Some(NodeLifecycle::Decommissioned));
         assert_eq!(cluster.nodes[1].dne.wire_version(), obs::CTX_V1);
-    }
-
-    /// The closure an `At` schedules stores inline in the event slab.
-    #[test]
-    fn a_scheduled_input_fits_inline() {
-        fn fits<F>(_: &F) -> bool {
-            simcore::event::EventFn::fits_inline::<F>()
-        }
-        let (_sim, _cluster, control) = harness();
-        let input = Input::Upgrade(1, obs::CTX_V2);
-        assert!(fits(&event(control.inner.clone(), input)));
     }
 }

@@ -123,10 +123,6 @@ pub(crate) enum Input {
     Report(DeliveryFailure),
 }
 
-// A scheduled input rides in an event closure next to one `Rc`; past
-// `simcore::event::INLINE_BYTES` every engine event would be boxed.
-const _: () = assert!(std::mem::size_of::<Input>() + 8 <= simcore::event::INLINE_BYTES);
-
 /// Something the engine wants done; the driver applies these in order.
 pub(crate) enum Effect {
     /// Post `buf` on `qp` now.
@@ -1508,40 +1504,27 @@ mod tests {
             NodeMarkedDown,
         }
         use Event::*;
-        fn permutations(rest: &mut Vec<Event>, prefix: &mut Vec<Event>, all: &mut Vec<Vec<Event>>) {
-            if rest.is_empty() {
-                return all.push(prefix.clone());
-            }
-            for i in 0..rest.len() {
-                let e = rest.remove(i);
-                prefix.push(e);
-                permutations(rest, prefix, all);
-                prefix.pop();
-                rest.insert(i, e);
-            }
+        /// A parked send, the events not fed yet, and what the fed ones did.
+        struct World {
+            rig: Rig,
+            now: SimTime,
+            spare: (QpHandle, QpHandle),
+            left: Vec<Event>,
+            order: Vec<Event>,
+            endings: Vec<Effect>,
         }
-        let mut orders = Vec::new();
-        let mut events = vec![
-            TimerFires,
-            ReconnectUp,
-            ReconnectFails,
-            DeadlinePasses,
-            NodeMarkedDown,
-        ];
-        permutations(&mut events, &mut Vec::new(), &mut orders);
-        assert_eq!(orders.len(), 120);
-
         let deadline = T0 + SimDuration::from_millis(50);
         let (mut posted, mut failed) = (0, 0);
         for stale in [false, true] {
-            for order in &orders {
+            let case = if stale { "re-parked" } else { "parked" };
+            let fresh = || {
                 let mut rig = Rig::new(DneConfig::nadino_dne());
                 assert_eq!(
                     park_one(&mut rig, Some(deadline)),
                     ["At +1x RetryTimer id=0"]
                 );
                 rig.kill_pool();
-                let mut now = T0 + SimDuration::from_millis(1);
+                let now = T0 + SimDuration::from_millis(1);
                 let mut spare = rig.spares[0];
                 if stale {
                     rig.core.fabric.inject_qp_error(spare.0).unwrap();
@@ -1557,41 +1540,62 @@ mod tests {
                     assert_eq!(rig.core.retries.len(), 1, "re-parked");
                     spare = rig.spares[1];
                 }
-                let mut endings = Vec::new();
-                for event in order {
-                    let (tenant, peer) = (TENANT, rig.b);
-                    let effects = match event {
-                        TimerFires => rig.run(now, Input::RetryTimer(0)),
-                        ReconnectUp => rig.reconnect_up(now, spare),
-                        ReconnectFails => rig.run(now, Input::ReconnectFailed { tenant, peer }),
-                        DeadlinePasses => {
-                            now = deadline + SimDuration::from_nanos(1);
-                            Vec::new()
-                        }
-                        NodeMarkedDown => {
-                            rig.core.routing.fail_over(peer);
-                            Vec::new()
-                        }
-                    };
-                    if stale && *event == TimerFires {
-                        let fired = brief(now, &effects);
-                        assert!(fired.is_empty(), "{order:?}: stale timer did {fired:?}");
-                    }
-                    let ends = |e: &Effect| matches!(e, Effect::PostSend { .. } | Effect::Fail(_));
-                    endings.extend(effects.into_iter().filter(ends));
+                let left = vec![
+                    TimerFires,
+                    ReconnectUp,
+                    ReconnectFails,
+                    DeadlinePasses,
+                    NodeMarkedDown,
+                ];
+                let (order, endings) = (Vec::new(), Vec::new());
+                World {
+                    rig,
+                    now,
+                    spare,
+                    left,
+                    order,
+                    endings,
                 }
-                let case = if stale { "re-parked" } else { "parked" };
+            };
+            let act = |w: &mut World, i| {
+                let event = w.left.remove(i);
+                w.order.push(event);
+                let (tenant, peer, now) = (TENANT, w.rig.b, w.now);
+                let rig = &mut w.rig;
+                let effects = match event {
+                    TimerFires => rig.run(now, Input::RetryTimer(0)),
+                    ReconnectUp => rig.reconnect_up(now, w.spare),
+                    ReconnectFails => rig.run(now, Input::ReconnectFailed { tenant, peer }),
+                    DeadlinePasses => {
+                        w.now = deadline + SimDuration::from_nanos(1);
+                        Vec::new()
+                    }
+                    NodeMarkedDown => {
+                        rig.core.routing.fail_over(peer);
+                        Vec::new()
+                    }
+                };
+                if stale && event == TimerFires {
+                    let fired = brief(w.now, &effects);
+                    let order = &w.order;
+                    assert!(fired.is_empty(), "{order:?}: stale timer did {fired:?}");
+                }
+                let ends = |e: &Effect| matches!(e, Effect::PostSend { .. } | Effect::Fail(_));
+                w.endings.extend(effects.into_iter().filter(ends));
+            };
+            let end = |mut w: World| {
+                let (rig, now, order) = (&mut w.rig, w.now, &w.order);
                 assert_eq!(
-                    endings.len(),
+                    w.endings.len(),
                     1,
                     "{case} {order:?}: {:?}",
-                    brief(now, &endings)
+                    brief(now, &w.endings)
                 );
                 assert!(
                     rig.core.retries.is_empty(),
                     "{case} {order:?}: still parked"
                 );
-                match endings.pop() {
+                match w.endings.pop() {
                     Some(post @ Effect::PostSend { .. }) => {
                         posted += 1;
                         let out = rig.buffers_out();
@@ -1604,7 +1608,9 @@ mod tests {
                 let out = rig.buffers_out();
                 assert_eq!(out, 0, "{case} {order:?}: buffer not back in its pool");
                 assert!(rig.core.posted.is_empty(), "{case} {order:?}");
-            }
+            };
+            let orders = simcore::explore(fresh, |w| w.left.len(), act, end);
+            assert_eq!(orders, 120);
         }
         assert!(posted > 0 && failed > 0, "both endings are exercised");
     }

@@ -1,17 +1,16 @@
-//! The engine's public handle and the driver behind it.
+//! The engine's public handle and its machine.
 //!
 //! One [`Dne`] runs per worker node. Everything it decides is decided by
 //! the state machine in `crate::core`, which never sees the simulator;
 //! this module is the thin shell around it. [`Dne`]'s methods are the
 //! control plane (tenants, routes, endpoints, wire versions, counters) and
-//! `drive` is the data plane's only door to the outside: it feeds one
-//! input to `Core::step` under a single borrow and applies the effects in
-//! emission order — the one place in the crate that schedules an event,
-//! posts to the RNIC, connects, calls an endpoint or the failure handler,
-//! or talks to another node's engine. Effects that touch only the
-//! simulator's queue or the RNIC are applied as the step emits them; from
-//! the first that needs the core or can call back into an engine on, the
-//! rest wait until the step has returned and its borrow is dropped.
+//! the engine's [`Machine`] impl is the data plane's only door to the
+//! outside: the one place in the crate that schedules an event, posts to
+//! the RNIC, connects, calls an endpoint or the failure handler, or talks
+//! to another node's engine. Effects that touch only the simulator's queue
+//! or the RNIC are applied as the step emits them; from the first that
+//! needs the core or can call back into an engine on, the rest wait until
+//! the step has returned and its borrow is dropped.
 //!
 //! The engine is processor-agnostic: configured with
 //! [`ProcessorKind::DpuArm`] and Comch IPC it is NADINO (DNE); with
@@ -33,7 +32,7 @@ use membuf::tenant::TenantId;
 use obs::Tracer;
 use rdma_sim::fabric::{CqId, RqId};
 use rdma_sim::{Fabric, NodeId, RdmaError};
-use simcore::{Sim, SimTime};
+use simcore::{Driver, Machine, Sim, SimTime, Sink};
 
 use crate::core::{Core, Effect, Input};
 use crate::types::{DeliveryFailure, DneConfig, DneStats, IpcCosts};
@@ -95,14 +94,10 @@ struct Engine {
     node: NodeId,
     cq: CqId,
     fabric: Fabric,
-    /// Buffers for the effects [`drive`] defers, one per nesting level (a
-    /// failure handler can drive the engine again), reused so recovery
-    /// allocates nothing in the steady state.
-    spare: RefCell<Vec<Vec<Effect>>>,
     failure_handler: RefCell<Option<DeliveryFailureHandler>>,
     /// The engines `connect_pair` wired this one to: where `PeerConnAdded`
     /// is delivered.
-    peers: RefCell<HashMap<NodeId, Weak<Engine>>>,
+    peers: RefCell<HashMap<NodeId, Weak<Driver<Engine>>>>,
 }
 
 impl Engine {
@@ -116,7 +111,7 @@ impl Engine {
 
     /// Records how to reach `peer`'s engine for `tenant`, so a pool that
     /// later runs dry (every QP errored) can reconnect in the background.
-    fn link_peer(&self, tenant: TenantId, peer: &Rc<Engine>, peer_rq: RqId) {
+    fn link_peer(&self, tenant: TenantId, peer: &Rc<Driver<Engine>>, peer_rq: RqId) {
         self.borrow_mut()
             .link_peer(tenant, peer.node, peer.cq, peer_rq);
         self.peers
@@ -125,90 +120,68 @@ impl Engine {
     }
 }
 
-/// Feeds `input` to the engine's state machine and applies what it asks
-/// for, in the order it asked: each effect [`apply`] can do while the step
-/// holds the core as it is emitted, and from the first one it hands back
-/// on, the rest of the step once the borrow is dropped.
-fn drive(rc: &Rc<Engine>, sim: &mut Sim, input: Input) {
-    let now = sim.now();
-    let mut deferred: Option<Vec<Effect>> = None;
-    rc.borrow_mut()
-        .step(now, input, &mut |effect| match &mut deferred {
-            Some(later) => later.push(effect),
-            None => {
-                if let Some(effect) = apply(rc, sim, effect) {
-                    let mut later = rc.spare.borrow_mut().pop().unwrap_or_default();
-                    later.push(effect);
-                    deferred = Some(later);
+impl Machine for Engine {
+    type In = Input;
+    type Out = Effect;
+    type Answer = ();
+
+    fn step(&self, now: SimTime, input: Input, sink: &mut Sink<'_, Self>) {
+        self.borrow_mut()
+            .step(now, input, &mut |effect| sink.put(effect));
+    }
+
+    /// Applies an effect that touches only the simulator's queue or the
+    /// RNIC: the one place in the crate that posts a send. Hands back an
+    /// effect that needs the core or can call back into an engine, and
+    /// turns a post the RNIC refuses (it recycled the buffer) into
+    /// `Then(PostFailed)`.
+    fn apply(rc: &Rc<Driver<Self>>, sim: &mut Sim, effect: Effect) -> Result<(), Effect> {
+        match effect {
+            Effect::At(at, input) => rc.schedule(sim, at, input),
+            Effect::PostSend { qp, wr, buf, imm } => {
+                if rc.fabric.post_send(sim, qp, wr, buf, imm).is_err() {
+                    return Err(Effect::Then(Input::PostFailed(wr)));
                 }
             }
-        });
-    if let Some(mut later) = deferred {
-        for effect in later.drain(..) {
-            settle(rc, sim, effect);
+            reentrant => return Err(reentrant),
         }
-        rc.spare.borrow_mut().push(later);
+        Ok(())
     }
-}
 
-/// Applies an effect that touches only the simulator's queue or the RNIC:
-/// the one place in the crate that schedules an event or posts a send.
-/// Hands back an effect that needs the core or can call back into an
-/// engine, and turns a post the RNIC refuses (it recycled the buffer) into
-/// `Then(PostFailed)`.
-fn apply(rc: &Rc<Engine>, sim: &mut Sim, effect: Effect) -> Option<Effect> {
-    match effect {
-        Effect::At(at, input) => {
-            sim.schedule_at(at, event(rc.clone(), input));
-        }
-        Effect::PostSend { qp, wr, buf, imm } => {
-            if rc.fabric.post_send(sim, qp, wr, buf, imm).is_err() {
-                return Some(Effect::Then(Input::PostFailed(wr)));
+    fn settle(rc: &Rc<Driver<Self>>, sim: &mut Sim, effect: Effect) {
+        match effect {
+            Effect::Connect {
+                tenant,
+                peer,
+                rq,
+                peer_cq,
+                peer_rq,
+            } => reconnect(rc, sim, tenant, peer, (rq, peer_cq, peer_rq)),
+            Effect::PeerConnAdded {
+                peer,
+                tenant,
+                handle,
+            } => {
+                let engine = rc.peers.borrow().get(&peer).and_then(Weak::upgrade);
+                if let Some(engine) = engine {
+                    let peer = rc.node;
+                    let announce = Input::PeerConn {
+                        tenant,
+                        peer,
+                        handle,
+                    };
+                    engine.drive(sim, announce);
+                }
             }
-        }
-        reentrant => return Some(reentrant),
-    }
-    None
-}
-
-/// Applies any effect while no step holds the core.
-fn settle(rc: &Rc<Engine>, sim: &mut Sim, effect: Effect) {
-    match effect {
-        Effect::Connect {
-            tenant,
-            peer,
-            rq,
-            peer_cq,
-            peer_rq,
-        } => reconnect(rc, sim, tenant, peer, (rq, peer_cq, peer_rq)),
-        Effect::PeerConnAdded {
-            peer,
-            tenant,
-            handle,
-        } => {
-            let engine = rc.peers.borrow().get(&peer).and_then(Weak::upgrade);
-            if let Some(engine) = engine {
-                let peer = rc.node;
-                let announce = Input::PeerConn {
-                    tenant,
-                    peer,
-                    handle,
-                };
-                drive(&engine, sim, announce);
+            Effect::Call(ep, desc) => ep(sim, desc),
+            Effect::Fail(failure) => {
+                let handler = rc.failure_handler.borrow().clone();
+                if let Some(h) = handler {
+                    h(sim, failure);
+                }
             }
-        }
-        Effect::Call(ep, desc) => ep(sim, desc),
-        Effect::Fail(failure) => {
-            let handler = rc.failure_handler.borrow().clone();
-            if let Some(h) = handler {
-                h(sim, failure);
-            }
-        }
-        Effect::Then(input) => drive(rc, sim, input),
-        simple => {
-            if let Some(refused) = apply(rc, sim, simple) {
-                settle(rc, sim, refused);
-            }
+            Effect::Then(input) => rc.drive(sim, input),
+            Effect::At(..) | Effect::PostSend { .. } => {}
         }
     }
 }
@@ -218,7 +191,7 @@ fn settle(rc: &Rc<Engine>, sim: &mut Sim, effect: Effect) {
 /// went.
 #[cold]
 fn reconnect(
-    rc: &Rc<Engine>,
+    rc: &Rc<Driver<Engine>>,
     sim: &mut Sim,
     tenant: TenantId,
     peer: NodeId,
@@ -234,12 +207,7 @@ fn reconnect(
         },
         Err(_) => Input::ReconnectFailed { tenant, peer },
     };
-    drive(rc, sim, answer);
-}
-
-/// The simulator event that feeds `input` to the engine.
-fn event(rc: Rc<Engine>, input: Input) -> impl FnOnce(&mut Sim) + 'static {
-    move |sim| drive(&rc, sim, input)
+    rc.drive(sim, answer);
 }
 
 /// A node's network engine instance.
@@ -247,19 +215,18 @@ fn event(rc: Rc<Engine>, input: Input) -> impl FnOnce(&mut Sim) + 'static {
 /// Cloning clones a handle to the same engine.
 #[derive(Clone)]
 pub struct Dne {
-    inner: Rc<Engine>,
+    inner: Rc<Driver<Engine>>,
 }
 
 impl Dne {
     /// Creates an engine on `node`, wiring its shared CQ into the fabric.
     pub fn new(fabric: Fabric, node: NodeId, cfg: DneConfig) -> Result<Dne, DneError> {
         let cq = fabric.create_cq(node)?;
-        let inner = Rc::new(Engine {
+        let inner = Driver::new(Engine {
             core: RefCell::new(Core::new(fabric.clone(), node, cq, cfg)),
             node,
             cq,
             fabric: fabric.clone(),
-            spare: RefCell::default(),
             failure_handler: RefCell::default(),
             peers: RefCell::default(),
         });
@@ -269,7 +236,7 @@ impl Dne {
             Rc::new(move |sim| {
                 // A busy engine polls the CQ itself when it retires an item.
                 if let Some(rc) = weak.upgrade().filter(|rc| rc.borrow().has_idle_core()) {
-                    drive(&rc, sim, Input::Wake);
+                    rc.drive(sim, Input::Wake);
                 }
             }),
         )?;
@@ -422,7 +389,7 @@ impl Dne {
     /// inter-node path). The descriptor crosses the IPC boundary with the
     /// configured one-way latency before entering the TX scheduler.
     pub fn submit(&self, sim: &mut Sim, tenant: TenantId, desc: BufferDesc) {
-        drive(&self.inner, sim, Input::Submit { tenant, desc });
+        self.inner.drive(sim, Input::Submit { tenant, desc });
     }
 
     /// Installs the callback invoked when a send exhausts its recovery
@@ -437,7 +404,7 @@ impl Dne {
     /// deadline — reaches the same upstream sink. Deadline cancellations
     /// are folded into the engine's deadline accounting.
     pub fn report_failure(&self, sim: &mut Sim, failure: DeliveryFailure) {
-        drive(&self.inner, sim, Input::Report(failure));
+        self.inner.drive(sim, Input::Report(failure));
     }
 
     /// Returns a snapshot of the engine's statistics.
@@ -914,31 +881,6 @@ mod tests {
             (pool.free, pool.in_flight),
             (env.pool_a.capacity() - prepost, 0)
         );
-    }
-
-    /// The one closure the driver schedules stores inline in the event
-    /// slab; one that spilled would box every engine event. The on-path hop
-    /// schedules each input the data path feeds back: `Crossed`, `Done`,
-    /// the staged `Post` and `Deliver`.
-    #[test]
-    fn a_scheduled_input_fits_inline() {
-        fn fits<F>(_: &F) -> bool {
-            simcore::event::EventFn::fits_inline::<F>()
-        }
-        let mut env = setup(DneConfig::on_path_dne());
-        assert!(fits(&event(env.dne_a.inner.clone(), Input::Wake)));
-        let pool_b = env.pool_b.clone();
-        env.dne_b.register_endpoint(
-            2,
-            Rc::new(move |_sim, desc| {
-                let _ = pool_b.redeem(desc).expect("valid descriptor");
-            }),
-        );
-        let buf = env.pool_a.get().unwrap();
-        env.dne_a.submit(&mut env.sim, env.tenant, buf.into_desc(2));
-        env.sim.run();
-        assert_eq!(env.dne_b.stats().rx_delivered, 1);
-        assert_eq!(env.sim.profile().boxed_events, 0);
     }
 
     #[test]

@@ -552,38 +552,6 @@ mod tests {
         }
     }
 
-    /// Visits every order of the world's pending actions depth first,
-    /// replaying each order from a fresh world. Returns how many orders it
-    /// visited.
-    fn explore(case: Case, seen: &mut Vec<&'static str>) -> usize {
-        // (choice, number of choices) at each depth of the current order.
-        let mut path: Vec<(usize, usize)> = Vec::new();
-        let mut orders = 0;
-        loop {
-            let mut world = World::new(case);
-            let mut depth = 0;
-            while !world.pending.is_empty() {
-                if depth == path.len() {
-                    path.push((0, world.pending.len()));
-                }
-                assert_eq!(path[depth].1, world.pending.len(), "replay diverged");
-                world.act(path[depth].0);
-                depth += 1;
-            }
-            world.check_end(seen);
-            orders += 1;
-            while let Some((choice, of)) = path.pop() {
-                if choice + 1 < of {
-                    path.push((choice + 1, of));
-                    break;
-                }
-            }
-            if path.is_empty() {
-                return orders;
-            }
-        }
-    }
-
     /// Two arrivals through the gateway core in every order of its pending
     /// inputs, with the upstream modelled as "an `Upstream` becomes a
     /// `Replied(Ok | Err(DeliveryFailed))` at any later point": a deadline
@@ -599,7 +567,15 @@ mod tests {
     fn every_order_of_two_arrivals_answers_each_once() {
         let mut seen = Vec::new();
         let cases = [Case::Deadline, Case::Evaluate, Case::Backlog, Case::Shed];
-        let orders = cases.map(|case| explore(case, &mut seen));
+        let orders = cases.map(|case| {
+            let fresh = || World::new(case);
+            simcore::explore(
+                fresh,
+                |w| w.pending.len(),
+                World::act,
+                |w| w.check_end(&mut seen),
+            )
+        });
         assert_eq!(orders, [1988, 2520, 96, 16]);
         seen.sort_unstable();
         let outcomes = [

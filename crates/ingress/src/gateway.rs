@@ -1,12 +1,12 @@
 //! The master/worker gateway model in the discrete-event simulation: the
-//! public handle and its driver.
+//! public handle and its machine.
 //!
 //! A [`Gateway`] owns a set of worker processes (one pinned core each,
 //! modelled as [`simcore::Server`]s), an RSS stage mapping client flows
 //! onto active workers, and optionally the master's hysteresis autoscaler.
-//! The state machine in `crate::core` decides all of it; `apply` and
-//! `settle` are the crate's only code that schedules an event or calls an
-//! upstream or a completion. A request's life:
+//! The state machine in `crate::core` decides all of it; the gateway's
+//! [`Machine`] impl is the crate's only code that schedules an event or
+//! calls an upstream or a completion. A request's life:
 //!
 //! ```text
 //! submit ─RSS→ worker core: rx half of the stack cost ─→ upstream closure
@@ -23,7 +23,7 @@ use std::cell::RefCell;
 use std::rc::{Rc, Weak};
 
 use obs::Tracer;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{Driver, Machine, Sim, SimDuration, SimTime, Sink};
 
 use crate::admission::AdmissionConfig;
 use crate::core::{Core, Input, Output};
@@ -159,68 +159,67 @@ struct Handles {
 
 /// What a [`Gateway`] handle points at: the state machine, whose slots hold
 /// each in-flight request's closures.
-struct Driver {
+struct Gate {
     core: RefCell<Core<Handles>>,
 }
 
 type Out = Output<Handles>;
 
-/// Feeds `input` to the core and applies its output.
-fn drive(gw: &Rc<Driver>, sim: &mut Sim, input: Input) {
-    let now = sim.now();
-    let mut later = None;
-    let emit = &mut |output| apply(gw, sim, output, &mut later);
-    gw.core.borrow_mut().step(now, input, emit);
-    settle(gw, sim, later);
-}
+/// An `At` is scheduled as the core emits it; an `Upstream` or a `Done` —
+/// a call emits at most one — waits until the core's borrow is dropped:
+/// both re-enter the gateway (an upstream may reply at once, and a closed
+/// loop's completion submits the next request). Inlined: out of line, the
+/// two calls cost a request about a third more gateway time.
+impl Machine for Gate {
+    type In = Input;
+    type Out = Out;
+    type Answer = ();
 
-/// Applies an `At` as the core emits it — the crate's one scheduling site:
-/// the input is fed back from a closure of one handle and one input,
-/// stored inline in the event slab — and keeps an `Upstream` or a `Done`
-/// for [`settle`]. Inlined, as `settle` is: out of line, the two calls
-/// cost a request about a third more gateway time.
-#[inline(always)]
-fn apply(gw: &Rc<Driver>, sim: &mut Sim, output: Out, later: &mut Option<Out>) {
-    match output {
-        Output::At(at, input) => {
-            let gw = gw.clone();
-            sim.schedule_at(at, move |sim| drive(&gw, sim, input));
-        }
-        reentrant => *later = Some(reentrant),
+    #[inline(always)]
+    fn step(&self, now: SimTime, input: Input, sink: &mut Sink<'_, Self>) {
+        self.core
+            .borrow_mut()
+            .step(now, input, &mut |o| sink.put(o));
     }
-}
 
-/// Applies an `Upstream` or a `Done` once the core's borrow is dropped:
-/// both re-enter the gateway — an upstream may reply at once, and a closed
-/// loop's completion submits the next request.
-#[inline(always)]
-fn settle(gw: &Rc<Driver>, sim: &mut Sim, later: Option<Out>) {
-    match later {
-        Some(Output::Upstream(slot, ctx)) => {
-            let upstream = gw.core.borrow().handle(slot).map(|h| h.upstream.clone());
-            if let Some(upstream) = upstream {
-                let gw = gw.clone();
-                let reply: Reply =
-                    Box::new(move |sim, outcome| drive(&gw, sim, Input::Replied(slot, outcome)));
-                upstream(sim, ctx, reply);
-            }
+    #[inline(always)]
+    fn apply(gw: &Rc<Driver<Self>>, sim: &mut Sim, output: Out) -> Result<(), Out> {
+        match output {
+            Output::At(at, input) => gw.schedule(sim, at, input),
+            reentrant => return Err(reentrant),
         }
-        Some(Output::Done(handles, answer)) => (handles.done)(sim, answer),
-        Some(Output::At(..)) | None => {}
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn settle(gw: &Rc<Driver<Self>>, sim: &mut Sim, output: Out) {
+        match output {
+            Output::Upstream(slot, ctx) => {
+                let upstream = gw.core.borrow().handle(slot).map(|h| h.upstream.clone());
+                if let Some(upstream) = upstream {
+                    let gw = gw.clone();
+                    let reply: Reply =
+                        Box::new(move |sim, outcome| gw.drive(sim, Input::Replied(slot, outcome)));
+                    upstream(sim, ctx, reply);
+                }
+            }
+            Output::Done(handles, answer) => (handles.done)(sim, answer),
+            Output::At(..) => {}
+        }
     }
 }
 
 /// The cluster-wide ingress gateway.
 #[derive(Clone)]
 pub struct Gateway {
-    inner: Rc<Driver>,
+    inner: Rc<Driver<Gate>>,
 }
 
 /// A [`Gateway`] held weakly. A caller's completion sits in the gateway's
 /// own slot table, so one that resubmits holds the gateway this way; a
 /// strong handle there would keep both alive for good.
 pub struct WeakGateway {
-    inner: Weak<Driver>,
+    inner: Weak<Driver<Gate>>,
 }
 
 impl WeakGateway {
@@ -242,7 +241,7 @@ impl Gateway {
     pub fn new(cfg: GatewayConfig) -> Gateway {
         let core = RefCell::new(Core::new(cfg));
         Gateway {
-            inner: Rc::new(Driver { core }),
+            inner: Driver::new(Gate { core }),
         }
     }
 
@@ -332,20 +331,20 @@ impl Gateway {
         upstream: Upstream,
         done: Completion,
     ) {
-        let (gw, now, mut later) = (&self.inner, sim.now(), None);
         let handle = Handles { upstream, done };
-        let emit = &mut |output| apply(gw, sim, output, &mut later);
-        gw.core
-            .borrow_mut()
-            .arrive(now, tenant, flow, req_bytes, handle, emit);
-        settle(gw, sim, later);
+        self.inner.run(sim, |gate, now, sink| {
+            let out = &mut |o| sink.put(o);
+            let mut core = gate.core.borrow_mut();
+            core.arrive(now, tenant, flow, req_bytes, handle, out);
+        });
     }
 
     /// Starts the master's autoscaler loop (no-op without a policy).
     pub fn start_autoscaler(&self, sim: &mut Sim) {
-        let (gw, now, mut later) = (&self.inner, sim.now(), None);
-        let emit = &mut |output| apply(gw, sim, output, &mut later);
-        gw.core.borrow_mut().start_autoscaler(now, emit);
+        self.inner.run(sim, |gate, now, sink| {
+            let out = &mut |o| sink.put(o);
+            gate.core.borrow_mut().start_autoscaler(now, out);
+        });
     }
 }
 
@@ -416,6 +415,17 @@ mod tests {
         let us = at.as_micros_f64();
         assert!(us > 55.0 && us < 90.0, "end-to-end = {us}us");
         assert_eq!(gw.stats().completed, 1);
+        // With an upstream that replies at once, a request is two events,
+        // both stored inline in the slab.
+        let before = sim.profile().executed_events;
+        let upstream: Upstream = Rc::new(|sim, _ctx, reply: Reply| reply(sim, Ok(64)));
+        let flow = FlowId::from_client(1, 0);
+        gw.submit_tenant(&mut sim, 0, flow, 64, upstream, Box::new(|_, _| {}));
+        sim.run();
+        assert_eq!(gw.stats().completed, 2);
+        let events = sim.profile().executed_events - before;
+        assert_eq!(events, 2, "rx and tx halves");
+        assert_eq!(sim.profile().boxed_events, 0);
     }
 
     #[test]
@@ -726,20 +736,5 @@ mod tests {
         sim.run();
         let u = gw.utilization_cores(SimTime::ZERO, sim.now());
         assert!(u > 0.5, "worker should have been busy, u = {u}");
-    }
-
-    /// The one closure the driver schedules stores inline in the event
-    /// slab: one that spilled would box both of a request's gateway events.
-    #[test]
-    fn a_scheduled_input_fits_inline() {
-        let gw = Gateway::new(GatewayConfig::default());
-        let mut sim = Sim::new();
-        let upstream: Upstream = Rc::new(|sim, _ctx, reply: Reply| reply(sim, Ok(64)));
-        let flow = FlowId::from_client(1, 0);
-        gw.submit_tenant(&mut sim, 0, flow, 64, upstream, Box::new(|_, _| {}));
-        sim.run();
-        assert_eq!(gw.stats().completed, 1);
-        assert_eq!(sim.profile().executed_events, 2, "rx and tx halves");
-        assert_eq!(sim.profile().boxed_events, 0);
     }
 }

@@ -925,43 +925,6 @@ mod tests {
         }
     }
 
-    /// Visits every order of the world's actions depth first, replaying
-    /// each order from a fresh world (inputs own buffers, so a world cannot
-    /// be cloned). Returns how many orders it visited.
-    fn explore(recv: usize, outage: Option<[SimTime; 2]>, seen: &mut Vec<&'static str>) -> usize {
-        let pools = (mk_pool(4), mk_pool(4));
-        // (choice, number of choices) at each depth of the current order.
-        let mut path: Vec<(usize, usize)> = Vec::new();
-        let mut orders = 0;
-        loop {
-            let mut world = World::new(&pools, recv, outage);
-            let mut depth = 0;
-            loop {
-                let acts = world.enabled();
-                if acts.is_empty() {
-                    break;
-                }
-                if depth == path.len() {
-                    path.push((0, acts.len()));
-                }
-                assert_eq!(path[depth].1, acts.len(), "replay diverged");
-                world.act(acts[path[depth].0]);
-                depth += 1;
-            }
-            world.check_end(seen);
-            orders += 1;
-            while let Some((choice, of)) = path.pop() {
-                if choice + 1 < of {
-                    path.push((choice + 1, of));
-                    break;
-                }
-            }
-            if path.is_empty() {
-                return orders;
-            }
-        }
-    }
-
     /// The RC lifecycle under faults, in every causality-respecting order:
     /// two `post_send`s with their arrivals, RNR re-arrivals and CQE
     /// pushes, the setup's `Ready`, `destroy_qp` and `inject_qp_error`, with
@@ -993,7 +956,13 @@ mod tests {
         let mut orders = Vec::new();
         for recv in [0, 1] {
             for window in [misses, covers] {
-                orders.push(explore(recv, Some(window), &mut seen));
+                let pools = (mk_pool(4), mk_pool(4));
+                orders.push(simcore::explore(
+                    || World::new(&pools, recv, Some(window)),
+                    |world| world.enabled().len(),
+                    |world, i| world.act(world.enabled()[i]),
+                    |world| world.check_end(&mut seen),
+                ));
             }
         }
         assert_eq!(orders, [1542, 828, 2976, 1468]);

@@ -1,11 +1,11 @@
-//! The RDMA fabric's public handle and the driver behind it.
+//! The RDMA fabric's public handle and its machine.
 //!
 //! Everything the fabric decides is decided by the state machine in
 //! `crate::core`, which never sees the simulator. [`Fabric`] is a cheap
-//! handle to it: a verb validates synchronously (like `ibv_post_send`
-//! returning an error) and hands the hardware timeline that follows to the
-//! driver, `Fabric::{drive, apply}` — the one place in the crate that
-//! schedules an event or calls a [`CqWaker`]:
+//! handle to it, behind the one [`simcore::Driver`]: a verb validates
+//! synchronously (like `ibv_post_send` returning an error) and hands the
+//! hardware timeline that follows to the driver, whose `Machine` impl here
+//! is the crate's only code that schedules an event or calls a [`CqWaker`]:
 //!
 //! ```text
 //! post_send ─→ requester RNIC (Server) ─→ egress shaper (TokenBucket)
@@ -26,7 +26,7 @@ use membuf::export::MappedPool;
 use membuf::pool::{BufferPool, OwnedBuf};
 use membuf::tenant::TenantId;
 use simcore::ratelimit::TokenBucket;
-use simcore::{Server, Sim, SimTime};
+use simcore::{Driver, Machine, Server, Sim, SimTime, Sink};
 
 use crate::core::{link_key, Core, CqState, Input, NodeState, Output, QpState, RqState};
 use crate::cost::RdmaCosts;
@@ -102,7 +102,7 @@ struct Shared {
 /// ```
 #[derive(Clone)]
 pub struct Fabric {
-    inner: Rc<Shared>,
+    inner: Rc<Driver<Shared>>,
 }
 
 impl Fabric {
@@ -112,7 +112,7 @@ impl Fabric {
         core.costs = costs;
         let (core, wakers) = (RefCell::new(core), RefCell::default());
         Fabric {
-            inner: Rc::new(Shared { core, wakers }),
+            inner: Driver::new(Shared { core, wakers }),
         }
     }
 
@@ -223,7 +223,7 @@ impl Fabric {
             let ready_at = sim.now() + core.costs.connect_delay;
             core.establish(ready_at, tenant, a, cq_a, rq_a, b, cq_b, rq_b)?
         };
-        self.apply(sim, ready);
+        self.put(sim, ready);
         Ok(pair)
     }
 
@@ -248,7 +248,7 @@ impl Fabric {
         };
         if n > 0 {
             let link = link_key(a, b);
-            self.apply(sim, Output::At(sim.now() + delay, Input::Stock { link, n }));
+            self.put(sim, Output::At(sim.now() + delay, Input::Stock { link, n }));
         }
         Ok(())
     }
@@ -289,7 +289,7 @@ impl Fabric {
             core.prewarm.insert(key, stock - 1);
             claimed
         };
-        self.apply(sim, ready);
+        self.put(sim, ready);
         Ok(Some(pair))
     }
 
@@ -357,7 +357,7 @@ impl Fabric {
     /// Schedules a QP kill at `at`: the connection breaks at both ends as
     /// with [`Fabric::inject_qp_error`], and the fault plane counts it.
     pub fn schedule_qp_kill(&self, sim: &mut Sim, at: SimTime, h: QpHandle) {
-        self.apply(sim, Output::At(at, Input::QpKill(h)));
+        self.put(sim, Output::At(at, Input::QpKill(h)));
     }
 
     /// Registers a crash window `[from, until)` for `node`: every message
@@ -475,7 +475,7 @@ impl Fabric {
         imm: u64,
     ) -> Result<(), RdmaError> {
         let arrive = self.core_mut().post_send(sim.now(), h, wr_id, buf, imm)?;
-        self.apply(sim, arrive);
+        self.put(sim, arrive);
         Ok(())
     }
 
@@ -510,44 +510,40 @@ impl Fabric {
         n.map_or((0, 0, 0), |n| (n.tx_messages, n.rx_messages, n.rnr_events))
     }
 
-    /// The driver: feeds `input` to the core and applies its outputs in
-    /// emission order. An `At` is scheduled as it is emitted (scheduling
-    /// never calls back into the fabric); a `Wake`, its step's one output,
-    /// runs once the core's borrow is dropped, since a waker polls the CQ.
-    fn drive(&self, sim: &mut Sim, input: Input) {
-        let now = sim.now();
-        let mut woken = None;
-        self.core_mut()
-            .step(now, input, &mut |output| match output {
-                Output::Wake(cq) => woken = Some(cq),
-                at => self.apply(sim, at),
-            });
-        if let Some(cq) = woken {
-            self.apply(sim, Output::Wake(cq));
-        }
-    }
-
-    /// Applies one output of the core: the only code in the crate that
-    /// schedules an event or calls a [`CqWaker`].
-    pub(crate) fn apply(&self, sim: &mut Sim, output: Output) {
-        match output {
-            Output::At(at, input) => {
-                sim.schedule_at(at, event(self.clone(), input));
-            }
-            Output::Wake(cq) => {
-                let waker = self.inner.wakers.borrow().get(cq.0 as usize).cloned();
-                if let Some(waker) = waker.flatten() {
-                    waker(sim);
-                }
-            }
-        }
+    /// Hands an output a verb made to the driver.
+    pub(crate) fn put(&self, sim: &mut Sim, output: Output) {
+        self.inner.run(sim, |_, _, sink| sink.put(output));
     }
 }
 
-/// The closure [`Fabric::apply`] schedules: one handle and one input,
-/// stored inline in the event slab.
-fn event(fabric: Fabric, input: Input) -> impl FnOnce(&mut Sim) + 'static {
-    move |sim| fabric.drive(sim, input)
+/// A `Wake` — a `PushCqe`'s one output — waits for the core's borrow to
+/// drop, since a waker polls the CQ; an `At` is scheduled as it comes.
+impl Machine for Shared {
+    type In = Input;
+    type Out = Output;
+    type Answer = ();
+
+    fn step(&self, now: SimTime, input: Input, sink: &mut Sink<'_, Self>) {
+        let out = &mut |output| sink.put(output);
+        self.core.borrow_mut().step(now, input, out);
+    }
+
+    fn apply(this: &Rc<Driver<Self>>, sim: &mut Sim, output: Output) -> Result<(), Output> {
+        match output {
+            Output::At(at, input) => this.schedule(sim, at, input),
+            wake => return Err(wake),
+        }
+        Ok(())
+    }
+
+    fn settle(this: &Rc<Driver<Self>>, sim: &mut Sim, output: Output) {
+        if let Output::Wake(cq) = output {
+            let waker = this.wakers.borrow().get(cq.0 as usize).cloned();
+            if let Some(waker) = waker.flatten() {
+                waker(sim);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -999,21 +995,6 @@ mod tests {
         big.write_payload(&[1u8; 64]).unwrap();
         let err = fabric.post_send(&mut sim, h, WrId(0), big, 0).unwrap_err();
         assert_eq!(err, RdmaError::MessageTooLarge { len: 64, max: 16 });
-    }
-
-    /// The one closure the driver schedules stores inline in the event
-    /// slab (72 of `INLINE_BYTES`' 80 B); one that spilled would box
-    /// every fabric event.
-    #[test]
-    fn a_scheduled_input_fits_inline() {
-        fn fits<F>(_: &F) -> bool {
-            simcore::event::EventFn::fits_inline::<F>()
-        }
-        let input = Input::Ready {
-            a: QpId(0),
-            b: QpId(1),
-        };
-        assert!(fits(&event(Fabric::new(RdmaCosts::default()), input)));
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl Fabric {
         let arrive = self
             .core_mut()
             .post_write(now, h, wr_id, buf, (rkey, slot), imm)?;
-        self.apply(sim, arrive);
+        self.put(sim, arrive);
         Ok(())
     }
 
@@ -121,7 +121,7 @@ impl Fabric {
         let arrive = self
             .core_mut()
             .post_cas(now, h, wr_id, (rkey, cell), (expect, swap))?;
-        self.apply(sim, arrive);
+        self.put(sim, arrive);
         Ok(())
     }
 }

@@ -646,38 +646,6 @@ mod tests {
         }
     }
 
-    /// Visits every order of the world's pending actions depth first,
-    /// replaying each order from a fresh world (inputs own buffers, so a
-    /// world cannot be cloned). Returns how many orders it visited.
-    fn explore(case: Case, seen: &mut Vec<&'static str>) -> usize {
-        // (choice, number of choices) at each depth of the current order.
-        let mut path: Vec<(usize, usize)> = Vec::new();
-        let mut orders = 0;
-        loop {
-            let mut world = World::new(case);
-            let mut depth = 0;
-            while !world.pending.is_empty() {
-                if depth == path.len() {
-                    path.push((0, world.pending.len()));
-                }
-                assert_eq!(path[depth].1, world.pending.len(), "replay diverged");
-                world.act(path[depth].0);
-                depth += 1;
-            }
-            world.check_end(seen);
-            orders += 1;
-            while let Some((choice, of)) = path.pop() {
-                if choice + 1 < of {
-                    path.push((choice + 1, of));
-                    break;
-                }
-            }
-            if path.is_empty() {
-                return orders;
-            }
-        }
-    }
-
     /// One request through two nodes' runtime cores in every order of its
     /// pending inputs, with the DNE and fabric modelled as "a `Submit`
     /// becomes a `Deliver` on the peer, at any later point": the 1→2→1 echo
@@ -695,7 +663,15 @@ mod tests {
             Case::FanOut { free: 1 },
             Case::FanOut { free: 2 },
         ];
-        let orders = cases.map(|case| explore(case, &mut seen));
+        let orders = cases.map(|case| {
+            let fresh = || World::new(case);
+            simcore::explore(
+                fresh,
+                |w| w.pending.len(),
+                World::act,
+                |w| w.check_end(&mut seen),
+            )
+        });
         assert_eq!(orders, [7, 1, 1, 20]);
         seen.sort_unstable();
         assert_eq!(seen, ["complete", "expired", "shed"]);

@@ -1,13 +1,13 @@
-//! The unified I/O library (§3.5): the public handle and its driver.
+//! The unified I/O library (§3.5): the public handle and its machine.
 //!
 //! "The I/O library, once invoked by the user code, transparently
 //! determines the intra-/inter-node data path": a local destination gets
 //! the descriptor over SK_MSG after the sidecar's check, a remote one goes
 //! to the DNE, and host-side IPC costs are charged to the node's host
-//! cores. The state machine in `crate::core` decides all of it; `drive`,
-//! through the `apply` and `settle` it hands outputs to, is the crate's one
-//! place that schedules an event, submits to the DNE, or calls an endpoint,
-//! a completion or the failure handler.
+//! cores. The state machine in `crate::core` decides all of it; the
+//! library's [`Machine`] impl is the crate's one place that schedules an
+//! event, submits to the DNE, or calls an endpoint, a completion or the
+//! failure handler.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -20,7 +20,7 @@ use membuf::pool::BufferPool;
 use membuf::tenant::TenantId;
 use obs::Tracer;
 use rdma_sim::NodeId;
-use simcore::{IdTable, Sim, SimDuration};
+use simcore::{Driver, IdTable, Machine, Sim, SimDuration, SimTime, Sink};
 
 use crate::core::{Core, Function, Host, Input, Output, Spec};
 use crate::function::CompletionFn;
@@ -54,95 +54,61 @@ struct Lib {
     endpoints: RefCell<IdTable<FnEndpoint>>,
     /// Completions of chain and DAG functions, by function id.
     completions: RefCell<IdTable<CompletionFn>>,
-    /// Buffers for the outputs [`drive`] defers, one per nesting level (a
-    /// completion can inject the next request), reused so the steady state
-    /// allocates nothing.
-    spare: RefCell<Vec<Vec<Output>>>,
 }
 
-/// Feeds `input` to the core and applies its outputs in emission order:
-/// an `At` or a `Submit` as the step emits it (a DNE `Submit` step only
-/// schedules), and from the first output that can re-enter the library on
-/// — a `Call`, `Complete` or `Fail` — the rest once every borrow the step
-/// took is dropped.
-fn drive(lib: &Rc<Lib>, sim: &mut Sim, input: Input) {
-    let now = sim.now();
-    let mut deferred: Option<Vec<Output>> = None;
-    {
-        let (mut cpu, placement) = (lib.cpu.borrow_mut(), lib.placement.borrow());
+/// An `At` or a `Submit` is applied as the step emits it (a DNE `Submit`
+/// step only schedules); from the first output that can re-enter the
+/// library on — a `Call`, `Complete` or `Fail` — the rest wait until every
+/// borrow the step took is dropped.
+impl Machine for Lib {
+    type In = Input;
+    type Out = Output;
+    type Answer = ();
+
+    fn step(&self, now: SimTime, input: Input, sink: &mut Sink<'_, Self>) {
+        let (mut cpu, placement) = (self.cpu.borrow_mut(), self.placement.borrow());
         let mut host = Host {
             cpu: &mut cpu,
             placement: &placement,
-            wire_version: lib.dne.wire_version(),
+            wire_version: self.dne.wire_version(),
         };
-        let emit = &mut |output| match &mut deferred {
-            Some(later) => later.push(output),
-            None => {
-                if let Some(output) = apply(lib, sim, output) {
-                    let mut later = lib.spare.borrow_mut().pop().unwrap_or_default();
-                    later.push(output);
-                    deferred = Some(later);
+        let emit = &mut |output| sink.put(output);
+        self.core.borrow_mut().step(now, input, &mut host, emit);
+    }
+
+    fn apply(lib: &Rc<Driver<Self>>, sim: &mut Sim, output: Output) -> Result<(), Output> {
+        match output {
+            Output::At(at, input) => lib.schedule(sim, at, input),
+            Output::Submit { tenant, desc } => lib.dne.submit(sim, tenant, desc),
+            reentrant => return Err(reentrant),
+        }
+        Ok(())
+    }
+
+    fn settle(lib: &Rc<Driver<Self>>, sim: &mut Sim, output: Output) {
+        match output {
+            Output::Call(fn_id, desc) => {
+                let ep = lib.endpoints.borrow().get(fn_id.into()).cloned();
+                if let Some(ep) = ep {
+                    ep(sim, desc);
                 }
             }
-        };
-        lib.core.borrow_mut().step(now, input, &mut host, emit);
-    }
-    if let Some(mut later) = deferred {
-        for output in later.drain(..) {
-            settle(lib, sim, output);
-        }
-        lib.spare.borrow_mut().push(later);
-    }
-}
-
-/// Applies an output that cannot re-enter the library — the crate's one
-/// place that schedules an event or submits to the DNE — and hands back
-/// any other.
-fn apply(lib: &Rc<Lib>, sim: &mut Sim, output: Output) -> Option<Output> {
-    match output {
-        Output::At(at, input) => {
-            sim.schedule_at(at, event(lib.clone(), input));
-        }
-        Output::Submit { tenant, desc } => lib.dne.submit(sim, tenant, desc),
-        reentrant => return Some(reentrant),
-    }
-    None
-}
-
-/// Applies any output while no step holds the library.
-fn settle(lib: &Rc<Lib>, sim: &mut Sim, output: Output) {
-    match output {
-        Output::Call(fn_id, desc) => {
-            let ep = lib.endpoints.borrow().get(fn_id.into()).cloned();
-            if let Some(ep) = ep {
-                ep(sim, desc);
+            Output::Complete { fn_id, req_id } => {
+                let done = lib.completions.borrow().get(fn_id.into()).cloned();
+                if let Some(done) = done {
+                    done(sim, req_id);
+                }
             }
-        }
-        Output::Complete { fn_id, req_id } => {
-            let done = lib.completions.borrow().get(fn_id.into()).cloned();
-            if let Some(done) = done {
-                done(sim, req_id);
-            }
-        }
-        Output::Fail(failure) => lib.dne.report_failure(sim, failure),
-        simple => {
-            if let Some(output) = apply(lib, sim, simple) {
-                settle(lib, sim, output);
-            }
+            Output::Fail(failure) => lib.dne.report_failure(sim, failure),
+            Output::At(..) | Output::Submit { .. } => {}
         }
     }
-}
-
-/// The closure [`drive`] schedules: one handle and one input, stored inline
-/// in the event slab.
-fn event(lib: Rc<Lib>, input: Input) -> impl FnOnce(&mut Sim) + 'static {
-    move |sim| drive(&lib, sim, input)
 }
 
 /// The per-node unified I/O library.
 #[derive(Clone)]
 pub struct IoLib {
-    inner: Rc<Lib>,
+    inner: Rc<Driver<Lib>>,
 }
 
 impl IoLib {
@@ -156,14 +122,13 @@ impl IoLib {
     ) -> IoLib {
         let core = Core::new(node, dne.ipc_costs());
         IoLib {
-            inner: Rc::new(Lib {
+            inner: Driver::new(Lib {
                 core: RefCell::new(core),
                 dne,
                 cpu,
                 placement,
                 endpoints: RefCell::default(),
                 completions: RefCell::default(),
-                spare: RefCell::default(),
             }),
         }
     }
@@ -212,7 +177,7 @@ impl IoLib {
         let lib = Rc::downgrade(&self.inner);
         let endpoint: FnEndpoint = Rc::new(move |sim, desc| {
             if let Some(lib) = lib.upgrade() {
-                drive(&lib, sim, Input::Deliver { desc });
+                lib.drive(sim, Input::Deliver { desc });
             }
         });
         self.inner.dne.register_endpoint(fn_id, endpoint);
@@ -248,7 +213,7 @@ impl IoLib {
         desc: BufferDesc,
         meta: Option<(u64, bool)>,
     ) {
-        drive(&self.inner, sim, Input::Send { tenant, desc, meta });
+        self.inner.drive(sim, Input::Send { tenant, desc, meta });
     }
 
     /// Returns a snapshot of the counters.
@@ -545,39 +510,10 @@ mod tests {
             dst_fn: 1,
         };
         // Delivered the way SK_MSG or the DNE would hand it over.
-        drive(
-            &env.iolib.inner,
-            &mut env.sim,
-            Input::Deliver { desc: forged },
-        );
+        let deliver = Input::Deliver { desc: forged };
+        env.iolib.inner.drive(&mut env.sim, deliver);
         env.sim.run();
         assert_eq!(*called.borrow(), 0, "forged descriptor must not execute");
         assert_eq!(env.pool.stats().failed_redeems, 1);
-    }
-
-    /// The one closure the driver schedules stores inline in the event
-    /// slab (56 of `INLINE_BYTES`' 80 B); one that spilled would box every
-    /// function hop.
-    #[test]
-    fn a_scheduled_input_fits_inline() {
-        fn fits<F>(_: &F) -> bool {
-            simcore::event::EventFn::fits_inline::<F>()
-        }
-        let env = setup();
-        let desc = BufferDesc {
-            tenant: 1,
-            pool_id: 0,
-            buf_index: 0,
-            len: 0,
-            generation: 0,
-            dst_fn: 2,
-        };
-        let meta = Some((7, true));
-        let input = Input::Send {
-            tenant: env.tenant,
-            desc,
-            meta,
-        };
-        assert!(fits(&event(env.iolib.inner.clone(), input)));
     }
 }

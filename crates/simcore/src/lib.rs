@@ -17,6 +17,8 @@
 //! - [`stats`]: streaming mean/variance, log-bucketed latency histograms with
 //!   percentiles, and time-series recorders for the figure reproductions.
 //! - [`ratelimit`]: token bucket used for bandwidth shaping.
+//! - [`machine`]: the one driver every simulator-free core runs behind,
+//!   and [`explore`], the every-order walk their tests share.
 //! - [`idtable`]: index and ring tables for the small integer ids the
 //!   substrates allocate — the per-message replacement for hash maps.
 
@@ -24,6 +26,7 @@ pub mod engine;
 pub mod event;
 pub(crate) mod heap;
 pub mod idtable;
+pub mod machine;
 pub mod ratelimit;
 pub mod resource;
 pub mod rng;
@@ -32,6 +35,7 @@ pub mod time;
 
 pub use engine::{Sim, SimProfile, TimerHandle};
 pub use idtable::{IdRing, IdTable};
+pub use machine::{explore, Driver, Machine, Sink};
 pub use resource::{MultiServer, Server};
 pub use rng::SimRng;
 pub use stats::{Histogram, TimeSeries};

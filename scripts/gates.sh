@@ -11,8 +11,10 @@
 #                                       runtime's, the gateway's, the
 #                                       control plane's and the churn
 #                                       model's core never name the
-#                                       simulator, and only their drivers
-#                                       post or schedule
+#                                       simulator, all six run behind
+#                                       simcore's one Driver, which alone
+#                                       schedules, and only the DNE's
+#                                       machine posts
 #   scripts/gates.sh test               release build + the workspace suite:
 #                                       the seed matrix (simcore::rng::SEEDS)
 #                                       and the typed-outcome bars are tests
@@ -47,10 +49,12 @@ sites() {
   done
 }
 
-# DESIGN.md §5, §7, §8, §9 and §12 "A simulator-free core behind a thin driver": a core
-# file never names the simulator, and what only a driver does happens at a
-# fixed number of sites, all in the driver. §10: the Fig. 6 / Fig. 12 echo
-# state machine schedules at one site too.
+# DESIGN.md §3 "A machine behind one driver", and §5, §7, §8, §9 and §12: a
+# core file never names the simulator, no layer keeps a driver of its own
+# (a `fn drive` or spare buffers), and what only a driver does happens at a
+# fixed number of sites: scheduling only in simcore's generic
+# `Driver::schedule`, posting only in the DNE's machine. §10: the Fig. 6 /
+# Fig. 12 echo state machine schedules at one site too.
 cores_are_simulator_free() {
   local f
   for f in crates/dne/src/core.rs crates/rdma-sim/src/core.rs crates/runtime/src/core.rs \
@@ -60,22 +64,31 @@ cores_are_simulator_free() {
     fi
   done
   local dir pattern driver want found
+  for dir in crates/dne/src crates/rdma-sim/src crates/runtime/src crates/ingress/src \
+    crates/core/src/control crates/core/src/churn; do
+    found=$(sites "$dir" 'fn drive\(|spare:')
+    if [ -n "$found" ]; then
+      printf '%s\n' "$found"
+      fail "$dir: run the core behind simcore::Driver, not a driver of its own"
+    fi
+  done
   while read -r dir pattern driver want; do
     found=$(sites "$dir" "$pattern")
     if [ "$(printf '%s\n' "$found" | grep -c .)" -ne "$want" ] ||
-      printf '%s\n' "$found" | grep -v "^$driver:"; then
+      printf '%s\n' "$found" | grep . | grep -v "^$driver:"; then
       printf '%s\n' "$found"
       fail "$pattern in $dir outside tests: want $want site(s), all in $driver"
     fi
   done <<'SITES'
 crates/dne/src post_send\( crates/dne/src/engine.rs 1
-crates/dne/src schedule_at\(|schedule_after\( crates/dne/src/engine.rs 1
-crates/rdma-sim/src schedule_at\(|schedule_after\( crates/rdma-sim/src/fabric.rs 1
-crates/runtime/src schedule_at\(|schedule_after\( crates/runtime/src/iolib.rs 1
+crates/simcore/src sim\.schedule_at\( crates/simcore/src/machine.rs 1
+crates/dne/src schedule_at\(|schedule_after\( crates/simcore/src/machine.rs 0
+crates/rdma-sim/src schedule_at\(|schedule_after\( crates/simcore/src/machine.rs 0
+crates/runtime/src schedule_at\(|schedule_after\( crates/simcore/src/machine.rs 0
+crates/ingress/src schedule_at\(|schedule_after\( crates/simcore/src/machine.rs 0
+crates/core/src/control schedule_at\(|schedule_after\( crates/simcore/src/machine.rs 0
+crates/core/src/churn schedule_at\(|schedule_after\( crates/simcore/src/machine.rs 0
 crates/baselines/src schedule_at\(|schedule_after\( crates/baselines/src/primitives.rs 1
-crates/ingress/src schedule_at\(|schedule_after\( crates/ingress/src/gateway.rs 1
-crates/core/src/control schedule_at\(|schedule_after\( crates/core/src/control/mod.rs 1
-crates/core/src/churn schedule_at\(|schedule_after\( crates/core/src/churn/mod.rs 1
 SITES
 }
 
