@@ -24,6 +24,19 @@
 //! fn require_send<T: Send>() {}
 //! require_send::<dne::Dne>();
 //! ```
+//!
+//! The buffer pool a simulation's tenants share is single-threaded too
+//! (DESIGN.md §4), so neither a pool nor a buffer leaves its thread:
+//!
+//! ```compile_fail
+//! fn require_send<T: Send>() {}
+//! require_send::<membuf::BufferPool>();
+//! ```
+//!
+//! ```compile_fail
+//! fn require_send<T: Send>() {}
+//! require_send::<membuf::OwnedBuf>();
+//! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

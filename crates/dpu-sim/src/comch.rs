@@ -224,7 +224,7 @@ mod tests {
         assert_eq!(dne.pending(), 1);
         let got = dne.recv().unwrap();
         assert_eq!(got, d);
-        dne.send(got.with_dst(9)).unwrap();
+        dne.send(BufferDesc { dst_fn: 9, ..got }).unwrap();
         assert_eq!(host.recv().unwrap().dst_fn, 9);
         assert_eq!(host.recv(), None);
     }

@@ -25,32 +25,3 @@ pub struct BufferDesc {
 
 // Comch, SK_MSG and the DNE rings are priced per 16-byte descriptor.
 const _: () = assert!(std::mem::size_of::<BufferDesc>() == 16);
-
-impl BufferDesc {
-    /// Returns a copy with a different destination function.
-    pub fn with_dst(mut self, dst_fn: u16) -> BufferDesc {
-        self.dst_fn = dst_fn;
-        self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn with_dst_only_changes_destination() {
-        let d = BufferDesc {
-            tenant: 1,
-            pool_id: 2,
-            buf_index: 3,
-            len: 4,
-            generation: 5,
-            dst_fn: 6,
-        };
-        let e = d.with_dst(9);
-        assert_eq!(e.dst_fn, 9);
-        assert_eq!(e.tenant, d.tenant);
-        assert_eq!(e.buf_index, d.buf_index);
-    }
-}

@@ -8,15 +8,15 @@
 //! register the host memory with the RNIC without ever copying data.
 //!
 //! [`ExportDescriptor`] reproduces that three-step protocol: it is created
-//! from a pool with an explicit set of [`ExportTarget`] grants, can be
-//! shipped across threads/channels, and imports into a [`MappedPool`] whose
-//! capability set is checked by downstream consumers (the RNIC model
-//! refuses to register memory whose export lacks the `Rdma` grant).
+//! from a pool with an explicit set of [`ExportTarget`] grants, is handed to
+//! the importing side (over Comch in the paper), and imports into a
+//! [`MappedPool`] whose capability set is checked by downstream consumers
+//! (the RNIC model refuses to register memory whose export lacks the `Rdma`
+//! grant).
 
 use std::fmt;
-use std::sync::Arc;
 
-use crate::pool::{BufferPool, PoolShared};
+use crate::pool::BufferPool;
 
 /// A processor that can be granted access to an exported pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,7 +51,7 @@ impl std::error::Error for ExportError {}
 /// processor's memory space.
 #[derive(Clone)]
 pub struct ExportDescriptor {
-    shared: Arc<PoolShared>,
+    pool: BufferPool,
     grants: Vec<ExportTarget>,
 }
 
@@ -63,7 +63,7 @@ impl ExportDescriptor {
             return Err(ExportError::NoTargets);
         }
         Ok(ExportDescriptor {
-            shared: pool.shared().clone(),
+            pool: pool.clone(),
             grants: grants.to_vec(),
         })
     }
@@ -83,7 +83,7 @@ impl ExportDescriptor {
             return Err(ExportError::MissingGrant(as_target));
         }
         Ok(MappedPool {
-            pool: BufferPool::from_shared(self.shared.clone()),
+            pool: self.pool.clone(),
             grants: self.grants.clone(),
             imported_as: as_target,
         })
@@ -181,16 +181,5 @@ mod tests {
         let got = dpu.pool().redeem(desc).unwrap();
         assert_eq!(got.as_slice(), b"off-path");
         assert!(dpu.allows(ExportTarget::Rdma));
-    }
-
-    #[test]
-    fn mapping_is_send_across_threads() {
-        let host_pool = mk_pool();
-        let exp = ExportDescriptor::export(&host_pool, &[ExportTarget::Pci]).unwrap();
-        let handle = std::thread::spawn(move || {
-            let mapped = exp.import(ExportTarget::Pci).unwrap();
-            mapped.pool().capacity()
-        });
-        assert_eq!(handle.join().unwrap(), 8);
     }
 }

@@ -46,7 +46,8 @@ mod backing {
 
     pub fn map(len: usize) -> NonNull<u8> {
         // SAFETY: a new anonymous mapping at a kernel-chosen address aliases
-        // nothing; the arguments are the documented ones for that.
+        // nothing; the arguments are the documented ones for that. Exercised
+        // by `segments_are_zero_initialized`.
         let base = unsafe {
             mmap(
                 null_mut(),
@@ -67,6 +68,7 @@ mod backing {
     pub unsafe fn unmap(base: NonNull<u8>, len: usize) {
         // SAFETY: the caller's contract; unmapping a whole mapping that is
         // no longer referenced cannot fail or invalidate live memory.
+        // Exercised by every test that drops an arena.
         unsafe { munmap(base.as_ptr().cast(), len) };
     }
 }
@@ -85,7 +87,8 @@ mod backing {
     }
 
     pub fn map(len: usize) -> NonNull<u8> {
-        // SAFETY: `len` is non-zero (the arena asserts it).
+        // SAFETY: `len` is non-zero (the arena asserts it). Exercised by
+        // `segments_are_zero_initialized`.
         NonNull::new(unsafe { alloc_zeroed(layout(len)) })
             .unwrap_or_else(|| handle_alloc_error(layout(len)))
     }
@@ -95,6 +98,7 @@ mod backing {
     /// `base`/`len` came from one [`map`] call and nothing uses the bytes.
     pub unsafe fn unmap(base: NonNull<u8>, len: usize) {
         // SAFETY: the caller's contract; `layout(len)` is what `map` used.
+        // Exercised by every test that drops an arena.
         unsafe { dealloc(base.as_ptr(), layout(len)) };
     }
 }
@@ -110,19 +114,12 @@ pub struct SegmentArena {
     segment_size: usize,
 }
 
-// SAFETY: the arena is shared across threads behind `Arc`, and all access to
-// the byte storage goes through raw-pointer ranges handed out by the buffer
-// pool, which guarantees (via its `Free/Owned/InFlight` state machine) that
-// at most one owner can touch any given range at a time.
-unsafe impl Sync for SegmentArena {}
-// SAFETY: Same argument as for `Sync`; ownership of ranges moves with the
-// `OwnedBuf` tokens, never implicitly.
-unsafe impl Send for SegmentArena {}
-
 impl Drop for SegmentArena {
     fn drop(&mut self) {
         // SAFETY: `base` is this arena's own region of `total_bytes()`, and
         // the pool that handed out ranges of it is being dropped with it.
+        // Exercised by every test that drops an arena, among them
+        // `every_segment_is_backed_to_its_last_byte`.
         unsafe { backing::unmap(self.base, self.total_bytes()) }
     }
 }
@@ -185,7 +182,8 @@ impl SegmentArena {
             "byte range leaves the arena"
         );
         // SAFETY: `offset <= total_bytes()`, so the result stays inside (or
-        // one past the end of) the mapped region `base` points to.
+        // one past the end of) the mapped region `base` points to. Exercised
+        // by `range_accepts_the_whole_region_and_nothing_more`.
         unsafe { self.base.add(offset) }
     }
 }

@@ -1,7 +1,9 @@
 //! Unified shared-memory pool substrate for NADINO.
 //!
-//! This crate implements the memory subsystem of §3.4 of the paper as a real,
-//! thread-safe library (no simulation involved):
+//! This crate implements the memory subsystem of §3.4 of the paper as a
+//! library of its own (no simulation involved). A pool lives on the one
+//! thread that built it, as a simulation does; only the SPSC ring below
+//! crosses threads:
 //!
 //! - [`hugepage`]: 2 MiB hugepage-style backing segments (the paper uses
 //!   hugepages to shrink the RNIC memory-translation-table footprint; we

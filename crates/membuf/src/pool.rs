@@ -10,21 +10,25 @@
 //! ```
 //!
 //! An [`OwnedBuf`] is the *only* way to touch buffer bytes, is not cloneable,
-//! and moves between functions either directly (same thread) or by being
-//! detached into a 16-byte [`BufferDesc`] and redeemed by the consumer. A
-//! generation counter per buffer makes stale descriptors fail to redeem, so
-//! a buggy or malicious function cannot forge access to a recycled buffer —
-//! this is the mechanical core of the paper's lock-free zero-copy claim.
+//! and moves between functions either directly or by being detached into a
+//! 16-byte [`BufferDesc`] and redeemed by the consumer. Every detach and
+//! every recycle opens a new generation of the buffer, and a descriptor
+//! redeems once, only under its tenant and pool and only while its
+//! generation is the buffer's, so a buggy or malicious function cannot forge
+//! access to a recycled buffer — the mechanical core of the paper's
+//! zero-copy claim.
 //!
-//! The hop itself takes no lock: state, generation and detach count share
-//! one atomic word per buffer, so `into_desc` is a store by the exclusive
-//! owner, `redeem` one compare-exchange and `peek_payload_into` one load.
-//! Only the free list (`get`/`put`) sits behind a mutex.
+//! That is an isolation property, not a threading one. A pool lives on the
+//! one thread of the simulation that built it (DESIGN.md §2.2), as a DPDK
+//! mempool used by one lcore drops its locking: the shared state is an
+//! `Rc`, the free list a `RefCell` and each buffer's slot a `Cell`, so every
+//! transition is one read and one write. [`BufferPool`] and [`OwnedBuf`] are
+//! `!Send`, so the compiler refuses the sharing nothing here would guard.
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::rc::Rc;
 
 use crate::descriptor::BufferDesc;
 use crate::hugepage::SegmentArena;
@@ -93,109 +97,60 @@ impl fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// Per-buffer ownership word: `state | generation << 2 | detaches << 18`.
-///
-/// One `AtomicU64` per buffer carries everything the ownership state
-/// machine needs, so a hop between owners touches one word and no lock:
-///
-/// | transition            | who                      | how                 |
-/// |-----------------------|--------------------------|---------------------|
-/// | `Free → Owned`        | `get`, having popped it  | load + store        |
-/// | `Owned → InFlight`    | `into_desc`, the owner   | load + store        |
-/// | `InFlight → Owned`    | `redeem`, anyone         | one compare-exchange|
-/// | `Owned → Free`        | `put`/drop, the owner    | load + store        |
-///
-/// The three owner-side transitions are plain stores because only a word
-/// in state `InFlight` can be changed by anyone else, and a redeem's
-/// compare-exchange expects exactly such a word — while a buffer is `Free`
-/// (on the free list, or just popped by one `get`) or `Owned` (one
-/// `OwnedBuf` exists) no compare-exchange can succeed. The detach count in
-/// the high bits only grows, so a descriptor copy held across a full
-/// recycle never sees "its" word again (no ABA).
-///
-/// Every store is `Release` and every load `Acquire`: the detaching owner's
-/// payload writes happen-before the redeemer's reads (`into_desc` store →
-/// `redeem` compare-exchange / `peek_payload_into` load). The `put` → `get`
-/// hand-over is ordered by the free-list mutex.
-mod word {
-    pub const FREE: u64 = 0;
-    pub const OWNED: u64 = 1;
-    pub const IN_FLIGHT: u64 = 2;
-    const STATE_MASK: u64 = 0b11;
-    const GEN_SHIFT: u32 = 2;
-    const DETACH_SHIFT: u32 = 18;
+/// Where a buffer is in its ownership cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// On the free list.
+    Free,
+    /// Held by exactly one [`OwnedBuf`].
+    Owned,
+    /// Detached into a descriptor that one `redeem` may claim.
+    InFlight,
+}
 
-    #[inline]
-    pub fn state(w: u64) -> u64 {
-        w & STATE_MASK
-    }
+/// One buffer's ownership slot.
+#[derive(Clone, Copy)]
+struct Slot {
+    state: State,
+    /// Opened anew by every detach and every recycle, so no descriptor cut
+    /// before can redeem.
+    generation: u16,
+}
 
-    #[inline]
-    pub fn generation(w: u64) -> u16 {
-        (w >> GEN_SHIFT) as u16
-    }
-
-    #[inline]
-    pub fn detaches(w: u64) -> u64 {
-        w >> DETACH_SHIFT
-    }
-
-    #[inline]
-    pub fn with_state(w: u64, state: u64) -> u64 {
-        (w & !STATE_MASK) | state
-    }
-
-    /// Opens a fresh generation, so no descriptor cut before can redeem.
-    #[inline]
-    pub fn next_generation(w: u64) -> u64 {
-        let gen = generation(w).wrapping_add(1);
-        (w & !(0xffff << GEN_SHIFT)) | (gen as u64) << GEN_SHIFT
-    }
-
-    /// `Owned → InFlight` under a fresh generation, counting the detach.
-    #[inline]
-    pub fn detached(w: u64) -> u64 {
-        with_state(next_generation(w), IN_FLIGHT) + (1 << DETACH_SHIFT)
+impl Slot {
+    /// The same buffer in `state` under a fresh generation.
+    fn next(self, state: State) -> Slot {
+        Slot {
+            state,
+            generation: self.generation.wrapping_add(1),
+        }
     }
 }
 
-/// What the pool's one lock still covers: the LIFO free list and the
-/// counters that move with it.
-struct FreeList {
-    free: Vec<u32>,
-    gets: u64,
-    puts: u64,
-    failed_gets: u64,
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
 }
 
-pub(crate) struct PoolShared {
-    pub(crate) config: PoolConfig,
+struct PoolShared {
+    config: PoolConfig,
     arena: SegmentArena,
     bufs_per_segment: usize,
     /// Bytes at the end of each segment that no buffer uses; zero when
     /// buffers tile the segment exactly, and then a buffer's byte offset is
     /// `index * buf_size` with no division.
     segment_slack: usize,
-    /// One ownership word per buffer, see [`word`].
-    words: Box<[AtomicU64]>,
-    /// A statistic; publishes nothing.
-    failed_redeems: AtomicU64,
-    free_list: Mutex<FreeList>,
+    slots: Box<[Cell<Slot>]>,
+    /// LIFO: the buffer put last is got first, so a steady load keeps
+    /// touching the same few resident buffers.
+    free: RefCell<Vec<u32>>,
+    gets: Cell<u64>,
+    puts: Cell<u64>,
+    detaches: Cell<u64>,
+    failed_gets: Cell<u64>,
+    failed_redeems: Cell<u64>,
 }
 
 impl PoolShared {
-    fn free_list(&self) -> MutexGuard<'_, FreeList> {
-        // Every update under the lock is a push/pop plus a counter bump and
-        // leaves the list valid, so a panic elsewhere poisons nothing.
-        self.free_list
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn names(&self, desc: &BufferDesc) -> bool {
-        desc.tenant == self.config.tenant.0 && desc.pool_id == self.config.pool_id
-    }
-
     /// Address of buffer `index`: computed once per attach, at most one
     /// division. Buffers never straddle a segment.
     #[inline]
@@ -208,38 +163,28 @@ impl PoolShared {
         self.arena.range(offset, self.config.buf_size)
     }
 
-    /// The `InFlight → Owned` transition: the one compare-exchange.
-    fn claim(&self, desc: &BufferDesc) -> Result<(), PoolError> {
-        if !self.names(desc) {
+    /// The slot `desc` names, once every ownership check has passed: the
+    /// tenant and pool, the length, the bounds, the `InFlight` state and the
+    /// generation, in that order.
+    fn in_flight(&self, desc: &BufferDesc) -> Result<&Cell<Slot>, PoolError> {
+        if desc.tenant != self.config.tenant.0 || desc.pool_id != self.config.pool_id {
             return Err(PoolError::WrongPool);
         }
         if desc.len as usize > self.config.buf_size {
             return Err(PoolError::LengthTooLarge);
         }
-        let word = self
-            .words
+        let slot = self
+            .slots
             .get(desc.buf_index as usize)
             .ok_or(PoolError::BadIndex)?;
-        let mut seen = word.load(Ordering::Acquire);
-        loop {
-            if word::state(seen) != word::IN_FLIGHT {
-                return Err(PoolError::NotInFlight);
-            }
-            if word::generation(seen) != desc.generation {
-                return Err(PoolError::StaleGeneration);
-            }
-            // Losing the race means another holder of this descriptor won
-            // it; the reloaded word then says why this one may not.
-            match word.compare_exchange(
-                seen,
-                word::with_state(seen, word::OWNED),
-                Ordering::Acquire,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Ok(()),
-                Err(now) => seen = now,
-            }
+        let seen = slot.get();
+        if seen.state != State::InFlight {
+            return Err(PoolError::NotInFlight);
         }
+        if seen.generation != desc.generation {
+            return Err(PoolError::StaleGeneration);
+        }
+        Ok(slot)
     }
 }
 
@@ -260,8 +205,8 @@ pub struct PoolStats {
 
 /// A fixed-size buffer pool with ownership tracking.
 ///
-/// Cloning the pool clones a handle to the same shared state, so a pool can
-/// be shared between a producer and consumer thread.
+/// Cloning the pool clones a handle to the same shared state, so every
+/// function, engine and mapping on one node sees one pool.
 ///
 /// # Examples
 ///
@@ -278,7 +223,7 @@ pub struct PoolStats {
 /// ```
 #[derive(Clone)]
 pub struct BufferPool {
-    shared: Arc<PoolShared>,
+    shared: Rc<PoolShared>,
 }
 
 impl BufferPool {
@@ -302,23 +247,23 @@ impl BufferPool {
         let segments = (config.capacity as usize).div_ceil(bufs_per_segment);
         let arena =
             SegmentArena::with_segment_size(segments * config.segment_size, config.segment_size);
-        let free_list = FreeList {
-            free: (0..config.capacity).rev().collect(),
-            gets: 0,
-            puts: 0,
-            failed_gets: 0,
+        let free = Slot {
+            state: State::Free,
+            generation: 0,
         };
         Ok(BufferPool {
-            shared: Arc::new(PoolShared {
+            shared: Rc::new(PoolShared {
                 segment_slack: config.segment_size - bufs_per_segment * config.buf_size,
-                words: (0..config.capacity)
-                    .map(|_| AtomicU64::new(word::FREE))
-                    .collect(),
+                slots: (0..config.capacity).map(|_| Cell::new(free)).collect(),
+                free: RefCell::new((0..config.capacity).rev().collect()),
                 config,
                 arena,
                 bufs_per_segment,
-                failed_redeems: AtomicU64::new(0),
-                free_list: Mutex::new(free_list),
+                gets: Cell::new(0),
+                puts: Cell::new(0),
+                detaches: Cell::new(0),
+                failed_gets: Cell::new(0),
+                failed_redeems: Cell::new(0),
             }),
         })
     }
@@ -350,22 +295,18 @@ impl BufferPool {
 
     /// Allocates a free buffer (`rte_mempool_get()` analogue).
     pub fn get(&self) -> Result<OwnedBuf, PoolError> {
-        let index = {
-            let mut list = self.shared.free_list();
-            let Some(index) = list.free.pop() else {
-                list.failed_gets += 1;
-                return Err(PoolError::Exhausted);
-            };
-            list.gets += 1;
-            // Popping `index` made this call its only holder, so the flip
-            // needs no lock; it sits before the unlock only so that the
-            // unlock's store-buffer drain covers it too.
-            let word = &self.shared.words[index as usize];
-            let free = word.load(Ordering::Acquire);
-            debug_assert_eq!(word::state(free), word::FREE);
-            word.store(word::with_state(free, word::OWNED), Ordering::Release);
-            index
+        let shared = &*self.shared;
+        let Some(index) = shared.free.borrow_mut().pop() else {
+            bump(&shared.failed_gets);
+            return Err(PoolError::Exhausted);
         };
+        bump(&shared.gets);
+        let slot = &shared.slots[index as usize];
+        debug_assert_eq!(slot.get().state, State::Free);
+        slot.set(Slot {
+            state: State::Owned,
+            ..slot.get()
+        });
         Ok(OwnedBuf::attach(self.shared.clone(), index, 0))
     }
 
@@ -374,17 +315,19 @@ impl BufferPool {
     /// Every refusal is counted in [`PoolStats::failed_redeems`], so a forged
     /// or replayed descriptor leaves a trace whichever check stops it.
     pub fn redeem(&self, desc: BufferDesc) -> Result<OwnedBuf, PoolError> {
-        match self.shared.claim(&desc) {
-            Ok(()) => Ok(OwnedBuf::attach(
-                self.shared.clone(),
-                desc.buf_index,
-                desc.len,
-            )),
-            Err(e) => {
-                self.shared.failed_redeems.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        let shared = &*self.shared;
+        let slot = shared
+            .in_flight(&desc)
+            .inspect_err(|_| bump(&shared.failed_redeems))?;
+        slot.set(Slot {
+            state: State::Owned,
+            ..slot.get()
+        });
+        Ok(OwnedBuf::attach(
+            self.shared.clone(),
+            desc.buf_index,
+            desc.len,
+        ))
     }
 
     /// Returns a buffer to the pool (`rte_mempool_put()` analogue).
@@ -395,36 +338,31 @@ impl BufferPool {
         drop(buf);
     }
 
-    /// Returns current statistics.
-    ///
-    /// Exact whenever no other thread is mid-operation; under concurrent
-    /// use the per-buffer words are read one by one, not as a snapshot.
+    /// Returns current statistics: counters plus a count of the slots in
+    /// each state. `redeems` is derived, since every detach not still in
+    /// flight was redeemed.
     pub fn stats(&self) -> PoolStats {
-        let mut owned = 0u32;
-        let mut in_flight = 0u32;
-        let mut detaches = 0u64;
-        for w in self.shared.words.iter() {
-            let w = w.load(Ordering::Acquire);
-            detaches += word::detaches(w);
-            match word::state(w) {
-                word::OWNED => owned += 1,
-                word::IN_FLIGHT => in_flight += 1,
-                _ => {}
+        let shared = &*self.shared;
+        let (mut owned, mut in_flight) = (0u32, 0u32);
+        for slot in shared.slots.iter() {
+            match slot.get().state {
+                State::Free => {}
+                State::Owned => owned += 1,
+                State::InFlight => in_flight += 1,
             }
         }
-        let list = self.shared.free_list();
+        let detaches = shared.detaches.get();
         PoolStats {
-            capacity: self.shared.config.capacity,
-            free: list.free.len() as u32,
+            capacity: shared.config.capacity,
+            free: shared.free.borrow().len() as u32,
             owned,
             in_flight,
-            gets: list.gets,
-            puts: list.puts,
+            gets: shared.gets.get(),
+            puts: shared.puts.get(),
             detaches,
-            // Every detach not still in flight was redeemed.
             redeems: detaches - in_flight as u64,
-            failed_gets: list.failed_gets,
-            failed_redeems: self.shared.failed_redeems.load(Ordering::Relaxed),
+            failed_gets: shared.failed_gets.get(),
+            failed_redeems: shared.failed_redeems.get(),
         }
     }
 
@@ -433,40 +371,25 @@ impl BufferPool {
     /// number of bytes copied.
     ///
     /// The caller must hold the descriptor (i.e. be the logical owner of the
-    /// in-flight buffer); the descriptor is validated like
-    /// [`BufferPool::redeem`] does, so stale or foreign descriptors return
+    /// in-flight buffer); the descriptor passes every check
+    /// [`BufferPool::redeem`] makes, so stale or foreign descriptors return
     /// `None`. The data-plane trace sites use this to read the request id
     /// and sampling bit carried in the payload header while the buffer
     /// transits the data plane, without a heap allocation per peek.
     pub fn peek_payload_into(&self, desc: BufferDesc, out: &mut [u8]) -> Option<usize> {
         let shared = &*self.shared;
-        if !shared.names(&desc) {
-            return None;
-        }
-        let w = shared
-            .words
-            .get(desc.buf_index as usize)?
-            .load(Ordering::Acquire);
-        if word::state(w) != word::IN_FLIGHT || word::generation(w) != desc.generation {
-            return None;
-        }
-        let take = out.len().min(desc.len as usize).min(shared.config.buf_size);
+        shared.in_flight(&desc).ok()?;
+        let take = out.len().min(desc.len as usize);
         // SAFETY: the buffer is InFlight, so no `OwnedBuf` (and hence no
         // mutable reference) exists for it; the descriptor holder is its
         // logical owner and we only copy bytes out under that authority.
-        // `buf_ptr` is valid for `buf_size >= take` bytes.
+        // `in_flight` checked `desc.len <= buf_size`, and `buf_ptr` is valid
+        // for `buf_size` bytes. Exercised by
+        // `peek_reads_in_flight_payload_only_for_its_descriptor`.
         let slice =
             unsafe { std::slice::from_raw_parts(shared.buf_ptr(desc.buf_index).as_ptr(), take) };
         out[..take].copy_from_slice(slice);
         Some(take)
-    }
-
-    pub(crate) fn shared(&self) -> &Arc<PoolShared> {
-        &self.shared
-    }
-
-    pub(crate) fn from_shared(shared: Arc<PoolShared>) -> Self {
-        BufferPool { shared }
     }
 }
 
@@ -491,7 +414,7 @@ const DETACHED: u32 = u32::MAX;
 /// The token is deliberately neither `Clone` nor `Copy`: possession *is*
 /// the access right. Dropping it recycles the buffer.
 pub struct OwnedBuf {
-    shared: Arc<PoolShared>,
+    shared: Rc<PoolShared>,
     /// The buffer's first byte, valid for `buf_size` bytes while `shared`
     /// keeps the arena alive.
     data: NonNull<u8>,
@@ -500,18 +423,9 @@ pub struct OwnedBuf {
     len: u32,
 }
 
-// SAFETY: `data` points into the arena that `shared` (an `Arc` of a
-// `Send + Sync` pool) keeps mapped, and the pool's state machine makes this
-// token the only accessor of that range, so moving the token to another
-// thread moves the access right with it; `index` and `len` are plain data.
-unsafe impl Send for OwnedBuf {}
-// SAFETY: as for `Send`; `&OwnedBuf` only hands out `&[u8]` of the range and
-// `Copy` fields, and every mutation goes through `&mut self` or consumes it.
-unsafe impl Sync for OwnedBuf {}
-
 impl OwnedBuf {
     #[inline]
-    fn attach(shared: Arc<PoolShared>, index: u32, len: u32) -> Self {
+    fn attach(shared: Rc<PoolShared>, index: u32, len: u32) -> Self {
         OwnedBuf {
             data: shared.buf_ptr(index),
             shared,
@@ -554,14 +468,16 @@ impl OwnedBuf {
     pub fn as_slice(&self) -> &[u8] {
         // SAFETY: `data` is valid for `buf_size >= len` bytes, and this
         // `OwnedBuf` is the unique owner of the buffer (pool state
-        // machine); no other reference to this range can exist.
+        // machine); no other reference to this range can exist. Exercised
+        // by `buffers_do_not_alias`.
         unsafe { std::slice::from_raw_parts(self.data.as_ptr(), self.len as usize) }
     }
 
     /// Returns the full buffer as a mutable slice (capacity, not payload).
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         // SAFETY: Unique ownership as in `as_slice`, and `&mut self` also
-        // prevents aliasing through this token.
+        // prevents aliasing through this token. Exercised by
+        // `buffers_do_not_alias`.
         unsafe { std::slice::from_raw_parts_mut(self.data.as_ptr(), self.shared.config.buf_size) }
     }
 
@@ -586,27 +502,27 @@ impl OwnedBuf {
     /// The descriptor can be sent over any transport and redeemed exactly
     /// once by [`BufferPool::redeem`] on the receiving side.
     pub fn into_desc(mut self, dst_fn: u16) -> BufferDesc {
-        // This token is the buffer's only holder until the store below
-        // publishes the descriptor's generation.
-        let word = &self.shared.words[self.index as usize];
-        let owned = word.load(Ordering::Acquire);
-        debug_assert_eq!(word::state(owned), word::OWNED);
-        let in_flight = word::detached(owned);
-        word.store(in_flight, Ordering::Release);
-        let buf_index = std::mem::replace(&mut self.index, DETACHED);
+        let shared = &*self.shared;
+        let slot = &shared.slots[self.index as usize];
+        debug_assert_eq!(slot.get().state, State::Owned);
+        let in_flight = slot.get().next(State::InFlight);
+        slot.set(in_flight);
+        bump(&shared.detaches);
         BufferDesc {
-            tenant: self.shared.config.tenant.0,
-            pool_id: self.shared.config.pool_id,
-            buf_index,
+            tenant: shared.config.tenant.0,
+            pool_id: shared.config.pool_id,
+            buf_index: std::mem::replace(&mut self.index, DETACHED),
             len: self.len,
-            generation: word::generation(in_flight),
+            generation: in_flight.generation,
             dst_fn,
         }
     }
 
     /// Returns a clone of the owning pool handle.
     pub fn pool(&self) -> BufferPool {
-        BufferPool::from_shared(self.shared.clone())
+        BufferPool {
+            shared: self.shared.clone(),
+        }
     }
 }
 
@@ -615,18 +531,12 @@ impl Drop for OwnedBuf {
         if self.index == DETACHED {
             return;
         }
-        let mut list = self.shared.free_list();
-        // Still the only holder until the push: retiring the generation
-        // needs no lock, and sits under it for the reason given in `get`.
-        let word = &self.shared.words[self.index as usize];
-        let owned = word.load(Ordering::Acquire);
-        debug_assert_eq!(word::state(owned), word::OWNED);
-        word.store(
-            word::with_state(word::next_generation(owned), word::FREE),
-            Ordering::Release,
-        );
-        list.free.push(self.index);
-        list.puts += 1;
+        let shared = &*self.shared;
+        let slot = &shared.slots[self.index as usize];
+        debug_assert_eq!(slot.get().state, State::Owned);
+        slot.set(slot.get().next(State::Free));
+        shared.free.borrow_mut().push(self.index);
+        bump(&shared.puts);
     }
 }
 
@@ -804,60 +714,14 @@ mod tests {
             ..desc
         };
         let foreign = BufferDesc { tenant: 9, ..desc };
-        for bad in [stale, far, foreign] {
+        let long = BufferDesc { len: 4096, ..desc };
+        for bad in [stale, far, foreign, long] {
             assert_eq!(p.peek_payload_into(bad, &mut out), None);
         }
         let held = p.redeem(desc).unwrap();
         assert_eq!(p.peek_payload_into(desc, &mut out), None, "owned again");
         drop(held);
         assert_eq!(p.stats().failed_redeems, 0, "a peek is not a redeem");
-    }
-
-    #[test]
-    fn racing_redeems_of_one_descriptor_have_one_winner() {
-        const THREADS: usize = 4;
-        // Miri interprets every barrier wait; a hundred rounds still race.
-        const ROUNDS: usize = if cfg!(miri) { 100 } else { 10_000 };
-        let p = pool(2);
-        let barrier = std::sync::Barrier::new(THREADS);
-        let current = Mutex::new(None::<BufferDesc>);
-        let wins = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let (p, barrier, current, wins) = (&p, &barrier, &current, &wins);
-                s.spawn(move || {
-                    for round in 0..ROUNDS {
-                        if t == 0 {
-                            let mut b = p.get().unwrap();
-                            b.write_payload(&(round as u64).to_le_bytes()).unwrap();
-                            *current.lock().unwrap() = Some(b.into_desc(0));
-                        }
-                        // All four hold the same descriptor and start together.
-                        barrier.wait();
-                        let desc = current.lock().unwrap().expect("published");
-                        barrier.wait();
-                        match p.redeem(desc) {
-                            Ok(b) => {
-                                assert_eq!(b.as_slice(), (round as u64).to_le_bytes());
-                                wins.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => assert!(
-                                matches!(e, PoolError::NotInFlight | PoolError::StaleGeneration),
-                                "round {round}: {e:?}"
-                            ),
-                        }
-                        // Nobody starts the next round before every attempt
-                        // of this one is over.
-                        barrier.wait();
-                        assert_eq!(wins.load(Ordering::Relaxed), round as u64 + 1);
-                    }
-                });
-            }
-        });
-        let s = p.stats();
-        assert_eq!(s.redeems, ROUNDS as u64);
-        assert_eq!(s.failed_redeems, ((THREADS - 1) * ROUNDS) as u64);
-        assert_eq!((s.free, s.in_flight), (2, 0));
     }
 
     #[test]
@@ -870,41 +734,6 @@ mod tests {
         for (i, b) in bufs.iter().enumerate() {
             assert!(b.as_slice().iter().all(|&x| x == i as u8));
         }
-    }
-
-    #[test]
-    fn cross_thread_producer_consumer() {
-        let p = pool(8);
-        let (tx, rx) = std::sync::mpsc::channel::<BufferDesc>();
-        let producer = {
-            let p = p.clone();
-            std::thread::spawn(move || {
-                for i in 0..100u32 {
-                    let mut b = loop {
-                        match p.get() {
-                            Ok(b) => break b,
-                            Err(_) => std::thread::yield_now(),
-                        }
-                    };
-                    b.write_payload(&i.to_le_bytes()).unwrap();
-                    tx.send(b.into_desc(0)).unwrap();
-                }
-            })
-        };
-        let consumer = {
-            let p = p.clone();
-            std::thread::spawn(move || {
-                let mut sum = 0u64;
-                for desc in rx {
-                    let b = p.redeem(desc).unwrap();
-                    sum += u32::from_le_bytes(b.as_slice().try_into().unwrap()) as u64;
-                }
-                sum
-            })
-        };
-        producer.join().unwrap();
-        assert_eq!(consumer.join().unwrap(), (0..100u64).sum());
-        assert_eq!(p.stats().free, 8);
     }
 
     #[test]

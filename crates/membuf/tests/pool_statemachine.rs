@@ -57,6 +57,27 @@ fn ownership_state_machine_holds() {
         };
         run_case(case, ops);
     }
+    // A shrunk case from an earlier randomized search: a spent descriptor
+    // replayed after puts and detaches of the buffers around it.
+    use Op::*;
+    run_case(
+        256,
+        vec![
+            Get,
+            Get,
+            Get,
+            Get,
+            Detach(0, 0),
+            Detach(0, 0),
+            Get,
+            Get,
+            Redeem(0),
+            Detach(1, 0),
+            Put(0),
+            Detach(7, 0),
+            RedeemStale(0),
+        ],
+    );
 }
 
 fn run_case(case: u64, ops: Vec<Op>) {

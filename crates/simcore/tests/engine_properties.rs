@@ -89,21 +89,33 @@ fn token_bucket_never_exceeds_rate_over_long_windows() {
         let n = 10 + rng.gen_range(190) as usize;
         let sizes: Vec<u64> = (0..n).map(|_| 1 + rng.gen_range(4_095)).collect();
         let rate = rng.uniform(1_000_000.0, 1_000_000_000.0);
-        let burst = 8_192.0;
-        let mut tb = TokenBucket::new(rate, burst);
-        let mut t = SimTime::ZERO;
-        let mut sent = 0u64;
-        for &s in &sizes {
-            t = tb.reserve(t, s);
-            sent += s;
-        }
-        // Conformance: bytes sent by instant t never exceed burst + rate*t,
-        // modulo nanosecond rounding (up to 1 ns of credit per reservation).
-        let elapsed = t.as_secs_f64();
-        let rounding_slack = rate * 1e-9 * sizes.len() as f64 + 1.0;
-        assert!(
-            (sent as f64) <= burst + rate * elapsed + rounding_slack,
-            "sent {sent} bytes in {elapsed}s at rate {rate}"
-        );
+        token_bucket_conforms(&sizes, rate);
     }
+    // A shrunk case from an earlier randomized search, near the top of the
+    // rate range.
+    token_bucket_conforms(
+        &[
+            707, 651, 136, 168, 264, 728, 1622, 3744, 802, 3543, 1318, 649, 3573,
+        ],
+        904_951_527.175_16,
+    );
+}
+
+fn token_bucket_conforms(sizes: &[u64], rate: f64) {
+    let burst = 8_192.0;
+    let mut tb = TokenBucket::new(rate, burst);
+    let mut t = SimTime::ZERO;
+    let mut sent = 0u64;
+    for &s in sizes {
+        t = tb.reserve(t, s);
+        sent += s;
+    }
+    // Conformance: bytes sent by instant t never exceed burst + rate*t,
+    // modulo nanosecond rounding (up to 1 ns of credit per reservation).
+    let elapsed = t.as_secs_f64();
+    let rounding_slack = rate * 1e-9 * sizes.len() as f64 + 1.0;
+    assert!(
+        (sent as f64) <= burst + rate * elapsed + rounding_slack,
+        "sent {sent} bytes in {elapsed}s at rate {rate}"
+    );
 }

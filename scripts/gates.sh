@@ -125,18 +125,21 @@ one_front_door() {
   done
 }
 
-# DESIGN.md §3 "A closure lives in its slab node", §4 "A buffer hop takes
-# no lock". `claim` is redeem's compare-exchange.
-hops_take_no_lock() {
-  body() { awk -v f="fn $2[(<]" '$0 ~ f {on=1} on {print} on && /^    }$/ {on=0}' "$1"; }
+# DESIGN.md §2.2 "One simulation, one thread", §4 "The pool lives on one
+# thread": the pool, its arena and its export carry no cross-thread
+# machinery, and nothing asserts a Send or Sync the compiler would refuse.
+pool_is_single_threaded() {
   local f
-  for f in into_desc redeem claim peek_payload_into; do
-    [ -n "$(body crates/membuf/src/pool.rs "$f")" ] ||
-      fail "membuf::pool has no fn $f to check"
-    if body crates/membuf/src/pool.rs "$f" | grep -nE '\.lock\(\)|free_list\(\)'; then
-      fail "membuf::pool::$f must not take the free-list lock"
+  for f in crates/membuf/src/pool.rs crates/membuf/src/hugepage.rs crates/membuf/src/export.rs; do
+    if non_test "$f" | grep -nE 'Mutex|Atomic|\bArc\b|Ordering::|unsafe impl'; then
+      fail "$f: the pool is single-threaded; use Rc and Cell"
     fi
   done
+}
+
+# DESIGN.md §3 "A closure lives in its slab node".
+closures_live_in_their_node() {
+  local f
   for f in crates/simcore/src/*.rs; do
     if non_test "$f" | grep -n 'EventFn::new('; then
       fail "$f: no by-value EventFn; closures are written into their node (EventFn::arm)"
@@ -205,7 +208,8 @@ case "${1:-}" in
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     cores_are_simulator_free
     one_front_door
-    hops_take_no_lock
+    pool_is_single_threaded
+    closures_live_in_their_node
     one_sampler
     no_environment_knobs
     ;;
