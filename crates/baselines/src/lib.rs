@@ -7,15 +7,14 @@
 //! - [`systems`]: descriptors of the comparison data planes of §4.3 —
 //!   SPRIGHT, NightCore, FUYAO (with K- and F-Ingress), and Junction —
 //!   capturing each design's transport choices and per-hop costs as
-//!   published (Table 1).
-//! - [`engine`]: a generic per-node network-engine model the comparison
-//!   systems run on (a CPU core with per-message service plus transport
-//!   latency), standing in for each system's own proxy/engine component.
+//!   published (Table 1). A comparator's [`systems::Modelled`] plane is a
+//!   generic per-node network engine (a CPU core charged
+//!   [`systems::EngineCosts::service`] per message, plus transport latency
+//!   between nodes) standing in for the system's own proxy or engine
+//!   component; `nadino::baseline_cluster` runs it.
 
-pub mod engine;
 pub mod primitives;
 pub mod systems;
 
-pub use engine::BaselineEngine;
 pub use primitives::{run_echo, EchoConfig, EchoResult, Primitive};
 pub use systems::{SystemKind, SystemModel};

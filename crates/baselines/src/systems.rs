@@ -2,17 +2,16 @@
 //!
 //! Each [`SystemModel`] captures how a published system moves data, in the
 //! dimensions Table 1 compares: which cluster ingress it uses, how
-//! functions talk across nodes and within a node, whether it runs NADINO's
-//! real engine (the DNE/CNE variants) or the generic
-//! [`crate::BaselineEngine`], and how many cores it burns on polling or
-//! scheduling regardless of load. The `nadino` crate's end-to-end
-//! experiments assemble clusters from these descriptors.
+//! functions talk across nodes and within a node, and its [`Plane`]:
+//! NADINO's real engine (the DNE/CNE variants) or, for a comparator, a
+//! [`Modelled`] generic per-node engine — its [`EngineCosts`] and the cores
+//! it burns on polling or scheduling regardless of load. The `nadino`
+//! crate's end-to-end experiments assemble clusters from these
+//! descriptors.
 
 use dne::types::DneConfig;
 use ingress::stack::GatewayKind;
 use simcore::SimDuration;
-
-use crate::engine::EngineCosts;
 
 /// The systems compared in Fig. 16 / Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,6 +47,42 @@ impl SystemKind {
     }
 }
 
+/// Cost parameters of a comparator's per-node network engine.
+#[derive(Debug, Clone)]
+pub struct EngineCosts {
+    /// CPU time per message through the engine.
+    pub per_msg: SimDuration,
+    /// Transport latency per inter-node hop (wire + stack wakeups).
+    pub hop_latency: SimDuration,
+    /// Fixed cost of the receiver-side copy (zero when the design avoids
+    /// copies).
+    pub copy_fixed: SimDuration,
+    /// Copy bandwidth in bytes/second (`None` = no copy).
+    pub copy_rate: Option<f64>,
+}
+
+impl EngineCosts {
+    /// Total engine CPU for one message of `bytes`.
+    pub fn service(&self, bytes: usize) -> SimDuration {
+        let copy = match self.copy_rate {
+            Some(rate) => self.copy_fixed + SimDuration::from_secs_f64(bytes as f64 / rate),
+            None => SimDuration::ZERO,
+        };
+        self.per_msg + copy
+    }
+}
+
+/// The engine cores a comparator burns regardless of load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineCores {
+    /// The engine busy-polls: its core counts in full on every node, idle
+    /// or not (FUYAO's one-sided receiver).
+    Polls,
+    /// The engine's core counts what it serves, and this many more cores
+    /// per node are dedicated to the design (Junction's scheduler core).
+    Dedicates(usize),
+}
+
 /// Per-hop costs of a system's *intra-node* path.
 #[derive(Debug, Clone)]
 pub struct IntraNodeCosts {
@@ -59,6 +94,33 @@ pub struct IntraNodeCosts {
     pub copy_rate: Option<f64>,
 }
 
+/// A comparator's data plane: one generic engine per node standing in for
+/// the system's own proxy or engine component, and its intra-node path.
+#[derive(Debug, Clone)]
+pub struct Modelled {
+    /// Costs of the per-node engine.
+    pub engine: EngineCosts,
+    /// What the engine burns regardless of load.
+    pub cores: EngineCores,
+    /// Intra-node hop costs.
+    pub intra: IntraNodeCosts,
+    /// Whether intra-node messages also pass through the node's engine
+    /// (NightCore's engine is intra-node only; Junction's runtime
+    /// processes every message).
+    pub intra_via_engine: bool,
+    /// NightCore cannot spread a chain across nodes.
+    pub single_node_only: bool,
+}
+
+/// How a system moves data between functions.
+#[derive(Debug, Clone)]
+pub enum Plane {
+    /// NADINO's real engine with this config (the DNE and CNE variants).
+    Dne(DneConfig),
+    /// A comparator's calibrated model.
+    Modelled(Modelled),
+}
+
 /// A full system description.
 #[derive(Debug, Clone)]
 pub struct SystemModel {
@@ -67,150 +129,121 @@ pub struct SystemModel {
     pub name: &'static str,
     /// Which cluster ingress fronts the system.
     pub ingress: GatewayKind,
-    /// NightCore cannot spread a chain across nodes.
-    pub single_node_only: bool,
-    /// NADINO variants run the real engine with this config.
-    pub dne: Option<DneConfig>,
-    /// Baselines run the generic engine with these costs.
-    pub engine: Option<EngineCosts>,
-    /// Intra-node hop costs.
-    pub intra: IntraNodeCosts,
-    /// Whether intra-node messages also pass through the node's engine
-    /// (NightCore's engine is intra-node only; Junction's runtime
-    /// processes every message).
-    pub intra_via_engine: bool,
-    /// Cores per worker node dedicated regardless of load (FUYAO's
-    /// one-sided polling receiver, Junction's scheduler core).
-    pub dedicated_cores_per_node: usize,
+    /// The data plane behind the ingress.
+    pub plane: Plane,
 }
 
 impl SystemModel {
     /// Returns the calibrated model for `kind`.
     pub fn for_kind(kind: SystemKind) -> SystemModel {
-        let shm_intra = IntraNodeCosts {
-            latency: SimDuration::from_nanos(1_600),
-            cpu: SimDuration::from_nanos(850),
-            copy_rate: None,
-        };
-        match kind {
-            SystemKind::NadinoDne => SystemModel {
-                kind,
-                name: "NADINO (DNE)",
-                ingress: GatewayKind::Nadino,
-                single_node_only: false,
-                dne: Some(DneConfig::nadino_dne()),
-                engine: None,
-                intra: shm_intra,
-                intra_via_engine: false,
-                dedicated_cores_per_node: 0,
-            },
-            SystemKind::NadinoCne => SystemModel {
-                kind,
-                name: "NADINO (CNE)",
-                ingress: GatewayKind::Nadino,
-                single_node_only: false,
-                dne: Some(DneConfig::nadino_cne()),
-                engine: None,
-                intra: shm_intra,
-                intra_via_engine: false,
-                dedicated_cores_per_node: 0,
-            },
-            SystemKind::FuyaoF | SystemKind::FuyaoK => SystemModel {
-                kind,
-                name: if kind == SystemKind::FuyaoF {
-                    "FUYAO-F"
-                } else {
-                    "FUYAO-K"
-                },
-                ingress: if kind == SystemKind::FuyaoF {
-                    GatewayKind::FIngress
-                } else {
-                    GatewayKind::KIngress
-                },
-                single_node_only: false,
-                dne: None,
+        // FUYAO-F and FUYAO-K differ only in their ingress.
+        let fuyao = || {
+            Plane::Modelled(Modelled {
                 // One-sided write + receiver-side copy: the engine pays
-                // poll detection, WQE management, separate-pool ownership
-                // transfer and the copy on every inter-node hop; the
-                // receiver polls continuously.
-                engine: Some(EngineCosts {
+                // poll detection, WQE management, separate-pool
+                // ownership transfer and the copy on every inter-node
+                // hop; the receiver polls continuously.
+                engine: EngineCosts {
                     per_msg: SimDuration::from_nanos(7_500),
                     hop_latency: SimDuration::from_nanos(4_500),
                     copy_fixed: SimDuration::from_nanos(800),
                     copy_rate: Some(2_500_000_000.0),
-                    polling: true,
-                }),
-                // Separate intra/inter memory pools force a copy locally too.
+                },
+                cores: EngineCores::Polls,
+                // Separate intra/inter memory pools force a copy
+                // locally too.
                 intra: IntraNodeCosts {
                     latency: SimDuration::from_nanos(1_600),
                     cpu: SimDuration::from_nanos(1_100),
                     copy_rate: Some(4_000_000_000.0),
                 },
                 intra_via_engine: false,
-                dedicated_cores_per_node: 1,
-            },
-            SystemKind::Junction => SystemModel {
-                kind,
-                name: "Junction",
-                ingress: GatewayKind::FIngress,
                 single_node_only: false,
-                dne: None,
-                // Software kernel-bypass TCP on every hop: the per-node
-                // runtime processes each message in software.
-                engine: Some(EngineCosts {
-                    per_msg: SimDuration::from_nanos(8_000),
-                    hop_latency: SimDuration::from_nanos(6_000),
-                    copy_fixed: SimDuration::ZERO,
-                    copy_rate: None,
-                    polling: false,
+            })
+        };
+        let (name, ingress, plane) = match kind {
+            SystemKind::NadinoDne => (
+                "NADINO (DNE)",
+                GatewayKind::Nadino,
+                Plane::Dne(DneConfig::nadino_dne()),
+            ),
+            SystemKind::NadinoCne => (
+                "NADINO (CNE)",
+                GatewayKind::Nadino,
+                Plane::Dne(DneConfig::nadino_cne()),
+            ),
+            SystemKind::FuyaoF => ("FUYAO-F", GatewayKind::FIngress, fuyao()),
+            SystemKind::FuyaoK => ("FUYAO-K", GatewayKind::KIngress, fuyao()),
+            SystemKind::Junction => (
+                "Junction",
+                GatewayKind::FIngress,
+                Plane::Modelled(Modelled {
+                    // Software kernel-bypass TCP on every hop: the per-node
+                    // runtime processes each message in software.
+                    engine: EngineCosts {
+                        per_msg: SimDuration::from_nanos(8_000),
+                        hop_latency: SimDuration::from_nanos(6_000),
+                        copy_fixed: SimDuration::ZERO,
+                        copy_rate: None,
+                    },
+                    cores: EngineCores::Dedicates(1),
+                    intra: IntraNodeCosts {
+                        latency: SimDuration::from_nanos(4_000),
+                        cpu: SimDuration::from_nanos(8_000),
+                        copy_rate: None,
+                    },
+                    intra_via_engine: true,
+                    single_node_only: false,
                 }),
-                intra: IntraNodeCosts {
-                    latency: SimDuration::from_nanos(4_000),
-                    cpu: SimDuration::from_nanos(8_000),
-                    copy_rate: None,
-                },
-                intra_via_engine: true,
-                dedicated_cores_per_node: 1,
-            },
-            SystemKind::Spright => SystemModel {
-                kind,
-                name: "SPRIGHT",
-                ingress: GatewayKind::FIngress,
-                single_node_only: false,
-                dne: None,
-                // Kernel protocol stack between nodes.
-                engine: Some(EngineCosts {
-                    per_msg: SimDuration::from_nanos(11_000),
-                    hop_latency: SimDuration::from_nanos(18_000),
-                    copy_fixed: SimDuration::from_nanos(500),
-                    copy_rate: Some(6_000_000_000.0),
-                    polling: false,
+            ),
+            SystemKind::Spright => (
+                "SPRIGHT",
+                GatewayKind::FIngress,
+                Plane::Modelled(Modelled {
+                    // Kernel protocol stack between nodes.
+                    engine: EngineCosts {
+                        per_msg: SimDuration::from_nanos(11_000),
+                        hop_latency: SimDuration::from_nanos(18_000),
+                        copy_fixed: SimDuration::from_nanos(500),
+                        copy_rate: Some(6_000_000_000.0),
+                    },
+                    cores: EngineCores::Dedicates(0),
+                    // Shared memory between co-located functions.
+                    intra: IntraNodeCosts {
+                        latency: SimDuration::from_nanos(1_600),
+                        cpu: SimDuration::from_nanos(850),
+                        copy_rate: None,
+                    },
+                    intra_via_engine: false,
+                    single_node_only: false,
                 }),
-                intra: shm_intra,
-                intra_via_engine: false,
-                dedicated_cores_per_node: 0,
-            },
-            SystemKind::NightCore => SystemModel {
-                kind,
-                name: "NightCore",
-                ingress: GatewayKind::KIngress,
-                single_node_only: true,
-                dne: None,
-                engine: Some(EngineCosts {
-                    per_msg: SimDuration::from_nanos(1_800),
-                    hop_latency: SimDuration::from_nanos(2_000),
-                    copy_fixed: SimDuration::ZERO,
-                    copy_rate: None,
-                    polling: false,
+            ),
+            SystemKind::NightCore => (
+                "NightCore",
+                GatewayKind::KIngress,
+                Plane::Modelled(Modelled {
+                    engine: EngineCosts {
+                        per_msg: SimDuration::from_nanos(1_800),
+                        hop_latency: SimDuration::from_nanos(2_000),
+                        copy_fixed: SimDuration::ZERO,
+                        copy_rate: None,
+                    },
+                    cores: EngineCores::Dedicates(0),
+                    intra: IntraNodeCosts {
+                        latency: SimDuration::from_nanos(2_000),
+                        cpu: SimDuration::from_nanos(1_800),
+                        copy_rate: None,
+                    },
+                    intra_via_engine: true,
+                    single_node_only: true,
                 }),
-                intra: IntraNodeCosts {
-                    latency: SimDuration::from_nanos(2_000),
-                    cpu: SimDuration::from_nanos(1_800),
-                    copy_rate: None,
-                },
-                intra_via_engine: true,
-                dedicated_cores_per_node: 0,
-            },
+            ),
+        };
+        SystemModel {
+            kind,
+            name,
+            ingress,
+            plane,
         }
     }
 }
@@ -219,25 +252,45 @@ impl SystemModel {
 mod tests {
     use super::*;
 
+    /// The comparator model of `kind`.
+    fn modelled(kind: SystemKind) -> Modelled {
+        match SystemModel::for_kind(kind).plane {
+            Plane::Modelled(m) => m,
+            Plane::Dne(_) => panic!("{kind:?} runs the real engine"),
+        }
+    }
+
     #[test]
     fn all_seven_systems_resolve() {
         for kind in SystemKind::all() {
             let m = SystemModel::for_kind(kind);
             assert_eq!(m.kind, kind);
             assert!(!m.name.is_empty());
-            // Exactly one of the two engine flavours is set.
-            assert!(m.dne.is_some() ^ m.engine.is_some());
+            let nadino = matches!(kind, SystemKind::NadinoDne | SystemKind::NadinoCne);
+            assert_eq!(matches!(m.plane, Plane::Dne(_)), nadino);
         }
+    }
+
+    #[test]
+    fn copy_costs_scale_with_bytes() {
+        let c = EngineCosts {
+            per_msg: SimDuration::from_micros(2),
+            hop_latency: SimDuration::from_micros(10),
+            copy_fixed: SimDuration::from_micros(1),
+            copy_rate: Some(1_000_000_000.0), // 1 GB/s
+        };
+        assert_eq!(c.service(0).as_nanos(), 3_000);
+        assert_eq!(c.service(1000).as_nanos(), 4_000);
     }
 
     #[test]
     fn table1_properties_hold() {
         // NightCore: no distributed zero-copy (single node only).
-        assert!(SystemModel::for_kind(SystemKind::NightCore).single_node_only);
+        assert!(modelled(SystemKind::NightCore).single_node_only);
         // FUYAO uses DPU offloading in the paper's table but copies at the
         // receiver; our model encodes the copy.
-        let fuyao = SystemModel::for_kind(SystemKind::FuyaoF);
-        assert!(fuyao.engine.as_ref().unwrap().copy_rate.is_some());
+        let fuyao = modelled(SystemKind::FuyaoF);
+        assert!(fuyao.engine.copy_rate.is_some());
         assert!(
             fuyao.intra.copy_rate.is_some(),
             "separate pools copy locally"
@@ -256,37 +309,34 @@ mod tests {
         assert_eq!(f.ingress, GatewayKind::FIngress);
         assert_eq!(k.ingress, GatewayKind::KIngress);
         assert_eq!(
-            f.engine.as_ref().unwrap().per_msg,
-            k.engine.as_ref().unwrap().per_msg
+            modelled(SystemKind::FuyaoF).engine.per_msg,
+            modelled(SystemKind::FuyaoK).engine.per_msg
         );
     }
 
     #[test]
     fn polling_systems_burn_dedicated_cores() {
+        assert_eq!(modelled(SystemKind::FuyaoF).cores, EngineCores::Polls);
         assert_eq!(
-            SystemModel::for_kind(SystemKind::FuyaoF).dedicated_cores_per_node,
-            1
+            modelled(SystemKind::Junction).cores,
+            EngineCores::Dedicates(1)
         );
         assert_eq!(
-            SystemModel::for_kind(SystemKind::Junction).dedicated_cores_per_node,
-            1
-        );
-        assert_eq!(
-            SystemModel::for_kind(SystemKind::NadinoDne).dedicated_cores_per_node,
-            0
+            modelled(SystemKind::Spright).cores,
+            EngineCores::Dedicates(0)
         );
     }
 
     #[test]
     fn spright_inter_node_is_kernel_priced() {
-        let s = SystemModel::for_kind(SystemKind::Spright);
-        let f = SystemModel::for_kind(SystemKind::FuyaoF);
+        let s = modelled(SystemKind::Spright).engine;
+        let f = modelled(SystemKind::FuyaoF).engine;
         assert!(
-            s.engine.as_ref().unwrap().per_msg > f.engine.as_ref().unwrap().per_msg,
+            s.per_msg > f.per_msg,
             "kernel networking must cost more per message than one-sided RDMA"
         );
         assert!(
-            s.engine.as_ref().unwrap().hop_latency > f.engine.as_ref().unwrap().hop_latency,
+            s.hop_latency > f.hop_latency,
             "kernel hops must also be slower on the wire"
         );
     }

@@ -1,29 +1,37 @@
 //! Chain execution on the comparison systems.
 //!
 //! A [`BaselineCluster`] runs the same chains as the real NADINO cluster,
-//! but over a [`baselines::BaselineEngine`] per node parameterized by the
-//! system's [`baselines::SystemModel`]: kernel TCP hops for SPRIGHT,
+//! but over one engine core per node, a [`Server`] charged
+//! [`baselines::systems::EngineCosts::service`] per message, parameterized by
+//! the system's [`Modelled`] plane: kernel TCP hops for SPRIGHT,
 //! one-sided-write-plus-copy hops for FUYAO, userspace TCP everywhere for
-//! Junction, single-node shared memory for NightCore.
+//! Junction, single-node shared memory for NightCore. Requests enter only
+//! through [`BaselineCluster::serve_chain`], a door of the same shape as
+//! [`crate::cluster::Cluster::serve_chain`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use baselines::{BaselineEngine, SystemModel};
+use baselines::systems::{EngineCores, Modelled};
 use dpu_sim::soc::{Processor, ProcessorKind};
+use ingress::gateway::{Reply, ReqCtx, Upstream};
 use runtime::ChainSpec;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{Server, Sim, SimDuration, SimTime};
+
+use crate::cluster::HOST_CORES;
+
+/// Worker nodes of a comparator cluster (one for a single-node design).
+const WORKERS: usize = 2;
 
 struct BNode {
     cpu: Processor,
-    engine: BaselineEngine,
+    /// The node's network-engine core.
+    engine: Server,
 }
 
 struct Inner {
-    model: SystemModel,
-    /// Transport latency of an inter-node hop (the engines' one value).
-    hop_latency: SimDuration,
+    model: Modelled,
     nodes: Vec<BNode>,
     placement: HashMap<u16, usize>,
 }
@@ -36,17 +44,20 @@ impl Inner {
 
 /// One request on its way through a chain.
 struct Request {
-    chain: Rc<ChainSpec>,
-    exec_cost: Rc<dyn Fn(u16) -> SimDuration>,
+    /// The chain's functions, each with its execution cost.
+    hops: Rc<[(u16, SimDuration)]>,
     payload: usize,
-    done: Box<dyn FnOnce(&mut Sim)>,
+    reply: Reply,
 }
 
 /// What comes due for a request, in the order its hops meet them.
 enum Leg {
+    /// The request reached the entry function's node, whose host cores
+    /// terminate its TCP connection for `.0` (deferred conversion).
+    Entered(SimDuration),
     /// Hop `.0`'s function starts on its node's host cores.
     Run(usize),
-    /// Hop `.0`'s function finished: complete the request, or send it on.
+    /// Hop `.0`'s function finished: answer the request, or send it on.
     Ran(usize),
     /// The message to hop `.0` left its source engine, bound for node
     /// `.1`'s engine one transport latency away — or, with `None`, a local
@@ -63,24 +74,18 @@ pub struct BaselineCluster {
 }
 
 impl BaselineCluster {
-    /// Builds `workers` nodes with `host_cores` each for `model`.
-    pub fn new(model: SystemModel, workers: usize, host_cores: usize) -> BaselineCluster {
-        assert!(workers >= 1);
-        let effective_workers = if model.single_node_only { 1 } else { workers };
-        let engine_costs = model
-            .engine
-            .clone()
-            .expect("baseline systems use the generic engine");
-        let nodes = (0..effective_workers)
+    /// Builds the nodes of `model`, `HOST_CORES` host cores each.
+    pub fn new(model: Modelled) -> BaselineCluster {
+        let workers = if model.single_node_only { 1 } else { WORKERS };
+        let nodes = (0..workers)
             .map(|_| BNode {
-                cpu: Processor::new(ProcessorKind::HostCpu, host_cores),
-                engine: BaselineEngine::new(engine_costs.clone()),
+                cpu: Processor::new(ProcessorKind::HostCpu, HOST_CORES),
+                engine: Server::new(),
             })
             .collect();
         BaselineCluster {
             inner: Rc::new(RefCell::new(Inner {
                 model,
-                hop_latency: engine_costs.hop_latency,
                 nodes,
                 placement: HashMap::new(),
             })),
@@ -99,22 +104,29 @@ impl BaselineCluster {
         inner.placement.insert(fn_id, node);
     }
 
-    /// Runs one request through `chain`, invoking `done` at completion.
-    pub fn run_request(
+    /// The front door for `chain`, for `Gateway::submit_tenant`: each
+    /// request crosses `transport` to the entry function's node, whose host
+    /// cores spend `worker_cost` terminating TCP, then runs the chain with
+    /// `exec_cost` per function; the reply carries the request's bytes.
+    pub fn serve_chain(
         &self,
-        sim: &mut Sim,
-        chain: Rc<ChainSpec>,
-        exec_cost: Rc<dyn Fn(u16) -> SimDuration>,
-        payload: usize,
-        done: Box<dyn FnOnce(&mut Sim)>,
-    ) {
-        let req = Request {
-            chain,
-            exec_cost,
-            payload,
-            done,
-        };
-        self.on(sim, req, Leg::Run(0));
+        chain: &ChainSpec,
+        exec_cost: impl Fn(u16) -> SimDuration,
+        transport: SimDuration,
+        worker_cost: SimDuration,
+    ) -> Upstream {
+        let hops: Rc<[(u16, SimDuration)]> =
+            chain.hops.iter().map(|&f| (f, exec_cost(f))).collect();
+        let this = self.clone();
+        Rc::new(move |sim: &mut Sim, ctx: ReqCtx, reply: Reply| {
+            let req = Request {
+                hops: hops.clone(),
+                payload: ctx.req_bytes,
+                reply,
+            };
+            let entered = sim.now() + transport;
+            this.at(sim, entered, req, Leg::Entered(worker_cost));
+        })
     }
 
     /// Takes a request one leg on, scheduling the next.
@@ -122,24 +134,27 @@ impl BaselineCluster {
         let now = sim.now();
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
+        let node_of = |hop: usize| inner.node_of(req.hops[hop].0);
         let (at, next) = match leg {
+            Leg::Entered(cost) => {
+                let node = node_of(0);
+                (inner.nodes[node].cpu.run(now, cost), Leg::Run(0))
+            }
             Leg::Run(hop) => {
-                let f = req.chain.hops[hop];
-                let node = inner.node_of(f);
-                let ran = inner.nodes[node].cpu.run(now, (req.exec_cost)(f));
+                let node = node_of(hop);
+                let ran = inner.nodes[node].cpu.run(now, req.hops[hop].1);
                 (ran, Leg::Ran(hop))
             }
-            Leg::Ran(hop) if hop + 1 == req.chain.hops.len() => {
+            Leg::Ran(hop) if hop + 1 == req.hops.len() => {
                 drop(guard);
-                (req.done)(sim);
-                return;
+                return (req.reply)(sim, Ok(req.payload));
             }
             Leg::Ran(hop) => {
                 let next = hop + 1;
-                let src = inner.node_of(req.chain.hops[hop]);
-                let dst = inner.node_of(req.chain.hops[next]);
+                let (src, dst) = (node_of(hop), node_of(next));
                 if src != dst || inner.model.intra_via_engine {
-                    let sent = inner.nodes[src].engine.admit(now, req.payload);
+                    let service = inner.model.engine.service(req.payload);
+                    let sent = inner.nodes[src].engine.admit(now, service);
                     (sent, Leg::Sent(next, (src != dst).then_some(dst)))
                 } else {
                     // IPC on the host cores plus, for designs with separate
@@ -153,43 +168,45 @@ impl BaselineCluster {
                     (done + intra.latency, Leg::Run(next))
                 }
             }
-            Leg::Sent(next, Some(dst)) => (now + inner.hop_latency, Leg::Arrived(next, dst)),
+            Leg::Sent(next, Some(dst)) => {
+                let arrived = now + inner.model.engine.hop_latency;
+                (arrived, Leg::Arrived(next, dst))
+            }
             Leg::Sent(next, None) => (now + inner.model.intra.latency, Leg::Run(next)),
             Leg::Arrived(next, dst) => {
-                let arrived = inner.nodes[dst].engine.admit(now, req.payload);
-                (arrived, Leg::Run(next))
+                let service = inner.model.engine.service(req.payload);
+                (inner.nodes[dst].engine.admit(now, service), Leg::Run(next))
             }
         };
         drop(guard);
+        self.at(sim, at, req, next);
+    }
+
+    /// Schedules `leg` of `req` at `at`: the cluster's one scheduling site.
+    fn at(&self, sim: &mut Sim, at: SimTime, req: Request, leg: Leg) {
         let this = self.clone();
-        sim.schedule_at(at, move |sim| this.on(sim, req, next));
+        sim.schedule_at(at, move |sim| this.on(sim, req, leg));
     }
 
-    /// Charges `cost` on the host cores of the node hosting `fn_id` and
-    /// returns the completion instant (used for worker-side TCP
-    /// termination under deferred conversion).
-    pub fn charge(&self, sim: &mut Sim, fn_id: u16, cost: SimDuration) -> SimTime {
-        let mut inner = self.inner.borrow_mut();
-        let node = inner.node_of(fn_id);
-        inner.nodes[node].cpu.run(sim.now(), cost)
-    }
-
-    /// Whether the engines busy-poll (their cores count as saturated).
-    pub fn engine_polls(&self) -> bool {
-        self.inner
-            .borrow()
-            .model
-            .engine
-            .as_ref()
-            .map(|e| e.polling)
-            .unwrap_or(false)
-    }
-
-    /// Engine-core utilization across nodes (polling engines report 1.0
-    /// per node, matching the paper's saturated-core observation).
-    pub fn engine_utilization(&self, a: SimTime, b: SimTime) -> f64 {
+    /// Network-engine cores busy over `[a, b]`, summed across nodes: a
+    /// polling engine's core counts in full on every node; otherwise each
+    /// engine core's utilization, plus the cores the design dedicates
+    /// regardless of load.
+    pub fn engine_cores(&self, a: SimTime, b: SimTime) -> f64 {
         let inner = self.inner.borrow();
-        inner.nodes.iter().map(|n| n.engine.utilization(a, b)).sum()
+        let cores = inner.model.cores;
+        let busy: f64 = inner
+            .nodes
+            .iter()
+            .map(|n| match cores {
+                EngineCores::Polls => 1.0,
+                EngineCores::Dedicates(_) => n.engine.utilization(a, b),
+            })
+            .sum();
+        busy + match cores {
+            EngineCores::Polls => 0.0,
+            EngineCores::Dedicates(per_node) => (per_node * inner.nodes.len()) as f64,
+        }
     }
 
     /// Host-core utilization across nodes.
@@ -201,65 +218,72 @@ impl BaselineCluster {
             .map(|n| n.cpu.utilization_cores(a, b))
             .sum()
     }
-
-    /// Cores burned regardless of load (polling receivers, schedulers).
-    pub fn dedicated_cores(&self) -> usize {
-        let inner = self.inner.borrow();
-        inner.model.dedicated_cores_per_node * inner.nodes.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::boutique;
-    use baselines::SystemKind;
+    use baselines::systems::Plane;
+    use baselines::{SystemKind, SystemModel};
     use membuf::tenant::TenantId;
     use std::cell::Cell;
 
-    fn run_one(kind: SystemKind) -> SimDuration {
-        let model = SystemModel::for_kind(kind);
-        let bc = BaselineCluster::new(model, 2, 32);
-        for f in boutique::all_functions() {
-            bc.place(f, boutique::hotspot_placement(f));
+    fn modelled(kind: SystemKind) -> Modelled {
+        match SystemModel::for_kind(kind).plane {
+            Plane::Modelled(m) => m,
+            Plane::Dne(_) => panic!("{kind:?} runs the real engine"),
         }
-        let chain = Rc::new(boutique::home_query(TenantId(1)));
+    }
+
+    /// Sends one request of `bytes` through `door` at time zero and returns
+    /// when its reply came back.
+    fn answer_time(door: &Upstream, bytes: usize) -> SimDuration {
         let mut sim = Sim::new();
         let finish: Rc<Cell<Option<SimTime>>> = Rc::new(Cell::new(None));
         let sink = finish.clone();
-        bc.run_request(
-            &mut sim,
-            chain,
-            Rc::new(boutique::exec_cost),
-            boutique::PAYLOAD_BYTES,
-            Box::new(move |sim| sink.set(Some(sim.now()))),
-        );
+        let ctx = ReqCtx {
+            req_id: 1,
+            tenant: 1,
+            req_bytes: bytes,
+            deadline_ns: 0,
+            sampled: false,
+        };
+        let reply: Reply = Box::new(move |sim, outcome| {
+            assert_eq!(outcome, Ok(bytes), "the reply carries the request's bytes");
+            sink.set(Some(sim.now()));
+        });
+        door(&mut sim, ctx, reply);
         sim.run();
-        finish.get().expect("request completed") - SimTime::ZERO
+        finish.get().expect("request answered") - SimTime::ZERO
+    }
+
+    /// One Home Query through `kind`'s door behind an F-Ingress.
+    fn home_query(kind: SystemKind) -> SimDuration {
+        let bc = BaselineCluster::new(modelled(kind));
+        for f in boutique::all_functions() {
+            bc.place(f, boutique::hotspot_placement(f));
+        }
+        let chain = boutique::home_query(TenantId(1));
+        let transport = SimDuration::from_micros(12);
+        let door = bc.serve_chain(&chain, boutique::exec_cost, transport, SimDuration::ZERO);
+        answer_time(&door, boutique::PAYLOAD_BYTES)
     }
 
     #[test]
     fn an_inter_node_hop_charges_both_engines_and_the_wire() {
-        let model = SystemModel::for_kind(SystemKind::Spright);
-        let costs = model.engine.clone().unwrap();
-        let bc = BaselineCluster::new(model, 2, 32);
+        let model = modelled(SystemKind::Spright);
+        let costs = model.engine.clone();
+        let bc = BaselineCluster::new(model);
         bc.place(1, 0);
         bc.place(2, 1);
-        let chain = Rc::new(ChainSpec::new("hop", TenantId(1), vec![1, 2]));
-        let mut sim = Sim::new();
-        let finish: Rc<Cell<Option<SimTime>>> = Rc::new(Cell::new(None));
-        let sink = finish.clone();
-        let free = Rc::new(|_| SimDuration::ZERO);
-        bc.run_request(
-            &mut sim,
-            chain,
-            free,
-            64,
-            Box::new(move |sim| sink.set(Some(sim.now()))),
-        );
-        sim.run();
-        let want = costs.service(64) + costs.hop_latency + costs.service(64);
-        assert_eq!(finish.get().unwrap() - SimTime::ZERO, want);
+        let chain = ChainSpec::new("hop", TenantId(1), vec![1, 2]);
+        let transport = SimDuration::from_micros(3);
+        let worker_cost = SimDuration::from_micros(7);
+        let door = bc.serve_chain(&chain, |_| SimDuration::ZERO, transport, worker_cost);
+        let want =
+            transport + worker_cost + costs.service(64) + costs.hop_latency + costs.service(64);
+        assert_eq!(answer_time(&door, 64), want);
     }
 
     #[test]
@@ -271,8 +295,7 @@ mod tests {
             SystemKind::Spright,
             SystemKind::NightCore,
         ] {
-            let d = run_one(kind);
-            let ms = d.as_millis_f64();
+            let ms = home_query(kind).as_millis_f64();
             assert!(
                 (0.5..=5.0).contains(&ms),
                 "{kind:?} Home Query latency = {ms}ms"
@@ -283,31 +306,28 @@ mod tests {
     #[test]
     fn spright_slower_than_fuyao_f_at_light_load() {
         // Kernel inter-node hops dominate SPRIGHT's chain latency.
-        let spright = run_one(SystemKind::Spright).as_millis_f64();
-        let fuyao = run_one(SystemKind::FuyaoF).as_millis_f64();
+        let spright = home_query(SystemKind::Spright).as_millis_f64();
+        let fuyao = home_query(SystemKind::FuyaoF).as_millis_f64();
         assert!(spright > fuyao, "SPRIGHT {spright}ms vs FUYAO-F {fuyao}ms");
     }
 
     #[test]
     fn nightcore_collapses_to_one_node() {
-        let bc = BaselineCluster::new(SystemModel::for_kind(SystemKind::NightCore), 2, 32);
+        let bc = BaselineCluster::new(modelled(SystemKind::NightCore));
         assert_eq!(bc.inner.borrow().nodes.len(), 1);
         bc.place(boutique::fns::CART, 1); // clamped
-        assert_eq!(
-            *bc.inner
-                .borrow()
-                .placement
-                .get(&boutique::fns::CART)
-                .unwrap(),
-            0
-        );
+        assert_eq!(bc.inner.borrow().node_of(boutique::fns::CART), 0);
     }
 
     #[test]
-    fn dedicated_cores_reflect_polling_designs() {
-        let fuyao = BaselineCluster::new(SystemModel::for_kind(SystemKind::FuyaoF), 2, 32);
-        assert_eq!(fuyao.dedicated_cores(), 2);
-        let spright = BaselineCluster::new(SystemModel::for_kind(SystemKind::Spright), 2, 32);
-        assert_eq!(spright.dedicated_cores(), 0);
+    fn engine_cores_count_polling_and_dedicated_cores() {
+        let idle = |kind| {
+            let bc = BaselineCluster::new(modelled(kind));
+            bc.engine_cores(SimTime::ZERO, SimTime::from_nanos(1_000_000))
+        };
+        assert_eq!(idle(SystemKind::FuyaoF), 2.0, "a polling core per node");
+        assert_eq!(idle(SystemKind::Junction), 2.0, "a scheduler core per node");
+        assert_eq!(idle(SystemKind::Spright), 0.0);
+        assert_eq!(idle(SystemKind::NightCore), 0.0);
     }
 }

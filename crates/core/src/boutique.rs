@@ -9,11 +9,17 @@
 //! chain between downstream calls, as in the real application's call
 //! graph. Placement follows the paper: the potential hotspot functions
 //! (Frontend, Checkout, Recommendation) on one node, everything else on
-//! the second node.
+//! the second node. [`cluster`] builds the one NADINO cell fig16, the
+//! ablations and the fleet report run the workload on.
 
+use std::rc::Rc;
+
+use dne::types::DneConfig;
 use membuf::tenant::TenantId;
 use runtime::ChainSpec;
-use simcore::SimDuration;
+use simcore::{Sim, SimDuration};
+
+use crate::cluster::{Cluster, ClusterConfig};
 
 /// Function identifiers of the ten Online Boutique services.
 pub mod fns {
@@ -186,6 +192,26 @@ pub fn hotspot_placement(f: u16) -> usize {
 
 /// Typical request payload in bytes (small JSON-ish messages).
 pub const PAYLOAD_BYTES: usize = 512;
+
+/// The tenant the Online Boutique cell runs as.
+pub const TENANT: TenantId = TenantId(1);
+
+/// The Online Boutique cell on engine `dne`: the default two workers with
+/// 4096-buffer pools, [`TENANT`] at weight 1, and every function at its
+/// [`hotspot_placement`].
+pub fn cluster(sim: &mut Sim, dne: DneConfig) -> Rc<Cluster> {
+    let config = ClusterConfig {
+        dne,
+        pool_bufs: 4096,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(sim, config);
+    cluster.add_tenant(sim, TENANT, 1).expect("fresh cluster");
+    for f in all_functions() {
+        cluster.place(f, hotspot_placement(f));
+    }
+    Rc::new(cluster)
+}
 
 #[cfg(test)]
 mod tests {

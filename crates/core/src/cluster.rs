@@ -93,8 +93,7 @@ pub struct RebalanceOutcome {
 struct Hub {
     /// Tail sampler + flight recorder + SLO monitor, when enabled.
     pipeline: Option<obs::TracePipeline>,
-    /// The control plane, when started: it hears every failure and the
-    /// number of burn-alerting tenants after every completion.
+    /// The control plane, when started: it hears every failure.
     control: Option<ControlPlane>,
     /// Gateway replies held for requests that entered through the front
     /// door, by request id. Whoever removes an entry answers it, so a
@@ -125,48 +124,45 @@ enum Outcome<'a> {
 impl Hub {
     /// The one way out of the cluster (DESIGN.md §12): every completion
     /// and every typed failure of `req_id` crosses here in one order. A
-    /// failure closes the request's DAG joins on every node; then the trace
-    /// pipeline records the outcome, the control plane hears it (the
-    /// failure, or how many tenants a completion left burn-alerting), a held
-    /// gateway reply is answered, and the caller's callback runs last.
+    /// failure closes the request's DAG joins on every node, the trace
+    /// pipeline records it, the control plane hears it, the held gateway
+    /// reply is answered `Err` and the user's handler runs last. A
+    /// completion is recorded by the pipeline, then answers the held reply
+    /// or runs the caller's callback.
     fn leave(hub: &Weak<RefCell<Hub>>, sim: &mut Sim, req_id: u64, outcome: Outcome) {
         let Some(hub) = hub.upgrade() else {
             return;
         };
         let now = sim.now();
-        let (control, alerting) = {
-            let mut h = hub.borrow_mut();
-            if let Outcome::Failed(..) = outcome {
-                h.libs.iter().for_each(|lib| lib.forget(req_id));
-            }
-            // An SLO burn-alert rising edge takes its dump in `on_complete`.
-            let alerting = h.pipeline.as_mut().and_then(|p| match outcome {
-                Outcome::Failed(..) => {
-                    p.on_failure(now, req_id);
-                    None
-                }
-                Outcome::Completed(_) => {
-                    p.on_complete(now, req_id);
-                    Some(p.alerting_count())
-                }
-            });
-            (h.control.clone(), alerting)
-        };
-        match (control, outcome, alerting) {
-            (Some(c), Outcome::Failed(reporter, failure), _) => c.failed(sim, reporter, failure),
-            (Some(c), Outcome::Completed(_), Some(n)) => c.alerting(sim, n),
-            _ => {}
-        }
         match outcome {
-            Outcome::Failed(_, failure) => {
+            Outcome::Failed(reporter, failure) => {
+                let control = {
+                    let mut h = hub.borrow_mut();
+                    h.libs.iter().for_each(|lib| lib.forget(req_id));
+                    if let Some(p) = h.pipeline.as_mut() {
+                        p.on_failure(now, req_id);
+                    }
+                    h.control.clone()
+                };
+                if let Some(control) = control {
+                    control.failed(sim, reporter, failure);
+                }
                 Hub::answer(&hub, sim, req_id, Err(DeliveryFailed));
                 let user = hub.borrow().user_failure.clone();
                 if let Some(user) = user {
                     user(sim, failure);
                 }
             }
-            Outcome::Completed(Done::Door(bytes)) => Hub::answer(&hub, sim, req_id, Ok(*bytes)),
-            Outcome::Completed(Done::Caller(then)) => then(sim, req_id),
+            Outcome::Completed(done) => {
+                // An SLO burn-alert rising edge takes its dump in `on_complete`.
+                if let Some(p) = hub.borrow_mut().pipeline.as_mut() {
+                    p.on_complete(now, req_id);
+                }
+                match done {
+                    Done::Door(bytes) => Hub::answer(&hub, sim, req_id, Ok(*bytes)),
+                    Done::Caller(then) => then(sim, req_id),
+                }
+            }
         }
     }
 
@@ -677,8 +673,7 @@ impl Cluster {
         self.tracer.borrow().clone()
     }
 
-    /// Hands every failure and every completion's count of burn-alerting
-    /// tenants to `control` ([`ControlPlane::start`]).
+    /// Hands every failure to `control` ([`ControlPlane::start`]).
     pub(crate) fn set_control_plane(&self, control: ControlPlane) {
         self.hub.borrow_mut().control = Some(control);
     }

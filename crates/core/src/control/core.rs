@@ -2,10 +2,10 @@
 //!
 //! [`Core`] holds one `Track` per node — the health state, the failure
 //! streak and the drain hold-down beside the administrative
-//! [`NodeLifecycle`] — and the upgrade wave, the SLO pressure, the tracer
-//! and the health and fleet event logs. [`Core::step`] takes the instant,
-//! one [`Input`] and the [`Host`] it queries, and emits [`Output`]s into a
-//! sink in the order the control plane wants them done. The driver in
+//! [`NodeLifecycle`] — and the upgrade wave, the tracer and the health and
+//! fleet event logs. [`Core::step`] takes the instant, one [`Input`] and the
+//! [`Host`] it queries, and emits [`Output`]s into a sink in the order the
+//! control plane wants them done. The driver in
 //! [`crate::control`] applies each one as it is emitted — none re-enters
 //! the control plane — and hands back what a `FailOver` or a `Restore`
 //! moved, which goes straight into the fleet log.
@@ -70,11 +70,6 @@ const UPGRADE_DURATION: SimDuration = SimDuration::from_micros(500);
 /// connections and admission settle so the wave never has two nodes out at
 /// once.
 const SETTLE: SimDuration = SimDuration::from_micros(200);
-/// SLO pressure: each burn-alerting tenant discounts the effective capacity
-/// by `PRESSURE_STEP`, down to `PRESSURE_FLOOR`, so ingress sheds before the
-/// whole error budget is gone.
-const PRESSURE_STEP: f64 = 0.1;
-const PRESSURE_FLOOR: f64 = 0.5;
 
 /// A node's health state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,8 +220,6 @@ pub(crate) enum Input {
     /// The probe tick: decay stale suspects, notice crashed machines back
     /// up, finish crash-recovery drains whose hold-down elapsed.
     Probe,
-    /// This many tenants are burn-alerting (after a completion).
-    Alerting(usize),
     /// Drain node `.0`, then restart it at CTX wire `.1`.
     Upgrade(usize, u8),
     /// Drain node `.0` and leave it out of service.
@@ -315,10 +308,6 @@ pub(crate) struct Core {
     /// One per node, in cluster index order.
     tracks: Vec<Track>,
     wave: Option<Wave>,
-    /// Multiplier in `[PRESSURE_FLOOR, 1]` from the burn-alerting tenants:
-    /// they discount effective capacity so admission sheds sooner even
-    /// while every node is nominally up.
-    slo_pressure: f64,
     /// The probe re-arms itself while `now` is before this.
     probe_until: SimTime,
     tracer: Tracer,
@@ -352,7 +341,6 @@ impl Core {
         Core {
             tracks: nodes.into_iter().map(track).collect(),
             wave: None,
-            slo_pressure: 1.0,
             probe_until,
             tracer,
             health: Vec::new(),
@@ -387,13 +375,6 @@ impl Core {
                     out(Output::At(now + PROBE_INTERVAL, Input::Probe));
                 }
             }
-            Input::Alerting(n) => {
-                let pressure = (1.0 - PRESSURE_STEP * n as f64).max(PRESSURE_FLOOR);
-                if pressure != self.slo_pressure {
-                    self.slo_pressure = pressure;
-                    out(Output::Capacity(self.capacity()));
-                }
-            }
             Input::Upgrade(idx, version) => self.drain(now, idx, Some(version), host, out),
             Input::Decommission(idx) => self.drain(now, idx, None, host, out),
             Input::Provision(idx) => self.provision(now, idx, out),
@@ -418,8 +399,8 @@ impl Core {
     }
 
     /// The effective capacity fraction in `(0, 1]`: the share of nodes
-    /// taking traffic, discounted by SLO pressure. `Draining` counts against
-    /// it like `Down`: its routes live on backups until the drain ends.
+    /// taking traffic. `Draining` counts against it like `Down`: its routes
+    /// live on backups until the drain ends.
     pub(crate) fn capacity(&self) -> f64 {
         let total = self.tracks.len().max(1) as f64;
         let up = self
@@ -427,7 +408,7 @@ impl Core {
             .iter()
             .filter(|t| matches!(t.state, NodeState::Healthy | NodeState::Suspect))
             .count() as f64;
-        (up / total) * self.slo_pressure
+        up / total
     }
 
     /// Health state of `node` (`None` if untracked).
@@ -863,21 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn slo_pressure_discounts_capacity() {
-        let mut core = two_nodes();
-        let alerting = |core: &mut Core, n| step(core, 0, Input::Alerting(n), true);
-        assert_eq!(alerting(&mut core, 5), [Output::Capacity(0.5)]);
-        assert!(alerting(&mut core, 6).is_empty(), "floored: no re-emit");
-        assert_eq!(alerting(&mut core, 0), [Output::Capacity(1.0)]);
-        // Pressure composes with node loss.
-        alerting(&mut core, 5);
-        for _ in 0..3 {
-            step(&mut core, 0, blame(1), true);
-        }
-        assert_eq!(core.capacity(), 0.25, "half the nodes, half budget");
-    }
-
-    #[test]
     fn transitions_emit_health_event_spans_and_log() {
         let tracer = Tracer::enabled();
         let mut core = Core::new([NodeId(0), NodeId(1)], tracer.clone(), SimTime::ZERO);
@@ -939,8 +905,7 @@ mod tests {
         /// A wave to v2, three failures blamed on node 1, and one probe
         /// that finds node 1's machine down, or back up.
         WaveBlamed,
-        /// Node 1 decommissioned, then provisioned, around two probes and
-        /// an SLO pressure change.
+        /// Node 1 decommissioned, then provisioned, around two probes.
         DecommissionProvision,
         /// Node 1 decommissioned, then provisioned, against a wave to v2.
         DecommissionInWave,
@@ -990,7 +955,7 @@ mod tests {
                     Pending::Probe(true),
                 ],
                 Case::DecommissionProvision => {
-                    vec![decommission, Pending::Probes(2), now(Input::Alerting(5))]
+                    vec![decommission, Pending::Probes(2)]
                 }
                 Case::DecommissionInWave => vec![wave(), decommission],
                 Case::Hearsay => vec![
@@ -1086,7 +1051,7 @@ mod tests {
                         let up = states
                             .filter(|s| matches!(s, NodeState::Healthy | NodeState::Suspect))
                             .count();
-                        let want = up as f64 / N as f64 * core.slo_pressure;
+                        let want = up as f64 / N as f64;
                         assert_eq!(capacity, want, "capacity after {order:?}");
                     }
                     Output::WireVersion(..) => {}
@@ -1166,16 +1131,15 @@ mod tests {
     /// a pending input that may fire at any later point: a wave to v2 across
     /// three nodes while three failures are blamed on node 1 and one probe
     /// finds its machine down or up; node 1 decommissioned, then
-    /// provisioned, around two probes and an SLO pressure change; the same
-    /// decommission against a wave; and three failures blamed on node 1
-    /// around one from a reporter inside an outage, a `DeadlineExceeded`
-    /// and a probe. After every step: no `Restore(i)` leaves node `i`
-    /// `Down`, `FailOver` and `Restore` alternate per node, every `Capacity`
-    /// is (`Healthy` + `Suspect`) / n × pressure, the wave never has two of
-    /// its own nodes out of service, a `Decommissioned` node stays so until
-    /// `Provision`, and a failure that is no evidence emitted nothing and
-    /// moved no node. After every order, every `DrainStarted` ended exactly
-    /// once. A failure prints the order.
+    /// provisioned, around two probes; the same decommission against a
+    /// wave; and three failures blamed on node 1 around one from a reporter
+    /// inside an outage, a `DeadlineExceeded` and a probe. After every step:
+    /// no `Restore(i)` leaves node `i` `Down`, `FailOver` and `Restore`
+    /// alternate per node, every `Capacity` is (`Healthy` + `Suspect`) / n,
+    /// the wave never has two of its own nodes out of service, a
+    /// `Decommissioned` node stays so until `Provision`, and a failure that
+    /// is no evidence emitted nothing and moved no node. After every order,
+    /// every `DrainStarted` ended exactly once. A failure prints the order.
     #[test]
     fn every_order_keeps_routes_drains_and_the_wave_in_step() {
         let mut seen = Vec::new();
@@ -1194,7 +1158,7 @@ mod tests {
                 |w| w.check_end(&mut seen),
             )
         });
-        assert_eq!(orders, [8008, 120, 283, 120]);
+        assert_eq!(orders, [8008, 20, 283, 120]);
         seen.sort_unstable();
         let endings = [
             "decommissioned",

@@ -7,10 +7,10 @@
 //! through their administrative lifecycle while tenant traffic keeps
 //! flowing: routes fail over to backups before a node leaves service and
 //! come home when it returns, and every change of the effective capacity
-//! (node loss, or SLO pressure from burn-alerting tenants) feeds the
-//! gateway's admission control. During a wave, peers stamp toward each node
-//! at `min(own, announced)` CTX wire version (see `obs::ctx`), so version
-//! skew rides the wire safely.
+//! (the share of nodes taking traffic) feeds the gateway's admission
+//! control. During a wave, peers stamp toward each node at
+//! `min(own, announced)` CTX wire version (see `obs::ctx`), so version skew
+//! rides the wire safely.
 //!
 //! The state machine is the `core` submodule, which never sees the
 //! simulator; this module is [`ControlPlane`], one handle over it, and its
@@ -146,12 +146,6 @@ impl ControlPlane {
     pub(crate) fn failed(&self, sim: &mut Sim, reporter: NodeId, failure: DeliveryFailure) {
         let input = Input::Failed(reporter, failure.dst_node, failure.reason);
         self.inner.drive(sim, input);
-    }
-
-    /// `n` tenants are burn-alerting after a completion (the cluster's
-    /// outcome path, with the trace pipeline's burn monitor on).
-    pub(crate) fn alerting(&self, sim: &mut Sim, n: usize) {
-        self.inner.drive(sim, Input::Alerting(n));
     }
 
     /// Upgrades node `idx` to CTX wire `target`: drain, restart for 500 µs

@@ -50,23 +50,10 @@ obs::impl_to_json!(Ablations { rows });
 /// Boutique Home Query RPS for a given engine config (`millis` budget).
 fn boutique_rps(cfg: DneConfig, clients: usize, millis: u64) -> f64 {
     let mut sim = Sim::new();
-    let mut cluster = Cluster::new(
-        &mut sim,
-        ClusterConfig {
-            dne: cfg,
-            pool_bufs: 4096,
-            ..ClusterConfig::default()
-        },
-    );
-    let tenant = TenantId(1);
-    cluster.add_tenant(&mut sim, tenant, 1).unwrap();
-    for f in boutique::all_functions() {
-        cluster.place(f, boutique::hotspot_placement(f));
-    }
-    let chain = boutique::home_query(tenant);
+    let cluster = boutique::cluster(&mut sim, cfg);
+    let chain = boutique::home_query(boutique::TENANT);
     let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(millis));
     cluster.register_chain(&chain, boutique::exec_cost, driver.completion());
-    let cluster = Rc::new(cluster);
     driver.start(&mut sim, &cluster, &chain, clients, boutique::PAYLOAD_BYTES);
     sim.run();
     driver.rps()

@@ -12,15 +12,15 @@
 
 use std::rc::Rc;
 
+use baselines::systems::Plane;
 use baselines::{SystemKind, SystemModel};
+use dpu_sim::soc::ProcessorKind;
 use ingress::gateway::{Gateway, GatewayConfig, Upstream};
-use membuf::tenant::TenantId;
 use runtime::ChainSpec;
-use simcore::{Sim, SimDuration};
+use simcore::{Sim, SimDuration, SimTime};
 
 use crate::baseline_cluster::BaselineCluster;
 use crate::boutique;
-use crate::cluster::{Cluster, ClusterConfig};
 use crate::report::{fmt_f64, render_table};
 use crate::workload::ClosedLoop;
 
@@ -96,135 +96,82 @@ obs::impl_to_json!(Fig16 { rows, cores_freed });
 /// Client counts of Table 2.
 pub const CLIENTS: [usize; 3] = [20, 60, 80];
 
-/// Drives `clients` closed-loop flows through `gateway` for `duration`;
-/// returns `(rps, mean latency in ms)`.
-fn drive(
-    sim: &mut Sim,
-    gateway: &Gateway,
-    upstream: &Upstream,
-    clients: usize,
-    duration: SimDuration,
-) -> (f64, f64) {
-    let driver = ClosedLoop::new(sim.now() + duration);
-    driver.start_gateway(sim, gateway, 0, upstream, clients, boutique::PAYLOAD_BYTES);
-    sim.run();
-    (driver.rps(), driver.latency().mean().as_millis_f64())
-}
-
-/// Runs a NADINO variant (DNE or CNE) for one chain/clients cell.
-fn run_nadino(
+/// Runs one system for one chain/clients cell: `clients` closed-loop flows
+/// through the system's ingress into its plane for `duration`.
+fn run_cell(
     model: &SystemModel,
-    chain_tpl: &ChainSpec,
+    chain: &ChainSpec,
     clients: usize,
     duration: SimDuration,
 ) -> Fig16Row {
     let mut sim = Sim::new();
-    let dne_cfg = model.dne.clone().expect("NADINO variant");
-    let engine_is_dpu = dne_cfg.processor == dpu_sim::soc::ProcessorKind::DpuArm;
-    let mut cluster = Cluster::new(
-        &mut sim,
-        ClusterConfig {
-            dne: dne_cfg,
-            pool_bufs: 4096,
-            ..ClusterConfig::default()
-        },
-    );
-    let tenant = TenantId(chain_tpl.tenant.0);
-    cluster.add_tenant(&mut sim, tenant, 1).unwrap();
-    for f in boutique::all_functions() {
-        cluster.place(f, boutique::hotspot_placement(f));
-    }
-    let cluster = Rc::new(cluster);
-    let gateway = Gateway::new(GatewayConfig {
-        kind: model.ingress,
-        initial_workers: 2,
-        max_backlog: SimDuration::from_millis(500),
-        ..GatewayConfig::default()
-    });
-    // Ingress → cluster: RDMA transport, then the cluster's front door.
-    let transport = model.ingress.worker_transport();
-    let door = cluster.serve_chain(chain_tpl, boutique::exec_cost, boutique::PAYLOAD_BYTES);
-    let upstream: Upstream = Rc::new(move |sim, ctx, reply| {
-        let door = door.clone();
-        sim.schedule_after(transport, move |sim| door(sim, ctx, reply));
-    });
-    let t0 = sim.now();
-    let (rps, mean_ms) = drive(&mut sim, &gateway, &upstream, clients, duration);
-    let t1 = sim.now();
-    Fig16Row {
-        system: model.name.to_string(),
-        chain: chain_tpl.name.clone(),
-        clients,
-        rps,
-        mean_ms,
-        engine_cores: cluster.engine_utilization(t0, t1),
-        engine_is_dpu,
-        host_cores: cluster.host_utilization(t0, t1),
-    }
-}
-
-/// Runs a baseline system for one chain/clients cell.
-fn run_baseline(
-    model: &SystemModel,
-    chain_tpl: &ChainSpec,
-    clients: usize,
-    duration: SimDuration,
-) -> Fig16Row {
-    let mut sim = Sim::new();
-    let bc = BaselineCluster::new(model.clone(), 2, crate::cluster::HOST_CORES);
-    for f in boutique::all_functions() {
-        bc.place(f, boutique::hotspot_placement(f));
-    }
     let gateway = Gateway::new(GatewayConfig {
         kind: model.ingress,
         // NightCore relies on its built-in single-worker kernel ingress.
-        initial_workers: if model.single_node_only { 1 } else { 2 },
+        initial_workers: match &model.plane {
+            Plane::Modelled(m) if m.single_node_only => 1,
+            _ => 2,
+        },
         max_backlog: SimDuration::from_millis(500),
         ..GatewayConfig::default()
     });
-    let worker_cost = gateway.worker_side_cost();
+    // Ingress → cluster: the ingress's transport, then the plane's door;
+    // `cores` reads (engine, host) cores over an interval once the run ends.
     let transport = model.ingress.worker_transport();
-    let chain = Rc::new(chain_tpl.clone());
-    let bc2 = bc.clone();
-    let upstream: Upstream = Rc::new(move |sim, ctx: ingress::ReqCtx, reply| {
-        let bytes = ctx.req_bytes;
-        let bc = bc2.clone();
-        let chain = chain.clone();
-        sim.schedule_after(transport, move |sim| {
-            // Deferred conversion: the worker node terminates TCP first.
-            let entry_done = bc.charge(sim, chain.entry(), worker_cost);
-            let bc3 = bc.clone();
-            let chain3 = chain.clone();
-            sim.schedule_at(entry_done, move |sim| {
-                bc3.run_request(
-                    sim,
-                    chain3,
-                    Rc::new(boutique::exec_cost),
-                    bytes,
-                    Box::new(move |sim| reply(sim, Ok(bytes))),
-                );
+    type Cores = Box<dyn Fn(SimTime, SimTime) -> (f64, f64)>;
+    let (upstream, cores, engine_is_dpu): (Upstream, Cores, bool) = match &model.plane {
+        Plane::Dne(dne) => {
+            let cluster = boutique::cluster(&mut sim, dne.clone());
+            let door = cluster.serve_chain(chain, boutique::exec_cost, boutique::PAYLOAD_BYTES);
+            let upstream: Upstream = Rc::new(move |sim, ctx, reply| {
+                let door = door.clone();
+                sim.schedule_after(transport, move |sim| door(sim, ctx, reply));
             });
-        });
-    });
+            let cores = move |a, b| {
+                (
+                    cluster.engine_utilization(a, b),
+                    cluster.host_utilization(a, b),
+                )
+            };
+            (
+                upstream,
+                Box::new(cores),
+                dne.processor == ProcessorKind::DpuArm,
+            )
+        }
+        Plane::Modelled(m) => {
+            let bc = BaselineCluster::new(m.clone());
+            for f in boutique::all_functions() {
+                bc.place(f, boutique::hotspot_placement(f));
+            }
+            // Deferred conversion: the worker node terminates TCP first.
+            let worker_cost = gateway.worker_side_cost();
+            let upstream = bc.serve_chain(chain, boutique::exec_cost, transport, worker_cost);
+            let cores = move |a, b| (bc.engine_cores(a, b), bc.host_utilization(a, b));
+            (upstream, Box::new(cores), false)
+        }
+    };
     let t0 = sim.now();
-    let (rps, mean_ms) = drive(&mut sim, &gateway, &upstream, clients, duration);
-    let t1 = sim.now();
+    let driver = ClosedLoop::new(t0 + duration);
+    driver.start_gateway(
+        &mut sim,
+        &gateway,
+        0,
+        &upstream,
+        clients,
+        boutique::PAYLOAD_BYTES,
+    );
+    sim.run();
+    let (engine_cores, host_cores) = cores(t0, sim.now());
     Fig16Row {
         system: model.name.to_string(),
-        chain: chain_tpl.name.clone(),
+        chain: chain.name.clone(),
         clients,
-        rps,
-        mean_ms,
-        // Polling engines already report a full core each; non-polling
-        // systems with dedicated cores (Junction's scheduler) add them.
-        engine_cores: bc.engine_utilization(t0, t1)
-            + if bc.engine_polls() {
-                0.0
-            } else {
-                bc.dedicated_cores() as f64
-            },
-        engine_is_dpu: false,
-        host_cores: bc.host_utilization(t0, t1),
+        rps: driver.rps(),
+        mean_ms: driver.latency().mean().as_millis_f64(),
+        engine_cores,
+        engine_is_dpu,
+        host_cores,
     }
 }
 
@@ -236,19 +183,13 @@ pub fn run(millis: u64) -> Fig16 {
 /// Runs a subset of the matrix (used by tests and quick benches).
 pub fn run_filtered(millis: u64, systems: &[SystemKind], clients: &[usize]) -> Fig16 {
     let duration = SimDuration::from_millis(millis);
-    let tenant = TenantId(1);
-    let chains = boutique::evaluation_chains(tenant);
+    let chains = boutique::evaluation_chains(boutique::TENANT);
     let mut rows = Vec::new();
     for &kind in systems {
         let model = SystemModel::for_kind(kind);
         for chain in &chains {
             for &c in clients {
-                let row = if model.dne.is_some() {
-                    run_nadino(&model, chain, c, duration)
-                } else {
-                    run_baseline(&model, chain, c, duration)
-                };
-                rows.push(row);
+                rows.push(run_cell(&model, chain, c, duration));
             }
         }
     }

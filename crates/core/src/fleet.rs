@@ -33,17 +33,14 @@ use std::rc::Rc;
 
 use ingress::gateway::{Gateway, GatewayConfig, Upstream};
 use ingress::stack::GatewayKind;
-use membuf::tenant::TenantId;
 use obs::JsonValue;
 use simcore::{Sim, SimDuration};
 
 use crate::boutique;
 use crate::churn::{self, ChurnConfig};
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::Cluster;
 use crate::workload::ClosedLoop;
 
-/// The tenant the boutique cell runs as (on-wire id 1).
-const TENANT: u16 = 1;
 /// Aggregation window (= obs sampling cadence) of the boutique cell.
 const OBS_WINDOW: SimDuration = SimDuration::from_millis(5);
 
@@ -121,21 +118,7 @@ fn totals(cluster: &Cluster, tracer: &obs::Tracer) -> JsonValue {
 /// cluster comes back next to what was read from it.
 fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> (CellOut, Rc<Cluster>) {
     let mut sim = Sim::new();
-    let mut cluster = Cluster::new(
-        &mut sim,
-        ClusterConfig {
-            dne: dne_cfg,
-            pool_bufs: 4096,
-            ..ClusterConfig::default()
-        },
-    );
-    cluster
-        .add_tenant(&mut sim, TenantId(TENANT), 1)
-        .expect("fresh cluster");
-    let cluster = Rc::new(cluster);
-    for f in boutique::all_functions() {
-        cluster.place(f, boutique::hotspot_placement(f));
-    }
+    let cluster = boutique::cluster(&mut sim, dne_cfg);
 
     // Tracing: ingress-decided sampling every 2nd request, pipeline with
     // the multi-window burn monitor sized to the cell's latency scale. A
@@ -169,12 +152,12 @@ fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> (CellOut, Rc<Cluster
         ..GatewayConfig::default()
     });
     gateway.set_tracer(tracer.clone());
-    gateway.register_tenant(TENANT, 1);
+    gateway.register_tenant(boutique::TENANT.0, 1);
     gateway.set_admission_histogram(Some(reg.histogram("gw_admission_wait_ns", &[])));
 
     // Ingress → cluster: RDMA transport, then the cluster's front door.
     let transport = GatewayKind::Nadino.worker_transport();
-    let chain = boutique::home_query(TenantId(TENANT));
+    let chain = boutique::home_query(boutique::TENANT);
     let door = cluster.serve_chain(&chain, boutique::exec_cost, boutique::PAYLOAD_BYTES);
     let upstream: Upstream = Rc::new(move |sim, ctx, reply| {
         let door = door.clone();
@@ -191,7 +174,7 @@ fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> (CellOut, Rc<Cluster
     driver.start_gateway(
         &mut sim,
         &gateway,
-        TENANT,
+        boutique::TENANT.0,
         &upstream,
         cfg.clients,
         boutique::PAYLOAD_BYTES,
@@ -527,7 +510,10 @@ mod tests {
             for w in windows {
                 let depth = w.gauges.iter().find(|g| g.name == "dne_tx_queue_depth");
                 let depth = depth.expect("per-tenant gauge in every window");
-                assert_eq!(depth.labels, [("tenant".to_string(), TENANT.to_string())]);
+                assert_eq!(
+                    depth.labels,
+                    [("tenant".to_string(), boutique::TENANT.0.to_string())]
+                );
                 assert_eq!(depth.series, 2, "one series per node, node label dropped");
                 for g in &w.gauges {
                     assert!(!g.name.ends_with("_total"), "{} is a total", g.name);

@@ -6,9 +6,9 @@
 //! windowed-throughput recording. It drives a cluster either directly
 //! ([`ClosedLoop::start`], every request enters through
 //! [`Cluster::inject`]) or through an ingress gateway
-//! ([`ClosedLoop::start_gateway`], one flow per client). The same tracker
-//! also powers the baseline and multi-tenant experiments through
-//! [`ClosedLoop::set_issuer`].
+//! ([`ClosedLoop::start_gateway`], one flow per client). A caller that
+//! issues requests its own way installs the issue hook with
+//! [`ClosedLoop::set_issuer`], which `start` itself uses.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;

@@ -272,11 +272,6 @@ impl BurnMonitor {
             .collect()
     }
 
-    /// Number of tenants currently alerting.
-    pub fn alerting_count(&self) -> usize {
-        self.tenants.iter().filter(|(_, s)| s.alerting).count()
-    }
-
     /// Per-tenant counters: `(tenant, total, breached, alerts)`, sorted
     /// by tenant id.
     pub fn counters(&self) -> Vec<(u16, u64, u64, u64)> {
@@ -399,12 +394,15 @@ mod tests {
         for i in 0..40u64 {
             m.observe(1, at(i * 100), 500);
         }
-        assert_eq!(m.alerting_count(), 1);
+        assert_eq!(m.alerting_tenants(), vec![1]);
         // Healthy traffic long enough to flush both windows.
         for i in 0..200u64 {
             m.observe(1, at(4_000 + i * 100), 10);
         }
-        assert_eq!(m.alerting_count(), 0, "alert clears after recovery");
+        assert!(
+            m.alerting_tenants().is_empty(),
+            "alert clears after recovery"
+        );
         // Relapse fires a second rising edge.
         let mut edges = 0;
         for i in 0..40u64 {

@@ -251,12 +251,6 @@ impl TracePipeline {
         self.burn.as_ref()
     }
 
-    /// Number of tenants in the two-window alerting state (0 when burn
-    /// detection is disabled).
-    pub fn alerting_count(&self) -> usize {
-        self.burn.as_ref().map_or(0, |b| b.alerting_count())
-    }
-
     /// Samples every tenant's burn rates into their report series.
     /// Driven at the obs-sampler cadence.
     pub fn sample_burn(&mut self, now: SimTime) {
@@ -386,7 +380,6 @@ mod tests {
             .clone();
         assert_eq!(dump.get("reason").unwrap().as_str(), Some("slo_burn"));
         assert_eq!(p.burn_counters(), Some(vec![(3, 2, 2, 1)]));
-        assert_eq!(p.alerting_count(), 1);
         assert_eq!(p.burn().unwrap().alerting_tenants(), vec![3]);
         // The dump embeds the burn monitor's state.
         let burn = dump.get("burn").unwrap();

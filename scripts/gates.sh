@@ -110,6 +110,11 @@ one_front_door() {
     crates/core/src/experiment/fig16.rs crates/core/src/fleet.rs; then
     fail "measure with workload::ClosedLoop, not a hand-rolled driver"
   fi
+  # Fig. 16 runs all seven systems through one cell: a comparator enters
+  # through BaselineCluster::serve_chain, which schedules its own legs.
+  if non_test crates/core/src/experiment/fig16.rs | grep -n 'schedule_at('; then
+    fail "crates/core/src/experiment/fig16.rs: enter a comparator through BaselineCluster::serve_chain"
+  fi
   # A request leaves through one outcome path whose closures hold the hub
   # weakly, so nothing cuts a reference cycle by hand; and whether a failure
   # is health evidence is the control plane's call, through its `Host`.
