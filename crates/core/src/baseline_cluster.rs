@@ -17,7 +17,7 @@ use baselines::systems::{EngineCores, Modelled};
 use dpu_sim::soc::{Processor, ProcessorKind};
 use ingress::gateway::{Reply, ReqCtx, Upstream};
 use runtime::ChainSpec;
-use simcore::{Server, Sim, SimDuration, SimTime};
+use simcore::{Driver, Machine, Server, Sim, SimDuration, SimTime, Sink};
 
 use crate::cluster::HOST_CORES;
 
@@ -30,22 +30,18 @@ struct BNode {
     engine: Server,
 }
 
-struct Inner {
+/// A comparator cluster's nodes and placement: a machine whose inputs are
+/// its requests' legs.
+struct Comparators {
     model: Modelled,
-    nodes: Vec<BNode>,
-    placement: HashMap<u16, usize>,
-}
-
-impl Inner {
-    fn node_of(&self, fn_id: u16) -> usize {
-        *self.placement.get(&fn_id).expect("function placed")
-    }
+    nodes: RefCell<Vec<BNode>>,
+    placement: RefCell<HashMap<u16, usize>>,
 }
 
 /// One request on its way through a chain.
 struct Request {
-    /// The chain's functions, each with its execution cost.
-    hops: Rc<[(u16, SimDuration)]>,
+    /// The chain's functions as each one's node and execution cost.
+    hops: Rc<[(usize, SimDuration)]>,
     payload: usize,
     reply: Reply,
 }
@@ -67,10 +63,76 @@ enum Leg {
     Arrived(usize, usize),
 }
 
+/// What a leg leads to: the request's next leg, or its answer.
+enum Out {
+    At(SimTime, Request, Leg),
+    Answer(Request),
+}
+
+/// Every output applies at once: a step drops its borrow before it emits.
+impl Machine for Comparators {
+    type In = (Request, Leg);
+    type Out = Out;
+    type Answer = ();
+
+    fn step(&self, now: SimTime, (req, leg): (Request, Leg), sink: &mut Sink<'_, Self>) {
+        let (model, mut nodes) = (&self.model, self.nodes.borrow_mut());
+        let node_of = |hop: usize| req.hops[hop].0;
+        let (at, next) = match leg {
+            Leg::Entered(cost) => (nodes[node_of(0)].cpu.run(now, cost), Leg::Run(0)),
+            Leg::Run(hop) => {
+                let (node, cost) = req.hops[hop];
+                (nodes[node].cpu.run(now, cost), Leg::Ran(hop))
+            }
+            Leg::Ran(hop) if hop + 1 == req.hops.len() => {
+                drop(nodes);
+                return sink.put(Out::Answer(req));
+            }
+            Leg::Ran(hop) => {
+                let next = hop + 1;
+                let (src, dst) = (node_of(hop), node_of(next));
+                if src != dst || model.intra_via_engine {
+                    let service = model.engine.service(req.payload);
+                    let sent = nodes[src].engine.admit(now, service);
+                    (sent, Leg::Sent(next, (src != dst).then_some(dst)))
+                } else {
+                    // IPC on the host cores plus, for designs with separate
+                    // pools, a memory-bound copy.
+                    let intra = &model.intra;
+                    let mut service = intra.cpu;
+                    if let Some(rate) = intra.copy_rate {
+                        service += SimDuration::from_secs_f64(req.payload as f64 / rate);
+                    }
+                    let done = nodes[src].cpu.run(now, service);
+                    (done + intra.latency, Leg::Run(next))
+                }
+            }
+            Leg::Sent(next, Some(dst)) => (now + model.engine.hop_latency, Leg::Arrived(next, dst)),
+            Leg::Sent(next, None) => (now + model.intra.latency, Leg::Run(next)),
+            Leg::Arrived(next, dst) => {
+                let service = model.engine.service(req.payload);
+                (nodes[dst].engine.admit(now, service), Leg::Run(next))
+            }
+        };
+        drop(nodes);
+        sink.put(Out::At(at, req, next));
+    }
+
+    fn apply(this: &Rc<Driver<Self>>, sim: &mut Sim, out: Out) -> Result<(), Out> {
+        match out {
+            Out::At(at, req, leg) => this.schedule(sim, at, (req, leg)),
+            Out::Answer(req) => (req.reply)(sim, Ok(req.payload)),
+        }
+        Ok(())
+    }
+
+    fn settle(_: &Rc<Driver<Self>>, _: &mut Sim, _: Out) {}
+}
+
 /// A cluster running one of the §4.3 comparison systems.
 #[derive(Clone)]
 pub struct BaselineCluster {
-    inner: Rc<RefCell<Inner>>,
+    inner: Rc<Driver<Comparators>>,
 }
 
 impl BaselineCluster {
@@ -83,31 +145,32 @@ impl BaselineCluster {
                 engine: Server::new(),
             })
             .collect();
+        let (nodes, placement) = (RefCell::new(nodes), RefCell::default());
         BaselineCluster {
-            inner: Rc::new(RefCell::new(Inner {
+            inner: Driver::new(Comparators {
                 model,
                 nodes,
-                placement: HashMap::new(),
-            })),
+                placement,
+            }),
         }
     }
 
     /// Places a function (clamped to node 0 for single-node systems).
     pub fn place(&self, fn_id: u16, node: usize) {
-        let mut inner = self.inner.borrow_mut();
-        let node = if inner.model.single_node_only {
-            0
-        } else {
-            node
-        };
-        assert!(node < inner.nodes.len());
-        inner.placement.insert(fn_id, node);
+        let single = self.inner.model.single_node_only;
+        let node = if single { 0 } else { node };
+        assert!(node < self.inner.nodes.borrow().len());
+        self.inner.placement.borrow_mut().insert(fn_id, node);
     }
 
     /// The front door for `chain`, for `Gateway::submit_tenant`: each
     /// request crosses `transport` to the entry function's node, whose host
     /// cores spend `worker_cost` terminating TCP, then runs the chain with
     /// `exec_cost` per function; the reply carries the request's bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a function of `chain` is not placed.
     pub fn serve_chain(
         &self,
         chain: &ChainSpec,
@@ -115,9 +178,10 @@ impl BaselineCluster {
         transport: SimDuration,
         worker_cost: SimDuration,
     ) -> Upstream {
-        let hops: Rc<[(u16, SimDuration)]> =
-            chain.hops.iter().map(|&f| (f, exec_cost(f))).collect();
-        let this = self.clone();
+        let placement = self.inner.placement.borrow();
+        let hop = |&f: &u16| (*placement.get(&f).expect("function placed"), exec_cost(f));
+        let hops: Rc<[(usize, SimDuration)]> = chain.hops.iter().map(hop).collect();
+        let this = self.inner.clone();
         Rc::new(move |sim: &mut Sim, ctx: ReqCtx, reply: Reply| {
             let req = Request {
                 hops: hops.clone(),
@@ -125,67 +189,8 @@ impl BaselineCluster {
                 reply,
             };
             let entered = sim.now() + transport;
-            this.at(sim, entered, req, Leg::Entered(worker_cost));
+            this.schedule(sim, entered, (req, Leg::Entered(worker_cost)));
         })
-    }
-
-    /// Takes a request one leg on, scheduling the next.
-    fn on(&self, sim: &mut Sim, req: Request, leg: Leg) {
-        let now = sim.now();
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
-        let node_of = |hop: usize| inner.node_of(req.hops[hop].0);
-        let (at, next) = match leg {
-            Leg::Entered(cost) => {
-                let node = node_of(0);
-                (inner.nodes[node].cpu.run(now, cost), Leg::Run(0))
-            }
-            Leg::Run(hop) => {
-                let node = node_of(hop);
-                let ran = inner.nodes[node].cpu.run(now, req.hops[hop].1);
-                (ran, Leg::Ran(hop))
-            }
-            Leg::Ran(hop) if hop + 1 == req.hops.len() => {
-                drop(guard);
-                return (req.reply)(sim, Ok(req.payload));
-            }
-            Leg::Ran(hop) => {
-                let next = hop + 1;
-                let (src, dst) = (node_of(hop), node_of(next));
-                if src != dst || inner.model.intra_via_engine {
-                    let service = inner.model.engine.service(req.payload);
-                    let sent = inner.nodes[src].engine.admit(now, service);
-                    (sent, Leg::Sent(next, (src != dst).then_some(dst)))
-                } else {
-                    // IPC on the host cores plus, for designs with separate
-                    // pools, a memory-bound copy.
-                    let intra = &inner.model.intra;
-                    let mut service = intra.cpu;
-                    if let Some(rate) = intra.copy_rate {
-                        service += SimDuration::from_secs_f64(req.payload as f64 / rate);
-                    }
-                    let done = inner.nodes[src].cpu.run(now, service);
-                    (done + intra.latency, Leg::Run(next))
-                }
-            }
-            Leg::Sent(next, Some(dst)) => {
-                let arrived = now + inner.model.engine.hop_latency;
-                (arrived, Leg::Arrived(next, dst))
-            }
-            Leg::Sent(next, None) => (now + inner.model.intra.latency, Leg::Run(next)),
-            Leg::Arrived(next, dst) => {
-                let service = inner.model.engine.service(req.payload);
-                (inner.nodes[dst].engine.admit(now, service), Leg::Run(next))
-            }
-        };
-        drop(guard);
-        self.at(sim, at, req, next);
-    }
-
-    /// Schedules `leg` of `req` at `at`: the cluster's one scheduling site.
-    fn at(&self, sim: &mut Sim, at: SimTime, req: Request, leg: Leg) {
-        let this = self.clone();
-        sim.schedule_at(at, move |sim| this.on(sim, req, leg));
     }
 
     /// Network-engine cores busy over `[a, b]`, summed across nodes: a
@@ -193,10 +198,8 @@ impl BaselineCluster {
     /// engine core's utilization, plus the cores the design dedicates
     /// regardless of load.
     pub fn engine_cores(&self, a: SimTime, b: SimTime) -> f64 {
-        let inner = self.inner.borrow();
-        let cores = inner.model.cores;
-        let busy: f64 = inner
-            .nodes
+        let (cores, nodes) = (self.inner.model.cores, self.inner.nodes.borrow());
+        let busy: f64 = nodes
             .iter()
             .map(|n| match cores {
                 EngineCores::Polls => 1.0,
@@ -205,18 +208,14 @@ impl BaselineCluster {
             .sum();
         busy + match cores {
             EngineCores::Polls => 0.0,
-            EngineCores::Dedicates(per_node) => (per_node * inner.nodes.len()) as f64,
+            EngineCores::Dedicates(per_node) => (per_node * nodes.len()) as f64,
         }
     }
 
     /// Host-core utilization across nodes.
     pub fn host_utilization(&self, a: SimTime, b: SimTime) -> f64 {
-        let inner = self.inner.borrow();
-        inner
-            .nodes
-            .iter()
-            .map(|n| n.cpu.utilization_cores(a, b))
-            .sum()
+        let nodes = self.inner.nodes.borrow();
+        nodes.iter().map(|n| n.cpu.utilization_cores(a, b)).sum()
     }
 }
 
@@ -314,9 +313,9 @@ mod tests {
     #[test]
     fn nightcore_collapses_to_one_node() {
         let bc = BaselineCluster::new(modelled(SystemKind::NightCore));
-        assert_eq!(bc.inner.borrow().nodes.len(), 1);
+        assert_eq!(bc.inner.nodes.borrow().len(), 1);
         bc.place(boutique::fns::CART, 1); // clamped
-        assert_eq!(bc.inner.borrow().node_of(boutique::fns::CART), 0);
+        assert_eq!(bc.inner.placement.borrow()[&boutique::fns::CART], 0);
     }
 
     #[test]

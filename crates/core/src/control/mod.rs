@@ -180,6 +180,11 @@ impl ControlPlane {
         self.inner.drive(sim, Input::StartWave(target));
     }
 
+    /// Starts the wave of [`ControlPlane::start_upgrade_wave`] at `at`.
+    pub fn start_upgrade_wave_at(&self, sim: &mut Sim, at: SimTime, target: u8) {
+        self.inner.schedule(sim, at, Input::StartWave(target));
+    }
+
     /// Health state of `node` (`None` if the cluster has no such node).
     pub fn state_of(&self, node: NodeId) -> Option<NodeState> {
         self.inner.core.borrow().state_of(node)

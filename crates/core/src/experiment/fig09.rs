@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use dpu_sim::comch::{ChannelKind, ComchCosts};
 use dpu_sim::soc::{Processor, ProcessorKind};
-use simcore::{Histogram, Sim, SimTime};
+use simcore::{Driver, Histogram, Machine, Sim, SimDuration, SimTime, Sink};
 
 use crate::experiment::parallel::pmap;
 use crate::report::{fmt_f64, render_table};
@@ -53,66 +53,69 @@ pub const CHANNELS: [(ChannelKind, &str); 3] = [
     (ChannelKind::Tcp, "TCP"),
 ];
 
+/// The functions' closed-loop descriptor echoes through the single-core
+/// DNE: a machine whose input is an echo that came back, issued at `.0`
+/// (`None` starts a function's loop).
+struct Echoes(RefCell<EchoState>);
+
 struct EchoState {
     dne: Processor,
-    costs: ComchCosts,
-    functions: usize,
+    /// The DNE's per-descriptor service and the channel's one-way latency.
+    /// Host-side send cost is on the function's own core and not charged.
+    service: SimDuration,
+    latency: SimDuration,
     completed: u64,
     target: u64,
     hist: Histogram,
-    ended: SimTime,
 }
 
-/// One closed-loop descriptor echo through the single-core DNE.
-fn issue(state: &Rc<RefCell<EchoState>>, sim: &mut Sim) {
-    let (service_done, latency) = {
-        let mut st = state.borrow_mut();
-        if st.completed >= st.target {
-            return;
-        }
-        // Host-side send cost is on the function's own core; we charge only
-        // the channel latency here plus the DNE's per-descriptor service.
-        let service = st
-            .costs
-            .dne_service(st.functions)
-            .mul_f64(ProcessorKind::DpuArm.default_factor());
-        let latency = st.costs.one_way_latency;
-        let arrive = sim.now() + latency;
-        let done = st.dne.run_unscaled(arrive, service);
-        (done, latency)
-    };
-    let began = sim.now();
-    let st2 = state.clone();
-    sim.schedule_at(service_done + latency, move |sim| {
-        {
-            let mut st = st2.borrow_mut();
-            st.hist.record(sim.now().saturating_since(began));
+impl Machine for Echoes {
+    type In = Option<SimTime>;
+    /// The next echo: back at `.0`, issued at `.1`.
+    type Out = (SimTime, SimTime);
+    type Answer = ();
+
+    fn step(&self, now: SimTime, echoed: Option<SimTime>, sink: &mut Sink<'_, Self>) {
+        let mut st = self.0.borrow_mut();
+        if let Some(began) = echoed {
+            st.hist.record(now.saturating_since(began));
             st.completed += 1;
-            st.ended = sim.now();
         }
-        issue(&st2, sim);
-    });
+        if st.completed < st.target {
+            let (service, latency) = (st.service, st.latency);
+            let back = st.dne.run_unscaled(now + latency, service) + latency;
+            drop(st);
+            sink.put((back, now));
+        }
+    }
+
+    fn apply(this: &Rc<Driver<Self>>, sim: &mut Sim, out: Self::Out) -> Result<(), Self::Out> {
+        this.schedule(sim, out.0, Some(out.1));
+        Ok(())
+    }
+
+    fn settle(_: &Rc<Driver<Self>>, _: &mut Sim, _: Self::Out) {}
 }
 
 /// One sweep cell: `functions` echo loops over one channel kind.
 fn cell(kind: ChannelKind, name: &str, functions: usize, per_function: u64) -> Fig09Row {
     let costs = ComchCosts::for_kind(kind);
-    let state = Rc::new(RefCell::new(EchoState {
+    let service = costs.dne_service(functions);
+    let echoes = Driver::new(Echoes(RefCell::new(EchoState {
         dne: Processor::new(ProcessorKind::DpuArm, 1),
-        costs,
-        functions,
+        service: service.mul_f64(ProcessorKind::DpuArm.default_factor()),
+        latency: costs.one_way_latency,
         completed: 0,
         target: per_function * functions as u64,
         hist: Histogram::new(),
-        ended: SimTime::ZERO,
-    }));
+    })));
     let mut sim = Sim::new();
     for _ in 0..functions {
-        issue(&state, &mut sim);
+        echoes.drive(&mut sim, None);
     }
     sim.run();
-    let st = state.borrow();
-    let secs = st.ended.as_secs_f64();
+    // Every event is an echo coming back: the run ends with the last one.
+    let (st, secs) = (echoes.0.borrow(), sim.now().as_secs_f64());
     Fig09Row {
         channel: name.to_string(),
         functions,

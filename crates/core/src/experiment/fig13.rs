@@ -9,14 +9,13 @@
 //! F-Ingress, with correspondingly lower end-to-end latency (up to 11.7×).
 
 use std::cell::RefCell;
-use std::rc::Rc;
 
-use ingress::gateway::{Gateway, GatewayConfig, Reply, Upstream};
+use ingress::gateway::{Gateway, GatewayConfig, Upstream};
 use ingress::stack::GatewayKind;
 use simcore::{MultiServer, Sim, SimDuration};
 
 use crate::report::{fmt_f64, render_table};
-use crate::workload::ClosedLoop;
+use crate::workload::{hop, ClosedLoop, Far};
 
 /// One measured cell.
 #[derive(Debug, Clone)]
@@ -52,22 +51,20 @@ pub const KINDS: [(GatewayKind, &str); 3] = [
     (GatewayKind::KIngress, "K-Ingress"),
 ];
 
+/// The worker node's echo function: several host cores, so the ingress —
+/// the component under test — is the bottleneck.
+const WORKER_CORES: usize = 4;
+const FN_EXEC: SimDuration = SimDuration::from_micros(5);
+
 /// Builds the worker-node upstream for an ingress design: transport to the
-/// worker, worker-side stack cost (zero for NADINO), the echo function.
+/// worker, worker-side stack cost (zero for NADINO) plus the echo function,
+/// and transport back.
 pub(crate) fn worker_upstream(kind: GatewayKind, worker_cost: SimDuration) -> Upstream {
-    let transport = kind.worker_transport();
-    // The worker node runs the echo function on several host cores so the
-    // ingress — the component under test — is the bottleneck.
-    let fn_exec = SimDuration::from_micros(5);
-    let worker = Rc::new(RefCell::new(MultiServer::new(4)));
-    Rc::new(move |sim: &mut Sim, ctx: ingress::ReqCtx, reply: Reply| {
-        let worker = worker.clone();
-        let req_bytes = ctx.req_bytes;
-        sim.schedule_after(transport, move |sim| {
-            let done = worker.borrow_mut().admit(sim.now(), worker_cost + fn_exec);
-            sim.schedule_at(done + transport, move |sim| reply(sim, Ok(req_bytes)));
-        });
-    })
+    let cores = RefCell::new(MultiServer::new(WORKER_CORES));
+    hop(
+        kind.worker_transport(),
+        Far::Echo(cores, worker_cost + FN_EXEC),
+    )
 }
 
 /// Runs one `(kind, clients)` cell for `millis` of virtual time.
@@ -173,6 +170,35 @@ mod tests {
         let n16 = fig.get("NADINO", 16).unwrap().mean_us;
         let k16 = fig.get("K-Ingress", 16).unwrap().mean_us;
         assert!(k16 / n16 > 5.0, "K/NADINO latency at 16 = {}", k16 / n16);
+    }
+
+    /// One request through the worker, with nothing else in flight,
+    /// crosses twice and runs the worker's stack and the echo once.
+    #[test]
+    fn one_request_answers_after_two_crossings_and_the_worker() {
+        use ingress::gateway::{Reply, ReqCtx};
+        use simcore::SimTime;
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        let kind = GatewayKind::KIngress;
+        let worker_cost = SimDuration::from_micros(7);
+        let upstream = worker_upstream(kind, worker_cost);
+        let mut sim = Sim::new();
+        let answered = Rc::new(Cell::new(None));
+        let got = answered.clone();
+        let ctx = ReqCtx {
+            req_id: 1,
+            tenant: 0,
+            req_bytes: 128,
+            deadline_ns: 0,
+            sampled: false,
+        };
+        let reply: Reply = Box::new(move |sim, answer| got.set(Some((sim.now(), answer))));
+        upstream(&mut sim, ctx, reply);
+        sim.run();
+        let at = SimTime::ZERO + kind.worker_transport() * 2 + worker_cost + FN_EXEC;
+        assert_eq!(answered.get(), Some((at, Ok(128))));
     }
 
     #[test]

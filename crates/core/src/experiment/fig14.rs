@@ -14,14 +14,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ingress::gateway::{Gateway, GatewayConfig, Upstream};
-use ingress::rss::FlowId;
+use ingress::gateway::{Gateway, GatewayConfig};
 use ingress::stack::GatewayKind;
-use simcore::{Sim, SimDuration, SimTime, TimeSeries};
+use simcore::{Sim, SimDuration, SimTime};
 
 use crate::experiment::fig13;
 use crate::report::{fmt_f64, render_table};
-use crate::workload::RECONNECT;
+use crate::workload::ClosedLoop;
 
 /// One time-series sample.
 #[derive(Debug, Clone)]
@@ -63,62 +62,10 @@ pub struct Fig14 {
 
 obs::impl_to_json!(Fig14 { traces });
 
-struct RampState {
-    gateway: Gateway,
-    upstream: Upstream,
-    series: TimeSeries,
-    stop_at: SimTime,
-    completed: u64,
-    dropped: u64,
-}
-
 /// Connections each saturating client keeps in flight (the paper's
 /// clients are "configured to fully use up a CPU core ... with multiple
 /// connections").
 pub const CONNS_PER_CLIENT: u32 = 16;
-
-fn client_loop(state: &Rc<RefCell<RampState>>, sim: &mut Sim, client: u32, conn: u32) {
-    let (gateway, upstream, stopped) = {
-        let st = state.borrow();
-        (
-            st.gateway.clone(),
-            st.upstream.clone(),
-            sim.now() >= st.stop_at,
-        )
-    };
-    if stopped {
-        return;
-    }
-    let st2 = state.clone();
-    gateway.submit_tenant(
-        sim,
-        0,
-        FlowId::from_client(client, conn),
-        128,
-        upstream,
-        Box::new(move |sim, result| {
-            {
-                let mut st = st2.borrow_mut();
-                match result {
-                    Ok(_) => {
-                        st.completed += 1;
-                        let now = sim.now();
-                        st.series.record_at(now, 1.0);
-                    }
-                    Err(_) => st.dropped += 1,
-                }
-            }
-            // A dropped client was disconnected; it reconnects only after
-            // a full timeout (the paper's clients mostly stay disconnected).
-            let delay = if result.is_err() {
-                RECONNECT
-            } else {
-                SimDuration::ZERO
-            };
-            sim.schedule_after(delay, move |sim| client_loop(&st2, sim, client, conn));
-        }),
-    );
-}
 
 /// Runs one design's ramp and returns its trace.
 ///
@@ -144,70 +91,47 @@ fn run_trace(
     };
     let gateway = Gateway::new(cfg);
     gateway.start_autoscaler(&mut sim);
-    let worker_cost = gateway.worker_side_cost();
+    let upstream = fig13::worker_upstream(kind, gateway.worker_side_cost());
     let stop_at = SimTime::ZERO + duration;
-    let state = Rc::new(RefCell::new(RampState {
-        gateway: gateway.clone(),
-        upstream: fig13::worker_upstream(kind, worker_cost),
-        series: TimeSeries::new(SimDuration::from_secs(1)),
-        stop_at,
-        completed: 0,
-        dropped: 0,
-    }));
+    // After an answer a connection submits again in an event of its own
+    // (the zero wait); a refused one reconnects a `RECONNECT` later.
+    let driver = ClosedLoop::new(stop_at)
+        .with_series(SimDuration::from_secs(1))
+        .with_wait(SimDuration::ZERO);
+    driver.gateway(&mut sim, &gateway, 0, &upstream, 128);
     // Ramp: client c joins at c * ramp_every, opening all its connections.
     for c in 0..max_clients {
-        let st = state.clone();
-        sim.schedule_at(SimTime::ZERO + ramp_every * c as u64, move |sim| {
-            for conn in 0..CONNS_PER_CLIENT {
-                client_loop(&st, sim, c, conn);
-            }
-        });
+        let at = SimTime::ZERO + ramp_every * c as u64;
+        driver.open_at(&mut sim, at, c, CONNS_PER_CLIENT);
     }
-    // Sample CPU usage every second.
-    let cpu_samples: Rc<RefCell<Vec<(f64, f64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
+    // Sample CPU usage every second: at the end of each of the series'
+    // one-second windows, from 1 s to the stop time.
+    let cpu_samples: Rc<RefCell<Vec<(f64, usize)>>> = Rc::default();
     let (gw, out) = (gateway.clone(), cpu_samples.clone());
     let mut last = SimTime::ZERO;
     sim.every_until(SimDuration::from_secs(1), stop_at, move |sim| {
         let now = sim.now();
         let busy = gw.utilization_cores(last, now);
-        out.borrow_mut()
-            .push((now.as_secs_f64(), busy, gw.active_workers()));
+        out.borrow_mut().push((busy, gw.active_workers()));
         last = now;
     });
     sim.run_until(stop_at + SimDuration::from_secs(1));
 
-    let (rps_points, completed, dropped) = {
-        let mut st = state.borrow_mut();
-        st.series.roll_to(stop_at);
-        (st.series.points().to_vec(), st.completed, st.dropped)
-    };
     let cpu = cpu_samples.borrow();
-    let samples = rps_points
-        .iter()
-        .map(|&(t, rps)| {
-            let (cpu_cores, workers) = cpu
-                .iter()
-                .min_by(|a, b| {
-                    (a.0 - t)
-                        .abs()
-                        .partial_cmp(&(b.0 - t).abs())
-                        .expect("finite")
-                })
-                .map(|&(_, c, w)| (c, w))
-                .unwrap_or((0.0, 0));
-            Fig14Sample {
-                at_secs: t,
-                rps,
-                cpu_cores,
-                workers,
-            }
+    let windows = driver.series(stop_at).into_iter().zip(cpu.iter());
+    let samples = windows
+        .map(|((at_secs, rps), &(cpu_cores, workers))| Fig14Sample {
+            at_secs,
+            rps,
+            cpu_cores,
+            workers,
         })
         .collect();
     Fig14Trace {
         ingress: name.to_string(),
         samples,
-        total_completed: completed,
-        total_dropped: dropped,
+        total_completed: driver.completed(),
+        total_dropped: driver.shed_count(),
     }
 }
 

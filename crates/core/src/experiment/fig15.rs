@@ -148,15 +148,10 @@ pub fn run_variant(
         let end_at = epoch + SimDuration::from_secs_f64(spec.end_s);
         let driver = ClosedLoop::new(end_at).with_series(window);
         cluster.register_chain(&chain, |_| SimDuration::ZERO, driver.completion());
-        driver.start(&mut sim, &cluster, &chain, 0, 1024);
+        driver.direct(&mut sim, &cluster, &chain, 1024);
         // The window opens later: issue the outstanding burst then.
-        let d2 = driver.clone();
         let start_at = epoch + SimDuration::from_secs_f64(spec.start_s);
-        sim.schedule_at(start_at, move |sim| {
-            for _ in 0..outstanding {
-                d2.issue_one(sim);
-            }
-        });
+        driver.issue_at(&mut sim, start_at, outstanding);
         drivers.push((spec, driver));
     }
     let end = epoch + duration;

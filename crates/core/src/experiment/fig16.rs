@@ -10,8 +10,6 @@
 //! the DNE cell — burn-rate series, per-stage SoC table — is the fleet
 //! report's (`results/report.json`, [`crate::fleet`]).
 
-use std::rc::Rc;
-
 use baselines::systems::Plane;
 use baselines::{SystemKind, SystemModel};
 use dpu_sim::soc::ProcessorKind;
@@ -22,7 +20,7 @@ use simcore::{Sim, SimDuration, SimTime};
 use crate::baseline_cluster::BaselineCluster;
 use crate::boutique;
 use crate::report::{fmt_f64, render_table};
-use crate::workload::ClosedLoop;
+use crate::workload::{hop, ClosedLoop, Far};
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -123,10 +121,7 @@ fn run_cell(
         Plane::Dne(dne) => {
             let cluster = boutique::cluster(&mut sim, dne.clone());
             let door = cluster.serve_chain(chain, boutique::exec_cost, boutique::PAYLOAD_BYTES);
-            let upstream: Upstream = Rc::new(move |sim, ctx, reply| {
-                let door = door.clone();
-                sim.schedule_after(transport, move |sim| door(sim, ctx, reply));
-            });
+            let upstream = hop(transport, Far::Door(door));
             let cores = move |a, b| {
                 (
                     cluster.engine_utilization(a, b),

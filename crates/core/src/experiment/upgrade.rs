@@ -216,10 +216,8 @@ pub fn scenario(seed: u64, ticks: u32, wave: bool, crash: bool) -> UpgradeOutcom
 
     let control = ControlPlane::start(&mut sim, &cluster, until, Some(&gateway));
     if wave {
-        let control = control.clone();
-        sim.schedule_after(SimDuration::from_millis(4), move |sim| {
-            control.start_upgrade_wave(sim, obs::CTX_V2);
-        });
+        let at = sim.now() + SimDuration::from_millis(4);
+        control.start_upgrade_wave_at(&mut sim, at, obs::CTX_V2);
     }
 
     let issued = Rc::new(Cell::new(0u64));

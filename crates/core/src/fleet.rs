@@ -31,7 +31,7 @@
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use ingress::gateway::{Gateway, GatewayConfig, Upstream};
+use ingress::gateway::{Gateway, GatewayConfig};
 use ingress::stack::GatewayKind;
 use obs::JsonValue;
 use simcore::{Sim, SimDuration};
@@ -39,7 +39,7 @@ use simcore::{Sim, SimDuration};
 use crate::boutique;
 use crate::churn::{self, ChurnConfig};
 use crate::cluster::Cluster;
-use crate::workload::ClosedLoop;
+use crate::workload::{hop, ClosedLoop, Far};
 
 /// Aggregation window (= obs sampling cadence) of the boutique cell.
 const OBS_WINDOW: SimDuration = SimDuration::from_millis(5);
@@ -159,10 +159,7 @@ fn run_cell(cfg: &ReportConfig, dne_cfg: dne::DneConfig) -> (CellOut, Rc<Cluster
     let transport = GatewayKind::Nadino.worker_transport();
     let chain = boutique::home_query(boutique::TENANT);
     let door = cluster.serve_chain(&chain, boutique::exec_cost, boutique::PAYLOAD_BYTES);
-    let upstream: Upstream = Rc::new(move |sim, ctx, reply| {
-        let door = door.clone();
-        sim.schedule_after(transport, move |sim| door(sim, ctx, reply));
-    });
+    let upstream = hop(transport, Far::Door(door));
 
     // Anchor the measured interval at "now": tenant setup above advanced
     // virtual time (RC establishment costs tens of ms).

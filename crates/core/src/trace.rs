@@ -109,12 +109,9 @@ obs::impl_to_json!(ChainOutcome {
     p99_us
 });
 
-/// Replays `trace` against chains already registered on `cluster`.
-///
-/// Each chain must have been registered with the matching driver's
-/// completion callback (see [`replay`]'s body for the wiring); the helper
-/// does all of that and returns per-chain outcomes once the simulation
-/// drains.
+/// Replays `trace` against `chains`, placed on `cluster`: registers each
+/// chain with an open loop of its own and returns per-chain outcomes once
+/// the simulation drains.
 pub fn replay(
     sim: &mut Sim,
     cluster: &Rc<Cluster>,
@@ -141,13 +138,12 @@ pub fn replay(
                 .unwrap_or_else(|| panic!("function {f} is not placed"));
             cluster.place(base + f, node);
         }
-        // `stop_at = epoch` disables closed-loop re-issue: completions only
-        // record; arrivals come exclusively from the trace schedule.
-        let driver = ClosedLoop::new(epoch);
+        // An open loop: arrivals come only from the trace schedule, and
+        // completions only record.
+        let driver = ClosedLoop::new(None);
         let instance_exec = move |f: u16| exec_cost(f - base);
         cluster.register_chain(&remapped, instance_exec, driver.completion());
-        // Install the issuer without starting any clients.
-        driver.start(sim, cluster, &remapped, 0, payload);
+        driver.direct(sim, cluster, &remapped, payload);
         drivers.push(driver);
     }
     let mut invocations = vec![0u64; chains.len()];
@@ -156,10 +152,7 @@ pub fn replay(
             continue;
         };
         invocations[e.chain_idx] += 1;
-        let d = driver.clone();
-        sim.schedule_at(epoch + SimDuration::from_secs_f64(e.at_s), move |sim| {
-            d.issue_one(sim);
-        });
+        driver.issue_at(sim, epoch + SimDuration::from_secs_f64(e.at_s), 1);
     }
     sim.run();
     drivers

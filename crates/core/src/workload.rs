@@ -1,24 +1,24 @@
-//! Load generation and request tracking.
+//! The load side: one client machine and one ingress-to-worker hop.
 //!
-//! [`ClosedLoop`] is the repo's one closed-loop client, reproducing wrk's
-//! behaviour: `clients` outstanding requests, each reissued when it is
-//! answered, until a deadline — plus per-request latency and
-//! windowed-throughput recording. It drives a cluster either directly
-//! ([`ClosedLoop::start`], every request enters through
-//! [`Cluster::inject`]) or through an ingress gateway
-//! ([`ClosedLoop::start_gateway`], one flow per client). A caller that
-//! issues requests its own way installs the issue hook with
-//! [`ClosedLoop::set_issuer`], which `start` itself uses.
+//! [`ClosedLoop`] reproduces wrk: clients that each keep a request
+//! outstanding and reissue it when it is answered, until a stop time, with
+//! latency and windowed throughput. It is a machine behind `simcore`'s
+//! driver whose inputs are a direct-mode issue of `n` requests through
+//! [`Cluster::inject`], a client opening gateway flows (either now or at an
+//! instant), a flow's turn, and an answer. [`hop`] is the worker transport,
+//! then a cluster's front door or an echo worker.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
-use ingress::gateway::{Dropped, Gateway, Upstream};
+use ingress::gateway::{Completion, Dropped, Gateway, Reply, ReqCtx, Upstream, WeakGateway};
 use ingress::rss::FlowId;
 use runtime::function::CompletionFn;
 use runtime::ChainSpec;
-use simcore::{Histogram, Sim, SimDuration, SimTime, TimeSeries};
+use simcore::{
+    Driver, Histogram, Machine, MultiServer, Sim, SimDuration, SimTime, Sink, TimeSeries,
+};
 
 use crate::cluster::Cluster;
 
@@ -26,112 +26,236 @@ use crate::cluster::Cluster;
 /// reconnects and submits again.
 pub const RECONNECT: SimDuration = SimDuration::from_secs(1);
 
-/// The issue hook installed by `start` (or a custom driver).
-type IssueFn = Rc<dyn Fn(&mut Sim, u64)>;
+/// Where a loop's requests enter. Both hold weakly what owns the loop: the
+/// cluster's endpoints own its completion, the gateway's slots its flows'
+/// answers.
+enum Entry {
+    /// `Cluster::inject` of chain `.1`, `.2` bytes per request.
+    Direct(Weak<Cluster>, ChainSpec, usize),
+    /// `Gateway::submit_tenant` as tenant `.1` into `.2`, `.3` bytes each.
+    Gateway(WeakGateway, u16, Upstream, usize),
+}
 
-struct Inner {
-    /// The counter request ids are drawn from: the driver's own, or after
-    /// `start` its cluster's, which every driver on that cluster shares.
+struct Tally {
+    /// The counter request ids are drawn from: the loop's own, or its
+    /// cluster's, which every loop on that cluster shares.
     ids: Rc<Cell<u64>>,
     pending: HashMap<u64, SimTime>,
     hist: Histogram,
     completed: u64,
     shed: u64,
-    stop_at: SimTime,
     began: SimTime,
     last_done: SimTime,
     series: Option<TimeSeries>,
-    /// Re-issue hook set by `start` (or a custom driver).
-    issue: Option<IssueFn>,
 }
 
-/// A closed-loop load driver with latency and throughput accounting.
+impl Tally {
+    /// Books one answered request issued at `t0`.
+    fn record(&mut self, now: SimTime, t0: SimTime) {
+        self.hist.record(now.saturating_since(t0));
+        self.completed += 1;
+        self.last_done = now;
+        if let Some(series) = self.series.as_mut() {
+            series.record_at(now, 1.0);
+        }
+    }
+
+    /// Issues a direct-mode request now and returns its id.
+    fn issue(&mut self, now: SimTime) -> u64 {
+        let req = self.ids.get();
+        self.ids.set(req + 1);
+        self.pending.insert(req, now);
+        req
+    }
+}
+
+struct Load {
+    /// Issuing stops at this instant; `None` never reissues: an open loop.
+    stop_at: Option<SimTime>,
+    /// The wait between a flow's answer and its next turn; `None` turns
+    /// inline, in the answer's event.
+    wait: Cell<Option<SimDuration>>,
+    entry: RefCell<Option<Entry>>,
+    tally: RefCell<Tally>,
+}
+
+enum In {
+    /// Issue `n` direct-mode requests.
+    Issue(usize),
+    /// Client `.0` opens flows `FlowId::from_client(.0, 0..conns)`.
+    Open(u32, u32),
+    /// A flow submits its next request, unless the loop has stopped.
+    Turn(FlowId),
+    /// A flow's request, submitted at `.1`, was answered.
+    Answered(FlowId, SimTime, Result<usize, Dropped>),
+    /// Direct-mode request `.0` completed.
+    Completed(u64),
+}
+
+enum Out {
+    Inject(u64),
+    Submit(FlowId),
+    At(SimTime, In),
+}
+
+impl Load {
+    fn issuing(&self, now: SimTime) -> bool {
+        self.stop_at.is_some_and(|stop| now < stop)
+    }
+}
+
+/// Every output applies at once: a step holds no borrow while it emits.
+impl Machine for Load {
+    type In = In;
+    type Out = Out;
+    type Answer = ();
+
+    fn step(&self, now: SimTime, input: In, sink: &mut Sink<'_, Self>) {
+        match input {
+            In::Issue(n) => {
+                for _ in 0..n {
+                    let req = self.tally.borrow_mut().issue(now);
+                    sink.put(Out::Inject(req));
+                }
+            }
+            In::Open(client, conns) if self.issuing(now) => {
+                for conn in 0..conns {
+                    sink.put(Out::Submit(FlowId::from_client(client, conn)));
+                }
+            }
+            In::Turn(flow) if self.issuing(now) => sink.put(Out::Submit(flow)),
+            In::Open(..) | In::Turn(_) => {}
+            In::Answered(flow, t0, answer) => {
+                match answer {
+                    Ok(_) => self.tally.borrow_mut().record(now, t0),
+                    Err(_) => self.tally.borrow_mut().shed += 1,
+                }
+                // A refusal leaves the backlog as it was: turning at once
+                // would be refused again, forever.
+                let refused = matches!(answer, Err(Dropped::Overload | Dropped::Shed { .. }));
+                let wait = if refused {
+                    Some(RECONNECT)
+                } else {
+                    self.wait.get()
+                };
+                let turn = In::Turn(flow);
+                match wait {
+                    Some(wait) => sink.put(Out::At(now + wait, turn)),
+                    None => self.step(now, turn, sink),
+                }
+            }
+            In::Completed(req) => {
+                let mut tally = self.tally.borrow_mut();
+                let Some(t0) = tally.pending.remove(&req) else {
+                    return; // duplicate or foreign completion
+                };
+                tally.record(now, t0);
+                if self.issuing(now) {
+                    let req = tally.issue(now);
+                    drop(tally);
+                    sink.put(Out::Inject(req));
+                }
+            }
+        }
+    }
+
+    fn apply(this: &Rc<Driver<Self>>, sim: &mut Sim, out: Out) -> Result<(), Out> {
+        match (out, &*this.entry.borrow()) {
+            (Out::At(at, input), _) => this.schedule(sim, at, input),
+            (Out::Inject(req), Some(Entry::Direct(cluster, chain, payload))) => {
+                let cluster = cluster.upgrade();
+                if !cluster.is_some_and(|c| c.inject(sim, chain, req, *payload)) {
+                    let mut tally = this.tally.borrow_mut();
+                    tally.pending.remove(&req);
+                    tally.shed += 1;
+                }
+            }
+            (Out::Submit(flow), Some(Entry::Gateway(gateway, tenant, upstream, req_bytes))) => {
+                if let Some(gateway) = gateway.upgrade() {
+                    let (load, t0) = (this.clone(), sim.now());
+                    let answered: Completion = Box::new(move |sim, answer| {
+                        load.drive(sim, In::Answered(flow, t0, answer));
+                    });
+                    let up = upstream.clone();
+                    gateway.submit_tenant(sim, *tenant, flow, *req_bytes, up, answered);
+                }
+            }
+            _ => {} // the loop was never started this way
+        }
+        Ok(())
+    }
+
+    fn settle(_: &Rc<Driver<Self>>, _: &mut Sim, _: Out) {}
+}
+
+/// A load driver with latency and throughput accounting.
 #[derive(Clone)]
 pub struct ClosedLoop {
-    inner: Rc<RefCell<Inner>>,
+    load: Rc<Driver<Load>>,
 }
 
 impl ClosedLoop {
-    /// Creates a driver that stops issuing at `stop_at`.
-    pub fn new(stop_at: SimTime) -> ClosedLoop {
+    /// Creates a driver that stops issuing at `stop_at`; with `None` it
+    /// never reissues: an open loop, for trace replay.
+    pub fn new(stop_at: impl Into<Option<SimTime>>) -> ClosedLoop {
+        let stop_at = stop_at.into();
+        let tally = RefCell::new(Tally {
+            ids: Rc::default(),
+            pending: HashMap::new(),
+            hist: Histogram::new(),
+            completed: 0,
+            shed: 0,
+            began: SimTime::ZERO,
+            last_done: SimTime::ZERO,
+            series: None,
+        });
+        let (wait, entry) = (Cell::new(None), RefCell::new(None));
         ClosedLoop {
-            inner: Rc::new(RefCell::new(Inner {
-                ids: Rc::default(),
-                pending: HashMap::new(),
-                hist: Histogram::new(),
-                completed: 0,
-                shed: 0,
+            load: Driver::new(Load {
                 stop_at,
-                began: SimTime::ZERO,
-                last_done: SimTime::ZERO,
-                series: None,
-                issue: None,
-            })),
+                wait,
+                entry,
+                tally,
+            }),
         }
     }
 
     /// Enables windowed-throughput recording with the given window.
     pub fn with_series(self, window: SimDuration) -> ClosedLoop {
-        self.inner.borrow_mut().series = Some(TimeSeries::new(window));
+        self.load.tally.borrow_mut().series = Some(TimeSeries::new(window));
         self
     }
 
-    /// Books one answered request issued at `t0`; `true` while the driver
-    /// should keep issuing.
-    fn record(&self, now: SimTime, t0: SimTime) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        inner.hist.record(now.saturating_since(t0));
-        inner.completed += 1;
-        inner.last_done = now;
-        if let Some(series) = inner.series.as_mut() {
-            series.record_at(now, 1.0);
-        }
-        now < inner.stop_at
+    /// Makes a gateway flow take its next turn `wait` after an answer, in
+    /// an event of its own, not inline in the answer's event. fig14 sets
+    /// zero: its numbers depend on that tie order (DESIGN.md §2.1).
+    pub fn with_wait(self, wait: SimDuration) -> ClosedLoop {
+        self.load.wait.set(Some(wait));
+        self
     }
 
     /// Returns the completion callback to hand to chain registration.
     pub fn completion(&self) -> CompletionFn {
-        let driver = self.clone();
-        Rc::new(move |sim: &mut Sim, req_id: u64| {
-            let Some(t0) = driver.inner.borrow_mut().pending.remove(&req_id) else {
-                return; // duplicate or foreign completion
-            };
-            if driver.record(sim.now(), t0) {
-                driver.issue_one(sim);
-            }
-        })
+        let load = self.load.clone();
+        Rc::new(move |sim: &mut Sim, req: u64| load.drive(sim, In::Completed(req)))
     }
 
-    /// Installs a custom issue hook (`start` installs the standard one).
-    pub fn set_issuer(&self, f: IssueFn) {
-        self.inner.borrow_mut().issue = Some(f);
+    fn enter(&self, sim: &mut Sim, entry: Entry) {
+        self.load.tally.borrow_mut().began = sim.now();
+        *self.load.entry.borrow_mut() = Some(entry);
     }
 
-    /// Issues one request through the installed hook.
-    pub fn issue_one(&self, sim: &mut Sim) {
-        let (req, issue) = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(issue) = inner.issue.clone() else {
-                return;
-            };
-            let req = inner.ids.get();
-            inner.ids.set(req + 1);
-            inner.pending.insert(req, sim.now());
-            (req, issue)
-        };
-        issue(sim, req);
+    /// Points the driver at `chain` on `cluster`, `payload` bytes per
+    /// request, without issuing. Request ids come from the cluster's one
+    /// counter, so two drivers on one cluster never share one.
+    pub fn direct(&self, sim: &mut Sim, cluster: &Rc<Cluster>, chain: &ChainSpec, payload: usize) {
+        self.load.tally.borrow_mut().ids = Rc::clone(&cluster.request_ids);
+        let entry = Entry::Direct(Rc::downgrade(cluster), chain.clone(), payload);
+        self.enter(sim, entry);
     }
 
-    /// Marks a request as shed (admission failure) without latency record.
-    pub fn shed(&self, req_id: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.pending.remove(&req_id);
-        inner.shed += 1;
-    }
-
-    /// Starts `clients` closed-loop clients against `chain` on `cluster`,
-    /// with `payload` bytes per request. Request ids come from the
-    /// cluster's one counter, so two drivers on one cluster never share one.
+    /// Starts `clients` closed-loop clients, as [`ClosedLoop::direct`]
+    /// points them. A request the cluster refuses counts as shed.
     pub fn start(
         &self,
         sim: &mut Sim,
@@ -140,40 +264,34 @@ impl ClosedLoop {
         clients: usize,
         payload: usize,
     ) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.began = sim.now();
-            inner.ids = Rc::clone(&cluster.request_ids);
-        }
-        // The driver owns its issue hook and the cluster's endpoints own the
-        // driver's completion, so the hook refers to both weakly: a strong
-        // handle here would keep the driver — and every pool and engine of
-        // the cluster — alive forever.
-        let driver = Rc::downgrade(&self.inner);
-        let cluster = Rc::downgrade(cluster);
-        let chain = chain.clone();
-        self.set_issuer(Rc::new(move |sim, req| {
-            let entered = cluster
-                .upgrade()
-                .is_some_and(|c| c.inject(sim, &chain, req, payload));
-            if !entered {
-                if let Some(inner) = driver.upgrade() {
-                    ClosedLoop { inner }.shed(req);
-                }
-            }
-        }));
-        for _ in 0..clients {
-            self.issue_one(sim);
-        }
+        self.direct(sim, cluster, chain, payload);
+        self.load.drive(sim, In::Issue(clients));
     }
 
-    /// Starts `clients` closed-loop flows of `tenant` through `gateway`
-    /// into `upstream`, `req_bytes` per request. Each flow resubmits when
-    /// its request is answered — `Ok` or not — until the stop time, and a
-    /// flow refused at the door (shed or dropped) first waits
-    /// [`RECONNECT`]; only `Ok` answers record a latency sample, every
-    /// other answer (shed, dropped, expired, failed delivery) counts under
-    /// [`ClosedLoop::shed_count`].
+    /// Issues `n` direct-mode requests at `at`.
+    pub fn issue_at(&self, sim: &mut Sim, at: SimTime, n: usize) {
+        self.load.schedule(sim, at, In::Issue(n));
+    }
+
+    /// Points the driver at `upstream` through `gateway` as `tenant`,
+    /// `req_bytes` per request, without opening a flow.
+    pub fn gateway(
+        &self,
+        sim: &mut Sim,
+        gateway: &Gateway,
+        tenant: u16,
+        upstream: &Upstream,
+        req_bytes: usize,
+    ) {
+        let entry = Entry::Gateway(gateway.downgrade(), tenant, upstream.clone(), req_bytes);
+        self.enter(sim, entry);
+    }
+
+    /// Starts `clients` closed-loop flows, one per client, as
+    /// [`ClosedLoop::gateway`] points them. Each flow resubmits when its
+    /// request is answered, until the stop time; a flow refused at the door
+    /// (shed or dropped) first waits [`RECONNECT`]. Only `Ok` records a
+    /// latency sample; every other answer counts as shed.
     pub fn start_gateway(
         &self,
         sim: &mut Sim,
@@ -183,81 +301,40 @@ impl ClosedLoop {
         clients: usize,
         req_bytes: usize,
     ) {
-        self.inner.borrow_mut().began = sim.now();
+        self.gateway(sim, gateway, tenant, upstream, req_bytes);
         for client in 0..clients as u32 {
-            let up = upstream.clone();
-            self.submit(sim, gateway, tenant, up, client, req_bytes);
+            self.load.drive(sim, In::Open(client, 1));
         }
     }
 
-    /// One turn of one gateway flow: submit, and resubmit from the answer.
-    /// A refusal is answered inside `submit_tenant` with the backlog
-    /// unchanged, so resubmitting at once would be refused again, forever.
-    /// The answer sits in the gateway's slot table, so it holds the gateway
-    /// weakly: a flow ends with its gateway.
-    fn submit(
-        &self,
-        sim: &mut Sim,
-        gateway: &Gateway,
-        tenant: u16,
-        upstream: Upstream,
-        client: u32,
-        req_bytes: usize,
-    ) {
-        if sim.now() >= self.inner.borrow().stop_at {
-            return;
-        }
-        let t0 = sim.now();
-        let (driver, gw, up) = (self.clone(), gateway.downgrade(), upstream.clone());
-        gateway.submit_tenant(
-            sim,
-            tenant,
-            FlowId::from_client(client, 0),
-            req_bytes,
-            upstream,
-            Box::new(move |sim, answer| {
-                match answer {
-                    Ok(_) => {
-                        driver.record(sim.now(), t0);
-                    }
-                    Err(_) => driver.inner.borrow_mut().shed += 1,
-                }
-                let resubmit = move |sim: &mut Sim| {
-                    if let Some(gw) = gw.upgrade() {
-                        driver.submit(sim, &gw, tenant, up, client, req_bytes);
-                    }
-                };
-                if let Err(Dropped::Overload | Dropped::Shed { .. }) = answer {
-                    sim.schedule_after(RECONNECT, resubmit);
-                } else {
-                    resubmit(sim);
-                }
-            }),
-        );
+    /// Opens `conns` flows of client `client` at `at`, each a closed loop
+    /// as in [`ClosedLoop::start_gateway`].
+    pub fn open_at(&self, sim: &mut Sim, at: SimTime, client: u32, conns: u32) {
+        self.load.schedule(sim, at, In::Open(client, conns));
     }
 
     /// Returns completed request count.
     pub fn completed(&self) -> u64 {
-        self.inner.borrow().completed
+        self.load.tally.borrow().completed
     }
 
     /// Returns the count of requests answered without a response: shed at
     /// injection, or (gateway mode) refused, expired or failed.
     pub fn shed_count(&self) -> u64 {
-        self.inner.borrow().shed
+        self.load.tally.borrow().shed
     }
 
     /// Returns the latency histogram (cloned snapshot).
     pub fn latency(&self) -> Histogram {
-        self.inner.borrow().hist.clone()
+        self.load.tally.borrow().hist.clone()
     }
 
     /// Sustained throughput: completions divided by active time.
     pub fn rps(&self) -> f64 {
-        let inner = self.inner.borrow();
-        let span = inner.last_done.saturating_since(inner.began).as_secs_f64();
+        let tally = self.load.tally.borrow();
+        let span = tally.last_done.saturating_since(tally.began).as_secs_f64();
         if span > 0.0 {
-            inner.completed as f64 / span
+            tally.completed as f64 / span
         } else {
             0.0
         }
@@ -265,12 +342,69 @@ impl ClosedLoop {
 
     /// Finalizes and returns the windowed throughput series.
     pub fn series(&self, end: SimTime) -> Vec<(f64, f64)> {
-        let mut inner = self.inner.borrow_mut();
-        match inner.series.take() {
-            Some(s) => s.finish(end),
-            None => Vec::new(),
+        let series = self.load.tally.borrow_mut().series.take();
+        series.map_or_else(Vec::new, |s| s.finish(end))
+    }
+}
+
+/// Where a [`hop`] delivers.
+pub enum Far {
+    /// A cluster's front door, which answers in its own time.
+    Door(Upstream),
+    /// An echo function on a worker's host cores, `.1` per request, whose
+    /// answer — the request's bytes — crosses back.
+    Echo(RefCell<MultiServer>, SimDuration),
+}
+
+struct Hop {
+    transport: SimDuration,
+    far: Far,
+}
+
+/// A request that reached the worker, or an echo of `.1` bytes that came
+/// back.
+enum Crossing {
+    There(ReqCtx, Reply),
+    Back(Reply, usize),
+}
+
+impl Machine for Hop {
+    type In = Crossing;
+    /// A crossing to hand on now (`None`), or one still under way.
+    type Out = (Option<SimTime>, Crossing);
+    type Answer = ();
+
+    fn step(&self, now: SimTime, crossing: Crossing, sink: &mut Sink<'_, Self>) {
+        match (crossing, &self.far) {
+            (Crossing::There(ctx, reply), Far::Echo(cores, cost)) => {
+                let back = cores.borrow_mut().admit(now, *cost) + self.transport;
+                sink.put((Some(back), Crossing::Back(reply, ctx.req_bytes)));
+            }
+            (crossing, _) => sink.put((None, crossing)),
         }
     }
+
+    fn apply(this: &Rc<Driver<Self>>, sim: &mut Sim, out: Self::Out) -> Result<(), Self::Out> {
+        match (out, &this.far) {
+            ((Some(at), crossing), _) => this.schedule(sim, at, crossing),
+            ((None, Crossing::There(ctx, reply)), Far::Door(door)) => door(sim, ctx, reply),
+            ((None, Crossing::Back(reply, bytes)), _) => reply(sim, Ok(bytes)),
+            ((None, Crossing::There(..)), Far::Echo(..)) => {} // an echo answers itself
+        }
+        Ok(())
+    }
+
+    fn settle(_: &Rc<Driver<Self>>, _: &mut Sim, _: Self::Out) {}
+}
+
+/// The gateway's upstream for a worker `transport` away: each request
+/// crosses, then enters `far`.
+pub fn hop(transport: SimDuration, far: Far) -> Upstream {
+    let hop = Driver::new(Hop { transport, far });
+    Rc::new(move |sim: &mut Sim, ctx: ReqCtx, reply: Reply| {
+        let at = sim.now() + hop.transport;
+        hop.schedule(sim, at, Crossing::There(ctx, reply));
+    })
 }
 
 #[cfg(test)]
@@ -330,7 +464,7 @@ mod tests {
         let total = driver.completed();
         assert!(total > 0);
         // Queue fully drained: nothing pending.
-        assert_eq!(driver.inner.borrow().pending.len(), 0);
+        assert_eq!(driver.load.tally.borrow().pending.len(), 0);
     }
 
     /// Two direct-mode drivers of two tenants on one traced cluster draw
@@ -371,39 +505,58 @@ mod tests {
 
     /// Gateway mode against an echo upstream with a fixed delay: one flow
     /// on one worker is a strict sequence of `rx + delay + tx` turns, so
-    /// the count, the rate and the mean latency have closed forms. An
-    /// upstream that fails every request keeps the loop turning but records
-    /// no latency sample.
+    /// the count, the rate and the mean latency have closed forms — also
+    /// with the zero wait between turns, and for a flow opened later, whose
+    /// first turn ends one turn after it opens. An upstream that fails
+    /// every request keeps the loop turning but records no latency sample.
     #[test]
     fn gateway_mode_matches_the_closed_form_and_reissues_on_failure() {
         let delay = SimDuration::from_micros(40);
-        let run = |fail: bool| {
+        let stop = SimTime::ZERO + SimDuration::from_millis(10);
+        let run = |fail: bool, wait: Option<SimDuration>, opens: SimTime| {
             let mut sim = Sim::new();
             let gateway = Gateway::new(GatewayConfig::default());
             let upstream: Upstream = Rc::new(move |sim: &mut Sim, _ctx: ReqCtx, reply: Reply| {
                 let answer = if fail { Err(DeliveryFailed) } else { Ok(64) };
                 sim.schedule_after(delay, move |sim| reply(sim, answer));
             });
-            let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(10));
-            driver.start_gateway(&mut sim, &gateway, 0, &upstream, 1, 64);
+            let mut driver = ClosedLoop::new(stop);
+            if let Some(wait) = wait {
+                driver = driver.with_wait(wait);
+            }
+            if opens == SimTime::ZERO {
+                driver.start_gateway(&mut sim, &gateway, 0, &upstream, 1, 64);
+            } else {
+                driver.gateway(&mut sim, &gateway, 0, &upstream, 64);
+                driver.open_at(&mut sim, opens, 0, 1);
+            }
             sim.run();
             (driver, gateway.stats())
         };
 
-        let (driver, stats) = run(false);
         let costs = ingress::StackCosts::for_kind(ingress::GatewayKind::Nadino);
         let turn = costs.ingress_service(1, 64) + delay;
-        // A turn that starts before the stop time runs to completion.
-        let turns = 10_000_000u64.div_ceil(turn.as_nanos());
-        assert_eq!(driver.completed(), turns);
-        assert_eq!(stats.completed, turns);
-        assert_eq!(driver.shed_count(), 0);
-        assert_eq!(driver.latency().count(), turns);
-        assert_eq!(driver.latency().mean(), turn);
-        let expect_rps = turns as f64 / (turn * turns).as_secs_f64();
-        assert!((driver.rps() - expect_rps).abs() < 1e-6 * expect_rps);
+        let (now, later) = (SimTime::ZERO, SimTime::ZERO + SimDuration::from_millis(3));
+        for (wait, opens) in [(None, now), (Some(SimDuration::ZERO), now), (None, later)] {
+            let (driver, stats) = run(false, wait, opens);
+            // A turn that starts before the stop time runs to completion.
+            let turns = (stop - opens).as_nanos().div_ceil(turn.as_nanos());
+            let case = format!("wait {wait:?}, opened at {opens:?}");
+            assert_eq!(driver.completed(), turns, "{case}");
+            assert_eq!(stats.completed, turns, "{case}");
+            assert_eq!(driver.shed_count(), 0, "{case}");
+            assert_eq!(driver.latency().count(), turns, "{case}");
+            assert_eq!(driver.latency().mean(), turn, "{case}");
+            // The last turn ends `turns` turns after the flow opened.
+            let span = (opens - SimTime::ZERO) + turn * turns;
+            let expect_rps = turns as f64 / span.as_secs_f64();
+            assert!(
+                (driver.rps() - expect_rps).abs() < 1e-6 * expect_rps,
+                "{case}"
+            );
+        }
 
-        let (driver, stats) = run(true);
+        let (driver, stats) = run(true, None, now);
         assert_eq!(driver.completed(), 0);
         assert_eq!(
             driver.latency().count(),

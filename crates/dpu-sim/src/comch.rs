@@ -228,44 +228,6 @@ mod tests {
         assert_eq!(host.recv().unwrap().dst_fn, 9);
         assert_eq!(host.recv(), None);
     }
-
-    #[test]
-    fn descriptor_channel_across_threads() {
-        let (host, dne) = DescriptorChannel::open(16);
-        let dne_thread = std::thread::spawn(move || {
-            let mut echoed = 0;
-            while echoed < 1000 {
-                if let Some(d) = dne.recv() {
-                    while dne.send(d).is_err() {
-                        std::hint::spin_loop();
-                    }
-                    echoed += 1;
-                }
-            }
-        });
-        let mut received = 0;
-        let mut sent = 0u32;
-        while received < 1000 {
-            if sent < 1000 {
-                let d = BufferDesc {
-                    tenant: 0,
-                    pool_id: 0,
-                    buf_index: sent,
-                    len: 16,
-                    generation: 0,
-                    dst_fn: 0,
-                };
-                if host.send(d).is_ok() {
-                    sent += 1;
-                }
-            }
-            if let Some(d) = host.recv() {
-                assert_eq!(d.buf_index, received);
-                received += 1;
-            }
-        }
-        dne_thread.join().unwrap();
-    }
 }
 
 /// The DNE-side Comch server: one instance multiplexing every function's

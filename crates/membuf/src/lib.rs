@@ -18,7 +18,7 @@
 //!   foreign descriptors by (§3.4.1).
 //! - [`export`]: DOCA-mmap-style export descriptors that grant another
 //!   processor (DPU cores, RNIC) access to a host pool (§3.4.2).
-//! - [`spsc`]: a lock-free single-producer single-consumer descriptor ring —
+//! - [`spsc`]: a single-threaded single-producer single-consumer descriptor ring —
 //!   what a Comch-P channel is underneath. The simulated transports price a
 //!   descriptor hop and move the struct; only
 //!   `dpu_sim::comch::DescriptorChannel`, which the frozen benchmark drives,

@@ -1,34 +1,20 @@
-//! A lock-free single-producer single-consumer descriptor ring.
+//! A single-producer single-consumer descriptor ring.
 //!
 //! Comch-P ("producer-consumer ring with busy polling", §3.5.4) and the
 //! intra-node descriptor fast path both reduce to an SPSC ring of 16-byte
-//! descriptors. This is a classic Lamport queue with cache-line-padded
-//! head/tail indices; it carries any `Copy` payload but is typically used
+//! descriptors. The ring lives on the simulation's one thread, like the
+//! pool (DESIGN.md §2.2): a bounded queue in a `RefCell`, shared by its two
+//! endpoints through an `Rc`. It carries any payload but is typically used
 //! with [`crate::BufferDesc`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use std::cell::UnsafeCell;
-
-#[repr(align(64))]
-struct CachePadded<T>(T);
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 struct RingShared<T> {
-    buf: Box<[UnsafeCell<Option<T>>]>,
-    mask: usize,
-    head: CachePadded<AtomicUsize>, // next slot to pop
-    tail: CachePadded<AtomicUsize>, // next slot to push
+    queue: RefCell<VecDeque<T>>,
+    capacity: usize,
 }
-
-// SAFETY: The ring is SPSC by construction — `Producer` and `Consumer` are
-// separate non-cloneable endpoints. Each slot is written only by the
-// producer before the tail is published (Release) and read only by the
-// consumer after observing the tail (Acquire), so no slot is ever accessed
-// concurrently.
-unsafe impl<T: Send> Send for RingShared<T> {}
-// SAFETY: See `Send`; the endpoints never hand out references to slots.
-unsafe impl<T: Send> Sync for RingShared<T> {}
 
 /// Handle used to construct an SPSC ring.
 pub struct SpscRing;
@@ -51,59 +37,42 @@ impl SpscRing {
     /// assert_eq!(rx.pop(), Some(1));
     /// assert_eq!(rx.pop(), None);
     /// ```
-    pub fn with_capacity<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
+    pub fn with_capacity<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         assert!(capacity > 0, "ring capacity must be positive");
-        let cap = capacity.next_power_of_two();
-        let buf: Box<[UnsafeCell<Option<T>>]> = (0..cap).map(|_| UnsafeCell::new(None)).collect();
-        let shared = Arc::new(RingShared {
-            buf,
-            mask: cap - 1,
-            head: CachePadded(AtomicUsize::new(0)),
-            tail: CachePadded(AtomicUsize::new(0)),
-        });
-        (
-            Producer {
-                shared: shared.clone(),
-            },
-            Consumer { shared },
-        )
+        let capacity = capacity.next_power_of_two();
+        let queue = RefCell::new(VecDeque::with_capacity(capacity));
+        let shared = Rc::new(RingShared { queue, capacity });
+        let producer = Producer {
+            shared: shared.clone(),
+        };
+        (producer, Consumer { shared })
     }
 }
 
 /// The producing endpoint; exactly one exists per ring.
 pub struct Producer<T> {
-    shared: Arc<RingShared<T>>,
+    shared: Rc<RingShared<T>>,
 }
 
 /// The consuming endpoint; exactly one exists per ring.
 pub struct Consumer<T> {
-    shared: Arc<RingShared<T>>,
+    shared: Rc<RingShared<T>>,
 }
 
-impl<T: Send> Producer<T> {
+impl<T> Producer<T> {
     /// Pushes an item, returning it back in `Err` when the ring is full.
     pub fn push(&self, item: T) -> Result<(), T> {
-        let tail = self.shared.tail.0.load(Ordering::Relaxed);
-        let head = self.shared.head.0.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) > self.shared.mask {
+        let mut queue = self.shared.queue.borrow_mut();
+        if queue.len() == self.shared.capacity {
             return Err(item);
         }
-        let slot = &self.shared.buf[tail & self.shared.mask];
-        // SAFETY: SPSC discipline — this slot index is not yet published to
-        // the consumer (tail not advanced) and only this producer writes.
-        unsafe { *slot.get() = Some(item) };
-        self.shared
-            .tail
-            .0
-            .store(tail.wrapping_add(1), Ordering::Release);
+        queue.push_back(item);
         Ok(())
     }
 
     /// Returns the number of items currently queued.
     pub fn len(&self) -> usize {
-        let tail = self.shared.tail.0.load(Ordering::Relaxed);
-        let head = self.shared.head.0.load(Ordering::Relaxed);
-        tail.wrapping_sub(head)
+        self.shared.queue.borrow().len()
     }
 
     /// Returns `true` if the ring holds no items.
@@ -113,36 +82,19 @@ impl<T: Send> Producer<T> {
 
     /// Returns the ring capacity.
     pub fn capacity(&self) -> usize {
-        self.shared.mask + 1
+        self.shared.capacity
     }
 }
 
-impl<T: Send> Consumer<T> {
+impl<T> Consumer<T> {
     /// Pops the oldest item, or `None` when the ring is empty.
     pub fn pop(&self) -> Option<T> {
-        let head = self.shared.head.0.load(Ordering::Relaxed);
-        let tail = self.shared.tail.0.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        let slot = &self.shared.buf[head & self.shared.mask];
-        // SAFETY: SPSC discipline — the producer published this slot with a
-        // Release store to `tail`, which we observed with Acquire, and only
-        // this consumer reads/clears slots.
-        let item = unsafe { (*slot.get()).take() };
-        debug_assert!(item.is_some(), "published slot must contain an item");
-        self.shared
-            .head
-            .0
-            .store(head.wrapping_add(1), Ordering::Release);
-        item
+        self.shared.queue.borrow_mut().pop_front()
     }
 
     /// Returns the number of items currently queued.
     pub fn len(&self) -> usize {
-        let tail = self.shared.tail.0.load(Ordering::Relaxed);
-        let head = self.shared.head.0.load(Ordering::Relaxed);
-        tail.wrapping_sub(head)
+        self.shared.queue.borrow().len()
     }
 
     /// Returns `true` if the ring holds no items.
@@ -181,39 +133,6 @@ mod tests {
             tx.push(i).unwrap();
             assert_eq!(rx.pop(), Some(i));
         }
-    }
-
-    #[test]
-    fn cross_thread_transfers_everything_in_order() {
-        let n: u64 = 200_000;
-        let (tx, rx) = SpscRing::with_capacity::<u64>(256);
-        let producer = std::thread::spawn(move || {
-            for i in 0..n {
-                let mut item = i;
-                loop {
-                    match tx.push(item) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            item = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-        });
-        let consumer = std::thread::spawn(move || {
-            let mut expected = 0u64;
-            while expected < n {
-                if let Some(v) = rx.pop() {
-                    assert_eq!(v, expected, "items must arrive in order");
-                    expected += 1;
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        });
-        producer.join().unwrap();
-        consumer.join().unwrap();
     }
 
     #[test]

@@ -43,6 +43,9 @@ type InlineBuf = MaybeUninit<[usize; INLINE_BYTES / size_of::<usize>()]>;
 
 /// Moves the payload out of `data` and calls it. `data` must hold a live
 /// payload of the monomorphized type; it is dead afterwards.
+// SAFETY: `arm` pairs it with its write, `fire`'s caller calls it once
+// (`tests::small_closures_are_inline_and_run`,
+// `tests::large_closures_fall_back_to_boxing_and_run`).
 pub(crate) type CallFn = unsafe fn(*mut u8, &mut Sim);
 
 /// A slab-resident, type-erased `FnOnce(&mut Sim)` with inline storage for
@@ -58,9 +61,12 @@ pub struct EventFn {
 struct Ops {
     call: CallFn,
     /// Drops the payload in place without calling it (cancellation path).
+    // SAFETY: `arm` pairs it with its write, `cancel` calls it once
+    // (`tests::dropping_without_invoking_releases_captures_once`).
     drop_in_place: unsafe fn(*mut u8),
 }
 
+// SAFETY: as in the body (`tests::small_closures_are_inline_and_run`).
 unsafe fn call_inline<F: FnOnce(&mut Sim)>(p: *mut u8, sim: &mut Sim) {
     // SAFETY: the caller passes the address of a live `F` written by
     // `arm::<F>` and never reads it again; reading it out here, before `f`
@@ -69,18 +75,21 @@ unsafe fn call_inline<F: FnOnce(&mut Sim)>(p: *mut u8, sim: &mut Sim) {
     f(sim)
 }
 
+// SAFETY: as in the body (`tests::large_closures_fall_back_to_boxing_and_run`).
 unsafe fn call_boxed<F: FnOnce(&mut Sim)>(p: *mut u8, sim: &mut Sim) {
     // SAFETY: as in `call_inline`, with the `Box<F>` that `arm::<F>` wrote.
     let b = unsafe { ptr::read(p.cast::<Box<F>>()) };
     (*b)(sim)
 }
 
+// SAFETY: as in the body (`tests::dropping_without_invoking_releases_captures_once`).
 unsafe fn drop_inline<F>(p: *mut u8) {
     // SAFETY: the caller passes the address of a live `F` it will not use
     // again.
     unsafe { ptr::drop_in_place(p.cast::<F>()) }
 }
 
+// SAFETY: as in the body (`tests::dropping_without_invoking_releases_captures_once`).
 unsafe fn drop_boxed<F>(p: *mut u8) {
     // SAFETY: as in `drop_inline`, for the `Box<F>` the boxed path wrote.
     unsafe { ptr::drop_in_place(p.cast::<Box<F>>()) }
@@ -116,7 +125,7 @@ impl EventFn {
         if Self::fits_inline::<F>() {
             // SAFETY: `data` is `INLINE_BYTES` of word-aligned storage owned
             // by `self`, `F` fits both bounds, and the slot is empty, so the
-            // write overwrites no live value.
+            // write overwrites no live value (`tests::small_closures_are_inline_and_run`).
             unsafe { ptr::write(data.cast::<F>(), f) };
             self.ops = Some(Ops {
                 call: call_inline::<F>,
@@ -124,7 +133,8 @@ impl EventFn {
             });
         } else {
             *boxed += 1;
-            // SAFETY: as above; a `Box` is one word and always fits.
+            // SAFETY: as above; a `Box` is one word and always fits
+            // (`tests::large_closures_fall_back_to_boxing_and_run`).
             unsafe { ptr::write(data.cast::<Box<F>>(), Box::new(f)) };
             self.ops = Some(Ops {
                 call: call_boxed::<F>,
@@ -156,7 +166,7 @@ impl EventFn {
         };
         // SAFETY: `ops` was `Some`, so `data` holds the live payload that
         // `drop_in_place` was monomorphized for, and clearing `ops` made
-        // this the last use of it.
+        // this the last use of it (`tests::a_slot_is_reusable_after_firing_and_after_cancel`).
         unsafe { (ops.drop_in_place)(self.data.as_mut_ptr().cast::<u8>()) };
         true
     }

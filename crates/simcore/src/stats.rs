@@ -214,7 +214,7 @@ impl TimeSeries {
     }
 
     /// Finalizes every window up to `t` (exclusive of the window containing `t`).
-    pub fn roll_to(&mut self, t: SimTime) {
+    fn roll_to(&mut self, t: SimTime) {
         while t >= self.current_window_end {
             let end_s = self.current_window_end.as_secs_f64();
             let rate = self.current_count / self.window.as_secs_f64();
@@ -228,11 +228,6 @@ impl TimeSeries {
     pub fn finish(mut self, end: SimTime) -> Vec<(f64, f64)> {
         self.roll_to(end);
         self.points
-    }
-
-    /// Returns the points finalized so far without consuming the recorder.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
     }
 }
 

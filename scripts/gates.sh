@@ -11,10 +11,12 @@
 #                                       runtime's, the gateway's, the
 #                                       control plane's and the churn
 #                                       model's core never name the
-#                                       simulator, all six run behind
-#                                       simcore's one Driver, which alone
-#                                       schedules, and only the DNE's
-#                                       machine posts
+#                                       simulator, all six, the load side
+#                                       and the comparators' cluster run
+#                                       behind simcore's one Driver, which
+#                                       alone schedules (but for the
+#                                       comparators' Echo::at), and only
+#                                       the DNE's machine posts
 #   scripts/gates.sh test               release build + the workspace suite:
 #                                       the seed matrix (simcore::rng::SEEDS)
 #                                       and the typed-outcome bars are tests
@@ -23,8 +25,11 @@
 #   scripts/gates.sh benchmark-package  the frozen benchmark builds and smokes
 #   scripts/gates.sh obs-overhead       one traced benchmark run: complete
 #                                       traces under the overhead ceiling
-#   scripts/gates.sh miri               membuf + simcore unsafe under Miri
-#                                       (nightly, needs a download: CI only)
+#   scripts/gates.sh miri               simcore's event slots and membuf's
+#                                       arena (hugepage.rs: the mapping and
+#                                       its unmap; pool.rs: the buffer
+#                                       slices) under Miri (nightly, needs
+#                                       a download: CI only)
 #   scripts/gates.sh all                all of the above but miri, timed
 #
 # Each grep names the DESIGN.md section that states its rule and exits
@@ -40,11 +45,11 @@ fail() {
 # A source file without its `#[cfg(test)]` tail.
 non_test() { sed '/#\[cfg(test)\]/,$d' "$1"; }
 
-# The non-test lines of the .rs files in directory $1 that match the
-# extended regex $2, as file:line:text.
+# The non-test lines of the .rs files under directory $1, subdirectories
+# included, that match the extended regex $2, as file:line:text.
 sites() {
   local f
-  for f in "$1"/*.rs; do
+  for f in $(find "$1" -name '*.rs' | sort); do
     non_test "$f" | grep -nE "$2" | sed "s|^|$f:|" || true
   done
 }
@@ -53,8 +58,10 @@ sites() {
 # core file never names the simulator, no layer keeps a driver of its own
 # (a `fn drive` or spare buffers), and what only a driver does happens at a
 # fixed number of sites: scheduling only in simcore's generic
-# `Driver::schedule`, posting only in the DNE's machine. §10: the Fig. 6 /
-# Fig. 12 echo state machine schedules at one site too.
+# `Driver::schedule`, posting only in the DNE's machine. Outside simcore,
+# every crate's non-test code schedules through a driver too, but for one
+# site, §10's Fig. 6 / Fig. 12 echo state machine (`Echo::at`), whose verbs
+# take the `Sim`.
 cores_are_simulator_free() {
   local f
   for f in crates/dne/src/core.rs crates/rdma-sim/src/core.rs crates/runtime/src/core.rs \
@@ -82,14 +89,15 @@ cores_are_simulator_free() {
   done <<'SITES'
 crates/dne/src post_send\( crates/dne/src/engine.rs 1
 crates/simcore/src sim\.schedule_at\( crates/simcore/src/machine.rs 1
-crates/dne/src schedule_at\(|schedule_after\( crates/simcore/src/machine.rs 0
-crates/rdma-sim/src schedule_at\(|schedule_after\( crates/simcore/src/machine.rs 0
-crates/runtime/src schedule_at\(|schedule_after\( crates/simcore/src/machine.rs 0
-crates/ingress/src schedule_at\(|schedule_after\( crates/simcore/src/machine.rs 0
-crates/core/src/control schedule_at\(|schedule_after\( crates/simcore/src/machine.rs 0
-crates/core/src/churn schedule_at\(|schedule_after\( crates/simcore/src/machine.rs 0
-crates/baselines/src schedule_at\(|schedule_after\( crates/baselines/src/primitives.rs 1
 SITES
+  found=$(for dir in crates/*/src; do
+    [ "$dir" = crates/simcore/src ] || sites "$dir" 'schedule_at\(|schedule_after\('
+  done)
+  if [ "$(printf '%s\n' "$found" | grep -c .)" -ne 1 ] ||
+    ! printf '%s\n' "$found" | grep -q '^crates/baselines/src/primitives.rs:.*feed(&me'; then
+    printf '%s\n' "$found"
+    fail "schedule_at(/schedule_after( under crates/*/src outside simcore: want 1 site, Echo::at in crates/baselines/src/primitives.rs"
+  fi
 }
 
 # DESIGN.md §12 "Front door and load driver". The frozen benchmark package
@@ -110,11 +118,6 @@ one_front_door() {
     crates/core/src/experiment/fig16.rs crates/core/src/fleet.rs; then
     fail "measure with workload::ClosedLoop, not a hand-rolled driver"
   fi
-  # Fig. 16 runs all seven systems through one cell: a comparator enters
-  # through BaselineCluster::serve_chain, which schedules its own legs.
-  if non_test crates/core/src/experiment/fig16.rs | grep -n 'schedule_at('; then
-    fail "crates/core/src/experiment/fig16.rs: enter a comparator through BaselineCluster::serve_chain"
-  fi
   # A request leaves through one outcome path whose closures hold the hub
   # weakly, so nothing cuts a reference cycle by hand; and whether a failure
   # is health evidence is the control plane's call, through its `Host`.
@@ -131,11 +134,13 @@ one_front_door() {
 }
 
 # DESIGN.md §2.2 "One simulation, one thread", §4 "The pool lives on one
-# thread": the pool, its arena and its export carry no cross-thread
-# machinery, and nothing asserts a Send or Sync the compiler would refuse.
+# thread": the pool, its arena, its export and the SPSC ring carry no
+# cross-thread machinery, and nothing asserts a Send or Sync the compiler
+# would refuse.
 pool_is_single_threaded() {
   local f
-  for f in crates/membuf/src/pool.rs crates/membuf/src/hugepage.rs crates/membuf/src/export.rs; do
+  for f in crates/membuf/src/pool.rs crates/membuf/src/hugepage.rs crates/membuf/src/export.rs \
+    crates/membuf/src/spsc.rs; do
     if non_test "$f" | grep -nE 'Mutex|Atomic|\bArc\b|Ordering::|unsafe impl'; then
       fail "$f: the pool is single-threaded; use Rc and Cell"
     fi

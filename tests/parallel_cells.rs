@@ -13,7 +13,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use dne::DeliveryFailure;
 use ingress::{Gateway, GatewayConfig};
@@ -136,25 +136,52 @@ fn echo_cell(seed: u64) -> Digest {
     digest(&cluster, driver.completed(), &driver.latency(), &failed)
 }
 
-/// fig16's dataflow: the fan-out/fan-in DAG, closed loop.
+/// fig16's dataflow: the fan-out/fan-in DAG, closed loop: `CLIENTS`
+/// requests in flight, each reissued when it completes, until the stop.
 fn dag_cell(seed: u64) -> Digest {
     let mut sim = Sim::new();
     let (cluster, failed) = cluster_with_failure_log(&mut sim);
     let dag = fan_out(&cluster);
-    let driver = ClosedLoop::new(sim.now() + SimDuration::from_millis(2));
-    cluster.register_dag(&dag, exec_costs(seed), driver.completion());
+    let stop = sim.now() + SimDuration::from_millis(2);
+    // Issue instants by request id, completions and their latency; the
+    // loop reaches the cluster weakly, since its endpoints own the loop.
+    let tally = Rc::new(RefCell::new((Vec::new(), 0u64, Histogram::new())));
+    let door: Rc<RefCell<Weak<Cluster>>> = Rc::default();
+    let issue: Rc<dyn Fn(&mut Sim)> = {
+        let (tally, door, dag) = (tally.clone(), door.clone(), dag.clone());
+        Rc::new(move |sim: &mut Sim| {
+            let req = {
+                let issued = &mut tally.borrow_mut().0;
+                issued.push(sim.now());
+                issued.len() as u64 - 1
+            };
+            let cluster = door
+                .borrow()
+                .upgrade()
+                .expect("the cluster outlives its run");
+            assert!(cluster.inject_dag(sim, &dag, req), "request {req} refused");
+        })
+    };
+    let (done, reissue) = (tally.clone(), issue.clone());
+    let completion = Rc::new(move |sim: &mut Sim, req: u64| {
+        {
+            let (issued, completed, latency) = &mut *done.borrow_mut();
+            *completed += 1;
+            latency.record(sim.now().saturating_since(issued[req as usize]));
+        }
+        if sim.now() < stop {
+            reissue(sim);
+        }
+    });
+    cluster.register_dag(&dag, exec_costs(seed), completion);
     let cluster = Rc::new(cluster);
-    // Weakly: the cluster's endpoints own the driver's completion.
-    let door = Rc::downgrade(&cluster);
-    driver.set_issuer(Rc::new(move |sim, req| {
-        let cluster = door.upgrade().expect("the cluster outlives its run");
-        assert!(cluster.inject_dag(sim, &dag, req), "request {req} refused");
-    }));
+    *door.borrow_mut() = Rc::downgrade(&cluster);
     for _ in 0..CLIENTS {
-        driver.issue_one(&mut sim);
+        issue(&mut sim);
     }
     sim.run();
-    digest(&cluster, driver.completed(), &driver.latency(), &failed)
+    let (_, completed, latency) = &*tally.borrow();
+    digest(&cluster, *completed, latency, &failed)
 }
 
 /// The echo chain behind the gateway and the cluster's front door, through
